@@ -8,7 +8,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 
 .PHONY: build test race verify lint lint-tools chaos-smoke fuzz \
 	fuzz-smoke bench bench-smoke bench-permute bench-ckpt bench-telemetry \
-	bench-oocvec bench-kernels bench-workloads coverage
+	bench-oocvec bench-kernels bench-workloads bench-repo coverage
 
 # Compile every package and link every command into bin/, so a broken
 # main package fails the build even though `go build ./...` discards
@@ -114,13 +114,15 @@ bench-ckpt:
 bench-telemetry:
 	$(GO) test -run '^$$' -bench 'BenchmarkTelemetryOverhead' -benchtime 3x -count 3 . | $(GO) run ./cmd/benchjson > BENCH_telemetry.json
 
-# Single-precision kernel-suite baseline: per-k f32-vs-f64 Specialized
-# kernel pairs on a 1 GiB state, the per-gate supremacy-circuit precision
-# pair (every gate k ≤ 2), and the kmax=5 fused-vs-unfused execution pair,
-# recorded (with the derived f32/f64 and fused/separate speedups) in
-# BENCH_kernels.json. Three repetitions; benchjson keeps the fastest of
-# each, which also drops the first-touch page-fault cost of the 1 GiB
-# state allocations.
+# Kernel-suite baseline: per-k f32-vs-f64 Specialized kernel pairs and the
+# diagonal-sweep pair on a 1 GiB state, the per-gate supremacy-circuit
+# precision pair (every gate k ≤ 2), and the default-plan fused-vs-unfused
+# execution pair, recorded (with the derived f32/f64 and fused/separate
+# speedups) in BENCH_kernels.json. The f64 rows over k1/f64 are the price
+# list internal/schedule/cost.go compiles in as MeasuredCosts: refresh the
+# constants there when this file moves, and fused/separate must read ≥ 1.
+# Three repetitions; benchjson keeps the fastest of each, which also drops
+# the first-touch page-fault cost of the 1 GiB state allocations.
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernelPrecision|BenchmarkCircuitPrecision|BenchmarkKernelFusion' -benchtime 3x -count 3 -timeout 60m . | $(GO) run ./cmd/benchjson > BENCH_kernels.json
 
@@ -142,6 +144,15 @@ bench-oocvec:
 # deliberately shifts workload performance.
 bench-workloads:
 	($(GO) run ./cmd/qbench -quick -bench && $(GO) run ./cmd/qbench -full -bench) | $(GO) run ./cmd/benchjson -strict > BENCH_workloads.json
+
+# The repository benchmark (BENCHMARK.json, bench/README.md): six named
+# workloads end to end — time to solution, set-up, peak RSS — with every
+# correctness check enforced. The end-to-end check for scheduler and kernel
+# changes; BENCH_ARGS passes flags through, e.g.
+# BENCH_ARGS='--workload sup24-f64 --trace 1'.
+BENCH_ARGS ?=
+bench-repo:
+	bash bench/run.sh $(BENCH_ARGS)
 
 # Coverage floors for the subsystems the workload catalog leans on for
 # correctness scoring. The gate is deliberately narrow: these two packages

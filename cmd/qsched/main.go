@@ -23,7 +23,7 @@ func main() {
 		qubits = flag.Int("qubits", 42, "number of qubits")
 		depth  = flag.Int("depth", 25, "circuit depth (clock cycles after the Hadamard layer)")
 		local  = flag.Int("local", 30, "local qubits per rank (l)")
-		kmax   = flag.Int("kmax", 4, "maximum fused-gate size")
+		kmax   = flag.Int("kmax", schedule.DefaultOptions(0).KMax, "cap on the fused-gate size; below it the kernel cost table decides how far to fuse")
 		seed   = flag.Int64("seed", 0, "random seed")
 		spec1q = flag.Bool("spec1q", false, "specialize diagonal 1-qubit gates (median-hard mode)")
 		policy = flag.String("policy", "greedy", "swap policy: greedy or lowest-order")
@@ -67,6 +67,7 @@ func main() {
 	for _, k := range sizes {
 		fmt.Printf("  %d-qubit clusters: %d\n", k, s.ClusterSizes[k])
 	}
+	fmt.Printf("modelled kernel cost: %.1f k=1 passes (default cost table)\n", opts.Costs.PlanCost(plan))
 	fmt.Printf("per-gate scheme [5]: %d comm steps (worst case %d) -> %.1fx reduction\n",
 		s.BaselineGlobalGates, s.BaselineGlobalGatesDense,
 		float64(s.BaselineGlobalGates)/float64(maxInt(1, s.Swaps)))

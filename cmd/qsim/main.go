@@ -38,13 +38,13 @@ func main() {
 		depth     = flag.Int("depth", 25, "supremacy circuit depth (clock cycles after the Hadamard layer)")
 		seed      = flag.Int64("seed", 0, "random seed")
 		ranks     = flag.Int("ranks", 1, "simulated MPI ranks (power of two)")
-		kmax      = flag.Int("kmax", 5, "maximum fused-gate size (clamped to local qubits)")
+		kmax      = flag.Int("kmax", schedule.DefaultOptions(0).KMax, "cap on the fused-gate size (clamped to local qubits); below it the scheduler's kernel cost table decides how far to fuse")
 		f32       = flag.Bool("f32", false, "single-precision (complex64) state vector — half the memory per amplitude, single node only")
 		baseline  = flag.Bool("baseline", false, "use the per-gate scheme of [5] instead of scheduling")
 		spec1q    = flag.Bool("spec1q", false, "specialize diagonal 1-qubit gates (median-hard mode)")
 		file      = flag.String("file", "", "read circuit from file (GRCS-like text format)")
 		planFile  = flag.String("plan", "", "execute a plan saved by qsched -save instead of scheduling")
-		tune      = flag.Bool("tune", false, "run the kernel autotuner first")
+		tune      = flag.Bool("tune", false, "run the kernel autotuner first and schedule by its timings instead of the compiled-in cost table")
 		tuneCache = flag.String("tune-cache", "", "with -tune: persist autotuner selections to this JSON file; a warm cache skips the benchmark sweep")
 		workers   = flag.Int("workers", 0, "parallel workers per rank (0 = GOMAXPROCS)")
 		shots     = flag.Int("sample", 0, "draw this many samples from the output distribution")
@@ -86,6 +86,7 @@ func main() {
 	if *ranks < 1 || *ranks&(*ranks-1) != 0 {
 		fatal(fmt.Errorf("ranks must be a power of two, got %d", *ranks))
 	}
+	sched := schedFlags{kmax: *kmax, spec1q: *spec1q, planFile: *planFile}
 	if *tune {
 		var res kernels.TuneResult
 		if *tuneCache != "" {
@@ -113,13 +114,15 @@ func main() {
 					t.K, prec, t.Stride, t.Variant, t.NsPerApply/1e6)
 			}
 		}
+		sched.costs = schedule.CostsFromTune(res)
+		fmt.Printf("  scheduling by relative pass cost k=1..5 %.2f, diagonal %.2f\n", sched.costs.Dense, sched.costs.Diag)
 	}
 
 	if *f32 {
 		if *ranks != 1 || *baseline || *ooc {
 			fatal(fmt.Errorf("-f32 runs single-node in memory (not with -ranks > 1, -baseline or -ooc)"))
 		}
-		runF32(circ, *kmax, *spec1q, *planFile, *verbose)
+		runF32(circ, sched, *verbose)
 		flushTelemetry(tel, *traceFile, *metrics)
 		return
 	}
@@ -127,7 +130,7 @@ func main() {
 	if *ooc {
 		runOutOfCore(circ, tel, oocOptions{
 			chunk: *oocChunk, prefetch: *oocPrefetch, dir: *oocDir,
-			kmax: *kmax, spec1q: *spec1q, planFile: *planFile, verbose: *verbose,
+			sched: sched, verbose: *verbose,
 			ckptDir: *ckptDir, ckptEvery: *ckptEvery, resume: *resume,
 		})
 		flushTelemetry(tel, *traceFile, *metrics)
@@ -147,28 +150,7 @@ func main() {
 		return
 	}
 
-	var plan *schedule.Plan
-	if *planFile != "" {
-		f, err := os.Open(*planFile)
-		if err != nil {
-			fatal(err)
-		}
-		plan, err = schedule.ReadPlan(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		g := bits.TrailingZeros(uint(*ranks))
-		opts := schedule.DefaultOptions(circ.N - g)
-		opts.KMax = clampKMax(*kmax, circ.N-g)
-		opts.SpecializeDiagonal1Q = *spec1q
-		var err error
-		plan, err = schedule.Build(circ, opts)
-		if err != nil {
-			fatal(err)
-		}
-	}
+	plan := sched.plan(circ, circ.N-bits.TrailingZeros(uint(*ranks)))
 	if *verbose {
 		fmt.Print(plan.Summary())
 	}
@@ -243,12 +225,48 @@ func flushTelemetry(tel *telemetry.Telemetry, traceFile string, metrics bool) {
 	}
 }
 
+// schedFlags carries what decides the plan of a run.
+type schedFlags struct {
+	kmax     int
+	spec1q   bool
+	planFile string
+	// costs is this machine's table after -tune, else the zero value:
+	// the scheduler's compiled-in one.
+	costs schedule.CostTable
+}
+
+// plan reads the plan saved in -plan or, without one, schedules circ at l
+// local qubits.
+func (s schedFlags) plan(circ *circuit.Circuit, l int) *schedule.Plan {
+	if s.planFile != "" {
+		f, err := os.Open(s.planFile)
+		if err != nil {
+			fatal(err)
+		}
+		plan, err := schedule.ReadPlan(f)
+		f.Close()
+		if err != nil {
+			fatal(err)
+		}
+		return plan
+	}
+	opts := schedule.DefaultOptions(l)
+	// The -kmax cap is bounded by the local-qubit count so small runs
+	// still validate.
+	opts.KMax = min(s.kmax, l)
+	opts.SpecializeDiagonal1Q = s.spec1q
+	opts.Costs = s.costs
+	plan, err := schedule.Build(circ, opts)
+	if err != nil {
+		fatal(err)
+	}
+	return plan
+}
+
 type oocOptions struct {
 	chunk, prefetch int
 	dir             string
-	kmax            int
-	spec1q          bool
-	planFile        string
+	sched           schedFlags
 	verbose         bool
 	ckptDir         string
 	ckptEvery       int
@@ -264,28 +282,7 @@ func runOutOfCore(circ *circuit.Circuit, tel *telemetry.Telemetry, o oocOptions)
 	if l == 0 {
 		l = circ.N - 4
 	}
-	var plan *schedule.Plan
-	if o.planFile != "" {
-		f, err := os.Open(o.planFile)
-		if err != nil {
-			fatal(err)
-		}
-		var perr error
-		plan, perr = schedule.ReadPlan(f)
-		f.Close()
-		if perr != nil {
-			fatal(perr)
-		}
-	} else {
-		opts := schedule.DefaultOptions(l)
-		opts.KMax = clampKMax(o.kmax, l)
-		opts.SpecializeDiagonal1Q = o.spec1q
-		var err error
-		plan, err = schedule.Build(circ, opts)
-		if err != nil {
-			fatal(err)
-		}
-	}
+	plan := o.sched.plan(circ, l)
 	if o.verbose {
 		fmt.Print(plan.Summary())
 	}
@@ -348,41 +345,11 @@ func runOutOfCore(circ *circuit.Circuit, tel *telemetry.Telemetry, o oocOptions)
 	}
 }
 
-// clampKMax bounds the -kmax flag by the local-qubit count so small runs
-// still validate.
-func clampKMax(kmax, l int) int {
-	if kmax > l {
-		return l
-	}
-	return kmax
-}
-
 // runF32 executes the circuit on the single-precision in-memory state — the
 // paper's Sec. 5 outlook (half the bytes per amplitude, one more qubit in
 // the same memory) — through the fused single-node schedule.
-func runF32(circ *circuit.Circuit, kmax int, spec1q bool, planFile string, verbose bool) {
-	var plan *schedule.Plan
-	if planFile != "" {
-		f, err := os.Open(planFile)
-		if err != nil {
-			fatal(err)
-		}
-		var perr error
-		plan, perr = schedule.ReadPlan(f)
-		f.Close()
-		if perr != nil {
-			fatal(perr)
-		}
-	} else {
-		opts := schedule.DefaultOptions(circ.N)
-		opts.KMax = clampKMax(kmax, circ.N)
-		opts.SpecializeDiagonal1Q = spec1q
-		var err error
-		plan, err = schedule.Build(circ, opts)
-		if err != nil {
-			fatal(err)
-		}
-	}
+func runF32(circ *circuit.Circuit, sched schedFlags, verbose bool) {
+	plan := sched.plan(circ, circ.N)
 	if verbose {
 		fmt.Print(plan.Summary())
 	}

@@ -35,7 +35,7 @@ func ablation(w io.Writer, cfg Config) error {
 	t := newTable(w)
 	t.row("configuration", "swaps", "clusters", "gates/cluster")
 	build := func(label string, mutate func(*schedule.Options)) error {
-		opts := schedule.DefaultOptions(l)
+		opts := paperOptions(l)
 		mutate(&opts)
 		plan, err := schedule.Build(circ, opts)
 		if err != nil {
@@ -79,7 +79,7 @@ func ablation(w io.Writer, cfg Config) error {
 		{"fused clusters + identity mapping", func(o *schedule.Options) { o.Mapping = schedule.MapIdentity }},
 		{"no fusion (gate-by-gate kernels)", func(o *schedule.Options) { o.Clustering = false }},
 	} {
-		opts := schedule.DefaultOptions(execN)
+		opts := paperOptions(execN)
 		cse.mutate(&opts)
 		plan, err := schedule.Build(circ2, opts)
 		if err != nil {

@@ -76,7 +76,7 @@ func fig8(w io.Writer, cfg Config) error {
 func planStats(n, depth int, seed int64, l int) (schedule.Stats, error) {
 	r, c := circuit.GridForQubits(n)
 	circ := circuit.Supremacy(circuit.SupremacyOptions{Rows: r, Cols: c, Depth: depth, Seed: seed, SkipInitialH: true})
-	plan, err := schedule.Build(circ, schedule.DefaultOptions(l))
+	plan, err := schedule.Build(circ, paperOptions(l))
 	if err != nil {
 		return schedule.Stats{}, err
 	}
@@ -86,7 +86,7 @@ func planStats(n, depth int, seed int64, l int) (schedule.Stats, error) {
 func runScaled(n, depth int, seed int64, ranks int) (*dist.Result, error) {
 	r, c := circuit.GridForQubits(n)
 	circ := circuit.Supremacy(circuit.SupremacyOptions{Rows: r, Cols: c, Depth: depth, Seed: seed, SkipInitialH: true})
-	plan, err := schedule.Build(circ, schedule.DefaultOptions(n-log2(ranks)))
+	plan, err := schedule.Build(circ, paperOptions(n-log2(ranks)))
 	if err != nil {
 		return nil, err
 	}

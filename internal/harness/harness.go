@@ -12,6 +12,8 @@ import (
 	"io"
 	"sort"
 	"text/tabwriter"
+
+	"qusim/internal/schedule"
 )
 
 // Config tunes experiment sizes.
@@ -28,6 +30,17 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func(w io.Writer, cfg Config) error
+}
+
+// paperOptions is the scheduler configuration of the paper's results: the
+// defaults at l local qubits, priced for the paper's machines, where every
+// k ≤ 5 kernel is memory-bound and clusters grow to the kmax cap. Every
+// experiment schedules with it, so the reproduced counts do not move when
+// this repository's own kernels, and with them the default table, change.
+func paperOptions(l int) schedule.Options {
+	o := schedule.DefaultOptions(l)
+	o.Costs = schedule.PaperCosts()
+	return o
 }
 
 var registry []Experiment

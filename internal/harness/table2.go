@@ -67,7 +67,7 @@ func table2(w io.Writer, cfg Config) error {
 	fmt.Fprintf(w, "\nreal %d-qubit run on %d simulated ranks, both schemes:\n", n, ranks)
 	r, c := circuit.GridForQubits(n)
 	circ := circuit.Supremacy(circuit.SupremacyOptions{Rows: r, Cols: c, Depth: 25, Seed: cfg.Seed, SkipInitialH: true})
-	plan, err := schedule.Build(circ, schedule.DefaultOptions(n-log2(ranks)))
+	plan, err := schedule.Build(circ, paperOptions(n-log2(ranks)))
 	if err != nil {
 		return err
 	}

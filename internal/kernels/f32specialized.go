@@ -310,8 +310,9 @@ func ApplyDiagonalF32(amps []complex64, d []complex64, qs []int) {
 		return
 	}
 	q0 := qs[0]
-	if q0 < diagRunMin && qs[k-1] < diagPeriodMax {
-		applyDiagPeriodF32(amps, d, qs)
+	if q0 < diagRunMin {
+		nlo, window := diagWindow(qs)
+		applyDiagWindowsF32(amps, d, qs[:nlo], qs[nlo:], window)
 		return
 	}
 	runs := len(amps) >> q0
@@ -343,22 +344,24 @@ func ApplyDiagonalF32(amps []complex64, d []complex64, qs []int) {
 	})
 }
 
-// applyDiagPeriodF32 is the single-precision twin of applyDiagPeriod: the
-// low-position diagonal sweep replaying compiled non-unit segments, with
-// the multiply on split float32 scalars.
+// applyDiagWindowsF32 is the single-precision twin of applyDiagWindows:
+// the low-position diagonal sweep replaying compiled non-unit segments,
+// with the multiply on split float32 scalars.
 //
 //qusim:hot
-func applyDiagPeriodF32(amps []complex64, d []complex64, qs []int) {
-	period := 1 << (qs[len(qs)-1] + 1)
-	segs := diagSegments(d, qs, period)
-	if len(segs) == 0 {
+func applyDiagWindowsF32(amps []complex64, d []complex64, lo, hi []int, window int) {
+	segs := diagWindowSegments(d, lo, len(hi), window)
+	if segs == nil {
 		return
 	}
-	blocks := len(amps) / period
-	par.For(blocks, max(1, 8192/period), func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			base := b * period
-			for _, s := range segs {
+	par.For(len(amps)/window, max(1, 8192/window), func(b0, b1 int) {
+		for b := b0; b < b1; b++ {
+			base := b * window
+			x := 0
+			for j, q := range hi {
+				x |= (base >> q & 1) << j
+			}
+			for _, s := range segs[x] {
 				blk := amps[base+s.off : base+s.off+s.n : base+s.off+s.n]
 				if s.dx == -1 {
 					for j := range blk {

@@ -181,6 +181,44 @@ func TestApplyDiagonalMatchesMatrix(t *testing.T) {
 	}
 }
 
+// TestApplyDiagonalWindows drives the short-run sweeps — qs[0] below
+// diagRunMin, with the top position on either side of diagPeriodMax — in
+// both precisions against the per-index definition. Entries include 1
+// (skipped) and −1 (negated without a multiply).
+func TestApplyDiagonalWindows(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	n := diagPeriodMax + 2
+	state := randomState(n, rng)
+	for _, qs := range [][]int{
+		{0, 3, diagPeriodMax - 1}, // one period
+		{0, n - 1}, {2, 5, diagPeriodMax}, {0, 1, 2, diagPeriodMax, n - 1},
+		{diagRunMin - 1, diagRunMin, n - 2}, {1, 7, 9, 11, n - 1},
+	} {
+		d := gate.RandomDiagonal(len(qs), rng).Diagonal()
+		d[0], d[len(d)-1] = 1, -1
+		want := make([]complex128, len(state))
+		for i, a := range state {
+			x := 0
+			for j, q := range qs {
+				x |= (i >> q & 1) << j
+			}
+			want[i] = a * d[x]
+		}
+		got := append([]complex128(nil), state...)
+		ApplyDiagonal(got, d, qs)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("qs=%v: amps[%d] = %v, want %v", qs, i, got[i], want[i])
+			}
+		}
+		got32 := toF32(state)
+		ApplyDiagonalF32(got32, ToComplex64(d), qs)
+		if diff := maxDiffF32(got32, want); diff > f32Tol {
+			t.Errorf("qs=%v: f32 max diff %g", qs, diff)
+		}
+	}
+}
+
 func TestApplyCZMatchesMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	n := 7

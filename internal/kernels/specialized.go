@@ -213,11 +213,12 @@ func ApplyDiagonal(amps []complex128, d []complex128, qs []int) {
 		return
 	}
 	q0 := qs[0]
-	if q0 < diagRunMin && qs[k-1] < diagPeriodMax {
-		// Short runs: per-run dispatch overhead would dominate. The entry
-		// pattern repeats every 2^(qs[k-1]+1) indices, so precompute one
-		// period's worth of non-unit segments and replay it across the state.
-		applyDiagPeriod(amps, d, qs)
+	if q0 < diagRunMin {
+		// Short runs: per-run dispatch overhead would dominate. Compile the
+		// non-unit segments of one window of the index pattern and replay
+		// them across the state instead.
+		nlo, window := diagWindow(qs)
+		applyDiagWindows(amps, d, qs[:nlo], qs[nlo:], window)
 		return
 	}
 	runs := len(amps) >> q0
@@ -246,10 +247,11 @@ func ApplyDiagonal(amps []complex128, d []complex128, qs []int) {
 	})
 }
 
-// diagRunMin and diagPeriodMax pick between the two diagonal sweeps: runs
-// of at least 2^diagRunMin amplitudes amortize the per-run entry lookup;
-// below that the period replay takes over as long as its table stays
-// comfortably inside L1 (2^(diagPeriodMax+1) index period).
+// diagRunMin and diagPeriodMax pick between the diagonal sweeps: runs of at
+// least 2^diagRunMin amplitudes amortize the per-run entry lookup; below
+// that the windowed replay takes over, over the pattern's whole period as
+// long as its table stays comfortably inside L1 (2^(diagPeriodMax+1) index
+// period) and over 2^diagRunMin-amplitude windows beyond.
 const (
 	diagRunMin    = 6
 	diagPeriodMax = 13
@@ -292,22 +294,57 @@ func diagSegments[T complexAmp](d []T, qs []int, period int) []diagSegment[T] {
 	return segs
 }
 
-// applyDiagPeriod replays the compiled non-unit segments of one index
-// period across the state — the low-position diagonal sweep: no per-index
-// bit extraction, and indices with unit entries are never visited.
+// diagWindow splits the sorted positions qs (qs[0] < diagRunMin) for the
+// windowed diagonal sweep: the first nlo positions vary inside a window of
+// that many amplitudes, the rest are constant across it. While the whole
+// pattern's period stays comfortably inside L1 the window is one period;
+// beyond that only the short-run positions stay inside the window.
+func diagWindow(qs []int) (nlo, window int) {
+	if top := qs[len(qs)-1]; top < diagPeriodMax {
+		return len(qs), 1 << (top + 1)
+	}
+	for nlo < len(qs) && qs[nlo] < diagRunMin {
+		nlo++
+	}
+	return nlo, 1 << diagRunMin
+}
+
+// diagWindowSegments compiles, for each value of the nhi window-constant
+// index bits, the non-unit segments of one window over the positions lo.
+// It returns nil when every entry is 1.
+func diagWindowSegments[T complexAmp](d []T, lo []int, nhi, window int) [][]diagSegment[T] {
+	segs := make([][]diagSegment[T], 1<<nhi)
+	empty := true
+	for x := range segs {
+		segs[x] = diagSegments(d[x<<len(lo):(x+1)<<len(lo)], lo, window)
+		empty = empty && len(segs[x]) == 0
+	}
+	if empty {
+		return nil
+	}
+	return segs
+}
+
+// applyDiagWindows is the low-position diagonal sweep: the positions lo
+// vary inside each window of the index space and the positions hi select,
+// once per window, which compiled list of non-unit segments to replay over
+// it — no per-index bit extraction, and indices with unit entries are
+// never visited.
 //
 //qusim:hot
-func applyDiagPeriod(amps []complex128, d []complex128, qs []int) {
-	period := 1 << (qs[len(qs)-1] + 1)
-	segs := diagSegments(d, qs, period)
-	if len(segs) == 0 {
+func applyDiagWindows(amps []complex128, d []complex128, lo, hi []int, window int) {
+	segs := diagWindowSegments(d, lo, len(hi), window)
+	if segs == nil {
 		return
 	}
-	blocks := len(amps) / period
-	par.For(blocks, max(1, 8192/period), func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			base := b * period
-			for _, s := range segs {
+	par.For(len(amps)/window, max(1, 8192/window), func(b0, b1 int) {
+		for b := b0; b < b1; b++ {
+			base := b * window
+			x := 0
+			for j, q := range hi {
+				x |= (base >> q & 1) << j
+			}
+			for _, s := range segs[x] {
 				blk := amps[base+s.off : base+s.off+s.n : base+s.off+s.n]
 				if s.dx == -1 {
 					for j := range blk {

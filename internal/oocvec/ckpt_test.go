@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qusim/internal/ckpt"
+	"qusim/internal/schedule"
 )
 
 // oocAmps runs the plan (optionally checkpointed) and returns the final
@@ -174,6 +175,52 @@ func TestRunCheckpointedResumesBitwise(t *testing.T) {
 	for i := range clean {
 		if clean[i] != resumed[i] {
 			t.Fatalf("resumed run diverged at amplitude %d", i)
+		}
+	}
+}
+
+// TestCheckpointNotSharedAcrossCostTables: the same circuit scheduled under
+// two cost tables is two plans with two fingerprints, so a snapshot taken
+// under one is never resumed into the other — the -resume run starts over
+// and still lands bitwise on the clean result.
+func TestCheckpointNotSharedAcrossCostTables(t *testing.T) {
+	n, l := 10, 7
+	circ, measured := buildPlan(t, n, l, 16, 4)
+	opts := schedule.DefaultOptions(l)
+	opts.Costs = schedule.PaperCosts()
+	paper, err := schedule.Build(circ, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if measured.Fingerprint() == paper.Fingerprint() {
+		t.Fatal("measured- and paper-table plans share a fingerprint; the scenario needs two plans")
+	}
+	if measured.Stages() < 2 || paper.Stages() < 2 {
+		t.Fatalf("plans have %d and %d stages; the scenario needs a snapshot from each", measured.Stages(), paper.Stages())
+	}
+	dir := t.TempDir()
+	pol := &ckpt.Policy{Dir: dir}
+	oocAmps(t, n, l, func(v *Vector) error {
+		_, written, err := v.RunCheckpointed(measured, pol, false)
+		if written == 0 {
+			t.Error("no snapshot committed under the measured table")
+		}
+		if man, ferr := ckpt.FindRestorable(dir, v.snapshotMeta(paper)); ferr != nil || man != nil {
+			t.Errorf("FindRestorable under the paper table = %v, %v; want no snapshot", man, ferr)
+		}
+		return err
+	})
+	clean := oocAmps(t, n, l, func(v *Vector) error { return v.Run(paper) })
+	rerun := oocAmps(t, n, l, func(v *Vector) error {
+		restored, _, err := v.RunCheckpointed(paper, pol, true)
+		if restored != -1 {
+			t.Errorf("paper-table run resumed from the measured table's stage-%d snapshot", restored)
+		}
+		return err
+	})
+	for i := range clean {
+		if clean[i] != rerun[i] {
+			t.Fatalf("rerun from scratch diverged at amplitude %d", i)
 		}
 	}
 }

@@ -20,15 +20,19 @@ func Build(c *circuit.Circuit, opts Options) (*Plan, error) {
 	if c.N > 62 {
 		return nil, fmt.Errorf("schedule: %d qubits exceeds the 62-qubit bitset limit", c.N)
 	}
-	b := newBuilder(c, opts, nil)
+	opts.Costs = opts.Costs.resolve()
+	info := gateInfos(c, opts.Costs)
+	b := newBuilder(c, opts, info, nil)
+	// The mapping heuristic needs a first pass for the cluster qubit sets
+	// only; fused matrices and diagonals wait for the pass that is kept.
+	b.structureOnly = opts.Mapping == MapHeuristic
 	plan, err := b.run()
 	if err != nil {
 		return nil, err
 	}
 	if opts.Mapping == MapHeuristic {
 		pos := heuristicMapping(c.N, b.l, b.initialResident, b.clusterQubitSets)
-		b2 := newBuilder(c, opts, pos)
-		plan, err = b2.run()
+		plan, err = newBuilder(c, opts, info, pos).run()
 		if err != nil {
 			return nil, err
 		}
@@ -44,9 +48,14 @@ type builder struct {
 	pos []int // qubit -> current bit location
 	loc []int // bit location -> qubit
 
+	cl clusterer
+
 	ops   []Op
 	stats Stats
 	stage int
+	// structureOnly skips fusing matrices and materializing diagonals:
+	// ops carry their kind and gate count only.
+	structureOnly bool
 
 	initialPos       []int // fixed initial layout, or nil to choose greedily
 	initialResident  uint64
@@ -54,29 +63,25 @@ type builder struct {
 	gatesInClusters  int
 }
 
-func newBuilder(c *circuit.Circuit, opts Options, initialPos []int) *builder {
+// newBuilder takes opts with Costs resolved and the gateInfos of c under
+// them.
+func newBuilder(c *circuit.Circuit, opts Options, info []gateInfo, initialPos []int) *builder {
 	l := opts.LocalQubits
 	if l > c.N {
 		l = c.N
 	}
-	return &builder{c: c, opts: opts, n: c.N, l: l, initialPos: initialPos}
+	return &builder{c: c, opts: opts, n: c.N, l: l, initialPos: initialPos, cl: clusterer{info: info}}
 }
 
-func (b *builder) qubitMask(g *circuit.Gate) uint64 {
-	var m uint64
-	for _, q := range g.Qubits {
-		m |= 1 << uint(q)
-	}
-	return m
-}
+func (b *builder) qubitMask(gi int) uint64 { return b.cl.info[gi].mask }
 
-// specializable reports whether g may execute on global qubits without
-// communication under the configured specialization (Sec. 3.5).
-func (b *builder) specializable(g *circuit.Gate) bool {
-	if !g.IsDiagonal() {
+// specializable reports whether gate gi may execute on global qubits
+// without communication under the configured specialization (Sec. 3.5).
+func (b *builder) specializable(gi int) bool {
+	if !b.cl.info[gi].diagonal {
 		return false
 	}
-	if g.K() == 1 {
+	if b.c.Gates[gi].K() == 1 {
 		return b.opts.SpecializeDiagonal1Q
 	}
 	return b.opts.SpecializeDiagonal2Q
@@ -140,7 +145,7 @@ func (b *builder) run() (*Plan, error) {
 				stageOps, rest = b.adjustBoundary(stageOps, sel, rest, resident, next)
 			}
 		}
-		b.emitStageOps(stageOps, sel)
+		b.emitStageOps(stageOps)
 		b.stats.Stages++
 		if len(rest) > 0 {
 			b.emitSwap(resident, next)
@@ -205,14 +210,13 @@ func (b *builder) layoutInitial(resident uint64) {
 func (b *builder) takeStage(gates []int, resident uint64) (sel, rest []int) {
 	var blocked uint64
 	for _, gi := range gates {
-		g := &b.c.Gates[gi]
-		qm := b.qubitMask(g)
+		qm := b.qubitMask(gi)
 		if qm&blocked != 0 {
 			blocked |= qm
 			rest = append(rest, gi)
 			continue
 		}
-		if qm&^resident == 0 || b.specializable(g) {
+		if qm&^resident == 0 || b.specializable(gi) {
 			sel = append(sel, gi)
 		} else {
 			blocked |= qm
@@ -237,13 +241,12 @@ func (b *builder) chooseResidencyGreedy(rest []int, prev uint64) uint64 {
 	var r, blocked uint64
 	count := 0
 	for _, gi := range rest {
-		g := &b.c.Gates[gi]
-		qm := b.qubitMask(g)
+		qm := b.qubitMask(gi)
 		if qm&blocked != 0 {
 			blocked |= qm
 			continue
 		}
-		if b.specializable(g) {
+		if b.specializable(gi) {
 			continue
 		}
 		need := qm &^ r
@@ -461,7 +464,7 @@ func (b *builder) countBaselines() {
 			continue
 		}
 		b.stats.BaselineGlobalGatesDense++
-		if !b.specializable(g) {
+		if !b.specializable(i) {
 			b.stats.BaselineGlobalGates++
 		}
 	}
@@ -492,13 +495,11 @@ func (b *builder) adjustBoundary(stageOps []stageOp, sel, rest []int, cur, next 
 			memberSet[gi] = true
 		}
 		for _, gi := range op.gates {
-			g := &b.c.Gates[gi]
-			qm := b.qubitMask(g)
-			if qm&^keep != 0 {
+			if b.qubitMask(gi)&^keep != 0 {
 				ok = false
 				break
 			}
-			for _, q := range g.Qubits {
+			for _, q := range b.c.Gates[gi].Qubits {
 				if last := lastOn[q]; last != gi && !memberSet[last] {
 					ok = false
 					break
@@ -522,15 +523,32 @@ func (b *builder) adjustBoundary(stageOps []stageOp, sel, rest []int, cur, next 
 
 // emitStageOps finalizes a stage's operations: fuses cluster matrices and
 // materializes diagonal entries, using the current layout.
-func (b *builder) emitStageOps(stageOps []stageOp, sel []int) {
+func (b *builder) emitStageOps(stageOps []stageOp) {
 	for _, sop := range stageOps {
-		if sop.cluster {
+		switch {
+		case b.structureOnly:
+			b.emitStructure(sop)
+		case sop.cluster:
 			b.emitCluster(sop.gates)
-		} else {
+		default:
 			b.emitDiag(sop.gates[0], false)
 		}
 	}
-	_ = sel
+}
+
+// emitStructure records what the mapping heuristic reads of a stage op —
+// a cluster's qubit set — and an op that accounts for its gates.
+func (b *builder) emitStructure(sop stageOp) {
+	kind := OpDiagonal
+	if sop.cluster {
+		kind = OpCluster
+		var qm uint64
+		for _, gi := range sop.gates {
+			qm |= b.qubitMask(gi)
+		}
+		b.clusterQubitSets = append(b.clusterQubitSets, setBits(qm))
+	}
+	b.ops = append(b.ops, Op{Kind: kind, GateCount: len(sop.gates), Stage: b.stage})
 }
 
 func (b *builder) emitCluster(gates []int) {
@@ -547,7 +565,7 @@ func (b *builder) emitCluster(gates []int) {
 	// Collect the qubit set.
 	var qm uint64
 	for _, gi := range gates {
-		qm |= b.qubitMask(&b.c.Gates[gi])
+		qm |= b.qubitMask(gi)
 	}
 	qubits := setBits(qm)
 	sort.Slice(qubits, func(i, j int) bool { return b.pos[qubits[i]] < b.pos[qubits[j]] })

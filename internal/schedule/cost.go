@@ -1,0 +1,128 @@
+package schedule
+
+import (
+	"fmt"
+	"math"
+
+	"qusim/internal/kernels"
+)
+
+// CostTable is the kernels' price list the clustering decides with: the
+// relative cost of one pass over the state for a dense k-qubit kernel,
+// k = 1…5, and for one diagonal sweep. Only ratios matter. The paper reads
+// the fused-gate size off the machine (Sec. 3.3, Fig. 2: every k ≤ 5 kernel
+// is memory-bound, so merging gates is free); the table is that reading in
+// a form the scheduler can act on, gate by gate.
+//
+// The zero value means MeasuredCosts, so an Options literal that never
+// mentions costs plans for the kernels this repository ships.
+type CostTable struct {
+	// Dense[k-1] prices one dense k-qubit pass. Wider gates extrapolate
+	// geometrically from the last step, Dense[4]·(Dense[4]/Dense[3])^(k−5).
+	Dense [5]float64
+	// Diag prices one diagonal sweep, whatever its width.
+	Diag float64
+}
+
+// MeasuredCosts is this repository's pure-Go kernel suite as
+// BENCH_kernels.json records it: BenchmarkKernelPrecision k1…k5 and diag,
+// f64 ns/op over k1's, on a 1 GiB state. The dense kernels leave the memory
+// roof at k = 3; the diagonal sweep streams the state once with one
+// multiply per amplitude. Refresh the constants from `make bench-kernels`
+// when the kernels change.
+func MeasuredCosts() CostTable {
+	return CostTable{Dense: [5]float64{1, 1.23, 3.13, 4.90, 12.2}, Diag: 0.80}
+}
+
+// PaperCosts is the machine of the paper: every k ≤ 5 kernel and the
+// diagonal sweep sit on the memory roof, one pass costs one pass. Under it
+// every merge is free and the clustering is the greedy algorithm of
+// Sec. 3.6.1; internal/harness reproduces Table 1 and Fig. 5 with it.
+func PaperCosts() CostTable {
+	return CostTable{Dense: [5]float64{1, 1, 1, 1, 1}, Diag: 1}
+}
+
+// CostsFromTune prices the dense kernels from this machine's own timings:
+// for each k the fastest double-precision variant the autotuner measured,
+// relative to k = 1. The tuner does not time the diagonal sweep; it is
+// memory-bound like the k = 1 kernel, so it keeps MeasuredCosts' ratio to
+// it, as do the rows of any k the result does not cover.
+func CostsFromTune(res kernels.TuneResult) CostTable {
+	var best [5]float64
+	for _, tm := range res.Timings {
+		if tm.F32 || tm.K < 1 || tm.K > len(best) || tm.NsPerApply <= 0 {
+			continue
+		}
+		if b := best[tm.K-1]; b == 0 || tm.NsPerApply < b {
+			best[tm.K-1] = tm.NsPerApply
+		}
+	}
+	t := MeasuredCosts()
+	if best[0] == 0 {
+		return t
+	}
+	for k, ns := range best {
+		if ns > 0 {
+			t.Dense[k] = ns / best[0]
+		}
+	}
+	return t
+}
+
+// resolve maps the zero value to MeasuredCosts.
+func (t CostTable) resolve() CostTable {
+	if t == (CostTable{}) {
+		return MeasuredCosts()
+	}
+	return t
+}
+
+func (t CostTable) validate() error {
+	for k, c := range t.Dense {
+		if !(c > 0) || math.IsInf(c, 0) {
+			return fmt.Errorf("schedule: cost of a dense k=%d pass must be positive and finite, got %v", k+1, c)
+		}
+	}
+	if !(t.Diag > 0) || math.IsInf(t.Diag, 0) {
+		return fmt.Errorf("schedule: cost of a diagonal sweep must be positive and finite, got %v", t.Diag)
+	}
+	return nil
+}
+
+// dense prices one dense k-qubit pass (k ≥ 0; a 0-qubit gate is a scale).
+func (t CostTable) dense(k int) float64 {
+	n := len(t.Dense)
+	if k < 1 {
+		k = 1
+	}
+	if k <= n {
+		return t.Dense[k-1]
+	}
+	return t.Dense[n-1] * math.Pow(t.Dense[n-1]/t.Dense[n-2], float64(k-n))
+}
+
+// cluster prices one pass of a k-qubit cluster: a diagonal sweep when all
+// its members are diagonal, a dense pass otherwise.
+func (t CostTable) cluster(k int, diagonal bool) float64 {
+	if diagonal {
+		return t.Diag
+	}
+	return t.dense(k)
+}
+
+// PlanCost is the modelled kernel cost of p: the table's price of every
+// cluster and diagonal op, in k = 1 passes under MeasuredCosts.
+// Permutations and swaps are not priced.
+func (t CostTable) PlanCost(p *Plan) float64 {
+	t = t.resolve()
+	total := 0.0
+	for i := range p.Ops {
+		switch op := &p.Ops[i]; op.Kind {
+		case OpCluster:
+			total += t.dense(len(op.Positions))
+		case OpDiagonal:
+			total += t.Diag
+		}
+	}
+	return total
+}

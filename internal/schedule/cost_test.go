@@ -1,0 +1,235 @@
+package schedule
+
+import (
+	"math"
+	"runtime"
+	"testing"
+
+	"qusim/internal/circuit"
+	"qusim/internal/kernels"
+)
+
+func paperOptions(l, kmax int) Options {
+	o := DefaultOptions(l)
+	o.KMax = kmax
+	o.Costs = PaperCosts()
+	return o
+}
+
+// TestPaperCostsReproduceParentPlans pins the reduction the cost rule
+// promises: under PaperCosts every widening is free and cheapest-per-gate
+// is most-gates, so the plans are those of the greedy algorithm this
+// package shipped before the rule (commit 7536100, where the hashes were
+// taken). Full fingerprints cover fused matrix entries bit for bit and are
+// compared on amd64 only (other targets may contract the products into
+// FMAs); structure fingerprints hold everywhere.
+func TestPaperCostsReproduceParentPlans(t *testing.T) {
+	sup := func(n int) *circuit.Circuit {
+		r, c := circuit.GridForQubits(n)
+		return circuit.Supremacy(circuit.SupremacyOptions{Rows: r, Cols: c, Depth: 25})
+	}
+	set := circuit.SweepParams(1, 2, 6)[1]
+	qaoa := circuit.QAOAMaxCutRing(16, set[:3], set[3:])
+	for _, g := range []struct {
+		name            string
+		c               *circuit.Circuit
+		opts            Options
+		clusters        int
+		structure, full string
+	}{
+		{"table1/n30/kmax3", sup(30), paperOptions(30, 3), 85, "a696d5225c1d8015788e9764aafb81d961507527f8058cb32a23bd90c6f21752", "8e19b6cb4ddcde5159290784c95c83fd19141cf65cd4aa346a997b4e39262d9a"},
+		{"table1/n30/kmax4", sup(30), paperOptions(30, 4), 57, "def6c3e82db2ecee9d7027b48698e323e303a457f13f2fa6459319bd0c30f381", "818ce6f87e9dcfdc3895946bdcf5f97aed98ca063747c262c20ff77fb8e3b5d8"},
+		{"table1/n30/kmax5", sup(30), paperOptions(30, 5), 43, "beed5b5c05ef103e3625106fd4ba3ee3f513782bdd21568c855c6170fb72ae45", "81f98b9925c8bac7ffe54fdcd77f718f186f16db034e2a017a395d7f739e0f67"},
+		{"table1/n36/kmax3", sup(36), paperOptions(30, 3), 106, "5adc92ef938998613855d49e1c164d1c800d8d2cf6cdbafbc2e4b59cf152af5e", "1711bba563885587702051f57de22d9747f5f447588c61f9ecd475fd50cf78f0"},
+		{"table1/n36/kmax4", sup(36), paperOptions(30, 4), 71, "0c135d6477e3f340a6925c2d2334f90d7f0a599a949bbeaeb964c5d84b7c3c46", "3f88f1c129d8ce36c9d198e19fcb39b33b993acf5b8c7cf0828609dc3eef4434"},
+		{"table1/n36/kmax5", sup(36), paperOptions(30, 5), 54, "fde5a90fe65dab3474ac54dda822f42c00f782677b3329c93e8115a8ce1f35fb", "f970bac68f988b3aad9e5a95e9e2dc5c548f6b733fe563c731c8aa427d65b488"},
+		{"qft23/l20", circuit.QFT(23), paperOptions(20, 5), 38, "a49e1f1f30bedaa3c7bdf7f6012f7ca3d7f3473413f1a8b44d267c38fc7ba831", "04a73859679db961b06819e2d8ca5b7476ddde44e0263317a73672ce6a29158e"},
+		{"qaoa16/l16", qaoa, paperOptions(16, 5), 15, "133177a1de2d9b6653611ce02166ea9606f6bda187f2e9b7f4b78ac92eae8ea9", "d74336cab6af1185bba5d802a9cb5a6372757d9776be1d88924d8dab5022356b"},
+	} {
+		p, err := Build(g.c, g.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		if p.Stats.Clusters != g.clusters {
+			t.Errorf("%s: %d clusters, parent built %d", g.name, p.Stats.Clusters, g.clusters)
+		}
+		if got := p.StructureFingerprint(); got != g.structure {
+			t.Errorf("%s: structure fingerprint %s, parent's %s", g.name, got, g.structure)
+		}
+		if got := p.Fingerprint(); runtime.GOARCH == "amd64" && got != g.full {
+			t.Errorf("%s: fingerprint %s, parent's %s", g.name, got, g.full)
+		}
+	}
+}
+
+// benchShapes are the circuits of the repository benchmark's scheduled
+// workloads (bench/workloads.go) at their local-qubit counts.
+func benchShapes() []struct {
+	name string
+	c    *circuit.Circuit
+	l    int
+} {
+	set := circuit.SweepParams(1, 2, 6)[1]
+	return []struct {
+		name string
+		c    *circuit.Circuit
+		l    int
+	}{
+		{"sup24", circuit.Supremacy(circuit.SupremacyOptions{Rows: 6, Cols: 4, Depth: 5, Seed: 1}), 24},
+		{"sup18-twin", circuit.Supremacy(circuit.SupremacyOptions{Rows: 6, Cols: 3, Depth: 24, Seed: 1}), 18},
+		{"qft23-dist8", circuit.QFT(23), 20},
+		{"sup22-ooc", circuit.Supremacy(circuit.SupremacyOptions{Rows: 11, Cols: 2, Depth: 16, Seed: 1, SkipInitialH: true}), 16},
+		{"qaoa16", circuit.QAOAMaxCutRing(16, set[:3], set[3:]), 16},
+	}
+}
+
+// knee is the widest dense cluster t lets the 1- and 2-qubit gates of the
+// bench circuits build: the last k whose extra cost over k−1 such a gate's
+// own price can cover.
+func knee(t CostTable) int {
+	k := 1
+	for k < len(t.Dense) && t.dense(k+1)-t.dense(k) <= math.Max(t.dense(2), t.Diag) {
+		k++
+	}
+	return k
+}
+
+func TestDefaultPlansStopAtTheKnee(t *testing.T) {
+	if got := knee(PaperCosts()); got != 5 {
+		t.Errorf("paper table knee %d, want 5 (every k ≤ 5 is memory-bound)", got)
+	}
+	kn := knee(MeasuredCosts())
+	if kn >= 5 {
+		t.Fatalf("measured table has no knee below 5: %v", MeasuredCosts())
+	}
+	for _, s := range benchShapes() {
+		opts := DefaultOptions(s.l)
+		p, err := Build(s.c, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		covered, wideDiag := 0, false
+		for i := range p.Ops {
+			switch op := &p.Ops[i]; op.Kind {
+			case OpCluster:
+				covered += op.GateCount
+				if k := len(op.Positions); k > kn {
+					t.Errorf("%s: dense cluster on %d qubits, knee is %d", s.name, k, kn)
+				}
+			case OpDiagonal:
+				covered += op.GateCount
+				wideDiag = wideDiag || len(op.Positions) > kn
+			}
+		}
+		if covered != len(s.c.Gates) {
+			t.Errorf("%s: plan covers %d gates, circuit has %d", s.name, covered, len(s.c.Gates))
+		}
+		if !wideDiag {
+			t.Errorf("%s: no diagonal sweep wider than %d qubits; all-diagonal clusters should grow to the cap", s.name, kn)
+		}
+		// The default plan is modelled no dearer than any fixed cap's.
+		got := MeasuredCosts().PlanCost(p)
+		for cap := 1; cap <= 5; cap++ {
+			q, err := Build(s.c, paperOptions(s.l, cap))
+			if err != nil {
+				t.Fatalf("%s cap %d: %v", s.name, cap, err)
+			}
+			if fixed := MeasuredCosts().PlanCost(q); got > fixed {
+				t.Errorf("%s: default plan modelled at %.2f passes, fixed cap %d at %.2f", s.name, got, cap, fixed)
+			}
+		}
+		// Build is a function of (circuit, options): same plan twice, and
+		// the zero table is MeasuredCosts.
+		again, _ := Build(s.c, opts)
+		opts.Costs = MeasuredCosts()
+		named, _ := Build(s.c, opts)
+		if fp := p.Fingerprint(); fp != again.Fingerprint() || fp != named.Fingerprint() {
+			t.Errorf("%s: fingerprints differ between builds of the same options", s.name)
+		}
+	}
+}
+
+// TestAdmissionRule drives the inequality on circuits small enough to read:
+// a gate joins when cost(k′) − cost(k) ≤ its own price.
+func TestAdmissionRule(t *testing.T) {
+	sizes := func(c *circuit.Circuit, costs CostTable) (dense, diag []int) {
+		t.Helper()
+		o := DefaultOptions(c.N)
+		o.Costs = costs
+		p := assertPlanEquivalent(t, c, o)
+		for _, op := range p.Ops {
+			switch op.Kind {
+			case OpCluster:
+				dense = append(dense, len(op.Positions))
+			case OpDiagonal:
+				diag = append(diag, len(op.Positions))
+			}
+		}
+		return dense, diag
+	}
+	// Three Hadamards: the measured table pairs two (1.09 − 1 ≤ 1) and
+	// leaves the third (2.96 − 1.09 > 1); the paper table takes all three.
+	hs := circuit.NewCircuit(5)
+	hs.Append(circuit.NewH(0), circuit.NewH(1), circuit.NewH(2))
+	if dense, _ := sizes(hs, CostTable{}); len(dense) != 2 || dense[0]+dense[1] != 3 {
+		t.Errorf("measured table: H⊗H⊗H clustered as %v, want a pair and a single", dense)
+	}
+	if dense, _ := sizes(hs, PaperCosts()); len(dense) != 1 || dense[0] != 3 {
+		t.Errorf("paper table: H⊗H⊗H clustered as %v, want one 3-qubit cluster", dense)
+	}
+	// A chain of CZs is all diagonal: one sweep at any width up to KMax.
+	czs := circuit.NewCircuit(6)
+	czs.Append(circuit.NewT(0), circuit.NewCZ(0, 1), circuit.NewCZ(1, 2), circuit.NewCZ(2, 3), circuit.NewCZ(3, 4), circuit.NewT(4))
+	if _, diag := sizes(czs, CostTable{}); len(diag) != 1 || diag[0] != 5 {
+		t.Errorf("measured table: CZ chain swept as %v, want one 5-qubit diagonal", diag)
+	}
+	// A table whose k = 3 is on the roof fuses three-wide by itself.
+	roof3 := MeasuredCosts()
+	roof3.Dense[2] = roof3.Dense[1]
+	if dense, _ := sizes(hs, roof3); len(dense) != 1 || dense[0] != 3 {
+		t.Errorf("k=3 on the roof: H⊗H⊗H clustered as %v, want one 3-qubit cluster", dense)
+	}
+}
+
+func TestCostTableValidation(t *testing.T) {
+	c := circuit.GHZ(4)
+	for _, bad := range []CostTable{
+		{Dense: [5]float64{1, 1, 1, 1, 0}, Diag: 1},
+		{Dense: [5]float64{1, -2, 1, 1, 1}, Diag: 1},
+		{Dense: [5]float64{1, 1, math.NaN(), 1, 1}, Diag: 1},
+		{Dense: [5]float64{1, 1, 1, 1, 1}},
+		{Dense: [5]float64{1, 1, 1, 1, 1}, Diag: math.Inf(1)},
+	} {
+		o := DefaultOptions(4)
+		o.Costs = bad
+		if _, err := Build(c, o); err == nil {
+			t.Errorf("Build accepted cost table %v", bad)
+		}
+	}
+	if got, want := MeasuredCosts().dense(7), MeasuredCosts().Dense[4]*math.Pow(MeasuredCosts().Dense[4]/MeasuredCosts().Dense[3], 2); got != want {
+		t.Errorf("dense(7) = %v, want the geometric extrapolation %v", got, want)
+	}
+	if got := PaperCosts().dense(9); got != 1 {
+		t.Errorf("paper table dense(9) = %v, want 1: flat stays flat", got)
+	}
+}
+
+func TestCostsFromTune(t *testing.T) {
+	res := kernels.TuneResult{N: 20, Timings: []kernels.Timing{
+		{K: 1, Variant: kernels.Specialized, NsPerApply: 200},
+		{K: 1, Variant: kernels.Generated, NsPerApply: 100, Best: true},
+		{K: 1, F32: true, Variant: kernels.Generated, NsPerApply: 10}, // other precision: ignored
+		{K: 2, Variant: kernels.Specialized, NsPerApply: 150},
+		{K: 3, Stride: kernels.StrideHigh, Variant: kernels.Specialized, NsPerApply: 400},
+		{K: 3, Variant: kernels.Specialized, NsPerApply: 500},
+		{K: 4, Variant: kernels.Specialized, NsPerApply: 900},
+	}}
+	got := CostsFromTune(res)
+	want := CostTable{Dense: [5]float64{1, 1.5, 4, 9, MeasuredCosts().Dense[4]}, Diag: MeasuredCosts().Diag}
+	if got != want {
+		t.Errorf("CostsFromTune = %v, want %v", got, want)
+	}
+	if got := CostsFromTune(kernels.TuneResult{}); got != MeasuredCosts() {
+		t.Errorf("empty tune result priced as %v, want MeasuredCosts()", got)
+	}
+}

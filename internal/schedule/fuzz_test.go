@@ -8,18 +8,37 @@ import (
 	"qusim/internal/statevec"
 )
 
-// FuzzScheduleEquivalence fuzzes the full scheduling pipeline — clustering,
-// swap insertion, boundary adjustment, heuristic mapping — against naive
-// gate-by-gate simulation. Any input the fuzzer finds where the built plan
-// deviates from (1⊗…⊗U⊗…⊗1)|Ψ⟩ semantics by more than 1e-9 is a scheduler
-// bug; the corpus entry is the reproducer.
+// fuzzCosts draws a cost table from six fuzz bytes: each dense price is a
+// step of b/64 − 1/4 ∈ [−0.25, 3.75) over the previous k, floored at 0.25,
+// and the diagonal's is 1/4 + b/64. The draw covers flat tables (every
+// step 16: the paper's), knees at every k, and non-monotone tables no
+// kernel suite would produce.
+func fuzzCosts(steps [6]uint8) CostTable {
+	t := CostTable{Diag: 0.25 + float64(steps[5])/64}
+	price := 1.0
+	for k := range t.Dense {
+		t.Dense[k] = price
+		price += float64(steps[k])/64 - 0.25
+		if price < 0.25 {
+			price = 0.25
+		}
+	}
+	return t
+}
+
+// FuzzScheduleEquivalence fuzzes the full scheduling pipeline — cost-priced
+// clustering, swap insertion, boundary adjustment, heuristic mapping —
+// against naive gate-by-gate simulation. Any input the fuzzer finds where
+// the built plan deviates from (1⊗…⊗U⊗…⊗1)|Ψ⟩ semantics by more than 1e-9
+// is a scheduler bug; the corpus entry is the reproducer.
 func FuzzScheduleEquivalence(f *testing.F) {
-	f.Add(int64(1), 6, 30, 3)
-	f.Add(int64(2), 8, 48, 5)
-	f.Add(int64(3), 10, 60, 7)
-	f.Add(int64(4), 4, 24, 2)
-	f.Add(int64(5), 9, 40, 9)
-	f.Fuzz(func(t *testing.T, seed int64, n, gates, l int) {
+	flat, knee2 := []byte{16, 16, 16, 16, 16, 48}, []byte{22, 136, 104, 255, 0, 48}
+	f.Add(int64(1), 6, 30, 3, flat)
+	f.Add(int64(2), 8, 48, 5, knee2)
+	f.Add(int64(3), 10, 60, 7, flat)
+	f.Add(int64(4), 4, 24, 2, knee2)
+	f.Add(int64(5), 9, 40, 9, []byte{200, 0, 90, 3, 77, 1})
+	f.Fuzz(func(t *testing.T, seed int64, n, gates, l int, table []byte) {
 		// Clamp the raw fuzz inputs into the supported envelope instead of
 		// rejecting them, so every execution exercises the scheduler.
 		if n < 2 {
@@ -44,9 +63,12 @@ func FuzzScheduleEquivalence(f *testing.F) {
 		if opts.KMax > l {
 			opts.KMax = l
 		}
+		var steps [6]uint8
+		copy(steps[:], table)
+		opts.Costs = fuzzCosts(steps)
 		plan, err := Build(c, opts)
 		if err != nil {
-			t.Fatalf("Build(n=%d gates=%d l=%d seed=%d): %v", n, gates, l, seed, err)
+			t.Fatalf("Build(n=%d gates=%d l=%d seed=%d costs=%v): %v", n, gates, l, seed, opts.Costs, err)
 		}
 
 		want := statevec.New(n)
@@ -59,8 +81,8 @@ func FuzzScheduleEquivalence(f *testing.F) {
 		}
 		for b := 0; b < 1<<n; b++ {
 			if d := cmplx.Abs(want.Amplitude(b) - got.Amplitude(plan.PermutedIndex(b))); d > 1e-9 {
-				t.Fatalf("n=%d gates=%d l=%d seed=%d: amplitude %d deviates by %g\n%s",
-					n, gates, l, seed, b, d, plan.Summary())
+				t.Fatalf("n=%d gates=%d l=%d seed=%d costs=%v: amplitude %d deviates by %g\n%s",
+					n, gates, l, seed, opts.Costs, b, d, plan.Summary())
 			}
 		}
 	})

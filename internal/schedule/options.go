@@ -1,6 +1,7 @@
 // Package schedule implements the circuit optimizations of Sec. 3.6 of
 // Häner & Steiger, SC'17: gate scheduling into communication-free stages,
-// greedy clustering of gates into k ≤ kmax qubit fused gates, local
+// greedy clustering of gates into k ≤ kmax qubit fused gates — as wide as
+// a price list of the kernels (CostTable) makes worthwhile — local
 // adjustment of global-to-local swaps across stage boundaries, and the
 // qubit-mapping heuristic. Its output is an executable Plan consumed by the
 // single-node executor in this package and by the distributed engine in
@@ -65,8 +66,8 @@ type Options struct {
 	// the rank number). LocalQubits ≥ n means a single rank and no
 	// communication.
 	LocalQubits int
-	// KMax is the largest fused-gate size the clustering may build
-	// (Table 1 evaluates 3, 4 and 5).
+	// KMax caps the fused-gate size (Table 1 evaluates 3, 4 and 5). Below
+	// the cap, Costs decides how wide a cluster is worth growing.
 	KMax int
 	// SpecializeDiagonal2Q enables executing diagonal two-qubit gates (CZ)
 	// on global qubits without communication (Sec. 3.5). The paper's stage
@@ -91,17 +92,23 @@ type Options struct {
 	Clustering bool
 	// NoSeedSearch disables the "small local search" of Sec. 3.6.1 step 2
 	// that tries every ready gate as the cluster seed and keeps the
-	// largest cluster; instead the earliest ready gate always seeds.
-	// An ablation knob — the search reduces the total cluster count.
+	// cluster cheapest per merged gate (under PaperCosts: the largest);
+	// instead the earliest ready gate always seeds. An ablation knob —
+	// the search reduces the total cluster count.
 	NoSeedSearch bool
+	// Costs is the kernels' price list the clustering fuses by (see
+	// CostTable). The zero value is MeasuredCosts; PaperCosts restores the
+	// paper's fuse-whenever-it-fits clustering.
+	Costs CostTable
 }
 
-// DefaultOptions returns the configuration the paper's results use:
-// greedy swap search, CZ specialization, worst-case dense single-qubit
-// gates, clustering with kmax = 5 (the largest fused-gate size Table 1
-// evaluates, matching the k ≤ 5 specialized kernels), boundary adjustment
-// and heuristic mapping. KMax is clamped to localQubits so tiny local
-// windows still validate.
+// DefaultOptions returns the paper's scheduling choices — greedy swap
+// search, CZ specialization, worst-case dense single-qubit gates, boundary
+// adjustment, heuristic mapping — with clustering capped at kmax = 5 (the
+// widest kernel there is) and priced by MeasuredCosts, so clusters grow
+// only as wide as this repository's kernels make worthwhile. Set Costs to
+// PaperCosts for the paper's clustering. KMax is clamped to localQubits so
+// tiny local windows still validate.
 func DefaultOptions(localQubits int) Options {
 	kmax := 5
 	if localQubits >= 1 && localQubits < kmax {
@@ -137,5 +144,5 @@ func (o Options) validate(n int) error {
 	if o.KMax > l {
 		return fmt.Errorf("schedule: KMax %d exceeds local qubits %d", o.KMax, l)
 	}
-	return nil
+	return o.Costs.resolve().validate()
 }

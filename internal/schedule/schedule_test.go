@@ -19,11 +19,19 @@ func naiveRun(c *circuit.Circuit) *statevec.Vector {
 	return v
 }
 
-// planRun builds a plan with opts and executes it on a single node, then
-// compares amplitudes against naive simulation through the plan's final
-// qubit → location mapping.
+// assertPlanEquivalent builds a plan with opts and executes it on a single
+// node, then compares amplitudes against naive simulation through the
+// plan's final qubit → location mapping. Options that name no cost table
+// are also held to it under PaperCosts, so every equivalence test covers
+// both the narrow clusters of the default table and the wide ones the cap
+// alone allows.
 func assertPlanEquivalent(t *testing.T, c *circuit.Circuit, opts Options) *Plan {
 	t.Helper()
+	if opts.Costs == (CostTable{}) {
+		paper := opts
+		paper.Costs = PaperCosts()
+		assertPlanEquivalent(t, c, paper)
+	}
 	plan, err := Build(c, opts)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -187,8 +195,7 @@ func TestClusteringMergesMoreThanKMaxGates(t *testing.T) {
 	// kmax-qubit cluster.
 	c := supremacy(30, 25, 0)
 	for _, kmax := range []int{3, 4, 5} {
-		opts := DefaultOptions(30)
-		opts.KMax = kmax
+		opts := paperOptions(30, kmax)
 		plan, err := Build(c, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -487,7 +494,7 @@ func TestDefaultOptionsKMaxFive(t *testing.T) {
 func TestPlanEquivalenceKMaxFive(t *testing.T) {
 	c := supremacy(12, 16, 6)
 	for _, l := range []int{8, 12} {
-		plan := assertPlanEquivalent(t, c, DefaultOptions(l))
+		plan := assertPlanEquivalent(t, c, paperOptions(l, 5))
 		sawFive := false
 		for i := range plan.Ops {
 			op := &plan.Ops[i]

@@ -103,6 +103,47 @@ func defaultScheduleOptions(l int) schedule.Options {
 	return o
 }
 
+// scheduleOptions is defaultScheduleOptions priced by costs (the zero
+// value: the scheduler's own default table).
+func scheduleOptions(l int, costs schedule.CostTable) schedule.Options {
+	o := defaultScheduleOptions(l)
+	o.Costs = costs
+	return o
+}
+
+// PaperTwin returns the twin of a plan-executing backend (Scheduled,
+// Distributed, OutOfCore, F32Scheduled) that schedules with
+// schedule.PaperCosts: clusters grow to the kmax cap, so the k = 3…5 dense
+// kernels and the wide fused matrices stay in the matrix now that plans
+// priced for this repository's kernels stop at narrower clusters.
+func PaperTwin(b Backend) Backend {
+	const suffix = "+paper"
+	switch t := b.(type) {
+	case *scheduledBackend:
+		twin := *t
+		twin.name += suffix
+		twin.mkOpts = func(l int) schedule.Options {
+			o := t.mkOpts(l)
+			o.Costs = schedule.PaperCosts()
+			return o
+		}
+		return &twin
+	case *oocBackend:
+		twin := *t
+		twin.name, twin.costs = t.name+suffix, schedule.PaperCosts()
+		return &twin
+	case *distBackend:
+		twin := *t
+		twin.name, twin.costs = t.name+suffix, schedule.PaperCosts()
+		return &twin
+	case *f32Backend:
+		twin := *t
+		twin.name, twin.costs = t.name+suffix, schedule.PaperCosts()
+		return &twin
+	}
+	panic(fmt.Sprintf("verify: %s executes no plan", b.Name()))
+}
+
 func (b *scheduledBackend) Name() string { return b.name }
 
 func (b *scheduledBackend) Run(c *circuit.Circuit) ([]complex128, error) {
@@ -127,6 +168,7 @@ type oocBackend struct {
 	name     string
 	globals  int
 	prefetch int
+	costs    schedule.CostTable
 }
 
 // OutOfCore returns a backend that schedules at l = n − globals and
@@ -150,7 +192,7 @@ func (b *oocBackend) Run(c *circuit.Circuit) ([]complex128, error) {
 	if l < 1 || l < minLocalQubits(c) {
 		return nil, ErrUnsupported
 	}
-	plan, err := schedule.Build(c, defaultScheduleOptions(l))
+	plan, err := schedule.Build(c, scheduleOptions(l, b.costs))
 	if err != nil {
 		return nil, err
 	}
@@ -175,6 +217,7 @@ func (b *oocBackend) Run(c *circuit.Circuit) ([]complex128, error) {
 type distBackend struct {
 	name   string
 	ranks  int
+	costs  schedule.CostTable
 	faults *mpi.FaultPlan
 	events int64 // cumulative injected perturbations across Run calls
 }
@@ -199,7 +242,7 @@ func (b *distBackend) Run(c *circuit.Circuit) ([]complex128, error) {
 	if l < minLocalQubits(c) {
 		return nil, ErrUnsupported
 	}
-	plan, err := schedule.Build(c, defaultScheduleOptions(l))
+	plan, err := schedule.Build(c, scheduleOptions(l, b.costs))
 	if err != nil {
 		return nil, err
 	}
@@ -328,6 +371,7 @@ func (b *baselineBackend) Run(c *circuit.Circuit) ([]complex128, error) {
 type f32Backend struct {
 	name    string
 	globals int // < 0: per-gate path; ≥ 0: scheduled at l = n − globals
+	costs   schedule.CostTable
 }
 
 // F32 returns the single-precision per-gate backend: every gate runs
@@ -360,7 +404,7 @@ func (b *f32Backend) Run(c *circuit.Circuit) ([]complex128, error) {
 	if l < minLocalQubits(c) {
 		return nil, ErrUnsupported
 	}
-	plan, err := schedule.Build(c, defaultScheduleOptions(l))
+	plan, err := schedule.Build(c, scheduleOptions(l, b.costs))
 	if err != nil {
 		return nil, err
 	}

@@ -129,20 +129,26 @@ func Matrix(quick bool) (ref Backend, backends []Backend) {
 		Kernel(kernels.Split),
 		Permuted(7),
 		Scheduled(2),
+		PaperTwin(Scheduled(2)),
 		Distributed(4),
+		PaperTwin(Distributed(4)),
 		Baseline(4),
 		OutOfCore(2, 0),
 		OutOfCore(2, 3),
+		PaperTwin(OutOfCore(2, 3)),
 	}
 	if !quick {
 		backends = append(backends,
 			Kernel(kernels.InPlace),
 			Kernel(kernels.Generated),
 			Scheduled(3),
+			PaperTwin(Scheduled(3)),
 			Distributed(2),
 			Distributed(8),
+			PaperTwin(Distributed(8)),
 			Baseline(8),
 			OutOfCore(3, 1),
+			PaperTwin(OutOfCore(3, 1)),
 			OutOfCore(2, 8),
 		)
 	}
@@ -157,9 +163,10 @@ func MatrixF32(quick bool) []Backend {
 	backends := []Backend{
 		F32(),
 		F32Scheduled(2),
+		PaperTwin(F32Scheduled(2)),
 	}
 	if !quick {
-		backends = append(backends, F32Scheduled(3))
+		backends = append(backends, F32Scheduled(3), PaperTwin(F32Scheduled(3)))
 	}
 	return backends
 }

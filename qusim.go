@@ -119,8 +119,9 @@ type (
 	PlanStats = schedule.Stats
 )
 
-// DefaultScheduleOptions returns the paper's default configuration with the
-// given number of local qubits.
+// DefaultScheduleOptions returns the paper's scheduling choices with the
+// given number of local qubits, fusing gates as far as the benchmarked cost
+// of this repository's kernels makes worthwhile (kmax = 5 is only the cap).
 func DefaultScheduleOptions(localQubits int) ScheduleOptions {
 	return schedule.DefaultOptions(localQubits)
 }
