@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build test race verify lint lint-tools chaos-smoke fuzz \
+.PHONY: build test test-purego race verify lint lint-tools chaos-smoke fuzz \
 	fuzz-smoke bench bench-smoke bench-permute bench-ckpt bench-telemetry \
 	bench-oocvec bench-kernels bench-workloads bench-repo coverage
 
@@ -21,6 +21,12 @@ build:
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
+
+# The pure-Go kernels behind the purego build tag — what kernels.Auto runs
+# on anything but amd64 with AVX2+FMA — through the packages that execute
+# or price them.
+test-purego:
+	$(GO) test -tags purego ./internal/kernels/... ./internal/statevec/... ./internal/f32vec/... ./internal/schedule/...
 
 # Tier-1 with the race detector — required before merging anything that
 # touches internal/par, internal/mpi, internal/dist or internal/telemetry.
@@ -83,6 +89,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ckpt -fuzz FuzzShardDecode -fuzztime 10s
 	$(GO) test ./internal/ckpt -fuzz FuzzManifestDecode -fuzztime 10s
 	$(GO) test ./internal/kernels -fuzz FuzzBitPermutation -fuzztime 10s
+	$(GO) test ./internal/kernels -fuzz FuzzSIMDKernel -fuzztime 10s
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -114,17 +121,21 @@ bench-ckpt:
 bench-telemetry:
 	$(GO) test -run '^$$' -bench 'BenchmarkTelemetryOverhead' -benchtime 3x -count 3 . | $(GO) run ./cmd/benchjson > BENCH_telemetry.json
 
-# Kernel-suite baseline: per-k f32-vs-f64 Specialized kernel pairs and the
-# diagonal-sweep pair on a 1 GiB state, the per-gate supremacy-circuit
-# precision pair (every gate k ≤ 2), and the default-plan fused-vs-unfused
-# execution pair, recorded (with the derived f32/f64 and fused/separate
-# speedups) in BENCH_kernels.json. The f64 rows over k1/f64 are the price
-# list internal/schedule/cost.go compiles in as MeasuredCosts: refresh the
-# constants there when this file moves, and fused/separate must read ≥ 1.
-# Three repetitions; benchjson keeps the fastest of each, which also drops
-# the first-touch page-fault cost of the 1 GiB state allocations.
+# Kernel-suite baseline: per-k f32-vs-f64 pairs of the kernels a default
+# caller gets (kernels.Auto) and the diagonal-sweep pair on a 1 GiB state,
+# the per-gate supremacy-circuit precision pair (every gate k ≤ 2), and the
+# default-plan fused-vs-unfused execution pair, recorded (with the derived
+# f32/f64 and fused/separate speedups) in BENCH_kernels.json. Rows carry the
+# kernel set that ran: "avx2" from the default build and, from a second run
+# under -tags purego, the "go" set's f64 rows. Each set's f64 rows over its
+# k1/f64 are the price list internal/schedule/cost.go compiles in as
+# MeasuredCosts (TestMeasuredCostsMatchBenchFile holds the two together):
+# refresh the constants there when this file moves, and no speedup may read
+# below 1. Three repetitions; benchjson keeps the fastest of each, which
+# also drops the first-touch page-fault cost of the 1 GiB state allocations.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'BenchmarkKernelPrecision|BenchmarkCircuitPrecision|BenchmarkKernelFusion' -benchtime 3x -count 3 -timeout 60m . | $(GO) run ./cmd/benchjson > BENCH_kernels.json
+	($(GO) test -run '^$$' -bench 'BenchmarkKernelPrecision|BenchmarkCircuitPrecision|BenchmarkKernelFusion' -benchtime 3x -count 3 -timeout 60m . && \
+	 $(GO) test -tags purego -run '^$$' -bench 'BenchmarkKernelPrecision/go/./f64' -benchtime 3x -count 3 -timeout 60m .) | $(GO) run ./cmd/benchjson > BENCH_kernels.json
 
 # Out-of-core prefetch baseline: the circuit-aware prefetch pipeline vs the
 # reactive one-pass-per-op baseline on a 28-qubit (4 GiB state file) run,

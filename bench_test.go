@@ -512,49 +512,53 @@ func randRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // rather than hidden by cache residency.
 const precState = 26
 
-// BenchmarkKernelPrecision records the f32-vs-f64 kernel baseline
+// BenchmarkKernelPrecision records the kernel baseline
 // (BENCH_kernels.json via make bench-kernels): the same k-qubit random
 // unitary at the same qubit positions through the double- and
-// single-precision Specialized kernels. The f32/f64 leaf pairs yield the
-// recorded speedups; bytes/op counts one read + one write of the state at
-// the respective element width, so MB/s compares traffic, not progress.
-// The diag pair is the diagonal sweep with no unit entry to skip. The f64
-// rows over k1/f64 are the price list schedule.MeasuredCosts compiles in.
+// single-precision kernels a default caller gets (kernels.Auto), under the
+// name of the kernel set that ran — "avx2" for the assembly kernels, "go"
+// for the pure-Go ones (-tags purego, or a CPU without AVX2). The f32/f64
+// leaf pairs yield the recorded speedups; bytes/op counts one read + one
+// write of the state at the respective element width, so MB/s compares
+// traffic, not progress. The diag pair is the diagonal sweep with no unit
+// entry to skip. Each set's f64 rows over its k1/f64 are the price list
+// schedule.MeasuredCosts compiles in for that set. The matrices are
+// unitary and the state normalized, so repeated application keeps every
+// amplitude out of the denormal range.
 func BenchmarkKernelPrecision(b *testing.B) {
+	set := kernels.ISA()
 	for k := 1; k <= 5; k++ {
 		u := gate.RandomUnitary(k, randRNG(int64(40+k)))
 		// Mid-register positions: strands of ≥ 2^6 amplitudes, so the pair
-		// measures the steady-state sweep rather than per-block setup (the
-		// q < 3 tail has its own pairwise path and is a vanishing fraction
-		// of any real circuit's work).
+		// measures the steady-state sweep rather than per-block setup.
 		qs := make([]int, k)
 		for i := range qs {
 			qs[i] = 6 + 3*i
 		}
 		u32 := kernels.ToComplex64(u.Data)
-		b.Run(fmt.Sprintf("k%d/f64", k), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%s/k%d/f64", set, k), func(b *testing.B) {
 			amps := make([]complex128, 1<<precState)
 			amps[0] = 1
 			b.SetBytes(int64(len(amps) * 16 * 2))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				kernels.Apply(kernels.Specialized, amps, u.Data, qs, nil)
+				kernels.Apply(kernels.Auto, amps, u.Data, qs, nil)
 			}
 		})
-		b.Run(fmt.Sprintf("k%d/f32", k), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%s/k%d/f32", set, k), func(b *testing.B) {
 			amps := make([]complex64, 1<<precState)
 			amps[0] = 1
 			b.SetBytes(int64(len(amps) * 8 * 2))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				kernels.ApplyF32(kernels.Specialized, amps, u32, qs, nil)
+				kernels.ApplyF32(kernels.Auto, amps, u32, qs, nil)
 			}
 		})
 	}
 	d := gate.RandomDiagonal(2, randRNG(46)).Diagonal()
 	d32 := kernels.ToComplex64(d)
 	qs := []int{6, 9}
-	b.Run("diag/f64", func(b *testing.B) {
+	b.Run(set+"/diag/f64", func(b *testing.B) {
 		amps := make([]complex128, 1<<precState)
 		amps[0] = 1
 		b.SetBytes(int64(len(amps) * 16 * 2))
@@ -563,7 +567,7 @@ func BenchmarkKernelPrecision(b *testing.B) {
 			kernels.ApplyDiagonal(amps, d, qs)
 		}
 	})
-	b.Run("diag/f32", func(b *testing.B) {
+	b.Run(set+"/diag/f32", func(b *testing.B) {
 		amps := make([]complex64, 1<<precState)
 		amps[0] = 1
 		b.SetBytes(int64(len(amps) * 8 * 2))
@@ -605,10 +609,11 @@ func BenchmarkCircuitPrecision(b *testing.B) {
 // BenchmarkKernelFusion records the fused-vs-unfused execution baseline of
 // the default scheduler (Sec. 3.3): the same supremacy circuit executed
 // from the default plan — clusters as wide as schedule.MeasuredCosts
-// prices in, under the kmax = 5 cap — and from an unclustered plan (one
-// kernel per gate). The fused/separate leaf pair yields the recorded
-// speedup, which must stay ≥ 1: a default that fuses itself slower than
-// no fusion means the cost table no longer describes the kernels.
+// prices in for this machine's kernel set, under the kmax = 5 cap — and
+// from an unclustered plan (one kernel per gate), both on kernels.Auto.
+// The fused/separate leaf pair yields the recorded speedup, which must stay
+// ≥ 1: a default that fuses itself slower than no fusion means the cost
+// table no longer describes the kernels.
 func BenchmarkKernelFusion(b *testing.B) {
 	c := benchSupremacy(benchState, 25)
 	plans := map[string]*schedule.Plan{}

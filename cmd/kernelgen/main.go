@@ -5,11 +5,14 @@
 // the (mR,mR)/(−mI,mI) two-multiply-add update of Eq. (2)–(3).
 //
 // It writes internal/kernels/generated.go (complex128) and
-// internal/kernels/generated_f32.go (complex64/float32), both checked in;
-// regenerate with `go run ./cmd/kernelgen`. The autotuner then benchmarks
-// the generated kernels against the hand-written ones per (k, stride class,
-// precision) and picks the fastest — the paper's code-generation /
-// benchmarking feedback loop.
+// internal/kernels/generated_f32.go (complex64/float32), and beside them
+// the explicitly vectorized form of the same update: simd_amd64.s, the
+// AVX2+FMA kernels for k = 1…5 in both precisions (simd.go), with their
+// declarations in simd_amd64.go. All four are checked in; regenerate with
+// `go run ./cmd/kernelgen`. The autotuner then benchmarks the generated
+// kernels against the hand-written ones per (k, stride class, precision)
+// and picks the fastest — the paper's code-generation / benchmarking
+// feedback loop.
 package main
 
 import (
@@ -19,6 +22,7 @@ import (
 	"go/format"
 	"log"
 	"os"
+	"path/filepath"
 )
 
 // precision describes one element-type instantiation of the generated
@@ -54,6 +58,18 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("kernelgen: wrote %s (%d bytes, k=2..%d, %s)\n", path, len(src), *kmax, p.ctype)
+	}
+
+	asmSrc, stubs := generateSIMD()
+	for _, f := range []struct {
+		name string
+		src  []byte
+	}{{"simd_amd64.s", asmSrc}, {"simd_amd64.go", stubs}} {
+		path := filepath.Join(filepath.Dir(*out), f.name)
+		if err := os.WriteFile(path, f.src, 0o644); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("kernelgen: wrote %s (%d bytes, AVX2+FMA k=1..%d)\n", path, len(f.src), simdKMax)
 	}
 }
 

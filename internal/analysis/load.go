@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -160,6 +161,13 @@ func (l *Loader) parseDir(dir string) (*parsedDir, error) {
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		// Files the default build leaves out (another GOARCH's, or a build
+		// tag's such as purego) would redeclare what their twins declare.
+		if match, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !match {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)

@@ -63,6 +63,8 @@ func ApplyF32(v Variant, amps []complex64, m []complex64, qs []int, scratch []co
 		applySpecializedF32(amps, m, qs)
 	case Generated:
 		applyGeneratedF32(amps, m, qs)
+	case SIMD:
+		applySIMDF32(amps, m, qs)
 	default:
 		panic(fmt.Sprintf("kernels: unknown variant %d", int(v)))
 	}

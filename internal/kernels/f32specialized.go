@@ -311,12 +311,13 @@ func ApplyDiagonalF32(amps []complex64, d []complex64, qs []int) {
 	}
 	q0 := qs[0]
 	if q0 < diagRunMin {
-		nlo, window := diagWindow(qs)
+		nlo, window := diagWindow(qs, len(amps))
 		applyDiagWindowsF32(amps, d, qs[:nlo], qs[nlo:], window)
 		return
 	}
 	runs := len(amps) >> q0
 	par.For(runs, max(1, 4096>>q0), func(lo, hi int) {
+		run := diagSegment[complex64]{n: 1 << q0}
 		for r := lo; r < hi; r++ {
 			base := r << q0
 			x := 0
@@ -325,6 +326,11 @@ func ApplyDiagonalF32(amps []complex64, d []complex64, qs []int) {
 			}
 			dx := d[x]
 			if dx == 1 {
+				continue
+			}
+			if hasSIMD {
+				run.dx = dx
+				simdDiagF32(&amps[base], &run, 1)
 				continue
 			}
 			blk := amps[base : base+1<<q0 : base+1<<q0]
@@ -361,6 +367,12 @@ func applyDiagWindowsF32(amps []complex64, d []complex64, lo, hi []int, window i
 			for j, q := range hi {
 				x |= (base >> q & 1) << j
 			}
+			if hasSIMD {
+				if len(segs[x]) > 0 {
+					simdDiagF32(&amps[base], &segs[x][0], len(segs[x]))
+				}
+				continue
+			}
 			for _, s := range segs[x] {
 				blk := amps[base+s.off : base+s.off+s.n : base+s.off+s.n]
 				if s.dx == -1 {
@@ -386,6 +398,11 @@ func applyDiagWindowsF32(amps []complex64, d []complex64, lo, hi []int, window i
 func ScaleF32(amps []complex64, s complex64) {
 	sr, si := real(s), imag(s)
 	par.For(len(amps), 4096, func(lo, hi int) {
+		if hasSIMD {
+			seg := diagSegment[complex64]{off: lo, n: hi - lo, dx: s}
+			simdDiagF32(&amps[0], &seg, 1)
+			return
+		}
 		for i := lo; i < hi; i++ {
 			a := amps[i]
 			ar, ai := real(a), imag(a)

@@ -5,8 +5,9 @@
 //
 // The original kernels are C++ generated by a Python code generator, using
 // AVX/AVX-512 intrinsics, instruction reordering and register blocking.
-// Go has no intrinsics, so each optimization step is reproduced as a
-// distinct pure-Go kernel variant:
+// Each optimization step is a distinct kernel variant here; the first five
+// are pure Go, the last is the explicitly vectorized one, Go assembly
+// written by cmd/kernelgen:
 //
 //	Naive       — the "standard implementation" with two state vectors
 //	              (input + output), Sec. 3.1.
@@ -19,6 +20,17 @@
 //	Specialized — the "generated" kernels: fully unrolled k = 1…2 and
 //	              fixed-size-array k = 3…5 kernels (falls back to Split for
 //	              larger k).
+//	Generated   — cmd/kernelgen's pure-Go output: k = 2…5 fully unrolled
+//	              over split operands.
+//	SIMD        — cmd/kernelgen's AVX2+FMA assembly (simd_amd64.s): k = 1…5
+//	              in both precisions at every bit position, SIMD lanes across
+//	              base indices, the (mR,mR)/(−mI,mI) update as two FMAs per
+//	              matrix entry (simd.go).
+//
+// Auto, what every back end runs, is the SIMD variant where the CPU has
+// AVX2 and FMA and the OS saves the YMM state, and the pure-Go kernels
+// otherwise: on other architectures, older CPUs, and under the conventional
+// purego build tag. ISA reports which.
 //
 // All kernels take the gate matrix already permuted to sorted qubit order
 // (the pre-permutation of Sec. 3.2) and a sorted list of qubit bit
@@ -38,7 +50,7 @@ type Variant int
 
 const (
 	// Auto, the zero value, uses the autotuner's selection for the given k
-	// (Specialized until Tune has run).
+	// (until Tune has run: SIMD where this machine has it, else Specialized).
 	Auto Variant = iota
 	// Naive is the two-state-vector reference implementation (Sec. 3.1).
 	Naive
@@ -54,6 +66,9 @@ const (
 	// the paper's automatic code generator, fully unrolled over split
 	// real/imaginary operands — falling back to Specialized outside k=2…5.
 	Generated
+	// SIMD uses the AVX2+FMA assembly kernels emitted by cmd/kernelgen for
+	// k = 1…5, and Specialized for other k or where ISA() is "go".
+	SIMD
 )
 
 func (v Variant) String() string {
@@ -68,14 +83,23 @@ func (v Variant) String() string {
 		return "specialized"
 	case Generated:
 		return "generated"
+	case SIMD:
+		return "simd"
 	case Auto:
 		return "auto"
 	}
 	return fmt.Sprintf("Variant(%d)", int(v))
 }
 
-// Variants lists the concrete (non-Auto) variants in optimization order.
-func Variants() []Variant { return []Variant{Naive, InPlace, Split, Specialized, Generated} }
+// Variants lists the concrete (non-Auto) variants in optimization order:
+// the pure-Go ones everywhere, SIMD where this machine runs it.
+func Variants() []Variant {
+	vs := []Variant{Naive, InPlace, Split, Specialized, Generated}
+	if hasSIMD {
+		vs = append(vs, SIMD)
+	}
+	return vs
+}
 
 // grain returns the minimum outer-loop chunk per worker so that each chunk
 // touches at least ~4096 amplitudes, keeping goroutine overhead negligible.
@@ -171,6 +195,8 @@ func Apply(v Variant, amps []complex128, m []complex128, qs []int, scratch []com
 		applySpecialized(amps, m, qs)
 	case Generated:
 		applyGenerated(amps, m, qs)
+	case SIMD:
+		applySIMD(amps, m, qs)
 	default:
 		panic(fmt.Sprintf("kernels: unknown variant %d", int(v)))
 	}

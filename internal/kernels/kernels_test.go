@@ -184,7 +184,9 @@ func TestApplyDiagonalMatchesMatrix(t *testing.T) {
 // TestApplyDiagonalWindows drives the short-run sweeps — qs[0] below
 // diagRunMin, with the top position on either side of diagPeriodMax — in
 // both precisions against the per-index definition. Entries include 1
-// (skipped) and −1 (negated without a multiply).
+// (skipped) and −1 (negated without a multiply). The SIMD sweep rounds each
+// product once less (diagProduct), and is held to that bit for bit in both
+// precisions, so a product cannot depend on which sweep reached it.
 func TestApplyDiagonalWindows(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	n := diagPeriodMax + 2
@@ -193,6 +195,7 @@ func TestApplyDiagonalWindows(t *testing.T) {
 		{0, 3, diagPeriodMax - 1}, // one period
 		{0, n - 1}, {2, 5, diagPeriodMax}, {0, 1, 2, diagPeriodMax, n - 1},
 		{diagRunMin - 1, diagRunMin, n - 2}, {1, 7, 9, 11, n - 1},
+		{diagRunMin, n - 1}, // the run path: whole runs of 2^qs[0] amplitudes
 	} {
 		d := gate.RandomDiagonal(len(qs), rng).Diagonal()
 		d[0], d[len(d)-1] = 1, -1
@@ -202,7 +205,7 @@ func TestApplyDiagonalWindows(t *testing.T) {
 			for j, q := range qs {
 				x |= (i >> q & 1) << j
 			}
-			want[i] = a * d[x]
+			want[i] = diagProduct(a, d[x])
 		}
 		got := append([]complex128(nil), state...)
 		ApplyDiagonal(got, d, qs)
@@ -216,7 +219,29 @@ func TestApplyDiagonalWindows(t *testing.T) {
 		if diff := maxDiffF32(got32, want); diff > f32Tol {
 			t.Errorf("qs=%v: f32 max diff %g", qs, diff)
 		}
+		if hasSIMD {
+			for i, a := range toF32(state) {
+				x := 0
+				for j, q := range qs {
+					x |= (i >> q & 1) << j
+				}
+				dx := complex64(d[x])
+				w := complex(fma32(-imag(dx), imag(a), real(a)*real(dx)), fma32(imag(dx), real(a), imag(a)*real(dx)))
+				if got32[i] != w {
+					t.Fatalf("qs=%v: f32 amps[%d] = %v, want %v", qs, i, got32[i], w)
+				}
+			}
+		}
 	}
+}
+
+// diagProduct is a·d as the active diagonal sweep rounds it: the plain
+// complex product in pure Go, one multiply and one FMA per part under SIMD.
+func diagProduct(a, d complex128) complex128 {
+	if !hasSIMD {
+		return a * d
+	}
+	return complex(math.FMA(-imag(d), imag(a), real(a)*real(d)), math.FMA(imag(d), real(a), imag(a)*real(d)))
 }
 
 func TestApplyCZMatchesMatrix(t *testing.T) {
@@ -320,7 +345,7 @@ func TestTuneSplitBlockReturnsValid(t *testing.T) {
 }
 
 func TestVariantString(t *testing.T) {
-	names := map[Variant]string{Naive: "naive", InPlace: "inplace", Split: "split", Specialized: "specialized", Auto: "auto"}
+	names := map[Variant]string{Naive: "naive", InPlace: "inplace", Split: "split", Specialized: "specialized", SIMD: "simd", Auto: "auto"}
 	for v, want := range names {
 		if v.String() != want {
 			t.Errorf("Variant(%d).String() = %q, want %q", int(v), v.String(), want)

@@ -1,0 +1,171 @@
+package kernels
+
+import (
+	"sort"
+
+	"qusim/internal/par"
+)
+
+// The SIMD variant: the AVX2+FMA assembly kernels cmd/kernelgen writes to
+// simd_amd64.s, dense k = 1…5 in both precisions. This file is their Go
+// half — the chunk-space layout of a position set and the matrix expanded
+// in the kernels' access order; cmd/kernelgen/simd.go documents the
+// assembly half.
+//
+// A chunk is one YMM register of state, 2 complex128 or 4 complex64, and
+// the SIMD lanes always run across base indices, so every amplitude is
+// produced by the same sequence of FMAs wherever it sits: the result is
+// bitwise independent of the position class, the state or shard size, and
+// the worker count (simd_test.go holds it to a math.FMA oracle).
+
+// ISA names the kernel set Auto runs on this machine: "avx2" when the CPU
+// has AVX2 and FMA and the OS saves the YMM state, "go" otherwise — another
+// architecture, an older CPU, or the purego build tag.
+func ISA() string {
+	if hasSIMD {
+		return "avx2"
+	}
+	return "go"
+}
+
+// simdMaxK is the widest gate the assembly kernels cover.
+const simdMaxK = 5
+
+// simdBlock bounds the lane groups one assembly call sweeps: assembly is
+// not preemptible, and a stop-the-world request must not wait for a whole
+// pass over the state.
+const simdBlock = 1 << 12
+
+type (
+	simdFuncF64 = func(amps *complex128, lo, hi int, masks, offs *int, mat *float64)
+	simdFuncF32 = func(amps *complex64, lo, hi int, masks, offs *int, mat *float32)
+)
+
+// simdLayout is a position set in chunk space.
+type simdLayout struct {
+	class  int   // bitmask of the target positions inside a chunk
+	masks  []int // zero-insertion masks of the k chunk-index bits, ascending
+	offs   []int // byte offset of chunk j from the group's base chunk
+	groups int   // lane groups in the state
+}
+
+// layoutSIMD maps the sorted positions qs on n amplitudes to chunks of
+// 2^laneBits amplitudes; n must be at least 2^(k+laneBits). The c targets
+// below laneBits stay inside the chunk, and the lanes they displace come
+// from the c lowest free positions above it: those become the low bits of
+// the chunk index j, below the remaining targets, so 2^c consecutive chunks
+// hold the same gate indices for different lanes and transpose into
+// gate-index vectors in registers.
+func layoutSIMD(n int, qs []int, laneBits int) simdLayout {
+	k := len(qs)
+	var lay simdLayout
+	var lanes, high []int
+	for _, q := range qs {
+		if q < laneBits {
+			lay.class |= 1 << q
+		} else {
+			high = append(high, q-laneBits)
+		}
+	}
+	for p := 0; len(lanes)+len(high) < k; p++ {
+		if i := sort.SearchInts(high, p); i == len(high) || high[i] != p {
+			lanes = append(lanes, p)
+		}
+	}
+	bits := append(lanes, high...)
+	lay.offs = make([]int, 1<<k)
+	for j := range lay.offs {
+		for i, b := range bits {
+			lay.offs[j] |= (j >> i & 1) << b
+		}
+		lay.offs[j] *= 32
+	}
+	sort.Ints(bits)
+	lay.masks = insertMasks(bits)
+	lay.groups = n >> (k + laneBits)
+	return lay
+}
+
+// simdRows is the row-block height of the expanded matrix: every row while
+// all 2^k accumulators fit in registers, 8 beyond.
+func simdRows(k int) int { return min(1<<k, 8) }
+
+// expandMatrix lays m out in the order the kernels read it: per row block
+// and column, the block's real parts and then its (−imag, imag) pairs —
+// the (mR,mR)/(−mI,mI) operands of Eq. (2)–(3), one broadcast each.
+func expandMatrix(m []complex128, k int) []float64 {
+	dk, rows := 1<<k, simdRows(k)
+	out := make([]float64, 0, 3*len(m))
+	for rb := 0; rb < dk; rb += rows {
+		for c := 0; c < dk; c++ {
+			for r := rb; r < rb+rows; r++ {
+				out = append(out, real(m[r*dk+c]))
+			}
+			for r := rb; r < rb+rows; r++ {
+				out = append(out, -imag(m[r*dk+c]), imag(m[r*dk+c]))
+			}
+		}
+	}
+	return out
+}
+
+// expandMatrixF32 is expandMatrix in single precision.
+func expandMatrixF32(m []complex64, k int) []float32 {
+	dk, rows := 1<<k, simdRows(k)
+	out := make([]float32, 0, 3*len(m))
+	for rb := 0; rb < dk; rb += rows {
+		for c := 0; c < dk; c++ {
+			for r := rb; r < rb+rows; r++ {
+				out = append(out, real(m[r*dk+c]))
+			}
+			for r := rb; r < rb+rows; r++ {
+				out = append(out, -imag(m[r*dk+c]), imag(m[r*dk+c]))
+			}
+		}
+	}
+	return out
+}
+
+// applySIMD applies a k-qubit gate with the assembly kernels, and with the
+// specialized Go kernels where there are none (no AVX2, k = 0 or k > 5).
+func applySIMD(amps, m []complex128, qs []int) {
+	if k := len(qs); hasSIMD && k >= 1 && k <= simdMaxK {
+		sweepSIMD(amps, m, qs, 1, simdF64[k-1][:], expandMatrix)
+		return
+	}
+	applySpecialized(amps, m, qs)
+}
+
+// applySIMDF32 is applySIMD in single precision: four amplitudes a chunk.
+func applySIMDF32(amps, m []complex64, qs []int) {
+	if k := len(qs); hasSIMD && k >= 1 && k <= simdMaxK {
+		sweepSIMD(amps, m, qs, 2, simdF32[k-1][:], expandMatrixF32)
+		return
+	}
+	applySpecializedF32(amps, m, qs)
+}
+
+// sweepSIMD runs the kernel of qs's class, one of fns, over every lane
+// group of amps, chunks of 2^laneBits amplitudes.
+func sweepSIMD[C complexAmp, F any](amps, m []C, qs []int, laneBits int,
+	fns []func(amps *C, lo, hi int, masks, offs *int, mat *F), expand func(m []C, k int) []F) {
+	k := len(qs)
+	if len(amps) < 1<<(k+laneBits) {
+		// Too few amplitudes to fill the lanes: pad with zero amplitudes
+		// under a spare high bit, which the lanes then run across.
+		padded := make([]C, 1<<(k+laneBits))
+		copy(padded, amps)
+		sweepSIMD(padded, m, qs, laneBits, fns, expand)
+		copy(amps, padded)
+		return
+	}
+	lay := layoutSIMD(len(amps), qs, laneBits)
+	fn := fns[lay.class]
+	mat := expand(m, k)
+	// About 4096 amplitudes per grain, as in the Go kernels.
+	par.For(lay.groups, max(1, 4096>>(k+laneBits)), func(lo, hi int) {
+		for ; lo < hi; lo += simdBlock {
+			fn(&amps[0], lo, min(lo+simdBlock, hi), &lay.masks[0], &lay.offs[0], &mat[0])
+		}
+	})
+}

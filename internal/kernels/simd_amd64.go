@@ -1,0 +1,118 @@
+// Code generated by cmd/kernelgen; DO NOT EDIT.
+
+//go:build amd64 && !purego
+
+package kernels
+
+// Declarations of the kernels in simd_amd64.s, and the tables applySIMD
+// and applySIMDF32 pick from: [k-1][class], the class being the bitmask of
+// target positions below the chunk width.
+
+//go:noescape
+func simdDiagF64(base *complex128, segs *diagSegment[complex128], n int)
+
+//go:noescape
+func simdF64K1C0(amps *complex128, lo, hi int, masks, offs *int, mat *float64)
+
+//go:noescape
+func simdF64K1C1(amps *complex128, lo, hi int, masks, offs *int, mat *float64)
+
+//go:noescape
+func simdF64K2C0(amps *complex128, lo, hi int, masks, offs *int, mat *float64)
+
+//go:noescape
+func simdF64K2C1(amps *complex128, lo, hi int, masks, offs *int, mat *float64)
+
+//go:noescape
+func simdF64K3C0(amps *complex128, lo, hi int, masks, offs *int, mat *float64)
+
+//go:noescape
+func simdF64K3C1(amps *complex128, lo, hi int, masks, offs *int, mat *float64)
+
+//go:noescape
+func simdF64K4C0(amps *complex128, lo, hi int, masks, offs *int, mat *float64)
+
+//go:noescape
+func simdF64K4C1(amps *complex128, lo, hi int, masks, offs *int, mat *float64)
+
+//go:noescape
+func simdF64K5C0(amps *complex128, lo, hi int, masks, offs *int, mat *float64)
+
+//go:noescape
+func simdF64K5C1(amps *complex128, lo, hi int, masks, offs *int, mat *float64)
+
+var simdF64 = [5][2]simdFuncF64{
+	{simdF64K1C0, simdF64K1C1},
+	{simdF64K2C0, simdF64K2C1},
+	{simdF64K3C0, simdF64K3C1},
+	{simdF64K4C0, simdF64K4C1},
+	{simdF64K5C0, simdF64K5C1},
+}
+
+//go:noescape
+func simdDiagF32(base *complex64, segs *diagSegment[complex64], n int)
+
+//go:noescape
+func simdF32K1C0(amps *complex64, lo, hi int, masks, offs *int, mat *float32)
+
+//go:noescape
+func simdF32K1C1(amps *complex64, lo, hi int, masks, offs *int, mat *float32)
+
+//go:noescape
+func simdF32K1C2(amps *complex64, lo, hi int, masks, offs *int, mat *float32)
+
+//go:noescape
+func simdF32K2C0(amps *complex64, lo, hi int, masks, offs *int, mat *float32)
+
+//go:noescape
+func simdF32K2C1(amps *complex64, lo, hi int, masks, offs *int, mat *float32)
+
+//go:noescape
+func simdF32K2C2(amps *complex64, lo, hi int, masks, offs *int, mat *float32)
+
+//go:noescape
+func simdF32K2C3(amps *complex64, lo, hi int, masks, offs *int, mat *float32)
+
+//go:noescape
+func simdF32K3C0(amps *complex64, lo, hi int, masks, offs *int, mat *float32)
+
+//go:noescape
+func simdF32K3C1(amps *complex64, lo, hi int, masks, offs *int, mat *float32)
+
+//go:noescape
+func simdF32K3C2(amps *complex64, lo, hi int, masks, offs *int, mat *float32)
+
+//go:noescape
+func simdF32K3C3(amps *complex64, lo, hi int, masks, offs *int, mat *float32)
+
+//go:noescape
+func simdF32K4C0(amps *complex64, lo, hi int, masks, offs *int, mat *float32)
+
+//go:noescape
+func simdF32K4C1(amps *complex64, lo, hi int, masks, offs *int, mat *float32)
+
+//go:noescape
+func simdF32K4C2(amps *complex64, lo, hi int, masks, offs *int, mat *float32)
+
+//go:noescape
+func simdF32K4C3(amps *complex64, lo, hi int, masks, offs *int, mat *float32)
+
+//go:noescape
+func simdF32K5C0(amps *complex64, lo, hi int, masks, offs *int, mat *float32)
+
+//go:noescape
+func simdF32K5C1(amps *complex64, lo, hi int, masks, offs *int, mat *float32)
+
+//go:noescape
+func simdF32K5C2(amps *complex64, lo, hi int, masks, offs *int, mat *float32)
+
+//go:noescape
+func simdF32K5C3(amps *complex64, lo, hi int, masks, offs *int, mat *float32)
+
+var simdF32 = [5][4]simdFuncF32{
+	{simdF32K1C0, simdF32K1C1, simdF32K1C2, nil},
+	{simdF32K2C0, simdF32K2C1, simdF32K2C2, simdF32K2C3},
+	{simdF32K3C0, simdF32K3C1, simdF32K3C2, simdF32K3C3},
+	{simdF32K4C0, simdF32K4C1, simdF32K4C2, simdF32K4C3},
+	{simdF32K5C0, simdF32K5C1, simdF32K5C2, simdF32K5C3},
+}

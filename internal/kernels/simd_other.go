@@ -1,0 +1,15 @@
+//go:build !amd64 || purego
+
+package kernels
+
+// Without the assembly kernels (another architecture, or the purego build
+// tag) the SIMD variant is never selected and its tables stay empty.
+const hasSIMD = false
+
+var (
+	simdF64 [5][2]simdFuncF64
+	simdF32 [5][4]simdFuncF32
+)
+
+func simdDiagF64(base *complex128, segs *diagSegment[complex128], n int) {}
+func simdDiagF32(base *complex64, segs *diagSegment[complex64], n int)   {}

@@ -1,0 +1,319 @@
+package kernels
+
+import (
+	"math"
+	"math/big"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"qusim/internal/gate"
+	"qusim/internal/par"
+)
+
+// The oracle of the SIMD variant: the same gate applied one base index at a
+// time in pure Go, with math.FMA in the assembly's exact operation order —
+// per output row an accumulator pair starting at +0 and, column by column,
+//
+//	re = fma(mR, aRe, re); im = fma(mR, aIm, im)
+//	re = fma(−mI, aIm, re); im = fma(mI, aRe, im).
+//
+// An FMA rounds once, so the SIMD result must equal this bit for bit,
+// whatever the position class, state size or worker count.
+
+// fma32 is the correctly rounded float32 x·y + z. The product is exact in
+// float64; the sum is rounded to odd there (Boldo & Melquiond), which makes
+// the final rounding to float32 the only one that counts.
+func fma32(x, y, z float32) float32 {
+	p, c := float64(x)*float64(y), float64(z)
+	s := p + c
+	bb := s - p
+	err := (p - (s - bb)) + (c - bb) // TwoSum: s + err == p + c exactly
+	if err != 0 && math.Float64bits(s)&1 == 0 {
+		if (err > 0) == (s > 0) {
+			s = math.Float64frombits(math.Float64bits(s) + 1)
+		} else {
+			s = math.Float64frombits(math.Float64bits(s) - 1)
+		}
+	}
+	return float32(s)
+}
+
+func TestFMA32(t *testing.T) {
+	// (1+2^-12)² = 1 + 2^-11 + 2^-24 is a float32 tie: a tiny addend must
+	// break it either way, which rounding through float64 gets wrong.
+	x, tiny := float32(1+math.Ldexp(1, -12)), float32(math.Ldexp(1, -80))
+	down := float32(1 + math.Ldexp(1, -11))
+	if up := down + float32(math.Ldexp(1, -23)); fma32(x, x, tiny) != up || fma32(x, x, -tiny) != down {
+		t.Errorf("fma32 tie: %b and %b, want %b and %b", fma32(x, x, tiny), fma32(x, x, -tiny), up, down)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		a, b, c := float32(rng.NormFloat64()), float32(rng.NormFloat64()), float32(rng.NormFloat64())
+		exact := new(big.Float).SetPrec(1000).SetFloat64(float64(a))
+		exact.Mul(exact, big.NewFloat(float64(b))).Add(exact, big.NewFloat(float64(c)))
+		if want, _ := exact.Float32(); fma32(a, b, c) != want {
+			t.Fatalf("fma32(%v, %v, %v) = %v, want %v", a, b, c, fma32(a, b, c), want)
+		}
+	}
+}
+
+// oracleApply is Apply by the oracle's arithmetic.
+func oracleApply(amps, m []complex128, qs []int) {
+	k := len(qs)
+	dk := 1 << k
+	masks, offs := insertMasks(qs), offsets(qs)
+	in := make([]complex128, dk)
+	for t := 0; t < len(amps)>>k; t++ {
+		base := expand(t, masks)
+		for x := range in {
+			in[x] = amps[base+offs[x]]
+		}
+		for r := 0; r < dk; r++ {
+			var re, im float64
+			for c, a := range in {
+				mr, mi := real(m[r*dk+c]), imag(m[r*dk+c])
+				re = math.FMA(mr, real(a), re)
+				im = math.FMA(mr, imag(a), im)
+				re = math.FMA(-mi, imag(a), re)
+				im = math.FMA(mi, real(a), im)
+			}
+			amps[base+offs[r]] = complex(re, im)
+		}
+	}
+}
+
+func oracleApplyF32(amps, m []complex64, qs []int) {
+	k := len(qs)
+	dk := 1 << k
+	masks, offs := insertMasks(qs), offsets(qs)
+	in := make([]complex64, dk)
+	for t := 0; t < len(amps)>>k; t++ {
+		base := expand(t, masks)
+		for x := range in {
+			in[x] = amps[base+offs[x]]
+		}
+		for r := 0; r < dk; r++ {
+			var re, im float32
+			for c, a := range in {
+				mr, mi := real(m[r*dk+c]), imag(m[r*dk+c])
+				re = fma32(mr, real(a), re)
+				im = fma32(mr, imag(a), im)
+				re = fma32(-mi, imag(a), re)
+				im = fma32(mi, real(a), im)
+			}
+			amps[base+offs[r]] = complex(re, im)
+		}
+	}
+}
+
+// bitsEqual compares amplitude slices bit for bit, signed zeros included.
+func bitsEqual(a, b []complex128) bool {
+	return slices.EqualFunc(a, b, func(x, y complex128) bool {
+		return math.Float64bits(real(x)) == math.Float64bits(real(y)) &&
+			math.Float64bits(imag(x)) == math.Float64bits(imag(y))
+	})
+}
+
+func bitsEqualF32(a, b []complex64) bool {
+	return slices.EqualFunc(a, b, func(x, y complex64) bool {
+		return math.Float32bits(real(x)) == math.Float32bits(real(y)) &&
+			math.Float32bits(imag(x)) == math.Float32bits(imag(y))
+	})
+}
+
+// simdPositionSets lists, for a k-qubit gate on n qubits, position sets of
+// every low-position class of both precisions: each subset of {0, 1} as the
+// low targets, the rest packed directly above, spread with gaps (so a lane
+// bit lands between targets, as in {0, 1, 6}), and pushed to the top.
+func simdPositionSets(n, k int) [][]int {
+	var sets [][]int
+	for low := 0; low < 4; low++ {
+		var head []int
+		for q := 0; q < 2; q++ {
+			if low>>q&1 != 0 {
+				head = append(head, q)
+			}
+		}
+		rest := k - len(head)
+		if rest < 0 || len(head) > 0 && head[len(head)-1] >= n {
+			continue
+		}
+		for _, place := range []func(i int) int{
+			func(i int) int { return 2 + i },        // packed
+			func(i int) int { return 3 + 2*i },      // gaps
+			func(i int) int { return n - rest + i }, // top
+		} {
+			qs := slices.Clone(head)
+			ok := true
+			for i := 0; i < rest; i++ {
+				q := place(i)
+				ok = ok && q >= 2 && q < n && !slices.Contains(qs, q)
+				qs = append(qs, q)
+			}
+			if ok && !slices.ContainsFunc(sets, func(s []int) bool { return slices.Equal(s, qs) }) {
+				sets = append(sets, qs)
+			}
+		}
+	}
+	return sets
+}
+
+func requireSIMD(t testing.TB) {
+	t.Helper()
+	if !hasSIMD {
+		t.Skipf("no SIMD kernels in this build or on this CPU (ISA %q)", ISA())
+	}
+}
+
+func TestSIMDMatchesFMAOracle(t *testing.T) {
+	requireSIMD(t)
+	rng := rand.New(rand.NewSource(81))
+	for k := 1; k <= simdMaxK; k++ {
+		u := gate.RandomUnitary(k, rng)
+		u32 := ToComplex64(u.Data)
+		for n := k; n <= k+6; n++ {
+			state := randomState(n, rng)
+			for _, qs := range simdPositionSets(n, k) {
+				want := slices.Clone(state)
+				oracleApply(want, u.Data, qs)
+				got := slices.Clone(state)
+				Apply(SIMD, got, u.Data, qs, nil)
+				if !bitsEqual(got, want) {
+					t.Errorf("f64 k=%d n=%d qs=%v: SIMD differs from the oracle (max diff %g)", k, n, qs, maxDiff(got, want))
+				}
+				want32 := ToComplex64(state)
+				oracleApplyF32(want32, u32, qs)
+				got32 := ToComplex64(state)
+				ApplyF32(SIMD, got32, u32, qs, nil)
+				if !bitsEqualF32(got32, want32) {
+					t.Errorf("f32 k=%d n=%d qs=%v: SIMD differs from the oracle", k, n, qs)
+				}
+			}
+		}
+	}
+}
+
+// TestSIMDIndependentOfWorkersAndShards applies the same positions with 1,
+// 2, 3 and 7 workers, and to the 2^l-amplitude shards of the state one by
+// one (what dist and oocvec do): all bitwise equal to the one-worker pass.
+func TestSIMDIndependentOfWorkersAndShards(t *testing.T) {
+	requireSIMD(t)
+	old := par.Workers()
+	t.Cleanup(func() { par.SetWorkers(old) })
+	rng := rand.New(rand.NewSource(82))
+	const n, l = 16, 13
+	state := randomState(n, rng)
+	for k := 1; k <= simdMaxK; k++ {
+		u := gate.RandomUnitary(k, rng)
+		u32 := ToComplex64(u.Data)
+		for _, qs := range simdPositionSets(l, k) {
+			par.SetWorkers(1)
+			want := slices.Clone(state)
+			Apply(SIMD, want, u.Data, qs, nil)
+			want32 := ToComplex64(state)
+			ApplyF32(SIMD, want32, u32, qs, nil)
+			for _, w := range []int{2, 3, 7} {
+				par.SetWorkers(w)
+				got := slices.Clone(state)
+				Apply(SIMD, got, u.Data, qs, nil)
+				got32 := ToComplex64(state)
+				ApplyF32(SIMD, got32, u32, qs, nil)
+				if !bitsEqual(got, want) || !bitsEqualF32(got32, want32) {
+					t.Errorf("k=%d qs=%v: result changes with %d workers", k, qs, w)
+				}
+			}
+			got := slices.Clone(state)
+			got32 := ToComplex64(state)
+			for s := 0; s < len(state); s += 1 << l {
+				Apply(SIMD, got[s:s+1<<l], u.Data, qs, nil)
+				ApplyF32(SIMD, got32[s:s+1<<l], u32, qs, nil)
+			}
+			if !bitsEqual(got, want) || !bitsEqualF32(got32, want32) {
+				t.Errorf("k=%d qs=%v: shard-by-shard result differs from the full-state pass", k, qs)
+			}
+		}
+	}
+}
+
+// TestDiagonalProductIndependentOfSweep multiplies every amplitude by the
+// same entry through each route a diagonal op can take — Scale (dist and
+// oocvec, for a diagonal on global positions only), the run path, the
+// windowed replay with its one-amplitude tails — and on a shard of odd
+// offset: one product per amplitude, whichever sweep reaches it.
+func TestDiagonalProductIndependentOfSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	const n = 12
+	state := randomState(n, rng)
+	dx := complex(0.6, -0.8)
+	want := slices.Clone(state)
+	Scale(want, dx)
+	want32 := ToComplex64(state)
+	ScaleF32(want32, complex64(dx))
+	for _, qs := range [][]int{{0}, {1}, {3}, {diagRunMin}, {0, 5}, {2, n - 1}} {
+		d := make([]complex128, 1<<len(qs))
+		for i := range d {
+			d[i] = dx
+		}
+		got := slices.Clone(state)
+		ApplyDiagonal(got, d, qs)
+		got32 := ToComplex64(state)
+		ApplyDiagonalF32(got32, ToComplex64(d), qs)
+		if !bitsEqual(got, want) || !bitsEqualF32(got32, want32) {
+			t.Errorf("qs=%v: the diagonal sweep and Scale round differently", qs)
+		}
+	}
+	got := slices.Clone(state)
+	Scale(got[:5], dx)
+	Scale(got[5:], dx)
+	if !bitsEqual(got, want) {
+		t.Error("Scale rounds differently on slices of odd length and offset")
+	}
+}
+
+// FuzzSIMDKernel draws the gate size, the position set, the state size and
+// the worker count, and holds both precisions to the oracle.
+func FuzzSIMDKernel(f *testing.F) {
+	f.Add(uint8(3), uint8(9), uint64(0b1000011), int64(1), uint8(2))
+	f.Add(uint8(1), uint8(2), uint64(1), int64(2), uint8(1))
+	f.Add(uint8(5), uint8(6), uint64(0b111101), int64(3), uint8(3))
+	f.Fuzz(func(t *testing.T, k, n uint8, posBits uint64, seed int64, workers uint8) {
+		requireSIMD(t)
+		kk := 1 + int(k)%simdMaxK
+		nn := kk + int(n)%8
+		// The kk lowest set bits of posBits (mod 2^nn), topped up from
+		// position 0, are the targets.
+		var qs []int
+		for q := 0; q < nn && len(qs) < kk; q++ {
+			if posBits>>q&1 != 0 {
+				qs = append(qs, q)
+			}
+		}
+		for q := 0; len(qs) < kk; q++ {
+			if !slices.Contains(qs, q) {
+				qs = append(qs, q)
+			}
+		}
+		slices.Sort(qs)
+		old := par.SetWorkers(1 + int(workers)%4)
+		defer par.SetWorkers(old)
+		rng := rand.New(rand.NewSource(seed))
+		u := gate.RandomUnitary(kk, rng)
+		state := randomState(nn, rng)
+		want := slices.Clone(state)
+		oracleApply(want, u.Data, qs)
+		got := slices.Clone(state)
+		Apply(SIMD, got, u.Data, qs, nil)
+		if !bitsEqual(got, want) {
+			t.Errorf("f64 k=%d n=%d qs=%v: SIMD differs from the oracle", kk, nn, qs)
+		}
+		u32 := ToComplex64(u.Data)
+		want32 := ToComplex64(state)
+		oracleApplyF32(want32, u32, qs)
+		got32 := ToComplex64(state)
+		ApplyF32(SIMD, got32, u32, qs, nil)
+		if !bitsEqualF32(got32, want32) {
+			t.Errorf("f32 k=%d n=%d qs=%v: SIMD differs from the oracle", kk, nn, qs)
+		}
+	})
+}

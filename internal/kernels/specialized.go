@@ -217,12 +217,13 @@ func ApplyDiagonal(amps []complex128, d []complex128, qs []int) {
 		// Short runs: per-run dispatch overhead would dominate. Compile the
 		// non-unit segments of one window of the index pattern and replay
 		// them across the state instead.
-		nlo, window := diagWindow(qs)
+		nlo, window := diagWindow(qs, len(amps))
 		applyDiagWindows(amps, d, qs[:nlo], qs[nlo:], window)
 		return
 	}
 	runs := len(amps) >> q0
 	par.For(runs, max(1, 4096>>q0), func(lo, hi int) {
+		run := diagSegment[complex128]{n: 1 << q0}
 		for r := lo; r < hi; r++ {
 			base := r << q0
 			x := 0
@@ -231,6 +232,11 @@ func ApplyDiagonal(amps []complex128, d []complex128, qs []int) {
 			}
 			dx := d[x]
 			if dx == 1 {
+				continue
+			}
+			if hasSIMD {
+				run.dx = dx
+				simdDiagF64(&amps[base], &run, 1)
 				continue
 			}
 			blk := amps[base : base+1<<q0 : base+1<<q0]
@@ -258,7 +264,8 @@ const (
 )
 
 // diagSegment is one maximal run of identical non-unit diagonal entries
-// within a period of the index pattern.
+// within a period of the index pattern. simdDiagF64 and simdDiagF32 read
+// the fields by offset: the layout is part of cmd/kernelgen's contract.
 type diagSegment[T complexAmp] struct {
 	off, n int
 	dx     T
@@ -295,13 +302,15 @@ func diagSegments[T complexAmp](d []T, qs []int, period int) []diagSegment[T] {
 }
 
 // diagWindow splits the sorted positions qs (qs[0] < diagRunMin) for the
-// windowed diagonal sweep: the first nlo positions vary inside a window of
-// that many amplitudes, the rest are constant across it. While the whole
-// pattern's period stays comfortably inside L1 the window is one period;
+// windowed diagonal sweep over n amplitudes: the first nlo positions vary
+// inside a window of that many amplitudes, the rest are constant across it.
+// While the whole pattern's period stays comfortably inside L1 the window
+// is one period — or several, up to 2^diagRunMin amplitudes, so that a
+// pattern on position 0 alone is not replayed two amplitudes at a time;
 // beyond that only the short-run positions stay inside the window.
-func diagWindow(qs []int) (nlo, window int) {
+func diagWindow(qs []int, n int) (nlo, window int) {
 	if top := qs[len(qs)-1]; top < diagPeriodMax {
-		return len(qs), 1 << (top + 1)
+		return len(qs), min(max(1<<(top+1), 1<<diagRunMin), n)
 	}
 	for nlo < len(qs) && qs[nlo] < diagRunMin {
 		nlo++
@@ -344,6 +353,12 @@ func applyDiagWindows(amps []complex128, d []complex128, lo, hi []int, window in
 			for j, q := range hi {
 				x |= (base >> q & 1) << j
 			}
+			if hasSIMD {
+				if len(segs[x]) > 0 {
+					simdDiagF64(&amps[base], &segs[x][0], len(segs[x]))
+				}
+				continue
+			}
 			for _, s := range segs[x] {
 				blk := amps[base+s.off : base+s.off+s.n : base+s.off+s.n]
 				if s.dx == -1 {
@@ -381,6 +396,11 @@ func ApplyCZ(amps []complex128, a, b int) {
 //qusim:hot
 func Scale(amps []complex128, s complex128) {
 	par.For(len(amps), 4096, func(lo, hi int) {
+		if hasSIMD {
+			seg := diagSegment[complex128]{off: lo, n: hi - lo, dx: s}
+			simdDiagF64(&amps[0], &seg, 1)
+			return
+		}
 		for i := lo; i < hi; i++ {
 			amps[i] *= s
 		}

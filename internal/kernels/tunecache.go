@@ -14,12 +14,14 @@ import (
 // same machine, so re-deriving it on every process start (the paper's
 // benchmarking feedback loop re-run from scratch) is wasted work. The cache
 // is a small versioned JSON document keyed on the machine fingerprint —
-// GOOS/GOARCH, the CPU model string, and NumCPU — and a stale or
-// foreign-machine cache is simply ignored and re-tuned.
+// GOOS/GOARCH, the CPU model string, the kernel set (ISA) and NumCPU — and
+// a stale or foreign-machine cache is simply ignored and re-tuned.
 
 // tuneCacheVersion is bumped whenever the cache schema or the meaning of a
 // recorded selection changes; older files are re-tuned, not migrated.
-const tuneCacheVersion = 1
+// Version 2: the SIMD variant joined the sweep, so a version 1 winner was
+// never compared against it.
+const tuneCacheVersion = 2
 
 type tuneCacheEntry struct {
 	K          int     `json:"k"`
@@ -42,9 +44,12 @@ type tuneCacheFile struct {
 
 // MachineKey fingerprints this machine for the tuner cache: a selection
 // benchmarked on different hardware (or a different core count, which
-// changes the par.For partitioning) must not be reused.
+// changes the par.For partitioning) must not be reused. The kernel set is
+// part of it because the model string need not tell CPUs apart (a VM's may
+// read just "Intel(R) Xeon(R) Processor") and because a purego build on the
+// same machine tunes a different set of variants.
 func MachineKey() string {
-	return fmt.Sprintf("%s/%s/%s/ncpu=%d", runtime.GOOS, runtime.GOARCH, cpuModel(), runtime.NumCPU())
+	return fmt.Sprintf("%s/%s/%s/%s/ncpu=%d", runtime.GOOS, runtime.GOARCH, cpuModel(), ISA(), runtime.NumCPU())
 }
 
 // cpuModel returns the CPU model string from /proc/cpuinfo, or "unknown"

@@ -61,17 +61,26 @@ func TestLoadTuneCacheRejectsStaleFiles(t *testing.T) {
 		t.Errorf("kmax=2 load: hit=%v err=%v, want miss", hit, err)
 	}
 
-	// Version and machine-key mismatches are silent misses.
+	// Version and machine-key mismatches are silent misses: a version 1
+	// file predates the SIMD variant, and a cache written by the other
+	// kernel set on this machine (a purego build, or the reverse) timed
+	// different variants.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	otherISA := map[string]string{"go": "avx2", "avx2": "go"}[ISA()]
 	for name, mangle := range map[string]func(string) string{
-		"version": func(s string) string { return strings.Replace(s, `"version": 1`, `"version": 0`, 1) },
+		"version": func(s string) string { return strings.Replace(s, `"version": 2`, `"version": 1`, 1) },
 		"key":     func(s string) string { return strings.Replace(s, `"key": "`, `"key": "other-machine/`, 1) },
+		"isa":     func(s string) string { return strings.Replace(s, "/"+ISA()+"/ncpu=", "/"+otherISA+"/ncpu=", 1) },
 	} {
 		bad := filepath.Join(dir, name+".json")
-		if err := os.WriteFile(bad, []byte(mangle(string(data))), 0o644); err != nil {
+		mangled := mangle(string(data))
+		if mangled == string(data) {
+			t.Fatalf("%s: the mangling did not change the cache file", name)
+		}
+		if err := os.WriteFile(bad, []byte(mangled), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, hit, err := LoadTuneCache(bad, 1); err != nil || hit {
@@ -134,7 +143,7 @@ func TestMachineKeyIsStable(t *testing.T) {
 	if a != b {
 		t.Errorf("MachineKey not stable: %q vs %q", a, b)
 	}
-	if !strings.Contains(a, "ncpu=") {
-		t.Errorf("MachineKey %q missing core count", a)
+	if !strings.Contains(a, "ncpu=") || !strings.Contains(a, "/"+ISA()+"/") {
+		t.Errorf("MachineKey %q missing the core count or the kernel set %q", a, ISA())
 	}
 }

@@ -69,13 +69,16 @@ var (
 )
 
 // SelectedFor returns the tuned variant for k-qubit gates of the given
-// stride class and precision, defaulting to Specialized when no tuning has
-// run.
+// stride class and precision. When no tuning has run it is SIMD where this
+// machine has an assembly kernel for k and Specialized otherwise.
 func SelectedFor(k int, stride StrideClass, f32 bool) Variant {
 	tunerMu.RLock()
 	defer tunerMu.RUnlock()
 	if v, ok := selected[selKey{k, stride, f32}]; ok {
 		return v
+	}
+	if hasSIMD && k >= 1 && k <= simdMaxK {
+		return SIMD
 	}
 	return Specialized
 }

@@ -340,7 +340,7 @@ func (v *Vector) applyOp(op *schedule.Op) error {
 	switch op.Kind {
 	case schedule.OpCluster:
 		return v.streamChunks(func(c int, amps []complex128) {
-			kernels.Apply(kernels.Specialized, amps, op.Matrix.Data, op.Positions, nil)
+			kernels.Apply(kernels.Auto, amps, op.Matrix.Data, op.Positions, nil)
 		})
 	case schedule.OpDiagonal:
 		return v.streamChunks(func(c int, amps []complex128) {

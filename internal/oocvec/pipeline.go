@@ -248,7 +248,7 @@ func (v *Vector) applyChunkOps(c int, amps []complex128, stream []*schedule.Op, 
 	for _, op := range stream {
 		switch op.Kind {
 		case schedule.OpCluster:
-			kernels.Apply(kernels.Specialized, amps, op.Matrix.Data, op.Positions, nil)
+			kernels.Apply(kernels.Auto, amps, op.Matrix.Data, op.Positions, nil)
 		case schedule.OpDiagonal:
 			applyDiagonalChunk(op, c, v.L, amps)
 		case schedule.OpLocalPerm:

@@ -220,7 +220,11 @@ func (g *grownCluster) with(gi *gateInfo, costs *CostTable) (w grownCluster, ok 
 // the ready local gate that adds the fewest qubits while staying within
 // kmax — gates inside the cluster's qubit set first, that is — taking the
 // earliest among equals, until the table prices no ready gate in (see
-// with).
+// with). The admission rule is optimistic: it weighs a wider pass against
+// the gate standing alone, though the gate might have ridden a later
+// cluster for less. So the cluster kept is the prefix of the growth that is
+// cheapest per merged gate, the longest such — which sees the gates a
+// widening lets in for free, and under a flat table is the whole growth.
 func (cl *clusterer) grow(seed, kmax int, costs *CostTable) {
 	cur := cl.trial
 	copy(cur, cl.head)
@@ -232,6 +236,7 @@ func (cl *clusterer) grow(seed, kmax int, costs *CostTable) {
 		return
 	}
 	cl.advance(seed, cur)
+	keep := *g
 	for {
 		bestSi, bestGrow := -1, kmax+1
 		var bestW grownCluster
@@ -251,10 +256,15 @@ func (cl *clusterer) grow(seed, kmax int, costs *CostTable) {
 			}
 		}
 		if bestSi < 0 {
-			return
+			break
 		}
 		bestW.members = append(g.members, bestSi)
 		*g = bestW
 		cl.advance(bestSi, cur)
+		if g.cost*float64(len(keep.members)) <= keep.cost*float64(len(g.members)) {
+			keep = *g
+		}
 	}
+	keep.members = g.members[:len(keep.members)]
+	*g = keep
 }

@@ -24,14 +24,26 @@ type CostTable struct {
 	Diag float64
 }
 
-// MeasuredCosts is this repository's pure-Go kernel suite as
-// BENCH_kernels.json records it: BenchmarkKernelPrecision k1…k5 and diag,
-// f64 ns/op over k1's, on a 1 GiB state. The dense kernels leave the memory
-// roof at k = 3; the diagonal sweep streams the state once with one
-// multiply per amplitude. Refresh the constants from `make bench-kernels`
-// when the kernels change.
+// The two kernel sets as BENCH_kernels.json records them:
+// BenchmarkKernelPrecision/<set> k1…k5 and diag, f64 ns/op over the set's
+// k1, on a 1 GiB state. The AVX2+FMA kernels stay on the memory roof
+// through k = 3 and leave it slowly; the pure-Go kernels leave it at k = 3
+// and fast. Either diagonal sweep streams the state once with one multiply
+// per amplitude. Refresh the constants from `make bench-kernels` when the
+// kernels change (TestMeasuredCostsMatchBenchFile compares them).
+var (
+	simdCosts = CostTable{Dense: [5]float64{1, 0.99, 1.02, 1.79, 3.03}, Diag: 0.77}
+	goCosts   = CostTable{Dense: [5]float64{1, 1.16, 2.87, 4.75, 12.22}, Diag: 0.72}
+)
+
+// MeasuredCosts is the table of the kernel set this machine runs
+// (kernels.ISA): what kernels.Auto, and so every back end, executes a
+// default plan with.
 func MeasuredCosts() CostTable {
-	return CostTable{Dense: [5]float64{1, 1.23, 3.13, 4.90, 12.2}, Diag: 0.80}
+	if kernels.ISA() == "avx2" {
+		return simdCosts
+	}
+	return goCosts
 }
 
 // PaperCosts is the machine of the paper: every k ≤ 5 kernel and the
@@ -111,7 +123,11 @@ func (t CostTable) cluster(k int, diagonal bool) float64 {
 }
 
 // PlanCost is the modelled kernel cost of p: the table's price of every
-// cluster and diagonal op, in k = 1 passes under MeasuredCosts.
+// cluster and diagonal op, in k = 1 passes under MeasuredCosts. A diagonal
+// op is priced by the share of its entries that are not 1 — the sweep skips
+// the runs of unit entries, so a lone controlled-phase moves a quarter of
+// the state — which is what ranks plans that differ in how many phase gates
+// they leave as sweeps; the clustering itself decides with the flat Diag.
 // Permutations and swaps are not priced.
 func (t CostTable) PlanCost(p *Plan) float64 {
 	t = t.resolve()
@@ -121,7 +137,13 @@ func (t CostTable) PlanCost(p *Plan) float64 {
 		case OpCluster:
 			total += t.dense(len(op.Positions))
 		case OpDiagonal:
-			total += t.Diag
+			nonUnit := 0
+			for _, d := range op.Diag {
+				if d != 1 {
+					nonUnit++
+				}
+			}
+			total += t.Diag * float64(nonUnit) / float64(len(op.Diag))
 		}
 	}
 	return total

@@ -371,6 +371,7 @@ func (b *baselineBackend) Run(c *circuit.Circuit) ([]complex128, error) {
 type f32Backend struct {
 	name    string
 	globals int // < 0: per-gate path; ≥ 0: scheduled at l = n − globals
+	variant kernels.Variant
 	costs   schedule.CostTable
 }
 
@@ -380,6 +381,12 @@ type f32Backend struct {
 // Options.F32Tol — float32 amplitudes cannot meet the exact-path 1e-10 bar.
 func F32() Backend {
 	return &f32Backend{name: "f32vec/per-gate", globals: -1}
+}
+
+// F32Kernel is F32 pinned to one kernel variant instead of the tuner's
+// selection.
+func F32Kernel(v kernels.Variant) Backend {
+	return &f32Backend{name: "f32vec/" + v.String(), globals: -1, variant: v}
 }
 
 // F32Scheduled is F32 through the fused scheduler at l = n − globals —
@@ -394,6 +401,7 @@ func (b *f32Backend) Name() string { return b.name }
 func (b *f32Backend) Run(c *circuit.Circuit) ([]complex128, error) {
 	if b.globals < 0 {
 		v := f32vec.New(c.N)
+		v.Variant = b.variant
 		for i := range c.Gates {
 			g := &c.Gates[i]
 			v.ApplyGate(g.Matrix(), g.Qubits...)

@@ -5,18 +5,16 @@ import (
 	"testing"
 
 	"qusim/internal/circuit"
-	"qusim/internal/kernels"
 	"qusim/internal/schedule"
 	"qusim/internal/statevec"
 )
 
-// scheduledAmps executes plan on an in-memory state with the Specialized
-// kernel tier — per-amplitude, the exact arithmetic the out-of-core engine
+// scheduledAmps executes plan on an in-memory state with the kernels Auto
+// selects — per-amplitude, the exact arithmetic the out-of-core engine
 // performs chunk by chunk — and returns logical-order amplitudes.
 func scheduledAmps(t *testing.T, c *circuit.Circuit, plan *schedule.Plan) []complex128 {
 	t.Helper()
 	v := statevec.New(c.N)
-	v.Variant = kernels.Specialized
 	if err := plan.Run(v); err != nil {
 		t.Fatal(err)
 	}

@@ -126,6 +126,7 @@ func Matrix(quick bool) (ref Backend, backends []Backend) {
 	ref = Naive()
 	backends = []Backend{
 		Kernel(kernels.Specialized),
+		Kernel(kernels.SIMD),
 		Kernel(kernels.Split),
 		Permuted(7),
 		Scheduled(2),
@@ -162,6 +163,7 @@ func Matrix(quick bool) (ref Backend, backends []Backend) {
 func MatrixF32(quick bool) []Backend {
 	backends := []Backend{
 		F32(),
+		F32Kernel(kernels.SIMD),
 		F32Scheduled(2),
 		PaperTwin(F32Scheduled(2)),
 	}
