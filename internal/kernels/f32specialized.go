@@ -317,7 +317,6 @@ func ApplyDiagonalF32(amps []complex64, d []complex64, qs []int) {
 	}
 	runs := len(amps) >> q0
 	par.For(runs, max(1, 4096>>q0), func(lo, hi int) {
-		run := diagSegment[complex64]{n: 1 << q0}
 		for r := lo; r < hi; r++ {
 			base := r << q0
 			x := 0
@@ -328,12 +327,11 @@ func ApplyDiagonalF32(amps []complex64, d []complex64, qs []int) {
 			if dx == 1 {
 				continue
 			}
+			blk := amps[base : base+1<<q0 : base+1<<q0]
 			if hasSIMD {
-				run.dx = dx
-				simdDiagF32(&amps[base], &run, 1)
+				simdScaleF32(blk, dx)
 				continue
 			}
-			blk := amps[base : base+1<<q0 : base+1<<q0]
 			if dx == -1 { // CZ / Z-type entries: negate, no multiply
 				for j := range blk {
 					blk[j] = -blk[j]
@@ -399,8 +397,7 @@ func ScaleF32(amps []complex64, s complex64) {
 	sr, si := real(s), imag(s)
 	par.For(len(amps), 4096, func(lo, hi int) {
 		if hasSIMD {
-			seg := diagSegment[complex64]{off: lo, n: hi - lo, dx: s}
-			simdDiagF32(&amps[0], &seg, 1)
+			simdScaleF32(amps[lo:hi], s)
 			return
 		}
 		for i := lo; i < hi; i++ {

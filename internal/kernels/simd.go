@@ -36,6 +36,11 @@ const simdMaxK = 5
 // pass over the state.
 const simdBlock = 1 << 12
 
+// simdDiagBlock bounds, for the same reason, the amplitudes one call of the
+// diagonal kernels multiplies: the replayed windows are shorter by
+// construction, whole runs and Scale's chunks go through simdScaleF64/F32.
+const simdDiagBlock = 1 << 14
+
 type (
 	simdFuncF64 = func(amps *complex128, lo, hi int, masks, offs *int, mat *float64)
 	simdFuncF32 = func(amps *complex64, lo, hi int, masks, offs *int, mat *float32)
@@ -168,4 +173,25 @@ func sweepSIMD[C complexAmp, F any](amps, m []C, qs []int, laneBits int,
 			fn(&amps[0], lo, min(lo+simdBlock, hi), &lay.masks[0], &lay.offs[0], &mat[0])
 		}
 	})
+}
+
+// simdScaleF64 multiplies the contiguous amplitudes amps by dx with the
+// diagonal kernel, simdDiagBlock of them a call.
+func simdScaleF64(amps []complex128, dx complex128) {
+	var seg diagSegment[complex128] // stays on the stack: the kernel is noescape
+	seg.dx = dx
+	for ; len(amps) > 0; amps = amps[seg.n:] {
+		seg.n = min(len(amps), simdDiagBlock)
+		simdDiagF64(&amps[0], &seg, 1)
+	}
+}
+
+// simdScaleF32 is simdScaleF64 in single precision.
+func simdScaleF32(amps []complex64, dx complex64) {
+	var seg diagSegment[complex64] // stays on the stack: the kernel is noescape
+	seg.dx = dx
+	for ; len(amps) > 0; amps = amps[seg.n:] {
+		seg.n = min(len(amps), simdDiagBlock)
+		simdDiagF32(&amps[0], &seg, 1)
+	}
 }

@@ -240,17 +240,22 @@ func TestSIMDIndependentOfWorkersAndShards(t *testing.T) {
 // same entry through each route a diagonal op can take — Scale (dist and
 // oocvec, for a diagonal on global positions only), the run path, the
 // windowed replay with its one-amplitude tails — and on a shard of odd
-// offset: one product per amplitude, whichever sweep reaches it.
+// offset: one product per amplitude, whichever sweep reaches it. The state
+// is long enough that runs and Scale's chunks span several simdDiagBlock
+// calls.
 func TestDiagonalProductIndependentOfSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
-	const n = 12
+	const n = 16
+	if 1<<(n-1) <= simdDiagBlock {
+		t.Fatal("state too short to split a run across assembly calls")
+	}
 	state := randomState(n, rng)
 	dx := complex(0.6, -0.8)
 	want := slices.Clone(state)
 	Scale(want, dx)
 	want32 := ToComplex64(state)
 	ScaleF32(want32, complex64(dx))
-	for _, qs := range [][]int{{0}, {1}, {3}, {diagRunMin}, {0, 5}, {2, n - 1}} {
+	for _, qs := range [][]int{{0}, {1}, {3}, {diagRunMin}, {0, 5}, {2, n - 1}, {n - 1}, {diagRunMin, n - 1}} {
 		d := make([]complex128, 1<<len(qs))
 		for i := range d {
 			d[i] = dx

@@ -223,7 +223,6 @@ func ApplyDiagonal(amps []complex128, d []complex128, qs []int) {
 	}
 	runs := len(amps) >> q0
 	par.For(runs, max(1, 4096>>q0), func(lo, hi int) {
-		run := diagSegment[complex128]{n: 1 << q0}
 		for r := lo; r < hi; r++ {
 			base := r << q0
 			x := 0
@@ -234,12 +233,11 @@ func ApplyDiagonal(amps []complex128, d []complex128, qs []int) {
 			if dx == 1 {
 				continue
 			}
+			blk := amps[base : base+1<<q0 : base+1<<q0]
 			if hasSIMD {
-				run.dx = dx
-				simdDiagF64(&amps[base], &run, 1)
+				simdScaleF64(blk, dx)
 				continue
 			}
-			blk := amps[base : base+1<<q0 : base+1<<q0]
 			if dx == -1 { // CZ / Z-type entries: negate, no multiply
 				for j := range blk {
 					blk[j] = -blk[j]
@@ -397,8 +395,7 @@ func ApplyCZ(amps []complex128, a, b int) {
 func Scale(amps []complex128, s complex128) {
 	par.For(len(amps), 4096, func(lo, hi int) {
 		if hasSIMD {
-			seg := diagSegment[complex128]{off: lo, n: hi - lo, dx: s}
-			simdDiagF64(&amps[0], &seg, 1)
+			simdScaleF64(amps[lo:hi], s)
 			return
 		}
 		for i := lo; i < hi; i++ {

@@ -107,11 +107,7 @@ func TestDefaultPlansStopAtTheKnee(t *testing.T) {
 	}
 	// Whatever kernel set this machine runs, its table bounds the dense
 	// clusters of the default plans and prices them no dearer than any
-	// fixed cap's — to within the 3 % the table's own constants are good
-	// for: the clustering is greedy, and where the table is as flat as the
-	// AVX2 one a fixed cap can tie it (qaoa16: two k = 4 clusters where
-	// cap 3 builds three k = 3 ones, 1.2 % apart).
-	const slack = 1.03
+	// fixed cap's.
 	costs := MeasuredCosts()
 	kn := knee(costs)
 	for _, s := range benchShapes() {
@@ -120,7 +116,7 @@ func TestDefaultPlansStopAtTheKnee(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
-		covered := 0
+		covered, sweeps, wideDiag := 0, 0, false
 		for i := range p.Ops {
 			switch op := &p.Ops[i]; op.Kind {
 			case OpCluster:
@@ -130,10 +126,18 @@ func TestDefaultPlansStopAtTheKnee(t *testing.T) {
 				}
 			case OpDiagonal:
 				covered += op.GateCount
+				sweeps++
+				wideDiag = wideDiag || len(op.Positions) > kn
 			}
 		}
 		if covered != len(s.c.Gates) {
 			t.Errorf("%s: plan covers %d gates, circuit has %d", s.name, covered, len(s.c.Gates))
+		}
+		// All-diagonal clusters cost one sweep at any width, so they grow
+		// past the knee, to the cap — where the dense clusters left the
+		// plan any sweeps (the AVX2 table fuses all of qaoa16's phase gates).
+		if kn < opts.KMax && sweeps > 0 && !wideDiag {
+			t.Errorf("%s: no diagonal sweep wider than %d qubits; all-diagonal clusters should grow to the cap", s.name, kn)
 		}
 		got := costs.PlanCost(p)
 		for cap := 1; cap <= 5; cap++ {
@@ -141,7 +145,7 @@ func TestDefaultPlansStopAtTheKnee(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s cap %d: %v", s.name, cap, err)
 			}
-			if fixed := costs.PlanCost(q); got > fixed*slack {
+			if fixed := costs.PlanCost(q); got > fixed {
 				t.Errorf("%s: default plan modelled at %.2f passes, fixed cap %d at %.2f", s.name, got, cap, fixed)
 			}
 		}
@@ -242,6 +246,33 @@ func TestMeasuredCostsMatchBenchFile(t *testing.T) {
 		}
 		if table != want {
 			t.Errorf("%s table compiled in as %v, BENCH_kernels.json says %v", set, table, want)
+		}
+	}
+}
+
+// TestPlanCostPricesNonUnitShare: a sweep is priced by the entries it has
+// to multiply. The strict comparison of TestDefaultPlansStopAtTheKnee rests
+// on it: priced at a flat Diag each, the 98 sweeps of the AVX2 default plan
+// for qft23-dist8 model at 87.44 passes against fixed cap 5's 92 at 85.77,
+// though they are the sparser ones (37.78 against 39.19 by share).
+func TestPlanCostPricesNonUnitShare(t *testing.T) {
+	costs := CostTable{Dense: [5]float64{1, 1, 1, 2, 4}, Diag: 0.8}
+	for _, g := range []struct {
+		name  string
+		gates []circuit.Gate
+		want  float64
+	}{
+		{"CZ", []circuit.Gate{circuit.NewCZ(0, 1)}, 0.8 / 4},
+		{"T", []circuit.Gate{circuit.NewT(2)}, 0.8 / 2},
+		{"CZ·CZ", []circuit.Gate{circuit.NewCZ(0, 1), circuit.NewCZ(1, 2)}, 0.8 * 2 / 8},
+	} {
+		c := circuit.NewCircuit(4)
+		c.Append(g.gates...)
+		o := DefaultOptions(4)
+		o.Costs = costs
+		p := assertPlanEquivalent(t, c, o)
+		if got := costs.PlanCost(p); math.Abs(got-g.want) > 1e-12 {
+			t.Errorf("%s: modelled at %v passes, want %v", g.name, got, g.want)
 		}
 	}
 }
