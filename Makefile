@@ -24,9 +24,10 @@ test:
 
 # The pure-Go kernels behind the purego build tag — what kernels.Auto runs
 # on anything but amd64 with AVX2+FMA — through the packages that execute
-# or price them.
+# or price them: every back end reaches them through the one shard applier
+# (internal/schedule/exec.go), so every back end is in the list.
 test-purego:
-	$(GO) test -tags purego ./internal/kernels/... ./internal/statevec/... ./internal/f32vec/... ./internal/schedule/...
+	$(GO) test -tags purego ./internal/kernels/... ./internal/statevec/... ./internal/f32vec/... ./internal/schedule/... ./internal/dist/... ./internal/oocvec/... ./internal/verify/...
 
 # Tier-1 with the race detector — required before merging anything that
 # touches internal/par, internal/mpi, internal/dist or internal/telemetry.
@@ -90,6 +91,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ckpt -fuzz FuzzManifestDecode -fuzztime 10s
 	$(GO) test ./internal/kernels -fuzz FuzzBitPermutation -fuzztime 10s
 	$(GO) test ./internal/kernels -fuzz FuzzSIMDKernel -fuzztime 10s
+	$(GO) test ./internal/circuit -fuzz FuzzReadText -fuzztime 10s
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -137,9 +139,10 @@ bench-kernels:
 	($(GO) test -run '^$$' -bench 'BenchmarkKernelPrecision|BenchmarkCircuitPrecision|BenchmarkKernelFusion' -benchtime 3x -count 3 -timeout 60m . && \
 	 $(GO) test -tags purego -run '^$$' -bench 'BenchmarkKernelPrecision/go/./f64' -benchtime 3x -count 3 -timeout 60m .) | $(GO) run ./cmd/benchjson > BENCH_kernels.json
 
-# Out-of-core prefetch baseline: the circuit-aware prefetch pipeline vs the
-# reactive one-pass-per-op baseline on a 28-qubit (4 GiB state file) run,
-# recorded (with the derived prefetch-vs-reactive speedup and the
+# Out-of-core prefetch baseline: the stage pipeline with read-ahead vs the
+# same pipeline at depth 0 (one buffer, no overlap) on a 28-qubit (4 GiB
+# state file) run, recorded (with the derived prefetch-vs-depth0 speedup —
+# what overlapping I/O with compute buys, which must read ≥ 1 — and the
 # prefetch-hit rate) in BENCH_oocvec.json. Override QUSIM_OOC_QUBITS /
 # QUSIM_OOC_CHUNK to size to the machine (state file = 16·2^qubits bytes,
 # chunk buffer = 16·2^chunk bytes, both ×2 transiently during a swap).

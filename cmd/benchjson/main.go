@@ -64,7 +64,7 @@ var pairs = map[string]string{
 	"fused":        "separate",
 	"checkpointed": "plain",
 	"enabled":      "disabled",
-	"prefetch":     "reactive",
+	"prefetch":     "depth0",
 	"f32":          "f64",
 }
 

@@ -61,7 +61,7 @@ func main() {
 
 		ooc         = flag.Bool("ooc", false, "run out-of-core: state in a file, processed in chunks")
 		oocChunk    = flag.Int("ooc-chunk", 0, "out-of-core chunk qubits l (2^l amplitudes in memory; default qubits-4)")
-		oocPrefetch = flag.Int("ooc-prefetch", 0, "chunks prefetched ahead of compute (0 = reactive, one pass per op)")
+		oocPrefetch = flag.Int("ooc-prefetch", 0, "chunks read ahead of compute, each stage being one fused pass over the file (0 = no read-ahead: read, compute and write take turns)")
 		oocDir      = flag.String("ooc-dir", "", "directory for the out-of-core state file (default: system temp)")
 	)
 	flag.Parse()
@@ -275,8 +275,8 @@ type oocOptions struct {
 
 // runOutOfCore executes the circuit on the file-backed engine: the plan is
 // scheduled at l = chunk local qubits (chunk-index bits play the role of
-// the global qubits) and, with -ooc-prefetch > 0, runs through the
-// circuit-aware prefetch pipeline.
+// the global qubits) and runs stage by stage through the circuit-aware
+// pipeline, reading -ooc-prefetch chunks ahead of compute.
 func runOutOfCore(circ *circuit.Circuit, tel *telemetry.Telemetry, o oocOptions) {
 	l := o.chunk
 	if l == 0 {

@@ -85,6 +85,14 @@ func RunBaseline(c *circuit.Circuit, opts BaselineOptions) (*Result, error) {
 				local[i] = a
 			}
 		}
+		// A diagonal gate runs as the one-op plan the scheduler would emit for
+		// it under the fixed layout: the rank's bits select the sub-diagonal
+		// (Sec. 3.5), no communication.
+		sh := schedule.Shard[complex128]{Amps: local, L: l, Index: cm.Rank()}
+		diagonal := func(gt *circuit.Gate) error {
+			op := schedule.DiagonalOp(gt, func(q int) int { return q })
+			return sh.Apply(&op)
+		}
 		start := time.Now()
 		var commTime time.Duration
 
@@ -102,8 +110,9 @@ func RunBaseline(c *circuit.Circuit, opts BaselineOptions) (*Result, error) {
 				sv := statevec.FromAmplitudes(local)
 				sv.Apply(gt.Matrix(), gt.Qubits...)
 			case specialized(gt):
-				op := schedule.DiagonalOp(gt, func(q int) int { return q })
-				applyDiagonal(local, &op, l, cm.Rank())
+				if err := diagonal(gt); err != nil {
+					return err
+				}
 			case gt.K() == 1:
 				t0 := time.Now()
 				applyGlobalDense1Q(cm, gt, local, scratch, l)
@@ -116,8 +125,9 @@ func RunBaseline(c *circuit.Circuit, opts BaselineOptions) (*Result, error) {
 				// without data movement by construction, but the [19]
 				// scheme would communicate; we execute it diagonally and
 				// charge one step, mirroring its cost accounting.
-				op := schedule.DiagonalOp(gt, func(q int) int { return q })
-				applyDiagonal(local, &op, l, cm.Rank())
+				if err := diagonal(gt); err != nil {
+					return err
+				}
 				if cm.Rank() == 0 {
 					cm.AddSteps(1)
 				}

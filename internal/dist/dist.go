@@ -373,7 +373,6 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 		attemptT0 := sc.Now()
 
 		local := make([]complex128, localLen)
-		scratch := make([]complex128, localLen)
 		if man != nil {
 			t0 := sc.Now()
 			if err := ckpt.ReadShard(ck.Dir, man, c.Rank(), local); err != nil {
@@ -396,6 +395,10 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 				}
 			}
 		}
+		// The rank's shard. Its scratch is also the receive side of every
+		// all-to-all, so it exists from the start rather than on first need.
+		sh := schedule.Shard[complex128]{Amps: local, Scratch: make([]complex128, localLen),
+			L: l, Index: c.Rank(), Variant: opts.Variant}
 		start := time.Now()
 		var commTime time.Duration
 		var profDur [4]time.Duration
@@ -410,23 +413,12 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 			// accounting, the profile breakdown and the trace span — so the
 			// three views of "where did the time go" cannot disagree.
 			t0 := time.Now()
-			switch op.Kind {
-			case schedule.OpCluster:
-				applied := kernels.Apply(opts.Variant, local, op.Matrix.Data, op.Positions, scratch)
-				if &applied[0] != &local[0] {
-					local, scratch = applied, local
-				}
-			case schedule.OpDiagonal:
-				applyDiagonal(local, op, l, c.Rank())
-			case schedule.OpLocalPerm:
-				// Single gather pass into the rank's scratch vector — no
-				// allocation, no SwapBits transposition chain.
-				kernels.PermuteInto(scratch, local, kernels.CompileBitPermutation(op.Perm))
-				local, scratch = scratch, local
-			case schedule.OpSwap:
-				local, scratch = swapGlobalLocal(c, op, local, scratch, l)
-			default:
-				return fmt.Errorf("dist: unknown op kind %v", op.Kind)
+			if op.Kind == schedule.OpSwap {
+				// A fused permutation rides the all-to-all's unpack, so the
+				// whole op is the exchange.
+				sh.Amps, sh.Scratch = swapGlobalLocal(c, op, sh.Amps, sh.Scratch, l)
+			} else if err := sh.Apply(op); err != nil {
+				return fmt.Errorf("dist: %w", err)
 			}
 			d := time.Since(t0)
 			if op.Kind == schedule.OpSwap {
@@ -444,7 +436,7 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 			// left to resume into.
 			if every > 0 && i+1 < len(plan.Ops) && plan.Ops[i+1].Stage != op.Stage && (op.Stage+1)%every == 0 {
 				ct0 := sc.Now()
-				if err := writeCheckpoint(c, out, meta, ck, local, op.Stage+1, opts.Telemetry); err != nil {
+				if err := writeCheckpoint(c, out, meta, ck, sh.Amps, op.Stage+1, opts.Telemetry); err != nil {
 					return err
 				}
 				if sc != nil {
@@ -457,6 +449,7 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 		// Final reductions (norm + entropy), as in the Edison entropy run.
 		// The sweep over the local amplitudes is pure local compute; only
 		// the collectives below count toward CommElapsed.
+		local = sh.Amps
 		var localNorm, ent float64
 		for _, a := range local {
 			p := real(a)*real(a) + imag(a)*imag(a)
@@ -660,31 +653,6 @@ func sampleLocal(c *mpi.Comm, plan *schedule.Plan, local []complex128, localNorm
 		out[s] = plan.LogicalIndex(c.Rank()<<l | idx)
 	}
 	return out
-}
-
-// applyDiagonal executes a diagonal op whose positions may include global
-// locations: the rank's bits select the sub-diagonal, and the local part
-// runs through the diagonal kernel (Sec. 3.5 — no communication).
-func applyDiagonal(local []complex128, op *schedule.Op, l, rank int) {
-	// Positions are sorted ascending, so local positions form a prefix.
-	nl := 0
-	for nl < len(op.Positions) && op.Positions[nl] < l {
-		nl++
-	}
-	gbits := 0
-	for j := nl; j < len(op.Positions); j++ {
-		if rank&(1<<(op.Positions[j]-l)) != 0 {
-			gbits |= 1 << (j - nl)
-		}
-	}
-	if nl == 0 {
-		// Pure global diagonal: a per-rank scalar (conditional global
-		// phase).
-		kernels.Scale(local, op.Diag[gbits])
-		return
-	}
-	sub := op.Diag[gbits<<nl : (gbits+1)<<nl]
-	kernels.ApplyDiagonal(local, sub, op.Positions[:nl])
 }
 
 // swapGlobalLocal executes a q-qubit global-to-local swap: local locations

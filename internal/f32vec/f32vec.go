@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"qusim/internal/gate"
 	"qusim/internal/kernels"
@@ -118,7 +117,7 @@ func (v *Vector) ApplyGate(m gate.Matrix, qubits ...int) {
 	if len(qubits) != m.K {
 		panic(fmt.Sprintf("f32vec: %d qubits for a %d-qubit gate", len(qubits), m.K))
 	}
-	sortedQs, perm := sortPositions(qubits)
+	sortedQs, perm := statevec.SortPositions(qubits)
 	mm := m
 	if perm != nil {
 		mm = gate.PermuteQubits(m, perm)
@@ -139,27 +138,6 @@ func (v *Vector) applySorted(mm []complex64, sortedQs []int) {
 		v.scratch = v.Amps
 		v.Amps = out
 	}
-}
-
-// sortPositions returns the sorted positions and, if the input was not
-// already sorted, the permutation perm with perm[j] = rank of qubits[j].
-func sortPositions(qubits []int) ([]int, []int) {
-	if sort.IntsAreSorted(qubits) {
-		return qubits, nil
-	}
-	k := len(qubits)
-	idx := make([]int, k)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return qubits[idx[a]] < qubits[idx[b]] })
-	sortedQs := make([]int, k)
-	perm := make([]int, k)
-	for rank, j := range idx {
-		sortedQs[rank] = qubits[j]
-		perm[j] = rank
-	}
-	return sortedQs, perm
 }
 
 // Norm returns Σ|α|², accumulated in float64 to limit rounding.

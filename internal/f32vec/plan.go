@@ -3,91 +3,23 @@ package f32vec
 import (
 	"fmt"
 
-	"qusim/internal/kernels"
 	"qusim/internal/schedule"
 )
 
 // RunPlan executes a scheduled plan on the single-precision state — the
 // combination the paper's outlook points at: "the simulation of 46 qubits
 // is feasible when using single-precision floating point numbers" with the
-// same two-swap schedules. Swaps and permutations are exact bit
-// permutations; cluster and diagonal matrices are converted to complex64
-// per op. The permutation scratch slice is allocated once and reused across
-// ops rather than per OpLocalPerm/OpSwap.
+// same two-swap schedules. The ops run through the shard applier every back
+// end shares (schedule.Shard) on one shard covering the whole vector: swaps
+// and permutations are exact bit permutations, cluster and diagonal matrices
+// are converted to complex64 per op, and the second vector a multi-cycle
+// permutation gathers into is allocated when the plan first contains one.
 func (v *Vector) RunPlan(p *schedule.Plan) error {
 	if p.N != v.N {
 		return fmt.Errorf("f32vec: plan is for %d qubits, state has %d", p.N, v.N)
 	}
-	var perm []int // lazily allocated, reused by every permuting op
-	fullPerm := func(opPerm []int) []int {
-		if perm == nil {
-			perm = make([]int, v.N)
-		}
-		copy(perm, opPerm)
-		for q := p.L; q < p.N; q++ {
-			perm[q] = q
-		}
-		return perm
-	}
-	for i := range p.Ops {
-		op := &p.Ops[i]
-		switch op.Kind {
-		case schedule.OpCluster:
-			v.Apply(op.Matrix, op.Positions)
-		case schedule.OpDiagonal:
-			kernels.ApplyDiagonalF32(v.Amps, kernels.ToComplex64(op.Diag), op.Positions)
-		case schedule.OpLocalPerm:
-			v.permuteBits(fullPerm(op.Perm))
-		case schedule.OpSwap:
-			if op.Perm != nil {
-				v.permuteBits(fullPerm(op.Perm))
-			}
-			for j := range op.LocalPos {
-				v.swapBits(op.LocalPos[j], op.GlobalPos[j])
-			}
-		default:
-			return fmt.Errorf("f32vec: unknown op kind %v", op.Kind)
-		}
-	}
-	return nil
-}
-
-func (v *Vector) swapBits(a, b int) {
-	if a == b {
-		return
-	}
-	if a > b {
-		a, b = b, a
-	}
-	maskA := 1<<a - 1
-	maskB := 1<<b - 1
-	sa, sb := 1<<a, 1<<b
-	for t := 0; t < len(v.Amps)>>2; t++ {
-		base := ((t &^ maskA) << 1) | (t & maskA)
-		base = ((base &^ maskB) << 1) | (base & maskB)
-		i01 := base | sa
-		i10 := base | sb
-		v.Amps[i01], v.Amps[i10] = v.Amps[i10], v.Amps[i01]
-	}
-}
-
-func (v *Vector) permuteBits(perm []int) {
-	n := v.N
-	cur := make([]int, n)
-	loc := make([]int, n)
-	for i := range cur {
-		cur[i] = i
-		loc[i] = i
-	}
-	for p := 0; p < n; p++ {
-		want := perm[p]
-		have := cur[p]
-		if have == want {
-			continue
-		}
-		v.swapBits(have, want)
-		other := loc[want]
-		cur[p], cur[other] = want, have
-		loc[have], loc[want] = other, p
-	}
+	sh := schedule.Shard[complex64]{Amps: v.Amps, Scratch: v.scratch, L: v.N, Variant: v.Variant}
+	err := sh.Run(p, 0)
+	v.Amps, v.scratch = sh.Amps, sh.Scratch
+	return err
 }

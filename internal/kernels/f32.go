@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"fmt"
-	"sort"
 
 	"qusim/internal/par"
 )
@@ -16,32 +15,13 @@ import (
 // type (and the float32 operand tables of the Split/Generated forms)
 // differs.
 
-// checkArgsF32 validates and normalizes single-precision kernel arguments.
-func checkArgsF32(n int, m []complex64, qs []int) {
-	k := len(qs)
-	if len(m) != (1<<k)*(1<<k) {
-		panic(fmt.Sprintf("kernels: matrix has %d entries, want %d for k=%d", len(m), (1<<k)*(1<<k), k))
-	}
-	if !sort.IntsAreSorted(qs) {
-		panic("kernels: qubit positions must be sorted ascending")
-	}
-	for i, q := range qs {
-		if q < 0 || 1<<q >= n {
-			panic(fmt.Sprintf("kernels: qubit position %d out of range for %d amplitudes", q, n))
-		}
-		if i > 0 && qs[i-1] == q {
-			panic(fmt.Sprintf("kernels: duplicate qubit position %d", q))
-		}
-	}
-}
-
 // ApplyF32 applies the 2^k × 2^k complex64 matrix m (sorted qubit order) to
 // the qubits at sorted bit positions qs of the single-precision state amps,
 // using the selected variant. The contract mirrors Apply: Naive needs a
 // second vector (scratch, or nil to allocate) and returns the buffer holding
 // the result; all other variants are in-place and return amps.
 func ApplyF32(v Variant, amps []complex64, m []complex64, qs []int, scratch []complex64) []complex64 {
-	checkArgsF32(len(amps), m, qs)
+	checkArgs(len(amps), m, qs)
 	if v == Auto {
 		v = SelectedFor(len(qs), StrideClassOf(qs), true)
 	}

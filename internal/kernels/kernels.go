@@ -111,8 +111,8 @@ func grain(k int) int {
 	return g
 }
 
-// checkArgs validates and normalizes kernel arguments.
-func checkArgs(n int, m []complex128, qs []int) {
+// checkArgs validates kernel arguments, in either precision.
+func checkArgs[T complexAmp](n int, m []T, qs []int) {
 	k := len(qs)
 	if len(m) != (1<<k)*(1<<k) {
 		panic(fmt.Sprintf("kernels: matrix has %d entries, want %d for k=%d", len(m), (1<<k)*(1<<k), k))

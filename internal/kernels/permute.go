@@ -160,7 +160,7 @@ const permuteTile = 1 << 15
 // reads instead of bandwidth-bound.
 //
 //qusim:hot
-func PermuteInto(dst, src []complex128, p *BitPermutation) {
+func PermuteInto[T complexAmp](dst, src []T, p *BitPermutation) {
 	if len(dst) != len(src) || len(src) != 1<<p.n {
 		panic(fmt.Sprintf("kernels: PermuteInto length mismatch: dst %d, src %d, perm 2^%d", len(dst), len(src), p.n))
 	}
@@ -216,6 +216,58 @@ func PermuteInto(dst, src []complex128, p *BitPermutation) {
 			}
 		}
 	})
+}
+
+// SwapBits exchanges the amplitudes so that bit positions a and b of the
+// index are swapped — the SWAP gate as a pure permutation, in place, touching
+// half the amplitudes.
+//
+//qusim:hot
+func SwapBits[T complexAmp](amps []T, a, b int) {
+	if a == b {
+		return
+	}
+	if a > b {
+		a, b = b, a
+	}
+	if a < 0 || 1<<b >= len(amps) {
+		panic(fmt.Sprintf("kernels: SwapBits positions %d, %d out of range for %d amplitudes", a, b, len(amps)))
+	}
+	maskA := 1<<a - 1
+	maskB := 1<<b - 1
+	sa, sb := 1<<a, 1<<b
+	par.For(len(amps)>>2, 1024, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			base := ((t &^ maskA) << 1) | (t & maskA)
+			base = ((base &^ maskB) << 1) | (base & maskB)
+			i01 := base | sa
+			i10 := base | sb
+			amps[i01], amps[i10] = amps[i10], amps[i01]
+		}
+	})
+}
+
+// Permute applies p to the 2^n amplitudes in amps and returns the slice that
+// holds the result and the one that is now spare: nothing moves for the
+// identity, a lone transposition runs in place through SwapBits (half the
+// amplitudes, no second vector), and anything else is one PermuteInto gather
+// into scratch, which is allocated here when it is nil — so a caller that
+// never meets a multi-cycle permutation never pays for a second vector, and
+// the first touch happens inside the gather under the same par chunking as
+// every later sweep (the NUMA placement of Sec. 3.3).
+func Permute[T complexAmp](amps, scratch []T, p *BitPermutation) (out, spare []T) {
+	if p.Identity() {
+		return amps, scratch
+	}
+	if a, b, ok := p.Transposition(); ok {
+		SwapBits(amps, a, b)
+		return amps, scratch
+	}
+	if scratch == nil {
+		scratch = make([]T, len(amps))
+	}
+	PermuteInto(scratch, amps, p)
+	return scratch, amps
 }
 
 // PermuteGather fills dst[t] = src[p.MapInverse(base|t)] for t in
@@ -291,7 +343,7 @@ func PermuteGather(dst, src []complex128, p *BitPermutation, base int) {
 // precomputed image of the fixed high bits.
 //
 //qusim:hot
-func gatherRange(dst, src []complex128, inv [][]int, xbase, lo, hi int) {
+func gatherRange[T complexAmp](dst, src []T, inv [][]int, xbase, lo, hi int) {
 	switch len(inv) {
 	case 1:
 		t0 := inv[0]

@@ -100,7 +100,7 @@ func (v *Vector) RunCheckpointed(plan *schedule.Plan, pol *ckpt.Policy, resume b
 	every := pol.Every()
 	nstages := plan.Stages()
 	for s := start; s < nstages; s++ {
-		if err := v.runOneStage(plan, s); err != nil {
+		if err := v.runPipelined(plan, s, s+1); err != nil {
 			return restoredStage, written, err
 		}
 		// Snapshot at the stage boundary; the end of the final stage is
@@ -129,23 +129,4 @@ func (v *Vector) RunCheckpointed(plan *schedule.Plan, pol *ckpt.Policy, resume b
 		}
 	}
 	return restoredStage, written, nil
-}
-
-// runOneStage executes exactly one stage: through the prefetch pipeline
-// when armed, reactively op by op otherwise. Both orders apply the same
-// per-amplitude operations, so checkpoints taken at the boundary are
-// bitwise identical either way.
-func (v *Vector) runOneStage(plan *schedule.Plan, s int) error {
-	if v.prefetch > 0 {
-		return v.runPipelined(plan, s, s+1)
-	}
-	for i := range plan.Ops {
-		if plan.Ops[i].Stage != s {
-			continue
-		}
-		if err := v.ApplyOp(&plan.Ops[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

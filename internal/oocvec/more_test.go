@@ -85,15 +85,18 @@ func TestUniformInitProperties(t *testing.T) {
 	}
 }
 
-func TestApplyOpRejectsUnknownKind(t *testing.T) {
+func TestRunRejectsUnknownKind(t *testing.T) {
 	v, err := New(6, 3, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer v.Close()
-	bad := schedule.Op{Kind: schedule.OpKind(99)}
-	if err := v.ApplyOp(&bad); err == nil {
-		t.Error("unknown op kind accepted")
+	bad := &schedule.Plan{N: 6, L: 3, Ops: []schedule.Op{{Kind: schedule.OpKind(99)}}}
+	for _, depth := range []int{0, 2} {
+		v.SetPrefetch(depth)
+		if err := v.Run(bad); err == nil {
+			t.Errorf("depth %d: unknown op kind accepted", depth)
+		}
 	}
 }
 

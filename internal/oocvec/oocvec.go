@@ -13,11 +13,12 @@
 //
 // Execution is circuit-aware: the scheduler's per-stage chunk access map
 // (schedule.AccessMap) tells the engine, before any I/O happens, exactly
-// which chunks every upcoming stage reads, writes and exchanges. With a
-// prefetch depth armed (SetPrefetch), Run fuses each stage's local ops
-// into a single streamed pass and overlaps it with asynchronous
-// prefetch/writeback (pipeline.go); at depth 0 it falls back to the
-// reactive one-pass-per-op baseline. Both paths are bitwise identical.
+// which chunks every upcoming stage reads, writes and exchanges. Run fuses
+// each stage's local ops into a single streamed pass (pipeline.go), applied
+// chunk by chunk through the shard applier every back end shares
+// (schedule.Shard); a prefetch depth (SetPrefetch) overlaps that pass with
+// asynchronous read-ahead and writeback, and depth 0 runs the same pass with
+// one buffer and no overlap. Every depth is bitwise identical to Plan.Run.
 package oocvec
 
 import (
@@ -28,7 +29,6 @@ import (
 	"time"
 
 	"qusim/internal/fsio"
-	"qusim/internal/kernels"
 	"qusim/internal/par"
 	"qusim/internal/schedule"
 	"qusim/internal/telemetry"
@@ -44,10 +44,10 @@ type Vector struct {
 	f    fsio.File    // backing file
 	path string       // backing file path; stable across swap adoptions
 	dir  string       // directory holding the backing and swap files
-	buf  []complex128 // one chunk (reactive path / streaming helpers)
+	buf  []complex128 // one chunk (constructors, reductions, snapshots; a stage's scratch)
 	raw  []byte       // encoded form of one chunk, reused across I/O calls
 
-	prefetch    int // chunks read ahead of the compute loop; 0 = reactive
+	prefetch    int // chunks read ahead of the compute loop; 0 = no overlap
 	ckptSkipped int // checkpoints skipped on persistent ENOSPC (ckpt.go)
 	tel         vecTel
 }
@@ -133,11 +133,11 @@ func NewUniform(n, l int, dir string) (*Vector, error) {
 	return v, nil
 }
 
-// SetPrefetch arms the prefetch pipeline: Run and RunFrom will execute
-// each stage as one fused streamed pass with depth chunks read ahead of
-// the compute loop and writeback drained asynchronously. Depth 0 (the
-// default) keeps the reactive one-pass-per-op baseline. Negative depths
-// clamp to 0.
+// SetPrefetch sets how many chunks Run and RunFrom read ahead of the
+// compute loop while writeback drains behind it. Every depth executes a
+// stage as one fused streamed pass; depth 0 (the default) does so with a
+// single buffer, so read, compute and write alternate. Negative depths clamp
+// to 0.
 func (v *Vector) SetPrefetch(depth int) {
 	if depth < 0 {
 		depth = 0
@@ -245,9 +245,9 @@ func encodeChunk(amps []complex128, raw []byte) {
 
 // readHook and writeHook, when non-nil, can fail a chunk read/write before
 // it reaches the file — the test failpoints proving every error path
-// (constructor loops, the reactive stream, and a mid-flight prefetch
-// pipeline) shuts down cleanly: no leaked goroutines, no leaked temp
-// files, Close still succeeding.
+// (constructor loops and a mid-flight pipeline at any depth) shuts down
+// cleanly: no leaked goroutines, no leaked temp files, Close still
+// succeeding.
 var (
 	readHook  func(chunk int) error
 	writeHook func(chunk int) error
@@ -321,88 +321,6 @@ func (v *Vector) writeChunk(c int, src []complex128) error {
 	return writeChunkFrom(v.f, v.L, c, src, v.raw, v.tel.ioRetries)
 }
 
-// ApplyOp executes one plan op reactively (one streamed pass for this op
-// alone). Cluster positions must be below L (the scheduler guarantees this
-// when built with LocalQubits = L); diagonal ops may touch chunk-index
-// positions; OpSwap exchanges the top in-chunk positions with chunk-index
-// positions; OpLocalPerm permutes in-chunk positions.
-func (v *Vector) ApplyOp(op *schedule.Op) error {
-	t0 := v.tel.sc.Now()
-	err := v.applyOp(op)
-	if err == nil && !t0.IsZero() {
-		v.tel.sc.Complete("stage", op.Kind.String(), t0, time.Since(t0),
-			append(schedule.OpTraceArgs(op), telemetry.A("chunks", v.Chunks()))...)
-	}
-	return err
-}
-
-func (v *Vector) applyOp(op *schedule.Op) error {
-	switch op.Kind {
-	case schedule.OpCluster:
-		return v.streamChunks(func(c int, amps []complex128) {
-			kernels.Apply(kernels.Auto, amps, op.Matrix.Data, op.Positions, nil)
-		})
-	case schedule.OpDiagonal:
-		return v.streamChunks(func(c int, amps []complex128) {
-			applyDiagonalChunk(op, c, v.L, amps)
-		})
-	case schedule.OpLocalPerm:
-		return v.streamChunks(func(c int, amps []complex128) {
-			permuteBits(amps, v.L, op.Perm)
-		})
-	case schedule.OpSwap:
-		if op.Perm != nil {
-			// Fused local permutation: one streamed pass ahead of the
-			// block exchange (the in-memory engine folds this into the
-			// all-to-all; here it rides the chunk stream).
-			if err := v.streamChunks(func(c int, amps []complex128) {
-				permuteBits(amps, v.L, op.Perm)
-			}); err != nil {
-				return err
-			}
-		}
-		return v.swap(op)
-	}
-	return fmt.Errorf("oocvec: unknown op kind %v", op.Kind)
-}
-
-// applyDiagonalChunk applies a diagonal op (whose positions may include
-// chunk-index locations ≥ l) to chunk c — shared by the reactive stream
-// and the fused pipeline pass so the two paths are bitwise identical by
-// construction.
-func applyDiagonalChunk(op *schedule.Op, c, l int, amps []complex128) {
-	nl := 0
-	for nl < len(op.Positions) && op.Positions[nl] < l {
-		nl++
-	}
-	gbits := 0
-	for j := nl; j < len(op.Positions); j++ {
-		if c&(1<<(op.Positions[j]-l)) != 0 {
-			gbits |= 1 << (j - nl)
-		}
-	}
-	if nl == 0 {
-		kernels.Scale(amps, op.Diag[gbits])
-		return
-	}
-	kernels.ApplyDiagonal(amps, op.Diag[gbits<<nl:(gbits+1)<<nl], op.Positions[:nl])
-}
-
-// streamChunks runs fn over every chunk with one sequential read+write
-// pass — the access pattern that makes SSD-backed state practical.
-func (v *Vector) streamChunks(fn func(chunk int, amps []complex128)) error {
-	for c := 0; c < v.Chunks(); c++ {
-		if err := v.readChunk(c, v.buf); err != nil {
-			return err
-		}
-		fn(c, v.buf)
-		if err := v.writeChunk(c, v.buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // swapGeometry validates an OpSwap against the chunk layout and returns
 // the chunk-index bit of each swapped position.
 func (v *Vector) swapGeometry(op *schedule.Op) ([]int, error) {
@@ -443,38 +361,11 @@ func swapDest(c, j int, bitPos []int) int {
 	return dst
 }
 
-// swap is the file analogue of the group all-to-all: in-chunk positions
-// [L−q, L) are exchanged with the chunk-index positions in op.GlobalPos.
-// Sub-blocks are copied through a second file, then the files swap roles.
-func (v *Vector) swap(op *schedule.Op) error {
-	bitPos, err := v.swapGeometry(op)
-	if err != nil {
-		return err
-	}
-	out, err := v.fs.CreateTemp(v.dir, "oocvec-*.swap")
-	if err != nil {
-		return err
-	}
-	// Destination chunk d receives, as its m-th sub-block, the d-bits
-	// sub-block of the source chunk that has member index m.
-	for c := 0; c < v.Chunks(); c++ {
-		if err := v.readChunk(c, v.buf); err != nil {
-			out.Close()
-			v.fs.Remove(out.Name())
-			return err
-		}
-		if err := scatterChunk(out, v.L, c, bitPos, v.buf, v.raw, v.tel.ioRetries); err != nil {
-			out.Close()
-			v.fs.Remove(out.Name())
-			return err
-		}
-	}
-	return v.adoptSwapFile(out)
-}
-
-// scatterChunk writes each sub-block of chunk c to its destination in the
-// swap target file. amps is encoded once into raw; the sub-block writes
-// slice the encoding.
+// scatterChunk is the file analogue of the group all-to-all (Sec. 3.4): with
+// in-chunk positions [L−q, L) exchanged against the chunk-index bits bitPos,
+// sub-block j of chunk c lands in the target file as sub-block m of the
+// group member with index j, m being c's own member index. amps is encoded
+// once into raw; the sub-block writes slice the encoding.
 func scatterChunk(out fsio.File, l, c int, bitPos []int, amps []complex128, raw []byte, retries *telemetry.Counter) error {
 	if writeHook != nil {
 		if err := writeHook(c); err != nil {
@@ -521,26 +412,13 @@ func (v *Vector) Run(plan *schedule.Plan) error {
 	return v.RunFrom(plan, 0)
 }
 
-// RunFrom executes only the ops with Stage ≥ startStage — the resume path
-// after Restore loaded a snapshot taken at that stage boundary. With a
-// prefetch depth armed it runs the pipelined per-stage executor; at depth
-// 0 it applies ops reactively, one streamed pass each.
+// RunFrom executes only the stages ≥ startStage — the resume path after
+// Restore loaded a snapshot taken at that stage boundary.
 func (v *Vector) RunFrom(plan *schedule.Plan, startStage int) error {
 	if plan.N != v.N || plan.L != v.L {
 		return fmt.Errorf("oocvec: plan (n=%d l=%d) does not match vector (n=%d l=%d)", plan.N, plan.L, v.N, v.L)
 	}
-	if v.prefetch > 0 {
-		return v.runPipelined(plan, startStage, plan.Stages())
-	}
-	for i := range plan.Ops {
-		if plan.Ops[i].Stage < startStage {
-			continue
-		}
-		if err := v.ApplyOp(&plan.Ops[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return v.runPipelined(plan, startStage, plan.Stages())
 }
 
 // Norm returns Σ|α|² by streaming the file.
@@ -583,42 +461,4 @@ func (v *Vector) Amplitudes() ([]complex128, error) {
 		}
 	}
 	return out, nil
-}
-
-// permuteBits relabels in-chunk bit p to perm[p] (same algorithm as
-// statevec.PermuteBits, on a raw slice).
-func permuteBits(amps []complex128, n int, perm []int) {
-	cur := make([]int, n)
-	loc := make([]int, n)
-	for i := range cur {
-		cur[i] = i
-		loc[i] = i
-	}
-	for p := 0; p < n; p++ {
-		want := perm[p]
-		have := cur[p]
-		if have == want {
-			continue
-		}
-		swapBits(amps, have, want)
-		other := loc[want]
-		cur[p], cur[other] = want, have
-		loc[have], loc[want] = other, p
-	}
-}
-
-func swapBits(amps []complex128, a, b int) {
-	if a > b {
-		a, b = b, a
-	}
-	maskA := 1<<a - 1
-	maskB := 1<<b - 1
-	sa, sb := 1<<a, 1<<b
-	for t := 0; t < len(amps)>>2; t++ {
-		base := ((t &^ maskA) << 1) | (t & maskA)
-		base = ((base &^ maskB) << 1) | (base & maskB)
-		i01 := base | sa
-		i10 := base | sb
-		amps[i01], amps[i10] = amps[i10], amps[i01]
-	}
 }

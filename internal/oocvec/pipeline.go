@@ -1,20 +1,20 @@
 package oocvec
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
 	"qusim/internal/fsio"
-	"qusim/internal/kernels"
 	"qusim/internal/schedule"
 	"qusim/internal/telemetry"
 )
 
 // The circuit-aware prefetch pipeline. The scheduler's chunk access map
 // says, before execution, exactly which chunks every stage reads, writes
-// and exchanges — so instead of reacting (read chunk, compute, write
-// chunk, repeat, once per op), each stage runs as ONE streamed pass whose
-// I/O is overlapped with compute:
+// and exchanges — so instead of one read-compute-write sweep of the file
+// per op, each stage runs as ONE streamed pass whose I/O is overlapped with
+// compute:
 //
 //	reader goroutine:  chunk c+depth … c+1 → pooled buffers (prefetch)
 //	caller (compute):  all of the stage's local ops fused on chunk c
@@ -27,8 +27,9 @@ import (
 // stage s wrote — so the pipeline drains completely at every stage
 // boundary, and a swap additionally retires the old backing file only
 // after its last scattered sub-block landed (the writeback-before-swap
-// barrier). Checkpoints ride the same stage boundaries, which keeps
-// snapshots bitwise identical to the reactive baseline's.
+// barrier). Checkpoints ride the same stage boundaries, so a snapshot holds
+// the same bytes at every prefetch depth. At depth 0 the pool is a single
+// buffer: the same pass with read, compute and write taking turns.
 
 // chunkBuf is one pooled pipeline buffer: a decoded chunk plus the encoded
 // scratch its I/O goes through.
@@ -38,12 +39,14 @@ type chunkBuf struct {
 	raw  []byte
 }
 
-// runPipelined executes stages [startStage, endStage) through the prefetch
-// pipeline, consulting the (cached) plan access map.
+// runPipelined executes stages [startStage, endStage) through the pipeline,
+// consulting the (cached) plan access map — which is also where a malformed
+// plan (an unknown op kind, an op after its stage's closing swap) is turned
+// away before any I/O starts.
 func (v *Vector) runPipelined(plan *schedule.Plan, startStage, endStage int) error {
 	access, err := plan.AccessMap()
 	if err != nil {
-		return err
+		return fmt.Errorf("oocvec: %w", err)
 	}
 	hits, misses := schedule.AccessCacheStats()
 	v.tel.planHits.Set(hits)
@@ -78,6 +81,13 @@ func (v *Vector) runStage(plan *schedule.Plan, sa *schedule.StageAccess) error {
 	if len(stream) == 0 && swapOp == nil {
 		return nil
 	}
+	// What the compute loop applies to each chunk: the streamed ops, then
+	// the closing swap, of which the applier executes the fused
+	// pre-permutation; the exchange itself is the writeback's scatter.
+	ops := stream
+	if swapOp != nil {
+		ops = append(ops, swapOp)
+	}
 
 	var out fsio.File
 	if swapOp != nil {
@@ -88,7 +98,7 @@ func (v *Vector) runStage(plan *schedule.Plan, sa *schedule.StageAccess) error {
 	}
 
 	t0 := v.tel.sc.Now()
-	err := v.pumpStage(stream, swapOp, bitPos, out)
+	err := v.pumpStage(ops, bitPos, out)
 	if err != nil {
 		if out != nil {
 			out.Close()
@@ -118,7 +128,7 @@ func (v *Vector) runStage(plan *schedule.Plan, sa *schedule.StageAccess) error {
 // pumpStage runs the reader → compute → writeback pipeline over every
 // chunk. On any failure it halts the pipeline, joins both goroutines and
 // returns the first error; no goroutine or buffer outlives the call.
-func (v *Vector) pumpStage(stream []*schedule.Op, swapOp *schedule.Op, bitPos []int, out fsio.File) error {
+func (v *Vector) pumpStage(ops []*schedule.Op, bitPos []int, out fsio.File) error {
 	chunks := v.Chunks()
 	depth := v.prefetch
 	if depth > chunks {
@@ -192,7 +202,7 @@ func (v *Vector) pumpStage(stream []*schedule.Op, swapOp *schedule.Op, bitPos []
 			}
 			t0 := v.tel.wrSc.Now()
 			var err error
-			if swapOp != nil {
+			if out != nil {
 				err = scatterChunk(out, v.L, b.idx, bitPos, b.amps, b.raw, v.tel.ioRetries)
 			} else {
 				err = writeChunkFrom(v.f, v.L, b.idx, b.amps, b.raw, v.tel.ioRetries)
@@ -214,8 +224,15 @@ func (v *Vector) pumpStage(stream []*schedule.Op, swapOp *schedule.Op, bitPos []
 	}()
 
 	// Compute loop: apply the stage's fused op list to each chunk as it
-	// arrives. A chunk already buffered when we ask for it is a prefetch
-	// hit — I/O fully hidden behind the previous chunk's compute.
+	// arrives, through the shard applier (chunk number = shard index, the
+	// default kernels). A chunk already buffered when we ask for it is a
+	// prefetch hit — I/O fully hidden behind the previous chunk's compute.
+	// The scratch is v.buf, idle while a stage runs: when a permutation's
+	// gather lands in it, the pooled buffer takes it over and hands its old
+	// amps back as the next scratch, so no chunk is allocated for it.
+	sh := schedule.Shard[complex128]{L: v.L, Scratch: v.buf}
+	var applyErr error
+compute:
 	for done := 0; done < chunks; done++ {
 		var b *chunkBuf
 		select {
@@ -228,36 +245,27 @@ func (v *Vector) pumpStage(stream []*schedule.Op, swapOp *schedule.Op, bitPos []
 		if b == nil {
 			break // reader halted early; the join below surfaces its error
 		}
-		v.applyChunkOps(b.idx, b.amps, stream, swapOp)
+		sh.Amps, sh.Index = b.amps, b.idx
+		for _, op := range ops {
+			if applyErr = sh.Apply(op); applyErr != nil {
+				v.tel.inFlight.Add(-cb)
+				halt()
+				break compute
+			}
+		}
+		b.amps = sh.Amps
 		dirty <- b
 	}
+	v.buf = sh.Scratch
 	close(dirty)
 	wg.Wait()
-	if readErr != nil {
+	switch {
+	case applyErr != nil:
+		return fmt.Errorf("oocvec: %w", applyErr)
+	case readErr != nil:
 		return readErr
 	}
 	return writeErr
-}
-
-// applyChunkOps applies the stage's streamed ops — and a closing swap's
-// fused pre-permutation — to one chunk, in execution order. The per-op
-// math is byte-for-byte the reactive path's (see applyOp /
-// applyDiagonalChunk), so pipelined and reactive runs are bitwise
-// identical.
-func (v *Vector) applyChunkOps(c int, amps []complex128, stream []*schedule.Op, swapOp *schedule.Op) {
-	for _, op := range stream {
-		switch op.Kind {
-		case schedule.OpCluster:
-			kernels.Apply(kernels.Auto, amps, op.Matrix.Data, op.Positions, nil)
-		case schedule.OpDiagonal:
-			applyDiagonalChunk(op, c, v.L, amps)
-		case schedule.OpLocalPerm:
-			permuteBits(amps, v.L, op.Perm)
-		}
-	}
-	if swapOp != nil && swapOp.Perm != nil {
-		permuteBits(amps, v.L, swapOp.Perm)
-	}
 }
 
 // maskPositions expands a qubit bitmask into the sorted position list used

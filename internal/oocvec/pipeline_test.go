@@ -1,6 +1,7 @@
 package oocvec
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -9,22 +10,35 @@ import (
 	"time"
 
 	"qusim/internal/ckpt"
+	"qusim/internal/schedule"
+	"qusim/internal/statevec"
 	"qusim/internal/telemetry"
 )
 
-// TestPipelineMatchesReactiveBitwise is the core pipeline guarantee: every
-// prefetch depth — shallow, deeper than the chunk count, anything — must
-// produce amplitudes bitwise identical to the reactive depth-0 baseline,
-// because the fused stage pass applies exactly the same per-amplitude
-// operations in the same order.
-func TestPipelineMatchesReactiveBitwise(t *testing.T) {
+// planRunAmps is the bitwise reference of this package's tests: the plan
+// executed by Plan.Run on an in-memory vector from the uniform state.
+func planRunAmps(t *testing.T, plan *schedule.Plan) []complex128 {
+	t.Helper()
+	v := statevec.NewUniform(plan.N)
+	if err := plan.Run(v); err != nil {
+		t.Fatal(err)
+	}
+	return v.Amps
+}
+
+// TestEveryDepthMatchesPlanRunBitwise is the core guarantee: every prefetch
+// depth — none, shallow, deeper than the chunk count — produces amplitudes
+// bitwise identical to Plan.Run on an in-memory vector, because the fused
+// stage pass applies, chunk by chunk through the same shard applier, exactly
+// the per-amplitude operations Plan.Run applies to the whole state.
+func TestEveryDepthMatchesPlanRunBitwise(t *testing.T) {
 	n, l := 12, 6 // 64 chunks, multi-swap plan
 	_, plan := buildPlan(t, n, l, 16, 5)
 	if plan.Stats.Swaps < 2 {
 		t.Fatalf("want a multi-swap plan, got %d swaps", plan.Stats.Swaps)
 	}
-	ref := oocAmps(t, n, l, func(v *Vector) error { return v.Run(plan) })
-	for _, depth := range []int{1, 2, 3, 8, 1 << (n - l), 1<<(n-l) + 7} {
+	ref := planRunAmps(t, plan)
+	for _, depth := range []int{0, 1, 2, 3, 8, 1 << (n - l), 1<<(n-l) + 7} {
 		got := oocAmps(t, n, l, func(v *Vector) error {
 			v.SetPrefetch(depth)
 			return v.Run(plan)
@@ -38,16 +52,15 @@ func TestPipelineMatchesReactiveBitwise(t *testing.T) {
 }
 
 // TestPipelineCheckpointResumeBitwise proves checkpoint/restore stays
-// bitwise identical under the new execution order: a pipelined
-// checkpointed run, a reactive clean run, and a pipelined resumed run must
-// all agree exactly.
+// bitwise identical under the pipeline: a checkpointed run, Plan.Run in
+// memory, and a run resumed at another depth must all agree exactly.
 func TestPipelineCheckpointResumeBitwise(t *testing.T) {
 	n, l := 10, 6
 	_, plan := buildPlan(t, n, l, 16, 4)
 	if plan.Stages() < 2 {
 		t.Fatalf("plan has %d stages; the scenario needs at least 2", plan.Stages())
 	}
-	clean := oocAmps(t, n, l, func(v *Vector) error { return v.Run(plan) })
+	clean := planRunAmps(t, plan)
 
 	dir := t.TempDir()
 	pol := &ckpt.Policy{Dir: dir}
@@ -123,10 +136,11 @@ func assertOnlyBackingFile(t *testing.T, dir string, when string) {
 	}
 }
 
-// TestPipelineFaultInjection errors reads and writes mid-prefetch — in
-// streamed stages and in the scattered swap writeback — and asserts clean
-// shutdown every time: the error surfaces, no goroutine outlives Run, no
-// swap temp file is leaked, and Close still succeeds.
+// TestPipelineFaultInjection errors reads and writes mid-run — in streamed
+// stages and in the scattered swap writeback, with read-ahead and at depth
+// 0 — and asserts clean shutdown every time: the error surfaces, no
+// goroutine outlives Run, no swap temp file is leaked, and Close still
+// succeeds.
 func TestPipelineFaultInjection(t *testing.T) {
 	n, l := 10, 5 // 32 chunks
 	_, plan := buildPlan(t, n, l, 16, 8)
@@ -174,38 +188,98 @@ func TestPipelineFaultInjection(t *testing.T) {
 			}
 		}},
 	}
-	for _, sc := range scenarios {
-		t.Run(sc.name, func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			dir := t.TempDir()
-			var calls int32
-			sc.arm(&calls)
-			v, err := NewUniform(n, l, dir)
-			if err != nil {
-				t.Fatalf("constructor tripped the failpoint before the run: %v", err)
+	for _, depth := range []int{0, 4} {
+		for _, sc := range scenarios {
+			t.Run(fmt.Sprintf("%s/depth%d", sc.name, depth), func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				dir := t.TempDir()
+				var calls int32
+				sc.arm(&calls)
+				v, err := NewUniform(n, l, dir)
+				if err != nil {
+					t.Fatalf("constructor tripped the failpoint before the run: %v", err)
+				}
+				v.SetPrefetch(depth)
+				runErr := v.Run(plan)
+				readHook, writeHook = nil, nil
+				if runErr == nil {
+					t.Fatal("injected fault did not surface from Run")
+				}
+				if !strings.Contains(runErr.Error(), "injected") {
+					t.Fatalf("unexpected error: %v", runErr)
+				}
+				awaitGoroutineBaseline(t, base)
+				assertOnlyBackingFile(t, dir, "failed pipelined run")
+				if err := v.Close(); err != nil {
+					t.Fatalf("Close after failed run: %v", err)
+				}
+				entries, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(entries) != 0 {
+					t.Fatalf("Close left %d entries behind", len(entries))
+				}
+			})
+		}
+	}
+}
+
+// TestOpAfterClosingSwapRejected pins the one behaviour the depth-0 fold
+// changed at the edge: a hand-written plan with an op after its stage's
+// closing swap used to run at depth 0 (one pass per op, in order) while the
+// pipeline turned it away; now every depth returns the access analysis's
+// error, before any I/O — no swap file, no goroutine, the state untouched.
+func TestOpAfterClosingSwapRejected(t *testing.T) {
+	n, l := 10, 6
+	_, plan := buildPlan(t, n, l, 16, 4)
+	bad := *plan
+	bad.Ops = nil
+	for i := range plan.Ops {
+		bad.Ops = append(bad.Ops, plan.Ops[i])
+		if i > 0 && plan.Ops[i].Kind == schedule.OpSwap && len(bad.Ops) == i+1 {
+			// Re-run the op that preceded the swap, still in the swap's stage.
+			late := plan.Ops[i-1]
+			late.Stage = plan.Ops[i].Stage
+			bad.Ops = append(bad.Ops, late)
+		}
+	}
+	if len(bad.Ops) == len(plan.Ops) {
+		t.Fatal("plan has no swap to misplace an op after")
+	}
+	_, want := bad.AccessMap()
+	if want == nil {
+		t.Fatal("AccessMap accepted an op after the closing swap")
+	}
+	for _, depth := range []int{0, 1, 4} {
+		base := runtime.NumGoroutine()
+		dir := t.TempDir()
+		v, err := NewUniform(n, l, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.SetPrefetch(depth)
+		err = v.Run(&bad)
+		if err == nil {
+			t.Fatalf("depth %d: malformed plan ran", depth)
+		}
+		if inner := errors.Unwrap(err); inner == nil || inner.Error() != want.Error() {
+			t.Errorf("depth %d: got %q, want it to wrap %q", depth, err, want)
+		}
+		awaitGoroutineBaseline(t, base)
+		assertOnlyBackingFile(t, dir, "rejected plan")
+		amps, err := v.Amplitudes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range amps {
+			if a != amps[0] {
+				t.Fatalf("depth %d: rejected plan modified amplitude %d", depth, i)
 			}
-			v.SetPrefetch(4)
-			runErr := v.Run(plan)
-			readHook, writeHook = nil, nil
-			if runErr == nil {
-				t.Fatal("injected fault did not surface from Run")
-			}
-			if !strings.Contains(runErr.Error(), "injected") {
-				t.Fatalf("unexpected error: %v", runErr)
-			}
-			awaitGoroutineBaseline(t, base)
-			assertOnlyBackingFile(t, dir, "failed pipelined run")
-			if err := v.Close(); err != nil {
-				t.Fatalf("Close after failed run: %v", err)
-			}
-			entries, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(entries) != 0 {
-				t.Fatalf("Close left %d entries behind", len(entries))
-			}
-		})
+		}
+		if err := v.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -214,6 +288,12 @@ func TestPipelineFaultInjection(t *testing.T) {
 // chunk read/write counters move, spans land on the engine and I/O
 // timelines, and bytes-in-flight returns to zero once the run drains.
 func TestPipelineTelemetry(t *testing.T) {
+	for _, depth := range []int{0, 3} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) { testPipelineTelemetry(t, depth) })
+	}
+}
+
+func testPipelineTelemetry(t *testing.T, depth int) {
 	n, l := 10, 6
 	_, plan := buildPlan(t, n, l, 14, 9)
 	tel := telemetry.New()
@@ -222,7 +302,7 @@ func TestPipelineTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v.Close()
-	v.SetPrefetch(3)
+	v.SetPrefetch(depth)
 	v.SetTelemetry(tel)
 	if err := v.Run(plan); err != nil {
 		t.Fatal(err)
@@ -255,47 +335,15 @@ func TestPipelineTelemetry(t *testing.T) {
 	if read != wantChunks {
 		t.Errorf("chunks read %d, access map predicts %d", read, wantChunks)
 	}
+	// One pass over the file per stage, at depth 0 as at any other.
+	if onePass := int64(plan.Stages() * v.Chunks()); read != onePass {
+		t.Errorf("chunks read %d, want stages × chunks = %d", read, onePass)
+	}
 	if got := reg.Gauge("oocvec.bytes_in_flight").Value(); got != 0 {
 		t.Errorf("bytes in flight %d after drain, want 0", got)
 	}
 	if tel.SpanCount() == 0 {
 		t.Error("no spans recorded")
-	}
-}
-
-// TestReactiveSpanParity checks satellite parity with the dist engine: the
-// reactive path's op spans use the same category/name scheme ("stage" /
-// op kind) and the shared schedule.OpTraceArgs annotations, so traces from
-// the two backends are directly comparable.
-func TestReactiveSpanParity(t *testing.T) {
-	n, l := 10, 6
-	_, plan := buildPlan(t, n, l, 14, 9)
-	tel := telemetry.New()
-	v, err := NewUniform(n, l, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Close()
-	v.SetTelemetry(tel)
-	if err := v.Run(plan); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := tel.WriteTrace(&sb); err != nil {
-		t.Fatal(err)
-	}
-	trace := sb.String()
-	for _, want := range []string{
-		`"name":"cluster"`, `"name":"swap"`, // op-kind span names, as in dist
-		`"cat":"stage"`,
-		`"stage":0`, `"chunks":`, `"pos":`, // qubit set + chunk count args
-	} {
-		if !strings.Contains(trace, want) {
-			t.Errorf("trace missing %s", want)
-		}
-	}
-	if kinds := len(plan.Ops); tel.SpanCount() < kinds {
-		t.Errorf("only %d spans for %d ops", tel.SpanCount(), kinds)
 	}
 }
 

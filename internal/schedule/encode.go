@@ -80,6 +80,13 @@ func (p *Plan) validate() error {
 	}
 	for i := range p.Ops {
 		op := &p.Ops[i]
+		// The kernels take positions strictly ascending and panic otherwise;
+		// a plan file is outside input, so it is turned away here.
+		for j := 1; j < len(op.Positions); j++ {
+			if op.Positions[j-1] >= op.Positions[j] {
+				return fmt.Errorf("schedule: op %d: positions %v are not strictly ascending", i, op.Positions)
+			}
+		}
 		switch op.Kind {
 		case OpCluster:
 			if len(op.Matrix.Data) != (1<<len(op.Positions))*(1<<len(op.Positions)) {

@@ -67,4 +67,22 @@ func TestReadPlanValidates(t *testing.T) {
 	if _, err := ReadPlan(&buf); err == nil {
 		t.Error("non-permutation position map accepted")
 	}
+
+	// Unsorted op positions would panic in the kernels' argument check.
+	bad = *plan
+	bad.Ops = append([]Op(nil), plan.Ops...)
+	for i := range bad.Ops {
+		if op := &bad.Ops[i]; len(op.Positions) >= 2 {
+			op.Positions = []int{op.Positions[1], op.Positions[0]}
+			op.Positions = append(op.Positions, plan.Ops[i].Positions[2:]...)
+			break
+		}
+	}
+	buf.Reset()
+	if err := WritePlan(&buf, &bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadPlan(&buf); err == nil {
+		t.Error("unsorted op positions accepted")
+	}
 }

@@ -136,40 +136,10 @@ func (p *Plan) RunFrom(v *statevec.Vector, startStage int) error {
 	if v.N != p.N {
 		return fmt.Errorf("schedule: plan is for %d qubits, state has %d", p.N, v.N)
 	}
-	for i := range p.Ops {
-		op := &p.Ops[i]
-		if op.Stage < startStage {
-			continue
-		}
-		switch op.Kind {
-		case OpCluster:
-			v.ApplyDense(op.Matrix, op.Positions...)
-		case OpDiagonal:
-			v.ApplyDiagonal(op.Diag, op.Positions...)
-		case OpLocalPerm:
-			perm := make([]int, p.N)
-			copy(perm, op.Perm)
-			for q := p.L; q < p.N; q++ {
-				perm[q] = q
-			}
-			v.PermuteBits(perm)
-		case OpSwap:
-			if op.Perm != nil {
-				perm := make([]int, p.N)
-				copy(perm, op.Perm)
-				for q := p.L; q < p.N; q++ {
-					perm[q] = q
-				}
-				v.PermuteBits(perm)
-			}
-			for j := range op.LocalPos {
-				v.SwapBits(op.LocalPos[j], op.GlobalPos[j])
-			}
-		default:
-			return fmt.Errorf("schedule: unknown op kind %v", op.Kind)
-		}
-	}
-	return nil
+	sh := Shard[complex128]{Amps: v.Amps, L: v.N, Variant: v.Variant}
+	err := sh.Run(p, startStage)
+	v.Amps = sh.Amps
+	return err
 }
 
 // PermutedIndex returns the state-vector index at which the amplitude of

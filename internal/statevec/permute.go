@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"qusim/internal/kernels"
-	"qusim/internal/par"
 )
 
 // Qubit-relabeling kernels. The distributed scheme of Sec. 3.4 swaps
@@ -16,32 +15,7 @@ import (
 // SwapBits exchanges the amplitudes so that bit positions a and b of the
 // basis index are swapped — the unitary SWAP gate applied as a pure
 // permutation (no arithmetic).
-//
-//qusim:hot
-func (v *Vector) SwapBits(a, b int) {
-	if a == b {
-		return
-	}
-	if a > b {
-		a, b = b, a
-	}
-	if b >= v.N {
-		panic(fmt.Sprintf("statevec: SwapBits position %d out of range for n=%d", b, v.N))
-	}
-	maskA := 1<<a - 1
-	maskB := 1<<b - 1
-	sa, sb := 1<<a, 1<<b
-	amps := v.Amps
-	par.For(len(amps)>>2, 1024, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			base := ((t &^ maskA) << 1) | (t & maskA)
-			base = ((base &^ maskB) << 1) | (base & maskB)
-			i01 := base | sa
-			i10 := base | sb
-			amps[i01], amps[i10] = amps[i10], amps[i01]
-		}
-	})
-}
+func (v *Vector) SwapBits(a, b int) { kernels.SwapBits(v.Amps, a, b) }
 
 // PermuteBits relabels bit position p to perm[p] for every amplitude:
 // new index bit perm[p] = old index bit p. perm must be a permutation of
@@ -52,27 +26,12 @@ func (v *Vector) SwapBits(a, b int) {
 // state plus one write — ≤ 2 full-state passes however many bits move),
 // replacing the transposition chain that cost one half-state sweep per
 // 2-cycle step. A lone transposition still runs through SwapBits, which
-// touches only half the amplitudes and needs no scratch.
+// touches only half the amplitudes and needs no scratch (kernels.Permute).
 func (v *Vector) PermuteBits(perm []int) {
 	if len(perm) != v.N {
 		panic(fmt.Sprintf("statevec: PermuteBits got %d entries for n=%d", len(perm), v.N))
 	}
-	bp := kernels.CompileBitPermutation(perm)
-	if bp.Identity() {
-		return
-	}
-	if a, b, ok := bp.Transposition(); ok {
-		v.SwapBits(a, b)
-		return
-	}
-	if v.scratch == nil {
-		// First touch happens inside the gather pass, under the same par
-		// chunking as every later sweep — the NUMA placement story of
-		// Sec. 3.3 is unchanged.
-		v.scratch = make([]complex128, len(v.Amps))
-	}
-	kernels.PermuteInto(v.scratch, v.Amps, bp)
-	v.Amps, v.scratch = v.scratch, v.Amps
+	v.Amps, v.scratch = kernels.Permute(v.Amps, v.scratch, kernels.CompileBitPermutation(perm))
 }
 
 // PermuteBitsSwapChain is the pre-optimization implementation of

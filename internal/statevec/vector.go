@@ -245,7 +245,7 @@ func (v *Vector) Apply(m gate.Matrix, qubits ...int) {
 	if len(qubits) != m.K {
 		panic(fmt.Sprintf("statevec: %d qubits for a %d-qubit gate", len(qubits), m.K))
 	}
-	sortedQs, perm := sortPositions(qubits)
+	sortedQs, perm := SortPositions(qubits)
 	mm := m
 	if perm != nil {
 		mm = gate.PermuteQubits(m, perm)
@@ -260,7 +260,7 @@ func (v *Vector) Apply(m gate.Matrix, qubits ...int) {
 // ApplyDense is Apply without the diagonal fast path — used by experiments
 // that must exercise the full kernel (worst-case dense gates, Sec. 3.6.1).
 func (v *Vector) ApplyDense(m gate.Matrix, qubits ...int) {
-	sortedQs, perm := sortPositions(qubits)
+	sortedQs, perm := SortPositions(qubits)
 	mm := m
 	if perm != nil {
 		mm = gate.PermuteQubits(m, perm)
@@ -281,7 +281,7 @@ func (v *Vector) applySorted(m gate.Matrix, sortedQs []int) {
 
 // ApplyDiagonal applies a diagonal gate given by its diagonal entries.
 func (v *Vector) ApplyDiagonal(d []complex128, qubits ...int) {
-	sortedQs, perm := sortPositions(qubits)
+	sortedQs, perm := SortPositions(qubits)
 	dd := d
 	if perm != nil {
 		dd = make([]complex128, len(d))
@@ -307,7 +307,7 @@ func (v *Vector) ApplyCZ(a, b int) { kernels.ApplyCZ(v.Amps, a, b) }
 // control qubit being 1, touching only the controlled subspace (a 2^c-fold
 // saving over embedding the controls into the matrix).
 func (v *Vector) ApplyControlled(m gate.Matrix, targets, controls []int) {
-	sortedQs, perm := sortPositions(targets)
+	sortedQs, perm := SortPositions(targets)
 	mm := m
 	if perm != nil {
 		mm = gate.PermuteQubits(m, perm)
@@ -324,9 +324,9 @@ func (v *Vector) ApplyControlledPhase(qubits []int, phase complex128) {
 // Scale multiplies the whole state by s (global phase).
 func (v *Vector) Scale(s complex128) { kernels.Scale(v.Amps, s) }
 
-// sortPositions returns the sorted positions and, if the input was not
+// SortPositions returns the sorted positions and, if the input was not
 // already sorted, the permutation perm with perm[j] = rank of qubits[j].
-func sortPositions(qubits []int) ([]int, []int) {
+func SortPositions(qubits []int) ([]int, []int) {
 	if sort.IntsAreSorted(qubits) {
 		return qubits, nil
 	}

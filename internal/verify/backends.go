@@ -173,15 +173,13 @@ type oocBackend struct {
 
 // OutOfCore returns a backend that schedules at l = n − globals and
 // executes the plan through the file-backed out-of-core engine, paging the
-// state through 2^globals file chunks. prefetch > 0 arms the circuit-aware
-// prefetch pipeline (fused stage passes, asynchronous I/O); 0 keeps the
-// reactive one-pass-per-op baseline — enrolling both in the matrix
-// cross-checks every paged execution mode against the in-memory reference.
+// state through 2^globals file chunks, one fused streamed pass per stage.
+// prefetch is the pipeline's read-ahead depth: > 0 overlaps chunk I/O with
+// compute, 0 runs the same pass through a single buffer — enrolling both in
+// the matrix cross-checks the pipeline with and without its concurrency
+// against the in-memory reference.
 func OutOfCore(globals, prefetch int) Backend {
-	name := fmt.Sprintf("oocvec/g%d-reactive", globals)
-	if prefetch > 0 {
-		name = fmt.Sprintf("oocvec/g%d-prefetch%d", globals, prefetch)
-	}
+	name := fmt.Sprintf("oocvec/g%d-prefetch%d", globals, prefetch)
 	return &oocBackend{name: name, globals: globals, prefetch: prefetch}
 }
 

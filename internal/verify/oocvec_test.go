@@ -21,8 +21,8 @@ func scheduledAmps(t *testing.T, c *circuit.Circuit, plan *schedule.Plan) []comp
 	return unpermute(plan, v.Amps)
 }
 
-// TestOutOfCoreBitwiseDifferential pins paged execution — reactive and at
-// several prefetch depths — bitwise against the in-memory scheduled run of
+// TestOutOfCoreBitwiseDifferential pins paged execution — without
+// read-ahead and at several prefetch depths — bitwise against the in-memory scheduled run of
 // the same plan: chunking the state file and pipelining its I/O must not
 // change a single bit of any amplitude.
 func TestOutOfCoreBitwiseDifferential(t *testing.T) {
@@ -49,23 +49,23 @@ func TestOutOfCoreBitwiseDifferential(t *testing.T) {
 }
 
 // TestOutOfCoreEnrolledInMatrix guards the harness wiring: the paged
-// backend (both modes) must be part of the differential matrix so every
-// qverify run cross-checks it.
+// backend (with and without read-ahead) must be part of the differential
+// matrix so every qverify run cross-checks it.
 func TestOutOfCoreEnrolledInMatrix(t *testing.T) {
 	for _, quick := range []bool{true, false} {
 		_, backends := Matrix(quick)
-		reactive, prefetch := false, false
+		depth0, prefetch := false, false
 		for _, b := range backends {
 			switch b.Name() {
-			case "oocvec/g2-reactive":
-				reactive = true
+			case "oocvec/g2-prefetch0":
+				depth0 = true
 			case "oocvec/g2-prefetch3":
 				prefetch = true
 			}
 		}
-		if !reactive || !prefetch {
-			t.Errorf("quick=%v matrix missing ooc backends (reactive=%v prefetch=%v)",
-				quick, reactive, prefetch)
+		if !depth0 || !prefetch {
+			t.Errorf("quick=%v matrix missing ooc backends (prefetch0=%v prefetch3=%v)",
+				quick, depth0, prefetch)
 		}
 	}
 }

@@ -23,14 +23,13 @@ func benchEnvInt(name string, def int) int {
 	return def
 }
 
-// BenchmarkOOCPrefetch measures the circuit-aware prefetch pipeline against
-// the reactive one-pass-per-op baseline on the same plan (the
-// prefetch/reactive pair in BENCH_oocvec.json). The pipeline wins on two
-// fronts the access map makes possible: every stage's local ops fuse into a
-// single streamed pass (the reactive path re-reads the whole file once per
-// op), and chunk I/O overlaps compute through the reader/writeback
-// goroutines. The prefetch leaf also reports the hit rate — the fraction of
-// chunks already buffered when the compute loop asked for them.
+// BenchmarkOOCPrefetch measures what read-ahead buys the out-of-core
+// pipeline: the same plan, one fused streamed pass per stage both times, at
+// depth 0 (one buffer: read, compute and write take turns) and with chunk
+// I/O overlapping compute through the reader/writeback goroutines (the
+// prefetch/depth0 pair in BENCH_oocvec.json, which therefore measures
+// overlap alone and must read ≥ 1). Both leaves report the hit rate — the
+// fraction of chunks already buffered when the compute loop asked for them.
 //
 // Size via QUSIM_OOC_QUBITS / QUSIM_OOC_CHUNK / QUSIM_OOC_DEPTH /
 // QUSIM_OOC_PREFETCH (defaults 20 / qubits−6 / 16 / 4; `make bench-oocvec`
@@ -50,7 +49,7 @@ func BenchmarkOOCPrefetch(b *testing.B) {
 		name  string
 		depth int
 	}{
-		{"reactive", 0},
+		{"depth0", 0},
 		{"prefetch", pf},
 	} {
 		b.Run(fmt.Sprintf("n%d/%s", n, mode.name), func(b *testing.B) {
