@@ -639,6 +639,39 @@ func BenchmarkKernelFusion(b *testing.B) {
 	}
 }
 
+// BenchmarkReduce records the result reductions of Sec. 4.2.2 in
+// BENCH_kernels.json: kernels.Norm, Entropy and the fused NormEntropy over
+// the uniform state in both precisions. bytes/op is one read of the state,
+// so MB/s is the read bandwidth the pass sustains; the entropy rows are the
+// ones with arithmetic to hide behind it
+// (TestBenchFileReductionsAndSpeedups in internal/schedule holds
+// entropy/f64 to half of norm/f64).
+func BenchmarkReduce(b *testing.B) {
+	benchReduce(b, "f64", 16, statevec.NewUniform(precState).Amps)
+	benchReduce(b, "f32", f32vec.BytesPerAmplitude, f32vec.NewUniform(precState).Amps)
+}
+
+// reduceSink keeps the reductions' results live.
+var reduceSink float64
+
+func benchReduce[C complex64 | complex128](b *testing.B, prec string, ampBytes int, amps []C) {
+	for _, r := range []struct {
+		name string
+		run  func() float64
+	}{
+		{"norm", func() float64 { return kernels.Norm(amps) }},
+		{"entropy", func() float64 { return kernels.Entropy(amps) }},
+		{"normentropy", func() float64 { _, h := kernels.NormEntropy(amps); return h }},
+	} {
+		b.Run(r.name+"/"+prec, func(b *testing.B) {
+			b.SetBytes(int64(len(amps) * ampBytes))
+			for i := 0; i < b.N; i++ {
+				reduceSink = r.run()
+			}
+		})
+	}
+}
+
 // BenchmarkEmulationVsGates reproduces the related-work comparison ([7]):
 // FFT-based QFT emulation vs gate-by-gate simulation of the QFT circuit.
 // Emulation is asymptotically cheaper but, as the paper notes, inapplicable

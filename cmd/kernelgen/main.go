@@ -6,13 +6,15 @@
 //
 // It writes internal/kernels/generated.go (complex128) and
 // internal/kernels/generated_f32.go (complex64/float32), and beside them
-// the explicitly vectorized form of the same update: simd_amd64.s, the
-// AVX2+FMA kernels for k = 1…5 in both precisions (simd.go), with their
-// declarations in simd_amd64.go. All four are checked in; regenerate with
-// `go run ./cmd/kernelgen`. The autotuner then benchmarks the generated
-// kernels against the hand-written ones per (k, stride class, precision)
-// and picks the fastest — the paper's code-generation / benchmarking
-// feedback loop.
+// simd_amd64.s with its declarations in simd_amd64.go: the explicitly
+// vectorized form of the same update, AVX2+FMA kernels for k = 1…5 in both
+// precisions (simd.go), the diagonal segment replay, and the norm and
+// entropy reductions (reduce.go). All four are checked in; regenerate with
+// `go run ./cmd/kernelgen`. By default nothing is timed at run time:
+// kernels.Auto runs the assembly wherever the CPU has AVX2 and FMA and the
+// hand-written specialized Go kernels elsewhere (another architecture, the
+// purego tag). The generated Go kernels are the Generated variant, which the
+// opt-in tuner (kernels.Tune, `qsim -tune`) times against the others.
 package main
 
 import (

@@ -344,9 +344,10 @@ func generateSIMD() (asmSrc, goSrc []byte) {
 
 #include "textflag.h"
 
-// AVX2+FMA gate kernels (Sec. 3.1-3.2): dense k = 1..%d in both precisions
-// for every class of low target positions, and the diagonal segment
-// replay. cmd/kernelgen/simd.go documents the layout.
+// AVX2+FMA kernels (Sec. 3.1-3.2): dense gates k = 1..%d in both precisions
+// for every class of low target positions, the diagonal segment replay, and
+// the norm and entropy reductions. cmd/kernelgen/simd.go and reduce.go
+// document the layout.
 
 // Sign of the real element of every amplitude: (di, di) ^ mask = (-di, di).
 DATA ·simdNegReF64+0(SB)/8, $0x8000000000000000
@@ -360,6 +361,7 @@ DATA ·simdNegReF32+16(SB)/8, $0x0000000080000000
 DATA ·simdNegReF32+24(SB)/8, $0x0000000080000000
 GLOBL ·simdNegReF32(SB), RODATA|NOPTR, $32
 `, simdBuildTag, simdKMax)
+	genLnConsts(&a)
 
 	var g bytes.Buffer
 	fmt.Fprintf(&g, `// Code generated by cmd/kernelgen; DO NOT EDIT.
@@ -375,6 +377,10 @@ package kernels
 	for _, p := range simdPrecs {
 		genSIMDDiag(&a, p)
 		fmt.Fprintf(&g, "\n//go:noescape\nfunc simdDiag%s(base *%s, segs *diagSegment[%s], n int)\n", p.name, p.ctype, p.ctype)
+		for _, entropy := range []bool{false, true} {
+			genSIMDReduce(&a, p, entropy)
+			fmt.Fprintf(&g, "\n//go:noescape\nfunc %s(amps *%s, n int) (norm, ent float64)\n", simdReduceName(p, entropy), p.ctype)
+		}
 		var table strings.Builder
 		for k := 1; k <= simdKMax; k++ {
 			table.WriteString("\t{")

@@ -309,11 +309,7 @@ func runOutOfCore(circ *circuit.Circuit, tel *telemetry.Telemetry, o oocOptions)
 		fatal(err)
 	}
 	elapsed := time.Since(start)
-	norm, err := v.Norm()
-	if err != nil {
-		fatal(err)
-	}
-	ent, err := v.Entropy()
+	norm, ent, err := v.NormEntropy()
 	if err != nil {
 		fatal(err)
 	}
@@ -365,7 +361,8 @@ func runF32(circ *circuit.Circuit, sched schedFlags, verbose bool) {
 	fmt.Printf("plan:    %d stages, %d swaps, %d clusters (%.1f gates/cluster), %d diag ops\n",
 		plan.Stats.Stages, plan.Stats.Swaps, plan.Stats.Clusters,
 		plan.Stats.GatesPerCluster, plan.Stats.DiagonalOps)
-	fmt.Printf("result:  norm=%.7f entropy=%.6f nats\n", v.Norm(), v.Entropy())
+	norm, ent := v.NormEntropy()
+	fmt.Printf("result:  norm=%.7f entropy=%.6f nats\n", norm, ent)
 	fmt.Printf("time:    %.3fs total\n", elapsed.Seconds())
 }
 

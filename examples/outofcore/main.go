@@ -44,11 +44,7 @@ func main() {
 	if err := v.Run(plan); err != nil {
 		log.Fatal(err)
 	}
-	norm, err := v.Norm()
-	if err != nil {
-		log.Fatal(err)
-	}
-	ent, err := v.Entropy()
+	norm, ent, err := v.NormEntropy()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -161,12 +161,27 @@ func TestEntropyConsistentAcrossPaths(t *testing.T) {
 	if err := ooc.Run(plan); err != nil {
 		t.Fatal(err)
 	}
-	oe, err := ooc.Entropy()
+	on, oe, err := ooc.NormEntropy()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(oe-want) > 1e-9 {
-		t.Errorf("out-of-core entropy %v, want %v", oe, want)
+	if math.Abs(oe-want) > 1e-9 || math.Abs(on-1) > 1e-9 {
+		t.Errorf("out-of-core (norm, entropy) = (%v, %v), want (1, %v)", on, oe, want)
+	}
+	sv := statevec.NewUniform(circ.N)
+	if err := plan.Run(sv); err != nil {
+		t.Fatal(err)
+	}
+	if sn, se := sv.NormEntropy(); math.Abs(se-want) > 1e-9 || math.Abs(sn-1) > 1e-9 {
+		t.Errorf("scheduled single-node (norm, entropy) = (%v, %v), want (1, %v)", sn, se, want)
+	}
+	// Single precision, at the tolerance its amplitudes are held to.
+	fv := f32vec.NewUniform(circ.N)
+	if err := fv.RunPlan(plan); err != nil {
+		t.Fatal(err)
+	}
+	if fn, fe := fv.NormEntropy(); math.Abs(fe-want) > 1e-4 || math.Abs(fn-1) > 1e-4 {
+		t.Errorf("single-precision (norm, entropy) = (%v, %v), want (1, %v)", fn, fe, want)
 	}
 	// The physics check: deep supremacy output is Porter-Thomas.
 	if math.Abs(want-xeb.PorterThomasEntropy(circ.N)) > 0.15 {

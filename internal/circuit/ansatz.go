@@ -1,6 +1,11 @@
 package circuit
 
-import "math"
+import (
+	"math"
+	"math/bits"
+
+	"qusim/internal/par"
+)
 
 // Parameterized ansatz generators for the variational workload families
 // (QAOA and VQE) of the qbench catalog. Both emit only text-serializable
@@ -68,24 +73,28 @@ func QAOAMaxCutRing(n int, gammas, betas []float64) *Circuit {
 }
 
 // MaxCutExpectation returns ⟨C⟩ = Σ_(a,b) (1 − ⟨Z_a Z_b⟩)/2 over the given
-// edges, evaluated from the probability distribution probs of a state on
-// the edge's qubits. The all-zero-parameter QAOA circuit leaves the uniform
-// superposition untouched, so its exact value is len(edges)/2 — the
+// edges, evaluated from the (normalised) probability distribution probs of a
+// state on the edge's qubits. The all-zero-parameter QAOA circuit leaves the
+// uniform superposition untouched, so its exact value is len(edges)/2 — the
 // workload's closed-form expectation anchor.
 func MaxCutExpectation(probs []float64, edges []Bond) float64 {
-	var cut float64
-	for _, e := range edges {
-		var zz float64
-		for b, p := range probs {
-			if (b>>e.A)&1 == (b>>e.B)&1 {
-				zz += p
-			} else {
-				zz -= p
-			}
-		}
-		cut += (1 - zz) / 2
+	masks := make([]uint, len(edges))
+	for i, e := range edges {
+		masks[i] = 1<<e.A ^ 1<<e.B
 	}
-	return cut
+	// One pass: Σ_b p_b · (edges cut by b), an edge being cut when its two
+	// bits differ — the parity of b under the edge's mask.
+	return par.ReduceFloat64(len(probs), 1<<12, func(lo, hi int) float64 {
+		var sum float64
+		for b := lo; b < hi; b++ {
+			cut := 0
+			for _, m := range masks {
+				cut += bits.OnesCount(uint(b)&m) & 1
+			}
+			sum += probs[b] * float64(cut)
+		}
+		return sum
+	})
 }
 
 // HardwareEfficientAnsatz returns the layered VQE ansatz: per layer, one Ry

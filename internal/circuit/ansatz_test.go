@@ -3,6 +3,7 @@ package circuit
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -69,6 +70,39 @@ func TestQAOAZeroParamsUniform(t *testing.T) {
 	cut := MaxCutExpectation(probs, RingEdges(n))
 	if want := float64(n) / 2; math.Abs(cut-want) > 1e-12 {
 		t.Fatalf("uniform cut expectation %v, want %v", cut, want)
+	}
+}
+
+// The one-pass cut count must agree with the definition, edge by edge
+// (1 − ⟨Z_a Z_b⟩)/2, on a distribution long enough to be split across
+// workers and a graph with crossing, repeated and adjacent edges.
+func TestMaxCutExpectationMatchesPerEdgeSum(t *testing.T) {
+	const n = 14
+	rng := rand.New(rand.NewSource(7))
+	probs := make([]float64, 1<<n)
+	var total float64
+	for i := range probs {
+		probs[i] = rng.ExpFloat64()
+		total += probs[i]
+	}
+	for i := range probs {
+		probs[i] /= total
+	}
+	edges := append(RingEdges(n), Bond{A: 0, B: 7}, Bond{A: 13, B: 2}, Bond{A: 0, B: 7})
+	var want float64
+	for _, e := range edges {
+		var zz float64
+		for b, p := range probs {
+			if (b>>e.A)&1 == (b>>e.B)&1 {
+				zz += p
+			} else {
+				zz -= p
+			}
+		}
+		want += (1 - zz) / 2
+	}
+	if got := MaxCutExpectation(probs, edges); math.Abs(got-want) > 1e-12 {
+		t.Errorf("MaxCutExpectation = %v, per-edge sum %v", got, want)
 	}
 }
 

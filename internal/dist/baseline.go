@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"qusim/internal/circuit"
+	"qusim/internal/kernels"
 	"qusim/internal/mpi"
 	"qusim/internal/schedule"
 	"qusim/internal/statevec"
@@ -137,14 +138,7 @@ func RunBaseline(c *circuit.Circuit, opts BaselineOptions) (*Result, error) {
 		}
 
 		t0 := time.Now()
-		var norm, ent float64
-		for _, a := range local {
-			p := real(a)*real(a) + imag(a)*imag(a)
-			norm += p
-			if p > 0 {
-				ent -= p * math.Log(p)
-			}
-		}
+		norm, ent := kernels.NormEntropy(local)
 		norm = cm.AllreduceSum(norm)
 		ent = cm.AllreduceSum(ent)
 		commTime += time.Since(t0)

@@ -450,14 +450,7 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 		// The sweep over the local amplitudes is pure local compute; only
 		// the collectives below count toward CommElapsed.
 		local = sh.Amps
-		var localNorm, ent float64
-		for _, a := range local {
-			p := real(a)*real(a) + imag(a)*imag(a)
-			localNorm += p
-			if p > 0 {
-				ent -= p * math.Log(p)
-			}
-		}
+		localNorm, ent := kernels.NormEntropy(local)
 		t0 := time.Now()
 		norm := c.AllreduceSum(localNorm)
 		ent = c.AllreduceSum(ent)

@@ -18,7 +18,6 @@ import (
 
 	"qusim/internal/gate"
 	"qusim/internal/kernels"
-	"qusim/internal/par"
 	"qusim/internal/statevec"
 )
 
@@ -141,44 +140,17 @@ func (v *Vector) applySorted(mm []complex64, sortedQs []int) {
 }
 
 // Norm returns Σ|α|², accumulated in float64 to limit rounding.
-//
-//qusim:hot
-func (v *Vector) Norm() float64 {
-	return par.ReduceFloat64(len(v.Amps), 1<<14, func(lo, hi int) float64 {
-		var s float64
-		for _, a := range v.Amps[lo:hi] {
-			s += float64(real(a))*float64(real(a)) + float64(imag(a))*float64(imag(a))
-		}
-		return s
-	})
-}
+func (v *Vector) Norm() float64 { return kernels.Norm(v.Amps) }
 
 // Entropy returns the Shannon entropy of the output distribution in nats.
-//
-//qusim:hot
-func (v *Vector) Entropy() float64 {
-	return par.ReduceFloat64(len(v.Amps), 1<<14, func(lo, hi int) float64 {
-		var s float64
-		for _, a := range v.Amps[lo:hi] {
-			p := float64(real(a))*float64(real(a)) + float64(imag(a))*float64(imag(a))
-			if p > 0 {
-				s -= p * math.Log(p)
-			}
-		}
-		return s
-	})
-}
+func (v *Vector) Entropy() float64 { return kernels.Entropy(v.Amps) }
+
+// NormEntropy returns Norm and Entropy from one pass over the state.
+func (v *Vector) NormEntropy() (norm, entropy float64) { return kernels.NormEntropy(v.Amps) }
 
 // MaxDiff returns the largest amplitude deviation from a double-precision
 // state — used to quantify single-precision error growth over deep
 // circuits.
 func (v *Vector) MaxDiff(s *statevec.Vector) float64 {
-	var m float64
-	for i, a := range v.Amps {
-		d := complex128(a) - s.Amps[i]
-		if ab := math.Hypot(real(d), imag(d)); ab > m {
-			m = ab
-		}
-	}
-	return m
+	return kernels.MaxDiff(v.Amps, s.Amps)
 }

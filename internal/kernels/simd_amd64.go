@@ -12,6 +12,12 @@ package kernels
 func simdDiagF64(base *complex128, segs *diagSegment[complex128], n int)
 
 //go:noescape
+func simdNormF64(amps *complex128, n int) (norm, ent float64)
+
+//go:noescape
+func simdNormEntropyF64(amps *complex128, n int) (norm, ent float64)
+
+//go:noescape
 func simdF64K1C0(amps *complex128, lo, hi int, masks, offs *int, mat *float64)
 
 //go:noescape
@@ -51,6 +57,12 @@ var simdF64 = [5][2]simdFuncF64{
 
 //go:noescape
 func simdDiagF32(base *complex64, segs *diagSegment[complex64], n int)
+
+//go:noescape
+func simdNormF32(amps *complex64, n int) (norm, ent float64)
+
+//go:noescape
+func simdNormEntropyF32(amps *complex64, n int) (norm, ent float64)
 
 //go:noescape
 func simdF32K1C0(amps *complex64, lo, hi int, masks, offs *int, mat *float32)

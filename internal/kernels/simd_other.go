@@ -13,3 +13,8 @@ var (
 
 func simdDiagF64(base *complex128, segs *diagSegment[complex128], n int) {}
 func simdDiagF32(base *complex64, segs *diagSegment[complex64], n int)   {}
+
+func simdNormF64(amps *complex128, n int) (norm, ent float64)        { return }
+func simdNormEntropyF64(amps *complex128, n int) (norm, ent float64) { return }
+func simdNormF32(amps *complex64, n int) (norm, ent float64)         { return }
+func simdNormEntropyF32(amps *complex64, n int) (norm, ent float64)  { return }

@@ -322,3 +322,109 @@ func FuzzSIMDKernel(f *testing.F) {
 		}
 	})
 }
+
+// The oracle of the reduction kernels: cmd/kernelgen/reduce.go's operation
+// sequence on one lane, math.FMA where the assembly fuses and a rounded
+// product (the float64 conversions) where it does not.
+
+// oracleLn is the entropy kernels' ln p.
+func oracleLn(p float64) float64 {
+	const (
+		ln2hi = 6.93147180369123816490e-01
+		ln2lo = 1.90821492927058770002e-10
+		lg1   = 6.666666666666735130e-01
+		lg2   = 3.999999999940941908e-01
+		lg3   = 2.857142874366239149e-01
+		lg4   = 2.222219843214978396e-01
+		lg5   = 1.818357216161805012e-01
+		lg6   = 1.531383769920937332e-01
+		lg7   = 1.479819860511658591e-01
+
+		sqrtHalf = 0x3FE6A09E667F3BCD
+	)
+	x, kscale := p, 0.0
+	if p < 0x1p-1022 {
+		x, kscale = p*0x1p54, 54
+	}
+	ix := math.Float64bits(x) + (0x3FF0000000000000 - sqrtHalf)
+	k := float64(int(ix>>52)-1023) - kscale
+	f := math.Float64frombits(ix&(1<<52-1)+sqrtHalf) - 1
+	s := f / (2 + f)
+	z := float64(s * s)
+	w := float64(z * z)
+	t1 := float64(w * math.FMA(w, math.FMA(w, lg6, lg4), lg2))
+	t2 := math.FMA(w, math.FMA(w, math.FMA(w, lg7, lg5), lg3), lg1)
+	r := math.FMA(z, t2, t1)
+	hfsq := float64(float64(f*0.5) * f)
+	u := math.FMA(s, r+hfsq, float64(k*ln2lo))
+	return math.FMA(k, ln2hi, -(hfsq - u - f))
+}
+
+// oracleReduce is reduceBlocks by the oracle's arithmetic: per call four
+// accumulators, amplitude i into accumulator i mod 4, summed in pairs.
+func oracleReduce[C complexAmp](amps []C, entropy bool) (norm, ent float64) {
+	for len(amps) > 0 {
+		n := min(len(amps), simdDiagBlock)
+		if n > 4 {
+			n &^= 3
+		}
+		var ns, es [4]float64
+		for i, a := range amps[:n] {
+			z := complex128(a)
+			p := float64(real(z)*real(z)) + float64(imag(z)*imag(z))
+			ns[i%4] += p
+			if entropy {
+				es[i%4] = math.FMA(-p, oracleLn(p), es[i%4])
+			}
+		}
+		norm += (ns[0] + ns[1]) + (ns[2] + ns[3])
+		ent += (es[0] + es[1]) + (es[2] + es[3])
+		amps = amps[n:]
+	}
+	return norm, ent
+}
+
+// sameFloat is bitwise equality, any NaN equal to any other.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
+}
+
+// TestSIMDReduceMatchesFMAOracle covers every tail length and slices that
+// start at odd offsets, and lengths around the assembly call bound.
+func TestSIMDReduceMatchesFMAOracle(t *testing.T) {
+	requireSIMD(t)
+	rng := rand.New(rand.NewSource(84))
+	buf := make([]complex128, simdDiagBlock+8)
+	for i := range buf {
+		// Moduli from 1e-9 to 1e3, so k and f range widely.
+		r := math.Pow(10, 12*rng.Float64()-9)
+		buf[i] = complex(r*rng.NormFloat64(), r*rng.NormFloat64())
+	}
+	buf32 := ToComplex64(buf)
+	lengths := []int{simdDiagBlock - 1, simdDiagBlock, simdDiagBlock + 1}
+	for n := 0; n <= 67; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for _, off := range []int{0, 1, 3} {
+			checkReduceOracle(t, buf[off:off+n], off)
+			checkReduceOracle(t, buf32[off:off+n], off)
+		}
+	}
+}
+
+func checkReduceOracle[C complexAmp](t *testing.T, amps []C, off int) {
+	t.Helper()
+	n := len(amps)
+	wantNorm, wantEnt := oracleReduce(amps, true)
+	norm, ent := NormEntropy(amps)
+	if !sameFloat(norm, wantNorm) || !sameFloat(ent, wantEnt) {
+		t.Errorf("%T n=%d off=%d: NormEntropy = (%v, %v), oracle (%v, %v)", amps, n, off, norm, ent, wantNorm, wantEnt)
+	}
+	if got := Norm(amps); !sameFloat(got, wantNorm) {
+		t.Errorf("%T n=%d off=%d: Norm = %v, oracle %v", amps, n, off, got, wantNorm)
+	}
+	if got := Entropy(amps); !sameFloat(got, wantEnt) {
+		t.Errorf("%T n=%d off=%d: Entropy = %v, oracle %v", amps, n, off, got, wantEnt)
+	}
+}

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"qusim/internal/fsio"
+	"qusim/internal/kernels"
 	"qusim/internal/par"
 	"qusim/internal/schedule"
 	"qusim/internal/telemetry"
@@ -421,35 +422,34 @@ func (v *Vector) RunFrom(plan *schedule.Plan, startStage int) error {
 	return v.runPipelined(plan, startStage, plan.Stages())
 }
 
-// Norm returns Σ|α|² by streaming the file.
-func (v *Vector) Norm() (float64, error) {
-	var s float64
+// stream reads the file once, chunk by chunk, and adds up the two sums
+// reduce returns for each chunk.
+func (v *Vector) stream(reduce func(chunk []complex128) (float64, float64)) (a, b float64, err error) {
 	for c := 0; c < v.Chunks(); c++ {
 		if err := v.readChunk(c, v.buf); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		for _, a := range v.buf {
-			s += real(a)*real(a) + imag(a)*imag(a)
-		}
+		x, y := reduce(v.buf)
+		a, b = a+x, b+y
 	}
-	return s, nil
+	return a, b, nil
+}
+
+// Norm returns Σ|α|² by streaming the file.
+func (v *Vector) Norm() (float64, error) {
+	norm, _, err := v.stream(func(chunk []complex128) (float64, float64) { return kernels.Norm(chunk), 0 })
+	return norm, err
 }
 
 // Entropy returns the output distribution's Shannon entropy in nats.
 func (v *Vector) Entropy() (float64, error) {
-	var s float64
-	for c := 0; c < v.Chunks(); c++ {
-		if err := v.readChunk(c, v.buf); err != nil {
-			return 0, err
-		}
-		for _, a := range v.buf {
-			p := real(a)*real(a) + imag(a)*imag(a)
-			if p > 0 {
-				s -= p * math.Log(p)
-			}
-		}
-	}
-	return s, nil
+	_, ent, err := v.NormEntropy()
+	return ent, err
+}
+
+// NormEntropy returns Norm and Entropy from one stream over the file.
+func (v *Vector) NormEntropy() (norm, entropy float64, err error) {
+	return v.stream(kernels.NormEntropy[complex128])
 }
 
 // Amplitudes loads the full state (testing only).

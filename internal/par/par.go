@@ -250,18 +250,26 @@ func For(n, grain int, f func(lo, hi int)) {
 // partial float64 which is summed. Used for norms, probabilities and the
 // entropy reduction of Sec. 4.2.2.
 func ReduceFloat64(n, grain int, f func(lo, hi int) float64) float64 {
+	sum, _ := ReducePair(n, grain, func(lo, hi int) (float64, float64) { return f(lo, hi), 0 })
+	return sum
+}
+
+// ReducePair is ReduceFloat64 for two sums accumulated in the same pass.
+// The partials are added in chunk order, so a result depends on the worker
+// count but not on which worker finished first.
+func ReducePair(n, grain int, f func(lo, hi int) (float64, float64)) (a, b float64) {
 	w := width(n, grain)
 	if w <= 1 {
 		if n <= 0 {
-			return 0
+			return 0, 0
 		}
 		return f(0, n)
 	}
-	parts := make([]float64, w)
-	dispatch(n, w, func(slot, lo, hi int) { parts[slot] = f(lo, hi) })
-	var sum float64
+	parts := make([][2]float64, w)
+	dispatch(n, w, func(slot, lo, hi int) { parts[slot][0], parts[slot][1] = f(lo, hi) })
 	for _, p := range parts {
-		sum += p
+		a += p[0]
+		b += p[1]
 	}
-	return sum
+	return a, b
 }

@@ -250,6 +250,43 @@ func TestMeasuredCostsMatchBenchFile(t *testing.T) {
 	}
 }
 
+// TestBenchFileReductionsAndSpeedups holds the rest of BENCH_kernels.json to
+// what the ledger promises: the entropy pass streams the state at no less
+// than half the rate of the norm pass (its logarithm hides behind the
+// reads), and no derived speedup reads below 1.
+func TestBenchFileReductionsAndSpeedups(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_kernels.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Benchmarks []struct {
+			Name    string
+			Metrics map[string]float64
+		}
+		Speedups []struct {
+			Name, Optimized string
+			Speedup         float64
+		}
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	mbps := map[string]float64{}
+	for _, b := range doc.Benchmarks {
+		mbps[b.Name] = b.Metrics["MB/s"]
+	}
+	norm, ent := mbps["BenchmarkReduce/norm/f64"], mbps["BenchmarkReduce/entropy/f64"]
+	if norm == 0 || ent < 0.5*norm {
+		t.Errorf("BenchmarkReduce: entropy/f64 at %v MB/s, norm/f64 at %v MB/s; want at least half", ent, norm)
+	}
+	for _, s := range doc.Speedups {
+		if s.Speedup < 1 {
+			t.Errorf("%s: %s recorded at %.2f× its baseline", s.Name, s.Optimized, s.Speedup)
+		}
+	}
+}
+
 // TestPlanCostPricesNonUnitShare: a sweep is priced by the entries it has
 // to multiply. The strict comparison of TestDefaultPlansStopAtTheKnee rests
 // on it: priced at a flat Diag each, the 98 sweeps of the AVX2 default plan

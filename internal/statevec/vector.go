@@ -94,15 +94,7 @@ func (v *Vector) Len() int { return len(v.Amps) }
 func (v *Vector) Amplitude(b int) complex128 { return v.Amps[b] }
 
 // Norm returns the 2-norm squared Σ|α|², which unitary evolution keeps at 1.
-func (v *Vector) Norm() float64 {
-	return par.ReduceFloat64(len(v.Amps), 1<<14, func(lo, hi int) float64 {
-		var s float64
-		for _, a := range v.Amps[lo:hi] {
-			s += real(a)*real(a) + imag(a)*imag(a)
-		}
-		return s
-	})
-}
+func (v *Vector) Norm() float64 { return kernels.Norm(v.Amps) }
 
 // Renormalize rescales the state to unit norm (guards against drift in very
 // deep circuits).
@@ -136,18 +128,10 @@ func (v *Vector) Probabilities() []float64 {
 // Entropy returns the Shannon entropy −Σ p ln p of the output distribution
 // in nats — the quantity computed in the 36-qubit Edison run (Sec. 4.2.2),
 // which requires a final reduction over all amplitudes.
-func (v *Vector) Entropy() float64 {
-	return par.ReduceFloat64(len(v.Amps), 1<<14, func(lo, hi int) float64 {
-		var s float64
-		for _, a := range v.Amps[lo:hi] {
-			p := real(a)*real(a) + imag(a)*imag(a)
-			if p > 0 {
-				s -= p * math.Log(p)
-			}
-		}
-		return s
-	})
-}
+func (v *Vector) Entropy() float64 { return kernels.Entropy(v.Amps) }
+
+// NormEntropy returns Norm and Entropy from one pass over the state.
+func (v *Vector) NormEntropy() (norm, entropy float64) { return kernels.NormEntropy(v.Amps) }
 
 // MarginalProbability returns P(qubit q = 1).
 func (v *Vector) MarginalProbability(q int) float64 {
@@ -209,14 +193,7 @@ func (v *Vector) MaxDiff(o *Vector) float64 {
 	if v.N != o.N {
 		return math.Inf(1)
 	}
-	var m float64
-	for i := range v.Amps {
-		d := v.Amps[i] - o.Amps[i]
-		if ab := math.Hypot(real(d), imag(d)); ab > m {
-			m = ab
-		}
-	}
-	return m
+	return kernels.MaxDiff(v.Amps, o.Amps)
 }
 
 // InnerProduct returns ⟨v|o⟩.

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"math/rand"
 
 	"qusim/internal/circuit"
@@ -46,13 +45,11 @@ func xebWorkload() Workload {
 				// Exact moments of this instance: the ideal sampler's linear
 				// score L = 2^n·Σp²−1, and the exact cross entropy of ideal
 				// sampling, which is the Shannon entropy of p.
-				var s2, entropy float64
+				var s2 float64
 				for _, q := range probs {
 					s2 += q * q
-					if q > 0 {
-						entropy -= q * math.Log(q)
-					}
 				}
+				entropy := v.Entropy()
 				exactLin := float64(int(1)<<n)*s2 - 1
 				r.Values["exact-linear-xeb"] = exactLin
 				// Chaoticity stays advisory-loose: small instances wander in
