@@ -554,6 +554,14 @@ func BenchmarkKernelPrecision(b *testing.B) {
 				kernels.ApplyF32(kernels.Auto, amps, u32, qs, nil)
 			}
 		})
+		// The same kernel as an op inside a blocked run: every position
+		// must lie below the block width, 16, so k = 5 moves down.
+		if k == 5 {
+			qs = []int{3, 6, 9, 12, 15}
+		}
+		b.Run(fmt.Sprintf("%s/resident/k%d/f64", set, k), func(b *testing.B) {
+			benchResident(b, schedule.Op{Kind: schedule.OpCluster, Matrix: u, Positions: qs})
+		})
 	}
 	d := gate.RandomDiagonal(2, randRNG(46)).Diagonal()
 	d32 := kernels.ToComplex64(d)
@@ -576,6 +584,32 @@ func BenchmarkKernelPrecision(b *testing.B) {
 			kernels.ApplyDiagonalF32(amps, d32, qs)
 		}
 	})
+	b.Run(set+"/resident/diag/f64", func(b *testing.B) {
+		benchResident(b, schedule.Op{Kind: schedule.OpDiagonal, Diag: d, Positions: qs})
+	})
+}
+
+// benchResident measures op at the rate it runs at inside a blocked run
+// (DESIGN §12.2): a run of copies of it on a 2^20-amplitude shard, long
+// enough to update as many amplitudes as one sweep of the 2^precState state
+// of the streaming rows, so the two ns/op compare directly. Every block
+// takes the whole run while it sits in L2; memory is read once per 64 ops.
+func benchResident(b *testing.B, op schedule.Op) {
+	sh := schedule.Shard[complex128]{Amps: make([]complex128, 1<<benchState), L: benchState}
+	sh.Amps[0] = 1
+	ops := make([]schedule.Op, 1<<(precState-benchState))
+	for i := range ops {
+		ops[i] = op
+	}
+	prog, err := sh.Compile(ops)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(16 * 2 << precState)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sh.Exec(prog)
+	}
 }
 
 // BenchmarkCircuitPrecision records the end-to-end precision pair on the
@@ -637,6 +671,60 @@ func BenchmarkKernelFusion(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkBlockedRun records what executing a run of ops one cache block
+// at a time buys over one sweep of the state per op (DESIGN §12.2), as two
+// perop/blocked leaf pairs whose derived speedups must stay ≥ 1: the default
+// QFT(22) plan end to end — long runs of diagonals between a few clusters —
+// and the longest run of consecutive diagonals of the distributed benchmark
+// shape, QFT(23) at l = 20 (26 of them under the AVX2 cost table), alone on
+// one rank's 2^20-amplitude shard. perop is the same shard applier handed
+// one op at a time: a sweep of the whole shard per op.
+func BenchmarkBlockedRun(b *testing.B) {
+	run := func(name string, n, l, index int, pick func(ops []schedule.Op) []schedule.Op) {
+		plan, err := schedule.Build(circuit.QFT(n), schedule.DefaultOptions(l))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ops := pick(plan.Ops)
+		for _, leaf := range []string{"perop", "blocked"} {
+			blocked := leaf == "blocked"
+			b.Run(name+"/"+leaf, func(b *testing.B) {
+				sh := schedule.Shard[complex128]{Amps: statevec.NewUniform(l).Amps, L: l, Index: index}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if blocked {
+						prog, err := sh.Compile(ops)
+						if err != nil {
+							b.Fatal(err)
+						}
+						sh.Exec(prog)
+						continue
+					}
+					for j := range ops {
+						if err := sh.Apply(&ops[j]); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
+		}
+	}
+	run("qft22", 22, 22, 0, func(ops []schedule.Op) []schedule.Op { return ops })
+	run("diagrun", 23, benchState, 5, func(ops []schedule.Op) (longest []schedule.Op) {
+		for i := 0; i < len(ops); {
+			j := i
+			for j < len(ops) && ops[j].Kind == schedule.OpDiagonal {
+				j++
+			}
+			if j-i > len(longest) {
+				longest = ops[i:j]
+			}
+			i = j + 1
+		}
+		return longest
+	})
 }
 
 // BenchmarkReduce records the result reductions of Sec. 4.2.2 in

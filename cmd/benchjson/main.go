@@ -6,7 +6,7 @@
 // Besides the raw per-benchmark metrics it derives speedups for the
 // baseline/optimized pairs the repo's benchmarks use: a ".../singlepass"
 // leaf is compared against its ".../swapchain" sibling, ".../fused" against
-// ".../separate".
+// ".../separate", ".../blocked" against ".../perop".
 //
 // With -strict the command exits nonzero when a Benchmark line fails to
 // parse or when no benchmarks were parsed at all, so CI catches silently
@@ -66,6 +66,7 @@ var pairs = map[string]string{
 	"enabled":      "disabled",
 	"prefetch":     "depth0",
 	"f32":          "f64",
+	"blocked":      "perop",
 }
 
 func main() {

@@ -176,12 +176,19 @@ func main() {
 	}
 	if *profile {
 		fmt.Println("profile (slowest rank):")
+		ops := 0
 		for _, e := range res.Profile {
 			if e.Ops == 0 {
 				continue
 			}
 			fmt.Printf("  %-8s %4d ops  %8.3fs\n", e.Kind, e.Ops, e.Duration.Seconds())
+			ops += e.Ops
 		}
+		// Consecutive diagonals and low-position clusters share one pass,
+		// applied block by block (DESIGN §12.2); an op inside such a run is
+		// timed by its share of the run.
+		fmt.Printf("  %d ops in %d passes over each rank's shard, %d of them blocked runs\n",
+			ops, res.ProfilePasses, res.ProfileRuns)
 	}
 	if *shots > 0 {
 		fmt.Printf("samples (%d shots, first 10):\n", *shots)

@@ -97,6 +97,11 @@ type Result struct {
 	// Profile holds the per-op-kind time breakdown when Options.Profile
 	// was set, ordered by kind name.
 	Profile []ProfileEntry
+	// ProfilePasses and ProfileRuns say, with Options.Profile, how the ops
+	// counted in Profile were executed on a rank: in how many passes over its
+	// shard, and how many of those were blocked runs of several ops
+	// (schedule.Shard.Exec). Every rank executes the same sequence.
+	ProfilePasses, ProfileRuns int
 }
 
 // Options configures Run.
@@ -237,6 +242,8 @@ type attemptOut struct {
 	amplitudes  []complex128
 	samples     []int
 	profile     []ProfileEntry
+	passes      int // a rank's passes over its shard and, of those,
+	runs        int // the blocked runs: the same on every rank (Options.Profile)
 
 	shards  []ckpt.ShardInfo // checkpoint protocol scratch, indexed by rank
 	written atomic.Int64     // snapshots committed this attempt
@@ -403,47 +410,76 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 		var commTime time.Duration
 		var profDur [4]time.Duration
 		var profOps [4]int
+		var passes, runs int
+		// One clock pair per pass over the shard feeds everything downstream
+		// — the comm accounting, the profile breakdown and the trace span —
+		// so the three views of "where did the time go" cannot disagree. An
+		// op is a pass of its own or, inside a blocked run, one of several
+		// sharing a pass and a "run" span; the profile counts it either way.
+		observe := func(ops []schedule.Op, t0 time.Time, took []time.Duration) {
+			var d time.Duration
+			for i := range ops {
+				d += took[i]
+				profDur[ops[i].Kind] += took[i]
+				profOps[ops[i].Kind]++
+			}
+			passes++
+			if len(ops) > 1 {
+				runs++
+			}
+			switch {
+			case sc == nil:
+			case len(ops) == 1:
+				sc.Complete("stage", ops[0].Kind.String(), t0, d, schedule.OpTraceArgs(&ops[0])...)
+			default:
+				sc.Complete("stage", "run", t0, d, telemetry.A("stage", ops[0].Stage), telemetry.A("ops", len(ops)))
+			}
+		}
+		if opts.Profile || sc != nil {
+			sh.Observe = observe
+		}
 
-		for i := range plan.Ops {
-			op := &plan.Ops[i]
-			if op.Stage < startStage {
+		for i := 0; i < len(plan.Ops); {
+			if plan.Ops[i].Stage < startStage {
+				i++
 				continue // already captured by the restored snapshot
 			}
-			// One clock pair per op feeds everything downstream — the comm
-			// accounting, the profile breakdown and the trace span — so the
-			// three views of "where did the time go" cannot disagree.
-			t0 := time.Now()
-			if op.Kind == schedule.OpSwap {
-				// A fused permutation rides the all-to-all's unpack, so the
-				// whole op is the exchange.
-				sh.Amps, sh.Scratch = swapGlobalLocal(c, op, sh.Amps, sh.Scratch, l)
-			} else if err := sh.Apply(op); err != nil {
+			// The stage's ops up to its swap run shard-locally; the swap is
+			// the exchange, and a fused permutation rides the all-to-all's
+			// unpack, so none of it goes through the shard applier.
+			j := plan.StageEnd(i)
+			ops, last := plan.Ops[i:j], &plan.Ops[j-1]
+			if last.Kind == schedule.OpSwap {
+				ops = ops[:len(ops)-1]
+			}
+			prog, err := sh.Compile(ops)
+			if err != nil {
 				return fmt.Errorf("dist: %w", err)
 			}
-			d := time.Since(t0)
-			if op.Kind == schedule.OpSwap {
+			sh.Exec(prog)
+			if last.Kind == schedule.OpSwap {
+				t0 := time.Now()
+				sh.Amps, sh.Scratch = swapGlobalLocal(c, last, sh.Amps, sh.Scratch, l)
+				d := time.Since(t0)
 				commTime += d
-			}
-			if opts.Profile {
-				profDur[op.Kind] += d
-				profOps[op.Kind]++
-			}
-			if sc != nil {
-				sc.Complete("stage", op.Kind.String(), t0, d, schedule.OpTraceArgs(op)...)
+				if sh.Observe != nil {
+					observe(plan.Ops[j-1:j], t0, []time.Duration{d})
+				}
 			}
 			// Stage boundary: snapshot the state the remaining stages start
 			// from. The end of the final stage is skipped — there is nothing
 			// left to resume into.
-			if every > 0 && i+1 < len(plan.Ops) && plan.Ops[i+1].Stage != op.Stage && (op.Stage+1)%every == 0 {
+			if every > 0 && j < len(plan.Ops) && plan.Ops[j].Stage != last.Stage && (last.Stage+1)%every == 0 {
 				ct0 := sc.Now()
-				if err := writeCheckpoint(c, out, meta, ck, sh.Amps, op.Stage+1, opts.Telemetry); err != nil {
+				if err := writeCheckpoint(c, out, meta, ck, sh.Amps, last.Stage+1, opts.Telemetry); err != nil {
 					return err
 				}
 				if sc != nil {
 					sc.Complete("ckpt", "checkpoint", ct0, time.Since(ct0),
-						telemetry.A("next_stage", op.Stage+1), telemetry.A("amps", localLen))
+						telemetry.A("next_stage", last.Stage+1), telemetry.A("amps", localLen))
 				}
 			}
+			i = j
 		}
 
 		// Final reductions (norm + entropy), as in the Edison entropy run.
@@ -511,6 +547,7 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 					out.profile[k].Ops = profOps[k]
 				}
 			}
+			out.passes, out.runs = passes, runs
 		}
 		out.mu.Unlock()
 		return nil
@@ -534,6 +571,7 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 	res.Amplitudes = out.amplitudes
 	res.Samples = out.samples
 	res.Profile = out.profile
+	res.ProfilePasses, res.ProfileRuns = out.passes, out.runs
 	return nil
 }
 

@@ -21,26 +21,36 @@ import "qusim/internal/par"
 
 // applySpecializedF32 dispatches to the hand-unrolled kernel for k ≤ 5 and
 // to the blocked Split kernel beyond.
-//
-//qusim:hot
 func applySpecializedF32(amps, m []complex64, qs []int) {
+	if d, ok := specializedF32(m, qs); ok {
+		d.Sweep(amps)
+		return
+	}
+	applySplitF32(amps, m, qs)
+}
+
+// specializedF32 prepares the hand-unrolled kernel for m on qs; there is
+// one for every k ≤ 5.
+func specializedF32(m []complex64, qs []int) (Dense[complex64], bool) {
 	switch len(qs) {
 	case 0:
 		// 0-qubit "gate" is a global scalar.
-		ScaleF32(amps, m[0])
+		s := m[0]
+		return Dense[complex64]{grain: 4096, run: func(amps []complex64, lo, hi int) {
+			scaleF32(amps[lo:hi], s)
+		}}, true
 	case 1:
-		apply1F32(amps, m, qs[0])
+		return apply1F32(m, qs[0]), true
 	case 2:
-		apply2F32(amps, m, qs[0], qs[1])
+		return apply2F32(m, qs[0], qs[1]), true
 	case 3:
-		apply3F32(amps, m, qs)
+		return apply3F32(m, qs), true
 	case 4:
-		apply4F32(amps, m, qs)
+		return apply4F32(m, qs), true
 	case 5:
-		apply5F32(amps, m, qs)
-	default:
-		applySplitF32(amps, m, qs)
+		return apply5F32(m, qs), true
 	}
+	return Dense[complex64]{}, false
 }
 
 // apply1F32 applies a 1-qubit gate. The pair partners sit 2^q apart, so
@@ -49,7 +59,7 @@ func applySpecializedF32(amps, m []complex64, qs []int) {
 // strands x and y with a shared index.
 //
 //qusim:hot
-func apply1F32(amps, m []complex64, q int) {
+func apply1F32(m []complex64, q int) Dense[complex64] {
 	s := 1 << q
 	m00r, m00i := real(m[0]), imag(m[0])
 	m01r, m01i := real(m[1]), imag(m[1])
@@ -59,7 +69,7 @@ func apply1F32(amps, m []complex64, q int) {
 		// Strands this short (1–4 amplitudes) cost more in reslicing than
 		// they save; walk pairs directly with the bit-expanded index.
 		mask := 1<<q - 1
-		par.For(len(amps)>>1, grain(1), func(lo, hi int) {
+		return Dense[complex64]{shift: 1, grain: grain(1), run: func(amps []complex64, lo, hi int) {
 			for t := lo; t < hi; t++ {
 				i0 := ((t &^ mask) << 1) | (t & mask)
 				i1 := i0 | s
@@ -73,11 +83,9 @@ func apply1F32(amps, m []complex64, q int) {
 					m10r*a0r-m10i*a0i+m11r*a1r-m11i*a1i,
 					m10r*a0i+m10i*a0r+m11r*a1i+m11i*a1r)
 			}
-		})
-		return
+		}}
 	}
-	blocks := (len(amps) >> 1) >> q
-	par.For(blocks, max(1, grain(1)>>q), func(lo, hi int) {
+	return Dense[complex64]{shift: q + 1, grain: max(1, grain(1)>>q), run: func(amps []complex64, lo, hi int) {
 		for blk := lo; blk < hi; blk++ {
 			base := blk << (q + 1)
 			x := amps[base : base+s : base+s]
@@ -94,7 +102,7 @@ func apply1F32(amps, m []complex64, q int) {
 					m10r*a0i+m10i*a0r+m11r*a1i+m11i*a1r)
 			}
 		}
-	})
+	}}
 }
 
 // apply2F32 applies a 2-qubit gate over contiguous runs: the four gate
@@ -103,7 +111,7 @@ func apply1F32(amps, m []complex64, q int) {
 // only once.
 //
 //qusim:hot
-func apply2F32(amps, m []complex64, q0, q1 int) {
+func apply2F32(m []complex64, q0, q1 int) Dense[complex64] {
 	mask0 := 1<<q0 - 1
 	mask1 := 1<<q1 - 1
 	s0, s1 := 1<<q0, 1<<q1
@@ -111,8 +119,7 @@ func apply2F32(amps, m []complex64, q0, q1 int) {
 	for i, v := range m {
 		mr[i], mi[i] = real(v), imag(v)
 	}
-	blocks := (len(amps) >> 2) >> q0
-	par.For(blocks, max(1, grain(2)>>q0), func(lo, hi int) {
+	return Dense[complex64]{shift: q0 + 2, grain: max(1, grain(2)>>q0), run: func(amps []complex64, lo, hi int) {
 		for blk := lo; blk < hi; blk++ {
 			t := blk << q0
 			b := ((t &^ mask0) << 1) | (t & mask0)
@@ -141,14 +148,14 @@ func apply2F32(amps, m []complex64, q0, q1 int) {
 					mr[12]*a0i+mi[12]*a0r+mr[13]*a1i+mi[13]*a1r+mr[14]*a2i+mi[14]*a2r+mr[15]*a3i+mi[15]*a3r)
 			}
 		}
-	})
+	}}
 }
 
 // apply3F32 applies a 3-qubit gate with the 8 gathered amplitudes in split
 // float32 stack arrays and the row update over the mr/mi operand tables.
 //
 //qusim:hot
-func apply3F32(amps, m []complex64, qs []int) {
+func apply3F32(m []complex64, qs []int) Dense[complex64] {
 	mask0 := 1<<qs[0] - 1
 	mask1 := 1<<qs[1] - 1
 	mask2 := 1<<qs[2] - 1
@@ -158,7 +165,7 @@ func apply3F32(amps, m []complex64, qs []int) {
 	for i, v := range m {
 		mr[i], mi[i] = real(v), imag(v)
 	}
-	par.For(len(amps)>>3, grain(3), func(lo, hi int) {
+	return Dense[complex64]{shift: 3, grain: grain(3), run: func(amps []complex64, lo, hi int) {
 		var ar, ai, tr, ti [8]float32
 		for t := lo; t < hi; t++ {
 			b := ((t &^ mask0) << 1) | (t & mask0)
@@ -187,14 +194,14 @@ func apply3F32(amps, m []complex64, qs []int) {
 				amps[b+offs[x]] = complex(tr[x], ti[x])
 			}
 		}
-	})
+	}}
 }
 
 // apply4F32 applies a 4-qubit gate with the 16 gathered amplitudes in
 // split float32 stack arrays.
 //
 //qusim:hot
-func apply4F32(amps, m []complex64, qs []int) {
+func apply4F32(m []complex64, qs []int) Dense[complex64] {
 	mask0 := 1<<qs[0] - 1
 	mask1 := 1<<qs[1] - 1
 	mask2 := 1<<qs[2] - 1
@@ -206,7 +213,7 @@ func apply4F32(amps, m []complex64, qs []int) {
 	for i, v := range m {
 		mr[i], mi[i] = real(v), imag(v)
 	}
-	par.For(len(amps)>>4, grain(4), func(lo, hi int) {
+	return Dense[complex64]{shift: 4, grain: grain(4), run: func(amps []complex64, lo, hi int) {
 		var ar, ai, tr, ti [16]float32
 		for t := lo; t < hi; t++ {
 			b := ((t &^ mask0) << 1) | (t & mask0)
@@ -236,14 +243,14 @@ func apply4F32(amps, m []complex64, qs []int) {
 				amps[b+offs[x]] = complex(tr[x], ti[x])
 			}
 		}
-	})
+	}}
 }
 
 // apply5F32 applies a 5-qubit gate with the 32 gathered amplitudes in
 // split float32 stack arrays.
 //
 //qusim:hot
-func apply5F32(amps, m []complex64, qs []int) {
+func apply5F32(m []complex64, qs []int) Dense[complex64] {
 	var masks [5]int
 	for j, q := range qs {
 		masks[j] = 1<<q - 1
@@ -255,7 +262,7 @@ func apply5F32(amps, m []complex64, qs []int) {
 	for i, v := range m {
 		mr[i], mi[i] = real(v), imag(v)
 	}
-	par.For(len(amps)>>5, grain(5), func(lo, hi int) {
+	return Dense[complex64]{shift: 5, grain: grain(5), run: func(amps []complex64, lo, hi int) {
 		var ar, ai, tr, ti [32]float32
 		for t := lo; t < hi; t++ {
 			b := t
@@ -287,123 +294,12 @@ func apply5F32(amps, m []complex64, qs []int) {
 				amps[b+offs[x]] = complex(tr[x], ti[x])
 			}
 		}
-	})
-}
-
-// ApplyDiagonalF32 multiplies each amplitude by the diagonal entry selected
-// by the bits of its index at positions qs — the single-precision twin of
-// ApplyDiagonal (Sec. 3.5 gate specialization). Same run-blocked sweep as
-// the double-precision kernel (one entry per contiguous 2^qs[0]-amplitude
-// run, unit entries skipped), with the complex multiply on split float32
-// scalars.
-//
-//qusim:hot
-func ApplyDiagonalF32(amps []complex64, d []complex64, qs []int) {
-	k := len(qs)
-	if len(d) != 1<<k {
-		panic("kernels: diagonal length mismatch")
-	}
-	if k == 0 {
-		if d[0] != 1 {
-			ScaleF32(amps, d[0])
-		}
-		return
-	}
-	q0 := qs[0]
-	if q0 < diagRunMin {
-		nlo, window := diagWindow(qs, len(amps))
-		applyDiagWindowsF32(amps, d, qs[:nlo], qs[nlo:], window)
-		return
-	}
-	runs := len(amps) >> q0
-	par.For(runs, max(1, 4096>>q0), func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			base := r << q0
-			x := 0
-			for j := 0; j < k; j++ {
-				x |= (base >> qs[j] & 1) << j
-			}
-			dx := d[x]
-			if dx == 1 {
-				continue
-			}
-			blk := amps[base : base+1<<q0 : base+1<<q0]
-			if hasSIMD {
-				simdScaleF32(blk, dx)
-				continue
-			}
-			if dx == -1 { // CZ / Z-type entries: negate, no multiply
-				for j := range blk {
-					blk[j] = -blk[j]
-				}
-				continue
-			}
-			dxr, dxi := real(dx), imag(dx)
-			for j := range blk {
-				a := blk[j]
-				ar, ai := real(a), imag(a)
-				blk[j] = complex(ar*dxr-ai*dxi, ai*dxr+ar*dxi)
-			}
-		}
-	})
-}
-
-// applyDiagWindowsF32 is the single-precision twin of applyDiagWindows:
-// the low-position diagonal sweep replaying compiled non-unit segments,
-// with the multiply on split float32 scalars.
-//
-//qusim:hot
-func applyDiagWindowsF32(amps []complex64, d []complex64, lo, hi []int, window int) {
-	segs := diagWindowSegments(d, lo, len(hi), window)
-	if segs == nil {
-		return
-	}
-	par.For(len(amps)/window, max(1, 8192/window), func(b0, b1 int) {
-		for b := b0; b < b1; b++ {
-			base := b * window
-			x := 0
-			for j, q := range hi {
-				x |= (base >> q & 1) << j
-			}
-			if hasSIMD {
-				if len(segs[x]) > 0 {
-					simdDiagF32(&amps[base], &segs[x][0], len(segs[x]))
-				}
-				continue
-			}
-			for _, s := range segs[x] {
-				blk := amps[base+s.off : base+s.off+s.n : base+s.off+s.n]
-				if s.dx == -1 {
-					for j := range blk {
-						blk[j] = -blk[j]
-					}
-					continue
-				}
-				dxr, dxi := real(s.dx), imag(s.dx)
-				for j := range blk {
-					a := blk[j]
-					ar, ai := real(a), imag(a)
-					blk[j] = complex(ar*dxr-ai*dxi, ai*dxr+ar*dxi)
-				}
-			}
-		}
-	})
+	}}
 }
 
 // ScaleF32 multiplies every amplitude by s (global-phase absorption).
 //
 //qusim:hot
 func ScaleF32(amps []complex64, s complex64) {
-	sr, si := real(s), imag(s)
-	par.For(len(amps), 4096, func(lo, hi int) {
-		if hasSIMD {
-			simdScaleF32(amps[lo:hi], s)
-			return
-		}
-		for i := lo; i < hi; i++ {
-			a := amps[i]
-			ar, ai := real(a), imag(a)
-			amps[i] = complex(ar*sr-ai*si, ai*sr+ar*si)
-		}
-	})
+	par.For(len(amps), 4096, func(lo, hi int) { scaleF32(amps[lo:hi], s) })
 }

@@ -1,10 +1,6 @@
 package kernels
 
-import (
-	"sort"
-
-	"qusim/internal/par"
-)
+import "sort"
 
 // The SIMD variant: the AVX2+FMA assembly kernels cmd/kernelgen writes to
 // simd_amd64.s, dense k = 1…5 in both precisions. This file is their Go
@@ -48,20 +44,19 @@ type (
 
 // simdLayout is a position set in chunk space.
 type simdLayout struct {
-	class  int   // bitmask of the target positions inside a chunk
-	masks  []int // zero-insertion masks of the k chunk-index bits, ascending
-	offs   []int // byte offset of chunk j from the group's base chunk
-	groups int   // lane groups in the state
+	class int   // bitmask of the target positions inside a chunk
+	masks []int // zero-insertion masks of the k chunk-index bits, ascending
+	offs  []int // byte offset of chunk j from the group's base chunk
 }
 
-// layoutSIMD maps the sorted positions qs on n amplitudes to chunks of
-// 2^laneBits amplitudes; n must be at least 2^(k+laneBits). The c targets
+// layoutSIMD maps the sorted positions qs to chunks of 2^laneBits
+// amplitudes, for states of at least 2^(k+laneBits). The c targets
 // below laneBits stay inside the chunk, and the lanes they displace come
 // from the c lowest free positions above it: those become the low bits of
 // the chunk index j, below the remaining targets, so 2^c consecutive chunks
 // hold the same gate indices for different lanes and transpose into
 // gate-index vectors in registers.
-func layoutSIMD(n int, qs []int, laneBits int) simdLayout {
+func layoutSIMD(qs []int, laneBits int) simdLayout {
 	k := len(qs)
 	var lay simdLayout
 	var lanes, high []int
@@ -87,7 +82,6 @@ func layoutSIMD(n int, qs []int, laneBits int) simdLayout {
 	}
 	sort.Ints(bits)
 	lay.masks = insertMasks(bits)
-	lay.groups = n >> (k + laneBits)
 	return lay
 }
 
@@ -135,7 +129,8 @@ func expandMatrixF32(m []complex64, k int) []float32 {
 // specialized Go kernels where there are none (no AVX2, k = 0 or k > 5).
 func applySIMD(amps, m []complex128, qs []int) {
 	if k := len(qs); hasSIMD && k >= 1 && k <= simdMaxK {
-		sweepSIMD(amps, m, qs, 1, simdF64[k-1][:], expandMatrix)
+		d := prepareSIMD(m, qs, 1, simdF64[k-1][:], expandMatrix)
+		d.Sweep(amps)
 		return
 	}
 	applySpecialized(amps, m, qs)
@@ -144,35 +139,27 @@ func applySIMD(amps, m []complex128, qs []int) {
 // applySIMDF32 is applySIMD in single precision: four amplitudes a chunk.
 func applySIMDF32(amps, m []complex64, qs []int) {
 	if k := len(qs); hasSIMD && k >= 1 && k <= simdMaxK {
-		sweepSIMD(amps, m, qs, 2, simdF32[k-1][:], expandMatrixF32)
+		d := prepareSIMD(m, qs, 2, simdF32[k-1][:], expandMatrixF32)
+		d.Sweep(amps)
 		return
 	}
 	applySpecializedF32(amps, m, qs)
 }
 
-// sweepSIMD runs the kernel of qs's class, one of fns, over every lane
-// group of amps, chunks of 2^laneBits amplitudes.
-func sweepSIMD[C complexAmp, F any](amps, m []C, qs []int, laneBits int,
-	fns []func(amps *C, lo, hi int, masks, offs *int, mat *F), expand func(m []C, k int) []F) {
+// prepareSIMD picks the kernel of qs's class, one of fns, and lays m out
+// for it; an iteration is one lane group, chunks of 2^laneBits amplitudes.
+func prepareSIMD[C complexAmp, F any](m []C, qs []int, laneBits int,
+	fns []func(amps *C, lo, hi int, masks, offs *int, mat *F), expand func(m []C, k int) []F) Dense[C] {
 	k := len(qs)
-	if len(amps) < 1<<(k+laneBits) {
-		// Too few amplitudes to fill the lanes: pad with zero amplitudes
-		// under a spare high bit, which the lanes then run across.
-		padded := make([]C, 1<<(k+laneBits))
-		copy(padded, amps)
-		sweepSIMD(padded, m, qs, laneBits, fns, expand)
-		copy(amps, padded)
-		return
-	}
-	lay := layoutSIMD(len(amps), qs, laneBits)
+	lay := layoutSIMD(qs, laneBits)
 	fn := fns[lay.class]
 	mat := expand(m, k)
 	// About 4096 amplitudes per grain, as in the Go kernels.
-	par.For(lay.groups, max(1, 4096>>(k+laneBits)), func(lo, hi int) {
+	return Dense[C]{shift: k + laneBits, grain: max(1, 4096>>(k+laneBits)), run: func(amps []C, lo, hi int) {
 		for ; lo < hi; lo += simdBlock {
 			fn(&amps[0], lo, min(lo+simdBlock, hi), &lay.masks[0], &lay.offs[0], &mat[0])
 		}
-	})
+	}}
 }
 
 // simdScaleF64 multiplies the contiguous amplitudes amps by dx with the

@@ -10,41 +10,48 @@ import "qusim/internal/par"
 
 // applySpecialized dispatches to the hand-unrolled kernel for k ≤ 5 and
 // to the blocked Split kernel beyond (Table 1 uses kmax ≤ 5).
-//
-//qusim:hot
 func applySpecialized(amps, m []complex128, qs []int) {
+	if d, ok := specialized(m, qs); ok {
+		d.Sweep(amps)
+		return
+	}
+	applySplit(amps, m, qs)
+}
+
+// specialized prepares the hand-unrolled kernel for m on qs; there is one
+// for every k ≤ 5.
+func specialized(m []complex128, qs []int) (Dense[complex128], bool) {
 	switch len(qs) {
 	case 0:
 		// 0-qubit "gate" is a global scalar.
 		s := m[0]
-		par.For(len(amps), 4096, func(lo, hi int) {
+		return Dense[complex128]{grain: 4096, run: func(amps []complex128, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				amps[i] *= s
 			}
-		})
+		}}, true
 	case 1:
-		apply1(amps, m, qs[0])
+		return apply1(m, qs[0]), true
 	case 2:
-		apply2(amps, m, qs[0], qs[1])
+		return apply2(m, qs[0], qs[1]), true
 	case 3:
-		apply3(amps, m, qs)
+		return apply3(m, qs), true
 	case 4:
-		apply4(amps, m, qs)
+		return apply4(m, qs), true
 	case 5:
-		apply5(amps, m, qs)
-	default:
-		applySplit(amps, m, qs)
+		return apply5(m, qs), true
 	}
+	return Dense[complex128]{}, false
 }
 
 // apply1 applies a 1-qubit gate: one fused pair update per amplitude pair.
 //
 //qusim:hot
-func apply1(amps, m []complex128, q int) {
+func apply1(m []complex128, q int) Dense[complex128] {
 	mask := 1<<q - 1
 	s := 1 << q
 	m00, m01, m10, m11 := m[0], m[1], m[2], m[3]
-	par.For(len(amps)>>1, grain(1), func(lo, hi int) {
+	return Dense[complex128]{shift: 1, grain: grain(1), run: func(amps []complex128, lo, hi int) {
 		for t := lo; t < hi; t++ {
 			i0 := ((t &^ mask) << 1) | (t & mask)
 			i1 := i0 | s
@@ -52,20 +59,20 @@ func apply1(amps, m []complex128, q int) {
 			amps[i0] = m00*a0 + m01*a1
 			amps[i1] = m10*a0 + m11*a1
 		}
-	})
+	}}
 }
 
 // apply2 applies a 2-qubit gate, fully unrolled over the 4 amplitudes of
 // each base index.
 //
 //qusim:hot
-func apply2(amps, m []complex128, q0, q1 int) {
+func apply2(m []complex128, q0, q1 int) Dense[complex128] {
 	mask0 := 1<<q0 - 1
 	mask1 := 1<<q1 - 1
 	s0, s1 := 1<<q0, 1<<q1
 	var mm [16]complex128
 	copy(mm[:], m)
-	par.For(len(amps)>>2, grain(2), func(lo, hi int) {
+	return Dense[complex128]{shift: 2, grain: grain(2), run: func(amps []complex128, lo, hi int) {
 		for t := lo; t < hi; t++ {
 			b := ((t &^ mask0) << 1) | (t & mask0)
 			b = ((b &^ mask1) << 1) | (b & mask1)
@@ -76,14 +83,14 @@ func apply2(amps, m []complex128, q0, q1 int) {
 			amps[i2] = mm[8]*a0 + mm[9]*a1 + mm[10]*a2 + mm[11]*a3
 			amps[i3] = mm[12]*a0 + mm[13]*a1 + mm[14]*a2 + mm[15]*a3
 		}
-	})
+	}}
 }
 
 // apply3 applies a 3-qubit gate with the 8 gathered amplitudes and outputs
 // in fixed-size stack arrays.
 //
 //qusim:hot
-func apply3(amps, m []complex128, qs []int) {
+func apply3(m []complex128, qs []int) Dense[complex128] {
 	mask0 := 1<<qs[0] - 1
 	mask1 := 1<<qs[1] - 1
 	mask2 := 1<<qs[2] - 1
@@ -91,7 +98,7 @@ func apply3(amps, m []complex128, qs []int) {
 	copy(offs[:], offsets(qs))
 	var mm [64]complex128
 	copy(mm[:], m)
-	par.For(len(amps)>>3, grain(3), func(lo, hi int) {
+	return Dense[complex128]{shift: 3, grain: grain(3), run: func(amps []complex128, lo, hi int) {
 		var a, o [8]complex128
 		for t := lo; t < hi; t++ {
 			b := ((t &^ mask0) << 1) | (t & mask0)
@@ -109,14 +116,14 @@ func apply3(amps, m []complex128, qs []int) {
 				amps[b+offs[x]] = o[x]
 			}
 		}
-	})
+	}}
 }
 
 // apply4 applies a 4-qubit gate with the 16 gathered amplitudes and
 // outputs in fixed-size stack arrays.
 //
 //qusim:hot
-func apply4(amps, m []complex128, qs []int) {
+func apply4(m []complex128, qs []int) Dense[complex128] {
 	mask0 := 1<<qs[0] - 1
 	mask1 := 1<<qs[1] - 1
 	mask2 := 1<<qs[2] - 1
@@ -125,7 +132,7 @@ func apply4(amps, m []complex128, qs []int) {
 	copy(offs[:], offsets(qs))
 	var mm [256]complex128
 	copy(mm[:], m)
-	par.For(len(amps)>>4, grain(4), func(lo, hi int) {
+	return Dense[complex128]{shift: 4, grain: grain(4), run: func(amps []complex128, lo, hi int) {
 		var a, o [16]complex128
 		for t := lo; t < hi; t++ {
 			b := ((t &^ mask0) << 1) | (t & mask0)
@@ -147,14 +154,14 @@ func apply4(amps, m []complex128, qs []int) {
 				amps[b+offs[x]] = o[x]
 			}
 		}
-	})
+	}}
 }
 
 // apply5 applies a 5-qubit gate with the 32 gathered amplitudes and
 // outputs in fixed-size stack arrays.
 //
 //qusim:hot
-func apply5(amps, m []complex128, qs []int) {
+func apply5(m []complex128, qs []int) Dense[complex128] {
 	var masks [5]int
 	for j, q := range qs {
 		masks[j] = 1<<q - 1
@@ -163,7 +170,7 @@ func apply5(amps, m []complex128, qs []int) {
 	copy(offs[:], offsets(qs))
 	var mm [1024]complex128
 	copy(mm[:], m)
-	par.For(len(amps)>>5, grain(5), func(lo, hi int) {
+	return Dense[complex128]{shift: 5, grain: grain(5), run: func(amps []complex128, lo, hi int) {
 		var a, o [32]complex128
 		for t := lo; t < hi; t++ {
 			b := t
@@ -187,190 +194,7 @@ func apply5(amps, m []complex128, qs []int) {
 				amps[b+offs[x]] = o[x]
 			}
 		}
-	})
-}
-
-// ApplyDiagonal multiplies each amplitude by the diagonal entry selected by
-// the bits of its index at positions qs. This is the no-communication,
-// no-matvec fast path that gate specialization (Sec. 3.5) exploits.
-//
-// The index bits at qs are constant across each contiguous run of 2^qs[0]
-// amplitudes, so the sweep walks runs: one entry lookup per run, then a
-// tight multiply loop — and runs whose entry is exactly 1 are skipped
-// outright, which for the phase-type diagonals of the supremacy gate set
-// (T, S, CZ, controlled-phase) leaves most of the state untouched.
-//
-//qusim:hot
-func ApplyDiagonal(amps []complex128, d []complex128, qs []int) {
-	k := len(qs)
-	if len(d) != 1<<k {
-		panic("kernels: diagonal length mismatch")
-	}
-	if k == 0 {
-		if d[0] != 1 {
-			Scale(amps, d[0])
-		}
-		return
-	}
-	q0 := qs[0]
-	if q0 < diagRunMin {
-		// Short runs: per-run dispatch overhead would dominate. Compile the
-		// non-unit segments of one window of the index pattern and replay
-		// them across the state instead.
-		nlo, window := diagWindow(qs, len(amps))
-		applyDiagWindows(amps, d, qs[:nlo], qs[nlo:], window)
-		return
-	}
-	runs := len(amps) >> q0
-	par.For(runs, max(1, 4096>>q0), func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			base := r << q0
-			x := 0
-			for j := 0; j < k; j++ {
-				x |= (base >> qs[j] & 1) << j
-			}
-			dx := d[x]
-			if dx == 1 {
-				continue
-			}
-			blk := amps[base : base+1<<q0 : base+1<<q0]
-			if hasSIMD {
-				simdScaleF64(blk, dx)
-				continue
-			}
-			if dx == -1 { // CZ / Z-type entries: negate, no multiply
-				for j := range blk {
-					blk[j] = -blk[j]
-				}
-				continue
-			}
-			for j := range blk {
-				blk[j] *= dx
-			}
-		}
-	})
-}
-
-// diagRunMin and diagPeriodMax pick between the diagonal sweeps: runs of at
-// least 2^diagRunMin amplitudes amortize the per-run entry lookup; below
-// that the windowed replay takes over, over the pattern's whole period as
-// long as its table stays comfortably inside L1 (2^(diagPeriodMax+1) index
-// period) and over 2^diagRunMin-amplitude windows beyond.
-const (
-	diagRunMin    = 6
-	diagPeriodMax = 13
-)
-
-// diagSegment is one maximal run of identical non-unit diagonal entries
-// within a period of the index pattern. simdDiagF64 and simdDiagF32 read
-// the fields by offset: the layout is part of cmd/kernelgen's contract.
-type diagSegment[T complexAmp] struct {
-	off, n int
-	dx     T
-}
-
-// complexAmp constrains the two amplitude element types.
-type complexAmp interface{ complex64 | complex128 }
-
-// diagSegments compiles the entries of d hit across one period of the
-// index pattern into maximal contiguous non-unit segments.
-func diagSegments[T complexAmp](d []T, qs []int, period int) []diagSegment[T] {
-	k := len(qs)
-	entry := func(i int) T {
-		x := 0
-		for j := 0; j < k; j++ {
-			x |= (i >> qs[j] & 1) << j
-		}
-		return d[x]
-	}
-	var segs []diagSegment[T]
-	for i := 0; i < period; {
-		dx := entry(i)
-		if dx == 1 {
-			i++
-			continue
-		}
-		start := i
-		for i < period && entry(i) == dx {
-			i++
-		}
-		segs = append(segs, diagSegment[T]{off: start, n: i - start, dx: dx})
-	}
-	return segs
-}
-
-// diagWindow splits the sorted positions qs (qs[0] < diagRunMin) for the
-// windowed diagonal sweep over n amplitudes: the first nlo positions vary
-// inside a window of that many amplitudes, the rest are constant across it.
-// While the whole pattern's period stays comfortably inside L1 the window
-// is one period — or several, up to 2^diagRunMin amplitudes, so that a
-// pattern on position 0 alone is not replayed two amplitudes at a time;
-// beyond that only the short-run positions stay inside the window.
-func diagWindow(qs []int, n int) (nlo, window int) {
-	if top := qs[len(qs)-1]; top < diagPeriodMax {
-		return len(qs), min(max(1<<(top+1), 1<<diagRunMin), n)
-	}
-	for nlo < len(qs) && qs[nlo] < diagRunMin {
-		nlo++
-	}
-	return nlo, 1 << diagRunMin
-}
-
-// diagWindowSegments compiles, for each value of the nhi window-constant
-// index bits, the non-unit segments of one window over the positions lo.
-// It returns nil when every entry is 1.
-func diagWindowSegments[T complexAmp](d []T, lo []int, nhi, window int) [][]diagSegment[T] {
-	segs := make([][]diagSegment[T], 1<<nhi)
-	empty := true
-	for x := range segs {
-		segs[x] = diagSegments(d[x<<len(lo):(x+1)<<len(lo)], lo, window)
-		empty = empty && len(segs[x]) == 0
-	}
-	if empty {
-		return nil
-	}
-	return segs
-}
-
-// applyDiagWindows is the low-position diagonal sweep: the positions lo
-// vary inside each window of the index space and the positions hi select,
-// once per window, which compiled list of non-unit segments to replay over
-// it — no per-index bit extraction, and indices with unit entries are
-// never visited.
-//
-//qusim:hot
-func applyDiagWindows(amps []complex128, d []complex128, lo, hi []int, window int) {
-	segs := diagWindowSegments(d, lo, len(hi), window)
-	if segs == nil {
-		return
-	}
-	par.For(len(amps)/window, max(1, 8192/window), func(b0, b1 int) {
-		for b := b0; b < b1; b++ {
-			base := b * window
-			x := 0
-			for j, q := range hi {
-				x |= (base >> q & 1) << j
-			}
-			if hasSIMD {
-				if len(segs[x]) > 0 {
-					simdDiagF64(&amps[base], &segs[x][0], len(segs[x]))
-				}
-				continue
-			}
-			for _, s := range segs[x] {
-				blk := amps[base+s.off : base+s.off+s.n : base+s.off+s.n]
-				if s.dx == -1 {
-					for j := range blk {
-						blk[j] = -blk[j]
-					}
-					continue
-				}
-				for j := range blk {
-					blk[j] *= s.dx
-				}
-			}
-		}
-	})
+	}}
 }
 
 // ApplyCZ applies a controlled-Z between bit positions a and b without a
@@ -393,13 +217,5 @@ func ApplyCZ(amps []complex128, a, b int) {
 //
 //qusim:hot
 func Scale(amps []complex128, s complex128) {
-	par.For(len(amps), 4096, func(lo, hi int) {
-		if hasSIMD {
-			simdScaleF64(amps[lo:hi], s)
-			return
-		}
-		for i := lo; i < hi; i++ {
-			amps[i] *= s
-		}
-	})
+	par.For(len(amps), 4096, func(lo, hi int) { scaleF64(amps[lo:hi], s) })
 }

@@ -65,41 +65,43 @@ func (v *Vector) runPipelined(plan *schedule.Plan, startStage, endStage int) err
 // runStage executes one swap-delimited stage as a single fused streamed
 // pass with asynchronous prefetch and writeback.
 func (v *Vector) runStage(plan *schedule.Plan, sa *schedule.StageAccess) error {
-	stream := make([]*schedule.Op, 0, len(sa.StreamOps))
+	// What the compute loop applies to each chunk: the streamed ops, then
+	// the closing swap, of which the applier executes the fused
+	// pre-permutation; the exchange itself is the writeback's scatter.
+	ops := make([]schedule.Op, 0, len(sa.StreamOps)+1)
 	for _, i := range sa.StreamOps {
-		stream = append(stream, &plan.Ops[i])
+		ops = append(ops, plan.Ops[i])
 	}
-	var swapOp *schedule.Op
 	var bitPos []int
-	if sa.Exchanges() {
-		swapOp = &plan.Ops[sa.Swap]
+	swaps := sa.Exchanges()
+	if swaps {
+		swapOp := &plan.Ops[sa.Swap]
 		var err error
 		if bitPos, err = v.swapGeometry(swapOp); err != nil {
 			return err
 		}
+		ops = append(ops, *swapOp)
 	}
-	if len(stream) == 0 && swapOp == nil {
+	if len(ops) == 0 {
 		return nil
 	}
-	// What the compute loop applies to each chunk: the streamed ops, then
-	// the closing swap, of which the applier executes the fused
-	// pre-permutation; the exchange itself is the writeback's scatter.
-	ops := stream
-	if swapOp != nil {
-		ops = append(ops, swapOp)
+	// Prepared once for the stage, not once per chunk: the program holds
+	// nothing of a chunk's amplitudes or number (a diagonal reads the chunk
+	// number's bits off the index it is handed).
+	prog, err := (&schedule.Shard[complex128]{L: v.L}).Compile(ops)
+	if err != nil {
+		return fmt.Errorf("oocvec: %w", err)
 	}
 
 	var out fsio.File
-	if swapOp != nil {
-		var err error
+	if swaps {
 		if out, err = v.fs.CreateTemp(v.dir, "oocvec-*.swap"); err != nil {
 			return err
 		}
 	}
 
 	t0 := v.tel.sc.Now()
-	err := v.pumpStage(ops, bitPos, out)
-	if err != nil {
+	if err = v.pumpStage(prog, bitPos, out); err != nil {
 		if out != nil {
 			out.Close()
 			v.fs.Remove(out.Name())
@@ -118,9 +120,9 @@ func (v *Vector) runStage(plan *schedule.Plan, sa *schedule.StageAccess) error {
 			telemetry.A("stage", sa.Stage),
 			telemetry.A("chunks", v.Chunks()),
 			telemetry.A("ops", len(sa.Ops)),
-			telemetry.A("stream_ops", len(stream)),
+			telemetry.A("stream_ops", len(sa.StreamOps)),
 			telemetry.A("qubits", maskPositions(sa.LocalQubitMask)),
-			telemetry.A("swap", swapOp != nil))
+			telemetry.A("swap", swaps))
 	}
 	return nil
 }
@@ -128,7 +130,7 @@ func (v *Vector) runStage(plan *schedule.Plan, sa *schedule.StageAccess) error {
 // pumpStage runs the reader → compute → writeback pipeline over every
 // chunk. On any failure it halts the pipeline, joins both goroutines and
 // returns the first error; no goroutine or buffer outlives the call.
-func (v *Vector) pumpStage(ops []*schedule.Op, bitPos []int, out fsio.File) error {
+func (v *Vector) pumpStage(prog *schedule.Program[complex128], bitPos []int, out fsio.File) error {
 	chunks := v.Chunks()
 	depth := v.prefetch
 	if depth > chunks {
@@ -223,16 +225,14 @@ func (v *Vector) pumpStage(ops []*schedule.Op, bitPos []int, out fsio.File) erro
 		}
 	}()
 
-	// Compute loop: apply the stage's fused op list to each chunk as it
-	// arrives, through the shard applier (chunk number = shard index, the
-	// default kernels). A chunk already buffered when we ask for it is a
+	// Compute loop: apply the stage's program to each chunk as it arrives,
+	// through the shard applier (chunk number = shard index, the default
+	// kernels). A chunk already buffered when we ask for it is a
 	// prefetch hit — I/O fully hidden behind the previous chunk's compute.
 	// The scratch is v.buf, idle while a stage runs: when a permutation's
 	// gather lands in it, the pooled buffer takes it over and hands its old
 	// amps back as the next scratch, so no chunk is allocated for it.
 	sh := schedule.Shard[complex128]{L: v.L, Scratch: v.buf}
-	var applyErr error
-compute:
 	for done := 0; done < chunks; done++ {
 		var b *chunkBuf
 		select {
@@ -246,23 +246,14 @@ compute:
 			break // reader halted early; the join below surfaces its error
 		}
 		sh.Amps, sh.Index = b.amps, b.idx
-		for _, op := range ops {
-			if applyErr = sh.Apply(op); applyErr != nil {
-				v.tel.inFlight.Add(-cb)
-				halt()
-				break compute
-			}
-		}
+		sh.Exec(prog)
 		b.amps = sh.Amps
 		dirty <- b
 	}
 	v.buf = sh.Scratch
 	close(dirty)
 	wg.Wait()
-	switch {
-	case applyErr != nil:
-		return fmt.Errorf("oocvec: %w", applyErr)
-	case readErr != nil:
+	if readErr != nil {
 		return readErr
 	}
 	return writeErr

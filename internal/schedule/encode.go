@@ -78,8 +78,15 @@ func (p *Plan) validate() error {
 			seen[x] = true
 		}
 	}
+	stage := 0
 	for i := range p.Ops {
 		op := &p.Ops[i]
+		// Executors cut the op list at stage boundaries and index per-stage
+		// tables by Stage: contiguous from 0, never decreasing.
+		if op.Stage != stage && op.Stage != stage+1 {
+			return fmt.Errorf("schedule: op %d: stage %d follows stage %d", i, op.Stage, stage)
+		}
+		stage = op.Stage
 		// The kernels take positions strictly ascending and panic otherwise;
 		// a plan file is outside input, so it is turned away here.
 		for j := 1; j < len(op.Positions); j++ {
@@ -107,19 +114,42 @@ func (p *Plan) validate() error {
 				}
 			}
 		case OpLocalPerm:
-			if len(op.Perm) != p.L {
-				return fmt.Errorf("schedule: op %d: perm length %d, want %d", i, len(op.Perm), p.L)
+			if !isPermutation(op.Perm, p.L) {
+				return fmt.Errorf("schedule: op %d: perm %v is not a permutation of the %d local locations", i, op.Perm, p.L)
 			}
 		case OpSwap:
 			if len(op.LocalPos) != len(op.GlobalPos) || len(op.LocalPos) == 0 {
 				return fmt.Errorf("schedule: op %d: unbalanced swap", i)
 			}
-			if op.Perm != nil && len(op.Perm) != p.L {
-				return fmt.Errorf("schedule: op %d: fused perm length %d, want %d", i, len(op.Perm), p.L)
+			if op.Perm != nil && !isPermutation(op.Perm, p.L) {
+				return fmt.Errorf("schedule: op %d: fused perm %v is not a permutation of the %d local locations", i, op.Perm, p.L)
+			}
+			seen := make([]bool, p.N)
+			for j, lo := range op.LocalPos {
+				hi := op.GlobalPos[j]
+				if lo < 0 || lo >= p.L || hi < p.L || hi >= p.N || seen[lo] || seen[hi] {
+					return fmt.Errorf("schedule: op %d: swap of %v with %v is not local ↔ global, each location once", i, op.LocalPos, op.GlobalPos)
+				}
+				seen[lo], seen[hi] = true, true
 			}
 		default:
 			return fmt.Errorf("schedule: op %d: unknown kind %d", i, int(op.Kind))
 		}
 	}
 	return nil
+}
+
+// isPermutation reports whether perm maps 0…n−1 onto itself.
+func isPermutation(perm []int, n int) bool {
+	if len(perm) != n {
+		return false
+	}
+	seen := make([]bool, n)
+	for _, x := range perm {
+		if x < 0 || x >= n || seen[x] {
+			return false
+		}
+		seen[x] = true
+	}
+	return true
 }

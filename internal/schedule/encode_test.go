@@ -85,4 +85,36 @@ func TestReadPlanValidates(t *testing.T) {
 	if _, err := ReadPlan(&buf); err == nil {
 		t.Error("unsorted op positions accepted")
 	}
+	// What the executors index or permute by without looking: a stage that
+	// runs backwards, a permutation that is none, a swap of a location with
+	// itself.
+	swap := -1
+	for i := range plan.Ops {
+		if plan.Ops[i].Kind == OpSwap && plan.Ops[i].Perm != nil {
+			swap = i
+		}
+	}
+	if swap < 0 {
+		t.Fatal("plan has no swap with a fused permutation")
+	}
+	for name, corrupt := range map[string]func(ops []Op){
+		"stage running backwards": func(ops []Op) { ops[len(ops)-1].Stage = -1 },
+		"stage skipped":           func(ops []Op) { ops[len(ops)-1].Stage += 2 },
+		"non-permutation perm": func(ops []Op) {
+			ops[swap].Perm = append([]int(nil), ops[swap].Perm...)
+			ops[swap].Perm[0] = ops[swap].Perm[1]
+		},
+		"swap of a local location with a local one": func(ops []Op) { ops[swap].GlobalPos = []int{0}; ops[swap].LocalPos = []int{1} },
+	} {
+		bad = *plan
+		bad.Ops = append([]Op(nil), plan.Ops...)
+		corrupt(bad.Ops)
+		buf.Reset()
+		if err := WritePlan(&buf, &bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadPlan(&buf); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }

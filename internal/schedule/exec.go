@@ -2,8 +2,13 @@ package schedule
 
 import (
 	"fmt"
+	"math/bits"
+	"sync/atomic"
+	"time"
+	"unsafe"
 
 	"qusim/internal/kernels"
+	"qusim/internal/par"
 )
 
 // The shard applier: the one place a plan op becomes kernel calls. The
@@ -13,9 +18,32 @@ import (
 // whole vector (Plan.Run, f32vec.RunPlan), a rank's share (dist), a file
 // chunk (oocvec). What differs between them is only how the exchange half
 // of an OpSwap moves data between shards, and that stays with each back end.
+//
+// The paper's two locality devices apply once more inside a shard, with a
+// cache-sized block in the role of the rank: a run of consecutive ops that
+// need no amplitude from outside a block — diagonals, which move no data
+// wherever their positions lie (Sec. 3.5), and clusters on positions below
+// the block width, the block's "local qubits" (Sec. 3.4) — is executed block
+// by block, every op of the run on one block before the next block is
+// touched, so the shard streams from memory once per run instead of once per
+// op (DESIGN §12.2).
 
 // amp is the amplitude element type of a shard, in either precision.
 type amp interface{ complex64 | complex128 }
+
+// blockBytes is the size of the block a run of ops is applied to at a time:
+// half of this host class's per-core L2, flat across 2^13–2^17 amplitudes on
+// the diagonal runs of a QFT and best at 2^16–2^17 on the supremacy plans,
+// whose first clusters reach position 15. A constant, not an option: every
+// size in that range is within noise of every other.
+const blockBytes = 1 << 20
+
+// blockBits is log2 of the amplitudes in a block: 16 for complex128, 17 for
+// complex64.
+func blockBits[T amp]() int {
+	var a T
+	return bits.TrailingZeros(blockBytes / uint(unsafe.Sizeof(a)))
+}
 
 // Shard is 2^L amplitudes of a state together with what an op needs to act
 // on them. Index supplies the index bits at locations ≥ L: 0 for a whole
@@ -24,12 +52,173 @@ type Shard[T amp] struct {
 	Amps []T
 	// Scratch is a second buffer of len(Amps) for the ops whose result lands
 	// in a new vector (a multi-cycle permutation, the kernels.Naive variant).
-	// Apply allocates it when it is nil and first needed, and trades it with
+	// Exec allocates it when it is nil and first needed, and trades it with
 	// Amps whenever a result lands in it.
 	Scratch []T
 	L       int
 	Index   int
 	Variant kernels.Variant
+	// Observe, when not nil, is told about every pass Exec makes over the
+	// shard: the ops it executed — one, or the several of a blocked run —
+	// when it began, and how long each op took; the times add up to the
+	// pass. Inside a run an op's time is its share of the run's, by a clock
+	// pair around every (op, block).
+	Observe func(ops []Op, start time.Time, took []time.Duration)
+}
+
+// Program is a sequence of ops prepared for the shards of one geometry
+// (element type, L, kernel variant): matrices converted to the element type,
+// kernels chosen, matrices and diagonals compiled into the form their kernel
+// reads (kernels.Dense, kernels.Diagonal), runs found. It holds nothing of
+// a shard's amplitudes or index, so one Program serves every chunk of a
+// paged state.
+type Program[T amp] struct {
+	ops   []Op
+	steps []step[T]
+}
+
+// step is one op of a Program.
+type step[T amp] struct {
+	dense    kernels.Dense[T]     // OpCluster with a prepared kernel
+	prepared bool                 // dense is set
+	matrix   []T                  // OpCluster without: the matrix for kernels.Apply
+	diag     *kernels.Diagonal[T] // OpDiagonal
+	inRun    bool                 // needs nothing from outside a block
+}
+
+// Compile prepares ops — consecutive ops of one stage — for s and every
+// shard of its geometry. A run is a maximal sequence of diagonals (on any
+// positions: the bits at or above the block select the sub-diagonal, just as
+// Index does for the bits at or above L) and clusters whose positions all lie
+// below the block width; whatever reaches further — a wider cluster, a
+// permutation, a swap's fused permutation — is a pass of its own and ends
+// the run, as does the kernels.Naive variant, which works out of place, and
+// a cluster whose kernel has no prepared form. A shard no larger than a
+// block has no runs.
+func (s *Shard[T]) Compile(ops []Op) (*Program[T], error) {
+	block := min(s.L, blockBits[T]())
+	blocked := block < s.L && s.Variant != kernels.Naive
+	p := &Program[T]{ops: ops, steps: make([]step[T], len(ops))}
+	for i := range ops {
+		op, st := &ops[i], &p.steps[i]
+		switch op.Kind {
+		case OpCluster:
+			st.matrix = convert[T](op.Matrix.Data)
+			fits := blocked && (len(op.Positions) == 0 || op.Positions[len(op.Positions)-1] < block)
+			n := 1 << s.L
+			if fits {
+				n = 1 << block
+			}
+			st.dense, st.prepared = kernels.PrepareDense(s.Variant, st.matrix, op.Positions, n)
+			st.inRun = fits && st.prepared
+		case OpDiagonal:
+			st.diag = kernels.PrepareDiagonal(convert[T](op.Diag), op.Positions, 1<<block)
+			st.inRun = blocked
+		case OpLocalPerm, OpSwap:
+		default:
+			return nil, fmt.Errorf("schedule: unknown op kind %v", op.Kind)
+		}
+	}
+	return p, nil
+}
+
+// Exec executes p on the shard: a run of two or more ops block by block,
+// anything else as one pass per op. Of an OpSwap it executes the fused
+// permutation; the exchange half is the caller's.
+func (s *Shard[T]) Exec(p *Program[T]) {
+	for i := 0; i < len(p.steps); {
+		j := i
+		for j < len(p.steps) && p.steps[j].inRun {
+			j++
+		}
+		if j < i+2 {
+			j = i + 1
+		}
+		var start time.Time
+		var spent []atomic.Int64
+		if s.Observe != nil {
+			start, spent = time.Now(), make([]atomic.Int64, j-i)
+		}
+		if j == i+1 {
+			s.one(&p.ops[i], &p.steps[i])
+		} else {
+			s.blocks(p.steps[i:j], spent)
+		}
+		if s.Observe != nil {
+			s.Observe(p.ops[i:j], start, shares(time.Since(start), spent))
+		}
+		i = j
+	}
+}
+
+// shares splits the wall time of a pass between its ops in proportion to
+// the clock time each accumulated over all workers (evenly when none did: a
+// pass of one op keeps no clock of its own).
+func shares(wall time.Duration, spent []atomic.Int64) []time.Duration {
+	var sum int64
+	for i := range spent {
+		sum += spent[i].Load()
+	}
+	took := make([]time.Duration, len(spent))
+	for i := range took {
+		if sum == 0 {
+			took[i] = wall / time.Duration(len(took))
+		} else {
+			took[i] = time.Duration(float64(wall) * float64(spent[i].Load()) / float64(sum))
+		}
+	}
+	return took
+}
+
+// blocks executes a run block by block, every step on one block before the
+// next block is touched, with the blocks as par's iteration space. The
+// kernels' block entry points do not reach par, so nothing nests. spent,
+// when not nil, collects per step the time of its (op, block) pairs.
+//
+//qusim:hot
+func (s *Shard[T]) blocks(steps []step[T], spent []atomic.Int64) {
+	bb, base := blockBits[T](), s.Index<<s.L
+	par.For(len(s.Amps)>>bb, 1, func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			blk := s.Amps[b<<bb : (b+1)<<bb : (b+1)<<bb]
+			var t0 time.Time
+			if spent != nil {
+				t0 = time.Now()
+			}
+			for n := range steps {
+				if st := &steps[n]; st.diag != nil {
+					st.diag.Block(blk, base+b<<bb)
+				} else {
+					st.dense.Block(blk)
+				}
+				if spent != nil {
+					t1 := time.Now()
+					spent[n].Add(int64(t1.Sub(t0)))
+					t0 = t1
+				}
+			}
+		}
+	})
+}
+
+// one executes a single op as a pass of its own.
+func (s *Shard[T]) one(op *Op, st *step[T]) {
+	switch op.Kind {
+	case OpCluster:
+		if st.prepared {
+			st.dense.Sweep(s.Amps)
+		} else {
+			s.dense(st.matrix, op.Positions)
+		}
+	case OpDiagonal:
+		st.diag.Sweep(s.Amps, s.Index<<s.L)
+	case OpLocalPerm:
+		s.permute(op.Perm)
+	case OpSwap:
+		if op.Perm != nil {
+			s.permute(op.Perm)
+		}
+	}
 }
 
 // Apply executes the shard-local part of op: a cluster, a diagonal — the
@@ -38,31 +227,27 @@ type Shard[T amp] struct {
 // permutation, or the permutation fused into an OpSwap. The exchange half of
 // an OpSwap is the caller's.
 func (s *Shard[T]) Apply(op *Op) error {
-	switch op.Kind {
-	case OpCluster:
-		s.dense(op.Matrix.Data, op.Positions)
-	case OpDiagonal:
-		// Positions are sorted ascending, so the local ones form a prefix and
-		// the rest pick, through Index, a contiguous block of Diag.
-		nl, sel := 0, 0
-		for j, q := range op.Positions {
-			if q < s.L {
-				nl++
-			} else {
-				sel |= (s.Index >> (q - s.L) & 1) << (j - nl)
-			}
-		}
-		s.diagonal(op.Diag[sel<<nl:(sel+1)<<nl], op.Positions[:nl])
-	case OpLocalPerm:
-		s.permute(op.Perm)
-	case OpSwap:
-		if op.Perm != nil {
-			s.permute(op.Perm)
-		}
-	default:
-		return fmt.Errorf("schedule: unknown op kind %v", op.Kind)
+	p, err := s.Compile([]Op{*op})
+	if err != nil {
+		return err
 	}
+	s.Exec(p)
 	return nil
+}
+
+// StageEnd returns the end j of the longest sequence Ops[i:j] that one
+// Compile and Exec cover: ops of one stage, of which only the last may be
+// an OpSwap — after it amplitudes move between shards, and after a stage a
+// checkpoint may fall.
+func (p *Plan) StageEnd(i int) int {
+	j := i
+	for j < len(p.Ops) && p.Ops[j].Stage == p.Ops[i].Stage {
+		j++
+		if p.Ops[j-1].Kind == OpSwap {
+			break
+		}
+	}
+	return j
 }
 
 // Run executes the ops of p with Stage ≥ startStage on a shard that is the
@@ -70,19 +255,23 @@ func (s *Shard[T]) Apply(op *Op) error {
 // and f32vec.RunPlan. With every location local, the exchange half of a swap
 // is one in-place SwapBits sweep per exchanged pair.
 func (s *Shard[T]) Run(p *Plan, startStage int) error {
-	for i := range p.Ops {
-		op := &p.Ops[i]
-		if op.Stage < startStage {
+	for i := 0; i < len(p.Ops); {
+		if p.Ops[i].Stage < startStage {
+			i++
 			continue
 		}
-		if err := s.Apply(op); err != nil {
+		j := p.StageEnd(i)
+		prog, err := s.Compile(p.Ops[i:j])
+		if err != nil {
 			return err
 		}
-		if op.Kind == OpSwap {
-			for j := range op.LocalPos {
-				kernels.SwapBits(s.Amps, op.LocalPos[j], op.GlobalPos[j])
+		s.Exec(prog)
+		if op := &p.Ops[j-1]; op.Kind == OpSwap {
+			for n := range op.LocalPos {
+				kernels.SwapBits(s.Amps, op.LocalPos[n], op.GlobalPos[n])
 			}
 		}
+		i = j
 	}
 	return nil
 }
@@ -100,30 +289,30 @@ func (s *Shard[T]) permute(perm []int) {
 	s.Amps, s.Scratch = kernels.Permute(s.Amps, s.Scratch, kernels.CompileBitPermutation(perm))
 }
 
-// dense and diagonal are where the element type picks the kernel suite:
+// dense and convert are where the element type picks the kernel suite:
 // plans carry complex128 matrices, converted per op for a complex64 shard.
 
-func (s *Shard[T]) dense(m []complex128, qs []int) {
+// dense applies a cluster through kernels.Apply: the Naive variant, whose
+// product lands in Scratch, and the kernels that have no prepared form.
+func (s *Shard[T]) dense(m []T, qs []int) {
 	if s.Variant == kernels.Naive && s.Scratch == nil {
 		s.Scratch = make([]T, len(s.Amps))
 	}
 	var out []T
 	switch a := any(s.Amps).(type) {
 	case []complex128:
-		out = any(kernels.Apply(s.Variant, a, m, qs, any(s.Scratch).([]complex128))).([]T)
+		out = any(kernels.Apply(s.Variant, a, any(m).([]complex128), qs, any(s.Scratch).([]complex128))).([]T)
 	case []complex64:
-		out = any(kernels.ApplyF32(s.Variant, a, kernels.ToComplex64(m), qs, any(s.Scratch).([]complex64))).([]T)
+		out = any(kernels.ApplyF32(s.Variant, a, any(m).([]complex64), qs, any(s.Scratch).([]complex64))).([]T)
 	}
 	if &out[0] != &s.Amps[0] {
 		s.Amps, s.Scratch = out, s.Amps
 	}
 }
 
-func (s *Shard[T]) diagonal(d []complex128, qs []int) {
-	switch a := any(s.Amps).(type) {
-	case []complex128:
-		kernels.ApplyDiagonal(a, d, qs)
-	case []complex64:
-		kernels.ApplyDiagonalF32(a, kernels.ToComplex64(d), qs)
+func convert[T amp](m []complex128) []T {
+	if same, ok := any(m).([]T); ok {
+		return same
 	}
+	return any(kernels.ToComplex64(m)).([]T)
 }

@@ -1,10 +1,15 @@
 package schedule
 
 import (
+	"bytes"
+	"math"
 	"math/cmplx"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"qusim/internal/circuit"
+	"qusim/internal/kernels"
 	"qusim/internal/statevec"
 )
 
@@ -31,7 +36,18 @@ func fuzzCosts(steps [6]uint8) CostTable {
 // against naive gate-by-gate simulation. Any input the fuzzer finds where
 // the built plan deviates from (1⊗…⊗U⊗…⊗1)|Ψ⟩ semantics by more than 1e-9
 // is a scheduler bug; the corpus entry is the reproducer.
+//
+// The plan's ops are then executed twice more on a state wide enough to have
+// cache blocks (every position of an n ≤ 10 plan lies below the block width,
+// so whatever separates two permutations is one run): through Shard.Run,
+// block by block, and one Shard.Apply per op. The two must agree bit for bit.
 func FuzzScheduleEquivalence(f *testing.F) {
+	const wide = 17
+	wideState := make([]complex128, 1<<wide)
+	rng := rand.New(rand.NewSource(17))
+	for i := range wideState {
+		wideState[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
 	flat, knee2 := []byte{16, 16, 16, 16, 16, 48}, []byte{22, 136, 104, 255, 0, 48}
 	f.Add(int64(1), 6, 30, 3, flat)
 	f.Add(int64(2), 8, 48, 5, knee2)
@@ -84,6 +100,66 @@ func FuzzScheduleEquivalence(f *testing.F) {
 				t.Fatalf("n=%d gates=%d l=%d seed=%d costs=%v: amplitude %d deviates by %g\n%s",
 					n, gates, l, seed, opts.Costs, b, d, plan.Summary())
 			}
+		}
+
+		blocked := Shard[complex128]{Amps: slices.Clone(wideState), L: wide}
+		if err := blocked.Run(&Plan{N: wide, L: wide, Ops: plan.Ops}, 0); err != nil {
+			t.Fatal(err)
+		}
+		perOp := Shard[complex128]{Amps: slices.Clone(wideState), L: wide}
+		for i := range plan.Ops {
+			op := &plan.Ops[i]
+			if err := perOp.Apply(op); err != nil {
+				t.Fatal(err)
+			}
+			for j := range op.LocalPos {
+				kernels.SwapBits(perOp.Amps, op.LocalPos[j], op.GlobalPos[j])
+			}
+		}
+		for i, a := range blocked.Amps {
+			if b := perOp.Amps[i]; math.Float64bits(real(a)) != math.Float64bits(real(b)) || math.Float64bits(imag(a)) != math.Float64bits(imag(b)) {
+				t.Fatalf("n=%d gates=%d l=%d seed=%d costs=%v: amplitude %d is %v block by block, %v op by op\n%s",
+					n, gates, l, seed, opts.Costs, i, a, b, plan.Summary())
+			}
+		}
+	})
+}
+
+// FuzzReadPlan feeds ReadPlan — the one way a plan from outside the process
+// gets in (qsim -plan) — arbitrary bytes: it must return an error or a plan
+// that validates and survives a round trip, and never panic. The shard
+// applier trusts what validate checked (positions ascending and in range,
+// matrix and diagonal sizes), so a small accepted plan is also executed.
+func FuzzReadPlan(f *testing.F) {
+	for _, l := range []int{4, 6} {
+		plan, err := Build(circuit.RandomCircuit(6, 30, int64(l)), DefaultOptions(l))
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WritePlan(&buf, plan); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte("not a plan"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		plan, err := ReadPlan(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := plan.validate(); err != nil {
+			t.Fatalf("ReadPlan returned a plan that does not validate: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := WritePlan(&buf, plan); err != nil {
+			t.Fatalf("accepted plan does not encode: %v", err)
+		}
+		if _, err := ReadPlan(&buf); err != nil {
+			t.Fatalf("accepted plan does not survive a round trip: %v", err)
+		}
+		if plan.N <= 12 && len(plan.Ops) <= 256 {
+			_ = plan.Run(statevec.New(plan.N)) // an error is fine; a panic is not
 		}
 	})
 }

@@ -421,6 +421,72 @@ func (b *f32Backend) Run(c *circuit.Circuit) ([]complex128, error) {
 	return unpermute(plan, v.ToDouble().Amps), nil
 }
 
+// per-op reference of the blocked-run rows -------------------------------------
+
+type perOpBackend struct {
+	name    string
+	globals int
+	f32     bool
+}
+
+// PerOp returns the reference of the "blocked vs per-op" rows: the default
+// plan at l = n − globals executed on the whole vector one op, one sweep of
+// the state, at a time (schedule.Shard.Apply, which never forms a run). The
+// plan-executing backends at the same globals build the same plan, so
+// against this reference they must agree to the bit — which is only a
+// statement about blocked runs on circuits whose shards exceed a cache
+// block (BlockedQubits).
+func PerOp(globals int) Backend {
+	return &perOpBackend{name: fmt.Sprintf("schedule/per-op-g%d", globals), globals: globals}
+}
+
+// F32PerOp is PerOp on a complex64 state, widened for comparison.
+func F32PerOp(globals int) Backend {
+	return &perOpBackend{name: fmt.Sprintf("f32vec/per-op-g%d", globals), globals: globals, f32: true}
+}
+
+func (b *perOpBackend) Name() string { return b.name }
+
+func (b *perOpBackend) Run(c *circuit.Circuit) ([]complex128, error) {
+	l := c.N - b.globals
+	if l < minLocalQubits(c) {
+		return nil, ErrUnsupported
+	}
+	plan, err := schedule.Build(c, defaultScheduleOptions(l))
+	if err != nil {
+		return nil, err
+	}
+	var amps []complex128
+	if b.f32 {
+		narrow, err := runPerOp[complex64](plan)
+		if err != nil {
+			return nil, err
+		}
+		amps = make([]complex128, len(narrow))
+		for i, a := range narrow {
+			amps[i] = complex128(a)
+		}
+	} else if amps, err = runPerOp[complex128](plan); err != nil {
+		return nil, err
+	}
+	return unpermute(plan, amps), nil
+}
+
+func runPerOp[T complex64 | complex128](plan *schedule.Plan) ([]T, error) {
+	sh := schedule.Shard[T]{Amps: make([]T, 1<<plan.N), L: plan.N}
+	sh.Amps[0] = 1
+	for i := range plan.Ops {
+		op := &plan.Ops[i]
+		if err := sh.Apply(op); err != nil {
+			return nil, err
+		}
+		for j := range op.LocalPos {
+			kernels.SwapBits(sh.Amps, op.LocalPos[j], op.GlobalPos[j])
+		}
+	}
+	return sh.Amps, nil
+}
+
 // faultCounter is implemented by backends that run under a FaultPlan; the
 // harness sums the injected perturbations for reporting.
 type faultCounter interface{ FaultEvents() int64 }

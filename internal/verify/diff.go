@@ -55,6 +55,9 @@ type Engine struct {
 	// before recording the reproducer (on by default via NewEngine).
 	Minimize bool
 
+	// Title heads the summary table ("differential matrix" when empty).
+	Title string
+
 	Circuits    int
 	Pairs       map[string]*PairStat
 	Divergences []Divergence
@@ -220,8 +223,12 @@ func CircuitText(c *circuit.Circuit) string {
 // Summary renders the pair statistics as an aligned table.
 func (e *Engine) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "differential matrix: %d circuits × %d backend pairs (ref %s, tol %.1e)\n",
-		e.Circuits, len(e.Backends), e.Ref.Name(), e.Tol)
+	title := e.Title
+	if title == "" {
+		title = "differential matrix"
+	}
+	fmt.Fprintf(&b, "%s: %d circuits × %d backend pairs (ref %s, tol %.1e)\n",
+		title, e.Circuits, len(e.Backends), e.Ref.Name(), e.Tol)
 	for _, st := range e.PairList() {
 		status := "ok"
 		if st.Failures > 0 {

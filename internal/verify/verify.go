@@ -32,6 +32,7 @@ import (
 	"io"
 	"strings"
 
+	"qusim/internal/circuit"
 	"qusim/internal/kernels"
 	"qusim/internal/mpi"
 )
@@ -102,6 +103,8 @@ func (o *Options) setDefaults() {
 type Report struct {
 	Differential *Engine // the clean differential matrix
 	F32          *Engine // single-precision backends at the epsilon tolerance
+	Blocked      *Engine // blocked vs per-op execution of one plan, bitwise, per f64 storage
+	BlockedF32   *Engine // the same for the complex64 storage
 	Faults       *Engine // fault-injection scenarios (distributed backends)
 
 	MetamorphicRun    int
@@ -116,7 +119,22 @@ type Report struct {
 // Failed reports whether any layer found a violation.
 func (r *Report) Failed() bool {
 	return r.Differential.Failed() || (r.F32 != nil && r.F32.Failed()) ||
+		(r.Blocked != nil && (r.Blocked.Failed() || r.BlockedF32.Failed())) ||
 		r.Faults.Failed() || len(r.MetamorphicFailed) > 0 || r.Recovery.Failed()
+}
+
+// BlockedQubits sizes the circuits of the blocked-vs-per-op rows: at two
+// global qubits the shards of every storage — the whole vector, a rank's
+// share, a file chunk — hold 2^17 amplitudes or more, above the 2^16
+// (complex128) and 2^17 (complex64, whole vector of 2^19) of a cache block,
+// so the plan-executing back ends run their runs block by block.
+const BlockedQubits = 19
+
+// MatrixBlocked returns the per-op references and, per storage, the
+// plan-executing back end held to them bit for bit.
+func MatrixBlocked() (ref Backend, backends []Backend, ref32 Backend, backends32 []Backend) {
+	return PerOp(2), []Backend{Scheduled(2), Distributed(4), OutOfCore(2, 3)},
+		F32PerOp(2), []Backend{F32Scheduled(2)}
 }
 
 // Matrix returns the default backend matrix compared against the naive
@@ -242,6 +260,26 @@ func Run(opts Options) (*Report, error) {
 	}
 	logf("%s", strings.TrimRight(f32engine.Summary(), "\n"))
 
+	// Phase 1c: the same plan block by block and op by op, per storage, on
+	// states large enough to have blocks. Tolerance zero: the two executions
+	// apply the same instructions to every amplitude.
+	ref64, blocked64, ref32, blocked32 := MatrixBlocked()
+	logf("phase 1c: blocked vs per-op (%d qubits, %d+%d storages, bitwise)", BlockedQubits, len(blocked64), len(blocked32))
+	rep.Blocked, rep.BlockedF32 = NewEngine(ref64, blocked64, 0), NewEngine(ref32, blocked32, 0)
+	rep.Blocked.Title, rep.BlockedF32.Title = "blocked vs per-op", "blocked vs per-op"
+	bigger := []*circuit.Circuit{
+		circuit.QFT(BlockedQubits),
+		Random(RandomOptions{Qubits: BlockedQubits, Gates: 6 * BlockedQubits, Seed: opts.Seed, DenseEntanglers: true}),
+	}
+	for _, c := range bigger {
+		for _, e := range []*Engine{rep.Blocked, rep.BlockedF32} {
+			if err := e.Check(c); err != nil {
+				return rep, err
+			}
+		}
+	}
+	logf("%s%s", rep.Blocked.Summary(), strings.TrimRight(rep.BlockedF32.Summary(), "\n"))
+
 	// Phase 2: metamorphic properties.
 	props := Properties(opts.Qubits, opts.Seed)
 	logf("phase 2: %d metamorphic properties", len(props))
@@ -303,6 +341,10 @@ func (r *Report) String() string {
 	if r.F32 != nil {
 		b.WriteString(r.F32.Summary())
 	}
+	if r.Blocked != nil {
+		b.WriteString(r.Blocked.Summary())
+		b.WriteString(r.BlockedF32.Summary())
+	}
 	fmt.Fprintf(&b, "metamorphic: %d/%d properties passed\n",
 		r.MetamorphicRun-len(r.MetamorphicFailed), r.MetamorphicRun)
 	for _, f := range r.MetamorphicFailed {
@@ -321,6 +363,9 @@ func (r *Report) String() string {
 	divs := append(append([]Divergence(nil), r.Differential.Divergences...), r.Faults.Divergences...)
 	if r.F32 != nil {
 		divs = append(divs, r.F32.Divergences...)
+	}
+	if r.Blocked != nil {
+		divs = append(append(divs, r.Blocked.Divergences...), r.BlockedF32.Divergences...)
 	}
 	if len(divs) == 0 {
 		b.WriteString("RESULT: all execution paths agree\n")
