@@ -22,8 +22,8 @@ test:
 	$(GO) vet ./...
 	$(GO) test ./...
 
-# The pure-Go kernels behind the purego build tag — what kernels.Auto runs
-# on anything but amd64 with AVX2+FMA — through the packages that execute
+# The pure-Go kernels behind the purego build tag — what runs on anything
+# but amd64 with AVX2+FMA — through the packages that execute
 # or price them: every back end reaches them through the one shard applier
 # (internal/schedule/exec.go), so every back end is in the list.
 test-purego:
@@ -124,8 +124,8 @@ bench-ckpt:
 bench-telemetry:
 	$(GO) test -run '^$$' -bench 'BenchmarkTelemetryOverhead' -benchtime 3x -count 3 . | $(GO) run ./cmd/benchjson > BENCH_telemetry.json
 
-# Kernel-suite baseline: per-k f32-vs-f64 pairs of the kernels a default
-# caller gets (kernels.Auto) and the diagonal-sweep pair on a 1 GiB state,
+# Kernel-suite baseline: per-k f32-vs-f64 pairs of the kernels this machine
+# runs (kernels.ISA) and the diagonal-sweep pair on a 1 GiB state,
 # the per-gate supremacy-circuit precision pair (every gate k ≤ 2), the
 # default-plan fused-vs-unfused execution pair, the norm/entropy
 # reductions as MB/s of state read, the cache-resident twin of every f64

@@ -16,6 +16,7 @@ import (
 	"qusim/internal/emulate"
 	"qusim/internal/f32vec"
 	"qusim/internal/gate"
+	"qusim/internal/harness/refkernel"
 	"qusim/internal/kernels"
 	"qusim/internal/par"
 	"qusim/internal/perfmodel"
@@ -34,26 +35,27 @@ func benchSupremacy(n, depth int) *circuit.Circuit {
 }
 
 // BenchmarkFig2KernelSteps measures the optimization-step progression of
-// Fig. 2: the same 4-qubit gate through the naive, in-place, split and
-// specialized kernels.
+// Fig. 2: the same 4-qubit gate through the naive and in-place reference
+// kernels, the general-k split kernel, and the kernel this machine runs.
 func BenchmarkFig2KernelSteps(b *testing.B) {
 	u := gate.RandomUnitary(4, randRNG(1))
 	qs := []int{0, 1, 2, 3}
-	for _, v := range kernels.Variants() {
-		b.Run(v.String(), func(b *testing.B) {
-			amps := make([]complex128, 1<<benchState)
-			amps[0] = 1
-			scratch := make([]complex128, len(amps))
-			b.SetBytes(int64(len(amps) * 16 * 2))
-			b.ResetTimer()
-			src, dst := amps, scratch
+	src, dst := make([]complex128, 1<<benchState), make([]complex128, 1<<benchState)
+	src[0] = 1
+	split := kernels.PrepareGeneral(u.Data, qs, len(src))
+	for _, step := range []struct {
+		name string
+		pass func()
+	}{
+		{"naive", func() { refkernel.Naive(dst, src, u.Data, qs); src, dst = dst, src }},
+		{"inplace", func() { refkernel.InPlace(src, u.Data, qs) }},
+		{"split", func() { split.Sweep(src) }},
+		{kernels.ISA(), func() { kernels.Apply(src, u.Data, qs) }},
+	} {
+		b.Run(step.name, func(b *testing.B) {
+			b.SetBytes(int64(len(src) * 16 * 2))
 			for i := 0; i < b.N; i++ {
-				if v == kernels.Naive {
-					kernels.Apply(v, src, u.Data, qs, dst)
-					src, dst = dst, src
-				} else {
-					kernels.Apply(v, src, u.Data, qs, nil)
-				}
+				step.pass()
 			}
 			b.ReportMetric(perfmodel.KernelFlops(benchState, 4)/1e9/b.Elapsed().Seconds()*float64(b.N), "GFLOPS")
 		})
@@ -108,7 +110,7 @@ func BenchmarkFig6HighLowOrder(b *testing.B) {
 				amps[0] = 1
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					kernels.Apply(kernels.Specialized, amps, u.Data, qs, nil)
+					kernels.Apply(amps, u.Data, qs)
 				}
 				b.ReportMetric(perfmodel.KernelFlops(benchState, k)/1e9/b.Elapsed().Seconds()*float64(b.N), "GFLOPS")
 			})
@@ -129,7 +131,7 @@ func BenchmarkFig7Scaling(b *testing.B) {
 			amps[0] = 1
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				kernels.Apply(kernels.Specialized, amps, u.Data, qs, nil)
+				kernels.Apply(amps, u.Data, qs)
 			}
 		})
 	}
@@ -172,7 +174,7 @@ func BenchmarkFig9EdisonKernels(b *testing.B) {
 			amps[0] = 1
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				kernels.Apply(kernels.Specialized, amps, u.Data, qs, nil)
+				kernels.Apply(amps, u.Data, qs)
 			}
 		})
 	}
@@ -189,7 +191,7 @@ func BenchmarkFig10SingleWorker(b *testing.B) {
 	b.SetBytes(int64(len(amps) * 32))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kernels.Apply(kernels.Specialized, amps, u.Data, []int{0}, nil)
+		kernels.Apply(amps, u.Data, []int{0})
 	}
 }
 
@@ -515,7 +517,7 @@ const precState = 26
 // BenchmarkKernelPrecision records the kernel baseline
 // (BENCH_kernels.json via make bench-kernels): the same k-qubit random
 // unitary at the same qubit positions through the double- and
-// single-precision kernels a default caller gets (kernels.Auto), under the
+// single-precision kernels every caller gets (kernels.Apply), under the
 // name of the kernel set that ran — "avx2" for the assembly kernels, "go"
 // for the pure-Go ones (-tags purego, or a CPU without AVX2). The f32/f64
 // leaf pairs yield the recorded speedups; bytes/op counts one read + one
@@ -542,7 +544,7 @@ func BenchmarkKernelPrecision(b *testing.B) {
 			b.SetBytes(int64(len(amps) * 16 * 2))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				kernels.Apply(kernels.Auto, amps, u.Data, qs, nil)
+				kernels.Apply(amps, u.Data, qs)
 			}
 		})
 		b.Run(fmt.Sprintf("%s/k%d/f32", set, k), func(b *testing.B) {
@@ -551,7 +553,7 @@ func BenchmarkKernelPrecision(b *testing.B) {
 			b.SetBytes(int64(len(amps) * 8 * 2))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				kernels.ApplyF32(kernels.Auto, amps, u32, qs, nil)
+				kernels.Apply(amps, u32, qs)
 			}
 		})
 		// The same kernel as an op inside a blocked run: every position
@@ -644,10 +646,10 @@ func BenchmarkCircuitPrecision(b *testing.B) {
 // the default scheduler (Sec. 3.3): the same supremacy circuit executed
 // from the default plan — clusters as wide as schedule.MeasuredCosts
 // prices in for this machine's kernel set, under the kmax = 5 cap — and
-// from an unclustered plan (one kernel per gate), both on kernels.Auto.
-// The fused/separate leaf pair yields the recorded speedup, which must stay
-// ≥ 1: a default that fuses itself slower than no fusion means the cost
-// table no longer describes the kernels.
+// from an unclustered plan (one kernel per gate), both on the kernels this
+// machine runs. The fused/separate leaf pair yields the recorded speedup,
+// which must stay ≥ 1: a default that fuses itself slower than no fusion
+// means the cost table no longer describes the kernels.
 func BenchmarkKernelFusion(b *testing.B) {
 	c := benchSupremacy(benchState, 25)
 	plans := map[string]*schedule.Plan{}

@@ -44,8 +44,8 @@ func main() {
 		spec1q    = flag.Bool("spec1q", false, "specialize diagonal 1-qubit gates (median-hard mode)")
 		file      = flag.String("file", "", "read circuit from file (GRCS-like text format)")
 		planFile  = flag.String("plan", "", "execute a plan saved by qsched -save instead of scheduling")
-		tune      = flag.Bool("tune", false, "run the kernel autotuner first and schedule by its timings instead of the compiled-in cost table")
-		tuneCache = flag.String("tune-cache", "", "with -tune: persist autotuner selections to this JSON file; a warm cache skips the benchmark sweep")
+		tune      = flag.Bool("tune", false, "time this machine's kernels first and schedule by the timings instead of the compiled-in cost table")
+		tuneCache = flag.String("tune-cache", "", "with -tune: keep the timings in this JSON file; a warm cache skips the timing sweeps")
 		workers   = flag.Int("workers", 0, "parallel workers per rank (0 = GOMAXPROCS)")
 		shots     = flag.Int("sample", 0, "draw this many samples from the output distribution")
 		profile   = flag.Bool("profile", false, "print a per-op-kind time breakdown")
@@ -87,35 +87,37 @@ func main() {
 		fatal(fmt.Errorf("ranks must be a power of two, got %d", *ranks))
 	}
 	sched := schedFlags{kmax: *kmax, spec1q: *spec1q, planFile: *planFile}
+	if *tuneCache != "" && !*tune {
+		fatal(fmt.Errorf("-tune-cache does nothing without -tune"))
+	}
 	if *tune {
+		// A pass over more than the last-level cache, which is what the
+		// compiled-in table prices: the run's own state, up to 256 MiB.
+		n := min(circ.N, 24)
 		var res kernels.TuneResult
 		if *tuneCache != "" {
-			cached, hit, terr := kernels.TuneCached(*tuneCache, 5, 20, 2)
+			cached, hit, terr := kernels.TuneCached(*tuneCache, 5, n, 2)
 			if terr != nil {
 				fmt.Fprintf(os.Stderr, "qsim: tuner cache: %v\n", terr)
 			}
 			if hit {
-				fmt.Printf("autotuner: cache hit (%s), skipping benchmark sweep\n", *tuneCache)
+				fmt.Printf("tuner: cache hit (%s), skipping the timing sweeps\n", *tuneCache)
 			} else {
-				fmt.Printf("autotuning kernels (cache -> %s)...\n", *tuneCache)
+				fmt.Printf("timing the %s kernels on 2^%d amplitudes (cache -> %s)...\n", kernels.ISA(), n, *tuneCache)
 			}
 			res = cached
 		} else {
-			fmt.Println("autotuning kernels...")
-			res = kernels.Tune(5, 20, 2)
+			fmt.Printf("timing the %s kernels on 2^%d amplitudes...\n", kernels.ISA(), n)
+			res = kernels.Tune(5, n, 2)
 		}
 		for _, t := range res.Timings {
-			if t.Best {
-				prec := "f64"
-				if t.F32 {
-					prec = "f32"
-				}
-				fmt.Printf("  k=%d %s %s-stride -> %s (%.2f ms/sweep)\n",
-					t.K, prec, t.Stride, t.Variant, t.NsPerApply/1e6)
-			}
+			fmt.Printf("  k=%d %.2f ms/sweep\n", t.K, t.NsPerApply/1e6)
 		}
 		sched.costs = schedule.CostsFromTune(res)
-		fmt.Printf("  scheduling by relative pass cost k=1..5 %.2f, diagonal %.2f\n", sched.costs.Dense, sched.costs.Diag)
+		fmt.Printf("  relative pass cost k=1..5 %.2f, diagonal %.2f\n", sched.costs.Dense, sched.costs.Diag)
+		if *planFile != "" {
+			fmt.Println("  not used: -plan executes a saved plan, nothing is scheduled")
+		}
 	}
 
 	if *f32 {

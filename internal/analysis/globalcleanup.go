@@ -7,7 +7,7 @@ import (
 
 // GlobalCleanup keeps tests hermetic with respect to process-global
 // simulator state. The worker pool size, the process-global telemetry
-// hooks, and the kernel tuner selections are plain globals for hot-path
+// hooks and the file-ops implementations are plain globals for hot-path
 // cheapness, which means a test that sets one and forgets to restore it
 // silently reconfigures every later test in the binary (the exact class
 // of leak PR 1's SetWorkers audit and PR 4's telemetry tests fixed by
@@ -17,17 +17,16 @@ import (
 var GlobalCleanup = &Analyzer{
 	Name: "globalcleanup",
 	Doc: "tests mutating process globals (par.SetWorkers, par.SetTelemetry, ckpt.SetTelemetry, " +
-		"ckpt.SetFS, oocvec.SetFS, kernels.SetSelected, kernels.SetSplitBlock) must restore them via t.Cleanup or defer",
+		"ckpt.SetFS, oocvec.SetFS) must restore them via t.Cleanup or defer",
 	Run: runGlobalCleanup,
 }
 
 // globalSetters maps the guarded process-global setters, keyed by package
 // path then function name.
 var globalSetters = map[string]map[string]bool{
-	parPath:     {"SetWorkers": true, "SetTelemetry": true},
-	ckptPath:    {"SetTelemetry": true, "SetFS": true},
-	oocvecPath:  {"SetFS": true},
-	kernelsPath: {"SetSelected": true, "SetSplitBlock": true},
+	parPath:    {"SetWorkers": true, "SetTelemetry": true},
+	ckptPath:   {"SetTelemetry": true, "SetFS": true},
+	oocvecPath: {"SetFS": true},
 }
 
 func isGlobalSetter(fn *types.Func) bool {

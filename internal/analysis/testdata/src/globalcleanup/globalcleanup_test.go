@@ -3,7 +3,7 @@ package globalcleanup
 import (
 	"testing"
 
-	"qusim/internal/kernels"
+	"qusim/internal/ckpt"
 	"qusim/internal/par"
 )
 
@@ -17,9 +17,9 @@ func TestLeaksWorkerCount(t *testing.T) {
 // TestCleanupMissesSetter registers a Cleanup, but it restores a different
 // global than the one mutated — still a leak.
 func TestCleanupMissesSetter(t *testing.T) {
-	old := kernels.SetSplitBlock(8)
+	old := ckpt.SetFS(nil)
 	par.SetWorkers(2) // want `globalcleanup: par\.SetWorkers mutates process-global state but no t\.Cleanup/defer in TestCleanupMissesSetter restores it`
-	t.Cleanup(func() { kernels.SetSplitBlock(old) })
+	t.Cleanup(func() { ckpt.SetFS(old) })
 }
 
 // TestRestoresViaCleanup is the canonical pattern: mutate, then register
@@ -31,10 +31,10 @@ func TestRestoresViaCleanup(t *testing.T) {
 
 // TestRestoresViaDefer restores with a defer instead: equally fine.
 func TestRestoresViaDefer(t *testing.T) {
-	old := kernels.SetSplitBlock(8)
-	defer kernels.SetSplitBlock(old)
-	kernels.SetSelected(2, kernels.Split)
-	defer kernels.SetSelected(2, kernels.Auto)
+	old := ckpt.SetFS(nil)
+	defer ckpt.SetFS(old)
+	par.SetTelemetry(nil)
+	defer par.SetTelemetry(nil)
 }
 
 // TestSuppressed exercises the suppression path for a test whose entire

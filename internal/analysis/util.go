@@ -14,7 +14,6 @@ const (
 	ckptPath      = "qusim/internal/ckpt"
 	telemetryPath = "qusim/internal/telemetry"
 	parPath       = "qusim/internal/par"
-	kernelsPath   = "qusim/internal/kernels"
 	fsioPath      = "qusim/internal/fsio"
 	oocvecPath    = "qusim/internal/oocvec"
 )

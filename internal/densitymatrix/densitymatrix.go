@@ -132,8 +132,8 @@ func (m *Matrix) ApplyKraus(ops []gate.Matrix, q int) {
 	branch := make([]complex128, len(m.Vec))
 	for _, k := range ops {
 		copy(branch, m.Vec)
-		kernels.Apply(kernels.Auto, branch, k.Data, []int{q}, nil)
-		kernels.Apply(kernels.Auto, branch, conjugate(k).Data, []int{q + m.N}, nil)
+		kernels.Apply(branch, k.Data, []int{q})
+		kernels.Apply(branch, conjugate(k).Data, []int{q + m.N})
 		for i := range acc {
 			acc[i] += branch[i]
 		}

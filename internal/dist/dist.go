@@ -111,8 +111,6 @@ type Options struct {
 	// GatherState collects the full 2^n state into Result.Amplitudes
 	// (testing/verification only — defeats the point of distribution).
 	GatherState bool
-	// Variant overrides the gate kernel used on each rank (default Auto).
-	Variant kernels.Variant
 	// SampleShots draws that many basis states from the output
 	// distribution without gathering the state: ranks share only their
 	// total probability weights, then sample locally. Results land in
@@ -404,8 +402,7 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 		}
 		// The rank's shard. Its scratch is also the receive side of every
 		// all-to-all, so it exists from the start rather than on first need.
-		sh := schedule.Shard[complex128]{Amps: local, Scratch: make([]complex128, localLen),
-			L: l, Index: c.Rank(), Variant: opts.Variant}
+		sh := schedule.Shard[complex128]{Amps: local, Scratch: make([]complex128, localLen), L: l, Index: c.Rank()}
 		start := time.Now()
 		var commTime time.Duration
 		var profDur [4]time.Duration

@@ -2,40 +2,10 @@ package dist
 
 import (
 	"math"
-	"math/cmplx"
 	"testing"
 
-	"qusim/internal/kernels"
 	"qusim/internal/schedule"
 )
-
-func TestDistributedWithNaiveKernelVariant(t *testing.T) {
-	// The engine must handle the buffer-swapping Naive variant correctly
-	// across swaps (local/scratch aliasing is the failure mode).
-	c := supremacy(12, 14, 140, false)
-	opts := schedule.DefaultOptions(9)
-	plan, err := schedule.Build(c, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := Run(plan, Options{Ranks: 8, Init: InitZero, GatherState: true, Variant: kernels.Naive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(plan, Options{Ranks: 8, Init: InitZero, GatherState: true, Variant: kernels.Specialized})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var maxd float64
-	for i := range a.Amplitudes {
-		if d := cmplx.Abs(a.Amplitudes[i] - b.Amplitudes[i]); d > maxd {
-			maxd = d
-		}
-	}
-	if maxd > 1e-9 {
-		t.Errorf("naive vs specialized distributed runs deviate: %g", maxd)
-	}
-}
 
 func TestThirtyTwoRanks(t *testing.T) {
 	c := supremacy(12, 12, 141, false)

@@ -4,10 +4,9 @@
 // represent the complex amplitudes", because halving the bytes per
 // amplitude doubles the number of qubits that fit in the same memory.
 //
-// Gate application is delegated to the complex64 kernel suite in package
-// kernels (the same Naive/InPlace/Split/Specialized/Generated ladder as the
-// double-precision path), so the single-precision backend benefits from the
-// autotuner and the unrolled per-k kernels rather than a lone
+// Gate application is delegated to the complex64 kernels of package
+// kernels — the same assembly or unrolled per-k kernels as the
+// double-precision path, at the other element width — rather than a lone
 // gather/scatter loop.
 package f32vec
 
@@ -50,11 +49,7 @@ type Vector struct {
 	N    int
 	Amps []complex64
 
-	// Variant selects the gate kernel implementation; the zero value is
-	// kernels.Auto (the tuned/specialized path).
-	Variant kernels.Variant
-
-	scratch []complex64 // second vector for the Naive variant, lazily made
+	scratch []complex64 // the vector a plan's permutations gather into, lazily made
 }
 
 // New returns |0…0⟩.
@@ -93,8 +88,8 @@ func (v *Vector) ToDouble() *statevec.Vector {
 }
 
 // Apply applies a gate matrix (given in double precision, converted once)
-// to the qubits at sorted positions qs, through the tuned single-precision
-// kernel suite.
+// to the qubits at sorted positions qs, through the single-precision
+// kernels.
 func (v *Vector) Apply(m gate.Matrix, qs []int) {
 	k := m.K
 	if len(qs) != k {
@@ -105,7 +100,7 @@ func (v *Vector) Apply(m gate.Matrix, qs []int) {
 			panic("f32vec: positions must be sorted ascending")
 		}
 	}
-	v.applySorted(kernels.ToComplex64(m.Data), qs)
+	kernels.Apply(v.Amps, kernels.ToComplex64(m.Data), qs)
 }
 
 // ApplyGate applies m to arbitrary (possibly unsorted) qubits: the matrix is
@@ -125,18 +120,7 @@ func (v *Vector) ApplyGate(m gate.Matrix, qubits ...int) {
 		kernels.ApplyDiagonalF32(v.Amps, kernels.ToComplex64(mm.Diagonal()), sortedQs)
 		return
 	}
-	v.applySorted(kernels.ToComplex64(mm.Data), sortedQs)
-}
-
-func (v *Vector) applySorted(mm []complex64, sortedQs []int) {
-	if v.Variant == kernels.Naive && v.scratch == nil {
-		v.scratch = make([]complex64, len(v.Amps))
-	}
-	out := kernels.ApplyF32(v.Variant, v.Amps, mm, sortedQs, v.scratch)
-	if &out[0] != &v.Amps[0] {
-		v.scratch = v.Amps
-		v.Amps = out
-	}
+	kernels.Apply(v.Amps, kernels.ToComplex64(mm.Data), sortedQs)
 }
 
 // Norm returns Σ|α|², accumulated in float64 to limit rounding.

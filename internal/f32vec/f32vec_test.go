@@ -8,7 +8,6 @@ import (
 
 	"qusim/internal/circuit"
 	"qusim/internal/gate"
-	"qusim/internal/kernels"
 	"qusim/internal/statevec"
 )
 
@@ -139,28 +138,21 @@ func TestMaxQubitsForMemoryBoundaries(t *testing.T) {
 }
 
 // TestVariantsMatchDoublePrecisionDeepCircuit runs a deep random circuit
-// through every kernel variant of the single-precision backend and checks
-// the drift against the double-precision reference stays within the
-// documented tolerance.
+// gate by gate through the single-precision variant of the state and checks
+// the drift against the double-precision one stays within the documented
+// tolerance.
 func TestVariantsMatchDoublePrecisionDeepCircuit(t *testing.T) {
 	n := 9
 	r, c := circuit.GridForQubits(n)
 	circ := circuit.Supremacy(circuit.SupremacyOptions{Rows: r, Cols: c, Depth: 24, Seed: 11})
-	d := statevec.New(n)
+	d, s := statevec.New(n), New(n)
 	for i := range circ.Gates {
 		g := &circ.Gates[i]
 		d.Apply(g.Matrix(), g.Qubits...)
+		s.ApplyGate(g.Matrix(), g.Qubits...)
 	}
-	for _, v := range kernels.Variants() {
-		s := New(n)
-		s.Variant = v
-		for i := range circ.Gates {
-			g := &circ.Gates[i]
-			s.ApplyGate(g.Matrix(), g.Qubits...)
-		}
-		if diff := s.MaxDiff(d); diff > 1e-4 {
-			t.Errorf("variant %s: max diff %g vs double precision", v, diff)
-		}
+	if diff := s.MaxDiff(d); diff > 1e-4 {
+		t.Errorf("max diff %g vs double precision", diff)
 	}
 }
 

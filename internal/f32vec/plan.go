@@ -18,7 +18,7 @@ func (v *Vector) RunPlan(p *schedule.Plan) error {
 	if p.N != v.N {
 		return fmt.Errorf("f32vec: plan is for %d qubits, state has %d", p.N, v.N)
 	}
-	sh := schedule.Shard[complex64]{Amps: v.Amps, Scratch: v.scratch, L: v.N, Variant: v.Variant}
+	sh := schedule.Shard[complex64]{Amps: v.Amps, Scratch: v.scratch, L: v.N}
 	err := sh.Run(p, 0)
 	v.Amps, v.scratch = sh.Amps, sh.Scratch
 	return err

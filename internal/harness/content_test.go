@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"qusim/internal/kernels"
 )
 
 // Content checks: the quick-mode outputs must contain the paper-comparison
@@ -36,7 +38,7 @@ func TestFig1ShowsAllPatternsAndCoverage(t *testing.T) {
 
 func TestFig2ShowsRooflineAndPaperPoints(t *testing.T) {
 	out := runQuick(t, "fig2a")
-	for _, want := range []string{"166.2", "OI [F/B]", "naive", "specialized"} {
+	for _, want := range []string{"166.2", "OI [F/B]", "naive", "in-place", "split", "this host (" + kernels.ISA() + ")"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("fig2a missing %q", want)
 		}
@@ -76,9 +78,9 @@ func TestTable2ShowsBothSchemes(t *testing.T) {
 	}
 }
 
-func TestTunerReportsSelection(t *testing.T) {
+func TestTunerReportsPassCosts(t *testing.T) {
 	out := runQuick(t, "tuner")
-	for _, want := range []string{"selected", "generated", "block size"} {
+	for _, want := range []string{kernels.ISA() + " kernels", "pass [ms]", "relative cost", "compiled-in"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("tuner missing %q", want)
 		}

@@ -36,12 +36,12 @@ func fig6or9(m perfmodel.Machine) func(io.Writer, Config) error {
 		if cfg.Quick {
 			n = 18
 		}
-		fmt.Fprintf(w, "\nhost-measured (2^%d amplitudes, specialized kernels), GFLOPS:\n", n)
+		fmt.Fprintf(w, "\nhost-measured (2^%d amplitudes, %s kernels), GFLOPS:\n", n, kernels.ISA())
 		t = newTable(w)
 		t.row("k", "low-order", "high-order", "penalty")
 		for k := 1; k <= 5; k++ {
-			lo := measureKernelGFLOPS(kernels.Specialized, n, k, lowOrderQs(k), 1)
-			hi := measureKernelGFLOPS(kernels.Specialized, n, k, highOrderQs(n, k), 1)
+			lo := measureKernelGFLOPS(n, k, lowOrderQs(k))
+			hi := measureKernelGFLOPS(n, k, highOrderQs(n, k))
 			t.row(k, fmt.Sprintf("%.2f", lo), fmt.Sprintf("%.2f", hi), fmt.Sprintf("%.2fx", lo/hi))
 		}
 		t.flush()

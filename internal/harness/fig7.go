@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"time"
 
-	"qusim/internal/gate"
 	"qusim/internal/kernels"
 	"qusim/internal/par"
 	"qusim/internal/perfmodel"
@@ -47,7 +45,7 @@ func fig7or10(m perfmodel.Machine, cores []int) func(io.Writer, Config) error {
 			n = 18
 		}
 		hostCores := runtime.GOMAXPROCS(0)
-		fmt.Fprintf(w, "\nhost-measured speedup (2^%d amplitudes, %d hardware threads):\n", n, hostCores)
+		fmt.Fprintf(w, "\nhost-measured speedup (2^%d amplitudes, %s kernels, %d hardware threads):\n", n, kernels.ISA(), hostCores)
 		var sweep []int
 		for p := 1; p <= hostCores; p *= 2 {
 			sweep = append(sweep, p)
@@ -82,23 +80,6 @@ func fig7or10(m perfmodel.Machine, cores []int) func(io.Writer, Config) error {
 }
 
 func measureKernelSeconds(n, k int) float64 {
-	u := gate.RandomUnitary(k, randSource(n*10+k))
-	amps := make([]complex128, 1<<n)
-	amps[0] = 1
-	qs := lowOrderQs(k)
-	kernels.Apply(kernels.Specialized, amps, u.Data, qs, nil)
-	reps := 1
-	var elapsed time.Duration
-	for {
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			kernels.Apply(kernels.Specialized, amps, u.Data, qs, nil)
-		}
-		elapsed = time.Since(start)
-		if elapsed > 30*time.Millisecond || reps > 1<<14 {
-			break
-		}
-		reps *= 4
-	}
-	return elapsed.Seconds() / float64(reps)
+	d, amps := hostKernel(n, k, lowOrderQs(k))
+	return secondsPerPass(func() { d.Sweep(amps) })
 }

@@ -11,51 +11,42 @@ import (
 
 // Shared kernel measurement helpers for the Fig. 2/6/7/9/10 experiments.
 
-// measureKernelGFLOPS times variant applying a random k-qubit gate on a
-// 2^n state at the given sorted qubit positions and returns sustained
-// GFLOPS.
-func measureKernelGFLOPS(v kernels.Variant, n, k int, qs []int, minReps int) float64 {
-	rng := rand.New(rand.NewSource(7))
-	u := gate.RandomUnitary(k, rng)
-	amps := make([]complex128, 1<<n)
-	amps[0] = 1
-	var scratch []complex128
-	if v == kernels.Naive {
-		scratch = make([]complex128, len(amps))
-	}
-	src, dst := amps, scratch
-	apply := func() {
-		if v == kernels.Naive {
-			// Ping-pong the two vectors like the baseline implementation.
-			kernels.Apply(v, src, u.Data, qs, dst)
-			src, dst = dst, src
-		} else {
-			kernels.Apply(v, src, u.Data, qs, nil)
-		}
-	}
-	apply() // warm up
-	reps := minReps
-	if reps < 1 {
-		reps = 1
-	}
-	var elapsed time.Duration
+// secondsPerPass times pass — one application of a gate to a whole state —
+// after a warm-up, over enough repetitions to fill 50 ms.
+func secondsPerPass(pass func()) float64 {
+	pass() // warm up
+	reps := 1
 	for {
 		start := time.Now()
 		for r := 0; r < reps; r++ {
-			apply()
+			pass()
 		}
-		elapsed = time.Since(start)
-		if elapsed > 50*time.Millisecond || reps > 1<<16 {
-			break
+		if elapsed := time.Since(start); elapsed > 50*time.Millisecond || reps > 1<<16 {
+			return elapsed.Seconds() / float64(reps)
 		}
 		reps *= 4
 	}
-	secPerApply := elapsed.Seconds() / float64(reps)
-	return perfmodel.KernelFlops(n, k) / secPerApply / 1e9
 }
 
-func randSource(seed int) *rand.Rand {
-	return rand.New(rand.NewSource(int64(seed)))
+// hostKernel prepares the kernel this machine runs (kernels.ISA) for a
+// random k-qubit gate at the sorted positions qs, and a 2^n state for it.
+func hostKernel(n, k int, qs []int) (kernels.Dense[complex128], []complex128) {
+	u := gate.RandomUnitary(k, rand.New(rand.NewSource(7)))
+	amps := make([]complex128, 1<<n)
+	amps[0] = 1
+	return kernels.PrepareDense(u.Data, qs, len(amps)), amps
+}
+
+// measureKernelGFLOPS returns the sustained GFLOPS of this machine's
+// k-qubit kernel on a 2^n state at the given sorted qubit positions.
+func measureKernelGFLOPS(n, k int, qs []int) float64 {
+	d, amps := hostKernel(n, k, qs)
+	return gflops(n, k, func() { d.Sweep(amps) })
+}
+
+// gflops converts the time of one pass of a k-qubit gate over a 2^n state.
+func gflops(n, k int, pass func()) float64 {
+	return perfmodel.KernelFlops(n, k) / secondsPerPass(pass) / 1e9
 }
 
 // lowOrderQs returns positions 0…k−1; highOrderQs returns n−k…n−1 (the

@@ -5,59 +5,35 @@ import (
 	"io"
 
 	"qusim/internal/kernels"
+	"qusim/internal/schedule"
 )
 
-// The autotuner experiment: the Go stand-in for the paper's code
-// generation / benchmarking feedback loop (Sec. 3.2). It times every
-// kernel variant per gate size on this machine and reports the selection
-// the Auto path will use, plus the block-size search for the Split kernel.
+// The tuner experiment: what is left of the paper's code generation /
+// benchmarking feedback loop (Sec. 3.2) now that the kernel per machine is
+// fixed. It times this machine's dense kernel per gate size and reports the
+// relative pass costs the scheduler would plan with (`qsim -tune`) beside
+// the table compiled in from BENCH_kernels.json.
 
 func init() {
-	register(Experiment{ID: "tuner", Title: "Sec. 3.2 — kernel autotuner (codegen feedback loop)", Run: tuner})
+	register(Experiment{ID: "tuner", Title: "Sec. 3.2 — kernel pass costs on this host (benchmarking feedback loop)", Run: tuner})
 }
 
 func tuner(w io.Writer, cfg Config) error {
-	n := 20
+	n := 24
 	reps := 3
 	if cfg.Quick {
 		n, reps = 16, 1
 	}
-	header(w, fmt.Sprintf("kernel autotuning on this host (2^%d amplitudes)", n))
+	header(w, fmt.Sprintf("%s kernels on this host (2^%d amplitudes, double precision)", kernels.ISA(), n))
 	res := kernels.Tune(5, n, reps)
-	// The sweep times both precisions and, on states this large, both
-	// stride classes; the tables report the cache-local (low-stride)
-	// timings per precision, the selection column shows low/high winners.
-	for _, f32 := range []bool{false, true} {
-		label := "double precision (complex128)"
-		if f32 {
-			label = "single precision (complex64)"
-		}
-		fmt.Fprintf(w, "\n%s:\n", label)
-		t := newTable(w)
-		hdr := []any{"k"}
-		for _, v := range kernels.Variants() {
-			hdr = append(hdr, v.String()+" [ms]")
-		}
-		hdr = append(hdr, "selected low/high")
-		t.row(hdr...)
-		for k := 1; k <= 5; k++ {
-			row := []any{k}
-			for _, v := range kernels.Variants() {
-				for _, tm := range res.Timings {
-					if tm.K == k && tm.Variant == v && tm.F32 == f32 && tm.Stride == kernels.StrideLow {
-						row = append(row, fmt.Sprintf("%.2f", tm.NsPerApply/1e6))
-					}
-				}
-			}
-			row = append(row, fmt.Sprintf("%s/%s",
-				kernels.SelectedFor(k, kernels.StrideLow, f32),
-				kernels.SelectedFor(k, kernels.StrideHigh, f32)))
-			t.row(row...)
-		}
-		t.flush()
+	tuned, compiled := schedule.CostsFromTune(res), schedule.MeasuredCosts()
+	t := newTable(w)
+	t.row("k", "pass [ms]", "relative cost", "compiled-in")
+	for _, tm := range res.Timings {
+		t.row(tm.K, fmt.Sprintf("%.2f", tm.NsPerApply/1e6),
+			fmt.Sprintf("%.2f", tuned.Dense[tm.K-1]), fmt.Sprintf("%.2f", compiled.Dense[tm.K-1]))
 	}
-	blk := kernels.TuneSplitBlock(4, n, reps)
-	fmt.Fprintf(w, "\nsplit-kernel column block size (register blocking B): %d\n", blk)
-	note(w, "the paper's Python generator + benchmark loop picks kernels per target machine; here the same loop picks among the Go variants (incl. cmd/kernelgen output)")
+	t.flush()
+	note(w, "the paper's Python generator + benchmark loop picks kernels per target machine; here the kernel is fixed by the instruction set and the loop's measurement prices the scheduler's plans (schedule.CostsFromTune); the diagonal sweep is not timed and keeps its compiled-in ratio")
 	return nil
 }

@@ -16,11 +16,11 @@ import (
 //
 //qusim:hot
 func ApplyControlled(amps []complex128, m []complex128, qs []int, controls []int) {
-	checkArgs(len(amps), m, qs)
 	if len(controls) == 0 {
-		applySpecialized(amps, m, qs)
+		Apply(amps, m, qs)
 		return
 	}
+	checkArgs(len(amps), m, qs)
 	ctrlMask := 0
 	for _, c := range controls {
 		if c < 0 || 1<<c >= len(amps) {

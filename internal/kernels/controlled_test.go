@@ -49,7 +49,7 @@ func TestApplyControlledNoControlsFallsThrough(t *testing.T) {
 	copy(a, state)
 	copy(b, state)
 	ApplyControlled(a, u.Data, []int{1, 4}, nil)
-	Apply(Specialized, b, u.Data, []int{1, 4}, nil)
+	Apply(b, u.Data, []int{1, 4})
 	if d := maxDiff(a, b); d > 1e-12 {
 		t.Errorf("no-control path deviates: %g", d)
 	}

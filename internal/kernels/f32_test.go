@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qusim/internal/gate"
+	"qusim/internal/harness/refkernel"
 )
 
 // f32Tol bounds the deviation of a single-precision kernel from the
@@ -33,26 +34,7 @@ func maxDiffF32(a []complex64, b []complex128) float64 {
 	return m
 }
 
-func TestF32VariantsMatchDenseReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for _, n := range []int{6, 9} {
-		for k := 1; k <= 5; k++ {
-			for trial := 0; trial < 4; trial++ {
-				u := gate.RandomUnitary(k, rng)
-				u32 := ToComplex64(u.Data)
-				qs := sortedSubset(n, k, rng)
-				state := randomState(n, rng)
-				want := denseApply(state, u, qs, n)
-				for _, v := range Variants() {
-					got := ApplyF32(v, toF32(state), u32, qs, nil)
-					if d := maxDiffF32(got, want); d > f32Tol {
-						t.Errorf("n=%d k=%d qs=%v variant=%s: max diff %g", n, k, qs, v, d)
-					}
-				}
-			}
-		}
-	}
-}
+func TestF32VariantsMatchDenseReference(t *testing.T) { kernelTable(t, f32Tol, specializedF32) }
 
 func TestF32GenericFallbackK6(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
@@ -61,63 +43,29 @@ func TestF32GenericFallbackK6(t *testing.T) {
 	qs := sortedSubset(n, 6, rng)
 	state := randomState(n, rng)
 	want := denseApply(state, u, qs, n)
-	for _, v := range Variants() {
-		got := ApplyF32(v, toF32(state), ToComplex64(u.Data), qs, nil)
-		if d := maxDiffF32(got, want); d > f32Tol {
-			t.Errorf("k=6 variant=%s: max diff %g", v, d)
-		}
+	got := toF32(state)
+	Apply(got, ToComplex64(u.Data), qs)
+	if d := maxDiffF32(got, want); d > f32Tol {
+		t.Errorf("k=6: max diff %g", d)
 	}
 }
 
-// TestF32HighStridePositions exercises the gather path past strideHighBit,
-// where the index arithmetic differs most from the cache-local case.
+// TestF32HighStridePositions exercises strides past L1 on a state the dense
+// O(4^n) reference cannot reach; the in-place reference kernel is the
+// oracle.
 func TestF32HighStridePositions(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	n := 15 // positions 12..14 are StrideHigh
+	n := 15
 	state := randomState(n, rng)
 	for _, qs := range [][]int{{13}, {0, 14}, {3, 12, 14}} {
-		if StrideClassOf(qs) != StrideHigh {
-			t.Fatalf("qs=%v: expected StrideHigh", qs)
-		}
 		u := gate.RandomUnitary(len(qs), rng)
-		// The dense O(4^n) reference is infeasible at n=15; the
-		// double-precision InPlace kernel (verified against it at small n)
-		// serves as the oracle here.
-		want := make([]complex128, len(state))
-		copy(want, state)
-		Apply(InPlace, want, u.Data, qs, nil)
-		for _, v := range Variants() {
-			got := ApplyF32(v, toF32(state), ToComplex64(u.Data), qs, nil)
-			if d := maxDiffF32(got, want); d > f32Tol {
-				t.Errorf("qs=%v variant=%s: max diff %g", qs, v, d)
-			}
+		want := append([]complex128(nil), state...)
+		refkernel.InPlace(want, u.Data, qs)
+		got := toF32(state)
+		Apply(got, ToComplex64(u.Data), qs)
+		if d := maxDiffF32(got, want); d > f32Tol {
+			t.Errorf("qs=%v: max diff %g", qs, d)
 		}
-	}
-}
-
-func TestF32ScratchReuseAndAuto(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	n := 8
-	u := gate.RandomUnitary(2, rng)
-	qs := []int{1, 4}
-	state := randomState(n, rng)
-	want := denseApply(state, u, qs, n)
-
-	// Naive with caller-provided scratch returns the scratch slice.
-	src := toF32(state)
-	scratch := make([]complex64, len(src))
-	got := ApplyF32(Naive, src, ToComplex64(u.Data), qs, scratch)
-	if &got[0] != &scratch[0] {
-		t.Error("Naive did not return the scratch buffer")
-	}
-	if d := maxDiffF32(got, want); d > f32Tol {
-		t.Errorf("Naive with scratch: max diff %g", d)
-	}
-
-	// Auto resolves via the selection table and applies in place.
-	got = ApplyF32(Auto, toF32(state), ToComplex64(u.Data), qs, nil)
-	if d := maxDiffF32(got, want); d > f32Tol {
-		t.Errorf("Auto: max diff %g", d)
 	}
 }
 
@@ -166,11 +114,10 @@ func TestApplyF32PanicsOnBadArgs(t *testing.T) {
 	u := ToComplex64(gate.H().Data)
 	cz := ToComplex64(gate.CZ().Data)
 	for i, fn := range []func(){
-		func() { ApplyF32(Specialized, amps, u, []int{3}, nil) },    // out of range
-		func() { ApplyF32(Specialized, amps, u, []int{1, 0}, nil) }, // unsorted
-		func() { ApplyF32(Specialized, amps, u[:2], []int{0}, nil) },
-		func() { ApplyF32(Specialized, amps, cz, []int{1, 1}, nil) }, // dup
-		func() { ApplyF32(Naive, amps, u, []int{0}, make([]complex64, 4)) },
+		func() { Apply(amps, u, []int{3}) },    // out of range
+		func() { Apply(amps, u, []int{1, 0}) }, // unsorted
+		func() { Apply(amps, u[:2], []int{0}) },
+		func() { Apply(amps, cz, []int{1, 1}) }, // dup
 	} {
 		func() {
 			defer func() {

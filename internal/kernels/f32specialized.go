@@ -3,9 +3,8 @@ package kernels
 import "qusim/internal/par"
 
 // Hand-unrolled single-precision kernels, one per k ∈ {1,…,5} — the same
-// generated-kernel shapes as specialized.go with complex64 amplitudes.
-// k > 5 falls back to the blocked Split kernel, matching the paper's
-// kmax ≤ 5 cutoff (Table 1).
+// shapes as specialized.go with complex64 amplitudes. k > 5 takes the
+// general-k kernel, matching the paper's kmax ≤ 5 cutoff (Table 1).
 //
 // Two deviations from the double-precision twins, both forced by how the
 // Go compiler treats complex64: its arithmetic lowers to scalar
@@ -19,38 +18,28 @@ import "qusim/internal/par"
 // where the halved memory traffic of Sec. 5's single-precision outlook
 // actually turns into wall-clock speedup.
 
-// applySpecializedF32 dispatches to the hand-unrolled kernel for k ≤ 5 and
-// to the blocked Split kernel beyond.
-func applySpecializedF32(amps, m []complex64, qs []int) {
-	if d, ok := specializedF32(m, qs); ok {
-		d.Sweep(amps)
-		return
-	}
-	applySplitF32(amps, m, qs)
-}
-
-// specializedF32 prepares the hand-unrolled kernel for m on qs; there is
-// one for every k ≤ 5.
-func specializedF32(m []complex64, qs []int) (Dense[complex64], bool) {
+// specializedF32 prepares the hand-unrolled kernel for m on qs, and the
+// general-k kernel beyond k = 5.
+func specializedF32(m []complex64, qs []int) Dense[complex64] {
 	switch len(qs) {
 	case 0:
 		// 0-qubit "gate" is a global scalar.
 		s := m[0]
 		return Dense[complex64]{grain: 4096, run: func(amps []complex64, lo, hi int) {
 			scaleF32(amps[lo:hi], s)
-		}}, true
+		}}
 	case 1:
-		return apply1F32(m, qs[0]), true
+		return apply1F32(m, qs[0])
 	case 2:
-		return apply2F32(m, qs[0], qs[1]), true
+		return apply2F32(m, qs[0], qs[1])
 	case 3:
-		return apply3F32(m, qs), true
+		return apply3F32(m, qs)
 	case 4:
-		return apply4F32(m, qs), true
+		return apply4F32(m, qs)
 	case 5:
-		return apply5F32(m, qs), true
+		return apply5F32(m, qs)
 	}
-	return Dense[complex64]{}, false
+	return generalF32(m, qs)
 }
 
 // apply1F32 applies a 1-qubit gate. The pair partners sit 2^q apart, so

@@ -1,105 +1,41 @@
 // Package kernels implements the k-qubit gate kernels of Sec. 3.1–3.2 of
-// Häner & Steiger, SC'17, at the paper's successive optimization levels, and
-// the runtime autotuner that stands in for the paper's automatic
-// code-generation + benchmarking feedback loop.
+// Häner & Steiger, SC'17, and the kernels around them: diagonal sweeps, bit
+// permutations, controlled gates and the norm/entropy reductions.
 //
-// The original kernels are C++ generated by a Python code generator, using
-// AVX/AVX-512 intrinsics, instruction reordering and register blocking.
-// Each optimization step is a distinct kernel variant here; the first five
-// are pure Go, the last is the explicitly vectorized one, Go assembly
-// written by cmd/kernelgen:
+// The paper's kernels are C++ written by a Python code generator with
+// AVX/AVX-512 intrinsics, benchmarked per machine, and the winner kept. The
+// winner here is known, so there is one dense kernel per instruction set,
+// gate size and precision, and which one runs is a function of what the
+// code can observe — the CPU, k, the element type — and nothing else:
 //
-//	Naive       — the "standard implementation" with two state vectors
-//	              (input + output), Sec. 3.1.
-//	InPlace     — step 1: in-place sparse matrix–vector product (gather →
-//	              multiply → scatter), halving memory traffic.
-//	Split       — steps 2–3: the complex arithmetic is rewritten over split
-//	              real/imaginary operands with the (mR,mR)/(−mI,mI)
-//	              pre-computation of Eq. (2)–(3), plus column blocking for
-//	              registers.
-//	Specialized — the "generated" kernels: fully unrolled k = 1…2 and
-//	              fixed-size-array k = 3…5 kernels (falls back to Split for
-//	              larger k).
-//	Generated   — cmd/kernelgen's pure-Go output: k = 2…5 fully unrolled
-//	              over split operands.
-//	SIMD        — cmd/kernelgen's AVX2+FMA assembly (simd_amd64.s): k = 1…5
-//	              in both precisions at every bit position, SIMD lanes across
-//	              base indices, the (mR,mR)/(−mI,mI) update as two FMAs per
-//	              matrix entry (simd.go).
+//   - where the CPU has AVX2 and FMA and the OS saves the YMM state, the
+//     assembly cmd/kernelgen writes to simd_amd64.s: k = 1…5 in both
+//     precisions at every bit position, SIMD lanes across base indices, the
+//     (mR,mR)/(−mI,mI) update of Eq. (2)–(3) as two FMAs per matrix entry
+//     (simd.go);
+//   - elsewhere — another architecture, an older CPU, the conventional
+//     purego build tag — the hand-unrolled Go kernels, one per k ≤ 5 and
+//     precision (specialized.go, f32specialized.go);
+//   - beyond k = 5 on either, the general-k kernel over split
+//     real/imaginary operands with register blocking (general.go).
 //
-// Auto, what every back end runs, is the SIMD variant where the CPU has
-// AVX2 and FMA and the OS saves the YMM state, and the pure-Go kernels
-// otherwise: on other architectures, older CPUs, and under the conventional
-// purego build tag. ISA reports which.
+// ISA reports which set this machine runs. PrepareDense picks the kernel and
+// does the per-gate work once; Apply is prepare plus one sweep. The earlier
+// rungs of the paper's optimization ladder, the two-vector and the in-place
+// kernel, are kept for Fig. 2 and as the test oracle in
+// internal/harness/refkernel. Tune times the kernels of this machine for the
+// scheduler's cost table; it selects nothing.
 //
 // All kernels take the gate matrix already permuted to sorted qubit order
 // (the pre-permutation of Sec. 3.2) and a sorted list of qubit bit
-// positions. All variants are parallelized over the collapsed outer loop via
-// package par.
+// positions, and are parallelized over the collapsed outer loop via package
+// par.
 package kernels
 
 import (
 	"fmt"
 	"sort"
-
-	"qusim/internal/par"
 )
-
-// Variant selects a kernel implementation level.
-type Variant int
-
-const (
-	// Auto, the zero value, uses the autotuner's selection for the given k
-	// (until Tune has run: SIMD where this machine has it, else Specialized).
-	Auto Variant = iota
-	// Naive is the two-state-vector reference implementation (Sec. 3.1).
-	Naive
-	// InPlace is optimization step 1: in-place application.
-	InPlace
-	// Split is optimization steps 2–3: split real/imag FMA-style update
-	// with register blocking.
-	Split
-	// Specialized uses the hand-unrolled per-k kernels and falls back to
-	// Split for k > 5.
-	Specialized
-	// Generated uses the kernels emitted by cmd/kernelgen — the output of
-	// the paper's automatic code generator, fully unrolled over split
-	// real/imaginary operands — falling back to Specialized outside k=2…5.
-	Generated
-	// SIMD uses the AVX2+FMA assembly kernels emitted by cmd/kernelgen for
-	// k = 1…5, and Specialized for other k or where ISA() is "go".
-	SIMD
-)
-
-func (v Variant) String() string {
-	switch v {
-	case Naive:
-		return "naive"
-	case InPlace:
-		return "inplace"
-	case Split:
-		return "split"
-	case Specialized:
-		return "specialized"
-	case Generated:
-		return "generated"
-	case SIMD:
-		return "simd"
-	case Auto:
-		return "auto"
-	}
-	return fmt.Sprintf("Variant(%d)", int(v))
-}
-
-// Variants lists the concrete (non-Auto) variants in optimization order:
-// the pure-Go ones everywhere, SIMD where this machine runs it.
-func Variants() []Variant {
-	vs := []Variant{Naive, InPlace, Split, Specialized, Generated}
-	if hasSIMD {
-		vs = append(vs, SIMD)
-	}
-	return vs
-}
 
 // grain returns the minimum outer-loop chunk per worker so that each chunk
 // touches at least ~4096 amplitudes, keeping goroutine overhead negligible.
@@ -166,93 +102,20 @@ func offsets(qs []int) []int {
 }
 
 // Apply applies the 2^k × 2^k matrix m (sorted qubit order) to the qubits at
-// sorted bit positions qs of the state amps, using the selected variant.
-//
-// The Naive variant needs a second vector: pass scratch with len(scratch) ==
-// len(amps) (or nil to allocate one). Apply returns the slice holding the
-// result — for Naive this is the scratch buffer (the two vectors swap
-// roles); for all in-place variants it is amps itself.
-func Apply(v Variant, amps []complex128, m []complex128, qs []int, scratch []complex128) []complex128 {
-	checkArgs(len(amps), m, qs)
-	if v == Auto {
-		v = SelectedFor(len(qs), StrideClassOf(qs), false)
-	}
-	switch v {
-	case Naive:
-		if scratch == nil {
-			scratch = make([]complex128, len(amps))
-		}
-		if len(scratch) != len(amps) {
-			panic("kernels: scratch length mismatch")
-		}
-		applyNaive(scratch, amps, m, qs)
-		return scratch
-	case InPlace:
-		applyInPlace(amps, m, qs)
-	case Split:
-		applySplit(amps, m, qs)
-	case Specialized:
-		applySpecialized(amps, m, qs)
-	case Generated:
-		applyGenerated(amps, m, qs)
-	case SIMD:
-		applySIMD(amps, m, qs)
-	default:
-		panic(fmt.Sprintf("kernels: unknown variant %d", int(v)))
-	}
-	return amps
+// sorted bit positions qs of the state amps, in place.
+func Apply[T complexAmp](amps, m []T, qs []int) {
+	d := PrepareDense(m, qs, len(amps))
+	d.Sweep(amps)
 }
 
-// applyNaive computes dst = (1⊗…⊗U⊗…⊗1)·src with two full vectors, the
-// baseline of Sec. 3.1.
-//
-//qusim:hot
-func applyNaive(dst, src, m []complex128, qs []int) {
-	k := len(qs)
-	dk := 1 << k
-	masks := insertMasks(qs)
-	offs := offsets(qs)
-	outer := len(src) >> k
-	par.For(outer, grain(k), func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			base := expand(t, masks)
-			for r := 0; r < dk; r++ {
-				row := m[r*dk : (r+1)*dk]
-				var acc complex128
-				for c := 0; c < dk; c++ {
-					acc += row[c] * src[base+offs[c]]
-				}
-				dst[base+offs[r]] = acc
-			}
-		}
-	})
-}
-
-// applyInPlace is optimization step 1: gather the 2^k amplitudes into a
-// temporary, multiply, scatter back (Sec. 3.2).
-//
-//qusim:hot
-func applyInPlace(amps, m []complex128, qs []int) {
-	k := len(qs)
-	dk := 1 << k
-	masks := insertMasks(qs)
-	offs := offsets(qs)
-	outer := len(amps) >> k
-	par.For(outer, grain(k), func(lo, hi int) {
-		tmp := make([]complex128, dk)
-		for t := lo; t < hi; t++ {
-			base := expand(t, masks)
-			for x := 0; x < dk; x++ {
-				tmp[x] = amps[base+offs[x]]
-			}
-			for r := 0; r < dk; r++ {
-				row := m[r*dk : (r+1)*dk]
-				var acc complex128
-				for c := 0; c < dk; c++ {
-					acc += row[c] * tmp[c]
-				}
-				amps[base+offs[r]] = acc
-			}
-		}
-	})
+// ToComplex64 converts a complex128 gate matrix (or diagonal) to the
+// complex64 form a single-precision state takes: halving the bytes per
+// amplitude halves the memory traffic that dominates k = 1–2 gates and
+// doubles the qubits that fit in the same memory (the Sec. 5 outlook).
+func ToComplex64(m []complex128) []complex64 {
+	out := make([]complex64, len(m))
+	for i, v := range m {
+		out[i] = complex64(v)
+	}
+	return out
 }

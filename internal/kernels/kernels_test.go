@@ -4,11 +4,13 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"qusim/internal/gate"
+	"qusim/internal/harness/refkernel"
 )
 
 // denseApply is the O(4^n) reference: build the full 2^n matrix via Embed
@@ -57,27 +59,60 @@ func sortedSubset(n, k int, rng *rand.Rand) []int {
 	return qs
 }
 
-func TestAllVariantsMatchDenseReference(t *testing.T) {
+// fromF64 converts a double-precision state or matrix to element type T.
+func fromF64[T complexAmp](a []complex128) []T {
+	out := make([]T, len(a))
+	for i, v := range a {
+		out[i] = T(v)
+	}
+	return out
+}
+
+// kernelTable holds every dense kernel of the package to the two-vector
+// reference kernel, k = 0…6, on low, high and mixed positions of a 2^13
+// state: the kernel PrepareDense picks on this machine, the hand-unrolled
+// Go kernels (and past k = 5 their general-k fallback) called directly, so
+// that an AVX2 host executes them too, and the general-k kernel at every k.
+// Each is also run through Block, which must land where Sweep does bit for
+// bit.
+func kernelTable[T complexAmp](t *testing.T, tol float64, unrolled func(m []T, qs []int) Dense[T]) {
 	rng := rand.New(rand.NewSource(21))
-	for _, n := range []int{6, 9} {
-		for k := 1; k <= 5; k++ {
-			for trial := 0; trial < 4; trial++ {
-				u := gate.RandomUnitary(k, rng)
-				qs := sortedSubset(n, k, rng)
-				state := randomState(n, rng)
-				want := denseApply(state, u, qs, n)
-				for _, v := range Variants() {
-					got := make([]complex128, len(state))
-					copy(got, state)
-					got = Apply(v, got, u.Data, qs, nil)
-					if d := maxDiff(got, want); d > 1e-10 {
-						t.Errorf("n=%d k=%d qs=%v variant=%s: max diff %g", n, k, qs, v, d)
+	const n = 13
+	state := randomState(n, rng)
+	for k := 0; k <= 6; k++ {
+		low, high, mixed := make([]int, k), make([]int, k), make([]int, k)
+		for j := 0; j < k; j++ {
+			low[j], high[j], mixed[j] = j, n-k+j, 2*j+j/4
+		}
+		for name, qs := range map[string][]int{"low": low, "high": high, "mixed": mixed} {
+			u := gate.RandomUnitary(k, rng)
+			want := make([]complex128, len(state))
+			refkernel.Naive(want, state, u.Data, qs)
+			m := fromF64[T](u.Data)
+			for kernel, d := range map[string]Dense[T]{
+				"platform": PrepareDense(m, qs, len(state)),
+				"unrolled": unrolled(m, qs),
+				"general":  PrepareGeneral(m, qs, len(state)),
+			} {
+				got, blocked := fromF64[T](state), fromF64[T](state)
+				d.Sweep(got)
+				d.Block(blocked)
+				var diff float64
+				for i := range got {
+					diff = max(diff, cmplx.Abs(complex128(got[i])-want[i]))
+					if got[i] != blocked[i] {
+						t.Fatalf("%s k=%d %s %v: Block gives amps[%d] = %v, Sweep %v", kernel, k, name, qs, i, blocked[i], got[i])
 					}
+				}
+				if diff > tol {
+					t.Errorf("%s k=%d %s %v: max diff %g from the reference kernel", kernel, k, name, qs, diff)
 				}
 			}
 		}
 	}
 }
+
+func TestAllVariantsMatchDenseReference(t *testing.T) { kernelTable(t, 1e-10, specialized) }
 
 func TestGenericFallbackK6(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
@@ -86,13 +121,9 @@ func TestGenericFallbackK6(t *testing.T) {
 	qs := sortedSubset(n, 6, rng)
 	state := randomState(n, rng)
 	want := denseApply(state, u, qs, n)
-	for _, v := range Variants() {
-		got := make([]complex128, len(state))
-		copy(got, state)
-		got = Apply(v, got, u.Data, qs, nil)
-		if d := maxDiff(got, want); d > 1e-10 {
-			t.Errorf("k=6 variant=%s: max diff %g", v, d)
-		}
+	Apply(state, u.Data, qs)
+	if d := maxDiff(state, want); d > 1e-10 {
+		t.Errorf("k=6: max diff %g", d)
 	}
 }
 
@@ -107,13 +138,8 @@ func TestNormPreservationProperty(t *testing.T) {
 		u := gate.RandomUnitary(k, r)
 		qs := sortedSubset(n, k, r)
 		state := randomState(n, r)
-		v := Variants()[r.Intn(len(Variants()))]
-		out := Apply(v, state, u.Data, qs, nil)
-		var norm float64
-		for _, a := range out {
-			norm += real(a)*real(a) + imag(a)*imag(a)
-		}
-		return math.Abs(norm-1) < 1e-9
+		Apply(state, u.Data, qs)
+		return math.Abs(Norm(state)-1) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -133,10 +159,8 @@ func TestHighOrderQubits(t *testing.T) {
 		u := gate.RandomUnitary(k, rng)
 		state := randomState(n, rng)
 		want := denseApply(state, u, qs, n)
-		got := make([]complex128, len(state))
-		copy(got, state)
-		Apply(Specialized, got, u.Data, qs, nil)
-		if d := maxDiff(got, want); d > 1e-10 {
+		Apply(state, u.Data, qs)
+		if d := maxDiff(state, want); d > 1e-10 {
 			t.Errorf("high-order k=%d: max diff %g", k, d)
 		}
 	}
@@ -271,34 +295,14 @@ func TestScale(t *testing.T) {
 	}
 }
 
-func TestSplitBlockSizesAllCorrect(t *testing.T) {
-	rng := rand.New(rand.NewSource(28))
-	n, k := 9, 4
-	u := gate.RandomUnitary(k, rng)
-	qs := sortedSubset(n, k, rng)
-	state := randomState(n, rng)
-	want := denseApply(state, u, qs, n)
-	old := SetSplitBlock(4)
-	defer SetSplitBlock(old)
-	for _, b := range []int{1, 2, 3, 4, 8, 16, 32} {
-		SetSplitBlock(b)
-		got := make([]complex128, len(state))
-		copy(got, state)
-		Apply(Split, got, u.Data, qs, nil)
-		if d := maxDiff(got, want); d > 1e-10 {
-			t.Errorf("block=%d: max diff %g", b, d)
-		}
-	}
-}
-
 func TestApplyPanicsOnBadArgs(t *testing.T) {
 	amps := make([]complex128, 8)
 	u := gate.H()
 	for i, fn := range []func(){
-		func() { Apply(Specialized, amps, u.Data, []int{3}, nil) },            // out of range
-		func() { Apply(Specialized, amps, u.Data, []int{1, 0}, nil) },         // unsorted
-		func() { Apply(Specialized, amps, u.Data[:2], []int{0}, nil) },        // short matrix
-		func() { Apply(Specialized, amps, gate.CZ().Data, []int{1, 1}, nil) }, // dup
+		func() { Apply(amps, u.Data, []int{3}) },            // out of range
+		func() { Apply(amps, u.Data, []int{1, 0}) },         // unsorted
+		func() { Apply(amps, u.Data[:2], []int{0}) },        // short matrix
+		func() { Apply(amps, gate.CZ().Data, []int{1, 1}) }, // dup
 	} {
 		func() {
 			defer func() {
@@ -311,58 +315,31 @@ func TestApplyPanicsOnBadArgs(t *testing.T) {
 	}
 }
 
-func TestTuneSelectsSomething(t *testing.T) {
+// TestTuneTimesEveryK: one timing per k, in order, each a sweep counted by
+// TimingSweeps, on positions that are valid however small the state; a
+// state narrower than kmax stops at its width.
+func TestTuneTimesEveryK(t *testing.T) {
+	before := TimingSweeps()
 	res := Tune(3, 10, 1)
-	// n=10 keeps every position cache-local, so Tune sweeps one qubit set
-	// per k, in both precisions.
-	want := 3 * 2 * len(Variants())
-	if len(res.Timings) != want {
-		t.Fatalf("got %d timings, want %d", len(res.Timings), want)
+	if res.N != 10 || len(res.Timings) != 3 || TimingSweeps() != before+3 {
+		t.Fatalf("Tune(3, 10, 1) = %+v after %d sweeps, want 3 timings on 2^10", res, TimingSweeps()-before)
 	}
-	for k := 1; k <= 3; k++ {
-		v := Selected(k)
-		// Auto must now resolve to a concrete variant and produce correct
-		// results.
-		rng := rand.New(rand.NewSource(29))
-		u := gate.RandomUnitary(k, rng)
-		state := randomState(8, rng)
-		qs := sortedSubset(8, k, rng)
-		want := denseApply(state, u, qs, 8)
-		got := make([]complex128, len(state))
-		copy(got, state)
-		got = Apply(Auto, got, u.Data, qs, nil)
-		if d := maxDiff(got, want); d > 1e-10 {
-			t.Errorf("k=%d tuned variant %s: max diff %g", k, v, d)
+	for i, tm := range res.Timings {
+		if tm.K != i+1 || tm.NsPerApply < 0 {
+			t.Errorf("timing %d is %+v", i, tm)
 		}
 	}
-}
-
-func TestTuneSplitBlockReturnsValid(t *testing.T) {
-	b := TuneSplitBlock(3, 10, 1)
-	if b < 1 || b > 8 {
-		t.Errorf("TuneSplitBlock returned %d", b)
+	if got := len(Tune(5, 3, 1).Timings); got != 3 {
+		t.Errorf("Tune(5, 3, 1) took %d timings, want 3", got)
 	}
-}
-
-func TestVariantString(t *testing.T) {
-	names := map[Variant]string{Naive: "naive", InPlace: "inplace", Split: "split", Specialized: "specialized", SIMD: "simd", Auto: "auto"}
-	for v, want := range names {
-		if v.String() != want {
-			t.Errorf("Variant(%d).String() = %q, want %q", int(v), v.String(), want)
+	for n := 1; n <= 26; n++ {
+		for k := 1; k <= min(n, 5); k++ {
+			qs := tunePositions(n, k)
+			checkArgs(1<<n, make([]complex128, 1<<(2*k)), qs) // panics on unsorted or out of range
 		}
 	}
-}
-
-func TestSetSelectedOverridesTuner(t *testing.T) {
-	old := Selected(2)
-	SetSelected(2, InPlace)
-	t.Cleanup(func() { SetSelected(2, old) })
-	if Selected(2) != InPlace {
-		t.Error("SetSelected did not take effect")
-	}
-	// Unknown k defaults to Specialized.
-	if Selected(25) != Specialized {
-		t.Errorf("Selected(25) = %v, want specialized default", Selected(25))
+	if got := tunePositions(26, 5); !slices.Equal(got, []int{6, 9, 12, 15, 18}) {
+		t.Errorf("tunePositions(26, 5) = %v, want the positions of BenchmarkKernelPrecision", got)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 	"qusim/internal/par"
 )
 
-// Prepared ops. What a gate costs before its first amplitude moves — the
-// kernel choice, the chunk-space layout and the matrix in the kernel's
+// Prepared ops. What a gate costs before its first amplitude moves — picking
+// the kernel, the chunk-space layout and the matrix in the kernel's
 // operand order for a dense gate; the compiled window segments or the run
 // table for a diagonal — depends on the gate and its positions only, not on
 // the state. Dense and Diagonal hold that work so it is done once and the
@@ -30,38 +30,29 @@ type Dense[T complexAmp] struct {
 
 // PrepareDense prepares the 2^k × 2^k matrix m (sorted qubit order) on the
 // sorted positions qs for states of at least n amplitudes, with the kernel
-// variant v selects for them. Only kernels that work in place and take an
-// iteration range have a prepared form — the assembly kernels and the
-// hand-unrolled Go ones, which is everything Auto picks untuned for k ≤ 5;
-// for the rest (Naive, InPlace, Split, Generated, k > 5) ok is false and the
-// gate goes through Apply.
-func PrepareDense[T complexAmp](v Variant, m []T, qs []int, n int) (d Dense[T], ok bool) {
+// this machine runs for that k and element type: the assembly for
+// k = 1…5 where ISA is "avx2", the hand-unrolled Go kernel for k ≤ 5
+// elsewhere, the general-k kernel beyond.
+func PrepareDense[T complexAmp](m []T, qs []int, n int) Dense[T] {
 	checkArgs(n, m, qs)
 	k := len(qs)
-	_, f32 := any(m).([]complex64)
-	if v == Auto {
-		v = SelectedFor(k, StrideClassOf(qs), f32)
-	}
-	if v != SIMD && v != Specialized {
-		return d, false
-	}
-	simd := v == SIMD && hasSIMD && k >= 1 && k <= simdMaxK
+	simd := hasSIMD && k >= 1 && k <= simdMaxK
 	var out any
 	switch m := any(m).(type) {
 	case []complex128:
 		if simd {
-			out, ok = prepareSIMD(m, qs, 1, simdF64[k-1][:], expandMatrix), true
+			out = prepareSIMD(m, qs, 1, simdF64[k-1][:], expandMatrix)
 		} else {
-			out, ok = specialized(m, qs)
+			out = specialized(m, qs)
 		}
 	case []complex64:
 		if simd {
-			out, ok = prepareSIMD(m, qs, 2, simdF32[k-1][:], expandMatrixF32), true
+			out = prepareSIMD(m, qs, 2, simdF32[k-1][:], expandMatrixF32)
 		} else {
-			out, ok = specializedF32(m, qs)
+			out = specializedF32(m, qs)
 		}
 	}
-	return out.(Dense[T]), ok
+	return out.(Dense[T])
 }
 
 // Sweep applies the gate to the whole state amps, spread over par's

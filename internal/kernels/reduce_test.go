@@ -24,7 +24,7 @@ func runOnUniform(c *circuit.Circuit) []complex128 {
 		if len(qs) == 2 && qs[0] > qs[1] {
 			qs[0], qs[1] = qs[1], qs[0]
 		}
-		Apply(Auto, amps, g.Matrix().Data, qs, nil)
+		Apply(amps, g.Matrix().Data, qs)
 	}
 	return amps
 }

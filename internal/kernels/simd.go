@@ -2,8 +2,8 @@ package kernels
 
 import "sort"
 
-// The SIMD variant: the AVX2+FMA assembly kernels cmd/kernelgen writes to
-// simd_amd64.s, dense k = 1…5 in both precisions. This file is their Go
+// The AVX2+FMA assembly kernels cmd/kernelgen writes to simd_amd64.s, dense
+// k = 1…5 in both precisions. This file is their Go
 // half — the chunk-space layout of a position set and the matrix expanded
 // in the kernels' access order; cmd/kernelgen/simd.go documents the
 // assembly half.
@@ -14,7 +14,7 @@ import "sort"
 // bitwise independent of the position class, the state or shard size, and
 // the worker count (simd_test.go holds it to a math.FMA oracle).
 
-// ISA names the kernel set Auto runs on this machine: "avx2" when the CPU
+// ISA names the kernel set this machine runs: "avx2" when the CPU
 // has AVX2 and FMA and the OS saves the YMM state, "go" otherwise — another
 // architecture, an older CPU, or the purego build tag.
 func ISA() string {
@@ -123,27 +123,6 @@ func expandMatrixF32(m []complex64, k int) []float32 {
 		}
 	}
 	return out
-}
-
-// applySIMD applies a k-qubit gate with the assembly kernels, and with the
-// specialized Go kernels where there are none (no AVX2, k = 0 or k > 5).
-func applySIMD(amps, m []complex128, qs []int) {
-	if k := len(qs); hasSIMD && k >= 1 && k <= simdMaxK {
-		d := prepareSIMD(m, qs, 1, simdF64[k-1][:], expandMatrix)
-		d.Sweep(amps)
-		return
-	}
-	applySpecialized(amps, m, qs)
-}
-
-// applySIMDF32 is applySIMD in single precision: four amplitudes a chunk.
-func applySIMDF32(amps, m []complex64, qs []int) {
-	if k := len(qs); hasSIMD && k >= 1 && k <= simdMaxK {
-		d := prepareSIMD(m, qs, 2, simdF32[k-1][:], expandMatrixF32)
-		d.Sweep(amps)
-		return
-	}
-	applySpecializedF32(amps, m, qs)
 }
 
 // prepareSIMD picks the kernel of qs's class, one of fns, and lays m out

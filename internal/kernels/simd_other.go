@@ -3,7 +3,7 @@
 package kernels
 
 // Without the assembly kernels (another architecture, or the purego build
-// tag) the SIMD variant is never selected and its tables stay empty.
+// tag) the kernel tables stay empty and nothing reads them.
 const hasSIMD = false
 
 var (

@@ -11,7 +11,7 @@ import (
 	"qusim/internal/par"
 )
 
-// The oracle of the SIMD variant: the same gate applied one base index at a
+// The oracle of the assembly kernels: the same gate applied one base index at a
 // time in pure Go, with math.FMA in the assembly's exact operation order —
 // per output row an accumulator pair starting at +0 and, column by column,
 //
@@ -178,14 +178,14 @@ func TestSIMDMatchesFMAOracle(t *testing.T) {
 				want := slices.Clone(state)
 				oracleApply(want, u.Data, qs)
 				got := slices.Clone(state)
-				Apply(SIMD, got, u.Data, qs, nil)
+				Apply(got, u.Data, qs)
 				if !bitsEqual(got, want) {
 					t.Errorf("f64 k=%d n=%d qs=%v: SIMD differs from the oracle (max diff %g)", k, n, qs, maxDiff(got, want))
 				}
 				want32 := ToComplex64(state)
 				oracleApplyF32(want32, u32, qs)
 				got32 := ToComplex64(state)
-				ApplyF32(SIMD, got32, u32, qs, nil)
+				Apply(got32, u32, qs)
 				if !bitsEqualF32(got32, want32) {
 					t.Errorf("f32 k=%d n=%d qs=%v: SIMD differs from the oracle", k, n, qs)
 				}
@@ -210,15 +210,15 @@ func TestSIMDIndependentOfWorkersAndShards(t *testing.T) {
 		for _, qs := range simdPositionSets(l, k) {
 			par.SetWorkers(1)
 			want := slices.Clone(state)
-			Apply(SIMD, want, u.Data, qs, nil)
+			Apply(want, u.Data, qs)
 			want32 := ToComplex64(state)
-			ApplyF32(SIMD, want32, u32, qs, nil)
+			Apply(want32, u32, qs)
 			for _, w := range []int{2, 3, 7} {
 				par.SetWorkers(w)
 				got := slices.Clone(state)
-				Apply(SIMD, got, u.Data, qs, nil)
+				Apply(got, u.Data, qs)
 				got32 := ToComplex64(state)
-				ApplyF32(SIMD, got32, u32, qs, nil)
+				Apply(got32, u32, qs)
 				if !bitsEqual(got, want) || !bitsEqualF32(got32, want32) {
 					t.Errorf("k=%d qs=%v: result changes with %d workers", k, qs, w)
 				}
@@ -226,8 +226,8 @@ func TestSIMDIndependentOfWorkersAndShards(t *testing.T) {
 			got := slices.Clone(state)
 			got32 := ToComplex64(state)
 			for s := 0; s < len(state); s += 1 << l {
-				Apply(SIMD, got[s:s+1<<l], u.Data, qs, nil)
-				ApplyF32(SIMD, got32[s:s+1<<l], u32, qs, nil)
+				Apply(got[s:s+1<<l], u.Data, qs)
+				Apply(got32[s:s+1<<l], u32, qs)
 			}
 			if !bitsEqual(got, want) || !bitsEqualF32(got32, want32) {
 				t.Errorf("k=%d qs=%v: shard-by-shard result differs from the full-state pass", k, qs)
@@ -308,7 +308,7 @@ func FuzzSIMDKernel(f *testing.F) {
 		want := slices.Clone(state)
 		oracleApply(want, u.Data, qs)
 		got := slices.Clone(state)
-		Apply(SIMD, got, u.Data, qs, nil)
+		Apply(got, u.Data, qs)
 		if !bitsEqual(got, want) {
 			t.Errorf("f64 k=%d n=%d qs=%v: SIMD differs from the oracle", kk, nn, qs)
 		}
@@ -316,7 +316,7 @@ func FuzzSIMDKernel(f *testing.F) {
 		want32 := ToComplex64(state)
 		oracleApplyF32(want32, u32, qs)
 		got32 := ToComplex64(state)
-		ApplyF32(SIMD, got32, u32, qs, nil)
+		Apply(got32, u32, qs)
 		if !bitsEqualF32(got32, want32) {
 			t.Errorf("f32 k=%d n=%d qs=%v: SIMD differs from the oracle", kk, nn, qs)
 		}

@@ -2,25 +2,15 @@ package kernels
 
 import "qusim/internal/par"
 
-// The specialized kernels below are the Go equivalent of the paper's
-// generated C++ kernels: one hand-unrolled routine per k ∈ {1,…,5}, with
-// strides and loop structure fixed at compile time. k > 5 falls back to the
-// Split kernel, matching the paper's observation that kernels beyond
-// kmax = 5 stop paying off (Table 1 uses kmax ≤ 5).
+// The hand-unrolled kernels below are the Go equivalent of the paper's
+// generated C++ kernels: one routine per k ∈ {1,…,5}, with strides and loop
+// structure fixed at compile time — what runs where there is no assembly.
+// The paper observes that kernels beyond kmax = 5 stop paying off (Table 1
+// uses kmax ≤ 5); wider gates take the general-k kernel.
 
-// applySpecialized dispatches to the hand-unrolled kernel for k ≤ 5 and
-// to the blocked Split kernel beyond (Table 1 uses kmax ≤ 5).
-func applySpecialized(amps, m []complex128, qs []int) {
-	if d, ok := specialized(m, qs); ok {
-		d.Sweep(amps)
-		return
-	}
-	applySplit(amps, m, qs)
-}
-
-// specialized prepares the hand-unrolled kernel for m on qs; there is one
-// for every k ≤ 5.
-func specialized(m []complex128, qs []int) (Dense[complex128], bool) {
+// specialized prepares the hand-unrolled kernel for m on qs, and the
+// general-k kernel beyond k = 5.
+func specialized(m []complex128, qs []int) Dense[complex128] {
 	switch len(qs) {
 	case 0:
 		// 0-qubit "gate" is a global scalar.
@@ -29,19 +19,19 @@ func specialized(m []complex128, qs []int) (Dense[complex128], bool) {
 			for i := lo; i < hi; i++ {
 				amps[i] *= s
 			}
-		}}, true
+		}}
 	case 1:
-		return apply1(m, qs[0]), true
+		return apply1(m, qs[0])
 	case 2:
-		return apply2(m, qs[0], qs[1]), true
+		return apply2(m, qs[0], qs[1])
 	case 3:
-		return apply3(m, qs), true
+		return apply3(m, qs)
 	case 4:
-		return apply4(m, qs), true
+		return apply4(m, qs)
 	case 5:
-		return apply5(m, qs), true
+		return apply5(m, qs)
 	}
-	return Dense[complex128]{}, false
+	return general(m, qs)
 }
 
 // apply1 applies a 1-qubit gate: one fused pair update per amplitude pair.

@@ -9,45 +9,35 @@ import (
 	"strings"
 )
 
-// The persistent tuner cache: the (k, stride class, precision) → variant
-// table written by Tune is machine-specific but stable across runs on the
-// same machine, so re-deriving it on every process start (the paper's
-// benchmarking feedback loop re-run from scratch) is wasted work. The cache
-// is a small versioned JSON document keyed on the machine fingerprint —
-// GOOS/GOARCH, the CPU model string, the kernel set (ISA) and NumCPU — and
-// a stale or foreign-machine cache is simply ignored and re-tuned.
+// The persistent tuner cache: Tune's timings are machine-specific but stable
+// across runs on the same machine, so re-measuring them on every process
+// start (the paper's benchmarking feedback loop re-run from scratch) is
+// wasted work. The cache is a small versioned JSON document keyed on the
+// machine fingerprint — GOOS/GOARCH, the CPU model string, the kernel set
+// (ISA) and NumCPU — and a stale or foreign-machine cache is simply ignored
+// and re-measured.
 
 // tuneCacheVersion is bumped whenever the cache schema or the meaning of a
-// recorded selection changes; older files are re-tuned, not migrated.
-// Version 2: the SIMD variant joined the sweep, so a version 1 winner was
-// never compared against it.
-const tuneCacheVersion = 2
-
-type tuneCacheEntry struct {
-	K          int     `json:"k"`
-	Stride     string  `json:"stride"` // "low" or "high"
-	F32        bool    `json:"f32"`
-	Variant    string  `json:"variant"`
-	NsPerApply float64 `json:"ns_per_apply"`
-	Best       bool    `json:"best"`
-}
+// recorded timing changes; older files are re-measured, not migrated.
+// Version 3: one timing per k, of the kernel the machine runs; versions 1–2
+// recorded a sweep over kernel variants and the winner per slot.
+const tuneCacheVersion = 3
 
 type tuneCacheFile struct {
-	Version    int              `json:"version"`
-	Key        string           `json:"key"`
-	N          int              `json:"n"`
-	Kmax       int              `json:"kmax"`
-	Reps       int              `json:"reps"`
-	SplitBlock int              `json:"split_block"`
-	Entries    []tuneCacheEntry `json:"entries"`
+	Version int      `json:"version"`
+	Key     string   `json:"key"`
+	N       int      `json:"n"`
+	Kmax    int      `json:"kmax"`
+	Reps    int      `json:"reps"`
+	Entries []Timing `json:"entries"`
 }
 
-// MachineKey fingerprints this machine for the tuner cache: a selection
-// benchmarked on different hardware (or a different core count, which
-// changes the par.For partitioning) must not be reused. The kernel set is
-// part of it because the model string need not tell CPUs apart (a VM's may
-// read just "Intel(R) Xeon(R) Processor") and because a purego build on the
-// same machine tunes a different set of variants.
+// MachineKey fingerprints this machine for the tuner cache: a timing taken
+// on different hardware (or a different core count, which changes the
+// par.For partitioning) must not be reused. The kernel set is part of it
+// because the model string need not tell CPUs apart (a VM's may read just
+// "Intel(R) Xeon(R) Processor") and because a purego build on the same
+// machine times different kernels.
 func MachineKey() string {
 	return fmt.Sprintf("%s/%s/%s/%s/ncpu=%d", runtime.GOOS, runtime.GOARCH, cpuModel(), ISA(), runtime.NumCPU())
 }
@@ -69,34 +59,14 @@ func cpuModel() string {
 	return "unknown"
 }
 
-// variantByName maps Variant.String() back to the enum for cache decoding.
-func variantByName(name string) (Variant, bool) {
-	for _, v := range Variants() {
-		if v.String() == name {
-			return v, true
-		}
-	}
-	return Auto, false
-}
-
-func strideByName(name string) (StrideClass, bool) {
-	switch name {
-	case "low":
-		return StrideLow, true
-	case "high":
-		return StrideHigh, true
-	}
-	return StrideLow, false
-}
-
-// LoadTuneCache reads path and, when it matches this machine, the current
-// schema version and covers k = 1…kmax, installs the recorded selections
-// (and Split block size) and returns the reconstructed TuneResult with
-// ok = true. Any mismatch — missing file, foreign machine, old version,
-// insufficient kmax, unknown variant name — returns ok = false and leaves
-// the tuner state untouched; a decode error on an existing file is also
-// reported so callers can surface corruption.
-func LoadTuneCache(path string, kmax int) (TuneResult, bool, error) {
+// LoadTuneCache reads path and, when it matches this machine and the
+// current schema version, was measured on a state of at least 2^n amplitudes
+// and holds one positive timing for every k = 1…kmax, returns the recorded
+// TuneResult with ok = true. Any mismatch — missing file, foreign machine,
+// old version, smaller state, a k not covered — returns ok = false; a decode
+// error on an existing file is also reported so callers can surface
+// corruption.
+func LoadTuneCache(path string, kmax, n int) (TuneResult, bool, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -108,68 +78,33 @@ func LoadTuneCache(path string, kmax int) (TuneResult, bool, error) {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return TuneResult{}, false, fmt.Errorf("kernels: tuner cache %s: %w", path, err)
 	}
-	if f.Version != tuneCacheVersion || f.Key != MachineKey() || f.Kmax < kmax {
+	if f.Version != tuneCacheVersion || f.Key != MachineKey() || f.Kmax < kmax || f.N < n {
 		return TuneResult{}, false, nil
 	}
-	res := TuneResult{N: f.N}
-	type sel struct {
-		key selKey
-		v   Variant
-	}
-	var sels []sel
 	covered := map[int]bool{}
 	for _, e := range f.Entries {
-		v, ok := variantByName(e.Variant)
-		if !ok {
-			return TuneResult{}, false, nil
-		}
-		stride, ok := strideByName(e.Stride)
-		if !ok {
-			return TuneResult{}, false, nil
-		}
-		res.Timings = append(res.Timings, Timing{
-			K: e.K, Stride: stride, F32: e.F32, Variant: v,
-			NsPerApply: e.NsPerApply, Best: e.Best,
-		})
-		if e.Best {
-			covered[e.K] = true
-			sels = append(sels, sel{selKey{e.K, stride, e.F32}, v})
-		}
+		covered[e.K] = e.NsPerApply > 0
 	}
 	for k := 1; k <= kmax; k++ {
 		if !covered[k] {
 			return TuneResult{}, false, nil
 		}
 	}
-	// All entries validated — install atomically with respect to failures
-	// above (a partially-applied foreign cache must be impossible).
-	for _, s := range sels {
-		SetSelectedFor(s.key.k, s.key.stride, s.key.f32, s.v)
-	}
-	if f.SplitBlock >= 1 {
-		SetSplitBlock(f.SplitBlock)
-	}
-	return res, true, nil
+	return TuneResult{N: f.N, Timings: f.Entries}, true, nil
 }
 
-// SaveTuneCache writes the tuner selections in res to path, atomically
-// (write to a temp file in the same directory, then rename): a crash
-// mid-write must leave either the old cache or none, never a torn JSON
-// document that every later run fails to parse.
+// SaveTuneCache writes the timings in res to path, atomically (write to a
+// temp file in the same directory, then rename): a crash mid-write must
+// leave either the old cache or none, never a torn JSON document that every
+// later run fails to parse.
 func SaveTuneCache(path string, kmax, reps int, res TuneResult) error {
 	f := tuneCacheFile{
-		Version:    tuneCacheVersion,
-		Key:        MachineKey(),
-		N:          res.N,
-		Kmax:       kmax,
-		Reps:       reps,
-		SplitBlock: splitBlock,
-	}
-	for _, t := range res.Timings {
-		f.Entries = append(f.Entries, tuneCacheEntry{
-			K: t.K, Stride: t.Stride.String(), F32: t.F32,
-			Variant: t.Variant.String(), NsPerApply: t.NsPerApply, Best: t.Best,
-		})
+		Version: tuneCacheVersion,
+		Key:     MachineKey(),
+		N:       res.N,
+		Kmax:    kmax,
+		Reps:    reps,
+		Entries: res.Timings,
 	}
 	data, err := json.MarshalIndent(&f, "", "  ")
 	if err != nil {
@@ -202,13 +137,12 @@ func SaveTuneCache(path string, kmax, reps int, res TuneResult) error {
 }
 
 // TuneCached is Tune with the persistent cache in front: a warm cache for
-// this machine installs its selections without running a single timing
-// sweep (hit = true); a cold or stale cache triggers the full benchmark
-// sweep and rewrites the cache. Cache I/O errors are returned alongside
-// the (still valid) tuning result — a broken cache file must not take the
-// tuner down with it.
+// this machine returns its timings without running a single sweep
+// (hit = true); a cold or stale cache triggers the measurement and rewrites
+// the cache. Cache I/O errors are returned alongside the (still valid)
+// result — a broken cache file must not take the tuner down with it.
 func TuneCached(path string, kmax, n, reps int) (TuneResult, bool, error) {
-	res, hit, err := LoadTuneCache(path, kmax)
+	res, hit, err := LoadTuneCache(path, kmax, n)
 	if hit {
 		return res, true, nil
 	}

@@ -37,8 +37,7 @@ var (
 )
 
 // MeasuredCosts is the table of the kernel set this machine runs
-// (kernels.ISA): what kernels.Auto, and so every back end, executes a
-// default plan with.
+// (kernels.ISA): what every back end executes a default plan with.
 func MeasuredCosts() CostTable {
 	if kernels.ISA() == "avx2" {
 		return simdCosts
@@ -54,28 +53,24 @@ func PaperCosts() CostTable {
 	return CostTable{Dense: [5]float64{1, 1, 1, 1, 1}, Diag: 1}
 }
 
-// CostsFromTune prices the dense kernels from this machine's own timings:
-// for each k the fastest double-precision variant the autotuner measured,
+// CostsFromTune prices the dense kernels from this machine's own timings,
 // relative to k = 1. The tuner does not time the diagonal sweep; it is
 // memory-bound like the k = 1 kernel, so it keeps MeasuredCosts' ratio to
 // it, as do the rows of any k the result does not cover.
 func CostsFromTune(res kernels.TuneResult) CostTable {
-	var best [5]float64
+	var ns [5]float64
 	for _, tm := range res.Timings {
-		if tm.F32 || tm.K < 1 || tm.K > len(best) || tm.NsPerApply <= 0 {
-			continue
-		}
-		if b := best[tm.K-1]; b == 0 || tm.NsPerApply < b {
-			best[tm.K-1] = tm.NsPerApply
+		if tm.K >= 1 && tm.K <= len(ns) && tm.NsPerApply > 0 {
+			ns[tm.K-1] = tm.NsPerApply
 		}
 	}
 	t := MeasuredCosts()
-	if best[0] == 0 {
+	if ns[0] == 0 {
 		return t
 	}
-	for k, ns := range best {
-		if ns > 0 {
-			t.Dense[k] = ns / best[0]
+	for k, v := range ns {
+		if v > 0 {
+			t.Dense[k] = v / ns[0]
 		}
 	}
 	return t

@@ -339,20 +339,21 @@ func TestCostTableValidation(t *testing.T) {
 
 func TestCostsFromTune(t *testing.T) {
 	res := kernels.TuneResult{N: 20, Timings: []kernels.Timing{
-		{K: 1, Variant: kernels.Specialized, NsPerApply: 200},
-		{K: 1, Variant: kernels.Generated, NsPerApply: 100, Best: true},
-		{K: 1, F32: true, Variant: kernels.Generated, NsPerApply: 10}, // other precision: ignored
-		{K: 2, Variant: kernels.Specialized, NsPerApply: 150},
-		{K: 3, Stride: kernels.StrideHigh, Variant: kernels.Specialized, NsPerApply: 400},
-		{K: 3, Variant: kernels.Specialized, NsPerApply: 500},
-		{K: 4, Variant: kernels.Specialized, NsPerApply: 900},
+		{K: 1, NsPerApply: 100},
+		{K: 2, NsPerApply: 150},
+		{K: 3, NsPerApply: 400},
+		{K: 4, NsPerApply: 900},
+		{K: 5, NsPerApply: 0}, // a clock too coarse to tell: the compiled-in ratio stays
+		{K: 6, NsPerApply: 5000},
 	}}
 	got := CostsFromTune(res)
 	want := CostTable{Dense: [5]float64{1, 1.5, 4, 9, MeasuredCosts().Dense[4]}, Diag: MeasuredCosts().Diag}
 	if got != want {
 		t.Errorf("CostsFromTune = %v, want %v", got, want)
 	}
-	if got := CostsFromTune(kernels.TuneResult{}); got != MeasuredCosts() {
-		t.Errorf("empty tune result priced as %v, want MeasuredCosts()", got)
+	for _, res := range []kernels.TuneResult{{}, {Timings: res.Timings[1:]}} {
+		if got := CostsFromTune(res); got != MeasuredCosts() {
+			t.Errorf("tune result without a k = 1 timing priced as %v, want MeasuredCosts()", got)
+		}
 	}
 }

@@ -50,14 +50,13 @@ func blockBits[T amp]() int {
 // vector, the rank in dist, the chunk number in oocvec.
 type Shard[T amp] struct {
 	Amps []T
-	// Scratch is a second buffer of len(Amps) for the ops whose result lands
-	// in a new vector (a multi-cycle permutation, the kernels.Naive variant).
-	// Exec allocates it when it is nil and first needed, and trades it with
-	// Amps whenever a result lands in it.
+	// Scratch is a second buffer of len(Amps) for the op whose result lands
+	// in a new vector, a multi-cycle permutation. Exec allocates it when it
+	// is nil and first needed, and trades it with Amps whenever a result
+	// lands in it.
 	Scratch []T
 	L       int
 	Index   int
-	Variant kernels.Variant
 	// Observe, when not nil, is told about every pass Exec makes over the
 	// shard: the ops it executed — one, or the several of a blocked run —
 	// when it began, and how long each op took; the times add up to the
@@ -67,9 +66,9 @@ type Shard[T amp] struct {
 }
 
 // Program is a sequence of ops prepared for the shards of one geometry
-// (element type, L, kernel variant): matrices converted to the element type,
-// kernels chosen, matrices and diagonals compiled into the form their kernel
-// reads (kernels.Dense, kernels.Diagonal), runs found. It holds nothing of
+// (element type, L): matrices converted to the element type and, like the
+// diagonals, compiled into the form their kernel reads (kernels.Dense,
+// kernels.Diagonal), runs found. It holds nothing of
 // a shard's amplitudes or index, so one Program serves every chunk of a
 // paged state.
 type Program[T amp] struct {
@@ -79,11 +78,9 @@ type Program[T amp] struct {
 
 // step is one op of a Program.
 type step[T amp] struct {
-	dense    kernels.Dense[T]     // OpCluster with a prepared kernel
-	prepared bool                 // dense is set
-	matrix   []T                  // OpCluster without: the matrix for kernels.Apply
-	diag     *kernels.Diagonal[T] // OpDiagonal
-	inRun    bool                 // needs nothing from outside a block
+	dense kernels.Dense[T]     // OpCluster
+	diag  *kernels.Diagonal[T] // OpDiagonal
+	inRun bool                 // needs nothing from outside a block
 }
 
 // Compile prepares ops — consecutive ops of one stage — for s and every
@@ -92,25 +89,21 @@ type step[T amp] struct {
 // Index does for the bits at or above L) and clusters whose positions all lie
 // below the block width; whatever reaches further — a wider cluster, a
 // permutation, a swap's fused permutation — is a pass of its own and ends
-// the run, as does the kernels.Naive variant, which works out of place, and
-// a cluster whose kernel has no prepared form. A shard no larger than a
-// block has no runs.
+// the run. A shard no larger than a block has no runs.
 func (s *Shard[T]) Compile(ops []Op) (*Program[T], error) {
 	block := min(s.L, blockBits[T]())
-	blocked := block < s.L && s.Variant != kernels.Naive
+	blocked := block < s.L
 	p := &Program[T]{ops: ops, steps: make([]step[T], len(ops))}
 	for i := range ops {
 		op, st := &ops[i], &p.steps[i]
 		switch op.Kind {
 		case OpCluster:
-			st.matrix = convert[T](op.Matrix.Data)
-			fits := blocked && (len(op.Positions) == 0 || op.Positions[len(op.Positions)-1] < block)
+			st.inRun = blocked && (len(op.Positions) == 0 || op.Positions[len(op.Positions)-1] < block)
 			n := 1 << s.L
-			if fits {
+			if st.inRun {
 				n = 1 << block
 			}
-			st.dense, st.prepared = kernels.PrepareDense(s.Variant, st.matrix, op.Positions, n)
-			st.inRun = fits && st.prepared
+			st.dense = kernels.PrepareDense(convert[T](op.Matrix.Data), op.Positions, n)
 		case OpDiagonal:
 			st.diag = kernels.PrepareDiagonal(convert[T](op.Diag), op.Positions, 1<<block)
 			st.inRun = blocked
@@ -205,11 +198,7 @@ func (s *Shard[T]) blocks(steps []step[T], spent []atomic.Int64) {
 func (s *Shard[T]) one(op *Op, st *step[T]) {
 	switch op.Kind {
 	case OpCluster:
-		if st.prepared {
-			st.dense.Sweep(s.Amps)
-		} else {
-			s.dense(st.matrix, op.Positions)
-		}
+		st.dense.Sweep(s.Amps)
 	case OpDiagonal:
 		st.diag.Sweep(s.Amps, s.Index<<s.L)
 	case OpLocalPerm:
@@ -289,27 +278,8 @@ func (s *Shard[T]) permute(perm []int) {
 	s.Amps, s.Scratch = kernels.Permute(s.Amps, s.Scratch, kernels.CompileBitPermutation(perm))
 }
 
-// dense and convert are where the element type picks the kernel suite:
-// plans carry complex128 matrices, converted per op for a complex64 shard.
-
-// dense applies a cluster through kernels.Apply: the Naive variant, whose
-// product lands in Scratch, and the kernels that have no prepared form.
-func (s *Shard[T]) dense(m []T, qs []int) {
-	if s.Variant == kernels.Naive && s.Scratch == nil {
-		s.Scratch = make([]T, len(s.Amps))
-	}
-	var out []T
-	switch a := any(s.Amps).(type) {
-	case []complex128:
-		out = any(kernels.Apply(s.Variant, a, any(m).([]complex128), qs, any(s.Scratch).([]complex128))).([]T)
-	case []complex64:
-		out = any(kernels.ApplyF32(s.Variant, a, any(m).([]complex64), qs, any(s.Scratch).([]complex64))).([]T)
-	}
-	if &out[0] != &s.Amps[0] {
-		s.Amps, s.Scratch = out, s.Amps
-	}
-}
-
+// convert is where the element type meets the plan: plans carry complex128
+// matrices, converted per op for a complex64 shard.
 func convert[T amp](m []complex128) []T {
 	if same, ok := any(m).([]T); ok {
 		return same

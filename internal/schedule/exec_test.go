@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"qusim/internal/circuit"
-	"qusim/internal/gate"
 	"qusim/internal/kernels"
 	"qusim/internal/schedule"
 	"qusim/internal/statevec"
@@ -192,41 +191,6 @@ func TestPermutationsMoveBothPrecisionsAlike(t *testing.T) {
 	}
 	if moved < 1<<(n-1) {
 		t.Fatalf("only %d of %d amplitudes moved: the plan tested nothing", moved, 1<<n)
-	}
-}
-
-// TestNaiveResultLandsInScratch covers the one variant that does not work in
-// place: the product lands in the scratch vector, the two trade places, and
-// the inverse gate brings the data back into the buffer it started in.
-func TestNaiveResultLandsInScratch(t *testing.T) {
-	const n = 10
-	state := randomState(n, 19)
-	op := schedule.Op{Kind: schedule.OpCluster, Matrix: gate.RandomUnitary(2, rand.New(rand.NewSource(20))), Positions: []int{2, 7}}
-	sh := schedule.Shard[complex128]{Amps: append([]complex128(nil), state...), L: n, Variant: kernels.Naive}
-	home := &sh.Amps[0]
-	if err := sh.Apply(&op); err != nil {
-		t.Fatal(err)
-	}
-	if &sh.Amps[0] == home || &sh.Scratch[0] != home {
-		t.Fatal("the Naive product did not trade places with the scratch vector")
-	}
-	want := kernels.Apply(kernels.Naive, append([]complex128(nil), state...), op.Matrix.Data, op.Positions, nil)
-	for i := range want {
-		if !sameBits64(sh.Amps[i], want[i]) {
-			t.Fatalf("amplitude %d is %v, kernels.Apply gives %v", i, sh.Amps[i], want[i])
-		}
-	}
-	op.Matrix = op.Matrix.Dagger()
-	if err := sh.Apply(&op); err != nil {
-		t.Fatal(err)
-	}
-	if &sh.Amps[0] != home {
-		t.Fatal("the second product did not land back in the first buffer")
-	}
-	for i := range state {
-		if d := sh.Amps[i] - state[i]; math.Hypot(real(d), imag(d)) > 1e-12 {
-			t.Fatalf("amplitude %d is %v after U†U, started as %v", i, sh.Amps[i], state[i])
-		}
 	}
 }
 

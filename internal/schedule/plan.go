@@ -136,7 +136,7 @@ func (p *Plan) RunFrom(v *statevec.Vector, startStage int) error {
 	if v.N != p.N {
 		return fmt.Errorf("schedule: plan is for %d qubits, state has %d", p.N, v.N)
 	}
-	sh := Shard[complex128]{Amps: v.Amps, L: v.N, Variant: v.Variant}
+	sh := Shard[complex128]{Amps: v.Amps, L: v.N}
 	err := sh.Run(p, startStage)
 	v.Amps = sh.Amps
 	return err

@@ -79,16 +79,16 @@ func stageOps(plan *schedule.Plan) []schedule.Op {
 // execBoth runs ops on two copies of state as shard index of a state with
 // 2^l-amplitude shards — blocked (one Compile, one Exec) and op by op — and
 // returns both results and the blocked side's pass sizes.
-func execBoth[T amp](t *testing.T, ops []schedule.Op, state []T, l, index int, v kernels.Variant) (blocked, perOp []T, sizes []int) {
+func execBoth[T amp](t *testing.T, ops []schedule.Op, state []T, l, index int) (blocked, perOp []T, sizes []int) {
 	t.Helper()
-	a := schedule.Shard[T]{Amps: slices.Clone(state), L: l, Index: index, Variant: v}
+	a := schedule.Shard[T]{Amps: slices.Clone(state), L: l, Index: index}
 	got := passes(&a)
 	prog, err := a.Compile(ops)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.Exec(prog)
-	b := schedule.Shard[T]{Amps: slices.Clone(state), L: l, Index: index, Variant: v}
+	b := schedule.Shard[T]{Amps: slices.Clone(state), L: l, Index: index}
 	for i := range ops {
 		if err := b.Apply(&ops[i]); err != nil {
 			t.Fatal(err)
@@ -119,7 +119,7 @@ func testBlockedMatchesPerOp[T amp](t *testing.T) {
 			}
 			ops := stageOps(plan)
 			for _, index := range []int{0, 5} {
-				blocked, perOp, sizes := execBoth(t, ops, state, l, index, kernels.Auto)
+				blocked, perOp, sizes := execBoth(t, ops, state, l, index)
 				requireSameBits(t, fmt.Sprintf("%s L=%d index=%d", name, l, index), blocked, perOp)
 				if len(sizes) >= len(ops) {
 					t.Errorf("%s L=%d: %d ops in %d passes: nothing ran blocked", name, l, len(ops), len(sizes))
@@ -160,8 +160,8 @@ func TestBlockedRunMatchesPublicKernels(t *testing.T) {
 	for i := range plan.Ops {
 		switch op := &plan.Ops[i]; op.Kind {
 		case schedule.OpCluster:
-			want = kernels.Apply(kernels.Auto, want, op.Matrix.Data, op.Positions, nil)
-			want32 = kernels.ApplyF32(kernels.Auto, want32, kernels.ToComplex64(op.Matrix.Data), op.Positions, nil)
+			kernels.Apply(want, op.Matrix.Data, op.Positions)
+			kernels.Apply(want32, kernels.ToComplex64(op.Matrix.Data), op.Positions)
 		case schedule.OpDiagonal:
 			kernels.ApplyDiagonal(want, op.Diag, op.Positions)
 			kernels.ApplyDiagonalF32(want32, kernels.ToComplex64(op.Diag), op.Positions)
@@ -195,34 +195,26 @@ func TestRunBoundaries(t *testing.T) {
 		cluster(2, 3, 17),         // above the block again
 		diag(1, 12), diag(12, 21), // a run of 2
 		{Kind: schedule.OpLocalPerm, Perm: perm},
-		cluster(0, 1, 2, 3, 4), cluster(11), diag(0, 1, 2, 3, 18), // a run of 3
+		cluster(0, 1, 2, 3, 4), cluster(11), diag(0, 1, 2, 3, 18), cluster(0, 3, 6, 9, 12, 15), // a run of 4, the last op on the general-k kernel
 		{Kind: schedule.OpSwap, Perm: rng.Perm(l), LocalPos: []int{17}, GlobalPos: []int{19}},
 	}
-	want := []int{6, 1, 1, 1, 2, 1, 3, 1}
+	want := []int{6, 1, 1, 1, 2, 1, 4, 1}
 	state := randomAmps[complex128](l, 32)
 	for _, index := range []int{0, 6, 13} {
-		blocked, perOp, sizes := execBoth(t, ops, state, l, index, kernels.Auto)
+		blocked, perOp, sizes := execBoth(t, ops, state, l, index)
 		requireSameBits(t, fmt.Sprintf("index %d", index), blocked, perOp)
 		if !slices.Equal(sizes, want) {
 			t.Fatalf("index %d: passes of %v ops, want %v", index, sizes, want)
 		}
 	}
 	state32 := randomAmps[complex64](l+1, 33)
-	blocked32, perOp32, _ := execBoth(t, ops, state32, l+1, 3, kernels.Auto)
+	blocked32, perOp32, _ := execBoth(t, ops, state32, l+1, 3)
 	requireSameBits(t, "complex64", blocked32, perOp32)
 
-	// The Naive variant works out of place: every op is a pass of its own,
-	// through Apply as ever.
-	naive := ops[:11]
-	blocked, perOp, sizes := execBoth(t, naive, state, l, 6, kernels.Naive)
-	requireSameBits(t, "naive", blocked, perOp)
-	if len(sizes) != len(naive) {
-		t.Fatalf("naive: %d ops in %d passes, want one pass per op", len(naive), len(sizes))
-	}
-	// So is every op of a shard no larger than a block.
+	// Every op of a shard no larger than a block is a pass of its own.
 	small := randomAmps[complex128](16, 34)
 	low := []schedule.Op{diag(0, 5, 9), cluster(1, 15), diag(3, 17), diag(7)}
-	blocked, perOp, sizes = execBoth(t, low, small, 16, 2, kernels.Auto)
+	blocked, perOp, sizes := execBoth(t, low, small, 16, 2)
 	requireSameBits(t, "one block", blocked, perOp)
 	if len(sizes) != len(low) {
 		t.Fatalf("one-block shard: %d ops in %d passes, want one pass per op", len(low), len(sizes))

@@ -6,27 +6,38 @@ import (
 	"testing"
 
 	"qusim/internal/gate"
+	"qusim/internal/harness/refkernel"
 	"qusim/internal/kernels"
 )
 
+// sortedGate returns u and qs as the kernels take them: positions ascending,
+// the matrix permuted to match.
+func sortedGate(u gate.Matrix, qs []int) ([]complex128, []int) {
+	sorted, perm := SortPositions(qs)
+	if perm != nil {
+		u = gate.PermuteQubits(u, perm)
+	}
+	return u.Data, sorted
+}
+
 func TestNaiveVariantLongCircuit(t *testing.T) {
-	// The naive variant ping-pongs two buffers; after many applications it
-	// must still agree with the in-place variants.
+	// The naive reference kernel ping-pongs two buffers; after many
+	// applications it must still agree with the vector's in-place kernels.
 	rng := rand.New(rand.NewSource(130))
 	n := 8
-	a := randomVector(n, rng)
-	b := a.Clone()
-	a.Variant = kernels.Naive
-	b.Variant = kernels.Specialized
+	b := randomVector(n, rng)
+	src, dst := append([]complex128(nil), b.Amps...), make([]complex128, b.Len())
 	for i := 0; i < 40; i++ {
 		k := 1 + rng.Intn(3)
 		u := gate.RandomUnitary(k, rng)
 		qs := rng.Perm(n)[:k]
-		a.Apply(u, qs...)
+		m, sorted := sortedGate(u, qs)
+		refkernel.Naive(dst, src, m, sorted)
+		src, dst = dst, src
 		b.Apply(u, qs...)
 	}
-	if d := a.MaxDiff(b); d > 1e-8 {
-		t.Errorf("naive vs specialized over 40 gates: max diff %g", d)
+	if d := FromAmplitudes(src).MaxDiff(b); d > 1e-8 {
+		t.Errorf("naive vs %s kernels over 40 gates: max diff %g", kernels.ISA(), d)
 	}
 }
 
@@ -34,27 +45,21 @@ func TestAllVariantsAgreeOnCircuit(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	n := 8
 	base := randomVector(n, rng)
-	type step struct {
-		u  gate.Matrix
-		qs []int
-	}
-	var steps []step
+	naive, inPlace, apply, dense := base.Clone(), base.Clone(), base.Clone(), base.Clone()
+	scratch := make([]complex128, base.Len())
 	for i := 0; i < 25; i++ {
 		k := 1 + rng.Intn(3)
-		steps = append(steps, step{gate.RandomUnitary(k, rng), rng.Perm(n)[:k]})
+		u, qs := gate.RandomUnitary(k, rng), rng.Perm(n)[:k]
+		m, sorted := sortedGate(u, qs)
+		refkernel.Naive(scratch, naive.Amps, m, sorted)
+		naive.Amps, scratch = scratch, naive.Amps
+		refkernel.InPlace(inPlace.Amps, m, sorted)
+		apply.Apply(u, qs...)
+		dense.ApplyDense(u, qs...)
 	}
-	var results []*Vector
-	for _, variant := range []kernels.Variant{kernels.Naive, kernels.InPlace, kernels.Split, kernels.Specialized, kernels.Generated} {
-		v := base.Clone()
-		v.Variant = variant
-		for _, s := range steps {
-			v.Apply(s.u, s.qs...)
-		}
-		results = append(results, v)
-	}
-	for i := 1; i < len(results); i++ {
-		if d := results[0].MaxDiff(results[i]); d > 1e-8 {
-			t.Errorf("variant %d deviates from variant 0: %g", i, d)
+	for name, v := range map[string]*Vector{"in-place reference": inPlace, "Apply": apply, "ApplyDense": dense} {
+		if d := naive.MaxDiff(v); d > 1e-8 {
+			t.Errorf("%s deviates from the naive reference: %g", name, d)
 		}
 	}
 }

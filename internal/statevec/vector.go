@@ -22,11 +22,7 @@ type Vector struct {
 	N    int
 	Amps []complex128
 
-	// Variant selects the gate kernel implementation; the zero value is
-	// kernels.Auto (the tuned/specialized path).
-	Variant kernels.Variant
-
-	scratch []complex128 // second vector for the Naive variant, lazily made
+	scratch []complex128 // the vector PermuteBits gathers into, lazily made
 }
 
 // New returns an n-qubit register initialized to |0…0⟩.
@@ -60,14 +56,14 @@ func FromAmplitudes(amps []complex128) *Vector {
 	if 1<<n != len(amps) {
 		panic(fmt.Sprintf("statevec: %d amplitudes is not a power of two", len(amps)))
 	}
-	return &Vector{N: n, Amps: amps, Variant: kernels.Auto}
+	return &Vector{N: n, Amps: amps}
 }
 
 func newUninit(n int) *Vector {
 	if n < 0 || n > 34 {
 		panic(fmt.Sprintf("statevec: unsupported qubit count %d", n))
 	}
-	v := &Vector{N: n, Variant: kernels.Auto}
+	v := &Vector{N: n}
 	// Parallel first-touch initialization: the NUMA-aware initialization of
 	// Sec. 3.3 — each worker touches the pages it will later operate on.
 	v.Amps = make([]complex128, 1<<n)
@@ -82,7 +78,7 @@ func newUninit(n int) *Vector {
 
 // Clone returns a deep copy.
 func (v *Vector) Clone() *Vector {
-	c := &Vector{N: v.N, Amps: make([]complex128, len(v.Amps)), Variant: v.Variant}
+	c := &Vector{N: v.N, Amps: make([]complex128, len(v.Amps))}
 	copy(c.Amps, v.Amps)
 	return c
 }
@@ -231,7 +227,7 @@ func (v *Vector) Apply(m gate.Matrix, qubits ...int) {
 		kernels.ApplyDiagonal(v.Amps, mm.Diagonal(), sortedQs)
 		return
 	}
-	v.applySorted(mm, sortedQs)
+	kernels.Apply(v.Amps, mm.Data, sortedQs)
 }
 
 // ApplyDense is Apply without the diagonal fast path — used by experiments
@@ -242,18 +238,7 @@ func (v *Vector) ApplyDense(m gate.Matrix, qubits ...int) {
 	if perm != nil {
 		mm = gate.PermuteQubits(m, perm)
 	}
-	v.applySorted(mm, sortedQs)
-}
-
-func (v *Vector) applySorted(m gate.Matrix, sortedQs []int) {
-	if v.Variant == kernels.Naive && v.scratch == nil {
-		v.scratch = make([]complex128, len(v.Amps))
-	}
-	out := kernels.Apply(v.Variant, v.Amps, m.Data, sortedQs, v.scratch)
-	if &out[0] != &v.Amps[0] {
-		v.scratch = v.Amps
-		v.Amps = out
-	}
+	kernels.Apply(v.Amps, mm.Data, sortedQs)
 }
 
 // ApplyDiagonal applies a diagonal gate given by its diagonal entries.

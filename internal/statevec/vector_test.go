@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"qusim/internal/gate"
-	"qusim/internal/kernels"
 )
 
 func TestNewZeroState(t *testing.T) {
@@ -131,22 +130,6 @@ func TestDiagonalFastPathMatchesDense(t *testing.T) {
 	y.ApplyDense(u, qubits...)
 	if d := x.MaxDiff(y); d > 1e-10 {
 		t.Errorf("ApplyDiagonal vs dense: max diff %g", d)
-	}
-}
-
-func TestNaiveVariantSwapsBuffers(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	v := randomVector(6, rng)
-	v.Variant = kernels.Naive
-	w := v.Clone()
-	u := gate.RandomUnitary(2, rng)
-	v.Apply(u, 1, 4)
-	w.Apply(u, 1, 4)
-	if d := v.MaxDiff(w); d > 1e-10 {
-		t.Errorf("naive vs auto variants: max diff %g", d)
-	}
-	if math.Abs(v.Norm()-1) > 1e-10 {
-		t.Errorf("norm after naive apply: %v", v.Norm())
 	}
 }
 

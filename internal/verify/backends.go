@@ -9,6 +9,8 @@ import (
 	"qusim/internal/circuit"
 	"qusim/internal/dist"
 	"qusim/internal/f32vec"
+	"qusim/internal/gate"
+	"qusim/internal/harness/refkernel"
 	"qusim/internal/kernels"
 	"qusim/internal/mpi"
 	"qusim/internal/oocvec"
@@ -31,40 +33,49 @@ type Backend interface {
 // differential engine records these as skips, not failures.
 var ErrUnsupported = errors.New("verify: circuit unsupported by backend")
 
-// kernel-variant backends ----------------------------------------------------
+// per-gate backends -----------------------------------------------------------
 
-type kernelBackend struct {
-	name    string
-	variant kernels.Variant
-	dense   bool // bypass the diagonal fast path (pure reference semantics)
-}
+type naiveBackend struct{}
 
-// Naive returns the reference backend: the two-state-vector naive kernel
-// with every gate applied as a dense matrix, bypassing the diagonal and
-// specialization fast paths. This is the closest the repo has to a direct
-// (1⊗…⊗U⊗…⊗1)|Ψ⟩ evaluation and anchors every differential comparison.
-func Naive() Backend {
-	return &kernelBackend{name: "statevec/naive-dense", variant: kernels.Naive, dense: true}
-}
+// Naive returns the reference backend: the two-state-vector kernel of
+// Sec. 3.1 (package refkernel) with every gate applied as a dense matrix,
+// no diagonal or specialization fast path. This is the closest the repo has
+// to a direct (1⊗…⊗U⊗…⊗1)|Ψ⟩ evaluation and anchors every differential
+// comparison.
+func Naive() Backend { return naiveBackend{} }
 
-// Kernel returns a single-node backend running the given kernel variant
-// through the standard Apply path (diagonal fast paths included).
-func Kernel(v kernels.Variant) Backend {
-	return &kernelBackend{name: "kernels/" + v.String(), variant: v}
-}
+func (naiveBackend) Name() string { return "refkernel/naive-dense" }
 
-func (b *kernelBackend) Name() string { return b.name }
-
-func (b *kernelBackend) Run(c *circuit.Circuit) ([]complex128, error) {
-	v := statevec.New(c.N)
-	v.Variant = b.variant
+func (naiveBackend) Run(c *circuit.Circuit) ([]complex128, error) {
+	src, dst := make([]complex128, 1<<c.N), make([]complex128, 1<<c.N)
+	src[0] = 1
 	for i := range c.Gates {
 		g := &c.Gates[i]
-		if b.dense {
-			v.ApplyDense(g.Matrix(), g.Qubits...)
-		} else {
-			v.Apply(g.Matrix(), g.Qubits...)
+		m := g.Matrix()
+		qs, perm := statevec.SortPositions(g.Qubits)
+		if perm != nil {
+			m = gate.PermuteQubits(m, perm)
 		}
+		refkernel.Naive(dst, src, m.Data, qs)
+		src, dst = dst, src
+	}
+	return src, nil
+}
+
+type kernelBackend struct{}
+
+// Kernel returns the single-node per-gate backend: every gate through
+// statevec.Vector.Apply (diagonal fast paths included), so through the
+// kernel this machine runs, after which the row is named.
+func Kernel() Backend { return kernelBackend{} }
+
+func (kernelBackend) Name() string { return "kernels/" + kernels.ISA() }
+
+func (kernelBackend) Run(c *circuit.Circuit) ([]complex128, error) {
+	v := statevec.New(c.N)
+	for i := range c.Gates {
+		g := &c.Gates[i]
+		v.Apply(g.Matrix(), g.Qubits...)
 	}
 	return v.Amps, nil
 }
@@ -369,22 +380,16 @@ func (b *baselineBackend) Run(c *circuit.Circuit) ([]complex128, error) {
 type f32Backend struct {
 	name    string
 	globals int // < 0: per-gate path; ≥ 0: scheduled at l = n − globals
-	variant kernels.Variant
 	costs   schedule.CostTable
 }
 
-// F32 returns the single-precision per-gate backend: every gate runs
-// through the complex64 kernel suite and the final state is widened back to
-// complex128. It joins the matrix under the separate epsilon tolerance of
-// Options.F32Tol — float32 amplitudes cannot meet the exact-path 1e-10 bar.
+// F32 returns the single-precision per-gate backend, named like Kernel
+// after the kernel set this machine runs: every gate goes through the
+// complex64 kernels and the final state is widened back to complex128. It
+// joins the matrix under the separate epsilon tolerance of Options.F32Tol —
+// float32 amplitudes cannot meet the exact-path 1e-10 bar.
 func F32() Backend {
-	return &f32Backend{name: "f32vec/per-gate", globals: -1}
-}
-
-// F32Kernel is F32 pinned to one kernel variant instead of the tuner's
-// selection.
-func F32Kernel(v kernels.Variant) Backend {
-	return &f32Backend{name: "f32vec/" + v.String(), globals: -1, variant: v}
+	return &f32Backend{name: "f32vec/" + kernels.ISA(), globals: -1}
 }
 
 // F32Scheduled is F32 through the fused scheduler at l = n − globals —
@@ -399,7 +404,6 @@ func (b *f32Backend) Name() string { return b.name }
 func (b *f32Backend) Run(c *circuit.Circuit) ([]complex128, error) {
 	if b.globals < 0 {
 		v := f32vec.New(c.N)
-		v.Variant = b.variant
 		for i := range c.Gates {
 			g := &c.Gates[i]
 			v.ApplyGate(g.Matrix(), g.Qubits...)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"qusim/internal/circuit"
-	"qusim/internal/kernels"
 	"qusim/internal/statevec"
 )
 
@@ -55,12 +54,12 @@ func randomState(n int, rng *rand.Rand) *statevec.Vector {
 	return v
 }
 
-// checkNormPreservation runs seeded random circuits through the Auto and
-// Naive kernel paths and asserts Σ|α|² stays 1.
+// checkNormPreservation runs seeded random circuits through the reference
+// kernel and this machine's and asserts Σ|α|² stays 1.
 func checkNormPreservation(n int, seed int64) error {
 	for trial := int64(0); trial < 4; trial++ {
 		c := Random(RandomOptions{Qubits: n, Gates: 12 * n, Seed: seed + trial, DenseEntanglers: true})
-		for _, b := range []Backend{Naive(), Kernel(kernels.Auto)} {
+		for _, b := range []Backend{Naive(), Kernel()} {
 			amps, err := b.Run(c)
 			if err != nil {
 				return err

@@ -33,7 +33,6 @@ import (
 	"strings"
 
 	"qusim/internal/circuit"
-	"qusim/internal/kernels"
 	"qusim/internal/mpi"
 )
 
@@ -138,14 +137,12 @@ func MatrixBlocked() (ref Backend, backends []Backend, ref32 Backend, backends32
 }
 
 // Matrix returns the default backend matrix compared against the naive
-// dense reference. Quick trims redundant kernel tiers. To add a new
+// dense reference. Quick trims redundant configurations. To add a new
 // backend to the differential matrix, append it here (see DESIGN.md §6).
 func Matrix(quick bool) (ref Backend, backends []Backend) {
 	ref = Naive()
 	backends = []Backend{
-		Kernel(kernels.Specialized),
-		Kernel(kernels.SIMD),
-		Kernel(kernels.Split),
+		Kernel(),
 		Permuted(7),
 		Scheduled(2),
 		PaperTwin(Scheduled(2)),
@@ -158,8 +155,6 @@ func Matrix(quick bool) (ref Backend, backends []Backend) {
 	}
 	if !quick {
 		backends = append(backends,
-			Kernel(kernels.InPlace),
-			Kernel(kernels.Generated),
 			Scheduled(3),
 			PaperTwin(Scheduled(3)),
 			Distributed(2),
@@ -181,7 +176,6 @@ func Matrix(quick bool) (ref Backend, backends []Backend) {
 func MatrixF32(quick bool) []Backend {
 	backends := []Backend{
 		F32(),
-		F32Kernel(kernels.SIMD),
 		F32Scheduled(2),
 		PaperTwin(F32Scheduled(2)),
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"qusim/internal/circuit"
-	"qusim/internal/kernels"
 )
 
 func TestHarnessCleanRun(t *testing.T) {
@@ -76,7 +75,7 @@ func (b *buggyBackend) Run(c *circuit.Circuit) ([]complex128, error) {
 }
 
 func TestEngineDetectsAndMinimizesDivergence(t *testing.T) {
-	eng := NewEngine(Naive(), []Backend{&buggyBackend{inner: Kernel(kernels.Specialized)}}, 1e-10)
+	eng := NewEngine(Naive(), []Backend{&buggyBackend{inner: Kernel()}}, 1e-10)
 	c := Random(RandomOptions{Qubits: 5, Gates: 60, Seed: 9})
 	if c.CountKind(circuit.KindT) == 0 {
 		t.Fatal("seed produced no T gates; pick another seed")
@@ -225,7 +224,7 @@ func TestF32BackendsEnrolledInMatrix(t *testing.T) {
 	if len(rep.F32.Pairs) == 0 {
 		t.Error("f32 engine compared no circuit pairs")
 	}
-	if !strings.Contains(rep.String(), "f32vec/per-gate") {
+	if !strings.Contains(rep.String(), F32().Name()) {
 		t.Error("report does not mention the f32 backend")
 	}
 }

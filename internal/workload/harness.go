@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"qusim/internal/circuit"
-	"qusim/internal/kernels"
 	"qusim/internal/statevec"
 	"qusim/internal/verify"
 )
@@ -30,8 +29,8 @@ type Harness struct {
 // The splits mirror the verify matrix quick tier: dist at 4 simulated
 // ranks, oocvec at 4 file chunks with the prefetch pipeline armed.
 var backendFactories = map[string]func() verify.Backend{
-	"statevec": func() verify.Backend { return verify.Kernel(kernels.Specialized) },
-	"f32vec":   func() verify.Backend { return verify.F32() },
+	"statevec": verify.Kernel,
+	"f32vec":   verify.F32,
 	"dist":     func() verify.Backend { return verify.Distributed(4) },
 	"oocvec":   func() verify.Backend { return verify.OutOfCore(2, 3) },
 }

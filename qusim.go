@@ -5,9 +5,9 @@
 //   - a circuit IR with the standard supremacy-circuit gate set and
 //     generators for Google's random supremacy circuits, QFT, GHZ and
 //     Grover (package internal/circuit, re-exported here);
-//   - optimized in-place k-qubit gate kernels with an autotuning layer
-//     replacing the paper's code generator (internal/kernels,
-//     internal/statevec);
+//   - optimized in-place k-qubit gate kernels, AVX2+FMA assembly written
+//     by a code generator like the paper's where the CPU has it and
+//     unrolled Go elsewhere (internal/kernels, internal/statevec);
 //   - the circuit scheduler of Sec. 3.6: communication-minimizing stages,
 //     gate fusion into k ≤ kmax clusters, and qubit mapping
 //     (internal/schedule);
@@ -115,6 +115,8 @@ type (
 	Plan = schedule.Plan
 	// ScheduleOptions configures the scheduler (Sec. 3.6).
 	ScheduleOptions = schedule.Options
+	// CostTable is the kernels' price list ScheduleOptions.Costs takes.
+	CostTable = schedule.CostTable
 	// PlanStats summarizes swaps, clusters and baseline comparisons.
 	PlanStats = schedule.Stats
 )
@@ -156,11 +158,12 @@ func RunBaseline(c *Circuit, opts BaselineOptions) (*DistResult, error) {
 	return dist.RunBaseline(c, opts)
 }
 
-// Tune runs the kernel autotuner (the stand-in for the paper's
-// code-generation/benchmarking feedback loop) for gate sizes 1…kmax on a
-// 2^n-amplitude scratch state and installs the fastest variants.
-func Tune(kmax, n int) {
-	kernels.Tune(kmax, n, 2)
+// Tune times this machine's kernels for gate sizes 1…kmax on a
+// 2^n-amplitude scratch state (what is left of the paper's
+// code-generation/benchmarking feedback loop) and returns the cost table to
+// schedule with: set it as ScheduleOptions.Costs. Nothing is installed.
+func Tune(kmax, n int) CostTable {
+	return schedule.CostsFromTune(kernels.Tune(kmax, n, 2))
 }
 
 // Noise and benchmarking (the calibration/validation use cases of Sec. 1).

@@ -84,12 +84,25 @@ func TestPublicGateConstructors(t *testing.T) {
 }
 
 func TestPublicTune(t *testing.T) {
-	Tune(2, 12) // must not panic and must leave kernels functional
-	st := NewState(6)
+	// The table prices k = 1, 2 from the timings and the rest from the
+	// compiled-in one, and schedules.
+	costs := Tune(2, 12)
+	if costs.Dense[0] != 1 || !(costs.Dense[1] > 0) || !(costs.Dense[4] > 0) || !(costs.Diag > 0) {
+		t.Errorf("Tune(2, 12) = %+v", costs)
+	}
+	opts := DefaultScheduleOptions(6)
+	opts.Costs = costs
 	c := GHZ(6)
-	Simulate(c, st)
+	plan, err := Schedule(c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewState(6)
+	if err := plan.Run(st); err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(st.Norm()-1) > 1e-12 {
-		t.Errorf("norm after tuning: %v", st.Norm())
+		t.Errorf("norm after a run planned with tuned costs: %v", st.Norm())
 	}
 }
 
