@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"qusim/internal/chaos"
-	"qusim/internal/circuit"
 	"qusim/internal/ckpt"
 	"qusim/internal/dist"
 	"qusim/internal/oocvec"
@@ -77,27 +76,17 @@ func harvestSchedule(cov *coverage, s *chaos.Schedule, fss ...*chaos.FS) {
 	}
 }
 
-// scheduleOptions builds the plan options for l local qubits (the same
-// clamp the verify backends apply).
-func scheduleOptions(l int) schedule.Options {
-	o := schedule.DefaultOptions(l)
-	if o.KMax > l {
-		o.KMax = l
-	}
-	return o
-}
-
 // chaosDist is the distributed chaos leg: dist.Run with the schedule's
 // transport faults armed, checkpointed recovery on, and the disk faults
 // injected under the checkpoint layer. Each Run call composes a fresh
 // schedule from (seed, run) — fire-once fault state included — so the
 // delta-debugging minimizer replays the identical degradation on every
-// candidate circuit.
+// candidate circuit. The leg is enrolled as a verify.PlanRow, so scheduling
+// and the un-permutation are the harness's, not repeated here.
 type chaosDist struct {
 	seed  int64
-	ranks int
-	copts chaos.ComposeOptions
-	run   int // set by the driver before each soak iteration
+	copts chaos.ComposeOptions // copts.Ranks is the leg's rank count
+	run   int                  // set by the driver before each soak iteration
 
 	cov      coverage
 	restarts [3]int // corrupt, rank-dead, stalled
@@ -106,18 +95,12 @@ type chaosDist struct {
 	resumes  int // extra dist.Run invocations past the first
 }
 
-func (b *chaosDist) Name() string { return fmt.Sprintf("dist/ranks%d+chaos", b.ranks) }
+func (b *chaosDist) row() verify.Backend {
+	ranks := b.copts.Ranks
+	return verify.PlanRow(fmt.Sprintf("dist/ranks%d+chaos", ranks), bits.TrailingZeros(uint(ranks)), b.exec)
+}
 
-func (b *chaosDist) Run(c *circuit.Circuit) ([]complex128, error) {
-	g := bits.TrailingZeros(uint(b.ranks))
-	l := c.N - g
-	if l < 1 {
-		return nil, verify.ErrUnsupported
-	}
-	plan, err := schedule.Build(c, scheduleOptions(l))
-	if err != nil {
-		return nil, err
-	}
+func (b *chaosDist) exec(plan *schedule.Plan) ([]complex128, error) {
 	sched := chaos.Compose(b.seed, b.run, b.copts)
 	cfs := chaos.NewFS(sched.Disk, nil)
 	restore := ckpt.SetFS(cfs)
@@ -140,7 +123,7 @@ func (b *chaosDist) Run(c *circuit.Circuit) ([]complex128, error) {
 			b.resumes++
 		}
 		res, runErr = dist.Run(plan, dist.Options{
-			Ranks:        b.ranks,
+			Ranks:        b.copts.Ranks,
 			GatherState:  true,
 			Faults:       sched.MPI,
 			Checkpoint:   &ckpt.Policy{Dir: dir, EveryStages: 1, MaxRestarts: 8},
@@ -166,7 +149,7 @@ func (b *chaosDist) Run(c *circuit.Circuit) ([]complex128, error) {
 	if runErr != nil {
 		return nil, fmt.Errorf("chaos dist leg under %s: %w", sched, runErr)
 	}
-	return verify.Unpermute(plan, res.Amplitudes), nil
+	return res.Amplitudes, nil
 }
 
 // chaosOoc is the out-of-core chaos leg: RunCheckpointed with the disk
@@ -190,17 +173,11 @@ type chaosOoc struct {
 	resumes int
 }
 
-func (b *chaosOoc) Name() string { return fmt.Sprintf("oocvec/g%d+chaos", b.globals) }
+func (b *chaosOoc) row() verify.Backend {
+	return verify.PlanRow(fmt.Sprintf("oocvec/g%d+chaos", b.globals), b.globals, b.exec)
+}
 
-func (b *chaosOoc) Run(c *circuit.Circuit) ([]complex128, error) {
-	l := c.N - b.globals
-	if l < 1 {
-		return nil, verify.ErrUnsupported
-	}
-	plan, err := schedule.Build(c, scheduleOptions(l))
-	if err != nil {
-		return nil, err
-	}
+func (b *chaosOoc) exec(plan *schedule.Plan) ([]complex128, error) {
 	sched := chaos.Compose(b.seed, b.run, b.copts)
 	dataDisk := sched.Disk
 	dataDisk.TornWriteAt = 0
@@ -218,39 +195,35 @@ func (b *chaosOoc) Run(c *circuit.Circuit) ([]complex128, error) {
 	defer os.RemoveAll(dir)
 	pol := &ckpt.Policy{Dir: dir, EveryStages: 1}
 
-	var lastErr error
-	for attempt := 0; attempt < 8; attempt++ {
-		if attempt > 0 {
+	defer harvestSchedule(&b.cov, sched, dfs, cfs)
+
+	// A fresh vector per attempt: New initializes |0…0⟩, and the resume pass
+	// restores the newest snapshot over it (or re-executes from the start
+	// when none survived). The shared FS op counters keep advancing across
+	// attempts, so a fault window always passes.
+	attempt := func(resume bool) ([]complex128, error) {
+		v, err := oocvec.New(plan.N, plan.L, "")
+		if err != nil {
+			return nil, err
+		}
+		defer v.Close()
+		v.SetPrefetch(b.prefetch)
+		if _, _, err := v.RunCheckpointed(plan, pol, resume); err != nil {
+			return nil, err
+		}
+		b.skipped += v.CheckpointsSkipped()
+		return v.Amplitudes()
+	}
+	for a := 0; a < 8; a++ {
+		if a > 0 {
 			b.resumes++
 		}
-		// A fresh vector per attempt: New initializes |0…0⟩, and the
-		// resume pass restores the newest snapshot over it (or re-executes
-		// from the start when none survived). The shared FS op counters
-		// keep advancing across attempts, so a fault window always passes.
-		v, verr := oocvec.New(c.N, l, "")
-		if verr != nil {
-			lastErr = verr
-			continue
+		var amps []complex128
+		if amps, err = attempt(a > 0); err == nil {
+			return amps, nil
 		}
-		v.SetPrefetch(b.prefetch)
-		_, _, rerr := v.RunCheckpointed(plan, pol, attempt > 0)
-		if rerr != nil {
-			lastErr = rerr
-			v.Close()
-			continue
-		}
-		amps, aerr := v.Amplitudes()
-		b.skipped += v.CheckpointsSkipped()
-		v.Close()
-		if aerr != nil {
-			lastErr = aerr
-			continue
-		}
-		harvestSchedule(&b.cov, sched, dfs, cfs)
-		return verify.Unpermute(plan, amps), nil
 	}
-	harvestSchedule(&b.cov, sched, dfs, cfs)
-	return nil, fmt.Errorf("chaos ooc leg under %s: %w", sched, lastErr)
+	return nil, fmt.Errorf("chaos ooc leg under %s: %w", sched, err)
 }
 
 // writeRepro drops a reproducer file into dir (no-op when dir is empty)
@@ -289,26 +262,24 @@ func main() {
 	copts := chaos.ComposeOptions{Ranks: *ranks}
 	cleanDist := verify.Distributed(*ranks)
 	cleanOoc := verify.OutOfCore(2, 2)
-	chDist := &chaosDist{seed: *seed, ranks: *ranks, copts: copts}
+	chDist := &chaosDist{seed: *seed, copts: copts}
 	chOoc := &chaosOoc{seed: *seed, globals: 2, prefetch: 2, copts: copts}
 
 	// Bitwise engines: the chaos leg must reproduce its clean twin exactly
 	// (tol 0). The anchor engine pins the clean twins themselves against
 	// the dense naive reference at numerical tolerance, so a systematic
 	// error in a twin cannot silently validate the chaos leg.
-	distEng := verify.NewEngine(cleanDist, []verify.Backend{chDist}, 0)
-	oocEng := verify.NewEngine(cleanOoc, []verify.Backend{chOoc}, 0)
+	distEng := verify.NewEngine(cleanDist, []verify.Backend{chDist.row()}, 0)
+	oocEng := verify.NewEngine(cleanOoc, []verify.Backend{chOoc.row()}, 0)
 	anchorEng := verify.NewEngine(verify.Naive(), []verify.Backend{cleanDist, cleanOoc}, 1e-10)
 
-	type failure struct {
-		run  int
-		what string
-	}
-	var failures []failure
-	done := 0
-	for r := 0; r < *runs; r++ {
+	engines := []*verify.Engine{distEng, oocEng, anchorEng}
+
+	var failures []string
+	r := 0 // past the loop: the runs completed
+	for ; r < *runs; r++ {
 		if *budget > 0 && time.Since(start) > *budget {
-			failures = append(failures, failure{r, fmt.Sprintf("budget %v exhausted after %d/%d runs", *budget, done, *runs)})
+			failures = append(failures, fmt.Sprintf("run %d: budget %v exhausted after %d/%d runs", r, *budget, r, *runs))
 			break
 		}
 		c := verify.Random(verify.RandomOptions{
@@ -318,9 +289,9 @@ func main() {
 		if *vflag {
 			fmt.Printf("run %2d: %s  %s\n", r, c.Name, chaos.Compose(*seed, r, copts))
 		}
-		for _, eng := range []*verify.Engine{distEng, oocEng, anchorEng} {
+		for _, eng := range engines {
 			if err := eng.Check(c); err != nil {
-				failures = append(failures, failure{r, err.Error()})
+				failures = append(failures, fmt.Sprintf("run %d: %v", r, err))
 				path := writeRepro(*repro, fmt.Sprintf("run%03d-harness.txt", r),
 					fmt.Sprintf("# %v\n# %s\n%s", err, chaos.Compose(*seed, r, copts), verify.CircuitText(c)))
 				if path != "" {
@@ -328,14 +299,13 @@ func main() {
 				}
 			}
 		}
-		done++
 	}
 
 	var cov coverage
 	cov.add(&chDist.cov)
 	cov.add(&chOoc.cov)
 
-	fmt.Printf("qchaos: %d/%d runs, seed %d, %v elapsed\n", done, *runs, *seed, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("qchaos: %d/%d runs, seed %d, %v elapsed\n", r, *runs, *seed, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("  injected: %s\n", cov.String())
 	fmt.Printf("  dist: restarts corrupt=%d rank-dead=%d stalled=%d, ckpts written=%d skipped=%d, resumes=%d\n",
 		chDist.restarts[0], chDist.restarts[1], chDist.restarts[2], chDist.written, chDist.skipped, chDist.resumes)
@@ -345,7 +315,7 @@ func main() {
 	}
 
 	ok := true
-	for _, eng := range []*verify.Engine{distEng, oocEng, anchorEng} {
+	for _, eng := range engines {
 		for i, d := range eng.Divergences {
 			ok = false
 			fmt.Printf("MISMATCH %s on %s: maxΔ=%.3e (%d-gate reproducer)\n",
@@ -359,7 +329,7 @@ func main() {
 	}
 	for _, f := range failures {
 		ok = false
-		fmt.Printf("FAILURE run %d: %s\n", f.run, f.what)
+		fmt.Println("FAILURE", f)
 	}
 	// Coverage gate: a soak that never injected a class proves nothing
 	// about it. SlowIO is a rider (latency, not failure) and exempt.

@@ -65,6 +65,13 @@ func main() {
 		oocDir      = flag.String("ooc-dir", "", "directory for the out-of-core state file (default: system temp)")
 	)
 	flag.Parse()
+	if err := checkFlags(*ranks, map[string]bool{
+		"-f32": *f32, "-ooc": *ooc, "-baseline": *baseline,
+		"-sample": *shots > 0, "-profile": *profile, "-checkpoint-dir": *ckptDir != "", "-resume": *resume,
+		"-tune": *tune, "-tune-cache": *tuneCache != "",
+	}); err != nil {
+		fatal(err)
+	}
 	if *workers > 0 {
 		par.SetWorkers(*workers)
 	}
@@ -83,13 +90,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *ranks < 1 || *ranks&(*ranks-1) != 0 {
-		fatal(fmt.Errorf("ranks must be a power of two, got %d", *ranks))
-	}
 	sched := schedFlags{kmax: *kmax, spec1q: *spec1q, planFile: *planFile}
-	if *tuneCache != "" && !*tune {
-		fatal(fmt.Errorf("-tune-cache does nothing without -tune"))
-	}
 	if *tune {
 		// A pass over more than the last-level cache, which is what the
 		// compiled-in table prices: the run's own state, up to 256 MiB.
@@ -121,20 +122,19 @@ func main() {
 	}
 
 	if *f32 {
-		if *ranks != 1 || *baseline || *ooc {
-			fatal(fmt.Errorf("-f32 runs single-node in memory (not with -ranks > 1, -baseline or -ooc)"))
-		}
 		runF32(circ, sched, *verbose)
 		flushTelemetry(tel, *traceFile, *metrics)
 		return
 	}
 
 	if *ooc {
-		runOutOfCore(circ, tel, oocOptions{
+		if err := runOutOfCore(circ, tel, oocOptions{
 			chunk: *oocChunk, prefetch: *oocPrefetch, dir: *oocDir,
 			sched: sched, verbose: *verbose,
 			ckptDir: *ckptDir, ckptEvery: *ckptEvery, resume: *resume,
-		})
+		}); err != nil {
+			fatal(err)
+		}
 		flushTelemetry(tel, *traceFile, *metrics)
 		return
 	}
@@ -164,8 +164,6 @@ func main() {
 	}
 	if *ckptDir != "" {
 		opts.Checkpoint = &ckpt.Policy{Dir: *ckptDir, EveryStages: *ckptEvery}
-	} else if *resume {
-		fatal(fmt.Errorf("-resume needs -checkpoint-dir"))
 	}
 	res, err := dist.Run(plan, opts)
 	if err != nil {
@@ -234,6 +232,34 @@ func flushTelemetry(tel *telemetry.Telemetry, traceFile string, metrics bool) {
 	}
 }
 
+// checkFlags rejects, before any state is allocated, the flag combinations a
+// run would otherwise silently ignore: each mode flag heads the list of what
+// its path does not honour.
+func checkFlags(ranks int, given map[string]bool) error {
+	if ranks < 1 || ranks&(ranks-1) != 0 {
+		return fmt.Errorf("ranks must be a power of two, got %d", ranks)
+	}
+	given["-ranks > 1"] = ranks > 1
+	for _, mode := range [][]string{
+		{"-f32", "-ranks > 1", "-baseline", "-ooc", "-sample", "-profile", "-checkpoint-dir", "-resume"},
+		{"-ooc", "-ranks > 1", "-baseline", "-sample", "-profile"},
+		{"-baseline", "-sample", "-profile", "-checkpoint-dir"},
+	} {
+		for _, other := range mode[1:] {
+			if given[mode[0]] && given[other] {
+				return fmt.Errorf("%s cannot be combined with %s", mode[0], other)
+			}
+		}
+	}
+	if given["-resume"] && !given["-checkpoint-dir"] {
+		return fmt.Errorf("-resume needs -checkpoint-dir")
+	}
+	if given["-tune-cache"] && !given["-tune"] {
+		return fmt.Errorf("-tune-cache does nothing without -tune")
+	}
+	return nil
+}
+
 // schedFlags carries what decides the plan of a run.
 type schedFlags struct {
 	kmax     int
@@ -285,8 +311,10 @@ type oocOptions struct {
 // runOutOfCore executes the circuit on the file-backed engine: the plan is
 // scheduled at l = chunk local qubits (chunk-index bits play the role of
 // the global qubits) and runs stage by stage through the circuit-aware
-// pipeline, reading -ooc-prefetch chunks ahead of compute.
-func runOutOfCore(circ *circuit.Circuit, tel *telemetry.Telemetry, o oocOptions) {
+// pipeline, reading -ooc-prefetch chunks ahead of compute. An error comes
+// back to main instead of exiting here, so the deferred Close has removed the
+// 16·2^n-byte state file by the time the process ends.
+func runOutOfCore(circ *circuit.Circuit, tel *telemetry.Telemetry, o oocOptions) error {
 	l := o.chunk
 	if l == 0 {
 		l = circ.N - 4
@@ -297,7 +325,7 @@ func runOutOfCore(circ *circuit.Circuit, tel *telemetry.Telemetry, o oocOptions)
 	}
 	v, err := oocvec.NewUniform(plan.N, plan.L, o.dir)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer v.Close()
 	v.SetPrefetch(o.prefetch)
@@ -309,18 +337,15 @@ func runOutOfCore(circ *circuit.Circuit, tel *telemetry.Telemetry, o oocOptions)
 		pol := &ckpt.Policy{Dir: o.ckptDir, EveryStages: o.ckptEvery}
 		restored, written, err = v.RunCheckpointed(plan, pol, o.resume)
 	} else {
-		if o.resume {
-			fatal(fmt.Errorf("-resume needs -checkpoint-dir"))
-		}
 		err = v.Run(plan)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	elapsed := time.Since(start)
 	norm, ent, err := v.NormEntropy()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	fmt.Printf("circuit: %d qubits, %d gates\n", circ.N, len(circ.Gates))
@@ -348,6 +373,7 @@ func runOutOfCore(circ *circuit.Circuit, tel *telemetry.Telemetry, o oocOptions)
 		}
 		fmt.Printf("ckpt:    %d snapshots committed, %s\n", written, resumedFrom)
 	}
+	return nil
 }
 
 // runF32 executes the circuit on the single-precision in-memory state — the

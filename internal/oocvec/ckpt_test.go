@@ -47,15 +47,16 @@ func TestTempFilesRemovedOnInitFailure(t *testing.T) {
 			t.Fatalf("%s leaked temp files: %v", when, names)
 		}
 	}
-	defer func() { writeHook = nil }()
+	fs := installFaultFS(t)
+	const chunkBytes = ampBytes << 6
 
-	for _, failAt := range []int{0, 1, 3} {
-		writeHook = func(chunk int) error {
-			if chunk == failAt {
-				return fmt.Errorf("injected write failure at chunk %d", chunk)
+	for _, failAt := range []int64{0, 1, 3} {
+		fs.arm(func(write bool, off int64, n int) error {
+			if write && off == failAt*chunkBytes {
+				return fmt.Errorf("injected write failure at chunk %d", failAt)
 			}
 			return nil
-		}
+		})
 		if _, err := New(8, 6, dir); err == nil {
 			t.Fatalf("New survived injected failure at chunk %d", failAt)
 		}
@@ -66,19 +67,17 @@ func TestTempFilesRemovedOnInitFailure(t *testing.T) {
 	// fail by call count, past the 4 chunk writes New performs.
 	for _, failCall := range []int{5, 8} {
 		calls := 0
-		writeHook = func(chunk int) error {
-			calls++
-			if calls == failCall {
+		fs.arm(func(write bool, off int64, n int) error {
+			if calls++; write && calls == failCall {
 				return fmt.Errorf("injected write failure on call %d", calls)
 			}
 			return nil
-		}
+		})
 		if _, err := NewUniform(8, 6, dir); err == nil {
 			t.Fatalf("NewUniform survived injected failure on call %d", failCall)
 		}
 		assertEmpty(fmt.Sprintf("NewUniform(failCall=%d)", failCall))
 	}
-	writeHook = nil
 }
 
 func TestCheckpointRestoreRoundTrip(t *testing.T) {

@@ -1,0 +1,72 @@
+package oocvec
+
+import (
+	"sync/atomic"
+	"testing"
+
+	"qusim/internal/fsio"
+)
+
+// faultFS is the real file system whose state and swap files consult fail
+// before every positional read or write — the failpoints of this package's
+// error-path tests, injected through the same fsio.FS seam production uses.
+// fail sees the byte offset and length of the access, so a test can pick a
+// chunk (off / chunk bytes), a scatter sub-block (n < chunk bytes) or simply
+// the k-th call; it may be called from the pipeline's reader and writeback
+// goroutines at once.
+type faultFS struct {
+	fsio.OS
+	fail atomic.Pointer[func(write bool, off int64, n int) error]
+}
+
+// installFaultFS makes new Vectors run on a faultFS until the test ends.
+func installFaultFS(t *testing.T) *faultFS {
+	t.Helper()
+	fs := &faultFS{}
+	old := SetFS(fs)
+	t.Cleanup(func() { SetFS(old) })
+	return fs
+}
+
+// arm installs fail (nil disarms).
+func (fs *faultFS) arm(fail func(write bool, off int64, n int) error) {
+	if fail == nil {
+		fs.fail.Store(nil)
+		return
+	}
+	fs.fail.Store(&fail)
+}
+
+func (fs *faultFS) check(write bool, off int64, n int) error {
+	if fail := fs.fail.Load(); fail != nil {
+		return (*fail)(write, off, n)
+	}
+	return nil
+}
+
+func (fs *faultFS) CreateTemp(dir, pattern string) (fsio.File, error) {
+	f, err := fs.OS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return &faultFile{File: f, fs: fs}, nil
+}
+
+type faultFile struct {
+	fsio.File
+	fs *faultFS
+}
+
+func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
+	if err := f.fs.check(false, off, len(p)); err != nil {
+		return 0, err
+	}
+	return f.File.ReadAt(p, off)
+}
+
+func (f *faultFile) WriteAt(p []byte, off int64) (int, error) {
+	if err := f.fs.check(true, off, len(p)); err != nil {
+		return 0, err
+	}
+	return f.File.WriteAt(p, off)
+}

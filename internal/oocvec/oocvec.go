@@ -162,9 +162,7 @@ type vecTel struct {
 	chunksWritten *telemetry.Counter
 	ioRetries     *telemetry.Counter // transient chunk-I/O errors retried
 	ckptSkipped   *telemetry.Counter // snapshots skipped on persistent ENOSPC
-	planHits      *telemetry.Gauge   // cumulative plan-analysis cache hits
-	planMisses    *telemetry.Gauge
-	inFlight      *telemetry.Gauge // bytes held in pipeline buffers
+	inFlight      *telemetry.Gauge   // bytes held in pipeline buffers
 	readNs        *telemetry.Histogram
 	writeNs       *telemetry.Histogram
 }
@@ -188,8 +186,6 @@ func (v *Vector) SetTelemetry(t *telemetry.Telemetry) {
 		chunksWritten: t.Counter("oocvec.chunks_written"),
 		ioRetries:     t.Counter("oocvec.io_retries"),
 		ckptSkipped:   t.Counter("oocvec.ckpt_skipped"),
-		planHits:      t.Gauge("oocvec.plan_cache_hits"),
-		planMisses:    t.Gauge("oocvec.plan_cache_misses"),
 		inFlight:      t.Gauge("oocvec.bytes_in_flight"),
 		readNs:        t.Histogram("oocvec.read_ns"),
 		writeNs:       t.Histogram("oocvec.write_ns"),
@@ -244,16 +240,6 @@ func encodeChunk(amps []complex128, raw []byte) {
 	})
 }
 
-// readHook and writeHook, when non-nil, can fail a chunk read/write before
-// it reaches the file — the test failpoints proving every error path
-// (constructor loops and a mid-flight pipeline at any depth) shuts down
-// cleanly: no leaked goroutines, no leaked temp files, Close still
-// succeeding.
-var (
-	readHook  func(chunk int) error
-	writeHook func(chunk int) error
-)
-
 // Transient chunk-I/O errors (EINTR/EAGAIN-class, fsio.IsTransient) are
 // retried in place with bounded exponential backoff rather than aborting a
 // multi-hour streamed pass: ioRetryAttempts total tries, sleeping
@@ -283,11 +269,6 @@ func retryIO(retries *telemetry.Counter, op func() error) error {
 // readChunkInto reads chunk c of f into amps via the scratch buffer raw.
 // It uses positional I/O, so concurrent calls on distinct chunks are safe.
 func readChunkInto(f fsio.File, l, c int, amps []complex128, raw []byte, retries *telemetry.Counter) error {
-	if readHook != nil {
-		if err := readHook(c); err != nil {
-			return err
-		}
-	}
 	off := int64(c) << uint(l) * ampBytes
 	if err := retryIO(retries, func() error {
 		_, err := f.ReadAt(raw, off)
@@ -301,11 +282,6 @@ func readChunkInto(f fsio.File, l, c int, amps []complex128, raw []byte, retries
 
 // writeChunkFrom writes amps as chunk c of f via the scratch buffer raw.
 func writeChunkFrom(f fsio.File, l, c int, amps []complex128, raw []byte, retries *telemetry.Counter) error {
-	if writeHook != nil {
-		if err := writeHook(c); err != nil {
-			return err
-		}
-	}
 	encodeChunk(amps, raw)
 	off := int64(c) << uint(l) * ampBytes
 	return retryIO(retries, func() error {
@@ -368,11 +344,6 @@ func swapDest(c, j int, bitPos []int) int {
 // group member with index j, m being c's own member index. amps is encoded
 // once into raw; the sub-block writes slice the encoding.
 func scatterChunk(out fsio.File, l, c int, bitPos []int, amps []complex128, raw []byte, retries *telemetry.Counter) error {
-	if writeHook != nil {
-		if err := writeHook(c); err != nil {
-			return err
-		}
-	}
 	q := len(bitPos)
 	sub := len(amps) >> q
 	m := chunkMember(c, bitPos)

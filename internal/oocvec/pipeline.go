@@ -40,7 +40,7 @@ type chunkBuf struct {
 }
 
 // runPipelined executes stages [startStage, endStage) through the pipeline,
-// consulting the (cached) plan access map — which is also where a malformed
+// consulting the plan access map — which is also where a malformed
 // plan (an unknown op kind, an op after its stage's closing swap) is turned
 // away before any I/O starts.
 func (v *Vector) runPipelined(plan *schedule.Plan, startStage, endStage int) error {
@@ -48,9 +48,6 @@ func (v *Vector) runPipelined(plan *schedule.Plan, startStage, endStage int) err
 	if err != nil {
 		return fmt.Errorf("oocvec: %w", err)
 	}
-	hits, misses := schedule.AccessCacheStats()
-	v.tel.planHits.Set(hits)
-	v.tel.planMisses.Set(misses)
 	if endStage > len(access.Stages) {
 		endStage = len(access.Stages)
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -138,7 +139,7 @@ func assertOnlyBackingFile(t *testing.T, dir string, when string) {
 
 // TestPipelineFaultInjection errors reads and writes mid-run — in streamed
 // stages and in the scattered swap writeback, with read-ahead and at depth
-// 0 — and asserts clean shutdown every time: the error surfaces, no
+// 0 — and asserts clean shutdown every time: the first error surfaces, no
 // goroutine outlives Run, no swap temp file is leaked, and Close still
 // succeeds.
 func TestPipelineFaultInjection(t *testing.T) {
@@ -147,7 +148,8 @@ func TestPipelineFaultInjection(t *testing.T) {
 	if plan.Stats.Swaps < 1 {
 		t.Fatalf("want a swap in the plan, got %d", plan.Stats.Swaps)
 	}
-	defer func() { readHook, writeHook = nil, nil }()
+	fs := installFaultFS(t)
+	chunkBytes := ampBytes << l
 
 	// Warm up once so shared pools (par workers) are at steady state
 	// before the goroutine baseline is captured.
@@ -164,48 +166,44 @@ func TestPipelineFaultInjection(t *testing.T) {
 		v.Close()
 	}
 
+	// Each scenario fails the k-th access of its kind once the run has
+	// started (the constructor's 2×32 chunk writes are not counted): a chunk
+	// read in the second stage's pass, a whole-chunk write — only the final,
+	// swapless stage writes whole chunks — and one sub-block write of the
+	// first closing swap's scatter.
 	type scenario struct {
-		name string
-		arm  func(fail *int32)
+		name  string
+		match func(write bool, n int) bool
+		after int32
 	}
 	scenarios := []scenario{
-		{"read", func(calls *int32) {
-			readHook = func(chunk int) error {
-				*calls++
-				if *calls > 40 { // past init reads, mid-run
-					return fmt.Errorf("injected read failure at chunk %d", chunk)
-				}
-				return nil
-			}
-		}},
-		{"write", func(calls *int32) {
-			writeHook = func(chunk int) error {
-				*calls++
-				if *calls > 70 { // past the 2×32 constructor writes, mid-run
-					return fmt.Errorf("injected write failure at chunk %d", chunk)
-				}
-				return nil
-			}
-		}},
+		{"read", func(write bool, n int) bool { return !write }, 40},
+		{"write", func(write bool, n int) bool { return write && n == chunkBytes }, 6},
+		{"scatter", func(write bool, n int) bool { return write && n < chunkBytes }, 37},
 	}
 	for _, depth := range []int{0, 4} {
 		for _, sc := range scenarios {
 			t.Run(fmt.Sprintf("%s/depth%d", sc.name, depth), func(t *testing.T) {
 				base := runtime.NumGoroutine()
 				dir := t.TempDir()
-				var calls int32
-				sc.arm(&calls)
 				v, err := NewUniform(n, l, dir)
 				if err != nil {
-					t.Fatalf("constructor tripped the failpoint before the run: %v", err)
+					t.Fatal(err)
 				}
+				var calls atomic.Int32
+				fs.arm(func(write bool, off int64, n int) error {
+					if sc.match(write, n) && calls.Add(1) > sc.after {
+						return fmt.Errorf("injected %s failure at chunk %d", sc.name, off/int64(chunkBytes))
+					}
+					return nil
+				})
 				v.SetPrefetch(depth)
 				runErr := v.Run(plan)
-				readHook, writeHook = nil, nil
+				fs.arm(nil)
 				if runErr == nil {
 					t.Fatal("injected fault did not surface from Run")
 				}
-				if !strings.Contains(runErr.Error(), "injected") {
+				if !strings.Contains(runErr.Error(), "injected "+sc.name) {
 					t.Fatalf("unexpected error: %v", runErr)
 				}
 				awaitGoroutineBaseline(t, base)

@@ -1,9 +1,6 @@
 package schedule
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // The chunk access map: the static-lookahead analysis a paged (out-of-core)
 // executor needs to schedule I/O around the plan instead of reacting to it.
@@ -87,9 +84,8 @@ func (sa *StageAccess) Touches(c int) bool {
 	return sa.Reads || sa.Writes || sa.Exchanges()
 }
 
-// ChunkAccess is the per-stage chunk access map of one plan (shape). It is
-// immutable after construction and safe to share across goroutines and
-// across plans with equal StructureFingerprint.
+// ChunkAccess is the per-stage chunk access map of one plan (shape): plans
+// with equal StructureFingerprint have equal maps.
 type ChunkAccess struct {
 	N, L   int
 	Stages []StageAccess
@@ -150,89 +146,6 @@ func buildAccess(p *Plan) (*ChunkAccess, error) {
 	return a, nil
 }
 
-// accessCache memoizes access maps across plans, keyed on
-// StructureFingerprint: a parameter sweep that rebuilds the plan with new
-// gate angles (same circuit shape, same schedule) hits the cache and skips
-// re-analysis. Entries are immutable, so sharing pointers is safe.
-var accessCache = struct {
-	sync.Mutex
-	m            map[string]*ChunkAccess
-	hits, misses int64
-}{m: make(map[string]*ChunkAccess)}
-
-// accessCacheMax bounds the cache; past it the map is dropped wholesale
-// (analysis is cheap — the bound only stops a pathological plan churn from
-// growing the process without limit).
-const accessCacheMax = 128
-
-// AccessMap returns the plan's per-stage chunk access map, memoized
-// process-wide on StructureFingerprint (see the cache note above). The
-// returned map is shared and must not be mutated.
-func (p *Plan) AccessMap() (*ChunkAccess, error) {
-	key := p.StructureFingerprint()
-	accessCache.Lock()
-	if a, ok := accessCache.m[key]; ok {
-		accessCache.hits++
-		accessCache.Unlock()
-		return a, nil
-	}
-	accessCache.misses++
-	accessCache.Unlock()
-
-	a, err := buildAccess(p)
-	if err != nil {
-		return nil, err
-	}
-	accessCache.Lock()
-	if len(accessCache.m) >= accessCacheMax {
-		accessCache.m = make(map[string]*ChunkAccess)
-	}
-	// A racing builder may have stored the same shape already; keep the
-	// first so repeated AccessMap calls return one shared pointer.
-	if prev, ok := accessCache.m[key]; ok {
-		a = prev
-	} else {
-		accessCache.m[key] = a
-	}
-	accessCache.Unlock()
-	return a, nil
-}
-
-// AccessCacheStats returns the cumulative plan-analysis cache hit/miss
-// counters (telemetry and the parameter-sweep tests read them).
-func AccessCacheStats() (hits, misses int64) {
-	accessCache.Lock()
-	defer accessCache.Unlock()
-	return accessCache.hits, accessCache.misses
-}
-
-// AccessCacheCounters is a point-in-time reading of the plan-analysis
-// cache counters. Harnesses that share the process-global cache (qbench's
-// parameter-sweep workloads, the oocvec pipeline tests) take one before a
-// phase and difference after, instead of flushing the cache out from under
-// concurrent users.
-type AccessCacheCounters struct {
-	Hits, Misses int64
-}
-
-// SnapshotAccessCache returns the current cumulative counters.
-func SnapshotAccessCache() AccessCacheCounters {
-	h, m := AccessCacheStats()
-	return AccessCacheCounters{Hits: h, Misses: m}
-}
-
-// Delta returns the counter movement since the snapshot c was taken.
-func (c AccessCacheCounters) Delta() AccessCacheCounters {
-	now := SnapshotAccessCache()
-	return AccessCacheCounters{Hits: now.Hits - c.Hits, Misses: now.Misses - c.Misses}
-}
-
-// FlushAccessCache empties the plan-analysis cache and zeroes its
-// counters — for tests and long-running servers cycling many circuit
-// shapes.
-func FlushAccessCache() {
-	accessCache.Lock()
-	defer accessCache.Unlock()
-	accessCache.m = make(map[string]*ChunkAccess)
-	accessCache.hits, accessCache.misses = 0, 0
-}
+// AccessMap returns the plan's per-stage chunk access map: one append-only
+// walk of the op stream, built afresh on every call and owned by the caller.
+func (p *Plan) AccessMap() (*ChunkAccess, error) { return buildAccess(p) }

@@ -173,9 +173,10 @@ func TestAccessMapMatchesExecutor(t *testing.T) {
 	}
 }
 
-func TestAccessMapSharedForEqualFingerprints(t *testing.T) {
-	FlushAccessCache()
-	t.Cleanup(FlushAccessCache)
+// TestAccessMapEqualForEqualFingerprints: the map is a function of the plan
+// structure, and every call builds its own — a caller that scribbles on one
+// cannot reach another caller's.
+func TestAccessMapEqualForEqualFingerprints(t *testing.T) {
 	build := func() *Plan {
 		plan, err := Build(supremacy(10, 14, 11), DefaultOptions(6))
 		if err != nil {
@@ -195,22 +196,27 @@ func TestAccessMapSharedForEqualFingerprints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a1 != a2 {
-		t.Error("equal-fingerprint plans did not share one cached access map")
+	if !reflect.DeepEqual(a1, a2) {
+		t.Error("equal-fingerprint plans have different access maps")
 	}
-	hits, misses := AccessCacheStats()
-	if misses != 1 || hits < 1 {
-		t.Errorf("cache stats hits=%d misses=%d, want one analysis and at least one hit", hits, misses)
+	again, err := p1.AccessMap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a1 == again || &a1.Stages[0] == &again.Stages[0] || &a1.Stages[0].Ops[0] == &again.Stages[0].Ops[0] {
+		t.Fatal("two AccessMap calls share memory")
+	}
+	a1.Stages[0].Ops[0], a1.Stages[0].Swap = -7, -7
+	if !reflect.DeepEqual(again, a2) {
+		t.Error("mutating one access map changed another")
 	}
 }
 
-// TestAccessMapCacheAcrossParameterSweep is the QAOA/VQE re-run scenario:
+// TestAccessMapAcrossParameterSweep is the QAOA/VQE re-run scenario:
 // rebuilding the plan with perturbed gate angles changes the value
-// fingerprint but not the structure fingerprint, so the second build reuses
-// the first build's analysis.
-func TestAccessMapCacheAcrossParameterSweep(t *testing.T) {
-	FlushAccessCache()
-	t.Cleanup(FlushAccessCache)
+// fingerprint but not the structure fingerprint, and the access map follows
+// the structure.
+func TestAccessMapAcrossParameterSweep(t *testing.T) {
 	build := func(theta float64) *Plan {
 		c := parameterizedCircuit(10, theta)
 		plan, err := Build(c, DefaultOptions(6))
@@ -234,42 +240,10 @@ func TestAccessMapCacheAcrossParameterSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a1 != a2 {
-		t.Error("perturbed-angle rebuild re-analyzed instead of hitting the plan cache")
-	}
-	if hits, misses := AccessCacheStats(); misses != 1 || hits != 1 {
-		t.Errorf("cache stats hits=%d misses=%d, want exactly 1/1", hits, misses)
+	if !reflect.DeepEqual(a1, a2) {
+		t.Error("equal-structure plans have different access maps")
 	}
 	checkAccessInvariants(t, p1)
-}
-
-// TestAccessCacheSnapshotDelta covers the snapshot/delta reading the qbench
-// sweep harness uses: counters observed as a difference between two
-// snapshots, without flushing the shared cache.
-func TestAccessCacheSnapshotDelta(t *testing.T) {
-	FlushAccessCache()
-	t.Cleanup(FlushAccessCache)
-	before := SnapshotAccessCache()
-	build := func(theta float64) *Plan {
-		plan, err := Build(parameterizedCircuit(10, theta), DefaultOptions(6))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return plan
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := build(0.1 * float64(i+1)).AccessMap(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d := before.Delta()
-	if d.Misses != 1 || d.Hits != 3 {
-		t.Errorf("delta hits=%d misses=%d, want 3/1", d.Hits, d.Misses)
-	}
-	// A fresh snapshot sees no further movement.
-	if d2 := SnapshotAccessCache().Delta(); d2.Hits != 0 || d2.Misses != 0 {
-		t.Errorf("idle delta hits=%d misses=%d, want 0/0", d2.Hits, d2.Misses)
-	}
 }
 
 // parameterizedCircuit is a QAOA-shaped layered circuit: mixing rotations
@@ -297,8 +271,8 @@ func parameterizedCircuit(n int, theta float64) *circuit.Circuit {
 }
 
 // FuzzChunkAccess drives random circuits through Build and asserts the
-// access-map invariants plus the cache contract: a second AccessMap call on
-// an equal-fingerprint rebuild must return the shared pointer.
+// access-map invariants plus determinism: an equal-fingerprint rebuild has
+// an equal access map of its own.
 func FuzzChunkAccess(f *testing.F) {
 	f.Add(int64(1), 6, 30, 3)
 	f.Add(int64(2), 8, 48, 5)
@@ -342,8 +316,8 @@ func FuzzChunkAccess(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again != access {
-			t.Fatal("equal-fingerprint rebuild did not share the cached access map")
+		if again == access || !reflect.DeepEqual(again, access) {
+			t.Fatal("equal-fingerprint rebuild did not produce an equal access map of its own")
 		}
 	})
 }

@@ -80,106 +80,110 @@ func (kernelBackend) Run(c *circuit.Circuit) ([]complex128, error) {
 	return v.Amps, nil
 }
 
-// scheduled single-node backend ----------------------------------------------
+// plan-executing backends ----------------------------------------------------
 
-type scheduledBackend struct {
+// planBackend is the one plan-executing row type. Every back end that runs a
+// schedule.Plan — whole vector, complex64, rank-sharded, file-paged, op by op,
+// under faults — is this struct with a different exec; scheduling at
+// l = n − globals, the ErrUnsupported check and the un-permutation of the
+// tracked qubit→bit-location mapping happen once, in Run.
+type planBackend struct {
 	name    string
 	globals int
-	mkOpts  func(l int) schedule.Options
+	costs   schedule.CostTable // the zero value: the scheduler's own default table
+	// exec runs plan from |0…0⟩ and returns the amplitudes in plan-physical
+	// order, widened to complex128.
+	exec   func(plan *schedule.Plan) ([]complex128, error)
+	events *int64 // perturbations exec injected so far; nil for rows that arm no faults
 }
 
-// Scheduled returns a backend that schedules the circuit with the paper's
-// default options at l = n − globals local qubits and executes the fused
-// plan on a single node, un-permuting the tracked qubit→bit-location
-// mapping before comparison.
-func Scheduled(globals int) Backend {
-	return &scheduledBackend{
-		name:    fmt.Sprintf("schedule/fused-g%d", globals),
-		globals: globals,
-		mkOpts:  defaultScheduleOptions,
-	}
+// PlanRow enrols a plan executor as a matrix row: the only thing a new
+// storage, precision or fault harness supplies is how it runs a plan.
+func PlanRow(name string, globals int, exec func(plan *schedule.Plan) ([]complex128, error)) Backend {
+	return &planBackend{name: name, globals: globals, exec: exec}
 }
 
-// ScheduledWith is Scheduled with custom schedule options (ablations:
-// lowest-order swap policy, clustering off, …).
-func ScheduledWith(name string, globals int, mkOpts func(l int) schedule.Options) Backend {
-	return &scheduledBackend{name: name, globals: globals, mkOpts: mkOpts}
-}
+func (b *planBackend) Name() string { return b.name }
 
-func defaultScheduleOptions(l int) schedule.Options {
-	o := schedule.DefaultOptions(l)
-	if o.KMax > l {
-		o.KMax = l
-	}
-	return o
-}
-
-// scheduleOptions is defaultScheduleOptions priced by costs (the zero
-// value: the scheduler's own default table).
-func scheduleOptions(l int, costs schedule.CostTable) schedule.Options {
-	o := defaultScheduleOptions(l)
-	o.Costs = costs
-	return o
-}
-
-// PaperTwin returns the twin of a plan-executing backend (Scheduled,
-// Distributed, OutOfCore, F32Scheduled) that schedules with
-// schedule.PaperCosts: clusters grow to the kmax cap, so the k = 3…5 dense
-// kernels and the wide fused matrices stay in the matrix now that plans
-// priced for this repository's kernels stop at narrower clusters.
-func PaperTwin(b Backend) Backend {
-	const suffix = "+paper"
-	switch t := b.(type) {
-	case *scheduledBackend:
-		twin := *t
-		twin.name += suffix
-		twin.mkOpts = func(l int) schedule.Options {
-			o := t.mkOpts(l)
-			o.Costs = schedule.PaperCosts()
-			return o
-		}
-		return &twin
-	case *oocBackend:
-		twin := *t
-		twin.name, twin.costs = t.name+suffix, schedule.PaperCosts()
-		return &twin
-	case *distBackend:
-		twin := *t
-		twin.name, twin.costs = t.name+suffix, schedule.PaperCosts()
-		return &twin
-	case *f32Backend:
-		twin := *t
-		twin.name, twin.costs = t.name+suffix, schedule.PaperCosts()
-		return &twin
-	}
-	panic(fmt.Sprintf("verify: %s executes no plan", b.Name()))
-}
-
-func (b *scheduledBackend) Name() string { return b.name }
-
-func (b *scheduledBackend) Run(c *circuit.Circuit) ([]complex128, error) {
+func (b *planBackend) Run(c *circuit.Circuit) ([]complex128, error) {
 	l := c.N - b.globals
 	if l < minLocalQubits(c) {
 		return nil, ErrUnsupported
 	}
-	plan, err := schedule.Build(c, b.mkOpts(l))
+	plan, err := schedule.Build(c, scheduleOptions(l, b.costs))
 	if err != nil {
 		return nil, err
 	}
-	v := statevec.New(c.N)
-	if err := plan.Run(v); err != nil {
+	phys, err := b.exec(plan)
+	if err != nil {
 		return nil, err
 	}
-	return unpermute(plan, v.Amps), nil
+	return unpermute(plan, phys), nil
 }
 
-// out-of-core backend ---------------------------------------------------------
+// unpermute maps plan-physical amplitudes back to logical qubit order.
+func unpermute(plan *schedule.Plan, phys []complex128) []complex128 {
+	out := make([]complex128, len(phys))
+	for b := range out {
+		out[b] = phys[plan.PermutedIndex(b)]
+	}
+	return out
+}
 
-type oocBackend struct {
-	name     string
-	globals  int
-	prefetch int
-	costs    schedule.CostTable
+// scheduleOptions is the paper's default options at l local qubits, priced by
+// costs.
+func scheduleOptions(l int, costs schedule.CostTable) schedule.Options {
+	o := schedule.DefaultOptions(l)
+	if o.KMax > l {
+		o.KMax = l
+	}
+	o.Costs = costs
+	return o
+}
+
+// PaperTwin returns the twin of a plan-executing row that schedules with
+// schedule.PaperCosts: clusters grow to the kmax cap, so the k = 3…5 dense
+// kernels and the wide fused matrices stay in the matrix now that plans
+// priced for this repository's kernels stop at narrower clusters.
+func PaperTwin(b Backend) Backend {
+	row, ok := b.(*planBackend)
+	if !ok {
+		panic(fmt.Sprintf("verify: %s executes no plan", b.Name()))
+	}
+	twin := *row
+	twin.name, twin.costs = row.name+"+paper", schedule.PaperCosts()
+	return &twin
+}
+
+// widen converts a complex64 state for comparison against the exact paths.
+func widen(narrow []complex64) []complex128 {
+	out := make([]complex128, len(narrow))
+	for i, a := range narrow {
+		out[i] = complex128(a)
+	}
+	return out
+}
+
+// Scheduled returns a backend that schedules the circuit with the paper's
+// default options at l = n − globals local qubits and executes the fused
+// plan on a single node.
+func Scheduled(globals int) Backend {
+	return PlanRow(fmt.Sprintf("schedule/fused-g%d", globals), globals, func(plan *schedule.Plan) ([]complex128, error) {
+		v := statevec.New(plan.N)
+		err := plan.Run(v)
+		return v.Amps, err
+	})
+}
+
+// F32Scheduled is F32 through the fused scheduler at l = n − globals —
+// the paper's Sec. 5 outlook configuration (single precision + two-swap
+// schedules).
+func F32Scheduled(globals int) Backend {
+	return PlanRow(fmt.Sprintf("f32vec/fused-g%d", globals), globals, func(plan *schedule.Plan) ([]complex128, error) {
+		v := f32vec.New(plan.N)
+		err := v.RunPlan(plan)
+		return widen(v.Amps), err
+	})
 }
 
 // OutOfCore returns a backend that schedules at l = n − globals and
@@ -190,79 +194,79 @@ type oocBackend struct {
 // the matrix cross-checks the pipeline with and without its concurrency
 // against the in-memory reference.
 func OutOfCore(globals, prefetch int) Backend {
-	name := fmt.Sprintf("oocvec/g%d-prefetch%d", globals, prefetch)
-	return &oocBackend{name: name, globals: globals, prefetch: prefetch}
-}
-
-func (b *oocBackend) Name() string { return b.name }
-
-func (b *oocBackend) Run(c *circuit.Circuit) ([]complex128, error) {
-	l := c.N - b.globals
-	if l < 1 || l < minLocalQubits(c) {
-		return nil, ErrUnsupported
-	}
-	plan, err := schedule.Build(c, scheduleOptions(l, b.costs))
-	if err != nil {
-		return nil, err
-	}
-	v, err := oocvec.New(c.N, l, "")
-	if err != nil {
-		return nil, err
-	}
-	defer v.Close()
-	v.SetPrefetch(b.prefetch)
-	if err := v.Run(plan); err != nil {
-		return nil, err
-	}
-	amps, err := v.Amplitudes()
-	if err != nil {
-		return nil, err
-	}
-	return unpermute(plan, amps), nil
-}
-
-// distributed backend ---------------------------------------------------------
-
-type distBackend struct {
-	name   string
-	ranks  int
-	costs  schedule.CostTable
-	faults *mpi.FaultPlan
-	events int64 // cumulative injected perturbations across Run calls
+	return PlanRow(fmt.Sprintf("oocvec/g%d-prefetch%d", globals, prefetch), globals, func(plan *schedule.Plan) ([]complex128, error) {
+		v, err := oocvec.New(plan.N, plan.L, "")
+		if err != nil {
+			return nil, err
+		}
+		defer v.Close()
+		v.SetPrefetch(prefetch)
+		if err := v.Run(plan); err != nil {
+			return nil, err
+		}
+		return v.Amplitudes()
+	})
 }
 
 // Distributed returns a backend that schedules at l = n − log2(ranks) and
 // executes across ranks simulated MPI ranks via dist.Run, gathering the
 // full state.
 func Distributed(ranks int) Backend {
-	return &distBackend{name: fmt.Sprintf("dist/ranks%d", ranks), ranks: ranks}
+	return distRow(fmt.Sprintf("dist/ranks%d", ranks), ranks, nil)
 }
 
 // DistributedFaulty is Distributed with MPI fault injection armed.
 func DistributedFaulty(ranks int, fp *mpi.FaultPlan) Backend {
-	return &distBackend{name: fmt.Sprintf("dist/ranks%d+faults", ranks), ranks: ranks, faults: fp}
+	return distRow(fmt.Sprintf("dist/ranks%d+faults", ranks), ranks, fp)
 }
 
-func (b *distBackend) Name() string { return b.name }
+func distRow(name string, ranks int, fp *mpi.FaultPlan) Backend {
+	events := new(int64)
+	return &planBackend{name: name, globals: bits.TrailingZeros(uint(ranks)), events: events,
+		exec: func(plan *schedule.Plan) ([]complex128, error) {
+			res, err := dist.Run(plan, dist.Options{
+				Ranks: ranks, Init: dist.InitZero, GatherState: true, Faults: fp,
+			})
+			if err != nil {
+				return nil, err
+			}
+			*events += res.FaultEvents
+			return res.Amplitudes, nil
+		}}
+}
 
-func (b *distBackend) Run(c *circuit.Circuit) ([]complex128, error) {
-	g := bits.TrailingZeros(uint(b.ranks))
-	l := c.N - g
-	if l < minLocalQubits(c) {
-		return nil, ErrUnsupported
-	}
-	plan, err := schedule.Build(c, scheduleOptions(l, b.costs))
-	if err != nil {
-		return nil, err
-	}
-	res, err := dist.Run(plan, dist.Options{
-		Ranks: b.ranks, Init: dist.InitZero, GatherState: true, Faults: b.faults,
+// PerOp returns the reference of the "blocked vs per-op" rows: the default
+// plan at l = n − globals executed on the whole vector one op, one sweep of
+// the state, at a time (schedule.Shard.Apply, which never forms a run). The
+// plan-executing backends at the same globals build the same plan, so
+// against this reference they must agree to the bit — which is only a
+// statement about blocked runs on circuits whose shards exceed a cache
+// block (BlockedQubits).
+func PerOp(globals int) Backend {
+	return PlanRow(fmt.Sprintf("schedule/per-op-g%d", globals), globals, runPerOp[complex128])
+}
+
+// F32PerOp is PerOp on a complex64 state, widened for comparison.
+func F32PerOp(globals int) Backend {
+	return PlanRow(fmt.Sprintf("f32vec/per-op-g%d", globals), globals, func(plan *schedule.Plan) ([]complex128, error) {
+		narrow, err := runPerOp[complex64](plan)
+		return widen(narrow), err
 	})
-	if err != nil {
-		return nil, err
+}
+
+func runPerOp[T complex64 | complex128](plan *schedule.Plan) ([]T, error) {
+	sh := schedule.Shard[T]{Amps: make([]T, 1<<plan.N), L: plan.N}
+	sh.Amps[0] = 1
+	for i := range plan.Ops {
+		op := &plan.Ops[i]
+		if err := sh.Apply(op); err != nil {
+			return nil, err
+		}
+		for j := range op.LocalPos {
+			kernels.SwapBits(sh.Amps, op.LocalPos[j], op.GlobalPos[j])
+		}
 	}
-	b.events += res.FaultEvents
-	return unpermute(plan, res.Amplitudes), nil
+	return sh.Amps, nil
 }
 
 // permuted-layout backend -----------------------------------------------------
@@ -375,128 +379,40 @@ func (b *baselineBackend) Run(c *circuit.Circuit) ([]complex128, error) {
 	return res.Amplitudes, nil
 }
 
-// single-precision backends ---------------------------------------------------
+// single-precision per-gate backend -------------------------------------------
 
-type f32Backend struct {
-	name    string
-	globals int // < 0: per-gate path; ≥ 0: scheduled at l = n − globals
-	costs   schedule.CostTable
-}
+type f32Backend struct{}
 
 // F32 returns the single-precision per-gate backend, named like Kernel
 // after the kernel set this machine runs: every gate goes through the
 // complex64 kernels and the final state is widened back to complex128. It
 // joins the matrix under the separate epsilon tolerance of Options.F32Tol —
 // float32 amplitudes cannot meet the exact-path 1e-10 bar.
-func F32() Backend {
-	return &f32Backend{name: "f32vec/" + kernels.ISA(), globals: -1}
-}
+func F32() Backend { return f32Backend{} }
 
-// F32Scheduled is F32 through the fused scheduler at l = n − globals —
-// the paper's Sec. 5 outlook configuration (single precision + two-swap
-// schedules).
-func F32Scheduled(globals int) Backend {
-	return &f32Backend{name: fmt.Sprintf("f32vec/fused-g%d", globals), globals: globals}
-}
+func (f32Backend) Name() string { return "f32vec/" + kernels.ISA() }
 
-func (b *f32Backend) Name() string { return b.name }
-
-func (b *f32Backend) Run(c *circuit.Circuit) ([]complex128, error) {
-	if b.globals < 0 {
-		v := f32vec.New(c.N)
-		for i := range c.Gates {
-			g := &c.Gates[i]
-			v.ApplyGate(g.Matrix(), g.Qubits...)
-		}
-		return v.ToDouble().Amps, nil
-	}
-	l := c.N - b.globals
-	if l < minLocalQubits(c) {
-		return nil, ErrUnsupported
-	}
-	plan, err := schedule.Build(c, scheduleOptions(l, b.costs))
-	if err != nil {
-		return nil, err
-	}
+func (f32Backend) Run(c *circuit.Circuit) ([]complex128, error) {
 	v := f32vec.New(c.N)
-	if err := v.RunPlan(plan); err != nil {
-		return nil, err
+	for i := range c.Gates {
+		g := &c.Gates[i]
+		v.ApplyGate(g.Matrix(), g.Qubits...)
 	}
-	return unpermute(plan, v.ToDouble().Amps), nil
-}
-
-// per-op reference of the blocked-run rows -------------------------------------
-
-type perOpBackend struct {
-	name    string
-	globals int
-	f32     bool
-}
-
-// PerOp returns the reference of the "blocked vs per-op" rows: the default
-// plan at l = n − globals executed on the whole vector one op, one sweep of
-// the state, at a time (schedule.Shard.Apply, which never forms a run). The
-// plan-executing backends at the same globals build the same plan, so
-// against this reference they must agree to the bit — which is only a
-// statement about blocked runs on circuits whose shards exceed a cache
-// block (BlockedQubits).
-func PerOp(globals int) Backend {
-	return &perOpBackend{name: fmt.Sprintf("schedule/per-op-g%d", globals), globals: globals}
-}
-
-// F32PerOp is PerOp on a complex64 state, widened for comparison.
-func F32PerOp(globals int) Backend {
-	return &perOpBackend{name: fmt.Sprintf("f32vec/per-op-g%d", globals), globals: globals, f32: true}
-}
-
-func (b *perOpBackend) Name() string { return b.name }
-
-func (b *perOpBackend) Run(c *circuit.Circuit) ([]complex128, error) {
-	l := c.N - b.globals
-	if l < minLocalQubits(c) {
-		return nil, ErrUnsupported
-	}
-	plan, err := schedule.Build(c, defaultScheduleOptions(l))
-	if err != nil {
-		return nil, err
-	}
-	var amps []complex128
-	if b.f32 {
-		narrow, err := runPerOp[complex64](plan)
-		if err != nil {
-			return nil, err
-		}
-		amps = make([]complex128, len(narrow))
-		for i, a := range narrow {
-			amps[i] = complex128(a)
-		}
-	} else if amps, err = runPerOp[complex128](plan); err != nil {
-		return nil, err
-	}
-	return unpermute(plan, amps), nil
-}
-
-func runPerOp[T complex64 | complex128](plan *schedule.Plan) ([]T, error) {
-	sh := schedule.Shard[T]{Amps: make([]T, 1<<plan.N), L: plan.N}
-	sh.Amps[0] = 1
-	for i := range plan.Ops {
-		op := &plan.Ops[i]
-		if err := sh.Apply(op); err != nil {
-			return nil, err
-		}
-		for j := range op.LocalPos {
-			kernels.SwapBits(sh.Amps, op.LocalPos[j], op.GlobalPos[j])
-		}
-	}
-	return sh.Amps, nil
+	return widen(v.Amps), nil
 }
 
 // faultCounter is implemented by backends that run under a FaultPlan; the
 // harness sums the injected perturbations for reporting.
 type faultCounter interface{ FaultEvents() int64 }
 
-func (b *distBackend) FaultEvents() int64     { return b.events }
 func (b *baselineBackend) FaultEvents() int64 { return b.events }
+
+func (b *planBackend) FaultEvents() int64 {
+	if b.events == nil {
+		return 0
+	}
+	return *b.events
+}
 
 // minLocalQubits is the smallest l the scheduler can place c at: every
 // dense gate needs all its qubits brought local, so l must cover the
@@ -511,20 +427,4 @@ func minLocalQubits(c *circuit.Circuit) int {
 		}
 	}
 	return min
-}
-
-// Unpermute maps plan-physical amplitudes back to logical qubit order —
-// exported for harnesses that run an engine directly (not through a
-// Backend) and need to compare its raw state against a reference.
-func Unpermute(plan *schedule.Plan, phys []complex128) []complex128 {
-	return unpermute(plan, phys)
-}
-
-// unpermute maps plan-physical amplitudes back to logical qubit order.
-func unpermute(plan *schedule.Plan, phys []complex128) []complex128 {
-	out := make([]complex128, len(phys))
-	for b := range out {
-		out[b] = phys[plan.PermutedIndex(b)]
-	}
-	return out
 }

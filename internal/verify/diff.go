@@ -51,9 +51,6 @@ type Engine struct {
 	// Tol is the max-amplitude-delta tolerance; the acceptance bar for this
 	// repo is 1e-10.
 	Tol float64
-	// Minimize shrinks each diverging circuit with a delta-debugging pass
-	// before recording the reproducer (on by default via NewEngine).
-	Minimize bool
 
 	// Title heads the summary table ("differential matrix" when empty).
 	Title string
@@ -66,7 +63,7 @@ type Engine struct {
 // NewEngine returns an engine comparing each backend against ref.
 func NewEngine(ref Backend, backends []Backend, tol float64) *Engine {
 	return &Engine{
-		Ref: ref, Backends: backends, Tol: tol, Minimize: true,
+		Ref: ref, Backends: backends, Tol: tol,
 		Pairs: make(map[string]*PairStat),
 	}
 }
@@ -109,10 +106,7 @@ func (e *Engine) Check(c *circuit.Circuit) error {
 			div := Divergence{
 				Circuit: c.Name, Backend: b.Name(), MaxDelta: d, FidDelta: fd,
 			}
-			repro := c
-			if e.Minimize {
-				repro = e.minimize(c, b)
-			}
+			repro := e.minimize(c, b)
 			div.Reproducer = CircuitText(repro)
 			div.ReproducerGates = len(repro.Gates)
 			e.Divergences = append(e.Divergences, div)
@@ -190,15 +184,6 @@ func (e *Engine) minimize(c *circuit.Circuit, b Backend) *circuit.Circuit {
 		}
 	}
 	return cur
-}
-
-// MinimizeDivergence shrinks a circuit on which b diverges from ref by
-// more than tol, using the same greedy delta debugging as the engine's
-// automatic reproducers — the entry point for external harnesses (the
-// chaos soak driver) that detect a mismatch outside an Engine run.
-func MinimizeDivergence(ref, b Backend, tol float64, c *circuit.Circuit) *circuit.Circuit {
-	e := NewEngine(ref, []Backend{b}, tol)
-	return e.minimize(c, b)
 }
 
 // withoutGates returns a copy of c with gates [lo, hi) removed.

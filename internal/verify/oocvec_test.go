@@ -28,7 +28,7 @@ func scheduledAmps(t *testing.T, c *circuit.Circuit, plan *schedule.Plan) []comp
 func TestOutOfCoreBitwiseDifferential(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
 		c := Random(RandomOptions{Qubits: 10, Gates: 60, Seed: seed, DenseEntanglers: true})
-		plan, err := schedule.Build(c, defaultScheduleOptions(c.N-3))
+		plan, err := schedule.Build(c, scheduleOptions(c.N-3, schedule.CostTable{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,13 +72,10 @@ func TestOutOfCoreEnrolledInMatrix(t *testing.T) {
 
 // TestOutOfCoreMetamorphicParameterSweep is the QAOA/VQE re-run property:
 // executing a circuit, then re-executing it with perturbed gate angles,
-// must (a) reuse the cached plan analysis — the two plans differ only in
-// gate values, not structure — and (b) still agree bitwise with the
-// in-memory run of each perturbed instance.
+// must (a) keep the plan structure — the plans differ only in gate values —
+// and (b) still agree bitwise with the in-memory run of each perturbed
+// instance.
 func TestOutOfCoreMetamorphicParameterSweep(t *testing.T) {
-	schedule.FlushAccessCache()
-	t.Cleanup(schedule.FlushAccessCache)
-
 	mk := func(theta float64) *circuit.Circuit {
 		c := circuit.NewCircuit(9)
 		for q := 0; q < c.N; q++ {
@@ -100,7 +97,7 @@ func TestOutOfCoreMetamorphicParameterSweep(t *testing.T) {
 	var lastStruct string
 	for i, theta := range []float64{0.7, 0.7 + 1e-4, 0.7 - 1e-4} {
 		c := mk(theta)
-		plan, err := schedule.Build(c, defaultScheduleOptions(c.N-3))
+		plan, err := schedule.Build(c, scheduleOptions(c.N-3, schedule.CostTable{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,12 +116,5 @@ func TestOutOfCoreMetamorphicParameterSweep(t *testing.T) {
 				t.Fatalf("theta %g: amplitude %d differs bitwise", theta, b)
 			}
 		}
-	}
-	hits, misses := schedule.AccessCacheStats()
-	if misses != 1 {
-		t.Errorf("parameter sweep re-analyzed the plan %d times, want 1", misses)
-	}
-	if hits < 2 {
-		t.Errorf("parameter sweep hit the plan cache %d times, want ≥ 2", hits)
 	}
 }

@@ -53,7 +53,7 @@ func CheckRecovery(opts Options, ranks int, logf func(string, ...any)) *Recovery
 		fail("recovery sweep needs 4 ranks and l=%d ≥ %d local qubits", l, minLocalQubits(c))
 		return rep
 	}
-	plan, err := schedule.Build(c, defaultScheduleOptions(l))
+	plan, err := schedule.Build(c, scheduleOptions(l, schedule.CostTable{}))
 	if err != nil {
 		fail("building recovery plan: %v", err)
 		return rep

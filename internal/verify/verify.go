@@ -98,7 +98,8 @@ func (o *Options) setDefaults() {
 	}
 }
 
-// Report aggregates a full harness run.
+// Report aggregates a full harness run; a Run that returned no error filled
+// in every engine and the recovery sweep.
 type Report struct {
 	Differential *Engine // the clean differential matrix
 	F32          *Engine // single-precision backends at the epsilon tolerance
@@ -117,8 +118,7 @@ type Report struct {
 
 // Failed reports whether any layer found a violation.
 func (r *Report) Failed() bool {
-	return r.Differential.Failed() || (r.F32 != nil && r.F32.Failed()) ||
-		(r.Blocked != nil && (r.Blocked.Failed() || r.BlockedF32.Failed())) ||
+	return r.Differential.Failed() || r.F32.Failed() || r.Blocked.Failed() || r.BlockedF32.Failed() ||
 		r.Faults.Failed() || len(r.MetamorphicFailed) > 0 || r.Recovery.Failed()
 }
 
@@ -197,68 +197,40 @@ func Run(opts Options) (*Report, error) {
 	}
 
 	ref, backends := Matrix(opts.Quick)
+	f32backends := MatrixF32(opts.Quick)
 	engine := NewEngine(ref, backends, opts.Tol)
-	rep := &Report{Differential: engine}
+	f32engine := NewEngine(ref, f32backends, opts.F32Tol)
+	rep := &Report{Differential: engine, F32: f32engine}
 
 	// Phase 1: differential matrix over seeded random + library circuits.
-	logf("phase 1: differential matrix (%d random + library + catalog circuits, %d backends)",
-		opts.Circuits, len(backends))
+	// Each circuit goes through the exact engine and, at the epsilon
+	// tolerance, the single-precision one.
+	logf("phase 1: differential matrix (%d random + library + catalog circuits, %d backends + %d single-precision at tol %.1e)",
+		opts.Circuits, len(backends), len(f32backends), opts.F32Tol)
+	var circuits []*circuit.Circuit
 	for i := 0; i < opts.Circuits; i++ {
-		c := Random(RandomOptions{
+		circuits = append(circuits, Random(RandomOptions{
 			Qubits: opts.Qubits, Gates: opts.Gates, Seed: opts.Seed + int64(i),
 			// Half the circuits include dense entanglers (CNOT/SWAP); the
 			// baseline backend skips those it cannot place locally.
 			DenseEntanglers: i%2 == 1,
-		})
-		if err := engine.Check(c); err != nil {
-			return rep, err
+		}))
+	}
+	circuits = append(append(circuits, Library(opts.Qubits, opts.Seed)...), Catalog(opts.Qubits, opts.Seed)...)
+	for _, c := range circuits {
+		for _, e := range []*Engine{engine, f32engine} {
+			if err := e.Check(c); err != nil {
+				return rep, err
+			}
 		}
 	}
-	for _, c := range Library(opts.Qubits, opts.Seed) {
-		if err := engine.Check(c); err != nil {
-			return rep, err
-		}
-	}
-	for _, c := range Catalog(opts.Qubits, opts.Seed) {
-		if err := engine.Check(c); err != nil {
-			return rep, err
-		}
-	}
-	logf("%s", strings.TrimRight(engine.Summary(), "\n"))
+	logf("%s%s", engine.Summary(), strings.TrimRight(f32engine.Summary(), "\n"))
 
-	// Phase 1b: the single-precision backends rerun the same seeded
-	// circuits at the epsilon tolerance.
-	f32backends := MatrixF32(opts.Quick)
-	logf("phase 1b: single-precision matrix (%d backends, tol %.1e)",
-		len(f32backends), opts.F32Tol)
-	f32engine := NewEngine(ref, f32backends, opts.F32Tol)
-	rep.F32 = f32engine
-	for i := 0; i < opts.Circuits; i++ {
-		c := Random(RandomOptions{
-			Qubits: opts.Qubits, Gates: opts.Gates, Seed: opts.Seed + int64(i),
-			DenseEntanglers: i%2 == 1,
-		})
-		if err := f32engine.Check(c); err != nil {
-			return rep, err
-		}
-	}
-	for _, c := range Library(opts.Qubits, opts.Seed) {
-		if err := f32engine.Check(c); err != nil {
-			return rep, err
-		}
-	}
-	for _, c := range Catalog(opts.Qubits, opts.Seed) {
-		if err := f32engine.Check(c); err != nil {
-			return rep, err
-		}
-	}
-	logf("%s", strings.TrimRight(f32engine.Summary(), "\n"))
-
-	// Phase 1c: the same plan block by block and op by op, per storage, on
+	// Phase 1b: the same plan block by block and op by op, per storage, on
 	// states large enough to have blocks. Tolerance zero: the two executions
 	// apply the same instructions to every amplitude.
 	ref64, blocked64, ref32, blocked32 := MatrixBlocked()
-	logf("phase 1c: blocked vs per-op (%d qubits, %d+%d storages, bitwise)", BlockedQubits, len(blocked64), len(blocked32))
+	logf("phase 1b: blocked vs per-op (%d qubits, %d+%d storages, bitwise)", BlockedQubits, len(blocked64), len(blocked32))
 	rep.Blocked, rep.BlockedF32 = NewEngine(ref64, blocked64, 0), NewEngine(ref32, blocked32, 0)
 	rep.Blocked.Title, rep.BlockedF32.Title = "blocked vs per-op", "blocked vs per-op"
 	bigger := []*circuit.Circuit{
@@ -331,13 +303,8 @@ func Run(opts Options) (*Report, error) {
 // String renders the full report.
 func (r *Report) String() string {
 	var b strings.Builder
-	b.WriteString(r.Differential.Summary())
-	if r.F32 != nil {
-		b.WriteString(r.F32.Summary())
-	}
-	if r.Blocked != nil {
-		b.WriteString(r.Blocked.Summary())
-		b.WriteString(r.BlockedF32.Summary())
+	for _, e := range []*Engine{r.Differential, r.F32, r.Blocked, r.BlockedF32} {
+		b.WriteString(e.Summary())
 	}
 	fmt.Fprintf(&b, "metamorphic: %d/%d properties passed\n",
 		r.MetamorphicRun-len(r.MetamorphicFailed), r.MetamorphicRun)
@@ -347,19 +314,14 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "fault injection: %d scenarios, %d perturbations\n",
 		r.FaultScenarios, r.FaultEvents)
 	b.WriteString(r.Faults.Summary())
-	if r.Recovery != nil {
-		fmt.Fprintf(&b, "recovery: %d crash + %d corruption points, %d restarts, %d snapshot resumes\n",
-			r.Recovery.CrashPoints, r.Recovery.CorruptPoints, r.Recovery.Restarts, r.Recovery.Restored)
-		for _, f := range r.Recovery.Failures {
-			fmt.Fprintf(&b, "  FAILED %s\n", f)
-		}
+	fmt.Fprintf(&b, "recovery: %d crash + %d corruption points, %d restarts, %d snapshot resumes\n",
+		r.Recovery.CrashPoints, r.Recovery.CorruptPoints, r.Recovery.Restarts, r.Recovery.Restored)
+	for _, f := range r.Recovery.Failures {
+		fmt.Fprintf(&b, "  FAILED %s\n", f)
 	}
-	divs := append(append([]Divergence(nil), r.Differential.Divergences...), r.Faults.Divergences...)
-	if r.F32 != nil {
-		divs = append(divs, r.F32.Divergences...)
-	}
-	if r.Blocked != nil {
-		divs = append(append(divs, r.Blocked.Divergences...), r.BlockedF32.Divergences...)
+	var divs []Divergence
+	for _, e := range []*Engine{r.Differential, r.Faults, r.F32, r.Blocked, r.BlockedF32} {
+		divs = append(divs, e.Divergences...)
 	}
 	if len(divs) == 0 {
 		b.WriteString("RESULT: all execution paths agree\n")

@@ -4,44 +4,20 @@ import (
 	"fmt"
 
 	"qusim/internal/circuit"
-	"qusim/internal/schedule"
 )
 
 // The parameter-sweep workloads: the same ansatz structure re-run across
-// seeded parameter sets, which is exactly the traffic shape the
-// StructureFingerprint plan-analysis cache exists for — every sweep point
-// after the first must hit the cached analysis, and the run gates on the
-// observed hit count. Parameter set 0 is always all-zeros, pinning the
+// seeded parameter sets. Parameter set 0 is always all-zeros, pinning the
 // observable to a closed-form anchor (uniform-state cut value for QAOA,
 // chain ground energy for VQE); the remaining sets are checked against the
 // observable's exact range.
 
-// sweepScheduleOptions mirrors the verify backends' default scheduling at
-// l local qubits.
-func sweepScheduleOptions(l int) schedule.Options {
-	o := schedule.DefaultOptions(l)
-	if o.KMax > l {
-		o.KMax = l
-	}
-	return o
-}
-
-// runSweep executes the shared sweep loop: for every circuit, build the
-// plan, touch the plan-analysis cache (the production path oocvec's
-// prefetcher takes), run the state through the harness backend, and hand
-// the probabilities to score. It appends the cache-hit expectation and the
+// runSweep executes the shared sweep loop: run every circuit's state through
+// the harness backend and hand the probabilities to score. It appends the
 // sweep work counters to r.
-func runSweep(h *Harness, r *Result, circuits []*circuit.Circuit, globals int,
+func runSweep(h *Harness, r *Result, circuits []*circuit.Circuit,
 	score func(i int, probs []float64) error) error {
-	snap := schedule.SnapshotAccessCache()
 	for i, c := range circuits {
-		plan, err := schedule.Build(c, sweepScheduleOptions(c.N-globals))
-		if err != nil {
-			return fmt.Errorf("schedule sweep %d: %w", i, err)
-		}
-		if _, err := plan.AccessMap(); err != nil {
-			return fmt.Errorf("access map sweep %d: %w", i, err)
-		}
 		v, err := h.State(c)
 		if err != nil {
 			return err
@@ -51,14 +27,6 @@ func runSweep(h *Harness, r *Result, circuits []*circuit.Circuit, globals int,
 			return err
 		}
 	}
-	d := snap.Delta()
-	r.Values["plan-cache-hits"] = float64(d.Hits)
-	// Identical gate structure across the sweep ⇒ at most two analyses: the
-	// all-zeros anchor schedules to its own fingerprint (zero rotations fuse
-	// differently), the non-zero points share one. ≥ because another phase
-	// may share the process-global cache concurrently.
-	r.checkBound("plan-cache hits", float64(d.Hits),
-		float64(len(circuits)-2), float64(d.Hits)+1)
 	sweeps := float64(len(circuits))
 	r.Work["sweeps"] = sweeps
 	r.Work["gates"] = float64(r.Gates)
@@ -85,7 +53,7 @@ func qaoaSweepWorkload() Workload {
 			inst := &Instance{Qubits: n, Circuits: circuits}
 			inst.Run = func(h *Harness) (*Result, error) {
 				r := &Result{Gates: totalGates(circuits), Work: map[string]float64{}, Values: map[string]float64{}}
-				err := runSweep(h, r, circuits, 2, func(i int, probs []float64) error {
+				err := runSweep(h, r, circuits, func(i int, probs []float64) error {
 					cut := circuit.MaxCutExpectation(probs, edges)
 					r.Values[fmt.Sprintf("cut-%d", i)] = cut
 					if i == 0 {
@@ -126,7 +94,7 @@ func vqeAnsatzWorkload() Workload {
 			inst.Run = func(h *Harness) (*Result, error) {
 				r := &Result{Gates: totalGates(circuits), Work: map[string]float64{}, Values: map[string]float64{}}
 				bound := float64(n - 1)
-				err := runSweep(h, r, circuits, 2, func(i int, probs []float64) error {
+				err := runSweep(h, r, circuits, func(i int, probs []float64) error {
 					e := circuit.IsingChainEnergy(probs, n)
 					r.Values[fmt.Sprintf("energy-%d", i)] = e
 					if i == 0 {
