@@ -85,17 +85,19 @@ chaos-smoke:
 fuzz:
 	$(GO) test ./internal/schedule -fuzz FuzzScheduleEquivalence -fuzztime 60s
 
-# CI's 10-second burst over every fuzz target (one -fuzz pattern per
-# go test invocation is a toolchain limit).
+# A burst of FUZZTIME over every fuzz target, the one list of them: CI runs
+# it as is, the nightly with FUZZTIME=60s (one -fuzz pattern per go test
+# invocation is a toolchain limit).
+FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test ./internal/schedule -fuzz FuzzScheduleEquivalence -fuzztime 10s
-	$(GO) test ./internal/schedule -fuzz FuzzChunkAccess -fuzztime 10s
-	$(GO) test ./internal/schedule -fuzz FuzzReadPlan -fuzztime 10s
-	$(GO) test ./internal/ckpt -fuzz FuzzShardDecode -fuzztime 10s
-	$(GO) test ./internal/ckpt -fuzz FuzzManifestDecode -fuzztime 10s
-	$(GO) test ./internal/kernels -fuzz FuzzBitPermutation -fuzztime 10s
-	$(GO) test ./internal/kernels -fuzz FuzzSIMDKernel -fuzztime 10s
-	$(GO) test ./internal/circuit -fuzz FuzzReadText -fuzztime 10s
+	$(GO) test ./internal/schedule -fuzz FuzzScheduleEquivalence -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/schedule -fuzz FuzzChunkAccess -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/schedule -fuzz FuzzReadPlan -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ckpt -fuzz FuzzShardDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ckpt -fuzz FuzzManifestDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/kernels -fuzz FuzzBitPermutation -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/kernels -fuzz FuzzSIMDKernel -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/circuit -fuzz FuzzReadText -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench=. -benchmem

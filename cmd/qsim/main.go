@@ -40,7 +40,7 @@ func main() {
 		ranks     = flag.Int("ranks", 1, "simulated MPI ranks (power of two)")
 		kmax      = flag.Int("kmax", schedule.DefaultOptions(0).KMax, "cap on the fused-gate size (clamped to local qubits); below it the scheduler's kernel cost table decides how far to fuse")
 		f32       = flag.Bool("f32", false, "single-precision (complex64) state vector — half the memory per amplitude, single node only")
-		baseline  = flag.Bool("baseline", false, "use the per-gate scheme of [5] instead of scheduling")
+		baseline  = flag.Bool("baseline", false, "plan with the per-gate scheme of [5] (no fusion, two half-vector exchanges per dense gate on a global qubit) instead of the scheduler")
 		spec1q    = flag.Bool("spec1q", false, "specialize diagonal 1-qubit gates (median-hard mode)")
 		file      = flag.String("file", "", "read circuit from file (GRCS-like text format)")
 		planFile  = flag.String("plan", "", "execute a plan saved by qsched -save instead of scheduling")
@@ -65,11 +65,17 @@ func main() {
 		oocDir      = flag.String("ooc-dir", "", "directory for the out-of-core state file (default: system temp)")
 	)
 	flag.Parse()
-	if err := checkFlags(*ranks, map[string]bool{
+	given := map[string]bool{
 		"-f32": *f32, "-ooc": *ooc, "-baseline": *baseline,
 		"-sample": *shots > 0, "-profile": *profile, "-checkpoint-dir": *ckptDir != "", "-resume": *resume,
-		"-tune": *tune, "-tune-cache": *tuneCache != "",
-	}); err != nil {
+		"-tune": *tune, "-tune-cache": *tuneCache != "", "-plan": *planFile != "",
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "kmax" {
+			given["-kmax"] = true
+		}
+	})
+	if err := checkFlags(*ranks, given); err != nil {
 		fatal(err)
 	}
 	if *workers > 0 {
@@ -90,7 +96,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sched := schedFlags{kmax: *kmax, spec1q: *spec1q, planFile: *planFile}
+	sched := schedFlags{kmax: *kmax, spec1q: *spec1q, planFile: *planFile, perGate: *baseline}
 	if *tune {
 		// A pass over more than the last-level cache, which is what the
 		// compiled-in table prices: the run's own state, up to 256 MiB.
@@ -135,19 +141,6 @@ func main() {
 		}); err != nil {
 			fatal(err)
 		}
-		flushTelemetry(tel, *traceFile, *metrics)
-		return
-	}
-
-	if *baseline {
-		res, err := dist.RunBaseline(circ, dist.BaselineOptions{
-			Ranks: *ranks, Init: dist.InitUniform, Specialize2Q: true, Specialize1Q: *spec1q,
-			Telemetry: tel,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		report(circ, res, nil)
 		flushTelemetry(tel, *traceFile, *metrics)
 		return
 	}
@@ -203,7 +196,7 @@ func main() {
 }
 
 // flushTelemetry writes the trace file and/or prints the metrics dump once
-// the run (scheduled or baseline) has completed.
+// the run has completed.
 //
 //qlint:ignore atomicrename the trace export is observability output, not checkpoint durability data; a torn write costs a trace, not a snapshot
 func flushTelemetry(tel *telemetry.Telemetry, traceFile string, metrics bool) {
@@ -243,7 +236,7 @@ func checkFlags(ranks int, given map[string]bool) error {
 	for _, mode := range [][]string{
 		{"-f32", "-ranks > 1", "-baseline", "-ooc", "-sample", "-profile", "-checkpoint-dir", "-resume"},
 		{"-ooc", "-ranks > 1", "-baseline", "-sample", "-profile"},
-		{"-baseline", "-sample", "-profile", "-checkpoint-dir"},
+		{"-baseline", "-plan", "-tune", "-kmax"},
 	} {
 		for _, other := range mode[1:] {
 			if given[mode[0]] && given[other] {
@@ -265,13 +258,15 @@ type schedFlags struct {
 	kmax     int
 	spec1q   bool
 	planFile string
+	perGate  bool // -baseline: the per-gate scheme of [5] plans, not the scheduler
 	// costs is this machine's table after -tune, else the zero value:
 	// the scheduler's compiled-in one.
 	costs schedule.CostTable
 }
 
 // plan reads the plan saved in -plan or, without one, schedules circ at l
-// local qubits.
+// local qubits. It exits on a circuit the chosen planner cannot place, before
+// any state exists.
 func (s schedFlags) plan(circ *circuit.Circuit, l int) *schedule.Plan {
 	if s.planFile != "" {
 		f, err := os.Open(s.planFile)
@@ -280,6 +275,13 @@ func (s schedFlags) plan(circ *circuit.Circuit, l int) *schedule.Plan {
 		}
 		plan, err := schedule.ReadPlan(f)
 		f.Close()
+		if err != nil {
+			fatal(err)
+		}
+		return plan
+	}
+	if s.perGate {
+		plan, err := schedule.PerGate(circ, l, func(g *circuit.Gate) bool { return g.K() > 1 || s.spec1q })
 		if err != nil {
 			fatal(err)
 		}
@@ -431,11 +433,9 @@ func buildCircuit(kind string, qubits, depth int, seed int64, file string) (*cir
 func report(c *circuit.Circuit, res *dist.Result, plan *schedule.Plan) {
 	fmt.Printf("circuit: %d qubits, %d gates\n", c.N, len(c.Gates))
 	fmt.Printf("ranks:   %d (2^%d amplitudes each)\n", res.Ranks, res.LocalQubits)
-	if plan != nil {
-		fmt.Printf("plan:    %d stages, %d swaps, %d clusters (%.1f gates/cluster), %d diag ops\n",
-			plan.Stats.Stages, plan.Stats.Swaps, plan.Stats.Clusters,
-			plan.Stats.GatesPerCluster, plan.Stats.DiagonalOps)
-	}
+	fmt.Printf("plan:    %d stages, %d swaps, %d clusters (%.1f gates/cluster), %d diag ops\n",
+		plan.Stats.Stages, plan.Stats.Swaps, plan.Stats.Clusters,
+		plan.Stats.GatesPerCluster, plan.Stats.DiagonalOps)
 	fmt.Printf("result:  norm=%.12f entropy=%.6f nats\n", res.Norm, res.Entropy)
 	fmt.Printf("time:    %.3fs total, %.3fs comm (%.1f%%)\n",
 		res.Elapsed.Seconds(), res.CommElapsed.Seconds(),

@@ -20,6 +20,8 @@ func TestCheckFlags(t *testing.T) {
 		{1, "-ooc -checkpoint-dir -resume", ""},
 		{1, "-f32 -tune -tune-cache", ""},
 		{4, "-baseline", ""},
+		{4, "-baseline -sample -profile -checkpoint-dir -resume", ""},
+		{4, "-kmax -plan -tune", ""},
 
 		{0, "", "ranks must be a power of two, got 0"},
 		{6, "", "ranks must be a power of two, got 6"},
@@ -34,9 +36,9 @@ func TestCheckFlags(t *testing.T) {
 		{1, "-f32 -profile", "-f32 cannot be combined with -profile"},
 		{1, "-f32 -checkpoint-dir", "-f32 cannot be combined with -checkpoint-dir"},
 		{1, "-f32 -resume", "-f32 cannot be combined with -resume"},
-		{4, "-baseline -sample", "-baseline cannot be combined with -sample"},
-		{4, "-baseline -profile", "-baseline cannot be combined with -profile"},
-		{4, "-baseline -checkpoint-dir", "-baseline cannot be combined with -checkpoint-dir"},
+		{4, "-baseline -plan", "-baseline cannot be combined with -plan"},
+		{4, "-baseline -tune", "-baseline cannot be combined with -tune"},
+		{4, "-baseline -kmax", "-baseline cannot be combined with -kmax"},
 		{4, "-resume", "-resume needs -checkpoint-dir"},
 		{1, "-ooc -resume", "-resume needs -checkpoint-dir"},
 		{1, "-tune-cache", "-tune-cache does nothing without -tune"},

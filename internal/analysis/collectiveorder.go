@@ -11,20 +11,19 @@ import (
 // collectives. It flags two statically detectable ways the repo has
 // actually broken that invariant:
 //
-//  1. a collective call (Barrier, Alltoall, GroupAlltoall*, AllreduceSum,
-//     AllgatherFloat64, PairExchange) nested under a rank-dependent
-//     condition — ranks that skip the branch never enter the collective
-//     and the others block forever (the deadlock class PR 2 fixed by hand
-//     in World.Run's error paths);
+//  1. a collective call (Barrier, GroupAlltoall*, AllreduceSum,
+//     AllgatherFloat64) nested under a rank-dependent condition — ranks
+//     that skip the branch never enter the collective and the others block
+//     forever (the deadlock class PR 2 fixed by hand in World.Run's error
+//     paths);
 //  2. a conditional `return nil` inside a World.Run closure with
 //     collectives after it — an error return poisons the world and
 //     unblocks everyone, but a success return does not, so the early-
 //     returning rank silently deserts the remaining collectives.
 //
 // Symmetric rank-branched patterns (both arms of an if issue the same
-// collective sequence, as pairwise exchanges require) are legitimate;
-// suppress them with //qlint:ignore collectiveorder <symmetry argument>
-// on the function.
+// collective sequence) are legitimate; suppress them with
+// //qlint:ignore collectiveorder <symmetry argument> on the function.
 var CollectiveOrder = &Analyzer{
 	Name: "collectiveorder",
 	Doc: "collectives reached under rank-dependent conditions or after conditional success returns " +
@@ -35,13 +34,11 @@ var CollectiveOrder = &Analyzer{
 // collectiveMethods are the *mpi.Comm entry points that participate in the
 // rank-uniform global order.
 var collectiveMethods = map[string]bool{
-	"Alltoall":            true,
 	"GroupAlltoall":       true,
 	"GroupAlltoallGather": true,
 	"AllreduceSum":        true,
 	"AllgatherFloat64":    true,
 	"Barrier":             true,
-	"PairExchange":        true,
 }
 
 func runCollectiveOrder(pass *Pass) {

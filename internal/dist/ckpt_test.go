@@ -86,28 +86,47 @@ func TestCheckpointedRunMatchesClean(t *testing.T) {
 	}
 }
 
-func TestRecoveryFromRankCrash(t *testing.T) {
-	clean := cleanReference(t)
-	dir := t.TempDir()
-	crash := &mpi.CrashFault{Rank: 3, Collective: 2}
-	res, err := Run(faultTestPlan(t), Options{
-		Ranks: 8, Init: InitUniform, GatherState: true,
-		Faults:     &mpi.FaultPlan{Crash: crash},
-		Checkpoint: &ckpt.Policy{Dir: dir},
-	})
+// perGatePlan is faultTestPlan's circuit under the per-gate scheme of [19]
+// with CZ specialization: a plan of many one-qubit swaps, each its own stage.
+func perGatePlan(t *testing.T) *schedule.Plan {
+	t.Helper()
+	r, c := circuit.GridForQubits(12)
+	circ := circuit.Supremacy(circuit.SupremacyOptions{Rows: r, Cols: c, Depth: 16, Seed: 5})
+	plan, err := schedule.PerGate(circ, 9, func(g *circuit.Gate) bool { return g.K() == 2 })
 	if err != nil {
-		t.Fatalf("crash was not recovered: %v", err)
+		t.Fatal(err)
 	}
-	if !crash.Fired() {
-		t.Fatal("crash fault never fired — the scenario tested nothing")
+	return plan
+}
+
+func TestRecoveryFromRankCrash(t *testing.T) {
+	for name, plan := range map[string]*schedule.Plan{"scheduled": faultTestPlan(t), "per-gate": perGatePlan(t)} {
+		t.Run(name, func(t *testing.T) {
+			clean, err := Run(plan, Options{Ranks: 8, Init: InitUniform, GatherState: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			crash := &mpi.CrashFault{Rank: 3, Collective: 2}
+			res, err := Run(plan, Options{
+				Ranks: 8, Init: InitUniform, GatherState: true,
+				Faults:     &mpi.FaultPlan{Crash: crash},
+				Checkpoint: &ckpt.Policy{Dir: t.TempDir()},
+			})
+			if err != nil {
+				t.Fatalf("crash was not recovered: %v", err)
+			}
+			if !crash.Fired() {
+				t.Fatal("crash fault never fired — the scenario tested nothing")
+			}
+			if res.FaultEvents != 1 {
+				t.Errorf("FaultEvents = %d, want exactly the injected crash", res.FaultEvents)
+			}
+			if res.Restarts != 1 {
+				t.Errorf("Restarts = %d, want 1", res.Restarts)
+			}
+			assertBitwiseEqual(t, clean, res)
+		})
 	}
-	if res.FaultEvents != 1 {
-		t.Errorf("FaultEvents = %d, want exactly the injected crash", res.FaultEvents)
-	}
-	if res.Restarts != 1 {
-		t.Errorf("Restarts = %d, want 1", res.Restarts)
-	}
-	assertBitwiseEqual(t, clean, res)
 }
 
 func TestRecoveryFromPayloadCorruption(t *testing.T) {

@@ -4,9 +4,11 @@
 // diagonal gates on global qubits run via specialization without
 // communication, and global-to-local swaps run as (group-)all-to-alls.
 //
-// It also implements the per-gate baseline scheme of [19]/[5] — pairwise
-// half-vector exchanges for every dense gate on a global qubit — used by
-// the Table 2 speedup comparison.
+// Run is the package's one executor. The per-gate baseline scheme of
+// [19]/[5] that the Table 2 speedup comparison needs is a plan like any
+// other (schedule.PerGate): its pairwise half-vector exchange for a dense
+// gate on a global qubit is the one-qubit global-to-local swap, there and
+// back. RunBaseline builds that plan and calls Run.
 //
 // With Options.Checkpoint set, Run becomes crash-tolerant: ranks snapshot
 // their amplitude shards at stage boundaries (package ckpt's atomic

@@ -3,6 +3,7 @@ package dist
 import (
 	"math"
 	"math/cmplx"
+	"slices"
 	"testing"
 
 	"qusim/internal/circuit"
@@ -201,16 +202,20 @@ func TestProfileOpsConsistentWithPlan(t *testing.T) {
 
 // --- baseline scheme -------------------------------------------------------
 
+// TestBaselineEqualsNaive: the per-gate scheme is dist.Run of its plan, so at
+// every rank count the gathered state is Plan.Run's on one vector bit for bit
+// (which keeps it within rounding of gate-by-gate statevec), and every gate
+// that communicates moves half of each rank's shard to its partner and back.
 func TestBaselineEqualsNaive(t *testing.T) {
 	c := supremacy(11, 12, 28, false)
-	for _, ranks := range []int{1, 2, 4, 8} {
+	want := naive(c, InitZero)
+	for g, ranks := range []int{1, 2, 4, 8} {
 		res, err := RunBaseline(c, BaselineOptions{
 			Ranks: ranks, Init: InitZero, Specialize2Q: true, GatherState: true,
 		})
 		if err != nil {
 			t.Fatalf("ranks=%d: %v", ranks, err)
 		}
-		want := naive(c, InitZero)
 		var maxd float64
 		for b := 0; b < 1<<c.N; b++ {
 			// Baseline keeps the identity layout: index b maps to itself.
@@ -219,8 +224,59 @@ func TestBaselineEqualsNaive(t *testing.T) {
 				maxd = d
 			}
 		}
-		if maxd > 1e-9 {
+		if maxd > 1e-10 {
 			t.Fatalf("ranks=%d: baseline deviates from naive: %g", ranks, maxd)
+		}
+
+		l := c.N - g
+		plan, err := schedule.PerGate(c, l, func(gt *circuit.Gate) bool { return gt.K() == 2 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		single := statevec.New(c.N)
+		if err := plan.Run(single); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Amplitudes, single.Amps) {
+			t.Errorf("ranks=%d: gathered state differs from Plan.Run of the per-gate plan", ranks)
+		}
+		if res.CommSteps != plan.Stats.Swaps/2 {
+			t.Errorf("ranks=%d: %d steps for %d swaps, want one per communicating gate", ranks, res.CommSteps, plan.Stats.Swaps)
+		}
+		if perRank := int64(2 * 16 << (l - 1)); res.CommBytes != int64(res.CommSteps)*perRank*int64(ranks) {
+			t.Errorf("ranks=%d: %d bytes over %d communicating gates, want %d per rank and gate", ranks, res.CommBytes, res.CommSteps, perRank)
+		}
+	}
+}
+
+// TestBaselineTrafficMatchesPairwiseExchanges pins steps and bytes to what the
+// hand-written pairwise half-vector exchanges of [19] counted on the circuits
+// of the three tests below (recorded from the commit before the scheme became
+// a plan): one step per communicating gate, 2·16·2^(l−1) bytes per rank for
+// each that moves data, none for an unspecialized CZ.
+func TestBaselineTrafficMatchesPairwiseExchanges(t *testing.T) {
+	for _, tc := range []struct {
+		n, depth       int
+		seed           int64
+		ranks          int
+		spec2q, spec1q bool
+		steps          int
+		bytes          int64
+	}{
+		{11, 12, 29, 8, true, false, 10, 327680},
+		{11, 12, 30, 8, true, true, 6, 196608},
+		{11, 12, 30, 8, false, false, 14, 327680},
+		{12, 20, 31, 16, true, false, 19, 1245184},
+	} {
+		res, err := RunBaseline(supremacy(tc.n, tc.depth, tc.seed, false), BaselineOptions{
+			Ranks: tc.ranks, Init: InitZero, Specialize2Q: tc.spec2q, Specialize1Q: tc.spec1q,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CommSteps != tc.steps || res.CommBytes != tc.bytes {
+			t.Errorf("seed %d spec2q=%v spec1q=%v: %d steps %d bytes, want %d steps %d bytes",
+				tc.seed, tc.spec2q, tc.spec1q, res.CommSteps, res.CommBytes, tc.steps, tc.bytes)
 		}
 	}
 }

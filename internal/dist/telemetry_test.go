@@ -86,8 +86,8 @@ func TestTelemetryProfileCompatible(t *testing.T) {
 	}
 }
 
-// TestBaselineTelemetry checks the per-gate reference path arms the MPI
-// layer: collective spans and byte counters must appear.
+// TestBaselineTelemetry checks the per-gate reference scheme arms the MPI
+// layer: byte counters and the latencies of its one-qubit swaps must appear.
 func TestBaselineTelemetry(t *testing.T) {
 	c := supremacy(10, 12, 17, false)
 	tel := telemetry.New()
@@ -100,7 +100,7 @@ func TestBaselineTelemetry(t *testing.T) {
 	if got := tel.Counter("mpi.bytes").Value(); got != res.CommBytes {
 		t.Errorf("mpi.bytes counter = %d, Traffic says %d", got, res.CommBytes)
 	}
-	if tel.Histogram("mpi.pair_exchange_ns").Count() == 0 {
-		t.Error("no pair-exchange latencies recorded")
+	if tel.Histogram("mpi.group_alltoall_ns").Count() == 0 {
+		t.Error("no group-all-to-all latencies recorded")
 	}
 }

@@ -31,8 +31,7 @@ type FaultPlan struct {
 	// under the same plan inject the identical perturbation sequence.
 	Seed int64
 	// PostDelay is the maximum random delay inserted before a rank posts
-	// its chunks to an all-to-all board or a pairwise exchange mailbox
-	// (delayed chunk posting).
+	// its chunks to an all-to-all board (delayed chunk posting).
 	PostDelay time.Duration
 	// ShuffleDelivery randomizes the order in which a rank drains its
 	// incoming chunks during (group-)all-to-alls — out-of-order delivery.
@@ -54,10 +53,10 @@ type FaultPlan struct {
 
 // CrashFault makes Rank vanish — goroutine exits, no error raised, nothing
 // posted — immediately on entering its Collective'th collective (0-based,
-// counted per rank over Barrier, Alltoall, GroupAlltoall,
-// GroupAlltoallGather, AllreduceSum, AllgatherFloat64 and PairExchange
-// entries). The survivors must detect the loss themselves; Run reports an
-// error wrapping ErrRankDead, never a hang. Fires at most once per plan.
+// counted per rank over Barrier, GroupAlltoall, GroupAlltoallGather,
+// AllreduceSum and AllgatherFloat64 entries). The survivors must detect the
+// loss themselves; Run reports an error wrapping ErrRankDead, never a hang.
+// Fires at most once per plan.
 //
 // With Label set, only collectives of that kind count — Collective becomes
 // the 0-based index into the rank's entries with that label. This targets
@@ -94,12 +93,11 @@ func (s *StallFault) Fired() bool { return s.fired.Load() }
 
 // CorruptFault flips the low mantissa bit of the first amplitude Rank sends
 // in its Exchange'th payload-carrying collective (0-based, counted per rank
-// over Alltoall, GroupAlltoall, GroupAlltoallGather and PairExchange). The
-// flip happens on a wire copy after checksums are computed, so the sender's
-// own state stays intact and a receiver with SetVerifyChecksums(true) sees
-// exactly what real in-flight corruption would look like. Without
-// checksums the corruption is silent — which is the point. Fires at most
-// once per plan.
+// over GroupAlltoall and GroupAlltoallGather). The flip happens on a wire
+// copy after checksums are computed, so the sender's own state stays intact
+// and a receiver with SetVerifyChecksums(true) sees exactly what real
+// in-flight corruption would look like. Without checksums the corruption is
+// silent — which is the point. Fires at most once per plan.
 type CorruptFault struct {
 	Rank     int
 	Exchange int
@@ -113,8 +111,7 @@ func (c *CorruptFault) Fired() bool { return c.fired.Load() }
 // DefaultFaults returns the standard soak configuration: small random
 // delays on posts and barriers plus shuffled delivery (no hard faults).
 // The delays are in the tens-of-microseconds range — large relative to
-// mailbox and barrier latencies, small enough to keep test wall time
-// reasonable.
+// barrier latencies, small enough to keep test wall time reasonable.
 func DefaultFaults(seed int64) *FaultPlan {
 	return &FaultPlan{
 		Seed:            seed,

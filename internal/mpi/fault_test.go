@@ -26,7 +26,7 @@ func faultAlltoallRun(t *testing.T, fp *FaultPlan) *World {
 				send[j][i] = complex(float64(c.Rank()), float64(j*chunk+i))
 			}
 		}
-		c.Alltoall(send, recv)
+		c.GroupAlltoall([]int{0, 1, 2}, send, recv)
 		for src := 0; src < size; src++ {
 			for i := 0; i < chunk; i++ {
 				want := complex(float64(src), float64(c.Rank()*chunk+i))
@@ -73,37 +73,6 @@ func TestFaultEventCountDeterministic(t *testing.T) {
 	}
 }
 
-func TestFaultyPairExchange(t *testing.T) {
-	const size = 8
-	const n = 64
-	w := NewWorld(size)
-	w.InjectFaults(DefaultFaults(3))
-	err := w.Run(func(c *Comm) error {
-		send := make([]complex128, n)
-		recv := make([]complex128, n)
-		for i := range send {
-			send[i] = complex(float64(c.Rank()), float64(i))
-		}
-		partner := c.Rank() ^ 1
-		c.PairExchange(partner, send, recv)
-		for i := range recv {
-			if want := complex(float64(partner), float64(i)); recv[i] != want {
-				return fmt.Errorf("rank %d recv[%d] = %v, want %v", c.Rank(), i, recv[i], want)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.FaultEvents() == 0 {
-		t.Error("no perturbations injected on the pairwise path")
-	}
-	if got, want := w.Traffic.Bytes.Load(), int64(16*n*size); got != want {
-		t.Errorf("bytes = %d, want %d", got, want)
-	}
-}
-
 func TestGroupAlltoallUnderFaults(t *testing.T) {
 	// A 2-bit group all-to-all across 8 ranks (groups of 4), with shuffled
 	// delivery: values must land exactly as in the clean run.
@@ -145,8 +114,8 @@ func TestGroupAlltoallUnderFaults(t *testing.T) {
 	}
 }
 
-// TestTrafficCountersExactUnderInterleaving runs an all-to-all plus a
-// machine-wide pairwise-exchange round under a GOMAXPROCS sweep — from
+// TestTrafficCountersExactUnderInterleaving runs a world all-to-all plus a
+// machine-wide round of pairwise (one-bit) exchanges under a GOMAXPROCS sweep — from
 // fully serialized goroutines to maximum parallelism — and asserts the
 // Traffic counters come out exact every time. With -race this doubles as
 // the interleaving soak for the counter paths.
@@ -167,14 +136,9 @@ func TestTrafficCountersExactUnderInterleaving(t *testing.T) {
 						send[j] = make([]complex128, chunk)
 						recv[j] = make([]complex128, chunk)
 					}
-					c.Alltoall(send, recv)
+					c.GroupAlltoall([]int{0, 1, 2}, send, recv)
 					// One machine-wide pairwise-exchange round.
-					buf := make([]complex128, chunk)
-					got := make([]complex128, chunk)
-					c.PairExchange(c.Rank()^1, buf, got)
-					if c.Rank() == 0 {
-						c.AddSteps(1)
-					}
+					c.GroupAlltoall([]int{0}, send[:2], recv[:2])
 					return nil
 				})
 				if err != nil {

@@ -111,7 +111,7 @@ func TestRepeatedCollectivesStress(t *testing.T) {
 				send[j] = []complex128{complex(float64(c.Rank()*1000+iter), float64(j))}
 				recv[j] = make([]complex128, 1)
 			}
-			c.Alltoall(send, recv)
+			c.GroupAlltoall([]int{0, 1, 2}, send, recv)
 			for src := range recv {
 				want := complex(float64(src*1000+iter), float64(c.Rank()))
 				if recv[src][0] != want {
@@ -139,7 +139,7 @@ func TestWorldSizeOne(t *testing.T) {
 		c.Barrier()
 		send := [][]complex128{{42}}
 		recv := [][]complex128{make([]complex128, 1)}
-		c.Alltoall(send, recv)
+		c.GroupAlltoall(nil, send, recv)
 		if recv[0][0] != 42 {
 			return fmt.Errorf("self all-to-all got %v", recv[0][0])
 		}

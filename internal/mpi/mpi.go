@@ -1,8 +1,9 @@
 // Package mpi simulates the message-passing layer of Sec. 3.4 of Häner &
 // Steiger, SC'17. Ranks run as goroutines inside one process; the
-// primitives mirror the MPI subset the simulator needs: barrier,
-// (group-)all-to-all, all-reduce, and the pairwise half-vector exchange of
-// the De Raedt-style baseline scheme.
+// primitives are the five collectives a schedule.Plan needs: Barrier,
+// GroupAlltoall and GroupAlltoallGather (the global-to-local swap, whose
+// q = 1 case is the pairwise half-vector exchange of the per-gate scheme of
+// [19]), AllreduceSum and AllgatherFloat64.
 //
 // Communication structure is exact — who sends how many bytes where, and
 // how many collective steps happen, are the quantities the paper optimizes
@@ -67,9 +68,9 @@ func Recoverable(err error) bool {
 
 // Traffic accumulates communication statistics across all ranks.
 type Traffic struct {
-	// Steps counts collective communication steps (an all-to-all round or a
-	// pairwise exchange round counts once, matching the paper's counting
-	// where one global-to-local swap == one communication step).
+	// Steps counts collective communication steps (an all-to-all round
+	// counts once, matching the paper's counting where one global-to-local
+	// swap == one communication step).
 	Steps atomic.Int64
 	// Bytes counts payload bytes that crossed rank boundaries (self-copies
 	// are free).
@@ -84,20 +85,11 @@ type posting struct {
 	sums   []uint32 // nil when checksum verification is off
 }
 
-// pairSlot is the mailbox for one direction of a pairwise exchange.
-type pairSlot struct {
-	data   []complex128
-	sum    uint32
-	hasSum bool
-	full   bool
-}
-
 // World coordinates size ranks.
 type World struct {
 	size    int
 	k       *coord
 	board   []posting // board[src] posted for an all-to-all
-	pairBox [][]pairSlot
 	reduce  []float64
 	Traffic Traffic
 
@@ -115,17 +107,12 @@ func NewWorld(size int) *World {
 	if size < 1 {
 		panic(fmt.Sprintf("mpi: invalid world size %d", size))
 	}
-	w := &World{
+	return &World{
 		size:   size,
 		k:      newCoord(size),
 		board:  make([]posting, size),
 		reduce: make([]float64, size),
 	}
-	w.pairBox = make([][]pairSlot, size)
-	for i := range w.pairBox {
-		w.pairBox[i] = make([]pairSlot, size)
-	}
-	return w
 }
 
 // Size returns the number of ranks.
@@ -245,9 +232,8 @@ func (w *World) Run(fn func(c *Comm) error) error {
 }
 
 // coord is the world's failure-aware synchronization core: one mutex+cond
-// covering the sense barrier, the pairwise-exchange mailboxes, and the
-// per-rank progress accounting that turns a dead rank into a detected
-// deadlock instead of a hang.
+// covering the sense barrier and the per-rank progress accounting that
+// turns a dead rank into a detected deadlock instead of a hang.
 type coord struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -274,26 +260,16 @@ const (
 	statusDead
 )
 
-type waitKind int
-
-const (
-	waitNone waitKind = iota
-	waitBarrier
-	waitSlot
-)
-
 // rankState is one rank's progress record, guarded by coord.mu. A rank
 // counts as "stuck" only if its recorded wait is provably unsatisfiable
-// right now (barrier generation unchanged, or mailbox predicate false) —
-// a rank whose wake-up condition already holds is runnable, so the
-// deadlock check never fires on transient states.
+// right now (barrier generation unchanged) — a rank whose wake-up condition
+// already holds is runnable, so the deadlock check never fires on transient
+// states.
 type rankState struct {
-	status   rankStatus
-	kind     waitKind
-	label    string // collective the rank is blocked in
-	gen      int    // awaited barrier generation (waitBarrier)
-	slot     *pairSlot
-	wantFull bool // awaited mailbox state (waitSlot)
+	status  rankStatus
+	waiting bool   // blocked in a barrier
+	label   string // collective the rank is blocked in
+	gen     int    // awaited barrier generation
 }
 
 // poisonUnwind unwinds a rank goroutine out of a collective after another
@@ -395,7 +371,7 @@ func (k *coord) stuckLabelsLocked() []string {
 	byLabel := map[string][]int{}
 	for r := range k.state {
 		st := &k.state[r]
-		if st.status == statusRunning && st.kind != waitNone {
+		if st.status == statusRunning && st.waiting {
 			byLabel[st.label] = append(byLabel[st.label], r)
 		}
 	}
@@ -424,17 +400,8 @@ func (k *coord) maybeStuckLocked() {
 		if st.status != statusRunning {
 			continue
 		}
-		switch st.kind {
-		case waitNone:
-			return // running rank: progress is still possible
-		case waitBarrier:
-			if st.gen != k.gen {
-				return // barrier released; rank will wake
-			}
-		case waitSlot:
-			if st.slot.full == st.wantFull {
-				return // mailbox condition satisfied; rank will wake
-			}
+		if !st.waiting || st.gen != k.gen {
+			return // running, or about to wake from a released barrier: progress is still possible
 		}
 		stuck++
 	}
@@ -503,34 +470,17 @@ func (k *coord) barrierWait(rank int, label string) {
 		k.mu.Unlock()
 		return
 	}
-	k.state[rank].kind, k.state[rank].label, k.state[rank].gen = waitBarrier, label, gen
+	k.state[rank].waiting, k.state[rank].label, k.state[rank].gen = true, label, gen
 	k.maybeStuckLocked()
 	for gen == k.gen && !k.failed {
 		k.cond.Wait()
 	}
-	k.state[rank].kind = waitNone
+	k.state[rank].waiting = false
 	if k.failed {
 		k.mu.Unlock()
 		panic(poisonUnwind{})
 	}
 	k.mu.Unlock()
-}
-
-// slotWait blocks rank until slot.full == wantFull. Caller holds mu; the
-// lock is held on return (unless poisoned, which unwinds).
-func (k *coord) slotWaitLocked(rank int, label string, slot *pairSlot, wantFull bool) {
-	for slot.full != wantFull && !k.failed {
-		k.state[rank].kind, k.state[rank].label = waitSlot, label
-		k.state[rank].slot, k.state[rank].wantFull = slot, wantFull
-		k.maybeStuckLocked()
-		k.cond.Wait()
-		k.state[rank].kind = waitNone
-	}
-	k.state[rank].kind = waitNone
-	if k.failed {
-		k.mu.Unlock()
-		panic(poisonUnwind{})
-	}
 }
 
 // Comm is one rank's handle on the world.
@@ -630,47 +580,6 @@ func (c *Comm) verifyChunk(label string, src int, chunk []complex128, sums []uin
 	}
 }
 
-// Alltoall performs a world all-to-all: send[j] goes to rank j, and recv[i]
-// receives rank i's chunk for this rank. All chunks must have equal length;
-// recv slices must be pre-allocated. This is the "one all-to-all on
-// MPI_COMM_WORLD" that swaps every global qubit with local ones.
-func (c *Comm) Alltoall(send, recv [][]complex128) {
-	w := c.w
-	if len(send) != w.size || len(recv) != w.size {
-		panic("mpi: Alltoall chunk count must equal world size")
-	}
-	c.enterCollective("Alltoall", true)
-	t0 := c.collStart()
-	if f := w.fault; f != nil {
-		c.faultDelay(f.PostDelay)
-	}
-	w.board[c.rank] = c.post(send)
-	c.barrier("Alltoall")
-	order := c.deliveryOrder(w.size)
-	for i := 0; i < w.size; i++ {
-		src := i
-		if order != nil {
-			src = order[i]
-		}
-		p := &w.board[src]
-		chunk := p.chunks[c.rank]
-		if len(chunk) != len(recv[src]) {
-			panic("mpi: Alltoall chunk length mismatch")
-		}
-		c.verifyChunk("Alltoall", src, chunk, p.sums, c.rank)
-		copy(recv[src], chunk)
-		if src != c.rank {
-			c.countBytes(int64(16 * len(chunk)))
-		}
-	}
-	c.barrier("Alltoall")
-	if c.rank == 0 {
-		c.countSteps(1)
-	}
-	c.barrier("Alltoall")
-	c.collEnd("Alltoall", t0)
-}
-
 // groupGeometry resolves the member-index machinery shared by the grouped
 // collectives.
 func (c *Comm) groupGeometry(bitPositions []int) (memberRank func(int) int, me int) {
@@ -699,49 +608,60 @@ func (c *Comm) groupGeometry(bitPositions []int) (memberRank func(int) int, me i
 	return memberRank, me
 }
 
-// GroupAlltoall performs simultaneous all-to-alls within groups of ranks
-// that agree on every rank bit outside bitPositions — the group-local
-// all-to-alls of a q-qubit global-to-local swap (Sec. 3.4). send and recv
-// are indexed by group-member index: member j is the rank whose bits at
-// bitPositions spell j (bitPositions[t] holds bit t of j).
-func (c *Comm) GroupAlltoall(bitPositions []int, send, recv [][]complex128) {
+// groupAlltoall is the all-to-all both grouped collectives are: post, then
+// visit every group member's posting in delivery order. What is posted and
+// how member j's posting p (from rank src) lands in this rank's buffers is
+// the caller's; receive returns the amplitudes it took, counted as traffic
+// unless src is this rank. me is this rank's member index.
+func (c *Comm) groupAlltoall(label string, bitPositions []int, posted [][]complex128, receive func(j, me, src int, p *posting) int) {
 	w := c.w
-	q := len(bitPositions)
-	if len(send) != 1<<q || len(recv) != 1<<q {
-		panic("mpi: GroupAlltoall chunk count must be 2^q")
-	}
 	memberRank, me := c.groupGeometry(bitPositions)
-	c.enterCollective("GroupAlltoall", true)
+	c.enterCollective(label, true)
 	t0 := c.collStart()
 	if f := w.fault; f != nil {
 		c.faultDelay(f.PostDelay)
 	}
-	w.board[c.rank] = c.post(send)
-	c.barrier("GroupAlltoall")
-	order := c.deliveryOrder(1 << q)
-	for i := 0; i < 1<<q; i++ {
+	w.board[c.rank] = c.post(posted)
+	c.barrier(label)
+	members := 1 << len(bitPositions)
+	order := c.deliveryOrder(members)
+	for i := 0; i < members; i++ {
 		j := i
 		if order != nil {
 			j = order[i]
 		}
 		src := memberRank(j)
-		p := &w.board[src]
+		n := receive(j, me, src, &w.board[src])
+		if src != c.rank {
+			c.countBytes(int64(16 * n))
+		}
+	}
+	c.barrier(label)
+	if c.rank == 0 {
+		c.countSteps(1)
+	}
+	c.barrier(label)
+	c.collEnd(label, t0)
+}
+
+// GroupAlltoall performs simultaneous all-to-alls within groups of ranks
+// that agree on every rank bit outside bitPositions — the group-local
+// all-to-alls of a q-qubit global-to-local swap (Sec. 3.4). send and recv
+// are indexed by group-member index: member j is the rank whose bits at
+// bitPositions spell j (bitPositions[t] holds bit t of j). With checksums on,
+// every received chunk is audited against the CRC its sender posted.
+func (c *Comm) GroupAlltoall(bitPositions []int, send, recv [][]complex128) {
+	if n := 1 << len(bitPositions); len(send) != n || len(recv) != n {
+		panic("mpi: GroupAlltoall chunk count must be 2^q")
+	}
+	c.groupAlltoall("GroupAlltoall", bitPositions, send, func(j, me, src int, p *posting) int {
 		chunk := p.chunks[me]
 		if len(chunk) != len(recv[j]) {
 			panic("mpi: GroupAlltoall chunk length mismatch")
 		}
 		c.verifyChunk("GroupAlltoall", src, chunk, p.sums, me)
-		copy(recv[j], chunk)
-		if src != c.rank {
-			c.countBytes(int64(16 * len(chunk)))
-		}
-	}
-	c.barrier("GroupAlltoall")
-	if c.rank == 0 {
-		c.countSteps(1)
-	}
-	c.barrier("GroupAlltoall")
-	c.collEnd("GroupAlltoall", t0)
+		return copy(recv[j], chunk)
+	})
 }
 
 // GroupAlltoallGather is GroupAlltoall with the receive copy replaced by an
@@ -760,45 +680,15 @@ func (c *Comm) GroupAlltoall(bitPositions []int, send, recv [][]complex128) {
 // before gathering from it — the gather output is a permutation of the
 // source bytes, so the source buffer is the only thing a CRC can cover.
 func (c *Comm) GroupAlltoallGather(bitPositions []int, post []complex128, recv [][]complex128, gather func(member int, src, dst []complex128)) {
-	w := c.w
-	q := len(bitPositions)
-	if len(recv) != 1<<q {
+	if len(recv) != 1<<len(bitPositions) {
 		panic("mpi: GroupAlltoallGather chunk count must be 2^q")
 	}
-	memberRank, me := c.groupGeometry(bitPositions)
-	c.enterCollective("GroupAlltoallGather", true)
-	t0 := c.collStart()
-	if f := w.fault; f != nil {
-		c.faultDelay(f.PostDelay)
-	}
-	w.board[c.rank] = c.post([][]complex128{post})
-	c.barrier("GroupAlltoallGather")
-	order := c.deliveryOrder(1 << q)
-	verified := make(map[int]bool, 1<<q)
-	for i := 0; i < 1<<q; i++ {
-		j := i
-		if order != nil {
-			j = order[i]
-		}
-		src := memberRank(j)
-		p := &w.board[src]
+	c.groupAlltoall("GroupAlltoallGather", bitPositions, [][]complex128{post}, func(j, me, src int, p *posting) int {
 		full := p.chunks[0]
-		if p.sums != nil && !verified[src] {
-			c.verifyChunk("GroupAlltoallGather", src, full, p.sums, 0)
-			verified[src] = true
-		}
-		dst := recv[j]
-		gather(me, full, dst)
-		if src != c.rank {
-			c.countBytes(int64(16 * len(dst)))
-		}
-	}
-	c.barrier("GroupAlltoallGather")
-	if c.rank == 0 {
-		c.countSteps(1)
-	}
-	c.barrier("GroupAlltoallGather")
-	c.collEnd("GroupAlltoallGather", t0)
+		c.verifyChunk("GroupAlltoallGather", src, full, p.sums, 0)
+		gather(me, full, recv[j])
+		return len(recv[j])
+	})
 }
 
 // AllreduceSum returns the sum of x over all ranks (the final reduction of
@@ -832,79 +722,3 @@ func (c *Comm) AllgatherFloat64(x float64) []float64 {
 	c.collEnd("AllgatherFloat64", t0)
 	return out
 }
-
-// PairExchange swaps buffers with a partner rank: send goes to partner,
-// recv receives the partner's send. Both sides must call with matching
-// lengths. This is the pairwise exchange of the first multi-node scheme
-// ([19]) used by the per-gate baseline.
-func (c *Comm) PairExchange(partner int, send, recv []complex128) {
-	if partner == c.rank {
-		copy(recv, send)
-		return
-	}
-	w := c.w
-	k := w.k
-	c.enterCollective("PairExchange", true)
-	t0 := c.collStart()
-	if f := w.fault; f != nil {
-		c.faultDelay(f.PostDelay)
-	}
-	wire := c.post([][]complex128{send})
-
-	k.mu.Lock()
-	if k.failed {
-		k.mu.Unlock()
-		panic(poisonUnwind{})
-	}
-	mine := &w.pairBox[c.rank][partner]
-	mine.data = wire.chunks[0]
-	if wire.sums != nil {
-		mine.sum, mine.hasSum = wire.sums[0], true
-	} else {
-		mine.sum, mine.hasSum = 0, false
-	}
-	mine.full = true
-	k.cond.Broadcast()
-
-	theirs := &w.pairBox[partner][c.rank]
-	k.slotWaitLocked(c.rank, "PairExchange", theirs, true)
-	data, sum, hasSum := theirs.data, theirs.sum, theirs.hasSum
-	k.mu.Unlock()
-
-	if len(data) != len(recv) {
-		panic("mpi: PairExchange length mismatch")
-	}
-	if hasSum {
-		if got := c.chunkSum(data); got != sum {
-			if c.tel != nil {
-				c.tel.sumFailed.Inc()
-			}
-			panic(collectiveError{fmt.Errorf(
-				"mpi: PairExchange payload from rank %d failed checksum (got %08x, posted %08x): %w",
-				partner, got, sum, ErrCorrupt)})
-		}
-		if c.tel != nil {
-			c.tel.verified.Inc()
-		}
-	}
-	copy(recv, data)
-	c.countBytes(int64(16 * len(recv)))
-
-	k.mu.Lock()
-	theirs.full = false
-	theirs.data = nil
-	k.cond.Broadcast()
-	// Wait for the partner to consume our posting, so neither side reuses
-	// its send buffer early.
-	k.slotWaitLocked(c.rank, "PairExchange", mine, false)
-	k.mu.Unlock()
-	c.collEnd("PairExchange", t0)
-	// Step counting is left to the caller: one machine-wide round of
-	// pairwise exchanges is a single communication step regardless of the
-	// number of pairs.
-}
-
-// AddSteps lets engines record communication steps for operations (like a
-// machine-wide round of pairwise exchanges) whose step structure the
-// primitives cannot see. Call from a single rank.
-func (c *Comm) AddSteps(n int) { c.countSteps(int64(n)) }

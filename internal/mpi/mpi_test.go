@@ -48,6 +48,8 @@ func TestBarrierReusable(t *testing.T) {
 	}
 }
 
+// TestAlltoallTransposes: the all-to-all on the whole world — the swap of
+// every global qubit at once — is the group all-to-all over all rank bits.
 func TestAlltoallTransposes(t *testing.T) {
 	const size = 8
 	const chunk = 16
@@ -62,7 +64,7 @@ func TestAlltoallTransposes(t *testing.T) {
 				send[j][i] = complex(float64(c.Rank()), float64(j*chunk+i))
 			}
 		}
-		c.Alltoall(send, recv)
+		c.GroupAlltoall([]int{0, 1, 2}, send, recv)
 		for src := 0; src < size; src++ {
 			for i := 0; i < chunk; i++ {
 				want := complex(float64(src), float64(c.Rank()*chunk+i))
@@ -113,13 +115,26 @@ func TestGroupAlltoallMatchesManualGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Over one bit this is the pairwise exchange of the per-gate scheme: one
+	// chunk crosses to the partner, the other is a free self-copy.
+	if got := w.Traffic.Bytes.Load(); got != size*16 {
+		t.Errorf("bytes = %d, want %d", got, size*16)
+	}
 }
 
 func TestGroupAlltoallFullMaskEqualsWorld(t *testing.T) {
+	// With every rank bit in the group the members are the world: member j is
+	// rank j when the bits are named in order, and the rank with j's two bits
+	// reversed when they are named high bit first.
 	const size = 4
-	runOne := func(group bool) [][]complex128 {
+	for _, tc := range []struct {
+		bitPositions []int
+		rank         func(member int) int // also its own inverse
+	}{
+		{[]int{0, 1}, func(j int) int { return j }},
+		{[]int{1, 0}, func(j int) int { return j&1<<1 | j>>1 }},
+	} {
 		w := NewWorld(size)
-		results := make([][]complex128, size)
 		err := w.Run(func(c *Comm) error {
 			send := make([][]complex128, size)
 			recv := make([][]complex128, size)
@@ -127,30 +142,16 @@ func TestGroupAlltoallFullMaskEqualsWorld(t *testing.T) {
 				send[j] = []complex128{complex(float64(c.Rank()*10+j), 0)}
 				recv[j] = make([]complex128, 1)
 			}
-			if group {
-				c.GroupAlltoall([]int{0, 1}, send, recv)
-			} else {
-				c.Alltoall(send, recv)
-			}
-			flat := make([]complex128, size)
+			c.GroupAlltoall(tc.bitPositions, send, recv)
 			for j := range recv {
-				flat[j] = recv[j][0]
+				if want := complex(float64(tc.rank(j)*10+tc.rank(c.Rank())), 0); recv[j][0] != want {
+					return fmt.Errorf("bits %v rank %d: recv[%d] = %v, want %v", tc.bitPositions, c.Rank(), j, recv[j][0], want)
+				}
 			}
-			results[c.Rank()] = flat
 			return nil
 		})
 		if err != nil {
-			panic(err)
-		}
-		return results
-	}
-	a := runOne(false)
-	b := runOne(true)
-	for r := range a {
-		for j := range a[r] {
-			if a[r][j] != b[r][j] {
-				t.Fatalf("rank %d chunk %d: world %v vs group %v", r, j, a[r][j], b[r][j])
-			}
+			t.Fatal(err)
 		}
 	}
 }
@@ -182,45 +183,6 @@ func TestAllreduceRepeated(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPairExchange(t *testing.T) {
-	w := NewWorld(4)
-	err := w.Run(func(c *Comm) error {
-		partner := c.Rank() ^ 1
-		send := []complex128{complex(float64(c.Rank()), 0)}
-		recv := make([]complex128, 1)
-		c.PairExchange(partner, send, recv)
-		if recv[0] != complex(float64(partner), 0) {
-			return fmt.Errorf("rank %d got %v from partner %d", c.Rank(), recv[0], partner)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Traffic.Bytes.Load() != 4*16 {
-		t.Errorf("bytes = %d, want 64", w.Traffic.Bytes.Load())
-	}
-}
-
-func TestPairExchangeSelf(t *testing.T) {
-	w := NewWorld(1)
-	err := w.Run(func(c *Comm) error {
-		send := []complex128{42}
-		recv := make([]complex128, 1)
-		c.PairExchange(0, send, recv)
-		if recv[0] != 42 {
-			return fmt.Errorf("self exchange got %v", recv[0])
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Traffic.Bytes.Load() != 0 {
-		t.Errorf("self exchange counted %d bytes", w.Traffic.Bytes.Load())
 	}
 }
 
@@ -333,31 +295,63 @@ func TestRunPanicUnblocksBarrier(t *testing.T) {
 }
 
 func TestWorldReusableAfterPoisonedRun(t *testing.T) {
-	// reset() must re-arm the barrier: a clean Run on the same world after a
-	// poisoned one works normally.
-	w := NewWorld(4)
-	err := runWithTimeout(t, w, func(c *Comm) error {
-		if c.Rank() == 0 {
-			return fmt.Errorf("first run fails")
+	// Run must re-arm the barrier and clear the board: a clean Run on the same
+	// world after one poisoned inside a collective works normally and receives
+	// nothing the dead run posted. Each collective carries tag in every
+	// amplitude it posts and checks it on what it receives.
+	fresh := func(c *Comm, tag float64, recv [][]complex128) error {
+		for j := range recv {
+			if want := complex(tag, float64(c.Rank()&^1|j)); recv[j][0] != want {
+				return fmt.Errorf("rank %d: recv[%d] = %v, want %v", c.Rank(), j, recv[j][0], want)
+			}
 		}
-		c.Barrier()
 		return nil
-	})
-	if err == nil {
-		t.Fatal("first run should have failed")
 	}
-	var after atomic.Int64
-	err = runWithTimeout(t, w, func(c *Comm) error {
-		c.Barrier()
-		after.Add(1)
-		c.Barrier()
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("second run on reused world: %v", err)
-	}
-	if after.Load() != 4 {
-		t.Errorf("only %d ranks passed the barrier on the reused world", after.Load())
+	for _, tc := range []struct {
+		name string
+		run  func(c *Comm, tag float64) error
+	}{
+		{"Barrier", func(c *Comm, _ float64) error { c.Barrier(); return nil }},
+		{"GroupAlltoall", func(c *Comm, tag float64) error {
+			mine := complex(tag, float64(c.Rank()))
+			recv := [][]complex128{make([]complex128, 1), make([]complex128, 1)}
+			c.GroupAlltoall([]int{0}, [][]complex128{{mine}, {mine}}, recv)
+			return fresh(c, tag, recv)
+		}},
+		{"GroupAlltoallGather", func(c *Comm, tag float64) error {
+			recv := [][]complex128{make([]complex128, 1), make([]complex128, 1)}
+			c.GroupAlltoallGather([]int{0}, []complex128{complex(tag, float64(c.Rank()))}, recv,
+				func(_ int, src, dst []complex128) { copy(dst, src) })
+			return fresh(c, tag, recv)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewWorld(4)
+			err := runWithTimeout(t, w, func(c *Comm) error {
+				if c.Rank() == 0 {
+					return fmt.Errorf("first run fails")
+				}
+				return tc.run(c, 42)
+			})
+			if err == nil || err.Error() != "first run fails" {
+				t.Fatalf("first run: err = %v, want rank 0's failure", err)
+			}
+			var after atomic.Int64
+			err = runWithTimeout(t, w, func(c *Comm) error {
+				if err := tc.run(c, 7); err != nil {
+					return err
+				}
+				after.Add(1)
+				c.Barrier()
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("second run on reused world: %v", err)
+			}
+			if after.Load() != 4 {
+				t.Errorf("only %d ranks got through on the reused world", after.Load())
+			}
+		})
 	}
 }
 
@@ -464,7 +458,7 @@ func TestChecksumDetectsAlltoallCorruption(t *testing.T) {
 			send[j] = []complex128{complex(float64(c.Rank()), float64(j))}
 			recv[j] = make([]complex128, 1)
 		}
-		c.Alltoall(send, recv)
+		c.GroupAlltoall([]int{0, 1}, send, recv)
 		return nil
 	})
 	if !errors.Is(err, ErrCorrupt) {
@@ -478,21 +472,6 @@ func TestChecksumDetectsAlltoallCorruption(t *testing.T) {
 	}
 	if !Recoverable(err) {
 		t.Errorf("detected corruption should be Recoverable: %v", err)
-	}
-}
-
-func TestChecksumDetectsPairExchangeCorruption(t *testing.T) {
-	w := NewWorld(2)
-	w.SetVerifyChecksums(true)
-	w.InjectFaults(&FaultPlan{Corrupt: &CorruptFault{Rank: 0, Exchange: 0}})
-	err := w.Run(func(c *Comm) error {
-		send := []complex128{complex(float64(c.Rank()+1), 0)}
-		recv := make([]complex128, 1)
-		c.PairExchange(c.Rank()^1, send, recv)
-		return nil
-	})
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -530,7 +509,7 @@ func TestCorruptionSilentWithoutChecksums(t *testing.T) {
 			send[j] = []complex128{complex(3.0, 4.0)}
 			recv[j] = make([]complex128, 1)
 		}
-		c.Alltoall(send, recv)
+		c.GroupAlltoall([]int{0}, send, recv)
 		if c.Rank() == 0 {
 			delivered = recv[1][0]
 		}
@@ -563,16 +542,20 @@ func TestChecksumsCleanRunUnaffected(t *testing.T) {
 			send[j] = []complex128{complex(float64(c.Rank()), float64(j))}
 			recv[j] = make([]complex128, 1)
 		}
-		c.Alltoall(send, recv)
+		c.GroupAlltoall([]int{0, 1}, send, recv)
 		for src := range recv {
 			if want := complex(float64(src), float64(c.Rank())); recv[src][0] != want {
 				return fmt.Errorf("rank %d: recv[%d] = %v, want %v", c.Rank(), src, recv[src][0], want)
 			}
 		}
-		pr := make([]complex128, 1)
-		c.PairExchange(c.Rank()^1, []complex128{complex(0, float64(c.Rank()))}, pr)
-		if want := complex(0, float64(c.Rank()^1)); pr[0] != want {
-			return fmt.Errorf("rank %d: pair recv %v, want %v", c.Rank(), pr[0], want)
+		post := []complex128{complex(0, float64(c.Rank())), complex(1, float64(c.Rank()))}
+		c.GroupAlltoallGather([]int{0}, post, recv[:2], func(member int, src, dst []complex128) {
+			dst[0] = src[member]
+		})
+		for j := range recv[:2] {
+			if want := complex(float64(c.Rank()&1), float64(c.Rank()&^1|j)); recv[j][0] != want {
+				return fmt.Errorf("rank %d: gathered recv[%d] = %v, want %v", c.Rank(), j, recv[j][0], want)
+			}
 		}
 		return nil
 	})

@@ -36,12 +36,10 @@ type worldTel struct {
 // metrics dump and the error messages all speak the same names.
 var collectiveLabels = map[string]string{
 	"Barrier":             "mpi.barrier_ns",
-	"Alltoall":            "mpi.alltoall_ns",
 	"GroupAlltoall":       "mpi.group_alltoall_ns",
 	"GroupAlltoallGather": "mpi.group_alltoall_gather_ns",
 	"AllreduceSum":        "mpi.allreduce_sum_ns",
 	"AllgatherFloat64":    "mpi.allgather_float64_ns",
-	"PairExchange":        "mpi.pair_exchange_ns",
 }
 
 // SetTelemetry arms the world with a telemetry sink: every collective gets

@@ -605,12 +605,11 @@ func (b *builder) emitCluster(gates []int) {
 	})
 }
 
-// DiagonalOp builds the OpDiagonal for a diagonal circuit gate, given the
+// diagonalOp builds the OpDiagonal for a diagonal circuit gate, given the
 // bit location of each qubit: positions are sorted ascending and the
-// diagonal entries are permuted accordingly. Exported for the per-gate
-// baseline engine, which executes diagonal gates through the same
-// specialization (Sec. 3.5).
-func DiagonalOp(g *circuit.Gate, pos func(q int) int) Op {
+// diagonal entries are permuted accordingly. Build and PerGate both emit
+// diagonal gates through it (Sec. 3.5).
+func diagonalOp(g *circuit.Gate, pos func(q int) int) Op {
 	d := g.Matrix().Diagonal()
 	k := len(g.Qubits)
 	idx := make([]int, k)
@@ -642,7 +641,7 @@ func DiagonalOp(g *circuit.Gate, pos func(q int) int) Op {
 // countAsCluster=false) and singleton local diagonal clusters.
 func (b *builder) emitDiag(gi int, countAsCluster bool) {
 	g := &b.c.Gates[gi]
-	op := DiagonalOp(g, func(q int) int { return b.pos[q] })
+	op := diagonalOp(g, func(q int) int { return b.pos[q] })
 	op.Stage = b.stage
 	b.ops = append(b.ops, op)
 	if countAsCluster {

@@ -111,9 +111,9 @@ func TestSummaryOutput(t *testing.T) {
 }
 
 func TestDiagonalOpHelper(t *testing.T) {
-	// DiagonalOp with reversed positions must permute the diagonal.
+	// diagonalOp with reversed positions must permute the diagonal.
 	g := circuit.NewCPhase(3, 1, 0.7) // qubits (3,1)
-	op := DiagonalOp(&g, func(q int) int { return q })
+	op := diagonalOp(&g, func(q int) int { return q })
 	if op.Positions[0] != 1 || op.Positions[1] != 3 {
 		t.Fatalf("positions %v, want [1 3]", op.Positions)
 	}
@@ -132,7 +132,7 @@ func TestDiagonalOpHelper(t *testing.T) {
 	m.Set(2, 2, 3)
 	m.Set(3, 3, 4)
 	g2 := circuit.Gate{Kind: circuit.KindDiag, Qubits: []int{5, 2}, Custom: &m}
-	op2 := DiagonalOp(&g2, func(q int) int { return q })
+	op2 := diagonalOp(&g2, func(q int) int { return q })
 	// Gate-local bit 0 ↔ qubit 5 (position 5), bit 1 ↔ qubit 2 (position 2).
 	// Sorted positions [2,5]: sorted-bit 0 ↔ qubit 2, sorted-bit 1 ↔ qubit 5.
 	// Original index x = (b1 b0) = (q2 q5); new index y = (q5 q2).

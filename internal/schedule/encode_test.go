@@ -4,40 +4,46 @@ import (
 	"bytes"
 	"testing"
 
+	"qusim/internal/circuit"
 	"qusim/internal/statevec"
 )
 
 func TestPlanRoundTrip(t *testing.T) {
 	c := supremacy(12, 16, 90)
-	plan, err := Build(c, DefaultOptions(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WritePlan(&buf, plan); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadPlan(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N != plan.N || got.L != plan.L || len(got.Ops) != len(plan.Ops) {
-		t.Fatalf("round trip mismatch: n=%d l=%d ops=%d", got.N, got.L, len(got.Ops))
-	}
-	if got.Stats.Swaps != plan.Stats.Swaps || got.Stats.Clusters != plan.Stats.Clusters {
-		t.Errorf("stats mismatch after round trip")
-	}
-	// Executing the deserialized plan must give identical results.
-	a := statevec.NewUniform(c.N)
-	b := statevec.NewUniform(c.N)
-	if err := plan.Run(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Run(b); err != nil {
-		t.Fatal(err)
-	}
-	if d := a.MaxDiff(b); d != 0 {
-		t.Errorf("deserialized plan diverges: max diff %g", d)
+	for name, build := range map[string]func() (*Plan, error){
+		"Build":   func() (*Plan, error) { return Build(c, DefaultOptions(8)) },
+		"PerGate": func() (*Plan, error) { return PerGate(c, 8, func(g *circuit.Gate) bool { return g.K() == 2 }) },
+	} {
+		plan, err := build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var buf bytes.Buffer
+		if err := WritePlan(&buf, plan); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := ReadPlan(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.N != plan.N || got.L != plan.L || len(got.Ops) != len(plan.Ops) {
+			t.Fatalf("%s: round trip mismatch: n=%d l=%d ops=%d", name, got.N, got.L, len(got.Ops))
+		}
+		if got.Stats.Swaps != plan.Stats.Swaps || got.Stats.Clusters != plan.Stats.Clusters {
+			t.Errorf("%s: stats mismatch after round trip", name)
+		}
+		// Executing the deserialized plan must give identical results.
+		a := statevec.NewUniform(c.N)
+		b := statevec.NewUniform(c.N)
+		if err := plan.Run(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.Run(b); err != nil {
+			t.Fatal(err)
+		}
+		if d := a.MaxDiff(b); d != 0 {
+			t.Errorf("%s: deserialized plan diverges: max diff %g", name, d)
+		}
 	}
 }
 

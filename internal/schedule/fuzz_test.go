@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -32,10 +33,11 @@ func fuzzCosts(steps [6]uint8) CostTable {
 }
 
 // FuzzScheduleEquivalence fuzzes the full scheduling pipeline — cost-priced
-// clustering, swap insertion, boundary adjustment, heuristic mapping —
-// against naive gate-by-gate simulation. Any input the fuzzer finds where
-// the built plan deviates from (1⊗…⊗U⊗…⊗1)|Ψ⟩ semantics by more than 1e-9
-// is a scheduler bug; the corpus entry is the reproducer.
+// clustering, swap insertion, boundary adjustment, heuristic mapping — and
+// the per-gate planner of [19] against naive gate-by-gate simulation. Any
+// input the fuzzer finds where a plan deviates from (1⊗…⊗U⊗…⊗1)|Ψ⟩
+// semantics by more than 1e-9 is a scheduler bug; the corpus entry is the
+// reproducer.
 //
 // The plan's ops are then executed twice more on a state wide enough to have
 // cache blocks (every position of an n ≤ 10 plan lies below the block width,
@@ -87,18 +89,49 @@ func FuzzScheduleEquivalence(f *testing.F) {
 			t.Fatalf("Build(n=%d gates=%d l=%d seed=%d costs=%v): %v", n, gates, l, seed, opts.Costs, err)
 		}
 
-		want := statevec.New(n)
-		for _, g := range c.Gates {
-			want.Apply(g.Matrix(), g.Qubits...)
+		// equivalent holds a plan of circ to the circuit applied gate by gate.
+		equivalent := func(plan *Plan, circ *circuit.Circuit, what string) {
+			want := statevec.New(n)
+			for _, g := range circ.Gates {
+				want.Apply(g.Matrix(), g.Qubits...)
+			}
+			got := statevec.New(n)
+			if err := plan.Run(got); err != nil {
+				t.Fatalf("%s: Run(n=%d gates=%d l=%d seed=%d): %v", what, n, gates, plan.L, seed, err)
+			}
+			for b := 0; b < 1<<n; b++ {
+				if d := cmplx.Abs(want.Amplitude(b) - got.Amplitude(plan.PermutedIndex(b))); d > 1e-9 {
+					t.Fatalf("%s: n=%d gates=%d l=%d seed=%d costs=%v: amplitude %d deviates by %g\n%s",
+						what, n, gates, plan.L, seed, opts.Costs, b, d, plan.Summary())
+				}
+			}
 		}
-		got := statevec.New(n)
-		if err := plan.Run(got); err != nil {
-			t.Fatalf("Run(n=%d gates=%d l=%d seed=%d): %v", n, gates, l, seed, err)
-		}
-		for b := 0; b < 1<<n; b++ {
-			if d := cmplx.Abs(want.Amplitude(b) - got.Amplitude(plan.PermutedIndex(b))); d > 1e-9 {
-				t.Fatalf("n=%d gates=%d l=%d seed=%d costs=%v: amplitude %d deviates by %g\n%s",
-					n, gates, l, seed, opts.Costs, b, d, plan.Summary())
+		equivalent(plan, c, "Build")
+
+		// The per-gate scheme of [19] as a plan, at every l with specialization
+		// off and on: it refuses c exactly when a dense gate on two qubits
+		// touches a global one, and runs the rest of c like any other plan.
+		for l := 1; l <= n; l++ {
+			runnable := circuit.NewCircuit(n)
+			for _, g := range c.Gates {
+				if g.K() == 1 || g.IsDiagonal() || slices.Max(g.Qubits) < l {
+					runnable.Append(g)
+				}
+			}
+			for _, spec := range []bool{false, true} {
+				specialized := func(*circuit.Gate) bool { return spec }
+				if _, err := PerGate(c, l, specialized); (err != nil) != (len(runnable.Gates) < len(c.Gates)) {
+					t.Fatalf("PerGate(n=%d gates=%d l=%d seed=%d): error %v, %d of %d gates within the scheme",
+						n, gates, l, seed, err, len(runnable.Gates), len(c.Gates))
+				}
+				perGate, err := PerGate(runnable, l, specialized)
+				if err != nil {
+					t.Fatalf("PerGate(n=%d gates=%d l=%d seed=%d) on the gates within the scheme: %v", n, gates, l, seed, err)
+				}
+				if err := perGate.validate(); err != nil {
+					t.Fatalf("PerGate(n=%d gates=%d l=%d seed=%d): %v", n, gates, l, seed, err)
+				}
+				equivalent(perGate, runnable, fmt.Sprintf("PerGate(specialized=%v)", spec))
 			}
 		}
 

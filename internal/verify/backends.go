@@ -84,13 +84,15 @@ func (kernelBackend) Run(c *circuit.Circuit) ([]complex128, error) {
 
 // planBackend is the one plan-executing row type. Every back end that runs a
 // schedule.Plan — whole vector, complex64, rank-sharded, file-paged, op by op,
-// under faults — is this struct with a different exec; scheduling at
-// l = n − globals, the ErrUnsupported check and the un-permutation of the
-// tracked qubit→bit-location mapping happen once, in Run.
+// under faults, the per-gate scheme — is this struct with a different exec;
+// scheduling at l = n − globals, the ErrUnsupported check and the
+// un-permutation of the tracked qubit→bit-location mapping happen once, in Run.
 type planBackend struct {
 	name    string
 	globals int
 	costs   schedule.CostTable // the zero value: the scheduler's own default table
+	// planner, when not nil, plans in place of schedule.Build (and of costs).
+	planner func(c *circuit.Circuit, l int) (*schedule.Plan, error)
 	// exec runs plan from |0…0⟩ and returns the amplitudes in plan-physical
 	// order, widened to complex128.
 	exec   func(plan *schedule.Plan) ([]complex128, error)
@@ -110,7 +112,13 @@ func (b *planBackend) Run(c *circuit.Circuit) ([]complex128, error) {
 	if l < minLocalQubits(c) {
 		return nil, ErrUnsupported
 	}
-	plan, err := schedule.Build(c, scheduleOptions(l, b.costs))
+	var plan *schedule.Plan
+	var err error
+	if b.planner != nil {
+		plan, err = b.planner(c, l)
+	} else {
+		plan, err = schedule.Build(c, scheduleOptions(l, b.costs))
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -147,8 +155,8 @@ func scheduleOptions(l int, costs schedule.CostTable) schedule.Options {
 // priced for this repository's kernels stop at narrower clusters.
 func PaperTwin(b Backend) Backend {
 	row, ok := b.(*planBackend)
-	if !ok {
-		panic(fmt.Sprintf("verify: %s executes no plan", b.Name()))
+	if !ok || row.planner != nil {
+		panic(fmt.Sprintf("verify: %s schedules by no price list", b.Name()))
 	}
 	twin := *row
 	twin.name, twin.costs = row.name+"+paper", schedule.PaperCosts()
@@ -220,7 +228,7 @@ func DistributedFaulty(ranks int, fp *mpi.FaultPlan) Backend {
 	return distRow(fmt.Sprintf("dist/ranks%d+faults", ranks), ranks, fp)
 }
 
-func distRow(name string, ranks int, fp *mpi.FaultPlan) Backend {
+func distRow(name string, ranks int, fp *mpi.FaultPlan) *planBackend {
 	events := new(int64)
 	return &planBackend{name: name, globals: bits.TrailingZeros(uint(ranks)), events: events,
 		exec: func(plan *schedule.Plan) ([]complex128, error) {
@@ -324,59 +332,33 @@ func (b *permutedBackend) Run(c *circuit.Circuit) ([]complex128, error) {
 	return v.Amps, nil
 }
 
-// per-gate baseline backend ---------------------------------------------------
+// per-gate baseline rows ------------------------------------------------------
 
-type baselineBackend struct {
-	name   string
-	ranks  int
-	spec1q bool
-	faults *mpi.FaultPlan
-	events int64 // cumulative injected perturbations across Run calls
-}
-
-// Baseline returns the De Raedt-style per-gate backend ([19]/[5]): fixed
-// qubit↔location layout, two pairwise half-vector exchanges per dense gate
-// on a global qubit, CZ/CPhase specialization on. Circuits with dense
-// multi-qubit gates on global qubits are reported ErrUnsupported (the
-// scheme cannot execute them).
+// Baseline returns the De Raedt-style per-gate backend ([19]/[5]): a dist row
+// whose planner is schedule.PerGate — fixed qubit↔location layout, a
+// half-vector exchange with the partner rank and back per dense gate on a
+// global qubit, CZ/CPhase specialization on. Circuits with dense multi-qubit
+// gates on global qubits are reported ErrUnsupported (the scheme cannot
+// execute them).
 func Baseline(ranks int) Backend {
-	return &baselineBackend{name: fmt.Sprintf("baseline/ranks%d", ranks), ranks: ranks, spec1q: false}
+	return baselineRow(fmt.Sprintf("baseline/ranks%d", ranks), ranks, nil)
 }
 
 // BaselineFaulty is Baseline with MPI fault injection armed.
 func BaselineFaulty(ranks int, fp *mpi.FaultPlan) Backend {
-	return &baselineBackend{name: fmt.Sprintf("baseline/ranks%d+faults", ranks), ranks: ranks, faults: fp}
+	return baselineRow(fmt.Sprintf("baseline/ranks%d+faults", ranks), ranks, fp)
 }
 
-func (b *baselineBackend) Name() string { return b.name }
-
-func (b *baselineBackend) Run(c *circuit.Circuit) ([]complex128, error) {
-	g := bits.TrailingZeros(uint(b.ranks))
-	l := c.N - g
-	if l < 1 {
-		return nil, ErrUnsupported
-	}
-	for i := range c.Gates {
-		gt := &c.Gates[i]
-		if gt.K() < 2 || gt.IsDiagonal() {
-			continue
+func baselineRow(name string, ranks int, fp *mpi.FaultPlan) Backend {
+	row := distRow(name, ranks, fp)
+	row.planner = func(c *circuit.Circuit, l int) (*schedule.Plan, error) {
+		plan, err := schedule.PerGate(c, l, func(g *circuit.Gate) bool { return g.K() >= 2 })
+		if err != nil {
+			return nil, ErrUnsupported // Run has checked l; what is left is the gate the scheme refuses
 		}
-		for _, q := range gt.Qubits {
-			if q >= l {
-				return nil, ErrUnsupported
-			}
-		}
+		return plan, nil
 	}
-	res, err := dist.RunBaseline(c, dist.BaselineOptions{
-		Ranks: b.ranks, Init: dist.InitZero,
-		Specialize2Q: true, Specialize1Q: b.spec1q,
-		GatherState: true, Faults: b.faults,
-	})
-	if err != nil {
-		return nil, err
-	}
-	b.events += res.FaultEvents
-	return res.Amplitudes, nil
+	return row
 }
 
 // single-precision per-gate backend -------------------------------------------
@@ -401,12 +383,8 @@ func (f32Backend) Run(c *circuit.Circuit) ([]complex128, error) {
 	return widen(v.Amps), nil
 }
 
-// faultCounter is implemented by backends that run under a FaultPlan; the
-// harness sums the injected perturbations for reporting.
-type faultCounter interface{ FaultEvents() int64 }
-
-func (b *baselineBackend) FaultEvents() int64 { return b.events }
-
+// FaultEvents is the number of perturbations the row's exec has injected so
+// far; the harness sums them for reporting.
 func (b *planBackend) FaultEvents() int64 {
 	if b.events == nil {
 		return 0

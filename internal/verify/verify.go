@@ -282,8 +282,8 @@ func Run(opts Options) (*Report, error) {
 	}
 	rep.FaultScenarios = len(faulty)
 	for _, b := range faulty {
-		if fc, ok := b.(faultCounter); ok {
-			rep.FaultEvents += fc.FaultEvents()
+		if row, ok := b.(*planBackend); ok {
+			rep.FaultEvents += row.FaultEvents()
 		}
 	}
 	logf("%s", strings.TrimRight(faultEngine.Summary(), "\n"))
