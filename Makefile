@@ -135,9 +135,11 @@ bench-telemetry:
 # default-plan fused-vs-unfused execution pair, the norm/entropy
 # reductions as MB/s of state read, the cache-resident twin of every f64
 # kernel row (one 1 MiB block swept until it has updated as many amplitudes:
-# the rate an op runs at inside a blocked run) and the blocked-vs-per-op
-# execution pairs, recorded (with the derived f32/f64, fused/separate and
-# blocked/perop speedups) in BENCH_kernels.json. Rows carry the
+# the rate an op runs at inside a blocked run), the blocked-vs-per-op
+# execution pairs and what a 2^24-amplitude state costs outside its kernels
+# (allocate, one sweep, drop, return to the OS), recorded (with the derived
+# f32/f64, fused/separate and blocked/perop speedups) in BENCH_kernels.json.
+# Rows carry the
 # kernel set that ran: "avx2" from the default build and, from a second run
 # under -tags purego, the "go" set's f64 rows. Each set's f64 rows over its
 # k1/f64 are the price list internal/schedule/cost.go compiles in as
@@ -146,7 +148,7 @@ bench-telemetry:
 # below 1. Three repetitions; benchjson keeps the fastest of each, which
 # also drops the first-touch page-fault cost of the 1 GiB state allocations.
 bench-kernels:
-	($(GO) test -run '^$$' -bench 'BenchmarkKernelPrecision|BenchmarkCircuitPrecision|BenchmarkKernelFusion|BenchmarkReduce|BenchmarkBlockedRun' -benchtime 3x -count 3 -timeout 60m . && \
+	($(GO) test -run '^$$' -bench 'BenchmarkKernelPrecision|BenchmarkCircuitPrecision|BenchmarkKernelFusion|BenchmarkReduce|BenchmarkBlockedRun|BenchmarkStateAlloc' -benchtime 3x -count 3 -timeout 60m . && \
 	 $(GO) test -tags purego -run '^$$' -bench 'BenchmarkKernelPrecision/go/./f64' -benchtime 3x -count 3 -timeout 60m .) | $(GO) run ./cmd/benchjson > BENCH_kernels.json
 
 # Out-of-core prefetch baseline: the stage pipeline with read-ahead vs the

@@ -8,6 +8,7 @@ package qusim
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"qusim/internal/circuit"
@@ -759,6 +760,31 @@ func benchReduce[C complex64 | complex128](b *testing.B, prec string, ampBytes i
 				reduceSink = r.run()
 			}
 		})
+	}
+}
+
+// BenchmarkStateAlloc is what a run pays for its state outside the kernels
+// it was scheduled for (BENCH_kernels.json): a 2^24-amplitude buffer from
+// kernels.NewAmps, one k = 1 sweep so that every page has been through the
+// TLB once, then the drop, the collection and the return to the OS that the
+// next run's allocation follows — between the reps of a real run the
+// scavenger does the last step, and a benchmark loop that skipped it would
+// recycle resident memory and time no page fault. MB/s counts the buffer
+// once.
+func BenchmarkStateAlloc(b *testing.B) {
+	h := gate.H().Data
+	b.Run("f64", func(b *testing.B) { benchStateAlloc(b, 16, h) })
+	b.Run("f32", func(b *testing.B) { benchStateAlloc(b, f32vec.BytesPerAmplitude, kernels.ToComplex64(h)) })
+}
+
+func benchStateAlloc[C complex64 | complex128](b *testing.B, ampBytes int, m []C) {
+	const n = 1 << 24
+	b.SetBytes(int64(n * ampBytes))
+	for i := 0; i < b.N; i++ {
+		amps := kernels.NewAmps[C](n)
+		amps[0] = 1
+		kernels.Apply(amps, m, []int{12})
+		debug.FreeOSMemory() // amps is dead here
 	}
 }
 

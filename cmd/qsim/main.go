@@ -49,7 +49,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "parallel workers per rank (0 = GOMAXPROCS)")
 		shots     = flag.Int("sample", 0, "draw this many samples from the output distribution")
 		profile   = flag.Bool("profile", false, "print a per-op-kind time breakdown")
-		verbose   = flag.Bool("v", false, "print the plan summary")
+		verbose   = flag.Bool("v", false, "print the plan summary and, after the run, how much of the state sat on 2 MiB pages")
 
 		ckptDir   = flag.String("checkpoint-dir", "", "commit crash-consistent snapshots into this directory at stage boundaries")
 		ckptEvery = flag.Int("checkpoint-every", 1, "snapshot every N completed stages")
@@ -84,9 +84,9 @@ func main() {
 
 	// -trace / -metrics arm the telemetry layer across every subsystem; the
 	// pool and checkpoint hooks are process-global, the engine hook rides in
-	// dist.Options.
+	// dist.Options. -v reads the mem.* gauges from it.
 	tel := telemetry.Disabled
-	if *traceFile != "" || *metrics {
+	if *traceFile != "" || *metrics || *verbose {
 		tel = telemetry.New()
 		par.SetTelemetry(tel)
 		ckpt.SetTelemetry(tel)
@@ -128,7 +128,7 @@ func main() {
 	}
 
 	if *f32 {
-		runF32(circ, sched, *verbose)
+		runF32(circ, sched, tel, *verbose)
 		flushTelemetry(tel, *traceFile, *metrics)
 		return
 	}
@@ -182,6 +182,9 @@ func main() {
 		// timed by its share of the run.
 		fmt.Printf("  %d ops in %d passes over each rank's shard, %d of them blocked runs\n",
 			ops, res.ProfilePasses, res.ProfileRuns)
+	}
+	if *verbose {
+		reportPages(tel, 16<<plan.L)
 	}
 	if *shots > 0 {
 		fmt.Printf("samples (%d shots, first 10):\n", *shots)
@@ -375,13 +378,16 @@ func runOutOfCore(circ *circuit.Circuit, tel *telemetry.Telemetry, o oocOptions)
 		}
 		fmt.Printf("ckpt:    %d snapshots committed, %s\n", written, resumedFrom)
 	}
+	if o.verbose {
+		reportPages(tel, 16<<plan.L)
+	}
 	return nil
 }
 
 // runF32 executes the circuit on the single-precision in-memory state — the
 // paper's Sec. 5 outlook (half the bytes per amplitude, one more qubit in
 // the same memory) — through the fused single-node schedule.
-func runF32(circ *circuit.Circuit, sched schedFlags, verbose bool) {
+func runF32(circ *circuit.Circuit, sched schedFlags, tel *telemetry.Telemetry, verbose bool) {
 	plan := sched.plan(circ, circ.N)
 	if verbose {
 		fmt.Print(plan.Summary())
@@ -401,6 +407,10 @@ func runF32(circ *circuit.Circuit, sched schedFlags, verbose bool) {
 	norm, ent := v.NormEntropy()
 	fmt.Printf("result:  norm=%.7f entropy=%.6f nats\n", norm, ent)
 	fmt.Printf("time:    %.3fs total\n", elapsed.Seconds())
+	kernels.ObservePages(tel, v.Amps)
+	if verbose {
+		reportPages(tel, int64(len(v.Amps))*f32vec.BytesPerAmplitude)
+	}
 }
 
 func buildCircuit(kind string, qubits, depth int, seed int64, file string) (*circuit.Circuit, error) {
@@ -441,6 +451,20 @@ func report(c *circuit.Circuit, res *dist.Result, plan *schedule.Plan) {
 		res.Elapsed.Seconds(), res.CommElapsed.Seconds(),
 		100*res.CommElapsed.Seconds()/res.Elapsed.Seconds())
 	fmt.Printf("comm:    %d steps, %.1f MB\n", res.CommSteps, float64(res.CommBytes)/1e6)
+}
+
+// reportPages prints the mem.* gauges the back end left: the bytes of state
+// in memory and how many of them sat on 2 MiB pages, with the reason when
+// none did. bufBytes is the size of one of the buffers the state is held in
+// (a rank's shard, a chunk), which is what the allocator decides by.
+func reportPages(tel *telemetry.Telemetry, bufBytes int64) {
+	state, huge := tel.Gauge("mem.state_bytes").Value(), tel.Gauge("mem.huge_bytes").Value()
+	if huge == 0 {
+		fmt.Printf("memory:  %.1f MB of state, none on 2 MiB pages: %s\n", float64(state)/1e6, kernels.WhyNoHugePages(bufBytes))
+		return
+	}
+	fmt.Printf("memory:  %.1f MB of state, %.1f MB (%.1f%%) on 2 MiB pages\n",
+		float64(state)/1e6, float64(huge)/1e6, 100*float64(huge)/float64(state))
 }
 
 func fatal(err error) {

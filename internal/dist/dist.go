@@ -240,6 +240,7 @@ type attemptOut struct {
 	elapsed     time.Duration
 	commElapsed time.Duration
 	amplitudes  []complex128
+	locals      [][]complex128 // each rank's shard at the end, for the mem.* gauges
 	samples     []int
 	profile     []ProfileEntry
 	passes      int // a rank's passes over its shard and, of those,
@@ -361,12 +362,12 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 	if opts.CommDeadline > 0 {
 		w.SetDeadline(opts.CommDeadline)
 	}
-	out := &attemptOut{}
+	out := &attemptOut{locals: make([][]complex128, ranks)}
 	if ck != nil {
 		out.shards = make([]ckpt.ShardInfo, ranks)
 	}
 	if opts.GatherState {
-		out.amplitudes = make([]complex128, 1<<plan.N)
+		out.amplitudes = kernels.NewAmps[complex128](1 << plan.N)
 	}
 	every := 0
 	if ck != nil {
@@ -379,7 +380,7 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 		sc := opts.Telemetry.Scope(c.Rank(), 0, fmt.Sprintf("rank %d", c.Rank()), "engine")
 		attemptT0 := sc.Now()
 
-		local := make([]complex128, localLen)
+		local := kernels.NewAmps[complex128](localLen)
 		if man != nil {
 			t0 := sc.Now()
 			if err := ckpt.ReadShard(ck.Dir, man, c.Rank(), local); err != nil {
@@ -404,7 +405,7 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 		}
 		// The rank's shard. Its scratch is also the receive side of every
 		// all-to-all, so it exists from the start rather than on first need.
-		sh := schedule.Shard[complex128]{Amps: local, Scratch: make([]complex128, localLen), L: l, Index: c.Rank()}
+		sh := schedule.Shard[complex128]{Amps: local, Scratch: kernels.NewAmps[complex128](localLen), L: l, Index: c.Rank()}
 		start := time.Now()
 		var commTime time.Duration
 		var profDur [4]time.Duration
@@ -509,6 +510,7 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 		}
 
 		out.mu.Lock()
+		out.locals[c.Rank()] = local
 		out.norm = norm
 		out.entropy = ent
 		if elapsed > out.elapsed {
@@ -563,6 +565,7 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 	if err != nil {
 		return err
 	}
+	kernels.ObservePages(opts.Telemetry, out.locals...)
 	res.Norm = out.norm
 	res.Entropy = out.entropy
 	res.Elapsed += out.elapsed

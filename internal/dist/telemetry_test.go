@@ -84,6 +84,13 @@ func TestTelemetryProfileCompatible(t *testing.T) {
 	if attempts != 4 {
 		t.Errorf("attempt spans = %d, want 4", attempts)
 	}
+	// The four shards are the state; none is long enough for a 2 MiB page.
+	if got, want := tel.Gauge("mem.state_bytes").Value(), int64(16<<plan.N); got != want {
+		t.Errorf("mem.state_bytes = %d, want %d", got, want)
+	}
+	if got := tel.Gauge("mem.huge_bytes").Value(); got != 0 {
+		t.Errorf("mem.huge_bytes = %d for 16 KiB shards", got)
+	}
 }
 
 // TestBaselineTelemetry checks the per-gate reference scheme arms the MPI

@@ -17,6 +17,7 @@ import (
 
 	"qusim/internal/gate"
 	"qusim/internal/kernels"
+	"qusim/internal/par"
 	"qusim/internal/statevec"
 )
 
@@ -54,36 +55,42 @@ type Vector struct {
 
 // New returns |0…0⟩.
 func New(n int) *Vector {
-	v := &Vector{N: n, Amps: make([]complex64, 1<<n)}
+	v := &Vector{N: n, Amps: kernels.NewAmps[complex64](1 << n)}
 	v.Amps[0] = 1
 	return v
 }
 
 // NewUniform returns the uniform superposition.
 func NewUniform(n int) *Vector {
-	v := &Vector{N: n, Amps: make([]complex64, 1<<n)}
+	v := &Vector{N: n, Amps: kernels.NewAmps[complex64](1 << n)}
 	a := complex64(complex(float32(math.Pow(2, -float64(n)/2)), 0))
-	for i := range v.Amps {
-		v.Amps[i] = a
-	}
+	par.For(len(v.Amps), 4096, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v.Amps[i] = a
+		}
+	})
 	return v
 }
 
 // FromDouble converts a double-precision state.
 func FromDouble(s *statevec.Vector) *Vector {
-	v := &Vector{N: s.N, Amps: make([]complex64, len(s.Amps))}
-	for i, a := range s.Amps {
-		v.Amps[i] = complex64(a)
-	}
+	v := &Vector{N: s.N, Amps: kernels.NewAmps[complex64](len(s.Amps))}
+	par.For(len(v.Amps), 4096, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v.Amps[i] = complex64(s.Amps[i])
+		}
+	})
 	return v
 }
 
 // ToDouble converts back to double precision.
 func (v *Vector) ToDouble() *statevec.Vector {
 	out := statevec.New(v.N)
-	for i, a := range v.Amps {
-		out.Amps[i] = complex128(a)
-	}
+	par.For(len(v.Amps), 4096, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out.Amps[i] = complex128(v.Amps[i])
+		}
+	})
 	return out
 }
 

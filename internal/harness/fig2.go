@@ -63,11 +63,10 @@ func fig2(m perfmodel.Machine, paper map[string]float64) func(io.Writer, Config)
 		fmt.Fprintf(w, "\nhost-measured optimization steps (2^%d amplitudes), GFLOPS:\n", n)
 		t = newTable(w)
 		t.row("kernel", "step 0 naive", "step 1 in-place", "step 2-3 split", "this host ("+kernels.ISA()+")")
-		// Both vectors are written once before anything is timed: a fresh
-		// allocation's first pass would measure its page faults.
-		src, dst := make([]complex128, 1<<n), make([]complex128, 1<<n)
-		clear(src)
-		clear(dst)
+		// NewAmps has touched every page of both vectors before anything is
+		// timed: a fresh allocation's first pass would measure its page
+		// faults.
+		src, dst := kernels.NewAmps[complex128](1<<n), kernels.NewAmps[complex128](1<<n)
 		src[0] = 1
 		for _, k := range []int{1, 4} {
 			qs := lowOrderQs(k)

@@ -32,7 +32,7 @@ func secondsPerPass(pass func()) float64 {
 // random k-qubit gate at the sorted positions qs, and a 2^n state for it.
 func hostKernel(n, k int, qs []int) (kernels.Dense[complex128], []complex128) {
 	u := gate.RandomUnitary(k, rand.New(rand.NewSource(7)))
-	amps := make([]complex128, 1<<n)
+	amps := kernels.NewAmps[complex128](1 << n)
 	amps[0] = 1
 	return kernels.PrepareDense(u.Data, qs, len(amps)), amps
 }

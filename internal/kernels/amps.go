@@ -1,0 +1,110 @@
+package kernels
+
+import (
+	"unsafe"
+
+	"qusim/internal/par"
+	"qusim/internal/telemetry"
+)
+
+// Where amplitude buffers come from. Memory, not FLOPs, binds a state-vector
+// run (Sec. 3.3), and a pass that streams 2^n amplitudes through 4 KiB pages
+// takes a page fault per 256 of them the first time and a page-table walk
+// per TLB miss every time after. NewAmps is the one allocator of every
+// state-sized buffer in the tree; on Linux it asks for 2 MiB pages.
+const (
+	basePageBytes = 4 << 10
+	hugePageBytes = 2 << 20
+
+	// hugeMinBytes is the size a buffer has to exceed before NewAmps asks
+	// for 2 MiB pages: what a 2 048-entry second-level TLB reaches on 4 KiB
+	// pages. A buffer within that reach takes no walks a larger page would
+	// save, and faulting in a cold 2 MiB page for it would only show in
+	// set-up time.
+	hugeMinBytes = 2048 * basePageBytes
+)
+
+// NewAmps returns n zero amplitudes, len == cap == n. The memory is an
+// ordinary slice on the Go heap. Above hugeMinBytes the whole 2 MiB blocks
+// inside it are advised MADV_HUGEPAGE before anything has touched them (the
+// kernel backs a range with huge pages when it is first faulted in, not
+// after), and a kernel that refuses, or is not Linux, leaves the buffer as
+// make returned it. Then every page is touched once under the chunking of
+// the later sweeps — the first-touch placement of Sec. 3.3; a fresh page
+// arrives zeroed, so one store per page is the whole of it.
+func NewAmps[T complexAmp](n int) []T {
+	amps := make([]T, n)
+	if n == 0 {
+		return amps
+	}
+	size := int(unsafe.Sizeof(amps[0]))
+	if n*size > hugeMinBytes {
+		adviseHuge(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(amps))), n*size))
+	}
+	step := basePageBytes / size
+	const grain = 256 // pages: 1 MiB, below which one worker touches them all
+	par.For((n+step-1)/step, grain, func(lo, hi int) {
+		for p := lo; p < hi; p++ {
+			amps[p*step] = 0
+		}
+	})
+	return amps
+}
+
+// byteRange is the address range [lo, hi) of a buffer.
+type byteRange struct{ lo, hi uintptr }
+
+func rangeOf[T complexAmp](amps []T) byteRange {
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(amps)))
+	return byteRange{lo, lo + uintptr(len(amps))*unsafe.Sizeof(amps[0])}
+}
+
+// HugeBytes returns how many bytes of the buffers sit on 2 MiB pages: the
+// AnonHugePages of the mappings that hold them in /proc/self/smaps, each
+// mapping counted up to its overlap with the buffers. Zero where that file
+// does not exist.
+func HugeBytes[T complexAmp](bufs ...[]T) int64 {
+	ranges := make([]byteRange, 0, len(bufs))
+	for _, b := range bufs {
+		// A buffer shorter than a huge page holds none whole.
+		if r := rangeOf(b); r.hi-r.lo >= hugePageBytes {
+			ranges = append(ranges, r)
+		}
+	}
+	if len(ranges) == 0 {
+		return 0
+	}
+	return hugeBytes(ranges)
+}
+
+// ObservePages records where the state of a run lives: the bytes of bufs in
+// the gauge mem.state_bytes and how many of them sit on 2 MiB pages in
+// mem.huge_bytes, so that a run that fell back to 4 KiB pages shows from
+// outside. A disabled t costs a nil check.
+func ObservePages[T complexAmp](t *telemetry.Telemetry, bufs ...[]T) {
+	if !t.Enabled() {
+		return
+	}
+	var state int64
+	for _, b := range bufs {
+		r := rangeOf(b)
+		state += int64(r.hi - r.lo)
+	}
+	t.Gauge("mem.state_bytes").Set(state)
+	t.Gauge("mem.huge_bytes").Set(HugeBytes(bufs...))
+}
+
+// WhyNoHugePages names the reason a buffer of bufBytes allocated by NewAmps
+// sits on no 2 MiB page.
+func WhyNoHugePages(bufBytes int64) string {
+	switch mode := thpMode(); {
+	case mode == "":
+		return "no transparent huge pages on this platform"
+	case mode == "never":
+		return "transparent_hugepage=never"
+	case bufBytes <= hugeMinBytes:
+		return "buffers of 8 MiB or less are not advised"
+	default:
+		return "the kernel had no 2 MiB pages to give (transparent_hugepage=" + mode + ")"
+	}
+}

@@ -252,9 +252,7 @@ func SwapBits[T complexAmp](amps []T, a, b int) {
 // identity, a lone transposition runs in place through SwapBits (half the
 // amplitudes, no second vector), and anything else is one PermuteInto gather
 // into scratch, which is allocated here when it is nil — so a caller that
-// never meets a multi-cycle permutation never pays for a second vector, and
-// the first touch happens inside the gather under the same par chunking as
-// every later sweep (the NUMA placement of Sec. 3.3).
+// never meets a multi-cycle permutation never pays for a second vector.
 func Permute[T complexAmp](amps, scratch []T, p *BitPermutation) (out, spare []T) {
 	if p.Identity() {
 		return amps, scratch
@@ -264,7 +262,7 @@ func Permute[T complexAmp](amps, scratch []T, p *BitPermutation) (out, spare []T
 		return amps, scratch
 	}
 	if scratch == nil {
-		scratch = make([]T, len(amps))
+		scratch = NewAmps[T](len(amps))
 	}
 	PermuteInto(scratch, amps, p)
 	return scratch, amps

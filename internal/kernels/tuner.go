@@ -52,7 +52,7 @@ func tunePositions(n, k int) []int {
 func Tune(kmax, n, reps int) TuneResult {
 	reps = max(reps, 1)
 	rng := rand.New(rand.NewSource(42))
-	amps := make([]complex128, 1<<n)
+	amps := NewAmps[complex128](1 << n)
 	amps[0] = 1
 	res := TuneResult{N: n}
 	for k := 1; k <= min(kmax, n); k++ {

@@ -97,7 +97,7 @@ func New(n, l int, dir string) (*Vector, error) {
 		return nil, err
 	}
 	v := &Vector{N: n, L: l, fs: fs, f: f, path: f.Name(), dir: dir,
-		buf: make([]complex128, 1<<l), raw: make([]byte, ampBytes<<l)}
+		buf: kernels.NewAmps[complex128](1 << l), raw: make([]byte, ampBytes<<l)}
 	// Initialize to zero; first chunk carries amplitude 1 at index 0.
 	for c := 0; c < v.Chunks(); c++ {
 		for i := range v.buf {
@@ -153,9 +153,10 @@ func (v *Vector) Prefetch() int { return v.prefetch }
 // disarmed): the engine/reader/writeback timelines plus the prefetch and
 // I/O metrics the pipeline updates per chunk.
 type vecTel struct {
-	sc   *telemetry.Scope // tid 0: compute loop, op/stage spans
-	rdSc *telemetry.Scope // tid 1: prefetch reader
-	wrSc *telemetry.Scope // tid 2: asynchronous writeback
+	t    *telemetry.Telemetry // for the mem.* gauges of each stage's pool
+	sc   *telemetry.Scope     // tid 0: compute loop, op/stage spans
+	rdSc *telemetry.Scope     // tid 1: prefetch reader
+	wrSc *telemetry.Scope     // tid 2: asynchronous writeback
 
 	hits, misses  *telemetry.Counter // prefetch hit = chunk ready when asked
 	chunksRead    *telemetry.Counter
@@ -177,6 +178,7 @@ func (v *Vector) SetTelemetry(t *telemetry.Telemetry) {
 		return
 	}
 	v.tel = vecTel{
+		t:             t,
 		sc:            t.Scope(telemetry.OocPID, 0, "oocvec", "engine"),
 		rdSc:          t.Scope(telemetry.OocPID, 1, "oocvec", "prefetch reader"),
 		wrSc:          t.Scope(telemetry.OocPID, 2, "oocvec", "writeback"),
@@ -425,7 +427,7 @@ func (v *Vector) NormEntropy() (norm, entropy float64, err error) {
 
 // Amplitudes loads the full state (testing only).
 func (v *Vector) Amplitudes() ([]complex128, error) {
-	out := make([]complex128, 1<<v.N)
+	out := kernels.NewAmps[complex128](1 << v.N)
 	for c := 0; c < v.Chunks(); c++ {
 		if err := v.readChunk(c, out[c<<uint(v.L):(c+1)<<uint(v.L)]); err != nil {
 			return nil, err

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"qusim/internal/fsio"
+	"qusim/internal/kernels"
 	"qusim/internal/schedule"
 	"qusim/internal/telemetry"
 )
@@ -137,9 +138,13 @@ func (v *Vector) pumpStage(prog *schedule.Program[complex128], bitPos []int, out
 	// prefetched or awaiting writeback while the caller computes one more.
 	nbuf := depth + 1
 	free := make(chan *chunkBuf, nbuf)
-	for i := 0; i < nbuf; i++ {
-		free <- &chunkBuf{amps: make([]complex128, 1<<v.L), raw: make([]byte, v.chunkBytes())}
+	pool := make([][]complex128, nbuf)
+	for i := range pool {
+		pool[i] = kernels.NewAmps[complex128](1 << v.L)
+		free <- &chunkBuf{amps: pool[i], raw: make([]byte, v.chunkBytes())}
 	}
+	// The state in memory is the pool; NewAmps has touched its pages.
+	kernels.ObservePages(v.tel.t, pool...)
 	filled := make(chan *chunkBuf, depth)
 	dirty := make(chan *chunkBuf, nbuf)
 	stop := make(chan struct{})

@@ -63,23 +63,13 @@ func newUninit(n int) *Vector {
 	if n < 0 || n > 34 {
 		panic(fmt.Sprintf("statevec: unsupported qubit count %d", n))
 	}
-	v := &Vector{N: n}
-	// Parallel first-touch initialization: the NUMA-aware initialization of
-	// Sec. 3.3 — each worker touches the pages it will later operate on.
-	v.Amps = make([]complex128, 1<<n)
-	par.For(len(v.Amps), 1<<16, func(lo, hi int) {
-		amps := v.Amps[lo:hi]
-		for i := range amps {
-			amps[i] = 0
-		}
-	})
-	return v
+	return &Vector{N: n, Amps: kernels.NewAmps[complex128](1 << n)}
 }
 
 // Clone returns a deep copy.
 func (v *Vector) Clone() *Vector {
-	c := &Vector{N: v.N, Amps: make([]complex128, len(v.Amps))}
-	copy(c.Amps, v.Amps)
+	c := &Vector{N: v.N, Amps: kernels.NewAmps[complex128](len(v.Amps))}
+	par.For(len(v.Amps), 1<<16, func(lo, hi int) { copy(c.Amps[lo:hi], v.Amps[lo:hi]) })
 	return c
 }
 

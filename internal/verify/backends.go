@@ -47,7 +47,7 @@ func Naive() Backend { return naiveBackend{} }
 func (naiveBackend) Name() string { return "refkernel/naive-dense" }
 
 func (naiveBackend) Run(c *circuit.Circuit) ([]complex128, error) {
-	src, dst := make([]complex128, 1<<c.N), make([]complex128, 1<<c.N)
+	src, dst := kernels.NewAmps[complex128](1<<c.N), kernels.NewAmps[complex128](1<<c.N)
 	src[0] = 1
 	for i := range c.Gates {
 		g := &c.Gates[i]
@@ -131,7 +131,7 @@ func (b *planBackend) Run(c *circuit.Circuit) ([]complex128, error) {
 
 // unpermute maps plan-physical amplitudes back to logical qubit order.
 func unpermute(plan *schedule.Plan, phys []complex128) []complex128 {
-	out := make([]complex128, len(phys))
+	out := kernels.NewAmps[complex128](len(phys))
 	for b := range out {
 		out[b] = phys[plan.PermutedIndex(b)]
 	}
@@ -165,7 +165,7 @@ func PaperTwin(b Backend) Backend {
 
 // widen converts a complex64 state for comparison against the exact paths.
 func widen(narrow []complex64) []complex128 {
-	out := make([]complex128, len(narrow))
+	out := kernels.NewAmps[complex128](len(narrow))
 	for i, a := range narrow {
 		out[i] = complex128(a)
 	}
@@ -263,7 +263,7 @@ func F32PerOp(globals int) Backend {
 }
 
 func runPerOp[T complex64 | complex128](plan *schedule.Plan) ([]T, error) {
-	sh := schedule.Shard[T]{Amps: make([]T, 1<<plan.N), L: plan.N}
+	sh := schedule.Shard[T]{Amps: kernels.NewAmps[T](1 << plan.N), L: plan.N}
 	sh.Amps[0] = 1
 	for i := range plan.Ops {
 		op := &plan.Ops[i]
