@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build test test-purego race verify lint lint-tools chaos-smoke fuzz \
+.PHONY: build test test-purego test-avx2 race verify lint lint-tools chaos-smoke fuzz \
 	fuzz-smoke bench bench-smoke bench-permute bench-ckpt bench-telemetry \
 	bench-oocvec bench-kernels bench-workloads bench-repo coverage
 
@@ -29,8 +29,18 @@ test:
 # but amd64 with AVX2+FMA — through the packages that execute
 # or price them: every back end reaches them through the one shard applier
 # (internal/schedule/exec.go), so every back end is in the list.
+KERNEL_PKGS = ./internal/kernels/... ./internal/statevec/... ./internal/f32vec/... ./internal/schedule/... ./internal/dist/... ./internal/oocvec/... ./internal/verify/...
 test-purego:
-	$(GO) test -tags purego ./internal/kernels/... ./internal/statevec/... ./internal/f32vec/... ./internal/schedule/... ./internal/dist/... ./internal/oocvec/... ./internal/verify/...
+	$(GO) test -tags purego $(KERNEL_PKGS)
+
+# The AVX2+FMA kernels behind the noavx512 build tag — what runs on an
+# amd64 CPU without AVX-512 — through the same packages and then through
+# the whole differential matrix, so a host whose default build runs the
+# AVX-512 set still executes the AVX2 set end to end. (On a host without
+# AVX-512 the tag changes nothing and this repeats `make test`.)
+test-avx2:
+	$(GO) test -tags noavx512 $(KERNEL_PKGS)
+	$(GO) run -tags noavx512 ./cmd/qverify -quick
 
 # Tier-1 with the race detector — required before merging anything that
 # touches internal/par, internal/mpi, internal/dist or internal/telemetry.
@@ -138,10 +148,11 @@ bench-telemetry:
 # the rate an op runs at inside a blocked run), the blocked-vs-per-op
 # execution pairs and what a 2^24-amplitude state costs outside its kernels
 # (allocate, one sweep, drop, return to the OS), recorded (with the derived
-# f32/f64, fused/separate and blocked/perop speedups) in BENCH_kernels.json.
-# Rows carry the
-# kernel set that ran: "avx2" from the default build and, from a second run
-# under -tags purego, the "go" set's f64 rows. Each set's f64 rows over its
+# f32/f64, fused/separate, blocked/perop and avx512/avx2 speedups) in
+# BENCH_kernels.json. Rows carry the kernel set that ran: the default
+# build's ("avx512" on a host with AVX-512, "avx2" otherwise), from a second
+# run under -tags noavx512 the "avx2" set's rows, and from a third under
+# -tags purego the "go" set's f64 rows. Each set's f64 rows over its
 # k1/f64 are the price list internal/schedule/cost.go compiles in as
 # MeasuredCosts (TestMeasuredCostsMatchBenchFile holds the two together):
 # refresh the constants there when this file moves, and no speedup may read
@@ -149,6 +160,7 @@ bench-telemetry:
 # also drops the first-touch page-fault cost of the 1 GiB state allocations.
 bench-kernels:
 	($(GO) test -run '^$$' -bench 'BenchmarkKernelPrecision|BenchmarkCircuitPrecision|BenchmarkKernelFusion|BenchmarkReduce|BenchmarkBlockedRun|BenchmarkStateAlloc' -benchtime 3x -count 3 -timeout 60m . && \
+	 $(GO) test -tags noavx512 -run '^$$' -bench 'BenchmarkKernelPrecision/avx2/' -benchtime 3x -count 3 -timeout 60m . && \
 	 $(GO) test -tags purego -run '^$$' -bench 'BenchmarkKernelPrecision/go/./f64' -benchtime 3x -count 3 -timeout 60m .) | $(GO) run ./cmd/benchjson > BENCH_kernels.json
 
 # Out-of-core prefetch baseline: the stage pipeline with read-ahead vs the

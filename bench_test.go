@@ -518,9 +518,12 @@ const precState = 26
 // BenchmarkKernelPrecision records the kernel baseline
 // (BENCH_kernels.json via make bench-kernels): the same k-qubit random
 // unitary at the same qubit positions through the double- and
-// single-precision kernels every caller gets (kernels.Apply), under the
-// name of the kernel set that ran — "avx2" for the assembly kernels, "go"
-// for the pure-Go ones (-tags purego, or a CPU without AVX2). The f32/f64
+// single-precision kernels every caller gets (kernels.Apply), on buffers
+// from kernels.NewAmps (2 MiB pages where the host grants them, as in every
+// run), under the name of the kernel set that ran — "avx512" or "avx2" for
+// the assembly kernels (-tags noavx512 runs the latter on an AVX-512 host),
+// "go" for the pure-Go ones (-tags purego, or a CPU without AVX2). The
+// avx512/avx2 rows of one leaf yield the recorded width speedups, the f32/f64
 // leaf pairs yield the recorded speedups; bytes/op counts one read + one
 // write of the state at the respective element width, so MB/s compares
 // traffic, not progress. The diag pair is the diagonal sweep with no unit
@@ -540,7 +543,7 @@ func BenchmarkKernelPrecision(b *testing.B) {
 		}
 		u32 := kernels.ToComplex64(u.Data)
 		b.Run(fmt.Sprintf("%s/k%d/f64", set, k), func(b *testing.B) {
-			amps := make([]complex128, 1<<precState)
+			amps := kernels.NewAmps[complex128](1 << precState)
 			amps[0] = 1
 			b.SetBytes(int64(len(amps) * 16 * 2))
 			b.ResetTimer()
@@ -549,7 +552,7 @@ func BenchmarkKernelPrecision(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("%s/k%d/f32", set, k), func(b *testing.B) {
-			amps := make([]complex64, 1<<precState)
+			amps := kernels.NewAmps[complex64](1 << precState)
 			amps[0] = 1
 			b.SetBytes(int64(len(amps) * 8 * 2))
 			b.ResetTimer()
@@ -570,7 +573,7 @@ func BenchmarkKernelPrecision(b *testing.B) {
 	d32 := kernels.ToComplex64(d)
 	qs := []int{6, 9}
 	b.Run(set+"/diag/f64", func(b *testing.B) {
-		amps := make([]complex128, 1<<precState)
+		amps := kernels.NewAmps[complex128](1 << precState)
 		amps[0] = 1
 		b.SetBytes(int64(len(amps) * 16 * 2))
 		b.ResetTimer()
@@ -579,7 +582,7 @@ func BenchmarkKernelPrecision(b *testing.B) {
 		}
 	})
 	b.Run(set+"/diag/f32", func(b *testing.B) {
-		amps := make([]complex64, 1<<precState)
+		amps := kernels.NewAmps[complex64](1 << precState)
 		amps[0] = 1
 		b.SetBytes(int64(len(amps) * 8 * 2))
 		b.ResetTimer()
@@ -598,7 +601,7 @@ func BenchmarkKernelPrecision(b *testing.B) {
 // of the streaming rows, so the two ns/op compare directly. Every block
 // takes the whole run while it sits in L2; memory is read once per 64 ops.
 func benchResident(b *testing.B, op schedule.Op) {
-	sh := schedule.Shard[complex128]{Amps: make([]complex128, 1<<benchState), L: benchState}
+	sh := schedule.Shard[complex128]{Amps: kernels.NewAmps[complex128](1 << benchState), L: benchState}
 	sh.Amps[0] = 1
 	ops := make([]schedule.Op, 1<<(precState-benchState))
 	for i := range ops {

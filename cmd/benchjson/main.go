@@ -6,7 +6,9 @@
 // Besides the raw per-benchmark metrics it derives speedups for the
 // baseline/optimized pairs the repo's benchmarks use: a ".../singlepass"
 // leaf is compared against its ".../swapchain" sibling, ".../fused" against
-// ".../separate", ".../blocked" against ".../perop".
+// ".../separate", ".../blocked" against ".../perop", and a kernel-set
+// element in the middle of a name, ".../avx512/...", against the same row
+// of ".../avx2/...".
 //
 // With -strict the command exits nonzero when a Benchmark line fails to
 // parse or when no benchmarks were parsed at all, so CI catches silently
@@ -26,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -55,10 +58,10 @@ type document struct {
 // cpuSuffix strips the trailing -GOMAXPROCS tag go test appends to names.
 var cpuSuffix = regexp.MustCompile(`-\d+$`)
 
-// pairs maps an optimized leaf name to the baseline sibling it is compared
-// against when deriving speedups. A ratio below 1 records an overhead (the
-// checkpointed/plain pair: snapshots cost time and the recorded factor says
-// how much).
+// pairs maps an optimized name element to the baseline sibling it is
+// compared against when deriving speedups. A ratio below 1 records an
+// overhead (the checkpointed/plain pair: snapshots cost time and the
+// recorded factor says how much).
 var pairs = map[string]string{
 	"singlepass":   "swapchain",
 	"fused":        "separate",
@@ -67,6 +70,7 @@ var pairs = map[string]string{
 	"prefetch":     "depth0",
 	"f32":          "f64",
 	"blocked":      "perop",
+	"avx512":       "avx2",
 }
 
 func main() {
@@ -170,6 +174,10 @@ func mergeBenchmark(benchmarks []benchmark, b benchmark) []benchmark {
 	return append(benchmarks, b)
 }
 
+// deriveSpeedups compares every benchmark whose name has an element in
+// pairs with the benchmark named the same but for that element. The
+// speedup is named after what the two share: the prefix when the element is
+// the leaf, the name with "*" in the element's place otherwise.
 func deriveSpeedups(benchmarks []benchmark) []speedup {
 	byName := map[string]benchmark{}
 	for _, b := range benchmarks {
@@ -177,25 +185,32 @@ func deriveSpeedups(benchmarks []benchmark) []speedup {
 	}
 	var out []speedup
 	for _, b := range benchmarks {
-		i := strings.LastIndex(b.Name, "/")
-		if i < 0 {
-			continue
+		elems := strings.Split(b.Name, "/")
+		for i, elem := range elems {
+			baseElem, ok := pairs[elem]
+			if !ok || i == 0 {
+				continue
+			}
+			with := func(e string) string {
+				c := slices.Clone(elems)
+				c[i] = e
+				return strings.Join(c, "/")
+			}
+			base, ok := byName[with(baseElem)]
+			if !ok || b.Metrics["ns/op"] == 0 {
+				continue
+			}
+			name := strings.Join(elems[:i], "/")
+			if i < len(elems)-1 {
+				name = with("*")
+			}
+			out = append(out, speedup{
+				Name:      name,
+				Optimized: elem,
+				Baseline:  baseElem,
+				Speedup:   base.Metrics["ns/op"] / b.Metrics["ns/op"],
+			})
 		}
-		prefix, leaf := b.Name[:i], b.Name[i+1:]
-		baseLeaf, ok := pairs[leaf]
-		if !ok {
-			continue
-		}
-		base, ok := byName[prefix+"/"+baseLeaf]
-		if !ok || b.Metrics["ns/op"] == 0 {
-			continue
-		}
-		out = append(out, speedup{
-			Name:      prefix,
-			Optimized: leaf,
-			Baseline:  baseLeaf,
-			Speedup:   base.Metrics["ns/op"] / b.Metrics["ns/op"],
-		})
 	}
 	return out
 }

@@ -3,18 +3,21 @@ package main
 import (
 	"fmt"
 	"math"
+	"regexp"
+	"strings"
 )
 
 // The result reductions of Sec. 4.2.2 — Σ|α|² and −Σ|α|²·ln|α|² — emitted
-// as AVX2+FMA assembly. One iteration takes four amplitudes to four
-// probabilities p, one per 64-bit lane, and adds them to per-lane
-// accumulators; the caller hands in a multiple of four and pads a tail
-// with zero amplitudes, which add +0 to both sums. The single-precision
+// as assembly at both widths of simd.go. One iteration takes four (YMM) or
+// eight (ZMM) amplitudes to as many probabilities p, one per 64-bit lane,
+// and adds them to per-lane accumulators; the caller hands in a multiple of
+// the lane count and pads a tail with zero amplitudes, which add +0 to both
+// sums. The single-precision
 // kernels widen on load (VCVTPS2PD) and are otherwise the same code, so
 // both precisions accumulate in float64.
 //
-// ln p is FreeBSD's e_log.c (the algorithm of Go's math.Log), four lanes
-// at a time:
+// ln p is FreeBSD's e_log.c (the algorithm of Go's math.Log), a register of
+// lanes at a time:
 //
 //	p = 2^k·m, m ∈ [√½, √2);  f = m − 1;  s = f/(2+f);  z = s²;  w = z²
 //	R = z·(Lg1 + w·(Lg3 + w·(Lg5 + w·Lg7))) + w·(Lg2 + w·(Lg4 + w·Lg6))
@@ -83,92 +86,136 @@ func genLnConsts(a *asm) {
 
 func simdReduceName(p simdPrec, entropy bool) string {
 	if entropy {
-		return "simdNormEntropy" + p.name
+		return p.sym() + "NormEntropy" + p.name
 	}
-	return "simdNorm" + p.name
+	return p.sym() + "Norm" + p.name
 }
 
 // genSIMDReduce emits the reduction of n amplitudes, n a positive multiple
-// of four: Y0 accumulates p per lane and, with entropy, Y1 accumulates
-// −p·ln p; the lanes (l0, l1, l2, l3) are summed as (l0+l2) + (l1+l3).
+// of the lane count — four probabilities to a YMM register, eight to a ZMM
+// register: register 0 accumulates p per lane and, with entropy, register 1
+// accumulates −p·ln p. Four lanes (l0, l1, l2, l3) are summed as
+// (l0+l2) + (l1+l3); eight are first folded to four as l_i + l_(i+4).
 func genSIMDReduce(a *asm, p simdPrec, entropy bool) {
 	name := simdReduceName(p, entropy)
+	wide := p.simdWidth == zmm
+	// Instructions are written with width-neutral registers V0, V1, …
+	regs := func(s string) string {
+		return regRE.ReplaceAllStringFunc(s, func(v string) string { return p.reg + v[1:] })
+	}
+	ins := func(format string, args ...any) { a.ins("%s", regs(fmt.Sprintf(format, args...))) }
+	// cst is ins with a constant as the memory operand after the mnemonic
+	// and its immediate: the constant's four-lane copy for a YMM kernel, an
+	// embedded broadcast of its first lane for a ZMM one.
+	cst := func(op, name, operands string) {
+		mnemonic, imm, _ := strings.Cut(op, " ")
+		if wide {
+			mnemonic += ".BCST"
+		}
+		ins("%s %s%s, %s", mnemonic, imm, lnConst(name), operands)
+	}
 	fmt.Fprintf(a, "\n// func %s(amps *%s, n int) (norm, ent float64)\n", name, p.ctype)
 	fmt.Fprintf(a, "TEXT ·%s(SB), NOSPLIT, $0-32\n", name)
 	a.ins("MOVQ amps+0(FP), AX")
 	a.ins("MOVQ n+8(FP), CX")
-	a.ins("VXORPD Y0, Y0, Y0")
-	a.ins("VXORPD Y1, Y1, Y1")
+	ins("VXORPD V0, V0, V0")
+	ins("VXORPD V1, V1, V1")
 	a.label("loop")
 	a.ins("PREFETCHT0 4096(AX)")
-	// Y2 = (p0, p2, p1, p3): the squares of two chunks of two amplitudes,
+	// V2 = (p0, p2, p1, p3 …): the squares of two chunks of amplitudes,
 	// added in pairs — one multiply and one add per element, as in Go.
 	if p.fbytes == 8 {
-		a.ins("VMOVUPD (AX), Y2")
-		a.ins("VMOVUPD 32(AX), Y3")
+		ins("VMOVUPD (AX), V2")
+		ins("VMOVUPD %d(AX), V3", p.bytes)
 	} else {
-		a.ins("VCVTPS2PD (AX), Y2")
-		a.ins("VCVTPS2PD 16(AX), Y3")
+		ins("VCVTPS2PD (AX), V2")
+		ins("VCVTPS2PD %d(AX), V3", p.bytes/2)
 	}
-	a.ins("VMULPD Y2, Y2, Y2")
-	a.ins("VMULPD Y3, Y3, Y3")
-	a.ins("VHADDPD Y3, Y2, Y2")
-	a.ins("VADDPD Y2, Y0, Y0")
+	ins("VMULPD V2, V2, V2")
+	ins("VMULPD V3, V3, V3")
+	if wide {
+		// No horizontal add at this width: the same sums from two unpacks.
+		ins("VUNPCKLPD V3, V2, V12")
+		ins("VUNPCKHPD V3, V2, V2")
+		ins("VADDPD V12, V2, V2")
+	} else {
+		ins("VHADDPD V3, V2, V2")
+	}
+	ins("VADDPD V2, V0, V0")
 	if entropy {
-		// Y4 = x: p, or p·2^54 where p is subnormal, Y3 = 54 in those
+		// V4 = x: p, or p·2^54 where p is subnormal, V3 = 54 in those
 		// lanes. The squared modulus of a complex64 is zero or at least
 		// 2^-298, so single precision skips the step.
-		x := "Y2"
+		x := "V2"
 		if p.fbytes == 8 {
-			x = "Y4"
-			a.ins("VCMPPD $0x11, %s, Y2, Y3", lnConst("tiny"))
-			a.ins("VMULPD %s, Y2, Y4", lnConst("scale"))
-			a.ins("VBLENDVPD Y3, Y4, Y2, Y4")
-			a.ins("VANDPD %s, Y3, Y3", lnConst("kscale"))
+			x = "V4"
+			if wide {
+				cst("VCMPPD $0x11, ", "tiny", "V2, K1")
+				ins("VMOVAPD V2, V4")
+				cst("VMULPD", "scale", "V2, K1, V4")
+				ins("VBROADCASTSD.Z %s, K1, V3", lnConst("kscale"))
+			} else {
+				cst("VCMPPD $0x11, ", "tiny", "V2, V3")
+				cst("VMULPD", "scale", "V2, V4")
+				ins("VBLENDVPD V3, V4, V2, V4")
+				cst("VANDPD", "kscale", "V3, V3")
+			}
+		}
+		or, and := "VPOR", "VPAND"
+		if wide {
+			or, and = "VPORQ", "VPANDQ"
 		}
 		// Adding bits(1) − bits(√½) carries into the exponent exactly when
-		// the mantissa is at least √2's: Y5 = k, Y4 = m ∈ [√½, √2).
-		a.ins("VPADDQ %s, %s, Y4", lnConst("off"), x)
-		a.ins("VPSRLQ $52, Y4, Y5")
-		a.ins("VPOR %s, Y5, Y5", lnConst("magic"))
-		a.ins("VSUBPD %s, Y5, Y5", lnConst("bias"))
+		// the mantissa is at least √2's: V5 = k, V4 = m ∈ [√½, √2).
+		cst("VPADDQ", "off", x+", V4")
+		ins("VPSRLQ $52, V4, V5")
+		cst(or, "magic", "V5, V5")
+		cst("VSUBPD", "bias", "V5, V5")
 		if p.fbytes == 8 {
-			a.ins("VSUBPD Y3, Y5, Y5")
+			ins("VSUBPD V3, V5, V5")
 		}
-		a.ins("VPAND %s, Y4, Y4", lnConst("mant"))
-		a.ins("VPADDQ %s, Y4, Y4", lnConst("sqrthalf"))
-		// Y4 = f, Y6 = s, Y7 = z, Y8 = w.
-		a.ins("VSUBPD %s, Y4, Y4", lnConst("one"))
-		a.ins("VADDPD %s, Y4, Y6", lnConst("two"))
-		a.ins("VDIVPD Y6, Y4, Y6")
-		a.ins("VMULPD Y6, Y6, Y7")
-		a.ins("VMULPD Y7, Y7, Y8")
-		// Y9 = R.
-		a.ins("VMOVUPD %s, Y9", lnConst("lg6"))
-		a.ins("VFMADD213PD %s, Y8, Y9", lnConst("lg4"))
-		a.ins("VFMADD213PD %s, Y8, Y9", lnConst("lg2"))
-		a.ins("VMULPD Y8, Y9, Y9")
-		a.ins("VMOVUPD %s, Y10", lnConst("lg7"))
-		a.ins("VFMADD213PD %s, Y8, Y10", lnConst("lg5"))
-		a.ins("VFMADD213PD %s, Y8, Y10", lnConst("lg3"))
-		a.ins("VFMADD213PD %s, Y8, Y10", lnConst("lg1"))
-		a.ins("VFMADD231PD Y10, Y7, Y9")
-		// Y10 = f²/2, Y9 = f²/2 + R, Y11 = s·Y9 + k·ln2lo.
-		a.ins("VMULPD %s, Y4, Y10", lnConst("half"))
-		a.ins("VMULPD Y4, Y10, Y10")
-		a.ins("VADDPD Y10, Y9, Y9")
-		a.ins("VMULPD %s, Y5, Y11", lnConst("ln2lo"))
-		a.ins("VFMADD231PD Y9, Y6, Y11")
-		// Y10 = ln p; the accumulator takes −p·ln p with the unscaled p.
-		a.ins("VSUBPD Y11, Y10, Y10")
-		a.ins("VSUBPD Y4, Y10, Y10")
-		a.ins("VFMSUB231PD %s, Y5, Y10", lnConst("ln2hi"))
-		a.ins("VFNMADD231PD Y10, Y2, Y1")
+		cst(and, "mant", "V4, V4")
+		cst("VPADDQ", "sqrthalf", "V4, V4")
+		// V4 = f, V6 = s, V7 = z, V8 = w.
+		cst("VSUBPD", "one", "V4, V4")
+		cst("VADDPD", "two", "V4, V6")
+		ins("VDIVPD V6, V4, V6")
+		ins("VMULPD V6, V6, V7")
+		ins("VMULPD V7, V7, V8")
+		// V9 = R.
+		load := "VMOVUPD"
+		if wide {
+			load = "VBROADCASTSD"
+		}
+		ins("%s %s, V9", load, lnConst("lg6"))
+		cst("VFMADD213PD", "lg4", "V8, V9")
+		cst("VFMADD213PD", "lg2", "V8, V9")
+		ins("VMULPD V8, V9, V9")
+		ins("%s %s, V10", load, lnConst("lg7"))
+		cst("VFMADD213PD", "lg5", "V8, V10")
+		cst("VFMADD213PD", "lg3", "V8, V10")
+		cst("VFMADD213PD", "lg1", "V8, V10")
+		ins("VFMADD231PD V10, V7, V9")
+		// V10 = f²/2, V9 = f²/2 + R, V11 = s·V9 + k·ln2lo.
+		cst("VMULPD", "half", "V4, V10")
+		ins("VMULPD V4, V10, V10")
+		ins("VADDPD V10, V9, V9")
+		cst("VMULPD", "ln2lo", "V5, V11")
+		ins("VFMADD231PD V9, V6, V11")
+		// V10 = ln p; the accumulator takes −p·ln p with the unscaled p.
+		ins("VSUBPD V11, V10, V10")
+		ins("VSUBPD V4, V10, V10")
+		cst("VFMSUB231PD", "ln2hi", "V5, V10")
+		ins("VFNMADD231PD V10, V2, V1")
 	}
-	a.ins("ADDQ $%d, AX", 8*p.fbytes)
-	a.ins("SUBQ $4, CX")
+	a.ins("ADDQ $%d, AX", 2*p.bytes*p.fbytes/8)
+	a.ins("SUBQ $%d, CX", p.bytes/8)
 	a.ins("JGT loop")
 	for _, acc := range []struct{ reg, ret string }{{"0", "norm+16(FP)"}, {"1", "ent+24(FP)"}} {
+		if wide {
+			a.ins("VEXTRACTF64X4 $1, Z%s, Y2", acc.reg)
+			a.ins("VADDPD Y2, Y%s, Y%s", acc.reg, acc.reg)
+		}
 		a.ins("VEXTRACTF128 $1, Y%s, X2", acc.reg)
 		a.ins("VADDPD X2, X%s, X%s", acc.reg, acc.reg)
 		a.ins("VHADDPD X%s, X%s, X%s", acc.reg, acc.reg, acc.reg)
@@ -177,3 +224,6 @@ func genSIMDReduce(a *asm, p simdPrec, entropy bool) {
 	a.ins("VZEROUPPER")
 	a.ins("RET")
 }
+
+// regRE matches the width-neutral register names of genSIMDReduce.
+var regRE = regexp.MustCompile(`\bV\d+`)

@@ -30,9 +30,11 @@ type Dense[T complexAmp] struct {
 
 // PrepareDense prepares the 2^k × 2^k matrix m (sorted qubit order) on the
 // sorted positions qs for states of at least n amplitudes, with the kernel
-// this machine runs for that k and element type: the assembly for
-// k = 1…5 where ISA is "avx2", the hand-unrolled Go kernel for k ≤ 5
-// elsewhere, the general-k kernel beyond.
+// this machine runs for that k and element type: for k = 1…5 the assembly
+// of ISA's width — where ISA is "avx512", the ZMM kernel on any state that
+// fills its lanes (2^(k+2) complex128, 2^(k+3) complex64) and the YMM
+// kernel, which computes the same bits, below that — the hand-unrolled Go
+// kernel for k ≤ 5 where ISA is "go", the general-k kernel beyond.
 func PrepareDense[T complexAmp](m []T, qs []int, n int) Dense[T] {
 	checkArgs(n, m, qs)
 	k := len(qs)
@@ -40,16 +42,22 @@ func PrepareDense[T complexAmp](m []T, qs []int, n int) Dense[T] {
 	var out any
 	switch m := any(m).(type) {
 	case []complex128:
-		if simd {
-			out = prepareSIMD(m, qs, 1, simdF64[k-1][:], expandMatrix)
-		} else {
+		switch {
+		case !simd:
 			out = specialized(m, qs)
+		case hasAVX512 && n >= 1<<(k+2):
+			out = zmmF64(m, qs)
+		default:
+			out = ymmF64(m, qs)
 		}
 	case []complex64:
-		if simd {
-			out = prepareSIMD(m, qs, 2, simdF32[k-1][:], expandMatrixF32)
-		} else {
+		switch {
+		case !simd:
 			out = specializedF32(m, qs)
+		case hasAVX512 && n >= 1<<(k+3):
+			out = zmmF32(m, qs)
+		default:
+			out = ymmF32(m, qs)
 		}
 	}
 	return out.(Dense[T])
@@ -296,7 +304,7 @@ func scaleF32(amps []complex64, dx complex64) {
 // replayF64 multiplies the compiled segments of one window.
 func replayF64(amps []complex128, segs []diagSegment[complex128]) {
 	if hasSIMD {
-		simdDiagF64(&amps[0], &segs[0], len(segs))
+		simdReplayF64(&amps[0], &segs[0], len(segs))
 		return
 	}
 	for _, s := range segs {
@@ -307,7 +315,7 @@ func replayF64(amps []complex128, segs []diagSegment[complex128]) {
 // replayF32 is replayF64 in single precision.
 func replayF32(amps []complex64, segs []diagSegment[complex64]) {
 	if hasSIMD {
-		simdDiagF32(&amps[0], &segs[0], len(segs))
+		simdReplayF32(&amps[0], &segs[0], len(segs))
 		return
 	}
 	for _, s := range segs {

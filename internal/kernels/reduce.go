@@ -10,8 +10,9 @@ import (
 // The result reductions every back end ends a run with (Sec. 4.2.2: the
 // 36-qubit Edison run exists to compute the output entropy): Σ|α|² and the
 // Shannon entropy −Σ|α|²·ln|α|² in nats, both accumulated in float64
-// whatever the amplitude type. With the assembly kernels (ISA "avx2") the
-// logarithm runs four lanes at a time; cmd/kernelgen/reduce.go documents
+// whatever the amplitude type. With the assembly kernels (ISA "avx2" or
+// "avx512") the logarithm runs four or eight lanes at a time;
+// cmd/kernelgen/reduce.go documents
 // the algorithm and DESIGN.md §12.1 what it reaches. Otherwise the scalar
 // loops below run, which are also the reference the tests hold the assembly
 // to. A NaN or infinite amplitude makes both sums NaN or infinite; zero
@@ -72,37 +73,47 @@ func normEntropyGo[C complexAmp](amps []C) (norm, ent float64) {
 	return norm, ent
 }
 
-// reduceSIMD sums amps with the assembly kernels of their precision.
+// reduceSIMD sums amps with the assembly kernels of their precision, at
+// this machine's width.
 func reduceSIMD[C complexAmp](amps []C, entropy bool) (norm, ent float64) {
 	switch a := any(amps).(type) {
 	case []complex128:
-		if entropy {
-			return reduceBlocks(a, simdNormEntropyF64)
+		lanes, normKernel, entKernel := 4, simdNormF64, simdNormEntropyF64
+		if hasAVX512 {
+			lanes, normKernel, entKernel = 8, simd512NormF64, simd512NormEntropyF64
 		}
-		return reduceBlocks(a, simdNormF64)
+		if entropy {
+			return reduceBlocks(a, lanes, entKernel)
+		}
+		return reduceBlocks(a, lanes, normKernel)
 	case []complex64:
-		if entropy {
-			return reduceBlocks(a, simdNormEntropyF32)
+		lanes, normKernel, entKernel := 4, simdNormF32, simdNormEntropyF32
+		if hasAVX512 {
+			lanes, normKernel, entKernel = 8, simd512NormF32, simd512NormEntropyF32
 		}
-		return reduceBlocks(a, simdNormF32)
+		if entropy {
+			return reduceBlocks(a, lanes, entKernel)
+		}
+		return reduceBlocks(a, lanes, normKernel)
 	}
 	panic("unreachable")
 }
 
 // reduceBlocks adds up kernel over amps, at most simdDiagBlock amplitudes a
-// call (assembly is not preemptible) and always a multiple of four: the
-// tail goes through a zero-padded copy, and zero amplitudes add +0.
-func reduceBlocks[C complexAmp](amps []C, kernel func(amps *C, n int) (norm, ent float64)) (norm, ent float64) {
-	for len(amps) >= 4 {
-		n := min(len(amps)&^3, simdDiagBlock)
+// call (assembly is not preemptible) and always a multiple of the kernel's
+// lanes, 4 or 8: the tail goes through a zero-padded copy, and zero
+// amplitudes add +0.
+func reduceBlocks[C complexAmp](amps []C, lanes int, kernel func(amps *C, n int) (norm, ent float64)) (norm, ent float64) {
+	for len(amps) >= lanes {
+		n := min(len(amps)&^(lanes-1), simdDiagBlock)
 		a, b := kernel(&amps[0], n)
 		norm, ent = norm+a, ent+b
 		amps = amps[n:]
 	}
 	if len(amps) > 0 {
-		var tail [4]C
+		var tail [8]C
 		copy(tail[:], amps)
-		a, b := kernel(&tail[0], 4)
+		a, b := kernel(&tail[0], lanes)
 		norm, ent = norm+a, ent+b
 	}
 	return norm, ent

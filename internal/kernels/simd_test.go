@@ -123,14 +123,15 @@ func bitsEqualF32(a, b []complex64) bool {
 }
 
 // simdPositionSets lists, for a k-qubit gate on n qubits, position sets of
-// every low-position class of both precisions: each subset of {0, 1} as the
-// low targets, the rest packed directly above, spread with gaps (so a lane
-// bit lands between targets, as in {0, 1, 6}), and pushed to the top.
+// every low-position class of both precisions at both widths: each subset
+// of {0, 1, 2} as the low targets, the rest packed directly above, spread
+// with gaps (so a lane bit lands between targets, as in {0, 1, 6}), and
+// pushed to the top.
 func simdPositionSets(n, k int) [][]int {
 	var sets [][]int
-	for low := 0; low < 4; low++ {
+	for low := 0; low < 8; low++ {
 		var head []int
-		for q := 0; q < 2; q++ {
+		for q := 0; q < 3; q++ {
 			if low>>q&1 != 0 {
 				head = append(head, q)
 			}
@@ -140,15 +141,15 @@ func simdPositionSets(n, k int) [][]int {
 			continue
 		}
 		for _, place := range []func(i int) int{
-			func(i int) int { return 2 + i },        // packed
-			func(i int) int { return 3 + 2*i },      // gaps
+			func(i int) int { return 3 + i },        // packed
+			func(i int) int { return 4 + 2*i },      // gaps
 			func(i int) int { return n - rest + i }, // top
 		} {
 			qs := slices.Clone(head)
 			ok := true
 			for i := 0; i < rest; i++ {
 				q := place(i)
-				ok = ok && q >= 2 && q < n && !slices.Contains(qs, q)
+				ok = ok && q >= 3 && q < n && !slices.Contains(qs, q)
 				qs = append(qs, q)
 			}
 			if ok && !slices.ContainsFunc(sets, func(s []int) bool { return slices.Equal(s, qs) }) {
@@ -159,6 +160,32 @@ func simdPositionSets(n, k int) [][]int {
 	return sets
 }
 
+// simdTable is one vector width's kernel tables, called directly — past
+// PrepareDense, which picks between them by ISA and state size.
+type simdTable struct {
+	name   string
+	lane64 int // a kernel needs 2^(k+lane64) complex128 …
+	lane32 int // … or 2^(k+lane32) complex64
+	f64    func(m []complex128, qs []int) Dense[complex128]
+	f32    func(m []complex64, qs []int) Dense[complex64]
+	diag64 func(base *complex128, segs *diagSegment[complex128], n int)
+	diag32 func(base *complex64, segs *diagSegment[complex64], n int)
+}
+
+// simdTables lists the widths this CPU can execute, whatever ISA says: both
+// are compiled in on amd64, so an AVX-512 host tests the YMM tables too, and
+// a noavx512 build the ZMM ones.
+func simdTables() []simdTable {
+	var tables []simdTable
+	if hasSIMD {
+		tables = append(tables, simdTable{"ymm", 1, 2, ymmF64, ymmF32, simdDiagF64, simdDiagF32})
+	}
+	if cpuISA == "avx512" {
+		tables = append(tables, simdTable{"zmm", 2, 3, zmmF64, zmmF32, simd512DiagF64, simd512DiagF32})
+	}
+	return tables
+}
+
 func requireSIMD(t testing.TB) {
 	t.Helper()
 	if !hasSIMD {
@@ -166,6 +193,11 @@ func requireSIMD(t testing.TB) {
 	}
 }
 
+// TestSIMDMatchesFMAOracle holds every (width, k, class, precision) to the
+// oracle, on every state size from the gate's own 2^k — which no width's
+// lanes fill — past the smallest that fills the ZMM lanes: the kernel
+// PrepareDense picks for the size, and each width's table directly wherever
+// the state fills its lanes.
 func TestSIMDMatchesFMAOracle(t *testing.T) {
 	requireSIMD(t)
 	rng := rand.New(rand.NewSource(81))
@@ -189,6 +221,57 @@ func TestSIMDMatchesFMAOracle(t *testing.T) {
 				if !bitsEqualF32(got32, want32) {
 					t.Errorf("f32 k=%d n=%d qs=%v: SIMD differs from the oracle", k, n, qs)
 				}
+				for _, tbl := range simdTables() {
+					if n >= k+tbl.lane64 {
+						d := tbl.f64(u.Data, qs)
+						got := slices.Clone(state)
+						d.Sweep(got)
+						if !bitsEqual(got, want) {
+							t.Errorf("%s f64 k=%d n=%d qs=%v: differs from the oracle (max diff %g)", tbl.name, k, n, qs, maxDiff(got, want))
+						}
+					}
+					if n >= k+tbl.lane32 {
+						d := tbl.f32(u32, qs)
+						got32 := ToComplex64(state)
+						d.Sweep(got32)
+						if !bitsEqualF32(got32, want32) {
+							t.Errorf("%s f32 k=%d n=%d qs=%v: differs from the oracle", tbl.name, k, n, qs)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSIMDWidthsAgree applies the same gates to the same random state
+// through the YMM and the ZMM tables: the lanes run the same FMAs in the same
+// order at either width, so the two states are equal bit for bit — what keeps
+// snapshots and qverify's matrix portable between AVX2 and AVX-512 hosts.
+func TestSIMDWidthsAgree(t *testing.T) {
+	tables := simdTables()
+	if len(tables) < 2 {
+		t.Skipf("this CPU runs %d of the two widths (ISA %q)", len(tables), ISA())
+	}
+	rng := rand.New(rand.NewSource(85))
+	const n = 12
+	ymm := randomState(n, rng)
+	zmm := slices.Clone(ymm)
+	ymm32, zmm32 := ToComplex64(ymm), ToComplex64(ymm)
+	for k := 1; k <= simdMaxK; k++ {
+		for _, qs := range simdPositionSets(n, k) {
+			u := gate.RandomUnitary(k, rng)
+			u32 := ToComplex64(u.Data)
+			for i, amps := range [][]complex128{ymm, zmm} {
+				d := tables[i].f64(u.Data, qs)
+				d.Sweep(amps)
+			}
+			for i, amps := range [][]complex64{ymm32, zmm32} {
+				d := tables[i].f32(u32, qs)
+				d.Sweep(amps)
+			}
+			if !slices.Equal(ymm, zmm) || !slices.Equal(ymm32, zmm32) {
+				t.Fatalf("k=%d qs=%v: the YMM and ZMM kernels disagree", k, qs)
 			}
 		}
 	}
@@ -276,6 +359,54 @@ func TestDiagonalProductIndependentOfSweep(t *testing.T) {
 	}
 }
 
+// TestDiagonalReplayMatchesOracle replays segments of every length around
+// the lane counts of both widths (2, 4 and 8 amplitudes) and around
+// simdDiagBlock, at odd offsets, through each width's replay kernel and
+// through Scale: one multiply and one FMA per part, whichever width and
+// whichever of vector body and tail reaches the amplitude.
+func TestDiagonalReplayMatchesOracle(t *testing.T) {
+	requireSIMD(t)
+	rng := rand.New(rand.NewSource(86))
+	dx := complex(0.6, -0.8)
+	dx32 := complex64(dx)
+	lengths := []int{simdDiagBlock - 1, simdDiagBlock, simdDiagBlock + 1}
+	for n := 1; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	state := randomState(15, rng)[:simdDiagBlock+8]
+	for _, n := range lengths {
+		for _, off := range []int{0, 1, 3} {
+			want := slices.Clone(state)
+			want32 := ToComplex64(state)
+			for i := off; i < off+n; i++ {
+				a, b := want[i], want32[i]
+				want[i] = complex(math.FMA(-imag(dx), imag(a), real(a)*real(dx)), math.FMA(imag(dx), real(a), imag(a)*real(dx)))
+				want32[i] = complex(fma32(-imag(dx32), imag(b), real(b)*real(dx32)), fma32(imag(dx32), real(b), imag(b)*real(dx32)))
+			}
+			got, got32 := slices.Clone(state), ToComplex64(state)
+			Scale(got[off:off+n], dx)
+			ScaleF32(got32[off:off+n], dx32)
+			if !bitsEqual(got, want) || !bitsEqualF32(got32, want32) {
+				t.Errorf("n=%d off=%d: Scale differs from the oracle", n, off)
+			}
+			if n > simdDiagBlock {
+				continue // one kernel call multiplies at most simdDiagBlock amplitudes
+			}
+			// Two segments of one call: [off, off+n/2) and the rest.
+			segs := []diagSegment[complex128]{{off: off, n: n / 2, dx: dx}, {off: off + n/2, n: n - n/2, dx: dx}}
+			segs32 := []diagSegment[complex64]{{off: off, n: n / 2, dx: dx32}, {off: off + n/2, n: n - n/2, dx: dx32}}
+			for _, tbl := range simdTables() {
+				got, got32 := slices.Clone(state), ToComplex64(state)
+				tbl.diag64(&got[0], &segs[0], len(segs))
+				tbl.diag32(&got32[0], &segs32[0], len(segs32))
+				if !bitsEqual(got, want) || !bitsEqualF32(got32, want32) {
+					t.Errorf("%s n=%d off=%d: the segment replay differs from the oracle", tbl.name, n, off)
+				}
+			}
+		}
+	}
+}
+
 // FuzzSIMDKernel draws the gate size, the position set, the state size and
 // the worker count, and holds both precisions to the oracle.
 func FuzzSIMDKernel(f *testing.F) {
@@ -320,6 +451,24 @@ func FuzzSIMDKernel(f *testing.F) {
 		if !bitsEqualF32(got32, want32) {
 			t.Errorf("f32 k=%d n=%d qs=%v: SIMD differs from the oracle", kk, nn, qs)
 		}
+		for _, tbl := range simdTables() {
+			if nn >= kk+tbl.lane64 {
+				d := tbl.f64(u.Data, qs)
+				got := slices.Clone(state)
+				d.Sweep(got)
+				if !bitsEqual(got, want) {
+					t.Errorf("%s f64 k=%d n=%d qs=%v: differs from the oracle", tbl.name, kk, nn, qs)
+				}
+			}
+			if nn >= kk+tbl.lane32 {
+				d := tbl.f32(u32, qs)
+				got32 := ToComplex64(state)
+				d.Sweep(got32)
+				if !bitsEqualF32(got32, want32) {
+					t.Errorf("%s f32 k=%d n=%d qs=%v: differs from the oracle", tbl.name, kk, nn, qs)
+				}
+			}
+		}
 	})
 }
 
@@ -360,25 +509,32 @@ func oracleLn(p float64) float64 {
 	return math.FMA(k, ln2hi, -(hfsq - u - f))
 }
 
-// oracleReduce is reduceBlocks by the oracle's arithmetic: per call four
-// accumulators, amplitude i into accumulator i mod 4, summed in pairs.
-func oracleReduce[C complexAmp](amps []C, entropy bool) (norm, ent float64) {
+// oracleReduce is reduceBlocks by the oracle's arithmetic: per call one
+// accumulator per lane (4 in a YMM register, 8 in a ZMM register), amplitude
+// i into accumulator i mod lanes, summed in the kernels' order.
+func oracleReduce[C complexAmp](amps []C, entropy bool, lanes int) (norm, ent float64) {
+	sum := func(l [8]float64) float64 {
+		if lanes == 8 {
+			return ((l[0] + l[2]) + (l[1] + l[3])) + ((l[4] + l[6]) + (l[5] + l[7]))
+		}
+		return (l[0] + l[1]) + (l[2] + l[3])
+	}
 	for len(amps) > 0 {
 		n := min(len(amps), simdDiagBlock)
-		if n > 4 {
-			n &^= 3
+		if n > lanes {
+			n &^= lanes - 1
 		}
-		var ns, es [4]float64
+		var ns, es [8]float64
 		for i, a := range amps[:n] {
 			z := complex128(a)
 			p := float64(real(z)*real(z)) + float64(imag(z)*imag(z))
-			ns[i%4] += p
+			ns[i%lanes] += p
 			if entropy {
-				es[i%4] = math.FMA(-p, oracleLn(p), es[i%4])
+				es[i%lanes] = math.FMA(-p, oracleLn(p), es[i%lanes])
 			}
 		}
-		norm += (ns[0] + ns[1]) + (ns[2] + ns[3])
-		ent += (es[0] + es[1]) + (es[2] + es[3])
+		norm += sum(ns)
+		ent += sum(es)
 		amps = amps[n:]
 	}
 	return norm, ent
@@ -390,7 +546,9 @@ func sameFloat(a, b float64) bool {
 }
 
 // TestSIMDReduceMatchesFMAOracle covers every tail length and slices that
-// start at odd offsets, and lengths around the assembly call bound.
+// start at odd offsets, and lengths around the assembly call bound: through
+// Norm, Entropy and NormEntropy at this machine's width, and through each
+// width's kernels directly.
 func TestSIMDReduceMatchesFMAOracle(t *testing.T) {
 	requireSIMD(t)
 	rng := rand.New(rand.NewSource(84))
@@ -409,14 +567,23 @@ func TestSIMDReduceMatchesFMAOracle(t *testing.T) {
 		for _, off := range []int{0, 1, 3} {
 			checkReduceOracle(t, buf[off:off+n], off)
 			checkReduceOracle(t, buf32[off:off+n], off)
+			checkReduceKernels(t, buf[off:off+n], off, 4, simdNormF64, simdNormEntropyF64)
+			checkReduceKernels(t, buf32[off:off+n], off, 4, simdNormF32, simdNormEntropyF32)
+			if cpuISA == "avx512" {
+				checkReduceKernels(t, buf[off:off+n], off, 8, simd512NormF64, simd512NormEntropyF64)
+				checkReduceKernels(t, buf32[off:off+n], off, 8, simd512NormF32, simd512NormEntropyF32)
+			}
 		}
 	}
 }
 
 func checkReduceOracle[C complexAmp](t *testing.T, amps []C, off int) {
 	t.Helper()
-	n := len(amps)
-	wantNorm, wantEnt := oracleReduce(amps, true)
+	n, lanes := len(amps), 4
+	if hasAVX512 {
+		lanes = 8
+	}
+	wantNorm, wantEnt := oracleReduce(amps, true, lanes)
 	norm, ent := NormEntropy(amps)
 	if !sameFloat(norm, wantNorm) || !sameFloat(ent, wantEnt) {
 		t.Errorf("%T n=%d off=%d: NormEntropy = (%v, %v), oracle (%v, %v)", amps, n, off, norm, ent, wantNorm, wantEnt)
@@ -426,5 +593,17 @@ func checkReduceOracle[C complexAmp](t *testing.T, amps []C, off int) {
 	}
 	if got := Entropy(amps); !sameFloat(got, wantEnt) {
 		t.Errorf("%T n=%d off=%d: Entropy = %v, oracle %v", amps, n, off, got, wantEnt)
+	}
+}
+
+// checkReduceKernels holds one width's pair of kernels to the oracle.
+func checkReduceKernels[C complexAmp](t *testing.T, amps []C, off, lanes int, normKernel, entKernel func(*C, int) (float64, float64)) {
+	t.Helper()
+	wantNorm, wantEnt := oracleReduce(amps, true, lanes)
+	if norm, _ := reduceBlocks(amps, lanes, normKernel); !sameFloat(norm, wantNorm) {
+		t.Errorf("%T n=%d off=%d, %d lanes: norm kernel = %v, oracle %v", amps, len(amps), off, lanes, norm, wantNorm)
+	}
+	if norm, ent := reduceBlocks(amps, lanes, entKernel); !sameFloat(norm, wantNorm) || !sameFloat(ent, wantEnt) {
+		t.Errorf("%T n=%d off=%d, %d lanes: entropy kernel = (%v, %v), oracle (%v, %v)", amps, len(amps), off, lanes, norm, ent, wantNorm, wantEnt)
 	}
 }

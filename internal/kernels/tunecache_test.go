@@ -65,14 +65,14 @@ func TestLoadTuneCacheRejectsStaleFiles(t *testing.T) {
 
 	// Version and machine-key mismatches are silent misses: a version 2
 	// file records a winner per variant slot, not one timing per k, and a
-	// cache written by the other kernel set on this machine (a purego
-	// build, or the reverse) timed different kernels. So is a torn entry
+	// cache written by another kernel set on this machine (a purego or
+	// noavx512 build, or the reverse) timed different kernels. So is a torn entry
 	// list, and a timing that is not positive.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	otherISA := map[string]string{"go": "avx2", "avx2": "go"}[ISA()]
+	otherISA := map[string]string{"go": "avx2", "avx2": "avx512", "avx512": "avx2"}[ISA()]
 	for name, mangle := range map[string]func(string) string{
 		"version": func(s string) string { return strings.Replace(s, `"version": 3`, `"version": 2`, 1) },
 		"key":     func(s string) string { return strings.Replace(s, `"key": "`, `"key": "other-machine/`, 1) },

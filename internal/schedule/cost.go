@@ -24,23 +24,29 @@ type CostTable struct {
 	Diag float64
 }
 
-// The two kernel sets as BENCH_kernels.json records them:
+// The three kernel sets as BENCH_kernels.json records them:
 // BenchmarkKernelPrecision/<set> k1…k5 and diag, f64 ns/op over the set's
 // k1, on a 1 GiB state. The AVX2+FMA kernels stay on the memory roof
-// through k = 3 and leave it slowly; the pure-Go kernels leave it at k = 3
-// and fast. Either diagonal sweep streams the state once with one multiply
-// per amplitude. Refresh the constants from `make bench-kernels` when the
-// kernels change (TestMeasuredCostsMatchBenchFile compares them).
+// through k = 3 and leave it slowly; the AVX-512 kernels do the same
+// arithmetic in half the instructions and leave it later still; the pure-Go
+// kernels leave it at k = 3 and fast. Every diagonal sweep streams the state
+// once with one multiply per amplitude. Refresh the constants from
+// `make bench-kernels` when the kernels change
+// (TestMeasuredCostsMatchBenchFile compares them).
 var (
-	simdCosts = CostTable{Dense: [5]float64{1, 0.99, 1.02, 1.79, 3.03}, Diag: 0.77}
-	goCosts   = CostTable{Dense: [5]float64{1, 1.16, 2.87, 4.75, 12.22}, Diag: 0.72}
+	avx512Costs = CostTable{Dense: [5]float64{1, 1.19, 1.21, 2.13, 4.4}, Diag: 1.04}
+	avx2Costs   = CostTable{Dense: [5]float64{1, 0.99, 1.02, 1.79, 3.03}, Diag: 0.77}
+	goCosts     = CostTable{Dense: [5]float64{1, 1.16, 2.87, 4.75, 12.22}, Diag: 0.72}
 )
 
 // MeasuredCosts is the table of the kernel set this machine runs
 // (kernels.ISA): what every back end executes a default plan with.
 func MeasuredCosts() CostTable {
-	if kernels.ISA() == "avx2" {
-		return simdCosts
+	switch kernels.ISA() {
+	case "avx512":
+		return avx512Costs
+	case "avx2":
+		return avx2Costs
 	}
 	return goCosts
 }

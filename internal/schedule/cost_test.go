@@ -105,57 +105,66 @@ func TestDefaultPlansStopAtTheKnee(t *testing.T) {
 	if got := knee(CostTable{Dense: [5]float64{1, 1.2, 3, 5, 12}, Diag: 0.8}); got != 2 {
 		t.Errorf("knee %d for a table that leaves the roof at k = 3, want 2", got)
 	}
-	// Whatever kernel set this machine runs, its table bounds the dense
+	// Whichever kernel set a machine runs, its table bounds the dense
 	// clusters of the default plans and prices them no dearer than any
-	// fixed cap's.
-	costs := MeasuredCosts()
-	kn := knee(costs)
-	for _, s := range benchShapes() {
-		opts := DefaultOptions(s.l)
-		p, err := Build(s.c, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", s.name, err)
-		}
-		covered, sweeps, wideDiag := 0, 0, false
-		for i := range p.Ops {
-			switch op := &p.Ops[i]; op.Kind {
-			case OpCluster:
-				covered += op.GateCount
-				if k := len(op.Positions); k > kn {
-					t.Errorf("%s: dense cluster on %d qubits, knee is %d", s.name, k, kn)
-				}
-			case OpDiagonal:
-				covered += op.GateCount
-				sweeps++
-				wideDiag = wideDiag || len(op.Positions) > kn
-			}
-		}
-		if covered != len(s.c.Gates) {
-			t.Errorf("%s: plan covers %d gates, circuit has %d", s.name, covered, len(s.c.Gates))
-		}
-		// All-diagonal clusters cost one sweep at any width, so they grow
-		// past the knee, to the cap — where the dense clusters left the
-		// plan any sweeps (the AVX2 table fuses all of qaoa16's phase gates).
-		if kn < opts.KMax && sweeps > 0 && !wideDiag {
-			t.Errorf("%s: no diagonal sweep wider than %d qubits; all-diagonal clusters should grow to the cap", s.name, kn)
-		}
-		got := costs.PlanCost(p)
-		for cap := 1; cap <= 5; cap++ {
-			q, err := Build(s.c, paperOptions(s.l, cap))
+	// fixed cap's — all three rows on every host, under explicit costs.
+	for _, row := range []struct {
+		name  string
+		costs CostTable
+	}{{"avx512", avx512Costs}, {"avx2", avx2Costs}, {"go", goCosts}} {
+		costs, kn := row.costs, knee(row.costs)
+		for _, s := range benchShapes() {
+			name := row.name + "/" + s.name
+			opts := DefaultOptions(s.l)
+			opts.Costs = costs
+			p, err := Build(s.c, opts)
 			if err != nil {
-				t.Fatalf("%s cap %d: %v", s.name, cap, err)
+				t.Fatalf("%s: %v", name, err)
 			}
-			if fixed := costs.PlanCost(q); got > fixed {
-				t.Errorf("%s: default plan modelled at %.2f passes, fixed cap %d at %.2f", s.name, got, cap, fixed)
+			covered, sweeps, wideDiag := 0, 0, false
+			for i := range p.Ops {
+				switch op := &p.Ops[i]; op.Kind {
+				case OpCluster:
+					covered += op.GateCount
+					if k := len(op.Positions); k > kn {
+						t.Errorf("%s: dense cluster on %d qubits, knee is %d", name, k, kn)
+					}
+				case OpDiagonal:
+					covered += op.GateCount
+					sweeps++
+					wideDiag = wideDiag || len(op.Positions) > kn
+				}
 			}
-		}
-		// Build is a function of (circuit, options): same plan twice, and
-		// the zero table is MeasuredCosts.
-		again, _ := Build(s.c, opts)
-		opts.Costs = costs
-		named, _ := Build(s.c, opts)
-		if fp := p.Fingerprint(); fp != again.Fingerprint() || fp != named.Fingerprint() {
-			t.Errorf("%s: fingerprints differ between builds of the same options", s.name)
+			if covered != len(s.c.Gates) {
+				t.Errorf("%s: plan covers %d gates, circuit has %d", name, covered, len(s.c.Gates))
+			}
+			// All-diagonal clusters cost one sweep at any width, so they grow
+			// past the knee, to the cap — where the dense clusters left the
+			// plan any sweeps (the AVX2 table fuses all of qaoa16's phase gates).
+			if kn < opts.KMax && sweeps > 0 && !wideDiag {
+				t.Errorf("%s: no diagonal sweep wider than %d qubits; all-diagonal clusters should grow to the cap", name, kn)
+			}
+			got := costs.PlanCost(p)
+			for cap := 1; cap <= 5; cap++ {
+				q, err := Build(s.c, paperOptions(s.l, cap))
+				if err != nil {
+					t.Fatalf("%s cap %d: %v", name, cap, err)
+				}
+				if fixed := costs.PlanCost(q); got > fixed {
+					t.Errorf("%s: default plan modelled at %.2f passes, fixed cap %d at %.2f", name, got, cap, fixed)
+				}
+			}
+			// Build is a function of (circuit, options): same plan twice, and
+			// the zero table is MeasuredCosts.
+			again, _ := Build(s.c, opts)
+			if p.Fingerprint() != again.Fingerprint() {
+				t.Errorf("%s: fingerprints differ between builds of the same options", name)
+			}
+			if costs == MeasuredCosts() {
+				if zero, _ := Build(s.c, DefaultOptions(s.l)); p.Fingerprint() != zero.Fingerprint() {
+					t.Errorf("%s: the zero table does not plan as MeasuredCosts", name)
+				}
+			}
 		}
 	}
 }
@@ -211,7 +220,7 @@ func TestAdmissionRule(t *testing.T) {
 	}
 }
 
-// TestMeasuredCostsMatchBenchFile holds both compiled-in tables to the
+// TestMeasuredCostsMatchBenchFile holds the three compiled-in tables to the
 // committed BENCH_kernels.json they were read from: each kernel set's f64
 // rows of BenchmarkKernelPrecision over its k1 row, to two decimals.
 func TestMeasuredCostsMatchBenchFile(t *testing.T) {
@@ -232,7 +241,7 @@ func TestMeasuredCostsMatchBenchFile(t *testing.T) {
 	for _, b := range doc.Benchmarks {
 		ns[b.Name] = b.Metrics["ns/op"]
 	}
-	for set, table := range map[string]CostTable{"avx2": simdCosts, "go": goCosts} {
+	for set, table := range map[string]CostTable{"avx512": avx512Costs, "avx2": avx2Costs, "go": goCosts} {
 		row := func(leaf string) float64 {
 			v, k1 := ns["BenchmarkKernelPrecision/"+set+"/"+leaf+"/f64"], ns["BenchmarkKernelPrecision/"+set+"/k1/f64"]
 			if v == 0 || k1 == 0 {

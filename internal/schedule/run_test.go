@@ -261,10 +261,10 @@ func TestStagesNeverShareARun(t *testing.T) {
 // before its swap in 6 passes over a rank's shard (106 sweeps become 7, the
 // exchange included).
 func TestBenchShapeSweepCounts(t *testing.T) {
-	if kernels.ISA() != "avx2" {
-		t.Skip("the counts are those of the AVX2 cost table's default plan")
-	}
-	plan, err := schedule.Build(circuit.QFT(23), schedule.DefaultOptions(20))
+	// The counts are those of the AVX2 price list's plan, on any kernel set.
+	opts := schedule.DefaultOptions(20)
+	opts.Costs = schedule.CostTable{Dense: [5]float64{1, 0.99, 1.02, 1.79, 3.03}, Diag: 0.77}
+	plan, err := schedule.Build(circuit.QFT(23), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
