@@ -19,6 +19,7 @@ import (
 	"qusim/internal/gate"
 	"qusim/internal/harness/refkernel"
 	"qusim/internal/kernels"
+	"qusim/internal/oocvec"
 	"qusim/internal/par"
 	"qusim/internal/perfmodel"
 	"qusim/internal/schedule"
@@ -404,7 +405,10 @@ func BenchmarkSwapFusion(b *testing.B) {
 // (BENCH_ckpt.json via make bench-ckpt): single-shard snapshot commit and
 // verified restore throughput for a 16 MiB state, and the end-to-end
 // overhead per-stage snapshots add to a distributed supremacy run — the
-// plain/checkpointed pair yields the recorded slowdown factor.
+// plain/checkpointed pair yields the recorded slowdown factor. The ooc pair
+// is the same for the paged back end (20 qubits in 64 chunks, prefetch 4, a
+// snapshot at every stage boundary, teed from the next stage's reader):
+// RunCheckpointed − Run, what ROADMAP item 8 wants gone.
 func BenchmarkCheckpoint(b *testing.B) {
 	const n = benchState
 	state := statevec.NewUniform(n)
@@ -462,6 +466,39 @@ func BenchmarkCheckpoint(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+
+	const oocChunk, oocPrefetch = n - 6, 4
+	oocPlan, err := schedule.Build(benchSupremacy(n, 16), schedule.DefaultOptions(oocChunk))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ooc := func(b *testing.B, run func(v *oocvec.Vector) error) {
+		v, err := oocvec.NewUniform(n, oocChunk, b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer v.Close()
+		v.SetPrefetch(oocPrefetch)
+		b.SetBytes(int64(16 << n))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := run(v); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("ooc/plain", func(b *testing.B) {
+		ooc(b, func(v *oocvec.Vector) error { return v.Run(oocPlan) })
+	})
+	b.Run("ooc/checkpointed", func(b *testing.B) {
+		ooc(b, func(v *oocvec.Vector) error {
+			b.StopTimer()
+			dir := b.TempDir() // fresh dir so every run commits every boundary
+			b.StartTimer()
+			_, _, err := v.RunCheckpointed(oocPlan, &ckpt.Policy{Dir: dir}, false)
+			return err
+		})
 	})
 }
 

@@ -24,7 +24,8 @@
 // The same shard format serves all three state backends: statevec (one
 // shard covering the full vector), dist (one shard per rank), and oocvec
 // (shards written and restored through a chunk stream so the full state is
-// never held in memory).
+// never held in memory). The payload is little-endian float64 pairs: on a
+// little-endian host the amplitudes' own memory, written and read in place.
 package ckpt
 
 import (
@@ -42,6 +43,7 @@ import (
 	"time"
 
 	"qusim/internal/fsio"
+	"qusim/internal/kernels"
 )
 
 // Version is the on-disk format version. Readers reject any other value.
@@ -176,6 +178,10 @@ type shardHeader struct {
 
 const ampBytes = 16
 
+// pieceAmps is the payload of one write + checksum (or read + checksum)
+// step: 1 MiB, which the second pass still finds in cache.
+const pieceAmps = 1 << 16
+
 // maxHeaderLen bounds the header-length field so a corrupt shard cannot
 // make a reader allocate unbounded memory.
 const maxHeaderLen = 1 << 20
@@ -185,13 +191,12 @@ const maxHeaderLen = 1 << 20
 // crash mid-write leaves a temp file recovery ignores.
 type ShardWriter struct {
 	f      fsio.File
-	bw     *bufio.Writer
-	crc    uint32
+	off    int64  // bytes landed so far; every write is positional
+	crc    uint32 // over those bytes
 	dir    string
 	final  string
 	want   int // amplitudes promised at creation
 	got    int // amplitudes written so far
-	buf    []byte
 	closed bool
 	t0     time.Time // creation time, for write-throughput telemetry
 }
@@ -210,59 +215,58 @@ func NewShardWriter(dir string, meta Meta, rank, amps int) (*ShardWriter, error)
 	if err != nil {
 		return nil, err
 	}
-	sw := &ShardWriter{
-		f: f, bw: bufio.NewWriterSize(f, 1<<16),
-		dir: dir, final: final, want: amps,
-		buf: make([]byte, 1<<16),
-		t0:  time.Now(),
-	}
+	sw := &ShardWriter{f: f, dir: dir, final: final, want: amps, t0: time.Now()}
 	hdr, err := json.Marshal(shardHeader{Version: Version, Meta: meta, Rank: rank, Amps: amps})
 	if err != nil {
 		sw.Abort()
 		return nil, err
 	}
-	var pre [12]byte
+	pre := make([]byte, 12, 12+len(hdr))
 	copy(pre[:4], shardMagic)
 	binary.LittleEndian.PutUint32(pre[4:8], Version)
 	binary.LittleEndian.PutUint32(pre[8:12], uint32(len(hdr)))
-	if err := sw.write(pre[:]); err != nil {
-		sw.Abort()
-		return nil, err
-	}
-	if err := sw.write(hdr); err != nil {
+	if err := sw.write(append(pre, hdr...)); err != nil {
 		sw.Abort()
 		return nil, err
 	}
 	return sw, nil
 }
 
+// write lands b at the writer's offset, which moves only with success.
 func (sw *ShardWriter) write(b []byte) error {
+	if _, err := sw.f.WriteAt(b, sw.off); err != nil {
+		return err
+	}
+	sw.off += int64(len(b))
 	sw.crc = crc32.Update(sw.crc, castagnoli, b)
-	_, err := sw.bw.Write(b)
-	return err
-}
-
-// Write appends amplitudes to the payload.
-func (sw *ShardWriter) Write(amps []complex128) error {
-	sw.got += len(amps)
-	if sw.got > sw.want {
-		return fmt.Errorf("ckpt: shard overflows declared payload (%d > %d amps)", sw.got, sw.want)
-	}
-	for len(amps) > 0 {
-		n := len(sw.buf) / ampBytes
-		if n > len(amps) {
-			n = len(amps)
-		}
-		putAmps(sw.buf[:n*ampBytes], amps[:n])
-		if err := sw.write(sw.buf[:n*ampBytes]); err != nil {
-			return err
-		}
-		amps = amps[n:]
-	}
 	return nil
 }
 
-// Close finalizes the shard: CRC trailer, flush, fsync, atomic rename. It
+// Write appends amplitudes to the payload, a piece at a time. On an error
+// nothing of amps counts as written, so a caller that freed disk space
+// after ENOSPC may repeat the call.
+func (sw *ShardWriter) Write(amps []complex128) error {
+	if sw.got+len(amps) > sw.want {
+		return fmt.Errorf("ckpt: shard overflows declared payload (%d > %d amps)", sw.got+len(amps), sw.want)
+	}
+	off, crc := sw.off, sw.crc
+	for rest := amps; len(rest) > 0; {
+		piece := rest[:min(len(rest), pieceAmps)]
+		b := kernels.AmpBytes(piece)
+		if !littleEndian {
+			b = putAmps(piece)
+		}
+		if err := sw.write(b); err != nil {
+			sw.off, sw.crc = off, crc
+			return err
+		}
+		rest = rest[len(piece):]
+	}
+	sw.got += len(amps)
+	return nil
+}
+
+// Close finalizes the shard: CRC trailer, fsync, atomic rename. It
 // fails (and removes the temp file) if fewer amplitudes were written than
 // promised.
 func (sw *ShardWriter) Close() (ShardInfo, error) {
@@ -277,11 +281,7 @@ func (sw *ShardWriter) Close() (ShardInfo, error) {
 	sum := sw.crc
 	var tr [4]byte
 	binary.LittleEndian.PutUint32(tr[:], sum)
-	if _, err := sw.bw.Write(tr[:]); err != nil {
-		sw.Abort()
-		return ShardInfo{}, err
-	}
-	if err := sw.bw.Flush(); err != nil {
+	if _, err := sw.f.WriteAt(tr[:], sw.off); err != nil {
 		sw.Abort()
 		return ShardInfo{}, err
 	}
@@ -343,8 +343,7 @@ type ShardReader struct {
 	br   *bufio.Reader
 	crc  uint32
 	info ShardInfo
-	left int // amplitudes not yet read
-	buf  []byte
+	left int       // amplitudes not yet read
 	t0   time.Time // open time, for read-throughput telemetry
 }
 
@@ -359,10 +358,10 @@ func OpenShard(dir string, m *Manifest, rank int) (*ShardReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalid, err)
 	}
+	// A read of the buffer's size or more bypasses it: payload lands in place.
 	sr := &ShardReader{
 		f: f, br: bufio.NewReaderSize(f, 1<<16),
-		info: info, left: info.Amps, buf: make([]byte, 1<<16),
-		t0: time.Now(),
+		info: info, left: info.Amps, t0: time.Now(),
 	}
 	var pre [12]byte
 	if err := sr.read(pre[:]); err != nil {
@@ -427,15 +426,18 @@ func (sr *ShardReader) Read(dst []complex128) error {
 	}
 	sr.left -= len(dst)
 	for len(dst) > 0 {
-		n := len(sr.buf) / ampBytes
-		if n > len(dst) {
-			n = len(dst)
+		piece := dst[:min(len(dst), pieceAmps)]
+		b := kernels.AmpBytes(piece)
+		if !littleEndian {
+			b = make([]byte, len(b))
 		}
-		if err := sr.read(sr.buf[:n*ampBytes]); err != nil {
+		if err := sr.read(b); err != nil {
 			return fmt.Errorf("%w: shard payload: %w", ErrInvalid, err)
 		}
-		getAmps(dst[:n], sr.buf[:n*ampBytes])
-		dst = dst[n:]
+		if !littleEndian {
+			getAmps(piece, b)
+		}
+		dst = dst[len(piece):]
 	}
 	return nil
 }
@@ -491,12 +493,9 @@ func VerifyShard(dir string, m *Manifest, rank int) error {
 	if err != nil {
 		return err
 	}
-	scratch := make([]complex128, 1<<12)
+	scratch := make([]complex128, min(sr.Amps(), pieceAmps))
 	for left := sr.Amps(); left > 0; {
-		n := len(scratch)
-		if n > left {
-			n = left
-		}
+		n := min(left, len(scratch))
 		if err := sr.Read(scratch[:n]); err != nil {
 			sr.f.Close()
 			return err
@@ -699,15 +698,26 @@ func syncDir(dir string) {
 	fsys().SyncDir(dir)
 }
 
-// putAmps encodes amplitudes little-endian into b (len(b) == 16·len(amps)).
-func putAmps(b []byte, amps []complex128) {
+// littleEndian says that amplitude memory already is the shard encoding and
+// nothing is converted (or allocated: only a big-endian host pays for a
+// buffer per piece). A variable so that a test can force the other branch.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// putAmps returns the little-endian encoding of amps.
+//
+//qusim:hot
+func putAmps(amps []complex128) []byte {
+	b := make([]byte, ampBytes*len(amps))
 	for i, a := range amps {
 		binary.LittleEndian.PutUint64(b[16*i:], math.Float64bits(real(a)))
 		binary.LittleEndian.PutUint64(b[16*i+8:], math.Float64bits(imag(a)))
 	}
+	return b
 }
 
 // getAmps decodes amplitudes from b into amps.
+//
+//qusim:hot
 func getAmps(amps []complex128, b []byte) {
 	for i := range amps {
 		re := math.Float64frombits(binary.LittleEndian.Uint64(b[16*i:]))

@@ -1,0 +1,198 @@
+package ckpt
+
+import (
+	"bytes"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"qusim/internal/fsio"
+)
+
+// portable runs f with the big-endian branch of putAmps/getAmps forced: the
+// per-element loop through a conversion buffer, which on this host computes
+// the same little-endian bytes the view path takes from memory.
+func portable(t *testing.T, f func()) {
+	t.Helper()
+	if !littleEndian {
+		t.Skip("big-endian host: the portable branch is the only one")
+	}
+	littleEndian = false
+	defer func() { littleEndian = true }()
+	f()
+}
+
+// TestViewAndPortableShardsIdentical: a shard written from amplitude memory
+// is byte for byte the shard the per-element encoder writes, and either
+// reader restores either file — at lengths around the piece size, where the
+// two paths split their work differently.
+func TestViewAndPortableShardsIdentical(t *testing.T) {
+	for _, n := range []int{0, 1, 7, pieceAmps - 1, pieceAmps, pieceAmps + 1, 2*pieceAmps + 3} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			amps := testAmps(n, n)
+			meta := Meta{PlanHash: "endian", N: 20, L: 20, Ranks: 1, NextStage: 1}
+			write := func(dir string) (ShardInfo, []byte) {
+				sw, err := NewShardWriter(dir, meta, 0, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Two calls, so a piece boundary also falls inside a call.
+				if err := sw.Write(amps[:n/3]); err != nil {
+					t.Fatal(err)
+				}
+				if err := sw.Write(amps[n/3:]); err != nil {
+					t.Fatal(err)
+				}
+				info, err := sw.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				blob, err := os.ReadFile(filepath.Join(dir, info.File))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return info, blob
+			}
+			viewDir, loopDir := t.TempDir(), t.TempDir()
+			viewInfo, view := write(viewDir)
+			var loop []byte
+			portable(t, func() { _, loop = write(loopDir) })
+			if !bytes.Equal(view, loop) {
+				t.Fatalf("view-path shard (%d bytes) differs from portable-loop shard (%d bytes)", len(view), len(loop))
+			}
+
+			man := &Manifest{Version: Version, Meta: meta, Shards: []ShardInfo{viewInfo}}
+			read := func(dir string) []complex128 {
+				got := make([]complex128, n)
+				if err := ReadShard(dir, man, 0, got); err != nil {
+					t.Fatal(err)
+				}
+				return got
+			}
+			check := func(how string, got []complex128) {
+				for i := range amps {
+					if got[i] != amps[i] {
+						t.Fatalf("%s: amplitude %d = %v, want %v", how, i, got[i], amps[i])
+					}
+				}
+			}
+			check("view reader, portable shard", read(loopDir))
+			portable(t, func() { check("portable reader, view shard", read(viewDir)) })
+		})
+	}
+}
+
+// failNthWriteFS fails the n-th positional write of every file it creates
+// with ENOSPC, after landing half of it — what a disk that fills up does.
+type failNthWriteFS struct {
+	fsio.OS
+	n int
+}
+
+func (fs *failNthWriteFS) CreateTemp(dir, pattern string) (fsio.File, error) {
+	f, err := fs.OS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return &failNthWriteFile{File: f, left: fs.n}, nil
+}
+
+type failNthWriteFile struct {
+	fsio.File
+	left int
+}
+
+func (f *failNthWriteFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.left--; f.left == 0 {
+		n, _ := f.File.WriteAt(p[:len(p)/2], off)
+		return n, fmt.Errorf("injected: %w", fsio.ErrNoSpace)
+	}
+	return f.File.WriteAt(p, off)
+}
+
+// TestShardWriteRepeatableAfterFailure: a Write that failed part-way —
+// pieces before the failing one landed, half of the failing one too — counts
+// for nothing, so the same call issued again (what the out-of-core tee does
+// after pruning on ENOSPC) yields the shard a clean run writes.
+func TestShardWriteRepeatableAfterFailure(t *testing.T) {
+	const n = 3*pieceAmps + 5
+	amps := testAmps(3, n)
+	meta := Meta{PlanHash: "retry", N: 20, L: 20, Ranks: 1, NextStage: 2}
+	write := func(dir string, wantFailure bool) []byte {
+		sw, err := NewShardWriter(dir, meta, 0, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.Write(amps[:pieceAmps]); err != nil {
+			t.Fatal(err)
+		}
+		err = sw.Write(amps[pieceAmps:])
+		if wantFailure {
+			if !fsio.IsNoSpace(err) {
+				t.Fatalf("injected ENOSPC came back as %v", err)
+			}
+			err = sw.Write(amps[pieceAmps:])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := sw.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := os.ReadFile(filepath.Join(dir, info.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	clean := write(t.TempDir(), false)
+	// Writes of the file: header, piece 0, then the second call's pieces —
+	// the 4th lands the second of those by half.
+	old := SetFS(&failNthWriteFS{n: 4})
+	t.Cleanup(func() { SetFS(old) })
+	if retried := write(t.TempDir(), true); !bytes.Equal(clean, retried) {
+		t.Fatal("shard written across a failed and repeated Write differs from a clean one")
+	}
+}
+
+// goldenShard is a four-amplitude shard as the per-element encoder behind a
+// 64 KiB bufio.Writer wrote it before shards were written from amplitude
+// memory: the format did not move, so snapshots cross that change in both
+// directions.
+const goldenShard = "51434b3101000000590000007b2276657273696f6e223a312c22706c616e5f68617368223a22676f6c64656e222c226e223a322c" +
+	"226c223a322c2272616e6b73223a312c226e6578745f7374616765223a332c2272616e6b223a302c22616d7073223a347d" +
+	"000000000000f03f0000000000000040000000000000e0bf00000000000000000000000000000000" +
+	"0000000000000a4059f3f8c21f6ea5010000000000001cc0f314d267"
+
+func TestShardFormatGolden(t *testing.T) {
+	want, err := hex.DecodeString(goldenShard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	meta := Meta{PlanHash: "golden", N: 2, L: 2, Ranks: 1, NextStage: 3}
+	amps := []complex128{1 + 2i, -0.5, 3.25i, complex(1e-300, -7)}
+	info, err := WriteShard(dir, meta, 0, amps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, info.File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("shard bytes moved:\n got %x\nwant %x", got, want)
+	}
+	back := make([]complex128, len(amps))
+	if err := ReadShard(dir, &Manifest{Version: Version, Meta: meta, Shards: []ShardInfo{info}}, 0, back); err != nil {
+		t.Fatal(err)
+	}
+	for i := range amps {
+		if back[i] != amps[i] {
+			t.Fatalf("amplitude %d read back as %v, want %v", i, back[i], amps[i])
+		}
+	}
+}

@@ -39,7 +39,7 @@ func NewAmps[T complexAmp](n int) []T {
 	}
 	size := int(unsafe.Sizeof(amps[0]))
 	if n*size > hugeMinBytes {
-		adviseHuge(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(amps))), n*size))
+		adviseHuge(AmpBytes(amps))
 	}
 	step := basePageBytes / size
 	const grain = 256 // pages: 1 MiB, below which one worker touches them all
@@ -49,6 +49,18 @@ func NewAmps[T complexAmp](n int) []T {
 		}
 	})
 	return amps
+}
+
+// AmpBytes returns the memory of amps as bytes: real then imaginary part of
+// each amplitude, in the host's byte order. It is a view, not a copy — what
+// file I/O on amplitude memory reads into and writes from without a codec
+// in between (oocvec's state file, and ckpt's little-endian shards on a
+// little-endian host).
+func AmpBytes[T complexAmp](amps []T) []byte {
+	if len(amps) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(amps))), len(amps)*int(unsafe.Sizeof(amps[0])))
 }
 
 // byteRange is the address range [lo, hi) of a buffer.

@@ -2,19 +2,21 @@ package oocvec
 
 import (
 	"fmt"
+	"time"
 
 	"qusim/internal/ckpt"
 	"qusim/internal/fsio"
 	"qusim/internal/schedule"
+	"qusim/internal/telemetry"
 )
 
 // Checkpointing for the out-of-core backend: the state never fits in
-// memory, so snapshots stream chunk by chunk through the vector's one
-// in-memory buffer — a sequential read of the backing file into a shard
-// writer, and a sequential shard read back into the file on restore. The
-// snapshot records L = N (one logical shard covering the whole state), so
-// it is independent of the chunk size it was written with: a run may
-// resume with a different in-memory budget.
+// memory, so a snapshot is written chunk by chunk, in file order — by the
+// prefetch reader of the stage that follows the boundary (pipeline.go) or,
+// for Checkpoint, by a plain stream of the file — and read back the same
+// way. The snapshot records L = N (one logical shard covering the whole
+// state), so it is independent of the chunk size it was written with: a run
+// may resume with a different in-memory budget.
 
 // snapshotMeta is the identity an out-of-core snapshot is saved and
 // matched under.
@@ -22,31 +24,102 @@ func (v *Vector) snapshotMeta(plan *schedule.Plan) ckpt.Meta {
 	return ckpt.Meta{PlanHash: plan.Fingerprint(), N: v.N, L: v.N, Ranks: 1}
 }
 
+// snapshot is the shard of one stage boundary while chunks are fed to it.
+// A write the disk has no room for is repeated once after ckpt.PruneOldest
+// freed the oldest snapshot. If ENOSPC persists, Checkpoint returns it; a
+// droppable snapshot — RunCheckpointed's — is dropped (shard aborted, the
+// boundary's files discarded, counted in CheckpointsSkipped) and the run
+// goes on: a missed snapshot only means a longer replay after a restart.
+// Methods are no-ops on a nil or dropped snapshot.
+type snapshot struct {
+	v         *Vector
+	dir       string
+	meta      ckpt.Meta
+	keep      int
+	droppable bool
+	sw        *ckpt.ShardWriter // nil once dropped
+	done      bool              // manifest committed
+	sc        *telemetry.Scope  // timeline of whoever feeds the chunks
+	t0        time.Time         // zero unless sc records
+}
+
+// beginSnapshot opens the shard of the nextStage boundary.
+func (v *Vector) beginSnapshot(sc *telemetry.Scope, dir string, plan *schedule.Plan, nextStage, keep int, droppable bool) (*snapshot, error) {
+	s := &snapshot{v: v, dir: dir, meta: v.snapshotMeta(plan), keep: keep, droppable: droppable, sc: sc, t0: sc.Now()}
+	s.meta.NextStage = nextStage
+	var err error
+	s.sw, err = ckpt.NewShardWriter(dir, s.meta, 0, 1<<v.N)
+	if fsio.IsNoSpace(err) && ckpt.PruneOldest(dir) {
+		s.sw, err = ckpt.NewShardWriter(dir, s.meta, 0, 1<<v.N)
+	}
+	return s, s.absorb(err)
+}
+
+// tee appends one chunk, the next in file order, to the shard.
+func (s *snapshot) tee(chunk []complex128) error {
+	if s == nil || s.sw == nil {
+		return nil
+	}
+	err := s.sw.Write(chunk)
+	if fsio.IsNoSpace(err) && ckpt.PruneOldest(s.dir) {
+		err = s.sw.Write(chunk)
+	}
+	return s.absorb(err)
+}
+
+// commit makes the snapshot durable and restorable: shard trailer, fsync
+// and rename, then the manifest — the ckpt commit protocol unchanged.
+func (s *snapshot) commit() error {
+	if s == nil || s.sw == nil {
+		return nil
+	}
+	info, err := s.sw.Close()
+	if err == nil {
+		_, err = ckpt.Commit(s.dir, s.meta, []ckpt.ShardInfo{info}, s.keep)
+	}
+	if err = s.absorb(err); err != nil || s.sw == nil {
+		return err
+	}
+	s.done = true
+	if !s.t0.IsZero() {
+		s.sc.Complete("ckpt", "tee", s.t0, time.Since(s.t0), telemetry.A("stage", s.meta.NextStage),
+			telemetry.A("chunks", s.v.Chunks()), telemetry.A("bytes", int64(ampBytes)<<s.v.N))
+	}
+	return nil
+}
+
+// absorb applies the drop policy to the outcome of a step.
+func (s *snapshot) absorb(err error) error {
+	if err == nil || !s.droppable || !fsio.IsNoSpace(err) {
+		return err
+	}
+	s.abort()
+	s.v.ckptSkipped++
+	s.v.tel.ckptSkipped.Inc()
+	ckpt.DiscardStage(s.dir, s.meta.NextStage)
+	return nil
+}
+
+// abort discards the unfinished shard.
+func (s *snapshot) abort() {
+	if s != nil && s.sw != nil {
+		s.sw.Abort()
+		s.sw = nil
+	}
+}
+
 // Checkpoint commits a snapshot of the current state taken at the
 // nextStage boundary, streaming the file through the chunk buffer.
 func (v *Vector) Checkpoint(dir string, plan *schedule.Plan, nextStage, keep int) error {
-	meta := v.snapshotMeta(plan)
-	meta.NextStage = nextStage
-	sw, err := ckpt.NewShardWriter(dir, meta, 0, 1<<v.N)
+	snap, err := v.beginSnapshot(v.tel.sc, dir, plan, nextStage, keep, false)
+	if err == nil {
+		err = v.stream(snap.tee)
+	}
 	if err != nil {
+		snap.abort()
 		return err
 	}
-	for c := 0; c < v.Chunks(); c++ {
-		if err := v.readChunk(c, v.buf); err != nil {
-			sw.Abort()
-			return err
-		}
-		if err := sw.Write(v.buf); err != nil {
-			sw.Abort()
-			return err
-		}
-	}
-	info, err := sw.Close()
-	if err != nil {
-		return err
-	}
-	_, err = ckpt.Commit(dir, meta, []ckpt.ShardInfo{info}, keep)
-	return err
+	return snap.commit()
 }
 
 // Restore streams the snapshot committed in man back into the backing
@@ -73,11 +146,14 @@ func (v *Vector) Restore(dir string, man *ckpt.Manifest) error {
 	return sr.Close()
 }
 
-// RunCheckpointed executes the plan with snapshots every pol.Every()
-// completed stages. With resume set it first looks for the newest valid
-// snapshot of this exact plan in pol.Dir and re-executes only the stages
-// past it. It returns the stage the run resumed from (−1 for a fresh
-// start) and the number of snapshots committed.
+// RunCheckpointed executes the plan with a snapshot of every pol.Every()-th
+// stage boundary, each written by the reader of the stage that follows it
+// and committed once that reader has read the whole file: a crash inside
+// stage s resumes from boundary s−1 or, past that commit, s. With resume
+// set it first looks for the newest valid snapshot of this exact plan in
+// pol.Dir and re-executes only the stages past it. It returns the stage the
+// run resumed from (−1 for a fresh start) and the number of snapshots
+// committed.
 func (v *Vector) RunCheckpointed(plan *schedule.Plan, pol *ckpt.Policy, resume bool) (restoredStage, written int, err error) {
 	restoredStage = -1
 	if plan.N != v.N || plan.L != v.L {
@@ -97,36 +173,6 @@ func (v *Vector) RunCheckpointed(plan *schedule.Plan, pol *ckpt.Policy, resume b
 			restoredStage = man.NextStage
 		}
 	}
-	every := pol.Every()
-	nstages := plan.Stages()
-	for s := start; s < nstages; s++ {
-		if err := v.runPipelined(plan, s, s+1); err != nil {
-			return restoredStage, written, err
-		}
-		// Snapshot at the stage boundary; the end of the final stage is
-		// skipped — there is nothing left to resume into.
-		if s+1 < nstages && (s+1)%every == 0 {
-			cerr := v.Checkpoint(pol.Dir, plan, s+1, pol.KeepN())
-			if cerr != nil && fsio.IsNoSpace(cerr) {
-				// Out of space: reclaim the oldest snapshot and retry
-				// once; if the disk is still full, drop this snapshot and
-				// keep computing — a missed checkpoint only means a
-				// longer replay if the run later has to restart.
-				if ckpt.PruneOldest(pol.Dir) {
-					cerr = v.Checkpoint(pol.Dir, plan, s+1, pol.KeepN())
-				}
-				if cerr != nil && fsio.IsNoSpace(cerr) {
-					v.ckptSkipped++
-					v.tel.ckptSkipped.Inc()
-					ckpt.DiscardStage(pol.Dir, s+1)
-					continue
-				}
-			}
-			if cerr != nil {
-				return restoredStage, written, cerr
-			}
-			written++
-		}
-	}
-	return restoredStage, written, nil
+	written, err = v.runPipelined(plan, start, pol)
+	return restoredStage, written, err
 }

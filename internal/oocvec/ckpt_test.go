@@ -63,9 +63,9 @@ func TestTempFilesRemovedOnInitFailure(t *testing.T) {
 		assertEmpty(fmt.Sprintf("New(failAt=%d)", failAt))
 	}
 
-	// NewUniform's own rewrite pass runs after New's zero-init succeeded:
-	// fail by call count, past the 4 chunk writes New performs.
-	for _, failCall := range []int{5, 8} {
+	// NewUniform writes the file once, like New: 4 chunk writes in all, so
+	// a failure counted in calls lands on the second and on the last.
+	for _, failCall := range []int{2, 4} {
 		calls := 0
 		fs.arm(func(write bool, off int64, n int) error {
 			if calls++; write && calls == failCall {

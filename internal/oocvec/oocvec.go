@@ -19,10 +19,14 @@
 // (schedule.Shard); a prefetch depth (SetPrefetch) overlaps that pass with
 // asynchronous read-ahead and writeback, and depth 0 runs the same pass with
 // one buffer and no overlap. Every depth is bitwise identical to Plan.Run.
+//
+// The state and swap files are one process's scratch — a crash resumes from
+// a ckpt snapshot, never from them — so they hold amplitudes in the host's
+// byte order and chunk I/O goes through kernels.AmpBytes views of amplitude
+// memory: there is no encoded form of a chunk, only snapshots are portable.
 package oocvec
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -30,7 +34,6 @@ import (
 
 	"qusim/internal/fsio"
 	"qusim/internal/kernels"
-	"qusim/internal/par"
 	"qusim/internal/schedule"
 	"qusim/internal/telemetry"
 )
@@ -41,12 +44,12 @@ type Vector struct {
 	N int // total qubits
 	L int // in-memory chunk holds 2^L amplitudes
 
-	fs   fsio.FS      // file-ops seam, captured from the package hook at New
-	f    fsio.File    // backing file
-	path string       // backing file path; stable across swap adoptions
-	dir  string       // directory holding the backing and swap files
-	buf  []complex128 // one chunk (constructors, reductions, snapshots; a stage's scratch)
-	raw  []byte       // encoded form of one chunk, reused across I/O calls
+	fs   fsio.FS        // file-ops seam, captured from the package hook at New
+	f    fsio.File      // backing file
+	path string         // backing file path; stable across swap adoptions
+	dir  string         // directory holding the backing and swap files
+	buf  []complex128   // one chunk (constructors, reductions, snapshots; a stage's scratch)
+	pool [][]complex128 // the stage pipeline's chunks, kept from stage to stage
 
 	prefetch    int // chunks read ahead of the compute loop; 0 = no overlap
 	ckptSkipped int // checkpoints skipped on persistent ENOSPC (ckpt.go)
@@ -85,6 +88,18 @@ func SetFS(f fsio.FS) fsio.FS {
 // New creates a file-backed |0…0⟩ state in dir (empty dir means the
 // default temp dir). l controls the in-memory chunk size.
 func New(n, l int, dir string) (*Vector, error) {
+	return create(n, l, dir, 1, 0)
+}
+
+// NewUniform creates the uniform superposition.
+func NewUniform(n, l int, dir string) (*Vector, error) {
+	a := complex(math.Pow(2, -float64(n)/2), 0)
+	return create(n, l, dir, a, a)
+}
+
+// create writes the state file, once: amplitude 0 is first, every other one
+// rest.
+func create(n, l int, dir string, first, rest complex128) (*Vector, error) {
 	if l >= n {
 		return nil, fmt.Errorf("oocvec: chunk qubits l=%d must be < n=%d", l, n)
 	}
@@ -96,40 +111,17 @@ func New(n, l int, dir string) (*Vector, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &Vector{N: n, L: l, fs: fs, f: f, path: f.Name(), dir: dir,
-		buf: kernels.NewAmps[complex128](1 << l), raw: make([]byte, ampBytes<<l)}
-	// Initialize to zero; first chunk carries amplitude 1 at index 0.
-	for c := 0; c < v.Chunks(); c++ {
-		for i := range v.buf {
-			v.buf[i] = 0
-		}
-		if c == 0 {
-			v.buf[0] = 1
-		}
-		if err := v.writeChunk(c, v.buf); err != nil {
-			f.Close()
-			fs.Remove(f.Name())
-			return nil, err
-		}
-	}
-	return v, nil
-}
-
-// NewUniform creates the uniform superposition.
-func NewUniform(n, l int, dir string) (*Vector, error) {
-	v, err := New(n, l, dir)
-	if err != nil {
-		return nil, err
-	}
-	a := complex(math.Pow(2, -float64(n)/2), 0)
+	v := &Vector{N: n, L: l, fs: fs, f: f, path: f.Name(), dir: dir, buf: kernels.NewAmps[complex128](1 << l)}
 	for i := range v.buf {
-		v.buf[i] = a
+		v.buf[i] = rest
 	}
+	v.buf[0] = first
 	for c := 0; c < v.Chunks(); c++ {
 		if err := v.writeChunk(c, v.buf); err != nil {
 			v.Close()
 			return nil, err
 		}
+		v.buf[0] = rest
 	}
 	return v, nil
 }
@@ -212,35 +204,8 @@ func (v *Vector) CheckpointsSkipped() int { return v.ckptSkipped }
 // Chunks returns the number of file chunks, 2^(N−L).
 func (v *Vector) Chunks() int { return 1 << (v.N - v.L) }
 
-// chunkBytes returns the encoded size of one chunk.
+// chunkBytes returns the size of one chunk in the file.
 func (v *Vector) chunkBytes() int { return ampBytes << v.L }
-
-// decodeChunk fills amps from the little-endian encoding in raw — the
-// byte-moving inner loop of every prefetch read, parallelized over the
-// worker pool like the kernel sweeps it feeds.
-//
-//qusim:hot
-func decodeChunk(raw []byte, amps []complex128) {
-	par.For(len(amps), 1<<13, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			re := math.Float64frombits(binary.LittleEndian.Uint64(raw[i*ampBytes:]))
-			im := math.Float64frombits(binary.LittleEndian.Uint64(raw[i*ampBytes+8:]))
-			amps[i] = complex(re, im)
-		}
-	})
-}
-
-// encodeChunk is the writeback inverse of decodeChunk.
-//
-//qusim:hot
-func encodeChunk(amps []complex128, raw []byte) {
-	par.For(len(amps), 1<<13, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			binary.LittleEndian.PutUint64(raw[i*ampBytes:], math.Float64bits(real(amps[i])))
-			binary.LittleEndian.PutUint64(raw[i*ampBytes+8:], math.Float64bits(imag(amps[i])))
-		}
-	})
-}
 
 // Transient chunk-I/O errors (EINTR/EAGAIN-class, fsio.IsTransient) are
 // retried in place with bounded exponential backoff rather than aborting a
@@ -268,36 +233,24 @@ func retryIO(retries *telemetry.Counter, op func() error) error {
 	return fmt.Errorf("oocvec: transient i/o persisted through %d attempts: %w", ioRetryAttempts, err)
 }
 
-// readChunkInto reads chunk c of f into amps via the scratch buffer raw.
-// It uses positional I/O, so concurrent calls on distinct chunks are safe.
-func readChunkInto(f fsio.File, l, c int, amps []complex128, raw []byte, retries *telemetry.Counter) error {
-	off := int64(c) << uint(l) * ampBytes
-	if err := retryIO(retries, func() error {
-		_, err := f.ReadAt(raw, off)
-		return err
-	}); err != nil {
-		return err
-	}
-	decodeChunk(raw, amps)
-	return nil
-}
-
-// writeChunkFrom writes amps as chunk c of f via the scratch buffer raw.
-func writeChunkFrom(f fsio.File, l, c int, amps []complex128, raw []byte, retries *telemetry.Counter) error {
-	encodeChunk(amps, raw)
-	off := int64(c) << uint(l) * ampBytes
-	return retryIO(retries, func() error {
-		_, err := f.WriteAt(raw, off)
+// readChunk reads the state file from chunk c on into dst (a chunk, as a
+// rule). It uses positional I/O, so concurrent calls on distinct chunks are
+// safe.
+func (v *Vector) readChunk(c int, dst []complex128) error {
+	raw, off := kernels.AmpBytes(dst), int64(c)*int64(v.chunkBytes())
+	return retryIO(v.tel.ioRetries, func() error {
+		_, err := v.f.ReadAt(raw, off)
 		return err
 	})
 }
 
-func (v *Vector) readChunk(c int, dst []complex128) error {
-	return readChunkInto(v.f, v.L, c, dst, v.raw, v.tel.ioRetries)
-}
-
+// writeChunk writes src as chunk c of the state file.
 func (v *Vector) writeChunk(c int, src []complex128) error {
-	return writeChunkFrom(v.f, v.L, c, src, v.raw, v.tel.ioRetries)
+	raw, off := kernels.AmpBytes(src), int64(c)*int64(v.chunkBytes())
+	return retryIO(v.tel.ioRetries, func() error {
+		_, err := v.f.WriteAt(raw, off)
+		return err
+	})
 }
 
 // swapGeometry validates an OpSwap against the chunk layout and returns
@@ -343,13 +296,12 @@ func swapDest(c, j int, bitPos []int) int {
 // scatterChunk is the file analogue of the group all-to-all (Sec. 3.4): with
 // in-chunk positions [L−q, L) exchanged against the chunk-index bits bitPos,
 // sub-block j of chunk c lands in the target file as sub-block m of the
-// group member with index j, m being c's own member index. amps is encoded
-// once into raw; the sub-block writes slice the encoding.
-func scatterChunk(out fsio.File, l, c int, bitPos []int, amps []complex128, raw []byte, retries *telemetry.Counter) error {
+// group member with index j, m being c's own member index.
+func scatterChunk(out fsio.File, l, c int, bitPos []int, amps []complex128, retries *telemetry.Counter) error {
 	q := len(bitPos)
 	sub := len(amps) >> q
 	m := chunkMember(c, bitPos)
-	encodeChunk(amps, raw)
+	raw := kernels.AmpBytes(amps)
 	for j := 0; j < 1<<q; j++ {
 		// Sub-block j of chunk c goes to the group member with index j,
 		// landing at sub-block m.
@@ -392,25 +344,26 @@ func (v *Vector) RunFrom(plan *schedule.Plan, startStage int) error {
 	if plan.N != v.N || plan.L != v.L {
 		return fmt.Errorf("oocvec: plan (n=%d l=%d) does not match vector (n=%d l=%d)", plan.N, plan.L, v.N, v.L)
 	}
-	return v.runPipelined(plan, startStage, plan.Stages())
+	_, err := v.runPipelined(plan, startStage, nil)
+	return err
 }
 
-// stream reads the file once, chunk by chunk, and adds up the two sums
-// reduce returns for each chunk.
-func (v *Vector) stream(reduce func(chunk []complex128) (float64, float64)) (a, b float64, err error) {
+// stream reads the file once, in chunk order, and hands each chunk to visit.
+func (v *Vector) stream(visit func(chunk []complex128) error) error {
 	for c := 0; c < v.Chunks(); c++ {
 		if err := v.readChunk(c, v.buf); err != nil {
-			return 0, 0, err
+			return err
 		}
-		x, y := reduce(v.buf)
-		a, b = a+x, b+y
+		if err := visit(v.buf); err != nil {
+			return err
+		}
 	}
-	return a, b, nil
+	return nil
 }
 
 // Norm returns Σ|α|² by streaming the file.
-func (v *Vector) Norm() (float64, error) {
-	norm, _, err := v.stream(func(chunk []complex128) (float64, float64) { return kernels.Norm(chunk), 0 })
+func (v *Vector) Norm() (norm float64, err error) {
+	err = v.stream(func(chunk []complex128) error { norm += kernels.Norm(chunk); return nil })
 	return norm, err
 }
 
@@ -422,16 +375,20 @@ func (v *Vector) Entropy() (float64, error) {
 
 // NormEntropy returns Norm and Entropy from one stream over the file.
 func (v *Vector) NormEntropy() (norm, entropy float64, err error) {
-	return v.stream(kernels.NormEntropy[complex128])
+	err = v.stream(func(chunk []complex128) error {
+		a, b := kernels.NormEntropy(chunk)
+		norm, entropy = norm+a, entropy+b
+		return nil
+	})
+	return norm, entropy, err
 }
 
-// Amplitudes loads the full state (testing only).
+// Amplitudes loads the full state (testing only): the file is the
+// amplitudes, so it is one read.
 func (v *Vector) Amplitudes() ([]complex128, error) {
 	out := kernels.NewAmps[complex128](1 << v.N)
-	for c := 0; c < v.Chunks(); c++ {
-		if err := v.readChunk(c, out[c<<uint(v.L):(c+1)<<uint(v.L)]); err != nil {
-			return nil, err
-		}
+	if err := v.readChunk(0, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

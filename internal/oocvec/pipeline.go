@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"qusim/internal/ckpt"
 	"qusim/internal/fsio"
 	"qusim/internal/kernels"
 	"qusim/internal/schedule"
@@ -28,41 +29,57 @@ import (
 // stage s wrote — so the pipeline drains completely at every stage
 // boundary, and a swap additionally retires the old backing file only
 // after its last scattered sub-block landed (the writeback-before-swap
-// barrier). Checkpoints ride the same stage boundaries, so a snapshot holds
-// the same bytes at every prefetch depth. At depth 0 the pool is a single
-// buffer: the same pass with read, compute and write taking turns.
+// barrier). At depth 0 the pool is a single buffer: the same pass with read,
+// compute and write taking turns.
+//
+// Snapshots ride the reader: stage s's reader reads the chunks in file
+// order, each before anything of stage s overwrites it (a streamed stage
+// writes a chunk back after reading it, a swap stage writes into the other
+// file) — the state at boundary s, as a shard wants it. So the snapshot of
+// boundary s is teed from it and commits when it has read the last chunk, the
+// same bytes at every depth. (The writeback of stage s−1 cannot feed it: a
+// closing swap scatters sub-blocks.)
 
-// chunkBuf is one pooled pipeline buffer: a decoded chunk plus the encoded
-// scratch its I/O goes through.
+// chunkBuf is one pipeline buffer and the number of the chunk it holds.
 type chunkBuf struct {
 	idx  int
 	amps []complex128
-	raw  []byte
 }
 
-// runPipelined executes stages [startStage, endStage) through the pipeline,
+// runPipelined executes the stages from startStage on through the pipeline,
 // consulting the plan access map — which is also where a malformed
 // plan (an unknown op kind, an op after its stage's closing swap) is turned
-// away before any I/O starts.
-func (v *Vector) runPipelined(plan *schedule.Plan, startStage, endStage int) error {
+// away before any I/O starts. Under a policy it tees a snapshot of every
+// boundary the cadence names past startStage (that one is the initial state
+// or what the run resumed from) and returns how many committed.
+func (v *Vector) runPipelined(plan *schedule.Plan, startStage int, pol *ckpt.Policy) (written int, err error) {
 	access, err := plan.AccessMap()
 	if err != nil {
-		return fmt.Errorf("oocvec: %w", err)
+		return 0, fmt.Errorf("oocvec: %w", err)
 	}
-	if endStage > len(access.Stages) {
-		endStage = len(access.Stages)
-	}
-	for s := startStage; s < endStage; s++ {
-		if err := v.runStage(plan, &access.Stages[s]); err != nil {
-			return err
+	for s := startStage; s < len(access.Stages); s++ {
+		var snap *snapshot
+		if pol != nil && s > startStage && s%pol.Every() == 0 {
+			if snap, err = v.beginSnapshot(v.tel.rdSc, pol.Dir, plan, s, pol.KeepN(), true); err != nil {
+				return written, err
+			}
+		}
+		err = v.runStage(plan, &access.Stages[s], snap)
+		if snap != nil && snap.done {
+			written++
+		}
+		snap.abort() // of what a failed or empty stage left unfinished
+		if err != nil {
+			return written, err
 		}
 	}
-	return nil
+	return written, nil
 }
 
 // runStage executes one swap-delimited stage as a single fused streamed
-// pass with asynchronous prefetch and writeback.
-func (v *Vector) runStage(plan *schedule.Plan, sa *schedule.StageAccess) error {
+// pass with asynchronous prefetch and writeback, the reader feeding snap
+// (nil: no snapshot at this boundary) as it goes.
+func (v *Vector) runStage(plan *schedule.Plan, sa *schedule.StageAccess, snap *snapshot) error {
 	// What the compute loop applies to each chunk: the streamed ops, then
 	// the closing swap, of which the applier executes the fused
 	// pre-permutation; the exchange itself is the writeback's scatter.
@@ -81,7 +98,7 @@ func (v *Vector) runStage(plan *schedule.Plan, sa *schedule.StageAccess) error {
 		ops = append(ops, *swapOp)
 	}
 	if len(ops) == 0 {
-		return nil
+		return nil // schedule.Build emits no such stage
 	}
 	// Prepared once for the stage, not once per chunk: the program holds
 	// nothing of a chunk's amplitudes or number (a diagonal reads the chunk
@@ -99,7 +116,7 @@ func (v *Vector) runStage(plan *schedule.Plan, sa *schedule.StageAccess) error {
 	}
 
 	t0 := v.tel.sc.Now()
-	if err = v.pumpStage(prog, bitPos, out); err != nil {
+	if err = v.pumpStage(prog, bitPos, out, snap); err != nil {
 		if out != nil {
 			out.Close()
 			v.fs.Remove(out.Name())
@@ -127,8 +144,10 @@ func (v *Vector) runStage(plan *schedule.Plan, sa *schedule.StageAccess) error {
 
 // pumpStage runs the reader → compute → writeback pipeline over every
 // chunk. On any failure it halts the pipeline, joins both goroutines and
-// returns the first error; no goroutine or buffer outlives the call.
-func (v *Vector) pumpStage(prog *schedule.Program[complex128], bitPos []int, out fsio.File) error {
+// returns the first error; no goroutine outlives the call. A snapshot error
+// the ENOSPC policy does not absorb is a read error of the stage. The chunk
+// buffers are the vector's: allocated by its first stage, kept ever after.
+func (v *Vector) pumpStage(prog *schedule.Program[complex128], bitPos []int, out fsio.File, snap *snapshot) error {
 	chunks := v.Chunks()
 	depth := v.prefetch
 	if depth > chunks {
@@ -137,14 +156,17 @@ func (v *Vector) pumpStage(prog *schedule.Program[complex128], bitPos []int, out
 	// depth+1 pooled buffers bound the bytes in flight: up to depth chunks
 	// prefetched or awaiting writeback while the caller computes one more.
 	nbuf := depth + 1
-	free := make(chan *chunkBuf, nbuf)
-	pool := make([][]complex128, nbuf)
-	for i := range pool {
-		pool[i] = kernels.NewAmps[complex128](1 << v.L)
-		free <- &chunkBuf{amps: pool[i], raw: make([]byte, v.chunkBytes())}
+	for len(v.pool) < nbuf {
+		v.pool = append(v.pool, kernels.NewAmps[complex128](1<<v.L))
 	}
 	// The state in memory is the pool; NewAmps has touched its pages.
-	kernels.ObservePages(v.tel.t, pool...)
+	kernels.ObservePages(v.tel.t, v.pool[:nbuf]...)
+	bufs := make([]chunkBuf, nbuf)
+	free := make(chan *chunkBuf, nbuf)
+	for i := range bufs {
+		bufs[i].amps = v.pool[i]
+		free <- &bufs[i]
+	}
 	filled := make(chan *chunkBuf, depth)
 	dirty := make(chan *chunkBuf, nbuf)
 	stop := make(chan struct{})
@@ -169,16 +191,20 @@ func (v *Vector) pumpStage(prog *schedule.Program[complex128], bitPos []int, out
 				return
 			}
 			t0 := v.tel.rdSc.Now()
-			if err := readChunkInto(v.f, v.L, c, b.amps, b.raw, v.tel.ioRetries); err != nil {
+			err := v.readChunk(c, b.amps)
+			if err == nil && !t0.IsZero() {
+				d := time.Since(t0)
+				v.tel.readNs.Observe(int64(d))
+				v.tel.rdSc.Complete("io", "read", t0, d, telemetry.A("chunk", c))
+			}
+			if err == nil {
+				err = snap.tee(b.amps)
+			}
+			if err != nil {
 				readErr = err
 				free <- b
 				halt()
 				return
-			}
-			if !t0.IsZero() {
-				d := time.Since(t0)
-				v.tel.readNs.Observe(int64(d))
-				v.tel.rdSc.Complete("io", "read", t0, d, telemetry.A("chunk", c))
 			}
 			v.tel.chunksRead.Inc()
 			v.tel.inFlight.Add(cb)
@@ -191,6 +217,9 @@ func (v *Vector) pumpStage(prog *schedule.Program[complex128], bitPos []int, out
 				return
 			}
 		}
+		// Making the shard durable overlaps the compute still in flight,
+		// which a failure here lets finish: the join reports it.
+		readErr = snap.commit()
 	}()
 
 	// Asynchronous writeback: drain computed chunks into the state file,
@@ -207,9 +236,9 @@ func (v *Vector) pumpStage(prog *schedule.Program[complex128], bitPos []int, out
 			t0 := v.tel.wrSc.Now()
 			var err error
 			if out != nil {
-				err = scatterChunk(out, v.L, b.idx, bitPos, b.amps, b.raw, v.tel.ioRetries)
+				err = scatterChunk(out, v.L, b.idx, bitPos, b.amps, v.tel.ioRetries)
 			} else {
-				err = writeChunkFrom(v.f, v.L, b.idx, b.amps, b.raw, v.tel.ioRetries)
+				err = v.writeChunk(b.idx, b.amps)
 			}
 			if err != nil {
 				writeErr = err
@@ -252,9 +281,13 @@ func (v *Vector) pumpStage(prog *schedule.Program[complex128], bitPos []int, out
 		b.amps = sh.Amps
 		dirty <- b
 	}
-	v.buf = sh.Scratch
 	close(dirty)
 	wg.Wait()
+	// Scratch and buffers may have traded amplitudes: keep what each holds.
+	v.buf = sh.Scratch
+	for i := range bufs {
+		v.pool[i] = bufs[i].amps
+	}
 	if readErr != nil {
 		return readErr
 	}

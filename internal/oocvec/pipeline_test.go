@@ -167,7 +167,7 @@ func TestPipelineFaultInjection(t *testing.T) {
 	}
 
 	// Each scenario fails the k-th access of its kind once the run has
-	// started (the constructor's 2×32 chunk writes are not counted): a chunk
+	// started (the constructor's 32 chunk writes are not counted): a chunk
 	// read in the second stage's pass, a whole-chunk write — only the final,
 	// swapless stage writes whole chunks — and one sub-block write of the
 	// first closing swap's scatter.
