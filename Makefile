@@ -44,6 +44,8 @@ test-avx2:
 
 # Tier-1 with the race detector — required before merging anything that
 # touches internal/par, internal/mpi, internal/dist or internal/telemetry.
+# internal/mpi's tests put the in-place exchange under DefaultFaults with
+# pieces smaller than a region, which is where its step protocol could race.
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -117,9 +119,9 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./... | $(GO) run ./cmd/benchjson -strict > /dev/null
 
-# Permutation-pipeline perf baseline: runs the single-pass permutation and
-# swap-fusion benchmarks and records the results (with derived speedups
-# over the SwapBits-chain / unfused baselines) in BENCH_permute.json.
+# Permutation perf baseline: runs the in-place permutation and swap-fusion
+# benchmarks and records the results (with derived speedups over the
+# SwapBits-chain / unfused baselines) in BENCH_permute.json.
 # Three repetitions; benchjson keeps the fastest of each to suppress
 # scheduler noise on shared machines.
 bench-permute:

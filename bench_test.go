@@ -7,6 +7,7 @@ package qusim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime/debug"
 	"testing"
@@ -298,14 +299,14 @@ func BenchmarkAblationDiagonalFastPath(b *testing.B) {
 
 // BenchmarkPermute compares local qubit permutation as a SwapBits
 // transposition chain (the pre-optimization implementation, one half-state
-// sweep per transposition) against the single-pass compiled gather kernel
-// (one read of the state plus one write, whatever the permutation). The
-// "state-passes" metric reports the memory-traffic model: the chain costs
-// one full-state pass per transposition, the gather always two.
+// sweep per transposition) against the in-place kernel: the permutation's two
+// involutions, one pair-swap pass each, in the state's own memory. The
+// "state-passes" metric reports the memory traffic in reads plus writes of the
+// whole state: the chain moves half the amplitudes per transposition, a
+// pair-swap pass every amplitude that is not its own partner.
 func BenchmarkPermute(b *testing.B) {
 	for _, n := range []int{benchState, 24} {
 		perm := randRNG(int64(n)).Perm(n)
-		passes := float64(swapChainSteps(perm))
 		b.Run(fmt.Sprintf("n%d/swapchain", n), func(b *testing.B) {
 			v := statevec.NewUniform(n)
 			b.SetBytes(int64(16 << n))
@@ -313,19 +314,36 @@ func BenchmarkPermute(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				v.PermuteBitsSwapChain(perm)
 			}
-			b.ReportMetric(passes, "state-passes")
+			b.ReportMetric(float64(swapChainSteps(perm)), "state-passes")
 		})
-		b.Run(fmt.Sprintf("n%d/singlepass", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n%d/inplace", n), func(b *testing.B) {
 			v := statevec.NewUniform(n)
-			v.PermuteBits(perm) // pre-allocate the scratch buffer
 			b.SetBytes(int64(16 << n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				v.PermuteBits(perm)
 			}
-			b.ReportMetric(2, "state-passes")
+			b.ReportMetric(inPlacePasses(perm), "state-passes")
 		})
 	}
+}
+
+// inPlacePasses is the share of the state the in-place kernel reads and
+// writes for perm, summed over its two passes and doubled: an involution of k
+// position pairs leaves 2^−k of the amplitudes where they are.
+func inPlacePasses(perm []int) float64 {
+	first, second := kernels.CompileBitPermutation(perm).Involutions()
+	var passes float64
+	for _, inv := range [][]int{first, second} {
+		moved := 0
+		for p, q := range inv {
+			if p != q {
+				moved++
+			}
+		}
+		passes += 2 * (1 - math.Pow(2, -float64(moved/2)))
+	}
+	return passes
 }
 
 // swapChainSteps counts the SwapBits sweeps PermuteBitsSwapChain issues for
@@ -354,9 +372,9 @@ func swapChainSteps(perm []int) int {
 }
 
 // BenchmarkSwapFusion compares a global-to-local swap with its preceding
-// local permutation executed as a separate full-state pass against the
-// fused op the scheduler now emits, where the permutation rides inside the
-// all-to-all unpack as an indexed gather.
+// local permutation as an op of its own against the fused op the scheduler
+// emits. Both run the same in-place permutation and the same exchange — the
+// fused op saves an entry in the plan, not a pass over the state.
 func BenchmarkSwapFusion(b *testing.B) {
 	c := benchSupremacy(benchState, 25)
 	plan, err := schedule.Build(c, schedule.DefaultOptions(benchState-3))

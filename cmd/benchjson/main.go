@@ -4,7 +4,7 @@
 // pipeline's BENCH_permute.json).
 //
 // Besides the raw per-benchmark metrics it derives speedups for the
-// baseline/optimized pairs the repo's benchmarks use: a ".../singlepass"
+// baseline/optimized pairs the repo's benchmarks use: a ".../inplace"
 // leaf is compared against its ".../swapchain" sibling, ".../fused" against
 // ".../separate", ".../blocked" against ".../perop", and a kernel-set
 // element in the middle of a name, ".../avx512/...", against the same row
@@ -63,7 +63,7 @@ var cpuSuffix = regexp.MustCompile(`-\d+$`)
 // overhead (the checkpointed/plain pair: snapshots cost time and the
 // recorded factor says how much).
 var pairs = map[string]string{
-	"singlepass":   "swapchain",
+	"inplace":      "swapchain",
 	"fused":        "separate",
 	"checkpointed": "plain",
 	"enabled":      "disabled",

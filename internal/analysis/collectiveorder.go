@@ -11,8 +11,8 @@ import (
 // collectives. It flags two statically detectable ways the repo has
 // actually broken that invariant:
 //
-//  1. a collective call (Barrier, GroupAlltoall*, AllreduceSum,
-//     AllgatherFloat64) nested under a rank-dependent condition — ranks
+//  1. a collective call (Barrier, GroupExchange, AllreduceSum,
+//     AllgatherFloat64, GroupAlltoall) nested under a rank-dependent condition — ranks
 //     that skip the branch never enter the collective and the others block
 //     forever (the deadlock class PR 2 fixed by hand in World.Run's error
 //     paths);
@@ -34,11 +34,11 @@ var CollectiveOrder = &Analyzer{
 // collectiveMethods are the *mpi.Comm entry points that participate in the
 // rank-uniform global order.
 var collectiveMethods = map[string]bool{
-	"GroupAlltoall":       true,
-	"GroupAlltoallGather": true,
-	"AllreduceSum":        true,
-	"AllgatherFloat64":    true,
-	"Barrier":             true,
+	"GroupExchange":    true,
+	"GroupAlltoall":    true,
+	"AllreduceSum":     true,
+	"AllgatherFloat64": true,
+	"Barrier":          true,
 }
 
 func runCollectiveOrder(pass *Pass) {

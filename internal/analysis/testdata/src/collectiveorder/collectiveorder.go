@@ -123,3 +123,12 @@ func loopDesertion(w *mpi.World, stages int, done func(int) bool) error {
 		return nil
 	})
 }
+
+// rankConditionedExchange: the swap's collective is held to the same order —
+// only the ranks of the lower half enter the exchange, their partners never
+// do.
+func rankConditionedExchange(c *mpi.Comm, local []complex128) {
+	if c.Rank() < c.Size()/2 {
+		c.GroupExchange([]int{0}, local) // want `collectiveorder: mpi\.GroupExchange under rank-dependent condition \(line \d+\)`
+	}
+}

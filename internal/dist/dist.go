@@ -2,7 +2,9 @@
 // the multi-node layer of Sec. 3.4–3.5 of Häner & Steiger, SC'17. Each rank
 // owns 2^l amplitudes; non-diagonal gates run through the local kernels,
 // diagonal gates on global qubits run via specialization without
-// communication, and global-to-local swaps run as (group-)all-to-alls.
+// communication, and global-to-local swaps run as in-place group exchanges:
+// a rank holds its shard and two staged pieces of the exchange, never a
+// second shard.
 //
 // Run is the package's one executor. The per-gate baseline scheme of
 // [19]/[5] that the Table 2 speedup comparison needs is a plan like any
@@ -403,9 +405,11 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 				}
 			}
 		}
-		// The rank's shard. Its scratch is also the receive side of every
-		// all-to-all, so it exists from the start rather than on first need.
-		sh := schedule.Shard[complex128]{Amps: local, Scratch: kernels.NewAmps[complex128](localLen), L: l, Index: c.Rank()}
+		// The rank's shard, for good: permutations and exchanges run in
+		// place. A failed attempt — a corrupted piece, a dead rank — leaves
+		// shards half permuted or half exchanged; nothing reads them again,
+		// the next attempt restores into fresh ones.
+		sh := schedule.Shard[complex128]{Amps: local, L: l, Index: c.Rank()}
 		start := time.Now()
 		var commTime time.Duration
 		var profDur [4]time.Duration
@@ -444,9 +448,9 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 				i++
 				continue // already captured by the restored snapshot
 			}
-			// The stage's ops up to its swap run shard-locally; the swap is
-			// the exchange, and a fused permutation rides the all-to-all's
-			// unpack, so none of it goes through the shard applier.
+			// The stage's ops up to its swap run through the shard applier;
+			// the swap — its fused permutation and the exchange — is timed
+			// as one op, as communication.
 			j := plan.StageEnd(i)
 			ops, last := plan.Ops[i:j], &plan.Ops[j-1]
 			if last.Kind == schedule.OpSwap {
@@ -459,7 +463,7 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 			sh.Exec(prog)
 			if last.Kind == schedule.OpSwap {
 				t0 := time.Now()
-				sh.Amps, sh.Scratch = swapGlobalLocal(c, last, sh.Amps, sh.Scratch, l)
+				swapGlobalLocal(c, last, local, l)
 				d := time.Since(t0)
 				commTime += d
 				if sh.Observe != nil {
@@ -471,7 +475,7 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 			// left to resume into.
 			if every > 0 && j < len(plan.Ops) && plan.Ops[j].Stage != last.Stage && (last.Stage+1)%every == 0 {
 				ct0 := sc.Now()
-				if err := writeCheckpoint(c, out, meta, ck, sh.Amps, last.Stage+1, opts.Telemetry); err != nil {
+				if err := writeCheckpoint(c, out, meta, ck, local, last.Stage+1, opts.Telemetry); err != nil {
 					return err
 				}
 				if sc != nil {
@@ -485,7 +489,6 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 		// Final reductions (norm + entropy), as in the Edison entropy run.
 		// The sweep over the local amplitudes is pure local compute; only
 		// the collectives below count toward CommElapsed.
-		local = sh.Amps
 		localNorm, ent := kernels.NormEntropy(local)
 		t0 := time.Now()
 		norm := c.AllreduceSum(localNorm)
@@ -688,17 +691,13 @@ func sampleLocal(c *mpi.Comm, plan *schedule.Plan, local []complex128, localNorm
 	return out
 }
 
-// swapGlobalLocal executes a q-qubit global-to-local swap: local locations
-// [l−q, l) are exchanged with the global locations in op.GlobalPos via one
-// group all-to-all per 2^(g−q) rank group (Sec. 3.4, Fig. 3).
-//
-// When the scheduler fused the preceding local permutation into the swap
-// (op.Perm != nil), the relabeling executes inside the all-to-all itself:
-// each receiver gathers source elements through the inverse permutation
-// while unpacking, so the permutation costs zero extra state passes —
-// member m's chunk of the permuted state P (P[y] = local[π⁻¹(y)]) is pulled
-// directly as local[π⁻¹(m·2^(l−q) + t)].
-func swapGlobalLocal(c *mpi.Comm, op *schedule.Op, local, scratch []complex128, l int) (newLocal, newScratch []complex128) {
+// swapGlobalLocal executes a q-qubit global-to-local swap in place: local
+// locations [l−q, l) are exchanged with the global locations in op.GlobalPos
+// via one group exchange per 2^(g−q) rank group (Sec. 3.4, Fig. 3). The local
+// permutation the scheduler fused into the swap (op.Perm != nil), which
+// brings the outgoing qubits to the top q locations, runs first, in place
+// too.
+func swapGlobalLocal(c *mpi.Comm, op *schedule.Op, local []complex128, l int) {
 	q := len(op.LocalPos)
 	for j, p := range op.LocalPos {
 		if p != l-q+j {
@@ -709,23 +708,8 @@ func swapGlobalLocal(c *mpi.Comm, op *schedule.Op, local, scratch []complex128, 
 	for j, p := range op.GlobalPos {
 		bitPositions[j] = p - l
 	}
-	chunk := len(local) >> q
-	recv := make([][]complex128, 1<<q)
-	for j := range recv {
-		recv[j] = scratch[j*chunk : (j+1)*chunk]
-	}
 	if op.Perm != nil {
-		bp := kernels.CompileBitPermutation(op.Perm)
-		shift := uint(l - q)
-		c.GroupAlltoallGather(bitPositions, local, recv, func(member int, src, dst []complex128) {
-			kernels.PermuteGather(dst, src, bp, member<<shift)
-		})
-		return scratch, local
+		kernels.PermuteInPlace(local, kernels.CompileBitPermutation(op.Perm))
 	}
-	send := make([][]complex128, 1<<q)
-	for j := range send {
-		send[j] = local[j*chunk : (j+1)*chunk]
-	}
-	c.GroupAlltoall(bitPositions, send, recv)
-	return scratch, local
+	c.GroupExchange(bitPositions, local)
 }

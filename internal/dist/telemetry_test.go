@@ -107,7 +107,7 @@ func TestBaselineTelemetry(t *testing.T) {
 	if got := tel.Counter("mpi.bytes").Value(); got != res.CommBytes {
 		t.Errorf("mpi.bytes counter = %d, Traffic says %d", got, res.CommBytes)
 	}
-	if tel.Histogram("mpi.group_alltoall_ns").Count() == 0 {
-		t.Error("no group-all-to-all latencies recorded")
+	if tel.Histogram("mpi.group_exchange_ns").Count() == 0 {
+		t.Error("no group-exchange latencies recorded")
 	}
 }

@@ -49,8 +49,6 @@ func MaxQubitsForMemory(bytes float64, single bool) int {
 type Vector struct {
 	N    int
 	Amps []complex64
-
-	scratch []complex64 // the vector a plan's permutations gather into, lazily made
 }
 
 // New returns |0…0⟩.

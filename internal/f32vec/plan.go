@@ -11,15 +11,13 @@ import (
 // is feasible when using single-precision floating point numbers" with the
 // same two-swap schedules. The ops run through the shard applier every back
 // end shares (schedule.Shard) on one shard covering the whole vector: swaps
-// and permutations are exact bit permutations, cluster and diagonal matrices
-// are converted to complex64 per op, and the second vector a multi-cycle
-// permutation gathers into is allocated when the plan first contains one.
+// and permutations are exact bit permutations executed in place — no second
+// vector at any point — and cluster and diagonal matrices are converted to
+// complex64 per op.
 func (v *Vector) RunPlan(p *schedule.Plan) error {
 	if p.N != v.N {
 		return fmt.Errorf("f32vec: plan is for %d qubits, state has %d", p.N, v.N)
 	}
-	sh := schedule.Shard[complex64]{Amps: v.Amps, Scratch: v.scratch, L: v.N}
-	err := sh.Run(p, 0)
-	v.Amps, v.scratch = sh.Amps, sh.Scratch
-	return err
+	sh := schedule.Shard[complex64]{Amps: v.Amps, L: v.N}
+	return sh.Run(p, 0)
 }

@@ -3,6 +3,7 @@ package f32vec
 import (
 	"math"
 	"math/cmplx"
+	"runtime"
 	"testing"
 
 	"qusim/internal/circuit"
@@ -57,32 +58,45 @@ func TestRunPlanMatchesDoublePrecisionPlan(t *testing.T) {
 	}
 }
 
-// TestRunPlanAllocatesScratchOnlyToGather pins the memory discipline of the
-// shared permutation path: a second vector exists only once a plan has
-// gathered through a multi-cycle permutation — a single-node plan, or one
-// whose permutations are lone transpositions, runs in the state's own 2^n
-// amplitudes.
-func TestRunPlanAllocatesScratchOnlyToGather(t *testing.T) {
-	const n = 8
+// TestRunPlanNeverAllocatesScratch pins the memory discipline of the shared
+// permutation path: transpositions, swaps and multi-cycle permutations all
+// run in the state's own 2^n amplitudes — the slice RunPlan leaves in Amps
+// is the one it found there, and the bytes allocated meanwhile (lookup
+// tables, the compiled program) stay far below a second vector.
+func TestRunPlanNeverAllocatesScratch(t *testing.T) {
+	const n = 18
 	v := NewUniform(n)
-	inPlace := &schedule.Plan{N: n, L: 6, Ops: []schedule.Op{
-		{Kind: schedule.OpLocalPerm, Perm: []int{0, 4, 2, 3, 1, 5}},
-		{Kind: schedule.OpSwap, LocalPos: []int{4, 5}, GlobalPos: []int{6, 7}},
+	for i := range v.Amps {
+		v.Amps[i] = complex(float32(i), 0)
+	}
+	plan := &schedule.Plan{N: n, L: 16, Ops: []schedule.Op{
+		{Kind: schedule.OpLocalPerm, Perm: []int{0, 4, 2, 3, 1, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}},
+		{Kind: schedule.OpLocalPerm, Perm: []int{1, 2, 0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 14}},
+		{Kind: schedule.OpSwap, LocalPos: []int{14, 15}, GlobalPos: []int{16, 17}},
 	}}
-	if err := v.RunPlan(inPlace); err != nil {
+	before := &v.Amps[0]
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if err := v.RunPlan(plan); err != nil {
 		t.Fatal(err)
 	}
-	if v.scratch != nil {
-		t.Fatal("a transposition and a swap allocated a second vector")
+	runtime.ReadMemStats(&m1)
+	if &v.Amps[0] != before {
+		t.Error("RunPlan left the state in another vector")
 	}
-	gather := &schedule.Plan{N: n, L: 6, Ops: []schedule.Op{
-		{Kind: schedule.OpLocalPerm, Perm: []int{1, 2, 0, 3, 4, 5}},
-	}}
-	if err := v.RunPlan(gather); err != nil {
-		t.Fatal(err)
+	if got, state := m1.TotalAlloc-m0.TotalAlloc, uint64(BytesPerAmplitude<<n); got >= state/4 {
+		t.Errorf("RunPlan allocated %d bytes beside a %d-byte state", got, state)
 	}
-	if len(v.scratch) != len(v.Amps) {
-		t.Fatalf("scratch has %d amplitudes after a 3-cycle, want %d kept for the next gather", len(v.scratch), len(v.Amps))
+	// Index bit p went to (1 4) then (0 1 2)(14 15) then (14 16)(15 17).
+	to := []int{1, 4, 0, 3, 2, 5, 6, 7, 8, 9, 10, 11, 12, 13, 17, 16, 14, 15}
+	for i := 0; i < 1<<n; i += 997 {
+		j := 0
+		for p, q := range to {
+			j |= (i >> p & 1) << q
+		}
+		if v.Amps[j] != complex(float32(i), 0) {
+			t.Fatalf("amplitude %d not found at %d", i, j)
+		}
 	}
 }
 

@@ -2,18 +2,21 @@ package kernels
 
 import (
 	"fmt"
+	"math/bits"
+	"sync/atomic"
 
 	"qusim/internal/par"
 )
 
-// Bit-permutation kernel: the single-pass local qubit relabeling of
-// Sec. 3.4. The distributed scheme brackets every global-to-local swap with
-// a local permutation that brings the outgoing qubits to the highest-order
-// local locations, so permutation speed directly bounds the cost of a
+// Bit-permutation kernels: the local qubit relabeling of Sec. 3.4. The
+// distributed scheme brackets every global-to-local swap with a local
+// permutation that brings the outgoing qubits to the highest-order local
+// locations, so permutation speed directly bounds the cost of a
 // communication step. Decomposing the permutation into transpositions costs
-// up to n−1 full-state sweeps; this kernel compiles the permutation into
-// per-byte lookup tables and moves every amplitude to its final index in
-// one gather pass.
+// up to n−1 half-state sweeps; these kernels compile it into per-byte lookup
+// tables and move every amplitude to its final index in at most two in-place
+// passes (PermuteInPlace) or, given a second buffer, in one gather pass
+// (PermuteInto).
 
 // BitPermutation is a compiled bit relabeling: Map sends index bit p to bit
 // Perm[p]. Compilation folds the per-bit shift masks into one 256-entry
@@ -189,7 +192,7 @@ func PermuteInto[T complexAmp](dst, src []T, p *BitPermutation) {
 			freePos = append(freePos, i)
 		}
 	}
-	tileLen := 1 << popcount(maskA)
+	tileLen := 1 << bits.OnesCount(uint(maskA))
 	grain := permuteTile / tileLen
 	if grain < 1 {
 		grain = 1
@@ -218,121 +221,175 @@ func PermuteInto[T complexAmp](dst, src []T, p *BitPermutation) {
 	})
 }
 
+// Involutions splits the permutation into two involutions of the bit
+// positions, π[p] = second[first[p]]: per cycle c₀ → c₁ → … → c_{m−1} → c₀
+// the reflections c_i ↔ c_{−i} and then c_i ↔ c_{1−i} (indices mod m), whose
+// product is the rotation c_i → c_{i+1}. An involution is a set of disjoint
+// position pairs, at most ⌊m/2⌋ per cycle — what one in-place pass can
+// execute. A transposition's first involution is the identity.
+func (p *BitPermutation) Involutions() (first, second []int) {
+	first, second = make([]int, p.n), make([]int, p.n)
+	for q := range first {
+		first[q], second[q] = q, q
+	}
+	for _, c := range p.cycles {
+		m := len(c)
+		for i := range c {
+			first[c[i]] = c[(m-i)%m]
+			second[c[i]] = c[(m+1-i)%m]
+		}
+	}
+	return first, second
+}
+
+// PermuteInPlace applies p to the 2^n amplitudes where they lie:
+// amps[p.Map(i)] afterwards holds what amps[i] held. The permutation runs as
+// its two involutions, one pair-swap pass each, so no second vector exists,
+// every amplitude is read and written at most twice however many bits move,
+// and an involution (a transposition, a bit reversal) is one pass.
+func PermuteInPlace[T complexAmp](amps []T, p *BitPermutation) {
+	if len(amps) != 1<<p.n {
+		panic(fmt.Sprintf("kernels: PermuteInPlace got %d amplitudes for a permutation of 2^%d", len(amps), p.n))
+	}
+	first, second := p.Involutions()
+	swapPass(amps, compileSwapPass(first))
+	swapPass(amps, compileSwapPass(second))
+}
+
 // SwapBits exchanges the amplitudes so that bit positions a and b of the
 // index are swapped — the SWAP gate as a pure permutation, in place, touching
-// half the amplitudes.
-//
-//qusim:hot
+// half the amplitudes: the one-pair case of the pair-swap pass.
 func SwapBits[T complexAmp](amps []T, a, b int) {
-	if a == b {
-		return
-	}
-	if a > b {
-		a, b = b, a
-	}
-	if a < 0 || 1<<b >= len(amps) {
+	n := bits.Len(uint(len(amps))) - 1
+	if a < 0 || b < 0 || a >= n || b >= n {
 		panic(fmt.Sprintf("kernels: SwapBits positions %d, %d out of range for %d amplitudes", a, b, len(amps)))
 	}
-	maskA := 1<<a - 1
-	maskB := 1<<b - 1
-	sa, sb := 1<<a, 1<<b
-	par.For(len(amps)>>2, 1024, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			base := ((t &^ maskA) << 1) | (t & maskA)
-			base = ((base &^ maskB) << 1) | (base & maskB)
-			i01 := base | sa
-			i10 := base | sb
-			amps[i01], amps[i10] = amps[i10], amps[i01]
+	sigma := make([]int, n)
+	for q := range sigma {
+		sigma[q] = q
+	}
+	sigma[a], sigma[b] = b, a
+	swapPass(amps, compileSwapPass(sigma))
+}
+
+// pairSwaps is an involution σ of the bit positions compiled for the
+// pair-swap pass. The tile bit set A = low bits ∪ σ(low bits) is mapped onto
+// itself by σ, so the indices that agree outside A form a tile of 2^|A|
+// amplitudes (≤ 2^(2·permuteTileBits), L2-resident with its partner) that σ
+// sends whole onto the tile at σ(u). Inside a tile amplitudes move in runs of
+// 2^(lowest moved position); when that is inside a cache line the tile is
+// what makes every line fetched on either side fully used, as in PermuteInto,
+// and when nothing below the low span moves a tile is one run.
+type pairSwaps struct {
+	tab      [][]int // σ on indices, one lookup table per index byte
+	low      int     // amplitudes in the contiguous low span of a tile
+	run      int     // amplitudes that move together: 1<<lowest moved position, ≤ low
+	maskHi   int     // tile bits above the low span: where σ sends low bits
+	maskFree int     // bit positions outside the tile set
+}
+
+// permuteRunBits caps a run (32 KiB of complex128): the index arithmetic per
+// run is nothing, and a swap of two high positions still splits across workers.
+const permuteRunBits = 11
+
+// compileSwapPass compiles the involution sigma; nil for the identity.
+func compileSwapPass(sigma []int) *pairSwaps {
+	n := len(sigma)
+	lowest := 0
+	for lowest < n && sigma[lowest] == lowest {
+		lowest++
+	}
+	if lowest == n {
+		return nil
+	}
+	ps := &pairSwaps{tab: compileByteTables(sigma)}
+	ps.run = 1 << min(lowest, permuteRunBits)
+	ps.low = max(ps.run, 1<<min(permuteTileBits, n))
+	maskA := (ps.low - 1) | mapTables(ps.tab, ps.low-1)
+	ps.maskHi = maskA &^ (ps.low - 1)
+	ps.maskFree = (1<<n - 1) &^ maskA
+	return ps
+}
+
+// swapPass executes one involution in place: every index pair {i, σ(i)}
+// trades amplitudes once, handled from its smaller tile. Tiles are dealt off
+// a shared counter, not in par's static halves: the high free bits decide
+// which of u and σ(u) is the smaller, so a static split would leave one
+// worker the swaps and the other the skips.
+//
+//qusim:hot
+func swapPass[T complexAmp](amps []T, ps *pairSwaps) {
+	if ps == nil {
+		return
+	}
+	tiles := 1 << bits.OnesCount(uint(ps.maskFree))
+	grain := max(1, permuteTile/(ps.low<<bits.OnesCount(uint(ps.maskHi))))
+	var next atomic.Int64
+	par.For(tiles, grain, func(_, _ int) {
+		for {
+			hi := int(next.Add(int64(grain)))
+			if hi-grain >= tiles {
+				return
+			}
+			// The block's first tile: its number deposited at the free
+			// positions; the following ones by counting inside the mask.
+			u := 0
+			for k, m := hi-grain, ps.maskFree; m != 0; k, m = k>>1, m&(m-1) {
+				u |= (k & 1) * (m & -m)
+			}
+			for k := hi - grain; k < min(hi, tiles); k++ {
+				if v := mapTables(ps.tab, u); u <= v {
+					swapTiles(amps, ps, u, v)
+				}
+				u = (u - ps.maskFree) & ps.maskFree
+			}
 		}
 	})
 }
 
-// Permute applies p to the 2^n amplitudes in amps and returns the slice that
-// holds the result and the one that is now spare: nothing moves for the
-// identity, a lone transposition runs in place through SwapBits (half the
-// amplitudes, no second vector), and anything else is one PermuteInto gather
-// into scratch, which is allocated here when it is nil — so a caller that
-// never meets a multi-cycle permutation never pays for a second vector.
+// swapTiles trades the tile at u with its image, the tile at v = σ(u) ≥ u:
+// the amplitude at u|a and the one at v|σ(a) change places. When the tile is
+// its own image (u == v) each pair inside it is taken from its smaller index.
+//
+//qusim:hot
+func swapTiles[T complexAmp](amps []T, ps *pairSwaps, u, v int) {
+	t0, run := ps.tab[0], ps.run
+	ahi := 0
+	for {
+		x0 := u | ahi
+		y0 := v | mapTables(ps.tab, ahi) // σ sends the high tile bits below ps.low
+		for lo := 0; lo < ps.low; lo += run {
+			x, y := x0|lo, y0|t0[lo]
+			if u == v && x >= y {
+				continue
+			}
+			if run == 1 {
+				amps[x], amps[y] = amps[y], amps[x]
+				continue
+			}
+			a, b := amps[x:x+run], amps[y:y+run]
+			for i := range a {
+				a[i], b[i] = b[i], a[i]
+			}
+		}
+		ahi = (ahi - ps.maskHi) & ps.maskHi
+		if ahi == 0 {
+			return
+		}
+	}
+}
+
+// Permute applies p to amps and returns the slice that holds the result and
+// the one that is now spare: in place when scratch is nil (or p is the
+// identity or a transposition), else one PermuteInto gather into scratch, the
+// spare buffer of len(amps) a caller holds anyway.
 func Permute[T complexAmp](amps, scratch []T, p *BitPermutation) (out, spare []T) {
-	if p.Identity() {
+	if _, _, ok := p.Transposition(); scratch == nil || ok || p.Identity() {
+		PermuteInPlace(amps, p)
 		return amps, scratch
-	}
-	if a, b, ok := p.Transposition(); ok {
-		SwapBits(amps, a, b)
-		return amps, scratch
-	}
-	if scratch == nil {
-		scratch = NewAmps[T](len(amps))
 	}
 	PermuteInto(scratch, amps, p)
 	return scratch, amps
-}
-
-// PermuteGather fills dst[t] = src[p.MapInverse(base|t)] for t in
-// [0, len(dst)), where len(dst) is a power of two and base has no set bits
-// below len(dst). It is the receiver-side unpack of a fused local
-// permutation + global swap: each exchanged chunk is gathered through the
-// permutation instead of copied, so the permutation costs no state pass of
-// its own. Gathers are tiled like PermuteInto, restricted to the destination
-// bits that vary within the chunk (images fixed by base cannot be tiled).
-// The pass runs serially: callers are the per-rank exchange loops, which are
-// already parallel across ranks.
-//
-//qusim:hot
-func PermuteGather(dst, src []complex128, p *BitPermutation, base int) {
-	m := len(dst)
-	if m == 0 || m&(m-1) != 0 {
-		panic("kernels: PermuteGather chunk length must be a power of two")
-	}
-	if base&(m-1) != 0 {
-		panic("kernels: PermuteGather base overlaps the chunk index bits")
-	}
-	k := 0
-	for 1<<k < m {
-		k++
-	}
-	inv := p.inv
-	xbase := mapTables(inv, base)
-	const b = permuteTileBits
-	if k <= b+2 {
-		gatherRange(dst, src, inv, xbase, 0, m)
-		return
-	}
-	// Tile bit set A = low b chunk bits ∪ π(low b source bits), keeping only
-	// images below k — images at or above k are pinned by base and cannot
-	// vary within the chunk.
-	maskLow := 1<<b - 1
-	maskA := maskLow
-	for pb := 0; pb < b; pb++ {
-		if img := mapTables(p.fwd, 1<<pb); img < m {
-			maskA |= img
-		}
-	}
-	maskHi := maskA &^ maskLow
-	var freePos []int
-	for i := 0; i < k; i++ {
-		if maskA&(1<<i) == 0 {
-			//qlint:ignore hotalloc once-per-call setup over the k chunk bits, not the per-amplitude sweep
-			freePos = append(freePos, i)
-		}
-	}
-	for kk := 0; kk < 1<<len(freePos); kk++ {
-		tbase := 0
-		for j, pos := range freePos {
-			if kk&(1<<j) != 0 {
-				tbase |= 1 << pos
-			}
-		}
-		ahi := 0
-		for {
-			run := tbase | ahi
-			gatherRange(dst, src, inv, xbase, run, run+1<<b)
-			ahi = (ahi - maskHi) & maskHi
-			if ahi == 0 {
-				break
-			}
-		}
-	}
 }
 
 // gatherRange executes dst[y] = src[xbase | MapInverse(y)] for y in
@@ -368,12 +425,4 @@ func gatherRange[T complexAmp](dst, src []T, inv [][]int, xbase, lo, hi int) {
 			dst[y] = src[xbase|mapTables(inv, y)]
 		}
 	}
-}
-
-func popcount(m int) int {
-	c := 0
-	for ; m != 0; m &= m - 1 {
-		c++
-	}
-	return c
 }

@@ -72,6 +72,128 @@ func TestPermuteInto(t *testing.T) {
 	}
 }
 
+// TestInvolutionSplit holds the decomposition PermuteInPlace runs on: for
+// every permutation of n ≤ 6 positions, π = second∘first, both factors are
+// involutions, they move only what π moves, and a cycle of m positions
+// contributes at most ⌊m/2⌋ pairs to each.
+func TestInvolutionSplit(t *testing.T) {
+	var visit func(perm []int, k int)
+	check := func(perm []int) {
+		bp := CompileBitPermutation(perm)
+		first, second := bp.Involutions()
+		for q := range perm {
+			if got := second[first[q]]; got != perm[q] {
+				t.Fatalf("perm %v: second∘first sends %d to %d (first %v, second %v)", perm, q, got, first, second)
+			}
+			if first[first[q]] != q || second[second[q]] != q {
+				t.Fatalf("perm %v: factors %v, %v are not involutions", perm, first, second)
+			}
+			if perm[q] == q && (first[q] != q || second[q] != q) {
+				t.Fatalf("perm %v: fixed position %d moved by %v, %v", perm, q, first, second)
+			}
+		}
+		for _, cyc := range bp.Cycles() {
+			for _, inv := range [][]int{first, second} {
+				moved := 0
+				for _, q := range cyc {
+					if inv[q] != q {
+						moved++
+					}
+				}
+				if moved/2 > len(cyc)/2 {
+					t.Fatalf("perm %v: cycle %v has %d pairs in %v, want ≤ %d", perm, cyc, moved/2, inv, len(cyc)/2)
+				}
+			}
+		}
+	}
+	visit = func(perm []int, k int) {
+		if k == len(perm) {
+			check(perm)
+			return
+		}
+		for i := k; i < len(perm); i++ {
+			perm[k], perm[i] = perm[i], perm[k]
+			visit(perm, k+1)
+			perm[k], perm[i] = perm[i], perm[k]
+		}
+	}
+	for n := 0; n <= 6; n++ {
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
+		visit(perm, 0)
+	}
+}
+
+// inPlaceCases draws, for n positions, permutations whose lowest moved
+// position is 0, 1, 2 (inside a cache line: the tiled single-amplitude and
+// short-run paths), one that moves only positions at or above the tile's low
+// span, a transposition and an involution of several pairs.
+func inPlaceCases(rng *rand.Rand, n int) [][]int {
+	above := func(lowest int) []int {
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
+		if lowest >= n {
+			return perm
+		}
+		for i, q := range rng.Perm(n - lowest) {
+			perm[lowest+i] = lowest + q
+		}
+		if n-lowest > 1 && perm[lowest] == lowest { // make sure position lowest moves
+			perm[lowest], perm[lowest+1] = perm[lowest+1], perm[lowest]
+		}
+		return perm
+	}
+	cases := [][]int{rng.Perm(n), above(0), above(1), above(2), above(permuteTileBits + 1)}
+	swap := above(n)
+	swap[0], swap[n-1] = swap[n-1], swap[0]
+	reverse := make([]int, n)
+	for i := range reverse {
+		reverse[i] = n - 1 - i
+	}
+	return append(cases, swap, reverse)
+}
+
+func testPermuteInPlace[T complexAmp](t *testing.T, mk func(re, im float64) T) {
+	rng := rand.New(rand.NewSource(74))
+	for n := 1; n <= 20; n++ {
+		src := make([]T, 1<<n)
+		for i := range src {
+			src[i] = mk(float64(i), rng.NormFloat64())
+		}
+		got := make([]T, len(src))
+		for _, perm := range inPlaceCases(rng, n) {
+			copy(got, src)
+			PermuteInPlace(got, CompileBitPermutation(perm))
+			for i, a := range src {
+				if got[naiveMap(perm, i)] != a {
+					t.Fatalf("n=%d perm %v: amplitude %d not found at Map(%d)", n, perm, i, i)
+				}
+			}
+		}
+	}
+}
+
+// TestPermuteInPlace holds the in-place kernel to the index-map oracle in
+// both element types, n = 1…20: permutations that move position 0, 1 or 2
+// and ones that do not.
+func TestPermuteInPlace(t *testing.T) {
+	t.Run("complex128", func(t *testing.T) {
+		testPermuteInPlace(t, func(re, im float64) complex128 { return complex(re, im) })
+	})
+	t.Run("complex64", func(t *testing.T) {
+		testPermuteInPlace(t, func(re, im float64) complex64 { return complex(float32(re), float32(im)) })
+	})
+}
+
+// TestPermuteGather: the in-place kernel lands every amplitude where the
+// gather (PermuteInto) does, on the shapes a swap's fused permutation takes —
+// a state cut into 2^q regions by its top q bits, the permutation moving
+// amplitudes between them — and Permute picks between the two by whether it
+// was handed a scratch.
 func TestPermuteGather(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 30; trial++ {
@@ -82,19 +204,16 @@ func TestPermuteGather(t *testing.T) {
 		for i := range src {
 			src[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		// Split the index space into 2^q chunks by the top q bits and gather
-		// each separately; stitched together they must equal the full gather.
-		q := rng.Intn(n)
-		chunk := len(src) >> q
-		got := make([]complex128, len(src))
-		for m := 0; m < 1<<q; m++ {
-			PermuteGather(got[m*chunk:(m+1)*chunk], src, bp, m*chunk)
-		}
 		want := make([]complex128, len(src))
 		PermuteInto(want, src, bp)
+		inPlace, spare := Permute(append([]complex128(nil), src...), nil, bp)
+		if spare != nil {
+			t.Fatalf("perm %v: Permute without a scratch returned one", perm)
+		}
+		gathered, _ := Permute(append([]complex128(nil), src...), make([]complex128, len(src)), bp)
 		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("perm %v q=%d: chunked gather differs at %d", perm, q, i)
+			if inPlace[i] != want[i] || gathered[i] != want[i] {
+				t.Fatalf("perm %v: in place %v, gathered %v, want %v at %d", perm, inPlace[i], gathered[i], want[i], i)
 			}
 		}
 	}
@@ -102,7 +221,6 @@ func TestPermuteGather(t *testing.T) {
 
 func TestPermuteGatherRejectsBadArgs(t *testing.T) {
 	bp := CompileBitPermutation([]int{1, 0, 2})
-	src := make([]complex128, 8)
 	mustPanic := func(name string, fn func()) {
 		defer func() {
 			if recover() == nil {
@@ -111,11 +229,14 @@ func TestPermuteGatherRejectsBadArgs(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("non-power-of-two chunk", func() {
-		PermuteGather(make([]complex128, 3), src, bp, 0)
+	mustPanic("state shorter than the permutation", func() {
+		PermuteInPlace(make([]complex128, 4), bp)
 	})
-	mustPanic("base overlapping chunk bits", func() {
-		PermuteGather(make([]complex128, 4), src, bp, 2)
+	mustPanic("state longer than the permutation", func() {
+		PermuteInPlace(make([]complex128, 16), bp)
+	})
+	mustPanic("swap position out of range", func() {
+		SwapBits(make([]complex128, 8), 0, 3)
 	})
 }
 
@@ -180,6 +301,17 @@ func FuzzBitPermutation(f *testing.F) {
 		for p := range perm {
 			if rebuilt[p] != perm[p] {
 				t.Fatalf("perm %v: cycles %v rebuild to %v", perm, bp.Cycles(), rebuilt)
+			}
+		}
+		// The in-place kernel must land every amplitude at its mapped index.
+		amps := make([]complex64, 1<<n)
+		for i := range amps {
+			amps[i] = complex(float32(i), 0)
+		}
+		PermuteInPlace(amps, bp)
+		for i := range amps {
+			if got := amps[naiveMap(perm, i)]; got != complex(float32(i), 0) {
+				t.Fatalf("perm %v: in place, amplitude %d not at Map(%d) (found %v)", perm, i, i, got)
 			}
 		}
 	})

@@ -24,17 +24,22 @@ import (
 // fires at most once per plan, so a restarted attempt sharing the plan
 // replays cleanly past the injection point.
 //
-// All randomness is drawn from per-rank generators derived from Seed, so a
-// failing scenario replays exactly.
+// All randomness is drawn from generators derived from Seed — per rank for
+// the delays, shared by all ranks for the delivery order — so a failing
+// scenario replays exactly.
 type FaultPlan struct {
 	// Seed derives the per-rank fault RNGs. Two runs of the same program
 	// under the same plan inject the identical perturbation sequence.
 	Seed int64
 	// PostDelay is the maximum random delay inserted before a rank posts
-	// its chunks to an all-to-all board (delayed chunk posting).
+	// its payload to a collective's board (delayed chunk posting).
 	PostDelay time.Duration
-	// ShuffleDelivery randomizes the order in which a rank drains its
-	// incoming chunks during (group-)all-to-alls — out-of-order delivery.
+	// ShuffleDelivery randomizes the order in which a collective's payload
+	// arrives — out-of-order delivery: the pairwise rounds of a
+	// GroupExchange, the chunks of a GroupAlltoall. The order is drawn from
+	// Seed and the collective's number alone, the same on every rank: the
+	// two partners of an exchange round must agree on which round it is, or
+	// one overwrites the piece the other has not read yet.
 	ShuffleDelivery bool
 	// BarrierJitter is the maximum random delay inserted before a rank
 	// enters any barrier, desynchronizing collective phases.
@@ -53,15 +58,16 @@ type FaultPlan struct {
 
 // CrashFault makes Rank vanish — goroutine exits, no error raised, nothing
 // posted — immediately on entering its Collective'th collective (0-based,
-// counted per rank over Barrier, GroupAlltoall, GroupAlltoallGather,
-// AllreduceSum and AllgatherFloat64 entries). The survivors must detect the
-// loss themselves; Run reports an error wrapping ErrRankDead, never a hang.
-// Fires at most once per plan.
+// counted per rank over Barrier, GroupExchange, AllreduceSum and
+// AllgatherFloat64 entries, and GroupAlltoall where a test calls it). The
+// survivors must detect the loss themselves; Run reports an error wrapping
+// ErrRankDead, never a hang. Fires at most once per plan.
 //
 // With Label set, only collectives of that kind count — Collective becomes
 // the 0-based index into the rank's entries with that label. This targets
-// specific protocol points: Label "Barrier" with a checkpointed run kills
-// the rank inside the snapshot commit collective itself.
+// specific protocol points: Label "GroupExchange" kills the rank on entering
+// a swap, Label "Barrier" with a checkpointed run inside the snapshot commit
+// collective itself.
 type CrashFault struct {
 	Rank       int
 	Collective int
@@ -91,13 +97,14 @@ type StallFault struct {
 // Fired reports whether the stall has been injected.
 func (s *StallFault) Fired() bool { return s.fired.Load() }
 
-// CorruptFault flips the low mantissa bit of the first amplitude Rank sends
-// in its Exchange'th payload-carrying collective (0-based, counted per rank
-// over GroupAlltoall and GroupAlltoallGather). The flip happens on a wire
-// copy after checksums are computed, so the sender's own state stays intact
-// and a receiver with SetVerifyChecksums(true) sees exactly what real
-// in-flight corruption would look like. Without checksums the corruption is
-// silent — which is the point. Fires at most once per plan.
+// CorruptFault flips the low mantissa bit of the first amplitude of the
+// first piece another rank receives from Rank in its Exchange'th
+// payload-carrying collective (0-based, counted per rank over GroupExchange
+// and GroupAlltoall). The flip happens in the receiver's copy, after the
+// sender computed its checksums, so the sender's own state stays intact and
+// a receiver with SetVerifyChecksums(true) sees exactly what real in-flight
+// corruption would look like. Without checksums the corruption is silent —
+// which is the point. Fires at most once per plan.
 type CorruptFault struct {
 	Rank     int
 	Exchange int
@@ -151,14 +158,20 @@ func (c *Comm) faultDelay(max time.Duration) {
 	time.Sleep(time.Duration(c.frand.Int63n(int64(max))))
 }
 
-// deliveryOrder returns a shuffled pickup order over n incoming chunks, or
-// nil to keep the natural order.
+// deliveryOrder returns the order of the n deliveries of the current
+// payload-carrying collective: 0…n−1, or with ShuffleDelivery a shuffle drawn
+// from the seed and the collective's number, the same on every rank.
 func (c *Comm) deliveryOrder(n int) []int {
-	if c.frand == nil || !c.w.fault.ShuffleDelivery {
-		return nil
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
 	}
-	c.w.faultEvents.Add(1)
-	return c.frand.Perm(n)
+	if f := c.w.fault; f != nil && f.ShuffleDelivery {
+		c.w.faultEvents.Add(1)
+		rng := rand.New(rand.NewSource(f.Seed*1000003 + int64(c.payloadSeq)*7919))
+		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	}
+	return order
 }
 
 // enterCollective advances this rank's collective counters and fires an
@@ -204,34 +217,21 @@ func (c *Comm) enterCollective(label string, payload bool) {
 	}
 }
 
-// maybeCorrupt applies an armed payload corruption: the chunks are deep
-// copied onto the "wire" and one mantissa bit of the first amplitude is
-// flipped, leaving the sender's buffers (and the already-computed
-// checksums, which cover the true data) untouched.
-func (c *Comm) maybeCorrupt(chunks [][]complex128) [][]complex128 {
+// corruptReceived applies an armed payload corruption to a piece this rank
+// just received from src: one mantissa bit of its first amplitude flips in
+// the receiver's copy — src's memory, and the checksums computed from it,
+// are untouched. Every rank enters the same collectives in the same order,
+// so the receiver's payload counter is the sender's.
+func (c *Comm) corruptReceived(src int, piece []complex128) {
 	f := c.w.fault
-	if f == nil || f.Corrupt == nil {
-		return chunks
+	if f == nil || f.Corrupt == nil || len(piece) == 0 {
+		return
 	}
 	co := f.Corrupt
-	if co.Rank != c.rank || co.Exchange != c.payloadSeq-1 {
-		return chunks
-	}
-	if !co.fired.CompareAndSwap(false, true) {
-		return chunks
+	if co.Rank != src || co.Exchange != c.payloadSeq-1 || !co.fired.CompareAndSwap(false, true) {
+		return
 	}
 	c.w.faultEvents.Add(1)
-	wire := make([][]complex128, len(chunks))
-	for i, ch := range chunks {
-		wire[i] = append([]complex128(nil), ch...)
-	}
-	for _, ch := range wire {
-		if len(ch) == 0 {
-			continue
-		}
-		v := ch[0]
-		ch[0] = complex(math.Float64frombits(math.Float64bits(real(v))^1), imag(v))
-		break
-	}
-	return wire
+	v := piece[0]
+	piece[0] = complex(math.Float64frombits(math.Float64bits(real(v))^1), imag(v))
 }

@@ -41,41 +41,36 @@ func TestGroupAlltoallTwoBitsAmongSixteenRanks(t *testing.T) {
 	}
 }
 
-func TestGroupAlltoallGatherMatchesManualUnpack(t *testing.T) {
-	// Every rank posts a 16-element buffer whose values encode
-	// (rank, index); the gather pulls each receiver's chunk reversed. The
-	// result must match what a plain GroupAlltoall of pre-reversed chunks
-	// would deliver.
-	const size, q, chunk = 8, 2, 4
-	w := NewWorld(size)
+// exchangeCase runs one in-place group exchange among size ranks over
+// bitPositions, every shard holding region amplitudes per region that encode
+// (rank, index), moved piece amplitudes at a time, and holds the result to
+// the manual block transpose: region j of a rank ends up holding what region
+// me of member j held, region me what it held.
+func exchangeCase(t *testing.T, w *World, bitPositions []int, region, piece int) {
+	t.Helper()
+	q := len(bitPositions)
+	member := func(rank, j int) int { // the rank that is member j of rank's group
+		for b, pos := range bitPositions {
+			rank &^= 1 << pos
+			rank |= (j >> b & 1) << pos
+		}
+		return rank
+	}
 	err := w.Run(func(c *Comm) error {
-		post := make([]complex128, (1<<q)*chunk)
-		for i := range post {
-			post[i] = complex(float64(c.Rank()), float64(i))
+		local := make([]complex128, region<<q)
+		for i := range local {
+			local[i] = complex(float64(c.Rank()), float64(i))
 		}
-		recv := make([][]complex128, 1<<q)
-		for j := range recv {
-			recv[j] = make([]complex128, chunk)
+		me := 0
+		for b, pos := range bitPositions {
+			me |= (c.Rank() >> pos & 1) << b
 		}
-		bits := []int{0, 2}
-		c.GroupAlltoallGather(bits, post, recv, func(member int, src, dst []complex128) {
-			for t := range dst {
-				dst[t] = src[member*chunk+len(dst)-1-t]
-			}
-		})
-		me := c.Rank()&1 | (c.Rank()>>2&1)<<1
+		c.groupExchange(bitPositions, local, piece)
 		for j := 0; j < 1<<q; j++ {
-			src := c.Rank() &^ 0b101
-			if j&1 != 0 {
-				src |= 1
-			}
-			if j&2 != 0 {
-				src |= 4
-			}
-			for t := 0; t < chunk; t++ {
-				want := complex(float64(src), float64(me*chunk+chunk-1-t))
-				if recv[j][t] != want {
-					return fmt.Errorf("rank %d recv[%d][%d] = %v, want %v", c.Rank(), j, t, recv[j][t], want)
+			for i := 0; i < region; i++ {
+				want := complex(float64(member(c.Rank(), j)), float64(me*region+i))
+				if got := local[j*region+i]; got != want {
+					return fmt.Errorf("rank %d region %d[%d] = %v, want %v", c.Rank(), j, i, got, want)
 				}
 			}
 		}
@@ -83,6 +78,62 @@ func TestGroupAlltoallGatherMatchesManualUnpack(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := w.Traffic.Steps.Load(); got != 1 {
+		t.Errorf("one exchange counted %d steps, want 1", got)
+	}
+	if got, want := w.Traffic.Bytes.Load(), int64(w.Size()*((1<<q)-1)*region*16); got != want {
+		t.Errorf("exchange counted %d bytes, want %d (every region but a rank's own, once)", got, want)
+	}
+}
+
+// TestGroupExchangeMatchesManualTranspose: q = 1, 2, 3 on rank bits that are
+// not contiguous, with pieces smaller than a region (one amplitude; a size
+// that does not divide the region), equal to it and larger — clean, and with
+// delayed posts, jittered barriers and shuffled rounds.
+func TestGroupExchangeMatchesManualTranspose(t *testing.T) {
+	for _, tc := range []struct {
+		size int
+		bits []int
+	}{
+		{4, []int{1}},
+		{16, []int{3, 0}},
+		{16, []int{0, 2}},
+		{32, []int{4, 0, 2}},
+		{8, []int{0, 1, 2}},
+	} {
+		for _, piece := range []int{1, 3, 8, 64} {
+			for _, faulty := range []bool{false, true} {
+				t.Run(fmt.Sprintf("ranks%d/bits%v/piece%d/faults=%v", tc.size, tc.bits, piece, faulty), func(t *testing.T) {
+					w := NewWorld(tc.size)
+					w.SetVerifyChecksums(true)
+					if faulty {
+						w.InjectFaults(DefaultFaults(int64(piece)))
+					}
+					exchangeCase(t, w, tc.bits, 8, piece)
+					if faulty && w.FaultEvents() == 0 {
+						t.Error("no fault event recorded")
+					}
+				})
+			}
+		}
+	}
+}
+
+func TestGroupExchangeRejectsBadArgs(t *testing.T) {
+	for name, call := range map[string]func(c *Comm){
+		"bit out of range":     func(c *Comm) { c.GroupExchange([]int{5}, make([]complex128, 4)) },
+		"shard does not split": func(c *Comm) { c.GroupExchange([]int{0, 1}, make([]complex128, 6)) },
+	} {
+		w := NewWorld(4)
+		err := w.Run(func(c *Comm) error {
+			defer func() { recover() }()
+			call(c)
+			return fmt.Errorf("rank %d: %s: expected panic", c.Rank(), name)
+		})
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -1,9 +1,11 @@
 // Package mpi simulates the message-passing layer of Sec. 3.4 of Häner &
 // Steiger, SC'17. Ranks run as goroutines inside one process; the
-// primitives are the five collectives a schedule.Plan needs: Barrier,
-// GroupAlltoall and GroupAlltoallGather (the global-to-local swap, whose
-// q = 1 case is the pairwise half-vector exchange of the per-gate scheme of
-// [19]), AllreduceSum and AllgatherFloat64.
+// primitives are the four collectives a schedule.Plan needs: Barrier,
+// GroupExchange (the global-to-local swap, in place; its q = 1 case is the
+// pairwise half-vector exchange of the per-gate scheme of [19]),
+// AllreduceSum and AllgatherFloat64. GroupAlltoall, the out-of-place
+// all-to-all the swap used to be, is kept for the benchmark's bandwidth
+// probe only.
 //
 // Communication structure is exact — who sends how many bytes where, and
 // how many collective steps happen, are the quantities the paper optimizes
@@ -15,9 +17,9 @@
 // property checkpoint/restart needs from its transport:
 //
 //   - Payload integrity: with SetVerifyChecksums(true), every collective
-//     carries a CRC32C per posted chunk and receivers verify what they
-//     read; a flipped bit surfaces as an error wrapping ErrCorrupt instead
-//     of silently wrong amplitudes.
+//     carries a CRC32C per posted piece and receivers verify what they
+//     received before it reaches their state; a flipped bit surfaces as an
+//     error wrapping ErrCorrupt instead of silently wrong amplitudes.
 //   - Dead ranks: a rank that vanishes mid-run (FaultPlan.Crash, or a
 //     panic) never leaves the survivors hanging. The scheduler tracks what
 //     every rank is blocked on; the moment all live ranks are provably
@@ -44,6 +46,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"qusim/internal/kernels"
 	"qusim/internal/telemetry"
 )
 
@@ -77,9 +80,10 @@ type Traffic struct {
 	Bytes atomic.Int64
 }
 
-// posting is one rank's contribution to an all-to-all board: the chunks it
-// offers plus (when checksums are on) a CRC32C per chunk, computed before
-// the payload hits the "wire" so receivers can audit what arrived.
+// posting is one rank's contribution to a collective's board: the chunks it
+// offers — GroupAlltoall's send list, GroupExchange's one shard — plus (when
+// checksums are on) a CRC32C per piece a receiver will take, computed from
+// the sender's memory so receivers can audit what arrived.
 type posting struct {
 	chunks [][]complex128
 	sums   []uint32 // nil when checksum verification is off
@@ -495,7 +499,11 @@ type Comm struct {
 	collSeq    int            // collective entries on this rank (crash counter)
 	payloadSeq int            // payload-carrying collective entries (corruption counter)
 	labelSeq   map[string]int // per-label entry counters (labeled fault points)
-	sumBuf     []byte
+	sumBuf     []byte         // chunkSum's conversion buffer (big-endian hosts only)
+
+	// stage holds the two pieces a GroupExchange has in flight — all the
+	// memory an exchange needs beside the shard.
+	stage [2][]complex128
 }
 
 // Rank returns this rank's id.
@@ -524,18 +532,19 @@ func (c *Comm) barrier(label string) {
 	c.w.k.barrierWait(c.rank, label)
 }
 
-// chunkSum is CRC32C over the little-endian encoding of a chunk.
+// chunkSum is CRC32C over the little-endian encoding of a chunk — on a
+// little-endian host, over its memory as it lies.
 func (c *Comm) chunkSum(a []complex128) uint32 {
-	const window = 4096 // amps per staging pass
+	if littleEndian {
+		return crc32.Update(0, castagnoli, kernels.AmpBytes(a))
+	}
+	const window = 4096 // amps per conversion pass
 	if c.sumBuf == nil {
 		c.sumBuf = make([]byte, window*16)
 	}
 	var crc uint32
 	for off := 0; off < len(a); off += window {
-		n := len(a) - off
-		if n > window {
-			n = window
-		}
+		n := min(len(a)-off, window)
 		for i, v := range a[off : off+n] {
 			binary.LittleEndian.PutUint64(c.sumBuf[16*i:], math.Float64bits(real(v)))
 			binary.LittleEndian.PutUint64(c.sumBuf[16*i+8:], math.Float64bits(imag(v)))
@@ -547,32 +556,23 @@ func (c *Comm) chunkSum(a []complex128) uint32 {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// post assembles this rank's board posting: checksums first (over the true
-// data), then the fault layer's wire corruption, so an injected flip is
-// visible to the receiver's audit exactly like real in-flight corruption.
-func (c *Comm) post(chunks [][]complex128) posting {
-	p := posting{chunks: chunks}
-	if c.w.verifySums {
-		p.sums = make([]uint32, len(chunks))
-		for i, ch := range chunks {
-			p.sums[i] = c.chunkSum(ch)
-		}
-	}
-	p.chunks = c.maybeCorrupt(p.chunks)
-	return p
-}
+// littleEndian says that amplitude memory already is the encoding the
+// checksums are defined over. A variable so that a test can force the
+// conversion branch.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// verifyChunk audits a received chunk against the sender's posted CRC.
-func (c *Comm) verifyChunk(label string, src int, chunk []complex128, sums []uint32, idx int) {
+// verifyPiece audits a received piece — the receiver's copy, not the
+// sender's memory — against the CRC its sender posted.
+func (c *Comm) verifyPiece(label string, src int, piece []complex128, sums []uint32, idx int) {
 	if sums == nil {
 		return
 	}
-	if got := c.chunkSum(chunk); got != sums[idx] {
+	if got := c.chunkSum(piece); got != sums[idx] {
 		if c.tel != nil {
 			c.tel.sumFailed.Inc()
 		}
 		panic(collectiveError{fmt.Errorf(
-			"mpi: %s chunk from rank %d failed checksum (got %08x, posted %08x): %w",
+			"mpi: %s piece from rank %d failed checksum (got %08x, posted %08x): %w",
 			label, src, got, sums[idx], ErrCorrupt)})
 	}
 	if c.tel != nil {
@@ -608,33 +608,56 @@ func (c *Comm) groupGeometry(bitPositions []int) (memberRank func(int) int, me i
 	return memberRank, me
 }
 
-// groupAlltoall is the all-to-all both grouped collectives are: post, then
-// visit every group member's posting in delivery order. What is posted and
-// how member j's posting p (from rank src) lands in this rank's buffers is
-// the caller's; receive returns the amplitudes it took, counted as traffic
-// unless src is this rank. me is this rank's member index.
-func (c *Comm) groupAlltoall(label string, bitPositions []int, posted [][]complex128, receive func(j, me, src int, p *posting) int) {
-	w := c.w
-	memberRank, me := c.groupGeometry(bitPositions)
+// enterPayload opens a payload-carrying collective: fault points, telemetry
+// clock, post delay.
+func (c *Comm) enterPayload(label string) time.Time {
 	c.enterCollective(label, true)
 	t0 := c.collStart()
-	if f := w.fault; f != nil {
+	if f := c.w.fault; f != nil {
 		c.faultDelay(f.PostDelay)
 	}
-	w.board[c.rank] = c.post(posted)
-	c.barrier(label)
+	return t0
+}
+
+// GroupAlltoall performs simultaneous all-to-alls within groups of ranks
+// that agree on every rank bit outside bitPositions, out of place. send and
+// recv are indexed by group-member index: member j is the rank whose bits at
+// bitPositions spell j (bitPositions[t] holds bit t of j). With checksums on,
+// every received chunk is audited against the CRC its sender posted.
+//
+// No plan executes through it any more (the swap is GroupExchange): its last
+// caller outside tests is the benchmark's mpi.alltoall_gbps probe
+// (bench/host.go), and it leaves with ROADMAP item 1.
+func (c *Comm) GroupAlltoall(bitPositions []int, send, recv [][]complex128) {
+	const label = "GroupAlltoall"
 	members := 1 << len(bitPositions)
-	order := c.deliveryOrder(members)
-	for i := 0; i < members; i++ {
-		j := i
-		if order != nil {
-			j = order[i]
+	if len(send) != members || len(recv) != members {
+		panic("mpi: GroupAlltoall chunk count must be 2^q")
+	}
+	w := c.w
+	memberRank, me := c.groupGeometry(bitPositions)
+	t0 := c.enterPayload(label)
+	p := posting{chunks: send}
+	if w.verifySums {
+		p.sums = make([]uint32, members)
+		for i, ch := range send {
+			p.sums[i] = c.chunkSum(ch)
 		}
+	}
+	w.board[c.rank] = p
+	c.barrier(label)
+	for _, j := range c.deliveryOrder(members) {
 		src := memberRank(j)
-		n := receive(j, me, src, &w.board[src])
-		if src != c.rank {
-			c.countBytes(int64(16 * n))
+		from := &w.board[src]
+		if len(from.chunks[me]) != len(recv[j]) {
+			panic("mpi: GroupAlltoall chunk length mismatch")
 		}
+		copy(recv[j], from.chunks[me])
+		if src != c.rank {
+			c.corruptReceived(src, recv[j])
+			c.countBytes(int64(16 * len(recv[j])))
+		}
+		c.verifyPiece(label, src, recv[j], from.sums, me)
 	}
 	c.barrier(label)
 	if c.rank == 0 {
@@ -644,51 +667,103 @@ func (c *Comm) groupAlltoall(label string, bitPositions []int, posted [][]comple
 	c.collEnd(label, t0)
 }
 
-// GroupAlltoall performs simultaneous all-to-alls within groups of ranks
-// that agree on every rank bit outside bitPositions — the group-local
-// all-to-alls of a q-qubit global-to-local swap (Sec. 3.4). send and recv
-// are indexed by group-member index: member j is the rank whose bits at
-// bitPositions spell j (bitPositions[t] holds bit t of j). With checksums on,
-// every received chunk is audited against the CRC its sender posted.
-func (c *Comm) GroupAlltoall(bitPositions []int, send, recv [][]complex128) {
-	if n := 1 << len(bitPositions); len(send) != n || len(recv) != n {
-		panic("mpi: GroupAlltoall chunk count must be 2^q")
-	}
-	c.groupAlltoall("GroupAlltoall", bitPositions, send, func(j, me, src int, p *posting) int {
-		chunk := p.chunks[me]
-		if len(chunk) != len(recv[j]) {
-			panic("mpi: GroupAlltoall chunk length mismatch")
-		}
-		c.verifyChunk("GroupAlltoall", src, chunk, p.sums, me)
-		return copy(recv[j], chunk)
-	})
+// exchangePiece is the most amplitudes a GroupExchange moves at a time
+// (1 MiB): the two pieces a rank stages are 2 MiB whatever its shard's size,
+// and a piece is still in cache when it is verified and written home.
+const exchangePiece = 1 << 16
+
+// GroupExchange is the group all-to-all of a q-qubit global-to-local swap
+// (Sec. 3.4), in place: local is cut into 2^q equal regions, indexed like the
+// members of the group (GroupAlltoall), and region j of this rank trades
+// places with region me of member j; region me stays. The group is walked in
+// pairwise rounds — round d pairs member me with member me XOR d, so every
+// rank has exactly one partner per round and is that partner's — a region
+// goes a piece of at most exchangePiece amplitudes at a time, and a rank
+// holds two staged pieces: each step reads the next piece from the partner's
+// shard while the previous one is verified and written over the piece the
+// partner has already read; one barrier a step keeps "already read" true.
+//
+// With checksums on, a sender posts one CRC32C per outgoing piece before the
+// first step and a receiver verifies its staged copy of each piece before the
+// copy touches its shard. One GroupExchange is one communication step, and
+// every amplitude that changes rank is counted once, at its receiver. A
+// failure inside the exchange (ErrCorrupt, a dead rank) leaves every shard
+// of the group half exchanged: the shards of a failed Run are garbage.
+func (c *Comm) GroupExchange(bitPositions []int, local []complex128) {
+	c.groupExchange(bitPositions, local, exchangePiece)
 }
 
-// GroupAlltoallGather is GroupAlltoall with the receive copy replaced by an
-// indexed gather: every rank posts its full local buffer and each receiver
-// calls gather(me, src, recv[j]) to pull the chunk it needs out of a
-// source's posted buffer, where me is the receiver's member index within its
-// group. This is the fused local-permutation + swap unpack of Sec. 3.4 — the
-// permutation that would otherwise need its own full-state pass rides along
-// inside the copy the all-to-all performs anyway. gather must fill dst
-// entirely from src; it receives whole chunks (rather than a per-element
-// index function) so the caller can tile the gather for cache locality. The
-// mapping is the same for every source because all ranks apply the same
-// local relabeling, so gather is keyed only by the receiver's member index.
-//
-// With checksums on, each receiver audits a source's full posted buffer
-// before gathering from it — the gather output is a permutation of the
-// source bytes, so the source buffer is the only thing a CRC can cover.
-func (c *Comm) GroupAlltoallGather(bitPositions []int, post []complex128, recv [][]complex128, gather func(member int, src, dst []complex128)) {
-	if len(recv) != 1<<len(bitPositions) {
-		panic("mpi: GroupAlltoallGather chunk count must be 2^q")
+// groupExchange is GroupExchange with the piece size as a parameter, which
+// tests set below a region's length.
+func (c *Comm) groupExchange(bitPositions []int, local []complex128, piece int) {
+	const label = "GroupExchange"
+	w := c.w
+	memberRank, me := c.groupGeometry(bitPositions)
+	members := 1 << len(bitPositions)
+	if len(local)%members != 0 {
+		panic(fmt.Sprintf("mpi: GroupExchange shard of %d amplitudes does not split into %d regions", len(local), members))
 	}
-	c.groupAlltoall("GroupAlltoallGather", bitPositions, [][]complex128{post}, func(j, me, src int, p *posting) int {
-		full := p.chunks[0]
-		c.verifyChunk("GroupAlltoallGather", src, full, p.sums, 0)
-		gather(me, full, recv[j])
-		return len(recv[j])
-	})
+	region := len(local) / members
+	piece = max(1, min(piece, region))
+	pieces := (region + piece - 1) / piece
+	pieceOf := func(shard []complex128, j, t int) []complex128 { // piece t of region j
+		return shard[j*region+t*piece : j*region+min((t+1)*piece, region)]
+	}
+
+	t0 := c.enterPayload(label)
+	p := posting{chunks: [][]complex128{local}}
+	if w.verifySums {
+		p.sums = make([]uint32, members*pieces)
+		for j := 0; j < members; j++ {
+			for t := 0; t < pieces && j != me; t++ {
+				p.sums[j*pieces+t] = c.chunkSum(pieceOf(local, j, t))
+			}
+		}
+	}
+	w.board[c.rank] = p
+	c.barrier(label)
+
+	if len(c.stage[0]) < piece {
+		c.stage[0], c.stage[1] = make([]complex128, piece), make([]complex128, piece)
+	}
+	// Step s stages item s and lands item s−1; item s is piece s%pieces of
+	// the s/pieces'th round delivered.
+	order := c.deliveryOrder(members - 1)
+	partner := func(s int) int { return me ^ (order[s/pieces] + 1) }
+	items := (members - 1) * pieces
+	for s := 0; s <= items; s++ {
+		if s < items {
+			j, t := partner(s), s%pieces
+			src := memberRank(j)
+			theirs := w.board[src].chunks[0]
+			if len(theirs) != len(local) {
+				panic("mpi: GroupExchange shard length mismatch")
+			}
+			staged := c.stage[s%2][:copy(c.stage[s%2], pieceOf(theirs, me, t))]
+			c.corruptReceived(src, staged)
+			c.countBytes(int64(16 * len(staged)))
+		}
+		if s > 0 {
+			j, t := partner(s-1), (s-1)%pieces
+			home := pieceOf(local, j, t)
+			staged := c.stage[(s-1)%2][:len(home)]
+			src := memberRank(j)
+			c.verifyPiece(label, src, staged, w.board[src].sums, me*pieces+t)
+			copy(home, staged)
+		}
+		// Jittered, like every collective, where it posts, first receives
+		// and completes; the steps between run back to back, so what a fault
+		// plan injects does not grow with the number of pieces.
+		if s == 0 || s == items {
+			c.barrier(label)
+		} else {
+			w.k.barrierWait(c.rank, label)
+		}
+	}
+	if c.rank == 0 {
+		c.countSteps(1)
+	}
+	c.collEnd(label, t0)
 }
 
 // AllreduceSum returns the sum of x over all ranks (the final reduction of

@@ -318,11 +318,10 @@ func TestWorldReusableAfterPoisonedRun(t *testing.T) {
 			c.GroupAlltoall([]int{0}, [][]complex128{{mine}, {mine}}, recv)
 			return fresh(c, tag, recv)
 		}},
-		{"GroupAlltoallGather", func(c *Comm, tag float64) error {
-			recv := [][]complex128{make([]complex128, 1), make([]complex128, 1)}
-			c.GroupAlltoallGather([]int{0}, []complex128{complex(tag, float64(c.Rank()))}, recv,
-				func(_ int, src, dst []complex128) { copy(dst, src) })
-			return fresh(c, tag, recv)
+		{"GroupExchange", func(c *Comm, tag float64) error {
+			local := []complex128{complex(tag, float64(c.Rank())), complex(tag, float64(c.Rank()))}
+			c.GroupExchange([]int{0}, local)
+			return fresh(c, tag, [][]complex128{local[:1], local[1:]})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -475,22 +474,88 @@ func TestChecksumDetectsAlltoallCorruption(t *testing.T) {
 	}
 }
 
-func TestChecksumDetectsGatherCorruption(t *testing.T) {
-	// GroupAlltoallGather audits a source's full posted buffer before
-	// gathering — the fused-permutation path must not bypass verification.
-	w := NewWorld(4)
-	w.SetVerifyChecksums(true)
-	w.InjectFaults(&FaultPlan{Corrupt: &CorruptFault{Rank: 2, Exchange: 0}})
-	err := w.Run(func(c *Comm) error {
-		post := []complex128{complex(float64(c.Rank()), 0), complex(float64(c.Rank()), 1)}
-		recv := [][]complex128{make([]complex128, 1), make([]complex128, 1)}
-		c.GroupAlltoallGather([]int{0}, post, recv, func(member int, src, dst []complex128) {
-			dst[0] = src[member]
+func TestChecksumDetectsExchangeCorruption(t *testing.T) {
+	// GroupExchange verifies every piece it staged before the piece reaches
+	// the shard; the flip lands in the receiver's staged copy, so the
+	// sender's shard (what it sent, until it is overwritten by what it
+	// received) never holds the flipped bit.
+	for _, piece := range []int{1, 2, exchangePiece} {
+		w := NewWorld(4)
+		w.SetVerifyChecksums(true)
+		corrupt := &CorruptFault{Rank: 2, Exchange: 0}
+		w.InjectFaults(&FaultPlan{Corrupt: corrupt})
+		err := w.Run(func(c *Comm) error {
+			local := make([]complex128, 4)
+			for i := range local {
+				local[i] = complex(float64(c.Rank()), float64(i))
+			}
+			c.groupExchange([]int{0}, local, piece)
+			return nil
 		})
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("piece %d: err = %v, want ErrCorrupt", piece, err)
+		}
+		if !strings.Contains(err.Error(), "rank 2") {
+			t.Errorf("piece %d: error does not name the corrupting sender: %v", piece, err)
+		}
+		if !corrupt.Fired() {
+			t.Errorf("piece %d: corrupt fault did not report firing", piece)
+		}
+	}
+}
+
+// TestExchangeCorruptionSilentWithoutChecksums: without verification the
+// flipped bit lands in the receiver's shard, in exactly one amplitude of the
+// whole world, and nowhere in the sender's.
+func TestExchangeCorruptionSilentWithoutChecksums(t *testing.T) {
+	w := NewWorld(2)
+	w.InjectFaults(&FaultPlan{Corrupt: &CorruptFault{Rank: 1, Exchange: 0}})
+	shards := make([][]complex128, 2)
+	err := w.Run(func(c *Comm) error {
+		local := []complex128{complex(3, 4), complex(3, 4), complex(3, 4), complex(3, 4)}
+		c.groupExchange([]int{0}, local, 1)
+		shards[c.Rank()] = local
 		return nil
 	})
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
+	if err != nil {
+		t.Fatalf("without checksums the corrupted run must complete: %v", err)
+	}
+	for i, a := range shards[1] {
+		if a != complex(3, 4) {
+			t.Errorf("sender's shard[%d] = %v: the flip must stay in the receiver's copy", i, a)
+		}
+	}
+	flipped := 0
+	for _, a := range shards[0] {
+		if a != complex(3, 4) {
+			flipped++
+		}
+	}
+	if flipped != 1 {
+		t.Errorf("%d amplitudes of the receiver differ, want exactly 1", flipped)
+	}
+}
+
+// TestChunkSumViewAndPortableAgree: the CRC over amplitude memory as it lies
+// is the CRC over the per-element little-endian encoding, at lengths around
+// the conversion window.
+func TestChunkSumViewAndPortableAgree(t *testing.T) {
+	if !littleEndian {
+		t.Skip("big-endian host: the portable branch is the only one")
+	}
+	c := &Comm{}
+	for _, n := range []int{0, 1, 7, 4095, 4096, 4097, 10000} {
+		a := make([]complex128, n)
+		for i := range a {
+			a[i] = complex(float64(i)+0.25, -float64(n-i))
+		}
+		view := c.chunkSum(a)
+		littleEndian = false
+		portable := c.chunkSum(a)
+		littleEndian = true
+		if view != portable {
+			t.Errorf("n=%d: view CRC %08x, portable CRC %08x", n, view, portable)
+		}
 	}
 }
 
@@ -548,13 +613,11 @@ func TestChecksumsCleanRunUnaffected(t *testing.T) {
 				return fmt.Errorf("rank %d: recv[%d] = %v, want %v", c.Rank(), src, recv[src][0], want)
 			}
 		}
-		post := []complex128{complex(0, float64(c.Rank())), complex(1, float64(c.Rank()))}
-		c.GroupAlltoallGather([]int{0}, post, recv[:2], func(member int, src, dst []complex128) {
-			dst[0] = src[member]
-		})
-		for j := range recv[:2] {
-			if want := complex(float64(c.Rank()&1), float64(c.Rank()&^1|j)); recv[j][0] != want {
-				return fmt.Errorf("rank %d: gathered recv[%d] = %v, want %v", c.Rank(), j, recv[j][0], want)
+		local := []complex128{complex(0, float64(c.Rank())), complex(1, float64(c.Rank()))}
+		c.GroupExchange([]int{0}, local)
+		for j := range local {
+			if want := complex(float64(c.Rank()&1), float64(c.Rank()&^1|j)); local[j] != want {
+				return fmt.Errorf("rank %d: exchanged local[%d] = %v, want %v", c.Rank(), j, local[j], want)
 			}
 		}
 		return nil

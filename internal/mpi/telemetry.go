@@ -32,14 +32,14 @@ type worldTel struct {
 }
 
 // collectiveLabels are the collectives instrumented with latency
-// histograms, keyed by the label used in stall reports so the trace, the
-// metrics dump and the error messages all speak the same names.
+// histograms — the four a plan executes through — keyed by the label used in
+// stall reports so the trace, the metrics dump and the error messages all
+// speak the same names.
 var collectiveLabels = map[string]string{
-	"Barrier":             "mpi.barrier_ns",
-	"GroupAlltoall":       "mpi.group_alltoall_ns",
-	"GroupAlltoallGather": "mpi.group_alltoall_gather_ns",
-	"AllreduceSum":        "mpi.allreduce_sum_ns",
-	"AllgatherFloat64":    "mpi.allgather_float64_ns",
+	"Barrier":          "mpi.barrier_ns",
+	"GroupExchange":    "mpi.group_exchange_ns",
+	"AllreduceSum":     "mpi.allreduce_sum_ns",
+	"AllgatherFloat64": "mpi.allgather_float64_ns",
 }
 
 // SetTelemetry arms the world with a telemetry sink: every collective gets

@@ -31,9 +31,7 @@ func TestTelemetryCountsMatchTraffic(t *testing.T) {
 		c.Barrier()
 		c.GroupAlltoall([]int{0, 1, 2}, chunks, recv)
 		c.AllreduceSum(float64(c.Rank()))
-		c.GroupAlltoallGather([]int{0}, chunks[0], recv[:2], func(member int, src, dst []complex128) {
-			copy(dst, src)
-		})
+		c.GroupExchange([]int{0}, chunks[0])
 		return nil
 	})
 	if err != nil {
@@ -56,7 +54,7 @@ func TestTelemetryCountsMatchTraffic(t *testing.T) {
 		t.Errorf("mpi.checksums_failed = %d on a clean run", got)
 	}
 	for _, metric := range []string{
-		"mpi.barrier_ns", "mpi.group_alltoall_ns", "mpi.allreduce_sum_ns", "mpi.group_alltoall_gather_ns",
+		"mpi.barrier_ns", "mpi.group_exchange_ns", "mpi.allreduce_sum_ns",
 	} {
 		h := tel.Histogram(metric)
 		if h.Count() != ranks {
@@ -66,7 +64,8 @@ func TestTelemetryCountsMatchTraffic(t *testing.T) {
 			t.Errorf("%s sum = %d, want > 0", metric, h.Sum())
 		}
 	}
-	// Each rank's comm timeline: barrier + all-to-all + allreduce + gathering all-to-all.
+	// Each rank's comm timeline: barrier + all-to-all (a span, but since no
+	// plan runs through it no histogram) + allreduce + exchange.
 	if got, want := tel.SpanCount(), 4*ranks; got != want {
 		t.Errorf("span count = %d, want %d", got, want)
 	}

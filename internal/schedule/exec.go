@@ -50,10 +50,10 @@ func blockBits[T amp]() int {
 // vector, the rank in dist, the chunk number in oocvec.
 type Shard[T amp] struct {
 	Amps []T
-	// Scratch is a second buffer of len(Amps) for the op whose result lands
-	// in a new vector, a multi-cycle permutation. Exec allocates it when it
-	// is nil and first needed, and trades it with Amps whenever a result
-	// lands in it.
+	// Scratch, when not nil, is a spare buffer of len(Amps) the caller holds
+	// anyway (oocvec's idle chunk): a multi-cycle permutation then gathers
+	// into it in one pass and Exec trades it with Amps. Nil means in place —
+	// Exec never allocates one, and Amps stays the slice it was.
 	Scratch []T
 	L       int
 	Index   int

@@ -137,9 +137,7 @@ func (p *Plan) RunFrom(v *statevec.Vector, startStage int) error {
 		return fmt.Errorf("schedule: plan is for %d qubits, state has %d", p.N, v.N)
 	}
 	sh := Shard[complex128]{Amps: v.Amps, L: v.N}
-	err := sh.Run(p, startStage)
-	v.Amps = sh.Amps
-	return err
+	return sh.Run(p, startStage)
 }
 
 // PermutedIndex returns the state-vector index at which the amplitude of

@@ -21,24 +21,23 @@ func (v *Vector) SwapBits(a, b int) { kernels.SwapBits(v.Amps, a, b) }
 // new index bit perm[p] = old index bit p. perm must be a permutation of
 // 0…n−1.
 //
-// The permutation is compiled into per-shift-distance bit masks and
-// executed as a single gather pass into the scratch vector (one read of the
-// state plus one write — ≤ 2 full-state passes however many bits move),
-// replacing the transposition chain that cost one half-state sweep per
-// 2-cycle step. A lone transposition still runs through SwapBits, which
-// touches only half the amplitudes and needs no scratch (kernels.Permute).
+// The permutation runs in place, as the two involutions any permutation
+// splits into, one pair-swap pass each (kernels.PermuteInPlace): at most two
+// reads and two writes of the state however many bits move and no second
+// vector, replacing the transposition chain that cost one half-state sweep
+// per 2-cycle step. A transposition is one pass over half the amplitudes.
 func (v *Vector) PermuteBits(perm []int) {
 	if len(perm) != v.N {
 		panic(fmt.Sprintf("statevec: PermuteBits got %d entries for n=%d", len(perm), v.N))
 	}
-	v.Amps, v.scratch = kernels.Permute(v.Amps, v.scratch, kernels.CompileBitPermutation(perm))
+	kernels.PermuteInPlace(v.Amps, kernels.CompileBitPermutation(perm))
 }
 
 // PermuteBitsSwapChain is the pre-optimization implementation of
 // PermuteBits: the permutation decomposed into up to n−1 SwapBits
 // transpositions, each a half-state sweep. Kept as the differential
-// reference for the single-pass kernel (package verify) and as the
-// baseline of BenchmarkPermute.
+// reference for the in-place kernel (package verify) and as the baseline of
+// BenchmarkPermute.
 func (v *Vector) PermuteBitsSwapChain(perm []int) {
 	if len(perm) != v.N {
 		panic(fmt.Sprintf("statevec: PermuteBitsSwapChain got %d entries for n=%d", len(perm), v.N))
@@ -64,8 +63,8 @@ func (v *Vector) PermuteBitsSwapChain(perm []int) {
 }
 
 // ReverseBits reverses the significance of all n bit positions (used by the
-// QFT example, whose output is bit-reversed). It runs through the
-// single-pass permutation kernel instead of ⌊n/2⌋ swap sweeps.
+// QFT example, whose output is bit-reversed): an involution, so one
+// in-place pass instead of ⌊n/2⌋ swap sweeps.
 func (v *Vector) ReverseBits() {
 	perm := make([]int, v.N)
 	for i := range perm {

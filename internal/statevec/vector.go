@@ -21,8 +21,6 @@ import (
 type Vector struct {
 	N    int
 	Amps []complex128
-
-	scratch []complex128 // the vector PermuteBits gathers into, lazily made
 }
 
 // New returns an n-qubit register initialized to |0…0⟩.

@@ -239,7 +239,7 @@ func (h *Histogram) stat() histStat {
 //
 //	counter   mpi.bytes                 25165824
 //	gauge     par.pool_size             7
-//	histogram mpi.group_alltoall_ns     count=12 sum=8123456 mean=676954 p50<=1048576 p99<=2097152 max<=2097152
+//	histogram mpi.group_exchange_ns     count=12 sum=8123456 mean=676954 p50<=1048576 p99<=2097152 max<=2097152
 func (t *Telemetry) WriteMetrics(w io.Writer) error {
 	if t == nil {
 		_, err := fmt.Fprintln(w, "telemetry disabled")
