@@ -8,7 +8,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 
 .PHONY: build test test-purego test-avx2 race verify lint lint-tools chaos-smoke fuzz \
 	fuzz-smoke bench bench-smoke bench-permute bench-ckpt bench-telemetry \
-	bench-oocvec bench-kernels bench-workloads bench-repo coverage
+	bench-oocvec bench-kernels bench-diag bench-workloads bench-repo coverage
 
 # Compile every package and link every command into bin/, so a broken
 # main package fails the build even though `go build ./...` discards
@@ -109,6 +109,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ckpt -fuzz FuzzManifestDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kernels -fuzz FuzzBitPermutation -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kernels -fuzz FuzzSIMDKernel -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/kernels -fuzz FuzzDiagonal -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/circuit -fuzz FuzzReadText -fuzztime $(FUZZTIME)
 
 bench:
@@ -164,6 +165,16 @@ bench-kernels:
 	($(GO) test -run '^$$' -bench 'BenchmarkKernelPrecision|BenchmarkCircuitPrecision|BenchmarkKernelFusion|BenchmarkReduce|BenchmarkBlockedRun|BenchmarkStateAlloc' -benchtime 3x -count 3 -timeout 60m . && \
 	 $(GO) test -tags noavx512 -run '^$$' -bench 'BenchmarkKernelPrecision/avx2/' -benchtime 3x -count 3 -timeout 60m . && \
 	 $(GO) test -tags purego -run '^$$' -bench 'BenchmarkKernelPrecision/go/./f64' -benchtime 3x -count 3 -timeout 60m .) | $(GO) run ./cmd/benchjson > BENCH_kernels.json
+
+# Diagonal-kernel baseline: the QFT's diagonal shapes (five wide with the
+# lowest position 0, 1, 2 and 4; the global [19 22]) streamed from DRAM and
+# as ops inside a blocked run, both precisions, under the default build's
+# kernel set and, from a second run under -tags noavx512, the avx2 set —
+# recorded (with the derived f32/f64 and avx512/avx2 speedups) in
+# BENCH_diag.json. A ledger only: the price list stays BENCH_kernels.json's.
+bench-diag:
+	($(GO) test -run '^$$' -bench 'BenchmarkDiagonal' -benchtime 10x -count 3 . && \
+	 $(GO) test -tags noavx512 -run '^$$' -bench 'BenchmarkDiagonal' -benchtime 10x -count 3 .) | $(GO) run ./cmd/benchjson > BENCH_diag.json
 
 # Out-of-core prefetch baseline: the stage pipeline with read-ahead vs the
 # same pipeline at depth 0 (one buffer, no overlap) on a 28-qubit (4 GiB

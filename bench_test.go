@@ -8,9 +8,11 @@ package qusim
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"qusim/internal/circuit"
 	"qusim/internal/ckpt"
@@ -621,7 +623,7 @@ func BenchmarkKernelPrecision(b *testing.B) {
 			qs = []int{3, 6, 9, 12, 15}
 		}
 		b.Run(fmt.Sprintf("%s/resident/k%d/f64", set, k), func(b *testing.B) {
-			benchResident(b, schedule.Op{Kind: schedule.OpCluster, Matrix: u, Positions: qs})
+			benchResident[complex128](b, schedule.Op{Kind: schedule.OpCluster, Matrix: u, Positions: qs}, 0, precState)
 		})
 	}
 	d := gate.RandomDiagonal(2, randRNG(46)).Diagonal()
@@ -646,19 +648,20 @@ func BenchmarkKernelPrecision(b *testing.B) {
 		}
 	})
 	b.Run(set+"/resident/diag/f64", func(b *testing.B) {
-		benchResident(b, schedule.Op{Kind: schedule.OpDiagonal, Diag: d, Positions: qs})
+		benchResident[complex128](b, schedule.Op{Kind: schedule.OpDiagonal, Diag: d, Positions: qs}, 0, precState)
 	})
 }
 
 // benchResident measures op at the rate it runs at inside a blocked run
-// (DESIGN §12.2): a run of copies of it on a 2^20-amplitude shard, long
-// enough to update as many amplitudes as one sweep of the 2^precState state
-// of the streaming rows, so the two ns/op compare directly. Every block
-// takes the whole run while it sits in L2; memory is read once per 64 ops.
-func benchResident(b *testing.B, op schedule.Op) {
-	sh := schedule.Shard[complex128]{Amps: kernels.NewAmps[complex128](1 << benchState), L: benchState}
+// (DESIGN §12.2): a run of copies of it on a 2^benchState-amplitude shard
+// of element type T with the given index, long enough to update 2^updates
+// amplitudes — as many as one sweep of a 2^updates state, so the two ns/op
+// compare directly. Every block takes the whole run while it sits in L2;
+// memory is read once per run.
+func benchResident[T complex64 | complex128](b *testing.B, op schedule.Op, index, updates int) {
+	sh := schedule.Shard[T]{Amps: kernels.NewAmps[T](1 << benchState), L: benchState, Index: index}
 	sh.Amps[0] = 1
-	ops := make([]schedule.Op, 1<<(precState-benchState))
+	ops := make([]schedule.Op, 1<<(updates-benchState))
 	for i := range ops {
 		ops[i] = op
 	}
@@ -666,10 +669,78 @@ func benchResident(b *testing.B, op schedule.Op) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(16 * 2 << precState)
+	var a T
+	b.SetBytes(int64(unsafe.Sizeof(a)) * 2 << updates)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sh.Exec(prog)
+	}
+}
+
+// diagState sizes BenchmarkDiagonal's streaming rows: 2^24 amplitudes, a
+// 256 MiB complex128 state beyond the last-level cache.
+const diagState = 24
+
+// BenchmarkDiagonal records the diagonal kernels (BENCH_diag.json via make
+// bench-diag) on the shapes of QFT(23)'s distributed plan (l = 20): five-wide
+// diagonals — a controlled phase fused with its neighbours, 17 of 32
+// entries exactly 1 — whose lowest position is 0, 1, 2 and 4, and the
+// two-wide global [19 22], three entries of 1, whose high position lies
+// above the shard. Each runs as a sweep of a 2^diagState state streamed from
+// DRAM (kernels.ApplyDiagonal, ApplyDiagonalF32; [19 22] is inside it) and
+// as an op inside a blocked run on a 2^20-amplitude shard of index 5, whose
+// bit 22 is set (benchResident), in both precisions, under the name of the
+// kernel set that ran: -tags noavx512 records the avx2 rows beside the
+// avx512 ones. bytes/op counts one read and one write of every amplitude
+// swept, as in BenchmarkKernelPrecision, whatever the unit entries spare.
+func BenchmarkDiagonal(b *testing.B) {
+	set := kernels.ISA()
+	for _, shape := range []struct {
+		name string
+		qs   []int
+	}{
+		{"lo0", []int{0, 3, 9, 10, 19}},
+		{"lo1", []int{1, 11, 12, 13, 19}},
+		{"lo2", []int{2, 14, 15, 16, 19}},
+		{"lo4", []int{4, 5, 17, 18, 19}},
+		{"global", []int{19, 22}},
+	} {
+		// Controlled phases of the lowest position on each of the others:
+		// an entry is 1 unless that position's bit and another's are set.
+		d := make([]complex128, 1<<len(shape.qs))
+		for x := range d {
+			phi := 0.0
+			for j := 1; j < len(shape.qs) && x&1 != 0; j++ {
+				phi += float64(x>>j&1) * math.Pi / float64(int(1)<<j)
+			}
+			d[x] = cmplx.Exp(complex(0, phi))
+		}
+		d32 := kernels.ToComplex64(d)
+		op := schedule.Op{Kind: schedule.OpDiagonal, Diag: d, Positions: shape.qs}
+		b.Run(fmt.Sprintf("%s/stream/%s/f64", set, shape.name), func(b *testing.B) {
+			amps := kernels.NewAmps[complex128](1 << diagState)
+			amps[0] = 1
+			b.SetBytes(int64(len(amps) * 16 * 2))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				kernels.ApplyDiagonal(amps, d, shape.qs)
+			}
+		})
+		b.Run(fmt.Sprintf("%s/stream/%s/f32", set, shape.name), func(b *testing.B) {
+			amps := kernels.NewAmps[complex64](1 << diagState)
+			amps[0] = 1
+			b.SetBytes(int64(len(amps) * 8 * 2))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				kernels.ApplyDiagonalF32(amps, d32, shape.qs)
+			}
+		})
+		b.Run(fmt.Sprintf("%s/resident/%s/f64", set, shape.name), func(b *testing.B) {
+			benchResident[complex128](b, op, 5, diagState)
+		})
+		b.Run(fmt.Sprintf("%s/resident/%s/f32", set, shape.name), func(b *testing.B) {
+			benchResident[complex64](b, op, 5, diagState)
+		})
 	}
 }
 

@@ -6,7 +6,7 @@
 // simd512_amd64.s (AVX-512, ZMM registers), with their declarations in
 // simd_amd64.go: the (mR,mR)/(−mI,mI) two-FMA update of Eq. (2)–(3),
 // explicitly vectorized for k = 1…5 in both precisions (simd.go), the
-// diagonal segment replay, and the norm and entropy reductions
+// diagonal window and run loops, and the norm and entropy reductions
 // (reduce.go). Per lane both widths run the same instructions, so their
 // results agree bit for bit. All three files are checked in; regenerate
 // with `go run ./cmd/kernelgen`. Nothing is generated or timed at run time:

@@ -432,46 +432,61 @@ func genSIMDKernel(a *asm, p simdPrec, k, class int) {
 	a.ins("RET")
 }
 
-// genSIMDDiag emits the segment replay of the diagonal sweep: for each
-// {off, n, dx} segment, amps[off : off+n] *= dx as one multiply and one
-// FMA per amplitude, re = ar·dr − ai·di, im = ai·dr + ar·di. A segment is
-// multiplied a chunk at a time while a chunk is left — ZMM chunks first in
-// the ZMM kernel, then YMM chunks in both — and the tail below one YMM chunk
-// runs the same two instructions on one amplitude, so an amplitude's product
-// does not depend on where its segment starts or ends. narrow is p's YMM
-// twin (p itself in the YMM file), whose one-amplitude forms the tail uses.
-// (A write-masked ZMM
-// tail was measured: on the one- and two-amplitude segments of a diagonal on
-// positions 0 and 1 its stores defeat store forwarding and the replay runs
-// 5× slower.)
-func genSIMDDiag(a *asm, p, narrow simdPrec) {
-	name := p.sym() + "Diag" + p.name
-	elem := 2 * p.fbytes
-	segSize := 16 + elem
+// diagWindow is the unit of the diagonal sweep's window form, 2^diagRunMin
+// amplitudes (package kernels, Diagonal).
+const diagWindow = 64
+
+// diagHead opens a diagonal kernel of either form, which multiply amplitude
+// i by the entry the bits of i at the gate's positions select — one multiply
+// and one FMA per part, re = ar·dr − ai·di, im = ai·dr + ar·di — and leave an
+// amplitude whose entry is exactly 1 untouched, bit for bit. Both walk units
+// that share a row of an entry table, row x = PEXT(i, sel) of the unit's
+// first index i, skipping a unit whose row mask masks[x] is 0 (all ones).
+// The head loads the arguments into DI, R8, R9, R10, R11, SI and R12 and
+// runs the loop over units as far as x in BX.
+func diagHead(a *asm, p simdPrec, name string) {
+	fmt.Fprintf(a, "\n// func %s(amps *%s, base, units, unit, sel int, tbl *%s, masks *uint64)\n", name, p.ctype, p.ctype)
+	fmt.Fprintf(a, "TEXT ·%s(SB), NOSPLIT, $0-56\n", name)
+	for i, arg := range []string{"amps DI", "base R8", "units R9", "unit R10", "sel R11", "tbl SI", "masks R12"} {
+		f := strings.Fields(arg)
+		a.ins("MOVQ %s+%d(FP), %s", f[0], 8*i, f[1])
+	}
+	a.ins("VMOVUPD ·simdNegRe%s(SB), Y15", p.name)
+	a.label("unit")
+	a.ins("TESTQ R9, R9")
+	a.ins("JLE done")
+	a.ins("PEXTQ R11, R8, BX")
+}
+
+// genSIMDDiagRun emits the run form, whose unit is a run of one entry
+// tbl[x] (and Scale's, one unit under an all-ones mask), multiplied a chunk
+// at a time while a chunk is left — ZMM chunks first in the ZMM kernel, then
+// YMM chunks in both — and below one YMM chunk one amplitude at a time with
+// the same two instructions, so a product does not depend on where its unit
+// starts or ends. narrow is p's YMM twin (p itself in the YMM file). (A
+// write-masked ZMM tail was measured: on one- and two-amplitude units its
+// stores defeat store forwarding and the loop runs 5× slower.)
+func genSIMDDiagRun(a *asm, p, narrow simdPrec) {
+	shift := bits.TrailingZeros(uint(2 * p.fbytes))
 	steps := []simdPrec{p}
 	if p.simdWidth != narrow.simdWidth {
 		steps = append(steps, narrow)
 	}
-	fmt.Fprintf(a, "\n// func %s(base *%s, segs *diagSegment[%s], n int)\n", name, p.ctype, p.ctype)
-	fmt.Fprintf(a, "TEXT ·%s(SB), NOSPLIT, $0-24\n", name)
-	a.ins("MOVQ base+0(FP), DI")
-	a.ins("MOVQ segs+8(FP), SI")
-	a.ins("MOVQ n+16(FP), R9")
-	a.ins("VMOVUPD ·simdNegRe%s(SB), Y15", p.name)
-	a.label("seg")
-	a.ins("TESTQ R9, R9")
-	a.ins("JLE done")
-	a.ins("MOVQ 0(SI), AX")
-	a.ins("MOVQ 8(SI), CX")
-	address := func() {
-		a.ins("SHLQ $%d, AX", bits.TrailingZeros(uint(elem)))
-		a.ins("ADDQ DI, AX")
-	}
+	diagHead(a, p, p.sym()+"DiagRun"+p.name)
+	a.ins("MOVQ DI, AX")
+	a.ins("MOVQ R10, CX")
+	a.ins("ADDQ R10, R8")
+	a.ins("MOVQ R10, DX")
+	a.ins("SHLQ $%d, DX", shift)
+	a.ins("ADDQ DX, DI")
+	a.ins("CMPQ (R12)(BX*8), $0")
+	a.ins("JEQ next")
+	a.ins("SHLQ $%d, BX", shift)
+	a.ins("ADDQ SI, BX")
 	for i, w := range steps {
 		r, vec, next := w.reg, "vec"+w.tag, "tail"
 		if i+1 < len(steps) {
-			address()
-			// A segment below one chunk of this width never touches its
+			// A unit below one chunk of this width never touches its
 			// registers: it starts at the next width's broadcasts.
 			next = "vec" + steps[i+1].tag
 			a.ins("CMPQ CX, $%d", w.lanes())
@@ -480,18 +495,15 @@ func genSIMDDiag(a *asm, p, narrow simdPrec) {
 		if i > 0 {
 			a.label("bcast" + w.tag)
 		}
-		a.ins("%s 16(SI), %s1", w.bcast, r)
-		a.ins("%s %d(SI), %s2", w.bcast, 16+w.fbytes, r)
+		a.ins("%s (BX), %s1", w.bcast, r)
+		a.ins("%s %d(BX), %s2", w.bcast, w.fbytes, r)
 		if w.simdWidth == zmm {
-			// The sign mask at this width, only where a segment needs it: a
-			// call with short segments alone executes no ZMM instruction.
+			// The sign mask at this width, only where a unit needs it: a
+			// call with short units alone executes no ZMM instruction.
 			a.ins("VBROADCASTF64X4 ·simdNegRe%s(SB), Z14", p.name)
 			a.ins("%s Z14, Z2, Z2", w.xor)
 		} else {
 			a.ins("%s %s15, %s2, %s2", w.xor, r, r, r) // (−di, di) per amplitude
-		}
-		if len(steps) == 1 {
-			address()
 		}
 		a.label(vec)
 		a.ins("CMPQ CX, $%d", w.lanes())
@@ -519,13 +531,112 @@ func genSIMDDiag(a *asm, p, narrow simdPrec) {
 	a.ins("%s X1, X3, X3", narrow.mul)
 	a.ins("%s X2, X4, X3", narrow.fma)
 	a.ins("%s X3, (AX)", narrow.movOne)
-	a.ins("ADDQ $%d, AX", elem)
+	a.ins("ADDQ $%d, AX", 2*p.fbytes)
 	a.ins("DECQ CX")
 	a.ins("JMP tail")
 	a.label("next")
-	a.ins("ADDQ $%d, SI", segSize)
 	a.ins("DECQ R9")
-	a.ins("JMP seg")
+	a.ins("JMP unit")
+	a.label("done")
+	a.ins("VZEROUPPER")
+	a.ins("RET")
+}
+
+// genSIMDDiagWin emits the window form: per chunk, the lanes' entries are
+// spread over their amplitudes' two elements in registers (VMOVDDUP and
+// VPERMILPD, VMOVSLDUP and VMOVSHDUP), the chunk is multiplied as in the run
+// form, and only the lanes whose mask bit is set are written back — by an
+// opmask store on ZMM (a bit per 64-bit element: per complex64 lane, per
+// lane doubled by PDEP for complex128), by a blend with the loaded chunk on
+// YMM (simdBlend*). Four chunks, or one, with no lane to write are skipped.
+func genSIMDDiagWin(a *asm, p simdPrec) {
+	elem, r, lanes := 2*p.fbytes, p.reg, p.lanes()
+	group := 4 * lanes // window lanes a turn of the loop takes
+	dupIm := "VMOVSHDUP"
+	if p.fbytes == 8 {
+		dupIm = fmt.Sprintf("VPERMILPD $%#x,", 1<<(p.bytes/8)-1)
+	}
+	dupRe := map[int]string{4: "VMOVSLDUP", 8: "VMOVDDUP"}[p.fbytes]
+	diagHead(a, p, p.sym()+"DiagWin"+p.name)
+	a.ins("MOVQ (R12)(BX*8), DX")
+	a.ins("TESTQ DX, DX")
+	a.ins("JEQ skip")
+	a.ins("SHLQ $%d, BX", bits.TrailingZeros(uint(diagWindow*elem)))
+	a.ins("ADDQ SI, BX")
+	a.ins("MOVQ $%d, CX", diagWindow/group)
+	sign := 15
+	if p.simdWidth == zmm {
+		sign = 14
+		a.ins("VBROADCASTF64X4 ·simdNegRe%s(SB), Z14", p.name)
+	} else {
+		a.ins("LEAQ ·simdBlend%s(SB), R13", p.name)
+	}
+	a.label("group")
+	a.ins("MOVQ DX, R10")
+	a.ins("SHRQ $%d, DX", group)
+	if group == 32 {
+		a.ins("MOVL R10, R10")
+		a.ins("TESTQ R10, R10")
+	} else {
+		a.ins("ANDQ $%d, R10", 1<<group-1)
+	}
+	a.ins("JEQ nextgroup")
+	// Ask for the group's lines in the next window (see the run form) where
+	// this one has a lane to write.
+	for l := 0; l < 4*p.bytes; l += 64 {
+		a.ins("PREFETCHT0 %d(DI)", diagWindow*elem+l)
+	}
+	if p.simdWidth == zmm {
+		if p.fbytes == 8 {
+			a.ins("MOVQ $0x5555555555555555, AX")
+			a.ins("PDEPQ AX, R10, R10")
+			a.ins("LEAQ (R10)(R10*2), R10")
+		}
+	}
+	for c := 0; c < 4; c++ {
+		off, skip := c*p.bytes, fmt.Sprintf("chunk%d", c)
+		if p.simdWidth == zmm {
+			a.ins("KMOVB R10, K1")
+			a.ins("SHRQ $8, R10")
+			a.ins("KTESTB K1, K1")
+			a.ins("JEQ %s", skip)
+		} else {
+			a.ins("MOVQ R10, AX")
+			a.ins("SHRQ $%d, R10", lanes)
+			a.ins("ANDQ $%d, AX", 1<<lanes-1)
+			a.ins("JEQ %s", skip)
+			a.ins("SHLQ $5, AX")
+			a.ins("VMOVDQU (R13)(AX*1), Y6")
+		}
+		a.ins("%s %d(DI), %s3", p.mov, off, r)
+		a.ins("%s %d(BX), %s1", dupRe, off, r)
+		a.ins("%s %d(BX), %s2", dupIm, off, r)
+		a.ins("%s %s%d, %s2, %s2", p.xor, r, sign, r, r)
+		a.ins("%s %s3, %s4", p.swap, r, r)
+		if p.simdWidth == zmm {
+			a.ins("%s %s1, %s3, %s3", p.mul, r, r, r)
+			a.ins("%s %s2, %s4, %s3", p.fma, r, r, r)
+			a.ins("VMOVUPD Z3, K1, %d(DI)", off)
+		} else {
+			a.ins("%s %s1, %s3, %s5", p.mul, r, r, r)
+			a.ins("%s %s2, %s4, %s5", p.fma, r, r, r)
+			a.ins("VBLENDVPD Y6, Y5, Y3, Y3")
+			a.ins("%s Y3, %d(DI)", p.mov, off)
+		}
+		a.label(skip)
+	}
+	a.label("nextgroup")
+	a.ins("ADDQ $%d, DI", 4*p.bytes)
+	a.ins("ADDQ $%d, BX", 4*p.bytes)
+	a.ins("DECQ CX")
+	a.ins("JNZ group")
+	a.ins("JMP step")
+	a.label("skip")
+	a.ins("ADDQ $%d, DI", diagWindow*elem)
+	a.label("step")
+	a.ins("ADDQ $%d, R8", diagWindow)
+	a.ins("DECQ R9")
+	a.ins("JMP unit")
 	a.label("done")
 	a.ins("VZEROUPPER")
 	a.ins("RET")
@@ -565,16 +676,19 @@ package kernels
 #include "textflag.h"
 
 // %s kernels (Sec. 3.1-3.2): dense gates k = 1..%d in both precisions
-// for every class of low target positions, the diagonal segment replay, and
-// the norm and entropy reductions. cmd/kernelgen/simd.go and reduce.go
+// for every class of low target positions, the diagonal window and run
+// loops, and the norm and entropy reductions. cmd/kernelgen/simd.go and reduce.go
 // document the layout.
 `, simdBuildTag, w.isa, simdKMax)
 		if w == ymm {
 			genConsts(&a)
 		}
 		for i, p := range set {
-			genSIMDDiag(&a, p, simdSets[0][i])
-			fmt.Fprintf(&g, "\n//go:noescape\nfunc %sDiag%s(base *%s, segs *diagSegment[%s], n int)\n", p.sym(), p.name, p.ctype, p.ctype)
+			genSIMDDiagRun(&a, p, simdSets[0][i])
+			genSIMDDiagWin(&a, p)
+			for _, form := range []string{"Run", "Win"} {
+				fmt.Fprintf(&g, "\n//go:noescape\nfunc %sDiag%s%s(amps *%s, base, units, unit, sel int, tbl *%s, masks *uint64)\n", p.sym(), form, p.name, p.ctype, p.ctype)
+			}
 			for _, entropy := range []bool{false, true} {
 				genSIMDReduce(&a, p, entropy)
 				fmt.Fprintf(&g, "\n//go:noescape\nfunc %s(amps *%s, n int) (norm, ent float64)\n", simdReduceName(p, entropy), p.ctype)
@@ -620,5 +734,16 @@ DATA ·simdNegReF32+16(SB)/8, $0x0000000080000000
 DATA ·simdNegReF32+24(SB)/8, $0x0000000080000000
 GLOBL ·simdNegReF32(SB), RODATA|NOPTR, $32
 `)
+	// The YMM window loop's blend masks: entry e of a chunk selects the 64-bit
+	// elements of lane j where bit j of e is set (two a complex128, one a
+	// complex64).
+	for _, p := range simdSets[0] {
+		for e := 0; e < 1<<p.lanes(); e++ {
+			for q := 0; q < 4; q++ {
+				fmt.Fprintf(a, "DATA ·simdBlend%s+%d(SB)/8, $%d\n", p.name, 32*e+8*q, -(e >> (q * p.lanes() / 4) & 1))
+			}
+		}
+		fmt.Fprintf(a, "GLOBL ·simdBlend%s(SB), RODATA|NOPTR, $%d\n", p.name, 32<<p.lanes())
+	}
 	genLnConsts(a)
 }

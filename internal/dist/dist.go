@@ -376,7 +376,11 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 		every = ck.Every()
 	}
 
-	err := w.Run(func(c *mpi.Comm) error {
+	stages, err := compileStages(plan, l, startStage)
+	if err != nil {
+		return err
+	}
+	err = w.Run(func(c *mpi.Comm) error {
 		// Engine timeline: pid = rank, tid 0 (the comm layer records on
 		// tid 1 of the same pid). Restart attempts merge onto one timeline.
 		sc := opts.Telemetry.Scope(c.Rank(), 0, fmt.Sprintf("rank %d", c.Rank()), "engine")
@@ -443,47 +447,30 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 			sh.Observe = observe
 		}
 
-		for i := 0; i < len(plan.Ops); {
-			if plan.Ops[i].Stage < startStage {
-				i++
-				continue // already captured by the restored snapshot
-			}
-			// The stage's ops up to its swap run through the shard applier;
-			// the swap — its fused permutation and the exchange — is timed
-			// as one op, as communication.
-			j := plan.StageEnd(i)
-			ops, last := plan.Ops[i:j], &plan.Ops[j-1]
-			if last.Kind == schedule.OpSwap {
-				ops = ops[:len(ops)-1]
-			}
-			prog, err := sh.Compile(ops)
-			if err != nil {
-				return fmt.Errorf("dist: %w", err)
-			}
-			sh.Exec(prog)
-			if last.Kind == schedule.OpSwap {
+		for _, st := range stages {
+			sh.Exec(st.prog)
+			if st.last.Kind == schedule.OpSwap {
 				t0 := time.Now()
-				swapGlobalLocal(c, last, local, l)
+				swapGlobalLocal(c, st.last, local, l)
 				d := time.Since(t0)
 				commTime += d
 				if sh.Observe != nil {
-					observe(plan.Ops[j-1:j], t0, []time.Duration{d})
+					observe(plan.Ops[st.end-1:st.end], t0, []time.Duration{d})
 				}
 			}
 			// Stage boundary: snapshot the state the remaining stages start
 			// from. The end of the final stage is skipped — there is nothing
 			// left to resume into.
-			if every > 0 && j < len(plan.Ops) && plan.Ops[j].Stage != last.Stage && (last.Stage+1)%every == 0 {
+			if every > 0 && st.end < len(plan.Ops) && plan.Ops[st.end].Stage != st.last.Stage && (st.last.Stage+1)%every == 0 {
 				ct0 := sc.Now()
-				if err := writeCheckpoint(c, out, meta, ck, local, last.Stage+1, opts.Telemetry); err != nil {
+				if err := writeCheckpoint(c, out, meta, ck, local, st.last.Stage+1, opts.Telemetry); err != nil {
 					return err
 				}
 				if sc != nil {
 					sc.Complete("ckpt", "checkpoint", ct0, time.Since(ct0),
-						telemetry.A("next_stage", last.Stage+1), telemetry.A("amps", localLen))
+						telemetry.A("next_stage", st.last.Stage+1), telemetry.A("amps", localLen))
 				}
 			}
-			i = j
 		}
 
 		// Final reductions (norm + entropy), as in the Edison entropy run.
@@ -591,6 +578,40 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 // oldest snapshot and retries once; if space is still short the whole
 // checkpoint is skipped (no commit, stage-local shards discarded, the
 // previous snapshot stays authoritative) and the run keeps computing.
+// stage is one stage of the plan as the ranks execute it: its ops up to
+// the swap through the shard applier, then the swap — its fused
+// permutation and the exchange — timed as one op, as communication.
+type stage struct {
+	prog *schedule.Program[complex128]
+	last *schedule.Op // the stage's last op, its swap if it has one
+	end  int          // index in the plan of the op after last
+}
+
+// compileStages compiles every stage from startStage on once for all
+// ranks: a Program holds nothing of a shard's amplitudes or index, so the
+// ranks share it, and its diagonal tables exist once, not once per rank.
+func compileStages(plan *schedule.Plan, l, startStage int) ([]stage, error) {
+	var stages []stage
+	for i := 0; i < len(plan.Ops); {
+		if plan.Ops[i].Stage < startStage {
+			i++
+			continue // already captured by the restored snapshot
+		}
+		j := plan.StageEnd(i)
+		ops, last := plan.Ops[i:j], &plan.Ops[j-1]
+		if last.Kind == schedule.OpSwap {
+			ops = ops[:len(ops)-1]
+		}
+		prog, err := (&schedule.Shard[complex128]{L: l}).Compile(ops)
+		if err != nil {
+			return nil, fmt.Errorf("dist: %w", err)
+		}
+		stages = append(stages, stage{prog, last, j})
+		i = j
+	}
+	return stages, nil
+}
+
 func writeCheckpoint(c *mpi.Comm, out *attemptOut, meta ckpt.Meta, pol *ckpt.Policy, local []complex128, nextStage int, tel *telemetry.Telemetry) error {
 	m := meta
 	m.NextStage = nextStage

@@ -14,8 +14,9 @@ import (
 
 // TestRanksExecuteBlockedRunsConcurrently puts eight ranks inside blocked
 // runs at once — shards of 2^17 amplitudes, two blocks each, every rank's
-// blocks on par's shared pool — under the profile and the tracer, which are
-// what share state with the run (run `go test -race`): the gathered state
+// blocks on par's shared pool, all ranks executing one shared Program per
+// stage — under the profile and the tracer, which are what share state
+// with the run (run `go test -race`): the gathered state
 // is bit for bit Plan.Run's, the profile still counts every op of the plan
 // under its own kind, and the trace holds one "run" span per blocked run
 // carrying its op count where it held one span per op.

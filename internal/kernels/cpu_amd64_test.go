@@ -23,14 +23,15 @@ func TestISAFor(t *testing.T) {
 		{"AVX-512 CPU, OS saves only the YMM state", fma | osxsave | avx, avx2 | bmi2 | f | dq | bw | vl, ymmState, "avx2"},
 		{"OS saves the opmask and ZMM0–15 but not ZMM16–31", fma | osxsave | avx, avx2 | bmi2 | f | dq | bw | vl, 0x67, "avx2"},
 		{"AVX512F without DQ, BW, VL", fma | osxsave | avx, avx2 | bmi2 | f, zmmState, "avx2"},
-		{"AVX-512 without BMI2", fma | osxsave | avx, avx2 | f | dq | bw | vl, zmmState, "avx2"},
+		{"AVX-512 without BMI2", fma | osxsave | avx, avx2 | f | dq | bw | vl, zmmState, "go"},
 		{"AVX512F, DQ, BW without VL", fma | osxsave | avx, avx2 | bmi2 | f | dq | bw, zmmState, "avx2"},
-		{"AVX2 CPU", fma | osxsave | avx, avx2, ymmState, "avx2"},
+		{"AVX2 CPU", fma | osxsave | avx, avx2 | bmi2, ymmState, "avx2"},
+		{"AVX2 without BMI2", fma | osxsave | avx, avx2, ymmState, "go"},
 		{"AVX-512 bits without AVX2", fma | osxsave | avx, bmi2 | f | dq | bw | vl, zmmState, "go"},
 		{"no OSXSAVE (XCR0 unreadable, passed as zero)", fma | avx, avx2 | bmi2 | f | dq | bw | vl, 0, "go"},
-		{"no OSXSAVE, whatever XCR0 reads", fma | avx, avx2, zmmState, "go"},
-		{"OS saves only the SSE state", fma | osxsave | avx, avx2, 0x3, "go"},
-		{"no FMA", osxsave | avx, avx2, ymmState, "go"},
+		{"no OSXSAVE, whatever XCR0 reads", fma | avx, avx2 | bmi2, zmmState, "go"},
+		{"OS saves only the SSE state", fma | osxsave | avx, avx2 | bmi2, 0x3, "go"},
+		{"no FMA", osxsave | avx, avx2 | bmi2, ymmState, "go"},
 		{"max leaf < 7 (leaf 7 passed as zero)", fma | osxsave | avx, 0, zmmState, "go"},
 	} {
 		if got := isaFor(c.leaf1, c.leaf7, c.xcr0); got != c.want {

@@ -10,8 +10,8 @@
 //
 //   - where the CPU has AVX-512 (F, DQ, BW, VL) and the OS saves the ZMM
 //     state, the assembly cmd/kernelgen writes to simd512_amd64.s; where it
-//     has AVX2 and FMA and the OS saves the YMM state (or the build carries
-//     the noavx512 tag), the same kernels at half the width in
+//     has AVX2, FMA and BMI2 and the OS saves the YMM state (or the build
+//     carries the noavx512 tag), the same kernels at half the width in
 //     simd_amd64.s: k = 1…5 in both precisions at every bit position, SIMD
 //     lanes across base indices, the (mR,mR)/(−mI,mI) update of Eq. (2)–(3)
 //     as two FMAs per matrix entry, the same sequence per lane at both

@@ -205,21 +205,21 @@ func TestApplyDiagonalMatchesMatrix(t *testing.T) {
 	}
 }
 
-// TestApplyDiagonalWindows drives the short-run sweeps — qs[0] below
-// diagRunMin, with the top position on either side of diagPeriodMax — in
+// TestApplyDiagonalWindows drives the window form — qs[0] below
+// diagRunMin, with and without positions that pick a window's row — in
 // both precisions against the per-index definition. Entries include 1
 // (skipped) and −1 (negated without a multiply). The SIMD sweep rounds each
 // product once less (diagProduct), and is held to that bit for bit in both
 // precisions, so a product cannot depend on which sweep reached it.
 func TestApplyDiagonalWindows(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
-	n := diagPeriodMax + 2
+	n := 12
 	state := randomState(n, rng)
 	for _, qs := range [][]int{
-		{0, 3, diagPeriodMax - 1}, // one period
-		{0, n - 1}, {2, 5, diagPeriodMax}, {0, 1, 2, diagPeriodMax, n - 1},
-		{diagRunMin - 1, diagRunMin, n - 2}, {1, 7, 9, 11, n - 1},
-		{diagRunMin, n - 1}, // the run path: whole runs of 2^qs[0] amplitudes
+		{0, 3, 5}, // inside a window
+		{0, n - 1}, {2, 5, 9}, {0, 1, 2, 9, n - 1},
+		{diagRunMin - 1, diagRunMin, n - 2}, {1, 7, 9, n - 1},
+		{diagRunMin, n - 1}, // the run form: whole runs of 2^qs[0] amplitudes
 	} {
 		d := gate.RandomDiagonal(len(qs), rng).Diagonal()
 		d[0], d[len(d)-1] = 1, -1
@@ -260,12 +260,16 @@ func TestApplyDiagonalWindows(t *testing.T) {
 }
 
 // diagProduct is a·d as the active diagonal sweep rounds it: the plain
-// complex product in pure Go, one multiply and one FMA per part under SIMD.
+// complex product in pure Go (a negation for −1), one multiply and one FMA
+// per part under SIMD.
 func diagProduct(a, d complex128) complex128 {
-	if !hasSIMD {
-		return a * d
+	switch {
+	case hasSIMD:
+		return complex(math.FMA(-imag(d), imag(a), real(a)*real(d)), math.FMA(imag(d), real(a), imag(a)*real(d)))
+	case d == -1:
+		return -a
 	}
-	return complex(math.FMA(-imag(d), imag(a), real(a)*real(d)), math.FMA(imag(d), real(a), imag(a)*real(d)))
+	return a * d
 }
 
 func TestApplyCZMatchesMatrix(t *testing.T) {

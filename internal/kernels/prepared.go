@@ -2,14 +2,15 @@ package kernels
 
 import (
 	"fmt"
+	"math/bits"
 
 	"qusim/internal/par"
 )
 
 // Prepared ops. What a gate costs before its first amplitude moves — picking
 // the kernel, the chunk-space layout and the matrix in the kernel's
-// operand order for a dense gate; the compiled window segments or the run
-// table for a diagonal — depends on the gate and its positions only, not on
+// operand order for a dense gate; the entry table, window by window or run
+// by run, for a diagonal — depends on the gate and its positions only, not on
 // the state. Dense and Diagonal hold that work so it is done once and the
 // op then applied any number of times: Sweep covers a whole state through
 // package par, Block covers a contiguous, aligned piece of one on the
@@ -83,29 +84,9 @@ func (d *Dense[T]) Sweep(amps []T) {
 // goroutine.
 func (d *Dense[T]) Block(amps []T) { d.run(amps, 0, len(amps)>>d.shift) }
 
-// diagRunMin and diagPeriodMax pick between the diagonal sweeps: runs of at
-// least 2^diagRunMin amplitudes amortize the per-run entry lookup; below
-// that the windowed replay takes over, over the pattern's whole period as
-// long as that is at most 2^diagPeriodMax amplitudes and over
-// 2^diagRunMin-amplitude windows beyond. A window's table can be as large as
-// the window (32 bytes a segment, a segment as short as one amplitude), and
-// a prepared diagonal lives as long as its stage's program — the tables of a
-// whole run share the L2 with the block they multiply — so the period form
-// stops at 8 KiB: at 2^13 the programs of the eight ranks of a QFT(23) held
-// 13 MiB of tables and a 26-diagonal run went no faster blocked than op by
-// op; at 2^9, 2.6 MiB and 1.6× faster.
-const (
-	diagRunMin    = 6
-	diagPeriodMax = 9
-)
-
-// diagSegment is one maximal run of identical non-unit diagonal entries
-// within a period of the index pattern. simdDiagF64 and simdDiagF32 read
-// the fields by offset: the layout is part of cmd/kernelgen's contract.
-type diagSegment[T complexAmp] struct {
-	off, n int
-	dx     T
-}
+// diagRunMin splits a diagonal's positions: those below it vary inside a
+// window of 2^diagRunMin amplitudes, the rest are constant across one.
+const diagRunMin = 6
 
 // Diagonal is a diagonal gate prepared for states of element type T: each
 // amplitude is multiplied by the entry the bits of its index at the gate's
@@ -115,22 +96,26 @@ type diagSegment[T complexAmp] struct {
 // (a block of a shard, a shard of a distributed or paged state) simply pick
 // the sub-diagonal and no data moves for them.
 //
-// The piece is cut into units that share one lookup. With the lowest
+// The piece is cut into units that share a row of one table, picked by the
+// bits of the unit's first index at the positions in sel (PEXT). With every
 // position at or above diagRunMin a unit is (part of) a run of constant
-// entry, multiplied by it or — the entry being exactly 1, as on most of the
-// state for the phase-type diagonals of the supremacy gate set and the QFT —
-// skipped outright. Below that, per-run dispatch would dominate: a unit is a
-// window of the index pattern whose non-unit segments were compiled once
-// and are replayed, with no per-index bit extraction and no visit to an
-// index whose entry is 1.
+// entry and a row is that entry; otherwise a unit is a window of
+// 2^diagRunMin amplitudes and a row holds an entry per lane, the low
+// positions' pattern. Beside each row sits a mask of its entries that are
+// not exactly 1, and only those are multiplied: a row of ones, as on most
+// of the state for the phase-type diagonals of the supremacy gate set and
+// the QFT, is skipped outright, and an amplitude whose entry is 1 keeps its
+// bits. One assembly call walks a whole block, or a bounded piece of a
+// sweep, with no Go per unit.
 type Diagonal[T complexAmp] struct {
 	unit, grain int
-	sel         []int // positions constant across a unit: their bits pick its entry or segments
-	d           []T   // run form: the entry per value of the sel bits
-	segs        [][]diagSegment[T]
-	unity       bool // every entry is 1
+	sel         int      // the positions that pick a unit's row, as a bit mask
+	tbl         []T      // the rows: an entry per unit, or per lane of a window
+	masks       []uint64 // per row, its lanes whose entry is not 1
+	unity       bool     // every entry is 1
 	scale       func(amps []T, dx T)
-	replay      func(amps []T, segs []diagSegment[T])
+	// The assembly loop of this machine's width for the form, nil in pure Go.
+	kern func(amps *T, base, units, unit, sel int, tbl *T, masks *uint64)
 }
 
 // PrepareDiagonal prepares the 2^k entries d on the sorted positions qs for
@@ -145,34 +130,50 @@ func PrepareDiagonal[T complexAmp](d []T, qs []int, n int) *Diagonal[T] {
 	for _, dx := range d {
 		p.unity = p.unity && dx == 1
 	}
+	var win, run any
 	switch any(d).(type) {
 	case []complex128:
-		p.scale, p.replay = any(scaleF64).(func([]T, T)), any(replayF64).(func([]T, []diagSegment[T]))
+		p.scale, win, run = any(scaleF64).(func([]T, T)), simdDiagWinF64, simdDiagRunF64
+		if hasAVX512 {
+			win, run = simd512DiagWinF64, simd512DiagRunF64
+		}
 	case []complex64:
-		p.scale, p.replay = any(scaleF32).(func([]T, T)), any(replayF32).(func([]T, []diagSegment[T]))
-	}
-	in := 0 // positions that vary inside a piece
-	for in < len(qs) && 1<<qs[in] < n {
-		in++
-	}
-	if in == 0 || qs[0] >= diagRunMin {
-		// One assembly call multiplies at most simdDiagBlock amplitudes
-		// (assembly is not preemptible), which also bounds the unit.
-		p.unit = min(n, simdDiagBlock)
-		if in > 0 {
-			p.unit = min(p.unit, 1<<qs[0])
-		}
-		p.grain, p.sel, p.d = max(1, 4096/p.unit), qs, d
-		return p
-	}
-	lo, window := diagWindow(qs[:in], n)
-	p.unit, p.grain, p.sel = window, max(1, 8192/window), qs[lo:]
-	if !p.unity {
-		p.segs = make([][]diagSegment[T], 1<<len(p.sel))
-		for x := range p.segs {
-			p.segs[x] = diagSegments(d[x<<lo:(x+1)<<lo], qs[:lo], window)
+		p.scale, win, run = any(scaleF32).(func([]T, T)), simdDiagWinF32, simdDiagRunF32
+		if hasAVX512 {
+			win, run = simd512DiagWinF32, simd512DiagRunF32
 		}
 	}
+	low, lowMask := 0, 0 // positions below diagRunMin, in pieces that hold a window
+	for ; n >= 1<<diagRunMin && low < len(qs) && qs[low] < diagRunMin; low++ {
+		lowMask |= 1 << qs[low]
+	}
+	for _, q := range qs[low:] {
+		p.sel |= 1 << q
+	}
+	// One assembly call multiplies at most simdDiagBlock amplitudes of a
+	// sweep (assembly is not preemptible), which also bounds a run's unit.
+	p.unit = min(n, simdDiagBlock)
+	if len(qs) > 0 {
+		p.unit = min(p.unit, 1<<qs[0])
+	}
+	width := 1 // entries a row holds
+	if low > 0 {
+		p.unit, width, run = 1<<diagRunMin, 1<<diagRunMin, win
+	}
+	if hasSIMD {
+		p.kern = run.(func(*T, int, int, int, int, *T, *uint64))
+	}
+	p.tbl, p.masks = make([]T, len(d)>>low*width), make([]uint64, len(d)>>low)
+	for x := range p.masks {
+		for j := 0; j < width; j++ {
+			dx := d[x<<low|pext(j, lowMask)]
+			p.tbl[x*width+j] = dx
+			if dx != 1 {
+				p.masks[x] |= 1 << j
+			}
+		}
+	}
+	p.grain = max(1, 8192/p.unit)
 	return p
 }
 
@@ -182,86 +183,53 @@ func (p *Diagonal[T]) Sweep(amps []T, base int) {
 	if p.unity {
 		return
 	}
-	par.For(len(amps)/p.unit, p.grain, func(lo, hi int) { p.run(amps, base, lo, hi) })
+	perCall := max(1, simdDiagBlock/p.unit)
+	par.For(len(amps)/p.unit, p.grain, func(lo, hi int) {
+		for ; lo < hi; lo += perCall {
+			p.units(amps, base, lo, min(lo+perCall, hi))
+		}
+	})
 }
 
-// Block is Sweep on the calling goroutine.
+// Block is Sweep on the calling goroutine, in one assembly call.
 func (p *Diagonal[T]) Block(amps []T, base int) {
 	if !p.unity {
-		p.run(amps, base, 0, len(amps)/p.unit)
+		p.units(amps, base, 0, len(amps)/p.unit)
 	}
 }
 
-// run multiplies units lo…hi−1 of amps.
+// units multiplies units lo…hi−1 of amps.
+func (p *Diagonal[T]) units(amps []T, base, lo, hi int) {
+	off := lo * p.unit
+	if p.kern == nil {
+		p.walk(amps[off:hi*p.unit], base+off)
+		return
+	}
+	p.kern(&amps[off], base+off, hi-lo, p.unit, p.sel, &p.tbl[0], &p.masks[0])
+}
+
+// walk is the assembly's loop in pure Go, over the same tables, with the
+// pure-Go product of scale.
 //
 //qusim:hot
-func (p *Diagonal[T]) run(amps []T, base, lo, hi int) {
-	for u := lo; u < hi; u++ {
-		off := u * p.unit
-		x := 0
-		for j, q := range p.sel {
-			x |= ((base + off) >> q & 1) << j
-		}
-		if p.segs != nil {
-			if s := p.segs[x]; len(s) > 0 {
-				p.replay(amps[off:off+p.unit], s)
-			}
-		} else if dx := p.d[x]; dx != 1 {
-			p.scale(amps[off:off+p.unit:off+p.unit], dx)
+func (p *Diagonal[T]) walk(amps []T, base int) {
+	width := len(p.tbl) / len(p.masks)
+	lane := p.unit / width // amplitudes an entry covers
+	for off := 0; off < len(amps); off += p.unit {
+		x := pext(base+off, p.sel)
+		for m := p.masks[x]; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			p.scale(amps[off+j*lane:off+(j+1)*lane], p.tbl[x*width+j])
 		}
 	}
 }
 
-// diagSegments compiles the entries of d hit across one period of the
-// index pattern into maximal contiguous non-unit segments.
-func diagSegments[T complexAmp](d []T, qs []int, period int) []diagSegment[T] {
-	k := len(qs)
-	entry := func(i int) T {
-		x := 0
-		for j := 0; j < k; j++ {
-			x |= (i >> qs[j] & 1) << j
-		}
-		return d[x]
-	}
-	var segs []diagSegment[T]
-	for i := 0; i < period; {
-		dx := entry(i)
-		if dx == 1 {
-			i++
-			continue
-		}
-		start := i
-		for i < period && entry(i) == dx {
-			i++
-		}
-		segs = append(segs, diagSegment[T]{off: start, n: i - start, dx: dx})
-	}
-	return segs
-}
-
-// diagWindow splits the sorted positions qs (qs[0] < diagRunMin) for the
-// windowed diagonal sweep over n amplitudes: the first nlo positions vary
-// inside a window of that many amplitudes, the rest are constant across it.
-// While the whole pattern's period stays comfortably inside L1 the window
-// is one period — or several, up to 2^diagRunMin amplitudes, so that a
-// pattern on position 0 alone is not replayed two amplitudes at a time;
-// beyond that only the short-run positions stay inside the window.
-func diagWindow(qs []int, n int) (nlo, window int) {
-	if top := qs[len(qs)-1]; top < diagPeriodMax {
-		return len(qs), min(max(1<<(top+1), 1<<diagRunMin), n)
-	}
-	for nlo < len(qs) && qs[nlo] < diagRunMin {
-		nlo++
-	}
-	return nlo, 1 << diagRunMin
-}
-
-// The scalar multiply under every diagonal sweep and Scale, one per
+// The scalar multiply of Scale and of the pure-Go diagonal walk, one per
 // precision: the assembly's one multiply and one FMA per part where there
-// is assembly; in pure Go the plain product, and for an entry of −1 (CZ and
+// is assembly — the same two instructions the window and run loops issue
+// per lane; in pure Go the plain product, and for an entry of −1 (CZ and
 // Z-type diagonals) a negation with no multiply. Every route to a product —
-// run, window, Scale, a block of a run or a whole sweep — ends here, so it
-// cannot round differently between them.
+// run, window, Scale, a block of a run or a whole sweep — rounds the same.
 
 //qusim:hot
 func scaleF64(amps []complex128, dx complex128) {
@@ -301,26 +269,13 @@ func scaleF32(amps []complex64, dx complex64) {
 	}
 }
 
-// replayF64 multiplies the compiled segments of one window.
-func replayF64(amps []complex128, segs []diagSegment[complex128]) {
-	if hasSIMD {
-		simdReplayF64(&amps[0], &segs[0], len(segs))
-		return
+// pext gathers the bits of x under mask into the low bits, in order: what
+// BMI2's PEXT computes for the assembly.
+func pext(x, mask int) (r int) {
+	for j := 0; mask != 0; j, mask = j+1, mask&(mask-1) {
+		r |= (x >> bits.TrailingZeros(uint(mask)) & 1) << j
 	}
-	for _, s := range segs {
-		scaleF64(amps[s.off:s.off+s.n], s.dx)
-	}
-}
-
-// replayF32 is replayF64 in single precision.
-func replayF32(amps []complex64, segs []diagSegment[complex64]) {
-	if hasSIMD {
-		simdReplayF32(&amps[0], &segs[0], len(segs))
-		return
-	}
-	for _, s := range segs {
-		scaleF32(amps[s.off:s.off+s.n], s.dx)
-	}
+	return r
 }
 
 // ApplyDiagonal multiplies each amplitude by the diagonal entry selected by

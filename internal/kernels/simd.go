@@ -21,13 +21,14 @@ import (
 // each other).
 
 // ISA names the kernel set this machine runs: "avx512" when the CPU has
-// AVX-512 F, DQ, BW and VL beside AVX2 and FMA and the OS saves the opmask
-// and ZMM state, "avx2" when it has AVX2 and FMA and the OS saves the YMM
-// state (or the build carries the noavx512 tag), "go" otherwise — another
-// architecture, an older CPU, or the purego build tag. Nothing else picks a
-// kernel: there is no flag, variable or option, and the three sets agree
-// bit for bit in double precision wherever they overlap (the "go" set
-// rounds its products separately and differs in the last place).
+// AVX-512 F, DQ, BW and VL beside AVX2, FMA and BMI2 and the OS saves the
+// opmask and ZMM state, "avx2" when it has AVX2, FMA and BMI2 and the OS
+// saves the YMM state (or the build carries the noavx512 tag), "go"
+// otherwise — another architecture, an older CPU, or the purego build tag.
+// Nothing else picks a kernel: there is no flag, variable or option, and
+// the three sets agree bit for bit in double precision wherever they
+// overlap (the "go" set rounds its products separately and differs in the
+// last place).
 func ISA() string {
 	switch {
 	case hasAVX512:
@@ -47,8 +48,8 @@ const simdMaxK = 5
 const simdBlock = 1 << 12
 
 // simdDiagBlock bounds, for the same reason, the amplitudes one call of the
-// diagonal kernels multiplies: the replayed windows are shorter by
-// construction, whole runs and Scale's chunks go through simdScaleF64/F32.
+// diagonal kernels (a sweep's, Scale's) or of the reductions covers; a
+// blocked run's call covers its block.
 const simdDiagBlock = 1 << 14
 
 type (
@@ -218,41 +219,29 @@ func zmmF32(m []complex64, qs []int) Dense[complex64] {
 	return prepareSIMD(m, qs, 3, true, simd512F32[len(qs)-1][:], expandMatrixF32)
 }
 
-// simdScaleF64 multiplies the contiguous amplitudes amps by dx with the
-// diagonal kernel of this machine's width, simdDiagBlock of them a call.
+// simdScaleF64 multiplies the contiguous amplitudes amps by dx, 1 too, with
+// the run-form kernel of this machine's width, simdDiagBlock of them a call.
 func simdScaleF64(amps []complex128, dx complex128) {
-	var seg diagSegment[complex128] // stays on the stack: the kernel is noescape
-	seg.dx = dx
-	for ; len(amps) > 0; amps = amps[seg.n:] {
-		seg.n = min(len(amps), simdDiagBlock)
-		simdReplayF64(&amps[0], &seg, 1)
+	all := ^uint64(0) // dx and all stay on the stack: the kernels are noescape
+	for n := 0; len(amps) > 0; amps = amps[n:] {
+		n = min(len(amps), simdDiagBlock)
+		if hasAVX512 {
+			simd512DiagRunF64(&amps[0], 0, 1, n, 0, &dx, &all)
+		} else {
+			simdDiagRunF64(&amps[0], 0, 1, n, 0, &dx, &all)
+		}
 	}
 }
 
 // simdScaleF32 is simdScaleF64 in single precision.
 func simdScaleF32(amps []complex64, dx complex64) {
-	var seg diagSegment[complex64] // stays on the stack: the kernel is noescape
-	seg.dx = dx
-	for ; len(amps) > 0; amps = amps[seg.n:] {
-		seg.n = min(len(amps), simdDiagBlock)
-		simdReplayF32(&amps[0], &seg, 1)
-	}
-}
-
-// simdReplayF64 is the diagonal segment replay at this machine's width.
-func simdReplayF64(base *complex128, segs *diagSegment[complex128], n int) {
-	if hasAVX512 {
-		simd512DiagF64(base, segs, n)
-	} else {
-		simdDiagF64(base, segs, n)
-	}
-}
-
-// simdReplayF32 is simdReplayF64 in single precision.
-func simdReplayF32(base *complex64, segs *diagSegment[complex64], n int) {
-	if hasAVX512 {
-		simd512DiagF32(base, segs, n)
-	} else {
-		simdDiagF32(base, segs, n)
+	all := ^uint64(0)
+	for n := 0; len(amps) > 0; amps = amps[n:] {
+		n = min(len(amps), simdDiagBlock)
+		if hasAVX512 {
+			simd512DiagRunF32(&amps[0], 0, 1, n, 0, &dx, &all)
+		} else {
+			simdDiagRunF32(&amps[0], 0, 1, n, 0, &dx, &all)
+		}
 	}
 }

@@ -10,7 +10,10 @@ package kernels
 // chunk width for the YMM kernels and the number of them for the ZMM ones.
 
 //go:noescape
-func simdDiagF64(base *complex128, segs *diagSegment[complex128], n int)
+func simdDiagRunF64(amps *complex128, base, units, unit, sel int, tbl *complex128, masks *uint64)
+
+//go:noescape
+func simdDiagWinF64(amps *complex128, base, units, unit, sel int, tbl *complex128, masks *uint64)
 
 //go:noescape
 func simdNormF64(amps *complex128, n int) (norm, ent float64)
@@ -57,7 +60,10 @@ var simdF64 = [5][2]simdFuncF64{
 }
 
 //go:noescape
-func simdDiagF32(base *complex64, segs *diagSegment[complex64], n int)
+func simdDiagRunF32(amps *complex64, base, units, unit, sel int, tbl *complex64, masks *uint64)
+
+//go:noescape
+func simdDiagWinF32(amps *complex64, base, units, unit, sel int, tbl *complex64, masks *uint64)
 
 //go:noescape
 func simdNormF32(amps *complex64, n int) (norm, ent float64)
@@ -131,7 +137,10 @@ var simdF32 = [5][4]simdFuncF32{
 }
 
 //go:noescape
-func simd512DiagF64(base *complex128, segs *diagSegment[complex128], n int)
+func simd512DiagRunF64(amps *complex128, base, units, unit, sel int, tbl *complex128, masks *uint64)
+
+//go:noescape
+func simd512DiagWinF64(amps *complex128, base, units, unit, sel int, tbl *complex128, masks *uint64)
 
 //go:noescape
 func simd512NormF64(amps *complex128, n int) (norm, ent float64)
@@ -190,7 +199,10 @@ var simd512F64 = [5][3]simdFuncF64{
 }
 
 //go:noescape
-func simd512DiagF32(base *complex64, segs *diagSegment[complex64], n int)
+func simd512DiagRunF32(amps *complex64, base, units, unit, sel int, tbl *complex64, masks *uint64)
+
+//go:noescape
+func simd512DiagWinF32(amps *complex64, base, units, unit, sel int, tbl *complex64, masks *uint64)
 
 //go:noescape
 func simd512NormF32(amps *complex64, n int) (norm, ent float64)

@@ -16,10 +16,16 @@ var (
 	simd512F32 [5][4]simdFuncF32
 )
 
-func simdDiagF64(base *complex128, segs *diagSegment[complex128], n int)    {}
-func simdDiagF32(base *complex64, segs *diagSegment[complex64], n int)      {}
-func simd512DiagF64(base *complex128, segs *diagSegment[complex128], n int) {}
-func simd512DiagF32(base *complex64, segs *diagSegment[complex64], n int)   {}
+func simdDiagRunF64(amps *complex128, base, units, unit, sel int, tbl *complex128, masks *uint64) {}
+func simdDiagWinF64(amps *complex128, base, units, unit, sel int, tbl *complex128, masks *uint64) {}
+func simdDiagRunF32(amps *complex64, base, units, unit, sel int, tbl *complex64, masks *uint64)   {}
+func simdDiagWinF32(amps *complex64, base, units, unit, sel int, tbl *complex64, masks *uint64)   {}
+func simd512DiagRunF64(amps *complex128, base, units, unit, sel int, tbl *complex128, masks *uint64) {
+}
+func simd512DiagWinF64(amps *complex128, base, units, unit, sel int, tbl *complex128, masks *uint64) {
+}
+func simd512DiagRunF32(amps *complex64, base, units, unit, sel int, tbl *complex64, masks *uint64) {}
+func simd512DiagWinF32(amps *complex64, base, units, unit, sel int, tbl *complex64, masks *uint64) {}
 
 func simdNormF64(amps *complex128, n int) (norm, ent float64)           { return }
 func simdNormEntropyF64(amps *complex128, n int) (norm, ent float64)    { return }

@@ -27,6 +27,9 @@ import (
 func fma32(x, y, z float32) float32 {
 	p, c := float64(x)*float64(y), float64(z)
 	s := p + c
+	if math.IsInf(s, 0) || math.IsNaN(s) {
+		return float32(s) // an operand was not finite: no rounding to correct
+	}
 	bb := s - p
 	err := (p - (s - bb)) + (c - bb) // TwoSum: s + err == p + c exactly
 	if err != 0 && math.Float64bits(s)&1 == 0 {
@@ -168,8 +171,9 @@ type simdTable struct {
 	lane32 int // … or 2^(k+lane32) complex64
 	f64    func(m []complex128, qs []int) Dense[complex128]
 	f32    func(m []complex64, qs []int) Dense[complex64]
-	diag64 func(base *complex128, segs *diagSegment[complex128], n int)
-	diag32 func(base *complex64, segs *diagSegment[complex64], n int)
+	// The diagonal kernels, run form and window form.
+	run64, win64 func(amps *complex128, base, units, unit, sel int, tbl *complex128, masks *uint64)
+	run32, win32 func(amps *complex64, base, units, unit, sel int, tbl *complex64, masks *uint64)
 }
 
 // simdTables lists the widths this CPU can execute, whatever ISA says: both
@@ -178,10 +182,10 @@ type simdTable struct {
 func simdTables() []simdTable {
 	var tables []simdTable
 	if hasSIMD {
-		tables = append(tables, simdTable{"ymm", 1, 2, ymmF64, ymmF32, simdDiagF64, simdDiagF32})
+		tables = append(tables, simdTable{"ymm", 1, 2, ymmF64, ymmF32, simdDiagRunF64, simdDiagWinF64, simdDiagRunF32, simdDiagWinF32})
 	}
 	if cpuISA == "avx512" {
-		tables = append(tables, simdTable{"zmm", 2, 3, zmmF64, zmmF32, simd512DiagF64, simd512DiagF32})
+		tables = append(tables, simdTable{"zmm", 2, 3, zmmF64, zmmF32, simd512DiagRunF64, simd512DiagWinF64, simd512DiagRunF32, simd512DiagWinF32})
 	}
 	return tables
 }
@@ -320,12 +324,10 @@ func TestSIMDIndependentOfWorkersAndShards(t *testing.T) {
 }
 
 // TestDiagonalProductIndependentOfSweep multiplies every amplitude by the
-// same entry through each route a diagonal op can take — Scale (dist and
-// oocvec, for a diagonal on global positions only), the run path, the
-// windowed replay with its one-amplitude tails — and on a shard of odd
-// offset: one product per amplitude, whichever sweep reaches it. The state
-// is long enough that runs and Scale's chunks span several simdDiagBlock
-// calls.
+// same entry through each route a diagonal op can take — Scale, the run
+// form, the window form — and on a slice of odd length and offset: one
+// product per amplitude, whichever sweep reaches it. The state is long
+// enough that runs and Scale's chunks span several simdDiagBlock calls.
 func TestDiagonalProductIndependentOfSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	const n = 16
@@ -359,16 +361,18 @@ func TestDiagonalProductIndependentOfSweep(t *testing.T) {
 	}
 }
 
-// TestDiagonalReplayMatchesOracle replays segments of every length around
-// the lane counts of both widths (2, 4 and 8 amplitudes) and around
-// simdDiagBlock, at odd offsets, through each width's replay kernel and
-// through Scale: one multiply and one FMA per part, whichever width and
-// whichever of vector body and tail reaches the amplitude.
-func TestDiagonalReplayMatchesOracle(t *testing.T) {
+// TestDiagonalRunMatchesOracle multiplies slices of every length around the
+// lane counts of both widths (2, 4 and 8 amplitudes) and around
+// simdDiagBlock, at odd offsets, through Scale and through each width's
+// run-form kernel directly, as one unit and as two: one multiply and one FMA
+// per part, whichever width and whichever of vector body and tail reaches
+// the amplitude.
+func TestDiagonalRunMatchesOracle(t *testing.T) {
 	requireSIMD(t)
 	rng := rand.New(rand.NewSource(86))
 	dx := complex(0.6, -0.8)
 	dx32 := complex64(dx)
+	all := ^uint64(0)
 	lengths := []int{simdDiagBlock - 1, simdDiagBlock, simdDiagBlock + 1}
 	for n := 1; n <= 17; n++ {
 		lengths = append(lengths, n)
@@ -390,17 +394,24 @@ func TestDiagonalReplayMatchesOracle(t *testing.T) {
 				t.Errorf("n=%d off=%d: Scale differs from the oracle", n, off)
 			}
 			if n > simdDiagBlock {
-				continue // one kernel call multiplies at most simdDiagBlock amplitudes
+				continue // one kernel call of a sweep multiplies at most simdDiagBlock amplitudes
 			}
-			// Two segments of one call: [off, off+n/2) and the rest.
-			segs := []diagSegment[complex128]{{off: off, n: n / 2, dx: dx}, {off: off + n/2, n: n - n/2, dx: dx}}
-			segs32 := []diagSegment[complex64]{{off: off, n: n / 2, dx: dx32}, {off: off + n/2, n: n - n/2, dx: dx32}}
 			for _, tbl := range simdTables() {
-				got, got32 := slices.Clone(state), ToComplex64(state)
-				tbl.diag64(&got[0], &segs[0], len(segs))
-				tbl.diag32(&got32[0], &segs32[0], len(segs32))
-				if !bitsEqual(got, want) || !bitsEqualF32(got32, want32) {
-					t.Errorf("%s n=%d off=%d: the segment replay differs from the oracle", tbl.name, n, off)
+				// One unit of n, then two of n/2 and a unit for the odd one out.
+				for _, units := range []int{1, 2} {
+					got, got32 := slices.Clone(state), ToComplex64(state)
+					u := n / units
+					if u > 0 {
+						tbl.run64(&got[off], 0, units, u, 0, &dx, &all)
+						tbl.run32(&got32[off], 0, units, u, 0, &dx32, &all)
+					}
+					if rest := n - units*u; rest > 0 {
+						tbl.run64(&got[off+units*u], 0, 1, rest, 0, &dx, &all)
+						tbl.run32(&got32[off+units*u], 0, 1, rest, 0, &dx32, &all)
+					}
+					if !bitsEqual(got, want) || !bitsEqualF32(got32, want32) {
+						t.Errorf("%s n=%d off=%d, %d units: the run kernel differs from the oracle", tbl.name, n, off, units)
+					}
 				}
 			}
 		}

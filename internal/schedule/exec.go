@@ -70,7 +70,7 @@ type Shard[T amp] struct {
 // diagonals, compiled into the form their kernel reads (kernels.Dense,
 // kernels.Diagonal), runs found. It holds nothing of
 // a shard's amplitudes or index, so one Program serves every chunk of a
-// paged state.
+// paged state and every rank of a distributed one, concurrently.
 type Program[T amp] struct {
 	ops   []Op
 	steps []step[T]
