@@ -13,12 +13,6 @@
 // With -strict the command exits nonzero when a Benchmark line fails to
 // parse or when no benchmarks were parsed at all, so CI catches silently
 // broken benchmark output instead of archiving an empty document.
-//
-// A second mode, `benchjson -compare old.json new.json -threshold <pct>`,
-// diffs two recorded documents: it prints a markdown table of per-benchmark
-// ns/op ratios and exits 1 when any benchmark regressed beyond the
-// threshold — the perf gate CI's workload-smoke job runs against the
-// committed BENCH_workloads.json baseline (see compare.go).
 package main
 
 import (
@@ -74,9 +68,6 @@ var pairs = map[string]string{
 }
 
 func main() {
-	if len(os.Args) > 1 && (os.Args[1] == "-compare" || os.Args[1] == "--compare") {
-		os.Exit(runCompare(os.Args[2:]))
-	}
 	strict := flag.Bool("strict", false, "exit nonzero on unparsable Benchmark lines or empty input")
 	flag.Parse()
 	doc := document{Benchmarks: []benchmark{}}

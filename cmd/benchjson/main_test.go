@@ -5,6 +5,22 @@ import (
 	"testing"
 )
 
+// A line carries any number of value/unit pairs after the iteration count.
+func TestParseBenchLineMetricPairs(t *testing.T) {
+	b, ok := parseBenchLine("BenchmarkWorkload/xeb/quick \t1\t2700000 ns/op\t1.65e+08 amps/s\t9e+06 samples/s")
+	if !ok {
+		t.Fatal("line did not parse")
+	}
+	want := benchmark{
+		Name:       "BenchmarkWorkload/xeb/quick",
+		Iterations: 1,
+		Metrics:    map[string]float64{"ns/op": 2700000, "amps/s": 1.65e8, "samples/s": 9e6},
+	}
+	if !reflect.DeepEqual(b, want) {
+		t.Errorf("parsed %+v, want %+v", b, want)
+	}
+}
+
 func TestDeriveSpeedups(t *testing.T) {
 	row := func(name string, ns float64) benchmark {
 		return benchmark{Name: name, Metrics: map[string]float64{"ns/op": ns}}

@@ -7,14 +7,15 @@ import (
 	"qusim/internal/par"
 )
 
-// Parameterized ansatz generators for the variational workload families
-// (QAOA and VQE) of the qbench catalog. Both emit only text-serializable
-// gates (H, Rz, Phase, S, CZ, CPhase), so every instance can be written as
-// a reproducer, inverted for the metamorphic round-trip, and executed by
-// every backend including the per-gate baseline: the entanglers are
-// diagonal. Their gate *structure* is independent of the parameter values —
-// only Gate.Param changes between sweep points — which is exactly the shape
-// the schedule.StructureFingerprint plan-analysis cache memoizes.
+// Parameterized ansatz generators for the variational circuit families
+// (QAOA and VQE): the repository benchmark's qaoa16-sweep workload times the
+// QAOA family, and verify.Catalog runs both through every backend. Both
+// emit only text-serializable gates (H, Rz, Phase, S, CZ, CPhase), so every
+// instance can be written as a reproducer, inverted for the metamorphic
+// round-trip, and executed by every backend including the per-gate
+// baseline: the entanglers are diagonal. Their gate *structure* is
+// independent of the parameter values — only Gate.Param changes between
+// sweep points.
 
 // RingEdges returns the n edges of the n-vertex ring graph (i, i+1 mod n)
 // used by the QAOA MaxCut workload. For n = 2 the single edge is returned
@@ -102,8 +103,8 @@ func MaxCutExpectation(probs []float64, edges []Bond) float64 {
 // qubits. thetas holds layers×n angles, row-major (layer l, qubit q at
 // l·n + q). Ry(θ) is synthesized exactly as S·H·Rz(θ)·H·S† (S X S† = Y), so
 // the circuit stays in the serializable gate set. With all angles zero the
-// rotations are identities and the CZ ladder fixes |0…0⟩, giving the exact
-// transverse-Ising anchor energy −Σ⟨Z_i Z_{i+1}⟩ = −(n−1).
+// rotations are identities and the CZ ladder fixes |0…0⟩: p(0) = 1 is the
+// closed-form anchor.
 func HardwareEfficientAnsatz(n, layers int, thetas []float64) *Circuit {
 	if len(thetas) != layers*n {
 		panic("circuit: ansatz needs layers*n angles")
@@ -126,24 +127,6 @@ func HardwareEfficientAnsatz(n, layers int, thetas []float64) *Circuit {
 		}
 	}
 	return c
-}
-
-// IsingChainEnergy returns ⟨−Σ_i Z_i Z_{i+1}⟩ for the n-qubit chain from
-// the probability distribution probs — the VQE workload's objective.
-func IsingChainEnergy(probs []float64, n int) float64 {
-	var e float64
-	for i := 0; i+1 < n; i++ {
-		var zz float64
-		for b, p := range probs {
-			if (b>>i)&1 == (b>>(i+1))&1 {
-				zz += p
-			} else {
-				zz -= p
-			}
-		}
-		e -= zz
-	}
-	return e
 }
 
 // SweepParams derives count deterministic parameter vectors of length dim

@@ -154,10 +154,6 @@ func TestVQEZeroParamsGroundAnchor(t *testing.T) {
 	if math.Abs(probs[0]-1) > 1e-12 {
 		t.Fatalf("zero-angle ansatz moved |0…0⟩: p(0)=%v", probs[0])
 	}
-	e := IsingChainEnergy(probs, n)
-	if want := -float64(n - 1); math.Abs(e-want) > 1e-12 {
-		t.Fatalf("anchor energy %v, want %v", e, want)
-	}
 }
 
 // The synthesized Ry must match the real rotation: a single-qubit ansatz

@@ -15,7 +15,7 @@ import (
 // unlike stochastic Pauli insertion, the branch probabilities depend on the
 // state — p_k = ‖K_k|ψ⟩‖² — so each step computes the branch norms, draws a
 // Kraus operator, applies it and renormalizes. Trajectory averages converge
-// to ρ → Σ K ρ K† (validated against package densitymatrix).
+// to ρ → Σ K ρ K†, as package densitymatrix's tests check.
 
 // KrausChannel is a general single-qubit channel given by its Kraus
 // operators (Σ K†K = 1).

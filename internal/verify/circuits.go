@@ -102,12 +102,12 @@ func Library(n int, seed int64) []*circuit.Circuit {
 	}
 }
 
-// Catalog returns small instances of the cmd/qbench workload families —
+// Catalog returns small instances of the application circuit families —
 // QAOA MaxCut on a ring, the hardware-efficient VQE ansatz, and a
 // Pauli-noise-injected supremacy trajectory — so every backend in the
-// differential matrix is exercised on the exact circuit shapes the
-// benchmark catalog times. All three draw only from the serializable,
-// invertible gate set.
+// differential matrix is exercised on the variational and noisy shapes
+// the simulator serves beyond random circuits. All three draw only from
+// the serializable, invertible gate set.
 func Catalog(n int, seed int64) []*circuit.Circuit {
 	sets := circuit.SweepParams(seed+300, 2, 4)
 	qaoa := circuit.QAOAMaxCutRing(n, sets[1][:2], sets[1][2:])

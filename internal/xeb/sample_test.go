@@ -71,7 +71,7 @@ func TestSampleRejectsDegenerateInputs(t *testing.T) {
 	}
 }
 
-// The catalog's correctness bound: sampling from the ideal Porter–Thomas
+// The estimators' correctness bound: sampling from the ideal Porter–Thomas
 // distribution must score ≈ 1 on both fidelity estimators, and uniform
 // sampling ≈ 0.
 func TestXEBScoreSanityBounds(t *testing.T) {
