@@ -69,28 +69,9 @@ func TestOnlySelectsAnalyzers(t *testing.T) {
 	if !strings.Contains(out, "nilsafetelemetry:") {
 		t.Errorf("selected analyzer missing from output:\n%s", out)
 	}
-	for _, unwanted := range []string{"hotalloc:", "atomicrename:", "collectiveorder:"} {
+	for _, unwanted := range []string{"hotalloc:", "atomicrename:"} {
 		if strings.Contains(out, unwanted) {
 			t.Errorf("-only nilsafetelemetry still ran %s\n%s", unwanted, out)
 		}
-	}
-}
-
-// TestVetProtocolFlags checks the -V/-flags handshake go vet performs
-// before handing the tool a .cfg file.
-func TestVetProtocolFlags(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-V=full"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-V=full exited %d", code)
-	}
-	if !strings.HasPrefix(stdout.String(), "qlint version ") {
-		t.Errorf("-V=full printed %q, want a 'qlint version ...' line", stdout.String())
-	}
-	stdout.Reset()
-	if code := run([]string{"-flags"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-flags exited %d", code)
-	}
-	if strings.TrimSpace(stdout.String()) != "[]" {
-		t.Errorf("-flags printed %q, want []", stdout.String())
 	}
 }

@@ -1,10 +1,8 @@
 // Command qlint is the repo's domain linter: a multichecker over the
-// internal/analysis suite that enforces the simulator's concurrency,
-// communication, and durability invariants (DESIGN.md §10).
+// internal/analysis suite that enforces the simulator's durability,
+// storage-seam, telemetry and hot-loop invariants (DESIGN.md §10).
 //
-// Standalone use (what `make lint` runs):
-//
-//	qlint [-only a,b] [-fix | -diff] [-strict-ignores] [-json out] [-github] [dir | ./...]...
+//	qlint [-only a,b] [-strict-ignores] [-json out] [-github] [dir | ./...]...
 //
 // Arguments are module-relative package patterns: `./...` (the default)
 // lints every package under the module root, and a directory path lints
@@ -15,17 +13,10 @@
 // with paths relative to the module root. Exit status: 0 clean, 1 when
 // diagnostics were reported, 2 on usage or load errors.
 //
-// Some diagnostics carry suggested fixes: -fix applies them in place (the
-// fixed diagnostics are then not reported — re-run to verify the tree is
-// clean), -diff previews them as a unified diff without writing.
 // -strict-ignores additionally reports stale //qlint:ignore directives
 // whose analyzer no longer fires at the suppressed site. -json writes the
 // findings machine-readably to a file for CI artifacts, and -github
 // mirrors each finding as a GitHub Actions ::error annotation.
-//
-// The binary also speaks the `go vet -vettool` protocol (-V=full, -flags,
-// and a vet .cfg file as the sole argument), so the same checks run under
-// `go vet -vettool=$(pwd)/bin/qlint ./...` with the toolchain's caching.
 package main
 
 import (
@@ -35,7 +26,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"qusim/internal/analysis"
@@ -49,31 +39,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("qlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	fixFlag := fs.Bool("fix", false, "apply suggested fixes, rewriting files in place")
-	diffFlag := fs.Bool("diff", false, "preview suggested fixes as a unified diff (no writes)")
 	strictIgnores := fs.Bool("strict-ignores", false, "report stale //qlint:ignore directives whose analyzer no longer fires")
 	jsonOut := fs.String("json", "", "write findings as JSON to this file")
 	githubFlag := fs.Bool("github", false, "emit GitHub Actions ::error annotations alongside diagnostics")
-	versionFlag := fs.String("V", "", "print version (go vet protocol)")
-	flagsFlag := fs.Bool("flags", false, "print flag definitions as JSON (go vet protocol)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: qlint [-only analyzers] [-fix | -diff] [-strict-ignores] [-json out] [-github] [dir | ./...]...\n\nanalyzers:\n")
+		fmt.Fprintf(stderr, "usage: qlint [-only analyzers] [-strict-ignores] [-json out] [-github] [dir | ./...]...\n\nanalyzers:\n")
 		for _, a := range analysis.All() {
 			fmt.Fprintf(stderr, "  %-18s %s\n", a.Name, a.Doc)
 		}
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *versionFlag != "" {
-		// go vet caches on the tool's reported version; content-stamping is
-		// overkill for an in-repo tool rebuilt by make lint on every run.
-		fmt.Fprintln(stdout, "qlint version qusim-dev")
-		return 0
-	}
-	if *flagsFlag {
-		fmt.Fprintln(stdout, "[]")
-		return 0
 	}
 
 	analyzers, err := analysis.Select(splitComma(*only))
@@ -83,9 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runVetUnit(rest[0], analyzers, stderr)
-	}
 	if len(rest) == 0 {
 		rest = []string{"./..."}
 	}
@@ -124,32 +97,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := analysis.RunConfig{StrictIgnores: *strictIgnores}
 	var diags []analysis.Diagnostic
 	for _, u := range units {
-		diags = append(diags, analysis.RunUnitCfg(u, analyzers, cfg)...)
+		diags = append(diags, analysis.RunUnit(u, analyzers, cfg)...)
 	}
 	analysis.SortDiagnostics(diags)
-
-	if *diffFlag {
-		if code := printFixDiff(diags, loader.Root(), stdout, stderr); code != 0 {
-			return code
-		}
-	}
-	if *fixFlag {
-		applied, code := applyFixes(diags, stderr)
-		if code != 0 {
-			return code
-		}
-		// Fixed diagnostics are resolved; report only what needs a human.
-		var rest []analysis.Diagnostic
-		for _, d := range diags {
-			if len(d.Fixes) == 0 {
-				rest = append(rest, d)
-			}
-		}
-		if applied > 0 {
-			fmt.Fprintf(stderr, "qlint: applied fixes to %d file(s)\n", applied)
-		}
-		diags = rest
-	}
 
 	for _, d := range diags {
 		fmt.Fprintln(stdout, relativize(d, loader.Root()))
@@ -170,54 +120,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// printFixDiff previews every suggested fix as a unified diff.
-func printFixDiff(diags []analysis.Diagnostic, root string, stdout, stderr io.Writer) int {
-	contents, err := analysis.ApplyFixes(diags)
-	if err != nil {
-		fmt.Fprintln(stderr, "qlint:", err)
-		return 2
-	}
-	var files []string
-	for f := range contents {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	for _, f := range files {
-		old, err := os.ReadFile(f)
-		if err != nil {
-			fmt.Fprintln(stderr, "qlint:", err)
-			return 2
-		}
-		name := f
-		if rel, err := filepath.Rel(root, f); err == nil && !strings.HasPrefix(rel, "..") {
-			name = filepath.ToSlash(rel)
-		}
-		fmt.Fprint(stdout, analysis.UnifiedDiff(name, old, contents[f]))
-	}
-	return 0
-}
-
-// applyFixes rewrites files with every suggested fix applied, returning
-// how many files changed.
-func applyFixes(diags []analysis.Diagnostic, stderr io.Writer) (int, int) {
-	contents, err := analysis.ApplyFixes(diags)
-	if err != nil {
-		fmt.Fprintln(stderr, "qlint:", err)
-		return 0, 2
-	}
-	for f, data := range contents {
-		mode := os.FileMode(0o644)
-		if st, err := os.Stat(f); err == nil {
-			mode = st.Mode().Perm()
-		}
-		if err := os.WriteFile(f, data, mode); err != nil {
-			fmt.Fprintln(stderr, "qlint:", err)
-			return 0, 2
-		}
-	}
-	return len(contents), 0
-}
-
 // githubAnnotation renders a diagnostic as a GitHub Actions workflow
 // command so findings surface inline on pull-request diffs.
 func githubAnnotation(d analysis.Diagnostic, root string) string {
@@ -235,7 +137,6 @@ type jsonFinding struct {
 	Col      int    `json:"col"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-	Fixable  bool   `json:"fixable"`
 }
 
 // writeFindingsJSON writes the findings to path as a JSON array (always
@@ -249,7 +150,7 @@ func writeFindingsJSON(path string, diags []analysis.Diagnostic, root string) er
 		}
 		out = append(out, jsonFinding{
 			File: file, Line: d.Pos.Line, Col: d.Pos.Column,
-			Analyzer: d.Analyzer, Message: d.Message, Fixable: len(d.Fixes) > 0,
+			Analyzer: d.Analyzer, Message: d.Message,
 		})
 	}
 	data, err := json.MarshalIndent(out, "", "  ")

@@ -8,7 +8,6 @@ import (
 	"os"
 
 	"qusim/internal/ckpt"
-	"qusim/internal/mpi"
 	"qusim/internal/telemetry"
 )
 
@@ -18,13 +17,6 @@ func policy(dir string) *ckpt.Policy { return &ckpt.Policy{Dir: dir} }
 // commitManifest writes the manifest under its final name directly.
 func commitManifest(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
-}
-
-// syncRanks runs a collective only on rank 0.
-func syncRanks(c *mpi.Comm) {
-	if c.Rank() == 0 {
-		c.Barrier()
-	}
 }
 
 // enabled compares a handle against telemetry.Disabled.

@@ -9,12 +9,14 @@
 // path if the dependency ever becomes available.
 //
 // The analyzers themselves encode the simulator's cross-cutting invariants
-// (DESIGN.md §10): every rank executes the same ordered collective
-// sequence (collectiveorder), checkpoint durability goes through the
-// write-temp-fsync-rename commit helper (atomicrename), telemetry handles
-// are only touched through their nil-safe methods (nilsafetelemetry),
-// tests restore the process globals they mutate (globalcleanup), and
-// //qusim:hot kernel loops stay allocation-free (hotalloc).
+// (DESIGN.md §10): checkpoint durability goes through the
+// write-temp-fsync-rename commit helper (atomicrename), storage I/O goes
+// through the fsio seam (fsops) and keeps its error chains (errwrap),
+// telemetry handles are only touched through their nil-safe methods
+// (nilsafetelemetry), tests restore the process globals they mutate
+// (globalcleanup), and //qusim:hot kernel loops stay allocation-free
+// (hotalloc). That every rank enters the same collective sequence is
+// checked at run time, where the ranks meet (internal/mpi).
 //
 // Suppression: a comment of the form
 //
@@ -61,7 +63,7 @@ type Pass struct {
 	diags *[]Diagnostic
 }
 
-// Report records a diagnostic at pos.
+// Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      p.Fset.Position(pos),
@@ -70,32 +72,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportFix records a diagnostic at pos carrying suggested fixes.
-func (p *Pass) ReportFix(pos token.Pos, fixes []SuggestedFix, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-		Fixes:    fixes,
-	})
-}
-
-// Edit builds a TextEdit replacing the source range [from, to) with
-// newText, resolving positions through the pass's FileSet.
-func (p *Pass) Edit(from, to token.Pos, newText string) TextEdit {
-	pf := p.Fset.Position(from)
-	pt := p.Fset.Position(to)
-	return TextEdit{Filename: pf.Filename, Start: pf.Offset, End: pt.Offset, NewText: newText}
-}
-
 // Diagnostic is one finding, with its position already resolved.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	// Fixes are machine-applicable remedies (may be empty). They are
-	// advisory: qlint -fix applies them, plain runs just report.
-	Fixes []SuggestedFix
 }
 
 // String renders the stable diagnostic format golden tests pin down:
@@ -108,13 +89,10 @@ func (d Diagnostic) String() string {
 func All() []*Analyzer {
 	return []*Analyzer{
 		AtomicRename,
-		CollectiveOrder,
 		ErrWrap,
 		FSOps,
 		GlobalCleanup,
-		GoroutineLife,
 		HotAlloc,
-		LockScope,
 		NilSafeTelemetry,
 	}
 }
@@ -174,12 +152,7 @@ type RunConfig struct {
 
 // RunUnit applies the analyzers to one loaded unit and returns the
 // surviving diagnostics: suppressions applied, directive errors appended.
-func RunUnit(u *Unit, analyzers []*Analyzer) []Diagnostic {
-	return RunUnitCfg(u, analyzers, RunConfig{})
-}
-
-// RunUnitCfg is RunUnit with explicit configuration.
-func RunUnitCfg(u *Unit, analyzers []*Analyzer, cfg RunConfig) []Diagnostic {
+func RunUnit(u *Unit, analyzers []*Analyzer, cfg RunConfig) []Diagnostic {
 	var raw []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{

@@ -19,14 +19,20 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// corpusDiagnostics loads testdata/src/<name> and returns the surviving
-// diagnostics from running the given analyzers over its units.
-func corpusDiagnostics(t *testing.T, name string, analyzers []*Analyzer) []Diagnostic {
+// testLoader returns the one Loader every test of this binary shares, so
+// the standard library is type-checked from source once, not once per
+// test. Tests do not run in parallel; the loader is not safe for
+// concurrent use.
+var testLoader = sync.OnceValues(func() (*Loader, error) { return NewLoader(".") })
+
+// loadCorpus loads testdata/src/<name> through the shared loader.
+func loadCorpus(t *testing.T, name string) []*Unit {
 	t.Helper()
-	loader, err := NewLoader(".")
+	loader, err := testLoader()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,9 +43,16 @@ func corpusDiagnostics(t *testing.T, name string, analyzers []*Analyzer) []Diagn
 	if len(units) == 0 {
 		t.Fatalf("corpus %s loaded no units", name)
 	}
+	return units
+}
+
+// corpusDiagnostics loads testdata/src/<name> and returns the surviving
+// diagnostics from running the given analyzers over its units.
+func corpusDiagnostics(t *testing.T, name string, analyzers []*Analyzer) []Diagnostic {
+	t.Helper()
 	var diags []Diagnostic
-	for _, u := range units {
-		diags = append(diags, RunUnit(u, analyzers)...)
+	for _, u := range loadCorpus(t, name) {
+		diags = append(diags, RunUnit(u, analyzers, RunConfig{})...)
 	}
 	SortDiagnostics(diags)
 	return diags
@@ -135,15 +148,12 @@ func runCorpus(t *testing.T, analyzerName string) {
 	}
 }
 
-func TestCollectiveOrderCorpus(t *testing.T)  { runCorpus(t, "collectiveorder") }
 func TestAtomicRenameCorpus(t *testing.T)     { runCorpus(t, "atomicrename") }
 func TestFSOpsCorpus(t *testing.T)            { runCorpus(t, "fsops") }
 func TestNilSafeTelemetryCorpus(t *testing.T) { runCorpus(t, "nilsafetelemetry") }
 func TestGlobalCleanupCorpus(t *testing.T)    { runCorpus(t, "globalcleanup") }
 func TestHotAllocCorpus(t *testing.T)         { runCorpus(t, "hotalloc") }
 func TestErrWrapCorpus(t *testing.T)          { runCorpus(t, "errwrap") }
-func TestGoroutineLifeCorpus(t *testing.T)    { runCorpus(t, "goroutinelife") }
-func TestLockScopeCorpus(t *testing.T)        { runCorpus(t, "lockscope") }
 
 // TestDirectiveDiagnostics pins the directive parser's own diagnostics:
 // malformed //qlint:ignore comments are findings, not silent no-ops. The
@@ -157,7 +167,7 @@ func TestDirectiveDiagnostics(t *testing.T) {
 	}
 	expects := []expect{
 		{12, `^qlint: qlint:ignore needs an analyzer name and a reason$`},
-		{18, `^qlint: qlint:ignore names unknown analyzer gofmtcheck \(have atomicrename, collectiveorder, errwrap, fsops, globalcleanup, goroutinelife, hotalloc, lockscope, nilsafetelemetry\)$`},
+		{18, `^qlint: qlint:ignore names unknown analyzer gofmtcheck \(have atomicrename, errwrap, fsops, globalcleanup, hotalloc, nilsafetelemetry\)$`},
 		{25, `^qlint: qlint:ignore globalcleanup needs a reason \(why does the invariant not apply here\?\)$`},
 		// The multi-line edge case: a continuation comment on the next
 		// line is not the directive's reason.

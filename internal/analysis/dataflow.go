@@ -5,17 +5,15 @@ import (
 	"go/types"
 )
 
-// Origin tracking: the half of the v2 engine that answers "where did this
-// value come from". For one function body it records every expression
-// assigned to each local object (:=, =, var decls), so analyzers can chase
-// a value through intermediate locals back to the call that produced it —
-// errwrap uses it to tell an error born in a classified package from a
-// strconv parse error, and lockscope uses it to tell an unbuffered channel
-// from a buffered one. Tracking is intra-procedural and flow-insensitive
-// (a source anywhere in the body counts), which over-approximates: a
-// value MAY derive from a source. Analyzers that flag on derivation
-// therefore only do so when the over-approximation cannot hurt (the fix
-// is correct for every origin, or the rule is scoped by package).
+// Origin tracking answers "where did this value come from". For one
+// function body it records every expression assigned to each local object
+// (:=, =, var decls), so an analyzer can chase a value through
+// intermediate locals back to the call that produced it — errwrap uses it
+// to tell an error born in a classified package from a strconv parse
+// error. Tracking is intra-procedural and flow-insensitive (a source
+// anywhere in the body counts), which over-approximates: a value MAY
+// derive from a source. errwrap therefore only flags on derivation where
+// the over-approximation cannot hurt (%w is correct for every origin).
 type Origins struct {
 	pass    *Pass
 	sources map[types.Object][]ast.Expr

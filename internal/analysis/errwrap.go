@@ -15,8 +15,6 @@ package analysis
 // assignments, see dataflow.go) from a call into this module, so a
 // strconv.Atoi error rendered with %v in an importing package stays
 // legal. Inside the seam packages every error is assumed classified.
-//
-// The %v→%w rewrite is offered as a suggested fix (`qlint -fix`).
 
 import (
 	"go/ast"
@@ -120,18 +118,9 @@ func (ew *errWrapCheck) checkErrorf(call *ast.CallExpr) {
 		if !ok || !isErrorType(tv.Type) || !ew.classified(arg) {
 			continue
 		}
-		var fixes []SuggestedFix
-		if v.end-v.start == 2 {
-			from := lit.ValuePos + token.Pos(v.start)
-			to := lit.ValuePos + token.Pos(v.end)
-			fixes = []SuggestedFix{{
-				Message: "replace %" + string(v.verb) + " with %w",
-				Edits:   []TextEdit{ew.pass.Edit(from, to, "%w")},
-			}}
-		}
-		ew.pass.ReportFix(arg.Pos(), fixes,
-			"error formatted with %%%c loses its wrap chain across the fsio/ckpt/oocvec boundary; use %%w so IsNoSpace/IsTransient classification survives",
-			v.verb)
+		ew.pass.Reportf(arg.Pos(),
+			"error formatted with %%%c loses its wrap chain across the fsio/ckpt/oocvec boundary; replace %%%c with %%w so IsNoSpace/IsTransient classification survives",
+			v.verb, v.verb)
 	}
 }
 
@@ -210,12 +199,10 @@ func mentionsObject(info *types.Info, e ast.Expr, obj types.Object) bool {
 	return found
 }
 
-// fmtVerb is one formatting verb of a format-string literal, located by
-// byte offsets into the literal's raw source text (quotes included).
+// fmtVerb is one formatting verb of a format-string literal.
 type fmtVerb struct {
-	arg        int // 0-based operand index the verb consumes
-	verb       byte
-	start, end int
+	arg  int // 0-based operand index the verb consumes
+	verb byte
 }
 
 // parseFormatVerbs scans the raw source text of a string literal for
@@ -228,7 +215,6 @@ func parseFormatVerbs(raw string) (verbs []fmtVerb, ok bool) {
 		if raw[i] != '%' {
 			continue
 		}
-		start := i
 		i++
 		if i < len(raw) && raw[i] == '%' {
 			continue
@@ -261,7 +247,7 @@ func parseFormatVerbs(raw string) (verbs []fmtVerb, ok bool) {
 		if raw[i] == '[' {
 			return nil, false
 		}
-		verbs = append(verbs, fmtVerb{arg: arg, verb: raw[i], start: start, end: i + 1})
+		verbs = append(verbs, fmtVerb{arg: arg, verb: raw[i]})
 		arg++
 	}
 	return verbs, true

@@ -61,13 +61,13 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl, decls map[types.Object]*ast.Func
 	// the other analyzers this descends into function literals: the hot
 	// kernels hand their sweep loops to the worker pool as par.For closures,
 	// and those loops are exactly the ones the marker promises are clean.
-	var loops []span
+	var loops []*ast.BlockStmt
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.ForStmt:
-			loops = append(loops, span{s.Body.Pos(), s.Body.End()})
+			loops = append(loops, s.Body)
 		case *ast.RangeStmt:
-			loops = append(loops, span{s.Body.Pos(), s.Body.End()})
+			loops = append(loops, s.Body)
 		}
 		return true
 	})
@@ -76,7 +76,7 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl, decls map[types.Object]*ast.Func
 	}
 	inLoop := func(p ast.Node) bool {
 		for _, l := range loops {
-			if l.contains(p.Pos()) {
+			if p.Pos() >= l.Pos() && p.Pos() < l.End() {
 				return true
 			}
 		}

@@ -19,7 +19,7 @@ func TestLoaderTypechecksRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module load in -short mode")
 	}
-	l, err := NewLoader(repoRoot(t))
+	l, err := testLoader()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestLoaderTypechecksRepo(t *testing.T) {
 }
 
 func TestLoaderExternalTestPackage(t *testing.T) {
-	l, err := NewLoader(repoRoot(t))
+	l, err := testLoader()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,34 +6,17 @@ import (
 	"testing"
 )
 
-// loadStaleIgnoreUnits loads the staleignore fixture package: one live
-// fsops suppression and one whose diagnostic no longer fires.
-func loadStaleIgnoreUnits(t *testing.T) []*Unit {
-	t.Helper()
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	units, err := loader.LoadDir(filepath.Join("testdata", "src", "staleignore"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(units) == 0 {
-		t.Fatal("staleignore corpus loaded no units")
-	}
-	return units
-}
-
-// TestStrictIgnores pins the -strict-ignores contract: with the audit on,
-// a directive whose diagnostic no longer fires is itself a finding; with
-// it off, suppressions stay silent either way.
+// TestStrictIgnores pins the -strict-ignores contract on the staleignore
+// fixture (one live fsops suppression, one whose diagnostic no longer
+// fires): with the audit on, a directive whose diagnostic no longer fires
+// is itself a finding; with it off, suppressions stay silent either way.
 func TestStrictIgnores(t *testing.T) {
-	units := loadStaleIgnoreUnits(t)
+	units := loadCorpus(t, "staleignore")
 
 	var lax, strict []Diagnostic
 	for _, u := range units {
-		lax = append(lax, RunUnitCfg(u, All(), RunConfig{})...)
-		strict = append(strict, RunUnitCfg(u, All(), RunConfig{StrictIgnores: true})...)
+		lax = append(lax, RunUnit(u, All(), RunConfig{})...)
+		strict = append(strict, RunUnit(u, All(), RunConfig{StrictIgnores: true})...)
 	}
 
 	if len(lax) != 0 {
@@ -62,17 +45,17 @@ func TestStrictIgnores(t *testing.T) {
 }
 
 // TestStrictIgnoresOnlySubset: a directive for an analyzer that did not
-// run is never judged stale — `-only collectiveorder -strict-ignores`
-// must not condemn fsops suppressions it has no evidence about.
+// run is never judged stale — `-only hotalloc -strict-ignores` must not
+// condemn fsops suppressions it has no evidence about.
 func TestStrictIgnoresOnlySubset(t *testing.T) {
-	units := loadStaleIgnoreUnits(t)
-	subset, err := Select([]string{"collectiveorder"})
+	units := loadCorpus(t, "staleignore")
+	subset, err := Select([]string{"hotalloc"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range units {
-		for _, d := range RunUnitCfg(u, subset, RunConfig{StrictIgnores: true}) {
-			t.Errorf("unexpected diagnostic under -only collectiveorder: %s:%d: %s: %s",
+		for _, d := range RunUnit(u, subset, RunConfig{StrictIgnores: true}) {
+			t.Errorf("unexpected diagnostic under -only hotalloc: %s:%d: %s: %s",
 				filepath.Base(d.Pos.Filename), d.Pos.Line, d.Analyzer, d.Message)
 		}
 	}

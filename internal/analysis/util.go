@@ -10,7 +10,6 @@ import (
 const (
 	modulePathPrefix = "qusim"
 
-	mpiPath       = "qusim/internal/mpi"
 	ckptPath      = "qusim/internal/ckpt"
 	telemetryPath = "qusim/internal/telemetry"
 	parPath       = "qusim/internal/par"
@@ -56,13 +55,6 @@ func isConversion(info *types.Info, call *ast.CallExpr) bool {
 func fnIs(fn *types.Func, pkgPath, name string) bool {
 	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath &&
 		fn.Name() == name && recvNamed(fn) == ""
-}
-
-// methodIs reports whether fn is a method named name on the (possibly
-// pointer-wrapped) named type pkgPath.recv.
-func methodIs(fn *types.Func, pkgPath, recv, name string) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath &&
-		fn.Name() == name && recvNamed(fn) == recv
 }
 
 // recvNamed returns the bare receiver type name of a method ("" for plain

@@ -455,7 +455,10 @@ func (k *coord) result() error {
 }
 
 // barrierWait blocks rank until every rank has entered the current barrier
-// generation, recording the collective's name for failure reports.
+// generation, recording the collective's name for failure reports. The
+// last arriver checks that every rank is in the same collective: ranks
+// whose collective sequences diverge poison the world instead of pairing
+// one collective's payload with another's.
 func (k *coord) barrierWait(rank int, label string) {
 	if k.n == 1 {
 		return
@@ -467,14 +470,24 @@ func (k *coord) barrierWait(rank int, label string) {
 	}
 	gen := k.gen
 	k.count++
+	k.state[rank].label = label
 	if k.count == k.n {
+		for r := range k.state {
+			if l := k.state[r].label; l != label {
+				k.failErr = fmt.Errorf("mpi: collective mismatch: rank %d in %s, rank %d in %s: %w",
+					r, l, rank, label, ErrStalled)
+				k.poisonLocked()
+				k.mu.Unlock()
+				panic(poisonUnwind{})
+			}
+		}
 		k.count = 0
 		k.gen++
 		k.cond.Broadcast()
 		k.mu.Unlock()
 		return
 	}
-	k.state[rank].waiting, k.state[rank].label, k.state[rank].gen = true, label, gen
+	k.state[rank].waiting, k.state[rank].gen = true, gen
 	k.maybeStuckLocked()
 	for gen == k.gen && !k.failed {
 		k.cond.Wait()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -378,6 +379,60 @@ func TestDeadlineNamesStuckCollective(t *testing.T) {
 	}
 }
 
+func TestCollectiveMismatchIsClassified(t *testing.T) {
+	// Ranks whose collective sequences diverge meet at a barrier in different
+	// collectives. The rendezvous must refuse to pair them — rank 1's sum
+	// would otherwise read whatever rank 0 left in the reduce board — and
+	// name both collectives.
+	w := NewWorld(2)
+	err := w.Run(func(c *Comm) error {
+		if c.Rank() == 0 {
+			c.Barrier()
+			c.Barrier()
+		} else {
+			c.AllreduceSum(1)
+		}
+		return nil
+	})
+	if !errors.Is(err, ErrStalled) {
+		t.Fatalf("err = %v, want ErrStalled", err)
+	}
+	for _, name := range []string{"Barrier", "AllreduceSum"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("mismatch error does not name %s: %v", name, err)
+		}
+	}
+}
+
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	// Run joins every rank goroutine and its own waiter, after a clean run
+	// and after one a rank's error poisoned. (A deadline failure abandons
+	// ranks hung outside the communication layer by design.)
+	for _, fail := range []bool{false, true} {
+		base := runtime.NumGoroutine()
+		err := NewWorld(4).Run(func(c *Comm) error {
+			c.Barrier()
+			if fail && c.Rank() == 2 {
+				return fmt.Errorf("rank 2 fails")
+			}
+			c.AllreduceSum(1)
+			return nil
+		})
+		if (err != nil) != fail {
+			t.Fatalf("fail=%v: err = %v", fail, err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("fail=%v: goroutines leaked: %d > baseline %d\n%s",
+					fail, runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
 func TestCrashDetectedWithoutTimer(t *testing.T) {
 	// A silently dead rank must be detected the moment every survivor is
 	// provably blocked on it — no deadline is set here, so a regression to
@@ -427,8 +482,6 @@ func TestCrashFiresAtMostOncePerPlan(t *testing.T) {
 
 // TestCrashedRankReportedEvenWithoutDeadlock deliberately has one rank
 // enter a barrier nobody else joins — the asymmetry under test.
-//
-//qlint:ignore collectiveorder deliberately provokes a rank-asymmetric barrier to test dead-rank reporting
 func TestCrashedRankReportedEvenWithoutDeadlock(t *testing.T) {
 	// If the dead rank was the only one still in a collective, the survivors
 	// finish normally — the death must still be reported, not swallowed.
