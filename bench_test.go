@@ -305,9 +305,11 @@ func BenchmarkAblationDiagonalFastPath(b *testing.B) {
 // involutions, one pair-swap pass each, in the state's own memory. The
 // "state-passes" metric reports the memory traffic in reads plus writes of the
 // whole state: the chain moves half the amplitudes per transposition, a
-// pair-swap pass every amplitude that is not its own partner.
+// pair-swap pass every amplitude that is not its own partner. n16 is one
+// chunk of a paged state (oocvec at -ooc-chunk 16), which its stage's
+// permutation visits once per chunk.
 func BenchmarkPermute(b *testing.B) {
-	for _, n := range []int{benchState, 24} {
+	for _, n := range []int{16, benchState, 24} {
 		perm := randRNG(int64(n)).Perm(n)
 		b.Run(fmt.Sprintf("n%d/swapchain", n), func(b *testing.B) {
 			v := statevec.NewUniform(n)

@@ -108,25 +108,10 @@ func (v *Vector) Apply(m gate.Matrix, qs []int) {
 	kernels.Apply(v.Amps, kernels.ToComplex64(m.Data), qs)
 }
 
-// ApplyGate applies m to arbitrary (possibly unsorted) qubits: the matrix is
-// pre-permuted to sorted qubit order per Sec. 3.2, and diagonal matrices
-// take the no-matvec fast path. This is the per-gate entry point the
-// differential-verification backend drives.
-func (v *Vector) ApplyGate(m gate.Matrix, qubits ...int) {
-	if len(qubits) != m.K {
-		panic(fmt.Sprintf("f32vec: %d qubits for a %d-qubit gate", len(qubits), m.K))
-	}
-	sortedQs, perm := statevec.SortPositions(qubits)
-	mm := m
-	if perm != nil {
-		mm = gate.PermuteQubits(m, perm)
-	}
-	if mm.IsDiagonal(0) {
-		kernels.ApplyDiagonalF32(v.Amps, kernels.ToComplex64(mm.Diagonal()), sortedQs)
-		return
-	}
-	kernels.Apply(v.Amps, kernels.ToComplex64(mm.Data), sortedQs)
-}
+// ApplyGate applies m to arbitrary (possibly unsorted) qubits through the
+// per-gate entry both precisions share (statevec.ApplyGate). This is the
+// per-gate entry point the differential-verification backend drives.
+func (v *Vector) ApplyGate(m gate.Matrix, qubits ...int) { statevec.ApplyGate(v.Amps, m, qubits) }
 
 // Norm returns Σ|α|², accumulated in float64 to limit rounding.
 func (v *Vector) Norm() float64 { return kernels.Norm(v.Amps) }

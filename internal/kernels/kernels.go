@@ -122,3 +122,12 @@ func ToComplex64(m []complex128) []complex64 {
 	}
 	return out
 }
+
+// Convert returns a complex128 gate matrix (or diagonal) in the element type
+// T: m itself for complex128, its ToComplex64 copy for complex64.
+func Convert[T complexAmp](m []complex128) []T {
+	if same, ok := any(m).([]T); ok {
+		return same
+	}
+	return any(ToComplex64(m)).([]T)
+}

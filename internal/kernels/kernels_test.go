@@ -272,19 +272,6 @@ func diagProduct(a, d complex128) complex128 {
 	return a * d
 }
 
-func TestApplyCZMatchesMatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	n := 7
-	state := randomState(n, rng)
-	want := denseApply(state, gate.CZ(), []int{2, 5}, n)
-	got := make([]complex128, len(state))
-	copy(got, state)
-	ApplyCZ(got, 2, 5)
-	if d := maxDiff(got, want); d > 1e-12 {
-		t.Errorf("CZ kernel max diff %g", d)
-	}
-}
-
 func TestScale(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	state := randomState(5, rng)

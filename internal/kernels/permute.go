@@ -13,10 +13,10 @@ import (
 // permutation that brings the outgoing qubits to the highest-order local
 // locations, so permutation speed directly bounds the cost of a
 // communication step. Decomposing the permutation into transpositions costs
-// up to n−1 half-state sweeps; these kernels compile it into per-byte lookup
-// tables and move every amplitude to its final index in at most two in-place
-// passes (PermuteInPlace) or, given a second buffer, in one gather pass
-// (PermuteInto).
+// up to n−1 half-state sweeps; PermuteInPlace splits it into two involutions
+// instead, compiles each into per-byte lookup tables and moves every
+// amplitude to its final index in at most two in-place pair-swap passes. It
+// is the one permutation kernel: no second buffer is ever needed (DESIGN §7).
 
 // BitPermutation is a compiled bit relabeling: Map sends index bit p to bit
 // Perm[p]. Compilation folds the per-bit shift masks into one 256-entry
@@ -28,7 +28,6 @@ import (
 type BitPermutation struct {
 	n      int
 	fwd    [][]int // fwd[b][v] = Map contribution of byte b holding value v
-	inv    [][]int // inverse-map tables, same layout
 	cycles [][]int // non-trivial cycles of the bit positions
 }
 
@@ -47,13 +46,7 @@ func CompileBitPermutation(perm []int) *BitPermutation {
 		}
 		seen[np] = true
 	}
-	bp := &BitPermutation{n: n}
-	bp.fwd = compileByteTables(perm)
-	invPerm := make([]int, n)
-	for p, np := range perm {
-		invPerm[np] = p
-	}
-	bp.inv = compileByteTables(invPerm)
+	bp := &BitPermutation{n: n, fwd: compileByteTables(perm)}
 	// Cycle decomposition (fixed points dropped, each cycle starting at its
 	// smallest member — the canonical form the fuzz oracle checks).
 	visited := make([]bool, n)
@@ -108,24 +101,9 @@ func (p *BitPermutation) Identity() bool { return len(p.cycles) == 0 }
 // starting at its smallest member, ordered by that member.
 func (p *BitPermutation) Cycles() [][]int { return p.cycles }
 
-// Transposition reports whether the permutation is a single 2-cycle and, if
-// so, returns its two positions — the case where an in-place SwapBits sweep
-// beats a gather pass (it touches only half the amplitudes).
-func (p *BitPermutation) Transposition() (a, b int, ok bool) {
-	if len(p.cycles) != 1 || len(p.cycles[0]) != 2 {
-		return 0, 0, false
-	}
-	return p.cycles[0][0], p.cycles[0][1], true
-}
-
 // Map returns the permuted index: bit p of i becomes bit perm[p].
 func (p *BitPermutation) Map(i int) int {
 	return mapTables(p.fwd, i)
-}
-
-// MapInverse returns the index that Map sends to i.
-func (p *BitPermutation) MapInverse(i int) int {
-	return mapTables(p.inv, i)
 }
 
 func mapTables(tab [][]int, i int) int {
@@ -136,90 +114,11 @@ func mapTables(tab [][]int, i int) int {
 	return out
 }
 
-// permuteTileBits sizes the 2D gather tile: the tile varies the low
-// permuteTileBits destination bits AND the destination images of the low
-// permuteTileBits source bits, so the tile footprint is ≤ 2^(2·tileBits)
-// amplitudes on each side (≤ 512 KiB total at 7 bits — L2-resident) and
-// every cache line fetched on either side is fully consumed inside the
-// tile.
+// permuteTileBits sizes the pair-swap tile (pairSwaps): its low span.
 const permuteTileBits = 7
 
-// permuteTile is the per-worker grain of the gather pass in amplitudes.
+// permuteTile is the per-worker grain of a pair-swap pass in amplitudes.
 const permuteTile = 1 << 15
-
-// PermuteInto writes the permuted state into dst: dst[p.Map(i)] = src[i]
-// for every index, executed as a destination-ordered gather
-// (dst[y] = src[p.MapInverse(y)]). dst and src must have length 2^n and
-// must not alias. This is the single-pass replacement for a SwapBits
-// transposition chain: one read of src plus one write of dst, ≤ 2
-// full-state passes regardless of the permutation.
-//
-// For states beyond cache size, destinations are visited tile by tile in an
-// order that keeps both y and π⁻¹(y) inside an L2-resident working set: a
-// tile varies the low tileBits destination bits (so writes stream and every
-// dst line is fully written) together with π(low tileBits source bits) (so
-// the gathered reads vary the low source bits and every src line fetched is
-// fully read). Without this blocking the gather is latency-bound on random
-// reads instead of bandwidth-bound.
-//
-//qusim:hot
-func PermuteInto[T complexAmp](dst, src []T, p *BitPermutation) {
-	if len(dst) != len(src) || len(src) != 1<<p.n {
-		panic(fmt.Sprintf("kernels: PermuteInto length mismatch: dst %d, src %d, perm 2^%d", len(dst), len(src), p.n))
-	}
-	inv := p.inv
-	n := p.n
-	if n <= 2*permuteTileBits+4 {
-		// Small state: plain destination-sequential gather (the source side
-		// fits low-level caches anyway).
-		par.For(len(dst), 1<<14, func(lo, hi int) {
-			gatherRange(dst, src, inv, 0, lo, hi)
-		})
-		return
-	}
-	// Tile bit set A = low b dst bits ∪ π(low b src bits).
-	const b = permuteTileBits
-	maskLow := 1<<b - 1
-	maskA := maskLow
-	for pb := 0; pb < b; pb++ {
-		maskA |= mapTables(p.fwd, 1<<pb)
-	}
-	maskHi := maskA &^ maskLow // tile bits above the contiguous low run
-	var freePos []int          // bit positions outside the tile set
-	for i := 0; i < n; i++ {
-		if maskA&(1<<i) == 0 {
-			//qlint:ignore hotalloc once-per-call setup over the n bit positions, not the per-amplitude sweep
-			freePos = append(freePos, i)
-		}
-	}
-	tileLen := 1 << bits.OnesCount(uint(maskA))
-	grain := permuteTile / tileLen
-	if grain < 1 {
-		grain = 1
-	}
-	par.For(1<<len(freePos), grain, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			// k-th tile base: bits of k deposited at the free positions.
-			base := 0
-			for j, pos := range freePos {
-				if k&(1<<j) != 0 {
-					base |= 1 << pos
-				}
-			}
-			// Enumerate the subsets of maskHi (ascending), running the
-			// contiguous low-bit span for each.
-			ahi := 0
-			for {
-				run := base | ahi
-				gatherRange(dst, src, inv, 0, run, run+1<<b)
-				ahi = (ahi - maskHi) & maskHi
-				if ahi == 0 {
-					break
-				}
-			}
-		}
-	})
-}
 
 // Involutions splits the permutation into two involutions of the bit
 // positions, π[p] = second[first[p]]: per cycle c₀ → c₁ → … → c_{m−1} → c₀
@@ -278,8 +177,8 @@ func SwapBits[T complexAmp](amps []T, a, b int) {
 // amplitudes (≤ 2^(2·permuteTileBits), L2-resident with its partner) that σ
 // sends whole onto the tile at σ(u). Inside a tile amplitudes move in runs of
 // 2^(lowest moved position); when that is inside a cache line the tile is
-// what makes every line fetched on either side fully used, as in PermuteInto,
-// and when nothing below the low span moves a tile is one run.
+// what makes every line fetched on either side fully used, and when nothing
+// below the low span moves a tile is one run.
 type pairSwaps struct {
 	tab      [][]int // σ on indices, one lookup table per index byte
 	low      int     // amplitudes in the contiguous low span of a tile
@@ -375,54 +274,6 @@ func swapTiles[T complexAmp](amps []T, ps *pairSwaps, u, v int) {
 		ahi = (ahi - ps.maskHi) & ps.maskHi
 		if ahi == 0 {
 			return
-		}
-	}
-}
-
-// Permute applies p to amps and returns the slice that holds the result and
-// the one that is now spare: in place when scratch is nil (or p is the
-// identity or a transposition), else one PermuteInto gather into scratch, the
-// spare buffer of len(amps) a caller holds anyway.
-func Permute[T complexAmp](amps, scratch []T, p *BitPermutation) (out, spare []T) {
-	if _, _, ok := p.Transposition(); scratch == nil || ok || p.Identity() {
-		PermuteInPlace(amps, p)
-		return amps, scratch
-	}
-	PermuteInto(scratch, amps, p)
-	return scratch, amps
-}
-
-// gatherRange executes dst[y] = src[xbase | MapInverse(y)] for y in
-// [lo, hi), with the per-byte table lookups unrolled for the common table
-// counts. xbase is 0 for a whole-state gather; chunk gathers pass the
-// precomputed image of the fixed high bits.
-//
-//qusim:hot
-func gatherRange[T complexAmp](dst, src []T, inv [][]int, xbase, lo, hi int) {
-	switch len(inv) {
-	case 1:
-		t0 := inv[0]
-		for y := lo; y < hi; y++ {
-			dst[y] = src[xbase|t0[y&0xff]]
-		}
-	case 2:
-		t0, t1 := inv[0], inv[1]
-		for y := lo; y < hi; y++ {
-			dst[y] = src[xbase|t0[y&0xff]|t1[(y>>8)&0xff]]
-		}
-	case 3:
-		t0, t1, t2 := inv[0], inv[1], inv[2]
-		for y := lo; y < hi; y++ {
-			dst[y] = src[xbase|t0[y&0xff]|t1[(y>>8)&0xff]|t2[(y>>16)&0xff]]
-		}
-	case 4:
-		t0, t1, t2, t3 := inv[0], inv[1], inv[2], inv[3]
-		for y := lo; y < hi; y++ {
-			dst[y] = src[xbase|t0[y&0xff]|t1[(y>>8)&0xff]|t2[(y>>16)&0xff]|t3[(y>>24)&0xff]]
-		}
-	default:
-		for y := lo; y < hi; y++ {
-			dst[y] = src[xbase|mapTables(inv, y)]
 		}
 	}
 }

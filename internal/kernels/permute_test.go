@@ -26,9 +26,6 @@ func TestBitPermutationMapMatchesNaive(t *testing.T) {
 			if got, want := bp.Map(i), naiveMap(perm, i); got != want {
 				t.Fatalf("perm %v: Map(%d) = %d, want %d", perm, i, got, want)
 			}
-			if got := bp.MapInverse(bp.Map(i)); got != i {
-				t.Fatalf("perm %v: MapInverse(Map(%d)) = %d", perm, i, got)
-			}
 		}
 	}
 }
@@ -38,37 +35,10 @@ func TestBitPermutationCycles(t *testing.T) {
 	if !bp.Identity() || len(bp.Cycles()) != 0 {
 		t.Errorf("identity permutation reported cycles %v", bp.Cycles())
 	}
-	bp = CompileBitPermutation([]int{1, 0, 2})
-	a, b, ok := bp.Transposition()
-	if !ok || a != 0 || b != 1 {
-		t.Errorf("transposition not detected: cycles %v", bp.Cycles())
-	}
-	// (0 1 2)(3 4) — two cycles, not a single transposition.
+	// (0 1 2)(3 4)
 	bp = CompileBitPermutation([]int{1, 2, 0, 4, 3})
-	if _, _, ok := bp.Transposition(); ok {
-		t.Error("multi-cycle permutation reported as transposition")
-	}
 	if got := len(bp.Cycles()); got != 2 {
 		t.Errorf("cycle count %d, want 2", got)
-	}
-}
-
-func TestPermuteInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(10)
-		perm := rng.Perm(n)
-		src := make([]complex128, 1<<n)
-		for i := range src {
-			src[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		dst := make([]complex128, len(src))
-		PermuteInto(dst, src, CompileBitPermutation(perm))
-		for i, a := range src {
-			if dst[naiveMap(perm, i)] != a {
-				t.Fatalf("perm %v: src[%d] not found at Map(%d)", perm, i, i)
-			}
-		}
 	}
 }
 
@@ -189,36 +159,6 @@ func TestPermuteInPlace(t *testing.T) {
 	})
 }
 
-// TestPermuteGather: the in-place kernel lands every amplitude where the
-// gather (PermuteInto) does, on the shapes the permutation before a swap takes —
-// a state cut into 2^q regions by its top q bits, the permutation moving
-// amplitudes between them — and Permute picks between the two by whether it
-// was handed a scratch.
-func TestPermuteGather(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + rng.Intn(16) // cover both the plain and the tiled path
-		perm := rng.Perm(n)
-		bp := CompileBitPermutation(perm)
-		src := make([]complex128, 1<<n)
-		for i := range src {
-			src[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		want := make([]complex128, len(src))
-		PermuteInto(want, src, bp)
-		inPlace, spare := Permute(append([]complex128(nil), src...), nil, bp)
-		if spare != nil {
-			t.Fatalf("perm %v: Permute without a scratch returned one", perm)
-		}
-		gathered, _ := Permute(append([]complex128(nil), src...), make([]complex128, len(src)), bp)
-		for i := range want {
-			if inPlace[i] != want[i] || gathered[i] != want[i] {
-				t.Fatalf("perm %v: in place %v, gathered %v, want %v at %d", perm, inPlace[i], gathered[i], want[i], i)
-			}
-		}
-	}
-}
-
 func TestPermuteGatherRejectsBadArgs(t *testing.T) {
 	bp := CompileBitPermutation([]int{1, 0, 2})
 	mustPanic := func(name string, fn func()) {
@@ -274,9 +214,6 @@ func FuzzBitPermutation(f *testing.F) {
 		for i := 0; i < probe; i++ {
 			if bp.Map(i) != naiveMap(perm, i) {
 				t.Fatalf("perm %v: Map(%d) = %d, want %d", perm, i, bp.Map(i), naiveMap(perm, i))
-			}
-			if bp.MapInverse(bp.Map(i)) != i {
-				t.Fatalf("perm %v: inverse does not round-trip %d", perm, i)
 			}
 		}
 		// Replaying the cycles must reconstruct the permutation exactly,

@@ -280,16 +280,13 @@ func pext(x, mask int) (r int) {
 
 // ApplyDiagonal multiplies each amplitude by the diagonal entry selected by
 // the bits of its index at positions qs.
-func ApplyDiagonal(amps []complex128, d []complex128, qs []int) {
+func ApplyDiagonal[T complexAmp](amps, d []T, qs []int) {
 	checkDiagonal(len(amps), qs)
 	PrepareDiagonal(d, qs, len(amps)).Sweep(amps, 0)
 }
 
 // ApplyDiagonalF32 is ApplyDiagonal for a single-precision state.
-func ApplyDiagonalF32(amps []complex64, d []complex64, qs []int) {
-	checkDiagonal(len(amps), qs)
-	PrepareDiagonal(d, qs, len(amps)).Sweep(amps, 0)
-}
+func ApplyDiagonalF32(amps, d []complex64, qs []int) { ApplyDiagonal(amps, d, qs) }
 
 // checkDiagonal holds a whole state's diagonal to positions inside it: with
 // no base index there is nothing above the state for a position to select.

@@ -187,21 +187,6 @@ func apply5(m []complex128, qs []int) Dense[complex128] {
 	}}
 }
 
-// ApplyCZ applies a controlled-Z between bit positions a and b without a
-// matrix: amplitudes with both bits set are negated.
-//
-//qusim:hot
-func ApplyCZ(amps []complex128, a, b int) {
-	mask := 1<<a | 1<<b
-	par.For(len(amps), 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if i&mask == mask {
-				amps[i] = -amps[i]
-			}
-		}
-	})
-}
-
 // Scale multiplies every amplitude by s (global-phase absorption and the
 // conditional global phase of Sec. 3.5).
 //

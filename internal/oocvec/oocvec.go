@@ -48,7 +48,7 @@ type Vector struct {
 	f    fsio.File      // backing file
 	path string         // backing file path; stable across swap adoptions
 	dir  string         // directory holding the backing and swap files
-	buf  []complex128   // one chunk (constructors, reductions, snapshots; a stage's scratch)
+	buf  []complex128   // one chunk (constructors, reductions, snapshots, restore)
 	pool [][]complex128 // the stage pipeline's chunks, kept from stage to stage
 
 	prefetch    int // chunks read ahead of the compute loop; 0 = no overlap

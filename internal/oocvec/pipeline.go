@@ -235,10 +235,7 @@ func (v *Vector) pumpStage(prog *schedule.Program[complex128], bitPos []int, out
 	// through the shard applier (chunk number = shard index, the default
 	// kernels). A chunk already buffered when we ask for it is a
 	// prefetch hit — I/O fully hidden behind the previous chunk's compute.
-	// The scratch is v.buf, idle while a stage runs: when a permutation's
-	// gather lands in it, the pooled buffer takes it over and hands its old
-	// amps back as the next scratch, so no chunk is allocated for it.
-	sh := schedule.Shard[complex128]{L: v.L, Scratch: v.buf}
+	sh := schedule.Shard[complex128]{L: v.L}
 	for done := 0; done < chunks; done++ {
 		var b *chunkBuf
 		select {
@@ -253,16 +250,10 @@ func (v *Vector) pumpStage(prog *schedule.Program[complex128], bitPos []int, out
 		}
 		sh.Amps, sh.Index = b.amps, b.idx
 		sh.Exec(prog)
-		b.amps = sh.Amps
 		dirty <- b
 	}
 	close(dirty)
 	wg.Wait()
-	// Scratch and buffers may have traded amplitudes: keep what each holds.
-	v.buf = sh.Scratch
-	for i := range bufs {
-		v.pool[i] = bufs[i].amps
-	}
 	if readErr != nil {
 		return readErr
 	}

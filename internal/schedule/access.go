@@ -41,7 +41,8 @@ func (sa *StageAccess) Exchanges() bool { return sa.Swap >= 0 }
 // after the swap that closes its stage, and a swap that is not q local
 // locations [L−q, L), in order, against q distinct global ones — or that
 // carries a Perm: the permutation that brings the outgoing qubits to the top
-// local locations is an OpLocalPerm of its own.
+// local locations is an OpLocalPerm of its own. Every other op passes
+// checkLocal, so no plan it accepts reaches a kernel panic.
 func (p *Plan) AccessMap() ([]StageAccess, error) {
 	var stages []StageAccess
 	for i := range p.Ops {
@@ -67,9 +68,38 @@ func (p *Plan) AccessMap() ([]StageAccess, error) {
 				return nil, fmt.Errorf("schedule: op %d: %w", i, err)
 			}
 			sa.Swap, sa.GlobalBits = i, bits
+		default:
+			if err := p.checkLocal(op); err != nil {
+				return nil, fmt.Errorf("schedule: op %d: %w", i, err)
+			}
 		}
 	}
 	return stages, nil
+}
+
+// checkLocal checks what the kernels of a cluster, a diagonal or a local
+// permutation take on trust: positions strictly ascending and in range (a
+// cluster's below L, a diagonal's below N), a matrix or diagonal of their
+// size, and a permutation of the L local locations.
+func (p *Plan) checkLocal(op *Op) error {
+	k := len(op.Positions)
+	for j, pos := range op.Positions {
+		if j > 0 && op.Positions[j-1] >= pos {
+			return fmt.Errorf("positions %v are not strictly ascending", op.Positions)
+		}
+		if pos < 0 || op.Kind == OpCluster && pos >= p.L || pos >= p.N {
+			return fmt.Errorf("position %d out of range for a %v", pos, op.Kind)
+		}
+	}
+	switch {
+	case op.Kind == OpCluster && len(op.Matrix.Data) != 1<<(2*k):
+		return fmt.Errorf("%d matrix entries for %d positions", len(op.Matrix.Data), k)
+	case op.Kind == OpDiagonal && len(op.Diag) != 1<<k:
+		return fmt.Errorf("%d diagonal entries for %d positions", len(op.Diag), k)
+	case op.Kind == OpLocalPerm && !isPermutation(op.Perm, p.L):
+		return fmt.Errorf("perm %v is not a permutation of the %d local locations", op.Perm, p.L)
+	}
+	return nil
 }
 
 // globalBits checks the shape of a swap and returns its GlobalBits.

@@ -50,14 +50,9 @@ func blockBits[T amp]() int {
 // on them. Index supplies the index bits at locations ≥ L: 0 for a whole
 // vector, the rank in dist, the chunk number in oocvec.
 type Shard[T amp] struct {
-	Amps []T
-	// Scratch, when not nil, is a spare buffer of len(Amps) the caller holds
-	// anyway (oocvec's idle chunk): a multi-cycle permutation then gathers
-	// into it in one pass and Exec trades it with Amps. Nil means in place —
-	// Exec never allocates one, and Amps stays the slice it was.
-	Scratch []T
-	L       int
-	Index   int
+	Amps  []T
+	L     int
+	Index int
 	// Observe, when not nil, is told about every pass Exec makes over the
 	// shard: the ops it executed — one, or the several of a blocked run —
 	// when it began, and how long each op took; the times add up to the
@@ -105,9 +100,9 @@ func (s *Shard[T]) Compile(ops []Op) (*Program[T], error) {
 			if st.inRun {
 				n = 1 << block
 			}
-			st.dense = kernels.PrepareDense(convert[T](op.Matrix.Data), op.Positions, n)
+			st.dense = kernels.PrepareDense(kernels.Convert[T](op.Matrix.Data), op.Positions, n)
 		case OpDiagonal:
-			st.diag = kernels.PrepareDiagonal(convert[T](op.Diag), op.Positions, 1<<block)
+			st.diag = kernels.PrepareDiagonal(kernels.Convert[T](op.Diag), op.Positions, 1<<block)
 			st.inRun = blocked
 		case OpLocalPerm:
 		case OpSwap:
@@ -288,14 +283,5 @@ func (s *Shard[T]) permute(perm []int) {
 		}
 		perm = full
 	}
-	s.Amps, s.Scratch = kernels.Permute(s.Amps, s.Scratch, kernels.CompileBitPermutation(perm))
-}
-
-// convert is where the element type meets the plan: plans carry complex128
-// matrices, converted per op for a complex64 shard.
-func convert[T amp](m []complex128) []T {
-	if same, ok := any(m).([]T); ok {
-		return same
-	}
-	return any(kernels.ToComplex64(m)).([]T)
+	kernels.PermuteInPlace(s.Amps, kernels.CompileBitPermutation(perm))
 }

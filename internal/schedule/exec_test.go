@@ -155,7 +155,7 @@ func TestShardedExecutionMatchesWholeVector(t *testing.T) {
 // TestPermutationsMoveBothPrecisionsAlike runs a plan of data movement only
 // — a multi-cycle permutation, a lone transposition, a permutation before a
 // swap and a swap on its own — on values both element types hold exactly:
-// the generic gather and swap kernels must put every amplitude at the same
+// the generic permutation and swap kernels must put every amplitude at the same
 // index whatever its width.
 func TestPermutationsMoveBothPrecisionsAlike(t *testing.T) {
 	const n, l = 12, 8

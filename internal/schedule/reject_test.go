@@ -2,6 +2,7 @@ package schedule_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"qusim/internal/circuit"
@@ -16,23 +17,30 @@ import (
 // file held. All four cut the plan with the same walk (Plan.AccessMap), so
 // they give one answer to a malformed one, and the answer is an error.
 
-// malformedPlans returns the structural defects of a plan that no executor
-// can run, most as a corrupted copy of the RandomCircuit(6, 30, 1) plan at
-// l = 5 — two ranks, two file chunks; every swap exchanges one qubit.
+// malformedPlans returns the defects of a plan — of its structure or of one
+// op — that no executor can run, most as a corrupted copy of the
+// RandomCircuit(6, 30, 1) plan at l = 5 — two ranks, two file chunks; every
+// swap exchanges one qubit.
 func malformedPlans(t *testing.T) map[string]*schedule.Plan {
 	t.Helper()
 	base, err := schedule.Build(circuit.RandomCircuit(6, 30, 1), schedule.DefaultOptions(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	swap := -1
+	swap, diag, cluster := -1, -1, -1 // the first swap, diagonal, cluster of k ≥ 2
 	for i := range base.Ops {
-		if base.Ops[i].Kind == schedule.OpSwap && swap < 0 {
+		op := &base.Ops[i]
+		switch {
+		case op.Kind == schedule.OpSwap && swap < 0:
 			swap = i
+		case op.Kind == schedule.OpDiagonal && diag < 0:
+			diag = i
+		case op.Kind == schedule.OpCluster && cluster < 0 && len(op.Positions) >= 2:
+			cluster = i
 		}
 	}
-	if swap < 1 || len(base.Ops[swap].LocalPos) != 1 {
-		t.Fatalf("plan has no one-qubit swap after an op of its stage:\n%s", base.Summary())
+	if swap < 1 || len(base.Ops[swap].LocalPos) != 1 || diag < 0 || cluster < 0 {
+		t.Fatalf("plan lacks a one-qubit swap after an op of its stage, a diagonal or a two-position cluster:\n%s", base.Summary())
 	}
 	corrupt := func(edit func(ops []schedule.Op) []schedule.Op) *schedule.Plan {
 		p := *base
@@ -61,6 +69,24 @@ func malformedPlans(t *testing.T) map[string]*schedule.Plan {
 		}),
 		"first op at stage -1": corrupt(func(ops []schedule.Op) []schedule.Op {
 			ops[0].Stage = -1
+			return ops
+		}),
+		"cluster positions not ascending": corrupt(func(ops []schedule.Op) []schedule.Op {
+			ops[cluster].Positions = slices.Clone(ops[cluster].Positions)
+			slices.Reverse(ops[cluster].Positions)
+			return ops
+		}),
+		"cluster position not local": corrupt(func(ops []schedule.Op) []schedule.Op {
+			ops[cluster].Positions = slices.Clone(ops[cluster].Positions)
+			ops[cluster].Positions[len(ops[cluster].Positions)-1] = base.L
+			return ops
+		}),
+		"local permutation that is not a permutation": corrupt(func(ops []schedule.Op) []schedule.Op {
+			bad := schedule.Op{Kind: schedule.OpLocalPerm, Stage: ops[swap].Stage, Perm: make([]int, base.L)}
+			return insert(ops, swap, bad)
+		}),
+		"diagonal of the wrong size": corrupt(func(ops []schedule.Op) []schedule.Op {
+			ops[diag].Diag = ops[diag].Diag[1:]
 			return ops
 		}),
 		// q = 3 "top" locations of a two-location shard start at L − q = −1.
@@ -105,9 +131,9 @@ func TestMalformedPlansRejectedEverywhere(t *testing.T) {
 
 // FuzzReadPlan feeds ReadPlan — the one way a plan from outside the process
 // gets in (qsim -plan) — arbitrary bytes: it must return an error or a plan
-// that survives a round trip, and never panic. The executors trust what it
-// checked (the stage cut, positions ascending and in range, matrix and
-// diagonal sizes), so a small accepted plan is also executed on one vector
+// that survives a round trip, and never panic. What it checked (the stage
+// cut, positions ascending and in range, matrix and diagonal sizes) is what
+// the kernels trust, so a small accepted plan is also executed on one vector
 // and on two ranks — dist holds a swap to the strictest shape.
 func FuzzReadPlan(f *testing.F) {
 	for _, l := range []int{4, 5, 6} {

@@ -132,27 +132,3 @@ func TestDeepCircuitNormStability(t *testing.T) {
 		t.Errorf("norm drift after 500 gates: %g", d)
 	}
 }
-
-func TestApplyControlledViaVector(t *testing.T) {
-	rng := rand.New(rand.NewSource(135))
-	v := randomVector(6, rng)
-	w := v.Clone()
-	u := gate.RandomUnitary(1, rng)
-	v.ApplyControlled(u, []int{2}, []int{4})
-	// Reference: dense controlled matrix.
-	w.ApplyDense(gate.Controlled(u), 2, 4)
-	if d := v.MaxDiff(w); d > 1e-10 {
-		t.Errorf("ApplyControlled vs dense: %g", d)
-	}
-}
-
-func TestApplyControlledPhaseViaVector(t *testing.T) {
-	rng := rand.New(rand.NewSource(136))
-	v := randomVector(5, rng)
-	w := v.Clone()
-	v.ApplyControlledPhase([]int{0, 3}, -1)
-	w.Apply(gate.CZ(), 0, 3)
-	if d := v.MaxDiff(w); d > 1e-13 {
-		t.Errorf("ApplyControlledPhase vs CZ: %g", d)
-	}
-}

@@ -102,7 +102,7 @@ func TestReverseBits(t *testing.T) {
 }
 
 func TestPermuteBitsMatchesSwapChain(t *testing.T) {
-	// The single-pass gather kernel and the transposition-chain reference
+	// The in-place kernel and the transposition-chain reference
 	// must agree exactly (both are pure relabelings — no arithmetic).
 	rng := rand.New(rand.NewSource(45))
 	for trial := 0; trial < 30; trial++ {

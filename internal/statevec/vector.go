@@ -199,23 +199,26 @@ func (v *Vector) Fidelity(o *Vector) float64 {
 // gate application -----------------------------------------------------------
 
 // Apply applies the gate matrix m to the given qubits: gate-local qubit j of
-// m acts on qubits[j]. Qubits need not be sorted; the matrix is
-// pre-permuted to sorted qubit order per Sec. 3.2, and diagonal matrices
-// take the no-matvec fast path.
-func (v *Vector) Apply(m gate.Matrix, qubits ...int) {
+// m acts on qubits[j] (ApplyGate).
+func (v *Vector) Apply(m gate.Matrix, qubits ...int) { ApplyGate(v.Amps, m, qubits) }
+
+// ApplyGate is the per-gate entry of a state in either precision (Vector.Apply,
+// f32vec's ApplyGate). Qubits need not be sorted: the matrix is pre-permuted to
+// sorted qubit order per Sec. 3.2, converted to the element type, and a
+// diagonal matrix takes the no-matvec fast path.
+func ApplyGate[T complex64 | complex128](amps []T, m gate.Matrix, qubits []int) {
 	if len(qubits) != m.K {
 		panic(fmt.Sprintf("statevec: %d qubits for a %d-qubit gate", len(qubits), m.K))
 	}
 	sortedQs, perm := SortPositions(qubits)
-	mm := m
 	if perm != nil {
-		mm = gate.PermuteQubits(m, perm)
+		m = gate.PermuteQubits(m, perm)
 	}
-	if mm.IsDiagonal(0) {
-		kernels.ApplyDiagonal(v.Amps, mm.Diagonal(), sortedQs)
+	if m.IsDiagonal(0) {
+		kernels.ApplyDiagonal(amps, kernels.Convert[T](m.Diagonal()), sortedQs)
 		return
 	}
-	kernels.Apply(v.Amps, mm.Data, sortedQs)
+	kernels.Apply(amps, kernels.Convert[T](m.Data), sortedQs)
 }
 
 // ApplyDense is Apply without the diagonal fast path — used by experiments
@@ -250,26 +253,9 @@ func (v *Vector) ApplyDiagonal(d []complex128, qubits ...int) {
 	kernels.ApplyDiagonal(v.Amps, dd, sortedQs)
 }
 
-// ApplyCZ applies a controlled-Z between two qubits (symmetric).
-func (v *Vector) ApplyCZ(a, b int) { kernels.ApplyCZ(v.Amps, a, b) }
-
-// ApplyControlled applies m to the target qubits conditioned on every
-// control qubit being 1, touching only the controlled subspace (a 2^c-fold
-// saving over embedding the controls into the matrix).
-func (v *Vector) ApplyControlled(m gate.Matrix, targets, controls []int) {
-	sortedQs, perm := SortPositions(targets)
-	mm := m
-	if perm != nil {
-		mm = gate.PermuteQubits(m, perm)
-	}
-	kernels.ApplyControlled(v.Amps, mm.Data, sortedQs, controls)
-}
-
-// ApplyControlledPhase multiplies amplitudes with all the given qubits set
-// by the phase (generalized CZ/CPhase).
-func (v *Vector) ApplyControlledPhase(qubits []int, phase complex128) {
-	kernels.ApplyControlledPhase(v.Amps, qubits, phase)
-}
+// ApplyCZ applies a controlled-Z between two qubits (symmetric): the
+// diagonal sweep Apply(gate.CZ()) takes.
+func (v *Vector) ApplyCZ(a, b int) { v.ApplyDiagonal([]complex128{1, 1, 1, -1}, a, b) }
 
 // Scale multiplies the whole state by s (global phase).
 func (v *Vector) Scale(s complex128) { kernels.Scale(v.Amps, s) }

@@ -287,14 +287,14 @@ type permutedBackend struct {
 	every int
 }
 
-// Permuted returns a backend that exercises the single-pass bit-permutation
-// kernel: every `every` gates it draws a seeded random relabeling of all n
-// bit positions and applies it through statevec.PermuteBits (the compiled
-// gather path), then keeps executing gates at their relocated positions.
+// Permuted returns a backend that exercises the bit-permutation kernel:
+// every `every` gates it draws a seeded random relabeling of all n bit
+// positions and applies it through statevec.PermuteBits (the in-place
+// pair-swap passes), then keeps executing gates at their relocated positions.
 // The final state is restored to logical order through
 // PermuteBitsSwapChain — the pre-optimization transposition-chain
 // implementation — so a divergence from the naive reference pins the
-// gather kernel against the chain on the same random permutations. The
+// in-place kernel against the chain on the same random permutations. The
 // permutation before each swap gets the same treatment under MPI faults via
 // the DistributedFaulty scenarios.
 func Permuted(seed int64) Backend {
