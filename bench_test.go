@@ -647,6 +647,9 @@ const diagState = 24
 // kernel set that ran: -tags noavx512 records the avx2 rows beside the
 // avx512 ones. bytes/op counts one read and one write of every amplitude
 // swept, as in BenchmarkKernelPrecision, whatever the unit entries spare.
+// The qft23/rank7 row is the layer those shapes add up to: every stage
+// program of the default QFT(23) l = 20 plan, its diagonals folded, on the
+// 16 MiB shard of rank 7, the swaps' exchanges left out.
 func BenchmarkDiagonal(b *testing.B) {
 	set := kernels.ISA()
 	for _, shape := range []struct {
@@ -696,6 +699,24 @@ func BenchmarkDiagonal(b *testing.B) {
 			benchResident[complex64](b, op, 5, diagState)
 		})
 	}
+	b.Run(set+"/qft23/rank7/f64", func(b *testing.B) {
+		plan, err := schedule.Build(circuit.QFT(23), schedule.DefaultOptions(20))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sh := schedule.Shard[complex128]{Amps: kernels.NewAmps[complex128](1 << 20), L: 20, Index: 7}
+		sh.Amps[0] = 1
+		stages, err := sh.Stages(plan, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, st := range stages {
+				sh.Exec(st.Prog)
+			}
+		}
+	})
 }
 
 // BenchmarkCircuitPrecision records the end-to-end precision pair on the

@@ -57,8 +57,8 @@ func main() {
 	fmt.Printf("circuit: %d qubits (%dx%d grid), depth %d, %d gates\n", circ.N, r, c, *depth, len(circ.Gates))
 	fmt.Printf("layout:  %d local / %d global qubits (%d ranks)\n", plan.L, plan.N-plan.L, 1<<(plan.N-plan.L))
 	fmt.Printf("stages:  %d, global-to-local swaps: %d\n", s.Stages, s.Swaps)
-	fmt.Printf("clusters: %d (%.2f gates/cluster), diagonal specializations: %d\n",
-		s.Clusters, s.GatesPerCluster, s.DiagonalOps)
+	fmt.Printf("clusters: %d (%.2f gates/cluster), diagonal specializations: %d, diagonals folded away: %d\n",
+		s.Clusters, s.GatesPerCluster, s.DiagonalOps, s.FoldedDiagonals)
 	var sizes []int
 	for k := range s.ClusterSizes {
 		sizes = append(sizes, k)

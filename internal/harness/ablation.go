@@ -91,7 +91,13 @@ func ablation(w io.Writer, cfg Config) error {
 			return err
 		}
 		elapsed := time.Since(start)
-		t.row(cse.label, plan.Stats.Clusters+plan.Stats.DiagonalOps, fmt.Sprintf("%.3f", elapsed.Seconds()))
+		invocations := 0
+		for _, op := range plan.Ops {
+			if op.Kind != schedule.OpSwap {
+				invocations++
+			}
+		}
+		t.row(cse.label, invocations, fmt.Sprintf("%.3f", elapsed.Seconds()))
 	}
 	t.flush()
 	note(w, "paper: fusion turns %d gates into far fewer kernel sweeps; the mapping heuristic bought 2x on Edison's 8-way caches (its effect here depends on this host's cache)", len(circ2.Gates))

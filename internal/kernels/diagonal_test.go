@@ -154,8 +154,9 @@ func deposit(v int, qs []int) int {
 // oracle, in both precisions, through Block and Sweep, on this machine's
 // kernels and on each width's directly. Each set runs on a 2^12-amplitude
 // piece under a base for every value of its positions above the piece, so
-// every row is reached; the QFT's shapes also run on a 2^20 piece, which
-// Sweep splits over many calls and workers.
+// every row is reached; the QFT's shapes — among them diagonals the
+// scheduler folded to 8–10 positions — also run on a 2^20 piece, which Sweep
+// splits over many calls and workers.
 func TestDiagonalWindowsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(87))
 	const small, large = 12, 20
@@ -181,7 +182,10 @@ func TestDiagonalWindowsMatchOracle(t *testing.T) {
 			checkDiagonalOracle(t, qs, d, piece, 1<<23|deposit(v, above))
 		}
 	}
-	for _, qs := range [][]int{{0, 3, 9, 10, 19}, {1, 4, 8, 12, 16}, {2, 5, 11, 15, 19}, {4, 7, 13, 17, 22}, {19, 22}} {
+	for _, qs := range [][]int{
+		{0, 3, 9, 10, 19}, {1, 4, 8, 12, 16}, {2, 5, 11, 15, 19}, {4, 7, 13, 17, 22}, {19, 22},
+		{0, 1, 3, 9, 10, 11, 12, 13, 19}, {0, 2, 3, 6, 7, 9, 10, 15, 16, 17}, {3, 6, 7, 8, 19, 20, 21, 22}, {0, 1, 3, 8, 9, 10, 11, 12, 13, 22},
+	} {
 		d := diagEntries(len(qs), rng)
 		for _, base := range []int{0, 7 << 20} {
 			checkDiagonalOracle(t, qs, d, state, base)
@@ -189,16 +193,17 @@ func TestDiagonalWindowsMatchOracle(t *testing.T) {
 	}
 }
 
-// FuzzDiagonal draws the positions (any of 0…23), the base index of the
-// piece, its size and the entries, and holds both precisions to the oracle
-// on every route.
+// FuzzDiagonal draws the positions (up to 10 of 0…23, the widest diagonal
+// the scheduler folds), the base index of the piece, its size and the
+// entries, and holds both precisions to the oracle on every route.
 func FuzzDiagonal(f *testing.F) {
 	f.Add(uint32(0b1000_0000_0110_0000_1001), uint32(5<<20), uint8(12), int64(1))
 	f.Add(uint32(1), uint32(0), uint8(3), int64(2))
 	f.Add(uint32(0b1100_0000_0000_0000_0000_0000), uint32(3<<22), uint8(10), int64(3))
+	f.Add(uint32(0b0100_0000_0011_1111_0000_1011), uint32(7<<20), uint8(14), int64(4))
 	f.Fuzz(func(t *testing.T, posBits, base uint32, n uint8, seed int64) {
 		var qs []int
-		for q := 0; q < 24 && len(qs) < 6; q++ {
+		for q := 0; q < 24 && len(qs) < 10; q++ {
 			if posBits>>q&1 != 0 {
 				qs = append(qs, q)
 			}

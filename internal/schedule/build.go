@@ -12,8 +12,14 @@ import (
 // Build schedules a circuit into a Plan per the optimizations of Sec. 3.6:
 // stages separated by global-to-local swaps, fused k ≤ KMax clusters within
 // each stage, specialized diagonal gates on global qubits, boundary
-// adjustment, and qubit mapping.
+// adjustment, and qubit mapping. Consecutive diagonals of a stage are
+// folded into one (foldDiagonals) unless Clustering is off.
 func Build(c *circuit.Circuit, opts Options) (*Plan, error) {
+	return build(c, opts, opts.Clustering)
+}
+
+// build is Build with the diagonal fold on or off.
+func build(c *circuit.Circuit, opts Options, fold bool) (*Plan, error) {
 	if err := opts.validate(c.N); err != nil {
 		return nil, err
 	}
@@ -22,7 +28,7 @@ func Build(c *circuit.Circuit, opts Options) (*Plan, error) {
 	}
 	opts.Costs = opts.Costs.resolve()
 	info := gateInfos(c, opts.Costs)
-	b := newBuilder(c, opts, info, nil)
+	b := newBuilder(c, opts, info, nil, fold)
 	// The mapping heuristic needs a first pass for the cluster qubit sets
 	// only; fused matrices and diagonals wait for the pass that is kept.
 	b.structureOnly = opts.Mapping == MapHeuristic
@@ -32,7 +38,7 @@ func Build(c *circuit.Circuit, opts Options) (*Plan, error) {
 	}
 	if opts.Mapping == MapHeuristic {
 		pos := heuristicMapping(c.N, b.l, b.initialResident, b.clusterQubitSets)
-		plan, err = newBuilder(c, opts, info, pos).run()
+		plan, err = newBuilder(c, opts, info, pos, fold).run()
 		if err != nil {
 			return nil, err
 		}
@@ -56,6 +62,7 @@ type builder struct {
 	// structureOnly skips fusing matrices and materializing diagonals:
 	// ops carry their kind and gate count only.
 	structureOnly bool
+	fold          bool // fold each stage's consecutive diagonals
 
 	initialPos       []int // fixed initial layout, or nil to choose greedily
 	initialResident  uint64
@@ -65,12 +72,12 @@ type builder struct {
 
 // newBuilder takes opts with Costs resolved and the gateInfos of c under
 // them.
-func newBuilder(c *circuit.Circuit, opts Options, info []gateInfo, initialPos []int) *builder {
+func newBuilder(c *circuit.Circuit, opts Options, info []gateInfo, initialPos []int, fold bool) *builder {
 	l := opts.LocalQubits
 	if l > c.N {
 		l = c.N
 	}
-	return &builder{c: c, opts: opts, n: c.N, l: l, initialPos: initialPos, cl: clusterer{info: info}}
+	return &builder{c: c, opts: opts, n: c.N, l: l, initialPos: initialPos, fold: fold, cl: clusterer{info: info}}
 }
 
 func (b *builder) qubitMask(gi int) uint64 { return b.cl.info[gi].mask }
@@ -503,8 +510,9 @@ func (b *builder) adjustBoundary(stageOps []stageOp, sel, rest []int, cur, next 
 }
 
 // emitStageOps finalizes a stage's operations: fuses cluster matrices and
-// materializes diagonal entries, using the current layout.
+// materializes diagonal entries, using the current layout, then folds them.
 func (b *builder) emitStageOps(stageOps []stageOp) {
+	first := len(b.ops)
 	for _, sop := range stageOps {
 		switch {
 		case b.structureOnly:
@@ -514,6 +522,9 @@ func (b *builder) emitStageOps(stageOps []stageOp) {
 		default:
 			b.emitDiag(sop.gates[0], false)
 		}
+	}
+	if b.fold && !b.structureOnly {
+		b.foldDiagonals(first)
 	}
 }
 

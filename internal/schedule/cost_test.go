@@ -22,13 +22,14 @@ func paperOptions(l, kmax int) Options {
 
 // TestPaperCostsReproduceParentPlans pins the reduction the cost rule
 // promises: under PaperCosts every widening is free and cheapest-per-gate
-// is most-gates, so the plans are those of the greedy algorithm this
-// package shipped before the rule (commit 7536100, where the hashes were
-// taken). Full fingerprints cover fused matrix entries bit for bit and are
-// compared on amd64 only (other targets may contract the products into
-// FMAs); structure fingerprints hold everywhere. The plans of those commits
-// carried the permutation before a swap inside the swap op: folding it back
-// (foldPerms) is the only difference.
+// is most-gates, so the clusters are those of the greedy algorithm this
+// package shipped before the rule (commit 7536100: the cluster counts are
+// its). The hashes were re-taken once, when consecutive diagonals began to
+// be folded (foldDiagonals). Full fingerprints cover fused matrix and
+// folded diagonal entries bit for bit and are compared on amd64 only (other
+// targets may contract the products into FMAs); structure fingerprints hold
+// everywhere. The pins carry the permutation before a swap inside the swap
+// op, as the plans of those commits did (foldPerms).
 func TestPaperCostsReproduceParentPlans(t *testing.T) {
 	sup := func(n int) *circuit.Circuit {
 		r, c := circuit.GridForQubits(n)
@@ -43,13 +44,13 @@ func TestPaperCostsReproduceParentPlans(t *testing.T) {
 		clusters        int
 		structure, full string
 	}{
-		{"table1/n30/kmax3", sup(30), paperOptions(30, 3), 85, "a696d5225c1d8015788e9764aafb81d961507527f8058cb32a23bd90c6f21752", "8e19b6cb4ddcde5159290784c95c83fd19141cf65cd4aa346a997b4e39262d9a"},
+		{"table1/n30/kmax3", sup(30), paperOptions(30, 3), 85, "e5581ffdcbbfdc001c2aefdeef0a36a14cc3c1bbcb8354a478ef1f96a7091c4b", "d87931f4ad2d2ba05866e6dae5a30361e704deae87aa47c3c247be10cc877e62"},
 		{"table1/n30/kmax4", sup(30), paperOptions(30, 4), 57, "def6c3e82db2ecee9d7027b48698e323e303a457f13f2fa6459319bd0c30f381", "818ce6f87e9dcfdc3895946bdcf5f97aed98ca063747c262c20ff77fb8e3b5d8"},
-		{"table1/n30/kmax5", sup(30), paperOptions(30, 5), 43, "beed5b5c05ef103e3625106fd4ba3ee3f513782bdd21568c855c6170fb72ae45", "81f98b9925c8bac7ffe54fdcd77f718f186f16db034e2a017a395d7f739e0f67"},
-		{"table1/n36/kmax3", sup(36), paperOptions(30, 3), 106, "5adc92ef938998613855d49e1c164d1c800d8d2cf6cdbafbc2e4b59cf152af5e", "1711bba563885587702051f57de22d9747f5f447588c61f9ecd475fd50cf78f0"},
-		{"table1/n36/kmax4", sup(36), paperOptions(30, 4), 71, "0c135d6477e3f340a6925c2d2334f90d7f0a599a949bbeaeb964c5d84b7c3c46", "3f88f1c129d8ce36c9d198e19fcb39b33b993acf5b8c7cf0828609dc3eef4434"},
-		{"table1/n36/kmax5", sup(36), paperOptions(30, 5), 54, "fde5a90fe65dab3474ac54dda822f42c00f782677b3329c93e8115a8ce1f35fb", "f970bac68f988b3aad9e5a95e9e2dc5c548f6b733fe563c731c8aa427d65b488"},
-		{"qft23/l20", circuit.QFT(23), paperOptions(20, 5), 38, "a49e1f1f30bedaa3c7bdf7f6012f7ca3d7f3473413f1a8b44d267c38fc7ba831", "04a73859679db961b06819e2d8ca5b7476ddde44e0263317a73672ce6a29158e"},
+		{"table1/n30/kmax5", sup(30), paperOptions(30, 5), 43, "da058e95da1f9cf501bbd84d8f087ad04cee39554f59cffb1845a76b322734b9", "30ec4c9aff95383e21ab41bf519d9e91ae5cd5da75a7df516f9aa8f11f88231a"},
+		{"table1/n36/kmax3", sup(36), paperOptions(30, 3), 106, "46750adf3ef23b80ccbcb818156477c1ef748959973389dbe0e538f24821d1cb", "1588e6bbb861dde6e371d159762988e1a673dfc18b0a0cd9f9335dcf6d240861"},
+		{"table1/n36/kmax4", sup(36), paperOptions(30, 4), 71, "2e236147436002909060c57976598995d0907e3e2a7910fbf76aa239f4484650", "005cef01b58dba81cf6fb46e1a315a6459304f31f1b1885e2b4083d034ebed1b"},
+		{"table1/n36/kmax5", sup(36), paperOptions(30, 5), 54, "aa64af49fe4a834807d90fdbca5bd6723189fde03990d24fefa864047f175b79", "16564363b258938a4c470459b69672840a52e2fe7145bef1fc1299c95681251d"},
+		{"qft23/l20", circuit.QFT(23), paperOptions(20, 5), 38, "c0b5b23a6b26428a28873d5655d3569ca6d9021725bb9056a7526f13a822effa", "fc3d4b3309eec33ec7e297c519d4419b6000be2b1683b4c10738a02faf39ddda"},
 		{"qaoa16/l16", qaoa, paperOptions(16, 5), 15, "133177a1de2d9b6653611ce02166ea9606f6bda187f2e9b7f4b78ac92eae8ea9", "d74336cab6af1185bba5d802a9cb5a6372757d9776be1d88924d8dab5022356b"},
 	} {
 		p, err := Build(g.c, g.opts)
@@ -129,6 +130,8 @@ func TestDefaultPlansStopAtTheKnee(t *testing.T) {
 	// Whichever kernel set a machine runs, its table bounds the dense
 	// clusters of the default plans and prices them no dearer than any
 	// fixed cap's — all three rows on every host, under explicit costs.
+	// The knee is the clusterer's, so the plans compared are its output,
+	// before the diagonal fold the table does not price.
 	for _, row := range []struct {
 		name  string
 		costs CostTable
@@ -138,7 +141,7 @@ func TestDefaultPlansStopAtTheKnee(t *testing.T) {
 			name := row.name + "/" + s.name
 			opts := DefaultOptions(s.l)
 			opts.Costs = costs
-			p, err := Build(s.c, opts)
+			p, err := build(s.c, opts, false)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -167,7 +170,7 @@ func TestDefaultPlansStopAtTheKnee(t *testing.T) {
 			}
 			got := costs.PlanCost(p)
 			for cap := 1; cap <= 5; cap++ {
-				q, err := Build(s.c, paperOptions(s.l, cap))
+				q, err := build(s.c, paperOptions(s.l, cap), false)
 				if err != nil {
 					t.Fatalf("%s cap %d: %v", name, cap, err)
 				}
@@ -177,12 +180,12 @@ func TestDefaultPlansStopAtTheKnee(t *testing.T) {
 			}
 			// Build is a function of (circuit, options): same plan twice, and
 			// the zero table is MeasuredCosts.
-			again, _ := Build(s.c, opts)
-			if p.Fingerprint() != again.Fingerprint() {
+			folded, _ := Build(s.c, opts)
+			if again, _ := Build(s.c, opts); folded.Fingerprint() != again.Fingerprint() {
 				t.Errorf("%s: fingerprints differ between builds of the same options", name)
 			}
 			if costs == MeasuredCosts() {
-				if zero, _ := Build(s.c, DefaultOptions(s.l)); p.Fingerprint() != zero.Fingerprint() {
+				if zero, _ := Build(s.c, DefaultOptions(s.l)); folded.Fingerprint() != zero.Fingerprint() {
 					t.Errorf("%s: the zero table does not plan as MeasuredCosts", name)
 				}
 			}

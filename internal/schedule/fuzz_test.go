@@ -36,7 +36,8 @@ func fuzzCosts(steps [6]uint8) CostTable {
 // the per-gate planner of [19] against naive gate-by-gate simulation. Any
 // input the fuzzer finds where a plan deviates from (1⊗…⊗U⊗…⊗1)|Ψ⟩
 // semantics by more than 1e-9 is a scheduler bug; the corpus entry is the
-// reproducer.
+// reproducer. A gate count below 1 schedules QFT(n) instead of a random
+// circuit: its controlled phases on global qubits fold into wide diagonals.
 //
 // The plan's ops are then executed twice more on a state wide enough to have
 // cache blocks (every position of an n ≤ 10 plan lies below the block width,
@@ -55,6 +56,7 @@ func FuzzScheduleEquivalence(f *testing.F) {
 	f.Add(int64(3), 10, 60, 7, flat)
 	f.Add(int64(4), 4, 24, 2, knee2)
 	f.Add(int64(5), 9, 40, 9, []byte{200, 0, 90, 3, 77, 1})
+	f.Add(int64(0), 8, 0, 5, knee2)
 	f.Fuzz(func(t *testing.T, seed int64, n, gates, l int, table []byte) {
 		// Clamp the raw fuzz inputs into the supported envelope instead of
 		// rejecting them, so every execution exercises the scheduler.
@@ -64,9 +66,6 @@ func FuzzScheduleEquivalence(f *testing.F) {
 		if n > 10 {
 			n = 2 + int(uint(n)%9)
 		}
-		if gates < 1 {
-			gates = 1
-		}
 		if gates > 120 {
 			gates = 1 + int(uint(gates)%120)
 		}
@@ -74,7 +73,10 @@ func FuzzScheduleEquivalence(f *testing.F) {
 		if l < 2 || l > n {
 			l = 2 + int(uint(l)%uint(n-1))
 		}
-		c := circuit.RandomCircuit(n, gates, seed)
+		c := circuit.QFT(n)
+		if gates >= 1 {
+			c = circuit.RandomCircuit(n, gates, seed)
+		}
 
 		opts := DefaultOptions(l)
 		if opts.KMax > l {

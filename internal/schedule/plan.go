@@ -77,6 +77,8 @@ type Stats struct {
 	Clusters    int // fused-gate kernel invocations
 	DiagonalOps int // specialized diagonal executions (incl. global ones)
 	LocalPerms  int
+	// FoldedDiagonals: ops the diagonal fold removed (the counts above are unfolded).
+	FoldedDiagonals int
 	// ClusterSizes[k] counts clusters acting on exactly k qubits.
 	ClusterSizes map[int]int
 	// GatesPerCluster is the mean number of circuit gates per cluster.
@@ -164,8 +166,8 @@ func (p *Plan) LogicalIndex(physical int) int {
 // Summary renders the per-stage structure for the qsched tool.
 func (p *Plan) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "plan: n=%d l=%d stages=%d swaps=%d clusters=%d diag-ops=%d gates=%d\n",
-		p.N, p.L, p.Stats.Stages, p.Stats.Swaps, p.Stats.Clusters, p.Stats.DiagonalOps, p.Stats.Gates)
+	fmt.Fprintf(&b, "plan: n=%d l=%d stages=%d swaps=%d clusters=%d diag-ops=%d folded=%d gates=%d\n",
+		p.N, p.L, p.Stats.Stages, p.Stats.Swaps, p.Stats.Clusters, p.Stats.DiagonalOps, p.Stats.FoldedDiagonals, p.Stats.Gates)
 	stage := -1
 	for _, op := range p.Ops {
 		if op.Stage != stage {
