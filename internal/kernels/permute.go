@@ -8,12 +8,11 @@ import (
 	"qusim/internal/par"
 )
 
-// Bit-permutation kernels: the local qubit relabeling of Sec. 3.4. The
-// distributed scheme brackets every global-to-local swap with a local
-// permutation that brings the outgoing qubits to the highest-order local
-// locations, so permutation speed directly bounds the cost of a
-// communication step. Decomposing the permutation into transpositions costs
-// up to n−1 half-state sweeps; PermuteInPlace splits it into two involutions
+// Bit-permutation kernels: the local qubit relabeling of Sec. 3.4. Before a
+// global-to-local swap whose outgoing qubits are not yet at the top local
+// locations, the scheduler moves them there by disjoint transpositions (one
+// pass). A general permutation as one sweep per transposition costs up to
+// n−1 half-state sweeps; PermuteInPlace splits it into two involutions
 // instead, compiles each into per-byte lookup tables and moves every
 // amplitude to its final index in at most two in-place pair-swap passes. It
 // is the one permutation kernel: no second buffer is ever needed (DESIGN §7).

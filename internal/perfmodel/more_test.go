@@ -3,6 +3,8 @@ package perfmodel
 import (
 	"math"
 	"testing"
+
+	"qusim/internal/schedule"
 )
 
 func TestSingleNodeHasNoCommTime(t *testing.T) {
@@ -16,6 +18,29 @@ func TestSingleNodeHasNoCommTime(t *testing.T) {
 	}
 	if est.ComputeSec <= 0 {
 		t.Error("no compute time modeled")
+	}
+}
+
+// TestScheduledPricesFoldedDiagonalsAndOnePassPerms pins the two sweep
+// terms of EstimateScheduled: the diagonals the fold left, never fewer than
+// none, and one pass per local permutation.
+func TestScheduledPricesFoldedDiagonalsAndOnePassPerms(t *testing.T) {
+	m, sweep := CoriKNL(), CoriKNL().SweepTime(20)
+	for _, c := range []struct {
+		diag, folded, perms int
+		sweeps              float64
+	}{
+		{diag: 7, folded: 0, perms: 0, sweeps: 7},
+		{diag: 7, folded: 5, perms: 0, sweeps: 2},
+		{diag: 2, folded: 5, perms: 0, sweeps: 0},
+		{diag: 0, folded: 0, perms: 3, sweeps: 3},
+		{diag: 7, folded: 5, perms: 3, sweeps: 5},
+	} {
+		stats := schedule.Stats{Qubits: 20, DiagonalOps: c.diag, FoldedDiagonals: c.folded, LocalPerms: c.perms}
+		got := EstimateScheduled(m, CrayAries(), stats, 1).ComputeSec
+		if want := c.sweeps * sweep; math.Abs(got-want) > 1e-12*want {
+			t.Errorf("%d diagonals, %d folded, %d perms: %g s, want %g sweeps = %g s", c.diag, c.folded, c.perms, got, c.sweeps, want)
+		}
 	}
 }
 

@@ -74,7 +74,10 @@ func EstimateScheduled(m Machine, nw Network, stats schedule.Stats, nodes int) R
 		compute += float64(count) * m.KernelTime(k, l)
 		flops += float64(count) * KernelFlops(l, k)
 	}
-	compute += float64(stats.DiagonalOps) * m.SweepTime(l)
+	// The diagonals the fold left, one sweep each (floored at zero: a fold
+	// may also absorb a diagonal cluster, which stays priced as a cluster).
+	compute += float64(max(0, stats.DiagonalOps-stats.FoldedDiagonals)) * m.SweepTime(l)
+	// Exact: every permutation Build emits is one pair-swap pass.
 	compute += float64(stats.LocalPerms) * m.SweepTime(l)
 	comm := float64(stats.Swaps) * nw.SwapTime(nodes, l)
 	return finishEstimate(nodes, l, compute, comm, flops)

@@ -276,7 +276,10 @@ func (b *builder) chooseResidencyGreedy(rest []int, prev uint64) uint64 {
 }
 
 // fillResidency tops the set up to l qubits, preferring still-resident
-// qubits with the earliest next use (cheap Belady-style retention).
+// qubits with the earliest next use (cheap Belady-style retention). Ties
+// go to the lowest bit location, so the qubits left out of a layout leave
+// from the top local locations, where the swap wants them (emitSwap); the
+// initial residency, chosen before any layout, breaks them by qubit.
 func (b *builder) fillResidency(r uint64, count int, rest []int, prev uint64) uint64 {
 	firstUse := make([]int, b.n)
 	for q := range firstUse {
@@ -289,7 +292,7 @@ func (b *builder) fillResidency(r uint64, count int, rest []int, prev uint64) ui
 			}
 		}
 	}
-	type cand struct{ q, use, prevBonus int }
+	type cand struct{ q, use, prevBonus, at int }
 	var cands []cand
 	for q := 0; q < b.n; q++ {
 		if r&(1<<uint(q)) != 0 {
@@ -299,7 +302,11 @@ func (b *builder) fillResidency(r uint64, count int, rest []int, prev uint64) ui
 		if prev&(1<<uint(q)) != 0 {
 			bonus = 0
 		}
-		cands = append(cands, cand{q, firstUse[q], bonus})
+		at := q
+		if b.pos != nil {
+			at = b.pos[q]
+		}
+		cands = append(cands, cand{q, firstUse[q], bonus, at})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].prevBonus != cands[j].prevBonus {
@@ -308,7 +315,7 @@ func (b *builder) fillResidency(r uint64, count int, rest []int, prev uint64) ui
 		if cands[i].use != cands[j].use {
 			return cands[i].use < cands[j].use
 		}
-		return cands[i].q < cands[j].q
+		return cands[i].at < cands[j].at
 	})
 	for _, cd := range cands {
 		if count == b.l {
@@ -365,44 +372,33 @@ func (b *builder) emitSwap(cur, next uint64) {
 	if q == 0 {
 		return
 	}
-	// 1) Bring outgoing qubits to the q highest local locations.
-	outs := setBits(outgoing)
-	sort.Slice(outs, func(i, j int) bool { return b.pos[outs[i]] < b.pos[outs[j]] })
-	perm := make([]int, b.l)
-	for i := range perm {
-		perm[i] = -1
-	}
-	for j, qq := range outs {
-		perm[b.pos[qq]] = b.l - q + j
-	}
-	nextFree := 0
+	// 1) Bring outgoing qubits to the q highest local locations: each one
+	// below l−q trades places with a staying qubit in [l−q, l), both taken
+	// in ascending location order. The relabeling is a set of disjoint
+	// transpositions — an involution, one in-place pass — and the identity
+	// when every outgoing qubit already sits at the top.
+	var below, above []int
 	for p := 0; p < b.l; p++ {
-		if perm[p] != -1 {
-			continue
-		}
-		perm[p] = nextFree
-		nextFree++
-	}
-	identity := true
-	for p, np := range perm {
-		if p != np {
-			identity = false
-			break
+		out := outgoing&(1<<uint(b.loc[p])) != 0
+		if p < b.l-q && out {
+			below = append(below, p)
+		} else if p >= b.l-q && !out {
+			above = append(above, p)
 		}
 	}
-	if !identity {
+	if len(below) > 0 {
+		perm := make([]int, b.l)
+		for p := range perm {
+			perm[p] = p
+		}
+		for j, p := range below {
+			a := above[j]
+			perm[p], perm[a] = a, p
+			b.loc[p], b.loc[a] = b.loc[a], b.loc[p]
+			b.pos[b.loc[p]], b.pos[b.loc[a]] = p, a
+		}
 		b.ops = append(b.ops, Op{Kind: OpLocalPerm, Perm: perm, Stage: b.stage})
 		b.stats.LocalPerms++
-		// Update layout for the local relabeling.
-		newLoc := make([]int, b.n)
-		copy(newLoc, b.loc)
-		for p := 0; p < b.l; p++ {
-			newLoc[perm[p]] = b.loc[p]
-		}
-		copy(b.loc, newLoc)
-		for p, qq := range b.loc {
-			b.pos[qq] = p
-		}
 	}
 	// 2) Exchange local locations [l−q, l) with the incoming qubits'
 	// global locations, pairwise.

@@ -57,6 +57,8 @@ func FuzzScheduleEquivalence(f *testing.F) {
 	f.Add(int64(4), 4, 24, 2, knee2)
 	f.Add(int64(5), 9, 40, 9, []byte{200, 0, 90, 3, 77, 1})
 	f.Add(int64(0), 8, 0, 5, knee2)
+	// Its one boundary still relabels: two transpositions before the swap.
+	f.Add(int64(1), 10, 60, 7, flat)
 	f.Fuzz(func(t *testing.T, seed int64, n, gates, l int, table []byte) {
 		// Clamp the raw fuzz inputs into the supported envelope instead of
 		// rejecting them, so every execution exercises the scheduler.

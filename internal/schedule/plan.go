@@ -20,7 +20,8 @@ const (
 	OpDiagonal
 	// OpLocalPerm relabels local bit locations (the in-node swaps that
 	// bring arbitrary local qubits to the highest-order local positions
-	// before an all-to-all, Sec. 3.4).
+	// before an all-to-all, Sec. 3.4). Build emits one only where an
+	// outgoing qubit sits below them, as disjoint transpositions.
 	OpLocalPerm
 	// OpSwap is a global-to-local swap: LocalPos[j] ↔ GlobalPos[j],
 	// realized by group all-to-alls (one communication step).
@@ -56,8 +57,9 @@ type Op struct {
 	Perm []int
 
 	// OpSwap: pairwise exchange LocalPos[j] ↔ GlobalPos[j], LocalPos being
-	// the top q local locations [l−q, l) in order — an OpLocalPerm before
-	// the swap, in its stage, brings the outgoing qubits there.
+	// the top q local locations [l−q, l) in order — where the outgoing
+	// qubits sit, or an OpLocalPerm before the swap, in its stage, brings
+	// them.
 	LocalPos  []int
 	GlobalPos []int
 

@@ -1,12 +1,16 @@
 package schedule
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"qusim/internal/circuit"
+	"qusim/internal/kernels"
 	"qusim/internal/statevec"
 )
 
@@ -379,6 +383,109 @@ func TestSwapsCarryNoPermutation(t *testing.T) {
 	if plan.Stats.LocalPerms != perms {
 		t.Errorf("Stats.LocalPerms = %d, plan has %d permutations", plan.Stats.LocalPerms, perms)
 	}
+}
+
+// TestBoundaryPermIsOnePass: the relabeling before a swap is a set of
+// disjoint transpositions — each outgoing qubit below l−q trades places with
+// a staying qubit in [l−q, l), both in ascending order — so PermuteInPlace
+// runs it in one pass; a QFT boundary needs none, its idle qubits already
+// sitting at the top; and stage, swap and cluster counts are those of the
+// builder that relabeled by a stable partition.
+func TestBoundaryPermIsOnePass(t *testing.T) {
+	type shape struct {
+		name string
+		c    *circuit.Circuit
+		l    int
+	}
+	var shapes []shape
+	for r := 4; r <= 6; r++ {
+		for cols := 4; cols <= 7; cols++ {
+			c := circuit.Supremacy(circuit.SupremacyOptions{Rows: r, Cols: cols, Depth: 25})
+			for l := c.N - 3; l >= c.N-6; l-- {
+				shapes = append(shapes, shape{fmt.Sprintf("sup%dx%d/l%d", r, cols, l), c, l})
+			}
+		}
+	}
+	for _, n := range []int{12, 18, 23, 30} {
+		shapes = append(shapes, shape{fmt.Sprintf("qft%d/l%d", n, n-3), circuit.QFT(n), n - 3})
+	}
+	pe := circuit.PhaseEstimation(15, 0.3)
+	for l := pe.N - 3; l >= pe.N-6; l-- {
+		shapes = append(shapes, shape{fmt.Sprintf("pe16/l%d", l), pe, l})
+	}
+	// Stages, swaps and clusters of the stable-partition builder.
+	parent := map[string][3]int{
+		"sup4x4/l13": {3, 2, 37}, "sup4x4/l12": {4, 3, 36}, "sup4x4/l11": {5, 4, 37}, "sup4x4/l10": {5, 4, 36},
+		"sup4x5/l17": {3, 2, 50}, "sup4x5/l16": {3, 2, 48}, "sup4x5/l15": {4, 3, 48}, "sup4x5/l14": {5, 4, 44},
+		"sup4x6/l21": {3, 2, 58}, "sup4x6/l20": {3, 2, 60}, "sup4x6/l19": {3, 2, 61}, "sup4x6/l18": {4, 3, 59},
+		"sup4x7/l25": {3, 2, 68}, "sup4x7/l24": {3, 2, 70}, "sup4x7/l23": {3, 2, 69}, "sup4x7/l22": {3, 2, 70},
+		"sup5x4/l17": {3, 2, 46}, "sup5x4/l16": {3, 2, 50}, "sup5x4/l15": {3, 2, 47}, "sup5x4/l14": {3, 2, 49},
+		"sup5x5/l22": {3, 2, 61}, "sup5x5/l21": {3, 2, 59}, "sup5x5/l20": {3, 2, 64}, "sup5x5/l19": {4, 3, 62},
+		"sup5x6/l27": {3, 2, 73}, "sup5x6/l26": {3, 2, 75}, "sup5x6/l25": {3, 2, 74}, "sup5x6/l24": {3, 2, 73},
+		"sup5x7/l32": {2, 1, 92}, "sup5x7/l31": {3, 2, 86}, "sup5x7/l30": {3, 2, 91}, "sup5x7/l29": {3, 2, 89},
+		"sup6x4/l21": {3, 2, 62}, "sup6x4/l20": {3, 2, 58}, "sup6x4/l19": {3, 2, 61}, "sup6x4/l18": {3, 2, 58},
+		"sup6x5/l27": {3, 2, 76}, "sup6x5/l26": {3, 2, 77}, "sup6x5/l25": {3, 2, 76}, "sup6x5/l24": {3, 2, 75},
+		"sup6x6/l33": {2, 1, 95}, "sup6x6/l32": {3, 2, 94}, "sup6x6/l31": {3, 2, 95}, "sup6x6/l30": {3, 2, 95},
+		"sup6x7/l39": {2, 1, 111}, "sup6x7/l38": {2, 1, 114}, "sup6x7/l37": {3, 2, 110}, "sup6x7/l36": {3, 2, 111},
+		"qft12/l9": {2, 1, 9}, "qft18/l15": {2, 1, 26}, "qft23/l20": {2, 1, 46}, "qft30/l27": {2, 1, 87},
+		"pe16/l13": {3, 2, 43}, "pe16/l12": {3, 2, 41}, "pe16/l11": {3, 2, 39}, "pe16/l10": {4, 3, 35},
+	}
+	// Cluster counts the location tie-break moved: keeping a different idle
+	// qubit changes which trailing clusters adjustBoundary may defer.
+	moved := map[string]int{"sup6x7/l39": 113}
+	for _, sh := range shapes {
+		opts := DefaultOptions(sh.l)
+		opts.Costs = avx2Costs // the same plans under every kernel set
+		plan, err := Build(sh.c, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", sh.name, err)
+		}
+		s, want := plan.Stats, parent[sh.name]
+		if c, ok := moved[sh.name]; ok {
+			want[2] = c
+		}
+		if got := [3]int{s.Stages, s.Swaps, s.Clusters}; got != want {
+			t.Errorf("%s: stages, swaps, clusters %v, want %v", sh.name, got, want)
+		}
+		if strings.HasPrefix(sh.name, "qft") && s.LocalPerms != 0 {
+			t.Errorf("%s: %d local permutations, want none", sh.name, s.LocalPerms)
+		}
+		for i, op := range plan.Ops {
+			if op.Kind != OpLocalPerm {
+				continue
+			}
+			if first, _ := kernels.CompileBitPermutation(op.Perm).Involutions(); !slices.Equal(first, identityPerm(sh.l)) {
+				t.Errorf("%s: op %d: permutation %v is not an involution", sh.name, i, op.Perm)
+			}
+			if i+1 == len(plan.Ops) || plan.Ops[i+1].Kind != OpSwap {
+				t.Fatalf("%s: op %d: permutation not followed by a swap", sh.name, i)
+			}
+			q := len(plan.Ops[i+1].LocalPos)
+			if !slices.Equal(plan.Ops[i+1].LocalPos, identityPerm(sh.l)[sh.l-q:]) {
+				t.Fatalf("%s: op %d: swap of %v, not of the top local locations", sh.name, i, plan.Ops[i+1].LocalPos)
+			}
+			last := sh.l - q - 1 // an outgoing qubit's new location, ascending
+			for p, np := range op.Perm {
+				if np == p {
+					continue
+				}
+				if p < sh.l-q && np <= last || p >= sh.l-q && np >= sh.l-q {
+					t.Errorf("%s: op %d: location %d goes to %d in %v", sh.name, i, p, np, op.Perm)
+				}
+				if p < sh.l-q {
+					last = np
+				}
+			}
+		}
+	}
+}
+
+func identityPerm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	return p
 }
 
 func TestOptionsValidation(t *testing.T) {

@@ -295,7 +295,7 @@ type permutedBackend struct {
 // PermuteBitsSwapChain — the pre-optimization transposition-chain
 // implementation — so a divergence from the naive reference pins the
 // in-place kernel against the chain on the same random permutations. The
-// permutation before each swap gets the same treatment under MPI faults via
+// permutation before a swap gets the same treatment under MPI faults via
 // the DistributedFaulty scenarios.
 func Permuted(seed int64) Backend {
 	return &permutedBackend{name: "statevec/permuted-layout", seed: seed, every: 4}
