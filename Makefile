@@ -111,6 +111,7 @@ fuzz-smoke:
 	$(GO) test ./internal/kernels -fuzz FuzzSIMDKernel -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kernels -fuzz FuzzDiagonal -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/circuit -fuzz FuzzReadText -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/oocvec -fuzz FuzzPagedLayout -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench=. -benchmem

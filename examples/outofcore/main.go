@@ -30,7 +30,7 @@ func main() {
 	}
 	fmt.Printf("circuit: %d qubits, %d gates; state on disk: %.1f MB, in memory: %.1f KB\n",
 		n, len(c.Gates), math.Pow(2, n)*16/1e6, math.Pow(2, l)*16/1e3)
-	fmt.Printf("schedule: %d swaps (file transposes), %d clusters, %d diagonal ops\n",
+	fmt.Printf("schedule: %d swaps (layout renumberings, no data moved), %d clusters, %d diagonal ops\n",
 		plan.Stats.Swaps, plan.Stats.Clusters, plan.Stats.DiagonalOps)
 
 	v, err := oocvec.NewUniform(n, l, "")

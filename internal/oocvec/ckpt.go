@@ -11,12 +11,12 @@ import (
 )
 
 // Checkpointing for the out-of-core backend: the state never fits in
-// memory, so a snapshot is written chunk by chunk, in file order — by the
-// prefetch reader of the stage that follows the boundary (pipeline.go) or,
-// for Checkpoint, by a plain stream of the file — and read back the same
-// way. The snapshot records L = N (one logical shard covering the whole
-// state), so it is independent of the chunk size it was written with: a run
-// may resume with a different in-memory budget.
+// memory, so a snapshot is written chunk by chunk, in plan order whatever
+// the file's layout — by the prefetch reader of the stage that follows the
+// boundary (pipeline.go) or, for Checkpoint, by a plain stream of the state
+// — and read back the same way. The snapshot records L = N (one logical
+// shard covering the whole state), so it is independent of the chunk size
+// it was written with: a run may resume with a different in-memory budget.
 
 // snapshotMeta is the identity an out-of-core snapshot is saved and
 // matched under.
@@ -55,7 +55,7 @@ func (v *Vector) beginSnapshot(sc *telemetry.Scope, dir string, plan *schedule.P
 	return s, s.absorb(err)
 }
 
-// tee appends one chunk, the next in file order, to the shard.
+// tee appends one chunk, the next in plan order, to the shard.
 func (s *snapshot) tee(chunk []complex128) error {
 	if s == nil || s.sw == nil {
 		return nil
@@ -109,7 +109,7 @@ func (s *snapshot) abort() {
 }
 
 // Checkpoint commits a snapshot of the current state taken at the
-// nextStage boundary, streaming the file through the chunk buffer.
+// nextStage boundary, streaming the state through the first chunk buffer.
 func (v *Vector) Checkpoint(dir string, plan *schedule.Plan, nextStage, keep int) error {
 	snap, err := v.beginSnapshot(v.tel.sc, dir, plan, nextStage, keep, false)
 	if err == nil {
@@ -123,7 +123,8 @@ func (v *Vector) Checkpoint(dir string, plan *schedule.Plan, nextStage, keep int
 }
 
 // Restore streams the snapshot committed in man back into the backing
-// file, verifying the shard checksum along the way.
+// file, chunk by chunk through the vector's layout, verifying the shard
+// checksum along the way.
 func (v *Vector) Restore(dir string, man *ckpt.Manifest) error {
 	if man.N != v.N || man.Ranks != 1 || len(man.Shards) != 1 {
 		return fmt.Errorf("oocvec: manifest (n=%d, %d shards) does not fit this vector: %w",
@@ -133,12 +134,13 @@ func (v *Vector) Restore(dir string, man *ckpt.Manifest) error {
 	if err != nil {
 		return err
 	}
+	buf := v.pool[0]
 	for c := 0; c < v.Chunks(); c++ {
-		if err := sr.Read(v.buf); err != nil {
+		if err := sr.Read(buf); err != nil {
 			sr.Close()
 			return err
 		}
-		if err := v.writeChunk(c, v.buf); err != nil {
+		if err := v.chunkIO(c, buf, true); err != nil {
 			sr.Close()
 			return err
 		}

@@ -29,9 +29,8 @@ func oocAmps(t *testing.T, n, l int, run func(v *Vector) error) []complex128 {
 }
 
 func TestTempFilesRemovedOnInitFailure(t *testing.T) {
-	// Regression: an injected write failure during chunk initialization (or
-	// mid-swap) must leave the directory empty — no leaked state or swap
-	// temp files.
+	// Regression: an injected write failure during chunk initialization
+	// must leave the directory empty — no leaked state file.
 	dir := t.TempDir()
 	assertEmpty := func(when string) {
 		t.Helper()

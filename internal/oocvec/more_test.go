@@ -11,7 +11,7 @@ import (
 )
 
 func TestManySwapsSmallChunks(t *testing.T) {
-	// A small chunk size forces several file transposes per circuit.
+	// A small chunk size forces several swaps (layout renumberings) per circuit.
 	n, l := 12, 5
 	circ, plan := buildPlan(t, n, l, 16, 8)
 	if plan.Stats.Swaps < 2 {

@@ -4,12 +4,16 @@
 // allow the use of, e.g., solid-state drives" for states larger than
 // memory (8 PB for 49 qubits).
 //
-// The file is divided into 2^g chunks of 2^l amplitudes; chunk-index bits
+// The state is divided into 2^g chunks of 2^l amplitudes; chunk-index bits
 // play the role of the global qubits. Gates on in-chunk positions stream
-// chunk by chunk (one sequential read + write pass); diagonal gates on
-// chunk bits specialize exactly like global gates; and the global-to-local
-// swap is the file analogue of the all-to-all: a block-transposing copy
-// into a second file.
+// chunk by chunk (one read + write pass); diagonal gates on chunk bits
+// specialize exactly like global gates. The global-to-local swap, the
+// all-to-all of a rank-sharded state, moves no data here: a chunk is only a
+// set of file offsets, so the swap renumbers instead (the paper's
+// "CNOT-renumbering", Sec. 3.5) — the layout records at which bit of the
+// file offset each plan location lives, and the swap trades two entries per
+// exchanged pair. A chunk whose low locations no longer sit at their own
+// bits is read and written as runs of contiguous amplitudes.
 //
 // Execution is circuit-aware: the plan's stage cut (schedule.Plan.AccessMap,
 // compiled by schedule.Shard.Stages) tells the engine, before any I/O
@@ -20,10 +24,11 @@
 // asynchronous read-ahead and writeback, and depth 0 runs the same pass with
 // one buffer and no overlap. Every depth is bitwise identical to Plan.Run.
 //
-// The state and swap files are one process's scratch — a crash resumes from
-// a ckpt snapshot, never from them — so they hold amplitudes in the host's
-// byte order and chunk I/O goes through kernels.AmpBytes views of amplitude
-// memory: there is no encoded form of a chunk, only snapshots are portable.
+// The state file is one process's scratch — a crash resumes from a ckpt
+// snapshot, never from it — so it holds amplitudes in the host's byte order,
+// in the vector's own layout, and chunk I/O goes through kernels.AmpBytes
+// views of amplitude memory: there is no encoded form of a chunk, only
+// snapshots (in plan order) are portable.
 package oocvec
 
 import (
@@ -44,12 +49,15 @@ type Vector struct {
 	N int // total qubits
 	L int // in-memory chunk holds 2^L amplitudes
 
-	fs   fsio.FS        // file-ops seam, captured from the package hook at New
-	f    fsio.File      // backing file
-	path string         // backing file path; stable across swap adoptions
-	dir  string         // directory holding the backing and swap files
-	buf  []complex128   // one chunk (constructors, reductions, snapshots, restore)
-	pool [][]complex128 // the stage pipeline's chunks, kept from stage to stage
+	fs fsio.FS   // file-ops seam, captured from the package hook at New
+	f  fsio.File // backing file
+	// loc[p] is the bit of the file offset (in amplitudes) at which plan
+	// location p lives; the identity until a swap trades two entries.
+	loc []int
+	// pool holds the stage pipeline's chunks, kept from stage to stage;
+	// pool[0] also serves the constructors, streams, snapshots and restores,
+	// none of which runs during a stage.
+	pool [][]complex128
 
 	prefetch    int // chunks read ahead of the compute loop; 0 = no overlap
 	ckptSkipped int // checkpoints skipped on persistent ENOSPC (ckpt.go)
@@ -111,17 +119,21 @@ func create(n, l int, dir string, first, rest complex128) (*Vector, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &Vector{N: n, L: l, fs: fs, f: f, path: f.Name(), dir: dir, buf: kernels.NewAmps[complex128](1 << l)}
-	for i := range v.buf {
-		v.buf[i] = rest
+	v := &Vector{N: n, L: l, fs: fs, f: f, loc: make([]int, n), pool: [][]complex128{kernels.NewAmps[complex128](1 << l)}}
+	for p := range v.loc {
+		v.loc[p] = p
 	}
-	v.buf[0] = first
+	buf := v.pool[0]
+	for i := range buf {
+		buf[i] = rest
+	}
+	buf[0] = first
 	for c := 0; c < v.Chunks(); c++ {
-		if err := v.writeChunk(c, v.buf); err != nil {
+		if err := v.chunkIO(c, buf, true); err != nil {
 			v.Close()
 			return nil, err
 		}
-		v.buf[0] = rest
+		buf[0] = rest
 	}
 	return v, nil
 }
@@ -189,7 +201,7 @@ func (v *Vector) SetTelemetry(t *telemetry.Telemetry) {
 // Close removes the backing file.
 func (v *Vector) Close() error {
 	err := v.f.Close()
-	if rmErr := v.fs.Remove(v.path); err == nil {
+	if rmErr := v.fs.Remove(v.f.Name()); err == nil {
 		err = rmErr
 	}
 	return err
@@ -233,88 +245,37 @@ func retryIO(retries *telemetry.Counter, op func() error) error {
 	return fmt.Errorf("oocvec: transient i/o persisted through %d attempts: %w", ioRetryAttempts, err)
 }
 
-// readChunk reads the state file from chunk c on into dst (a chunk, as a
-// rule). It uses positional I/O, so concurrent calls on distinct chunks are
-// safe.
-func (v *Vector) readChunk(c int, dst []complex128) error {
-	raw, off := kernels.AmpBytes(dst), int64(c)*int64(v.chunkBytes())
-	return retryIO(v.tel.ioRetries, func() error {
-		_, err := v.f.ReadAt(raw, off)
-		return err
-	})
-}
-
-// writeChunk writes src as chunk c of the state file.
-func (v *Vector) writeChunk(c int, src []complex128) error {
-	raw, off := kernels.AmpBytes(src), int64(c)*int64(v.chunkBytes())
-	return retryIO(v.tel.ioRetries, func() error {
-		_, err := v.f.WriteAt(raw, off)
-		return err
-	})
-}
-
-// chunkMember returns the member index of chunk c within its swap group —
-// the sub-block slot its data lands in at every destination.
-func chunkMember(c int, bitPos []int) int {
-	m := 0
-	for t, b := range bitPos {
-		if c&(1<<b) != 0 {
-			m |= 1 << t
-		}
+// chunkIO reads (write false) or writes chunk c of the plan's state, its
+// amplitude x living at the file offset whose bit loc[p] is bit p of
+// c<<L | x. The r low locations that sit at their own bits keep 2^r
+// amplitudes contiguous, so the chunk is 2^(L−r) runs of 2^r amplitudes,
+// one positional access each; distinct chunks touch distinct offsets, so
+// concurrent calls on them are safe.
+func (v *Vector) chunkIO(c int, amps []complex128, write bool) error {
+	r := 0
+	for r < v.L && v.loc[r] == r {
+		r++
 	}
-	return m
-}
-
-// swapDest returns the destination chunk for sub-block j of chunk c.
-func swapDest(c, j int, bitPos []int) int {
-	dst := c
-	for t, b := range bitPos {
-		dst &^= 1 << b
-		if j&(1<<t) != 0 {
-			dst |= 1 << b
+	raw, run := kernels.AmpBytes(amps), ampBytes<<r
+	for i := 0; i < 1<<(v.L-r); i++ {
+		x, off := c<<(v.L-r)|i, int64(0)
+		for p := r; p < v.N; p++ {
+			off |= int64(x>>(p-r)&1) << v.loc[p]
 		}
-	}
-	return dst
-}
-
-// scatterChunk is the file analogue of the group all-to-all (Sec. 3.4): with
-// in-chunk positions [L−q, L) exchanged against the chunk-index bits bitPos,
-// sub-block j of chunk c lands in the target file as sub-block m of the
-// group member with index j, m being c's own member index.
-func scatterChunk(out fsio.File, l, c int, bitPos []int, amps []complex128, retries *telemetry.Counter) error {
-	q := len(bitPos)
-	sub := len(amps) >> q
-	m := chunkMember(c, bitPos)
-	raw := kernels.AmpBytes(amps)
-	for j := 0; j < 1<<q; j++ {
-		// Sub-block j of chunk c goes to the group member with index j,
-		// landing at sub-block m.
-		dst := swapDest(c, j, bitPos)
-		off := (int64(dst)<<uint(l) + int64(m)*int64(sub)) * ampBytes
-		if err := retryIO(retries, func() error {
-			_, err := out.WriteAt(raw[j*sub*ampBytes:(j+1)*sub*ampBytes], off)
+		b := raw[i*run : (i+1)*run]
+		if err := retryIO(v.tel.ioRetries, func() error {
+			var err error
+			if write {
+				_, err = v.f.WriteAt(b, off*ampBytes)
+			} else {
+				_, err = v.f.ReadAt(b, off*ampBytes)
+			}
 			return err
 		}); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// adoptSwapFile retires the current backing file in favor of the
-// just-written swap target, renaming it over the old *.state path so the
-// backing file keeps its name (and the directory never accumulates *.swap
-// entries) across any number of swaps. The rename moves transient working
-// state, not a durability commit; a crash mid-run restarts from a ckpt
-// snapshot (which does use the fsync+rename helper), never from this file.
-func (v *Vector) adoptSwapFile(out fsio.File) error {
-	old := v.f
-	v.f = out
-	if err := v.fs.Rename(out.Name(), v.path); err != nil {
-		old.Close()
-		return err
-	}
-	return old.Close()
 }
 
 // Run executes a full plan built with LocalQubits = L.
@@ -332,13 +293,14 @@ func (v *Vector) RunFrom(plan *schedule.Plan, startStage int) error {
 	return err
 }
 
-// stream reads the file once, in chunk order, and hands each chunk to visit.
+// stream reads the state once, in chunk order, and hands each chunk to visit.
 func (v *Vector) stream(visit func(chunk []complex128) error) error {
+	buf := v.pool[0]
 	for c := 0; c < v.Chunks(); c++ {
-		if err := v.readChunk(c, v.buf); err != nil {
+		if err := v.chunkIO(c, buf, false); err != nil {
 			return err
 		}
-		if err := visit(v.buf); err != nil {
+		if err := visit(buf); err != nil {
 			return err
 		}
 	}
@@ -367,12 +329,14 @@ func (v *Vector) NormEntropy() (norm, entropy float64, err error) {
 	return norm, entropy, err
 }
 
-// Amplitudes loads the full state (testing only): the file is the
-// amplitudes, so it is one read.
+// Amplitudes loads the full state in plan order (testing only), chunk by
+// chunk.
 func (v *Vector) Amplitudes() ([]complex128, error) {
 	out := kernels.NewAmps[complex128](1 << v.N)
-	if err := v.readChunk(0, out); err != nil {
-		return nil, err
+	for c := 0; c < v.Chunks(); c++ {
+		if err := v.chunkIO(c, out[c<<v.L:(c+1)<<v.L], false); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

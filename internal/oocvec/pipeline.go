@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"qusim/internal/ckpt"
-	"qusim/internal/fsio"
 	"qusim/internal/kernels"
 	"qusim/internal/schedule"
 	"qusim/internal/telemetry"
@@ -20,25 +19,20 @@ import (
 //
 //	reader goroutine:  chunk c+depth … c+1 → pooled buffers (prefetch)
 //	caller (compute):  all of the stage's local ops fused on chunk c
-//	writeback goroutine: chunk c−1 … → state file, or scattered into the
-//	                     swap target when the stage closes with an exchange
+//	writeback goroutine: chunk c−1 … → back to its own file offsets
 //
 // Ordering rules: within a stage every chunk is read once and written
-// once, at distinct offsets, so reads may run arbitrarily far ahead of
-// writes. Across stages no such freedom exists — stage s+1 re-reads what
-// stage s wrote — so the pipeline drains completely at every stage
-// boundary, and a swap additionally retires the old backing file only
-// after its last scattered sub-block landed (the writeback-before-swap
-// barrier). At depth 0 the pool is a single buffer: the same pass with read,
-// compute and write taking turns.
+// once, at offsets no other chunk has, so reads may run arbitrarily far
+// ahead of writes. Across stages no such freedom exists — stage s+1 re-reads
+// what stage s wrote — so the pipeline drains completely at every stage
+// boundary, and only then does a closing swap trade its layout entries
+// (no goroutine reads the layout while it changes). At depth 0 the pool is a
+// single buffer: the same pass with read, compute and write taking turns.
 //
-// Snapshots ride the reader: stage s's reader reads the chunks in file
-// order, each before anything of stage s overwrites it (a streamed stage
-// writes a chunk back after reading it, a swap stage writes into the other
-// file) — the state at boundary s, as a shard wants it. So the snapshot of
-// boundary s is teed from it and commits when it has read the last chunk, the
-// same bytes at every depth. (The writeback of stage s−1 cannot feed it: a
-// closing swap scatters sub-blocks.)
+// Snapshots ride the reader: stage s's reader reads the chunks in plan
+// order, each before stage s writes it back — the state at boundary s, as a
+// shard wants it. So the snapshot of boundary s is teed from it and commits
+// when it has read the last chunk, the same bytes at every depth.
 
 // chunkBuf is one pipeline buffer and the number of the chunk it holds.
 type chunkBuf struct {
@@ -79,33 +73,20 @@ func (v *Vector) runPipelined(plan *schedule.Plan, startStage int, pol *ckpt.Pol
 // runStage executes one stage as a single streamed pass with asynchronous
 // prefetch and writeback, the reader feeding snap (nil: no snapshot at this
 // boundary) as it goes. The compute loop applies the stage's program to
-// every chunk; a closing swap is the writeback's scatter. The program was
-// prepared once for the stage, not once per chunk: it holds nothing of a
-// chunk's amplitudes or number (a diagonal reads the chunk number's bits off
-// the index it is handed).
+// every chunk; a closing swap then renumbers: local location L−q+j and
+// global location L+GlobalBits[j] trade the file bits they live at, and no
+// amplitude moves. The program was prepared once for the stage, not once per
+// chunk: it holds nothing of a chunk's amplitudes or number (a diagonal
+// reads the chunk number's bits off the index it is handed).
 func (v *Vector) runStage(st *schedule.Stage[complex128], snap *snapshot) error {
-	var out fsio.File
-	if st.Exchanges() {
-		var err error
-		if out, err = v.fs.CreateTemp(v.dir, "oocvec-*.swap"); err != nil {
-			return err
-		}
-	}
-
 	t0 := v.tel.sc.Now()
-	if err := v.pumpStage(st.Prog, st.GlobalBits, out, snap); err != nil {
-		if out != nil {
-			out.Close()
-			v.fs.Remove(out.Name())
-		}
+	if err := v.pumpStage(st.Prog, snap); err != nil {
 		return err
 	}
-	if out != nil {
-		// Writeback has fully drained (pumpStage joins the writer before
-		// returning): the files may swap roles.
-		if err := v.adoptSwapFile(out); err != nil {
-			return err
-		}
+	q := len(st.GlobalBits)
+	for j, g := range st.GlobalBits {
+		a, b := v.L-q+j, v.L+g
+		v.loc[a], v.loc[b] = v.loc[b], v.loc[a]
 	}
 	if !t0.IsZero() {
 		v.tel.sc.Complete("stage", "pipeline", t0, time.Since(t0),
@@ -121,8 +102,9 @@ func (v *Vector) runStage(st *schedule.Stage[complex128], snap *snapshot) error 
 // chunk. On any failure it halts the pipeline, joins both goroutines and
 // returns the first error; no goroutine outlives the call. A snapshot error
 // the ENOSPC policy does not absorb is a read error of the stage. The chunk
-// buffers are the vector's: allocated by its first stage, kept ever after.
-func (v *Vector) pumpStage(prog *schedule.Program[complex128], bitPos []int, out fsio.File, snap *snapshot) error {
+// buffers are the vector's: the first allocated by its constructor, the
+// others by its first stage, all kept ever after.
+func (v *Vector) pumpStage(prog *schedule.Program[complex128], snap *snapshot) error {
 	chunks := v.Chunks()
 	depth := v.prefetch
 	if depth > chunks {
@@ -166,7 +148,7 @@ func (v *Vector) pumpStage(prog *schedule.Program[complex128], bitPos []int, out
 				return
 			}
 			t0 := v.tel.rdSc.Now()
-			err := v.readChunk(c, b.amps)
+			err := v.chunkIO(c, b.amps, false)
 			if err == nil && !t0.IsZero() {
 				d := time.Since(t0)
 				v.tel.readNs.Observe(int64(d))
@@ -197,8 +179,7 @@ func (v *Vector) pumpStage(prog *schedule.Program[complex128], bitPos []int, out
 		readErr = snap.commit()
 	}()
 
-	// Asynchronous writeback: drain computed chunks into the state file,
-	// or scatter their sub-blocks into the swap target.
+	// Asynchronous writeback: drain computed chunks into the state file.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -209,13 +190,7 @@ func (v *Vector) pumpStage(prog *schedule.Program[complex128], bitPos []int, out
 				continue // keep draining so the compute loop never blocks
 			}
 			t0 := v.tel.wrSc.Now()
-			var err error
-			if out != nil {
-				err = scatterChunk(out, v.L, b.idx, bitPos, b.amps, v.tel.ioRetries)
-			} else {
-				err = v.writeChunk(b.idx, b.amps)
-			}
-			if err != nil {
+			if err := v.chunkIO(b.idx, b.amps, true); err != nil {
 				writeErr = err
 				halt()
 			} else {

@@ -120,7 +120,7 @@ func awaitGoroutineBaseline(t *testing.T, base int) {
 }
 
 // assertOnlyBackingFile fails if dir holds anything besides the vector's
-// backing state file — a leftover *.swap temp is a pipeline cleanup bug.
+// backing state file: a paged run keeps one file, whatever happens.
 func assertOnlyBackingFile(t *testing.T, dir string, when string) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -137,11 +137,11 @@ func assertOnlyBackingFile(t *testing.T, dir string, when string) {
 	}
 }
 
-// TestPipelineFaultInjection errors reads and writes mid-run — in streamed
-// stages and in the scattered swap writeback, with read-ahead and at depth
-// 0 — and asserts clean shutdown every time: the first error surfaces, no
-// goroutine outlives Run, no swap temp file is leaked, and Close still
-// succeeds.
+// TestPipelineFaultInjection errors reads and writes mid-run — of whole
+// chunks and of the runs a chunk splits into after a swap, with read-ahead
+// and at depth 0 — and asserts clean shutdown every time: the first error
+// surfaces, no goroutine outlives Run, no temp file appears, and Close
+// still succeeds.
 func TestPipelineFaultInjection(t *testing.T) {
 	n, l := 10, 5 // 32 chunks
 	_, plan := buildPlan(t, n, l, 16, 8)
@@ -167,10 +167,10 @@ func TestPipelineFaultInjection(t *testing.T) {
 	}
 
 	// Each scenario fails the k-th access of its kind once the run has
-	// started (the constructor's 32 chunk writes are not counted): a chunk
-	// read in the second stage's pass, a whole-chunk write — only the final,
-	// swapless stage writes whole chunks — and one sub-block write of the
-	// first closing swap's scatter.
+	// started (the constructor's 32 chunk writes are not counted): a read in
+	// the second stage's pass, a whole-chunk write of the first stage — the
+	// layout is the identity until its closing swap — and one sub-chunk run
+	// write of the stage after that swap.
 	type scenario struct {
 		name  string
 		match func(write bool, n int) bool
@@ -179,7 +179,7 @@ func TestPipelineFaultInjection(t *testing.T) {
 	scenarios := []scenario{
 		{"read", func(write bool, n int) bool { return !write }, 40},
 		{"write", func(write bool, n int) bool { return write && n == chunkBytes }, 6},
-		{"scatter", func(write bool, n int) bool { return write && n < chunkBytes }, 37},
+		{"run", func(write bool, n int) bool { return write && n < chunkBytes }, 37},
 	}
 	for _, depth := range []int{0, 4} {
 		for _, sc := range scenarios {
@@ -227,7 +227,7 @@ func TestPipelineFaultInjection(t *testing.T) {
 // changed at the edge: a hand-written plan with an op after its stage's
 // closing swap used to run at depth 0 (one pass per op, in order) while the
 // pipeline turned it away; now every depth returns the stage cut's
-// error, before any I/O — no swap file, no goroutine, the state untouched.
+// error, before any I/O — no goroutine, the layout and the state untouched.
 func TestOpAfterClosingSwapRejected(t *testing.T) {
 	n, l := 10, 6
 	_, plan := buildPlan(t, n, l, 16, 4)

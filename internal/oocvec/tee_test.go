@@ -169,10 +169,11 @@ func TestKilledBeforeTeeCommitsResumesFromOlder(t *testing.T) {
 			}
 			defer v.Close()
 			v.SetPrefetch(depth)
-			// Die on a read in the second half of stage 2's pass.
+			// Die on a read in the second half of stage 2's pass. Chunks
+			// after a swap are read in runs, so count bytes, not calls.
 			var reads atomic.Int32
 			fs.arm(func(write bool, off int64, n int) error {
-				if !write && int(reads.Add(1)) > 2*chunks+chunks/2 {
+				if !write && int(reads.Add(int32(n))) > (2*chunks+chunks/2)*ampBytes<<l {
 					return fmt.Errorf("injected kill")
 				}
 				return nil
