@@ -110,6 +110,7 @@ fuzz-smoke:
 	$(GO) test ./internal/kernels -fuzz FuzzBitPermutation -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kernels -fuzz FuzzSIMDKernel -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kernels -fuzz FuzzDiagonal -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/statevec -fuzz FuzzSampler -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/circuit -fuzz FuzzReadText -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/oocvec -fuzz FuzzPagedLayout -fuzztime $(FUZZTIME)
 

@@ -213,7 +213,8 @@ func NewShardWriter(dir string, meta Meta, rank, amps int) (*ShardWriter, error)
 		return nil, err
 	}
 	final := shardName(meta.NextStage, rank)
-	f, err := fsys().CreateTemp(dir, ".tmp-"+final+"-*")
+	var f fsio.File
+	err := retryNoSpace(dir, func() (err error) { f, err = fsys().CreateTemp(dir, ".tmp-"+final+"-*"); return err })
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +228,7 @@ func NewShardWriter(dir string, meta Meta, rank, amps int) (*ShardWriter, error)
 	copy(pre[:4], shardMagic)
 	binary.LittleEndian.PutUint32(pre[4:8], Version)
 	binary.LittleEndian.PutUint32(pre[8:12], uint32(len(hdr)))
-	if err := sw.write(append(pre, hdr...)); err != nil {
+	if err := retryNoSpace(dir, func() error { return sw.write(append(pre, hdr...)) }); err != nil {
 		sw.Abort()
 		return nil, err
 	}
@@ -244,9 +245,9 @@ func (sw *ShardWriter) write(b []byte) error {
 	return nil
 }
 
-// Write appends amplitudes to the payload, a piece at a time. On an error
-// nothing of amps counts as written, so a caller that freed disk space
-// after ENOSPC may repeat the call.
+// Write appends amplitudes to the payload, a piece at a time; a piece the
+// disk had no room for is written once more after pruning. On an error
+// nothing of amps counts as written, so the call can be repeated.
 func (sw *ShardWriter) Write(amps []complex128) error {
 	if sw.got+len(amps) > sw.want {
 		return fmt.Errorf("ckpt: shard overflows declared payload (%d > %d amps)", sw.got+len(amps), sw.want)
@@ -258,7 +259,7 @@ func (sw *ShardWriter) Write(amps []complex128) error {
 		if !littleEndian {
 			b = putAmps(piece)
 		}
-		if err := sw.write(b); err != nil {
+		if err := retryNoSpace(sw.dir, func() error { return sw.write(b) }); err != nil {
 			sw.off, sw.crc = off, crc
 			return err
 		}
@@ -530,34 +531,44 @@ func Commit(dir string, meta Meta, shards []ShardInfo, keep int) (*Manifest, err
 	if err != nil {
 		return nil, err
 	}
-	f, err := fsys().CreateTemp(dir, ".tmp-manifest-*")
-	if err != nil {
-		return nil, err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(append(blob, '\n')); err != nil {
-		f.Close()
-		fsys().Remove(tmp)
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys().Remove(tmp)
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		fsys().Remove(tmp)
-		return nil, err
-	}
-	if err := commitTemp(dir, tmp, manifestName(meta.NextStage)); err != nil {
+	if err := retryNoSpace(dir, func() error { return writeManifest(dir, manifestName(meta.NextStage), blob) }); err != nil {
 		return nil, err
 	}
 	if keep < 1 {
 		keep = 2
 	}
 	prune(dir, keep)
+	// Stray temp files of interrupted writes.
+	strays, _ := filepath.Glob(filepath.Join(dir, ".tmp-*"))
+	for _, s := range strays {
+		removeCounted(s)
+	}
 	telCommitDone(t0)
 	return m, nil
+}
+
+// writeManifest lands blob in dir under name: temp file, fsync, commit.
+func writeManifest(dir, name string, blob []byte) error {
+	f, err := fsys().CreateTemp(dir, ".tmp-manifest-*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	if _, err := f.Write(append(blob, '\n')); err != nil {
+		f.Close()
+		fsys().Remove(tmp)
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		fsys().Remove(tmp)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		fsys().Remove(tmp)
+		return err
+	}
+	return commitTemp(dir, tmp, name)
 }
 
 // manifestCRC computes the CRC over the canonical JSON with CRC zeroed.
@@ -642,11 +653,11 @@ func FindRestorable(dir string, want Meta) (*Manifest, error) {
 	return nil, nil
 }
 
-// prune removes all but the newest keep committed checkpoints, plus any
-// stray temp files from interrupted writes. Shards not referenced by a
-// surviving manifest are deleted. Removal failures do not stop the sweep;
-// they count in ckpt.prune_failures and log once (see removeCounted).
-func prune(dir string, keep int) {
+// prune removes all but the newest keep committed checkpoints and returns
+// how many it removed. Shards not referenced by a surviving manifest are
+// deleted. Removal failures do not stop the sweep; they count in
+// ckpt.prune_failures and log once (see removeCounted).
+func prune(dir string, keep int) (removed int) {
 	paths, _ := filepath.Glob(filepath.Join(dir, "manifest-*.json"))
 	type aged struct {
 		path  string
@@ -682,16 +693,14 @@ func prune(dir string, keep int) {
 			}
 			continue
 		}
+		removed++
 		for _, s := range a.m.Shards {
 			if !kept[s.File] {
 				removeCounted(filepath.Join(dir, s.File))
 			}
 		}
 	}
-	strays, _ := filepath.Glob(filepath.Join(dir, ".tmp-*"))
-	for _, s := range strays {
-		removeCounted(s)
-	}
+	return removed
 }
 
 // syncDir fsyncs a directory so a just-committed rename survives power

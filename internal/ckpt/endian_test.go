@@ -114,8 +114,8 @@ func (f *failNthWriteFile) WriteAt(p []byte, off int64) (int, error) {
 
 // TestShardWriteRepeatableAfterFailure: a Write that failed part-way —
 // pieces before the failing one landed, half of the failing one too — counts
-// for nothing, so the same call issued again (what the out-of-core tee does
-// after pruning on ENOSPC) yields the shard a clean run writes.
+// for nothing, so the same call issued again (what Write itself does after
+// pruning on ENOSPC) yields the shard a clean run writes.
 func TestShardWriteRepeatableAfterFailure(t *testing.T) {
 	const n = 3*pieceAmps + 5
 	amps := testAmps(3, n)

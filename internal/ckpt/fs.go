@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"log"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -63,49 +62,36 @@ func removeCounted(path string) bool {
 	return false
 }
 
-// PruneOldest removes the oldest committed checkpoint in dir when more
-// than one exists — the emergency space-reclaim step the engines take
-// when a snapshot write hits ENOSPC. The newest checkpoint (and any
+// retryNoSpace runs step and, if the disk had no room for it, runs it once
+// more after pruneOldest freed the oldest checkpoint in dir: the one
+// disk-full retry of each write — creating a shard, appending to it,
+// committing a manifest. An ENOSPC that persists is returned, and what it
+// costs the run is the engine's decision.
+func retryNoSpace(dir string, step func() error) error {
+	err := step()
+	if fsio.IsNoSpace(err) && pruneOldest(dir) {
+		tel.Load().Counter("ckpt.enospc_pruned").Inc()
+		err = step()
+	}
+	return err
+}
+
+// pruneOldest removes the oldest committed checkpoint in dir when more
+// than one exists — the space retryNoSpace reclaims before it repeats a
+// write — and reports whether it did. The newest checkpoint (and any
 // shards it shares with the victim) is never touched, so recoverability
-// is preserved; unlike prune it never sweeps unreferenced shard files,
-// which may be another rank's mid-protocol writes. Returns whether a
-// checkpoint was removed.
-func PruneOldest(dir string) bool {
+// is preserved; no temp file is swept, for it may be another rank's
+// mid-protocol write, and ranks pruning at once only race on removals,
+// which are tolerated and counted.
+func pruneOldest(dir string) bool {
 	paths, _ := filepath.Glob(filepath.Join(dir, "manifest-*.json"))
-	type aged struct {
-		path string
-		m    *Manifest
-	}
-	var all []aged
+	n := 0
 	for _, p := range paths {
-		m, err := LoadManifest(p)
-		if err != nil {
-			continue
-		}
-		all = append(all, aged{p, m})
-	}
-	if len(all) < 2 {
-		return false
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].m.NextStage < all[j].m.NextStage })
-	victim := all[0]
-	shared := map[string]bool{}
-	for _, a := range all[1:] {
-		for _, s := range a.m.Shards {
-			shared[s.File] = true
+		if _, err := LoadManifest(p); err == nil {
+			n++
 		}
 	}
-	// Manifest first: once it is gone the checkpoint is uncommitted and
-	// its shards are garbage even if deletion is interrupted.
-	if !removeCounted(victim.path) {
-		return false
-	}
-	for _, s := range victim.m.Shards {
-		if !shared[s.File] {
-			removeCounted(filepath.Join(dir, s.File))
-		}
-	}
-	return true
+	return n > 1 && prune(dir, n-1) > 0
 }
 
 // DiscardStage removes the shard files of an UNCOMMITTED checkpoint at

@@ -28,8 +28,8 @@ func TestPruneOldestRemovesOldestOnly(t *testing.T) {
 	writeCheckpoint(t, dir, 1)
 	writeCheckpoint(t, dir, 2)
 
-	if !PruneOldest(dir) {
-		t.Fatal("PruneOldest removed nothing with two checkpoints present")
+	if !pruneOldest(dir) {
+		t.Fatal("pruneOldest removed nothing with two checkpoints present")
 	}
 	m, err := FindRestorable(dir, testMeta(0))
 	if err != nil {
@@ -39,12 +39,12 @@ func TestPruneOldestRemovesOldestOnly(t *testing.T) {
 		t.Errorf("survivor is stage %d, want 2 (the newest)", m.NextStage)
 	}
 	if _, err := LoadManifest(filepath.Join(dir, manifestName(1))); err == nil {
-		t.Error("oldest manifest survived PruneOldest")
+		t.Error("oldest manifest survived pruneOldest")
 	}
 
 	// With a single checkpoint left there is nothing safe to reclaim.
-	if PruneOldest(dir) {
-		t.Error("PruneOldest removed the last remaining checkpoint")
+	if pruneOldest(dir) {
+		t.Error("pruneOldest removed the last remaining checkpoint")
 	}
 }
 
@@ -63,8 +63,8 @@ func TestPruneFailureCountedNotFatal(t *testing.T) {
 	old := SetFS(fs)
 	t.Cleanup(func() { SetFS(old) })
 
-	if PruneOldest(dir) {
-		t.Error("PruneOldest claimed success though every Remove failed")
+	if pruneOldest(dir) {
+		t.Error("pruneOldest claimed success though every Remove failed")
 	}
 	if fs.attempts == 0 {
 		t.Fatal("injected FS never reached — the scenario tested nothing")

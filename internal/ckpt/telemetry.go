@@ -59,7 +59,7 @@ func telCommitDone(t0 time.Time) {
 }
 
 // telPruneFailed counts one failed snapshot-file removal (prune,
-// PruneOldest or DiscardStage). The run is unaffected — retention just
+// pruneOldest or DiscardStage). The run is unaffected — retention just
 // exceeds the policy — but a growing counter means the directory is
 // filling up with undeletable snapshots.
 func telPruneFailed() {

@@ -152,22 +152,6 @@ func TestRecoveryFromPayloadCorruption(t *testing.T) {
 	assertBitwiseEqual(t, clean, res)
 }
 
-func TestCorruptionWithoutRecoveryIsDetectedNotSilent(t *testing.T) {
-	// Checksums on, but no checkpoint policy: the corrupted payload must
-	// surface as an ErrCorrupt failure, never as wrong amplitudes.
-	_, err := Run(faultTestPlan(t), Options{
-		Ranks: 8, Init: InitUniform,
-		Faults:          &mpi.FaultPlan{Corrupt: &mpi.CorruptFault{Rank: 1, Exchange: 0}},
-		VerifyChecksums: true,
-	})
-	if err == nil {
-		t.Fatal("corrupted run completed without error")
-	}
-	if !mpi.Recoverable(err) {
-		t.Errorf("corruption error should be classified recoverable: %v", err)
-	}
-}
-
 func TestResumeContinuesAcrossProcesses(t *testing.T) {
 	// Simulate a process restart: a completed run leaves checkpoints behind
 	// (retention keeps the newest), and a second Run with Resume picks up

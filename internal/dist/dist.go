@@ -152,9 +152,6 @@ type Options struct {
 	// exponential backoff and a whole-run deadline. Nil keeps the legacy
 	// behavior — immediate restarts, bounded only by MaxRestarts.
 	Retry *RetryPolicy
-	// VerifyChecksums forces CRC verification of collective payloads even
-	// without a checkpoint policy.
-	VerifyChecksums bool
 
 	// Telemetry, when enabled, records per-rank trace timelines (stage and
 	// op spans with qubit-set and fused-cluster annotations, checkpoint and
@@ -243,7 +240,7 @@ type attemptOut struct {
 	commElapsed time.Duration
 	amplitudes  []complex128
 	locals      [][]complex128 // each rank's shard at the end, for the mem.* gauges
-	samples     []int
+	samples     []int          // each rank writes the shots it owns
 	profile     []ProfileEntry
 	passes      int // a rank's passes over its shard and, of those,
 	runs        int // the blocked runs: the same on every rank (Options.Profile)
@@ -360,7 +357,7 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 		w.InjectFaults(opts.Faults)
 	}
 	w.SetTelemetry(opts.Telemetry)
-	w.SetVerifyChecksums(opts.VerifyChecksums || ck != nil)
+	w.SetVerifyChecksums(ck != nil)
 	if opts.CommDeadline > 0 {
 		w.SetDeadline(opts.CommDeadline)
 	}
@@ -370,6 +367,9 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 	}
 	if opts.GatherState {
 		out.amplitudes = kernels.NewAmps[complex128](1 << plan.N)
+	}
+	if opts.SampleShots > 0 {
+		out.samples = make([]int, opts.SampleShots)
 	}
 	// Compiled once for all ranks: a stage's diagonal tables exist once, not
 	// once per rank.
@@ -483,10 +483,9 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 		if sc != nil {
 			sc.Complete("dist", "reduce", t0, time.Since(t0))
 		}
-		var samples []int
 		if opts.SampleShots > 0 {
 			st0 := sc.Now()
-			samples = sampleLocal(c, plan, local, localNorm, l, opts, &commTime)
+			sampleLocal(c, plan, local, localNorm, l, opts.SampleSeed, out.samples, &commTime)
 			if sc != nil {
 				sc.Complete("dist", "sample", st0, time.Since(st0),
 					telemetry.A("shots", opts.SampleShots))
@@ -510,16 +509,6 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 		}
 		if opts.GatherState {
 			copy(out.amplitudes[c.Rank()<<l:], local)
-		}
-		if samples != nil {
-			if out.samples == nil {
-				out.samples = make([]int, opts.SampleShots)
-			}
-			for s, b := range samples {
-				if b >= 0 {
-					out.samples[s] = b
-				}
-			}
 		}
 		if opts.Profile {
 			if out.profile == nil {
@@ -573,22 +562,14 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 // A rank that dies anywhere in the protocol leaves either the previous
 // snapshot or the new one intact — never a half-written mixture.
 //
-// A full disk degrades instead of aborting: the failing rank prunes the
-// oldest snapshot and retries once; if space is still short the whole
+// A full disk degrades instead of aborting: ckpt retries each write once
+// after pruning the oldest snapshot; if space is still short the whole
 // checkpoint is skipped (no commit, stage-local shards discarded, the
 // previous snapshot stays authoritative) and the run keeps computing.
 func writeCheckpoint(c *mpi.Comm, out *attemptOut, meta ckpt.Meta, pol *ckpt.Policy, local []complex128, nextStage int, tel *telemetry.Telemetry) error {
 	m := meta
 	m.NextStage = nextStage
 	info, err := ckpt.WriteShard(pol.Dir, m, c.Rank(), local)
-	if err != nil && fsio.IsNoSpace(err) {
-		// Concurrent pruning from several ENOSPC'd ranks is safe: removal
-		// races are tolerated and counted, never fatal.
-		if ckpt.PruneOldest(pol.Dir) {
-			tel.Counter("dist.ckpt_enospc_pruned").Inc()
-			info, err = ckpt.WriteShard(pol.Dir, m, c.Rank(), local)
-		}
-	}
 	switch {
 	case err == nil:
 		out.shards[c.Rank()] = info
@@ -603,14 +584,8 @@ func writeCheckpoint(c *mpi.Comm, out *attemptOut, meta ckpt.Meta, pol *ckpt.Pol
 		var cerr error
 		if !skip {
 			_, cerr = ckpt.Commit(pol.Dir, m, out.shards, pol.KeepN())
-			if cerr != nil && fsio.IsNoSpace(cerr) {
-				if ckpt.PruneOldest(pol.Dir) {
-					tel.Counter("dist.ckpt_enospc_pruned").Inc()
-					_, cerr = ckpt.Commit(pol.Dir, m, out.shards, pol.KeepN())
-				}
-				if cerr != nil && fsio.IsNoSpace(cerr) {
-					skip, cerr = true, nil
-				}
+			if fsio.IsNoSpace(cerr) {
+				skip, cerr = true, nil
 			}
 		}
 		out.commitErr = cerr
@@ -631,48 +606,27 @@ func writeCheckpoint(c *mpi.Comm, out *attemptOut, meta ckpt.Meta, pol *ckpt.Pol
 }
 
 // sampleLocal implements distributed sampling: every rank shares only its
-// total probability weight; a shared-seed RNG assigns each shot to a rank
-// by weight (identically on every rank, no communication); the owning rank
-// then draws the in-rank index from its local distribution. The returned
-// slice has one entry per shot: the logical basis state for shots this
-// rank owns, −1 otherwise. Only the Allgather counts toward commTime; the
-// CDF construction and the draws are local work.
-//
-// Both CDF searches go through statevec.SearchCDF, which skips zero-width
-// buckets: a draw landing exactly on a boundary can otherwise select a
-// zero-probability rank or basis state.
-func sampleLocal(c *mpi.Comm, plan *schedule.Plan, local []complex128, localNorm float64, l int, opts Options, commTime *time.Duration) []int {
+// total probability weight; a stream seeded by seed assigns each shot to a
+// rank by weight (identically on every rank, no communication); the owning
+// rank draws the in-rank index with a stream of its own and writes the
+// logical basis state into samples. Both are statevec.Draw's walks, so no
+// rank holds a buffer per amplitude. Only the Allgather counts toward
+// commTime.
+func sampleLocal(c *mpi.Comm, plan *schedule.Plan, local []complex128, localNorm float64, l int, seed int64, samples []int, commTime *time.Duration) {
 	t0 := time.Now()
 	weights := c.AllgatherFloat64(localNorm)
 	*commTime += time.Since(t0)
-	prefix := make([]float64, len(weights)+1)
-	for i, w := range weights {
-		prefix[i+1] = prefix[i] + w
-	}
-	total := prefix[len(prefix)-1]
-	shotRng := rand.New(rand.NewSource(opts.SampleSeed))
-	out := make([]int, opts.SampleShots)
 	var mine []int
-	for s := range out {
-		out[s] = -1
-		u := shotRng.Float64() * total
-		if r := statevec.SearchCDF(prefix, u); r == c.Rank() {
+	for s, r := range statevec.Draw(rand.New(rand.NewSource(seed)), len(samples), func(s *statevec.Sampler) { s.Weights(weights) }) {
+		if r == c.Rank() {
 			mine = append(mine, s)
 		}
 	}
 	if len(mine) == 0 {
-		return out
+		return
 	}
-	// Local cumulative distribution, built once.
-	cdf := make([]float64, len(local)+1)
-	for i, a := range local {
-		cdf[i+1] = cdf[i] + real(a)*real(a) + imag(a)*imag(a)
+	localRng := rand.New(rand.NewSource(seed*31 + int64(c.Rank()) + 1))
+	for j, idx := range statevec.Draw(localRng, len(mine), func(s *statevec.Sampler) { s.Amps(local) }) {
+		samples[mine[j]] = plan.LogicalIndex(c.Rank()<<l | idx)
 	}
-	localRng := rand.New(rand.NewSource(opts.SampleSeed*31 + int64(c.Rank()) + 1))
-	for _, s := range mine {
-		u := localRng.Float64() * cdf[len(cdf)-1]
-		idx := statevec.SearchCDF(cdf, u)
-		out[s] = plan.LogicalIndex(c.Rank()<<l | idx)
-	}
-	return out
 }

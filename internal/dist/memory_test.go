@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"qusim/internal/circuit"
 	"qusim/internal/f32vec"
 	"qusim/internal/schedule"
 	"qusim/internal/statevec"
@@ -37,7 +38,7 @@ func TestRunHoldsNoSecondState(t *testing.T) {
 	var res *Result
 	got := allocated(func() {
 		var err error
-		if res, err = Run(swap, Options{Ranks: 8, Init: InitUniform, VerifyChecksums: true}); err != nil {
+		if res, err = Run(swap, Options{Ranks: 8, Init: InitUniform}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -67,5 +68,34 @@ func TestRunHoldsNoSecondState(t *testing.T) {
 		if got >= tc.state/4 {
 			t.Errorf("%s of a 3-cycle allocated %d bytes beside a %d-byte state", name, got, tc.state)
 		}
+	}
+}
+
+// TestSampledRunHoldsNoCDF: sampling adds no buffer per amplitude. Eight
+// ranks run a 23-qubit supremacy circuit (16 MiB shards) and draw 10⁴ shots
+// within the 1.25 × the state the run without shots keeps to; a CDF per
+// rank, one float64 per amplitude, would add half the state.
+func TestSampledRunHoldsNoCDF(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocates a 128 MiB state")
+	}
+	const n, l = 23, 20
+	circ := circuit.Supremacy(circuit.SupremacyOptions{Rows: n, Cols: 1, Depth: 10, Seed: 1})
+	plan, err := schedule.Build(circ, schedule.DefaultOptions(l))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res *Result
+	got := allocated(func() {
+		if res, err = Run(plan, Options{Ranks: 8, Init: InitUniform, SampleShots: 10_000, SampleSeed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("dist.Run with 10⁴ shots allocated %d bytes, %.2f × the state", got, float64(got)/float64(16<<n))
+	if len(res.Samples) != 10_000 {
+		t.Fatalf("got %d samples, want 10⁴", len(res.Samples))
+	}
+	if state := uint64(16 << n); got > state+state/4 {
+		t.Errorf("dist.Run with 10⁴ shots allocated %d bytes for a %d-byte state (%.2f×), want at most 1.25×", got, state, float64(got)/float64(state))
 	}
 }

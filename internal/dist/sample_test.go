@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"qusim/internal/circuit"
@@ -105,5 +106,29 @@ func TestLogicalIndexRoundTrip(t *testing.T) {
 		if got := plan.LogicalIndex(plan.PermutedIndex(b)); got != b {
 			t.Fatalf("LogicalIndex(PermutedIndex(%d)) = %d", b, got)
 		}
+	}
+}
+
+// TestDistributedSamplingGoldenShots pins the first 32 shots of a seeded
+// 4-rank run of a plan priced by PaperCosts, the same plan whatever kernels
+// this build has: they move only if either seeded stream — the rank choice
+// or the draw within a rank — or its resolution does.
+func TestDistributedSamplingGoldenShots(t *testing.T) {
+	r, c := circuit.GridForQubits(10)
+	circ := circuit.Supremacy(circuit.SupremacyOptions{Rows: r, Cols: c, Depth: 12, Seed: 7})
+	opts := schedule.DefaultOptions(8)
+	opts.Costs = schedule.PaperCosts()
+	plan, err := schedule.Build(circ, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(plan, Options{Ranks: 4, Init: InitUniform, SampleShots: 32, SampleSeed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{501, 284, 79, 775, 374, 344, 955, 549, 106, 58, 979, 847, 991, 283, 287, 979,
+		963, 53, 930, 723, 581, 39, 61, 118, 581, 528, 973, 496, 375, 164, 417, 213}
+	if !slices.Equal(res.Samples, want) {
+		t.Errorf("shots %v, want %v", res.Samples, want)
 	}
 }

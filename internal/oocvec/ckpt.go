@@ -25,8 +25,8 @@ func (v *Vector) snapshotMeta(plan *schedule.Plan) ckpt.Meta {
 }
 
 // snapshot is the shard of one stage boundary while chunks are fed to it.
-// A write the disk has no room for is repeated once after ckpt.PruneOldest
-// freed the oldest snapshot. If ENOSPC persists, Checkpoint returns it; a
+// ckpt repeats a write the disk has no room for once, after pruning the
+// oldest snapshot. If ENOSPC persists, Checkpoint returns it; a
 // droppable snapshot — RunCheckpointed's — is dropped (shard aborted, the
 // boundary's files discarded, counted in CheckpointsSkipped) and the run
 // goes on: a missed snapshot only means a longer replay after a restart.
@@ -49,9 +49,6 @@ func (v *Vector) beginSnapshot(sc *telemetry.Scope, dir string, plan *schedule.P
 	s.meta.NextStage = nextStage
 	var err error
 	s.sw, err = ckpt.NewShardWriter(dir, s.meta, 0, 1<<v.N)
-	if fsio.IsNoSpace(err) && ckpt.PruneOldest(dir) {
-		s.sw, err = ckpt.NewShardWriter(dir, s.meta, 0, 1<<v.N)
-	}
 	return s, s.absorb(err)
 }
 
@@ -60,11 +57,7 @@ func (s *snapshot) tee(chunk []complex128) error {
 	if s == nil || s.sw == nil {
 		return nil
 	}
-	err := s.sw.Write(chunk)
-	if fsio.IsNoSpace(err) && ckpt.PruneOldest(s.dir) {
-		err = s.sw.Write(chunk)
-	}
-	return s.absorb(err)
+	return s.absorb(s.sw.Write(chunk))
 }
 
 // commit makes the snapshot durable and restorable: shard trailer, fsync

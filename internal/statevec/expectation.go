@@ -2,6 +2,7 @@ package statevec
 
 import (
 	"fmt"
+	"math/bits"
 
 	"qusim/internal/par"
 )
@@ -66,7 +67,7 @@ func (v *Vector) ExpectationPauliString(ops string) (float64, error) {
 	// Hermitian observable is real; we accumulate the real part.
 	// Phase bookkeeping: P = ⊗ factors; acting on basis state |j⟩:
 	// X|b⟩ = |1−b⟩; Y|b⟩ = i(−1)^b|1−b⟩; Z|b⟩ = (−1)^b|b⟩.
-	yCount := popcount(ymask)
+	yCount := bits.OnesCount(uint(ymask))
 	re := par.ReduceFloat64(len(amps), 1<<13, func(lo, hi int) float64 {
 		var acc float64
 		for i := lo; i < hi; i++ {
@@ -74,7 +75,7 @@ func (v *Vector) ExpectationPauliString(ops string) (float64, error) {
 			src := amps[j]
 			// sign from Z factors on bits of i, and from Y factors: Y
 			// contributes i·(−1)^{b_q} with b_q the source bit (of j).
-			neg := popcount(i&zmask) + popcount(j&ymask)
+			neg := bits.OnesCount(uint(i&zmask)) + bits.OnesCount(uint(j&ymask))
 			// Total phase: i^{yCount} · (−1)^{neg}.
 			var term complex128
 			switch yCount & 3 {
@@ -96,13 +97,4 @@ func (v *Vector) ExpectationPauliString(ops string) (float64, error) {
 		return acc
 	})
 	return re, nil
-}
-
-func popcount(x int) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
 }

@@ -8,7 +8,7 @@ package statevec
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/bits"
 	"sort"
 
 	"qusim/internal/gate"
@@ -47,11 +47,8 @@ func NewUniform(n int) *Vector {
 // FromAmplitudes wraps an amplitude slice (len must be a power of two).
 // The slice is not copied.
 func FromAmplitudes(amps []complex128) *Vector {
-	n := 0
-	for 1<<n < len(amps) {
-		n++
-	}
-	if 1<<n != len(amps) {
+	n := bits.Len(uint(len(amps))) - 1
+	if len(amps) == 0 || 1<<n != len(amps) {
 		panic(fmt.Sprintf("statevec: %d amplitudes is not a power of two", len(amps)))
 	}
 	return &Vector{N: n, Amps: amps}
@@ -130,46 +127,6 @@ func (v *Vector) MarginalProbability(q int) float64 {
 		}
 		return s
 	})
-}
-
-// Sample draws shots basis states from the output distribution using
-// inverse-CDF sampling. Only sensible for small n.
-func (v *Vector) Sample(rng *rand.Rand, shots int) []int {
-	cdf := make([]float64, len(v.Amps)+1)
-	for i, a := range v.Amps {
-		cdf[i+1] = cdf[i] + real(a)*real(a) + imag(a)*imag(a)
-	}
-	total := cdf[len(cdf)-1]
-	out := make([]int, shots)
-	for s := range out {
-		out[s] = SearchCDF(cdf, rng.Float64()*total)
-	}
-	return out
-}
-
-// SearchCDF returns the bucket of the cumulative distribution cdf (bucket i
-// spans [cdf[i], cdf[i+1])) that contains u, skipping zero-width buckets: a
-// plain binary search returns the FIRST boundary ≥ u, so a draw landing
-// exactly on a boundary shared by empty buckets would select a
-// zero-probability state. Used by Sample and by the distributed sampler
-// (both for picking the owning rank and the in-rank index).
-func SearchCDF(cdf []float64, u float64) int {
-	m := len(cdf) - 1
-	idx := sort.SearchFloat64s(cdf[1:], u)
-	// A bucket whose right edge is still ≤ u cannot contain u — advance
-	// past the zero-width run the search may have landed on.
-	for idx < m-1 && cdf[idx+1] <= u {
-		idx++
-	}
-	if idx >= m {
-		idx = m - 1
-	}
-	// If u fell at or beyond the final boundary (floating-point edge of
-	// u = total), back out of any trailing zero-width buckets.
-	for idx > 0 && cdf[idx+1] == cdf[idx] {
-		idx--
-	}
-	return idx
 }
 
 // MaxDiff returns the largest modulus of element-wise difference to o.

@@ -185,37 +185,6 @@ func TestSampleDistribution(t *testing.T) {
 	}
 }
 
-func TestSearchCDFSkipsZeroWidthBuckets(t *testing.T) {
-	// Probabilities {0.25, 0, 0, 0.5, 0, 0.25, 0, 0}: draws landing exactly
-	// on a boundary shared with zero-width buckets used to select a
-	// zero-probability state (sort.SearchFloat64s returns the FIRST boundary
-	// ≥ u). SearchCDF must always land in a bucket with positive width.
-	cdf := []float64{0, 0.25, 0.25, 0.25, 0.75, 0.75, 1.0, 1.0, 1.0}
-	cases := []struct {
-		u    float64
-		want int
-	}{
-		{0, 0},    // left edge of the distribution
-		{0.1, 0},  // interior of bucket 0
-		{0.25, 3}, // boundary shared by zero-width buckets 1 and 2
-		{0.5, 3},  // interior of bucket 3
-		{0.75, 5}, // boundary shared by zero-width bucket 4
-		{0.9, 5},  // interior of bucket 5
-		{1.0, 5},  // u == total: trailing zero-width buckets 6, 7
-		{1.5, 5},  // beyond total (floating-point slop on u = rng*total)
-	}
-	for _, tc := range cases {
-		if got := SearchCDF(cdf, tc.u); got != tc.want {
-			t.Errorf("SearchCDF(u=%v) = %d, want %d", tc.u, got, tc.want)
-		}
-	}
-	// All-mass-at-the-end distribution: leading zero-width buckets.
-	lead := []float64{0, 0, 0, 1}
-	if got := SearchCDF(lead, 0); got != 2 {
-		t.Errorf("SearchCDF(leading zeros, u=0) = %d, want 2", got)
-	}
-}
-
 func TestSampleNeverSelectsZeroAmplitudeState(t *testing.T) {
 	// Exact-zero amplitudes adjacent to the support: no draw may select a
 	// zero-probability basis state regardless of where the RNG lands.
