@@ -387,20 +387,28 @@ func BenchmarkCheckpoint(b *testing.B) {
 	const n = benchState
 	state := statevec.NewUniform(n)
 	meta := ckpt.Meta{PlanHash: "bench", N: n, L: n, Ranks: 1}
+	// save commits the whole state as the one shard of a snapshot.
+	save := func(dir string) (*ckpt.Manifest, error) {
+		info, err := ckpt.WriteShard(dir, meta, 0, state.Amps)
+		if err != nil {
+			return nil, err
+		}
+		return ckpt.Commit(dir, meta, []ckpt.ShardInfo{info}, 2)
+	}
 
 	b.Run("shard/write", func(b *testing.B) {
 		dir := b.TempDir()
 		b.SetBytes(int64(16 << n))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ckpt.SaveState(dir, meta, state.Amps, 2); err != nil {
+			if _, err := save(dir); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("shard/restore", func(b *testing.B) {
 		dir := b.TempDir()
-		man, err := ckpt.SaveState(dir, meta, state.Amps, 2)
+		man, err := save(dir)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -408,7 +416,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 		b.SetBytes(int64(16 << n))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := ckpt.RestoreState(dir, man, dst); err != nil {
+			if err := ckpt.ReadShard(dir, man, 0, dst); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -741,7 +749,7 @@ func BenchmarkCircuitPrecision(b *testing.B) {
 			v := f32vec.NewUniform(n)
 			for j := range c.Gates {
 				g := &c.Gates[j]
-				v.ApplyGate(g.Matrix(), g.Qubits...)
+				v.State.Apply(g.Matrix(), g.Qubits...)
 			}
 		}
 	})

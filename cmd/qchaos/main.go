@@ -126,7 +126,7 @@ func (b *chaosDist) exec(plan *schedule.Plan) ([]complex128, error) {
 			Ranks:        b.copts.Ranks,
 			GatherState:  true,
 			Faults:       sched.MPI,
-			Checkpoint:   &ckpt.Policy{Dir: dir, EveryStages: 1, MaxRestarts: 8},
+			Checkpoint:   &ckpt.Policy{Dir: dir, EveryStages: 1},
 			Resume:       attempt > 0,
 			CommDeadline: 400 * time.Millisecond,
 			Retry: &dist.RetryPolicy{

@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"math/bits"
+	"math/rand"
 	"os"
 	"time"
 
@@ -128,7 +129,7 @@ func main() {
 	}
 
 	if *f32 {
-		runF32(circ, sched, tel, *verbose)
+		runF32(circ, sched, tel, *verbose, *shots, *seed)
 		flushTelemetry(tel, *traceFile, *metrics)
 		return
 	}
@@ -158,7 +159,7 @@ func main() {
 	if *ckptDir != "" {
 		opts.Checkpoint = &ckpt.Policy{Dir: *ckptDir, EveryStages: *ckptEvery}
 	}
-	res, err := dist.Run(plan, opts)
+	res, err := runDist(plan, opts, *baseline)
 	if err != nil {
 		fatal(err)
 	}
@@ -186,16 +187,31 @@ func main() {
 	if *verbose {
 		reportPages(tel, 16<<plan.L)
 	}
-	if *shots > 0 {
-		fmt.Printf("samples (%d shots, first 10):\n", *shots)
-		for i, b := range res.Samples {
-			if i == 10 {
-				break
-			}
-			fmt.Printf("  |%0*b⟩\n", circ.N, b)
-		}
-	}
+	printSamples(circ.N, res.Samples)
 	flushTelemetry(tel, *traceFile, *metrics)
+}
+
+// runDist runs plan on the ranks of opts. A -baseline run reports its
+// communication steps in the paper's unit, one per communicating gate, as
+// dist.RunBaseline does: a dense gate on a global qubit is one step, not its
+// two exchanges.
+func runDist(plan *schedule.Plan, opts dist.Options, baseline bool) (*dist.Result, error) {
+	res, err := dist.Run(plan, opts)
+	if err == nil && baseline {
+		res.CommSteps = plan.Stats.BaselineGlobalGates
+	}
+	return res, err
+}
+
+// printSamples prints the first ten of the drawn basis states, if any.
+func printSamples(n int, samples []int) {
+	if len(samples) == 0 {
+		return
+	}
+	fmt.Printf("samples (%d shots, first 10):\n", len(samples))
+	for _, b := range samples[:min(len(samples), 10)] {
+		fmt.Printf("  |%0*b⟩\n", n, b)
+	}
 }
 
 // flushTelemetry writes the trace file and/or prints the metrics dump once
@@ -237,7 +253,7 @@ func checkFlags(ranks int, given map[string]bool) error {
 	}
 	given["-ranks > 1"] = ranks > 1
 	for _, mode := range [][]string{
-		{"-f32", "-ranks > 1", "-baseline", "-ooc", "-sample", "-profile", "-checkpoint-dir", "-resume"},
+		{"-f32", "-ranks > 1", "-baseline", "-ooc", "-profile", "-checkpoint-dir", "-resume"},
 		{"-ooc", "-ranks > 1", "-baseline", "-sample", "-profile"},
 		{"-baseline", "-plan", "-tune", "-kmax"},
 	} {
@@ -386,8 +402,9 @@ func runOutOfCore(circ *circuit.Circuit, tel *telemetry.Telemetry, o oocOptions)
 
 // runF32 executes the circuit on the single-precision in-memory state — the
 // paper's Sec. 5 outlook (half the bytes per amplitude, one more qubit in
-// the same memory) — through the fused single-node schedule.
-func runF32(circ *circuit.Circuit, sched schedFlags, tel *telemetry.Telemetry, verbose bool) {
+// the same memory) — through the fused single-node schedule, then draws
+// shots samples with the stream dist.Run draws them with on one rank.
+func runF32(circ *circuit.Circuit, sched schedFlags, tel *telemetry.Telemetry, verbose bool, shots int, seed int64) {
 	plan := sched.plan(circ, circ.N)
 	if verbose {
 		fmt.Print(plan.Summary())
@@ -410,6 +427,13 @@ func runF32(circ *circuit.Circuit, sched schedFlags, tel *telemetry.Telemetry, v
 	kernels.ObservePages(tel, v.Amps)
 	if verbose {
 		reportPages(tel, int64(len(v.Amps))*f32vec.BytesPerAmplitude)
+	}
+	if shots > 0 {
+		samples := v.Sample(rand.New(rand.NewSource(seed*31+1)), shots)
+		for i, b := range samples {
+			samples[i] = plan.LogicalIndex(b)
+		}
+		printSamples(circ.N, samples)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qusim/internal/circuit"
+	"qusim/internal/dist"
 	"qusim/internal/telemetry"
 )
 
@@ -19,6 +20,7 @@ func TestCheckFlags(t *testing.T) {
 		{8, "-sample -profile -checkpoint-dir -resume", ""},
 		{1, "-ooc -checkpoint-dir -resume", ""},
 		{1, "-f32 -tune -tune-cache", ""},
+		{1, "-f32 -sample", ""},
 		{4, "-baseline", ""},
 		{4, "-baseline -sample -profile -checkpoint-dir -resume", ""},
 		{4, "-kmax -plan -tune", ""},
@@ -32,7 +34,6 @@ func TestCheckFlags(t *testing.T) {
 		{2, "-f32", "-f32 cannot be combined with -ranks > 1"},
 		{1, "-f32 -baseline", "-f32 cannot be combined with -baseline"},
 		{1, "-f32 -ooc", "-f32 cannot be combined with -ooc"},
-		{1, "-f32 -sample", "-f32 cannot be combined with -sample"},
 		{1, "-f32 -profile", "-f32 cannot be combined with -profile"},
 		{1, "-f32 -checkpoint-dir", "-f32 cannot be combined with -checkpoint-dir"},
 		{1, "-f32 -resume", "-f32 cannot be combined with -resume"},
@@ -75,5 +76,27 @@ func TestFailedOutOfCoreRunRemovesStateFile(t *testing.T) {
 	}
 	for _, e := range entries {
 		t.Errorf("failed run left %s behind", e.Name())
+	}
+}
+
+// TestBaselineStepsInPaperUnit: a -baseline run counts one communication
+// step per communicating gate, as dist.RunBaseline (Table 2's path) does,
+// where it counted the two exchanges of every dense gate on a global qubit.
+func TestBaselineStepsInPaperUnit(t *testing.T) {
+	circ, err := buildCircuit("supremacy", 12, 10, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := schedFlags{kmax: 5, perGate: true}.plan(circ, 10)
+	got, err := runDist(plan, dist.Options{Ranks: 4, Init: dist.InitUniform}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := dist.RunBaseline(circ, dist.BaselineOptions{Ranks: 4, Init: dist.InitUniform, Specialize2Q: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.CommSteps != 4 || want.CommSteps != 4 {
+		t.Errorf("qsim -baseline reports %d steps, dist.RunBaseline %d; want 4 for both", got.CommSteps, want.CommSteps)
 	}
 }

@@ -114,10 +114,11 @@ type Policy struct {
 	// after each commit (default 2 — the previous snapshot survives until
 	// the next one is fully committed).
 	Keep int
-	// MaxRestarts bounds recovery attempts per run before the engine gives
-	// up and surfaces the failure (default 8).
-	MaxRestarts int
 }
+
+// MaxRestarts bounds the recovery attempts of a checkpointed run before the
+// engine gives up and surfaces the failure.
+const MaxRestarts = 8
 
 // Due reports whether a run of a plan of stages stages, started or resumed
 // at the boundary before stage start, snapshots the boundary before stage
@@ -135,14 +136,6 @@ func (p *Policy) KeepN() int {
 		return 2
 	}
 	return p.Keep
-}
-
-// Restarts returns the restart budget with the default applied.
-func (p *Policy) Restarts() int {
-	if p.MaxRestarts < 1 {
-		return 8
-	}
-	return p.MaxRestarts
 }
 
 // commitTemp is the single commit point of the durability protocol: it

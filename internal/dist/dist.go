@@ -137,7 +137,7 @@ type Options struct {
 	// Checkpoint enables crash-consistent snapshots and stage-level
 	// recovery: shards land in Checkpoint.Dir every EveryStages stage
 	// boundaries, and a detected transport failure restarts the run from
-	// the newest valid snapshot (up to Checkpoint.MaxRestarts times).
+	// the newest valid snapshot (up to ckpt.MaxRestarts times).
 	// Setting it also turns on collective payload checksums.
 	Checkpoint *ckpt.Policy
 	// Resume makes the FIRST attempt look for a restorable snapshot in
@@ -150,7 +150,7 @@ type Options struct {
 	CommDeadline time.Duration
 	// Retry shapes the recovery loop between attempts: jittered
 	// exponential backoff and a whole-run deadline. Nil keeps the legacy
-	// behavior — immediate restarts, bounded only by MaxRestarts.
+	// behavior — immediate restarts, bounded only by ckpt.MaxRestarts.
 	Retry *RetryPolicy
 
 	// Telemetry, when enabled, records per-rank trace timelines (stage and
@@ -175,7 +175,7 @@ type ProfileEntry struct {
 var ErrRunDeadline = errors.New("dist: run deadline exceeded")
 
 // RetryPolicy shapes the recovery loop of a checkpointed run. The number
-// of attempts is still bounded by Checkpoint.MaxRestarts; the policy adds
+// of attempts is still bounded by ckpt.MaxRestarts; the policy adds
 // pacing (so a persistently failing environment is not hammered in a tight
 // loop) and an overall give-up clock.
 type RetryPolicy struct {
@@ -284,7 +284,7 @@ func Run(plan *schedule.Plan, opts Options) (*Result, error) {
 		if err := os.MkdirAll(ck.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("dist: checkpoint dir: %w", err)
 		}
-		attempts = ck.Restarts() + 1
+		attempts = ckpt.MaxRestarts + 1
 		meta = ckpt.Meta{PlanHash: plan.Fingerprint(), N: plan.N, L: l, Ranks: ranks}
 	}
 
@@ -626,7 +626,7 @@ func sampleLocal(c *mpi.Comm, plan *schedule.Plan, local []complex128, localNorm
 		return
 	}
 	localRng := rand.New(rand.NewSource(seed*31 + int64(c.Rank()) + 1))
-	for j, idx := range statevec.Draw(localRng, len(mine), func(s *statevec.Sampler) { s.Amps(local) }) {
+	for j, idx := range statevec.Draw(localRng, len(mine), func(s *statevec.Sampler) { statevec.FeedAmps(s, local) }) {
 		samples[mine[j]] = plan.LogicalIndex(c.Rank()<<l | idx)
 	}
 }

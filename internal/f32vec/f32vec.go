@@ -4,15 +4,14 @@
 // represent the complex amplitudes", because halving the bytes per
 // amplitude doubles the number of qubits that fit in the same memory.
 //
-// Gate application is delegated to the complex64 kernels of package
-// kernels — the same assembly or unrolled per-k kernels as the
-// double-precision path, at the other element width — rather than a lone
-// gather/scatter loop.
+// The state is statevec's, at complex64: the same constructors, reductions,
+// sampling and per-gate entry, through the same assembly or unrolled per-k
+// kernels as the double-precision path at the other element width. This
+// package keeps the names the benchmark and the tools call it by.
 package f32vec
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"qusim/internal/gate"
@@ -45,41 +44,17 @@ func MaxQubitsForMemory(bytes float64, single bool) int {
 	return bits.Len64(uint64(amps)) - 1
 }
 
-// Vector is an n-qubit state with complex64 amplitudes.
-type Vector struct {
-	N    int
-	Amps []complex64
-}
+// Vector is an n-qubit state with complex64 amplitudes: statevec's state at
+// single precision, so it samples, measures and reduces like the
+// double-precision one. It adds the sorted-position Apply, RunPlan and
+// ToDouble.
+type Vector struct{ statevec.State[complex64] }
 
 // New returns |0…0⟩.
-func New(n int) *Vector {
-	v := &Vector{N: n, Amps: kernels.NewAmps[complex64](1 << n)}
-	v.Amps[0] = 1
-	return v
-}
+func New(n int) *Vector { return &Vector{*statevec.Zero[complex64](n)} }
 
 // NewUniform returns the uniform superposition.
-func NewUniform(n int) *Vector {
-	v := &Vector{N: n, Amps: kernels.NewAmps[complex64](1 << n)}
-	a := complex64(complex(float32(math.Pow(2, -float64(n)/2)), 0))
-	par.For(len(v.Amps), 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v.Amps[i] = a
-		}
-	})
-	return v
-}
-
-// FromDouble converts a double-precision state.
-func FromDouble(s *statevec.Vector) *Vector {
-	v := &Vector{N: s.N, Amps: kernels.NewAmps[complex64](len(s.Amps))}
-	par.For(len(v.Amps), 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v.Amps[i] = complex64(s.Amps[i])
-		}
-	})
-	return v
-}
+func NewUniform(n int) *Vector { return &Vector{*statevec.Uniform[complex64](n)} }
 
 // ToDouble converts back to double precision.
 func (v *Vector) ToDouble() *statevec.Vector {
@@ -106,25 +81,4 @@ func (v *Vector) Apply(m gate.Matrix, qs []int) {
 		}
 	}
 	kernels.Apply(v.Amps, kernels.ToComplex64(m.Data), qs)
-}
-
-// ApplyGate applies m to arbitrary (possibly unsorted) qubits through the
-// per-gate entry both precisions share (statevec.ApplyGate). This is the
-// per-gate entry point the differential-verification backend drives.
-func (v *Vector) ApplyGate(m gate.Matrix, qubits ...int) { statevec.ApplyGate(v.Amps, m, qubits) }
-
-// Norm returns Σ|α|², accumulated in float64 to limit rounding.
-func (v *Vector) Norm() float64 { return kernels.Norm(v.Amps) }
-
-// Entropy returns the Shannon entropy of the output distribution in nats.
-func (v *Vector) Entropy() float64 { return kernels.Entropy(v.Amps) }
-
-// NormEntropy returns Norm and Entropy from one pass over the state.
-func (v *Vector) NormEntropy() (norm, entropy float64) { return kernels.NormEntropy(v.Amps) }
-
-// MaxDiff returns the largest amplitude deviation from a double-precision
-// state — used to quantify single-precision error growth over deep
-// circuits.
-func (v *Vector) MaxDiff(s *statevec.Vector) float64 {
-	return kernels.MaxDiff(v.Amps, s.Amps)
 }

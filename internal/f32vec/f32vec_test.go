@@ -71,8 +71,7 @@ func sortPerm(qs []int) []int {
 
 func TestRoundTripConversion(t *testing.T) {
 	d := statevec.NewUniform(8)
-	s := FromDouble(d)
-	back := s.ToDouble()
+	back := NewUniform(8).ToDouble()
 	if diff := d.MaxDiff(back); diff > 1e-7 {
 		t.Errorf("round trip max diff %g", diff)
 	}
@@ -149,7 +148,7 @@ func TestVariantsMatchDoublePrecisionDeepCircuit(t *testing.T) {
 	for i := range circ.Gates {
 		g := &circ.Gates[i]
 		d.Apply(g.Matrix(), g.Qubits...)
-		s.ApplyGate(g.Matrix(), g.Qubits...)
+		s.State.Apply(g.Matrix(), g.Qubits...)
 	}
 	if diff := s.MaxDiff(d); diff > 1e-4 {
 		t.Errorf("max diff %g vs double precision", diff)
@@ -163,13 +162,13 @@ func TestApplyGateUnsortedAndDiagonal(t *testing.T) {
 	// Unsorted 2-qubit gate, diagonal gate, and 1-qubit gate.
 	g1 := gate.RandomUnitary(2, newTestRng(7))
 	d.Apply(g1, 5, 2)
-	s.ApplyGate(g1, 5, 2)
+	s.State.Apply(g1, 5, 2)
 	cz := gate.CZ()
 	d.Apply(cz, 6, 1)
-	s.ApplyGate(cz, 6, 1)
+	s.State.Apply(cz, 6, 1)
 	h := gate.H()
 	d.Apply(h, 3)
-	s.ApplyGate(h, 3)
+	s.State.Apply(h, 3)
 	if diff := s.MaxDiff(d); diff > 1e-5 {
 		t.Errorf("ApplyGate max diff %g", diff)
 	}

@@ -100,7 +100,7 @@ func TestApplyDiagonalF32(t *testing.T) {
 
 func TestScaleF32(t *testing.T) {
 	amps := []complex64{1, 2i, 3 + 4i}
-	ScaleF32(amps, 2i)
+	Scale(amps, 2i)
 	want := []complex64{2i, -4, -8 + 6i}
 	for i := range amps {
 		if amps[i] != want[i] {

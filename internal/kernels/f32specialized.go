@@ -1,7 +1,5 @@
 package kernels
 
-import "qusim/internal/par"
-
 // Hand-unrolled single-precision kernels, one per k ∈ {1,…,5} — the same
 // shapes as specialized.go with complex64 amplitudes. k > 5 takes the
 // general-k kernel, matching the paper's kmax ≤ 5 cutoff (Table 1).
@@ -284,11 +282,4 @@ func apply5F32(m []complex64, qs []int) Dense[complex64] {
 			}
 		}
 	}}
-}
-
-// ScaleF32 multiplies every amplitude by s (global-phase absorption).
-//
-//qusim:hot
-func ScaleF32(amps []complex64, s complex64) {
-	par.For(len(amps), 4096, func(lo, hi int) { scaleF32(amps[lo:hi], s) })
 }

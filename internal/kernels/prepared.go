@@ -126,19 +126,19 @@ func PrepareDiagonal[T complexAmp](d []T, qs []int, n int) *Diagonal[T] {
 	if len(d) != 1<<len(qs) {
 		panic("kernels: diagonal length mismatch")
 	}
-	p := &Diagonal[T]{unity: true}
+	p := &Diagonal[T]{unity: true, scale: scaleFor[T]()}
 	for _, dx := range d {
 		p.unity = p.unity && dx == 1
 	}
 	var win, run any
 	switch any(d).(type) {
 	case []complex128:
-		p.scale, win, run = any(scaleF64).(func([]T, T)), simdDiagWinF64, simdDiagRunF64
+		win, run = simdDiagWinF64, simdDiagRunF64
 		if hasAVX512 {
 			win, run = simd512DiagWinF64, simd512DiagRunF64
 		}
 	case []complex64:
-		p.scale, win, run = any(scaleF32).(func([]T, T)), simdDiagWinF32, simdDiagRunF32
+		win, run = simdDiagWinF32, simdDiagRunF32
 		if hasAVX512 {
 			win, run = simd512DiagWinF32, simd512DiagRunF32
 		}
@@ -245,6 +245,14 @@ func scaleF64(amps []complex128, dx complex128) {
 			amps[j] *= dx
 		}
 	}
+}
+
+// scaleFor returns the scalar multiply of T's precision.
+func scaleFor[T complexAmp]() func(amps []T, dx T) {
+	if f, ok := any(scaleF64).(func([]T, T)); ok {
+		return f
+	}
+	return any(scaleF32).(func([]T, T))
 }
 
 // scaleF32 is scaleF64 in single precision, on split float32 scalars (the

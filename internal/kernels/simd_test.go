@@ -339,7 +339,7 @@ func TestDiagonalProductIndependentOfSweep(t *testing.T) {
 	want := slices.Clone(state)
 	Scale(want, dx)
 	want32 := ToComplex64(state)
-	ScaleF32(want32, complex64(dx))
+	Scale(want32, complex64(dx))
 	for _, qs := range [][]int{{0}, {1}, {3}, {diagRunMin}, {0, 5}, {2, n - 1}, {n - 1}, {diagRunMin, n - 1}} {
 		d := make([]complex128, 1<<len(qs))
 		for i := range d {
@@ -389,7 +389,7 @@ func TestDiagonalRunMatchesOracle(t *testing.T) {
 			}
 			got, got32 := slices.Clone(state), ToComplex64(state)
 			Scale(got[off:off+n], dx)
-			ScaleF32(got32[off:off+n], dx32)
+			Scale(got32[off:off+n], dx32)
 			if !bitsEqual(got, want) || !bitsEqualF32(got32, want32) {
 				t.Errorf("n=%d off=%d: Scale differs from the oracle", n, off)
 			}

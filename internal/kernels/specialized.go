@@ -191,6 +191,7 @@ func apply5(m []complex128, qs []int) Dense[complex128] {
 // conditional global phase of Sec. 3.5).
 //
 //qusim:hot
-func Scale(amps []complex128, s complex128) {
-	par.For(len(amps), 4096, func(lo, hi int) { scaleF64(amps[lo:hi], s) })
+func Scale[T complexAmp](amps []T, s T) {
+	scale := scaleFor[T]()
+	par.For(len(amps), 4096, func(lo, hi int) { scale(amps[lo:hi], s) })
 }

@@ -126,18 +126,11 @@ func (p *Plan) Stages() int {
 // arranged with qubit q at location InitialPos[q]; for a fresh |0…0⟩ or
 // uniform state any arrangement is equivalent.
 func (p *Plan) Run(v *statevec.Vector) error {
-	return p.RunFrom(v, 0)
-}
-
-// RunFrom executes only the ops with Stage ≥ startStage — the resume path
-// of a checkpointed run, where v was restored from a snapshot taken at the
-// stage-startStage boundary.
-func (p *Plan) RunFrom(v *statevec.Vector, startStage int) error {
 	if v.N != p.N {
 		return fmt.Errorf("schedule: plan is for %d qubits, state has %d", p.N, v.N)
 	}
 	sh := Shard[complex128]{Amps: v.Amps, L: v.N}
-	return sh.Run(p, startStage)
+	return sh.Run(p, 0)
 }
 
 // PermutedIndex returns the state-vector index at which the amplitude of

@@ -20,12 +20,12 @@ const (
 )
 
 // ExpectationZ returns ⟨Z_q⟩ = P(q=0) − P(q=1) without modifying the state.
-func (v *Vector) ExpectationZ(q int) float64 {
+func (v *State[T]) ExpectationZ(q int) float64 {
 	bit := 1 << q
 	return par.ReduceFloat64(len(v.Amps), 1<<14, func(lo, hi int) float64 {
 		var s float64
 		for i := lo; i < hi; i++ {
-			a := v.Amps[i]
+			a := complex128(v.Amps[i])
 			p := real(a)*real(a) + imag(a)*imag(a)
 			if i&bit == 0 {
 				s += p
@@ -41,7 +41,7 @@ func (v *Vector) ExpectationZ(q int) float64 {
 // string given per qubit ('I', 'X', 'Y', 'Z'); ops[q] acts on qubit q.
 // Computed as ⟨ψ| P |ψ⟩ in a single sweep: P|ψ⟩ permutes each index by the
 // X-mask and attaches a phase from Y/Z factors.
-func (v *Vector) ExpectationPauliString(ops string) (float64, error) {
+func (v *State[T]) ExpectationPauliString(ops string) (float64, error) {
 	if len(ops) != v.N {
 		return 0, fmt.Errorf("statevec: Pauli string has %d factors for %d qubits", len(ops), v.N)
 	}
@@ -72,7 +72,7 @@ func (v *Vector) ExpectationPauliString(ops string) (float64, error) {
 		var acc float64
 		for i := lo; i < hi; i++ {
 			j := i ^ xmask
-			src := amps[j]
+			src := complex128(amps[j])
 			// sign from Z factors on bits of i, and from Y factors: Y
 			// contributes i·(−1)^{b_q} with b_q the source bit (of j).
 			neg := bits.OnesCount(uint(i&zmask)) + bits.OnesCount(uint(j&ymask))
@@ -91,7 +91,7 @@ func (v *Vector) ExpectationPauliString(ops string) (float64, error) {
 			if neg&1 == 1 {
 				term = -term
 			}
-			a := amps[i]
+			a := complex128(amps[i])
 			acc += real(a)*real(term) + imag(a)*imag(term)
 		}
 		return acc

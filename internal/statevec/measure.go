@@ -16,7 +16,7 @@ import (
 // Measure performs a projective measurement of qubit q: it samples an
 // outcome with the Born probabilities, collapses the state, renormalizes,
 // and returns the outcome bit.
-func (v *Vector) Measure(q int, rng *rand.Rand) int {
+func (v *State[T]) Measure(q int, rng *rand.Rand) int {
 	p1 := v.MarginalProbability(q)
 	outcome := 0
 	if rng.Float64() < p1 {
@@ -28,7 +28,7 @@ func (v *Vector) Measure(q int, rng *rand.Rand) int {
 
 // Collapse projects qubit q onto the given outcome and renormalizes.
 // It panics if the outcome has zero probability.
-func (v *Vector) Collapse(q, outcome int) {
+func (v *State[T]) Collapse(q, outcome int) {
 	if q < 0 || q >= v.N {
 		panic(fmt.Sprintf("statevec: Collapse qubit %d out of range", q))
 	}
@@ -41,7 +41,7 @@ func (v *Vector) Collapse(q, outcome int) {
 	if p <= 0 {
 		panic(fmt.Sprintf("statevec: collapsing qubit %d onto zero-probability outcome %d", q, outcome))
 	}
-	inv := complex(1/math.Sqrt(p), 0)
+	inv := T(complex(1/math.Sqrt(p), 0))
 	bit := 1 << q
 	keep := 0
 	if outcome == 1 {
@@ -60,7 +60,7 @@ func (v *Vector) Collapse(q, outcome int) {
 
 // MeasureAll measures every qubit, collapsing the state to a basis state,
 // and returns the resulting bitstring.
-func (v *Vector) MeasureAll(rng *rand.Rand) int {
+func (v *State[T]) MeasureAll(rng *rand.Rand) int {
 	out := 0
 	for q := 0; q < v.N; q++ {
 		out |= v.Measure(q, rng) << q

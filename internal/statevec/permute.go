@@ -15,7 +15,7 @@ import (
 // SwapBits exchanges the amplitudes so that bit positions a and b of the
 // basis index are swapped — the unitary SWAP gate applied as a pure
 // permutation (no arithmetic).
-func (v *Vector) SwapBits(a, b int) { kernels.SwapBits(v.Amps, a, b) }
+func (v *State[T]) SwapBits(a, b int) { kernels.SwapBits(v.Amps, a, b) }
 
 // PermuteBits relabels bit position p to perm[p] for every amplitude:
 // new index bit perm[p] = old index bit p. perm must be a permutation of
@@ -26,7 +26,7 @@ func (v *Vector) SwapBits(a, b int) { kernels.SwapBits(v.Amps, a, b) }
 // reads and two writes of the state however many bits move and no second
 // vector, replacing the transposition chain that cost one half-state sweep
 // per 2-cycle step. A transposition is one pass over half the amplitudes.
-func (v *Vector) PermuteBits(perm []int) {
+func (v *State[T]) PermuteBits(perm []int) {
 	if len(perm) != v.N {
 		panic(fmt.Sprintf("statevec: PermuteBits got %d entries for n=%d", len(perm), v.N))
 	}
@@ -38,7 +38,7 @@ func (v *Vector) PermuteBits(perm []int) {
 // transpositions, each a half-state sweep. Kept as the differential
 // reference for the in-place kernel (package verify) and as the baseline of
 // BenchmarkPermute.
-func (v *Vector) PermuteBitsSwapChain(perm []int) {
+func (v *State[T]) PermuteBitsSwapChain(perm []int) {
 	if len(perm) != v.N {
 		panic(fmt.Sprintf("statevec: PermuteBitsSwapChain got %d entries for n=%d", len(perm), v.N))
 	}
@@ -65,7 +65,7 @@ func (v *Vector) PermuteBitsSwapChain(perm []int) {
 // ReverseBits reverses the significance of all n bit positions (used by the
 // QFT example, whose output is bit-reversed): an involution, so one
 // in-place pass instead of ⌊n/2⌋ swap sweeps.
-func (v *Vector) ReverseBits() {
+func (v *State[T]) ReverseBits() {
 	perm := make([]int, v.N)
 	for i := range perm {
 		perm[i] = v.N - 1 - i

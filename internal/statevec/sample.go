@@ -7,8 +7,8 @@ import (
 )
 
 // Sample draws shots basis states from the output distribution (Draw).
-func (v *Vector) Sample(rng *rand.Rand, shots int) []int {
-	return Draw(rng, shots, func(s *Sampler) { s.Amps(v.Amps) })
+func (v *State[T]) Sample(rng *rand.Rand, shots int) []int {
+	return Draw(rng, shots, func(s *Sampler) { FeedAmps(s, v.Amps) })
 }
 
 // Draw is inverse-CDF sampling without the CDF: one feed of the buckets
@@ -33,7 +33,13 @@ func Resolve(draws []float64, feed func(*Sampler)) []int {
 	for i := range s.order {
 		s.order[i] = i
 	}
-	slices.SortFunc(s.order, func(a, b int) int { return cmp.Compare(draws[a], draws[b]) })
+	slices.SortFunc(s.order, func(a, b int) int {
+		x, y := draws[a], draws[b]
+		if x != x || y != y { // NaN (an infinite total's 0·Inf) sorts last, as if past the total
+			return cmp.Compare(y, x)
+		}
+		return cmp.Compare(x, y)
+	})
 	feed(s)
 	for _, d := range s.order[s.next:] {
 		s.out[d] = s.moved
@@ -53,10 +59,12 @@ type Sampler struct {
 	acc      float64 // running sum
 }
 
-// Amps feeds each amplitude's probability |a|² as the next bucket.
-func (s *Sampler) Amps(amps []complex128) {
+// FeedAmps feeds s each amplitude's probability |a|², taken in float64, as
+// the next bucket.
+func FeedAmps[T Amp](s *Sampler, amps []T) {
 	acc, moved, n := s.acc, s.moved, s.n
-	for i, a := range amps {
+	for i, x := range amps {
+		a := complex128(x)
 		sum := acc + real(a)*real(a) + imag(a)*imag(a)
 		if sum != acc {
 			moved = n + i // n held in a register: a CMOV, not a branch

@@ -73,7 +73,7 @@ func randomAmps(rng *rand.Rand, n int) []complex128 {
 
 // resolveAmps returns the buckets of draws against amps by the walk.
 func resolveAmps(amps []complex128, draws []float64) []int {
-	return Resolve(draws, func(s *Sampler) { s.Amps(amps) })
+	return Resolve(draws, func(s *Sampler) { FeedAmps(s, amps) })
 }
 
 // TestSamplerMatchesCDF: every shot of Sample equals the CDF reference's —
@@ -177,7 +177,8 @@ func TestSampleHoldsNoCDF(t *testing.T) {
 // FuzzSampler holds the walk to the CDF reference on fuzzed amplitudes —
 // exact zeros, subnormals, squares that underflow, and one spike that can
 // swallow every bucket after it — and fuzzed draws: fractions of the total,
-// bucket boundaries, and draws past the total.
+// bucket boundaries, and draws past the total. The same amplitudes narrowed
+// to complex64 are fed too, against the reference on their widened values.
 func FuzzSampler(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 2, 3, 7}, uint16(2), int8(0), []byte{0, 0, 1, 3, 2, 255, 0, 255})
 	f.Add([]byte{0, 0, 0, 0}, uint16(0), int8(-128), []byte{0, 0, 0, 255, 1, 128})
@@ -201,29 +202,42 @@ func FuzzSampler(f *testing.F) {
 		if spikeExp != 0 {
 			amps[int(spikeAt)%len(amps)] = complex(math.Ldexp(1.5, 4*int(spikeExp)), 0)
 		}
-		cdf := cdfOf(amps)
-		total := cdf[len(cdf)-1]
-		var draws []float64
-		for i := 0; i+1 < len(spec); i += 2 {
-			b := float64(spec[i+1])
-			switch spec[i] % 3 {
-			case 0: // a fraction of the total, the total itself at 255
-				draws = append(draws, total*b/255)
-			case 1: // a bucket boundary
-				draws = append(draws, cdf[int(spec[i+1])*len(cdf)/256])
-			case 2: // past the total
-				draws = append(draws, total+total*b/255)
-			}
+		narrow, widened := make([]complex64, len(amps)), make([]complex128, len(amps))
+		for i, a := range amps {
+			narrow[i] = complex64(a)
+			widened[i] = complex128(narrow[i])
 		}
-		var sum Sampler
-		sum.Amps(amps)
-		if math.Float64bits(sum.acc) != math.Float64bits(total) {
-			t.Fatalf("total %v, the CDF's %v", sum.acc, total)
-		}
-		for i, b := range resolveAmps(amps, draws) {
-			if want := searchCDF(cdf, draws[i]); b != want {
-				t.Fatalf("draw %v (total %v) resolved to %d, the CDF to %d", draws[i], total, b, want)
-			}
-		}
+		checkSampler(t, amps, spec, func(s *Sampler) { FeedAmps(s, amps) })
+		checkSampler(t, widened, spec, func(s *Sampler) { FeedAmps(s, narrow) })
 	})
+}
+
+// checkSampler holds the total of feed and the buckets it resolves draws
+// into, the draws drawn by spec, to the CDF of amps.
+func checkSampler(t *testing.T, amps []complex128, spec []byte, feed func(*Sampler)) {
+	t.Helper()
+	cdf := cdfOf(amps)
+	total := cdf[len(cdf)-1]
+	var draws []float64
+	for i := 0; i+1 < len(spec); i += 2 {
+		b := float64(spec[i+1])
+		switch spec[i] % 3 {
+		case 0: // a fraction of the total, the total itself at 255
+			draws = append(draws, total*b/255)
+		case 1: // a bucket boundary
+			draws = append(draws, cdf[int(spec[i+1])*len(cdf)/256])
+		case 2: // past the total
+			draws = append(draws, total+total*b/255)
+		}
+	}
+	var sum Sampler
+	feed(&sum)
+	if math.Float64bits(sum.acc) != math.Float64bits(total) {
+		t.Fatalf("total %v, the CDF's %v", sum.acc, total)
+	}
+	for i, b := range Resolve(draws, feed) {
+		if want := searchCDF(cdf, draws[i]); b != want {
+			t.Fatalf("draw %v (total %v) resolved to %d, the CDF to %d", draws[i], total, b, want)
+		}
+	}
 }

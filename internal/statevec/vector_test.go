@@ -1,9 +1,11 @@
 package statevec
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -245,4 +247,52 @@ func randomVector(n int, rng *rand.Rand) *Vector {
 		v.Amps[i] *= inv
 	}
 	return v
+}
+
+// TestStatesAgreeAcrossPrecisions: on states that are exact in both
+// precisions — the uniform state at even n, basis states, and a state of
+// four ±1/2 and ±i/2 amplitudes — State[complex64] gives bitwise the
+// probabilities, marginals and ⟨Z⟩ of State[complex128], and the same shots
+// for each seed: every method widens an amplitude before it squares it.
+func TestStatesAgreeAcrossPrecisions(t *testing.T) {
+	type pair struct {
+		name   string
+		single *State[complex64]
+		double *Vector
+	}
+	var pairs []pair
+	for n := 2; n <= 10; n += 2 {
+		pairs = append(pairs, pair{fmt.Sprintf("uniform%d", n), Uniform[complex64](n), NewUniform(n)})
+	}
+	basis := func(n int, amps map[int]complex128) pair {
+		s, d := make([]complex64, 1<<n), make([]complex128, 1<<n)
+		for b, a := range amps {
+			s[b], d[b] = complex64(a), a
+		}
+		return pair{fmt.Sprint(amps), FromAmplitudes(s), FromAmplitudes(d)}
+	}
+	pairs = append(pairs, pair{"zero", Zero[complex64](6), New(6)},
+		basis(6, map[int]complex128{5: 1}), basis(6, map[int]complex128{63: -1i}),
+		basis(5, map[int]complex128{3: 0.5, 9: -0.5, 17: 0.5i, 30: -0.5i}))
+
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, p := range pairs {
+		if !slices.EqualFunc(p.single.Probabilities(), p.double.Probabilities(), same) {
+			t.Errorf("%s: Probabilities differ", p.name)
+		}
+		for q := 0; q < p.double.N; q++ {
+			if !same(p.single.MarginalProbability(q), p.double.MarginalProbability(q)) {
+				t.Errorf("%s: MarginalProbability(%d) %v, double %v", p.name, q, p.single.MarginalProbability(q), p.double.MarginalProbability(q))
+			}
+			if !same(p.single.ExpectationZ(q), p.double.ExpectationZ(q)) {
+				t.Errorf("%s: ExpectationZ(%d) %v, double %v", p.name, q, p.single.ExpectationZ(q), p.double.ExpectationZ(q))
+			}
+		}
+		for seed := int64(1); seed <= 5; seed++ {
+			got := p.single.Sample(rand.New(rand.NewSource(seed)), 500)
+			if want := p.double.Sample(rand.New(rand.NewSource(seed)), 500); !slices.Equal(got, want) {
+				t.Errorf("%s seed %d: the shots differ", p.name, seed)
+			}
+		}
+	}
 }

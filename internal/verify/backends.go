@@ -62,22 +62,29 @@ func (naiveBackend) Run(c *circuit.Circuit) ([]complex128, error) {
 	return src, nil
 }
 
-type kernelBackend struct{}
-
-// Kernel returns the single-node per-gate backend: every gate through
-// statevec.Vector.Apply (diagonal fast paths included), so through the
+// gateBackend is the single-node per-gate row at precision T: every gate
+// through statevec.State.Apply (diagonal fast paths included), so through the
 // kernel this machine runs, after which the row is named.
-func Kernel() Backend { return kernelBackend{} }
+type gateBackend[T statevec.Amp] struct{ name string }
 
-func (kernelBackend) Name() string { return "kernels/" + kernels.ISA() }
+// Kernel returns the double-precision per-gate backend.
+func Kernel() Backend { return gateBackend[complex128]{"kernels/" + kernels.ISA()} }
 
-func (kernelBackend) Run(c *circuit.Circuit) ([]complex128, error) {
-	v := statevec.New(c.N)
+// F32 returns the single-precision per-gate backend: every gate goes through
+// the complex64 kernels and the final state is widened back to complex128. It
+// joins the matrix under the separate epsilon tolerance of Options.F32Tol —
+// float32 amplitudes cannot meet the exact-path 1e-10 bar.
+func F32() Backend { return gateBackend[complex64]{"f32vec/" + kernels.ISA()} }
+
+func (b gateBackend[T]) Name() string { return b.name }
+
+func (gateBackend[T]) Run(c *circuit.Circuit) ([]complex128, error) {
+	v := statevec.Zero[T](c.N)
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		v.Apply(g.Matrix(), g.Qubits...)
 	}
-	return v.Amps, nil
+	return widen(v.Amps), nil
 }
 
 // plan-executing backends ----------------------------------------------------
@@ -163,10 +170,14 @@ func PaperTwin(b Backend) Backend {
 	return &twin
 }
 
-// widen converts a complex64 state for comparison against the exact paths.
-func widen(narrow []complex64) []complex128 {
-	out := kernels.NewAmps[complex128](len(narrow))
-	for i, a := range narrow {
+// widen returns a state in complex128 for comparison against the exact
+// paths: amps itself in double precision, a widened copy in single.
+func widen[T statevec.Amp](amps []T) []complex128 {
+	if same, ok := any(amps).([]complex128); ok {
+		return same
+	}
+	out := kernels.NewAmps[complex128](len(amps))
+	for i, a := range amps {
 		out[i] = complex128(a)
 	}
 	return out
@@ -361,28 +372,6 @@ func baselineRow(name string, ranks int, fp *mpi.FaultPlan) Backend {
 		return plan, nil
 	}
 	return row
-}
-
-// single-precision per-gate backend -------------------------------------------
-
-type f32Backend struct{}
-
-// F32 returns the single-precision per-gate backend, named like Kernel
-// after the kernel set this machine runs: every gate goes through the
-// complex64 kernels and the final state is widened back to complex128. It
-// joins the matrix under the separate epsilon tolerance of Options.F32Tol —
-// float32 amplitudes cannot meet the exact-path 1e-10 bar.
-func F32() Backend { return f32Backend{} }
-
-func (f32Backend) Name() string { return "f32vec/" + kernels.ISA() }
-
-func (f32Backend) Run(c *circuit.Circuit) ([]complex128, error) {
-	v := f32vec.New(c.N)
-	for i := range c.Gates {
-		g := &c.Gates[i]
-		v.ApplyGate(g.Matrix(), g.Qubits...)
-	}
-	return widen(v.Amps), nil
 }
 
 // FaultEvents is the number of perturbations the row's exec has injected so
