@@ -34,7 +34,7 @@ import (
 
 func main() {
 	var (
-		kind      = flag.String("circuit", "supremacy", "circuit family: supremacy, qft, ghz, bv, random")
+		kind      = flag.String("circuit", "supremacy", "circuit family: supremacy (run from the uniform state, its Hadamard cycle left out), qft, ghz, bv, random (run from |0…0⟩, as is -file)")
 		qubits    = flag.Int("qubits", 20, "number of qubits")
 		depth     = flag.Int("depth", 25, "supremacy circuit depth (clock cycles after the Hadamard layer)")
 		seed      = flag.Int64("seed", 0, "random seed")
@@ -66,6 +66,11 @@ func main() {
 		oocDir      = flag.String("ooc-dir", "", "directory for the out-of-core state file (default: system temp)")
 	)
 	flag.Parse()
+	if err := checkCounts(*qubits, *depth, *shots); err != nil {
+		fmt.Fprintf(os.Stderr, "qsim: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	given := map[string]bool{
 		"-f32": *f32, "-ooc": *ooc, "-baseline": *baseline,
 		"-sample": *shots > 0, "-profile": *profile, "-checkpoint-dir": *ckptDir != "", "-resume": *resume,
@@ -93,7 +98,7 @@ func main() {
 		ckpt.SetTelemetry(tel)
 	}
 
-	circ, err := buildCircuit(*kind, *qubits, *depth, *seed, *file)
+	circ, initial, err := buildCircuit(*kind, *qubits, *depth, *seed, *file)
 	if err != nil {
 		fatal(err)
 	}
@@ -129,14 +134,14 @@ func main() {
 	}
 
 	if *f32 {
-		runF32(circ, sched, tel, *verbose, *shots, *seed)
+		runF32(circ, initial, sched, tel, *verbose, *shots, *seed)
 		flushTelemetry(tel, *traceFile, *metrics)
 		return
 	}
 
 	if *ooc {
 		if err := runOutOfCore(circ, tel, oocOptions{
-			chunk: *oocChunk, prefetch: *oocPrefetch, dir: *oocDir,
+			initial: initial, chunk: *oocChunk, prefetch: *oocPrefetch, dir: *oocDir,
 			sched: sched, verbose: *verbose,
 			ckptDir: *ckptDir, ckptEvery: *ckptEvery, resume: *resume,
 		}); err != nil {
@@ -151,7 +156,7 @@ func main() {
 		fmt.Print(plan.Summary())
 	}
 	opts := dist.Options{
-		Ranks: *ranks, Init: dist.InitUniform,
+		Ranks: *ranks, Init: initial,
 		SampleShots: *shots, SampleSeed: *seed, Profile: *profile,
 		Resume: *resume, CommDeadline: *commDL,
 		Telemetry: tel,
@@ -244,6 +249,20 @@ func flushTelemetry(tel *telemetry.Telemetry, traceFile string, metrics bool) {
 	}
 }
 
+// checkCounts rejects a qubit count, depth or shot count no run can have,
+// which would otherwise panic in a generator or be silently ignored.
+func checkCounts(qubits, depth, shots int) error {
+	switch {
+	case qubits < 1:
+		return fmt.Errorf("-qubits must be at least 1, got %d", qubits)
+	case depth < 0:
+		return fmt.Errorf("-depth must not be negative, got %d", depth)
+	case shots < 0:
+		return fmt.Errorf("-sample must not be negative, got %d", shots)
+	}
+	return nil
+}
+
 // checkFlags rejects, before any state is allocated, the flag combinations a
 // run would otherwise silently ignore: each mode flag heads the list of what
 // its path does not honour.
@@ -320,6 +339,7 @@ func (s schedFlags) plan(circ *circuit.Circuit, l int) *schedule.Plan {
 }
 
 type oocOptions struct {
+	initial         dist.InitState
 	chunk, prefetch int
 	dir             string
 	sched           schedFlags
@@ -344,7 +364,11 @@ func runOutOfCore(circ *circuit.Circuit, tel *telemetry.Telemetry, o oocOptions)
 	if o.verbose {
 		fmt.Print(plan.Summary())
 	}
-	v, err := oocvec.NewUniform(plan.N, plan.L, o.dir)
+	newVector := oocvec.New
+	if o.initial == dist.InitUniform {
+		newVector = oocvec.NewUniform
+	}
+	v, err := newVector(plan.N, plan.L, o.dir)
 	if err != nil {
 		return err
 	}
@@ -404,12 +428,15 @@ func runOutOfCore(circ *circuit.Circuit, tel *telemetry.Telemetry, o oocOptions)
 // paper's Sec. 5 outlook (half the bytes per amplitude, one more qubit in
 // the same memory) — through the fused single-node schedule, then draws
 // shots samples with the stream dist.Run draws them with on one rank.
-func runF32(circ *circuit.Circuit, sched schedFlags, tel *telemetry.Telemetry, verbose bool, shots int, seed int64) {
+func runF32(circ *circuit.Circuit, initial dist.InitState, sched schedFlags, tel *telemetry.Telemetry, verbose bool, shots int, seed int64) {
 	plan := sched.plan(circ, circ.N)
 	if verbose {
 		fmt.Print(plan.Summary())
 	}
-	v := f32vec.NewUniform(circ.N)
+	v := f32vec.New(circ.N)
+	if initial == dist.InitUniform {
+		v = f32vec.NewUniform(circ.N)
+	}
 	start := time.Now()
 	if err := v.RunPlan(plan); err != nil {
 		fatal(err)
@@ -437,31 +464,36 @@ func runF32(circ *circuit.Circuit, sched schedFlags, tel *telemetry.Telemetry, v
 	}
 }
 
-func buildCircuit(kind string, qubits, depth int, seed int64, file string) (*circuit.Circuit, error) {
+// buildCircuit returns the circuit a run executes and the state it starts
+// from: the uniform state for a supremacy circuit, whose generator leaves out
+// the Hadamard cycle because the simulator writes its result directly
+// (Sec. 3.6), and |0…0⟩ for every other family and a circuit file.
+func buildCircuit(kind string, qubits, depth int, seed int64, file string) (*circuit.Circuit, dist.InitState, error) {
 	if file != "" {
 		f, err := os.Open(file)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		defer f.Close()
-		return circuit.ReadText(f)
+		c, err := circuit.ReadText(f)
+		return c, dist.InitZero, err
 	}
 	switch kind {
 	case "supremacy":
 		r, c := circuit.GridForQubits(qubits)
 		return circuit.Supremacy(circuit.SupremacyOptions{
 			Rows: r, Cols: c, Depth: depth, Seed: seed, SkipInitialH: true, OmitFinalCZs: true,
-		}), nil
+		}), dist.InitUniform, nil
 	case "qft":
-		return circuit.QFT(qubits), nil
+		return circuit.QFT(qubits), dist.InitZero, nil
 	case "ghz":
-		return circuit.GHZ(qubits), nil
+		return circuit.GHZ(qubits), dist.InitZero, nil
 	case "bv":
-		return circuit.BernsteinVazirani(qubits, int(seed)%(1<<qubits)), nil
+		return circuit.BernsteinVazirani(qubits, int(seed)%(1<<qubits)), dist.InitZero, nil
 	case "random":
-		return circuit.RandomCircuit(qubits, 12*qubits, seed), nil
+		return circuit.RandomCircuit(qubits, 12*qubits, seed), dist.InitZero, nil
 	}
-	return nil, fmt.Errorf("unknown circuit family %q (want supremacy, qft, ghz, bv or random)", kind)
+	return nil, 0, fmt.Errorf("unknown circuit family %q (want supremacy, qft, ghz, bv or random)", kind)
 }
 
 func report(c *circuit.Circuit, res *dist.Result, plan *schedule.Plan) {

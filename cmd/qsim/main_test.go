@@ -1,7 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"math"
 	"os"
+	"os/exec"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -9,6 +15,106 @@ import (
 	"qusim/internal/dist"
 	"qusim/internal/telemetry"
 )
+
+// TestMain runs the command itself instead of the tests when the
+// environment asks for it, so that a test can drive qsim end to end in a
+// child process: qsim(t, stdin, args...).
+func TestMain(m *testing.M) {
+	if os.Getenv("QSIM_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// qsim runs the command with args, stdin on its standard input, and
+// returns its stdout, stderr and exit code.
+func qsim(t *testing.T, stdin string, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "QSIM_RUN_MAIN=1")
+	cmd.Stdin = strings.NewReader(stdin)
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	case err != nil:
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), code
+}
+
+var entropyLine = regexp.MustCompile(`entropy=(\S+) nats`)
+
+// TestStartState: every circuit family starts from the state its generator
+// assumes — |0…0⟩ but for the supremacy circuits, which leave out their
+// Hadamard cycle — on every path: one rank, four ranks, single precision
+// (within verify's default F32Tol) and out of core. A GHZ state has entropy
+// ln 2 and a Bernstein–Vazirani output is a basis state.
+func TestStartState(t *testing.T) {
+	const f32Tol = 5e-4
+	for _, tc := range []struct {
+		circuit string
+		want    float64
+	}{{"ghz", math.Ln2}, {"bv", 0}} {
+		for _, mode := range [][]string{{"-ranks", "1"}, {"-ranks", "4"}, {"-f32"}, {"-ooc"}} {
+			args := append([]string{"-circuit", tc.circuit, "-qubits", "10", "-seed", "5"}, mode...)
+			stdout, stderr, code := qsim(t, "", args...)
+			if code != 0 {
+				t.Fatalf("qsim %v: exit %d\n%s", args, code, stderr)
+			}
+			m := entropyLine.FindStringSubmatch(stdout)
+			if m == nil {
+				t.Fatalf("qsim %v printed no entropy:\n%s", args, stdout)
+			}
+			got, err := strconv.ParseFloat(m[1], 64)
+			tol := 1e-6
+			if mode[0] == "-f32" {
+				tol = f32Tol
+			}
+			if err != nil || math.Abs(got-tc.want) > tol {
+				t.Errorf("qsim %v: entropy %s, want %.6f", args, m[1], tc.want)
+			}
+		}
+	}
+}
+
+// TestRejectsCounts: a qubit count below 1, a negative depth or shot count
+// is a usage error — exit 2 with the reason — not a panic or a run that
+// ignores it.
+func TestRejectsCounts(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-qubits", "0"}, "-qubits must be at least 1, got 0"},
+		{[]string{"-circuit", "qft", "-qubits", "-3"}, "-qubits must be at least 1, got -3"},
+		{[]string{"-qubits", "8", "-depth", "-1"}, "-depth must not be negative, got -1"},
+		{[]string{"-qubits", "8", "-sample", "-5"}, "-sample must not be negative, got -5"},
+	} {
+		stdout, stderr, code := qsim(t, "", tc.args...)
+		if code != 2 || !strings.Contains(stderr, "qsim: "+tc.want+"\n") || strings.Contains(stderr, "panic:") || stdout != "" {
+			t.Errorf("qsim %v: exit %d, stderr %q, stdout %q; want exit 2 and %q", tc.args, code, firstLine(stderr), firstLine(stdout), tc.want)
+		}
+	}
+}
+
+// TestRejectsNonFiniteFile: a circuit file with a NaN angle is an error
+// naming its line, where it used to run and print norm=NaN.
+func TestRejectsNonFiniteFile(t *testing.T) {
+	stdout, stderr, code := qsim(t, "3\n0 h 0\n1 rz(NaN) 1\n", "-file", "/dev/stdin")
+	if code != 1 || !strings.Contains(stderr, "line 3") || strings.Contains(stdout, "NaN") {
+		t.Errorf("qsim -file with rz(NaN): exit %d, stderr %q, stdout %q; want exit 1 naming line 3", code, firstLine(stderr), firstLine(stdout))
+	}
+}
+
+func firstLine(s string) string {
+	line, _, _ := strings.Cut(s, "\n")
+	return line
+}
 
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
@@ -83,7 +189,7 @@ func TestFailedOutOfCoreRunRemovesStateFile(t *testing.T) {
 // step per communicating gate, as dist.RunBaseline (Table 2's path) does,
 // where it counted the two exchanges of every dense gate on a global qubit.
 func TestBaselineStepsInPaperUnit(t *testing.T) {
-	circ, err := buildCircuit("supremacy", 12, 10, 0, "")
+	circ, _, err := buildCircuit("supremacy", 12, 10, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,6 +209,18 @@ func TestReadTextErrors(t *testing.T) {
 	}
 }
 
+// TestReadTextRejectsNonFinite: a parameter that parses as NaN or ±Inf is
+// an error naming its line, not a gate whose matrix turns the state to NaN.
+func TestReadTextRejectsNonFinite(t *testing.T) {
+	for _, param := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "1e400"} {
+		in := "2\n0 h 0\n1 rz(" + param + ") 1\n"
+		_, err := ReadText(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("rz(%s): error %v, want one naming line 3", param, err)
+		}
+	}
+}
+
 func TestWriteTextRejectsCustom(t *testing.T) {
 	c := NewCircuit(2)
 	c.Append(NewUnitary(gate.H(), 0))

@@ -2,13 +2,14 @@ package circuit
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
 
-// FuzzReadText checks the circuit text parser never panics and that every
-// successfully parsed circuit re-serializes and re-parses to the same gate
-// list.
+// FuzzReadText checks the circuit text parser never panics, accepts no
+// parameter that is not a finite number, and that every successfully parsed
+// circuit re-serializes and re-parses to the same gate list.
 func FuzzReadText(f *testing.F) {
 	var seedBuf bytes.Buffer
 	c := Supremacy(SupremacyOptions{Rows: 3, Cols: 3, Depth: 10, Seed: 1})
@@ -21,10 +22,17 @@ func FuzzReadText(f *testing.F) {
 	f.Add("abc")
 	f.Add("4\n0 rz(0.5) 3\n")
 	f.Add("2\n0 h 99\n")
+	f.Add("4\n0 rz(NaN) 3\n")
+	f.Add("4\n0 rz(-Inf) 3\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		parsed, err := ReadText(strings.NewReader(input))
 		if err != nil {
 			return // rejecting is fine; panicking is not
+		}
+		for _, g := range parsed.Gates {
+			if math.IsNaN(g.Param) || math.IsInf(g.Param, 0) {
+				t.Fatalf("accepted a gate with parameter %v", g.Param)
+			}
 		}
 		var out bytes.Buffer
 		if err := WriteText(&out, parsed); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -81,6 +82,9 @@ func ReadText(r io.Reader) (*Circuit, error) {
 			param, err = strconv.ParseFloat(name[i+1:len(name)-1], 64)
 			if err != nil {
 				return nil, fmt.Errorf("circuit: line %d: bad parameter: %v", line, err)
+			}
+			if math.IsNaN(param) || math.IsInf(param, 0) {
+				return nil, fmt.Errorf("circuit: line %d: parameter %v is not a finite number", line, param)
 			}
 			name = name[:i]
 		}

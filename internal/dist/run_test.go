@@ -90,3 +90,57 @@ func TestRanksExecuteBlockedRunsConcurrently(t *testing.T) {
 		t.Errorf("stage spans account for %d ops, want %d (%d ops x %d ranks)", ops, want, len(plan.Ops), ranks)
 	}
 }
+
+// TestRanksMakeEqualPassesFromZero runs a plan from |0…0⟩ on four ranks
+// with shards of 2^18 amplitudes, above a block: every rank but rank 0
+// starts with a shard of zeros, and each still makes every pass of every
+// stage, over its populated prefix (schedule.Shard.Exec). The trace counts
+// each rank's passes; they are equal, the profile reports that count, and
+// it is the count of a run from the uniform state, where no rank holds a
+// zero.
+func TestRanksMakeEqualPassesFromZero(t *testing.T) {
+	const n, ranks = 20, 4
+	plan, err := schedule.Build(supremacy(n, 12, 5, false), schedule.DefaultOptions(n-2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := telemetry.New()
+	res, err := Run(plan, Options{Ranks: ranks, Init: InitZero, Profile: true, Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniform, err := Run(plan, Options{Ranks: ranks, Init: InitUniform, Profile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ProfilePasses != uniform.ProfilePasses || res.ProfileRuns != uniform.ProfileRuns {
+		t.Errorf("from |0…0⟩ the profile reports %d passes, %d runs; from the uniform state %d, %d",
+			res.ProfilePasses, res.ProfileRuns, uniform.ProfilePasses, uniform.ProfileRuns)
+	}
+
+	var buf bytes.Buffer
+	if err := tel.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Cat string `json:"cat"`
+			Ph  string `json:"ph"`
+			Pid int    `json:"pid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace not valid JSON: %v", err)
+	}
+	passes := make([]int, ranks)
+	for _, e := range doc.TraceEvents {
+		if e.Cat == "stage" && e.Ph == "X" {
+			passes[e.Pid]++
+		}
+	}
+	for r, p := range passes {
+		if p != res.ProfilePasses {
+			t.Errorf("rank %d made %d passes, the profile reports %d (passes per rank %v)", r, p, res.ProfilePasses, passes)
+		}
+	}
+}

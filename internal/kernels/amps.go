@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"sync/atomic"
 	"unsafe"
 
 	"qusim/internal/par"
@@ -31,7 +32,10 @@ const (
 // after), and a kernel that refuses, or is not Linux, leaves the buffer as
 // make returned it. Then every page is touched once under the chunking of
 // the later sweeps — the first-touch placement of Sec. 3.3; a fresh page
-// arrives zeroed, so one store per page is the whole of it.
+// arrives zeroed, so one store per page is the whole of it. That placement
+// holds for fresh heap only: memory the runtime reuses it zeroes itself
+// (memclrNoHeapPointers) inside make, on the calling goroutine, which
+// faults every page there before par runs.
 func NewAmps[T complexAmp](n int) []T {
 	amps := make([]T, n)
 	if n == 0 {
@@ -61,6 +65,53 @@ func AmpBytes[T complexAmp](amps []T) []byte {
 		return nil
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(amps))), len(amps)*int(unsafe.Sizeof(amps[0])))
+}
+
+// Populated returns how many leading amplitudes of amps hold every nonzero
+// byte of it, rounded up to whole 4 KiB pages and at most len(amps): from
+// there on every amplitude is +0 in both parts, and 0 means all of them are.
+// A page is populated when any of its bytes is nonzero, so −0 and NaN count.
+// The scan runs from the top page down, under par; each worker stops at the
+// first populated page of its chunk or where it falls below one another
+// worker found. A dense buffer costs the read of its top page, |0…0⟩ one
+// read of every page.
+func Populated[T complexAmp](amps []T) int {
+	if len(amps) == 0 {
+		return 0
+	}
+	size := int(unsafe.Sizeof(amps[0]))
+	words := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(amps))), len(amps)*size/8)
+	const pageWords = basePageBytes / 8
+	pages := (len(words) + pageWords - 1) / pageWords
+	populated := func(p int) bool {
+		var a, b, c, d uint64
+		w := words[p*pageWords : min((p+1)*pageWords, len(words))]
+		for ; len(w) >= 4; w = w[4:] {
+			a, b, c, d = a|w[0], b|w[1], c|w[2], d|w[3]
+		}
+		for _, x := range w {
+			a |= x
+		}
+		return a|b|c|d != 0
+	}
+	if populated(pages - 1) {
+		return len(amps)
+	}
+	var top atomic.Int64 // one past the highest populated page found yet
+	const grain = 256    // pages: 1 MiB, below which one worker scans them all
+	par.For(pages-1, grain, func(lo, hi int) {
+		for p := pages - 2 - lo; p > pages-2-hi; p-- {
+			if int64(p) < top.Load() {
+				return
+			}
+			if populated(p) {
+				for t := top.Load(); t < int64(p+1) && !top.CompareAndSwap(t, int64(p+1)); t = top.Load() {
+				}
+				return
+			}
+		}
+	})
+	return min(int(top.Load())*(basePageBytes/size), len(amps))
 }
 
 // byteRange is the address range [lo, hi) of a buffer.

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"unsafe"
 
@@ -53,5 +54,49 @@ func TestObservePages(t *testing.T) {
 	ObservePages(telemetry.Disabled, a, b) // a nil check, no panic
 	if why := WhyNoHugePages(int64(8 * len(b))); why == "" {
 		t.Error("WhyNoHugePages gives no reason for a buffer under the threshold")
+	}
+}
+
+func TestPopulated(t *testing.T) {
+	t.Run("complex128", testPopulated[complex128])
+	t.Run("complex64", testPopulated[complex64])
+}
+
+// testPopulated puts one nonzero amplitude on every page of 2^17 in turn, at
+// a different offset each time, and a −0 or a NaN part at the top; each
+// marks its page populated, and an all-zero buffer is populated nowhere.
+func testPopulated[T complexAmp](t *testing.T) {
+	const n = 1 << 17
+	amps := NewAmps[T](n)
+	page := basePageBytes / int(unsafe.Sizeof(amps[0]))
+	if got := Populated(amps); got != 0 {
+		t.Fatalf("all zero: Populated = %d, want 0", got)
+	}
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	for p := 0; p < n/page; p++ {
+		i := p*page + p*37%page
+		amps[i] = T(complex(0, 1e-30))
+		if got, want := Populated(amps), (p+1)*page; got != want {
+			t.Fatalf("amplitude %d set: Populated = %d, want %d", i, got, want)
+		}
+		amps[i] = 0
+	}
+	// Wide enough for the scan to split between workers: pages in either
+	// worker's share and at the seam between them.
+	wide := NewAmps[T](1 << 20)
+	pages := len(wide) / page
+	for _, p := range []int{0, 1, pages/2 - 2, pages/2 - 1, pages / 2, pages - 2, pages - 1} {
+		wide[p*page+page/2] = 1
+		if got, want := Populated(wide), (p+1)*page; got != want {
+			t.Fatalf("page %d of %d set: Populated = %d, want %d", p, pages, got, want)
+		}
+		wide[p*page+page/2] = 0
+	}
+	for name, a := range map[string]T{"−0 real": T(complex(negZero, 0)), "−0 imag": T(complex(0, negZero)), "NaN": T(complex(nan, 0))} {
+		amps[n-1] = a
+		if got := Populated(amps); got != n {
+			t.Errorf("%s at the top: Populated = %d, want %d", name, got, n)
+		}
+		amps[n-1] = 0
 	}
 }

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"fmt"
+	"math/cmplx"
 	"slices"
 )
 
@@ -80,7 +81,9 @@ func (p *Plan) AccessMap() ([]StageAccess, error) {
 // checkLocal checks what the kernels of a cluster, a diagonal or a local
 // permutation take on trust: positions strictly ascending and in range (a
 // cluster's below L, a diagonal's below N), a matrix or diagonal of their
-// size, and a permutation of the L local locations.
+// size with finite entries, and a permutation of the L local locations. A
+// finite entry times a zero amplitude is a zero, which is what lets an
+// executor leave the zeros beyond a shard's populated prefix alone.
 func (p *Plan) checkLocal(op *Op) error {
 	k := len(op.Positions)
 	for j, pos := range op.Positions {
@@ -98,6 +101,13 @@ func (p *Plan) checkLocal(op *Op) error {
 		return fmt.Errorf("%d diagonal entries for %d positions", len(op.Diag), k)
 	case op.Kind == OpLocalPerm && !isPermutation(op.Perm, p.L):
 		return fmt.Errorf("perm %v is not a permutation of the %d local locations", op.Perm, p.L)
+	}
+	for _, entries := range [][]complex128{op.Matrix.Data, op.Diag} {
+		for _, x := range entries {
+			if cmplx.IsNaN(x) || cmplx.IsInf(x) {
+				return fmt.Errorf("%v entry %v is not finite", op.Kind, x)
+			}
+		}
 	}
 	return nil
 }

@@ -115,8 +115,46 @@ func (s *Shard[T]) Compile(ops []Op) (*Program[T], error) {
 }
 
 // Exec executes p on the shard: a run of two or more ops block by block,
-// anything else as one pass per op.
+// anything else as one pass per op. A pass covers only the shard's
+// populated prefix, the first 2^need amplitudes, beyond which every
+// amplitude is zero and would stay zero (passes).
 func (s *Shard[T]) Exec(p *Program[T]) {
+	p.passes(s.populated(), s.L, func(i, j, need int) {
+		var start time.Time
+		var spent []atomic.Int64
+		if s.Observe != nil {
+			start, spent = time.Now(), make([]atomic.Int64, j-i)
+		}
+		if j == i+1 {
+			s.one(&p.ops[i], &p.steps[i], s.Amps[:1<<need])
+		} else {
+			s.blocks(p.steps[i:j], spent, s.Amps[:1<<need])
+		}
+		if s.Observe != nil {
+			s.Observe(p.ops[i:j], start, shares(time.Since(start), spent))
+		}
+	})
+}
+
+// populated returns log2 of the shard's populated prefix: the fewest
+// leading amplitudes, a power of two and at least a block, that hold every
+// nonzero byte of it (kernels.Populated). A shard no larger than a block is
+// not scanned and is populated throughout.
+func (s *Shard[T]) populated() int {
+	bb := blockBits[T]()
+	if s.L <= bb {
+		return s.L
+	}
+	end := max(kernels.Populated(s.Amps), 1) // a shard of zeros: one block
+	return max(bb, bits.Len(uint(end-1)))
+}
+
+// passes calls f with the ops [i, j) of every pass of p, in order, and the
+// prefix 2^need of a 2^l-amplitude shard the pass covers, when the shard is
+// populated below 2^need before the first: a cluster spreads the nonzero
+// amplitudes up to its highest position, a diagonal only multiplies them, a
+// permutation may move them anywhere in the shard.
+func (p *Program[T]) passes(need, l int, f func(i, j, need int)) {
 	for i := 0; i < len(p.steps); {
 		j := i
 		for j < len(p.steps) && p.steps[j].inRun {
@@ -124,20 +162,14 @@ func (s *Shard[T]) Exec(p *Program[T]) {
 		}
 		if j < i+2 {
 			j = i + 1
+			switch op := &p.ops[i]; {
+			case op.Kind == OpCluster && len(op.Positions) > 0:
+				need = max(need, op.Positions[len(op.Positions)-1]+1)
+			case op.Kind == OpLocalPerm:
+				need = l
+			}
 		}
-		var start time.Time
-		var spent []atomic.Int64
-		if s.Observe != nil {
-			start, spent = time.Now(), make([]atomic.Int64, j-i)
-		}
-		if j == i+1 {
-			s.one(&p.ops[i], &p.steps[i])
-		} else {
-			s.blocks(p.steps[i:j], spent)
-		}
-		if s.Observe != nil {
-			s.Observe(p.ops[i:j], start, shares(time.Since(start), spent))
-		}
+		f(i, j, need)
 		i = j
 	}
 }
@@ -161,17 +193,18 @@ func shares(wall time.Duration, spent []atomic.Int64) []time.Duration {
 	return took
 }
 
-// blocks executes a run block by block, every step on one block before the
-// next block is touched, with the blocks as par's iteration space. The
-// kernels' block entry points do not reach par, so nothing nests. spent,
-// when not nil, collects per step the time of its (op, block) pairs.
+// blocks executes a run on amps, a prefix of the shard, block by block,
+// every step on one block before the next block is touched, with the blocks
+// as par's iteration space. The kernels' block entry points do not reach
+// par, so nothing nests. spent, when not nil, collects per step the time of
+// its (op, block) pairs.
 //
 //qusim:hot
-func (s *Shard[T]) blocks(steps []step[T], spent []atomic.Int64) {
+func (s *Shard[T]) blocks(steps []step[T], spent []atomic.Int64, amps []T) {
 	bb, base := blockBits[T](), s.Index<<s.L
-	par.For(len(s.Amps)>>bb, 1, func(lo, hi int) {
+	par.For(len(amps)>>bb, 1, func(lo, hi int) {
 		for b := lo; b < hi; b++ {
-			blk := s.Amps[b<<bb : (b+1)<<bb : (b+1)<<bb]
+			blk := amps[b<<bb : (b+1)<<bb : (b+1)<<bb]
 			var t0 time.Time
 			if spent != nil {
 				t0 = time.Now()
@@ -192,15 +225,16 @@ func (s *Shard[T]) blocks(steps []step[T], spent []atomic.Int64) {
 	})
 }
 
-// one executes a single op as a pass of its own.
-func (s *Shard[T]) one(op *Op, st *step[T]) {
+// one executes a single op as a pass of its own over amps, a prefix of the
+// shard.
+func (s *Shard[T]) one(op *Op, st *step[T], amps []T) {
 	switch op.Kind {
 	case OpCluster:
-		st.dense.Sweep(s.Amps)
+		st.dense.Sweep(amps)
 	case OpDiagonal:
-		st.diag.Sweep(s.Amps, s.Index<<s.L)
+		st.diag.Sweep(amps, s.Index<<s.L)
 	case OpLocalPerm:
-		s.permute(op.Perm)
+		s.permute(amps, op.Perm)
 	}
 }
 
@@ -275,7 +309,7 @@ func (s *Shard[T]) Run(p *Plan, startStage int) error {
 
 // permute relabels the local bit locations; locations above len(perm) (the
 // former global ones of a whole-vector shard) stay where they are.
-func (s *Shard[T]) permute(perm []int) {
+func (s *Shard[T]) permute(amps []T, perm []int) {
 	if len(perm) < s.L {
 		full := make([]int, s.L)
 		for q := copy(full, perm); q < s.L; q++ {
@@ -283,5 +317,5 @@ func (s *Shard[T]) permute(perm []int) {
 		}
 		perm = full
 	}
-	kernels.PermuteInPlace(s.Amps, kernels.CompileBitPermutation(perm))
+	kernels.PermuteInPlace(amps, kernels.CompileBitPermutation(perm))
 }

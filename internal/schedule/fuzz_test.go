@@ -42,7 +42,9 @@ func fuzzCosts(steps [6]uint8) CostTable {
 // The plan's ops are then executed twice more on a state wide enough to have
 // cache blocks (every position of an n ≤ 10 plan lies below the block width,
 // so whatever separates two permutations is one run): through Shard.Run,
-// block by block, and one Shard.Apply per op. The two must agree bit for bit.
+// block by block, and one Shard.Apply per op. The two must agree bit for bit,
+// on a dense state and on a basis state the seed picks, and equal the ops
+// applied one by one to the whole state.
 func FuzzScheduleEquivalence(f *testing.F) {
 	const wide = 17
 	wideState := make([]complex128, 1<<wide)
@@ -138,26 +140,45 @@ func FuzzScheduleEquivalence(f *testing.F) {
 			}
 		}
 
-		blocked := Shard[complex128]{Amps: slices.Clone(wideState), L: wide}
-		if err := blocked.Run(&Plan{N: wide, L: plan.L, Ops: plan.Ops}, 0); err != nil {
-			t.Fatal(err)
-		}
-		perOp := Shard[complex128]{Amps: slices.Clone(wideState), L: wide}
-		for i := range plan.Ops {
-			op := &plan.Ops[i]
-			if op.Kind != OpSwap {
-				if err := perOp.Apply(op); err != nil {
-					t.Fatal(err)
+		// A basis state the seed picks is the sparse wide state: its passes
+		// cover a populated prefix, where the dense state's cover the shard.
+		sparseState := make([]complex128, 1<<wide)
+		sparseState[uint64(seed)%(1<<wide)] = 1
+		for _, start := range []struct {
+			name  string
+			state []complex128
+		}{{"dense", wideState}, {"sparse", sparseState}} {
+			blocked := Shard[complex128]{Amps: slices.Clone(start.state), L: wide}
+			if err := blocked.Run(&Plan{N: wide, L: plan.L, Ops: plan.Ops}, 0); err != nil {
+				t.Fatal(err)
+			}
+			perOp := Shard[complex128]{Amps: slices.Clone(start.state), L: wide}
+			for i := range plan.Ops {
+				op := &plan.Ops[i]
+				if op.Kind != OpSwap {
+					if err := perOp.Apply(op); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for j := range op.LocalPos {
+					kernels.SwapBits(perOp.Amps, op.LocalPos[j], op.GlobalPos[j])
 				}
 			}
-			for j := range op.LocalPos {
-				kernels.SwapBits(perOp.Amps, op.LocalPos[j], op.GlobalPos[j])
+			for i, a := range blocked.Amps {
+				if b := perOp.Amps[i]; math.Float64bits(real(a)) != math.Float64bits(real(b)) || math.Float64bits(imag(a)) != math.Float64bits(imag(b)) {
+					t.Fatalf("%s n=%d gates=%d l=%d seed=%d costs=%v: amplitude %d is %v block by block, %v op by op\n%s",
+						start.name, n, gates, l, seed, opts.Costs, i, a, b, plan.Summary())
+				}
 			}
-		}
-		for i, a := range blocked.Amps {
-			if b := perOp.Amps[i]; math.Float64bits(real(a)) != math.Float64bits(real(b)) || math.Float64bits(imag(a)) != math.Float64bits(imag(b)) {
-				t.Fatalf("n=%d gates=%d l=%d seed=%d costs=%v: amplitude %d is %v block by block, %v op by op\n%s",
-					n, gates, l, seed, opts.Costs, i, a, b, plan.Summary())
+			// Against the ops applied to the whole state, where the zeros
+			// beyond a prefix may turn −0: equal, not bitwise.
+			ref := statevec.FromAmplitudes(slices.Clone(start.state))
+			unrestricted(plan.Ops, ref)
+			for i, a := range blocked.Amps {
+				if b := ref.Amps[i]; a != b {
+					t.Fatalf("%s n=%d gates=%d l=%d seed=%d costs=%v: amplitude %d is %v block by block, %v on the whole state\n%s",
+						start.name, n, gates, l, seed, opts.Costs, i, a, b, plan.Summary())
+				}
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package schedule_test
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"testing"
 
@@ -87,6 +88,16 @@ func malformedPlans(t *testing.T) map[string]*schedule.Plan {
 		}),
 		"diagonal of the wrong size": corrupt(func(ops []schedule.Op) []schedule.Op {
 			ops[diag].Diag = ops[diag].Diag[1:]
+			return ops
+		}),
+		"cluster matrix with a NaN entry": corrupt(func(ops []schedule.Op) []schedule.Op {
+			ops[cluster].Matrix.Data = slices.Clone(ops[cluster].Matrix.Data)
+			ops[cluster].Matrix.Data[1] = complex(0, math.NaN())
+			return ops
+		}),
+		"diagonal with an infinite entry": corrupt(func(ops []schedule.Op) []schedule.Op {
+			ops[diag].Diag = slices.Clone(ops[diag].Diag)
+			ops[diag].Diag[0] = complex(math.Inf(-1), 0)
 			return ops
 		}),
 		// q = 3 "top" locations of a two-location shard start at L − q = −1.
