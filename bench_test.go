@@ -287,7 +287,7 @@ func BenchmarkAblationDiagonalFastPath(b *testing.B) {
 	b.Run("diagonal", func(b *testing.B) {
 		v := statevec.NewUniform(benchState)
 		for i := 0; i < b.N; i++ {
-			v.ApplyCZ(3, 11)
+			v.ApplyDiagonal([]complex128{1, 1, 1, -1}, 3, 11)
 		}
 	})
 	b.Run("dense", func(b *testing.B) {

@@ -12,7 +12,7 @@ import (
 const qlintBudget = 30 * time.Second
 
 // BenchmarkQlint times a cold full-repo lint (loader, type checker, and
-// all six analyzers over every package, stdlib type-checked from source).
+// all seven analyzers over every package, stdlib type-checked from source).
 func BenchmarkQlint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var stdout, stderr bytes.Buffer

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -13,7 +14,7 @@ import (
 // and the finding count on stderr.
 func TestGoldenBadPackage(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"testdata/src/badpkg"}, &stdout, &stderr)
+	code := run([]string{"testdata/src/badpkg", "testdata/src/badpkg/internal/orphan"}, &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\nstdout:\n%sstderr:\n%s", code, stdout.String(), stderr.String())
 	}
@@ -73,5 +74,35 @@ func TestOnlySelectsAnalyzers(t *testing.T) {
 		if strings.Contains(out, unwanted) {
 			t.Errorf("-only nilsafetelemetry still ran %s\n%s", unwanted, out)
 		}
+	}
+}
+
+// TestDeadCodeIndependentOfPattern: deadcode judges a package against the
+// whole module, so linting some directories reports exactly what
+// ./... reports for them. A graph built from the named directories alone would
+// flag every name that only other packages use.
+func TestDeadCodeIndependentOfPattern(t *testing.T) {
+	dirs := []string{"internal/xeb", "internal/statevec", "internal/gate"}
+	args := []string{"-only", "deadcode", "-strict-ignores"}
+	for _, dir := range dirs {
+		args = append(args, filepath.Join("..", "..", dir))
+	}
+	var all, some, stderr bytes.Buffer
+	if code := run([]string{"-only", "deadcode", "-strict-ignores", "./..."}, &all, &stderr); code == 2 {
+		t.Fatalf("qlint ./...: exit 2\n%s", stderr.String())
+	}
+	if code := run(args, &some, &stderr); code == 2 {
+		t.Fatalf("qlint %v: exit 2\n%s", dirs, stderr.String())
+	}
+	var want string
+	for _, line := range strings.SplitAfter(all.String(), "\n") {
+		for _, dir := range dirs {
+			if strings.HasPrefix(line, dir+"/") {
+				want += line
+			}
+		}
+	}
+	if some.String() != want {
+		t.Errorf("qlint %v reports\n%swhile ./... reports for them\n%s", dirs, some.String(), want)
 	}
 }

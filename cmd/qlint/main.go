@@ -1,12 +1,14 @@
 // Command qlint is the repo's domain linter: a multichecker over the
 // internal/analysis suite that enforces the simulator's durability,
-// storage-seam, telemetry and hot-loop invariants (DESIGN.md §10).
+// storage-seam, telemetry and hot-loop invariants and keeps internal code
+// reachable from the module's programs (DESIGN.md §10).
 //
 //	qlint [-only a,b] [-strict-ignores] [-json out] [-github] [dir | ./...]...
 //
 // Arguments are module-relative package patterns: `./...` (the default)
 // lints every package under the module root, and a directory path lints
-// that one package directory. Diagnostics print one per line as
+// that one package directory. deadcode judges a package against the whole
+// module whatever the arguments, so it loads every package either way. Diagnostics print one per line as
 //
 //	path:line:col: analyzer: message
 //

@@ -66,10 +66,10 @@ func main() {
 		oocDir      = flag.String("ooc-dir", "", "directory for the out-of-core state file (default: system temp)")
 	)
 	flag.Parse()
-	if err := checkCounts(*qubits, *depth, *shots); err != nil {
-		fmt.Fprintf(os.Stderr, "qsim: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
+	if err := checkCounts(bound{"-qubits", *qubits, 1}, bound{"-depth", *depth, 0}, bound{"-sample", *shots, 0},
+		bound{"-checkpoint-every", *ckptEvery, 1}, bound{"-ooc-chunk", *oocChunk, 0},
+		bound{"-ooc-prefetch", *oocPrefetch, 0}, bound{"-workers", *workers, 0}); err != nil {
+		usage(err)
 	}
 	given := map[string]bool{
 		"-f32": *f32, "-ooc": *ooc, "-baseline": *baseline,
@@ -77,12 +77,13 @@ func main() {
 		"-tune": *tune, "-tune-cache": *tuneCache != "", "-plan": *planFile != "",
 	}
 	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "kmax" {
-			given["-kmax"] = true
+		switch f.Name {
+		case "kmax", "checkpoint-every", "ooc-chunk", "ooc-prefetch", "ooc-dir":
+			given["-"+f.Name] = true
 		}
 	})
 	if err := checkFlags(*ranks, given); err != nil {
-		fatal(err)
+		usage(err)
 	}
 	if *workers > 0 {
 		par.SetWorkers(*workers)
@@ -101,6 +102,10 @@ func main() {
 	circ, initial, err := buildCircuit(*kind, *qubits, *depth, *seed, *file)
 	if err != nil {
 		fatal(err)
+	}
+	l, err := localQubits(circ.N, *ranks, *ooc, *oocChunk)
+	if err != nil {
+		usage(err)
 	}
 	sched := schedFlags{kmax: *kmax, spec1q: *spec1q, planFile: *planFile, perGate: *baseline}
 	if *tune {
@@ -141,7 +146,7 @@ func main() {
 
 	if *ooc {
 		if err := runOutOfCore(circ, tel, oocOptions{
-			initial: initial, chunk: *oocChunk, prefetch: *oocPrefetch, dir: *oocDir,
+			initial: initial, chunk: l, prefetch: *oocPrefetch, dir: *oocDir,
 			sched: sched, verbose: *verbose,
 			ckptDir: *ckptDir, ckptEvery: *ckptEvery, resume: *resume,
 		}); err != nil {
@@ -151,7 +156,7 @@ func main() {
 		return
 	}
 
-	plan := sched.plan(circ, circ.N-bits.TrailingZeros(uint(*ranks)))
+	plan := sched.plan(circ, l)
 	if *verbose {
 		fmt.Print(plan.Summary())
 	}
@@ -249,23 +254,49 @@ func flushTelemetry(tel *telemetry.Telemetry, traceFile string, metrics bool) {
 	}
 }
 
-// checkCounts rejects a qubit count, depth or shot count no run can have,
-// which would otherwise panic in a generator or be silently ignored.
-func checkCounts(qubits, depth, shots int) error {
-	switch {
-	case qubits < 1:
-		return fmt.Errorf("-qubits must be at least 1, got %d", qubits)
-	case depth < 0:
-		return fmt.Errorf("-depth must not be negative, got %d", depth)
-	case shots < 0:
-		return fmt.Errorf("-sample must not be negative, got %d", shots)
+// bound is a count flag's value and the least value a run can have.
+type bound struct {
+	flag       string
+	value, min int
+}
+
+// checkCounts rejects a count no run can have, which would otherwise panic
+// in a generator, be clamped or be silently ignored.
+func checkCounts(bounds ...bound) error {
+	for _, b := range bounds {
+		switch {
+		case b.value >= b.min:
+		case b.min == 0:
+			return fmt.Errorf("%s must not be negative, got %d", b.flag, b.value)
+		default:
+			return fmt.Errorf("%s must be at least %d, got %d", b.flag, b.min, b.value)
+		}
 	}
 	return nil
 }
 
+// localQubits returns the qubits each rank's shard holds, at least one, or
+// each out-of-core chunk (default qubits−4), fewer than the circuit's: a
+// paged state is more than one chunk.
+func localQubits(n, ranks int, ooc bool, chunk int) (int, error) {
+	if !ooc {
+		if l := n - bits.TrailingZeros(uint(ranks)); l >= 1 {
+			return l, nil
+		}
+		return 0, fmt.Errorf("-ranks %d leaves no local qubit of the circuit's %d", ranks, n)
+	}
+	if chunk == 0 {
+		chunk = n - 4
+	}
+	if chunk < 1 || chunk >= n {
+		return 0, fmt.Errorf("-ooc-chunk must be from 1 to %d for %d qubits, got %d", n-1, n, chunk)
+	}
+	return chunk, nil
+}
+
 // checkFlags rejects, before any state is allocated, the flag combinations a
 // run would otherwise silently ignore: each mode flag heads the list of what
-// its path does not honour.
+// its path does not honour, and a flag that only tunes another mode needs it.
 func checkFlags(ranks int, given map[string]bool) error {
 	if ranks < 1 || ranks&(ranks-1) != 0 {
 		return fmt.Errorf("ranks must be a power of two, got %d", ranks)
@@ -282,11 +313,17 @@ func checkFlags(ranks int, given map[string]bool) error {
 			}
 		}
 	}
-	if given["-resume"] && !given["-checkpoint-dir"] {
-		return fmt.Errorf("-resume needs -checkpoint-dir")
-	}
-	if given["-tune-cache"] && !given["-tune"] {
-		return fmt.Errorf("-tune-cache does nothing without -tune")
+	for _, need := range [][2]string{
+		{"-resume", "-checkpoint-dir"},
+		{"-checkpoint-every", "-checkpoint-dir"},
+		{"-tune-cache", "-tune"},
+		{"-ooc-chunk", "-ooc"},
+		{"-ooc-prefetch", "-ooc"},
+		{"-ooc-dir", "-ooc"},
+	} {
+		if given[need[0]] && !given[need[1]] {
+			return fmt.Errorf("%s needs %s", need[0], need[1])
+		}
 	}
 	return nil
 }
@@ -356,11 +393,7 @@ type oocOptions struct {
 // back to main instead of exiting here, so the deferred Close has removed the
 // 16·2^n-byte state file by the time the process ends.
 func runOutOfCore(circ *circuit.Circuit, tel *telemetry.Telemetry, o oocOptions) error {
-	l := o.chunk
-	if l == 0 {
-		l = circ.N - 4
-	}
-	plan := o.sched.plan(circ, l)
+	plan := o.sched.plan(circ, o.chunk)
 	if o.verbose {
 		fmt.Print(plan.Summary())
 	}
@@ -526,4 +559,11 @@ func reportPages(tel *telemetry.Telemetry, bufBytes int64) {
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "qsim: %v\n", err)
 	os.Exit(1)
+}
+
+// usage exits 2 on a flag error, with the reason and the usage text.
+func usage(err error) {
+	fmt.Fprintf(os.Stderr, "qsim: %v\n", err)
+	flag.Usage()
+	os.Exit(2)
 }

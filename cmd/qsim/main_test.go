@@ -102,6 +102,61 @@ func TestRejectsCounts(t *testing.T) {
 	}
 }
 
+// TestRejectsFlags: a flag that tunes a mode the run is not in, or a count
+// out of its range, is a usage error — exit 2 with the reason and the usage
+// text — where the run used to ignore or clamp it, or to fail on an internal
+// error.
+func TestRejectsFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-ooc-chunk", "5"}, "-ooc-chunk needs -ooc"},
+		{[]string{"-ooc-prefetch", "2"}, "-ooc-prefetch needs -ooc"},
+		{[]string{"-ooc-dir", dir}, "-ooc-dir needs -ooc"},
+		{[]string{"-checkpoint-every", "3"}, "-checkpoint-every needs -checkpoint-dir"},
+		{[]string{"-resume"}, "-resume needs -checkpoint-dir"},
+		{[]string{"-tune-cache", dir + "/t.json"}, "-tune-cache needs -tune"},
+		{[]string{"-checkpoint-dir", dir, "-checkpoint-every", "0"}, "-checkpoint-every must be at least 1, got 0"},
+		{[]string{"-checkpoint-dir", dir, "-checkpoint-every", "-2"}, "-checkpoint-every must be at least 1, got -2"},
+		{[]string{"-ooc", "-ooc-prefetch", "-3"}, "-ooc-prefetch must not be negative, got -3"},
+		{[]string{"-ooc", "-ooc-chunk", "-5"}, "-ooc-chunk must not be negative, got -5"},
+		{[]string{"-ooc", "-ooc-chunk", "8"}, "-ooc-chunk must be from 1 to 7 for 8 qubits, got 8"},
+		{[]string{"-workers", "-1"}, "-workers must not be negative, got -1"},
+		{[]string{"-ranks", "512"}, "-ranks 512 leaves no local qubit of the circuit's 8"},
+	} {
+		args := append([]string{"-qubits", "8", "-depth", "4"}, tc.args...)
+		stdout, stderr, code := qsim(t, "", args...)
+		if code != 2 || !strings.Contains(stderr, "qsim: "+tc.want+"\n") || !strings.Contains(stderr, "-ooc-prefetch int") || stdout != "" {
+			t.Errorf("qsim %v: exit %d, stderr %q, stdout %q; want exit 2, %q and the usage text", args, code, firstLine(stderr), firstLine(stdout), tc.want)
+		}
+	}
+}
+
+// TestRejectsUnaddressableQubits: a circuit beyond the 62 qubits a plan
+// addresses, or a circuit file without a qubit, is an error before any state
+// exists. A -baseline run used to take 70 qubits for an empty state and
+// exit 0, panic at 64, and run out of memory sizing a 10^12-qubit header.
+func TestRejectsUnaddressableQubits(t *testing.T) {
+	for _, tc := range []struct {
+		stdin string
+		args  []string
+		want  string
+	}{
+		{"", []string{"-baseline", "-qubits", "70", "-depth", "1"}, "schedule: 70 qubits is outside the 1…62 a plan addresses"},
+		{"", []string{"-baseline", "-qubits", "64", "-depth", "3"}, "schedule: 64 qubits is outside the 1…62 a plan addresses"},
+		{"1000000000000\n", []string{"-baseline", "-file", "/dev/stdin"}, "schedule: 1000000000000 qubits is outside"},
+		{"0\n", []string{"-file", "/dev/stdin"}, "circuit: line 1: qubit count must be at least 1, got 0"},
+		{"-3\n0 h 0\n", []string{"-baseline", "-file", "/dev/stdin"}, "circuit: line 1: qubit count must be at least 1, got -3"},
+	} {
+		stdout, stderr, code := qsim(t, tc.stdin, tc.args...)
+		if code != 1 || !strings.Contains(stderr, "qsim: "+tc.want) || strings.Contains(stderr, "panic:") || stdout != "" {
+			t.Errorf("qsim %v: exit %d, stderr %q, stdout %q; want exit 1 and %q", tc.args, code, firstLine(stderr), firstLine(stdout), tc.want)
+		}
+	}
+}
+
 // TestRejectsNonFiniteFile: a circuit file with a NaN angle is an error
 // naming its line, where it used to run and print norm=NaN.
 func TestRejectsNonFiniteFile(t *testing.T) {
@@ -148,7 +203,12 @@ func TestCheckFlags(t *testing.T) {
 		{4, "-baseline -kmax", "-baseline cannot be combined with -kmax"},
 		{4, "-resume", "-resume needs -checkpoint-dir"},
 		{1, "-ooc -resume", "-resume needs -checkpoint-dir"},
-		{1, "-tune-cache", "-tune-cache does nothing without -tune"},
+		{1, "-tune-cache", "-tune-cache needs -tune"},
+		{1, "-checkpoint-every", "-checkpoint-every needs -checkpoint-dir"},
+		{1, "-ooc-chunk", "-ooc-chunk needs -ooc"},
+		{1, "-ooc-prefetch -checkpoint-dir", "-ooc-prefetch needs -ooc"},
+		{1, "-ooc-dir -f32", "-ooc-dir needs -ooc"},
+		{1, "-ooc -ooc-chunk -ooc-prefetch -ooc-dir -checkpoint-dir -checkpoint-every", ""},
 	} {
 		given := map[string]bool{}
 		for _, f := range strings.Fields(tc.flags) {

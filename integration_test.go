@@ -242,9 +242,12 @@ func TestMeasurementAfterDistributedGather(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := statevec.FromAmplitudes(res.Amplitudes)
-	rng := rand.New(rand.NewSource(9))
-	b := v.MeasureAll(rng)
-	if math.Abs(v.Probability(b)-1) > 1e-9 {
-		t.Errorf("state not collapsed after MeasureAll")
+	if math.Abs(v.Norm()-1) > 1e-9 {
+		t.Fatalf("gathered state has norm %v", v.Norm())
+	}
+	for _, b := range v.Sample(rand.New(rand.NewSource(9)), 100) {
+		if v.Probability(b) < 1e-12 {
+			t.Errorf("measured outcome %d has probability %v", b, v.Probability(b))
+		}
 	}
 }

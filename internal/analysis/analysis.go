@@ -14,9 +14,11 @@
 // through the fsio seam (fsops) and keeps its error chains (errwrap),
 // telemetry handles are only touched through their nil-safe methods
 // (nilsafetelemetry), tests restore the process globals they mutate
-// (globalcleanup), and //qusim:hot kernel loops stay allocation-free
-// (hotalloc). That every rank enters the same collective sequence is
-// checked at run time, where the ranks meet (internal/mpi).
+// (globalcleanup), //qusim:hot kernel loops stay allocation-free
+// (hotalloc), and every declaration of an internal package is reachable
+// from the module's programs, not only from tests (deadcode). That every
+// rank enters the same collective sequence is checked at run time, where
+// the ranks meet (internal/mpi).
 //
 // Suppression: a comment of the form
 //
@@ -60,6 +62,7 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
+	unit  *Unit
 	diags *[]Diagnostic
 }
 
@@ -89,6 +92,7 @@ func (d Diagnostic) String() string {
 func All() []*Analyzer {
 	return []*Analyzer{
 		AtomicRename,
+		DeadCode,
 		ErrWrap,
 		FSOps,
 		GlobalCleanup,
@@ -161,6 +165,7 @@ func RunUnit(u *Unit, analyzers []*Analyzer, cfg RunConfig) []Diagnostic {
 			Files:    u.Files,
 			Pkg:      u.Pkg,
 			Info:     u.Info,
+			unit:     u,
 			diags:    &raw,
 		}
 		a.Run(pass)

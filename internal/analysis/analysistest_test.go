@@ -167,7 +167,7 @@ func TestDirectiveDiagnostics(t *testing.T) {
 	}
 	expects := []expect{
 		{12, `^qlint: qlint:ignore needs an analyzer name and a reason$`},
-		{18, `^qlint: qlint:ignore names unknown analyzer gofmtcheck \(have atomicrename, errwrap, fsops, globalcleanup, hotalloc, nilsafetelemetry\)$`},
+		{18, `^qlint: qlint:ignore names unknown analyzer gofmtcheck \(have atomicrename, deadcode, errwrap, fsops, globalcleanup, hotalloc, nilsafetelemetry\)$`},
 		{25, `^qlint: qlint:ignore globalcleanup needs a reason \(why does the invariant not apply here\?\)$`},
 		// The multi-line edge case: a continuation comment on the next
 		// line is not the directive's reason.

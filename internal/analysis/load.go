@@ -27,6 +27,7 @@ type Unit struct {
 	Files      []*ast.File
 	Pkg        *types.Package
 	Info       *types.Info
+	loader     *Loader
 }
 
 // Loader parses and type-checks the module's packages using only the
@@ -44,6 +45,8 @@ type Loader struct {
 	stdlib types.ImporterFrom
 	cache  map[string]*types.Package // import path → library-only package
 	busy   map[string]bool           // cycle guard for cache fills
+	units  map[string][]*Unit        // directory → its loaded units
+	graph  *declGraph                // the module's references, for deadcode
 }
 
 // NewLoader creates a loader for the module containing dir.
@@ -64,6 +67,7 @@ func NewLoader(dir string) (*Loader, error) {
 		stdlib: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 		cache:  map[string]*types.Package{},
 		busy:   map[string]bool{},
+		units:  map[string][]*Unit{},
 	}, nil
 }
 
@@ -203,11 +207,14 @@ func (l *Loader) importPathFor(dir string) (string, error) {
 
 // LoadDir loads one package directory into analyzer units: the library
 // package merged with its in-package tests, plus (when present) the
-// external test package.
+// external test package. A directory is loaded once per Loader.
 func (l *Loader) LoadDir(dir string) ([]*Unit, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
+	}
+	if us, ok := l.units[dir]; ok {
+		return us, nil
 	}
 	pd, err := l.parseDir(dir)
 	if err != nil {
@@ -235,6 +242,7 @@ func (l *Loader) LoadDir(dir string) ([]*Unit, error) {
 		}
 		units = append(units, xu)
 	}
+	l.units[dir] = units
 	return units, nil
 }
 
@@ -252,7 +260,7 @@ func (l *Loader) check(path, dir string, files []*ast.File) (*Unit, error) {
 	if err != nil {
 		return nil, fmt.Errorf("qlint: type-checking %s: %w", path, err)
 	}
-	return &Unit{Fset: l.Fset, Dir: dir, ImportPath: path, Files: files, Pkg: pkg, Info: info}, nil
+	return &Unit{Fset: l.Fset, Dir: dir, ImportPath: path, Files: files, Pkg: pkg, Info: info, loader: l}, nil
 }
 
 // importLib returns the library-only package for an intra-module import

@@ -47,3 +47,6 @@ func blockComment() {
 	/* qlint:ignore globalcleanup block comments are not directives */
 	par.SetWorkers(1)
 }
+
+// The fixture's functions are roots, so deadcode has nothing to report here.
+var _ = []any{missingEverything, unknownAnalyzer, missingReason, wellFormed, multiLineReason, blockComment}

@@ -84,31 +84,6 @@ type DiskFaults struct {
 	SlowDelay time.Duration
 }
 
-func (d *DiskFaults) armed() bool {
-	return d != nil && (d.NoSpaceAt > 0 || d.TornWriteAt > 0 || d.ReadErrAt > 0 || d.SlowEvery > 0)
-}
-
-// Classes returns the fault classes this plan arms.
-func (d *DiskFaults) Classes() []Class {
-	if d == nil {
-		return nil
-	}
-	var out []Class
-	if d.NoSpaceAt > 0 {
-		out = append(out, NoSpace)
-	}
-	if d.TornWriteAt > 0 {
-		out = append(out, TornWrite)
-	}
-	if d.ReadErrAt > 0 {
-		out = append(out, ReadError)
-	}
-	if d.SlowEvery > 0 {
-		out = append(out, SlowIO)
-	}
-	return out
-}
-
 // Stats counts the faults an FS actually injected — the ground truth for
 // coverage accounting (an armed fault whose op index the run never
 // reached injected nothing).

@@ -135,7 +135,7 @@ func simulateProbs(t *testing.T, c *Circuit) []float64 {
 						src &^= 1 << q
 					}
 				}
-				next[b] += m.At(r, col) * amps[src]
+				next[b] += m.Data[r*m.Dim()+col] * amps[src]
 			}
 		}
 		amps = next

@@ -202,28 +202,6 @@ func (c *Circuit) Append(gs ...Gate) {
 	}
 }
 
-// CountKind returns the number of gates of the given kind.
-func (c *Circuit) CountKind(k Kind) int {
-	n := 0
-	for _, g := range c.Gates {
-		if g.Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
-// CountDiagonal returns the number of diagonal gates.
-func (c *Circuit) CountDiagonal() int {
-	n := 0
-	for _, g := range c.Gates {
-		if g.IsDiagonal() {
-			n++
-		}
-	}
-	return n
-}
-
 // Depth returns the circuit depth: the longest chain of gates sharing
 // qubits (each gate depth-1).
 func (c *Circuit) Depth() int {

@@ -8,7 +8,8 @@ import (
 )
 
 // FuzzReadText checks the circuit text parser never panics, accepts no
-// parameter that is not a finite number, and that every successfully parsed
+// circuit without a qubit and no parameter that is not a finite number, and
+// that every successfully parsed
 // circuit re-serializes and re-parses to the same gate list.
 func FuzzReadText(f *testing.F) {
 	var seedBuf bytes.Buffer
@@ -24,10 +25,15 @@ func FuzzReadText(f *testing.F) {
 	f.Add("2\n0 h 99\n")
 	f.Add("4\n0 rz(NaN) 3\n")
 	f.Add("4\n0 rz(-Inf) 3\n")
+	f.Add("0\n")
+	f.Add("-3\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		parsed, err := ReadText(strings.NewReader(input))
 		if err != nil {
 			return // rejecting is fine; panicking is not
+		}
+		if parsed.N < 1 {
+			t.Fatalf("accepted a %d-qubit circuit", parsed.N)
 		}
 		for _, g := range parsed.Gates {
 			if math.IsNaN(g.Param) || math.IsInf(g.Param, 0) {

@@ -22,23 +22,6 @@ func QFT(n int) *Circuit {
 	return c
 }
 
-// InverseQFT returns the inverse QFT (again without bit reversal).
-func InverseQFT(n int) *Circuit {
-	q := QFT(n)
-	c := NewCircuit(n)
-	c.Name = "iqft"
-	for i := len(q.Gates) - 1; i >= 0; i-- {
-		g := q.Gates[i]
-		switch g.Kind {
-		case KindH:
-			c.Append(g)
-		case KindCPhase:
-			c.Append(NewCPhase(g.Qubits[0], g.Qubits[1], -g.Param))
-		}
-	}
-	return c
-}
-
 // GHZ returns the circuit preparing (|0…0⟩ + |1…1⟩)/√2.
 func GHZ(n int) *Circuit {
 	c := NewCircuit(n)
@@ -78,10 +61,4 @@ func Grover(n, marked, iters int) *Circuit {
 		}
 	}
 	return c
-}
-
-// GroverOptimalIters returns the iteration count ⌊π/4·√(2^n)⌋ maximizing
-// the success probability.
-func GroverOptimalIters(n int) int {
-	return int(math.Floor(math.Pi / 4 * math.Sqrt(float64(int(1)<<uint(n)))))
 }

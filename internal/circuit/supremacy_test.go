@@ -69,8 +69,8 @@ func TestSupremacyInitialHadamards(t *testing.T) {
 		}
 	}
 	skip := Supremacy(SupremacyOptions{Rows: 3, Cols: 3, Depth: 8, Seed: 1, SkipInitialH: true})
-	if skip.CountKind(KindH) != 0 {
-		t.Errorf("SkipInitialH circuit contains %d Hadamards", skip.CountKind(KindH))
+	if countKind(skip, KindH) != 0 {
+		t.Errorf("SkipInitialH circuit contains %d Hadamards", countKind(skip, KindH))
 	}
 	if len(skip.Gates) != len(c.Gates)-9 {
 		t.Errorf("SkipInitialH dropped %d gates, want 9", len(c.Gates)-len(skip.Gates))
@@ -194,7 +194,7 @@ func TestTable1GateCounts(t *testing.T) {
 			t.Errorf("%d qubits: %d gates, paper reports %d (allowing ±5%%)", n, got, want)
 		}
 		t.Logf("%d qubits: %d gates (paper: %d); %d CZ, %d T, %d X½, %d Y½, %d H",
-			n, got, want, circ.CountKind(KindCZ), circ.CountKind(KindT),
-			circ.CountKind(KindXHalf), circ.CountKind(KindYHalf), circ.CountKind(KindH))
+			n, got, want, countKind(circ, KindCZ), countKind(circ, KindT),
+			countKind(circ, KindXHalf), countKind(circ, KindYHalf), countKind(circ, KindH))
 	}
 }

@@ -58,6 +58,9 @@ func ReadText(r io.Reader) (*Circuit, error) {
 	if err != nil {
 		return nil, fmt.Errorf("circuit: bad qubit count: %v", err)
 	}
+	if n < 1 {
+		return nil, fmt.Errorf("circuit: line 1: qubit count must be at least 1, got %d", n)
+	}
 	c := NewCircuit(n)
 	line := 1
 	for sc.Scan() {

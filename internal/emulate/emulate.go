@@ -37,20 +37,6 @@ func QFT(v *statevec.Vector, reverse bool) {
 	}
 }
 
-// InverseQFT applies the inverse transform.
-func InverseQFT(v *statevec.Vector, reverse bool) {
-	if !reverse {
-		v.ReverseBits()
-	}
-	fft(v.Amps, true)
-	scale := complex(1/math.Sqrt(float64(len(v.Amps))), 0)
-	par.For(len(v.Amps), 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v.Amps[i] *= scale
-		}
-	})
-}
-
 // fft is an iterative in-place Cooley–Tukey radix-2 transform. inverse
 // selects the conjugated twiddles. The output is in bit-reversed order
 // relative to a textbook DFT of the input; combined with the explicit

@@ -63,19 +63,6 @@ func TestEmulatedQFTNoReverseConvention(t *testing.T) {
 	}
 }
 
-func TestInverseQFTRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(102))
-	for _, rev := range []bool{true, false} {
-		v := randomVector(8, rng)
-		w := v.Clone()
-		QFT(w, rev)
-		InverseQFT(w, rev)
-		if d := v.MaxDiff(w); d > 1e-10 {
-			t.Errorf("reverse=%v: QFT∘IQFT != identity: %g", rev, d)
-		}
-	}
-}
-
 func TestQFTPreservesNorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	v := randomVector(10, rng)

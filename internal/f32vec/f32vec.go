@@ -12,7 +12,6 @@ package f32vec
 
 import (
 	"fmt"
-	"math/bits"
 
 	"qusim/internal/gate"
 	"qusim/internal/kernels"
@@ -23,29 +22,8 @@ import (
 // BytesPerAmplitude is 8 for complex64 (vs 16 for complex128).
 const BytesPerAmplitude = 8
 
-// MaxQubitsForMemory returns the largest n such that a 2^n-amplitude state
-// fits into the given memory. With the paper's 0.5 PB, double precision
-// holds 45 qubits and single precision 46 (Sec. 5). The computation is
-// exact integer bit arithmetic — the old math.Pow loop accumulated rounding
-// on the repeated power evaluation and walked 2^n one step at a time.
-func MaxQubitsForMemory(bytes float64, single bool) int {
-	per := uint64(16)
-	if single {
-		per = BytesPerAmplitude
-	}
-	// Fewer than two amplitudes (also NaN / negative input) holds no qubits.
-	if !(bytes >= float64(2*per)) {
-		return 0
-	}
-	amps := bytes / float64(per)
-	if amps >= 1<<62 {
-		return 62
-	}
-	return bits.Len64(uint64(amps)) - 1
-}
-
 // Vector is an n-qubit state with complex64 amplitudes: statevec's state at
-// single precision, so it samples, measures and reduces like the
+// single precision, so it samples and reduces like the
 // double-precision one. It adds the sorted-position Apply, RunPlan and
 // ToDouble.
 type Vector struct{ statevec.State[complex64] }

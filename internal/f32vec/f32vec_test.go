@@ -13,18 +13,6 @@ import (
 
 func newTestRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-func TestMaxQubitsForMemory(t *testing.T) {
-	// The paper's outlook: 0.5 PB holds 45 qubits in double precision and
-	// 46 in single precision.
-	halfPB := 0.5 * math.Pow(2, 50)
-	if n := MaxQubitsForMemory(halfPB, false); n != 45 {
-		t.Errorf("double precision in 0.5 PiB: %d qubits, want 45", n)
-	}
-	if n := MaxQubitsForMemory(halfPB, true); n != 46 {
-		t.Errorf("single precision in 0.5 PiB: %d qubits, want 46", n)
-	}
-}
-
 func TestApplyMatchesDoublePrecision(t *testing.T) {
 	n := 10
 	r, c := circuit.GridForQubits(n)
@@ -102,37 +90,6 @@ func TestApplyValidation(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestMaxQubitsForMemoryBoundaries(t *testing.T) {
-	cases := []struct {
-		bytes  float64
-		single bool
-		want   int
-	}{
-		// Exact power-of-two boundaries around the paper's 0.5 PB figure.
-		{math.Pow(2, 49), false, 45},
-		{math.Pow(2, 49), true, 46},
-		// One amplitude short of the boundary drops a qubit.
-		{math.Pow(2, 49) - 16, false, 44},
-		{math.Pow(2, 49) - 8, true, 45},
-		// Just past a boundary does not gain one.
-		{math.Pow(2, 49) + 16, false, 45},
-		// Small sizes: two amplitudes is one qubit; less holds none.
-		{32, false, 1},
-		{31, false, 0},
-		{16, true, 1},
-		{0, false, 0},
-		{-100, false, 0},
-		{math.NaN(), false, 0},
-		// Huge inputs saturate instead of overflowing uint64.
-		{math.Pow(2, 80), false, 62},
-	}
-	for _, c := range cases {
-		if got := MaxQubitsForMemory(c.bytes, c.single); got != c.want {
-			t.Errorf("MaxQubitsForMemory(%g, %v) = %d, want %d", c.bytes, c.single, got, c.want)
-		}
 	}
 }
 

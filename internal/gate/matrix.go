@@ -11,7 +11,6 @@ package gate
 
 import (
 	"fmt"
-	"math"
 	"math/cmplx"
 )
 
@@ -65,18 +64,8 @@ func FromRows(rows [][]complex128) Matrix {
 // Dim returns the matrix dimension 2^K.
 func (m Matrix) Dim() int { return 1 << m.K }
 
-// At returns element (r, c).
-func (m Matrix) At(r, c int) complex128 { return m.Data[r*m.Dim()+c] }
-
 // Set assigns element (r, c).
 func (m Matrix) Set(r, c int, v complex128) { m.Data[r*m.Dim()+c] = v }
-
-// Clone returns a deep copy of m.
-func (m Matrix) Clone() Matrix {
-	c := Matrix{K: m.K, Data: make([]complex128, len(m.Data))}
-	copy(c.Data, m.Data)
-	return c
-}
 
 // Mul returns the matrix product a·b. Both operands must act on the same
 // number of qubits.
@@ -102,66 +91,6 @@ func Mul(a, b Matrix) Matrix {
 	return out
 }
 
-// Kron returns the Kronecker product a⊗b: a acts on the high-order qubits,
-// b on the low-order qubits, matching the 1⊗…⊗U⊗…⊗1 construction of Sec. 2.
-func Kron(a, b Matrix) Matrix {
-	out := New(a.K + b.K)
-	da, db, d := a.Dim(), b.Dim(), out.Dim()
-	for ra := 0; ra < da; ra++ {
-		for ca := 0; ca < da; ca++ {
-			av := a.Data[ra*da+ca]
-			if av == 0 {
-				continue
-			}
-			for rb := 0; rb < db; rb++ {
-				for cb := 0; cb < db; cb++ {
-					out.Data[(ra*db+rb)*d+(ca*db+cb)] = av * b.Data[rb*db+cb]
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Dagger returns the conjugate transpose of m.
-func (m Matrix) Dagger() Matrix {
-	d := m.Dim()
-	out := New(m.K)
-	for r := 0; r < d; r++ {
-		for c := 0; c < d; c++ {
-			out.Data[c*d+r] = cmplx.Conj(m.Data[r*d+c])
-		}
-	}
-	return out
-}
-
-// Scale returns m multiplied by the scalar s.
-func (m Matrix) Scale(s complex128) Matrix {
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
-	}
-	return out
-}
-
-// IsUnitary reports whether m†m = 1 to within tol (max-norm of the residual).
-func (m Matrix) IsUnitary(tol float64) bool {
-	p := Mul(m.Dagger(), m)
-	d := m.Dim()
-	for r := 0; r < d; r++ {
-		for c := 0; c < d; c++ {
-			want := complex128(0)
-			if r == c {
-				want = 1
-			}
-			if cmplx.Abs(p.Data[r*d+c]-want) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // IsDiagonal reports whether all off-diagonal entries are ≤ tol in modulus.
 // Diagonal gates are the ones the global-gate specialization of Sec. 3.5 can
 // execute on global qubits without communication.
@@ -185,51 +114,6 @@ func (m Matrix) Diagonal() []complex128 {
 		out[i] = m.Data[i*d+i]
 	}
 	return out
-}
-
-// ApproxEqual reports whether a and b agree element-wise to within tol.
-func ApproxEqual(a, b Matrix, tol float64) bool {
-	if a.K != b.K {
-		return false
-	}
-	for i := range a.Data {
-		if cmplx.Abs(a.Data[i]-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// EqualUpToGlobalPhase reports whether a = e^{iφ}·b for some φ, to within
-// tol. Gate specialization absorbs global phases (Sec. 3.5), so fused
-// matrices are compared modulo phase.
-func EqualUpToGlobalPhase(a, b Matrix, tol float64) bool {
-	if a.K != b.K {
-		return false
-	}
-	// Find the largest-modulus entry of b to fix the phase.
-	best, bi := 0.0, -1
-	for i := range b.Data {
-		if m := cmplx.Abs(b.Data[i]); m > best {
-			best, bi = m, i
-		}
-	}
-	if bi < 0 || best < tol {
-		return ApproxEqual(a, b, tol)
-	}
-	if cmplx.Abs(a.Data[bi]) < tol {
-		return false
-	}
-	phase := a.Data[bi] / b.Data[bi]
-	if math.Abs(cmplx.Abs(phase)-1) > tol {
-		return false
-	}
-	for i := range a.Data {
-		if cmplx.Abs(a.Data[i]-phase*b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the matrix for debugging.

@@ -24,7 +24,7 @@ func TestRotationFullTurn(t *testing.T) {
 		if !ApproxEqual(f(4*math.Pi), Identity(1), 1e-12) {
 			t.Errorf("%s(4π) != I", name)
 		}
-		if !ApproxEqual(f(2*math.Pi), Identity(1).Scale(-1), 1e-12) {
+		if !ApproxEqual(f(2*math.Pi), FromRows([][]complex128{{-1, 0}, {0, -1}}), 1e-12) {
 			t.Errorf("%s(2π) != −I", name)
 		}
 	}
@@ -34,20 +34,6 @@ func TestPhaseVsRz(t *testing.T) {
 	// Phase(θ) equals Rz(θ) up to global phase.
 	if !EqualUpToGlobalPhase(Phase(0.9), Rz(0.9), 1e-12) {
 		t.Error("Phase(θ) and Rz(θ) differ beyond global phase")
-	}
-}
-
-func TestToffoliAction(t *testing.T) {
-	tof := Toffoli()
-	// Basis |c2 c1 t⟩ with target at bit 0: flips t iff both controls set.
-	for in := 0; in < 8; in++ {
-		want := in
-		if in&0b110 == 0b110 {
-			want = in ^ 1
-		}
-		if tof.At(want, in) != 1 {
-			t.Errorf("Toffoli[%d,%d] = %v, want 1", want, in, tof.At(want, in))
-		}
 	}
 }
 
@@ -83,26 +69,6 @@ func TestSwapConjugation(t *testing.T) {
 	rhs := Kron(b, a)
 	if !ApproxEqual(lhs, rhs, 1e-10) {
 		t.Error("SWAP conjugation does not swap tensor factors")
-	}
-}
-
-func TestControlledTwoQubitGate(t *testing.T) {
-	// Controlled(SWAP) = Fredkin: control at gate-local qubit 2.
-	fredkin := Controlled(Swap())
-	if !fredkin.IsUnitary(1e-12) {
-		t.Fatal("Fredkin not unitary")
-	}
-	for in := 0; in < 8; in++ {
-		want := in
-		if in&0b100 != 0 {
-			// Swap bits 0 and 1.
-			b0 := in & 1
-			b1 := in >> 1 & 1
-			want = in&^0b11 | b0<<1 | b1
-		}
-		if fredkin.At(want, in) != 1 {
-			t.Errorf("Fredkin[%d,%d] = %v, want 1", want, in, fredkin.At(want, in))
-		}
 	}
 }
 

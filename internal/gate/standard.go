@@ -150,26 +150,6 @@ func Swap() Matrix {
 	})
 }
 
-// Controlled returns the controlled version of u: gate-local qubits
-// 0..u.K−1 are u's qubits and qubit u.K is the control.
-func Controlled(u Matrix) Matrix {
-	out := Identity(u.K + 1)
-	d, du := out.Dim(), u.Dim()
-	for r := 0; r < du; r++ {
-		for c := 0; c < du; c++ {
-			out.Data[(du+r)*d+(du+c)] = u.Data[r*du+c]
-		}
-		out.Data[(du+r)*d+(du+r)] = u.Data[r*du+r]
-	}
-	return out
-}
-
-// Toffoli returns the doubly-controlled NOT with gate-local qubit 0 the
-// target and qubits 1, 2 the controls.
-func Toffoli() Matrix {
-	return Controlled(CNOT())
-}
-
 // RandomUnitary returns a Haar-ish random unitary on k qubits, produced by
 // Gram–Schmidt orthonormalization of a complex Gaussian matrix. It is used
 // by property-based tests and by the dense-gate worst-case scheduling mode.
@@ -205,6 +185,8 @@ func RandomUnitary(k int, rng *rand.Rand) Matrix {
 }
 
 // RandomDiagonal returns a random diagonal unitary on k qubits.
+//
+//qlint:ignore deadcode a test fixture of five packages, the diagonal twin of RandomUnitary
 func RandomDiagonal(k int, rng *rand.Rand) Matrix {
 	m := New(k)
 	d := m.Dim()

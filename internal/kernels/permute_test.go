@@ -253,3 +253,18 @@ func FuzzBitPermutation(f *testing.F) {
 		}
 	})
 }
+
+// N returns the number of bits the permutation acts on.
+func (p *BitPermutation) N() int { return p.n }
+
+// Identity reports whether the permutation fixes every bit.
+func (p *BitPermutation) Identity() bool { return len(p.cycles) == 0 }
+
+// Cycles returns the non-trivial cycles of the bit permutation, each
+// starting at its smallest member, ordered by that member.
+func (p *BitPermutation) Cycles() [][]int { return p.cycles }
+
+// Map returns the permuted index: bit p of i becomes bit perm[p].
+func (p *BitPermutation) Map(i int) int {
+	return mapTables(p.fwd, i)
+}

@@ -33,6 +33,8 @@ var timingSweeps atomic.Int64
 
 // TimingSweeps returns the number of kernel timings taken so far in this
 // process.
+//
+//qlint:ignore deadcode an observation point: the tuner and tune-cache tests read it to prove a warm cache times nothing
 func TimingSweeps() int64 { return timingSweeps.Load() }
 
 // tunePositions spreads k positions over a 2^n state the way the rows the

@@ -34,16 +34,6 @@ func Depolarizing(p float64) Channel {
 	return Channel{Name: "depolarizing", PX: p / 3, PY: p / 3, PZ: p / 3}
 }
 
-// Dephasing returns the pure-Z channel with probability p.
-func Dephasing(p float64) Channel {
-	return Channel{Name: "dephasing", PZ: p}
-}
-
-// BitFlip returns the pure-X channel with probability p.
-func BitFlip(p float64) Channel {
-	return Channel{Name: "bit-flip", PX: p}
-}
-
 func (c Channel) validate() error {
 	if c.PX < 0 || c.PY < 0 || c.PZ < 0 || c.PX+c.PY+c.PZ > 1 {
 		return fmt.Errorf("noise: invalid channel probabilities (%v, %v, %v)", c.PX, c.PY, c.PZ)

@@ -20,11 +20,11 @@ func Build(c *circuit.Circuit, opts Options) (*Plan, error) {
 
 // build is Build with the diagonal fold on or off.
 func build(c *circuit.Circuit, opts Options, fold bool) (*Plan, error) {
-	if err := opts.validate(c.N); err != nil {
+	if err := checkQubits(c.N); err != nil {
 		return nil, err
 	}
-	if c.N > 62 {
-		return nil, fmt.Errorf("schedule: %d qubits exceeds the 62-qubit bitset limit", c.N)
+	if err := opts.validate(c.N); err != nil {
+		return nil, err
 	}
 	opts.Costs = opts.Costs.resolve()
 	info := gateInfos(c, opts.Costs)

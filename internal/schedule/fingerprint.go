@@ -69,9 +69,11 @@ func (p *Plan) Fingerprint() string {
 // indices and matrix/diagonal shapes — while ignoring the matrix and
 // diagonal *values*. Two plans of the same parameterized circuit at
 // different gate angles (a QAOA/VQE sweep) share a structure fingerprint
-// even though their full Fingerprints differ, so analysis keyed on it
-// (the stage cut, see AccessMap) is computed once per
-// circuit shape, not once per parameter point.
+// even though their full Fingerprints differ. Nothing in the run paths
+// keys on it (AccessMap cuts afresh); the pinned-plan tests compare it
+// across kernel sets and price lists.
+//
+//qlint:ignore deadcode the arch-independent plan pin of TestPaperCostsReproduceParentPlans and verify's plan tests
 func (p *Plan) StructureFingerprint() string {
 	h := sha256.New()
 	var scratch [8]byte

@@ -130,6 +130,15 @@ func DefaultOptions(localQubits int) Options {
 	}
 }
 
+// checkQubits rejects, before anything is sized by it, a circuit no plan
+// can address: a plan needs a qubit, and locations are bits of a uint64.
+func checkQubits(n int) error {
+	if n < 1 || n > 62 {
+		return fmt.Errorf("schedule: %d qubits is outside the 1…62 a plan addresses", n)
+	}
+	return nil
+}
+
 func (o Options) validate(n int) error {
 	if o.LocalQubits < 1 {
 		return fmt.Errorf("schedule: LocalQubits must be ≥ 1, got %d", o.LocalQubits)

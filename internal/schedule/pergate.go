@@ -22,6 +22,9 @@ import (
 // more qubits of which one is global is beyond the scheme.
 // Stats.BaselineGlobalGates is the plan's own count of communication steps.
 func PerGate(c *circuit.Circuit, l int, specialized func(*circuit.Gate) bool) (*Plan, error) {
+	if err := checkQubits(c.N); err != nil {
+		return nil, err
+	}
 	if l < 1 || l > c.N {
 		return nil, fmt.Errorf("schedule: %d local qubits for a %d-qubit circuit", l, c.N)
 	}

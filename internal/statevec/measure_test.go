@@ -1,12 +1,67 @@
 package statevec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"qusim/internal/gate"
 )
+
+// Projective measurement: the run paths sample shots or read
+// probabilities, so measurement lives here, the tests' model of the Born rule.
+
+// Measure samples qubit q's outcome with the Born probabilities, collapses
+// the state onto it and returns the outcome bit.
+func (v *State[T]) Measure(q int, rng *rand.Rand) int {
+	outcome := 0
+	if rng.Float64() < v.MarginalProbability(q) {
+		outcome = 1
+	}
+	v.Collapse(q, outcome)
+	return outcome
+}
+
+// Collapse projects qubit q onto outcome and renormalizes; it panics on an
+// outcome of zero probability.
+func (v *State[T]) Collapse(q, outcome int) {
+	p := v.MarginalProbability(q)
+	if outcome == 0 {
+		p = 1 - p
+	}
+	if p <= 0 {
+		panic(fmt.Sprintf("statevec: collapsing qubit %d onto zero-probability outcome %d", q, outcome))
+	}
+	inv := T(complex(1/math.Sqrt(p), 0))
+	for i := range v.Amps {
+		if i>>q&1 == outcome {
+			v.Amps[i] *= inv
+		} else {
+			v.Amps[i] = 0
+		}
+	}
+}
+
+// MeasureAll measures every qubit and returns the bitstring.
+func (v *State[T]) MeasureAll(rng *rand.Rand) int {
+	out := 0
+	for q := 0; q < v.N; q++ {
+		out |= v.Measure(q, rng) << q
+	}
+	return out
+}
+
+// MarginalProbability returns P(qubit q = 1).
+func (v *State[T]) MarginalProbability(q int) float64 {
+	var s float64
+	for i, a := range v.Amps {
+		if w := complex128(a); i>>q&1 == 1 {
+			s += real(w)*real(w) + imag(w)*imag(w)
+		}
+	}
+	return s
+}
 
 func TestCollapseBasisState(t *testing.T) {
 	v := New(3)

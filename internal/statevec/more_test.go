@@ -101,9 +101,12 @@ func TestApplyZeroQubitGate(t *testing.T) {
 	rng := rand.New(rand.NewSource(133))
 	v := randomVector(5, rng)
 	w := v.Clone()
-	phase := gate.Identity(0).Scale(complex(0, 1))
+	phase := gate.Identity(0)
+	phase.Data[0] = 1i
 	v.Apply(phase)
-	w.Scale(complex(0, 1))
+	for i := range w.Amps {
+		w.Amps[i] *= 1i
+	}
 	if d := v.MaxDiff(w); d > 1e-14 {
 		t.Errorf("0-qubit gate application: %g", d)
 	}

@@ -64,6 +64,8 @@ func Uniform[T Amp](n int) *State[T] {
 
 // FromAmplitudes wraps an amplitude slice (len must be a power of two).
 // The slice is not copied.
+//
+//qlint:ignore deadcode tests in three packages wrap reference amplitudes with it
 func FromAmplitudes[T Amp](amps []T) *State[T] {
 	n := bits.Len(uint(len(amps))) - 1
 	if len(amps) == 0 || 1<<n != len(amps) {
@@ -131,21 +133,6 @@ func (v *State[T]) Entropy() float64 { return kernels.Entropy(v.Amps) }
 
 // NormEntropy returns Norm and Entropy from one pass over the state.
 func (v *State[T]) NormEntropy() (norm, entropy float64) { return kernels.NormEntropy(v.Amps) }
-
-// MarginalProbability returns P(qubit q = 1).
-func (v *State[T]) MarginalProbability(q int) float64 {
-	bit := 1 << q
-	return par.ReduceFloat64(len(v.Amps), 1<<14, func(lo, hi int) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			if i&bit != 0 {
-				a := complex128(v.Amps[i])
-				s += real(a)*real(a) + imag(a)*imag(a)
-			}
-		}
-		return s
-	})
-}
 
 // MaxDiff returns the largest modulus of element-wise difference to the
 // double-precision state o: at single precision, the rounding error the
@@ -225,13 +212,6 @@ func (v *State[T]) ApplyDiagonal(d []complex128, qubits ...int) {
 	}
 	kernels.ApplyDiagonal(v.Amps, kernels.Convert[T](dd), sortedQs)
 }
-
-// ApplyCZ applies a controlled-Z between two qubits (symmetric): the
-// diagonal sweep Apply(gate.CZ()) takes.
-func (v *State[T]) ApplyCZ(a, b int) { v.ApplyDiagonal([]complex128{1, 1, 1, -1}, a, b) }
-
-// Scale multiplies the whole state by s (global phase).
-func (v *State[T]) Scale(s complex128) { kernels.Scale(v.Amps, T(s)) }
 
 // SortPositions returns the sorted positions and, if the input was not
 // already sorted, the permutation perm with perm[j] = rank of qubits[j].

@@ -165,7 +165,9 @@ func TestEntropyUniform(t *testing.T) {
 func TestRenormalize(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	v := randomVector(5, rng)
-	v.Scale(3)
+	for i := range v.Amps {
+		v.Amps[i] *= 3
+	}
 	v.Renormalize()
 	if math.Abs(v.Norm()-1) > 1e-12 {
 		t.Errorf("norm after renormalize = %v", v.Norm())
@@ -213,24 +215,26 @@ func TestInnerProductAndFidelity(t *testing.T) {
 	}
 	// Fidelity is invariant under global phase.
 	w := v.Clone()
-	w.Scale(cmplx.Exp(complex(0, 1.1)))
+	for i := range w.Amps {
+		w.Amps[i] *= cmplx.Exp(complex(0, 1.1))
+	}
 	if math.Abs(v.Fidelity(w)-1) > 1e-12 {
 		t.Errorf("F(v, e^{iφ}v) = %v", v.Fidelity(w))
 	}
 }
 
-// TestApplyCZBetweenStates: ApplyCZ and Apply(gate.CZ()) are two routes to
-// the same diagonal kernel, so they agree bit for bit, with the qubits given
-// in either order.
+// TestApplyCZBetweenStates: the diagonal sweep and Apply(gate.CZ()) are two
+// routes to the same diagonal kernel, so they agree bit for bit, with the
+// qubits given in either order.
 func TestApplyCZBetweenStates(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	v := randomVector(5, rng)
 	w := v.Clone()
-	v.ApplyCZ(3, 1)
+	v.ApplyDiagonal([]complex128{1, 1, 1, -1}, 3, 1)
 	w.Apply(gate.CZ(), 1, 3)
 	for i := range v.Amps {
 		if v.Amps[i] != w.Amps[i] {
-			t.Fatalf("ApplyCZ vs matrix CZ: amplitude %d is %v, want %v", i, v.Amps[i], w.Amps[i])
+			t.Fatalf("diagonal vs matrix CZ: amplitude %d is %v, want %v", i, v.Amps[i], w.Amps[i])
 		}
 	}
 }
@@ -252,7 +256,7 @@ func randomVector(n int, rng *rand.Rand) *Vector {
 // TestStatesAgreeAcrossPrecisions: on states that are exact in both
 // precisions — the uniform state at even n, basis states, and a state of
 // four ±1/2 and ±i/2 amplitudes — State[complex64] gives bitwise the
-// probabilities, marginals and ⟨Z⟩ of State[complex128], and the same shots
+// probabilities and marginals of State[complex128], and the same shots
 // for each seed: every method widens an amplitude before it squares it.
 func TestStatesAgreeAcrossPrecisions(t *testing.T) {
 	type pair struct {
@@ -283,9 +287,6 @@ func TestStatesAgreeAcrossPrecisions(t *testing.T) {
 		for q := 0; q < p.double.N; q++ {
 			if !same(p.single.MarginalProbability(q), p.double.MarginalProbability(q)) {
 				t.Errorf("%s: MarginalProbability(%d) %v, double %v", p.name, q, p.single.MarginalProbability(q), p.double.MarginalProbability(q))
-			}
-			if !same(p.single.ExpectationZ(q), p.double.ExpectationZ(q)) {
-				t.Errorf("%s: ExpectationZ(%d) %v, double %v", p.name, q, p.single.ExpectationZ(q), p.double.ExpectationZ(q))
 			}
 		}
 		for seed := int64(1); seed <= 5; seed++ {

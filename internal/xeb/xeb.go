@@ -10,7 +10,6 @@ package xeb
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -99,73 +98,6 @@ func PorterThomasKS(probs []float64) float64 {
 		}
 	}
 	return ks
-}
-
-// KLDivergence returns D(p‖q) in nats for two distributions over the same
-// index space.
-func KLDivergence(p, q []float64) (float64, error) {
-	if len(p) != len(q) {
-		return 0, fmt.Errorf("xeb: distribution length mismatch %d vs %d", len(p), len(q))
-	}
-	var d float64
-	for i := range p {
-		if p[i] == 0 {
-			continue
-		}
-		if q[i] == 0 {
-			return math.Inf(1), nil
-		}
-		d += p[i] * math.Log(p[i]/q[i])
-	}
-	return d, nil
-}
-
-// Sample draws shots bitstrings from the distribution probs by inverse-CDF
-// sampling — the "device" side of a cross-entropy benchmark when the device
-// is the simulator itself. probs need not be exactly normalized (draws are
-// scaled by the total mass); an all-zero distribution is rejected.
-func Sample(probs []float64, shots int, rng *rand.Rand) ([]int, error) {
-	if shots < 1 {
-		return nil, fmt.Errorf("xeb: need at least one shot")
-	}
-	cdf := make([]float64, len(probs)+1)
-	for i, p := range probs {
-		if p < 0 {
-			return nil, fmt.Errorf("xeb: negative probability at state %d", i)
-		}
-		cdf[i+1] = cdf[i] + p
-	}
-	total := cdf[len(cdf)-1]
-	if total <= 0 {
-		return nil, fmt.Errorf("xeb: zero total probability mass")
-	}
-	out := make([]int, shots)
-	for s := range out {
-		u := rng.Float64() * total
-		// Binary search for the first boundary > u, then step back over
-		// zero-width (zero-probability) buckets.
-		lo, hi := 0, len(probs)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cdf[mid+1] > u {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		out[s] = lo
-	}
-	return out, nil
-}
-
-// UniformSample draws shots bitstrings uniformly over n qubits — the fully
-// depolarized sampler whose XEB fidelity estimators must read ≈ 0.
-func UniformSample(n, shots int, rng *rand.Rand) []int {
-	out := make([]int, shots)
-	for s := range out {
-		out[s] = rng.Intn(1 << n)
-	}
-	return out
 }
 
 // DepolarizedProbs mixes the ideal distribution with uniform noise at

@@ -145,28 +145,6 @@ func TestFidelityTracksDepolarization(t *testing.T) {
 	}
 }
 
-func TestKLDivergence(t *testing.T) {
-	p := []float64{0.5, 0.5}
-	q := []float64{0.25, 0.75}
-	d, err := KLDivergence(p, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0.5*math.Log(2) + 0.5*math.Log(0.5/0.75)
-	if math.Abs(d-want) > 1e-12 {
-		t.Errorf("KL = %v, want %v", d, want)
-	}
-	if d2, _ := KLDivergence(p, p); d2 != 0 {
-		t.Errorf("KL(p,p) = %v", d2)
-	}
-	if _, err := KLDivergence(p, []float64{1}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if inf, _ := KLDivergence([]float64{1, 0}, []float64{0, 1}); !math.IsInf(inf, 1) {
-		t.Error("KL with zero support should be +Inf")
-	}
-}
-
 func TestErrorsOnBadSamples(t *testing.T) {
 	probs := []float64{0.5, 0.5}
 	if _, err := CrossEntropy(probs, nil); err == nil {
