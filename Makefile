@@ -46,9 +46,12 @@ test-avx2:
 # touches internal/par, internal/mpi, internal/dist or internal/telemetry.
 # internal/mpi's tests put the in-place exchange under DefaultFaults with
 # pieces smaller than a region, which is where its step protocol could race.
+# The repeated par run stresses the pool's handoff — a worker polling the
+# queue, parking, and being woken — which one pass rarely interleaves badly.
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run 'TestFor|TestReduce|TestTelemetry' ./internal/par
 
 # Differential + metamorphic verification across every backend pair,
 # plus MPI fault-injection scenarios (see DESIGN.md §6).

@@ -266,3 +266,46 @@ func TestBaselineStepsInPaperUnit(t *testing.T) {
 		t.Errorf("qsim -baseline reports %d steps, dist.RunBaseline %d; want 4 for both", got.CommSteps, want.CommSteps)
 	}
 }
+
+var (
+	usageFlag  = regexp.MustCompile(`(?m)^  -([a-z0-9.-]+)`)
+	readmeFlag = regexp.MustCompile("(?:^|[\\s`(])-([a-z][a-z0-9-]*)")
+)
+
+// TestREADMENamesEveryFlag holds README.md and the flag set together: every
+// flag `qsim -h` lists appears in the README as -name, and every -name on a
+// README line that runs qsim is a flag qsim has. (The child is this test
+// binary, so its -test.* flags are left out.)
+func TestREADMENamesEveryFlag(t *testing.T) {
+	_, usage, code := qsim(t, "", "-h")
+	if code != 0 {
+		t.Fatalf("qsim -h exited %d:\n%s", code, usage)
+	}
+	flags := map[string]bool{}
+	for _, m := range usageFlag.FindAllStringSubmatch(usage, -1) {
+		if !strings.HasPrefix(m[1], "test.") {
+			flags[m[1]] = true
+		}
+	}
+	if len(flags) < 20 {
+		t.Fatalf("parsed %d flags from qsim -h:\n%s", len(flags), usage)
+	}
+	raw, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := map[string]bool{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		for _, m := range readmeFlag.FindAllStringSubmatch(line, -1) {
+			named[m[1]] = true
+			if strings.Contains(line, "go run ./cmd/qsim") && !flags[m[1]] {
+				t.Errorf("README runs qsim with -%s, which qsim does not have: %s", m[1], line)
+			}
+		}
+	}
+	for f := range flags {
+		if !named[f] {
+			t.Errorf("README never names qsim's -%s", f)
+		}
+	}
+}

@@ -97,13 +97,22 @@ type task struct {
 
 // The persistent worker pool. Workers are spawned on demand up to the
 // largest parallelism any call has asked for and then live for the
-// process, blocked on the queue when idle. Parallelism per call is bounded
-// by its chunk count, not the pool size, so SetWorkers keeps its meaning.
+// process. Parallelism per call is bounded by its chunk count, not the
+// pool size, so SetWorkers keeps its meaning. An idle worker polls the
+// queue for spinWindow after its last task, then blocks (OpenMP's active
+// wait policy), so a call within the window starts on every core at once,
+// not behind a wake-up. At most GOMAXPROCS − 1 workers poll (the caller
+// holds the last P); spinPeak is their high-water mark.
 var (
 	taskq    = make(chan task, 1024)
 	poolMu   sync.Mutex
 	poolSize int
+	spinners atomic.Int64
+	spinPeak atomic.Int64
 )
+
+// spinWindow: the longest in DESIGN §7's sweep that cost no workload anything.
+const spinWindow = 50 * time.Microsecond
 
 func ensurePool(n int) {
 	if n <= poolPeek() {
@@ -127,7 +136,16 @@ func ensurePool(n int) {
 // the par.worker_idle_ns histogram).
 func worker(id int) {
 	var wt workerTel
-	for t := range taskq {
+	for {
+		t, ok := task{}, false
+		if n := spinners.Add(1); n < int64(runtime.GOMAXPROCS(0)) {
+			for p := spinPeak.Load(); p < n && !spinPeak.CompareAndSwap(p, n); p = spinPeak.Load() {
+			}
+			t, ok = poll(nil)
+		}
+		if spinners.Add(-1); !ok {
+			t = <-taskq
+		}
 		if !wt.refresh(id) {
 			runTask(t)
 			continue
@@ -148,6 +166,25 @@ func worker(id int) {
 			close(t.done)
 		}
 	}
+}
+
+// poll polls the queue for up to spinWindow, yielding the P every 32 polls,
+// and gives up early once done is closed (a nil done never is).
+func poll(done chan struct{}) (task, bool) {
+	deadline := time.Now().Add(spinWindow)
+	for i := 1; i%32 != 0 || time.Now().Before(deadline); i++ {
+		if i%32 == 0 {
+			runtime.Gosched()
+		}
+		select {
+		case t := <-taskq:
+			return t, true
+		case <-done:
+			return task{}, false
+		default:
+		}
+	}
+	return task{}, false
 }
 
 func poolPeek() int {
@@ -217,17 +254,20 @@ func dispatch(n, w int, f func(slot, lo, hi int)) {
 	}
 	f(0, 0, chunk)
 	for {
-		select {
-		case t := <-taskq:
-			// The caller steals queued work while waiting for its own
-			// chunks — count it so occupancy numbers add up.
-			if tt := tel.Load(); tt != nil {
-				tt.Counter("par.steals").Inc()
+		t, ok := poll(done) // so a finished pool chunk need not wake the caller
+		if !ok {
+			select {
+			case t = <-taskq:
+			case <-done:
+				return
 			}
-			runTask(t)
-		case <-done:
-			return
 		}
+		// The caller steals queued work while waiting for its own chunks —
+		// count it so occupancy numbers add up.
+		if tt := tel.Load(); tt != nil {
+			tt.Counter("par.steals").Inc()
+		}
+		runTask(t)
 	}
 }
 
