@@ -43,15 +43,20 @@ test-avx2:
 	$(GO) run -tags noavx512 ./cmd/qverify -quick
 
 # Tier-1 with the race detector — required before merging anything that
-# touches internal/par, internal/mpi, internal/dist or internal/telemetry.
+# touches internal/par, internal/mpi, internal/dist, internal/ckpt,
+# internal/oocvec or internal/telemetry.
 # internal/mpi's tests put the in-place exchange under DefaultFaults with
 # pieces smaller than a region, which is where its step protocol could race.
 # The repeated par run stresses the pool's handoff — a worker polling the
 # queue, parking, and being woken — which one pass rarely interleaves badly.
+# The repeated snapshot run does the same for the one snapshot writer
+# (ckpt.Snapshot), which every rank goroutine and the paged reader reach:
+# its tee, ENOSPC-drop and recovery tests.
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestFor|TestReduce|TestTelemetry' ./internal/par
+	$(GO) test -race -count=10 -run 'Snapshot|Tee|Checkpoint|Killed|ENOSPC|DiscardStage|Recovery|Resume' ./internal/ckpt ./internal/dist ./internal/oocvec
 
 # Differential + metamorphic verification across every backend pair,
 # plus MPI fault-injection scenarios (see DESIGN.md §6).

@@ -388,12 +388,12 @@ func BenchmarkCheckpoint(b *testing.B) {
 	state := statevec.NewUniform(n)
 	meta := ckpt.Meta{PlanHash: "bench", N: n, L: n, Ranks: 1}
 	// save commits the whole state as the one shard of a snapshot.
-	save := func(dir string) (*ckpt.Manifest, error) {
-		info, err := ckpt.WriteShard(dir, meta, 0, state.Amps)
-		if err != nil {
-			return nil, err
+	save := func(dir string) error {
+		snap := ckpt.NewSnapshot(dir, meta, 2)
+		if err := snap.Tee(0, state.Amps); err != nil {
+			return err
 		}
-		return ckpt.Commit(dir, meta, []ckpt.ShardInfo{info}, 2)
+		return snap.Commit()
 	}
 
 	b.Run("shard/write", func(b *testing.B) {
@@ -401,16 +401,19 @@ func BenchmarkCheckpoint(b *testing.B) {
 		b.SetBytes(int64(16 << n))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := save(dir); err != nil {
+			if err := save(dir); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("shard/restore", func(b *testing.B) {
 		dir := b.TempDir()
-		man, err := save(dir)
-		if err != nil {
+		if err := save(dir); err != nil {
 			b.Fatal(err)
+		}
+		man, err := ckpt.FindRestorable(dir, meta)
+		if err != nil || man == nil {
+			b.Fatal(man, err)
 		}
 		dst := make([]complex128, 1<<n)
 		b.SetBytes(int64(16 << n))

@@ -74,11 +74,11 @@ func main() {
 	given := map[string]bool{
 		"-f32": *f32, "-ooc": *ooc, "-baseline": *baseline,
 		"-sample": *shots > 0, "-profile": *profile, "-checkpoint-dir": *ckptDir != "", "-resume": *resume,
-		"-tune": *tune, "-tune-cache": *tuneCache != "", "-plan": *planFile != "",
+		"-tune": *tune, "-tune-cache": *tuneCache != "", "-plan": *planFile != "", "-spec1q": *spec1q,
 	}
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "kmax", "checkpoint-every", "ooc-chunk", "ooc-prefetch", "ooc-dir":
+		case "kmax", "checkpoint-every", "comm-deadline", "ooc-chunk", "ooc-prefetch", "ooc-dir":
 			given["-"+f.Name] = true
 		}
 	})
@@ -103,9 +103,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	l, err := localQubits(circ.N, *ranks, *ooc, *oocChunk)
-	if err != nil {
-		usage(err)
+	// The plan's local qubits: all of them for -f32's one vector; a saved
+	// plan brings its own.
+	l := circ.N
+	if !*f32 && *planFile == "" {
+		if l, err = localQubits(circ.N, *ranks, *ooc, *oocChunk); err != nil {
+			usage(err)
+		}
 	}
 	sched := schedFlags{kmax: *kmax, spec1q: *spec1q, planFile: *planFile, perGate: *baseline}
 	if *tune {
@@ -133,21 +137,22 @@ func main() {
 		}
 		sched.costs = schedule.CostsFromTune(res)
 		fmt.Printf("  relative pass cost k=1..5 %.2f, diagonal %.2f\n", sched.costs.Dense, sched.costs.Diag)
-		if *planFile != "" {
-			fmt.Println("  not used: -plan executes a saved plan, nothing is scheduled")
-		}
+	}
+
+	plan := sched.plan(circ, l)
+	if *verbose {
+		fmt.Print(plan.Summary())
 	}
 
 	if *f32 {
-		runF32(circ, initial, sched, tel, *verbose, *shots, *seed)
+		runF32(plan, initial, tel, *verbose, *shots, *seed)
 		flushTelemetry(tel, *traceFile, *metrics)
 		return
 	}
 
 	if *ooc {
-		if err := runOutOfCore(circ, tel, oocOptions{
-			initial: initial, chunk: l, prefetch: *oocPrefetch, dir: *oocDir,
-			sched: sched, verbose: *verbose,
+		if err := runOutOfCore(plan, tel, oocOptions{
+			initial: initial, prefetch: *oocPrefetch, dir: *oocDir, verbose: *verbose,
 			ckptDir: *ckptDir, ckptEvery: *ckptEvery, resume: *resume,
 		}); err != nil {
 			fatal(err)
@@ -156,10 +161,6 @@ func main() {
 		return
 	}
 
-	plan := sched.plan(circ, l)
-	if *verbose {
-		fmt.Print(plan.Summary())
-	}
 	opts := dist.Options{
 		Ranks: *ranks, Init: initial,
 		SampleShots: *shots, SampleSeed: *seed, Profile: *profile,
@@ -173,7 +174,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	report(circ, res, plan)
+	report(res, plan)
 	if *ckptDir != "" {
 		fmt.Printf("ckpt:    %d snapshots committed, %d restored, %d restarts\n",
 			res.CheckpointsWritten, res.CheckpointsRestored, res.Restarts)
@@ -197,7 +198,7 @@ func main() {
 	if *verbose {
 		reportPages(tel, 16<<plan.L)
 	}
-	printSamples(circ.N, res.Samples)
+	printSamples(plan.N, res.Samples)
 	flushTelemetry(tel, *traceFile, *metrics)
 }
 
@@ -303,9 +304,10 @@ func checkFlags(ranks int, given map[string]bool) error {
 	}
 	given["-ranks > 1"] = ranks > 1
 	for _, mode := range [][]string{
-		{"-f32", "-ranks > 1", "-baseline", "-ooc", "-profile", "-checkpoint-dir", "-resume"},
-		{"-ooc", "-ranks > 1", "-baseline", "-sample", "-profile"},
+		{"-f32", "-ranks > 1", "-baseline", "-ooc", "-profile", "-checkpoint-dir", "-resume", "-comm-deadline"},
+		{"-ooc", "-ranks > 1", "-baseline", "-sample", "-profile", "-comm-deadline"},
 		{"-baseline", "-plan", "-tune", "-kmax"},
+		{"-plan", "-kmax", "-spec1q", "-tune", "-ooc-chunk"},
 	} {
 		for _, other := range mode[1:] {
 			if given[mode[0]] && given[other] {
@@ -376,27 +378,22 @@ func (s schedFlags) plan(circ *circuit.Circuit, l int) *schedule.Plan {
 }
 
 type oocOptions struct {
-	initial         dist.InitState
-	chunk, prefetch int
-	dir             string
-	sched           schedFlags
-	verbose         bool
-	ckptDir         string
-	ckptEvery       int
-	resume          bool
+	initial   dist.InitState
+	prefetch  int
+	dir       string
+	verbose   bool
+	ckptDir   string
+	ckptEvery int
+	resume    bool
 }
 
-// runOutOfCore executes the circuit on the file-backed engine: the plan is
-// scheduled at l = chunk local qubits (chunk-index bits play the role of
-// the global qubits) and runs stage by stage through the circuit-aware
-// pipeline, reading -ooc-prefetch chunks ahead of compute. An error comes
-// back to main instead of exiting here, so the deferred Close has removed the
-// 16·2^n-byte state file by the time the process ends.
-func runOutOfCore(circ *circuit.Circuit, tel *telemetry.Telemetry, o oocOptions) error {
-	plan := o.sched.plan(circ, o.chunk)
-	if o.verbose {
-		fmt.Print(plan.Summary())
-	}
+// runOutOfCore executes the plan on the file-backed engine in chunks of
+// 2^plan.L amplitudes (chunk-index bits play the role of the global qubits),
+// stage by stage through the circuit-aware pipeline, reading -ooc-prefetch
+// chunks ahead of compute. An error comes back to main instead of exiting
+// here, so the deferred Close has removed the 16·2^n-byte state file by the
+// time the process ends.
+func runOutOfCore(plan *schedule.Plan, tel *telemetry.Telemetry, o oocOptions) error {
 	newVector := oocvec.New
 	if o.initial == dist.InitUniform {
 		newVector = oocvec.NewUniform
@@ -426,7 +423,7 @@ func runOutOfCore(circ *circuit.Circuit, tel *telemetry.Telemetry, o oocOptions)
 		return err
 	}
 
-	fmt.Printf("circuit: %d qubits, %d gates\n", circ.N, len(circ.Gates))
+	fmt.Printf("circuit: %d qubits, %d gates\n", plan.N, plan.Stats.Gates)
 	fmt.Printf("ooc:     2^%d chunks of 2^%d amplitudes (%.1f MB each), prefetch %d\n",
 		plan.N-plan.L, plan.L, float64(uint64(16)<<plan.L)/1e6, v.Prefetch())
 	fmt.Printf("plan:    %d stages, %d swaps, %d clusters (%.1f gates/cluster), %d diag ops\n",
@@ -457,27 +454,23 @@ func runOutOfCore(circ *circuit.Circuit, tel *telemetry.Telemetry, o oocOptions)
 	return nil
 }
 
-// runF32 executes the circuit on the single-precision in-memory state — the
+// runF32 executes the plan on the single-precision in-memory state — the
 // paper's Sec. 5 outlook (half the bytes per amplitude, one more qubit in
-// the same memory) — through the fused single-node schedule, then draws
-// shots samples with the stream dist.Run draws them with on one rank.
-func runF32(circ *circuit.Circuit, initial dist.InitState, sched schedFlags, tel *telemetry.Telemetry, verbose bool, shots int, seed int64) {
-	plan := sched.plan(circ, circ.N)
-	if verbose {
-		fmt.Print(plan.Summary())
-	}
-	v := f32vec.New(circ.N)
+// the same memory) — then draws shots samples with the stream dist.Run draws
+// them with on one rank.
+func runF32(plan *schedule.Plan, initial dist.InitState, tel *telemetry.Telemetry, verbose bool, shots int, seed int64) {
+	v := f32vec.New(plan.N)
 	if initial == dist.InitUniform {
-		v = f32vec.NewUniform(circ.N)
+		v = f32vec.NewUniform(plan.N)
 	}
 	start := time.Now()
 	if err := v.RunPlan(plan); err != nil {
 		fatal(err)
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("circuit: %d qubits, %d gates\n", circ.N, len(circ.Gates))
+	fmt.Printf("circuit: %d qubits, %d gates\n", plan.N, plan.Stats.Gates)
 	fmt.Printf("f32:     2^%d complex64 amplitudes, %.1f MB (%.1f MB in double precision)\n",
-		circ.N, float64(uint64(f32vec.BytesPerAmplitude)<<circ.N)/1e6, float64(uint64(16)<<circ.N)/1e6)
+		plan.N, float64(uint64(f32vec.BytesPerAmplitude)<<plan.N)/1e6, float64(uint64(16)<<plan.N)/1e6)
 	fmt.Printf("plan:    %d stages, %d swaps, %d clusters (%.1f gates/cluster), %d diag ops\n",
 		plan.Stats.Stages, plan.Stats.Swaps, plan.Stats.Clusters,
 		plan.Stats.GatesPerCluster, plan.Stats.DiagonalOps)
@@ -493,7 +486,7 @@ func runF32(circ *circuit.Circuit, initial dist.InitState, sched schedFlags, tel
 		for i, b := range samples {
 			samples[i] = plan.LogicalIndex(b)
 		}
-		printSamples(circ.N, samples)
+		printSamples(plan.N, samples)
 	}
 }
 
@@ -529,8 +522,8 @@ func buildCircuit(kind string, qubits, depth int, seed int64, file string) (*cir
 	return nil, 0, fmt.Errorf("unknown circuit family %q (want supremacy, qft, ghz, bv or random)", kind)
 }
 
-func report(c *circuit.Circuit, res *dist.Result, plan *schedule.Plan) {
-	fmt.Printf("circuit: %d qubits, %d gates\n", c.N, len(c.Gates))
+func report(res *dist.Result, plan *schedule.Plan) {
+	fmt.Printf("circuit: %d qubits, %d gates\n", plan.N, plan.Stats.Gates)
 	fmt.Printf("ranks:   %d (2^%d amplitudes each)\n", res.Ranks, res.LocalQubits)
 	fmt.Printf("plan:    %d stages, %d swaps, %d clusters (%.1f gates/cluster), %d diag ops\n",
 		plan.Stats.Stages, plan.Stats.Swaps, plan.Stats.Clusters,

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"os/exec"
@@ -13,6 +14,7 @@ import (
 
 	"qusim/internal/circuit"
 	"qusim/internal/dist"
+	"qusim/internal/schedule"
 	"qusim/internal/telemetry"
 )
 
@@ -125,6 +127,12 @@ func TestRejectsFlags(t *testing.T) {
 		{[]string{"-ooc", "-ooc-chunk", "8"}, "-ooc-chunk must be from 1 to 7 for 8 qubits, got 8"},
 		{[]string{"-workers", "-1"}, "-workers must not be negative, got -1"},
 		{[]string{"-ranks", "512"}, "-ranks 512 leaves no local qubit of the circuit's 8"},
+		{[]string{"-f32", "-comm-deadline", "1ms"}, "-f32 cannot be combined with -comm-deadline"},
+		{[]string{"-ooc", "-comm-deadline", "1ms"}, "-ooc cannot be combined with -comm-deadline"},
+		{[]string{"-plan", dir + "/p.plan", "-kmax", "3"}, "-plan cannot be combined with -kmax"},
+		{[]string{"-plan", dir + "/p.plan", "-spec1q"}, "-plan cannot be combined with -spec1q"},
+		{[]string{"-plan", dir + "/p.plan", "-tune"}, "-plan cannot be combined with -tune"},
+		{[]string{"-plan", dir + "/p.plan", "-ooc", "-ooc-chunk", "5"}, "-plan cannot be combined with -ooc-chunk"},
 	} {
 		args := append([]string{"-qubits", "8", "-depth", "4"}, tc.args...)
 		stdout, stderr, code := qsim(t, "", args...)
@@ -184,7 +192,9 @@ func TestCheckFlags(t *testing.T) {
 		{1, "-f32 -sample", ""},
 		{4, "-baseline", ""},
 		{4, "-baseline -sample -profile -checkpoint-dir -resume", ""},
-		{4, "-kmax -plan -tune", ""},
+		{4, "-plan -sample -profile -checkpoint-dir -resume -comm-deadline", ""},
+		{1, "-plan -ooc -ooc-prefetch -checkpoint-dir", ""},
+		{1, "-plan -f32 -sample", ""},
 
 		{0, "", "ranks must be a power of two, got 0"},
 		{6, "", "ranks must be a power of two, got 6"},
@@ -201,6 +211,12 @@ func TestCheckFlags(t *testing.T) {
 		{4, "-baseline -plan", "-baseline cannot be combined with -plan"},
 		{4, "-baseline -tune", "-baseline cannot be combined with -tune"},
 		{4, "-baseline -kmax", "-baseline cannot be combined with -kmax"},
+		{1, "-f32 -comm-deadline", "-f32 cannot be combined with -comm-deadline"},
+		{1, "-ooc -comm-deadline", "-ooc cannot be combined with -comm-deadline"},
+		{4, "-kmax -plan -tune", "-plan cannot be combined with -kmax"},
+		{4, "-plan -spec1q", "-plan cannot be combined with -spec1q"},
+		{1, "-f32 -plan -tune", "-plan cannot be combined with -tune"},
+		{1, "-ooc -plan -ooc-chunk", "-plan cannot be combined with -ooc-chunk"},
 		{4, "-resume", "-resume needs -checkpoint-dir"},
 		{1, "-ooc -resume", "-resume needs -checkpoint-dir"},
 		{1, "-tune-cache", "-tune-cache needs -tune"},
@@ -230,8 +246,8 @@ func TestCheckFlags(t *testing.T) {
 // deferred Close.
 func TestFailedOutOfCoreRunRemovesStateFile(t *testing.T) {
 	dir := t.TempDir()
-	err := runOutOfCore(circuit.QFT(8), telemetry.Disabled, oocOptions{
-		chunk: 6, dir: dir, sched: schedFlags{kmax: 5}, ckptDir: os.DevNull, ckptEvery: 1, resume: true,
+	err := runOutOfCore(schedFlags{kmax: 5}.plan(circuit.QFT(8), 6), telemetry.Disabled, oocOptions{
+		dir: dir, ckptDir: os.DevNull, ckptEvery: 1, resume: true,
 	})
 	if err == nil {
 		t.Fatal("a checkpoint directory that is no directory did not fail the run")
@@ -242,6 +258,93 @@ func TestFailedOutOfCoreRunRemovesStateFile(t *testing.T) {
 	}
 	for _, e := range entries {
 		t.Errorf("failed run left %s behind", e.Name())
+	}
+}
+
+// TestPlanSetsTheSize: a run of a saved plan takes its size from the plan,
+// not from -qubits: the circuit line, the single-precision state, the paged
+// chunks and the width of the samples. The f32 run used to fail on a plan
+// for another qubit count than -qubits, and the others to print the
+// default circuit's size and sample it.
+func TestPlanSetsTheSize(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/p.plan"
+	save := exec.Command(goTool, "run", "../qsched", "-qubits", "14", "-depth", "5", "-local", "11", "-save", path)
+	if out, err := save.CombinedOutput(); err != nil {
+		t.Fatalf("qsched: %v\n%s", err, out)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := schedule.ReadPlan(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuitLine := fmt.Sprintf("circuit: 14 qubits, %d gates\n", plan.Stats.Gates)
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-ranks", "8", "-sample", "3"}, []string{"ranks:   8 (2^11 amplitudes each)"}},
+		{[]string{"-f32", "-sample", "3"}, []string{"f32:     2^14 complex64 amplitudes"}},
+		{[]string{"-ooc"}, []string{"ooc:     2^3 chunks of 2^11 amplitudes"}},
+	} {
+		args := append([]string{"-plan", path}, tc.args...)
+		stdout, stderr, code := qsim(t, "", args...)
+		if code != 0 {
+			t.Errorf("qsim %v: exit %d\n%s", args, code, stderr)
+			continue
+		}
+		for _, want := range append(tc.want, circuitLine) {
+			if !strings.Contains(stdout, want) {
+				t.Errorf("qsim %v printed no %q:\n%s", args, want, stdout)
+			}
+		}
+		for _, m := range sampleLine.FindAllStringSubmatch(stdout, -1) {
+			if len(m[1]) != 14 {
+				t.Errorf("qsim %v: sample %s is not 14 digits wide", args, m[1])
+			}
+		}
+	}
+}
+
+var sampleLine = regexp.MustCompile(`\|([01]+)⟩`)
+
+// TestCheckpointResumeRoundTrip: a run that snapshots its boundaries, then
+// the same command with -resume, at one paged and one 4-rank geometry. The
+// resumed run says it restored a snapshot and prints the result line of the
+// run it continues.
+func TestCheckpointResumeRoundTrip(t *testing.T) {
+	resultLine := regexp.MustCompile(`(?m)^result:.*$`)
+	for _, tc := range []struct {
+		mode    []string
+		resumed *regexp.Regexp
+	}{
+		{[]string{"-ooc"}, regexp.MustCompile(`resumed at stage [1-9]`)},
+		{[]string{"-ranks", "4"}, regexp.MustCompile(`[1-9]\d* restored`)},
+	} {
+		args := append([]string{"-qubits", "16", "-depth", "10", "-checkpoint-dir", t.TempDir()}, tc.mode...)
+		first, stderr, code := qsim(t, "", args...)
+		if code != 0 {
+			t.Fatalf("qsim %v: exit %d\n%s", args, code, stderr)
+		}
+		args = append(args, "-resume")
+		second, stderr, code := qsim(t, "", args...)
+		if code != 0 {
+			t.Fatalf("qsim %v: exit %d\n%s", args, code, stderr)
+		}
+		if !tc.resumed.MatchString(second) {
+			t.Errorf("qsim %v did not resume from a snapshot:\n%s", args, second)
+		}
+		want, got := resultLine.FindString(first), resultLine.FindString(second)
+		if want == "" || got != want {
+			t.Errorf("qsim %v: resumed %q, uninterrupted %q", args, got, want)
+		}
 	}
 }
 

@@ -24,6 +24,19 @@ func testAmps(rank, n int) []complex128 {
 	return amps
 }
 
+// writeShard writes a full in-memory amplitude slice as one shard.
+func writeShard(dir string, meta Meta, rank int, amps []complex128) (ShardInfo, error) {
+	sw, err := newShardWriter(dir, meta, rank, len(amps))
+	if err != nil {
+		return ShardInfo{}, err
+	}
+	if err := sw.Write(amps); err != nil {
+		sw.Abort()
+		return ShardInfo{}, err
+	}
+	return sw.Close()
+}
+
 // writeCheckpoint commits a full 4-rank checkpoint at the given stage and
 // returns the manifest.
 func writeCheckpoint(t *testing.T, dir string, stage int) *Manifest {
@@ -31,13 +44,13 @@ func writeCheckpoint(t *testing.T, dir string, stage int) *Manifest {
 	meta := testMeta(stage)
 	shards := make([]ShardInfo, meta.Ranks)
 	for r := 0; r < meta.Ranks; r++ {
-		info, err := WriteShard(dir, meta, r, testAmps(r, 1<<meta.L))
+		info, err := writeShard(dir, meta, r, testAmps(r, 1<<meta.L))
 		if err != nil {
 			t.Fatalf("WriteShard rank %d: %v", r, err)
 		}
 		shards[r] = info
 	}
-	m, err := Commit(dir, meta, shards, 2)
+	m, err := commit(dir, meta, shards, 2)
 	if err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
@@ -67,7 +80,7 @@ func TestCommitIsTheCommitPoint(t *testing.T) {
 	dir := t.TempDir()
 	meta := testMeta(1)
 	for r := 0; r < meta.Ranks; r++ {
-		if _, err := WriteShard(dir, meta, r, testAmps(r, 1<<meta.L)); err != nil {
+		if _, err := writeShard(dir, meta, r, testAmps(r, 1<<meta.L)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,7 +152,7 @@ func TestCommitPrunesOldCheckpoints(t *testing.T) {
 func TestShardWriterLengthEnforced(t *testing.T) {
 	dir := t.TempDir()
 	meta := testMeta(0)
-	sw, err := NewShardWriter(dir, meta, 0, 16)
+	sw, err := newShardWriter(dir, meta, 0, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +166,7 @@ func TestShardWriterLengthEnforced(t *testing.T) {
 	if len(files) != 0 {
 		t.Fatalf("failed shard left files behind: %v", files)
 	}
-	sw, err = NewShardWriter(dir, meta, 0, 4)
+	sw, err = newShardWriter(dir, meta, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestViewAndPortableShardsIdentical(t *testing.T) {
 			amps := testAmps(n, n)
 			meta := Meta{PlanHash: "endian", N: 20, L: 20, Ranks: 1, NextStage: 1}
 			write := func(dir string) (ShardInfo, []byte) {
-				sw, err := NewShardWriter(dir, meta, 0, n)
+				sw, err := newShardWriter(dir, meta, 0, n)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -121,7 +121,7 @@ func TestShardWriteRepeatableAfterFailure(t *testing.T) {
 	amps := testAmps(3, n)
 	meta := Meta{PlanHash: "retry", N: 20, L: 20, Ranks: 1, NextStage: 2}
 	write := func(dir string, wantFailure bool) []byte {
-		sw, err := NewShardWriter(dir, meta, 0, n)
+		sw, err := newShardWriter(dir, meta, 0, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestShardFormatGolden(t *testing.T) {
 	dir := t.TempDir()
 	meta := Meta{PlanHash: "golden", N: 2, L: 2, Ranks: 1, NextStage: 3}
 	amps := []complex128{1 + 2i, -0.5, 3.25i, complex(1e-300, -7)}
-	info, err := WriteShard(dir, meta, 0, amps)
+	info, err := writeShard(dir, meta, 0, amps)
 	if err != nil {
 		t.Fatal(err)
 	}

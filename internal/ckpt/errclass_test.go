@@ -50,9 +50,9 @@ func TestOpenShardKeepsTransientClassification(t *testing.T) {
 	t.Cleanup(func() { SetFS(old) })
 
 	m := &Manifest{Shards: []ShardInfo{{Rank: 0, File: "shard-0"}}}
-	_, err := OpenShard(t.TempDir(), m, 0)
+	err := VerifyShard(t.TempDir(), m, 0)
 	if err == nil {
-		t.Fatal("OpenShard succeeded against a failing FS")
+		t.Fatal("opening the shard succeeded against a failing FS")
 	}
 	if !errors.Is(err, ErrInvalid) {
 		t.Errorf("error lost its ErrInvalid wrap: %v", err)

@@ -5,7 +5,6 @@ import (
 	"log"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"qusim/internal/fsio"
 )
@@ -16,31 +15,17 @@ import (
 // fsio.OS; qlint's fsops analyzer flags any direct os call that would
 // bypass the seam.
 
-// fsPtr holds the installed FS (nil: the real OS). Process-global like
-// the telemetry hook, for the same reason: checkpoint I/O happens from
-// rank goroutines and free functions.
-var fsPtr atomic.Pointer[fsio.FS]
+// fsHook holds the installed FS. Process-global like the telemetry hook,
+// for the same reason: checkpoint I/O happens from rank goroutines and free
+// functions.
+var fsHook fsio.Hook
 
-// fsys returns the active file-ops implementation.
-func fsys() fsio.FS {
-	if p := fsPtr.Load(); p != nil {
-		return *p
-	}
-	return fsio.OS{}
-}
+func fsys() fsio.FS { return fsHook.FS() }
 
 // SetFS installs the file-ops implementation the package runs on (nil
 // restores the real OS) and returns the previous one, so tests can
 // `old := ckpt.SetFS(...); t.Cleanup(func() { ckpt.SetFS(old) })`.
-func SetFS(f fsio.FS) fsio.FS {
-	old := fsys()
-	if f == nil {
-		fsPtr.Store(nil)
-	} else {
-		fsPtr.Store(&f)
-	}
-	return old
-}
+func SetFS(f fsio.FS) fsio.FS { return fsHook.Set(f) }
 
 // pruneLogOnce rate-limits the prune-failure log line: the counter keeps
 // the full count, the log keeps the first concrete path+error for a human.
@@ -55,7 +40,7 @@ func removeCounted(path string) bool {
 	if err == nil {
 		return true
 	}
-	telPruneFailed()
+	tel.Load().Counter("ckpt.prune_failures").Inc()
 	pruneLogOnce.Do(func() {
 		log.Printf("ckpt: pruning %s failed: %v (further failures count in ckpt.prune_failures only)", path, err)
 	})
@@ -84,23 +69,17 @@ func retryNoSpace(dir string, step func() error) error {
 // mid-protocol write, and ranks pruning at once only race on removals,
 // which are tolerated and counted.
 func pruneOldest(dir string) bool {
-	paths, _ := filepath.Glob(filepath.Join(dir, "manifest-*.json"))
-	n := 0
-	for _, p := range paths {
-		if _, err := LoadManifest(p); err == nil {
-			n++
-		}
-	}
-	return n > 1 && prune(dir, n-1) > 0
+	valid, _ := manifests(dir)
+	return len(valid) > 1 && prune(dir, len(valid)-1) > 0
 }
 
-// DiscardStage removes the shard files of an UNCOMMITTED checkpoint at
+// discardStage removes the shard files of an UNCOMMITTED checkpoint at
 // the given stage cursor — the garbage a skipped ENOSPC commit leaves
 // behind. If a manifest for the stage exists (an earlier process
 // committed it and this run re-executed the stage), the shards are live
 // checkpoint data and nothing is removed. Best-effort space reclamation;
 // failures count like prune failures.
-func DiscardStage(dir string, stage int) {
+func discardStage(dir string, stage int) {
 	if _, err := fsys().ReadFile(filepath.Join(dir, manifestName(stage))); err == nil {
 		return
 	}

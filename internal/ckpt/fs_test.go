@@ -84,12 +84,12 @@ func TestDiscardStageSparesCommittedShards(t *testing.T) {
 	m := writeCheckpoint(t, dir, 3)
 
 	// The stage is committed: its shards are live checkpoint data, so
-	// DiscardStage must be a no-op even though the glob matches them.
-	DiscardStage(dir, 3)
+	// discardStage must be a no-op even though the glob matches them.
+	discardStage(dir, 3)
 	got := make([]complex128, 1<<m.L)
 	for r := 0; r < m.Ranks; r++ {
 		if err := ReadShard(dir, m, r, got); err != nil {
-			t.Fatalf("DiscardStage destroyed committed shard for rank %d: %v", r, err)
+			t.Fatalf("discardStage destroyed committed shard for rank %d: %v", r, err)
 		}
 	}
 
@@ -97,17 +97,17 @@ func TestDiscardStageSparesCommittedShards(t *testing.T) {
 	// ENOSPC commit leaves behind) is garbage and must be reclaimed.
 	meta := testMeta(4)
 	for r := 0; r < meta.Ranks; r++ {
-		if _, err := WriteShard(dir, meta, r, testAmps(r, 1<<meta.L)); err != nil {
+		if _, err := writeShard(dir, meta, r, testAmps(r, 1<<meta.L)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	DiscardStage(dir, 4)
+	discardStage(dir, 4)
 	strays, err := filepath.Glob(filepath.Join(dir, "shard-000004-r*.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(strays) != 0 {
-		t.Errorf("uncommitted stage-4 shards survived DiscardStage: %v", strays)
+		t.Errorf("uncommitted stage-4 shards survived discardStage: %v", strays)
 	}
 }
 
@@ -174,7 +174,7 @@ func TestCommitENOSPCSurfacesAsNoSpace(t *testing.T) {
 	t.Cleanup(func() { SetFS(old) })
 
 	meta := testMeta(1)
-	_, err := WriteShard(dir, meta, 0, testAmps(0, 1<<meta.L))
+	_, err := writeShard(dir, meta, 0, testAmps(0, 1<<meta.L))
 	if err == nil {
 		t.Fatal("shard write succeeded on a full disk")
 	}

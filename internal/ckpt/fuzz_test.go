@@ -20,11 +20,11 @@ func seedShard(tb testing.TB) (dir string, m *Manifest, blob []byte) {
 	for i := range amps {
 		amps[i] = complex(float64(i), -float64(i))
 	}
-	info, err := WriteShard(dir, meta, 0, amps)
+	info, err := writeShard(dir, meta, 0, amps)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	m, err = Commit(dir, meta, []ShardInfo{info}, 2)
+	m, err = commit(dir, meta, []ShardInfo{info}, 2)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -25,47 +25,15 @@ func SetTelemetry(t *telemetry.Telemetry) {
 	tel.Store(t)
 }
 
-// telWriteDone records one completed shard write of n payload amplitudes
-// that took the duration since t0.
-func telWriteDone(t0 time.Time, n int) {
+// telShard records one completed shard write or read (op "write" or
+// "read": a restore or a verification walk) of n payload amplitudes that
+// took the time since t0.
+func telShard(op string, t0 time.Time, n int) {
 	t := tel.Load()
 	if t == nil {
 		return
 	}
-	t.Counter("ckpt.shard_writes").Inc()
-	t.Counter("ckpt.shard_write_bytes").Add(int64(n) * ampBytes)
-	t.Histogram("ckpt.shard_write_ns").ObserveSince(t0)
-}
-
-// telReadDone records one completed shard read (restore or verify).
-func telReadDone(t0 time.Time, n int) {
-	t := tel.Load()
-	if t == nil {
-		return
-	}
-	t.Counter("ckpt.shard_reads").Inc()
-	t.Counter("ckpt.shard_read_bytes").Add(int64(n) * ampBytes)
-	t.Histogram("ckpt.shard_read_ns").ObserveSince(t0)
-}
-
-// telCommitDone records one committed manifest.
-func telCommitDone(t0 time.Time) {
-	t := tel.Load()
-	if t == nil {
-		return
-	}
-	t.Counter("ckpt.commits").Inc()
-	t.Histogram("ckpt.commit_ns").ObserveSince(t0)
-}
-
-// telPruneFailed counts one failed snapshot-file removal (prune,
-// pruneOldest or DiscardStage). The run is unaffected — retention just
-// exceeds the policy — but a growing counter means the directory is
-// filling up with undeletable snapshots.
-func telPruneFailed() {
-	t := tel.Load()
-	if t == nil {
-		return
-	}
-	t.Counter("ckpt.prune_failures").Inc()
+	t.Counter("ckpt.shard_" + op + "s").Inc()
+	t.Counter("ckpt.shard_" + op + "_bytes").Add(int64(n) * ampBytes)
+	t.Histogram("ckpt.shard_" + op + "_ns").ObserveSince(t0)
 }

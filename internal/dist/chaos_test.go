@@ -251,8 +251,8 @@ func TestENOSPCAtEveryFailpointNeverAborts(t *testing.T) {
 			if res.CheckpointsSkipped == 0 {
 				t.Errorf("failpoint %d: ENOSPC injected but no checkpoint reported skipped", k)
 			}
-			if tel.Counter("dist.ckpt_skipped").Value() == 0 {
-				t.Errorf("failpoint %d: dist.ckpt_skipped telemetry never fired", k)
+			if tel.Counter("ckpt.skipped").Value() == 0 {
+				t.Errorf("failpoint %d: ckpt.skipped telemetry never fired", k)
 			}
 			skippedSomewhere = true
 		}

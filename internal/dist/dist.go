@@ -28,12 +28,9 @@ import (
 	"math/bits"
 	"math/rand"
 	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"qusim/internal/ckpt"
-	"qusim/internal/fsio"
 	"qusim/internal/kernels"
 	"qusim/internal/mpi"
 	"qusim/internal/schedule"
@@ -229,38 +226,6 @@ func classifyRestart(err error, res *Result, tel *telemetry.Telemetry) {
 	}
 }
 
-// attemptOut collects one attempt's results. It is attempt-local on
-// purpose: an attempt abandoned on deadline may have ranks hung in compute
-// that wake later, and they must not share memory with the next attempt.
-type attemptOut struct {
-	mu          sync.Mutex
-	norm        float64
-	entropy     float64
-	elapsed     time.Duration
-	commElapsed time.Duration
-	amplitudes  []complex128
-	locals      [][]complex128 // each rank's shard at the end, for the mem.* gauges
-	samples     []int          // each rank writes the shots it owns
-	profile     []ProfileEntry
-	passes      int // a rank's passes over its shard and, of those,
-	runs        int // the blocked runs: the same on every rank (Options.Profile)
-
-	shards  []ckpt.ShardInfo // checkpoint protocol scratch, indexed by rank
-	written atomic.Int64     // snapshots committed this attempt
-	skipped atomic.Int64     // snapshots dropped on persistent ENOSPC
-
-	// skipStage holds the stage cursor of a checkpoint some rank could not
-	// persist (ENOSPC after pruning): rank 0 sees it after the pre-commit
-	// barrier and skips the commit. It stores the stage number rather than
-	// a flag so a value left behind by one checkpoint can never taint the
-	// next (stage cursors are distinct and ≥ 1).
-	skipStage atomic.Int64
-
-	// commitErr publishes rank 0's Commit outcome to the other ranks; the
-	// barriers on either side of the commit order the accesses.
-	commitErr error
-}
-
 // Run executes a plan produced by schedule.Build. plan.L must equal
 // n − log2(Ranks).
 func Run(plan *schedule.Plan, opts Options) (*Result, error) {
@@ -361,22 +326,22 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 	if opts.CommDeadline > 0 {
 		w.SetDeadline(opts.CommDeadline)
 	}
-	out := &attemptOut{locals: make([][]complex128, ranks)}
-	if ck != nil {
-		out.shards = make([]ckpt.ShardInfo, ranks)
-	}
+	// The attempt's results are its own: an attempt abandoned on deadline may
+	// have ranks hung in compute that wake later, and they must not share
+	// memory with the next attempt.
+	rs := make([]*rank, ranks)
+	var amplitudes []complex128
 	if opts.GatherState {
-		out.amplitudes = kernels.NewAmps[complex128](1 << plan.N)
+		amplitudes = kernels.NewAmps[complex128](1 << plan.N)
 	}
-	if opts.SampleShots > 0 {
-		out.samples = make([]int, opts.SampleShots)
-	}
+	samples := make([]int, opts.SampleShots)
 	// Compiled once for all ranks: a stage's diagonal tables exist once, not
 	// once per rank.
 	stages, err := (&schedule.Shard[complex128]{L: l}).Stages(plan, startStage)
 	if err != nil {
 		return fmt.Errorf("dist: %w", err)
 	}
+	ckw := ckpt.NewWriter(ck, meta, opts.Telemetry)
 	err = w.Run(func(c *mpi.Comm) error {
 		// Engine timeline: pid = rank, tid 0 (the comm layer records on
 		// tid 1 of the same pid). Restart attempts merge onto one timeline.
@@ -410,66 +375,13 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 		// place. A failed attempt — a corrupted piece, a dead rank — leaves
 		// shards half permuted or half exchanged; nothing reads them again,
 		// the next attempt restores into fresh ones.
-		sh := schedule.Shard[complex128]{Amps: local, L: l, Index: c.Rank()}
-		start := time.Now()
-		var commTime time.Duration
-		var profDur [4]time.Duration
-		var profOps [4]int
-		var passes, runs int
-		// One clock pair per pass over the shard feeds everything downstream
-		// — the comm accounting, the profile breakdown and the trace span —
-		// so the three views of "where did the time go" cannot disagree. An
-		// op is a pass of its own or, inside a blocked run, one of several
-		// sharing a pass and a "run" span; the profile counts it either way.
-		observe := func(ops []schedule.Op, t0 time.Time, took []time.Duration) {
-			var d time.Duration
-			for i := range ops {
-				d += took[i]
-				profDur[ops[i].Kind] += took[i]
-				profOps[ops[i].Kind]++
-			}
-			passes++
-			if len(ops) > 1 {
-				runs++
-			}
-			switch {
-			case sc == nil:
-			case len(ops) == 1:
-				sc.Complete("stage", ops[0].Kind.String(), t0, d, schedule.OpTraceArgs(&ops[0])...)
-			default:
-				sc.Complete("stage", "run", t0, d, telemetry.A("stage", ops[0].Stage), telemetry.A("ops", len(ops)))
-			}
-		}
+		r := &rank{c: c, sh: schedule.Shard[complex128]{Amps: local, L: l, Index: c.Rank()}, sc: sc, plan: plan}
 		if opts.Profile || sc != nil {
-			sh.Observe = observe
+			r.sh.Observe = r.observe
 		}
-
-		for _, st := range stages {
-			sh.Exec(st.Prog)
-			if st.Exchanges() {
-				// The global-to-local swap: local locations [l−q, l) against
-				// the rank bits GlobalBits, one group exchange per 2^(g−q)
-				// rank group (Sec. 3.4, Fig. 3), in place.
-				t0 := time.Now()
-				c.GroupExchange(st.GlobalBits, local)
-				d := time.Since(t0)
-				commTime += d
-				if sh.Observe != nil {
-					observe(plan.Ops[st.Swap:st.End], t0, []time.Duration{d})
-				}
-			}
-			// Stage boundary: snapshot the state the remaining stages start
-			// from.
-			if next := st.Stage + 1; ck.Due(next, startStage, plan.Stages()) {
-				ct0 := sc.Now()
-				if err := writeCheckpoint(c, out, meta, ck, local, next, opts.Telemetry); err != nil {
-					return err
-				}
-				if sc != nil {
-					sc.Complete("ckpt", "checkpoint", ct0, time.Since(ct0),
-						telemetry.A("next_stage", next), telemetry.A("amps", localLen))
-				}
-			}
+		start := time.Now()
+		if err := schedule.Walk(plan, stages, startStage, ckw, r); err != nil {
+			return err
 		}
 
 		// Final reductions (norm + entropy), as in the Edison entropy run.
@@ -479,128 +391,163 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 		t0 := time.Now()
 		norm := c.AllreduceSum(localNorm)
 		ent = c.AllreduceSum(ent)
-		commTime += time.Since(t0)
+		r.commTime += time.Since(t0)
 		if sc != nil {
 			sc.Complete("dist", "reduce", t0, time.Since(t0))
 		}
 		if opts.SampleShots > 0 {
 			st0 := sc.Now()
-			sampleLocal(c, plan, local, localNorm, l, opts.SampleSeed, out.samples, &commTime)
+			sampleLocal(c, plan, local, localNorm, l, opts.SampleSeed, samples, &r.commTime)
 			if sc != nil {
 				sc.Complete("dist", "sample", st0, time.Since(st0),
 					telemetry.A("shots", opts.SampleShots))
 			}
 		}
-		elapsed := time.Since(start)
+		r.norm, r.entropy, r.elapsed = norm, ent, time.Since(start)
 		if sc != nil {
 			sc.Complete("dist", "attempt", attemptT0, time.Since(attemptT0),
 				telemetry.A("start_stage", startStage))
 		}
-
-		out.mu.Lock()
-		out.locals[c.Rank()] = local
-		out.norm = norm
-		out.entropy = ent
-		if elapsed > out.elapsed {
-			out.elapsed = elapsed
-		}
-		if commTime > out.commElapsed {
-			out.commElapsed = commTime
-		}
 		if opts.GatherState {
-			copy(out.amplitudes[c.Rank()<<l:], local)
+			copy(amplitudes[c.Rank()<<l:], local)
 		}
-		if opts.Profile {
-			if out.profile == nil {
-				out.profile = make([]ProfileEntry, 4)
-				for k := schedule.OpCluster; k <= schedule.OpSwap; k++ {
-					out.profile[k].Kind = k.String()
-				}
-			}
-			// Ops and Duration must come from the same rank: report both
-			// from the max-duration rank (≥ so zero-duration kinds still
-			// pick up a consistent op count).
-			for k := range profDur {
-				if profDur[k] >= out.profile[k].Duration {
-					out.profile[k].Duration = profDur[k]
-					out.profile[k].Ops = profOps[k]
-				}
-			}
-			out.passes, out.runs = passes, runs
-		}
-		out.mu.Unlock()
+		rs[c.Rank()] = r
 		return nil
 	})
 
-	// Counters accumulate across attempts, success or not. The traffic and
-	// fault counters are atomics, safe even if a deadline left a rank
-	// behind; out.written is atomic for the same reason.
+	// Counters accumulate across attempts, success or not. The traffic,
+	// fault and snapshot counters are atomics, safe even if a deadline left
+	// a rank behind.
 	res.CommSteps += int(w.Traffic.Steps.Load())
 	res.CommBytes += w.Traffic.Bytes.Load()
 	res.FaultEvents += w.FaultEvents()
-	res.CheckpointsWritten += int(out.written.Load())
-	res.CheckpointsSkipped += int(out.skipped.Load())
+	written, skipped := ckw.Counts()
+	res.CheckpointsWritten += written
+	res.CheckpointsSkipped += skipped
 	if err != nil {
 		return err
 	}
-	kernels.ObservePages(opts.Telemetry, out.locals...)
-	res.Norm = out.norm
-	res.Entropy = out.entropy
-	res.Elapsed += out.elapsed
-	res.CommElapsed += out.commElapsed
-	res.Amplitudes = out.amplitudes
-	res.Samples = out.samples
-	res.Profile = out.profile
-	res.ProfilePasses, res.ProfileRuns = out.passes, out.runs
+	locals := make([][]complex128, ranks)
+	var elapsed, comm time.Duration
+	for i, r := range rs {
+		locals[i], elapsed, comm = r.sh.Amps, max(elapsed, r.elapsed), max(comm, r.commTime)
+	}
+	kernels.ObservePages(opts.Telemetry, locals...)
+	res.Norm, res.Entropy = rs[0].norm, rs[0].entropy
+	res.Elapsed += elapsed
+	res.CommElapsed += comm
+	res.Amplitudes = amplitudes
+	if opts.SampleShots > 0 {
+		res.Samples = samples
+	}
+	if opts.Profile {
+		// Ops and Duration must come from the same rank: report both from
+		// the max-duration rank (≥ so zero-duration kinds still pick up a
+		// consistent op count). Every rank makes the same passes.
+		res.Profile = make([]ProfileEntry, 4)
+		for k := range res.Profile {
+			res.Profile[k].Kind = schedule.OpKind(k).String()
+			for _, r := range rs {
+				if r.profDur[k] >= res.Profile[k].Duration {
+					res.Profile[k].Duration, res.Profile[k].Ops = r.profDur[k], r.profOps[k]
+				}
+			}
+		}
+		res.ProfilePasses, res.ProfileRuns = rs[0].passes, rs[0].runs
+	}
 	return nil
 }
 
-// writeCheckpoint runs the collective snapshot protocol at a stage
-// boundary: every rank persists its shard, a barrier makes all shards
-// durable before anything is promised, rank 0 atomically commits the
-// manifest (the commit point), and a second barrier publishes the outcome.
-// A rank that dies anywhere in the protocol leaves either the previous
-// snapshot or the new one intact — never a half-written mixture.
-//
-// A full disk degrades instead of aborting: ckpt retries each write once
-// after pruning the oldest snapshot; if space is still short the whole
-// checkpoint is skipped (no commit, stage-local shards discarded, the
-// previous snapshot stays authoritative) and the run keeps computing.
-func writeCheckpoint(c *mpi.Comm, out *attemptOut, meta ckpt.Meta, pol *ckpt.Policy, local []complex128, nextStage int, tel *telemetry.Telemetry) error {
-	m := meta
-	m.NextStage = nextStage
-	info, err := ckpt.WriteShard(pol.Dir, m, c.Rank(), local)
+// rank is one rank of an attempt as the stage walk's executor: its shard,
+// and where its time went.
+type rank struct {
+	c        *mpi.Comm
+	sh       schedule.Shard[complex128]
+	sc       *telemetry.Scope
+	plan     *schedule.Plan
+	commTime time.Duration
+	norm     float64 // the attempt's results, once the walk is done
+	entropy  float64
+	elapsed  time.Duration
+	profDur  [4]time.Duration
+	profOps  [4]int
+	passes   int
+	runs     int
+}
+
+// observe is told about every pass over the shard. One clock pair per pass
+// feeds everything downstream — the comm accounting, the profile breakdown
+// and the trace span — so the three views of "where did the time go" cannot
+// disagree. An op is a pass of its own or, inside a blocked run, one of
+// several sharing a pass and a "run" span; the profile counts it either way.
+func (r *rank) observe(ops []schedule.Op, t0 time.Time, took []time.Duration) {
+	var d time.Duration
+	for i := range ops {
+		d += took[i]
+		r.profDur[ops[i].Kind] += took[i]
+		r.profOps[ops[i].Kind]++
+	}
+	r.passes++
+	if len(ops) > 1 {
+		r.runs++
+	}
 	switch {
-	case err == nil:
-		out.shards[c.Rank()] = info
-	case fsio.IsNoSpace(err):
-		out.skipStage.Store(int64(nextStage))
+	case r.sc == nil:
+	case len(ops) == 1:
+		r.sc.Complete("stage", ops[0].Kind.String(), t0, d, schedule.OpTraceArgs(&ops[0])...)
 	default:
-		return fmt.Errorf("dist: writing stage-%d shard for rank %d: %w", nextStage, c.Rank(), err)
+		r.sc.Complete("stage", "run", t0, d, telemetry.A("stage", ops[0].Stage), telemetry.A("ops", len(ops)))
 	}
-	c.Barrier()
-	if c.Rank() == 0 {
-		skip := out.skipStage.Load() == int64(nextStage)
-		var cerr error
-		if !skip {
-			_, cerr = ckpt.Commit(pol.Dir, m, out.shards, pol.KeepN())
-			if fsio.IsNoSpace(cerr) {
-				skip, cerr = true, nil
-			}
-		}
-		out.commitErr = cerr
-		switch {
-		case skip:
-			out.skipped.Add(1)
-			tel.Counter("dist.ckpt_skipped").Inc()
-			ckpt.DiscardStage(pol.Dir, nextStage)
-		case cerr == nil:
-			out.written.Add(1)
+}
+
+// Stage snapshots the shard when the boundary is due one, then runs the
+// stage's program on it.
+func (r *rank) Stage(st *schedule.Stage[complex128], snap *ckpt.Snapshot) error {
+	if snap != nil {
+		if err := r.snapshot(snap, st.Stage); err != nil {
+			return err
 		}
 	}
-	c.Barrier()
-	if out.commitErr != nil {
-		return fmt.Errorf("dist: committing stage-%d snapshot: %w", nextStage, out.commitErr)
+	r.sh.Exec(st.Prog)
+	return nil
+}
+
+// Exchange is the global-to-local swap: local locations [l−q, l) against
+// the rank bits GlobalBits, one group exchange per 2^(g−q) rank group
+// (Sec. 3.4, Fig. 3), in place.
+func (r *rank) Exchange(st *schedule.Stage[complex128]) {
+	t0 := time.Now()
+	r.c.GroupExchange(st.GlobalBits, r.sh.Amps)
+	d := time.Since(t0)
+	r.commTime += d
+	if r.sh.Observe != nil {
+		r.observe(r.plan.Ops[st.Swap:st.End], t0, []time.Duration{d})
+	}
+}
+
+// snapshot runs the collective snapshot protocol at the boundary before
+// stage next: every rank persists its shard, a barrier makes all shards
+// durable before anything is promised, rank 0 commits the manifest (the
+// commit point), and a second barrier publishes the outcome. A rank that
+// dies anywhere in the protocol leaves either the previous snapshot or the
+// new one intact — never a half-written mixture. A disk that stays full
+// drops the boundary (ckpt.Snapshot) and the run keeps computing.
+func (r *rank) snapshot(snap *ckpt.Snapshot, next int) error {
+	t0 := r.sc.Now()
+	if err := snap.Tee(r.c.Rank(), r.sh.Amps); err != nil {
+		return fmt.Errorf("dist: writing stage-%d shard for rank %d: %w", next, r.c.Rank(), err)
+	}
+	r.c.Barrier()
+	if r.c.Rank() == 0 {
+		snap.Commit()
+	}
+	r.c.Barrier()
+	if err := snap.Commit(); err != nil {
+		return fmt.Errorf("dist: committing stage-%d snapshot: %w", next, err)
+	}
+	if r.sc != nil {
+		r.sc.Complete("ckpt", "checkpoint", t0, time.Since(t0),
+			telemetry.A("next_stage", next), telemetry.A("amps", len(r.sh.Amps)))
 	}
 	return nil
 }

@@ -106,8 +106,8 @@ func TestCheckpointENOSPCSkipsButFinishes(t *testing.T) {
 	if v.CheckpointsSkipped() == 0 {
 		t.Error("CheckpointsSkipped() = 0 though every snapshot was starved")
 	}
-	if got := tel.Counter("oocvec.ckpt_skipped").Value(); got == 0 {
-		t.Error("oocvec.ckpt_skipped telemetry never fired")
+	if got := tel.Counter("ckpt.skipped").Value(); got == 0 {
+		t.Error("ckpt.skipped telemetry never fired")
 	}
 
 	got, err := v.Amplitudes()

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"qusim/internal/ckpt"
-	"qusim/internal/fsio"
 	"qusim/internal/schedule"
 	"qusim/internal/telemetry"
 )
@@ -24,121 +23,45 @@ func (v *Vector) snapshotMeta(plan *schedule.Plan) ckpt.Meta {
 	return ckpt.Meta{PlanHash: plan.Fingerprint(), N: v.N, L: v.N, Ranks: 1}
 }
 
-// snapshot is the shard of one stage boundary while chunks are fed to it.
-// ckpt repeats a write the disk has no room for once, after pruning the
-// oldest snapshot. If ENOSPC persists, Checkpoint returns it; a
-// droppable snapshot — RunCheckpointed's — is dropped (shard aborted, the
-// boundary's files discarded, counted in CheckpointsSkipped) and the run
-// goes on: a missed snapshot only means a longer replay after a restart.
-// Methods are no-ops on a nil or dropped snapshot.
-type snapshot struct {
-	v         *Vector
-	dir       string
-	meta      ckpt.Meta
-	keep      int
-	droppable bool
-	sw        *ckpt.ShardWriter // nil once dropped
-	done      bool              // manifest committed
-	sc        *telemetry.Scope  // timeline of whoever feeds the chunks
-	t0        time.Time         // zero unless sc records
-}
-
-// beginSnapshot opens the shard of the nextStage boundary.
-func (v *Vector) beginSnapshot(sc *telemetry.Scope, dir string, plan *schedule.Plan, nextStage, keep int, droppable bool) (*snapshot, error) {
-	s := &snapshot{v: v, dir: dir, meta: v.snapshotMeta(plan), keep: keep, droppable: droppable, sc: sc, t0: sc.Now()}
-	s.meta.NextStage = nextStage
-	var err error
-	s.sw, err = ckpt.NewShardWriter(dir, s.meta, 0, 1<<v.N)
-	return s, s.absorb(err)
-}
-
-// tee appends one chunk, the next in plan order, to the shard.
-func (s *snapshot) tee(chunk []complex128) error {
-	if s == nil || s.sw == nil {
-		return nil
-	}
-	return s.absorb(s.sw.Write(chunk))
-}
-
-// commit makes the snapshot durable and restorable: shard trailer, fsync
-// and rename, then the manifest — the ckpt commit protocol unchanged.
-func (s *snapshot) commit() error {
-	if s == nil || s.sw == nil {
-		return nil
-	}
-	info, err := s.sw.Close()
-	if err == nil {
-		_, err = ckpt.Commit(s.dir, s.meta, []ckpt.ShardInfo{info}, s.keep)
-	}
-	if err = s.absorb(err); err != nil || s.sw == nil {
-		return err
-	}
-	s.done = true
-	if !s.t0.IsZero() {
-		s.sc.Complete("ckpt", "tee", s.t0, time.Since(s.t0), telemetry.A("stage", s.meta.NextStage),
-			telemetry.A("chunks", s.v.Chunks()), telemetry.A("bytes", int64(ampBytes)<<s.v.N))
-	}
-	return nil
-}
-
-// absorb applies the drop policy to the outcome of a step.
-func (s *snapshot) absorb(err error) error {
-	if err == nil || !s.droppable || !fsio.IsNoSpace(err) {
-		return err
-	}
-	s.abort()
-	s.v.ckptSkipped++
-	s.v.tel.ckptSkipped.Inc()
-	ckpt.DiscardStage(s.dir, s.meta.NextStage)
-	return nil
-}
-
-// abort discards the unfinished shard.
-func (s *snapshot) abort() {
-	if s != nil && s.sw != nil {
-		s.sw.Abort()
-		s.sw = nil
-	}
-}
-
 // Checkpoint commits a snapshot of the current state taken at the
-// nextStage boundary, streaming the state through the first chunk buffer.
+// nextStage boundary, streaming the state through the first chunk buffer. A
+// disk that stays full fails it.
 func (v *Vector) Checkpoint(dir string, plan *schedule.Plan, nextStage, keep int) error {
-	snap, err := v.beginSnapshot(v.tel.sc, dir, plan, nextStage, keep, false)
-	if err == nil {
-		err = v.stream(snap.tee)
-	}
-	if err != nil {
-		snap.abort()
+	m := v.snapshotMeta(plan)
+	m.NextStage = nextStage
+	snap, t0 := ckpt.NewSnapshot(dir, m, keep), v.tel.sc.Now()
+	if err := v.stream(func(chunk []complex128) error { return snap.Tee(0, chunk) }); err != nil {
+		snap.Abort()
 		return err
 	}
-	return snap.commit()
+	if err := snap.Commit(); err != nil {
+		return err
+	}
+	v.teeSpan(v.tel.sc, t0, nextStage)
+	return nil
+}
+
+// teeSpan records on sc the snapshot of boundary next, written since t0.
+func (v *Vector) teeSpan(sc *telemetry.Scope, t0 time.Time, next int) {
+	if !t0.IsZero() {
+		sc.Complete("ckpt", "tee", t0, time.Since(t0), telemetry.A("stage", next),
+			telemetry.A("chunks", v.Chunks()), telemetry.A("bytes", int64(ampBytes)<<v.N))
+	}
 }
 
 // Restore streams the snapshot committed in man back into the backing
 // file, chunk by chunk through the vector's layout, verifying the shard
 // checksum along the way.
 func (v *Vector) Restore(dir string, man *ckpt.Manifest) error {
-	if man.N != v.N || man.Ranks != 1 || len(man.Shards) != 1 {
+	if man.N != v.N || man.Ranks != 1 || len(man.Shards) != 1 || man.Shards[0].Amps != 1<<v.N {
 		return fmt.Errorf("oocvec: manifest (n=%d, %d shards) does not fit this vector: %w",
 			man.N, len(man.Shards), ckpt.ErrInvalid)
 	}
-	sr, err := ckpt.OpenShard(dir, man, 0)
-	if err != nil {
-		return err
-	}
-	buf := v.pool[0]
-	for c := 0; c < v.Chunks(); c++ {
-		if err := sr.Read(buf); err != nil {
-			sr.Close()
-			return err
-		}
-		if err := v.chunkIO(c, buf, true); err != nil {
-			sr.Close()
-			return err
-		}
-	}
-	return sr.Close()
+	c := -1
+	return ckpt.StreamShard(dir, man, 0, v.pool[0], func(chunk []complex128) error {
+		c++
+		return v.chunkIO(c, chunk, true)
+	})
 }
 
 // RunCheckpointed executes the plan with a snapshot of every stage boundary
@@ -154,9 +77,9 @@ func (v *Vector) RunCheckpointed(plan *schedule.Plan, pol *ckpt.Policy, resume b
 	if plan.N != v.N || plan.L != v.L {
 		return restoredStage, 0, fmt.Errorf("oocvec: plan (n=%d l=%d) does not match vector (n=%d l=%d)", plan.N, plan.L, v.N, v.L)
 	}
-	start := 0
+	start, meta := 0, v.snapshotMeta(plan)
 	if resume {
-		man, ferr := ckpt.FindRestorable(pol.Dir, v.snapshotMeta(plan))
+		man, ferr := ckpt.FindRestorable(pol.Dir, meta)
 		if ferr != nil {
 			return restoredStage, 0, ferr
 		}
@@ -168,6 +91,9 @@ func (v *Vector) RunCheckpointed(plan *schedule.Plan, pol *ckpt.Policy, resume b
 			restoredStage = man.NextStage
 		}
 	}
-	written, err = v.runPipelined(plan, start, pol)
+	ck := ckpt.NewWriter(pol, meta, v.tel.t)
+	err = v.walk(plan, start, ck)
+	written, skipped := ck.Counts()
+	v.ckptSkipped += skipped
 	return restoredStage, written, err
 }

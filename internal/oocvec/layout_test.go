@@ -62,7 +62,7 @@ func TestSwapMovesNoData(t *testing.T) {
 			dir := t.TempDir()
 			for i := range stages {
 				written.Store(0)
-				if err := v.runStage(&stages[i], nil); err != nil {
+				if err := runStage(v, &stages[i]); err != nil {
 					t.Fatal(err)
 				}
 				if got := written.Load(); got != stateBytes {

@@ -34,7 +34,6 @@ package oocvec
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"qusim/internal/fsio"
@@ -66,32 +65,16 @@ type Vector struct {
 
 const ampBytes = 16
 
-// fsPtr holds the injectable file-ops implementation (nil: the real OS).
-// A Vector captures it at New, so an installed chaos FS follows the vector
-// through its whole life, including the pipeline's reader and writeback
-// goroutines.
-var fsPtr atomic.Pointer[fsio.FS]
-
-func fsys() fsio.FS {
-	if p := fsPtr.Load(); p != nil {
-		return *p
-	}
-	return fsio.OS{}
-}
+// fsHook holds the injectable file-ops implementation. A Vector captures it
+// at New, so an installed chaos FS follows the vector through its whole
+// life, including the pipeline's reader and writeback goroutines.
+var fsHook fsio.Hook
 
 // SetFS installs the file-ops implementation new Vectors run on (nil
 // restores the real OS) and returns the previous one, so tests can
 // `old := oocvec.SetFS(f); t.Cleanup(func() { oocvec.SetFS(old) })`.
 // Vectors that already exist keep the FS they were created with.
-func SetFS(f fsio.FS) fsio.FS {
-	old := fsys()
-	if f == nil {
-		fsPtr.Store(nil)
-	} else {
-		fsPtr.Store(&f)
-	}
-	return old
-}
+func SetFS(f fsio.FS) fsio.FS { return fsHook.Set(f) }
 
 // New creates a file-backed |0…0⟩ state in dir (empty dir means the
 // default temp dir). l controls the in-memory chunk size.
@@ -114,7 +97,7 @@ func create(n, l int, dir string, first, rest complex128) (*Vector, error) {
 	if l < 1 || n > 40 {
 		return nil, fmt.Errorf("oocvec: unsupported sizes n=%d l=%d", n, l)
 	}
-	fs := fsys()
+	fs := fsHook.FS()
 	f, err := fs.CreateTemp(dir, "oocvec-*.state")
 	if err != nil {
 		return nil, err
@@ -166,7 +149,6 @@ type vecTel struct {
 	chunksRead    *telemetry.Counter
 	chunksWritten *telemetry.Counter
 	ioRetries     *telemetry.Counter // transient chunk-I/O errors retried
-	ckptSkipped   *telemetry.Counter // snapshots skipped on persistent ENOSPC
 	inFlight      *telemetry.Gauge   // bytes held in pipeline buffers
 	readNs        *telemetry.Histogram
 	writeNs       *telemetry.Histogram
@@ -191,7 +173,6 @@ func (v *Vector) SetTelemetry(t *telemetry.Telemetry) {
 		chunksRead:    t.Counter("oocvec.chunks_read"),
 		chunksWritten: t.Counter("oocvec.chunks_written"),
 		ioRetries:     t.Counter("oocvec.io_retries"),
-		ckptSkipped:   t.Counter("oocvec.ckpt_skipped"),
 		inFlight:      t.Gauge("oocvec.bytes_in_flight"),
 		readNs:        t.Histogram("oocvec.read_ns"),
 		writeNs:       t.Histogram("oocvec.write_ns"),
@@ -289,8 +270,7 @@ func (v *Vector) RunFrom(plan *schedule.Plan, startStage int) error {
 	if plan.N != v.N || plan.L != v.L {
 		return fmt.Errorf("oocvec: plan (n=%d l=%d) does not match vector (n=%d l=%d)", plan.N, plan.L, v.N, v.L)
 	}
-	_, err := v.runPipelined(plan, startStage, nil)
-	return err
+	return v.walk(plan, startStage, nil)
 }
 
 // stream reads the state once, in chunk order, and hands each chunk to visit.
@@ -332,11 +312,7 @@ func (v *Vector) NormEntropy() (norm, entropy float64, err error) {
 // Amplitudes loads the full state in plan order (testing only), chunk by
 // chunk.
 func (v *Vector) Amplitudes() ([]complex128, error) {
-	out := kernels.NewAmps[complex128](1 << v.N)
-	for c := 0; c < v.Chunks(); c++ {
-		if err := v.chunkIO(c, out[c<<v.L:(c+1)<<v.L], false); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	out := kernels.NewAmps[complex128](1 << v.N)[:0]
+	err := v.stream(func(chunk []complex128) error { out = append(out, chunk...); return nil })
+	return out, err
 }

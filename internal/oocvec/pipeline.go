@@ -40,62 +40,51 @@ type chunkBuf struct {
 	amps []complex128
 }
 
-// runPipelined executes the stages from startStage on through the pipeline.
-// Their cut is also where a malformed plan (an unknown op kind, an op after
-// its stage's closing swap) is turned away, before any I/O starts. Under a
-// policy it tees a snapshot of every boundary the policy names and returns
-// how many committed.
-func (v *Vector) runPipelined(plan *schedule.Plan, startStage int, pol *ckpt.Policy) (written int, err error) {
-	stages, err := (&schedule.Shard[complex128]{L: v.L}).Stages(plan, startStage)
+// walk executes the stages from start on through the pipeline, teeing the
+// snapshots ck names. Their cut is also where a malformed plan (an unknown op
+// kind, an op after its stage's closing swap) is turned away, before any I/O
+// starts.
+func (v *Vector) walk(plan *schedule.Plan, start int, ck *ckpt.Writer) error {
+	stages, err := (&schedule.Shard[complex128]{L: v.L}).Stages(plan, start)
 	if err != nil {
-		return 0, fmt.Errorf("oocvec: %w", err)
+		return fmt.Errorf("oocvec: %w", err)
 	}
-	for i := range stages {
-		st := &stages[i]
-		var snap *snapshot
-		if pol.Due(st.Stage, startStage, plan.Stages()) {
-			if snap, err = v.beginSnapshot(v.tel.rdSc, pol.Dir, plan, st.Stage, pol.KeepN(), true); err != nil {
-				return written, err
-			}
-		}
-		err = v.runStage(st, snap)
-		if snap != nil && snap.done {
-			written++
-		}
-		snap.abort() // of what a failed stage left unfinished
-		if err != nil {
-			return written, err
-		}
-	}
-	return written, nil
+	return schedule.Walk(plan, stages, start, ck, pipeline{v})
 }
 
-// runStage executes one stage as a single streamed pass with asynchronous
-// prefetch and writeback, the reader feeding snap (nil: no snapshot at this
-// boundary) as it goes. The compute loop applies the stage's program to
-// every chunk; a closing swap then renumbers: local location L−q+j and
-// global location L+GlobalBits[j] trade the file bits they live at, and no
-// amplitude moves. The program was prepared once for the stage, not once per
-// chunk: it holds nothing of a chunk's amplitudes or number (a diagonal
-// reads the chunk number's bits off the index it is handed).
-func (v *Vector) runStage(st *schedule.Stage[complex128], snap *snapshot) error {
-	t0 := v.tel.sc.Now()
-	if err := v.pumpStage(st.Prog, snap); err != nil {
+// pipeline is the vector as the stage walk's executor.
+type pipeline struct{ *Vector }
+
+// Stage executes one stage as a single streamed pass with asynchronous
+// prefetch and writeback, the reader teeing snap (nil: no snapshot at this
+// boundary) as it goes. The program was prepared once for the stage, not
+// once per chunk: it holds nothing of a chunk's amplitudes or number (a
+// diagonal reads the chunk number's bits off the index it is handed).
+func (p pipeline) Stage(st *schedule.Stage[complex128], snap *ckpt.Snapshot) error {
+	t0 := p.tel.sc.Now()
+	if err := p.pumpStage(st, snap); err != nil {
+		snap.Abort() // of what the failed stage left unfinished
 		return err
 	}
-	q := len(st.GlobalBits)
-	for j, g := range st.GlobalBits {
-		a, b := v.L-q+j, v.L+g
-		v.loc[a], v.loc[b] = v.loc[b], v.loc[a]
-	}
 	if !t0.IsZero() {
-		v.tel.sc.Complete("stage", "pipeline", t0, time.Since(t0),
+		p.tel.sc.Complete("stage", "pipeline", t0, time.Since(t0),
 			telemetry.A("stage", st.Stage),
-			telemetry.A("chunks", v.Chunks()),
+			telemetry.A("chunks", p.Chunks()),
 			telemetry.A("ops", st.End-st.Begin),
 			telemetry.A("swap", st.Exchanges()))
 	}
 	return nil
+}
+
+// Exchange renumbers: local location L−q+j and global location
+// L+GlobalBits[j] trade the file bits they live at, and no amplitude moves.
+// The pipeline has drained, so no goroutine reads the layout.
+func (p pipeline) Exchange(st *schedule.Stage[complex128]) {
+	q := len(st.GlobalBits)
+	for j, g := range st.GlobalBits {
+		a, b := p.L-q+j, p.L+g
+		p.loc[a], p.loc[b] = p.loc[b], p.loc[a]
+	}
 }
 
 // pumpStage runs the reader → compute → writeback pipeline over every
@@ -104,7 +93,7 @@ func (v *Vector) runStage(st *schedule.Stage[complex128], snap *snapshot) error 
 // the ENOSPC policy does not absorb is a read error of the stage. The chunk
 // buffers are the vector's: the first allocated by its constructor, the
 // others by its first stage, all kept ever after.
-func (v *Vector) pumpStage(prog *schedule.Program[complex128], snap *snapshot) error {
+func (v *Vector) pumpStage(st *schedule.Stage[complex128], snap *ckpt.Snapshot) error {
 	chunks := v.Chunks()
 	depth := v.prefetch
 	if depth > chunks {
@@ -140,6 +129,7 @@ func (v *Vector) pumpStage(prog *schedule.Program[complex128], snap *snapshot) e
 	go func() {
 		defer wg.Done()
 		defer close(filled)
+		teeT0 := v.tel.rdSc.Now()
 		for c := 0; c < chunks; c++ {
 			var b *chunkBuf
 			select {
@@ -155,7 +145,7 @@ func (v *Vector) pumpStage(prog *schedule.Program[complex128], snap *snapshot) e
 				v.tel.rdSc.Complete("io", "read", t0, d, telemetry.A("chunk", c))
 			}
 			if err == nil {
-				err = snap.tee(b.amps)
+				err = snap.Tee(0, b.amps)
 			}
 			if err != nil {
 				readErr = err
@@ -176,7 +166,9 @@ func (v *Vector) pumpStage(prog *schedule.Program[complex128], snap *snapshot) e
 		}
 		// Making the shard durable overlaps the compute still in flight,
 		// which a failure here lets finish: the join reports it.
-		readErr = snap.commit()
+		if readErr = snap.Commit(); readErr == nil && snap != nil {
+			v.teeSpan(v.tel.rdSc, teeT0, st.Stage)
+		}
 	}()
 
 	// Asynchronous writeback: drain computed chunks into the state file.
@@ -224,7 +216,7 @@ func (v *Vector) pumpStage(prog *schedule.Program[complex128], snap *snapshot) e
 			break // reader halted early; the join below surfaces its error
 		}
 		sh.Amps, sh.Index = b.amps, b.idx
-		sh.Exec(prog)
+		sh.Exec(st.Prog)
 		dirty <- b
 	}
 	close(dirty)

@@ -7,6 +7,7 @@ import (
 	"time"
 	"unsafe"
 
+	"qusim/internal/ckpt"
 	"qusim/internal/kernels"
 	"qusim/internal/par"
 )
@@ -16,9 +17,9 @@ import (
 // local permutations, global-to-local swaps (Sec. 3.4–3.6) — and every back
 // end here executes it on the same unit, 2^L contiguous amplitudes: the
 // whole vector (Plan.Run, f32vec.RunPlan), a rank's share (dist), a file
-// chunk (oocvec). All of them walk the same stages (Shard.Stages); what
-// differs between them is only how the exchange of an OpSwap moves data
-// between shards, and that stays with each back end.
+// chunk (oocvec). All of them run the same stages (Shard.Stages) in the same
+// loop (Walk); what differs between them is only which units they hold and
+// how the exchange of an OpSwap moves data between them (Executor).
 //
 // The paper's two locality devices apply once more inside a shard, with a
 // cache-sized block in the role of the rank: a run of consecutive ops that
@@ -286,25 +287,63 @@ func (s *Shard[T]) Stages(p *Plan, startStage int) ([]Stage[T], error) {
 	return stages, nil
 }
 
+// Executor is a back end inside the one stage walk (Walk): what holds the
+// units of a state — the whole vector, a rank's shard, the chunks of a file
+// — and how a swap moves amplitudes between them.
+type Executor[T amp] interface {
+	// Stage runs the program of st over every unit the executor holds.
+	// When snap is not nil it also hands snap every unit, in plan-location
+	// order, as the boundary before st left it, and commits it.
+	Stage(st *Stage[T], snap *ckpt.Snapshot) error
+	// Exchange does the swap that closes st.
+	Exchange(st *Stage[T])
+}
+
+// Walk executes stages — p's from start on, as Shard.Stages compiled them —
+// through ex, the one loop over a plan's stages every back end runs: each
+// stage's program, with the snapshot of its boundary when ck's policy names
+// it (ckpt.Policy.Due), then its closing exchange.
+func Walk[T amp](p *Plan, stages []Stage[T], start int, ck *ckpt.Writer, ex Executor[T]) error {
+	for i := range stages {
+		st := &stages[i]
+		if err := ex.Stage(st, ck.At(st.Stage, start, p.Stages())); err != nil {
+			return err
+		}
+		if st.Exchanges() {
+			ex.Exchange(st)
+		}
+	}
+	return nil
+}
+
 // Run executes the stages of p with index ≥ startStage on a shard that is the
 // whole state (L = p.N, Index 0) — the single-node execution behind Plan.Run
-// and f32vec.RunPlan. With every location local, the exchange of a swap is
-// one in-place SwapBits sweep per exchanged pair.
+// and f32vec.RunPlan.
 func (s *Shard[T]) Run(p *Plan, startStage int) error {
 	stages, err := s.Stages(p, startStage)
 	if err != nil {
 		return err
 	}
-	for _, st := range stages {
-		s.Exec(st.Prog)
-		if st.Exchanges() {
-			op := &p.Ops[st.Swap]
-			for n := range op.LocalPos {
-				kernels.SwapBits(s.Amps, op.LocalPos[n], op.GlobalPos[n])
-			}
-		}
-	}
+	return Walk(p, stages, startStage, nil, vector[T]{s, p.L})
+}
+
+// vector is the executor of a shard that is the whole state. With every
+// location local, the exchange of a swap is one in-place SwapBits sweep per
+// exchanged pair: local location l−q+j against l+GlobalBits[j].
+type vector[T amp] struct {
+	*Shard[T]
+	l int
+}
+
+func (v vector[T]) Stage(st *Stage[T], _ *ckpt.Snapshot) error {
+	v.Exec(st.Prog)
 	return nil
+}
+
+func (v vector[T]) Exchange(st *Stage[T]) {
+	for j, g := range st.GlobalBits {
+		kernels.SwapBits(v.Amps, v.l-len(st.GlobalBits)+j, v.l+g)
+	}
 }
 
 // permute relabels the local bit locations; locations above len(perm) (the

@@ -19,50 +19,7 @@ import (
 // The digest walks the struct directly rather than hashing a gob encoding:
 // gob serializes Stats.ClusterSizes (a map) in nondeterministic order, and
 // the fingerprint must be stable across processes.
-func (p *Plan) Fingerprint() string {
-	h := sha256.New()
-	var scratch [8]byte
-	wi := func(x int) {
-		binary.LittleEndian.PutUint64(scratch[:], uint64(int64(x)))
-		h.Write(scratch[:])
-	}
-	wf := func(x float64) {
-		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(x))
-		h.Write(scratch[:])
-	}
-	wc := func(x complex128) { wf(real(x)); wf(imag(x)) }
-	wis := func(xs []int) {
-		wi(len(xs))
-		for _, x := range xs {
-			wi(x)
-		}
-	}
-
-	h.Write([]byte("qusim-plan-fp-v1"))
-	wi(p.N)
-	wi(p.L)
-	wis(p.InitialPos)
-	wis(p.FinalPos)
-	wi(len(p.Ops))
-	for i := range p.Ops {
-		op := &p.Ops[i]
-		wi(int(op.Kind))
-		wi(op.Stage)
-		wis(op.Positions)
-		wis(op.Perm)
-		wis(op.LocalPos)
-		wis(op.GlobalPos)
-		wi(len(op.Matrix.Data))
-		for _, a := range op.Matrix.Data {
-			wc(a)
-		}
-		wi(len(op.Diag))
-		for _, a := range op.Diag {
-			wc(a)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
+func (p *Plan) Fingerprint() string { return p.digest("qusim-plan-fp-v1", true) }
 
 // StructureFingerprint digests only what determines a plan's *access
 // structure* — dimensions, op kinds, positions, permutations, stage
@@ -74,7 +31,11 @@ func (p *Plan) Fingerprint() string {
 // across kernel sets and price lists.
 //
 //qlint:ignore deadcode the arch-independent plan pin of TestPaperCostsReproduceParentPlans and verify's plan tests
-func (p *Plan) StructureFingerprint() string {
+func (p *Plan) StructureFingerprint() string { return p.digest("qusim-plan-structfp-v1", false) }
+
+// digest hashes the plan under tag, the matrix and diagonal entries
+// bit for bit when values is set and only their counts otherwise.
+func (p *Plan) digest(tag string, values bool) string {
 	h := sha256.New()
 	var scratch [8]byte
 	wi := func(x int) {
@@ -87,8 +48,17 @@ func (p *Plan) StructureFingerprint() string {
 			wi(x)
 		}
 	}
+	wcs := func(xs []complex128) {
+		wi(len(xs))
+		for _, x := range xs {
+			if values {
+				wi(int(math.Float64bits(real(x))))
+				wi(int(math.Float64bits(imag(x))))
+			}
+		}
+	}
 
-	h.Write([]byte("qusim-plan-structfp-v1"))
+	h.Write([]byte(tag))
 	wi(p.N)
 	wi(p.L)
 	wis(p.InitialPos)
@@ -102,10 +72,8 @@ func (p *Plan) StructureFingerprint() string {
 		wis(op.Perm)
 		wis(op.LocalPos)
 		wis(op.GlobalPos)
-		// Shapes only: a value change must not change the structure, but a
-		// dense gate growing a qubit (different matrix size) must.
-		wi(len(op.Matrix.Data))
-		wi(len(op.Diag))
+		wcs(op.Matrix.Data)
+		wcs(op.Diag)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -170,26 +170,21 @@ func (v *State[T]) Apply(m gate.Matrix, qubits ...int) {
 	if len(qubits) != m.K {
 		panic(fmt.Sprintf("statevec: %d qubits for a %d-qubit gate", len(qubits), m.K))
 	}
-	sortedQs, perm := SortPositions(qubits)
-	if perm != nil {
-		m = gate.PermuteQubits(m, perm)
-	}
 	if m.IsDiagonal(0) {
-		kernels.ApplyDiagonal(v.Amps, kernels.Convert[T](m.Diagonal()), sortedQs)
+		v.ApplyDiagonal(m.Diagonal(), qubits...)
 		return
 	}
-	kernels.Apply(v.Amps, kernels.Convert[T](m.Data), sortedQs)
+	v.ApplyDense(m, qubits...)
 }
 
 // ApplyDense is Apply without the diagonal fast path — used by experiments
 // that must exercise the full kernel (worst-case dense gates, Sec. 3.6.1).
 func (v *State[T]) ApplyDense(m gate.Matrix, qubits ...int) {
 	sortedQs, perm := SortPositions(qubits)
-	mm := m
 	if perm != nil {
-		mm = gate.PermuteQubits(m, perm)
+		m = gate.PermuteQubits(m, perm)
 	}
-	kernels.Apply(v.Amps, kernels.Convert[T](mm.Data), sortedQs)
+	kernels.Apply(v.Amps, kernels.Convert[T](m.Data), sortedQs)
 }
 
 // ApplyDiagonal applies a diagonal gate given by its diagonal entries.
