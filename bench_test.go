@@ -389,7 +389,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 	meta := ckpt.Meta{PlanHash: "bench", N: n, L: n, Ranks: 1}
 	// save commits the whole state as the one shard of a snapshot.
 	save := func(dir string) error {
-		snap := ckpt.NewSnapshot(dir, meta, 2)
+		snap := ckpt.NewWriter(&ckpt.Policy{Dir: dir}, meta, nil).Snapshot(meta.NextStage)
 		if err := snap.Tee(0, state.Amps); err != nil {
 			return err
 		}
@@ -419,7 +419,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 		b.SetBytes(int64(16 << n))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := ckpt.ReadShard(dir, man, 0, dst); err != nil {
+			if err := readShard(dir, man, 0, dst); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -515,15 +515,11 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		}
 	})
 	b.Run("enabled", func(b *testing.B) {
-		b.Cleanup(func() {
-			par.SetTelemetry(telemetry.Disabled)
-			ckpt.SetTelemetry(telemetry.Disabled)
-		})
+		b.Cleanup(func() { par.SetTelemetry(telemetry.Disabled) })
 		b.SetBytes(int64(16 << n))
 		for i := 0; i < b.N; i++ {
 			tel := telemetry.New()
 			par.SetTelemetry(tel)
-			ckpt.SetTelemetry(tel)
 			run(b, tel)
 		}
 	})

@@ -103,8 +103,6 @@ func (b *chaosDist) row() verify.Backend {
 func (b *chaosDist) exec(plan *schedule.Plan) ([]complex128, error) {
 	sched := chaos.Compose(b.seed, b.run, b.copts)
 	cfs := chaos.NewFS(sched.Disk, nil)
-	restore := ckpt.SetFS(cfs)
-	defer ckpt.SetFS(restore)
 
 	dir, err := os.MkdirTemp("", "qchaos-dist-*")
 	if err != nil {
@@ -126,7 +124,7 @@ func (b *chaosDist) exec(plan *schedule.Plan) ([]complex128, error) {
 			Ranks:        b.copts.Ranks,
 			GatherState:  true,
 			Faults:       sched.MPI,
-			Checkpoint:   &ckpt.Policy{Dir: dir, EveryStages: 1},
+			Checkpoint:   &ckpt.Policy{Dir: dir, EveryStages: 1, FS: cfs},
 			Resume:       attempt > 0,
 			CommDeadline: 400 * time.Millisecond,
 			Retry: &dist.RetryPolicy{
@@ -183,17 +181,13 @@ func (b *chaosOoc) exec(plan *schedule.Plan) ([]complex128, error) {
 	dataDisk.TornWriteAt = 0
 	dfs := chaos.NewFS(dataDisk, nil)
 	cfs := chaos.NewFS(sched.Disk, nil)
-	restoreOoc := oocvec.SetFS(dfs)
-	defer oocvec.SetFS(restoreOoc)
-	restoreCkpt := ckpt.SetFS(cfs)
-	defer ckpt.SetFS(restoreCkpt)
 
 	dir, err := os.MkdirTemp("", "qchaos-ooc-*")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	pol := &ckpt.Policy{Dir: dir, EveryStages: 1}
+	pol := &ckpt.Policy{Dir: dir, EveryStages: 1, FS: cfs}
 
 	defer harvestSchedule(&b.cov, sched, dfs, cfs)
 
@@ -202,7 +196,7 @@ func (b *chaosOoc) exec(plan *schedule.Plan) ([]complex128, error) {
 	// when none survived). The shared FS op counters keep advancing across
 	// attempts, so a fault window always passes.
 	attempt := func(resume bool) ([]complex128, error) {
-		v, err := oocvec.New(plan.N, plan.L, "")
+		v, err := oocvec.Create(dfs, plan.N, plan.L, "", false)
 		if err != nil {
 			return nil, err
 		}

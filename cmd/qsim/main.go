@@ -71,6 +71,9 @@ func main() {
 		bound{"-ooc-prefetch", *oocPrefetch, 0}, bound{"-workers", *workers, 0}); err != nil {
 		usage(err)
 	}
+	if *qubits > 62 { // past what a plan addresses, and what a generator's 1<<qubits survives
+		usage(fmt.Errorf("-qubits must be from 1 to 62, got %d", *qubits))
+	}
 	given := map[string]bool{
 		"-f32": *f32, "-ooc": *ooc, "-baseline": *baseline,
 		"-sample": *shots > 0, "-profile": *profile, "-checkpoint-dir": *ckptDir != "", "-resume": *resume,
@@ -90,13 +93,13 @@ func main() {
 	}
 
 	// -trace / -metrics arm the telemetry layer across every subsystem; the
-	// pool and checkpoint hooks are process-global, the engine hook rides in
-	// dist.Options. -v reads the mem.* gauges from it.
+	// pool's hook is process-global, a run's rides in dist.Options or on the
+	// paged vector, and its checkpoint writer inherits it. -v reads the mem.*
+	// gauges from it.
 	tel := telemetry.Disabled
 	if *traceFile != "" || *metrics || *verbose {
 		tel = telemetry.New()
 		par.SetTelemetry(tel)
-		ckpt.SetTelemetry(tel)
 	}
 
 	circ, initial, err := buildCircuit(*kind, *qubits, *depth, *seed, *file)

@@ -126,6 +126,8 @@ func TestRejectsFlags(t *testing.T) {
 		{[]string{"-ooc", "-ooc-chunk", "-5"}, "-ooc-chunk must not be negative, got -5"},
 		{[]string{"-ooc", "-ooc-chunk", "8"}, "-ooc-chunk must be from 1 to 7 for 8 qubits, got 8"},
 		{[]string{"-workers", "-1"}, "-workers must not be negative, got -1"},
+		{[]string{"-circuit", "bv", "-qubits", "64"}, "-qubits must be from 1 to 62, got 64"},
+		{[]string{"-baseline", "-qubits", "70", "-depth", "1"}, "-qubits must be from 1 to 62, got 70"},
 		{[]string{"-ranks", "512"}, "-ranks 512 leaves no local qubit of the circuit's 8"},
 		{[]string{"-f32", "-comm-deadline", "1ms"}, "-f32 cannot be combined with -comm-deadline"},
 		{[]string{"-ooc", "-comm-deadline", "1ms"}, "-ooc cannot be combined with -comm-deadline"},
@@ -142,18 +144,16 @@ func TestRejectsFlags(t *testing.T) {
 	}
 }
 
-// TestRejectsUnaddressableQubits: a circuit beyond the 62 qubits a plan
-// addresses, or a circuit file without a qubit, is an error before any state
-// exists. A -baseline run used to take 70 qubits for an empty state and
-// exit 0, panic at 64, and run out of memory sizing a 10^12-qubit header.
+// TestRejectsUnaddressableQubits: a circuit file beyond the 62 qubits a plan
+// addresses, or without a qubit, is an error before any state exists. A
+// -baseline run used to run out of memory sizing a 10^12-qubit header; a
+// -qubits past 62 is a flag error (TestRejectsFlags).
 func TestRejectsUnaddressableQubits(t *testing.T) {
 	for _, tc := range []struct {
 		stdin string
 		args  []string
 		want  string
 	}{
-		{"", []string{"-baseline", "-qubits", "70", "-depth", "1"}, "schedule: 70 qubits is outside the 1…62 a plan addresses"},
-		{"", []string{"-baseline", "-qubits", "64", "-depth", "3"}, "schedule: 64 qubits is outside the 1…62 a plan addresses"},
 		{"1000000000000\n", []string{"-baseline", "-file", "/dev/stdin"}, "schedule: 1000000000000 qubits is outside"},
 		{"0\n", []string{"-file", "/dev/stdin"}, "circuit: line 1: qubit count must be at least 1, got 0"},
 		{"-3\n0 h 0\n", []string{"-baseline", "-file", "/dev/stdin"}, "circuit: line 1: qubit count must be at least 1, got -3"},

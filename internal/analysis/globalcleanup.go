@@ -6,27 +6,23 @@ import (
 )
 
 // GlobalCleanup keeps tests hermetic with respect to process-global
-// simulator state. The worker pool size, the process-global telemetry
-// hooks and the file-ops implementations are plain globals for hot-path
-// cheapness, which means a test that sets one and forgets to restore it
-// silently reconfigures every later test in the binary (the exact class
-// of leak PR 1's SetWorkers audit and PR 4's telemetry tests fixed by
-// hand). The analyzer flags any call to one of those setters from a
-// _test.go function that does not also register a t.Cleanup/b.Cleanup (or
-// defer a restoring call to the same setter) in the same function.
+// simulator state. The worker pool outlives every run, so its size and its
+// telemetry sink are the process's (a run's file system and telemetry ride
+// in its own options), which means a test that sets one and forgets to
+// restore it silently reconfigures every later test in the binary. The
+// analyzer flags any call to one of those setters from a _test.go function
+// that does not also register a t.Cleanup/b.Cleanup (or defer a restoring
+// call to the same setter) in the same function.
 var GlobalCleanup = &Analyzer{
 	Name: "globalcleanup",
-	Doc: "tests mutating process globals (par.SetWorkers, par.SetTelemetry, ckpt.SetTelemetry, " +
-		"ckpt.SetFS, oocvec.SetFS) must restore them via t.Cleanup or defer",
-	Run: runGlobalCleanup,
+	Doc:  "tests mutating process globals (par.SetWorkers, par.SetTelemetry) must restore them via t.Cleanup or defer",
+	Run:  runGlobalCleanup,
 }
 
 // globalSetters maps the guarded process-global setters, keyed by package
 // path then function name.
 var globalSetters = map[string]map[string]bool{
-	parPath:    {"SetWorkers": true, "SetTelemetry": true},
-	ckptPath:   {"SetTelemetry": true, "SetFS": true},
-	oocvecPath: {"SetFS": true},
+	parPath: {"SetWorkers": true, "SetTelemetry": true},
 }
 
 func isGlobalSetter(fn *types.Func) bool {

@@ -3,7 +3,6 @@ package globalcleanup
 import (
 	"testing"
 
-	"qusim/internal/ckpt"
 	"qusim/internal/par"
 )
 
@@ -17,9 +16,9 @@ func TestLeaksWorkerCount(t *testing.T) {
 // TestCleanupMissesSetter registers a Cleanup, but it restores a different
 // global than the one mutated — still a leak.
 func TestCleanupMissesSetter(t *testing.T) {
-	old := ckpt.SetFS(nil)
+	par.SetTelemetry(nil)
 	par.SetWorkers(2) // want `globalcleanup: par\.SetWorkers mutates process-global state but no t\.Cleanup/defer in TestCleanupMissesSetter restores it`
-	t.Cleanup(func() { ckpt.SetFS(old) })
+	t.Cleanup(func() { par.SetTelemetry(nil) })
 }
 
 // TestRestoresViaCleanup is the canonical pattern: mutate, then register
@@ -31,8 +30,8 @@ func TestRestoresViaCleanup(t *testing.T) {
 
 // TestRestoresViaDefer restores with a defer instead: equally fine.
 func TestRestoresViaDefer(t *testing.T) {
-	old := ckpt.SetFS(nil)
-	defer ckpt.SetFS(old)
+	old := par.SetWorkers(2)
+	defer par.SetWorkers(old)
 	par.SetTelemetry(nil)
 	defer par.SetTelemetry(nil)
 }

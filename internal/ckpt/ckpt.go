@@ -114,6 +114,9 @@ type Policy struct {
 	// after each commit (default 2 — the previous snapshot survives until
 	// the next one is fully committed).
 	Keep int
+	// FS is the file system the run's checkpoint I/O goes through (nil:
+	// fsio.OS), the seam the chaos layer degrades it through.
+	FS fsio.FS
 }
 
 // MaxRestarts bounds the recovery attempts of a checkpointed run before the
@@ -131,19 +134,19 @@ func (p *Policy) Due(next, start, stages int) bool {
 }
 
 // commitTemp is the single commit point of the durability protocol: it
-// atomically renames an already-fsynced temp file to its final name
-// inside dir, then fsyncs the directory so the rename itself survives
-// power loss. Every file that becomes part of a checkpoint — shard or
-// manifest — must go through here (enforced by qlint's atomicrename
+// atomically renames an already-fsynced temp file to its final name in the
+// checkpoint directory, then fsyncs the directory so the rename itself
+// survives power loss. Every file that becomes part of a checkpoint — shard
+// or manifest — must go through here (enforced by qlint's atomicrename
 // analyzer); the temp file is removed if the rename fails.
 //
 //qusim:commit-helper
-func commitTemp(dir, tmp, final string) error {
-	if err := fsys().Rename(tmp, filepath.Join(dir, final)); err != nil {
-		fsys().Remove(tmp)
+func (w *Writer) commitTemp(tmp, final string) error {
+	if err := w.fs.Rename(tmp, filepath.Join(w.pol.Dir, final)); err != nil {
+		w.fs.Remove(tmp)
 		return err
 	}
-	fsys().SyncDir(dir) // best-effort: some filesystems reject a directory fsync
+	w.fs.SyncDir(w.pol.Dir) // best-effort: some filesystems reject a directory fsync
 	return nil
 }
 
@@ -180,7 +183,7 @@ type shardWriter struct {
 	f      fsio.File
 	off    int64  // bytes landed so far; every write is positional
 	crc    uint32 // over those bytes
-	dir    string
+	w      *Writer
 	final  string
 	rank   int
 	want   int // amplitudes promised at creation
@@ -191,20 +194,20 @@ type shardWriter struct {
 
 // newShardWriter creates the temp file and writes the header. amps is the
 // total payload length Close will demand.
-func newShardWriter(dir string, meta Meta, rank, amps int) (*shardWriter, error) {
+func (w *Writer) newShardWriter(meta Meta, rank, amps int) (*shardWriter, error) {
 	if rank < 0 || rank >= meta.Ranks {
 		return nil, fmt.Errorf("ckpt: shard rank %d out of range for %d ranks", rank, meta.Ranks)
 	}
-	if err := fsys().MkdirAll(dir); err != nil {
+	if err := w.MkdirAll(); err != nil {
 		return nil, err
 	}
 	final := shardName(meta.NextStage, rank)
 	var f fsio.File
-	err := retryNoSpace(dir, func() (err error) { f, err = fsys().CreateTemp(dir, ".tmp-"+final+"-*"); return err })
+	err := w.retryNoSpace(func() (err error) { f, err = w.fs.CreateTemp(w.pol.Dir, ".tmp-"+final+"-*"); return err })
 	if err != nil {
 		return nil, err
 	}
-	sw := &shardWriter{f: f, dir: dir, final: final, rank: rank, want: amps, t0: time.Now()}
+	sw := &shardWriter{f: f, w: w, final: final, rank: rank, want: amps, t0: time.Now()}
 	hdr, err := json.Marshal(shardHeader{Version: Version, Meta: meta, Rank: rank, Amps: amps})
 	if err != nil {
 		sw.Abort()
@@ -214,7 +217,7 @@ func newShardWriter(dir string, meta Meta, rank, amps int) (*shardWriter, error)
 	copy(pre[:4], shardMagic)
 	binary.LittleEndian.PutUint32(pre[4:8], Version)
 	binary.LittleEndian.PutUint32(pre[8:12], uint32(len(hdr)))
-	if err := retryNoSpace(dir, func() error { return sw.write(append(pre, hdr...)) }); err != nil {
+	if err := w.retryNoSpace(func() error { return sw.write(append(pre, hdr...)) }); err != nil {
 		sw.Abort()
 		return nil, err
 	}
@@ -245,7 +248,7 @@ func (sw *shardWriter) Write(amps []complex128) error {
 		if !littleEndian {
 			b = putAmps(piece)
 		}
-		if err := retryNoSpace(sw.dir, func() error { return sw.write(b) }); err != nil {
+		if err := sw.w.retryNoSpace(func() error { return sw.write(b) }); err != nil {
 			sw.off, sw.crc = off, crc
 			return err
 		}
@@ -280,15 +283,15 @@ func (sw *shardWriter) Close() (ShardInfo, error) {
 	}
 	tmp := sw.f.Name()
 	if err := sw.f.Close(); err != nil {
-		fsys().Remove(tmp)
+		sw.w.fs.Remove(tmp)
 		sw.closed = true
 		return ShardInfo{}, err
 	}
 	sw.closed = true
-	if err := commitTemp(sw.dir, tmp, sw.final); err != nil {
+	if err := sw.w.commitTemp(tmp, sw.final); err != nil {
 		return ShardInfo{}, err
 	}
-	telShard("write", sw.t0, sw.want)
+	sw.w.telShard("write", sw.t0, sw.want)
 	return ShardInfo{Rank: sw.rank, File: sw.final, Amps: sw.want, Checksum: sum}, nil
 }
 
@@ -300,19 +303,18 @@ func (sw *shardWriter) Abort() {
 	sw.closed = true
 	name := sw.f.Name()
 	sw.f.Close()
-	fsys().Remove(name)
+	sw.w.fs.Remove(name)
 }
 
-// ReadShard restores rank's full shard payload into dst (which must have
-// exactly the shard's length).
-func ReadShard(dir string, m *Manifest, rank int, dst []complex128) error {
-	return StreamShard(dir, m, rank, dst, nil)
-}
-
-// VerifyShard streams rank's shard end to end, checking header, payload
-// CRC, and manifest checksum without keeping the data.
+// VerifyShard streams rank's shard in dir, on the real file system, end to
+// end, checking header, payload CRC, and manifest checksum without keeping
+// the data.
 func VerifyShard(dir string, m *Manifest, rank int) error {
-	return StreamShard(dir, m, rank, make([]complex128, pieceAmps), func([]complex128) error { return nil })
+	return NewWriter(&Policy{Dir: dir}, m.Meta, nil).verifyShard(m, rank)
+}
+
+func (w *Writer) verifyShard(m *Manifest, rank int) error {
+	return w.StreamShard(m, rank, make([]complex128, pieceAmps), func([]complex128) error { return nil })
 }
 
 // StreamShard reads rank's shard of the manifest's checkpoint through buf:
@@ -321,12 +323,12 @@ func VerifyShard(dir string, m *Manifest, rank int) error {
 // the payload is read — with each nil, buf must hold the whole payload — and
 // last checks the CRC trailer against the file and the manifest. Every
 // failure of the shard wraps ErrInvalid; each's errors come back as they are.
-func StreamShard(dir string, m *Manifest, rank int, buf []complex128, each func([]complex128) error) error {
+func (w *Writer) StreamShard(m *Manifest, rank int, buf []complex128, each func([]complex128) error) error {
 	if rank < 0 || rank >= len(m.Shards) {
 		return fmt.Errorf("%w: no shard for rank %d", ErrInvalid, rank)
 	}
 	info, t0 := m.Shards[rank], time.Now()
-	f, err := fsys().Open(filepath.Join(dir, info.File))
+	f, err := w.fs.Open(filepath.Join(w.pol.Dir, info.File))
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalid, err)
 	}
@@ -354,7 +356,7 @@ func StreamShard(dir string, m *Manifest, rank int, buf []complex128, each func(
 	if err := sr.trailer(info.Checksum); err != nil {
 		return err
 	}
-	telShard("read", t0, info.Amps)
+	w.telShard("read", t0, info.Amps)
 	return nil
 }
 
@@ -450,9 +452,9 @@ func (sr *shardReader) trailer(recorded uint32) error {
 }
 
 // commit writes the manifest — the checkpoint's commit point — after all
-// shards are durable, then prunes checkpoints older than keep. shards must
-// be ordered by rank and complete.
-func commit(dir string, meta Meta, shards []ShardInfo, keep int) (*Manifest, error) {
+// shards are durable, then prunes checkpoints older than the policy's Keep.
+// shards must be ordered by rank and complete.
+func (w *Writer) commit(meta Meta, shards []ShardInfo) (*Manifest, error) {
 	t0 := time.Now()
 	if len(shards) != meta.Ranks {
 		return nil, fmt.Errorf("ckpt: commit with %d shards, want %d", len(shards), meta.Ranks)
@@ -472,26 +474,28 @@ func commit(dir string, meta Meta, shards []ShardInfo, keep int) (*Manifest, err
 	if err != nil {
 		return nil, err
 	}
-	if err := retryNoSpace(dir, func() error { return writeManifest(dir, manifestName(meta.NextStage), blob) }); err != nil {
+	if err := w.retryNoSpace(func() error { return w.writeManifest(manifestName(meta.NextStage), blob) }); err != nil {
 		return nil, err
 	}
+	keep := w.pol.Keep
 	if keep < 1 {
 		keep = 2
 	}
-	prune(dir, keep)
+	w.prune(keep)
 	// Stray temp files of interrupted writes.
-	strays, _ := filepath.Glob(filepath.Join(dir, ".tmp-*"))
+	strays, _ := filepath.Glob(filepath.Join(w.pol.Dir, ".tmp-*"))
 	for _, s := range strays {
-		removeCounted(s)
+		w.removeCounted(s)
 	}
-	tel.Load().Counter("ckpt.commits").Inc()
-	tel.Load().Histogram("ckpt.commit_ns").ObserveSince(t0)
+	w.tel.Counter("ckpt.commits").Inc()
+	w.tel.Histogram("ckpt.commit_ns").ObserveSince(t0)
 	return m, nil
 }
 
-// writeManifest lands blob in dir under name: temp file, fsync, commit.
-func writeManifest(dir, name string, blob []byte) error {
-	f, err := fsys().CreateTemp(dir, ".tmp-manifest-*")
+// writeManifest lands blob in the directory under name: temp file, fsync,
+// commit.
+func (w *Writer) writeManifest(name string, blob []byte) error {
+	f, err := w.fs.CreateTemp(w.pol.Dir, ".tmp-manifest-*")
 	if err != nil {
 		return err
 	}
@@ -503,10 +507,10 @@ func writeManifest(dir, name string, blob []byte) error {
 		err = cerr
 	}
 	if err != nil {
-		fsys().Remove(f.Name())
+		w.fs.Remove(f.Name())
 		return err
 	}
-	return commitTemp(dir, f.Name(), name)
+	return w.commitTemp(f.Name(), name)
 }
 
 // manifestCRC computes the CRC over the canonical JSON with CRC zeroed.
@@ -521,10 +525,10 @@ func manifestCRC(m *Manifest) (uint32, error) {
 	return crc32.Checksum(blob, castagnoli), nil
 }
 
-// LoadManifest reads and validates one manifest file (CRC, version, field
+// loadManifest reads and validates one manifest file (CRC, version, field
 // sanity). Shards are NOT verified — see VerifyShard / FindRestorable.
-func LoadManifest(path string) (*Manifest, error) {
-	blob, err := fsys().ReadFile(path)
+func (w *Writer) loadManifest(path string) (*Manifest, error) {
+	blob, err := w.fs.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalid, err)
 	}
@@ -553,17 +557,23 @@ func LoadManifest(path string) (*Manifest, error) {
 	return &m, nil
 }
 
-// FindRestorable walks dir's manifests newest-first (by stage cursor) and
-// returns the first checkpoint that fully verifies — manifest CRC, matching
-// plan fingerprint and geometry, and every shard checksum. It returns
-// (nil, nil) when no restorable checkpoint exists; the caller restarts from
-// scratch. want.NextStage is ignored.
+// FindRestorable is Writer.FindRestorable in dir on the real file system,
+// for a run of the plan want identifies (want.NextStage is ignored).
 func FindRestorable(dir string, want Meta) (*Manifest, error) {
-	valid, _ := manifests(dir)
+	return NewWriter(&Policy{Dir: dir}, want, nil).FindRestorable()
+}
+
+// FindRestorable walks the directory's manifests newest-first (by stage
+// cursor) and returns the first checkpoint of the writer's run that fully
+// verifies — manifest CRC, matching plan fingerprint and geometry, and every
+// shard checksum. It returns (nil, nil) when no restorable checkpoint
+// exists; the caller restarts from scratch.
+func (w *Writer) FindRestorable() (*Manifest, error) {
+	valid, _ := w.manifests()
 	for _, c := range valid {
-		ok := c.m.Meta.matches(want)
+		ok := c.m.Meta.matches(w.meta)
 		for r := 0; ok && r < c.m.Ranks; r++ {
-			ok = VerifyShard(dir, c.m, r) == nil
+			ok = w.verifyShard(c.m, r) == nil
 		}
 		if ok {
 			return c.m, nil
@@ -578,12 +588,12 @@ type loaded struct {
 	m    *Manifest
 }
 
-// manifests loads dir's manifest files: those that load, newest (by stage
-// cursor) first, and the paths of those that do not.
-func manifests(dir string) (valid []loaded, invalid []string) {
-	paths, _ := filepath.Glob(filepath.Join(dir, "manifest-*.json"))
+// manifests loads the directory's manifest files: those that load, newest
+// (by stage cursor) first, and the paths of those that do not.
+func (w *Writer) manifests() (valid []loaded, invalid []string) {
+	paths, _ := filepath.Glob(filepath.Join(w.pol.Dir, "manifest-*.json"))
 	for _, p := range paths {
-		if m, err := LoadManifest(p); err == nil {
+		if m, err := w.loadManifest(p); err == nil {
 			valid = append(valid, loaded{p, m})
 		} else {
 			invalid = append(invalid, p)
@@ -597,10 +607,10 @@ func manifests(dir string) (valid []loaded, invalid []string) {
 // how many it removed. Shards not referenced by a surviving manifest are
 // deleted. Removal failures do not stop the sweep; they count in
 // ckpt.prune_failures and log once (see removeCounted).
-func prune(dir string, keep int) (removed int) {
-	all, invalid := manifests(dir)
+func (w *Writer) prune(keep int) (removed int) {
+	all, invalid := w.manifests()
 	for _, p := range invalid {
-		removeCounted(p) // not restorable: reclaim it
+		w.removeCounted(p) // not restorable: reclaim it
 	}
 	kept := map[string]bool{}
 	for i, a := range all {
@@ -612,7 +622,7 @@ func prune(dir string, keep int) (removed int) {
 		}
 		// Manifest first: once it is gone the checkpoint is uncommitted and
 		// its shards are garbage even if deletion is interrupted here.
-		if !removeCounted(a.path) {
+		if !w.removeCounted(a.path) {
 			// The manifest survived, so the checkpoint is still committed:
 			// keep its shards, deleting them would corrupt it.
 			for _, s := range a.m.Shards {
@@ -623,7 +633,7 @@ func prune(dir string, keep int) (removed int) {
 		removed++
 		for _, s := range a.m.Shards {
 			if !kept[s.File] {
-				removeCounted(filepath.Join(dir, s.File))
+				w.removeCounted(filepath.Join(w.pol.Dir, s.File))
 			}
 		}
 	}

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"qusim/internal/fsio"
 )
 
 func testMeta(stage int) Meta {
@@ -24,9 +26,18 @@ func testAmps(rank, n int) []complex128 {
 	return amps
 }
 
+// onFS returns the writer of the testMeta run in dir on fs, without
+// telemetry.
+func onFS(fs fsio.FS, dir string) *Writer {
+	return NewWriter(&Policy{Dir: dir, FS: fs}, testMeta(0), nil)
+}
+
+// osWriter is onFS on the real file system.
+func osWriter(dir string) *Writer { return onFS(nil, dir) }
+
 // writeShard writes a full in-memory amplitude slice as one shard.
-func writeShard(dir string, meta Meta, rank int, amps []complex128) (ShardInfo, error) {
-	sw, err := newShardWriter(dir, meta, rank, len(amps))
+func writeShard(w *Writer, meta Meta, rank int, amps []complex128) (ShardInfo, error) {
+	sw, err := w.newShardWriter(meta, rank, len(amps))
 	if err != nil {
 		return ShardInfo{}, err
 	}
@@ -37,20 +48,20 @@ func writeShard(dir string, meta Meta, rank int, amps []complex128) (ShardInfo, 
 	return sw.Close()
 }
 
-// writeCheckpoint commits a full 4-rank checkpoint at the given stage and
-// returns the manifest.
-func writeCheckpoint(t *testing.T, dir string, stage int) *Manifest {
+// writeCheckpoint commits a full 4-rank checkpoint at the given stage
+// through w and returns the manifest.
+func writeCheckpoint(t *testing.T, w *Writer, stage int) *Manifest {
 	t.Helper()
 	meta := testMeta(stage)
 	shards := make([]ShardInfo, meta.Ranks)
 	for r := 0; r < meta.Ranks; r++ {
-		info, err := writeShard(dir, meta, r, testAmps(r, 1<<meta.L))
+		info, err := writeShard(w, meta, r, testAmps(r, 1<<meta.L))
 		if err != nil {
 			t.Fatalf("WriteShard rank %d: %v", r, err)
 		}
 		shards[r] = info
 	}
-	m, err := commit(dir, meta, shards, 2)
+	m, err := w.commit(meta, shards)
 	if err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
@@ -59,11 +70,11 @@ func writeCheckpoint(t *testing.T, dir string, stage int) *Manifest {
 
 func TestShardRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	m := writeCheckpoint(t, dir, 3)
+	m := writeCheckpoint(t, osWriter(dir), 3)
 	for r := 0; r < m.Ranks; r++ {
 		want := testAmps(r, 1<<m.L)
 		got := make([]complex128, len(want))
-		if err := ReadShard(dir, m, r, got); err != nil {
+		if err := osWriter(dir).StreamShard(m, r, got, nil); err != nil {
 			t.Fatalf("ReadShard rank %d: %v", r, err)
 		}
 		for i := range want {
@@ -80,7 +91,7 @@ func TestCommitIsTheCommitPoint(t *testing.T) {
 	dir := t.TempDir()
 	meta := testMeta(1)
 	for r := 0; r < meta.Ranks; r++ {
-		if _, err := writeShard(dir, meta, r, testAmps(r, 1<<meta.L)); err != nil {
+		if _, err := writeShard(osWriter(dir), meta, r, testAmps(r, 1<<meta.L)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,8 +103,8 @@ func TestCommitIsTheCommitPoint(t *testing.T) {
 
 func TestFindRestorablePicksNewest(t *testing.T) {
 	dir := t.TempDir()
-	writeCheckpoint(t, dir, 1)
-	writeCheckpoint(t, dir, 4)
+	writeCheckpoint(t, osWriter(dir), 1)
+	writeCheckpoint(t, osWriter(dir), 4)
 	m, err := FindRestorable(dir, testMeta(0))
 	if err != nil || m == nil {
 		t.Fatalf("FindRestorable: %v, %v", m, err)
@@ -105,8 +116,8 @@ func TestFindRestorablePicksNewest(t *testing.T) {
 
 func TestFindRestorableFallsBackPastCorruptShard(t *testing.T) {
 	dir := t.TempDir()
-	writeCheckpoint(t, dir, 1)
-	m4 := writeCheckpoint(t, dir, 4)
+	writeCheckpoint(t, osWriter(dir), 1)
+	m4 := writeCheckpoint(t, osWriter(dir), 4)
 	// Flip one payload bit in a stage-4 shard: recovery must fall back to
 	// the stage-1 checkpoint rather than load corrupt data.
 	corruptFile(t, filepath.Join(dir, m4.Shards[2].File), 60)
@@ -121,7 +132,7 @@ func TestFindRestorableFallsBackPastCorruptShard(t *testing.T) {
 
 func TestFindRestorableRejectsForeignPlan(t *testing.T) {
 	dir := t.TempDir()
-	writeCheckpoint(t, dir, 2)
+	writeCheckpoint(t, osWriter(dir), 2)
 	want := testMeta(0)
 	want.PlanHash = "a-different-circuit"
 	m, err := FindRestorable(dir, want)
@@ -133,7 +144,7 @@ func TestFindRestorableRejectsForeignPlan(t *testing.T) {
 func TestCommitPrunesOldCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	for _, stage := range []int{1, 2, 3, 4} {
-		writeCheckpoint(t, dir, stage)
+		writeCheckpoint(t, osWriter(dir), stage)
 	}
 	manifests, _ := filepath.Glob(filepath.Join(dir, "manifest-*.json"))
 	if len(manifests) != 2 {
@@ -152,7 +163,7 @@ func TestCommitPrunesOldCheckpoints(t *testing.T) {
 func TestShardWriterLengthEnforced(t *testing.T) {
 	dir := t.TempDir()
 	meta := testMeta(0)
-	sw, err := newShardWriter(dir, meta, 0, 16)
+	sw, err := osWriter(dir).newShardWriter(meta, 0, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +177,7 @@ func TestShardWriterLengthEnforced(t *testing.T) {
 	if len(files) != 0 {
 		t.Fatalf("failed shard left files behind: %v", files)
 	}
-	sw, err = newShardWriter(dir, meta, 0, 4)
+	sw, err = osWriter(dir).newShardWriter(meta, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +213,7 @@ func corruptFile(t *testing.T, path string, off int) {
 //qlint:ignore atomicrename deliberately fabricates and corrupts on-disk checkpoint bytes to test that recovery rejects them; durability ordering is the property under attack, not in use
 func TestShardDecodeRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
-	m := writeCheckpoint(t, dir, 2)
+	m := writeCheckpoint(t, osWriter(dir), 2)
 	path := filepath.Join(dir, m.Shards[1].File)
 	pristine, err := os.ReadFile(path)
 	if err != nil {
@@ -215,7 +226,7 @@ func TestShardDecodeRejectsCorruption(t *testing.T) {
 	}
 	read := func() error {
 		dst := make([]complex128, m.Shards[1].Amps)
-		return ReadShard(dir, m, 1, dst)
+		return osWriter(dir).StreamShard(m, 1, dst, nil)
 	}
 
 	cases := []struct {
@@ -260,7 +271,7 @@ func TestShardDecodeRejectsCorruption(t *testing.T) {
 //qlint:ignore atomicrename deliberately fabricates and corrupts on-disk checkpoint bytes to test that recovery rejects them; durability ordering is the property under attack, not in use
 func TestShardDecodeRejectsVersionSkew(t *testing.T) {
 	dir := t.TempDir()
-	m := writeCheckpoint(t, dir, 2)
+	m := writeCheckpoint(t, osWriter(dir), 2)
 	path := filepath.Join(dir, m.Shards[0].File)
 	blob, err := os.ReadFile(path)
 	if err != nil {
@@ -279,7 +290,7 @@ func TestShardDecodeRejectsVersionSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]complex128, m.Shards[0].Amps)
-	err = ReadShard(dir, m, 0, dst)
+	err = osWriter(dir).StreamShard(m, 0, dst, nil)
 	if err == nil || !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("version-skewed shard not rejected as such: %v", err)
 	}
@@ -288,7 +299,7 @@ func TestShardDecodeRejectsVersionSkew(t *testing.T) {
 //qlint:ignore atomicrename deliberately fabricates and corrupts on-disk checkpoint bytes to test that recovery rejects them; durability ordering is the property under attack, not in use
 func TestManifestDecodeRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
-	m := writeCheckpoint(t, dir, 5)
+	m := writeCheckpoint(t, osWriter(dir), 5)
 	path := filepath.Join(dir, fmt.Sprintf("manifest-%06d.json", m.NextStage))
 	pristine, err := os.ReadFile(path)
 	if err != nil {
@@ -311,7 +322,7 @@ func TestManifestDecodeRejectsCorruption(t *testing.T) {
 			if err := os.WriteFile(path, tc.mutate(), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := LoadManifest(path); err == nil {
+			if _, err := osWriter(dir).loadManifest(path); err == nil {
 				t.Fatal("corrupt manifest loaded without error")
 			} else if !errors.Is(err, ErrInvalid) {
 				t.Fatalf("corruption error does not wrap ErrInvalid: %v", err)
@@ -324,7 +335,7 @@ func TestManifestDecodeRejectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, pristine, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadManifest(path); err != nil {
+	if _, err := osWriter(dir).loadManifest(path); err != nil {
 		t.Fatalf("pristine manifest rejected: %v", err)
 	}
 }
@@ -333,7 +344,7 @@ func TestManifestDecodeRejectsCorruption(t *testing.T) {
 func TestManifestRejectsTamperedFields(t *testing.T) {
 	// Field edits that keep valid JSON must still fail the manifest CRC.
 	dir := t.TempDir()
-	m := writeCheckpoint(t, dir, 5)
+	m := writeCheckpoint(t, osWriter(dir), 5)
 	path := filepath.Join(dir, fmt.Sprintf("manifest-%06d.json", m.NextStage))
 	pristine, err := os.ReadFile(path)
 	if err != nil {
@@ -346,7 +357,7 @@ func TestManifestRejectsTamperedFields(t *testing.T) {
 	if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadManifest(path); err == nil || !errors.Is(err, ErrInvalid) {
+	if _, err := osWriter(dir).loadManifest(path); err == nil || !errors.Is(err, ErrInvalid) {
 		t.Fatalf("tampered manifest accepted: %v", err)
 	}
 }

@@ -34,7 +34,7 @@ func TestViewAndPortableShardsIdentical(t *testing.T) {
 			amps := testAmps(n, n)
 			meta := Meta{PlanHash: "endian", N: 20, L: 20, Ranks: 1, NextStage: 1}
 			write := func(dir string) (ShardInfo, []byte) {
-				sw, err := newShardWriter(dir, meta, 0, n)
+				sw, err := osWriter(dir).newShardWriter(meta, 0, n)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -66,7 +66,7 @@ func TestViewAndPortableShardsIdentical(t *testing.T) {
 			man := &Manifest{Version: Version, Meta: meta, Shards: []ShardInfo{viewInfo}}
 			read := func(dir string) []complex128 {
 				got := make([]complex128, n)
-				if err := ReadShard(dir, man, 0, got); err != nil {
+				if err := osWriter(dir).StreamShard(man, 0, got, nil); err != nil {
 					t.Fatal(err)
 				}
 				return got
@@ -120,8 +120,8 @@ func TestShardWriteRepeatableAfterFailure(t *testing.T) {
 	const n = 3*pieceAmps + 5
 	amps := testAmps(3, n)
 	meta := Meta{PlanHash: "retry", N: 20, L: 20, Ranks: 1, NextStage: 2}
-	write := func(dir string, wantFailure bool) []byte {
-		sw, err := newShardWriter(dir, meta, 0, n)
+	write := func(w *Writer, wantFailure bool) []byte {
+		sw, err := w.newShardWriter(meta, 0, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,18 +142,17 @@ func TestShardWriteRepeatableAfterFailure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := os.ReadFile(filepath.Join(dir, info.File))
+		blob, err := os.ReadFile(filepath.Join(w.pol.Dir, info.File))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return blob
 	}
-	clean := write(t.TempDir(), false)
+	clean := write(osWriter(t.TempDir()), false)
 	// Writes of the file: header, piece 0, then the second call's pieces —
 	// the 4th lands the second of those by half.
-	old := SetFS(&failNthWriteFS{n: 4})
-	t.Cleanup(func() { SetFS(old) })
-	if retried := write(t.TempDir(), true); !bytes.Equal(clean, retried) {
+	failing := NewWriter(&Policy{Dir: t.TempDir(), FS: &failNthWriteFS{n: 4}}, meta, nil)
+	if retried := write(failing, true); !bytes.Equal(clean, retried) {
 		t.Fatal("shard written across a failed and repeated Write differs from a clean one")
 	}
 }
@@ -175,7 +174,7 @@ func TestShardFormatGolden(t *testing.T) {
 	dir := t.TempDir()
 	meta := Meta{PlanHash: "golden", N: 2, L: 2, Ranks: 1, NextStage: 3}
 	amps := []complex128{1 + 2i, -0.5, 3.25i, complex(1e-300, -7)}
-	info, err := writeShard(dir, meta, 0, amps)
+	info, err := writeShard(osWriter(dir), meta, 0, amps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +186,7 @@ func TestShardFormatGolden(t *testing.T) {
 		t.Fatalf("shard bytes moved:\n got %x\nwant %x", got, want)
 	}
 	back := make([]complex128, len(amps))
-	if err := ReadShard(dir, &Manifest{Version: Version, Meta: meta, Shards: []ShardInfo{info}}, 0, back); err != nil {
+	if err := osWriter(dir).StreamShard(&Manifest{Version: Version, Meta: meta, Shards: []ShardInfo{info}}, 0, back, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := range amps {

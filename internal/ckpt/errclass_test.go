@@ -29,13 +29,15 @@ func (transientFS) Open(name string) (fsio.File, error) {
 	return nil, fmt.Errorf("injected open: %w", fsio.ErrTransient)
 }
 
-func TestLoadManifestKeepsTransientClassification(t *testing.T) {
-	old := SetFS(transientFS{})
-	t.Cleanup(func() { SetFS(old) })
+// transientWriter returns a writer whose file system is transientFS.
+func transientWriter(dir string) *Writer {
+	return NewWriter(&Policy{Dir: dir, FS: transientFS{}}, Meta{}, nil)
+}
 
-	_, err := LoadManifest("ckpt-000001.json")
+func TestLoadManifestKeepsTransientClassification(t *testing.T) {
+	_, err := transientWriter("").loadManifest("ckpt-000001.json")
 	if err == nil {
-		t.Fatal("LoadManifest succeeded against a failing FS")
+		t.Fatal("loadManifest succeeded against a failing FS")
 	}
 	if !errors.Is(err, ErrInvalid) {
 		t.Errorf("error lost its ErrInvalid wrap: %v", err)
@@ -46,11 +48,8 @@ func TestLoadManifestKeepsTransientClassification(t *testing.T) {
 }
 
 func TestOpenShardKeepsTransientClassification(t *testing.T) {
-	old := SetFS(transientFS{})
-	t.Cleanup(func() { SetFS(old) })
-
 	m := &Manifest{Shards: []ShardInfo{{Rank: 0, File: "shard-0"}}}
-	err := VerifyShard(t.TempDir(), m, 0)
+	err := transientWriter(t.TempDir()).verifyShard(m, 0)
 	if err == nil {
 		t.Fatal("opening the shard succeeded against a failing FS")
 	}

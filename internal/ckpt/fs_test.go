@@ -24,26 +24,26 @@ func (b *brokenRemoveFS) Remove(name string) error {
 }
 
 func TestPruneOldestRemovesOldestOnly(t *testing.T) {
-	dir := t.TempDir()
-	writeCheckpoint(t, dir, 1)
-	writeCheckpoint(t, dir, 2)
+	w := osWriter(t.TempDir())
+	writeCheckpoint(t, w, 1)
+	writeCheckpoint(t, w, 2)
 
-	if !pruneOldest(dir) {
+	if !w.pruneOldest() {
 		t.Fatal("pruneOldest removed nothing with two checkpoints present")
 	}
-	m, err := FindRestorable(dir, testMeta(0))
+	m, err := w.FindRestorable()
 	if err != nil {
 		t.Fatalf("newest checkpoint lost by prune: %v", err)
 	}
 	if m.NextStage != 2 {
 		t.Errorf("survivor is stage %d, want 2 (the newest)", m.NextStage)
 	}
-	if _, err := LoadManifest(filepath.Join(dir, manifestName(1))); err == nil {
+	if _, err := w.loadManifest(filepath.Join(w.pol.Dir, manifestName(1))); err == nil {
 		t.Error("oldest manifest survived pruneOldest")
 	}
 
 	// With a single checkpoint left there is nothing safe to reclaim.
-	if pruneOldest(dir) {
+	if w.pruneOldest() {
 		t.Error("pruneOldest removed the last remaining checkpoint")
 	}
 }
@@ -53,17 +53,14 @@ func TestPruneOldestRemovesOldestOnly(t *testing.T) {
 // to the caller, and surfaces only as the ckpt.prune_failures counter.
 func TestPruneFailureCountedNotFatal(t *testing.T) {
 	dir := t.TempDir()
-	writeCheckpoint(t, dir, 1)
-	writeCheckpoint(t, dir, 2)
+	writeCheckpoint(t, osWriter(dir), 1)
+	writeCheckpoint(t, osWriter(dir), 2)
 
 	tel := telemetry.New()
-	SetTelemetry(tel)
-	t.Cleanup(func() { SetTelemetry(nil) })
 	fs := &brokenRemoveFS{}
-	old := SetFS(fs)
-	t.Cleanup(func() { SetFS(old) })
+	w := NewWriter(&Policy{Dir: dir, FS: fs}, testMeta(0), tel)
 
-	if pruneOldest(dir) {
+	if w.pruneOldest() {
 		t.Error("pruneOldest claimed success though every Remove failed")
 	}
 	if fs.attempts == 0 {
@@ -73,7 +70,7 @@ func TestPruneFailureCountedNotFatal(t *testing.T) {
 		t.Error("ckpt.prune_failures did not count the failed removals")
 	}
 	for stage := 1; stage <= 2; stage++ {
-		if _, err := LoadManifest(filepath.Join(dir, manifestName(stage))); err != nil {
+		if _, err := w.loadManifest(filepath.Join(dir, manifestName(stage))); err != nil {
 			t.Errorf("stage %d no longer restorable after failed prune: %v", stage, err)
 		}
 	}
@@ -81,14 +78,15 @@ func TestPruneFailureCountedNotFatal(t *testing.T) {
 
 func TestDiscardStageSparesCommittedShards(t *testing.T) {
 	dir := t.TempDir()
-	m := writeCheckpoint(t, dir, 3)
+	w := osWriter(dir)
+	m := writeCheckpoint(t, w, 3)
 
 	// The stage is committed: its shards are live checkpoint data, so
 	// discardStage must be a no-op even though the glob matches them.
-	discardStage(dir, 3)
+	w.discardStage(3)
 	got := make([]complex128, 1<<m.L)
 	for r := 0; r < m.Ranks; r++ {
-		if err := ReadShard(dir, m, r, got); err != nil {
+		if err := w.StreamShard(m, r, got, nil); err != nil {
 			t.Fatalf("discardStage destroyed committed shard for rank %d: %v", r, err)
 		}
 	}
@@ -97,11 +95,11 @@ func TestDiscardStageSparesCommittedShards(t *testing.T) {
 	// ENOSPC commit leaves behind) is garbage and must be reclaimed.
 	meta := testMeta(4)
 	for r := 0; r < meta.Ranks; r++ {
-		if _, err := writeShard(dir, meta, r, testAmps(r, 1<<meta.L)); err != nil {
+		if _, err := writeShard(w, meta, r, testAmps(r, 1<<meta.L)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	discardStage(dir, 4)
+	w.discardStage(4)
 	strays, err := filepath.Glob(filepath.Join(dir, "shard-000004-r*.ckpt"))
 	if err != nil {
 		t.Fatal(err)
@@ -122,11 +120,8 @@ func TestDiscardStageSparesCommittedShards(t *testing.T) {
 // fallback.
 func TestTornWriteNeverYieldsCorruptRestore(t *testing.T) {
 	// Learn how many write-family ops one committed checkpoint costs.
-	probeDir := t.TempDir()
 	probe := chaos.NewFS(chaos.DiskFaults{}, nil)
-	old := SetFS(probe)
-	t.Cleanup(func() { SetFS(old) })
-	writeCheckpoint(t, probeDir, 2)
+	writeCheckpoint(t, onFS(probe, t.TempDir()), 2)
 	writeOps := int(probe.Stats().WriteOps)
 	if writeOps == 0 {
 		t.Fatal("probe counted no write ops — the seam is not wired")
@@ -135,13 +130,8 @@ func TestTornWriteNeverYieldsCorruptRestore(t *testing.T) {
 	fellBack := 0
 	for k := 1; k <= writeOps; k++ {
 		dir := t.TempDir()
-		SetFS(fsio.OS{})
-		writeCheckpoint(t, dir, 1)
-
-		fs := chaos.NewFS(chaos.DiskFaults{TornWriteAt: k}, nil)
-		SetFS(fs)
-		writeCheckpoint(t, dir, 2)
-		SetFS(fsio.OS{})
+		writeCheckpoint(t, osWriter(dir), 1)
+		writeCheckpoint(t, onFS(chaos.NewFS(chaos.DiskFaults{TornWriteAt: k}, nil), dir), 2)
 
 		m, err := FindRestorable(dir, testMeta(0))
 		if err != nil {
@@ -169,12 +159,9 @@ func TestTornWriteNeverYieldsCorruptRestore(t *testing.T) {
 // engines' degradation policy keys on: an injected ENOSPC anywhere in the
 // shard/commit path must satisfy fsio.IsNoSpace after all the wrapping.
 func TestCommitENOSPCSurfacesAsNoSpace(t *testing.T) {
-	dir := t.TempDir()
-	old := SetFS(chaos.NewFS(chaos.DiskFaults{NoSpaceAt: 1, NoSpaceRun: 1 << 20}, nil))
-	t.Cleanup(func() { SetFS(old) })
-
+	full := onFS(chaos.NewFS(chaos.DiskFaults{NoSpaceAt: 1, NoSpaceRun: 1 << 20}, nil), t.TempDir())
 	meta := testMeta(1)
-	_, err := writeShard(dir, meta, 0, testAmps(0, 1<<meta.L))
+	_, err := writeShard(full, meta, 0, testAmps(0, 1<<meta.L))
 	if err == nil {
 		t.Fatal("shard write succeeded on a full disk")
 	}

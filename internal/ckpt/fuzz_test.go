@@ -20,11 +20,12 @@ func seedShard(tb testing.TB) (dir string, m *Manifest, blob []byte) {
 	for i := range amps {
 		amps[i] = complex(float64(i), -float64(i))
 	}
-	info, err := writeShard(dir, meta, 0, amps)
+	w := osWriter(dir)
+	info, err := writeShard(w, meta, 0, amps)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	m, err = commit(dir, meta, []ShardInfo{info}, 2)
+	m, err = w.commit(meta, []ShardInfo{info})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func FuzzShardDecode(f *testing.F) {
 			t.Skip()
 		}
 		dst := make([]complex128, m.Shards[0].Amps)
-		err := ReadShard(dir, m, 0, dst)
+		err := osWriter(dir).StreamShard(m, 0, dst, nil)
 		// The only bytes that may decode cleanly are the pristine shard.
 		if err == nil && string(data) != string(blob) {
 			t.Fatalf("mutated shard (%d bytes) decoded without error", len(data))
@@ -73,7 +74,7 @@ func FuzzManifestDecode(f *testing.F) {
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Skip()
 		}
-		got, err := LoadManifest(p)
+		got, err := osWriter("").loadManifest(p)
 		if err == nil && string(data) != string(pristine) {
 			// A different byte stream may still be a semantically identical
 			// manifest (whitespace); accept only if it re-verifies.

@@ -15,31 +15,31 @@ import (
 // and closes with its last, so a shard written in one piece and one teed
 // chunk by chunk are the same bytes.
 //
-// A Writer's snapshot is droppable: an ENOSPC that persists past the prune
-// retry (retryNoSpace) drops the whole boundary — the shard aborted, and at
-// commit (or abort) every shard file of the boundary discarded and the drop
-// counted — and the run goes on, a missed snapshot costing only a longer
-// replay after a restart. A snapshot from NewSnapshot returns the ENOSPC
-// instead.
+// A snapshot from Writer.At is droppable: an ENOSPC that persists past the
+// prune retry (retryNoSpace) drops the whole boundary — the shard aborted,
+// and at commit (or abort) every shard file of the boundary discarded and the
+// drop counted — and the run goes on, a missed snapshot costing only a
+// longer replay after a restart. A snapshot from Writer.Snapshot returns the
+// ENOSPC instead.
 //
 // Distinct shards may be teed concurrently; Commit must follow every tee.
 type Snapshot struct {
-	dir     string
-	meta    Meta
-	keep    int
-	w       *Writer // nil: not droppable
-	writers []*shardWriter
-	shards  []ShardInfo
-	dropped atomic.Bool
-	once    sync.Once
-	err     error // Commit's outcome
+	w         *Writer
+	meta      Meta
+	droppable bool
+	writers   []*shardWriter
+	shards    []ShardInfo
+	dropped   atomic.Bool
+	once      sync.Once
+	err       error // Commit's outcome
 }
 
-// NewSnapshot begins the snapshot of the boundary meta.NextStage in dir,
-// keeping the newest keep snapshots once it commits.
-func NewSnapshot(dir string, meta Meta, keep int) *Snapshot {
-	return &Snapshot{dir: dir, meta: meta, keep: keep,
-		writers: make([]*shardWriter, meta.Ranks), shards: make([]ShardInfo, meta.Ranks)}
+// Snapshot begins the snapshot of the boundary before stage next, whether
+// or not the policy names it; a disk that stays full fails it.
+func (w *Writer) Snapshot(next int) *Snapshot {
+	m := w.meta
+	m.NextStage = next
+	return &Snapshot{w: w, meta: m, writers: make([]*shardWriter, m.Ranks), shards: make([]ShardInfo, m.Ranks)}
 }
 
 // Tee appends amps, the next amplitudes in plan order, to the given shard.
@@ -51,7 +51,7 @@ func (s *Snapshot) Tee(shard int, amps []complex128) error {
 	sw := s.writers[shard]
 	if sw == nil {
 		var err error
-		if sw, err = newShardWriter(s.dir, s.meta, shard, 1<<s.meta.L); err != nil {
+		if sw, err = s.w.newShardWriter(s.meta, shard, 1<<s.meta.L); err != nil {
 			s.writers[shard] = &shardWriter{closed: true}
 			return s.absorb(err)
 		}
@@ -101,15 +101,15 @@ func (s *Snapshot) Abort() {
 func (s *Snapshot) end(commitIt bool) error {
 	var err error
 	if commitIt && !s.dropped.Load() {
-		_, err = commit(s.dir, s.meta, s.shards, s.keep)
+		_, err = s.w.commit(s.meta, s.shards)
 		err = s.absorb(err)
 	}
 	switch {
 	case s.dropped.Load():
-		discardStage(s.dir, s.meta.NextStage)
+		s.w.discardStage(s.meta.NextStage)
 		s.w.skipped.Add(1)
 		s.w.tel.Counter("ckpt.skipped").Inc()
-	case commitIt && err == nil && s.w != nil:
+	case commitIt && err == nil:
 		s.w.written.Add(1)
 	}
 	return err
@@ -117,18 +117,22 @@ func (s *Snapshot) end(commitIt bool) error {
 
 // absorb applies the drop policy to the outcome of a write.
 func (s *Snapshot) absorb(err error) error {
-	if err == nil || s.w == nil || !fsio.IsNoSpace(err) {
+	if err == nil || !s.droppable || !fsio.IsNoSpace(err) {
 		return err
 	}
 	s.dropped.Store(true)
 	return nil
 }
 
-// Writer writes the snapshots of one run: the boundaries its Policy names,
-// under the run's identity, one Snapshot per boundary however many units
-// feed it, and the count of those committed and dropped.
+// Writer is the checkpoint handle of one run: it writes the run's snapshots
+// — the boundaries its Policy names, under the run's identity, one Snapshot
+// per boundary however many units feed it — counts those committed and
+// dropped, and finds and reads back the snapshot a run resumes from. All of
+// it runs in Policy.Dir on Policy.FS, and every ckpt.* metric goes to the
+// writer's telemetry.
 type Writer struct {
 	pol  *Policy
+	fs   fsio.FS
 	meta Meta
 	tel  *telemetry.Telemetry
 
@@ -140,12 +144,17 @@ type Writer struct {
 
 // NewWriter returns the writer of a run of the plan meta identifies (its
 // NextStage is ignored), or nil, which writes nothing, for a nil policy. tel
-// counts the dropped boundaries in ckpt.skipped.
+// (nil: disabled) receives the run's ckpt.* metrics: shard writes and reads,
+// commits, prune failures, disk-full prunes and dropped boundaries.
 func NewWriter(pol *Policy, meta Meta, tel *telemetry.Telemetry) *Writer {
 	if pol == nil {
 		return nil
 	}
-	return &Writer{pol: pol, meta: meta, tel: tel}
+	fs := pol.FS
+	if fs == nil {
+		fs = fsio.OS{}
+	}
+	return &Writer{pol: pol, fs: fs, meta: meta, tel: tel}
 }
 
 // At returns the snapshot of the boundary before stage next when Policy.Due
@@ -158,10 +167,8 @@ func (w *Writer) At(next, start, stages int) *Snapshot {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.cur == nil || w.cur.meta.NextStage != next {
-		m := w.meta
-		m.NextStage = next
-		w.cur = NewSnapshot(w.pol.Dir, m, w.pol.Keep)
-		w.cur.w = w
+		w.cur = w.Snapshot(next)
+		w.cur.droppable = true
 	}
 	return w.cur
 }

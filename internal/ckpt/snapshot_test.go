@@ -64,7 +64,7 @@ func TestSnapshotTeedInPiecesEqualsWholeShards(t *testing.T) {
 		dir   string
 		piece int
 	}{{whole, 1 << meta.L}, {pieces, 4}} {
-		snap := NewSnapshot(c.dir, meta, 2)
+		snap := osWriter(c.dir).Snapshot(meta.NextStage)
 		if err := teeRanks(snap, meta, c.piece); err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestSnapshotTeedInPiecesEqualsWholeShards(t *testing.T) {
 	}
 	got := make([]complex128, 1<<meta.L)
 	for r := 0; r < meta.Ranks; r++ {
-		if err := ReadShard(pieces, m, r, got); err != nil || !slices.Equal(got, testAmps(r, len(got))) {
+		if err := osWriter(pieces).StreamShard(m, r, got, nil); err != nil || !slices.Equal(got, testAmps(r, len(got))) {
 			t.Fatalf("rank %d restored wrong (%v)", r, err)
 		}
 	}
@@ -142,7 +142,7 @@ func TestWriterSharesOneSnapshotPerBoundary(t *testing.T) {
 // prune retry drops a Writer's boundary — every rank's tee and the commit
 // return nil, no file of it stays behind, the drop is counted, also when
 // the stage fails and aborts the snapshot instead of committing it — while
-// a snapshot from NewSnapshot returns the ENOSPC.
+// a snapshot from Writer.Snapshot returns the ENOSPC.
 func TestSnapshotDropsOnPersistentENOSPC(t *testing.T) {
 	meta := testMeta(0)
 	for _, c := range []struct {
@@ -150,9 +150,8 @@ func TestSnapshotDropsOnPersistentENOSPC(t *testing.T) {
 		abort bool
 	}{{1, false}, {3, false}, {6, false}, {6, true}} {
 		at, dir := c.at, t.TempDir()
-		old := SetFS(chaos.NewFS(chaos.DiskFaults{NoSpaceAt: at, NoSpaceRun: 1 << 20}, nil))
 		tel := telemetry.New()
-		w := NewWriter(&Policy{Dir: dir}, meta, tel)
+		w := NewWriter(&Policy{Dir: dir, FS: chaos.NewFS(chaos.DiskFaults{NoSpaceAt: at, NoSpaceRun: 1 << 20}, nil)}, meta, tel)
 		snap := w.At(1, 0, 3)
 		err := teeRanks(snap, meta, 4)
 		switch {
@@ -162,7 +161,6 @@ func TestSnapshotDropsOnPersistentENOSPC(t *testing.T) {
 		default:
 			err = snap.Commit()
 		}
-		SetFS(old)
 		if err != nil {
 			t.Fatalf("write op %d: a full disk failed the snapshot: %v", at, err)
 		}
@@ -175,9 +173,8 @@ func TestSnapshotDropsOnPersistentENOSPC(t *testing.T) {
 		}
 	}
 
-	old := SetFS(chaos.NewFS(chaos.DiskFaults{NoSpaceAt: 1, NoSpaceRun: 1 << 20}, nil))
-	t.Cleanup(func() { SetFS(old) })
-	if err := NewSnapshot(t.TempDir(), meta, 2).Tee(0, testAmps(0, 1<<meta.L)); !fsio.IsNoSpace(err) {
+	full := onFS(chaos.NewFS(chaos.DiskFaults{NoSpaceAt: 1, NoSpaceRun: 1 << 20}, nil), t.TempDir())
+	if err := full.Snapshot(meta.NextStage).Tee(0, testAmps(0, 1<<meta.L)); !fsio.IsNoSpace(err) {
 		t.Errorf("a stand-alone snapshot on a full disk returned %v, want ENOSPC", err)
 	}
 }

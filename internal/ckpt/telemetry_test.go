@@ -6,19 +6,17 @@ import (
 	"qusim/internal/telemetry"
 )
 
-// TestTelemetryShardIO asserts the process-global hook records shard
-// write/read throughput and manifest commits, and that disarming stops the
-// counting.
+// TestTelemetryShardIO asserts a writer's telemetry records shard
+// write/read throughput and manifest commits, and that a writer without
+// telemetry counts nothing there.
 func TestTelemetryShardIO(t *testing.T) {
 	tel := telemetry.New()
-	SetTelemetry(tel)
-	t.Cleanup(func() { SetTelemetry(nil) })
-
 	dir := t.TempDir()
-	m := writeCheckpoint(t, dir, 1)
+	w := NewWriter(&Policy{Dir: dir}, testMeta(0), tel)
+	m := writeCheckpoint(t, w, 1)
 	amps := make([]complex128, 1<<m.L)
 	for r := 0; r < m.Ranks; r++ {
-		if err := ReadShard(dir, m, r, amps); err != nil {
+		if err := w.StreamShard(m, r, amps, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,10 +43,9 @@ func TestTelemetryShardIO(t *testing.T) {
 		}
 	}
 
-	// Disarmed, further I/O must not count.
-	SetTelemetry(telemetry.Disabled)
-	writeCheckpoint(t, dir, 2)
+	// Another writer's I/O must not count here.
+	writeCheckpoint(t, osWriter(dir), 2)
 	if got := tel.Counter("ckpt.shard_writes").Value(); got != int64(m.Ranks) {
-		t.Errorf("shard_writes moved to %d after disarm", got)
+		t.Errorf("shard_writes moved to %d by a writer without telemetry", got)
 	}
 }

@@ -165,20 +165,11 @@ func TestCorruptedNewestSnapshotFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	manifests, err := filepath.Glob(filepath.Join(dir, "manifest-*.json"))
-	if err != nil || len(manifests) < 2 {
-		t.Fatalf("want ≥2 retained manifests to fall back across, have %d (%v)", len(manifests), err)
+	committed := committedStages(t, dir)
+	if len(committed) < 2 {
+		t.Fatalf("want ≥2 retained manifests to fall back across, have %v", committed)
 	}
-	newest := 0
-	for _, p := range manifests {
-		m, err := ckpt.LoadManifest(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.NextStage > newest {
-			newest = m.NextStage
-		}
-	}
+	newest := committed[len(committed)-1]
 	shards, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("shard-%06d-r*.ckpt", newest)))
 	if err != nil || len(shards) == 0 {
 		t.Fatalf("no shards found for newest stage %d", newest)
@@ -220,11 +211,9 @@ func TestENOSPCAtEveryFailpointNeverAborts(t *testing.T) {
 	}
 
 	probe := chaos.NewFS(chaos.DiskFaults{}, nil)
-	old := ckpt.SetFS(probe)
-	t.Cleanup(func() { ckpt.SetFS(old) })
 	if _, err := Run(plan, Options{
 		Ranks: 4, Init: InitUniform,
-		Checkpoint: &ckpt.Policy{Dir: t.TempDir()},
+		Checkpoint: &ckpt.Policy{Dir: t.TempDir(), FS: probe},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -236,14 +225,12 @@ func TestENOSPCAtEveryFailpointNeverAborts(t *testing.T) {
 	skippedSomewhere := false
 	for k := 1; k <= writeOps; k++ {
 		fs := chaos.NewFS(chaos.DiskFaults{NoSpaceAt: k, NoSpaceRun: 1 << 30}, nil)
-		ckpt.SetFS(fs)
 		tel := telemetry.New()
 		res, err := Run(plan, Options{
 			Ranks: 4, Init: InitUniform, GatherState: true,
-			Checkpoint: &ckpt.Policy{Dir: t.TempDir()},
+			Checkpoint: &ckpt.Policy{Dir: t.TempDir(), FS: fs},
 			Telemetry:  tel,
 		})
-		ckpt.SetFS(old)
 		if err != nil {
 			t.Fatalf("ENOSPC from write op %d on aborted the run: %v", k, err)
 		}
@@ -270,11 +257,9 @@ func TestENOSPCAtEveryFailpointNeverAborts(t *testing.T) {
 func TestENOSPCWindowPrunesAndRecovers(t *testing.T) {
 	clean := cleanReference(t)
 	fs := chaos.NewFS(chaos.DiskFaults{NoSpaceAt: 3, NoSpaceRun: 4}, nil)
-	old := ckpt.SetFS(fs)
-	t.Cleanup(func() { ckpt.SetFS(old) })
 	res, err := Run(faultTestPlan(t), Options{
 		Ranks: 8, Init: InitUniform, GatherState: true,
-		Checkpoint: &ckpt.Policy{Dir: t.TempDir(), Keep: 3},
+		Checkpoint: &ckpt.Policy{Dir: t.TempDir(), Keep: 3, FS: fs},
 	})
 	if err != nil {
 		t.Fatalf("transient ENOSPC window aborted the run: %v", err)

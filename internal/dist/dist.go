@@ -27,7 +27,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"os"
 	"time"
 
 	"qusim/internal/ckpt"
@@ -246,11 +245,11 @@ func Run(plan *schedule.Plan, opts Options) (*Result, error) {
 		if ck.Dir == "" {
 			return nil, fmt.Errorf("dist: checkpoint policy has no directory")
 		}
-		if err := os.MkdirAll(ck.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("dist: checkpoint dir: %w", err)
-		}
 		attempts = ckpt.MaxRestarts + 1
 		meta = ckpt.Meta{PlanHash: plan.Fingerprint(), N: plan.N, L: l, Ranks: ranks}
+		if err := ckpt.NewWriter(ck, meta, nil).MkdirAll(); err != nil {
+			return nil, fmt.Errorf("dist: checkpoint dir: %w", err)
+		}
 	}
 
 	tryResume := opts.Resume
@@ -300,6 +299,9 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 	ranks := opts.Ranks
 	localLen := 1 << l
 	ck := opts.Checkpoint
+	// The attempt's own writer: a rank of an abandoned attempt that wakes
+	// late tees into its attempt's snapshots, never into this one's.
+	ckw := ckpt.NewWriter(ck, meta, opts.Telemetry)
 
 	// Recovery walk: newest manifest whose shards all verify, matching this
 	// exact plan and geometry. None found (or resume off) → fresh start.
@@ -307,7 +309,7 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 	startStage := 0
 	if ck != nil && tryResume {
 		var err error
-		man, err = ckpt.FindRestorable(ck.Dir, meta)
+		man, err = ckw.FindRestorable()
 		if err != nil {
 			return fmt.Errorf("dist: scanning %s for snapshots: %w", ck.Dir, err)
 		}
@@ -341,7 +343,6 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 	if err != nil {
 		return fmt.Errorf("dist: %w", err)
 	}
-	ckw := ckpt.NewWriter(ck, meta, opts.Telemetry)
 	err = w.Run(func(c *mpi.Comm) error {
 		// Engine timeline: pid = rank, tid 0 (the comm layer records on
 		// tid 1 of the same pid). Restart attempts merge onto one timeline.
@@ -351,7 +352,7 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 		local := kernels.NewAmps[complex128](localLen)
 		if man != nil {
 			t0 := sc.Now()
-			if err := ckpt.ReadShard(ck.Dir, man, c.Rank(), local); err != nil {
+			if err := ckw.StreamShard(man, c.Rank(), local, nil); err != nil {
 				return fmt.Errorf("dist: restoring rank %d from stage-%d snapshot: %w", c.Rank(), man.NextStage, err)
 			}
 			if sc != nil {

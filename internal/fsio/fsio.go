@@ -19,7 +19,6 @@ import (
 	"errors"
 	"io"
 	"os"
-	"sync/atomic"
 	"syscall"
 )
 
@@ -78,29 +77,6 @@ func (OS) SyncDir(dir string) error {
 		err = cerr
 	}
 	return err
-}
-
-// Hook is a package's installed FS, the real OS until Set installs
-// another: the seam its file operations go through.
-type Hook struct{ p atomic.Pointer[FS] }
-
-// FS returns the installed FS.
-func (h *Hook) FS() FS {
-	if p := h.p.Load(); p != nil {
-		return *p
-	}
-	return OS{}
-}
-
-// Set installs f (nil restores the real OS) and returns the previous FS.
-func (h *Hook) Set(f FS) FS {
-	old := h.FS()
-	if f == nil {
-		h.p.Store(nil)
-	} else {
-		h.p.Store(&f)
-	}
-	return old
 }
 
 // ErrNoSpace is the injectable stand-in for a full filesystem. Injected

@@ -13,14 +13,10 @@ import (
 // must be absorbed by the bounded retry (or surface classified when they
 // outlast it), and a full disk must cost checkpoints, never correctness.
 
-// chaosVector builds a NewUniform vector whose backing file runs on the
-// given FS (installed process-wide for the New call, restored after).
+// chaosVector builds a uniform vector whose backing file runs on fs.
 func chaosVector(t *testing.T, n, l int, fs fsio.FS) *Vector {
 	t.Helper()
-	old := SetFS(fs)
-	t.Cleanup(func() { SetFS(old) })
-	v, err := NewUniform(n, l, t.TempDir())
-	SetFS(old)
+	v, err := Create(fs, n, l, t.TempDir(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +82,7 @@ func TestCheckpointENOSPCSkipsButFinishes(t *testing.T) {
 	// The snapshot directory's disk is permanently full; the vector's own
 	// backing file stays healthy. Every checkpoint is starved — the run
 	// must trade them for replay risk and still finish bitwise clean.
-	old := ckpt.SetFS(chaos.NewFS(chaos.DiskFaults{NoSpaceAt: 1, NoSpaceRun: 1 << 30}, nil))
-	t.Cleanup(func() { ckpt.SetFS(old) })
+	full := chaos.NewFS(chaos.DiskFaults{NoSpaceAt: 1, NoSpaceRun: 1 << 30}, nil)
 
 	v, err := NewUniform(n, l, t.TempDir())
 	if err != nil {
@@ -96,7 +91,7 @@ func TestCheckpointENOSPCSkipsButFinishes(t *testing.T) {
 	defer v.Close()
 	tel := telemetry.New()
 	v.SetTelemetry(tel)
-	restored, written, err := v.RunCheckpointed(plan, &ckpt.Policy{Dir: t.TempDir()}, false)
+	restored, written, err := v.RunCheckpointed(plan, &ckpt.Policy{Dir: t.TempDir(), FS: full}, false)
 	if err != nil {
 		t.Fatalf("full snapshot disk aborted the run: %v", err)
 	}
@@ -130,8 +125,7 @@ func TestCheckpointENOSPCWindowSkipsOnlyStarvedSnapshots(t *testing.T) {
 	// A starved checkpoint consumes exactly one write op (the failing
 	// CreateTemp), so a 1-op window starves the first snapshot only: later
 	// ones commit, and the resulting directory still resumes.
-	old := ckpt.SetFS(chaos.NewFS(chaos.DiskFaults{NoSpaceAt: 1, NoSpaceRun: 1}, nil))
-	t.Cleanup(func() { ckpt.SetFS(old) })
+	window := chaos.NewFS(chaos.DiskFaults{NoSpaceAt: 1, NoSpaceRun: 1}, nil)
 
 	v, err := NewUniform(n, l, t.TempDir())
 	if err != nil {
@@ -139,7 +133,7 @@ func TestCheckpointENOSPCWindowSkipsOnlyStarvedSnapshots(t *testing.T) {
 	}
 	defer v.Close()
 	dir := t.TempDir()
-	_, written, err := v.RunCheckpointed(plan, &ckpt.Policy{Dir: dir}, false)
+	_, written, err := v.RunCheckpointed(plan, &ckpt.Policy{Dir: dir, FS: window}, false)
 	if err != nil {
 		t.Fatalf("transient snapshot-disk window aborted the run: %v", err)
 	}

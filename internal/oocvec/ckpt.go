@@ -24,12 +24,11 @@ func (v *Vector) snapshotMeta(plan *schedule.Plan) ckpt.Meta {
 }
 
 // Checkpoint commits a snapshot of the current state taken at the
-// nextStage boundary, streaming the state through the first chunk buffer. A
-// disk that stays full fails it.
+// nextStage boundary in dir, on the real file system, streaming the state
+// through the first chunk buffer. A disk that stays full fails it.
 func (v *Vector) Checkpoint(dir string, plan *schedule.Plan, nextStage, keep int) error {
-	m := v.snapshotMeta(plan)
-	m.NextStage = nextStage
-	snap, t0 := ckpt.NewSnapshot(dir, m, keep), v.tel.sc.Now()
+	ck := ckpt.NewWriter(&ckpt.Policy{Dir: dir, Keep: keep}, v.snapshotMeta(plan), v.tel.t)
+	snap, t0 := ck.Snapshot(nextStage), v.tel.sc.Now()
 	if err := v.stream(func(chunk []complex128) error { return snap.Tee(0, chunk) }); err != nil {
 		snap.Abort()
 		return err
@@ -49,16 +48,20 @@ func (v *Vector) teeSpan(sc *telemetry.Scope, t0 time.Time, next int) {
 	}
 }
 
-// Restore streams the snapshot committed in man back into the backing
-// file, chunk by chunk through the vector's layout, verifying the shard
-// checksum along the way.
+// Restore streams the snapshot committed in man, in dir on the real file
+// system, back into the backing file, chunk by chunk through the vector's
+// layout, verifying the shard checksum along the way.
 func (v *Vector) Restore(dir string, man *ckpt.Manifest) error {
+	return v.restore(ckpt.NewWriter(&ckpt.Policy{Dir: dir}, man.Meta, v.tel.t), man)
+}
+
+func (v *Vector) restore(ck *ckpt.Writer, man *ckpt.Manifest) error {
 	if man.N != v.N || man.Ranks != 1 || len(man.Shards) != 1 || man.Shards[0].Amps != 1<<v.N {
 		return fmt.Errorf("oocvec: manifest (n=%d, %d shards) does not fit this vector: %w",
 			man.N, len(man.Shards), ckpt.ErrInvalid)
 	}
 	c := -1
-	return ckpt.StreamShard(dir, man, 0, v.pool[0], func(chunk []complex128) error {
+	return ck.StreamShard(man, 0, v.pool[0], func(chunk []complex128) error {
 		c++
 		return v.chunkIO(c, chunk, true)
 	})
@@ -69,29 +72,28 @@ func (v *Vector) Restore(dir string, man *ckpt.Manifest) error {
 // and committed once that reader has read the whole file: a crash inside
 // stage s resumes from boundary s−1 or, past that commit, s. With resume
 // set it first looks for the newest valid snapshot of this exact plan in
-// pol.Dir and re-executes only the stages past it. It returns the stage the
-// run resumed from (−1 for a fresh start) and the number of snapshots
-// committed.
+// pol.Dir and re-executes only the stages past it. Every snapshot file it
+// reads or writes goes through pol.FS. It returns the stage the run resumed
+// from (−1 for a fresh start) and the number of snapshots committed.
 func (v *Vector) RunCheckpointed(plan *schedule.Plan, pol *ckpt.Policy, resume bool) (restoredStage, written int, err error) {
 	restoredStage = -1
 	if plan.N != v.N || plan.L != v.L {
 		return restoredStage, 0, fmt.Errorf("oocvec: plan (n=%d l=%d) does not match vector (n=%d l=%d)", plan.N, plan.L, v.N, v.L)
 	}
-	start, meta := 0, v.snapshotMeta(plan)
+	start, ck := 0, ckpt.NewWriter(pol, v.snapshotMeta(plan), v.tel.t)
 	if resume {
-		man, ferr := ckpt.FindRestorable(pol.Dir, meta)
+		man, ferr := ck.FindRestorable()
 		if ferr != nil {
 			return restoredStage, 0, ferr
 		}
 		if man != nil {
-			if err := v.Restore(pol.Dir, man); err != nil {
+			if err := v.restore(ck, man); err != nil {
 				return restoredStage, 0, err
 			}
 			start = man.NextStage
 			restoredStage = man.NextStage
 		}
 	}
-	ck := ckpt.NewWriter(pol, meta, v.tel.t)
 	err = v.walk(plan, start, ck)
 	written, skipped := ck.Counts()
 	v.ckptSkipped += skipped

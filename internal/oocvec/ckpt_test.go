@@ -46,7 +46,7 @@ func TestTempFilesRemovedOnInitFailure(t *testing.T) {
 			t.Fatalf("%s leaked temp files: %v", when, names)
 		}
 	}
-	fs := installFaultFS(t)
+	fs := &faultFS{}
 	const chunkBytes = ampBytes << 6
 
 	for _, failAt := range []int64{0, 1, 3} {
@@ -56,7 +56,7 @@ func TestTempFilesRemovedOnInitFailure(t *testing.T) {
 			}
 			return nil
 		})
-		if _, err := New(8, 6, dir); err == nil {
+		if _, err := Create(fs, 8, 6, dir, false); err == nil {
 			t.Fatalf("New survived injected failure at chunk %d", failAt)
 		}
 		assertEmpty(fmt.Sprintf("New(failAt=%d)", failAt))
@@ -72,7 +72,7 @@ func TestTempFilesRemovedOnInitFailure(t *testing.T) {
 			}
 			return nil
 		})
-		if _, err := NewUniform(8, 6, dir); err == nil {
+		if _, err := Create(fs, 8, 6, dir, true); err == nil {
 			t.Fatalf("NewUniform survived injected failure on call %d", failCall)
 		}
 		assertEmpty(fmt.Sprintf("NewUniform(failCall=%d)", failCall))

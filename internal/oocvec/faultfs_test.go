@@ -2,7 +2,6 @@ package oocvec
 
 import (
 	"sync/atomic"
-	"testing"
 
 	"qusim/internal/fsio"
 )
@@ -19,15 +18,6 @@ type faultFS struct {
 	fsio.OS
 	fail                      atomic.Pointer[func(write bool, off int64, n int) error]
 	creates, renames, removes atomic.Int32
-}
-
-// installFaultFS makes new Vectors run on a faultFS until the test ends.
-func installFaultFS(t *testing.T) *faultFS {
-	t.Helper()
-	fs := &faultFS{}
-	old := SetFS(fs)
-	t.Cleanup(func() { SetFS(old) })
-	return fs
 }
 
 // arm installs fail (nil disarms).

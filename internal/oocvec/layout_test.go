@@ -27,10 +27,10 @@ func TestSwapMovesNoData(t *testing.T) {
 	}
 	want := planRunAmps(t, plan)
 	stateBytes := int64(ampBytes) << n
-	fs := installFaultFS(t)
+	fs := &faultFS{}
 	for _, depth := range []int{0, 4} {
 		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
-			v, err := NewUniform(n, l, t.TempDir())
+			v, err := Create(fs, n, l, t.TempDir(), true)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -48,7 +48,7 @@ type Vector struct {
 	N int // total qubits
 	L int // in-memory chunk holds 2^L amplitudes
 
-	fs fsio.FS   // file-ops seam, captured from the package hook at New
+	fs fsio.FS   // file-ops seam of the state file, given at Create
 	f  fsio.File // backing file
 	// loc[p] is the bit of the file offset (in amplitudes) at which plan
 	// location p lives; the identity until a swap trades two entries.
@@ -65,39 +65,32 @@ type Vector struct {
 
 const ampBytes = 16
 
-// fsHook holds the injectable file-ops implementation. A Vector captures it
-// at New, so an installed chaos FS follows the vector through its whole
-// life, including the pipeline's reader and writeback goroutines.
-var fsHook fsio.Hook
-
-// SetFS installs the file-ops implementation new Vectors run on (nil
-// restores the real OS) and returns the previous one, so tests can
-// `old := oocvec.SetFS(f); t.Cleanup(func() { oocvec.SetFS(old) })`.
-// Vectors that already exist keep the FS they were created with.
-func SetFS(f fsio.FS) fsio.FS { return fsHook.Set(f) }
-
 // New creates a file-backed |0…0⟩ state in dir (empty dir means the
 // default temp dir). l controls the in-memory chunk size.
 func New(n, l int, dir string) (*Vector, error) {
-	return create(n, l, dir, 1, 0)
+	return Create(fsio.OS{}, n, l, dir, false)
 }
 
 // NewUniform creates the uniform superposition.
 func NewUniform(n, l int, dir string) (*Vector, error) {
-	a := complex(math.Pow(2, -float64(n)/2), 0)
-	return create(n, l, dir, a, a)
+	return Create(fsio.OS{}, n, l, dir, true)
 }
 
-// create writes the state file, once: amplitude 0 is first, every other one
-// rest.
-func create(n, l int, dir string, first, rest complex128) (*Vector, error) {
+// Create is New, or NewUniform when uniform is set, with the state file on
+// fs: every access to it, the pipeline's reader and writeback goroutines'
+// included, goes through fs.
+func Create(fs fsio.FS, n, l int, dir string, uniform bool) (*Vector, error) {
 	if l >= n {
 		return nil, fmt.Errorf("oocvec: chunk qubits l=%d must be < n=%d", l, n)
 	}
 	if l < 1 || n > 40 {
 		return nil, fmt.Errorf("oocvec: unsupported sizes n=%d l=%d", n, l)
 	}
-	fs := fsHook.FS()
+	first, rest := complex128(1), complex128(0)
+	if uniform {
+		first = complex(math.Pow(2, -float64(n)/2), 0)
+		rest = first
+	}
 	f, err := fs.CreateTemp(dir, "oocvec-*.state")
 	if err != nil {
 		return nil, err

@@ -148,14 +148,14 @@ func TestPipelineFaultInjection(t *testing.T) {
 	if plan.Stats.Swaps < 1 {
 		t.Fatalf("want a swap in the plan, got %d", plan.Stats.Swaps)
 	}
-	fs := installFaultFS(t)
+	fs := &faultFS{}
 	chunkBytes := ampBytes << l
 
 	// Warm up once so shared pools (par workers) are at steady state
 	// before the goroutine baseline is captured.
 	warm := t.TempDir()
 	{
-		v, err := NewUniform(n, l, warm)
+		v, err := Create(fs, n, l, warm, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestPipelineFaultInjection(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/depth%d", sc.name, depth), func(t *testing.T) {
 				base := runtime.NumGoroutine()
 				dir := t.TempDir()
-				v, err := NewUniform(n, l, dir)
+				v, err := Create(fs, n, l, dir, true)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -169,12 +169,12 @@ func TestKilledBeforeTeeCommitsResumesFromOlder(t *testing.T) {
 	}
 	want := planRunAmps(t, plan)
 	chunks := 1 << (n - l)
-	fs := installFaultFS(t)
+	fs := &faultFS{}
 	for _, depth := range []int{0, 4} {
 		t.Run(fmt.Sprintf("prefetch%d", depth), func(t *testing.T) {
 			dir := t.TempDir()
 			pol := &ckpt.Policy{Dir: dir, Keep: keepAll}
-			v, err := NewUniform(n, l, t.TempDir())
+			v, err := Create(fs, n, l, t.TempDir(), true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,8 +235,6 @@ func TestTeeENOSPC(t *testing.T) {
 	// run executes the plan checkpointed with the snapshot directory on fs.
 	run := func(t *testing.T, fs *chaos.FS) (v *Vector, dir string, written int) {
 		t.Helper()
-		old := ckpt.SetFS(fs)
-		t.Cleanup(func() { ckpt.SetFS(old) })
 		v, err := NewUniform(n, l, t.TempDir())
 		if err != nil {
 			t.Fatal(err)
@@ -244,8 +242,7 @@ func TestTeeENOSPC(t *testing.T) {
 		t.Cleanup(func() { v.Close() })
 		v.SetPrefetch(2)
 		dir = t.TempDir()
-		_, written, err = v.RunCheckpointed(plan, &ckpt.Policy{Dir: dir, Keep: keepAll}, false)
-		ckpt.SetFS(old)
+		_, written, err = v.RunCheckpointed(plan, &ckpt.Policy{Dir: dir, Keep: keepAll, FS: fs}, false)
 		if err != nil {
 			t.Fatalf("a full snapshot disk failed the run: %v", err)
 		}
@@ -293,8 +290,6 @@ func TestTeeENOSPC(t *testing.T) {
 		// From the middle of the first snapshot on the disk stays full.
 		tel := telemetry.New()
 		fs := chaos.NewFS(chaos.DiskFaults{NoSpaceAt: midTee, NoSpaceRun: 1 << 30}, nil)
-		old := ckpt.SetFS(fs)
-		t.Cleanup(func() { ckpt.SetFS(old) })
 		v, err := NewUniform(n, l, t.TempDir())
 		if err != nil {
 			t.Fatal(err)
@@ -303,7 +298,7 @@ func TestTeeENOSPC(t *testing.T) {
 		v.SetPrefetch(2)
 		v.SetTelemetry(tel)
 		dir := t.TempDir()
-		_, written, err := v.RunCheckpointed(plan, &ckpt.Policy{Dir: dir}, false)
+		_, written, err := v.RunCheckpointed(plan, &ckpt.Policy{Dir: dir, FS: fs}, false)
 		if err != nil {
 			t.Fatalf("a full snapshot disk failed the run: %v", err)
 		}
@@ -328,13 +323,11 @@ func TestTeeENOSPC(t *testing.T) {
 
 // TestTeeSpanAndShardTelemetry: each teed snapshot is one span on the
 // prefetch reader's timeline carrying its chunk count and bytes, and the
-// shard it closes still feeds ckpt's write counters.
+// shard it closes feeds ckpt's write counters in the vector's telemetry.
 func TestTeeSpanAndShardTelemetry(t *testing.T) {
 	n, l := 10, 6
 	_, plan := buildPlan(t, n, l, 16, 4)
 	tel := telemetry.New()
-	ckpt.SetTelemetry(tel)
-	t.Cleanup(func() { ckpt.SetTelemetry(telemetry.Disabled) })
 	v, err := NewUniform(n, l, t.TempDir())
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ package qusim
 // run of one plan write the same state at every boundary.
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"slices"
@@ -156,13 +157,13 @@ func TestStoresWriteTheSameSnapshot(t *testing.T) {
 		concat := make([]complex128, 0, 1<<n)
 		for r := 0; r < ranks; r++ {
 			shard := make([]complex128, 1<<l)
-			if err := ckpt.ReadShard(distDir, dm, r, shard); err != nil {
+			if err := readShard(distDir, dm, r, shard); err != nil {
 				t.Fatal(err)
 			}
 			concat = append(concat, shard...)
 		}
 		paged := make([]complex128, 1<<n)
-		if err := ckpt.ReadShard(pagedDir, pagedMans[next], 0, paged); err != nil {
+		if err := readShard(pagedDir, pagedMans[next], 0, paged); err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(concat, paged) {
@@ -171,7 +172,8 @@ func TestStoresWriteTheSameSnapshot(t *testing.T) {
 	}
 }
 
-// manifests loads every manifest in dir, by the boundary it commits.
+// manifests decodes every manifest in dir, by the boundary it commits;
+// readShard verifies each shard against it.
 func manifests(t *testing.T, dir string) map[int]*ckpt.Manifest {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join(dir, "manifest-*.json"))
@@ -180,11 +182,20 @@ func manifests(t *testing.T, dir string) map[int]*ckpt.Manifest {
 	}
 	out := map[int]*ckpt.Manifest{}
 	for _, p := range paths {
-		m, err := ckpt.LoadManifest(p)
+		blob, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[m.NextStage] = m
+		var m ckpt.Manifest
+		if err := json.Unmarshal(blob, &m); err != nil {
+			t.Fatal(err)
+		}
+		out[m.NextStage] = &m
 	}
 	return out
+}
+
+// readShard reads rank's shard of m in dir into dst, verifying it.
+func readShard(dir string, m *ckpt.Manifest, rank int, dst []complex128) error {
+	return ckpt.NewWriter(&ckpt.Policy{Dir: dir}, m.Meta, nil).StreamShard(m, rank, dst, nil)
 }
