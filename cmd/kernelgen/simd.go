@@ -43,11 +43,13 @@ import (
 // (YMM) or an embedded broadcast of the FMA itself (ZMM). k ≤ 3 keeps all
 // 2^k accumulators in registers and streams the inputs through; k ≥ 4
 // gathers the transposed inputs into a stack buffer once and walks the row
-// blocks — unrolled in the YMM kernels, as loops over groups and row blocks
-// in the ZMM kernels, which keeps the second width at the size of the first.
-// The ZMM kernels also compute a group's base address with one PDEP where the
-// YMM kernels insert the k zero bits one at a time, and prefetch the chunks
-// of a group a few iterations ahead: neither touches a lane's arithmetic.
+// blocks, one body of loops over groups, row blocks, columns and stores at
+// both widths. Beside the arithmetic the widths differ in two places, and
+// neither touches a lane's FMAs. The ZMM kernels compute a group's base
+// address with one PDEP where the YMM kernels insert the k zero bits one at
+// a time: PDEP is microcoded on AMD Zen 1/2, which run the YMM set. And the
+// ZMM kernels prefetch the chunks of a group a few iterations ahead; on YMM
+// that has not been measured to pay.
 
 // simdWidth is one vector register file.
 type simdWidth struct {
@@ -163,7 +165,7 @@ const (
 	rOffs  = "R11" // 2^k chunk byte offsets
 	rMat   = "SI"  // expanded matrix
 	rBase  = "AX"  // address of chunk 0 of this group
-	rTmp   = "BX"  // scratch; in a ZMM loop, the cursor through offs
+	rTmp   = "BX"  // scratch; in a k ≥ 4 loop, the cursor through offs
 	rOff   = "DX"
 	rCol   = "CX"  // byte cursor through the gather buffer
 	rRow   = "R12" // matrix cursor of the current row block
@@ -171,7 +173,7 @@ const (
 )
 
 // chunk is the memory operand of the chunk whose byte offset is the j-th
-// entry from cursor, rOffs itself outside the ZMM loops.
+// entry from cursor, rOffs itself in the k ≤ 3 bodies.
 func (a *asm) chunk(cursor string, j int) string { return a.chunkAt(cursor, j, rBase) }
 
 // chunkAt is chunk in the group whose chunk 0 is at base.
@@ -304,9 +306,11 @@ func genSIMDKernel(a *asm, p simdPrec, k, class int) {
 	a.ins("CMPQ %s, %s", rT, rHi)
 	a.ins("JGE done")
 	a.label("loop")
-	// base = t with a zero inserted at every masked position, in chunks:
-	// one mask and two adds a position, or (ZMM: every AVX-512 CPU has BMI2)
-	// one PDEP under the mask that follows the k insertion masks.
+	// base = t with a zero inserted at every masked position, in chunks.
+	// Width fork: ZMM takes one PDEP under the mask that follows the k
+	// insertion masks; YMM takes one mask and two adds a position, because
+	// PDEP is microcoded on AMD Zen 1/2 and those CPUs run the YMM set
+	// (DESIGN §12, "PEXT").
 	insertZeros := func(t, base string) {
 		if p.simdWidth == zmm {
 			a.ins("PDEPQ %d(%s), %s, %s", 8*k, rMasks, t, base)
@@ -324,11 +328,14 @@ func genSIMDKernel(a *asm, p simdPrec, k, class int) {
 	}
 	insertZeros(rT, rBase)
 	if p.simdWidth == zmm {
-		// Streaming a state from DRAM, 2^k strided streams of short runs
-		// leave the hardware prefetcher behind and the out-of-order window
-		// holds two lane groups' misses (1 GiB: k = 3 at 88 ms a pass, half
-		// the rate of k = 1): ask for the chunks of the group
-		// prefetchAhead/2^k iterations on, about 4 KiB of state ahead (50 ms).
+		// Width fork: the prefetch is ZMM only; on YMM it has not been
+		// measured to pay (with it, cache-resident k = 1–3 ran 1.2–1.3×
+		// slower on a Xeon running the YMM set). Streaming a state from DRAM, 2^k strided streams
+		// of short runs leave the hardware prefetcher behind and the
+		// out-of-order window holds two lane groups' misses (1 GiB: k = 3 at
+		// 88 ms a pass, half the rate of k = 1): ask for the chunks of the
+		// group prefetchAhead/2^k iterations on, about 4 KiB of state ahead
+		// (50 ms).
 		a.ins("LEAQ %d(%s), %s", max(1, prefetchAhead>>k), rT, rTmp)
 		insertZeros(rTmp, rTmp)
 		for j := 0; j < dk; j++ {
@@ -354,67 +361,48 @@ func genSIMDKernel(a *asm, p simdPrec, k, class int) {
 		for g := 0; g < dk/grp; g++ {
 			a.storeGroup(p, t, rOffs, g*grp, seq(g*grp, grp), seq(dk, grp))
 		}
-	case p.simdWidth == ymm:
-		// Gather every input vector once.
-		for g := 0; g < dk/grp; g++ {
-			a.loadGroup(p, t, rOffs, g*grp, seq(0, grp), seq(grp, grp))
-			for i := 0; i < grp; i++ {
-				a.ins("VMOVAPD Y%d, %d(%s)", i, (g*grp+i)*32, rBuf)
-			}
-		}
-		// Row blocks of 8 accumulators over a loop of 2^k columns.
-		for rb := 0; rb < dk/rows; rb++ {
-			for i := 0; i < rows; i++ {
-				a.ins("%s Y%d, Y%d, Y%d", p.xor, i, i, i)
-			}
-			a.ins("LEAQ %d(%s), %s", rb*dk*colStride, rMat, rRow)
-			a.ins("XORQ %s, %s", rCol, rCol)
-			col := fmt.Sprintf("col%d", rb)
-			a.label(col)
-			a.ins("VMOVAPD (%s)(%s*1), Y8", rBuf, rCol)
-			a.column(p, rows, 8, 9, seq(10, 4), rRow, 0)
-			a.ins("ADDQ $%d, %s", colStride, rRow)
-			a.ins("ADDQ $32, %s", rCol)
-			a.ins("CMPQ %s, $%d", rCol, dk*32)
-			a.ins("JLT %s", col)
-			for g := 0; g < rows/grp; g++ {
-				a.storeGroup(p, t, rOffs, rb*rows+g*grp, seq(g*grp, grp), seq(8, grp))
-			}
-		}
 	default:
 		// Gather every input vector once, four chunks or one group a turn.
+		// Registers: rows accumulators, then the input and its swapped copy,
+		// then the broadcast scratch; the transposes borrow registers above
+		// a group, four for the 4×4 one.
+		in, sw := rows, rows+1
+		scratch := 1
+		if t == t4x4 {
+			scratch = 4
+		}
 		per := max(grp, 4)
 		a.ins("MOVQ %s, %s", rOffs, rTmp)
 		a.ins("XORQ %s, %s", rCol, rCol)
 		a.label("gather")
 		for g := 0; g < per; g += grp {
-			a.loadGroup(p, t, rTmp, g, seq(g, grp), seq(per, 1))
+			a.loadGroup(p, t, rTmp, g, seq(g, grp), seq(per, scratch))
 		}
 		for i := 0; i < per; i++ {
-			a.ins("VMOVAPD Z%d, %d(%s)(%s*1)", i, 64*i, rBuf, rCol)
+			a.ins("VMOVAPD %s%d, %d(%s)(%s*1)", r, i, p.bytes*i, rBuf, rCol)
 		}
 		a.ins("ADDQ $%d, %s", 8*per, rTmp)
-		a.ins("ADDQ $%d, %s", 64*per, rCol)
-		a.ins("CMPQ %s, $%d", rCol, dk*64)
+		a.ins("ADDQ $%d, %s", p.bytes*per, rCol)
+		a.ins("CMPQ %s, $%d", rCol, dk*p.bytes)
 		a.ins("JLT gather")
-		// Row blocks of 16 accumulators over a loop of 2^k columns; the
+		// Row blocks of rows accumulators over a loop of 2^k columns; the
 		// matrix cursor runs on from one block into the next.
 		a.ins("MOVQ %s, %s", rOffs, rTmp)
 		a.ins("MOVQ %s, %s", rMat, rRow)
 		a.label("block")
 		for i := 0; i < rows; i++ {
-			a.ins("%s Z%d, Z%d, Z%d", p.xor, i, i, i)
+			a.ins("%s %s%d, %s%d, %s%d", p.xor, r, i, r, i, r, i)
 		}
 		a.ins("XORQ %s, %s", rCol, rCol)
 		a.label("col")
-		a.ins("VMOVAPD (%s)(%s*1), Z16", rBuf, rCol)
-		a.column(p, rows, 16, 17, seq(18, 4), rRow, 0)
+		a.ins("VMOVAPD (%s)(%s*1), %s%d", rBuf, rCol, r, in)
+		a.column(p, rows, in, sw, seq(rows+2, 4), rRow, 0)
 		a.ins("ADDQ $%d, %s", colStride, rRow)
-		a.ins("ADDQ $64, %s", rCol)
-		a.ins("CMPQ %s, $%d", rCol, dk*64)
+		a.ins("ADDQ $%d, %s", p.bytes, rCol)
+		a.ins("CMPQ %s, $%d", rCol, dk*p.bytes)
 		a.ins("JLT col")
 		for g := 0; g < rows; g += grp {
-			a.storeGroup(p, t, rTmp, g, seq(g, grp), seq(16, 1))
+			a.storeGroup(p, t, rTmp, g, seq(g, grp), seq(in, scratch))
 		}
 		if dk > rows {
 			a.ins("ADDQ $%d, %s", 8*rows, rTmp)

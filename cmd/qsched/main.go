@@ -31,6 +31,16 @@ func main() {
 		save   = flag.String("save", "", "write the plan to this file (load with qsim -plan)")
 	)
 	flag.Parse()
+	// Every rejection comes before the circuit exists: a grid of no qubit
+	// panics in its generator, and a negative depth yields an empty plan.
+	switch {
+	case *qubits < 1 || *qubits > 62:
+		usage(fmt.Errorf("-qubits must be from 1 to 62, got %d", *qubits))
+	case *depth < 0:
+		usage(fmt.Errorf("-depth must not be negative, got %d", *depth))
+	case *policy != "greedy" && *policy != "lowest-order":
+		usage(fmt.Errorf("unknown policy %q", *policy))
+	}
 
 	r, c := circuit.GridForQubits(*qubits)
 	circ := circuit.Supremacy(circuit.SupremacyOptions{
@@ -39,14 +49,9 @@ func main() {
 	opts := schedule.DefaultOptions(*local)
 	opts.KMax = *kmax
 	opts.SpecializeDiagonal1Q = *spec1q
-	switch *policy {
-	case "greedy":
-		opts.SwapPolicy = schedule.SwapGreedy
-	case "lowest-order":
+	opts.SwapPolicy = schedule.SwapGreedy
+	if *policy == "lowest-order" {
 		opts.SwapPolicy = schedule.SwapLowestOrder
-	default:
-		fmt.Fprintf(os.Stderr, "qsched: unknown policy %q\n", *policy)
-		os.Exit(2)
 	}
 	plan, err := schedule.Build(circ, opts)
 	if err != nil {
@@ -70,7 +75,7 @@ func main() {
 	fmt.Printf("modelled kernel cost: %.1f k=1 passes (default cost table)\n", opts.Costs.PlanCost(plan))
 	fmt.Printf("per-gate scheme [5]: %d comm steps (worst case %d) -> %.1fx reduction\n",
 		s.BaselineGlobalGates, s.BaselineGlobalGatesDense,
-		float64(s.BaselineGlobalGates)/float64(maxInt(1, s.Swaps)))
+		float64(s.BaselineGlobalGates)/float64(max(1, s.Swaps)))
 	if *full {
 		fmt.Print(plan.Summary())
 	}
@@ -92,9 +97,9 @@ func main() {
 	}
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// usage exits 2 on a flag error, with the reason and the usage text.
+func usage(err error) {
+	fmt.Fprintf(os.Stderr, "qsched: %v\n", err)
+	flag.Usage()
+	os.Exit(2)
 }

@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"qusim/internal/par"
@@ -36,9 +37,19 @@ func main() {
 		verbose  = flag.Bool("v", false, "per-phase progress")
 	)
 	flag.Parse()
-	if *workers > 0 {
-		par.SetWorkers(*workers)
+	// Reject, before any work, what the harness would panic on or ignore:
+	// the recovery sweep's 4 ranks need 3 qubits, a count is never negative,
+	// and under a tolerance ≤ 0 every row diverges, under NaN or +Inf none.
+	switch {
+	case *qubits != 0 && (*qubits < 3 || *qubits > 62):
+		usage("-qubits must be 0 (the default) or from 3 to 62, got %d", *qubits)
+	case min(*circuits, *gates, *faults, *workers) < 0:
+		usage("-circuits, -gates, -fault-circuits and -workers must not be negative, got %d, %d, %d and %d",
+			*circuits, *gates, *faults, *workers)
+	case !(min(*tol, *f32tol) > 0) || max(*tol, *f32tol) > math.MaxFloat64:
+		usage("-tol and -f32-tol must be positive and finite, got %g and %g", *tol, *f32tol)
 	}
+	par.SetWorkers(*workers) // 0 = GOMAXPROCS
 
 	var log io.Writer
 	if *verbose {
@@ -57,4 +68,11 @@ func main() {
 	if rep.Failed() {
 		os.Exit(1)
 	}
+}
+
+// usage exits 2 on a flag error, with the reason and the usage text.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "qverify: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }

@@ -142,36 +142,20 @@ func zmmExchange(t, laneBits int) []int {
 // min(2^k, rows) rows and per column, the block's real parts and then its
 // (−imag, imag) pairs — the (mR,mR)/(−mI,mI) operands of Eq. (2)–(3), one
 // broadcast each. rows is the number of accumulators the width keeps live:
-// every row while they fit in registers, 8 (YMM) or 16 (ZMM) beyond.
-func expandMatrix(m []complex128, k, rows int) []float64 {
+// every row while they fit in registers, 8 (YMM) or 16 (ZMM) beyond. Each
+// entry goes through complex128 and back to F, which is exact.
+func expandMatrix[C complexAmp, F float32 | float64](m []C, k, rows int) []F {
 	dk := 1 << k
 	rows = min(dk, rows)
-	out := make([]float64, 0, 3*len(m))
+	out := make([]F, 0, 3*len(m))
 	for rb := 0; rb < dk; rb += rows {
 		for c := 0; c < dk; c++ {
 			for r := rb; r < rb+rows; r++ {
-				out = append(out, real(m[r*dk+c]))
+				out = append(out, F(real(complex128(m[r*dk+c]))))
 			}
 			for r := rb; r < rb+rows; r++ {
-				out = append(out, -imag(m[r*dk+c]), imag(m[r*dk+c]))
-			}
-		}
-	}
-	return out
-}
-
-// expandMatrixF32 is expandMatrix in single precision.
-func expandMatrixF32(m []complex64, k, rows int) []float32 {
-	dk := 1 << k
-	rows = min(dk, rows)
-	out := make([]float32, 0, 3*len(m))
-	for rb := 0; rb < dk; rb += rows {
-		for c := 0; c < dk; c++ {
-			for r := rb; r < rb+rows; r++ {
-				out = append(out, real(m[r*dk+c]))
-			}
-			for r := rb; r < rb+rows; r++ {
-				out = append(out, -imag(m[r*dk+c]), imag(m[r*dk+c]))
+				im := F(imag(complex128(m[r*dk+c])))
+				out = append(out, -im, im)
 			}
 		}
 	}
@@ -181,8 +165,8 @@ func expandMatrixF32(m []complex64, k, rows int) []float32 {
 // prepareSIMD picks the kernel of qs's class at one width — fns is the
 // width's table row of k — and lays m out for it; an iteration is one lane
 // group, chunks of 2^laneBits amplitudes.
-func prepareSIMD[C complexAmp, F any](m []C, qs []int, laneBits int, zmm bool,
-	fns []func(amps *C, lo, hi int, masks, offs *int, mat *F), expand func(m []C, k, rows int) []F) Dense[C] {
+func prepareSIMD[C complexAmp, F float32 | float64](m []C, qs []int, laneBits int, zmm bool,
+	fns []func(amps *C, lo, hi int, masks, offs *int, mat *F)) Dense[C] {
 	k := len(qs)
 	rows := 8
 	if zmm {
@@ -190,7 +174,7 @@ func prepareSIMD[C complexAmp, F any](m []C, qs []int, laneBits int, zmm bool,
 	}
 	lay := layoutSIMD(qs, laneBits, zmm)
 	fn := fns[lay.kernel]
-	mat := expand(m, k, rows)
+	mat := expandMatrix[C, F](m, k, rows)
 	// About 4096 amplitudes per grain, as in the Go kernels.
 	return Dense[C]{shift: k + laneBits, grain: max(1, 4096>>(k+laneBits)), run: func(amps []C, lo, hi int) {
 		for ; lo < hi; lo += simdBlock {
@@ -204,19 +188,19 @@ func prepareSIMD[C complexAmp, F any](m []C, qs []int, laneBits int, zmm bool,
 // fill its lanes, one bit more than the YMM kernel.
 
 func ymmF64(m []complex128, qs []int) Dense[complex128] {
-	return prepareSIMD(m, qs, 1, false, simdF64[len(qs)-1][:], expandMatrix)
+	return prepareSIMD(m, qs, 1, false, simdF64[len(qs)-1][:])
 }
 
 func zmmF64(m []complex128, qs []int) Dense[complex128] {
-	return prepareSIMD(m, qs, 2, true, simd512F64[len(qs)-1][:], expandMatrix)
+	return prepareSIMD(m, qs, 2, true, simd512F64[len(qs)-1][:])
 }
 
 func ymmF32(m []complex64, qs []int) Dense[complex64] {
-	return prepareSIMD(m, qs, 2, false, simdF32[len(qs)-1][:], expandMatrixF32)
+	return prepareSIMD(m, qs, 2, false, simdF32[len(qs)-1][:])
 }
 
 func zmmF32(m []complex64, qs []int) Dense[complex64] {
-	return prepareSIMD(m, qs, 3, true, simd512F32[len(qs)-1][:], expandMatrixF32)
+	return prepareSIMD(m, qs, 3, true, simd512F32[len(qs)-1][:])
 }
 
 // simdScaleF64 multiplies the contiguous amplitudes amps by dx, 1 too, with

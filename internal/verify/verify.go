@@ -323,7 +323,11 @@ func (r *Report) String() string {
 	for _, e := range []*Engine{r.Differential, r.Faults, r.F32, r.Blocked, r.BlockedF32} {
 		divs = append(divs, e.Divergences...)
 	}
-	if len(divs) == 0 {
+	switch {
+	case len(divs) == 0 && r.Failed():
+		b.WriteString("RESULT: no divergence, but a check above FAILED\n")
+		return b.String()
+	case len(divs) == 0:
 		b.WriteString("RESULT: all execution paths agree\n")
 		return b.String()
 	}

@@ -44,6 +44,21 @@ func TestHarnessCleanRun(t *testing.T) {
 	}
 }
 
+// TestReportResultLine: a failed recovery or metamorphic check with no
+// divergence does not end the report with "all execution paths agree".
+func TestReportResultLine(t *testing.T) {
+	empty := func() *Engine { return NewEngine(Naive(), nil, 0) }
+	rep := &Report{Differential: empty(), F32: empty(), Blocked: empty(), BlockedF32: empty(), Faults: empty(),
+		Recovery: &RecoveryReport{}}
+	if got := rep.String(); !strings.HasSuffix(got, "RESULT: all execution paths agree\n") {
+		t.Errorf("clean report ends %q", got[strings.LastIndex(got, "RESULT"):])
+	}
+	rep.Recovery.Failures = []string{"corruption sweep never injected anything"}
+	if got := rep.String(); !rep.Failed() || !strings.HasSuffix(got, "RESULT: no divergence, but a check above FAILED\n") {
+		t.Errorf("report with a failed recovery sweep ends %q", got[strings.LastIndex(got, "RESULT"):])
+	}
+}
+
 func TestMatrixCoversRequiredPairs(t *testing.T) {
 	_, quick := Matrix(true)
 	if len(quick) < 4 {
