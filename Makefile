@@ -51,13 +51,14 @@ test-avx2:
 # queue, parking, and being woken — which one pass rarely interleaves badly.
 # The repeated snapshot run does the same for the one snapshot writer
 # (ckpt.Snapshot), which every rank goroutine and the paged reader reach:
-# its tee, ENOSPC-drop and recovery tests, and two checkpointed runs at
-# once, each on its own file system.
+# its tee, ENOSPC-drop, write-behind and recovery tests, and two
+# checkpointed runs at once, each on its own file system — and for the
+# paged pipeline, whose writeback goroutine stages combined writes.
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestFor|TestReduce|TestTelemetry' ./internal/par
-	$(GO) test -race -count=10 -run 'Snapshot|Tee|Checkpoint|Killed|ENOSPC|DiscardStage|Recovery|Resume|TwoRuns' ./internal/ckpt ./internal/dist ./internal/oocvec
+	$(GO) test -race -count=10 -run 'Snapshot|Tee|Checkpoint|Killed|ENOSPC|DiscardStage|Recovery|Resume|TwoRuns|Pipeline|WriteBehind|Coalesce' ./internal/ckpt ./internal/dist ./internal/oocvec
 
 # Differential + metamorphic verification across every backend pair,
 # plus MPI fault-injection scenarios (see DESIGN.md §6).

@@ -62,3 +62,22 @@ func TestRejectsFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestFewGatesPass: a random circuit of a few gates stays local — its plan
+// has no exchange for the recovery sweep to corrupt — and the harness says
+// so and passes instead of failing the sweep for injecting nothing.
+func TestFewGatesPass(t *testing.T) {
+	for _, gates := range []string{"1", "2", "5"} {
+		t.Run("gates"+gates, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-quick", "-gates", gates)
+			cmd.Env = append(os.Environ(), "QVERIFY_RUN_MAIN=1")
+			out, err := cmd.CombinedOutput()
+			if err != nil {
+				t.Fatalf("qverify -quick -gates %s: %v\n%s", gates, err, out)
+			}
+			if !strings.Contains(string(out), "(no exchange to corrupt)") || !strings.Contains(string(out), "RESULT: all execution paths agree") {
+				t.Errorf("qverify -quick -gates %s passed without reporting the corruption sweep as not applicable:\n%s", gates, out)
+			}
+		})
+	}
+}

@@ -37,6 +37,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -182,6 +183,7 @@ const maxHeaderLen = 1 << 20
 type shardWriter struct {
 	f      fsio.File
 	off    int64  // bytes landed so far; every write is positional
+	hinted int64  // bytes handed to writeback so far, whole pages
 	crc    uint32 // over those bytes
 	w      *Writer
 	final  string
@@ -224,15 +226,26 @@ func (w *Writer) newShardWriter(meta Meta, rank, amps int) (*shardWriter, error)
 	return sw, nil
 }
 
-// write lands b at the writer's offset, which moves only with success.
+// write lands b at the writer's offset, which moves only with success, and
+// starts the writeback (fsio.StartWriteback) of the whole pages landed
+// since the last hint, so that the fsync of Close waits for the last
+// pieces only. The page the next write still fills is left to a later hint
+// or to Close, so that no page is sent to the disk twice.
 func (sw *shardWriter) write(b []byte) error {
 	if _, err := sw.f.WriteAt(b, sw.off); err != nil {
 		return err
 	}
 	sw.off += int64(len(b))
 	sw.crc = crc32.Update(sw.crc, castagnoli, b)
+	if end := sw.off &^ (pageBytes - 1); end > sw.hinted {
+		fsio.StartWriteback(sw.f, sw.hinted, end-sw.hinted)
+		sw.hinted = end
+	}
 	return nil
 }
+
+// pageBytes is the unit of writeback, the OS's page.
+var pageBytes = int64(os.Getpagesize())
 
 // Write appends amplitudes to the payload, a piece at a time; a piece the
 // disk had no room for is written once more after pruning. On an error

@@ -37,6 +37,24 @@ type File interface {
 	Sync() error
 }
 
+// WriteBehind is the one optional capability a File may add: starting the
+// writeback of n bytes at off, already written, without waiting for the
+// disk. It is advisory — a File without it, or an error from it, leaves
+// every byte where WriteAt put it — so a writer that hints each piece it
+// lands leaves its closing Sync only the tail to wait for. Durability is
+// still Sync's alone.
+type WriteBehind interface {
+	StartWriteback(off, n int64) error
+}
+
+// StartWriteback hints f to start writing back the range, when f offers
+// WriteBehind, and does nothing otherwise; the hint's error is dropped.
+func StartWriteback(f File, off, n int64) {
+	if wb, ok := f.(WriteBehind); ok {
+		_ = wb.StartWriteback(off, n)
+	}
+}
+
 // FS is the injectable file-operation set. All paths are interpreted as
 // the os package would.
 type FS interface {
@@ -52,12 +70,22 @@ type FS interface {
 	SyncDir(dir string) error
 }
 
-// OS is the production FS: direct delegation to package os.
+// OS is the production FS: direct delegation to package os. The files it
+// creates offer WriteBehind where the OS has the call (writeback_linux.go).
 type OS struct{}
 
 func (OS) MkdirAll(dir string) error { return os.MkdirAll(dir, 0o755) }
 
-func (OS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
+func (OS) CreateTemp(dir, pattern string) (File, error) {
+	f, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return osFile{f}, nil
+}
+
+// osFile is a file OS created: an *os.File, plus WriteBehind on Linux.
+type osFile struct{ *os.File }
 
 func (OS) Open(name string) (File, error) { return os.Open(name) }
 

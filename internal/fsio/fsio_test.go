@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"syscall"
 	"testing"
 )
@@ -89,5 +90,34 @@ func TestErrorClassification(t *testing.T) {
 		if got := IsTransient(c.err); got != c.transient {
 			t.Errorf("IsTransient(%v) = %v, want %v", c.err, got, c.transient)
 		}
+	}
+}
+
+// TestOSFileWriteBehind: a file OS creates offers WriteBehind on Linux (but
+// 32-bit arm) and nowhere else; the hint succeeds on a written range and
+// leaves its bytes as they were.
+func TestOSFileWriteBehind(t *testing.T) {
+	f, err := OS{}.CreateTemp(t.TempDir(), "wb-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	blob := []byte("write behind")
+	if _, err := f.WriteAt(blob, 4096); err != nil {
+		t.Fatal(err)
+	}
+	wb, ok := f.(WriteBehind)
+	if want := runtime.GOOS == "linux" && runtime.GOARCH != "arm"; ok != want {
+		t.Fatalf("OS file offers WriteBehind: %v, want %v", ok, want)
+	}
+	if ok {
+		if err := wb.StartWriteback(4096, int64(len(blob))); err != nil {
+			t.Fatalf("StartWriteback: %v", err)
+		}
+	}
+	StartWriteback(f, 0, 4096+int64(len(blob)))
+	got := make([]byte, len(blob))
+	if _, err := f.ReadAt(got, 4096); err != nil || string(got) != string(blob) {
+		t.Fatalf("read back %q, %v", got, err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"qusim/internal/circuit"
 	"qusim/internal/ckpt"
 	"qusim/internal/schedule"
+	"qusim/internal/telemetry"
 )
 
 // TestSwapMovesNoData: a closing swap trades layout entries and moves no
@@ -104,6 +105,150 @@ func TestSwapMovesNoData(t *testing.T) {
 			}
 			oneFile("resumed runs")
 		})
+	}
+}
+
+// swapPlan builds an n-qubit plan at l local qubits whose one swap brings
+// q global qubits in, and its stages.
+func swapPlan(t *testing.T, n, l, q int) (*schedule.Plan, []schedule.Stage[complex128]) {
+	t.Helper()
+	c := circuit.NewCircuit(n)
+	for i := 0; i < l+q; i++ {
+		c.Append(circuit.NewH(i), circuit.NewT(i))
+	}
+	for i := 0; i+1 < l+q; i++ {
+		c.Append(circuit.NewCZ(i, i+1))
+	}
+	for i := 0; i < l+q; i++ {
+		c.Append(circuit.NewYHalf(i))
+	}
+	plan, err := schedule.Build(c, schedule.DefaultOptions(l))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages, err := (&schedule.Shard[complex128]{L: l}).Stages(plan, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stages) != 2 || len(stages[0].GlobalBits) != q {
+		t.Fatalf("plan has %d stages, the first swapping %v; the scenario needs one swap of %d qubits", len(stages), stages[0].GlobalBits, q)
+	}
+	return plan, stages
+}
+
+// TestCoalescedWriteRequests pins the state file's request counts, and the
+// state bytes in memory, of plans whose one swap brings q global qubits in
+// and puts chunk bits 0…q−1 right above the runs. Before the swap every
+// chunk is one run, read and written in one request each; after it a chunk
+// is 2^q runs, read in 2^q requests and written in 2^q/G, its group of G
+// chunks combined. G is 2^writeGroupBits, cut to the largest power of two
+// ≤ depth+1 — none at depth 0 — so the staging buffer of G chunks never
+// outgrows the depth+1 chunks of the pool, and mem.state_bytes counts both;
+// runs of combineRunBytes or more are never combined. Every row stays
+// bitwise equal to Plan.Run.
+func TestCoalescedWriteRequests(t *testing.T) {
+	for _, tc := range []struct {
+		n, l, q, depth int
+		groupBits      int // log2 G
+	}{
+		{14, 8, 3, 0, 0}, // 512 B runs, no room for staging
+		{14, 8, 3, 1, 1},
+		{14, 8, 3, 3, writeGroupBits},
+		{14, 8, 3, 4, writeGroupBits},
+		{15, 13, 2, 4, 0}, // runs of combineRunBytes
+	} {
+		t.Run(fmt.Sprintf("n%d_l%d_q%d_depth%d", tc.n, tc.l, tc.q, tc.depth), func(t *testing.T) {
+			if tc.groupBits == 0 && tc.depth > 0 && ampBytes<<(tc.l-tc.q) < combineRunBytes {
+				t.Fatalf("runs of %d bytes at depth %d would combine", ampBytes<<(tc.l-tc.q), tc.depth)
+			}
+			plan, stages := swapPlan(t, tc.n, tc.l, tc.q)
+			v, err := NewUniform(tc.n, tc.l, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer v.Close()
+			v.SetPrefetch(tc.depth)
+			tel := telemetry.New()
+			v.SetTelemetry(tel)
+			reads, writes := tel.Registry().Counter("oocvec.read_requests"), tel.Registry().Counter("oocvec.write_requests")
+			chunks := int64(v.Chunks())
+			for s, wantRuns := range []int64{1, 1 << tc.q} {
+				r0, w0 := reads.Value(), writes.Value()
+				if err := runStage(v, &stages[s]); err != nil {
+					t.Fatal(err)
+				}
+				wantWrites := wantRuns
+				if wantRuns > 1 {
+					wantWrites = wantRuns >> tc.groupBits
+				}
+				if got := reads.Value() - r0; got != chunks*wantRuns {
+					t.Errorf("stage %d: %d read requests, want %d per chunk", s, got, wantRuns)
+				}
+				if got := writes.Value() - w0; got != chunks*wantWrites {
+					t.Errorf("stage %d: %d write requests, want %d per chunk (%d runs, %d chunks a group)",
+						s, got, wantWrites, wantRuns, 1<<tc.groupBits)
+				}
+			}
+			held := tc.depth + 1 // the pool
+			if tc.groupBits > 0 {
+				held += 1 << tc.groupBits // and the staging buffer
+			}
+			if got, want := tel.Gauge("mem.state_bytes").Value(), int64(held*v.chunkBytes()); got != want {
+				t.Errorf("mem.state_bytes = %d, want %d chunks of %d", got, held, v.chunkBytes())
+			}
+			if got, err := v.Amplitudes(); err != nil || !slices.Equal(got, planRunAmps(t, plan)) {
+				t.Fatalf("paged run differs from Plan.Run (err %v)", err)
+			}
+		})
+	}
+}
+
+// TestCoalescedWritebackAnyOrder: a group's write waits for all of its
+// chunks, in whatever order they come, and lands each where chunkIO reads
+// it back; a chunk of another group while one is staged is an error.
+func TestCoalescedWritebackAnyOrder(t *testing.T) {
+	const n, l, q = 10, 5, 3
+	v, err := New(n, l, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	for j := 0; j < q; j++ { // a closing swap of global locations 0…q−1
+		v.loc[l-q+j], v.loc[l+j] = v.loc[l+j], v.loc[l-q+j]
+	}
+	w := v.writeback(1<<writeGroupBits - 1)
+	if w.r != l-q || w.g != writeGroupBits {
+		t.Fatalf("layout %v: r = %d, g = %d; want %d and %d", v.loc, w.r, w.g, l-q, writeGroupBits)
+	}
+	chunk := func(c int) []complex128 {
+		amps := make([]complex128, 1<<l)
+		for i := range amps {
+			amps[i] = complex(float64(c), float64(i))
+		}
+		return amps
+	}
+	g := 1 << writeGroupBits
+	for first := 0; first < v.Chunks(); first += g {
+		for k := g - 1; k >= 0; k-- {
+			if err := w.put(&chunkBuf{idx: first + k, amps: chunk(first + k)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	buf := make([]complex128, 1<<l)
+	for c := 0; c < v.Chunks(); c++ {
+		if err := v.chunkIO(c, buf, false); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(buf, chunk(c)) {
+			t.Fatalf("chunk %d reads back other amplitudes", c)
+		}
+	}
+	if err := w.put(&chunkBuf{idx: 0, amps: chunk(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.put(&chunkBuf{idx: g, amps: chunk(g)}); err == nil {
+		t.Fatal("a chunk of the next group was staged while a group was open")
 	}
 }
 

@@ -13,7 +13,9 @@
 // "CNOT-renumbering", Sec. 3.5) — the layout records at which bit of the
 // file offset each plan location lives, and the swap trades two entries per
 // exchanged pair. A chunk whose low locations no longer sit at their own
-// bits is read and written as runs of contiguous amplitudes.
+// bits is read and written as runs of contiguous amplitudes, and the
+// writeback joins the runs of neighbouring chunks that the file holds side
+// by side into one request.
 //
 // Execution is circuit-aware: the plan's stage cut (schedule.Plan.AccessMap,
 // compiled by schedule.Shard.Stages) tells the engine, before any I/O
@@ -57,6 +59,11 @@ type Vector struct {
 	// pool[0] also serves the constructors, streams, snapshots and restores,
 	// none of which runs during a stage.
 	pool [][]complex128
+	// staging gathers the writeback of a group of chunks whose runs sit
+	// side by side in the file (pipeline.go): at most 2^writeGroupBits
+	// chunks and never more than the pool, allocated by the first stage
+	// that combines and kept ever after.
+	staging []complex128
 
 	prefetch    int // chunks read ahead of the compute loop; 0 = no overlap
 	ckptSkipped int // checkpoints skipped on persistent ENOSPC (ckpt.go)
@@ -141,6 +148,8 @@ type vecTel struct {
 	hits, misses  *telemetry.Counter // prefetch hit = chunk ready when asked
 	chunksRead    *telemetry.Counter
 	chunksWritten *telemetry.Counter
+	readReqs      *telemetry.Counter // ReadAt calls on the state file
+	writeReqs     *telemetry.Counter // WriteAt calls on the state file
 	ioRetries     *telemetry.Counter // transient chunk-I/O errors retried
 	inFlight      *telemetry.Gauge   // bytes held in pipeline buffers
 	readNs        *telemetry.Histogram
@@ -165,6 +174,8 @@ func (v *Vector) SetTelemetry(t *telemetry.Telemetry) {
 		misses:        t.Counter("oocvec.prefetch_misses"),
 		chunksRead:    t.Counter("oocvec.chunks_read"),
 		chunksWritten: t.Counter("oocvec.chunks_written"),
+		readReqs:      t.Counter("oocvec.read_requests"),
+		writeReqs:     t.Counter("oocvec.write_requests"),
 		ioRetries:     t.Counter("oocvec.io_retries"),
 		inFlight:      t.Gauge("oocvec.bytes_in_flight"),
 		readNs:        t.Histogram("oocvec.read_ns"),
@@ -221,17 +232,33 @@ func retryIO(retries *telemetry.Counter, op func() error) error {
 
 // chunkIO reads (write false) or writes chunk c of the plan's state, its
 // amplitude x living at the file offset whose bit loc[p] is bit p of
-// c<<L | x. The r low locations that sit at their own bits keep 2^r
-// amplitudes contiguous, so the chunk is 2^(L−r) runs of 2^r amplitudes,
-// one positional access each; distinct chunks touch distinct offsets, so
-// concurrent calls on them are safe.
+// c<<L | x. The r low locations that sit at their own bits (runBits) keep
+// 2^r amplitudes contiguous, so the chunk is 2^(L−r) runs of 2^r
+// amplitudes, one positional access each; distinct chunks touch distinct
+// offsets, so concurrent calls on them are safe.
 func (v *Vector) chunkIO(c int, amps []complex128, write bool) error {
+	return v.runsIO(c, v.runBits(), amps, write)
+}
+
+// runBits returns r, the number of low plan locations at their own file
+// bits: L for the identity layout, where a chunk is one run.
+func (v *Vector) runBits() int {
 	r := 0
 	for r < v.L && v.loc[r] == r {
 		r++
 	}
-	raw, run := kernels.AmpBytes(amps), ampBytes<<r
-	for i := 0; i < 1<<(v.L-r); i++ {
+	return r
+}
+
+// runsIO reads or writes amps as 2^(L−r) equal runs, run i at the file
+// offset of run i of chunk c: chunkIO's access when amps is the chunk, and
+// one access per run for a whole group of chunks whose runs follow those
+// of chunk c in the file (pipeline.go's combined writeback).
+func (v *Vector) runsIO(c, r int, amps []complex128, write bool) error {
+	runs := 1 << (v.L - r)
+	raw := kernels.AmpBytes(amps)
+	run := len(raw) / runs
+	for i := 0; i < runs; i++ {
 		x, off := c<<(v.L-r)|i, int64(0)
 		for p := r; p < v.N; p++ {
 			off |= int64(x>>(p-r)&1) << v.loc[p]
@@ -240,8 +267,10 @@ func (v *Vector) chunkIO(c int, amps []complex128, write bool) error {
 		if err := retryIO(v.tel.ioRetries, func() error {
 			var err error
 			if write {
+				v.tel.writeReqs.Inc()
 				_, err = v.f.WriteAt(b, off*ampBytes)
 			} else {
+				v.tel.readReqs.Inc()
 				_, err = v.f.ReadAt(b, off*ampBytes)
 			}
 			return err

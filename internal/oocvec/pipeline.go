@@ -2,6 +2,7 @@ package oocvec
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -105,8 +106,10 @@ func (v *Vector) pumpStage(st *schedule.Stage[complex128], snap *ckpt.Snapshot) 
 	for len(v.pool) < nbuf {
 		v.pool = append(v.pool, kernels.NewAmps[complex128](1<<v.L))
 	}
-	// The state in memory is the pool; NewAmps has touched its pages.
-	kernels.ObservePages(v.tel.t, v.pool[:nbuf]...)
+	wb := v.writeback(depth)
+	// The state in memory is the pool and the writeback's staging buffer;
+	// NewAmps has touched their pages.
+	kernels.ObservePages(v.tel.t, append(v.pool[:nbuf:nbuf], v.staging)...)
 	bufs := make([]chunkBuf, nbuf)
 	free := make(chan *chunkBuf, nbuf)
 	for i := range bufs {
@@ -171,27 +174,18 @@ func (v *Vector) pumpStage(st *schedule.Stage[complex128], snap *ckpt.Snapshot) 
 		}
 	}()
 
-	// Asynchronous writeback: drain computed chunks into the state file.
+	// Asynchronous writeback: drain computed chunks into the state file,
+	// each buffer back in the pool as soon as its chunk is written or
+	// staged. After a failure it keeps draining, so the compute loop never
+	// blocks.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for b := range dirty {
-			if writeErr != nil {
-				v.tel.inFlight.Add(-cb)
-				free <- b
-				continue // keep draining so the compute loop never blocks
-			}
-			t0 := v.tel.wrSc.Now()
-			if err := v.chunkIO(b.idx, b.amps, true); err != nil {
-				writeErr = err
-				halt()
-			} else {
-				if !t0.IsZero() {
-					d := time.Since(t0)
-					v.tel.writeNs.Observe(int64(d))
-					v.tel.wrSc.Complete("io", "write", t0, d, telemetry.A("chunk", b.idx))
+			if writeErr == nil {
+				if writeErr = wb.put(b); writeErr != nil {
+					halt()
 				}
-				v.tel.chunksWritten.Inc()
 			}
 			v.tel.inFlight.Add(-cb)
 			free <- b
@@ -225,4 +219,92 @@ func (v *Vector) pumpStage(st *schedule.Stage[complex128], snap *ckpt.Snapshot) 
 		return readErr
 	}
 	return writeErr
+}
+
+// writeGroupBits is log2 of G, the most chunks whose writeback one
+// request per run combines once a swap has split each chunk into short
+// runs: G = 4 writes such a chunk in a quarter of the requests (DESIGN.md
+// §11, "Writes behind and in larger requests", has the sweep over 2, 4 and
+// 8).
+const writeGroupBits = 2
+
+// combineRunBytes is the run length from which a chunk is written run by
+// run where it lives, uncombined: a run this long is already a large
+// request, and staging it would add a copy of every chunk to the writeback
+// for little saved request time. Combining was measured to pay on 16 KiB
+// runs (DESIGN.md §11).
+const combineRunBytes = 32 << 10
+
+// stageWriter is a stage's writeback. With g = 0 it writes each chunk
+// where it lives. With g > 0 — the r low locations at their own bits
+// (Vector.runBits) are followed in the file by chunk bits 0…g−1, so run i
+// of the 2^g chunks of an aligned group lie side by side — it copies each
+// chunk into its place in the vector's staging buffer, laid out run by
+// run, and writes the group, one request per run, once all of its chunks
+// are in, whatever their order.
+type stageWriter struct {
+	v      *Vector
+	r, g   int
+	first  int // the group being staged, by its first chunk
+	staged int // its chunks in the staging buffer
+}
+
+// writeback returns the writeback of a stage run on the current layout at
+// prefetch depth depth. It combines only runs shorter than combineRunBytes,
+// and at most 2^g ≤ depth+1 chunks, so the staging buffer is never larger
+// than the pool the depth budgets (none at depth 0). The buffer is
+// allocated the first time a stage combines, for the largest group the
+// depth allows, and kept.
+func (v *Vector) writeback(depth int) *stageWriter {
+	w := &stageWriter{v: v, r: v.runBits()}
+	if w.r == v.L || ampBytes<<w.r >= combineRunBytes {
+		return w // a chunk is one run, or its runs are long already
+	}
+	gmax := min(writeGroupBits, bits.Len(uint(depth+1))-1, v.N-v.L)
+	for w.g < gmax && v.loc[v.L+w.g] == w.r+w.g {
+		w.g++
+	}
+	if w.g > 0 && len(v.staging) < 1<<(v.L+gmax) {
+		v.staging = kernels.NewAmps[complex128](1 << (v.L + gmax))
+	}
+	return w
+}
+
+// put writes back b's chunk, or stages it and writes its group when it is
+// the group's last chunk in.
+func (w *stageWriter) put(b *chunkBuf) error {
+	if w.g == 0 {
+		return w.write(b.idx, b.amps)
+	}
+	first := b.idx &^ (1<<w.g - 1)
+	if w.staged > 0 && first != w.first {
+		return fmt.Errorf("oocvec: chunk %d reached writeback while the group of chunk %d is staged", b.idx, w.first)
+	}
+	w.first = first
+	k, run := b.idx-first, 1<<w.r
+	for i := 0; i < 1<<(w.v.L-w.r); i++ {
+		copy(w.v.staging[(i<<w.g+k)*run:], b.amps[i*run:(i+1)*run])
+	}
+	if w.staged++; w.staged < 1<<w.g {
+		return nil
+	}
+	w.staged = 0
+	return w.write(first, w.v.staging[:1<<(w.v.L+w.g)])
+}
+
+// write lands amps, the 2^g chunks from first on, as the runs of chunk
+// first and records it.
+func (w *stageWriter) write(first int, amps []complex128) error {
+	v, chunks := w.v, 1<<w.g
+	t0 := v.tel.wrSc.Now()
+	if err := v.runsIO(first, w.r, amps, true); err != nil {
+		return err
+	}
+	if !t0.IsZero() {
+		d := time.Since(t0)
+		v.tel.writeNs.Observe(int64(d))
+		v.tel.wrSc.Complete("io", "write", t0, d, telemetry.A("chunk", first), telemetry.A("chunks", chunks))
+	}
+	v.tel.chunksWritten.Add(int64(chunks))
+	return nil
 }

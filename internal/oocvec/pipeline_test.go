@@ -326,8 +326,14 @@ func testPipelineTelemetry(t *testing.T, depth int) {
 	if got := reg.Gauge("oocvec.bytes_in_flight").Value(); got != 0 {
 		t.Errorf("bytes in flight %d after drain, want 0", got)
 	}
-	// The state in memory is the stage's pool: depth+1 chunk buffers.
-	if got, want := reg.Gauge("mem.state_bytes").Value(), int64(depth+1)*16<<l; got != want {
+	// The state in memory is the stage's pool, depth+1 chunk buffers, and
+	// the staging buffer of the writeback that combines the plan's
+	// post-swap chunks: none at depth 0, 2^writeGroupBits chunks at depth 3.
+	want := int64(depth+1) * 16 << l
+	if depth > 0 {
+		want += 16 << (l + writeGroupBits)
+	}
+	if got := reg.Gauge("mem.state_bytes").Value(); got != want {
 		t.Errorf("mem.state_bytes = %d, want %d", got, want)
 	}
 	if tel.SpanCount() == 0 {

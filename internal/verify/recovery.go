@@ -22,6 +22,7 @@ import (
 // RecoveryReport summarizes the crash/corruption recovery sweep.
 type RecoveryReport struct {
 	CrashPoints   int // collective entries crash-tested
+	Exchanges     int // payload-carrying exchanges of the clean run
 	CorruptPoints int // payload exchanges corruption-tested
 	Restarts      int // recovery attempts summed over all runs
 	Restored      int // attempts that resumed from a snapshot
@@ -114,26 +115,39 @@ func CheckRecovery(opts Options, ranks int, logf func(string, ...any)) *Recovery
 		}
 		rep.CrashPoints++
 	}
-	if rep.CrashPoints == 0 {
-		fail("crash sweep never injected anything")
-	}
-	if rep.CrashPoints >= maxRecoveryPoints {
-		fail("crash sweep did not terminate within %d points", maxRecoveryPoints)
-	}
 
-	// Sweep 2: corrupt every payload-carrying exchange.
-	for e := 0; e < maxRecoveryPoints; e++ {
+	// Sweep 2: corrupt every payload-carrying exchange, of which a plan that
+	// never swaps (a circuit of a few gates) has none.
+	rep.Exchanges = clean.CommSteps
+	for e := 0; e < maxRecoveryPoints && rep.Exchanges > 0; e++ {
 		corrupt := &mpi.CorruptFault{Rank: e % ranks, Exchange: e}
 		if !runOne("corrupt", e, &mpi.FaultPlan{Corrupt: corrupt}, corrupt.Fired) {
 			break
 		}
 		rep.CorruptPoints++
 	}
-	if rep.CorruptPoints == 0 {
-		fail("corruption sweep never injected anything")
+	for _, f := range rep.sweepFailures() {
+		fail("%s", f)
 	}
 
 	logf("  %d crash points + %d corruption points recovered (%d restarts, %d resumed from snapshots)",
 		rep.CrashPoints, rep.CorruptPoints, rep.Restarts, rep.Restored)
 	return rep
+}
+
+// sweepFailures returns what the sweeps' counts show went wrong: a crash
+// sweep that injected nothing or did not terminate, and a corruption sweep
+// that injected nothing although the run had exchanges to corrupt.
+func (r *RecoveryReport) sweepFailures() []string {
+	var out []string
+	if r.CrashPoints == 0 {
+		out = append(out, "crash sweep never injected anything")
+	}
+	if r.CrashPoints >= maxRecoveryPoints {
+		out = append(out, fmt.Sprintf("crash sweep did not terminate within %d points", maxRecoveryPoints))
+	}
+	if r.Exchanges > 0 && r.CorruptPoints == 0 {
+		out = append(out, "corruption sweep never injected anything")
+	}
+	return out
 }

@@ -314,8 +314,13 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "fault injection: %d scenarios, %d perturbations\n",
 		r.FaultScenarios, r.FaultEvents)
 	b.WriteString(r.Faults.Summary())
-	fmt.Fprintf(&b, "recovery: %d crash + %d corruption points, %d restarts, %d snapshot resumes\n",
-		r.Recovery.CrashPoints, r.Recovery.CorruptPoints, r.Recovery.Restarts, r.Recovery.Restored)
+	if r.Recovery.Exchanges > 0 {
+		fmt.Fprintf(&b, "recovery: %d crash + %d corruption points, %d restarts, %d snapshot resumes\n",
+			r.Recovery.CrashPoints, r.Recovery.CorruptPoints, r.Recovery.Restarts, r.Recovery.Restored)
+	} else {
+		fmt.Fprintf(&b, "recovery: %d crash points (no exchange to corrupt), %d restarts, %d snapshot resumes\n",
+			r.Recovery.CrashPoints, r.Recovery.Restarts, r.Recovery.Restored)
+	}
 	for _, f := range r.Recovery.Failures {
 		fmt.Fprintf(&b, "  FAILED %s\n", f)
 	}

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -56,6 +57,26 @@ func TestReportResultLine(t *testing.T) {
 	rep.Recovery.Failures = []string{"corruption sweep never injected anything"}
 	if got := rep.String(); !rep.Failed() || !strings.HasSuffix(got, "RESULT: no divergence, but a check above FAILED\n") {
 		t.Errorf("report with a failed recovery sweep ends %q", got[strings.LastIndex(got, "RESULT"):])
+	}
+}
+
+// TestRecoverySweepFailures: a corruption sweep that injects nothing fails
+// a run with exchanges to corrupt and is not applicable to one without; a
+// crash sweep must inject and must end either way.
+func TestRecoverySweepFailures(t *testing.T) {
+	for _, tc := range []struct {
+		rep  RecoveryReport
+		want []string
+	}{
+		{RecoveryReport{CrashPoints: 9, Exchanges: 2, CorruptPoints: 2}, nil},
+		{RecoveryReport{CrashPoints: 2}, nil},
+		{RecoveryReport{CrashPoints: 9, Exchanges: 2}, []string{"corruption sweep never injected anything"}},
+		{RecoveryReport{Exchanges: 1, CorruptPoints: 1}, []string{"crash sweep never injected anything"}},
+		{RecoveryReport{CrashPoints: maxRecoveryPoints}, []string{"crash sweep did not terminate within 512 points"}},
+	} {
+		if got := tc.rep.sweepFailures(); !slices.Equal(got, tc.want) {
+			t.Errorf("%+v: failures %q, want %q", tc.rep, got, tc.want)
+		}
 	}
 }
 
