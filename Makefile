@@ -28,10 +28,12 @@ test:
 # The pure-Go kernels behind the purego build tag — what runs on anything
 # but amd64 with AVX2+FMA — through the packages that execute
 # or price them: every back end reaches them through the one shard applier
-# (internal/schedule/exec.go), so every back end is in the list.
+# (internal/schedule/exec.go), so every back end is in the list, and then
+# through the whole differential matrix, as test-avx2 does for the AVX2 set.
 KERNEL_PKGS = ./internal/kernels/... ./internal/statevec/... ./internal/f32vec/... ./internal/schedule/... ./internal/dist/... ./internal/oocvec/... ./internal/verify/...
 test-purego:
 	$(GO) test -tags purego $(KERNEL_PKGS)
+	$(GO) run -tags purego ./cmd/qverify -quick
 
 # The AVX2+FMA kernels behind the noavx512 build tag — what runs on an
 # amd64 CPU without AVX-512 — through the same packages and then through
@@ -143,9 +145,10 @@ bench-permute:
 # Checkpoint subsystem baseline: shard write/restore throughput and the
 # end-to-end overhead per-stage snapshots add to a distributed run,
 # recorded (with the derived checkpointed-vs-plain ratio) in
-# BENCH_ckpt.json.
+# BENCH_ckpt.json. Ten iterations a row: at three, the ooc ratio of one
+# tree spread wider on a shared host than a checkpoint change moves it.
 bench-ckpt:
-	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint' -benchtime 3x -count 3 . | $(GO) run ./cmd/benchjson > BENCH_ckpt.json
+	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint' -benchtime 10x -count 3 . | $(GO) run ./cmd/benchjson > BENCH_ckpt.json
 
 # Telemetry overhead baseline: the same distributed run with telemetry
 # disabled and enabled; the derived enabled-vs-disabled ratio recorded in

@@ -233,9 +233,7 @@ func BenchmarkTable2FullRuns(b *testing.B) {
 	})
 	b.Run("baseline", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := dist.RunBaseline(c, dist.BaselineOptions{
-				Ranks: 8, Init: dist.InitUniform, Specialize2Q: true,
-			}); err != nil {
+			if _, err := dist.RunBaseline(c, dist.BaselineOptions{Ranks: 8, Init: dist.InitUniform}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -918,7 +916,7 @@ func BenchmarkEmulationVsGates(b *testing.B) {
 	b.Run("emulated-fft", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			v := statevec.NewUniform(n)
-			emulate.QFT(v, false)
+			emulate.QFT(v)
 		}
 	})
 }

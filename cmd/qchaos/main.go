@@ -112,10 +112,11 @@ func (b *chaosDist) exec(plan *schedule.Plan) ([]complex128, error) {
 
 	var res *dist.Result
 	var runErr error
-	// Outer resume loop: a transient read window hitting the snapshot scan
-	// ends dist.Run's internal attempt chain (the scan error is not a
-	// transport fault), but the directory still holds valid snapshots — a
-	// fresh run with Resume continues from them once the window passes.
+	// Outer resume loop: a transient read while a rank restores its shard
+	// ends dist.Run's internal attempt chain (StreamShard wraps it in
+	// ckpt.ErrInvalid, which is not a transport fault), but the directory
+	// still holds valid snapshots — a fresh run with Resume continues from
+	// them once the window passes.
 	for attempt := 0; attempt < 6; attempt++ {
 		if attempt > 0 {
 			b.resumes++
@@ -127,10 +128,6 @@ func (b *chaosDist) exec(plan *schedule.Plan) ([]complex128, error) {
 			Checkpoint:   &ckpt.Policy{Dir: dir, EveryStages: 1, FS: cfs},
 			Resume:       attempt > 0,
 			CommDeadline: 400 * time.Millisecond,
-			Retry: &dist.RetryPolicy{
-				BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond,
-				Deadline: 20 * time.Second, Seed: b.seed*1000 + int64(b.run),
-			},
 		})
 		if runErr == nil {
 			break

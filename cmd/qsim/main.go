@@ -121,7 +121,7 @@ func main() {
 		n := min(circ.N, 24)
 		var res kernels.TuneResult
 		if *tuneCache != "" {
-			cached, hit, terr := kernels.TuneCached(*tuneCache, 5, n, 2)
+			cached, hit, terr := kernels.TuneCached(*tuneCache, n)
 			if terr != nil {
 				fmt.Fprintf(os.Stderr, "qsim: tuner cache: %v\n", terr)
 			}

@@ -361,7 +361,7 @@ func TestBaselineStepsInPaperUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := dist.RunBaseline(circ, dist.BaselineOptions{Ranks: 4, Init: dist.InitUniform, Specialize2Q: true})
+	want, err := dist.RunBaseline(circ, dist.BaselineOptions{Ranks: 4, Init: dist.InitUniform})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func main() {
 	rng := rand.New(rand.NewSource(1))
 	for _, p := range []float64{0, 0.0005, 0.002, 0.01} {
 		ch := noise.Depolarizing(p)
-		res, err := noise.Run(c, ch, 60, false, rng)
+		res, err := noise.Run(c, ch, 60, rng)
 		if err != nil {
 			log.Fatal(err)
 		}

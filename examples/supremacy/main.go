@@ -44,9 +44,7 @@ func main() {
 	fmt.Printf("scheduled run:  %7.3fs wall, %2d comm steps, %6.1f MB moved, entropy %.5f\n",
 		res.Elapsed.Seconds(), res.CommSteps, float64(res.CommBytes)/1e6, res.Entropy)
 
-	base, err := qusim.RunBaseline(c, qusim.BaselineOptions{
-		Ranks: ranks, Init: qusim.InitUniform, Specialize2Q: true,
-	})
+	base, err := qusim.RunBaseline(c, qusim.BaselineOptions{Ranks: ranks, Init: qusim.InitUniform})
 	if err != nil {
 		log.Fatal(err)
 	}

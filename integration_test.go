@@ -70,10 +70,12 @@ func TestAllExecutionPathsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Path 3: per-gate baseline.
-	bres, err := dist.RunBaseline(circ, dist.BaselineOptions{
-		Ranks: integRanks, Init: dist.InitUniform, Specialize2Q: true, GatherState: true,
-	})
+	// Path 3: per-gate baseline, RunBaseline's plan run with the state gathered.
+	bplan, err := schedule.PerGate(circ, integL, func(g *circuit.Gate) bool { return g.K() > 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	bres, err := dist.Run(bplan, dist.Options{Ranks: integRanks, Init: dist.InitUniform, GatherState: true})
 	if err != nil {
 		t.Fatal(err)
 	}

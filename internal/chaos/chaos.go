@@ -314,42 +314,20 @@ func (s *Schedule) String() string {
 type ComposeOptions struct {
 	// Ranks is the MPI world size fault targets are drawn from (default 4).
 	Ranks int
-	// Collectives bounds the collective-entry indices crash/stall points
-	// are drawn from; keep it within the run's actual collective count or
-	// the fault may never fire (default 6).
-	Collectives int
-	// StallDuration is how long a stalled rank freezes; it must exceed the
-	// runner's comm deadline for the stall to surface (default 700ms).
-	StallDuration time.Duration
-	// WriteOps/ReadOps bound the disk-fault op indices; keep them within
-	// the ops a run actually performs (defaults 12 and 16).
-	WriteOps int
-	ReadOps  int
-	// Extra is the probability each non-primary class joins the schedule
-	// (default 0.25) — composed faults, not one-at-a-time.
-	Extra float64
 }
 
-func (o *ComposeOptions) setDefaults() {
-	if o.Ranks <= 0 {
-		o.Ranks = 4
-	}
-	if o.Collectives <= 0 {
-		o.Collectives = 6
-	}
-	if o.StallDuration <= 0 {
-		o.StallDuration = 700 * time.Millisecond
-	}
-	if o.WriteOps <= 0 {
-		o.WriteOps = 12
-	}
-	if o.ReadOps <= 0 {
-		o.ReadOps = 16
-	}
-	if o.Extra <= 0 {
-		o.Extra = 0.25
-	}
-}
+// The bounds Compose draws fault points from. Each lies inside what a run
+// performs — collective entries, disk writes, disk reads — or the fault
+// may never fire; a stall must outlast the runner's comm deadline to
+// surface. extra is the probability each non-primary class joins a
+// schedule: composed faults, not one at a time.
+const (
+	collectives   = 6
+	stallDuration = 700 * time.Millisecond
+	writeOps      = 12
+	readOps       = 16
+	extra         = 0.25
+)
 
 // rotation is the primary-class cycle: run r's schedule always arms class
 // rotation[r mod 6], so any six consecutive runs cover every class the
@@ -361,18 +339,20 @@ var rotation = [6]Class{Crash, Corrupt, Stall, NoSpace, TornWrite, ReadError}
 // Same (seed, r, opts) → identical schedule, including the fire-once fault
 // state being fresh.
 func Compose(seed int64, r int, opts ComposeOptions) *Schedule {
-	opts.setDefaults()
+	if opts.Ranks <= 0 {
+		opts.Ranks = 4
+	}
 	rng := rand.New(rand.NewSource(seed*1000003 + int64(r)*7919 + 5))
 	s := &Schedule{Seed: seed, Run: r}
 
 	primary := rotation[((r%6)+6)%6]
 	want := map[Class]bool{primary: true}
 	for _, c := range rotation {
-		if c != primary && rng.Float64() < opts.Extra {
+		if c != primary && rng.Float64() < extra {
 			want[c] = true
 		}
 	}
-	if rng.Float64() < opts.Extra {
+	if rng.Float64() < extra {
 		want[SlowIO] = true
 	}
 	s.Armed = append(s.Armed, primary)
@@ -385,9 +365,9 @@ func Compose(seed int64, r int, opts ComposeOptions) *Schedule {
 	// Transport side. The RNG is always advanced identically so arming one
 	// class never shifts another class's draw.
 	mp := &mpi.FaultPlan{Seed: seed*31 + int64(r)}
-	crashRank, crashColl := rng.Intn(opts.Ranks), rng.Intn(opts.Collectives)
+	crashRank, crashColl := rng.Intn(opts.Ranks), rng.Intn(collectives)
 	corruptRank, corruptExch := rng.Intn(opts.Ranks), rng.Intn(3)
-	stallRank, stallColl := rng.Intn(opts.Ranks), rng.Intn(opts.Collectives)
+	stallRank, stallColl := rng.Intn(opts.Ranks), rng.Intn(collectives)
 	if want[Crash] {
 		mp.Crash = &mpi.CrashFault{Rank: crashRank, Collective: crashColl}
 	}
@@ -395,16 +375,16 @@ func Compose(seed int64, r int, opts ComposeOptions) *Schedule {
 		mp.Corrupt = &mpi.CorruptFault{Rank: corruptRank, Exchange: corruptExch}
 	}
 	if want[Stall] {
-		mp.Stall = &mpi.StallFault{Rank: stallRank, Collective: stallColl, Duration: opts.StallDuration}
+		mp.Stall = &mpi.StallFault{Rank: stallRank, Collective: stallColl, Duration: stallDuration}
 	}
 	if mp.Crash != nil || mp.Corrupt != nil || mp.Stall != nil {
 		s.MPI = mp
 	}
 
 	// Disk side, same always-advance discipline.
-	noSpaceAt, noSpaceRun := 1+rng.Intn(opts.WriteOps), 1+rng.Intn(6)
-	tornAt := 1 + rng.Intn(opts.WriteOps)
-	readAt, readRun := 1+rng.Intn(opts.ReadOps), 1+rng.Intn(4)
+	noSpaceAt, noSpaceRun := 1+rng.Intn(writeOps), 1+rng.Intn(6)
+	tornAt := 1 + rng.Intn(writeOps)
+	readAt, readRun := 1+rng.Intn(readOps), 1+rng.Intn(4)
 	slowEvery := 3 + rng.Intn(5)
 	if want[NoSpace] {
 		s.Disk.NoSpaceAt, s.Disk.NoSpaceRun = noSpaceAt, noSpaceRun

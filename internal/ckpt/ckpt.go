@@ -571,17 +571,20 @@ func (w *Writer) loadManifest(path string) (*Manifest, error) {
 }
 
 // FindRestorable is Writer.FindRestorable in dir on the real file system,
-// for a run of the plan want identifies (want.NextStage is ignored).
+// for a run of the plan want identifies (want.NextStage is ignored). The
+// error is always nil: the two-result form is what the benchmark module
+// compiles against.
 func FindRestorable(dir string, want Meta) (*Manifest, error) {
-	return NewWriter(&Policy{Dir: dir}, want, nil).FindRestorable()
+	return NewWriter(&Policy{Dir: dir}, want, nil).FindRestorable(), nil
 }
 
 // FindRestorable walks the directory's manifests newest-first (by stage
 // cursor) and returns the first checkpoint of the writer's run that fully
 // verifies — manifest CRC, matching plan fingerprint and geometry, and every
-// shard checksum. It returns (nil, nil) when no restorable checkpoint
-// exists; the caller restarts from scratch.
-func (w *Writer) FindRestorable() (*Manifest, error) {
+// shard checksum. A manifest or shard that cannot be read counts as not
+// restorable. It returns nil when no restorable checkpoint exists; the
+// caller restarts from scratch.
+func (w *Writer) FindRestorable() *Manifest {
 	valid, _ := w.manifests()
 	for _, c := range valid {
 		ok := c.m.Meta.matches(w.meta)
@@ -589,10 +592,10 @@ func (w *Writer) FindRestorable() (*Manifest, error) {
 			ok = w.verifyShard(c.m, r) == nil
 		}
 		if ok {
-			return c.m, nil
+			return c.m
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // loaded is a manifest and the file it was loaded from.

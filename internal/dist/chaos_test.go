@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -271,19 +270,4 @@ func TestENOSPCWindowPrunesAndRecovers(t *testing.T) {
 		t.Error("no checkpoint committed even after the window passed")
 	}
 	assertBitwiseEqual(t, clean, res)
-}
-
-// TestRunDeadlineSurfaces: when RetryPolicy.Deadline expires before the
-// restart budget does, the run gives up with ErrRunDeadline instead of
-// burning the remaining attempts.
-func TestRunDeadlineSurfaces(t *testing.T) {
-	_, err := Run(faultTestPlan(t), Options{
-		Ranks: 8, Init: InitUniform,
-		Faults:     &mpi.FaultPlan{Crash: &mpi.CrashFault{Rank: 1, Collective: 1}},
-		Checkpoint: &ckpt.Policy{Dir: t.TempDir()},
-		Retry:      &RetryPolicy{Deadline: time.Nanosecond},
-	})
-	if !errors.Is(err, ErrRunDeadline) {
-		t.Fatalf("err = %v, want ErrRunDeadline", err)
-	}
 }

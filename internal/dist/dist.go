@@ -144,10 +144,6 @@ type Options struct {
 	// the communication layer surfaces as a recoverable stall instead of a
 	// hang. Zero disables the bound.
 	CommDeadline time.Duration
-	// Retry shapes the recovery loop between attempts: jittered
-	// exponential backoff and a whole-run deadline. Nil keeps the legacy
-	// behavior — immediate restarts, bounded only by ckpt.MaxRestarts.
-	Retry *RetryPolicy
 
 	// Telemetry, when enabled, records per-rank trace timelines (stage and
 	// op spans with qubit-set and fused-cluster annotations, checkpoint and
@@ -164,47 +160,6 @@ type ProfileEntry struct {
 	Kind     string
 	Ops      int
 	Duration time.Duration
-}
-
-// ErrRunDeadline marks a checkpointed run abandoned because RetryPolicy.
-// Deadline expired before an attempt completed. Test with errors.Is.
-var ErrRunDeadline = errors.New("dist: run deadline exceeded")
-
-// RetryPolicy shapes the recovery loop of a checkpointed run. The number
-// of attempts is still bounded by ckpt.MaxRestarts; the policy adds
-// pacing (so a persistently failing environment is not hammered in a tight
-// loop) and an overall give-up clock.
-type RetryPolicy struct {
-	// BaseDelay is the nominal wait before the first restart; each further
-	// restart doubles it, capped at MaxDelay. The actual sleep is jittered
-	// to [d/2, d] so co-failing runs don't retry in lockstep. Zero
-	// restarts immediately.
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential growth (0: uncapped).
-	MaxDelay time.Duration
-	// Deadline bounds the whole run — compute, backoff and restarts
-	// together. When it expires the run fails with ErrRunDeadline even if
-	// restarts remain. Zero disables the bound.
-	Deadline time.Duration
-	// Seed seeds the jitter source; runs with equal seeds back off
-	// identically.
-	Seed int64
-}
-
-// delay returns the jittered backoff before restart number r (1-based).
-func (p *RetryPolicy) delay(r int, rng *rand.Rand) time.Duration {
-	if p.BaseDelay <= 0 {
-		return 0
-	}
-	d := p.BaseDelay
-	for i := 1; i < r; i++ {
-		d *= 2
-		if p.MaxDelay > 0 && d >= p.MaxDelay {
-			d = p.MaxDelay
-			break
-		}
-	}
-	return d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
 }
 
 // classifyRestart partitions a recoverable failure by class — corrupt
@@ -254,11 +209,6 @@ func Run(plan *schedule.Plan, opts Options) (*Result, error) {
 
 	tryResume := opts.Resume
 	tel := opts.Telemetry
-	var jrng *rand.Rand
-	if opts.Retry != nil {
-		jrng = rand.New(rand.NewSource(opts.Retry.Seed))
-	}
-	runStart := time.Now()
 	var lastErr error
 	var failedAt time.Time // when the previous attempt's failure surfaced
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -266,14 +216,6 @@ func Run(plan *schedule.Plan, opts Options) (*Result, error) {
 			res.Restarts++
 			classifyRestart(lastErr, res, tel)
 			tryResume = true // recover from whatever the failed attempt committed
-			if rp := opts.Retry; rp != nil {
-				if rp.Deadline > 0 && time.Since(runStart) >= rp.Deadline {
-					return nil, fmt.Errorf("dist: %w after %d restarts: %w", ErrRunDeadline, res.Restarts-1, lastErr)
-				}
-				if d := rp.delay(attempt, jrng); d > 0 {
-					time.Sleep(d)
-				}
-			}
 			// Failure detection → restored attempt start: the latency a
 			// fault-tolerance budget actually pays per recovery.
 			tel.Histogram("dist.recovery_latency_ns").ObserveSince(failedAt)
@@ -308,12 +250,7 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 	var man *ckpt.Manifest
 	startStage := 0
 	if ck != nil && tryResume {
-		var err error
-		man, err = ckw.FindRestorable()
-		if err != nil {
-			return fmt.Errorf("dist: scanning %s for snapshots: %w", ck.Dir, err)
-		}
-		if man != nil {
+		if man = ckw.FindRestorable(); man != nil {
 			startStage = man.NextStage
 			res.CheckpointsRestored++
 		}

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"slices"
 	"testing"
@@ -16,6 +17,29 @@ func supremacy(n, depth int, seed int64, skipH bool) *circuit.Circuit {
 	return circuit.Supremacy(circuit.SupremacyOptions{
 		Rows: r, Cols: c, Depth: depth, Seed: seed, SkipInitialH: skipH,
 	})
+}
+
+// perGateRun is dist.Run of a per-gate plan — RunBaseline's plan when spec2q
+// is set and spec1q is not — for the tests that need Options RunBaseline does
+// not take: a gathered state, faults, telemetry, another specialization.
+// CommSteps is in the paper's unit, as RunBaseline reports it.
+func perGateRun(t *testing.T, c *circuit.Circuit, spec2q, spec1q bool, opts Options) *Result {
+	t.Helper()
+	plan, err := schedule.PerGate(c, c.N-bits.TrailingZeros(uint(opts.Ranks)), func(g *circuit.Gate) bool {
+		if g.K() == 1 {
+			return spec1q
+		}
+		return spec2q
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(plan, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.CommSteps = plan.Stats.BaselineGlobalGates
+	return res
 }
 
 // naive runs the circuit on a single full state vector.
@@ -210,12 +234,7 @@ func TestBaselineEqualsNaive(t *testing.T) {
 	c := supremacy(11, 12, 28, false)
 	want := naive(c, InitZero)
 	for g, ranks := range []int{1, 2, 4, 8} {
-		res, err := RunBaseline(c, BaselineOptions{
-			Ranks: ranks, Init: InitZero, Specialize2Q: true, GatherState: true,
-		})
-		if err != nil {
-			t.Fatalf("ranks=%d: %v", ranks, err)
-		}
+		res := perGateRun(t, c, true, false, Options{Ranks: ranks, Init: InitZero, GatherState: true})
 		var maxd float64
 		for b := 0; b < 1<<c.N; b++ {
 			// Baseline keeps the identity layout: index b maps to itself.
@@ -268,12 +287,7 @@ func TestBaselineTrafficMatchesPairwiseExchanges(t *testing.T) {
 		{11, 12, 30, 8, false, false, 14, 327680},
 		{12, 20, 31, 16, true, false, 19, 1245184},
 	} {
-		res, err := RunBaseline(supremacy(tc.n, tc.depth, tc.seed, false), BaselineOptions{
-			Ranks: tc.ranks, Init: InitZero, Specialize2Q: tc.spec2q, Specialize1Q: tc.spec1q,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := perGateRun(t, supremacy(tc.n, tc.depth, tc.seed, false), tc.spec2q, tc.spec1q, Options{Ranks: tc.ranks, Init: InitZero})
 		if res.CommSteps != tc.steps || res.CommBytes != tc.bytes {
 			t.Errorf("seed %d spec2q=%v spec1q=%v: %d steps %d bytes, want %d steps %d bytes",
 				tc.seed, tc.spec2q, tc.spec1q, res.CommSteps, res.CommBytes, tc.steps, tc.bytes)
@@ -285,7 +299,7 @@ func TestBaselineCommStepsMatchGlobalGateCount(t *testing.T) {
 	c := supremacy(11, 12, 29, false)
 	ranks := 8
 	l := c.N - 3
-	res, err := RunBaseline(c, BaselineOptions{Ranks: ranks, Init: InitZero, Specialize2Q: true})
+	res, err := RunBaseline(c, BaselineOptions{Ranks: ranks, Init: InitZero})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,14 +326,8 @@ func TestBaselineCommStepsMatchGlobalGateCount(t *testing.T) {
 
 func TestBaselineSpecializationReducesSteps(t *testing.T) {
 	c := supremacy(11, 12, 30, false)
-	with, err := RunBaseline(c, BaselineOptions{Ranks: 8, Init: InitZero, Specialize2Q: true, Specialize1Q: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := RunBaseline(c, BaselineOptions{Ranks: 8, Init: InitZero})
-	if err != nil {
-		t.Fatal(err)
-	}
+	with := perGateRun(t, c, true, true, Options{Ranks: 8, Init: InitZero})
+	without := perGateRun(t, c, false, false, Options{Ranks: 8, Init: InitZero})
 	if with.CommSteps >= without.CommSteps {
 		t.Errorf("specialization did not reduce baseline steps: %d vs %d", with.CommSteps, without.CommSteps)
 	}
@@ -342,7 +350,7 @@ func TestScheduledBeatsBaselineCommSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := RunBaseline(c, BaselineOptions{Ranks: ranks, Init: InitZero, Specialize2Q: true})
+	base, err := RunBaseline(c, BaselineOptions{Ranks: ranks, Init: InitZero})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,16 +57,10 @@ func TestRunUnderFaultsMatchesCleanRun(t *testing.T) {
 func TestBaselineUnderFaultsMatchesCleanRun(t *testing.T) {
 	r, c := circuit.GridForQubits(10)
 	circ := circuit.Supremacy(circuit.SupremacyOptions{Rows: r, Cols: c, Depth: 12, Seed: 6})
-	opts := BaselineOptions{Ranks: 4, Init: InitUniform, Specialize2Q: true, GatherState: true}
-	clean, err := RunBaseline(circ, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := Options{Ranks: 4, Init: InitUniform, GatherState: true}
+	clean := perGateRun(t, circ, true, false, opts)
 	opts.Faults = mpi.DefaultFaults(22)
-	faulty, err := RunBaseline(circ, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	faulty := perGateRun(t, circ, true, false, opts)
 	if faulty.FaultEvents == 0 {
 		t.Fatal("fault plan armed but nothing injected")
 	}

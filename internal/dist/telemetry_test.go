@@ -98,12 +98,7 @@ func TestTelemetryProfileCompatible(t *testing.T) {
 func TestBaselineTelemetry(t *testing.T) {
 	c := supremacy(10, 12, 17, false)
 	tel := telemetry.New()
-	res, err := RunBaseline(c, BaselineOptions{
-		Ranks: 4, Init: InitUniform, Specialize2Q: true, Telemetry: tel,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := perGateRun(t, c, true, false, Options{Ranks: 4, Init: InitUniform, Telemetry: tel})
 	if got := tel.Counter("mpi.bytes").Value(); got != res.CommBytes {
 		t.Errorf("mpi.bytes counter = %d, Traffic says %d", got, res.CommBytes)
 	}

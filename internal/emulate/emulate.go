@@ -21,10 +21,9 @@ import (
 )
 
 // QFT applies the quantum Fourier transform to the state by running an
-// in-place radix-2 FFT over the amplitudes (normalized, bit-reversed to
-// match the circuit convention of circuit.QFT — i.e. circuit.QFT followed
-// by statevec.ReverseBits equals this with reverse=true).
-func QFT(v *statevec.Vector, reverse bool) {
+// in-place radix-2 FFT over the amplitudes, normalized and bit-reversed to
+// match the circuit convention of circuit.QFT.
+func QFT(v *statevec.Vector) {
 	fft(v.Amps, false)
 	scale := complex(1/math.Sqrt(float64(len(v.Amps))), 0)
 	par.For(len(v.Amps), 4096, func(lo, hi int) {
@@ -32,9 +31,7 @@ func QFT(v *statevec.Vector, reverse bool) {
 			v.Amps[i] *= scale
 		}
 	})
-	if !reverse {
-		v.ReverseBits()
-	}
+	v.ReverseBits()
 }
 
 // fft is an iterative in-place Cooley–Tukey radix-2 transform. inverse

@@ -33,14 +33,13 @@ func runCircuit(c *circuit.Circuit, v *statevec.Vector) {
 
 func TestEmulatedQFTMatchesGateQFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(100))
-	for _, n := range []int{3, 6, 9} {
+	for _, n := range []int{3, 6, 7, 9} {
 		v := randomVector(n, rng)
 		gateWay := v.Clone()
 		runCircuit(circuit.QFT(n), gateWay)
-		gateWay.ReverseBits()
 
 		fftWay := v.Clone()
-		QFT(fftWay, true)
+		QFT(fftWay)
 
 		if d := gateWay.MaxDiff(fftWay); d > 1e-9 {
 			t.Errorf("n=%d: emulated QFT deviates from gate QFT: %g", n, d)
@@ -48,25 +47,10 @@ func TestEmulatedQFTMatchesGateQFT(t *testing.T) {
 	}
 }
 
-func TestEmulatedQFTNoReverseConvention(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	n := 7
-	v := randomVector(n, rng)
-	gateWay := v.Clone()
-	runCircuit(circuit.QFT(n), gateWay)
-
-	fftWay := v.Clone()
-	QFT(fftWay, false)
-
-	if d := gateWay.MaxDiff(fftWay); d > 1e-9 {
-		t.Errorf("convention mismatch: %g", d)
-	}
-}
-
 func TestQFTPreservesNorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	v := randomVector(10, rng)
-	QFT(v, true)
+	QFT(v)
 	if math.Abs(v.Norm()-1) > 1e-10 {
 		t.Errorf("norm after emulated QFT: %v", v.Norm())
 	}
@@ -100,7 +84,7 @@ func TestEmulationSpeedAdvantage(t *testing.T) {
 
 	e := v.Clone()
 	t0 = time.Now()
-	QFT(e, false)
+	QFT(e)
 	fftTime := time.Since(t0)
 
 	if fftTime*2 > gateTime {

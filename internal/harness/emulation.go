@@ -37,7 +37,7 @@ func emulation(w io.Writer, cfg Config) error {
 
 	v2 := statevec.NewUniform(n)
 	start = time.Now()
-	emulate.QFT(v2, false)
+	emulate.QFT(v2)
 	fftTime := time.Since(start)
 
 	diff := v1.MaxDiff(v2)

@@ -75,7 +75,7 @@ func table2(w io.Writer, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	base, err := dist.RunBaseline(circ, dist.BaselineOptions{Ranks: ranks, Init: dist.InitUniform, Specialize2Q: true})
+	base, err := dist.RunBaseline(circ, dist.BaselineOptions{Ranks: ranks, Init: dist.InitUniform})
 	if err != nil {
 		return err
 	}

@@ -37,7 +37,7 @@ func specializedF32(m []complex64, qs []int) Dense[complex64] {
 	case 5:
 		return apply5F32(m, qs)
 	}
-	return generalF32(m, qs)
+	return general[complex64, float32](m, qs)
 }
 
 // apply1F32 applies a 1-qubit gate. The pair partners sit 2^q apart, so

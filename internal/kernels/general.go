@@ -1,5 +1,7 @@
 package kernels
 
+import "unsafe"
+
 // The general-k kernel: optimization steps 2–3 of Sec. 3.2 for any k. The
 // complex multiply-accumulate is rewritten over split real/imaginary
 // operands — the gate matrix pre-computed into two real-valued tables,
@@ -10,9 +12,11 @@ package kernels
 // measures it at k = 1 and 4 as the step between the in-place and the
 // per-k kernels.
 //
-// One body per precision: real and imag are not permitted on a type
-// parameter, and the compiler's complex64 product is the pack/unpack
-// sequence f32specialized.go was written to avoid.
+// One body at both precisions: real and imag are not permitted on a type
+// parameter, so the kernel reads and writes the amplitudes and the matrix
+// as their real and imaginary parts, of the precision's own float type F —
+// the layout AmpBytes exposes — and converts nothing: each precision keeps
+// its bits.
 
 // generalBlock is the register-blocking width over matrix columns (the
 // block size B of Sec. 3.2): 4 is what a benchmarking feedback loop
@@ -26,41 +30,50 @@ func PrepareGeneral[T complexAmp](m []T, qs []int, n int) Dense[T] {
 	var out any
 	switch m := any(m).(type) {
 	case []complex128:
-		out = general(m, qs)
+		out = general[complex128, float64](m, qs)
 	case []complex64:
-		out = generalF32(m, qs)
+		out = general[complex64, float32](m, qs)
 	}
 	return out.(Dense[T])
 }
 
-// general prepares the double-precision general-k kernel.
+// parts views a as the real and imaginary part of each amplitude in turn;
+// F must be C's component type.
+func parts[C complexAmp, F float32 | float64](a []C) []F {
+	return unsafe.Slice((*F)(unsafe.Pointer(unsafe.SliceData(a))), 2*len(a))
+}
+
+// general prepares the general-k kernel on amplitudes of type C, computing
+// in F, its component type.
 //
 //qusim:hot
-func general(m []complex128, qs []int) Dense[complex128] {
+func general[C complexAmp, F float32 | float64](m []C, qs []int) Dense[C] {
 	k := len(qs)
 	dk := 1 << k
 	masks := insertMasks(qs)
 	offs := offsets(qs)
 	// Pre-computation on the gate matrix: essentially free, reused 2^(n-k)
 	// times (Sec. 3.2).
-	mR := make([]float64, dk*dk)
-	mNI := make([]float64, dk*dk) // −imag(m)
-	for i, v := range m {
-		mR[i] = real(v)
-		mNI[i] = -imag(v)
+	mp := parts[C, F](m)
+	mR := make([]F, dk*dk)
+	mNI := make([]F, dk*dk) // −imag(m)
+	for i := range mR {
+		mR[i] = mp[2*i]
+		mNI[i] = -mp[2*i+1]
 	}
 	bsz := min(generalBlock, dk)
-	return Dense[complex128]{shift: k, grain: grain(k), run: func(amps []complex128, lo, hi int) {
-		aR := make([]float64, dk)
-		aI := make([]float64, dk)
-		oR := make([]float64, dk)
-		oI := make([]float64, dk)
+	return Dense[C]{shift: k, grain: grain(k), run: func(amps []C, lo, hi int) {
+		ap := parts[C, F](amps)
+		aR := make([]F, dk)
+		aI := make([]F, dk)
+		oR := make([]F, dk)
+		oI := make([]F, dk)
 		for t := lo; t < hi; t++ {
 			base := expand(t, masks)
 			for x := 0; x < dk; x++ {
-				v := amps[base+offs[x]]
-				aR[x] = real(v)
-				aI[x] = imag(v)
+				i := 2 * (base + offs[x])
+				aR[x] = ap[i]
+				aI[x] = ap[i+1]
 				oR[x] = 0
 				oI[x] = 0
 			}
@@ -86,61 +99,9 @@ func general(m []complex128, qs []int) Dense[complex128] {
 				}
 			}
 			for x := 0; x < dk; x++ {
-				amps[base+offs[x]] = complex(oR[x], oI[x])
-			}
-		}
-	}}
-}
-
-// generalF32 is general in single precision, on float32 operand tables.
-//
-//qusim:hot
-func generalF32(m []complex64, qs []int) Dense[complex64] {
-	k := len(qs)
-	dk := 1 << k
-	masks := insertMasks(qs)
-	offs := offsets(qs)
-	mR := make([]float32, dk*dk)
-	mNI := make([]float32, dk*dk) // −imag(m)
-	for i, v := range m {
-		mR[i] = real(v)
-		mNI[i] = -imag(v)
-	}
-	bsz := min(generalBlock, dk)
-	return Dense[complex64]{shift: k, grain: grain(k), run: func(amps []complex64, lo, hi int) {
-		aR := make([]float32, dk)
-		aI := make([]float32, dk)
-		oR := make([]float32, dk)
-		oI := make([]float32, dk)
-		for t := lo; t < hi; t++ {
-			base := expand(t, masks)
-			for x := 0; x < dk; x++ {
-				v := amps[base+offs[x]]
-				aR[x] = real(v)
-				aI[x] = imag(v)
-				oR[x] = 0
-				oI[x] = 0
-			}
-			for b := 0; b < dk; b += bsz {
-				be := b + bsz
-				for r := 0; r < dk; r++ {
-					row := r * dk
-					accR := oR[r]
-					accI := oI[r]
-					for c := b; c < be; c++ {
-						vr := aR[c]
-						vi := aI[c]
-						wr := mR[row+c]
-						wni := mNI[row+c]
-						accR += vr*wr + vi*wni
-						accI += vi*wr - vr*wni
-					}
-					oR[r] = accR
-					oI[r] = accI
-				}
-			}
-			for x := 0; x < dk; x++ {
-				amps[base+offs[x]] = complex(oR[x], oI[x])
+				i := 2 * (base + offs[x])
+				ap[i] = oR[x]
+				ap[i+1] = oI[x]
 			}
 		}
 	}}

@@ -31,7 +31,7 @@ func specialized(m []complex128, qs []int) Dense[complex128] {
 	case 5:
 		return apply5(m, qs)
 	}
-	return general(m, qs)
+	return general[complex128, float64](m, qs)
 }
 
 // apply1 applies a 1-qubit gate: one fused pair update per amplitude pair.

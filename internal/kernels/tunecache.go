@@ -136,12 +136,14 @@ func SaveTuneCache(path string, kmax, reps int, res TuneResult) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// TuneCached is Tune with the persistent cache in front: a warm cache for
-// this machine returns its timings without running a single sweep
-// (hit = true); a cold or stale cache triggers the measurement and rewrites
-// the cache. Cache I/O errors are returned alongside the (still valid)
-// result — a broken cache file must not take the tuner down with it.
-func TuneCached(path string, kmax, n, reps int) (TuneResult, bool, error) {
+// TuneCached is Tune(5, n, 2) — every k with an unrolled kernel, two timed
+// passes each — with the persistent cache in front: a warm cache for this
+// machine returns its timings without running a single sweep (hit = true);
+// a cold or stale cache triggers the measurement and rewrites the cache.
+// Cache I/O errors are returned alongside the (still valid) result — a
+// broken cache file must not take the tuner down with it.
+func TuneCached(path string, n int) (TuneResult, bool, error) {
+	const kmax, reps = 5, 2
 	res, hit, err := LoadTuneCache(path, kmax, n)
 	if hit {
 		return res, true, nil

@@ -10,7 +10,7 @@ import (
 func TestTuneCachedWarmRunSkipsBenchmarking(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tune.json")
 
-	cold, hit, err := TuneCached(path, 2, 8, 1)
+	cold, hit, err := TuneCached(path, 8)
 	if err != nil {
 		t.Fatalf("cold TuneCached: %v", err)
 	}
@@ -22,7 +22,7 @@ func TestTuneCachedWarmRunSkipsBenchmarking(t *testing.T) {
 	}
 
 	before := TimingSweeps()
-	warm, hit, err := TuneCached(path, 2, 8, 1)
+	warm, hit, err := TuneCached(path, 8)
 	if err != nil {
 		t.Fatalf("warm TuneCached: %v", err)
 	}

@@ -194,7 +194,7 @@ func TestTrajectoriesConvergeToExactChannel(t *testing.T) {
 			exact.channel(ch, q)
 		}
 	}
-	mc, err := Run(c, ch, 600, false, rand.New(rand.NewSource(8)))
+	mc, err := Run(c, ch, 600, rand.New(rand.NewSource(8)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,19 +54,13 @@ func (c Channel) apply(v *statevec.Vector, q int, rng *rand.Rand) {
 	}
 }
 
-// Trajectory runs one noisy trajectory of the circuit from |0…0⟩ (or the
-// uniform state when uniformInit is set) and returns the resulting pure
-// state.
-func Trajectory(c *circuit.Circuit, ch Channel, uniformInit bool, rng *rand.Rand) (*statevec.Vector, error) {
+// Trajectory runs one noisy trajectory of the circuit from |0…0⟩ and
+// returns the resulting pure state.
+func Trajectory(c *circuit.Circuit, ch Channel, rng *rand.Rand) (*statevec.Vector, error) {
 	if err := ch.validate(); err != nil {
 		return nil, err
 	}
-	var v *statevec.Vector
-	if uniformInit {
-		v = statevec.NewUniform(c.N)
-	} else {
-		v = statevec.New(c.N)
-	}
+	v := statevec.New(c.N)
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		v.Apply(g.Matrix(), g.Qubits...)
@@ -87,21 +81,16 @@ type Result struct {
 	MeanProbs []float64
 }
 
-// Run simulates trajectories noisy runs, comparing each against the ideal
-// (noiseless) state.
-func Run(c *circuit.Circuit, ch Channel, trajectories int, uniformInit bool, rng *rand.Rand) (*Result, error) {
+// Run simulates trajectories noisy runs from |0…0⟩, comparing each against
+// the ideal (noiseless) state.
+func Run(c *circuit.Circuit, ch Channel, trajectories int, rng *rand.Rand) (*Result, error) {
 	if trajectories < 1 {
 		return nil, fmt.Errorf("noise: need at least one trajectory")
 	}
 	if err := ch.validate(); err != nil {
 		return nil, err
 	}
-	var ideal *statevec.Vector
-	if uniformInit {
-		ideal = statevec.NewUniform(c.N)
-	} else {
-		ideal = statevec.New(c.N)
-	}
+	ideal := statevec.New(c.N)
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		ideal.Apply(g.Matrix(), g.Qubits...)
@@ -111,7 +100,7 @@ func Run(c *circuit.Circuit, ch Channel, trajectories int, uniformInit bool, rng
 		MeanProbs:    make([]float64, 1<<c.N),
 	}
 	for tr := 0; tr < trajectories; tr++ {
-		v, err := Trajectory(c, ch, uniformInit, rng)
+		v, err := Trajectory(c, ch, rng)
 		if err != nil {
 			return nil, err
 		}

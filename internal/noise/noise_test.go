@@ -17,7 +17,7 @@ func smallCircuit(n, depth int, seed int64) *circuit.Circuit {
 func TestZeroNoiseIsIdeal(t *testing.T) {
 	c := smallCircuit(9, 10, 1)
 	rng := rand.New(rand.NewSource(1))
-	res, err := Run(c, Depolarizing(0), 3, false, rng)
+	res, err := Run(c, Depolarizing(0), 3, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestFidelityDecreasesWithNoise(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	var prev = 1.1
 	for _, p := range []float64{0.001, 0.01, 0.05} {
-		res, err := Run(c, Depolarizing(p), 30, false, rng)
+		res, err := Run(c, Depolarizing(p), 30, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestFidelityMatchesFirstOrderEstimate(t *testing.T) {
 	p := 0.004
 	want := ExpectedGateFidelity(c, Depolarizing(p))
 	rng := rand.New(rand.NewSource(3))
-	res, err := Run(c, Depolarizing(p), 200, false, rng)
+	res, err := Run(c, Depolarizing(p), 200, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestFidelityMatchesFirstOrderEstimate(t *testing.T) {
 // Equal seeds also replay a study bit for bit: every draw comes from rng.
 func TestMeanProbsNormalized(t *testing.T) {
 	c := smallCircuit(6, 8, 4)
-	res, err := Run(c, Channel{Name: "dephasing", PZ: 0.02}, 10, true, rand.New(rand.NewSource(4)))
+	res, err := Run(c, Channel{Name: "dephasing", PZ: 0.02}, 10, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestMeanProbsNormalized(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("mean probabilities sum to %v", sum)
 	}
-	again, err := Run(c, Channel{Name: "dephasing", PZ: 0.02}, 10, true, rand.New(rand.NewSource(4)))
+	again, err := Run(c, Channel{Name: "dephasing", PZ: 0.02}, 10, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +87,11 @@ func TestNoisyXEBFidelityDrops(t *testing.T) {
 	n := 9
 	c := smallCircuit(n, 16, 5)
 	rng := rand.New(rand.NewSource(5))
-	ideal, err := Run(c, Depolarizing(0), 1, false, rng)
+	ideal, err := Run(c, Depolarizing(0), 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy, err := Run(c, Depolarizing(0.03), 40, false, rng)
+	noisy, err := Run(c, Depolarizing(0.03), 40, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,13 +112,13 @@ func TestNoisyXEBFidelityDrops(t *testing.T) {
 func TestChannelValidation(t *testing.T) {
 	c := smallCircuit(6, 4, 6)
 	rng := rand.New(rand.NewSource(6))
-	if _, err := Run(c, Channel{PX: 0.8, PY: 0.3}, 1, false, rng); err == nil {
+	if _, err := Run(c, Channel{PX: 0.8, PY: 0.3}, 1, rng); err == nil {
 		t.Error("invalid channel accepted")
 	}
-	if _, err := Run(c, Channel{PX: -0.1}, 1, false, rng); err == nil {
+	if _, err := Run(c, Channel{PX: -0.1}, 1, rng); err == nil {
 		t.Error("negative probability accepted")
 	}
-	if _, err := Run(c, Depolarizing(0.01), 0, false, rng); err == nil {
+	if _, err := Run(c, Depolarizing(0.01), 0, rng); err == nil {
 		t.Error("zero trajectories accepted")
 	}
 }

@@ -82,11 +82,7 @@ func (v *Vector) RunCheckpointed(plan *schedule.Plan, pol *ckpt.Policy, resume b
 	}
 	start, ck := 0, ckpt.NewWriter(pol, v.snapshotMeta(plan), v.tel.t)
 	if resume {
-		man, ferr := ck.FindRestorable()
-		if ferr != nil {
-			return restoredStage, 0, ferr
-		}
-		if man != nil {
+		if man := ck.FindRestorable(); man != nil {
 			if err := v.restore(ck, man); err != nil {
 				return restoredStage, 0, err
 			}

@@ -121,7 +121,7 @@ func Create(fs fsio.FS, n, l int, dir string, uniform bool) (*Vector, error) {
 	return v, nil
 }
 
-// SetPrefetch sets how many chunks Run and RunFrom read ahead of the
+// SetPrefetch sets how many chunks Run and RunCheckpointed read ahead of the
 // compute loop while writeback drains behind it. Every depth executes a
 // stage as one fused streamed pass; depth 0 (the default) does so with a
 // single buffer, so read, compute and write alternate. Negative depths clamp
@@ -283,16 +283,10 @@ func (v *Vector) runsIO(c, r int, amps []complex128, write bool) error {
 
 // Run executes a full plan built with LocalQubits = L.
 func (v *Vector) Run(plan *schedule.Plan) error {
-	return v.RunFrom(plan, 0)
-}
-
-// RunFrom executes only the stages ≥ startStage — the resume path after
-// Restore loaded a snapshot taken at that stage boundary.
-func (v *Vector) RunFrom(plan *schedule.Plan, startStage int) error {
 	if plan.N != v.N || plan.L != v.L {
 		return fmt.Errorf("oocvec: plan (n=%d l=%d) does not match vector (n=%d l=%d)", plan.N, plan.L, v.N, v.L)
 	}
-	return v.walk(plan, startStage, nil)
+	return v.walk(plan, 0, nil)
 }
 
 // stream reads the state once, in chunk order, and hands each chunk to visit.

@@ -143,7 +143,7 @@ func TestTeedSnapshotsEqualStandalone(t *testing.T) {
 					if err := v.Restore(dir, man); err != nil {
 						return err
 					}
-					return v.RunFrom(plan, s)
+					return v.walk(plan, s, nil)
 				})
 				if !slices.Equal(resumed, want) {
 					t.Fatalf("run restored at boundary %d differs from Plan.Run", s)

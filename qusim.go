@@ -181,7 +181,7 @@ func DepolarizingNoise(p float64) NoiseChannel { return noise.Depolarizing(p) }
 // SimulateNoisy runs Monte Carlo noise trajectories of c and reports the
 // mean fidelity and trajectory-averaged output distribution.
 func SimulateNoisy(c *Circuit, ch NoiseChannel, trajectories int, rng *rand.Rand) (*NoiseResult, error) {
-	return noise.Run(c, ch, trajectories, false, rng)
+	return noise.Run(c, ch, trajectories, rng)
 }
 
 // PorterThomasEntropy returns the expected output entropy (nats) of a
@@ -198,4 +198,4 @@ func LinearXEB(n int, probs []float64, samples []int) (float64, error) {
 // amplitudes — the classical shortcut of [7], inapplicable to supremacy
 // circuits but far faster than gate-by-gate QFT simulation. The result
 // matches Simulate(QFT(n), st) (gate convention, no bit reversal).
-func EmulateQFT(st *State) { emulate.QFT(st, false) }
+func EmulateQFT(st *State) { emulate.QFT(st) }

@@ -41,7 +41,7 @@ func TestPublicDistributedFlow(t *testing.T) {
 
 func TestPublicBaselineFlow(t *testing.T) {
 	c := Supremacy(SupremacyOptions{Rows: 3, Cols: 3, Depth: 12, Seed: 2, SkipInitialH: true})
-	res, err := RunBaseline(c, BaselineOptions{Ranks: 4, Init: InitUniform, Specialize2Q: true})
+	res, err := RunBaseline(c, BaselineOptions{Ranks: 4, Init: InitUniform})
 	if err != nil {
 		t.Fatal(err)
 	}
