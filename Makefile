@@ -49,6 +49,9 @@ test-avx2:
 # internal/oocvec or internal/telemetry.
 # internal/mpi's tests put the in-place exchange under DefaultFaults with
 # pieces smaller than a region, which is where its step protocol could race.
+# The exchange is the one path payload takes between ranks — GroupAlltoall
+# runs it too, on a staging shard — so its tests and the all-to-all's run ten
+# times over, for the interleavings one pass rarely reaches.
 # The repeated par run stresses the pool's handoff — a worker polling the
 # queue, parking, and being woken — which one pass rarely interleaves badly.
 # The repeated snapshot run does the same for the one snapshot writer
@@ -60,6 +63,7 @@ race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestFor|TestReduce|TestTelemetry' ./internal/par
+	$(GO) test -race -count=10 -run 'GroupExchange|GroupAlltoall' ./internal/mpi
 	$(GO) test -race -count=10 -run 'Snapshot|Tee|Checkpoint|Killed|ENOSPC|DiscardStage|Recovery|Resume|TwoRuns|Pipeline|WriteBehind|Coalesce' ./internal/ckpt ./internal/dist ./internal/oocvec
 
 # Differential + metamorphic verification across every backend pair,

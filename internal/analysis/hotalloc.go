@@ -130,8 +130,10 @@ func checkHotCall(pass *Pass, fname string, call *ast.CallExpr, decls map[types.
 					}
 				}
 			}
-		case *types.Interface:
-			pass.Reportf(call.Pos(), "conversion to interface %s boxes inside a //qusim:hot loop (%s)", tv.Type.String(), fname)
+		case *types.Interface: // also every type parameter's
+			if boxes(tv.Type) {
+				pass.Reportf(call.Pos(), "conversion to interface %s boxes inside a //qusim:hot loop (%s)", tv.Type.String(), fname)
+			}
 		}
 		return
 	}
@@ -158,7 +160,7 @@ func checkHotCall(pass *Pass, fname string, call *ast.CallExpr, decls map[types.
 		if paramT == nil {
 			continue
 		}
-		if _, isIface := paramT.Underlying().(*types.Interface); !isIface {
+		if !boxes(paramT) {
 			continue
 		}
 		argTV, ok := pass.Info.Types[arg]
@@ -185,6 +187,18 @@ func checkHotCall(pass *Pass, fname string, call *ast.CallExpr, decls map[types.
 				fn.Name(), fname, what, pass.Fset.Position(node.Pos()).Line)
 		}
 	}
+}
+
+// boxes reports whether a concrete value stored as a t is boxed: t is an
+// interface, or a type parameter an interface type can instantiate — one
+// constrained by methods alone, or whose type set any's lies in. One whose
+// type set is concrete types (complex64 | complex128) boxes nothing.
+func boxes(t types.Type) bool {
+	if tp, ok := t.(*types.TypeParam); ok {
+		c := tp.Constraint().Underlying().(*types.Interface)
+		return c.IsMethodSet() || types.Satisfies(types.NewInterfaceType(nil, nil), c)
+	}
+	return types.IsInterface(t)
 }
 
 // firstCalleeAlloc finds the source-first allocating construct in a

@@ -146,3 +146,30 @@ func hiddenAllocViaHelper(xs []int) []int {
 	}
 	return out
 }
+
+// amp is a type set of concrete types only, like the kernels' complexAmp.
+type amp interface{ complex64 | complex128 }
+
+// widenStore computes in complex128 and stores through a conversion to the
+// type parameter: C is complex64 or complex128 in every instantiation, so
+// neither the conversion nor the argument boxes.
+//
+//qusim:hot
+func widenStore[C amp](amps []C, s complex128) {
+	for i := range amps {
+		amps[i] = C(s * complex128(amps[i]))
+		sink(amps[i])
+	}
+}
+
+// sink takes a value of a concrete type parameter.
+func sink[C amp](v C) {}
+
+// anyConversion still boxes: any holds interface types.
+//
+//qusim:hot
+func anyConversion(xs []int, out []any) {
+	for i, x := range xs {
+		out[i] = any(x) // want `hotalloc: conversion to interface any boxes inside a //qusim:hot loop \(anyConversion\)`
+	}
+}

@@ -24,8 +24,8 @@
 // One writer, Snapshot, serves both engines that checkpoint: dist tees one
 // shard per rank, oocvec one shard covering the whole state, chunk by chunk
 // from its reader, so the full state is never held in memory. The payload
-// is little-endian float64 pairs: on a little-endian host the amplitudes'
-// own memory, written and read in place.
+// is the amplitudes' wire encoding, kernels.ToWire: on a little-endian host
+// their own memory, written and read in place.
 package ckpt
 
 import (
@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -52,11 +51,6 @@ const Version = 1
 
 // shardMagic opens every shard file.
 const shardMagic = "QCK1"
-
-// castagnoli is the CRC32C polynomial table (hardware-accelerated on
-// amd64/arm64 — the "xxhash/CRC32C" class of checksum the shard format
-// needs for GB/s-range verification).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrInvalid wraps every rejection of an on-disk snapshot: bad magic,
 // version skew, truncation, checksum mismatch, or metadata that does not
@@ -236,7 +230,7 @@ func (sw *shardWriter) write(b []byte) error {
 		return err
 	}
 	sw.off += int64(len(b))
-	sw.crc = crc32.Update(sw.crc, castagnoli, b)
+	sw.crc = crc32.Update(sw.crc, kernels.Castagnoli, b)
 	if end := sw.off &^ (pageBytes - 1); end > sw.hinted {
 		fsio.StartWriteback(sw.f, sw.hinted, end-sw.hinted)
 		sw.hinted = end
@@ -257,11 +251,10 @@ func (sw *shardWriter) Write(amps []complex128) error {
 	off, crc := sw.off, sw.crc
 	for rest := amps; len(rest) > 0; {
 		piece := rest[:min(len(rest), pieceAmps)]
-		b := kernels.AmpBytes(piece)
-		if !littleEndian {
-			b = putAmps(piece)
-		}
-		if err := sw.w.retryNoSpace(func() error { return sw.write(b) }); err != nil {
+		err := kernels.ToWire(piece, func(b []byte) error {
+			return sw.w.retryNoSpace(func() error { return sw.write(b) })
+		})
+		if err != nil {
 			sw.off, sw.crc = off, crc
 			return err
 		}
@@ -383,7 +376,7 @@ func (sr *shardReader) read(b []byte) error {
 	if _, err := io.ReadFull(sr.br, b); err != nil {
 		return err
 	}
-	sr.crc = crc32.Update(sr.crc, castagnoli, b)
+	sr.crc = crc32.Update(sr.crc, kernels.Castagnoli, b)
 	return nil
 }
 
@@ -429,15 +422,8 @@ func (sr *shardReader) header(m *Manifest, rank int) error {
 func (sr *shardReader) amps(dst []complex128) error {
 	for len(dst) > 0 {
 		piece := dst[:min(len(dst), pieceAmps)]
-		b := kernels.AmpBytes(piece)
-		if !littleEndian {
-			b = make([]byte, len(b))
-		}
-		if err := sr.read(b); err != nil {
+		if err := kernels.FromWire(piece, sr.read); err != nil {
 			return err
-		}
-		if !littleEndian {
-			getAmps(piece, b)
 		}
 		dst = dst[len(piece):]
 	}
@@ -535,7 +521,7 @@ func manifestCRC(m *Manifest) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	return crc32.Checksum(blob, castagnoli), nil
+	return crc32.Checksum(blob, kernels.Castagnoli), nil
 }
 
 // loadManifest reads and validates one manifest file (CRC, version, field
@@ -654,32 +640,4 @@ func (w *Writer) prune(keep int) (removed int) {
 		}
 	}
 	return removed
-}
-
-// littleEndian says that amplitude memory already is the shard encoding and
-// nothing is converted (or allocated: only a big-endian host pays for a
-// buffer per piece). A variable so that a test can force the other branch.
-var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
-
-// putAmps returns the little-endian encoding of amps.
-//
-//qusim:hot
-func putAmps(amps []complex128) []byte {
-	b := make([]byte, ampBytes*len(amps))
-	for i, a := range amps {
-		binary.LittleEndian.PutUint64(b[16*i:], math.Float64bits(real(a)))
-		binary.LittleEndian.PutUint64(b[16*i+8:], math.Float64bits(imag(a)))
-	}
-	return b
-}
-
-// getAmps decodes amplitudes from b into amps.
-//
-//qusim:hot
-func getAmps(amps []complex128, b []byte) {
-	for i := range amps {
-		re := math.Float64frombits(binary.LittleEndian.Uint64(b[16*i:]))
-		im := math.Float64frombits(binary.LittleEndian.Uint64(b[16*i+8:]))
-		amps[i] = complex(re, im)
-	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"qusim/internal/fsio"
+	"qusim/internal/kernels"
 )
 
 func testMeta(stage int) Meta {
@@ -363,5 +364,5 @@ func TestManifestRejectsTamperedFields(t *testing.T) {
 }
 
 func crcOver(b []byte) uint32 {
-	return crc32.Checksum(b, castagnoli)
+	return crc32.Checksum(b, kernels.Castagnoli)
 }

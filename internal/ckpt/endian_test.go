@@ -2,8 +2,10 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,75 +13,60 @@ import (
 	"qusim/internal/fsio"
 )
 
-// portable runs f with the big-endian branch of putAmps/getAmps forced: the
-// per-element loop through a conversion buffer, which on this host computes
-// the same little-endian bytes the view path takes from memory.
-func portable(t *testing.T, f func()) {
-	t.Helper()
-	if !littleEndian {
-		t.Skip("big-endian host: the portable branch is the only one")
-	}
-	littleEndian = false
-	defer func() { littleEndian = true }()
-	f()
-}
-
 // TestViewAndPortableShardsIdentical: a shard written from amplitude memory
-// is byte for byte the shard the per-element encoder writes, and either
-// reader restores either file — at lengths around the piece size, where the
-// two paths split their work differently.
+// holds byte for byte the per-element little-endian encoding of its
+// amplitudes, under a trailer that is the CRC32C of everything before it, and
+// reads back to the amplitudes — at lengths around the piece size, where
+// the writer splits its work. (kernels' TestWireViewAndEncodingAgree forces
+// the encoding branch a big-endian host takes.)
 func TestViewAndPortableShardsIdentical(t *testing.T) {
 	for _, n := range []int{0, 1, 7, pieceAmps - 1, pieceAmps, pieceAmps + 1, 2*pieceAmps + 3} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			amps := testAmps(n, n)
 			meta := Meta{PlanHash: "endian", N: 20, L: 20, Ranks: 1, NextStage: 1}
-			write := func(dir string) (ShardInfo, []byte) {
-				sw, err := osWriter(dir).newShardWriter(meta, 0, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Two calls, so a piece boundary also falls inside a call.
-				if err := sw.Write(amps[:n/3]); err != nil {
-					t.Fatal(err)
-				}
-				if err := sw.Write(amps[n/3:]); err != nil {
-					t.Fatal(err)
-				}
-				info, err := sw.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				blob, err := os.ReadFile(filepath.Join(dir, info.File))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return info, blob
+			dir := t.TempDir()
+			sw, err := osWriter(dir).newShardWriter(meta, 0, n)
+			if err != nil {
+				t.Fatal(err)
 			}
-			viewDir, loopDir := t.TempDir(), t.TempDir()
-			viewInfo, view := write(viewDir)
-			var loop []byte
-			portable(t, func() { _, loop = write(loopDir) })
-			if !bytes.Equal(view, loop) {
-				t.Fatalf("view-path shard (%d bytes) differs from portable-loop shard (%d bytes)", len(view), len(loop))
+			// Two calls, so a piece boundary also falls inside a call.
+			if err := sw.Write(amps[:n/3]); err != nil {
+				t.Fatal(err)
+			}
+			if err := sw.Write(amps[n/3:]); err != nil {
+				t.Fatal(err)
+			}
+			info, err := sw.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := os.ReadFile(filepath.Join(dir, info.File))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]byte, 0, 16*n)
+			for _, a := range amps {
+				want = binary.LittleEndian.AppendUint64(want, math.Float64bits(real(a)))
+				want = binary.LittleEndian.AppendUint64(want, math.Float64bits(imag(a)))
+			}
+			body, trailer := blob[:len(blob)-4], blob[len(blob)-4:]
+			if !bytes.HasSuffix(body, want) {
+				t.Fatalf("shard payload is not the per-element encoding of its %d amplitudes", n)
+			}
+			if got := binary.LittleEndian.Uint32(trailer); got != crcOver(body) {
+				t.Fatalf("trailer %08x, CRC32C of the shard before it %08x", got, crcOver(body))
 			}
 
-			man := &Manifest{Version: Version, Meta: meta, Shards: []ShardInfo{viewInfo}}
-			read := func(dir string) []complex128 {
-				got := make([]complex128, n)
-				if err := osWriter(dir).StreamShard(man, 0, got, nil); err != nil {
-					t.Fatal(err)
-				}
-				return got
+			got := make([]complex128, n)
+			man := &Manifest{Version: Version, Meta: meta, Shards: []ShardInfo{info}}
+			if err := osWriter(dir).StreamShard(man, 0, got, nil); err != nil {
+				t.Fatal(err)
 			}
-			check := func(how string, got []complex128) {
-				for i := range amps {
-					if got[i] != amps[i] {
-						t.Fatalf("%s: amplitude %d = %v, want %v", how, i, got[i], amps[i])
-					}
+			for i := range amps {
+				if got[i] != amps[i] {
+					t.Fatalf("amplitude %d = %v, want %v", i, got[i], amps[i])
 				}
 			}
-			check("view reader, portable shard", read(loopDir))
-			portable(t, func() { check("portable reader, view shard", read(viewDir)) })
 		})
 	}
 }

@@ -1,6 +1,9 @@
 package kernels
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"sync/atomic"
 	"unsafe"
 
@@ -58,13 +61,71 @@ func NewAmps[T complexAmp](n int) []T {
 // AmpBytes returns the memory of amps as bytes: real then imaginary part of
 // each amplitude, in the host's byte order. It is a view, not a copy — what
 // file I/O on amplitude memory reads into and writes from without a codec
-// in between (oocvec's state file, and ckpt's little-endian shards on a
-// little-endian host).
+// in between (oocvec's state file, and the wire encoding on a little-endian
+// host).
 func AmpBytes[T complexAmp](amps []T) []byte {
 	if len(amps) == 0 {
 		return nil
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(amps))), len(amps)*int(unsafe.Sizeof(amps[0])))
+}
+
+// The wire encoding of amplitudes — snapshot payloads hold it, exchange
+// checksums are taken over it — is little-endian float64 pairs, real part
+// first: on a little-endian host, amplitude memory as it lies (littleEndian,
+// a variable so that a test can force the other branch, which encodes
+// wireWindow amplitudes, 64 KiB, at a time). Castagnoli is the CRC32C table
+// of every checksum over it (hardware-accelerated on amd64 and arm64).
+var (
+	Castagnoli   = crc32.MakeTable(crc32.Castagnoli)
+	littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+)
+
+const wireWindow = 4096
+
+// ToWire hands put the wire encoding of amps, in order: on a little-endian
+// host the view AmpBytes(amps), in one call and with nothing copied;
+// elsewhere one bounded buffer, window by window, that put must not keep.
+// It returns put's first error.
+func ToWire(amps []complex128, put func([]byte) error) error {
+	if littleEndian {
+		return put(AmpBytes(amps))
+	}
+	buf := make([]byte, 16*min(len(amps), wireWindow))
+	for off := 0; off < len(amps); off += wireWindow {
+		win := amps[off:min(off+wireWindow, len(amps))]
+		for i, a := range win {
+			binary.LittleEndian.PutUint64(buf[16*i:], math.Float64bits(real(a)))
+			binary.LittleEndian.PutUint64(buf[16*i+8:], math.Float64bits(imag(a)))
+		}
+		if err := put(buf[:16*len(win)]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// FromWire is ToWire's inverse: get fills each slice it is handed with the
+// next bytes of a wire encoding, and amps receives what they encode — on a
+// little-endian host get fills AmpBytes(amps) itself. It returns get's first
+// error, with amps partly filled.
+func FromWire(amps []complex128, get func([]byte) error) error {
+	if littleEndian {
+		return get(AmpBytes(amps))
+	}
+	buf := make([]byte, 16*min(len(amps), wireWindow))
+	for off := 0; off < len(amps); off += wireWindow {
+		win := amps[off:min(off+wireWindow, len(amps))]
+		b := buf[:16*len(win)]
+		if err := get(b); err != nil {
+			return err
+		}
+		for i := range win {
+			win[i] = complex(math.Float64frombits(binary.LittleEndian.Uint64(b[16*i:])),
+				math.Float64frombits(binary.LittleEndian.Uint64(b[16*i+8:])))
+		}
+	}
+	return nil
 }
 
 // Populated returns how many leading amplitudes of amps hold every nonzero

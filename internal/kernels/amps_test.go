@@ -1,7 +1,10 @@
 package kernels
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"testing"
 	"unsafe"
@@ -98,5 +101,59 @@ func testPopulated[T complexAmp](t *testing.T) {
 			t.Errorf("%s at the top: Populated = %d, want %d", name, got, n)
 		}
 		amps[n-1] = 0
+	}
+}
+
+// TestWireViewAndEncodingAgree: the wire encoding a little-endian host hands
+// out as a view of amplitude memory is byte for byte the per-element
+// encoding the other branch builds window by window, and FromWire restores
+// the amplitudes through either branch — at lengths around the window.
+func TestWireViewAndEncodingAgree(t *testing.T) {
+	if !littleEndian {
+		t.Skip("big-endian host: the encoding branch is the only one")
+	}
+	wire := func(amps []complex128) (b []byte, calls int) {
+		ToWire(amps, func(p []byte) error {
+			if len(p) > 16*wireWindow && !littleEndian {
+				t.Fatalf("encoding branch handed out %d bytes at once", len(p))
+			}
+			b, calls = append(b, p...), calls+1
+			return nil
+		})
+		return b, calls
+	}
+	unwire := func(b []byte, n int) []complex128 {
+		amps := make([]complex128, n)
+		r := bytes.NewReader(b)
+		if err := FromWire(amps, func(p []byte) error { _, err := io.ReadFull(r, p); return err }); err != nil {
+			t.Fatal(err)
+		}
+		return amps
+	}
+	for _, n := range []int{0, 1, 7, wireWindow - 1, wireWindow, wireWindow + 1, 2*wireWindow + 3} {
+		amps := make([]complex128, n)
+		want := make([]byte, 0, 16*n)
+		for i := range amps {
+			amps[i] = complex(float64(i)+0.25, -math.Ldexp(float64(n-i), -1000))
+			want = binary.LittleEndian.AppendUint64(want, math.Float64bits(real(amps[i])))
+			want = binary.LittleEndian.AppendUint64(want, math.Float64bits(imag(amps[i])))
+		}
+		view, viewCalls := wire(amps)
+		viewBack := unwire(want, n)
+		littleEndian = false
+		enc, encCalls := wire(amps)
+		encBack := unwire(want, n)
+		littleEndian = true
+		if !bytes.Equal(view, want) || !bytes.Equal(enc, want) {
+			t.Fatalf("n=%d: view (%d bytes) or encoding (%d bytes) differs from the per-element encoding", n, len(view), len(enc))
+		}
+		if viewCalls != 1 || encCalls != (n+wireWindow-1)/wireWindow {
+			t.Errorf("n=%d: %d view calls, %d encoding calls", n, viewCalls, encCalls)
+		}
+		for i := range amps {
+			if viewBack[i] != amps[i] || encBack[i] != amps[i] {
+				t.Fatalf("n=%d: amplitude %d read back as %v (view) and %v (encoding), want %v", n, i, viewBack[i], encBack[i], amps[i])
+			}
+		}
 	}
 }

@@ -1,20 +1,23 @@
 package kernels
 
-// Hand-unrolled single-precision kernels, one per k ∈ {1,…,5} — the same
-// shapes as specialized.go with complex64 amplitudes. k > 5 takes the
-// general-k kernel, matching the paper's kmax ≤ 5 cutoff (Table 1).
+// Hand-unrolled single-precision kernels for k ∈ {1, 2, 5}; k = 3 and 4 run
+// the double-precision bodies of specialized.go, which widen each gathered
+// amplitude and round each output once, and k > 5 takes the general-k
+// kernel, matching the paper's kmax ≤ 5 cutoff (Table 1).
 //
-// Two deviations from the double-precision twins, both forced by how the
-// Go compiler treats complex64: its arithmetic lowers to scalar
-// pack/unpack sequences nearly an order of magnitude slower per byte than
-// complex128, so every inner loop here works on split float32
-// real/imaginary scalars and reassembles with complex() only at the
-// store. And the k = 1–2 kernels walk the state in contiguous blocks
-// (the 2^q0-amplitude runs between strides) through reslices instead of
-// recomputing a bit-expanded index per group, which keeps the inner loop
-// free of shifts/masks and lets the hardware prefetcher stream — this is
-// where the halved memory traffic of Sec. 5's single-precision outlook
-// actually turns into wall-clock speedup.
+// The Go compiler lowers complex64 arithmetic to scalar pack/unpack
+// sequences nearly an order of magnitude slower per byte than complex128,
+// so the kernels here work on split float32 real/imaginary scalars and
+// reassemble with complex() only at the store. The k = 1–2 kernels also
+// walk the state in contiguous blocks (the 2^q0-amplitude runs between
+// strides) through reslices instead of recomputing a bit-expanded index per
+// group, which keeps the inner loop free of shifts/masks and lets the
+// hardware prefetcher stream — where the halved memory traffic of Sec. 5's
+// single-precision outlook turns into wall-clock speedup. They stay because
+// they beat the widening bodies: on a 2^26-amplitude state (2-vCPU Xeon,
+// purego) a widening body took 1.5× their time at k = 1 and 2 and 6–8 % more
+// than apply5F32 at k = 5; at k = 4 it took 599–607 ms where the split-float32
+// twin it replaced took 766–779 ms.
 
 // specializedF32 prepares the hand-unrolled kernel for m on qs, and the
 // general-k kernel beyond k = 5.
@@ -31,9 +34,9 @@ func specializedF32(m []complex64, qs []int) Dense[complex64] {
 	case 2:
 		return apply2F32(m, qs[0], qs[1])
 	case 3:
-		return apply3F32(m, qs)
+		return apply3(m, qs)
 	case 4:
-		return apply4F32(m, qs)
+		return apply4(m, qs)
 	case 5:
 		return apply5F32(m, qs)
 	}
@@ -133,101 +136,6 @@ func apply2F32(m []complex64, q0, q1 int) Dense[complex64] {
 				x3[j] = complex(
 					mr[12]*a0r-mi[12]*a0i+mr[13]*a1r-mi[13]*a1i+mr[14]*a2r-mi[14]*a2i+mr[15]*a3r-mi[15]*a3i,
 					mr[12]*a0i+mi[12]*a0r+mr[13]*a1i+mi[13]*a1r+mr[14]*a2i+mi[14]*a2r+mr[15]*a3i+mi[15]*a3r)
-			}
-		}
-	}}
-}
-
-// apply3F32 applies a 3-qubit gate with the 8 gathered amplitudes in split
-// float32 stack arrays and the row update over the mr/mi operand tables.
-//
-//qusim:hot
-func apply3F32(m []complex64, qs []int) Dense[complex64] {
-	mask0 := 1<<qs[0] - 1
-	mask1 := 1<<qs[1] - 1
-	mask2 := 1<<qs[2] - 1
-	var offs [8]int
-	copy(offs[:], offsets(qs))
-	var mr, mi [64]float32
-	for i, v := range m {
-		mr[i], mi[i] = real(v), imag(v)
-	}
-	return Dense[complex64]{shift: 3, grain: grain(3), run: func(amps []complex64, lo, hi int) {
-		var ar, ai, tr, ti [8]float32
-		for t := lo; t < hi; t++ {
-			b := ((t &^ mask0) << 1) | (t & mask0)
-			b = ((b &^ mask1) << 1) | (b & mask1)
-			b = ((b &^ mask2) << 1) | (b & mask2)
-			for x := 0; x < 8; x++ {
-				v := amps[b+offs[x]]
-				ar[x], ai[x] = real(v), imag(v)
-			}
-			for r := 0; r < 8; r++ {
-				row := r << 3
-				var or, oi float32
-				for c := 0; c < 8; c += 4 {
-					or += mr[row+c]*ar[c] - mi[row+c]*ai[c] +
-						mr[row+c+1]*ar[c+1] - mi[row+c+1]*ai[c+1] +
-						mr[row+c+2]*ar[c+2] - mi[row+c+2]*ai[c+2] +
-						mr[row+c+3]*ar[c+3] - mi[row+c+3]*ai[c+3]
-					oi += mr[row+c]*ai[c] + mi[row+c]*ar[c] +
-						mr[row+c+1]*ai[c+1] + mi[row+c+1]*ar[c+1] +
-						mr[row+c+2]*ai[c+2] + mi[row+c+2]*ar[c+2] +
-						mr[row+c+3]*ai[c+3] + mi[row+c+3]*ar[c+3]
-				}
-				tr[r], ti[r] = or, oi
-			}
-			for x := 0; x < 8; x++ {
-				amps[b+offs[x]] = complex(tr[x], ti[x])
-			}
-		}
-	}}
-}
-
-// apply4F32 applies a 4-qubit gate with the 16 gathered amplitudes in
-// split float32 stack arrays.
-//
-//qusim:hot
-func apply4F32(m []complex64, qs []int) Dense[complex64] {
-	mask0 := 1<<qs[0] - 1
-	mask1 := 1<<qs[1] - 1
-	mask2 := 1<<qs[2] - 1
-	mask3 := 1<<qs[3] - 1
-	var offs [16]int
-	copy(offs[:], offsets(qs))
-	mr := make([]float32, 256)
-	mi := make([]float32, 256)
-	for i, v := range m {
-		mr[i], mi[i] = real(v), imag(v)
-	}
-	return Dense[complex64]{shift: 4, grain: grain(4), run: func(amps []complex64, lo, hi int) {
-		var ar, ai, tr, ti [16]float32
-		for t := lo; t < hi; t++ {
-			b := ((t &^ mask0) << 1) | (t & mask0)
-			b = ((b &^ mask1) << 1) | (b & mask1)
-			b = ((b &^ mask2) << 1) | (b & mask2)
-			b = ((b &^ mask3) << 1) | (b & mask3)
-			for x := 0; x < 16; x++ {
-				v := amps[b+offs[x]]
-				ar[x], ai[x] = real(v), imag(v)
-			}
-			for r := 0; r < 16; r++ {
-				row := r << 4
-				var or, oi float32
-				for c := 0; c < 16; c += 4 {
-					or += mr[row+c]*ar[c] - mi[row+c]*ai[c] +
-						mr[row+c+1]*ar[c+1] - mi[row+c+1]*ai[c+1] +
-						mr[row+c+2]*ar[c+2] - mi[row+c+2]*ai[c+2] +
-						mr[row+c+3]*ar[c+3] - mi[row+c+3]*ai[c+3]
-					oi += mr[row+c]*ai[c] + mi[row+c]*ar[c] +
-						mr[row+c+1]*ai[c+1] + mi[row+c+1]*ar[c+1] +
-						mr[row+c+2]*ai[c+2] + mi[row+c+2]*ar[c+2] +
-						mr[row+c+3]*ai[c+3] + mi[row+c+3]*ar[c+3]
-				}
-				tr[r], ti[r] = or, oi
-			}
-			for x := 0; x < 16; x++ {
-				amps[b+offs[x]] = complex(tr[x], ti[x])
 			}
 		}
 	}}

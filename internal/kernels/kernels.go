@@ -17,8 +17,9 @@
 //     as two FMAs per matrix entry, the same sequence per lane at both
 //     widths and so the same bits (simd.go);
 //   - elsewhere — another architecture, an older CPU, the conventional
-//     purego build tag — the hand-unrolled Go kernels, one per k ≤ 5 and
-//     precision (specialized.go, f32specialized.go);
+//     purego build tag — the hand-unrolled Go kernels, one per k ≤ 5, in
+//     both precisions at k = 3 and 4 (specialized.go; the single-precision
+//     twins at k = 1, 2 and 5 are faster, f32specialized.go);
 //   - beyond k = 5 on either, the general-k kernel over split
 //     real/imaginary operands with register blocking (general.go).
 //

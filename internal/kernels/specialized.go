@@ -5,6 +5,8 @@ import "qusim/internal/par"
 // The hand-unrolled kernels below are the Go equivalent of the paper's
 // generated C++ kernels: one routine per k ∈ {1,…,5}, with strides and loop
 // structure fixed at compile time — what runs where there is no assembly.
+// apply3 and apply4 serve complex64 states too (f32specialized.go), widened
+// to complex128 as they are gathered and rounded once as they are stored.
 // The paper observes that kernels beyond kmax = 5 stop paying off (Table 1
 // uses kmax ≤ 5); wider gates take the general-k kernel.
 
@@ -77,25 +79,27 @@ func apply2(m []complex128, q0, q1 int) Dense[complex128] {
 }
 
 // apply3 applies a 3-qubit gate with the 8 gathered amplitudes and outputs
-// in fixed-size stack arrays.
+// in fixed-size complex128 stack arrays.
 //
 //qusim:hot
-func apply3(m []complex128, qs []int) Dense[complex128] {
+func apply3[C complexAmp](m []C, qs []int) Dense[C] {
 	mask0 := 1<<qs[0] - 1
 	mask1 := 1<<qs[1] - 1
 	mask2 := 1<<qs[2] - 1
 	var offs [8]int
 	copy(offs[:], offsets(qs))
 	var mm [64]complex128
-	copy(mm[:], m)
-	return Dense[complex128]{shift: 3, grain: grain(3), run: func(amps []complex128, lo, hi int) {
+	for i, v := range m {
+		mm[i] = complex128(v)
+	}
+	return Dense[C]{shift: 3, grain: grain(3), run: func(amps []C, lo, hi int) {
 		var a, o [8]complex128
 		for t := lo; t < hi; t++ {
 			b := ((t &^ mask0) << 1) | (t & mask0)
 			b = ((b &^ mask1) << 1) | (b & mask1)
 			b = ((b &^ mask2) << 1) | (b & mask2)
 			for x := 0; x < 8; x++ {
-				a[x] = amps[b+offs[x]]
+				a[x] = complex128(amps[b+offs[x]])
 			}
 			for r := 0; r < 8; r++ {
 				row := r << 3
@@ -103,17 +107,17 @@ func apply3(m []complex128, qs []int) Dense[complex128] {
 					mm[row+4]*a[4] + mm[row+5]*a[5] + mm[row+6]*a[6] + mm[row+7]*a[7]
 			}
 			for x := 0; x < 8; x++ {
-				amps[b+offs[x]] = o[x]
+				amps[b+offs[x]] = C(o[x])
 			}
 		}
 	}}
 }
 
 // apply4 applies a 4-qubit gate with the 16 gathered amplitudes and
-// outputs in fixed-size stack arrays.
+// outputs in fixed-size complex128 stack arrays.
 //
 //qusim:hot
-func apply4(m []complex128, qs []int) Dense[complex128] {
+func apply4[C complexAmp](m []C, qs []int) Dense[C] {
 	mask0 := 1<<qs[0] - 1
 	mask1 := 1<<qs[1] - 1
 	mask2 := 1<<qs[2] - 1
@@ -121,8 +125,10 @@ func apply4(m []complex128, qs []int) Dense[complex128] {
 	var offs [16]int
 	copy(offs[:], offsets(qs))
 	var mm [256]complex128
-	copy(mm[:], m)
-	return Dense[complex128]{shift: 4, grain: grain(4), run: func(amps []complex128, lo, hi int) {
+	for i, v := range m {
+		mm[i] = complex128(v)
+	}
+	return Dense[C]{shift: 4, grain: grain(4), run: func(amps []C, lo, hi int) {
 		var a, o [16]complex128
 		for t := lo; t < hi; t++ {
 			b := ((t &^ mask0) << 1) | (t & mask0)
@@ -130,7 +136,7 @@ func apply4(m []complex128, qs []int) Dense[complex128] {
 			b = ((b &^ mask2) << 1) | (b & mask2)
 			b = ((b &^ mask3) << 1) | (b & mask3)
 			for x := 0; x < 16; x++ {
-				a[x] = amps[b+offs[x]]
+				a[x] = complex128(amps[b+offs[x]])
 			}
 			for r := 0; r < 16; r++ {
 				row := r << 4
@@ -141,7 +147,7 @@ func apply4(m []complex128, qs []int) Dense[complex128] {
 				o[r] = acc
 			}
 			for x := 0; x < 16; x++ {
-				amps[b+offs[x]] = o[x]
+				amps[b+offs[x]] = C(o[x])
 			}
 		}
 	}}

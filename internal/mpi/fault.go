@@ -36,7 +36,7 @@ type FaultPlan struct {
 	PostDelay time.Duration
 	// ShuffleDelivery randomizes the order in which a collective's payload
 	// arrives — out-of-order delivery: the pairwise rounds of a
-	// GroupExchange, the chunks of a GroupAlltoall. The order is drawn from
+	// GroupExchange (a GroupAlltoall's too). The order is drawn from
 	// Seed and the collective's number alone, the same on every rank: the
 	// two partners of an exchange round must agree on which round it is, or
 	// one overwrites the piece the other has not read yet.

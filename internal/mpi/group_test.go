@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -65,7 +66,7 @@ func exchangeCase(t *testing.T, w *World, bitPositions []int, region, piece int)
 		for b, pos := range bitPositions {
 			me |= (c.Rank() >> pos & 1) << b
 		}
-		c.groupExchange(bitPositions, local, piece)
+		c.groupExchange("GroupExchange", bitPositions, local, piece)
 		for j := 0; j < 1<<q; j++ {
 			for i := 0; i < region; i++ {
 				want := complex(float64(member(c.Rank(), j)), float64(me*region+i))
@@ -87,10 +88,61 @@ func exchangeCase(t *testing.T, w *World, bitPositions []int, region, piece int)
 	}
 }
 
+// alltoallCase runs GroupAlltoall on the regions of every rank's shard and
+// GroupExchange on the shard itself, each in a world of its own, and holds
+// the first to the second: the received regions, in order, are the exchanged
+// shard, and the two count the same bytes and steps.
+func alltoallCase(t *testing.T, size int, bitPositions []int, checksums bool) {
+	t.Helper()
+	const region = 8
+	members := 1 << len(bitPositions)
+	run := func(alltoall bool) ([][]complex128, *World) {
+		w := NewWorld(size)
+		w.SetVerifyChecksums(checksums)
+		shards := make([][]complex128, size)
+		err := w.Run(func(c *Comm) error {
+			local := make([]complex128, region*members)
+			for i := range local {
+				local[i] = complex(float64(c.Rank()), float64(i))
+			}
+			if alltoall {
+				send, recv := make([][]complex128, members), make([][]complex128, members)
+				for j := range send {
+					send[j], recv[j] = local[j*region:(j+1)*region], make([]complex128, region)
+				}
+				c.GroupAlltoall(bitPositions, send, recv)
+				local = slices.Concat(recv...)
+			} else {
+				c.GroupExchange(bitPositions, local)
+			}
+			shards[c.Rank()] = local
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return shards, w
+	}
+	got, wa := run(true)
+	want, we := run(false)
+	for r := range want {
+		if !slices.Equal(got[r], want[r]) {
+			t.Fatalf("rank %d: all-to-all received %v, exchange left %v", r, got[r], want[r])
+		}
+	}
+	if a, e := wa.Traffic.Bytes.Load(), we.Traffic.Bytes.Load(); a != e {
+		t.Errorf("all-to-all counted %d bytes, exchange %d", a, e)
+	}
+	if a, e := wa.Traffic.Steps.Load(), we.Traffic.Steps.Load(); a != e {
+		t.Errorf("all-to-all counted %d steps, exchange %d", a, e)
+	}
+}
+
 // TestGroupExchangeMatchesManualTranspose: q = 1, 2, 3 on rank bits that are
 // not contiguous, with pieces smaller than a region (one amplitude; a size
 // that does not divide the region), equal to it and larger — clean, and with
-// delayed posts, jittered barriers and shuffled rounds.
+// delayed posts, jittered barriers and shuffled rounds. GroupAlltoall on the
+// shard's regions, with checksums and without, ends where the exchange does.
 func TestGroupExchangeMatchesManualTranspose(t *testing.T) {
 	for _, tc := range []struct {
 		size int
@@ -116,6 +168,11 @@ func TestGroupExchangeMatchesManualTranspose(t *testing.T) {
 					}
 				})
 			}
+		}
+		for _, checksums := range []bool{false, true} {
+			t.Run(fmt.Sprintf("ranks%d/bits%v/alltoall/checksums=%v", tc.size, tc.bits, checksums), func(t *testing.T) {
+				alltoallCase(t, tc.size, tc.bits, checksums)
+			})
 		}
 	}
 }

@@ -3,9 +3,9 @@
 // primitives are the four collectives a schedule.Plan needs: Barrier,
 // GroupExchange (the global-to-local swap, in place; its q = 1 case is the
 // pairwise half-vector exchange of the per-gate scheme of [19]),
-// AllreduceSum and AllgatherFloat64. GroupAlltoall, the out-of-place
-// all-to-all the swap used to be, is kept for the benchmark's bandwidth
-// probe only.
+// AllreduceSum and AllgatherFloat64. GroupAlltoall, the all-to-all of
+// separate send and receive chunks, is GroupExchange on a staging shard; the
+// benchmark's bandwidth probe is its one caller.
 //
 // Communication structure is exact — who sends how many bytes where, and
 // how many collective steps happen, are the quantities the paper optimizes
@@ -34,11 +34,9 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -80,20 +78,20 @@ type Traffic struct {
 	Bytes atomic.Int64
 }
 
-// posting is one rank's contribution to a collective's board: the chunks it
-// offers — GroupAlltoall's send list, GroupExchange's one shard — plus (when
-// checksums are on) a CRC32C per piece a receiver will take, computed from
-// the sender's memory so receivers can audit what arrived.
+// posting is one rank's contribution to an exchange's board: the shard it
+// offers, plus (when checksums are on) a CRC32C per piece a receiver will
+// take, computed from the sender's memory so receivers can audit what
+// arrived.
 type posting struct {
-	chunks [][]complex128
-	sums   []uint32 // nil when checksum verification is off
+	shard []complex128
+	sums  []uint32 // nil when checksum verification is off
 }
 
 // World coordinates size ranks.
 type World struct {
 	size    int
 	k       *coord
-	board   []posting // board[src] posted for an all-to-all
+	board   []posting // board[src] posted for an exchange
 	reduce  []float64
 	Traffic Traffic
 
@@ -512,7 +510,6 @@ type Comm struct {
 	collSeq    int            // collective entries on this rank (crash counter)
 	payloadSeq int            // payload-carrying collective entries (corruption counter)
 	labelSeq   map[string]int // per-label entry counters (labeled fault points)
-	sumBuf     []byte         // chunkSum's conversion buffer (big-endian hosts only)
 
 	// stage holds the two pieces a GroupExchange has in flight — all the
 	// memory an exchange needs beside the shard.
@@ -529,10 +526,7 @@ func (c *Comm) Size() int { return c.w.size }
 func (c *Comm) Barrier() {
 	c.enterCollective("Barrier", false)
 	t0 := c.collStart()
-	if f := c.w.fault; f != nil {
-		c.faultDelay(f.BarrierJitter)
-	}
-	c.w.k.barrierWait(c.rank, "Barrier")
+	c.barrier("Barrier")
 	c.collEnd("Barrier", t0)
 }
 
@@ -545,34 +539,13 @@ func (c *Comm) barrier(label string) {
 	c.w.k.barrierWait(c.rank, label)
 }
 
-// chunkSum is CRC32C over the little-endian encoding of a chunk — on a
-// little-endian host, over its memory as it lies.
-func (c *Comm) chunkSum(a []complex128) uint32 {
-	if littleEndian {
-		return crc32.Update(0, castagnoli, kernels.AmpBytes(a))
-	}
-	const window = 4096 // amps per conversion pass
-	if c.sumBuf == nil {
-		c.sumBuf = make([]byte, window*16)
-	}
-	var crc uint32
-	for off := 0; off < len(a); off += window {
-		n := min(len(a)-off, window)
-		for i, v := range a[off : off+n] {
-			binary.LittleEndian.PutUint64(c.sumBuf[16*i:], math.Float64bits(real(v)))
-			binary.LittleEndian.PutUint64(c.sumBuf[16*i+8:], math.Float64bits(imag(v)))
-		}
-		crc = crc32.Update(crc, castagnoli, c.sumBuf[:n*16])
-	}
+// chunkSum is CRC32C over the wire encoding of a piece (kernels.ToWire) —
+// on a little-endian host, over its memory as it lies.
+func chunkSum(a []complex128) (crc uint32) {
+	sum := func(b []byte) error { crc = crc32.Update(crc, kernels.Castagnoli, b); return nil }
+	_ = kernels.ToWire(a, sum) // sum never fails
 	return crc
 }
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// littleEndian says that amplitude memory already is the encoding the
-// checksums are defined over. A variable so that a test can force the
-// conversion branch.
-var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // verifyPiece audits a received piece — the receiver's copy, not the
 // sender's memory — against the CRC its sender posted.
@@ -580,7 +553,7 @@ func (c *Comm) verifyPiece(label string, src int, piece []complex128, sums []uin
 	if sums == nil {
 		return
 	}
-	if got := c.chunkSum(piece); got != sums[idx] {
+	if got := chunkSum(piece); got != sums[idx] {
 		if c.tel != nil {
 			c.tel.sumFailed.Inc()
 		}
@@ -593,91 +566,56 @@ func (c *Comm) verifyPiece(label string, src int, piece []complex128, sums []uin
 	}
 }
 
-// groupGeometry resolves the member-index machinery shared by the grouped
-// collectives.
+// groupGeometry resolves a group's member indices: the rank of member j, and
+// this rank's own index.
 func (c *Comm) groupGeometry(bitPositions []int) (memberRank func(int) int, me int) {
-	w := c.w
 	var mask int
-	for _, b := range bitPositions {
-		if 1<<b >= w.size {
-			panic(fmt.Sprintf("mpi: bit position %d out of range for %d ranks", b, w.size))
+	for t, b := range bitPositions {
+		if 1<<b >= c.w.size {
+			panic(fmt.Sprintf("mpi: bit position %d out of range for %d ranks", b, c.w.size))
 		}
 		mask |= 1 << b
+		me |= (c.rank >> b & 1) << t
 	}
-	memberRank = func(j int) int {
+	return func(j int) int {
 		r := c.rank &^ mask
 		for t, b := range bitPositions {
-			if j&(1<<t) != 0 {
-				r |= 1 << b
-			}
+			r |= (j >> t & 1) << b
 		}
 		return r
-	}
-	for t, b := range bitPositions {
-		if c.rank&(1<<b) != 0 {
-			me |= 1 << t
-		}
-	}
-	return memberRank, me
-}
-
-// enterPayload opens a payload-carrying collective: fault points, telemetry
-// clock, post delay.
-func (c *Comm) enterPayload(label string) time.Time {
-	c.enterCollective(label, true)
-	t0 := c.collStart()
-	if f := c.w.fault; f != nil {
-		c.faultDelay(f.PostDelay)
-	}
-	return t0
+	}, me
 }
 
 // GroupAlltoall performs simultaneous all-to-alls within groups of ranks
-// that agree on every rank bit outside bitPositions, out of place. send and
-// recv are indexed by group-member index: member j is the rank whose bits at
-// bitPositions spell j (bitPositions[t] holds bit t of j). With checksums on,
-// every received chunk is audited against the CRC its sender posted.
+// that agree on every rank bit outside bitPositions. send and recv are
+// indexed by group-member index — member j is the rank whose bits at
+// bitPositions spell j (bitPositions[t] holds bit t of j) — and hold chunks
+// of one length; recv[j] receives member j's send[me]. It is the exchange:
+// send is copied into one staging shard of 2^q regions, which goes through
+// GroupExchange's protocol under its own label, "GroupAlltoall", and the
+// regions are copied out into recv. Traffic, steps and the checksum audit
+// are the exchange's.
 //
-// No plan executes through it any more (the swap is GroupExchange): its last
-// caller outside tests is the benchmark's mpi.alltoall_gbps probe
-// (bench/host.go), and it leaves with ROADMAP item 1.
+// No plan executes through it (the swap is GroupExchange on the shard
+// itself): its one caller outside tests is the benchmark's mpi.alltoall_gbps
+// probe (bench/host.go).
 func (c *Comm) GroupAlltoall(bitPositions []int, send, recv [][]complex128) {
-	const label = "GroupAlltoall"
 	members := 1 << len(bitPositions)
 	if len(send) != members || len(recv) != members {
 		panic("mpi: GroupAlltoall chunk count must be 2^q")
 	}
-	w := c.w
-	memberRank, me := c.groupGeometry(bitPositions)
-	t0 := c.enterPayload(label)
-	p := posting{chunks: send}
-	if w.verifySums {
-		p.sums = make([]uint32, members)
-		for i, ch := range send {
-			p.sums[i] = c.chunkSum(ch)
-		}
-	}
-	w.board[c.rank] = p
-	c.barrier(label)
-	for _, j := range c.deliveryOrder(members) {
-		src := memberRank(j)
-		from := &w.board[src]
-		if len(from.chunks[me]) != len(recv[j]) {
+	chunk := len(send[0])
+	shard := make([]complex128, 0, members*chunk)
+	for j, ch := range send {
+		if len(ch) != chunk || len(recv[j]) != chunk {
 			panic("mpi: GroupAlltoall chunk length mismatch")
 		}
-		copy(recv[j], from.chunks[me])
-		if src != c.rank {
-			c.corruptReceived(src, recv[j])
-			c.countBytes(int64(16 * len(recv[j])))
-		}
-		c.verifyPiece(label, src, recv[j], from.sums, me)
+		shard = append(shard, ch...)
 	}
-	c.barrier(label)
-	if c.rank == 0 {
-		c.countSteps(1)
+	c.groupExchange("GroupAlltoall", bitPositions, shard, exchangePiece)
+	for j, ch := range recv {
+		copy(ch, shard[j*chunk:])
 	}
-	c.barrier(label)
-	c.collEnd(label, t0)
 }
 
 // exchangePiece is the most amplitudes a GroupExchange moves at a time
@@ -703,18 +641,18 @@ const exchangePiece = 1 << 16
 // failure inside the exchange (ErrCorrupt, a dead rank) leaves every shard
 // of the group half exchanged: the shards of a failed Run are garbage.
 func (c *Comm) GroupExchange(bitPositions []int, local []complex128) {
-	c.groupExchange(bitPositions, local, exchangePiece)
+	c.groupExchange("GroupExchange", bitPositions, local, exchangePiece)
 }
 
-// groupExchange is GroupExchange with the piece size as a parameter, which
-// tests set below a region's length.
-func (c *Comm) groupExchange(bitPositions []int, local []complex128, piece int) {
-	const label = "GroupExchange"
+// groupExchange is GroupExchange under the collective label its stall
+// reports, fault points and collective-order check name, with the piece size
+// as a parameter, which tests set below a region's length.
+func (c *Comm) groupExchange(label string, bitPositions []int, local []complex128, piece int) {
 	w := c.w
 	memberRank, me := c.groupGeometry(bitPositions)
 	members := 1 << len(bitPositions)
 	if len(local)%members != 0 {
-		panic(fmt.Sprintf("mpi: GroupExchange shard of %d amplitudes does not split into %d regions", len(local), members))
+		panic(fmt.Sprintf("mpi: %s shard of %d amplitudes does not split into %d regions", label, len(local), members))
 	}
 	region := len(local) / members
 	piece = max(1, min(piece, region))
@@ -723,13 +661,17 @@ func (c *Comm) groupExchange(bitPositions []int, local []complex128, piece int) 
 		return shard[j*region+t*piece : j*region+min((t+1)*piece, region)]
 	}
 
-	t0 := c.enterPayload(label)
-	p := posting{chunks: [][]complex128{local}}
+	c.enterCollective(label, true)
+	t0 := c.collStart()
+	if f := w.fault; f != nil {
+		c.faultDelay(f.PostDelay)
+	}
+	p := posting{shard: local}
 	if w.verifySums {
 		p.sums = make([]uint32, members*pieces)
 		for j := 0; j < members; j++ {
 			for t := 0; t < pieces && j != me; t++ {
-				p.sums[j*pieces+t] = c.chunkSum(pieceOf(local, j, t))
+				p.sums[j*pieces+t] = chunkSum(pieceOf(local, j, t))
 			}
 		}
 	}
@@ -748,9 +690,9 @@ func (c *Comm) groupExchange(bitPositions []int, local []complex128, piece int) 
 		if s < items {
 			j, t := partner(s), s%pieces
 			src := memberRank(j)
-			theirs := w.board[src].chunks[0]
+			theirs := w.board[src].shard
 			if len(theirs) != len(local) {
-				panic("mpi: GroupExchange shard length mismatch")
+				panic("mpi: " + label + " shard length mismatch")
 			}
 			staged := c.stage[s%2][:copy(c.stage[s%2], pieceOf(theirs, me, t))]
 			c.corruptReceived(src, staged)
@@ -781,32 +723,31 @@ func (c *Comm) groupExchange(bitPositions []int, local []complex128, piece int) 
 
 // AllreduceSum returns the sum of x over all ranks (the final reduction of
 // the entropy calculation, Sec. 4.2.2).
-func (c *Comm) AllreduceSum(x float64) float64 {
-	c.enterCollective("AllreduceSum", false)
-	t0 := c.collStart()
-	w := c.w
-	w.reduce[c.rank] = x
-	c.barrier("AllreduceSum")
-	var s float64
-	for _, v := range w.reduce {
-		s += v
-	}
-	c.barrier("AllreduceSum")
-	c.collEnd("AllreduceSum", t0)
-	return s
+func (c *Comm) AllreduceSum(x float64) (sum float64) {
+	c.gather("AllreduceSum", x, func(all []float64) {
+		for _, v := range all {
+			sum += v
+		}
+	})
+	return sum
 }
 
 // AllgatherFloat64 returns every rank's contribution, indexed by rank
 // (used to share per-rank probability weights for distributed sampling).
 func (c *Comm) AllgatherFloat64(x float64) []float64 {
-	c.enterCollective("AllgatherFloat64", false)
-	t0 := c.collStart()
-	w := c.w
-	w.reduce[c.rank] = x
-	c.barrier("AllgatherFloat64")
-	out := make([]float64, w.size)
-	copy(out, w.reduce)
-	c.barrier("AllgatherFloat64")
-	c.collEnd("AllgatherFloat64", t0)
+	out := make([]float64, c.w.size)
+	c.gather("AllgatherFloat64", x, func(all []float64) { copy(out, all) })
 	return out
+}
+
+// gather posts x, and once every rank has, hands read the contributions of
+// all ranks, indexed by rank, before any rank may post again.
+func (c *Comm) gather(label string, x float64, read func(all []float64)) {
+	c.enterCollective(label, false)
+	t0 := c.collStart()
+	c.w.reduce[c.rank] = x
+	c.barrier(label)
+	read(c.w.reduce)
+	c.barrier(label)
+	c.collEnd(label, t0)
 }

@@ -1,14 +1,18 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"qusim/internal/kernels"
 )
 
 func TestBarrierOrdering(t *testing.T) {
@@ -542,7 +546,7 @@ func TestChecksumDetectsExchangeCorruption(t *testing.T) {
 			for i := range local {
 				local[i] = complex(float64(c.Rank()), float64(i))
 			}
-			c.groupExchange([]int{0}, local, piece)
+			c.groupExchange("GroupExchange", []int{0}, local, piece)
 			return nil
 		})
 		if !errors.Is(err, ErrCorrupt) {
@@ -566,7 +570,7 @@ func TestExchangeCorruptionSilentWithoutChecksums(t *testing.T) {
 	shards := make([][]complex128, 2)
 	err := w.Run(func(c *Comm) error {
 		local := []complex128{complex(3, 4), complex(3, 4), complex(3, 4), complex(3, 4)}
-		c.groupExchange([]int{0}, local, 1)
+		c.groupExchange("GroupExchange", []int{0}, local, 1)
 		shards[c.Rank()] = local
 		return nil
 	})
@@ -589,25 +593,21 @@ func TestExchangeCorruptionSilentWithoutChecksums(t *testing.T) {
 	}
 }
 
-// TestChunkSumViewAndPortableAgree: the CRC over amplitude memory as it lies
-// is the CRC over the per-element little-endian encoding, at lengths around
-// the conversion window.
+// TestChunkSumViewAndPortableAgree: the exchange checksum is CRC32C over the
+// per-element little-endian encoding of a piece, at lengths around the
+// codec's window. (kernels' TestWireViewAndEncodingAgree forces the encoding
+// branch a big-endian host takes.)
 func TestChunkSumViewAndPortableAgree(t *testing.T) {
-	if !littleEndian {
-		t.Skip("big-endian host: the portable branch is the only one")
-	}
-	c := &Comm{}
 	for _, n := range []int{0, 1, 7, 4095, 4096, 4097, 10000} {
 		a := make([]complex128, n)
+		var enc []byte
 		for i := range a {
 			a[i] = complex(float64(i)+0.25, -float64(n-i))
+			enc = binary.LittleEndian.AppendUint64(enc, math.Float64bits(real(a[i])))
+			enc = binary.LittleEndian.AppendUint64(enc, math.Float64bits(imag(a[i])))
 		}
-		view := c.chunkSum(a)
-		littleEndian = false
-		portable := c.chunkSum(a)
-		littleEndian = true
-		if view != portable {
-			t.Errorf("n=%d: view CRC %08x, portable CRC %08x", n, view, portable)
+		if got, want := chunkSum(a), crc32.Checksum(enc, kernels.Castagnoli); got != want {
+			t.Errorf("n=%d: chunk CRC %08x, CRC of the per-element encoding %08x", n, got, want)
 		}
 	}
 }
