@@ -8,7 +8,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 
 .PHONY: build test test-purego test-avx2 race verify lint lint-tools chaos-smoke fuzz \
 	fuzz-smoke bench bench-smoke bench-permute bench-ckpt bench-telemetry \
-	bench-oocvec bench-kernels bench-diag bench-repo coverage lines
+	bench-oocvec bench-kernels bench-diag bench-repo coverage lines fusion-check verify-sets
 
 # Compile every package and link every command into bin/, so a broken
 # main package fails the build even though `go build ./...` discards
@@ -43,6 +43,41 @@ test-purego:
 test-avx2:
 	$(GO) test -tags noavx512 $(KERNEL_PKGS)
 	$(GO) run -tags noavx512 ./cmd/qverify -quick
+
+# The kernel sets compute one arithmetic: qverify -quick under the default
+# build, the noavx512 tag and the purego tag must print the same digits on
+# every double-precision row whose plan is the same on every set — the
+# per-gate rows (kernels/<isa>, statevec/*), the baseline/* rows and the
+# +paper rows — the set's name aside. The other rows are planned by
+# MeasuredCosts, whose price list, and so whose plans, differ between sets.
+verify-sets:
+	@ref=""; for tags in "" noavx512 purego; do \
+		out=$$($(GO) run -tags "$$tags" ./cmd/qverify -quick) || { echo "$$out"; exit 1; }; \
+		rows=$$(echo "$$out" | grep -E '^  (kernels/|statevec/|baseline/|(dist|schedule|oocvec)/[^ ]*\+paper )' | \
+			sed -E 's#^  kernels/[a-z0-9]+#  kernels/<isa>#; s/ +/ /g'); \
+		if [ -z "$$ref" ]; then ref=$$rows; continue; fi; \
+		if [ "$$rows" != "$$ref" ]; then \
+			printf 'verify-sets: -tags %s differs from the default build:\n%s\n--- default build:\n%s\n' "$$tags" "$$rows" "$$ref"; exit 1; \
+		fi; \
+	done; \
+	echo "verify-sets: $$(echo "$$ref" | wc -l) f64 rows agree under the default, noavx512 and purego builds"
+
+# The pure-Go kernels' arithmetic is spelled out: every product that
+# accumulates is an explicit math.FMA and every other one is wrapped in a
+# conversion, because the Go spec lets a compiler fuse x*y + z or not — and
+# arm64's does. Cross-compile internal/kernels for arm64 and fail on any
+# fused multiply-add instruction (FMADD, FMSUB, FNMADD, FNMSUB, D or S form)
+# whose source line is not a math.FMA call.
+fusion-check:
+	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/kernels 2>&1) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | sed -nE 's/.*\(([^()]+\.go):([0-9]+)\)[[:space:]]+FN?M(ADD|SUB)[DS][[:space:]].*/\1 \2/p' | { \
+		fused=0; bad=0; \
+		while read -r file line; do \
+			fused=$$((fused + 1)); \
+			sed -n "$${line}p" "$$file" | grep -q 'math\.FMA' || { bad=$$((bad + 1)); echo "fused outside math.FMA: $$file:$$line"; }; \
+		done; \
+		echo "fusion-check: $$fused fused multiply-adds, $$bad outside a math.FMA call"; \
+		[ $$fused -gt 0 ] && [ $$bad -eq 0 ]; }
 
 # Tier-1 with the race detector — required before merging anything that
 # touches internal/par, internal/mpi, internal/dist, internal/ckpt,
@@ -178,8 +213,11 @@ bench-telemetry:
 # k1/f64 are the price list internal/schedule/cost.go compiles in as
 # MeasuredCosts (TestMeasuredCostsMatchBenchFile holds the two together):
 # refresh the constants there when this file moves, and no speedup may read
-# below 1. Three repetitions; benchjson keeps the fastest of each, which
-# also drops the first-touch page-fault cost of the 1 GiB state allocations.
+# below 1 — except the go rows, which stay the hand-unrolled kernels' until
+# ROADMAP item 3(a) has landed (cost.go says why): keep the file's go rows
+# when refreshing the others. Three repetitions; benchjson keeps the
+# fastest of each, which also drops the first-touch page-fault cost of the
+# 1 GiB state allocations.
 bench-kernels:
 	($(GO) test -run '^$$' -bench 'BenchmarkKernelPrecision|BenchmarkCircuitPrecision|BenchmarkKernelFusion|BenchmarkReduce|BenchmarkBlockedRun|BenchmarkStateAlloc' -benchtime 3x -count 3 -timeout 60m . && \
 	 $(GO) test -tags noavx512 -run '^$$' -bench 'BenchmarkKernelPrecision/avx2/' -benchtime 3x -count 3 -timeout 60m . && \

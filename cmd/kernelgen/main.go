@@ -7,12 +7,14 @@
 // simd_amd64.go: the (mR,mR)/(−mI,mI) two-FMA update of Eq. (2)–(3),
 // explicitly vectorized for k = 1…5 in both precisions (simd.go), the
 // diagonal window and run loops, and the norm and entropy reductions
-// (reduce.go). Per lane both widths run the same instructions, so their
-// results agree bit for bit. All three files are checked in; regenerate
-// with `go run ./cmd/kernelgen`. Nothing is generated or timed at run time:
-// package kernels runs the widest assembly the CPU and OS support
-// (kernels.ISA) and the hand-written Go kernels elsewhere (another
-// architecture, the purego tag).
+// (reduce.go) — and, from the same description, the pure-Go kernels of
+// internal/kernels/gokernels.go, which run a lane's FMA sequence through
+// math.FMA (gokernels.go). Per amplitude every set runs the same FMAs in
+// the same order, so their double-precision results agree bit for bit. All
+// four files are checked in; regenerate with `go run ./cmd/kernelgen`. Nothing is
+// generated or timed at run time: package kernels runs the widest assembly
+// the CPU and OS support (kernels.ISA) and the pure-Go kernels elsewhere
+// (another architecture, an older CPU, the purego tag).
 package main
 
 import (
@@ -27,7 +29,7 @@ func main() {
 	out := flag.String("o", "internal/kernels", "output directory")
 	flag.Parse()
 
-	for _, f := range generateSIMD() {
+	for _, f := range append(generateSIMD(), generateGo()) {
 		path := filepath.Join(*out, f.name)
 		if err := os.WriteFile(path, f.src, 0o644); err != nil {
 			log.Fatal(err)

@@ -462,10 +462,11 @@ func runOutOfCore(plan *schedule.Plan, tel *telemetry.Telemetry, o oocOptions) e
 // the same memory) — then draws shots samples with the stream dist.Run draws
 // them with on one rank.
 func runF32(plan *schedule.Plan, initial dist.InitState, tel *telemetry.Telemetry, verbose bool, shots int, seed int64) {
-	v := f32vec.New(plan.N)
+	newVector := f32vec.New
 	if initial == dist.InitUniform {
-		v = f32vec.NewUniform(plan.N)
+		newVector = f32vec.NewUniform
 	}
+	v := newVector(plan.N)
 	start := time.Now()
 	if err := v.RunPlan(plan); err != nil {
 		fatal(err)

@@ -86,7 +86,7 @@ func fig2(m perfmodel.Machine, paper map[string]float64) func(io.Writer, Config)
 				fmt.Sprintf("%.2f", gflops(n, k, func() { host.Sweep(src) })))
 		}
 		t.flush()
-		note(w, "the first three columns are portable Go at every step; the last is the kernel this machine runs — cmd/kernelgen's AVX2+FMA assembly where ISA is avx2, the hand-unrolled Go kernels otherwise. The Edison/KNL absolute values come from the calibrated model (see DESIGN.md).")
+		note(w, "the first three columns are portable Go at every step; the last is the kernel this machine runs — cmd/kernelgen's assembly where ISA is avx512 or avx2, its pure-Go kernels of the same arithmetic otherwise. The Edison/KNL absolute values come from the calibrated model (see DESIGN.md).")
 		return nil
 	}
 }

@@ -5,15 +5,15 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
 // The oracle of the diagonal kernels: amplitude i is multiplied by the entry
-// the bits of i at the positions select — under SIMD as one multiply and one
-// FMA per part, re = fma(−di, ai, dr·ar), im = fma(di, ar, dr·ai); in pure Go
-// as the plain product, negated for −1 — and left alone, bit for bit, where
-// that entry is exactly 1.
+// the bits of i at the positions select — as one multiply and one FMA per
+// part, re = fma(−di, ai, dr·ar), im = fma(di, ar, dr·ai), in float32 on the
+// assembly's single-precision route and through float64 on the pure-Go one
+// (diagProduct32) — and left alone, bit for bit, where that entry is
+// exactly 1.
 
 // diagEntries draws 2^k entries: a third exactly 1, a sixth −1, the rest
 // random phases.
@@ -49,18 +49,6 @@ func diagState(n int, rng *rand.Rand) []complex128 {
 	return state
 }
 
-// diagProduct32 is diagProduct in single precision.
-func diagProduct32(a, d complex64) complex64 {
-	switch {
-	case hasSIMD:
-		return complex(fma32(-imag(d), imag(a), real(a)*real(d)), fma32(imag(d), real(a), imag(a)*real(d)))
-	case d == -1:
-		return -a
-	}
-	ar, ai, dr, di := real(a), imag(a), real(d), imag(d)
-	return complex(ar*dr-ai*di, ai*dr+ar*di)
-}
-
 // sameAmp is bitwise equality where unit says the amplitude was left alone,
 // and equality with any NaN matching any NaN where it was multiplied (which
 // payload a NaN product carries is the FPU's choice, not the kernel's).
@@ -76,10 +64,16 @@ func sameAmp[T complexAmp](got, want T, unit bool) bool {
 }
 
 // diagRoutes is every way to the kernels a test can take for one prepared
-// diagonal: this machine's (the pure-Go walk under purego), then each
-// width's assembly called directly, whatever ISA says.
-func diagRoutes[T complexAmp](p *Diagonal[T]) (names []string, routes []*Diagonal[T]) {
-	names, routes = []string{ISA()}, []*Diagonal[T]{p}
+// diagonal: this machine's, then the pure-Go walk and each width's assembly
+// called directly, whatever ISA says. simd reports which routes multiply in
+// the assembly.
+func diagRoutes[T complexAmp](p *Diagonal[T]) (names []string, routes []*Diagonal[T], simd []bool) {
+	names, routes, simd = []string{ISA()}, []*Diagonal[T]{p}, []bool{hasSIMD}
+	if hasSIMD {
+		q := *p
+		q.kern, q.scale = nil, goScale[T]
+		names, routes, simd = append(names, "go"), append(routes, &q), append(simd, false)
+	}
 	for _, tbl := range simdTables() {
 		q := *p
 		kern := map[bool]any{false: tbl.run64, true: tbl.win64}
@@ -87,9 +81,9 @@ func diagRoutes[T complexAmp](p *Diagonal[T]) (names []string, routes []*Diagona
 			kern = map[bool]any{false: tbl.run32, true: tbl.win32}
 		}
 		q.kern = kern[len(p.tbl) > len(p.masks)].(func(*T, int, int, int, int, *T, *uint64))
-		names, routes = append(names, tbl.name), append(routes, &q)
+		names, routes, simd = append(names, tbl.name), append(routes, &q), append(simd, true)
 	}
-	return names, routes
+	return names, routes, simd
 }
 
 // checkDiagonalOracle applies d on qs to piece, whose first amplitude has
@@ -103,23 +97,23 @@ func checkDiagonalOracle(t *testing.T, qs []int, d []complex128, piece []complex
 			entry[i] |= ((base + i) >> q & 1) << j
 		}
 	}
-	checkDiagonalRoutes(t, qs, d, piece, base, entry, diagProduct)
+	checkDiagonalRoutes(t, qs, d, piece, base, entry, func(a, d complex128, _ bool) complex128 { return diagProduct(a, d) })
 	checkDiagonalRoutes(t, qs, ToComplex64(d), ToComplex64(piece), base, entry, diagProduct32)
 }
 
 // checkDiagonalRoutes is checkDiagonalOracle in one precision; entry is the
 // index into d of every amplitude of piece.
-func checkDiagonalRoutes[T complexAmp](t *testing.T, qs []int, d, piece []T, base int, entry []int, product func(a, d T) T) {
+func checkDiagonalRoutes[T complexAmp](t *testing.T, qs []int, d, piece []T, base int, entry []int, product func(a, d T, simd bool) T) {
 	t.Helper()
-	want := slices.Clone(piece)
-	for i, x := range entry {
-		if d[x] != 1 {
-			want[i] = product(piece[i], d[x])
-		}
-	}
-	names, routes := diagRoutes(PrepareDiagonal(d, qs, len(piece)))
-	got := make([]T, len(piece))
+	names, routes, simd := diagRoutes(PrepareDiagonal(d, qs, len(piece)))
+	want, got := make([]T, len(piece)), make([]T, len(piece))
 	for r, p := range routes {
+		copy(want, piece)
+		for i, x := range entry {
+			if d[x] != 1 {
+				want[i] = product(piece[i], d[x], simd[r])
+			}
+		}
 		for _, how := range []string{"Block", "Sweep"} {
 			copy(got, piece)
 			if how == "Block" {
@@ -152,7 +146,7 @@ func deposit(v int, qs []int) int {
 // drawn from {0…8, 15, 16, 19, 22} — the window form's low positions, rows
 // picked inside a piece and from above it, and the run form — to the
 // oracle, in both precisions, through Block and Sweep, on this machine's
-// kernels and on each width's directly. Each set runs on a 2^12-amplitude
+// kernels, the pure-Go walk and each width's assembly directly. Each set runs on a 2^12-amplitude
 // piece under a base for every value of its positions above the piece, so
 // every row is reached; the QFT's shapes — among them diagonals the
 // scheduler folded to 8–10 positions — also run on a 2^20 piece, which Sweep

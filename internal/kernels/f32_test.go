@@ -34,39 +34,7 @@ func maxDiffF32(a []complex64, b []complex128) float64 {
 	return m
 }
 
-func TestF32VariantsMatchDenseReference(t *testing.T) { kernelTable(t, f32Tol, specializedF32) }
-
-// TestF32RoundsOnceAtK3K4: the pure-Go complex64 kernels at k = 3 and 4
-// run the complex128 bodies — a complex64 state through them equals the
-// complex128 kernel on the widened state and matrix, each output rounded to
-// complex64 once, bit for bit, at low, mid and high positions.
-func TestF32RoundsOnceAtK3K4(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	const n = 13
-	for k := 3; k <= 4; k++ {
-		for _, qs := range [][]int{{0, 1, 2, 3}, {4, 6, 7, 9}, {9, 10, 11, 12}} {
-			qs = qs[len(qs)-k:]
-			m := ToComplex64(gate.RandomUnitary(k, rng).Data)
-			got := toF32(randomState(n, rng))
-			want := make([]complex128, len(got))
-			for i, a := range got {
-				want[i] = complex128(a)
-			}
-			wide := make([]complex128, len(m))
-			for i, v := range m {
-				wide[i] = complex128(v)
-			}
-			d32, d64 := specializedF32(m, qs), specialized(wide, qs)
-			d32.Sweep(got)
-			d64.Sweep(want)
-			for i := range got {
-				if got[i] != complex64(want[i]) {
-					t.Fatalf("k=%d %v: amps[%d] = %v, want %v rounded once (%v)", k, qs, i, got[i], complex64(want[i]), want[i])
-				}
-			}
-		}
-	}
-}
+func TestF32VariantsMatchDenseReference(t *testing.T) { kernelTable(t, f32Tol, prepareGo[complex64]) }
 
 func TestF32GenericFallbackK6(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))

@@ -1,107 +1,72 @@
 package kernels
 
-import "unsafe"
+import "math"
 
-// The general-k kernel: optimization steps 2–3 of Sec. 3.2 for any k. The
-// complex multiply-accumulate is rewritten over split real/imaginary
-// operands — the gate matrix pre-computed into two real-valued tables,
-// (mR, mR) and (−mI, mI), so the inner update is two multiply-adds per entry,
-// the FMA-friendly form of Eq. (2)–(3) — and the columns are processed in
-// blocks of generalBlock so the accumulators stay in registers. It is what
-// gates wider than the unrolled kernels (k > 5) run, on every machine; Fig. 2
-// measures it at k = 1 and 4 as the step between the in-place and the
-// per-k kernels.
-//
-// One body at both precisions: real and imag are not permitted on a type
-// parameter, so the kernel reads and writes the amplitudes and the matrix
-// as their real and imaginary parts, of the precision's own float type F —
-// the layout AmpBytes exposes — and converts nothing: each precision keeps
-// its bits.
+// The pure-Go kernels: what runs where there is no assembly (another
+// architecture, an x86 without AVX2+FMA+BMI2, the purego tag), and beyond
+// k = 5 everywhere. They compute what the assembly computes in every lane,
+// with explicit math.FMA in the assembly's order, so every kernel set
+// produces the same bits in double precision; a complex64 state is
+// computed in float64 and rounded once per part at the store.
 
-// generalBlock is the register-blocking width over matrix columns (the
-// block size B of Sec. 3.2): 4 is what a benchmarking feedback loop
-// converges to on scalar targets.
-const generalBlock = 4
+// prepareGo prepares m on qs with the pure-Go kernels: the scalar multiply
+// of Scale for a 0-qubit gate, the straight-line body cmd/kernelgen writes
+// for k = 1…5 (gokernels.go), the general-k loop beyond.
+func prepareGo[C complexAmp](m []C, qs []int) Dense[C] {
+	switch k := len(qs); {
+	case k == 0:
+		s, scale := m[0], scaleFor[C]()
+		return Dense[C]{grain: 4096, run: func(amps []C, lo, hi int) { scale(amps[lo:hi], s) }}
+	case k <= simdMaxK:
+		return goDense(m, qs)
+	}
+	return general(m, qs)
+}
 
 // PrepareGeneral prepares m on qs with the general-k kernel whatever k is —
-// PrepareDense picks it only beyond the unrolled kernels.
+// PrepareDense picks it only beyond the straight-line kernels.
 func PrepareGeneral[T complexAmp](m []T, qs []int, n int) Dense[T] {
 	checkArgs(n, m, qs)
-	var out any
-	switch m := any(m).(type) {
-	case []complex128:
-		out = general[complex128, float64](m, qs)
-	case []complex64:
-		out = general[complex64, float32](m, qs)
-	}
-	return out.(Dense[T])
+	return general(m, qs)
 }
 
-// parts views a as the real and imaginary part of each amplitude in turn;
-// F must be C's component type.
-func parts[C complexAmp, F float32 | float64](a []C) []F {
-	return unsafe.Slice((*F)(unsafe.Pointer(unsafe.SliceData(a))), 2*len(a))
-}
-
-// general prepares the general-k kernel on amplitudes of type C, computing
-// in F, its component type.
+// general is the general-k kernel, optimization steps 2–3 of Sec. 3.2 for
+// any k: the matrix pre-computed into its (mR, −mI, mI) operands, so the
+// inner update is the two FMAs per entry of Eq. (2)–(3) in the order of the
+// straight-line kernels, as a loop over rows and columns, register-blocked
+// over pairs of output rows — each gathered amplitude feeds both rows'
+// accumulators, four FMA chains in flight (at k = 0 both halves of the pair
+// are row 0). Fig. 2 measures it at k = 1 and 4 as the step between the
+// in-place and the per-k kernels.
 //
 //qusim:hot
-func general[C complexAmp, F float32 | float64](m []C, qs []int) Dense[C] {
+func general[C complexAmp](m []C, qs []int) Dense[C] {
 	k := len(qs)
 	dk := 1 << k
-	masks := insertMasks(qs)
-	offs := offsets(qs)
+	masks, offs := insertMasks(qs), offsets(qs)
 	// Pre-computation on the gate matrix: essentially free, reused 2^(n-k)
 	// times (Sec. 3.2).
-	mp := parts[C, F](m)
-	mR := make([]F, dk*dk)
-	mNI := make([]F, dk*dk) // −imag(m)
-	for i := range mR {
-		mR[i] = mp[2*i]
-		mNI[i] = -mp[2*i+1]
-	}
-	bsz := min(generalBlock, dk)
+	mat := expandMatrix[C, float64](m, k, 1)
 	return Dense[C]{shift: k, grain: grain(k), run: func(amps []C, lo, hi int) {
-		ap := parts[C, F](amps)
-		aR := make([]F, dk)
-		aI := make([]F, dk)
-		oR := make([]F, dk)
-		oI := make([]F, dk)
+		in := make([]complex128, dk)
 		for t := lo; t < hi; t++ {
 			base := expand(t, masks)
-			for x := 0; x < dk; x++ {
-				i := 2 * (base + offs[x])
-				aR[x] = ap[i]
-				aI[x] = ap[i+1]
-				oR[x] = 0
-				oI[x] = 0
+			for x := range in {
+				in[x] = complex128(amps[base+offs[x]])
 			}
-			// Blocked update: for each column block, update every output
-			// row (v~_l += Σ_{j<B} m_{l,i(b,j)} v_{i(b,j)}).
-			for b := 0; b < dk; b += bsz {
-				be := b + bsz
-				for r := 0; r < dk; r++ {
-					row := r * dk
-					accR := oR[r]
-					accI := oI[r]
-					for c := b; c < be; c++ {
-						vr := aR[c]
-						vi := aI[c]
-						wr := mR[row+c]
-						wni := mNI[row+c]
-						// oR += vr·wr + vi·(−wi); oI += vi·wr − vr·(−wi)
-						accR += vr*wr + vi*wni
-						accI += vi*wr - vr*wni
-					}
-					oR[r] = accR
-					oI[r] = accI
+			for r := 0; r < dk; r += 2 {
+				r1 := min(r+1, dk-1)
+				row0, row1 := mat[3*dk*r:3*dk*(r+1)], mat[3*dk*r1:3*dk*(r1+1)]
+				var re0, im0, re1, im1 float64
+				for c, a := range in {
+					w0, w1 := row0[3*c:3*c+3], row1[3*c:3*c+3]
+					re0, im0 = math.FMA(w0[0], real(a), re0), math.FMA(w0[0], imag(a), im0)
+					re0, im0 = math.FMA(w0[1], imag(a), re0), math.FMA(w0[2], real(a), im0)
+					re1, im1 = math.FMA(w1[0], real(a), re1), math.FMA(w1[0], imag(a), im1)
+					re1, im1 = math.FMA(w1[1], imag(a), re1), math.FMA(w1[2], real(a), im1)
 				}
-			}
-			for x := 0; x < dk; x++ {
-				i := 2 * (base + offs[x])
-				ap[i] = oR[x]
-				ap[i+1] = oI[x]
+				amps[base+offs[r]] = C(complex(re0, im0))
+				amps[base+offs[r1]] = C(complex(re1, im1))
 			}
 		}
 	}}

@@ -17,11 +17,14 @@
 //     as two FMAs per matrix entry, the same sequence per lane at both
 //     widths and so the same bits (simd.go);
 //   - elsewhere — another architecture, an older CPU, the conventional
-//     purego build tag — the hand-unrolled Go kernels, one per k ≤ 5, in
-//     both precisions at k = 3 and 4 (specialized.go; the single-precision
-//     twins at k = 1, 2 and 5 are faster, f32specialized.go);
-//   - beyond k = 5 on either, the general-k kernel over split
-//     real/imaginary operands with register blocking (general.go).
+//     purego build tag — the pure-Go kernels cmd/kernelgen writes from the
+//     same description, one straight-line body per k = 1…5 for both
+//     precisions (gokernels.go): per amplitude the assembly's FMAs in the
+//     assembly's order, each an explicit math.FMA, so in double precision
+//     every set computes the same bits on every host; a complex64 state is
+//     computed in float64 and rounded once at the store;
+//   - beyond k = 5 on any, the general-k kernel, the same arithmetic as a
+//     loop (general.go).
 //
 // ISA reports which set this machine runs. PrepareDense picks the kernel and
 // does the per-gate work once; Apply is prepare plus one sweep. The earlier

@@ -70,12 +70,12 @@ func fromF64[T complexAmp](a []complex128) []T {
 
 // kernelTable holds every dense kernel of the package to the two-vector
 // reference kernel, k = 0…6, on low, high and mixed positions of a 2^13
-// state: the kernel PrepareDense picks on this machine, the hand-unrolled
-// Go kernels (and past k = 5 their general-k fallback) called directly, so
-// that an AVX2 host executes them too, and the general-k kernel at every k.
+// state: the kernel PrepareDense picks on this machine, the pure-Go kernels
+// (and past k = 5 their general-k loop) called directly, so that an AVX
+// host executes them too, and the general-k kernel at every k.
 // Each is also run through Block, which must land where Sweep does bit for
 // bit.
-func kernelTable[T complexAmp](t *testing.T, tol float64, unrolled func(m []T, qs []int) Dense[T]) {
+func kernelTable[T complexAmp](t *testing.T, tol float64, pureGo func(m []T, qs []int) Dense[T]) {
 	rng := rand.New(rand.NewSource(21))
 	const n = 13
 	state := randomState(n, rng)
@@ -91,7 +91,7 @@ func kernelTable[T complexAmp](t *testing.T, tol float64, unrolled func(m []T, q
 			m := fromF64[T](u.Data)
 			for kernel, d := range map[string]Dense[T]{
 				"platform": PrepareDense(m, qs, len(state)),
-				"unrolled": unrolled(m, qs),
+				"go":       pureGo(m, qs),
 				"general":  PrepareGeneral(m, qs, len(state)),
 			} {
 				got, blocked := fromF64[T](state), fromF64[T](state)
@@ -112,7 +112,7 @@ func kernelTable[T complexAmp](t *testing.T, tol float64, unrolled func(m []T, q
 	}
 }
 
-func TestAllVariantsMatchDenseReference(t *testing.T) { kernelTable(t, 1e-10, specialized) }
+func TestAllVariantsMatchDenseReference(t *testing.T) { kernelTable(t, 1e-10, prepareGo[complex128]) }
 
 func TestGenericFallbackK6(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
@@ -208,9 +208,9 @@ func TestApplyDiagonalMatchesMatrix(t *testing.T) {
 // TestApplyDiagonalWindows drives the window form — qs[0] below
 // diagRunMin, with and without positions that pick a window's row — in
 // both precisions against the per-index definition. Entries include 1
-// (skipped) and −1 (negated without a multiply). The SIMD sweep rounds each
-// product once less (diagProduct), and is held to that bit for bit in both
-// precisions, so a product cannot depend on which sweep reached it.
+// (skipped) and −1. Every sweep rounds each product as diagProduct does,
+// and is held to that bit for bit in both precisions, so a product cannot
+// depend on which sweep reached it.
 func TestApplyDiagonalWindows(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	n := 12
@@ -243,33 +243,33 @@ func TestApplyDiagonalWindows(t *testing.T) {
 		if diff := maxDiffF32(got32, want); diff > f32Tol {
 			t.Errorf("qs=%v: f32 max diff %g", qs, diff)
 		}
-		if hasSIMD {
-			for i, a := range toF32(state) {
-				x := 0
-				for j, q := range qs {
-					x |= (i >> q & 1) << j
-				}
-				dx := complex64(d[x])
-				w := complex(fma32(-imag(dx), imag(a), real(a)*real(dx)), fma32(imag(dx), real(a), imag(a)*real(dx)))
-				if got32[i] != w {
-					t.Fatalf("qs=%v: f32 amps[%d] = %v, want %v", qs, i, got32[i], w)
-				}
+		for i, a := range toF32(state) {
+			x := 0
+			for j, q := range qs {
+				x |= (i >> q & 1) << j
+			}
+			if w := diagProduct32(a, complex64(d[x]), hasSIMD); got32[i] != w {
+				t.Fatalf("qs=%v: f32 amps[%d] = %v, want %v", qs, i, got32[i], w)
 			}
 		}
 	}
 }
 
-// diagProduct is a·d as the active diagonal sweep rounds it: the plain
-// complex product in pure Go (a negation for −1), one multiply and one FMA
-// per part under SIMD.
+// diagProduct is a·d as every diagonal sweep rounds it: one multiply and
+// one FMA per part.
 func diagProduct(a, d complex128) complex128 {
-	switch {
-	case hasSIMD:
-		return complex(math.FMA(-imag(d), imag(a), real(a)*real(d)), math.FMA(imag(d), real(a), imag(a)*real(d)))
-	case d == -1:
-		return -a
+	return complex(math.FMA(-imag(d), imag(a), real(a)*real(d)), math.FMA(imag(d), real(a), imag(a)*real(d)))
+}
+
+// diagProduct32 is diagProduct in single precision: the same two operations
+// in float32 on the assembly (simd), and in pure Go diagProduct on the
+// widened operands, rounded once per part — the float32 FMA evaluated
+// through float64, which rounds twice.
+func diagProduct32(a, d complex64, simd bool) complex64 {
+	if simd {
+		return complex(fma32(-imag(d), imag(a), real(a)*real(d)), fma32(imag(d), real(a), imag(a)*real(d)))
 	}
-	return a * d
+	return complex64(diagProduct(complex128(a), complex128(d)))
 }
 
 func TestScale(t *testing.T) {

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"qusim/internal/par"
@@ -34,8 +35,8 @@ type Dense[T complexAmp] struct {
 // this machine runs for that k and element type: for k = 1…5 the assembly
 // of ISA's width — where ISA is "avx512", the ZMM kernel on any state that
 // fills its lanes (2^(k+2) complex128, 2^(k+3) complex64) and the YMM
-// kernel, which computes the same bits, below that — the hand-unrolled Go
-// kernel for k ≤ 5 where ISA is "go", the general-k kernel beyond.
+// kernel, which computes the same bits, below that — and the pure-Go
+// kernels otherwise: where ISA is "go", for k = 0 and beyond k = 5.
 func PrepareDense[T complexAmp](m []T, qs []int, n int) Dense[T] {
 	checkArgs(n, m, qs)
 	k := len(qs)
@@ -45,7 +46,7 @@ func PrepareDense[T complexAmp](m []T, qs []int, n int) Dense[T] {
 	case []complex128:
 		switch {
 		case !simd:
-			out = specialized(m, qs)
+			out = prepareGo(m, qs)
 		case hasAVX512 && n >= 1<<(k+2):
 			out = zmmF64(m, qs)
 		default:
@@ -54,7 +55,7 @@ func PrepareDense[T complexAmp](m []T, qs []int, n int) Dense[T] {
 	case []complex64:
 		switch {
 		case !simd:
-			out = specializedF32(m, qs)
+			out = prepareGo(m, qs)
 		case hasAVX512 && n >= 1<<(k+3):
 			out = zmmF32(m, qs)
 		default:
@@ -209,7 +210,7 @@ func (p *Diagonal[T]) units(amps []T, base, lo, hi int) {
 }
 
 // walk is the assembly's loop in pure Go, over the same tables, with the
-// pure-Go product of scale.
+// pure-Go product of goScale.
 //
 //qusim:hot
 func (p *Diagonal[T]) walk(amps []T, base int) {
@@ -224,56 +225,45 @@ func (p *Diagonal[T]) walk(amps []T, base int) {
 	}
 }
 
-// The scalar multiply of Scale and of the pure-Go diagonal walk, one per
-// precision: the assembly's one multiply and one FMA per part where there
-// is assembly — the same two instructions the window and run loops issue
-// per lane; in pure Go the plain product, and for an entry of −1 (CZ and
-// Z-type diagonals) a negation with no multiply. Every route to a product —
-// run, window, Scale, a block of a run or a whole sweep — rounds the same.
-
-//qusim:hot
-func scaleF64(amps []complex128, dx complex128) {
-	switch {
-	case hasSIMD:
-		simdScaleF64(amps, dx)
-	case dx == -1:
-		for j := range amps {
-			amps[j] = -amps[j]
-		}
-	default:
-		for j := range amps {
-			amps[j] *= dx
-		}
-	}
-}
-
-// scaleFor returns the scalar multiply of T's precision.
-func scaleFor[T complexAmp]() func(amps []T, dx T) {
-	if f, ok := any(scaleF64).(func([]T, T)); ok {
-		return f
-	}
-	return any(scaleF32).(func([]T, T))
-}
-
-// scaleF32 is scaleF64 in single precision, on split float32 scalars (the
-// compiler's complex64 product is a pack/unpack sequence several times
-// slower).
+// Scale multiplies every amplitude by s (global-phase absorption and the
+// conditional global phase of Sec. 3.5).
 //
 //qusim:hot
-func scaleF32(amps []complex64, dx complex64) {
-	switch {
-	case hasSIMD:
-		simdScaleF32(amps, dx)
-	case dx == -1:
-		for j := range amps {
-			amps[j] = -amps[j]
-		}
-	default:
-		dxr, dxi := real(dx), imag(dx)
-		for j, a := range amps {
-			ar, ai := real(a), imag(a)
-			amps[j] = complex(ar*dxr-ai*dxi, ai*dxr+ar*dxi)
-		}
+func Scale[T complexAmp](amps []T, s T) {
+	scale := scaleFor[T]()
+	par.For(len(amps), 4096, func(lo, hi int) { scale(amps[lo:hi], s) })
+}
+
+// scaleFor returns the scalar multiply of Scale, of a 0-qubit gate and of
+// the pure-Go diagonal walk for T: one multiply and one FMA per part, the
+// two instructions the assembly's window and run loops issue per lane —
+// with the assembly where there is assembly, else goScale. Every route to a
+// product — run, window, Scale, a block of a run or a whole sweep — rounds
+// the same.
+func scaleFor[T complexAmp]() func(amps []T, dx T) {
+	if !hasSIMD {
+		return goScale[T]
+	}
+	if f, ok := any(simdScaleF64).(func([]T, T)); ok {
+		return f
+	}
+	return any(simdScaleF32).(func([]T, T))
+}
+
+// goScale is the assembly's product in pure Go, in float64 at both
+// precisions: re = fma(−di, ai, dr·ar), im = fma(di, ar, dr·ai), the plain
+// products rounded by their conversions (which forbid the compiler to fuse
+// them).
+//
+//qusim:hot
+func goScale[C complexAmp](amps []C, dx C) {
+	d := complex128(dx)
+	dr, di := real(d), imag(d)
+	for j, a := range amps {
+		z := complex128(a)
+		re := math.FMA(-di, imag(z), float64(dr*real(z)))
+		im := math.FMA(di, real(z), float64(dr*imag(z)))
+		amps[j] = C(complex(re, im))
 	}
 }
 

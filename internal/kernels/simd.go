@@ -26,9 +26,9 @@ import (
 // saves the YMM state (or the build carries the noavx512 tag), "go"
 // otherwise — another architecture, an older CPU, or the purego build tag.
 // Nothing else picks a kernel: there is no flag, variable or option, and
-// the three sets agree bit for bit in double precision wherever they
-// overlap (the "go" set rounds its products separately and differs in the
-// last place).
+// the three sets agree bit for bit in double precision — the "go" set runs
+// the assembly's FMAs through math.FMA — while their default plans differ,
+// one price list per set (schedule.MeasuredCosts).
 func ISA() string {
 	switch {
 	case hasAVX512:
@@ -142,8 +142,10 @@ func zmmExchange(t, laneBits int) []int {
 // min(2^k, rows) rows and per column, the block's real parts and then its
 // (−imag, imag) pairs — the (mR,mR)/(−mI,mI) operands of Eq. (2)–(3), one
 // broadcast each. rows is the number of accumulators the width keeps live:
-// every row while they fit in registers, 8 (YMM) or 16 (ZMM) beyond. Each
-// entry goes through complex128 and back to F, which is exact.
+// every row while they fit in registers, 8 (YMM) or 16 (ZMM) beyond, and 1
+// for the pure-Go kernels, whose operands are then (mR, −mI, mI) per entry
+// in row-major order. Each entry goes through complex128 and back to F,
+// which is exact.
 func expandMatrix[C complexAmp, F float32 | float64](m []C, k, rows int) []F {
 	dk := 1 << k
 	rows = min(dk, rows)

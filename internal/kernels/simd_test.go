@@ -110,6 +110,34 @@ func oracleApplyF32(amps, m []complex64, qs []int) {
 	}
 }
 
+// oracleApplyWide is oracleApply in single precision as the pure-Go kernels
+// compute it: on the widened state and matrix, each output part rounded to
+// float32 once.
+func oracleApplyWide(amps, m []complex64, qs []int) {
+	wide := make([]complex128, len(amps))
+	for i, a := range amps {
+		wide[i] = complex128(a)
+	}
+	wm := make([]complex128, len(m))
+	for i, v := range m {
+		wm[i] = complex128(v)
+	}
+	oracleApply(wide, wm, qs)
+	for i, a := range wide {
+		amps[i] = complex64(a)
+	}
+}
+
+// oracleF32 is the single-precision oracle of a kernel that runs in the
+// assembly (simd) or in pure Go.
+func oracleF32(amps, m []complex64, qs []int, simd bool) {
+	if simd {
+		oracleApplyF32(amps, m, qs)
+	} else {
+		oracleApplyWide(amps, m, qs)
+	}
+}
+
 // bitsEqual compares amplitude slices bit for bit, signed zeros included.
 func bitsEqual(a, b []complex128) bool {
 	return slices.EqualFunc(a, b, func(x, y complex128) bool {
@@ -200,10 +228,10 @@ func requireSIMD(t testing.TB) {
 // TestSIMDMatchesFMAOracle holds every (width, k, class, precision) to the
 // oracle, on every state size from the gate's own 2^k — which no width's
 // lanes fill — past the smallest that fills the ZMM lanes: the kernel
-// PrepareDense picks for the size, and each width's table directly wherever
-// the state fills its lanes.
+// PrepareDense picks for the size (the pure-Go one where there is no
+// assembly), and each width's table directly wherever the state fills its
+// lanes.
 func TestSIMDMatchesFMAOracle(t *testing.T) {
-	requireSIMD(t)
 	rng := rand.New(rand.NewSource(81))
 	for k := 1; k <= simdMaxK; k++ {
 		u := gate.RandomUnitary(k, rng)
@@ -219,7 +247,7 @@ func TestSIMDMatchesFMAOracle(t *testing.T) {
 					t.Errorf("f64 k=%d n=%d qs=%v: SIMD differs from the oracle (max diff %g)", k, n, qs, maxDiff(got, want))
 				}
 				want32 := ToComplex64(state)
-				oracleApplyF32(want32, u32, qs)
+				oracleF32(want32, u32, qs, hasSIMD)
 				got32 := ToComplex64(state)
 				Apply(got32, u32, qs)
 				if !bitsEqualF32(got32, want32) {
@@ -248,34 +276,89 @@ func TestSIMDMatchesFMAOracle(t *testing.T) {
 	}
 }
 
-// TestSIMDWidthsAgree applies the same gates to the same random state
-// through the YMM and the ZMM tables: the lanes run the same FMAs in the same
-// order at either width, so the two states are equal bit for bit — what keeps
-// snapshots and qverify's matrix portable between AVX2 and AVX-512 hosts.
-func TestSIMDWidthsAgree(t *testing.T) {
-	tables := simdTables()
-	if len(tables) < 2 {
-		t.Skipf("this CPU runs %d of the two widths (ISA %q)", len(tables), ISA())
+// TestKernelSetsAgree applies the same gates to the same random state
+// through the YMM and the ZMM tables and the pure-Go kernels: every set runs
+// the same FMAs in the same order, so the three double-precision states are
+// equal bit for bit — what keeps snapshots and qverify's matrix portable
+// between AVX-512, AVX2 and other hosts. In single precision the two widths
+// agree bit for bit, and the pure-Go kernels, which round once from
+// float64, stay within f32Tol of the double-precision state.
+func TestKernelSetsAgree(t *testing.T) {
+	type set struct {
+		name string
+		f64  func(m []complex128, qs []int) Dense[complex128]
+		f32  func(m []complex64, qs []int) Dense[complex64]
+	}
+	sets := []set{{"go", prepareGo[complex128], prepareGo[complex64]}}
+	for _, tbl := range simdTables() {
+		sets = append(sets, set{tbl.name, tbl.f64, tbl.f32})
+	}
+	if len(sets) < 2 {
+		t.Skipf("this build runs %d kernel set (ISA %q)", len(sets), ISA())
 	}
 	rng := rand.New(rand.NewSource(85))
 	const n = 12
-	ymm := randomState(n, rng)
-	zmm := slices.Clone(ymm)
-	ymm32, zmm32 := ToComplex64(ymm), ToComplex64(ymm)
+	start := randomState(n, rng)
+	states, states32 := make([][]complex128, len(sets)), make([][]complex64, len(sets))
+	for i := range sets {
+		states[i], states32[i] = slices.Clone(start), ToComplex64(start)
+	}
 	for k := 1; k <= simdMaxK; k++ {
 		for _, qs := range simdPositionSets(n, k) {
 			u := gate.RandomUnitary(k, rng)
 			u32 := ToComplex64(u.Data)
-			for i, amps := range [][]complex128{ymm, zmm} {
-				d := tables[i].f64(u.Data, qs)
-				d.Sweep(amps)
+			for i, s := range sets {
+				d, d32 := s.f64(u.Data, qs), s.f32(u32, qs)
+				d.Sweep(states[i])
+				d32.Sweep(states32[i])
 			}
-			for i, amps := range [][]complex64{ymm32, zmm32} {
-				d := tables[i].f32(u32, qs)
-				d.Sweep(amps)
+			for i := 1; i < len(sets); i++ {
+				if !bitsEqual(states[i], states[0]) {
+					t.Fatalf("k=%d qs=%v: the %s and %s kernels disagree (max diff %g)", k, qs, sets[i].name, sets[0].name, maxDiff(states[i], states[0]))
+				}
+				if i > 1 && !bitsEqualF32(states32[i], states32[1]) {
+					t.Fatalf("k=%d qs=%v: the %s and %s f32 kernels disagree", k, qs, sets[i].name, sets[1].name)
+				}
+				if d := maxDiffF32(states32[0], states[i]); d > f32Tol {
+					t.Fatalf("k=%d qs=%v: the go f32 kernels are %g from the %s f64 state", k, qs, d, sets[i].name)
+				}
 			}
-			if !slices.Equal(ymm, zmm) || !slices.Equal(ymm32, zmm32) {
-				t.Fatalf("k=%d qs=%v: the YMM and ZMM kernels disagree", k, qs)
+		}
+	}
+}
+
+// TestGoKernelsMatchFMAOracle holds the pure-Go kernels, called directly on
+// every build, to the oracle bit for bit — k = 0…7, every position class,
+// on states from the gate's own 2^k upward — in double precision, and in
+// single precision to the oracle on the widened operands rounded once (at
+// k = 0, where a Scale multiply runs, to the single-precision oracle on an
+// assembly host). Each is also run through Block, which must land where
+// Sweep does.
+func TestGoKernelsMatchFMAOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(88))
+	for k := 0; k <= 7; k++ {
+		u := gate.RandomUnitary(k, rng)
+		u32 := ToComplex64(u.Data)
+		for n := k; n <= k+3; n++ {
+			state := randomState(n, rng)
+			for _, qs := range simdPositionSets(n, k) {
+				want := slices.Clone(state)
+				oracleApply(want, u.Data, qs)
+				want32 := ToComplex64(state)
+				oracleF32(want32, u32, qs, k == 0 && hasSIMD)
+				d, d32 := prepareGo(u.Data, qs), prepareGo(u32, qs)
+				got, blocked := slices.Clone(state), slices.Clone(state)
+				d.Sweep(got)
+				d.Block(blocked)
+				if !bitsEqual(got, want) || !bitsEqual(blocked, want) {
+					t.Errorf("f64 k=%d n=%d qs=%v: the go kernel differs from the oracle (max diff %g)", k, n, qs, maxDiff(got, want))
+				}
+				got32, blocked32 := ToComplex64(state), ToComplex64(state)
+				d32.Sweep(got32)
+				d32.Block(blocked32)
+				if !bitsEqualF32(got32, want32) || !bitsEqualF32(blocked32, want32) {
+					t.Errorf("f32 k=%d n=%d qs=%v: the go kernel differs from the oracle", k, n, qs)
+				}
 			}
 		}
 	}
@@ -285,7 +368,6 @@ func TestSIMDWidthsAgree(t *testing.T) {
 // 2, 3 and 7 workers, and to the 2^l-amplitude shards of the state one by
 // one (what dist and oocvec do): all bitwise equal to the one-worker pass.
 func TestSIMDIndependentOfWorkersAndShards(t *testing.T) {
-	requireSIMD(t)
 	old := par.Workers()
 	t.Cleanup(func() { par.SetWorkers(old) })
 	rng := rand.New(rand.NewSource(82))
@@ -363,12 +445,11 @@ func TestDiagonalProductIndependentOfSweep(t *testing.T) {
 
 // TestDiagonalRunMatchesOracle multiplies slices of every length around the
 // lane counts of both widths (2, 4 and 8 amplitudes) and around
-// simdDiagBlock, at odd offsets, through Scale and through each width's
-// run-form kernel directly, as one unit and as two: one multiply and one FMA
-// per part, whichever width and whichever of vector body and tail reaches
-// the amplitude.
+// simdDiagBlock, at odd offsets, through Scale, through the pure-Go multiply
+// and through each width's run-form kernel directly, as one unit and as
+// two: one multiply and one FMA per part, whichever set, width and
+// whichever of vector body and tail reaches the amplitude.
 func TestDiagonalRunMatchesOracle(t *testing.T) {
-	requireSIMD(t)
 	rng := rand.New(rand.NewSource(86))
 	dx := complex(0.6, -0.8)
 	dx32 := complex64(dx)
@@ -381,13 +462,22 @@ func TestDiagonalRunMatchesOracle(t *testing.T) {
 	for _, n := range lengths {
 		for _, off := range []int{0, 1, 3} {
 			want := slices.Clone(state)
-			want32 := ToComplex64(state)
+			want32, wantGo32 := ToComplex64(state), ToComplex64(state)
 			for i := off; i < off+n; i++ {
-				a, b := want[i], want32[i]
-				want[i] = complex(math.FMA(-imag(dx), imag(a), real(a)*real(dx)), math.FMA(imag(dx), real(a), imag(a)*real(dx)))
-				want32[i] = complex(fma32(-imag(dx32), imag(b), real(b)*real(dx32)), fma32(imag(dx32), real(b), imag(b)*real(dx32)))
+				want[i] = diagProduct(want[i], dx)
+				want32[i] = diagProduct32(want32[i], dx32, true)
+				wantGo32[i] = diagProduct32(wantGo32[i], dx32, false)
 			}
 			got, got32 := slices.Clone(state), ToComplex64(state)
+			goScale(got[off:off+n], dx)
+			goScale(got32[off:off+n], dx32)
+			if !bitsEqual(got, want) || !bitsEqualF32(got32, wantGo32) {
+				t.Errorf("n=%d off=%d: the pure-Go multiply differs from the oracle", n, off)
+			}
+			if !hasSIMD {
+				want32 = wantGo32
+			}
+			got, got32 = slices.Clone(state), ToComplex64(state)
 			Scale(got[off:off+n], dx)
 			Scale(got32[off:off+n], dx32)
 			if !bitsEqual(got, want) || !bitsEqualF32(got32, want32) {
@@ -419,13 +509,13 @@ func TestDiagonalRunMatchesOracle(t *testing.T) {
 }
 
 // FuzzSIMDKernel draws the gate size, the position set, the state size and
-// the worker count, and holds both precisions to the oracle.
+// the worker count, and holds both precisions to the oracle: the kernel
+// Apply runs, each width's table and the pure-Go kernel.
 func FuzzSIMDKernel(f *testing.F) {
 	f.Add(uint8(3), uint8(9), uint64(0b1000011), int64(1), uint8(2))
 	f.Add(uint8(1), uint8(2), uint64(1), int64(2), uint8(1))
 	f.Add(uint8(5), uint8(6), uint64(0b111101), int64(3), uint8(3))
 	f.Fuzz(func(t *testing.T, k, n uint8, posBits uint64, seed int64, workers uint8) {
-		requireSIMD(t)
 		kk := 1 + int(k)%simdMaxK
 		nn := kk + int(n)%8
 		// The kk lowest set bits of posBits (mod 2^nn), topped up from
@@ -456,11 +546,17 @@ func FuzzSIMDKernel(f *testing.F) {
 		}
 		u32 := ToComplex64(u.Data)
 		want32 := ToComplex64(state)
-		oracleApplyF32(want32, u32, qs)
+		oracleF32(want32, u32, qs, hasSIMD)
 		got32 := ToComplex64(state)
 		Apply(got32, u32, qs)
 		if !bitsEqualF32(got32, want32) {
 			t.Errorf("f32 k=%d n=%d qs=%v: SIMD differs from the oracle", kk, nn, qs)
+		}
+		d := prepareGo(u.Data, qs)
+		got = slices.Clone(state)
+		d.Sweep(got)
+		if !bitsEqual(got, want) {
+			t.Errorf("go f64 k=%d n=%d qs=%v: differs from the oracle", kk, nn, qs)
 		}
 		for _, tbl := range simdTables() {
 			if nn >= kk+tbl.lane64 {

@@ -33,6 +33,14 @@ type CostTable struct {
 // once with one multiply per amplitude. Refresh the constants from
 // `make bench-kernels` when the kernels change
 // (TestMeasuredCostsMatchBenchFile compares them).
+//
+// goCosts is not yet the generated pure-Go kernels' price: it was read from
+// the hand-unrolled ones they replaced, under purego on an x86 with FMA.
+// No reading of the generated set (an x86 with FMA at GOAMD64=v1 and v3,
+// and one without FMA) has been taken where the set runs in production —
+// arm64 is unmeasured — and every one prices a k = 2 pass at 1.45 k = 1
+// passes or more, where the seed search builds dearer plans than no search
+// (ROADMAP 3(a)). Re-read it once 3(a) has landed.
 var (
 	avx512Costs = CostTable{Dense: [5]float64{1, 1.19, 1.21, 2.13, 4.4}, Diag: 1.04}
 	avx2Costs   = CostTable{Dense: [5]float64{1, 0.99, 1.02, 1.79, 3.03}, Diag: 0.77}
