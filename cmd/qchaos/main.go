@@ -4,8 +4,8 @@
 // corruption, stalls, ENOSPC, torn writes, transient read errors, slow
 // I/O — and every result is compared bitwise against the same circuit run
 // clean. Graceful degradation is the contract under test: a fault may cost
-// restarts, pruned or skipped checkpoints, and resume attempts, but never
-// a wrong amplitude and never an abort.
+// the engines' restarts and pruned or skipped checkpoints, but never a
+// wrong amplitude and never an abort.
 //
 // Schedules are op-indexed and seeded, so a failing run replays exactly
 // from its seed; on mismatch the divergence is delta-debugged down to a
@@ -23,6 +23,7 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"qusim/internal/chaos"
@@ -36,21 +37,12 @@ import (
 // coverage counts injected faults per class, summed over both chaos legs.
 type coverage [chaos.NumClasses]int64
 
-func (c *coverage) add(o *coverage) {
-	for i := range c {
-		c[i] += o[i]
-	}
-}
-
 func (c *coverage) String() string {
-	out := ""
-	for i := chaos.Class(0); i < chaos.NumClasses; i++ {
-		if i > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("%s=%d", i, c[i])
+	out := make([]string, len(c))
+	for i, n := range c {
+		out[i] = fmt.Sprintf("%s=%d", chaos.Class(i), n)
 	}
-	return out
+	return strings.Join(out, " ")
 }
 
 // harvestSchedule folds a schedule's fired transport faults and an
@@ -87,12 +79,11 @@ type chaosDist struct {
 	seed  int64
 	copts chaos.ComposeOptions // copts.Ranks is the leg's rank count
 	run   int                  // set by the driver before each soak iteration
+	cov   *coverage            // shared by both legs
 
-	cov      coverage
-	restarts [3]int // corrupt, rank-dead, stalled
+	restarts [4]int // corrupt, rank-dead, stalled, io
 	written  int
 	skipped  int
-	resumes  int // extra dist.Run invocations past the first
 }
 
 func (b *chaosDist) row() verify.Backend {
@@ -110,48 +101,29 @@ func (b *chaosDist) exec(plan *schedule.Plan) ([]complex128, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	var res *dist.Result
-	var runErr error
-	// Outer resume loop: a transient read while a rank restores its shard
-	// ends dist.Run's internal attempt chain (StreamShard wraps it in
-	// ckpt.ErrInvalid, which is not a transport fault), but the directory
-	// still holds valid snapshots — a fresh run with Resume continues from
-	// them once the window passes.
-	for attempt := 0; attempt < 6; attempt++ {
-		if attempt > 0 {
-			b.resumes++
-		}
-		res, runErr = dist.Run(plan, dist.Options{
-			Ranks:        b.copts.Ranks,
-			GatherState:  true,
-			Faults:       sched.MPI,
-			Checkpoint:   &ckpt.Policy{Dir: dir, EveryStages: 1, FS: cfs},
-			Resume:       attempt > 0,
-			CommDeadline: 400 * time.Millisecond,
-		})
-		if runErr == nil {
-			break
-		}
+	res, err := dist.Run(plan, dist.Options{
+		Ranks:        b.copts.Ranks,
+		GatherState:  true,
+		Faults:       sched.MPI,
+		Checkpoint:   &ckpt.Policy{Dir: dir, EveryStages: 1, FS: cfs},
+		CommDeadline: 400 * time.Millisecond,
+	})
+	harvestSchedule(b.cov, sched, cfs)
+	if err != nil {
+		return nil, fmt.Errorf("chaos dist leg under %s: %w", sched, err)
 	}
-	harvestSchedule(&b.cov, sched, cfs)
-	if res != nil {
-		b.restarts[0] += res.RestartsCorrupt
-		b.restarts[1] += res.RestartsRankDead
-		b.restarts[2] += res.RestartsStalled
-		b.written += res.CheckpointsWritten
-		b.skipped += res.CheckpointsSkipped
+	for i, n := range []int{res.RestartsCorrupt, res.RestartsRankDead, res.RestartsStalled, res.RestartsIO} {
+		b.restarts[i] += n
 	}
-	if runErr != nil {
-		return nil, fmt.Errorf("chaos dist leg under %s: %w", sched, runErr)
-	}
+	b.written += res.CheckpointsWritten
+	b.skipped += res.CheckpointsSkipped
 	return res.Amplitudes, nil
 }
 
 // chaosOoc is the out-of-core chaos leg: RunCheckpointed with the disk
 // faults injected under both the backing-file data path and the checkpoint
-// layer, plus an abort-resume loop — a fault window that outlasts the
-// engine's bounded retries surfaces, and the next attempt resumes from the
-// newest valid snapshot.
+// layer — a fault window that outlasts the engine's in-place retries
+// restarts the run from the newest valid snapshot.
 //
 // Torn writes are scoped to the checkpoint layer only: shard CRCs detect a
 // lying write there, while the backing file is transient working state
@@ -162,10 +134,10 @@ type chaosOoc struct {
 	globals, prefetch int
 	copts             chaos.ComposeOptions
 	run               int
+	cov               *coverage
 
-	cov     coverage
-	skipped int
-	resumes int
+	restarts int
+	skipped  int
 }
 
 func (b *chaosOoc) row() verify.Backend {
@@ -176,64 +148,54 @@ func (b *chaosOoc) exec(plan *schedule.Plan) ([]complex128, error) {
 	sched := chaos.Compose(b.seed, b.run, b.copts)
 	dataDisk := sched.Disk
 	dataDisk.TornWriteAt = 0
+	// The state file's full-disk window opens past Create's writes (the temp
+	// file, one per chunk): a disk full before the state exists fails
+	// Create, which leaves no run to recover.
+	if dataDisk.NoSpaceAt > 0 {
+		dataDisk.NoSpaceAt += 1 + 1<<b.globals
+	}
 	dfs := chaos.NewFS(dataDisk, nil)
 	cfs := chaos.NewFS(sched.Disk, nil)
+	defer harvestSchedule(b.cov, sched, dfs, cfs)
 
 	dir, err := os.MkdirTemp("", "qchaos-ooc-*")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	pol := &ckpt.Policy{Dir: dir, EveryStages: 1, FS: cfs}
 
-	defer harvestSchedule(&b.cov, sched, dfs, cfs)
-
-	// A fresh vector per attempt: New initializes |0…0⟩, and the resume pass
-	// restores the newest snapshot over it (or re-executes from the start
-	// when none survived). The shared FS op counters keep advancing across
-	// attempts, so a fault window always passes.
-	attempt := func(resume bool) ([]complex128, error) {
-		v, err := oocvec.Create(dfs, plan.N, plan.L, "", false)
-		if err != nil {
-			return nil, err
-		}
-		defer v.Close()
-		v.SetPrefetch(b.prefetch)
-		if _, _, err := v.RunCheckpointed(plan, pol, resume); err != nil {
-			return nil, err
-		}
-		b.skipped += v.CheckpointsSkipped()
-		return v.Amplitudes()
+	v, err := oocvec.Create(dfs, plan.N, plan.L, "", false)
+	if err != nil {
+		return nil, err
 	}
-	for a := 0; a < 8; a++ {
-		if a > 0 {
-			b.resumes++
-		}
-		var amps []complex128
-		if amps, err = attempt(a > 0); err == nil {
-			return amps, nil
-		}
+	defer v.Close()
+	v.SetPrefetch(b.prefetch)
+	_, _, err = v.RunCheckpointed(plan, &ckpt.Policy{Dir: dir, EveryStages: 1, FS: cfs}, false)
+	b.restarts += v.Restarts()
+	b.skipped += v.CheckpointsSkipped()
+	if err != nil {
+		return nil, fmt.Errorf("chaos ooc leg under %s: %w", sched, err)
 	}
-	return nil, fmt.Errorf("chaos ooc leg under %s: %w", sched, err)
+	return v.Amplitudes()
 }
 
 // writeRepro drops a reproducer file into dir (no-op when dir is empty)
-// and returns its path.
-func writeRepro(dir, name, content string) string {
+// and says on stderr where.
+func writeRepro(dir, name, content string) {
 	if dir == "" {
-		return ""
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "qchaos: repro dir:", err)
-		return ""
+		return
 	}
 	path := filepath.Join(dir, name)
-	//qlint:ignore atomicrename a reproducer report for a human, not durability data — a torn repro file cannot corrupt any run
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "qchaos: writing reproducer:", err)
-		return ""
+	err := os.MkdirAll(dir, 0o755)
+	if err == nil {
+		//qlint:ignore atomicrename a reproducer report for a human, not durability data — a torn repro file cannot corrupt any run
+		err = os.WriteFile(path, []byte(content), 0o644)
 	}
-	return path
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "qchaos: writing reproducer:", err)
+		return
+	}
+	fmt.Fprintln(os.Stderr, "qchaos: reproducer at", path)
 }
 
 func main() {
@@ -253,8 +215,9 @@ func main() {
 	copts := chaos.ComposeOptions{Ranks: *ranks}
 	cleanDist := verify.Distributed(*ranks)
 	cleanOoc := verify.OutOfCore(2, 2)
-	chDist := &chaosDist{seed: *seed, copts: copts}
-	chOoc := &chaosOoc{seed: *seed, globals: 2, prefetch: 2, copts: copts}
+	var cov coverage
+	chDist := &chaosDist{seed: *seed, copts: copts, cov: &cov}
+	chOoc := &chaosOoc{seed: *seed, globals: 2, prefetch: 2, copts: copts, cov: &cov}
 
 	// Bitwise engines: the chaos leg must reproduce its clean twin exactly
 	// (tol 0). The anchor engine pins the clean twins themselves against
@@ -283,24 +246,17 @@ func main() {
 		for _, eng := range engines {
 			if err := eng.Check(c); err != nil {
 				failures = append(failures, fmt.Sprintf("run %d: %v", r, err))
-				path := writeRepro(*repro, fmt.Sprintf("run%03d-harness.txt", r),
+				writeRepro(*repro, fmt.Sprintf("run%03d-harness.txt", r),
 					fmt.Sprintf("# %v\n# %s\n%s", err, chaos.Compose(*seed, r, copts), verify.CircuitText(c)))
-				if path != "" {
-					fmt.Fprintln(os.Stderr, "qchaos: reproducer at", path)
-				}
 			}
 		}
 	}
 
-	var cov coverage
-	cov.add(&chDist.cov)
-	cov.add(&chOoc.cov)
-
 	fmt.Printf("qchaos: %d/%d runs, seed %d, %v elapsed\n", r, *runs, *seed, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("  injected: %s\n", cov.String())
-	fmt.Printf("  dist: restarts corrupt=%d rank-dead=%d stalled=%d, ckpts written=%d skipped=%d, resumes=%d\n",
-		chDist.restarts[0], chDist.restarts[1], chDist.restarts[2], chDist.written, chDist.skipped, chDist.resumes)
-	fmt.Printf("  ooc:  resumes=%d ckpts skipped=%d\n", chOoc.resumes, chOoc.skipped)
+	fmt.Printf("  dist: restarts corrupt=%d rank-dead=%d stalled=%d io=%d, ckpts written=%d skipped=%d\n",
+		chDist.restarts[0], chDist.restarts[1], chDist.restarts[2], chDist.restarts[3], chDist.written, chDist.skipped)
+	fmt.Printf("  ooc:  restarts=%d ckpts skipped=%d\n", chOoc.restarts, chOoc.skipped)
 	if *vflag {
 		fmt.Print(distEng.Summary(), oocEng.Summary(), anchorEng.Summary())
 	}
@@ -311,11 +267,8 @@ func main() {
 			ok = false
 			fmt.Printf("MISMATCH %s on %s: maxΔ=%.3e (%d-gate reproducer)\n",
 				d.Backend, d.Circuit, d.MaxDelta, d.ReproducerGates)
-			path := writeRepro(*repro, fmt.Sprintf("divergence%03d-%s.txt", i, d.Backend),
+			writeRepro(*repro, fmt.Sprintf("divergence%03d-%s.txt", i, d.Backend),
 				fmt.Sprintf("# %s diverged on %s, maxΔ=%.3e\n%s", d.Backend, d.Circuit, d.MaxDelta, d.Reproducer))
-			if path != "" {
-				fmt.Println("  reproducer at", path)
-			}
 		}
 	}
 	for _, f := range failures {

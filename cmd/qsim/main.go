@@ -61,7 +61,7 @@ func main() {
 		metrics   = flag.Bool("metrics", false, "print the telemetry metrics dump after the run")
 
 		ooc         = flag.Bool("ooc", false, "run out-of-core: state in a file, processed in chunks")
-		oocChunk    = flag.Int("ooc-chunk", 0, "out-of-core chunk qubits l (2^l amplitudes in memory; default qubits-4)")
+		oocChunk    = flag.Int("ooc-chunk", 0, "out-of-core chunk qubits l (2^l amplitudes in memory; default qubits-4, at least 1)")
 		oocPrefetch = flag.Int("ooc-prefetch", 0, "chunks read ahead of compute, each stage being one fused pass over the file (0 = no read-ahead: read, compute and write take turns)")
 		oocDir      = flag.String("ooc-dir", "", "directory for the out-of-core state file (default: system temp)")
 	)
@@ -73,6 +73,9 @@ func main() {
 	}
 	if *qubits > 62 { // past what a plan addresses, and what a generator's 1<<qubits survives
 		usage(fmt.Errorf("-qubits must be from 1 to 62, got %d", *qubits))
+	}
+	if *f32 && *qubits > 34 { // past the largest state statevec allocates
+		usage(fmt.Errorf("-qubits must be from 1 to 34 with -f32, got %d", *qubits))
 	}
 	given := map[string]bool{
 		"-f32": *f32, "-ooc": *ooc, "-baseline": *baseline,
@@ -280,8 +283,8 @@ func checkCounts(bounds ...bound) error {
 }
 
 // localQubits returns the qubits each rank's shard holds, at least one, or
-// each out-of-core chunk (default qubits−4), fewer than the circuit's: a
-// paged state is more than one chunk.
+// each out-of-core chunk (default qubits−4, at least one), fewer than the
+// circuit's: a paged state is more than one chunk.
 func localQubits(n, ranks int, ooc bool, chunk int) (int, error) {
 	if !ooc {
 		if l := n - bits.TrailingZeros(uint(ranks)); l >= 1 {
@@ -289,8 +292,11 @@ func localQubits(n, ranks int, ooc bool, chunk int) (int, error) {
 		}
 		return 0, fmt.Errorf("-ranks %d leaves no local qubit of the circuit's %d", ranks, n)
 	}
+	if n < 2 {
+		return 0, fmt.Errorf("-ooc needs at least 2 qubits, got %d: a paged state needs at least 2 chunks of at least 1 qubit", n)
+	}
 	if chunk == 0 {
-		chunk = n - 4
+		chunk = max(n-4, 1)
 	}
 	if chunk < 1 || chunk >= n {
 		return 0, fmt.Errorf("-ooc-chunk must be from 1 to %d for %d qubits, got %d", n-1, n, chunk)
@@ -410,10 +416,10 @@ func runOutOfCore(plan *schedule.Plan, tel *telemetry.Telemetry, o oocOptions) e
 	v.SetTelemetry(tel)
 
 	start := time.Now()
-	restored, written := -1, 0
+	written := 0
 	if o.ckptDir != "" {
 		pol := &ckpt.Policy{Dir: o.ckptDir, EveryStages: o.ckptEvery}
-		restored, written, err = v.RunCheckpointed(plan, pol, o.resume)
+		_, written, err = v.RunCheckpointed(plan, pol, o.resume)
 	} else {
 		err = v.Run(plan)
 	}
@@ -445,11 +451,8 @@ func runOutOfCore(plan *schedule.Plan, tel *telemetry.Telemetry, o oocOptions) e
 		}
 	}
 	if o.ckptDir != "" {
-		resumedFrom := "fresh start"
-		if restored >= 0 {
-			resumedFrom = fmt.Sprintf("resumed at stage %d", restored)
-		}
-		fmt.Printf("ckpt:    %d snapshots committed, %s\n", written, resumedFrom)
+		fmt.Printf("ckpt:    %d snapshots committed, %d restored, %d restarts\n",
+			written, v.CheckpointsRestored(), v.Restarts())
 	}
 	if o.verbose {
 		reportPages(tel, 16<<plan.L)

@@ -96,6 +96,7 @@ func TestRejectsCounts(t *testing.T) {
 		{[]string{"-circuit", "qft", "-qubits", "-3"}, "-qubits must be at least 1, got -3"},
 		{[]string{"-qubits", "8", "-depth", "-1"}, "-depth must not be negative, got -1"},
 		{[]string{"-qubits", "8", "-sample", "-5"}, "-sample must not be negative, got -5"},
+		{[]string{"-f32", "-qubits", "35"}, "-qubits must be from 1 to 34 with -f32, got 35"},
 	} {
 		stdout, stderr, code := qsim(t, "", tc.args...)
 		if code != 2 || !strings.Contains(stderr, "qsim: "+tc.want+"\n") || strings.Contains(stderr, "panic:") || stdout != "" {
@@ -125,6 +126,9 @@ func TestRejectsFlags(t *testing.T) {
 		{[]string{"-ooc", "-ooc-prefetch", "-3"}, "-ooc-prefetch must not be negative, got -3"},
 		{[]string{"-ooc", "-ooc-chunk", "-5"}, "-ooc-chunk must not be negative, got -5"},
 		{[]string{"-ooc", "-ooc-chunk", "8"}, "-ooc-chunk must be from 1 to 7 for 8 qubits, got 8"},
+		{[]string{"-ooc", "-qubits", "4", "-ooc-chunk", "4"}, "-ooc-chunk must be from 1 to 3 for 4 qubits, got 4"},
+		{[]string{"-ooc", "-qubits", "1"}, "-ooc needs at least 2 qubits, got 1: a paged state needs at least 2 chunks of at least 1 qubit"},
+		{[]string{"-ooc", "-qubits", "1", "-ooc-chunk", "1"}, "-ooc needs at least 2 qubits, got 1: a paged state needs at least 2 chunks of at least 1 qubit"},
 		{[]string{"-workers", "-1"}, "-workers must not be negative, got -1"},
 		{[]string{"-circuit", "bv", "-qubits", "64"}, "-qubits must be from 1 to 62, got 64"},
 		{[]string{"-baseline", "-qubits", "70", "-depth", "1"}, "-qubits must be from 1 to 62, got 70"},
@@ -321,14 +325,9 @@ var sampleLine = regexp.MustCompile(`\|([01]+)⟩`)
 // run it continues.
 func TestCheckpointResumeRoundTrip(t *testing.T) {
 	resultLine := regexp.MustCompile(`(?m)^result:.*$`)
-	for _, tc := range []struct {
-		mode    []string
-		resumed *regexp.Regexp
-	}{
-		{[]string{"-ooc"}, regexp.MustCompile(`resumed at stage [1-9]`)},
-		{[]string{"-ranks", "4"}, regexp.MustCompile(`[1-9]\d* restored`)},
-	} {
-		args := append([]string{"-qubits", "16", "-depth", "10", "-checkpoint-dir", t.TempDir()}, tc.mode...)
+	resumed := regexp.MustCompile(`(?m)^ckpt: .* committed, [1-9]\d* restored, 0 restarts$`)
+	for _, mode := range [][]string{{"-ooc"}, {"-ranks", "4"}} {
+		args := append([]string{"-qubits", "16", "-depth", "10", "-checkpoint-dir", t.TempDir()}, mode...)
 		first, stderr, code := qsim(t, "", args...)
 		if code != 0 {
 			t.Fatalf("qsim %v: exit %d\n%s", args, code, stderr)
@@ -338,12 +337,23 @@ func TestCheckpointResumeRoundTrip(t *testing.T) {
 		if code != 0 {
 			t.Fatalf("qsim %v: exit %d\n%s", args, code, stderr)
 		}
-		if !tc.resumed.MatchString(second) {
+		if !resumed.MatchString(second) {
 			t.Errorf("qsim %v did not resume from a snapshot:\n%s", args, second)
 		}
 		want, got := resultLine.FindString(first), resultLine.FindString(second)
 		if want == "" || got != want {
 			t.Errorf("qsim %v: resumed %q, uninterrupted %q", args, got, want)
+		}
+	}
+}
+
+// TestOutOfCoreDefaultChunk: without -ooc-chunk a paged run's chunk is
+// qubits−4 qubits, and at least one.
+func TestOutOfCoreDefaultChunk(t *testing.T) {
+	for q, want := range map[string]string{"3": "ooc:     2^2 chunks of 2^1 amplitudes", "9": "ooc:     2^4 chunks of 2^5 amplitudes"} {
+		stdout, stderr, code := qsim(t, "", "-ooc", "-qubits", q, "-depth", "4")
+		if code != 0 || !strings.Contains(stdout, want) {
+			t.Errorf("qsim -ooc -qubits %s: exit %d, stderr %q; want %q in\n%s", q, code, firstLine(stderr), want, stdout)
 		}
 	}
 }

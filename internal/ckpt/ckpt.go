@@ -38,12 +38,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"qusim/internal/fsio"
 	"qusim/internal/kernels"
+	"qusim/internal/telemetry"
 )
 
 // Version is the on-disk format version. Readers reject any other value.
@@ -117,6 +119,31 @@ type Policy struct {
 // MaxRestarts bounds the recovery attempts of a checkpointed run before the
 // engine gives up and surfaces the failure.
 const MaxRestarts = 8
+
+// Restart is the one recovery loop of a checkpointed run of the plan meta
+// identifies. It runs attempt with a writer of its own (a failed attempt's
+// snapshots are aborted, not carried on) and, when resume is set, the newest
+// restorable snapshot (nil if none is); then, at once after each failure one
+// of the back end's recoverable classes names, again, resuming, up to
+// MaxRestarts times — failed is that failure, nil the first time. A nil
+// policy runs attempt once, with a nil writer. It returns the restarts made
+// and the last error, wrapped when the bound gave up, still in its class.
+func (p *Policy) Restart(meta Meta, tel *telemetry.Telemetry, resume bool, attempt func(w *Writer, man *Manifest, failed error) error, recoverable ...func(error) bool) (restarts int, err error) {
+	for failed := error(nil); ; restarts++ {
+		w, man := NewWriter(p, meta, tel), (*Manifest)(nil)
+		if w != nil && (resume || failed != nil) {
+			man = w.FindRestorable()
+		}
+		err = attempt(w, man, failed)
+		if err == nil || p == nil || !slices.ContainsFunc(recoverable, func(is func(error) bool) bool { return is(err) }) {
+			return restarts, err
+		}
+		if restarts == MaxRestarts {
+			return restarts, fmt.Errorf("ckpt: giving up after %d restarts: %w", restarts, err)
+		}
+		failed = err
+	}
+}
 
 // Due reports whether a run of a plan of stages stages, started or resumed
 // at the boundary before stage start, snapshots the boundary before stage

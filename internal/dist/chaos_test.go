@@ -88,9 +88,9 @@ func TestRestartClassCounters(t *testing.T) {
 			if got := tc.field(res); got != 1 {
 				t.Errorf("class counter = %d, want 1", got)
 			}
-			if res.Restarts != res.RestartsCorrupt+res.RestartsRankDead+res.RestartsStalled {
-				t.Errorf("class partition %d+%d+%d does not sum to Restarts=%d",
-					res.RestartsCorrupt, res.RestartsRankDead, res.RestartsStalled, res.Restarts)
+			if res.Restarts != res.RestartsCorrupt+res.RestartsRankDead+res.RestartsStalled+res.RestartsIO {
+				t.Errorf("class partition %d+%d+%d+%d does not sum to Restarts=%d",
+					res.RestartsCorrupt, res.RestartsRankDead, res.RestartsStalled, res.RestartsIO, res.Restarts)
 			}
 			if got := tel.Counter(tc.metric).Value(); got != 1 {
 				t.Errorf("%s = %d, want 1", tc.metric, got)
@@ -268,6 +268,46 @@ func TestENOSPCWindowPrunesAndRecovers(t *testing.T) {
 	}
 	if res.CheckpointsWritten == 0 {
 		t.Error("no checkpoint committed even after the window passed")
+	}
+	assertBitwiseEqual(t, clean, res)
+}
+
+// TestRecoveryFromTransientReadOnRestore: a resumed run whose first shard
+// read after the restore walk fails transiently — a rank's restore, which
+// wraps it in ckpt.ErrInvalid — restarts once, counted in the I/O class,
+// and ends bitwise identical to a clean run.
+func TestRecoveryFromTransientReadOnRestore(t *testing.T) {
+	plan := faultTestPlan(t)
+	clean := cleanReference(t)
+	dir := t.TempDir()
+	if _, err := Run(plan, Options{Ranks: 8, Init: InitUniform, Checkpoint: &ckpt.Policy{Dir: dir}}); err != nil {
+		t.Fatal(err)
+	}
+	// The restore walk's reads: the window opens on the first read after it.
+	probe := chaos.NewFS(chaos.DiskFaults{}, nil)
+	meta := ckpt.Meta{PlanHash: plan.Fingerprint(), N: plan.N, L: plan.L, Ranks: 8}
+	if ckpt.NewWriter(&ckpt.Policy{Dir: dir, FS: probe}, meta, nil).FindRestorable() == nil {
+		t.Fatal("the first run left no restorable snapshot")
+	}
+	fs := chaos.NewFS(chaos.DiskFaults{ReadErrAt: int(probe.Stats().ReadOps) + 1}, nil)
+	tel := telemetry.New()
+	res, err := Run(plan, Options{
+		Ranks: 8, Init: InitUniform, GatherState: true, Resume: true,
+		Checkpoint: &ckpt.Policy{Dir: dir, FS: fs},
+		Telemetry:  tel,
+	})
+	if err != nil {
+		t.Fatalf("a transient read while a rank restored was not recovered: %v", err)
+	}
+	if fs.Stats().ReadErrors != 1 {
+		t.Fatalf("%d read errors injected, want 1", fs.Stats().ReadErrors)
+	}
+	if res.Restarts != 1 || res.RestartsIO != 1 || tel.Counter("dist.restart_io").Value() != 1 {
+		t.Errorf("Restarts = %d, RestartsIO = %d, dist.restart_io = %d; want 1 each",
+			res.Restarts, res.RestartsIO, tel.Counter("dist.restart_io").Value())
+	}
+	if res.CheckpointsRestored != 2 {
+		t.Errorf("CheckpointsRestored = %d, want 2: both attempts start from the snapshot", res.CheckpointsRestored)
 	}
 	assertBitwiseEqual(t, clean, res)
 }

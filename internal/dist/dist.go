@@ -15,10 +15,11 @@
 // With Options.Checkpoint set, Run becomes crash-tolerant: ranks snapshot
 // their amplitude shards at stage boundaries (package ckpt's atomic
 // commit protocol), collective payloads carry checksums, and any detected
-// transport failure — dead rank, corrupted payload, stalled collective —
-// triggers a restart from the newest valid snapshot that re-executes only
-// the remaining stages. Restored amplitudes are bit-exact, so a recovered
-// run produces the same result as an uninterrupted one.
+// transport failure — dead rank, corrupted payload, stalled collective — or
+// file error of the snapshot disk triggers a restart (ckpt.Policy.Restart,
+// the loop the paged engine runs too) from the newest valid snapshot that
+// re-executes only the remaining stages. Restored amplitudes are bit-exact,
+// so a recovered run produces the same result as an uninterrupted one.
 package dist
 
 import (
@@ -30,6 +31,7 @@ import (
 	"time"
 
 	"qusim/internal/ckpt"
+	"qusim/internal/fsio"
 	"qusim/internal/kernels"
 	"qusim/internal/mpi"
 	"qusim/internal/schedule"
@@ -67,11 +69,13 @@ type Result struct {
 	// the first attempt succeeded). The per-class breakdown below
 	// partitions it by what the failed attempt died of; a dead rank is
 	// observed as its collectives stalling, so classification checks
-	// corrupt, then rank-dead, then stalled.
+	// corrupt, then rank-dead, then stalled, then the file errors
+	// (fsio.IsTransient, fsio.IsNoSpace) a rank restoring its shard may meet.
 	Restarts         int
 	RestartsCorrupt  int
 	RestartsRankDead int
 	RestartsStalled  int
+	RestartsIO       int
 	// CheckpointsWritten counts snapshots committed across all attempts.
 	CheckpointsWritten int
 	// CheckpointsSkipped counts stage boundaries where the snapshot was
@@ -132,13 +136,14 @@ type Options struct {
 
 	// Checkpoint enables crash-consistent snapshots and stage-level
 	// recovery: shards land in Checkpoint.Dir every EveryStages stage
-	// boundaries, and a detected transport failure restarts the run from
-	// the newest valid snapshot (up to ckpt.MaxRestarts times).
-	// Setting it also turns on collective payload checksums.
+	// boundaries, and a detected transport failure or file error restarts
+	// the run from the newest valid snapshot, or from Init when none is, up
+	// to ckpt.MaxRestarts times (ckpt.Policy.Restart). Setting it also
+	// turns on collective payload checksums.
 	Checkpoint *ckpt.Policy
 	// Resume makes the FIRST attempt look for a restorable snapshot in
 	// Checkpoint.Dir before initializing — continuing an earlier process's
-	// interrupted run. Without it only failure recovery restores.
+	// interrupted run. Without it only the restarts restore.
 	Resume bool
 	// CommDeadline bounds each attempt's wall time; a rank hung outside
 	// the communication layer surfaces as a recoverable stall instead of a
@@ -165,19 +170,19 @@ type ProfileEntry struct {
 // classifyRestart partitions a recoverable failure by class — corrupt
 // first (a corrupted payload is the root cause even when its collective
 // also stalled), then rank-dead (which wraps ErrStalled by construction),
-// then pure stalls.
+// then pure stalls, and what is left, a file error.
 func classifyRestart(err error, res *Result, tel *telemetry.Telemetry) {
+	n, class := &res.RestartsIO, "io"
 	switch {
 	case errors.Is(err, mpi.ErrCorrupt):
-		res.RestartsCorrupt++
-		tel.Counter("dist.restart_corrupt").Inc()
+		n, class = &res.RestartsCorrupt, "corrupt"
 	case errors.Is(err, mpi.ErrRankDead):
-		res.RestartsRankDead++
-		tel.Counter("dist.restart_rank_dead").Inc()
+		n, class = &res.RestartsRankDead, "rank_dead"
 	case errors.Is(err, mpi.ErrStalled):
-		res.RestartsStalled++
-		tel.Counter("dist.restart_stalled").Inc()
+		n, class = &res.RestartsStalled, "stalled"
 	}
+	*n++
+	tel.Counter("dist.restart_" + class).Inc()
 }
 
 // Run executes a plan produced by schedule.Build. plan.L must equal
@@ -194,77 +199,57 @@ func Run(plan *schedule.Plan, opts Options) (*Result, error) {
 	l := plan.N - g
 
 	res := &Result{Ranks: ranks, LocalQubits: l}
-	attempts := 1
 	var meta ckpt.Meta
 	if ck := opts.Checkpoint; ck != nil {
 		if ck.Dir == "" {
 			return nil, fmt.Errorf("dist: checkpoint policy has no directory")
 		}
-		attempts = ckpt.MaxRestarts + 1
 		meta = ckpt.Meta{PlanHash: plan.Fingerprint(), N: plan.N, L: l, Ranks: ranks}
 		if err := ckpt.NewWriter(ck, meta, nil).MkdirAll(); err != nil {
 			return nil, fmt.Errorf("dist: checkpoint dir: %w", err)
 		}
 	}
 
-	tryResume := opts.Resume
-	tel := opts.Telemetry
-	var lastErr error
 	var failedAt time.Time // when the previous attempt's failure surfaced
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			res.Restarts++
-			classifyRestart(lastErr, res, tel)
-			tryResume = true // recover from whatever the failed attempt committed
+	// Each attempt has its own writer: a rank of an abandoned attempt that
+	// wakes late tees into its attempt's snapshots, never into the next one's.
+	restarts, err := opts.Checkpoint.Restart(meta, opts.Telemetry, opts.Resume, func(ckw *ckpt.Writer, man *ckpt.Manifest, failed error) error {
+		if failed != nil {
+			classifyRestart(failed, res, opts.Telemetry)
 			// Failure detection → restored attempt start: the latency a
 			// fault-tolerance budget actually pays per recovery.
-			tel.Histogram("dist.recovery_latency_ns").ObserveSince(failedAt)
+			opts.Telemetry.Histogram("dist.recovery_latency_ns").ObserveSince(failedAt)
 		}
-		tel.Counter("dist.attempts").Inc()
-		err := runAttempt(plan, opts, l, meta, tryResume, res)
-		if err == nil {
-			return res, nil
-		}
+		opts.Telemetry.Counter("dist.attempts").Inc()
+		err := runAttempt(plan, opts, l, ckw, man, res)
 		failedAt = time.Now()
-		lastErr = err
-		if opts.Checkpoint == nil || !mpi.Recoverable(err) {
-			return nil, err
-		}
+		return err
+	}, mpi.Recoverable, fsio.IsTransient, fsio.IsNoSpace)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("dist: giving up after %d restarts: %w", res.Restarts, lastErr)
+	res.Restarts = restarts
+	return res, nil
 }
 
-// runAttempt executes the plan once — possibly from a restored snapshot —
-// and folds the attempt's results and counters into res on success
-// (counters are folded on failure too; result fields only on success).
-func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryResume bool, res *Result) error {
+// runAttempt executes the plan once — from man, the snapshot ckw restores,
+// when there is one — and folds the attempt's results and counters into res
+// on success (counters are folded on failure too; result fields only on
+// success).
+func runAttempt(plan *schedule.Plan, opts Options, l int, ckw *ckpt.Writer, man *ckpt.Manifest, res *Result) error {
 	ranks := opts.Ranks
 	localLen := 1 << l
-	ck := opts.Checkpoint
-	// The attempt's own writer: a rank of an abandoned attempt that wakes
-	// late tees into its attempt's snapshots, never into this one's.
-	ckw := ckpt.NewWriter(ck, meta, opts.Telemetry)
-
-	// Recovery walk: newest manifest whose shards all verify, matching this
-	// exact plan and geometry. None found (or resume off) → fresh start.
-	var man *ckpt.Manifest
 	startStage := 0
-	if ck != nil && tryResume {
-		if man = ckw.FindRestorable(); man != nil {
-			startStage = man.NextStage
-			res.CheckpointsRestored++
-		}
+	if man != nil {
+		startStage = man.NextStage
+		res.CheckpointsRestored++
 	}
 
 	w := mpi.NewWorld(ranks)
-	if opts.Faults != nil {
-		w.InjectFaults(opts.Faults)
-	}
+	w.InjectFaults(opts.Faults)
 	w.SetTelemetry(opts.Telemetry)
-	w.SetVerifyChecksums(ck != nil)
-	if opts.CommDeadline > 0 {
-		w.SetDeadline(opts.CommDeadline)
-	}
+	w.SetVerifyChecksums(opts.Checkpoint != nil)
+	w.SetDeadline(opts.CommDeadline) // none unless positive
 	// The attempt's results are its own: an attempt abandoned on deadline may
 	// have ranks hung in compute that wake later, and they must not share
 	// memory with the next attempt.

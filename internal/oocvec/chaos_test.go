@@ -1,17 +1,21 @@
 package oocvec
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"qusim/internal/chaos"
 	"qusim/internal/ckpt"
 	"qusim/internal/fsio"
+	"qusim/internal/schedule"
 	"qusim/internal/telemetry"
 )
 
 // Disk-fault scenarios for the out-of-core engine: transient read errors
 // must be absorbed by the bounded retry (or surface classified when they
-// outlast it), and a full disk must cost checkpoints, never correctness.
+// outlast it, and a checkpointed run restart on them), and a full disk must
+// cost checkpoints or restarts, never correctness.
 
 // chaosVector builds a uniform vector whose backing file runs on fs.
 func chaosVector(t *testing.T, n, l int, fs fsio.FS) *Vector {
@@ -64,8 +68,8 @@ func TestTransientReadWindowBeyondBudgetSurfacesClassified(t *testing.T) {
 	if err == nil {
 		t.Fatal("a window far beyond the retry budget was swallowed")
 	}
-	// The classification must survive the wrapping: callers (the chaos
-	// soak's resume loop) decide to retry at run granularity based on it.
+	// The classification must survive the wrapping: RunCheckpointed's
+	// restart loop (ckpt.Policy.Restart) decides to restart the run on it.
 	if !fsio.IsTransient(err) {
 		t.Errorf("exhausted transient window lost its classification: %v", err)
 	}
@@ -169,5 +173,114 @@ func TestCheckpointENOSPCWindowSkipsOnlyStarvedSnapshots(t *testing.T) {
 		if want[i] != got[i] {
 			t.Fatalf("amplitude %d differs after resume across a skipped snapshot: %v vs %v", i, want[i], got[i])
 		}
+	}
+}
+
+// dataPathOps runs plan checkpointed at prefetch depth, on a vector whose
+// state file is on a counting FS, and returns the read and write ops the
+// state file took, the writes after Create's.
+func dataPathOps(t *testing.T, n, l, depth int, plan *schedule.Plan) (reads, writes int) {
+	t.Helper()
+	probe := chaos.NewFS(chaos.DiskFaults{}, nil)
+	v := chaosVector(t, n, l, probe)
+	v.SetPrefetch(depth)
+	created := probe.Stats().WriteOps
+	if _, _, err := v.RunCheckpointed(plan, &ckpt.Policy{Dir: t.TempDir()}, false); err != nil {
+		t.Fatal(err)
+	}
+	st := probe.Stats()
+	return int(st.ReadOps), int(st.WriteOps - created)
+}
+
+// recoverPaged runs plan checkpointed at prefetch depth on a uniform vector
+// whose state file is on fs, and holds the result to clean bit for bit and
+// the restart and restore counts to the want values.
+func recoverPaged(t *testing.T, n, l, depth int, plan *schedule.Plan, fs *chaos.FS, clean []complex128, restarts, restored int) {
+	t.Helper()
+	v := chaosVector(t, n, l, fs)
+	v.SetPrefetch(depth)
+	if _, _, err := v.RunCheckpointed(plan, &ckpt.Policy{Dir: t.TempDir()}, false); err != nil {
+		t.Fatalf("the run did not recover: %v", err)
+	}
+	if v.Restarts() != restarts || v.CheckpointsRestored() != restored {
+		t.Errorf("%d restarts, %d restored; want %d and %d", v.Restarts(), v.CheckpointsRestored(), restarts, restored)
+	}
+	got, err := v.Amplitudes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, clean) {
+		t.Error("the recovered run differs from a clean one")
+	}
+}
+
+// TestRecoveryFromDataPathReadWindow: a read-error window on the state file
+// longer than retryIO's budget restarts the run — from the state the vector
+// was created in when it hits stage 0, before any snapshot, and from the
+// newest snapshot when it hits the last stage — and it ends bit for bit on
+// the clean run's state.
+func TestRecoveryFromDataPathReadWindow(t *testing.T) {
+	n, l := 10, 7
+	_, plan := buildPlan(t, n, l, 16, 4)
+	if plan.Stages() < 3 {
+		t.Fatalf("plan has %d stages; the late window needs a committed snapshot before the last", plan.Stages())
+	}
+	clean := oocAmps(t, n, l, func(v *Vector) error { return v.Run(plan) })
+	for _, depth := range []int{0, 2} {
+		reads, _ := dataPathOps(t, n, l, depth, plan)
+		for _, tc := range []struct {
+			name     string
+			at       int
+			restored int
+		}{{"stage0", 2, 0}, {"last-stage", reads - 1, 1}} {
+			t.Run(fmt.Sprintf("%s/depth%d", tc.name, depth), func(t *testing.T) {
+				fs := chaos.NewFS(chaos.DiskFaults{ReadErrAt: tc.at, ReadErrRun: ioRetryAttempts + 1}, nil)
+				recoverPaged(t, n, l, depth, plan, fs, clean, 1, tc.restored)
+				if got := fs.Stats().ReadErrors; got != ioRetryAttempts+1 {
+					t.Errorf("%d read errors injected, want %d", got, ioRetryAttempts+1)
+				}
+			})
+		}
+	}
+}
+
+// TestRecoveryFromDataPathENOSPC: a full-disk window on the state file's
+// writeback restarts the run once per write it fails — a restart's refill
+// or restore is a write too — and it ends bit for bit on the clean run's
+// state.
+func TestRecoveryFromDataPathENOSPC(t *testing.T) {
+	n, l := 10, 7
+	_, plan := buildPlan(t, n, l, 16, 4)
+	clean := oocAmps(t, n, l, func(v *Vector) error { return v.Run(plan) })
+	created := 1 + 1<<(n-l) // Create's temp file and chunk writes
+	const window = 3
+	for _, depth := range []int{0, 2} {
+		_, writes := dataPathOps(t, n, l, depth, plan)
+		for _, tc := range []struct {
+			name     string
+			at       int
+			restored int
+		}{{"stage0", created + 1, 0}, {"last-write", created + writes, 1}} {
+			t.Run(fmt.Sprintf("%s/depth%d", tc.name, depth), func(t *testing.T) {
+				fs := chaos.NewFS(chaos.DiskFaults{NoSpaceAt: tc.at, NoSpaceRun: window}, nil)
+				recoverPaged(t, n, l, depth, plan, fs, clean, window, tc.restored)
+			})
+		}
+	}
+}
+
+// TestRecoveryGivesUpAfterMaxRestarts: a read-error window no restart
+// outlasts ends the run after ckpt.MaxRestarts restarts with an error that
+// still says transient.
+func TestRecoveryGivesUpAfterMaxRestarts(t *testing.T) {
+	n, l := 10, 7
+	_, plan := buildPlan(t, n, l, 12, 3)
+	v := chaosVector(t, n, l, chaos.NewFS(chaos.DiskFaults{ReadErrAt: 1, ReadErrRun: 1 << 30}, nil))
+	_, _, err := v.RunCheckpointed(plan, &ckpt.Policy{Dir: t.TempDir()}, false)
+	if err == nil || !fsio.IsTransient(err) {
+		t.Fatalf("err = %v, want a transient error", err)
+	}
+	if v.Restarts() != ckpt.MaxRestarts {
+		t.Errorf("%d restarts, want ckpt.MaxRestarts = %d", v.Restarts(), ckpt.MaxRestarts)
 	}
 }

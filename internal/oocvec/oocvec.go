@@ -65,8 +65,11 @@ type Vector struct {
 	// that combines and kept ever after.
 	staging []complex128
 
-	prefetch    int // chunks read ahead of the compute loop; 0 = no overlap
-	ckptSkipped int // checkpoints skipped on persistent ENOSPC (ckpt.go)
+	uniform     bool // created in the uniform superposition, not |0…0⟩
+	prefetch    int  // chunks read ahead of the compute loop; 0 = no overlap
+	ckptSkipped int  // checkpoints skipped on persistent ENOSPC (ckpt.go)
+	restored    int  // RunCheckpointed attempts that started from a snapshot
+	restarts    int  // RunCheckpointed's restarts (ckpt.Policy.Restart)
 	tel         vecTel
 }
 
@@ -93,18 +96,28 @@ func Create(fs fsio.FS, n, l int, dir string, uniform bool) (*Vector, error) {
 	if l < 1 || n > 40 {
 		return nil, fmt.Errorf("oocvec: unsupported sizes n=%d l=%d", n, l)
 	}
-	first, rest := complex128(1), complex128(0)
-	if uniform {
-		first = complex(math.Pow(2, -float64(n)/2), 0)
-		rest = first
-	}
 	f, err := fs.CreateTemp(dir, "oocvec-*.state")
 	if err != nil {
 		return nil, err
 	}
-	v := &Vector{N: n, L: l, fs: fs, f: f, loc: make([]int, n), pool: [][]complex128{kernels.NewAmps[complex128](1 << l)}}
+	v := &Vector{N: n, L: l, fs: fs, f: f, loc: make([]int, n), pool: [][]complex128{kernels.NewAmps[complex128](1 << l)}, uniform: uniform}
 	for p := range v.loc {
 		v.loc[p] = p
+	}
+	if err := v.fill(); err != nil {
+		v.Close()
+		return nil, err
+	}
+	return v, nil
+}
+
+// fill writes the state the vector was created in, |0…0⟩ or the uniform
+// superposition, through its layout.
+func (v *Vector) fill() error {
+	first, rest := complex128(1), complex128(0)
+	if v.uniform {
+		first = complex(math.Pow(2, -float64(v.N)/2), 0)
+		rest = first
 	}
 	buf := v.pool[0]
 	for i := range buf {
@@ -113,12 +126,11 @@ func Create(fs fsio.FS, n, l int, dir string, uniform bool) (*Vector, error) {
 	buf[0] = first
 	for c := 0; c < v.Chunks(); c++ {
 		if err := v.chunkIO(c, buf, true); err != nil {
-			v.Close()
-			return nil, err
+			return err
 		}
 		buf[0] = rest
 	}
-	return v, nil
+	return nil
 }
 
 // SetPrefetch sets how many chunks Run and RunCheckpointed read ahead of the
@@ -197,6 +209,12 @@ func (v *Vector) Close() error {
 // degradation path: the run continues, it just restarts from further back
 // if it later has to.
 func (v *Vector) CheckpointsSkipped() int { return v.ckptSkipped }
+
+// CheckpointsRestored reports how many RunCheckpointed attempts started from a snapshot.
+func (v *Vector) CheckpointsRestored() int { return v.restored }
+
+// Restarts reports how many times RunCheckpointed restarted a failed attempt.
+func (v *Vector) Restarts() int { return v.restarts }
 
 // Chunks returns the number of file chunks, 2^(N−L).
 func (v *Vector) Chunks() int { return 1 << (v.N - v.L) }

@@ -4,9 +4,10 @@ import "qusim/internal/telemetry"
 
 // OpTraceArgs builds the canonical trace annotations for one plan op: the
 // stage index plus the qubit-set / fused-cluster details that make a
-// timeline readable without the plan at hand. Every executor (dist, oocvec)
-// attaches these same args to its op spans, so traces from different
-// backends stay directly comparable. Only called when tracing is enabled.
+// timeline readable without the plan at hand. dist's ranks attach them to
+// the span of each op that is a pass of its own; oocvec records a span per
+// stage and per chunk transfer, not per op. Only called when tracing is
+// enabled.
 func OpTraceArgs(op *Op) []telemetry.Arg {
 	args := []telemetry.Arg{telemetry.A("stage", op.Stage)}
 	switch op.Kind {
