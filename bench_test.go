@@ -743,7 +743,7 @@ func BenchmarkCircuitPrecision(b *testing.B) {
 	})
 	b.Run("supremacy24/f32", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			v := f32vec.NewUniform(n)
+			v := f32vec.Prepare(statevec.StartUniform, n)
 			for j := range c.Gates {
 				g := &c.Gates[j]
 				v.State.Apply(g.Matrix(), g.Qubits...)
@@ -848,7 +848,7 @@ func BenchmarkBlockedRun(b *testing.B) {
 // entropy/f64 to half of norm/f64).
 func BenchmarkReduce(b *testing.B) {
 	benchReduce(b, "f64", 16, statevec.NewUniform(precState).Amps)
-	benchReduce(b, "f32", f32vec.BytesPerAmplitude, f32vec.NewUniform(precState).Amps)
+	benchReduce(b, "f32", f32vec.BytesPerAmplitude, f32vec.Prepare(statevec.StartUniform, precState).Amps)
 }
 
 // reduceSink keeps the reductions' results live.

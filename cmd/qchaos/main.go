@@ -31,6 +31,7 @@ import (
 	"qusim/internal/dist"
 	"qusim/internal/oocvec"
 	"qusim/internal/schedule"
+	"qusim/internal/statevec"
 	"qusim/internal/verify"
 )
 
@@ -164,7 +165,7 @@ func (b *chaosOoc) exec(plan *schedule.Plan) ([]complex128, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	v, err := oocvec.Create(dfs, plan.N, plan.L, "", false)
+	v, err := oocvec.Create(dfs, plan.N, plan.L, "", statevec.StartZero)
 	if err != nil {
 		return nil, err
 	}

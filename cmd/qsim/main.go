@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"os"
 	"time"
 
@@ -29,6 +28,7 @@ import (
 	"qusim/internal/oocvec"
 	"qusim/internal/par"
 	"qusim/internal/schedule"
+	"qusim/internal/statevec"
 	"qusim/internal/telemetry"
 )
 
@@ -105,7 +105,7 @@ func main() {
 		par.SetTelemetry(tel)
 	}
 
-	circ, initial, err := buildCircuit(*kind, *qubits, *depth, *seed, *file)
+	circ, start, err := buildCircuit(*kind, *qubits, *depth, *seed, *file)
 	if err != nil {
 		fatal(err)
 	}
@@ -146,89 +146,118 @@ func main() {
 	}
 
 	plan := sched.plan(circ, l)
+	if *f32 && plan.N > 34 { // a -file or -plan circuit past the largest state statevec allocates
+		fatal(fmt.Errorf("-f32 holds at most 34 qubits, the circuit has %d", plan.N))
+	}
 	if *verbose {
 		fmt.Print(plan.Summary())
 	}
 
-	if *f32 {
-		runF32(plan, initial, tel, *verbose, *shots, *seed)
-		flushTelemetry(tel, *traceFile, *metrics)
-		return
-	}
-
-	if *ooc {
-		if err := runOutOfCore(plan, tel, oocOptions{
-			initial: initial, prefetch: *oocPrefetch, dir: *oocDir, verbose: *verbose,
-			ckptDir: *ckptDir, ckptEvery: *ckptEvery, resume: *resume,
-		}); err != nil {
-			fatal(err)
-		}
-		flushTelemetry(tel, *traceFile, *metrics)
-		return
-	}
-
-	opts := dist.Options{
-		Ranks: *ranks, Init: initial,
-		SampleShots: *shots, SampleSeed: *seed, Profile: *profile,
-		Resume: *resume, CommDeadline: *commDL,
-		Telemetry: tel,
-	}
+	var pol *ckpt.Policy
 	if *ckptDir != "" {
-		opts.Checkpoint = &ckpt.Policy{Dir: *ckptDir, EveryStages: *ckptEvery}
+		pol = &ckpt.Policy{Dir: *ckptDir, EveryStages: *ckptEvery}
 	}
-	res, err := runDist(plan, opts, *baseline)
+	var res result
+	switch {
+	case *f32:
+		res, err = runF32(plan, start, tel, *shots, *seed)
+	case *ooc:
+		res, err = runOutOfCore(plan, tel, oocOptions{start: start, prefetch: *oocPrefetch, dir: *oocDir, ckpt: pol, resume: *resume})
+	default:
+		res, err = runDist(plan, dist.Options{
+			Ranks: *ranks, Init: start,
+			SampleShots: *shots, SampleSeed: *seed, Profile: *profile,
+			Checkpoint: pol, Resume: *resume, CommDeadline: *commDL,
+			Telemetry: tel,
+		}, *baseline)
+	}
 	if err != nil {
 		fatal(err)
 	}
-	report(res, plan)
-	if *ckptDir != "" {
-		fmt.Printf("ckpt:    %d snapshots committed, %d restored, %d restarts\n",
-			res.CheckpointsWritten, res.CheckpointsRestored, res.Restarts)
-	}
-	if *profile {
-		fmt.Println("profile (slowest rank):")
-		ops := 0
-		for _, e := range res.Profile {
-			if e.Ops == 0 {
-				continue
-			}
-			fmt.Printf("  %-8s %4d ops  %8.3fs\n", e.Kind, e.Ops, e.Duration.Seconds())
-			ops += e.Ops
-		}
-		// Consecutive diagonals and low-position clusters share one pass,
-		// applied block by block (DESIGN §12.2); an op inside such a run is
-		// timed by its share of the run.
-		fmt.Printf("  %d ops in %d passes over each rank's shard, %d of them blocked runs\n",
-			ops, res.ProfilePasses, res.ProfileRuns)
-	}
-	if *verbose {
-		reportPages(tel, 16<<plan.L)
-	}
-	printSamples(plan.N, res.Samples)
+	res.print(plan, tel, *verbose)
 	flushTelemetry(tel, *traceFile, *metrics)
+}
+
+// result is what a run measured on its store (runDist, runOutOfCore,
+// runF32); print writes it as qsim's result block, the same for every store.
+type result struct {
+	store         string // the store and its size, under circuit:
+	norm, entropy float64
+	normDigits    int // 12, or 7 from a single-precision state
+	elapsed       time.Duration
+	comm          string   // the time: line's communication share, if any
+	notes         []string // the store's lines after time: (comm:, io:, ckpt:, profile)
+	bufBytes      int64    // one buffer the state is held in, for -v's memory: line
+	samples       []int
+}
+
+func (r result) print(plan *schedule.Plan, tel *telemetry.Telemetry, verbose bool) {
+	fmt.Printf("circuit: %d qubits, %d gates\n", plan.N, plan.Stats.Gates)
+	fmt.Println(r.store)
+	fmt.Printf("plan:    %d stages, %d swaps, %d clusters (%.1f gates/cluster), %d diag ops\n",
+		plan.Stats.Stages, plan.Stats.Swaps, plan.Stats.Clusters,
+		plan.Stats.GatesPerCluster, plan.Stats.DiagonalOps)
+	fmt.Printf("result:  norm=%.*f entropy=%.6f nats\n", r.normDigits, r.norm, r.entropy)
+	fmt.Printf("time:    %.3fs total%s\n", r.elapsed.Seconds(), r.comm)
+	for _, line := range r.notes {
+		fmt.Println(line)
+	}
+	if verbose {
+		reportPages(tel, r.bufBytes)
+	}
+	if len(r.samples) > 0 {
+		fmt.Printf("samples (%d shots, first 10):\n", len(r.samples))
+		for _, b := range r.samples[:min(len(r.samples), 10)] {
+			fmt.Printf("  |%0*b⟩\n", plan.N, b)
+		}
+	}
+}
+
+// ckptNote is the ckpt: line of a checkpointed run.
+func ckptNote(committed, restored, restarts int) string {
+	return fmt.Sprintf("ckpt:    %d snapshots committed, %d restored, %d restarts", committed, restored, restarts)
 }
 
 // runDist runs plan on the ranks of opts. A -baseline run reports its
 // communication steps in the paper's unit, one per communicating gate, as
 // dist.RunBaseline does: a dense gate on a global qubit is one step, not its
 // two exchanges.
-func runDist(plan *schedule.Plan, opts dist.Options, baseline bool) (*dist.Result, error) {
+func runDist(plan *schedule.Plan, opts dist.Options, baseline bool) (result, error) {
 	res, err := dist.Run(plan, opts)
-	if err == nil && baseline {
+	if err != nil {
+		return result{}, err
+	}
+	if baseline {
 		res.CommSteps = plan.Stats.BaselineGlobalGates
 	}
-	return res, err
-}
-
-// printSamples prints the first ten of the drawn basis states, if any.
-func printSamples(n int, samples []int) {
-	if len(samples) == 0 {
-		return
+	r := result{
+		store: fmt.Sprintf("ranks:   %d (2^%d amplitudes each)", res.Ranks, res.LocalQubits),
+		norm:  res.Norm, entropy: res.Entropy, normDigits: 12, elapsed: res.Elapsed,
+		comm: fmt.Sprintf(", %.3fs comm (%.1f%%)", res.CommElapsed.Seconds(),
+			100*res.CommElapsed.Seconds()/res.Elapsed.Seconds()),
+		notes:    []string{fmt.Sprintf("comm:    %d steps, %.1f MB", res.CommSteps, float64(res.CommBytes)/1e6)},
+		bufBytes: 16 << plan.L, samples: res.Samples,
 	}
-	fmt.Printf("samples (%d shots, first 10):\n", len(samples))
-	for _, b := range samples[:min(len(samples), 10)] {
-		fmt.Printf("  |%0*b⟩\n", n, b)
+	if opts.Checkpoint != nil {
+		r.notes = append(r.notes, ckptNote(res.CheckpointsWritten, res.CheckpointsRestored, res.Restarts))
 	}
+	if opts.Profile {
+		r.notes = append(r.notes, "profile (slowest rank):")
+		ops := 0
+		for _, e := range res.Profile {
+			if e.Ops == 0 {
+				continue
+			}
+			r.notes = append(r.notes, fmt.Sprintf("  %-8s %4d ops  %8.3fs", e.Kind, e.Ops, e.Duration.Seconds()))
+			ops += e.Ops
+		}
+		// Consecutive diagonals and low-position clusters share one pass,
+		// applied block by block (DESIGN §12.2); an op inside such a run is
+		// timed by its share of the run.
+		r.notes = append(r.notes, fmt.Sprintf("  %d ops in %d passes over each rank's shard, %d of them blocked runs",
+			ops, res.ProfilePasses, res.ProfileRuns))
+	}
+	return r, nil
 }
 
 // flushTelemetry writes the trace file and/or prints the metrics dump once
@@ -387,29 +416,23 @@ func (s schedFlags) plan(circ *circuit.Circuit, l int) *schedule.Plan {
 }
 
 type oocOptions struct {
-	initial   dist.InitState
-	prefetch  int
-	dir       string
-	verbose   bool
-	ckptDir   string
-	ckptEvery int
-	resume    bool
+	start    statevec.Start
+	prefetch int
+	dir      string
+	ckpt     *ckpt.Policy // nil without -checkpoint-dir
+	resume   bool
 }
 
-// runOutOfCore executes the plan on the file-backed engine in chunks of
-// 2^plan.L amplitudes (chunk-index bits play the role of the global qubits),
-// stage by stage through the circuit-aware pipeline, reading -ooc-prefetch
-// chunks ahead of compute. An error comes back to main instead of exiting
-// here, so the deferred Close has removed the 16·2^n-byte state file by the
-// time the process ends.
-func runOutOfCore(plan *schedule.Plan, tel *telemetry.Telemetry, o oocOptions) error {
-	newVector := oocvec.New
-	if o.initial == dist.InitUniform {
-		newVector = oocvec.NewUniform
-	}
-	v, err := newVector(plan.N, plan.L, o.dir)
+// runOutOfCore executes the plan on the file-backed engine, created in the
+// circuit's start state, in chunks of 2^plan.L amplitudes (chunk-index bits
+// play the role of the global qubits), stage by stage through the
+// circuit-aware pipeline, reading -ooc-prefetch chunks ahead of compute. An
+// error comes back to main instead of exiting here, so the deferred Close
+// has removed the 16·2^n-byte state file by the time the process ends.
+func runOutOfCore(plan *schedule.Plan, tel *telemetry.Telemetry, o oocOptions) (result, error) {
+	v, err := oocvec.Create(nil, plan.N, plan.L, o.dir, o.start)
 	if err != nil {
-		return err
+		return result{}, err
 	}
 	defer v.Close()
 	v.SetPrefetch(o.prefetch)
@@ -417,91 +440,65 @@ func runOutOfCore(plan *schedule.Plan, tel *telemetry.Telemetry, o oocOptions) e
 
 	start := time.Now()
 	written := 0
-	if o.ckptDir != "" {
-		pol := &ckpt.Policy{Dir: o.ckptDir, EveryStages: o.ckptEvery}
-		_, written, err = v.RunCheckpointed(plan, pol, o.resume)
+	if o.ckpt != nil {
+		_, written, err = v.RunCheckpointed(plan, o.ckpt, o.resume)
 	} else {
 		err = v.Run(plan)
 	}
 	if err != nil {
-		return err
+		return result{}, err
 	}
-	elapsed := time.Since(start)
-	norm, ent, err := v.NormEntropy()
-	if err != nil {
-		return err
+	r := result{
+		store: fmt.Sprintf("ooc:     2^%d chunks of 2^%d amplitudes (%.1f MB each), prefetch %d",
+			plan.N-plan.L, plan.L, float64(uint64(16)<<plan.L)/1e6, v.Prefetch()),
+		normDigits: 12, elapsed: time.Since(start), bufBytes: 16 << plan.L,
 	}
-
-	fmt.Printf("circuit: %d qubits, %d gates\n", plan.N, plan.Stats.Gates)
-	fmt.Printf("ooc:     2^%d chunks of 2^%d amplitudes (%.1f MB each), prefetch %d\n",
-		plan.N-plan.L, plan.L, float64(uint64(16)<<plan.L)/1e6, v.Prefetch())
-	fmt.Printf("plan:    %d stages, %d swaps, %d clusters (%.1f gates/cluster), %d diag ops\n",
-		plan.Stats.Stages, plan.Stats.Swaps, plan.Stats.Clusters,
-		plan.Stats.GatesPerCluster, plan.Stats.DiagonalOps)
-	fmt.Printf("result:  norm=%.12f entropy=%.6f nats\n", norm, ent)
-	fmt.Printf("time:    %.3fs total\n", elapsed.Seconds())
+	if r.norm, r.entropy, err = v.NormEntropy(); err != nil {
+		return result{}, err
+	}
 	if reg := tel.Registry(); reg != nil {
-		hits := reg.Counter("oocvec.prefetch_hits").Value()
-		misses := reg.Counter("oocvec.prefetch_misses").Value()
+		hits, misses := reg.Counter("oocvec.prefetch_hits").Value(), reg.Counter("oocvec.prefetch_misses").Value()
 		if hits+misses > 0 {
-			fmt.Printf("io:      %d chunks read, %d written, prefetch hits %d/%d (%.1f%%)\n",
-				reg.Counter("oocvec.chunks_read").Value(),
-				reg.Counter("oocvec.chunks_written").Value(),
-				hits, hits+misses, 100*float64(hits)/float64(hits+misses))
+			r.notes = append(r.notes, fmt.Sprintf("io:      %d chunks read, %d written, prefetch hits %d/%d (%.1f%%)",
+				reg.Counter("oocvec.chunks_read").Value(), reg.Counter("oocvec.chunks_written").Value(),
+				hits, hits+misses, 100*float64(hits)/float64(hits+misses)))
 		}
 	}
-	if o.ckptDir != "" {
-		fmt.Printf("ckpt:    %d snapshots committed, %d restored, %d restarts\n",
-			written, v.CheckpointsRestored(), v.Restarts())
+	if o.ckpt != nil {
+		r.notes = append(r.notes, ckptNote(written, v.CheckpointsRestored(), v.Restarts()))
 	}
-	if o.verbose {
-		reportPages(tel, 16<<plan.L)
-	}
-	return nil
+	return r, nil
 }
 
-// runF32 executes the plan on the single-precision in-memory state — the
-// paper's Sec. 5 outlook (half the bytes per amplitude, one more qubit in
-// the same memory) — then draws shots samples with the stream dist.Run draws
-// them with on one rank.
-func runF32(plan *schedule.Plan, initial dist.InitState, tel *telemetry.Telemetry, verbose bool, shots int, seed int64) {
-	newVector := f32vec.New
-	if initial == dist.InitUniform {
-		newVector = f32vec.NewUniform
-	}
-	v := newVector(plan.N)
-	start := time.Now()
+// runF32 executes the plan on the single-precision in-memory state, created
+// in the circuit's start state — the paper's Sec. 5 outlook (half the bytes
+// per amplitude, one more qubit in the same memory) — then draws shots
+// samples with the sampler of a one-rank dist.Run, the state as its one unit.
+func runF32(plan *schedule.Plan, start statevec.Start, tel *telemetry.Telemetry, shots int, seed int64) (result, error) {
+	v := f32vec.Prepare(start, plan.N)
+	t0 := time.Now()
 	if err := v.RunPlan(plan); err != nil {
-		fatal(err)
+		return result{}, err
 	}
-	elapsed := time.Since(start)
-	fmt.Printf("circuit: %d qubits, %d gates\n", plan.N, plan.Stats.Gates)
-	fmt.Printf("f32:     2^%d complex64 amplitudes, %.1f MB (%.1f MB in double precision)\n",
-		plan.N, float64(uint64(f32vec.BytesPerAmplitude)<<plan.N)/1e6, float64(uint64(16)<<plan.N)/1e6)
-	fmt.Printf("plan:    %d stages, %d swaps, %d clusters (%.1f gates/cluster), %d diag ops\n",
-		plan.Stats.Stages, plan.Stats.Swaps, plan.Stats.Clusters,
-		plan.Stats.GatesPerCluster, plan.Stats.DiagonalOps)
-	norm, ent := v.NormEntropy()
-	fmt.Printf("result:  norm=%.7f entropy=%.6f nats\n", norm, ent)
-	fmt.Printf("time:    %.3fs total\n", elapsed.Seconds())
+	r := result{
+		store: fmt.Sprintf("f32:     2^%d complex64 amplitudes, %.1f MB (%.1f MB in double precision)",
+			plan.N, float64(uint64(f32vec.BytesPerAmplitude)<<plan.N)/1e6, float64(uint64(16)<<plan.N)/1e6),
+		normDigits: 7, elapsed: time.Since(t0), bufBytes: int64(len(v.Amps)) * f32vec.BytesPerAmplitude,
+	}
+	r.norm, r.entropy = v.NormEntropy()
 	kernels.ObservePages(tel, v.Amps)
-	if verbose {
-		reportPages(tel, int64(len(v.Amps))*f32vec.BytesPerAmplitude)
+	_, r.samples = statevec.DrawUnit(seed, shots, []float64{r.norm}, 0, func(s *statevec.Sampler) { statevec.FeedAmps(s, v.Amps) })
+	for i, b := range r.samples {
+		r.samples[i] = plan.LogicalIndex(b)
 	}
-	if shots > 0 {
-		samples := v.Sample(rand.New(rand.NewSource(seed*31+1)), shots)
-		for i, b := range samples {
-			samples[i] = plan.LogicalIndex(b)
-		}
-		printSamples(plan.N, samples)
-	}
+	return r, nil
 }
 
 // buildCircuit returns the circuit a run executes and the state it starts
 // from: the uniform state for a supremacy circuit, whose generator leaves out
 // the Hadamard cycle because the simulator writes its result directly
 // (Sec. 3.6), and |0…0⟩ for every other family and a circuit file.
-func buildCircuit(kind string, qubits, depth int, seed int64, file string) (*circuit.Circuit, dist.InitState, error) {
+func buildCircuit(kind string, qubits, depth int, seed int64, file string) (*circuit.Circuit, statevec.Start, error) {
 	if file != "" {
 		f, err := os.Open(file)
 		if err != nil {
@@ -509,37 +506,24 @@ func buildCircuit(kind string, qubits, depth int, seed int64, file string) (*cir
 		}
 		defer f.Close()
 		c, err := circuit.ReadText(f)
-		return c, dist.InitZero, err
+		return c, statevec.StartZero, err
 	}
 	switch kind {
 	case "supremacy":
 		r, c := circuit.GridForQubits(qubits)
 		return circuit.Supremacy(circuit.SupremacyOptions{
 			Rows: r, Cols: c, Depth: depth, Seed: seed, SkipInitialH: true, OmitFinalCZs: true,
-		}), dist.InitUniform, nil
+		}), statevec.StartUniform, nil
 	case "qft":
-		return circuit.QFT(qubits), dist.InitZero, nil
+		return circuit.QFT(qubits), statevec.StartZero, nil
 	case "ghz":
-		return circuit.GHZ(qubits), dist.InitZero, nil
+		return circuit.GHZ(qubits), statevec.StartZero, nil
 	case "bv":
-		return circuit.BernsteinVazirani(qubits, int(seed)%(1<<qubits)), dist.InitZero, nil
+		return circuit.BernsteinVazirani(qubits, int(seed)%(1<<qubits)), statevec.StartZero, nil
 	case "random":
-		return circuit.RandomCircuit(qubits, 12*qubits, seed), dist.InitZero, nil
+		return circuit.RandomCircuit(qubits, 12*qubits, seed), statevec.StartZero, nil
 	}
 	return nil, 0, fmt.Errorf("unknown circuit family %q (want supremacy, qft, ghz, bv or random)", kind)
-}
-
-func report(res *dist.Result, plan *schedule.Plan) {
-	fmt.Printf("circuit: %d qubits, %d gates\n", plan.N, plan.Stats.Gates)
-	fmt.Printf("ranks:   %d (2^%d amplitudes each)\n", res.Ranks, res.LocalQubits)
-	fmt.Printf("plan:    %d stages, %d swaps, %d clusters (%.1f gates/cluster), %d diag ops\n",
-		plan.Stats.Stages, plan.Stats.Swaps, plan.Stats.Clusters,
-		plan.Stats.GatesPerCluster, plan.Stats.DiagonalOps)
-	fmt.Printf("result:  norm=%.12f entropy=%.6f nats\n", res.Norm, res.Entropy)
-	fmt.Printf("time:    %.3fs total, %.3fs comm (%.1f%%)\n",
-		res.Elapsed.Seconds(), res.CommElapsed.Seconds(),
-		100*res.CommElapsed.Seconds()/res.Elapsed.Seconds())
-	fmt.Printf("comm:    %d steps, %.1f MB\n", res.CommSteps, float64(res.CommBytes)/1e6)
 }
 
 // reportPages prints the mem.* gauges the back end left: the bytes of state

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"qusim/internal/circuit"
+	"qusim/internal/ckpt"
 	"qusim/internal/dist"
 	"qusim/internal/schedule"
 	"qusim/internal/telemetry"
@@ -55,15 +56,21 @@ var entropyLine = regexp.MustCompile(`entropy=(\S+) nats`)
 // assumes — |0…0⟩ but for the supremacy circuits, which leave out their
 // Hadamard cycle — on every path: one rank, four ranks, single precision
 // (within verify's default F32Tol) and out of core. A GHZ state has entropy
-// ln 2 and a Bernstein–Vazirani output is a basis state.
+// ln 2, a Bernstein–Vazirani output is a basis state, and a supremacy
+// circuit of depth 0 has no gates: its output is the uniform start itself,
+// with entropy 10·ln 2 on 10 qubits.
 func TestStartState(t *testing.T) {
 	const f32Tol = 5e-4
 	for _, tc := range []struct {
-		circuit string
+		circuit []string
 		want    float64
-	}{{"ghz", math.Ln2}, {"bv", 0}} {
+	}{
+		{[]string{"-circuit", "ghz"}, math.Ln2},
+		{[]string{"-circuit", "bv"}, 0},
+		{[]string{"-circuit", "supremacy", "-depth", "0"}, 10 * math.Ln2},
+	} {
 		for _, mode := range [][]string{{"-ranks", "1"}, {"-ranks", "4"}, {"-f32"}, {"-ooc"}} {
-			args := append([]string{"-circuit", tc.circuit, "-qubits", "10", "-seed", "5"}, mode...)
+			args := append(append([]string{"-qubits", "10", "-seed", "5"}, tc.circuit...), mode...)
 			stdout, stderr, code := qsim(t, "", args...)
 			if code != 0 {
 				t.Fatalf("qsim %v: exit %d\n%s", args, code, stderr)
@@ -81,6 +88,25 @@ func TestStartState(t *testing.T) {
 				t.Errorf("qsim %v: entropy %s, want %.6f", args, m[1], tc.want)
 			}
 		}
+	}
+}
+
+// TestF32SamplesLikeOneRank: a single-precision run draws its shots with the
+// sampler of a one-rank run (statevec.DrawUnit, the state as its one unit),
+// so on a state both precisions hold exactly the two print the same shots.
+func TestF32SamplesLikeOneRank(t *testing.T) {
+	var shots []string
+	for _, mode := range []string{"-f32", "-ranks=1"} {
+		args := []string{"-circuit", "ghz", "-qubits", "6", "-sample", "1000", "-seed", "3", mode}
+		stdout, stderr, code := qsim(t, "", args...)
+		_, samples, ok := strings.Cut(stdout, "samples (1000 shots, first 10):\n")
+		if code != 0 || !ok || strings.Count(samples, "⟩\n") != 10 {
+			t.Fatalf("qsim %v: exit %d, stderr %q; want ten shots in\n%s", args, code, firstLine(stderr), stdout)
+		}
+		shots = append(shots, samples)
+	}
+	if shots[0] != shots[1] {
+		t.Errorf("-f32 drew\n%s-ranks 1 drew\n%s", shots[0], shots[1])
 	}
 }
 
@@ -149,9 +175,11 @@ func TestRejectsFlags(t *testing.T) {
 }
 
 // TestRejectsUnaddressableQubits: a circuit file beyond the 62 qubits a plan
-// addresses, or without a qubit, is an error before any state exists. A
-// -baseline run used to run out of memory sizing a 10^12-qubit header; a
-// -qubits past 62 is a flag error (TestRejectsFlags).
+// addresses, or without a qubit, is an error before any state exists, and
+// so is one beyond the 34 qubits of the largest single-precision state. A
+// -baseline run used to run out of memory sizing a 10^12-qubit header, and
+// an -f32 run to panic allocating 2^35 amplitudes; a -qubits past 62, or
+// past 34 with -f32, is a flag error (TestRejectsFlags, TestRejectsCounts).
 func TestRejectsUnaddressableQubits(t *testing.T) {
 	for _, tc := range []struct {
 		stdin string
@@ -161,6 +189,7 @@ func TestRejectsUnaddressableQubits(t *testing.T) {
 		{"1000000000000\n", []string{"-baseline", "-file", "/dev/stdin"}, "schedule: 1000000000000 qubits is outside"},
 		{"0\n", []string{"-file", "/dev/stdin"}, "circuit: line 1: qubit count must be at least 1, got 0"},
 		{"-3\n0 h 0\n", []string{"-baseline", "-file", "/dev/stdin"}, "circuit: line 1: qubit count must be at least 1, got -3"},
+		{"35\n0 h 0\n1 h 1\n", []string{"-f32", "-file", "/dev/stdin"}, "-f32 holds at most 34 qubits, the circuit has 35"},
 	} {
 		stdout, stderr, code := qsim(t, tc.stdin, tc.args...)
 		if code != 1 || !strings.Contains(stderr, "qsim: "+tc.want) || strings.Contains(stderr, "panic:") || stdout != "" {
@@ -250,8 +279,8 @@ func TestCheckFlags(t *testing.T) {
 // deferred Close.
 func TestFailedOutOfCoreRunRemovesStateFile(t *testing.T) {
 	dir := t.TempDir()
-	err := runOutOfCore(schedFlags{kmax: 5}.plan(circuit.QFT(8), 6), telemetry.Disabled, oocOptions{
-		dir: dir, ckptDir: os.DevNull, ckptEvery: 1, resume: true,
+	_, err := runOutOfCore(schedFlags{kmax: 5}.plan(circuit.QFT(8), 6), telemetry.Disabled, oocOptions{
+		dir: dir, ckpt: &ckpt.Policy{Dir: os.DevNull, EveryStages: 1}, resume: true,
 	})
 	if err == nil {
 		t.Fatal("a checkpoint directory that is no directory did not fail the run")
@@ -375,8 +404,8 @@ func TestBaselineStepsInPaperUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.CommSteps != 4 || want.CommSteps != 4 {
-		t.Errorf("qsim -baseline reports %d steps, dist.RunBaseline %d; want 4 for both", got.CommSteps, want.CommSteps)
+	if !strings.HasPrefix(got.notes[0], "comm:    4 steps,") || want.CommSteps != 4 {
+		t.Errorf("qsim -baseline reports %q, dist.RunBaseline %d steps; want 4 for both", got.notes[0], want.CommSteps)
 	}
 }
 

@@ -117,7 +117,7 @@ func TestAllExecutionPathsAgree(t *testing.T) {
 func TestSinglePrecisionPathAgrees(t *testing.T) {
 	circ := integCircuit(t)
 	ref := integReference(circ)
-	s := f32vec.NewUniform(circ.N)
+	s := f32vec.Prepare(statevec.StartUniform, circ.N)
 	for i := range circ.Gates {
 		g := &circ.Gates[i]
 		qs := append([]int(nil), g.Qubits...)
@@ -178,7 +178,7 @@ func TestEntropyConsistentAcrossPaths(t *testing.T) {
 		t.Errorf("scheduled single-node (norm, entropy) = (%v, %v), want (1, %v)", sn, se, want)
 	}
 	// Single precision, at the tolerance its amplitudes are held to.
-	fv := f32vec.NewUniform(circ.N)
+	fv := f32vec.Prepare(statevec.StartUniform, circ.N)
 	if err := fv.RunPlan(plan); err != nil {
 		t.Fatal(err)
 	}

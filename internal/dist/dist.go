@@ -25,9 +25,7 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
-	"math/rand"
 	"time"
 
 	"qusim/internal/ckpt"
@@ -39,17 +37,11 @@ import (
 	"qusim/internal/telemetry"
 )
 
-// InitState selects the initial state of a run.
-type InitState int
+// InitState, InitZero and InitUniform are the names dist's callers know
+// statevec's start states by.
+type InitState = statevec.Start
 
-const (
-	// InitZero starts in |0…0⟩.
-	InitZero InitState = iota
-	// InitUniform starts in the uniform superposition — the direct
-	// initialization that replaces the supremacy circuits' first Hadamard
-	// cycle (Sec. 3.6).
-	InitUniform
-)
+const InitZero, InitUniform = statevec.StartZero, statevec.StartUniform
 
 // Result aggregates a distributed run.
 type Result struct {
@@ -111,7 +103,9 @@ type Result struct {
 // Options configures Run.
 type Options struct {
 	Ranks int // power of two ≥ 1
-	Init  InitState
+	// Init is the state the run starts in: each rank writes its shard of
+	// it from statevec.Start.Amplitudes.
+	Init InitState
 	// GatherState collects the full 2^n state into Result.Amplitudes
 	// (testing/verification only — defeats the point of distribution).
 	GatherState bool
@@ -282,16 +276,14 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, ckw *ckpt.Writer, man 
 					telemetry.A("stage", man.NextStage), telemetry.A("amps", localLen))
 			}
 		} else {
-			switch opts.Init {
-			case InitZero:
-				if c.Rank() == 0 {
-					local[0] = 1
-				}
-			case InitUniform:
-				a := complex(math.Pow(2, -float64(plan.N)/2), 0)
+			first, rest := opts.Init.Amplitudes(plan.N)
+			if rest != 0 {
 				for i := range local {
-					local[i] = a
+					local[i] = rest
 				}
+			}
+			if c.Rank() == 0 {
+				local[0] = first
 			}
 		}
 		// The rank's shard, for good: permutations and exchanges run in
@@ -476,27 +468,16 @@ func (r *rank) snapshot(snap *ckpt.Snapshot, next int) error {
 }
 
 // sampleLocal implements distributed sampling: every rank shares only its
-// total probability weight; a stream seeded by seed assigns each shot to a
-// rank by weight (identically on every rank, no communication); the owning
-// rank draws the in-rank index with a stream of its own and writes the
-// logical basis state into samples. Both are statevec.Draw's walks, so no
-// rank holds a buffer per amplitude. Only the Allgather counts toward
-// commTime.
+// total probability weight, and statevec.DrawUnit, the same two-level draw
+// on every rank, picks this rank's shots and their indices in its shard,
+// which it writes into samples as logical basis states. Only the Allgather
+// counts toward commTime.
 func sampleLocal(c *mpi.Comm, plan *schedule.Plan, local []complex128, localNorm float64, l int, seed int64, samples []int, commTime *time.Duration) {
 	t0 := time.Now()
 	weights := c.AllgatherFloat64(localNorm)
 	*commTime += time.Since(t0)
-	var mine []int
-	for s, r := range statevec.Draw(rand.New(rand.NewSource(seed)), len(samples), func(s *statevec.Sampler) { s.Weights(weights) }) {
-		if r == c.Rank() {
-			mine = append(mine, s)
-		}
-	}
-	if len(mine) == 0 {
-		return
-	}
-	localRng := rand.New(rand.NewSource(seed*31 + int64(c.Rank()) + 1))
-	for j, idx := range statevec.Draw(localRng, len(mine), func(s *statevec.Sampler) { statevec.FeedAmps(s, local) }) {
-		samples[mine[j]] = plan.LogicalIndex(c.Rank()<<l | idx)
+	mine, idx := statevec.DrawUnit(seed, len(samples), weights, c.Rank(), func(s *statevec.Sampler) { statevec.FeedAmps(s, local) })
+	for j, i := range idx {
+		samples[mine[j]] = plan.LogicalIndex(c.Rank()<<l | i)
 	}
 }

@@ -51,7 +51,7 @@ func TestRunHoldsNoSecondState(t *testing.T) {
 
 	const m = 18
 	cycle := &schedule.Plan{N: m, L: m, Ops: []schedule.Op{{Kind: schedule.OpLocalPerm, Perm: []int{1, 2, 0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}}}}
-	v, s := statevec.NewUniform(m), f32vec.NewUniform(m)
+	v, s := statevec.NewUniform(m), f32vec.Prepare(statevec.StartUniform, m)
 	for name, tc := range map[string]struct {
 		state uint64
 		run   func() error

@@ -5,9 +5,10 @@
 // amplitude doubles the number of qubits that fit in the same memory.
 //
 // The state is statevec's, at complex64: the same constructors, reductions,
-// sampling and per-gate entry, through the same assembly or unrolled per-k
-// kernels as the double-precision path at the other element width. This
-// package keeps the names the benchmark and the tools call it by.
+// sampling and per-gate entry, through the same generated kernels —
+// AVX-512 or AVX2+FMA assembly, or pure Go elsewhere — as the
+// double-precision path at the other element width. This package keeps the
+// names the benchmark and the tools call it by.
 package f32vec
 
 import (
@@ -29,10 +30,10 @@ const BytesPerAmplitude = 8
 type Vector struct{ statevec.State[complex64] }
 
 // New returns |0…0⟩.
-func New(n int) *Vector { return &Vector{*statevec.Zero[complex64](n)} }
+func New(n int) *Vector { return Prepare(statevec.StartZero, n) }
 
-// NewUniform returns the uniform superposition.
-func NewUniform(n int) *Vector { return &Vector{*statevec.Uniform[complex64](n)} }
+// Prepare returns an n-qubit register in the start state s.
+func Prepare(s statevec.Start, n int) *Vector { return &Vector{*statevec.Prepare[complex64](s, n)} }
 
 // ToDouble converts back to double precision.
 func (v *Vector) ToDouble() *statevec.Vector {

@@ -59,14 +59,14 @@ func sortPerm(qs []int) []int {
 
 func TestRoundTripConversion(t *testing.T) {
 	d := statevec.NewUniform(8)
-	back := NewUniform(8).ToDouble()
+	back := Prepare(statevec.StartUniform, 8).ToDouble()
 	if diff := d.MaxDiff(back); diff > 1e-7 {
 		t.Errorf("round trip max diff %g", diff)
 	}
 }
 
 func TestUniformInit(t *testing.T) {
-	v := NewUniform(10)
+	v := Prepare(statevec.StartUniform, 10)
 	if math.Abs(v.Norm()-1) > 1e-5 {
 		t.Errorf("uniform norm %v", v.Norm())
 	}

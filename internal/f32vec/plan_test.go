@@ -28,13 +28,13 @@ func TestRunPlanMatchesDoublePrecisionPlan(t *testing.T) {
 	if err := plan.Run(d); err != nil {
 		t.Fatal(err)
 	}
-	s := NewUniform(n)
+	s := Prepare(statevec.StartUniform, n)
 	if err := s.RunPlan(plan); err != nil {
 		t.Fatal(err)
 	}
 	// RunPlan is the shared applier on one whole-vector complex64 shard, bit
 	// for bit (schedule's exec_test holds that shard to sharded execution).
-	sh := schedule.Shard[complex64]{Amps: NewUniform(n).Amps, L: n}
+	sh := schedule.Shard[complex64]{Amps: Prepare(statevec.StartUniform, n).Amps, L: n}
 	if err := sh.Run(plan, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRunPlanMatchesDoublePrecisionPlan(t *testing.T) {
 // tables, the compiled program) stay far below a second vector.
 func TestRunPlanNeverAllocatesScratch(t *testing.T) {
 	const n = 18
-	v := NewUniform(n)
+	v := Prepare(statevec.StartUniform, n)
 	for i := range v.Amps {
 		v.Amps[i] = complex(float32(i), 0)
 	}

@@ -1,6 +1,9 @@
 package gate
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Embed lifts a gate matrix u onto a larger k-qubit space. pos[j] gives the
 // bit position, within the k-qubit space, of u's gate-local qubit j. The
@@ -85,4 +88,49 @@ func PermuteQubits(m Matrix, perm []int) Matrix {
 		panic(fmt.Sprintf("gate: PermuteQubits got %d positions for a %d-qubit gate", len(perm), m.K))
 	}
 	return Embed(m, perm, m.K)
+}
+
+// Sort pre-permutes a gate on the given positions to sorted qubit order
+// (Sec. 3.2): it returns the positions ascending and m with gate-local
+// qubit j relabeled to the rank of positions[j] — m itself when they were
+// ascending already.
+func Sort(m Matrix, positions []int) ([]int, Matrix) {
+	sorted, perm := sortPositions(positions)
+	if perm != nil {
+		m = PermuteQubits(m, perm)
+	}
+	return sorted, m
+}
+
+// SortDiagonal is Sort for a gate given by its diagonal entries: entry x
+// moves to the index whose bit perm[j] is bit j of x.
+func SortDiagonal(d []complex128, positions []int) ([]int, []complex128) {
+	sorted, perm := sortPositions(positions)
+	if perm == nil {
+		return sorted, d
+	}
+	out := make([]complex128, len(d))
+	for x := range d {
+		y := 0
+		for j, p := range perm {
+			y |= (x >> j & 1) << p
+		}
+		out[y] = d[x]
+	}
+	return sorted, out
+}
+
+// sortPositions returns the positions ascending and, if they were not
+// already, the permutation perm with perm[j] = rank of positions[j].
+func sortPositions(positions []int) (sorted, perm []int) {
+	if slices.IsSorted(positions) {
+		return positions, nil
+	}
+	sorted = slices.Clone(positions)
+	slices.Sort(sorted)
+	perm = make([]int, len(positions))
+	for j, p := range positions {
+		perm[j], _ = slices.BinarySearch(sorted, p)
+	}
+	return sorted, perm
 }

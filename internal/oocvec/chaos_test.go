@@ -9,6 +9,7 @@ import (
 	"qusim/internal/ckpt"
 	"qusim/internal/fsio"
 	"qusim/internal/schedule"
+	"qusim/internal/statevec"
 	"qusim/internal/telemetry"
 )
 
@@ -20,7 +21,7 @@ import (
 // chaosVector builds a uniform vector whose backing file runs on fs.
 func chaosVector(t *testing.T, n, l int, fs fsio.FS) *Vector {
 	t.Helper()
-	v, err := Create(fs, n, l, t.TempDir(), true)
+	v, err := Create(fs, n, l, t.TempDir(), statevec.StartUniform)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"qusim/internal/ckpt"
 	"qusim/internal/schedule"
+	"qusim/internal/statevec"
 )
 
 // oocAmps runs the plan (optionally checkpointed) and returns the final
@@ -56,7 +57,7 @@ func TestTempFilesRemovedOnInitFailure(t *testing.T) {
 			}
 			return nil
 		})
-		if _, err := Create(fs, 8, 6, dir, false); err == nil {
+		if _, err := Create(fs, 8, 6, dir, statevec.StartZero); err == nil {
 			t.Fatalf("New survived injected failure at chunk %d", failAt)
 		}
 		assertEmpty(fmt.Sprintf("New(failAt=%d)", failAt))
@@ -72,7 +73,7 @@ func TestTempFilesRemovedOnInitFailure(t *testing.T) {
 			}
 			return nil
 		})
-		if _, err := Create(fs, 8, 6, dir, true); err == nil {
+		if _, err := Create(fs, 8, 6, dir, statevec.StartUniform); err == nil {
 			t.Fatalf("NewUniform survived injected failure on call %d", failCall)
 		}
 		assertEmpty(fmt.Sprintf("NewUniform(failCall=%d)", failCall))

@@ -11,6 +11,7 @@ import (
 	"qusim/internal/circuit"
 	"qusim/internal/ckpt"
 	"qusim/internal/schedule"
+	"qusim/internal/statevec"
 	"qusim/internal/telemetry"
 )
 
@@ -31,7 +32,7 @@ func TestSwapMovesNoData(t *testing.T) {
 	fs := &faultFS{}
 	for _, depth := range []int{0, 4} {
 		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
-			v, err := Create(fs, n, l, t.TempDir(), true)
+			v, err := Create(fs, n, l, t.TempDir(), statevec.StartUniform)
 			if err != nil {
 				t.Fatal(err)
 			}

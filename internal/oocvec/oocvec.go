@@ -35,12 +35,12 @@ package oocvec
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"qusim/internal/fsio"
 	"qusim/internal/kernels"
 	"qusim/internal/schedule"
+	"qusim/internal/statevec"
 	"qusim/internal/telemetry"
 )
 
@@ -65,11 +65,11 @@ type Vector struct {
 	// that combines and kept ever after.
 	staging []complex128
 
-	uniform     bool // created in the uniform superposition, not |0…0⟩
-	prefetch    int  // chunks read ahead of the compute loop; 0 = no overlap
-	ckptSkipped int  // checkpoints skipped on persistent ENOSPC (ckpt.go)
-	restored    int  // RunCheckpointed attempts that started from a snapshot
-	restarts    int  // RunCheckpointed's restarts (ckpt.Policy.Restart)
+	start       statevec.Start // the state the vector was created in
+	prefetch    int            // chunks read ahead of the compute loop; 0 = no overlap
+	ckptSkipped int            // checkpoints skipped on persistent ENOSPC (ckpt.go)
+	restored    int            // RunCheckpointed attempts that started from a snapshot
+	restarts    int            // RunCheckpointed's restarts (ckpt.Policy.Restart)
 	tel         vecTel
 }
 
@@ -78,18 +78,22 @@ const ampBytes = 16
 // New creates a file-backed |0…0⟩ state in dir (empty dir means the
 // default temp dir). l controls the in-memory chunk size.
 func New(n, l int, dir string) (*Vector, error) {
-	return Create(fsio.OS{}, n, l, dir, false)
+	return Create(nil, n, l, dir, statevec.StartZero)
 }
 
 // NewUniform creates the uniform superposition.
 func NewUniform(n, l int, dir string) (*Vector, error) {
-	return Create(fsio.OS{}, n, l, dir, true)
+	return Create(nil, n, l, dir, statevec.StartUniform)
 }
 
-// Create is New, or NewUniform when uniform is set, with the state file on
-// fs: every access to it, the pipeline's reader and writeback goroutines'
+// Create creates a file-backed n-qubit state in the start state start, in
+// 2^l-amplitude chunks, with the state file in dir on fs (nil: fsio.OS):
+// every access to it, the pipeline's reader and writeback goroutines'
 // included, goes through fs.
-func Create(fs fsio.FS, n, l int, dir string, uniform bool) (*Vector, error) {
+func Create(fs fsio.FS, n, l int, dir string, start statevec.Start) (*Vector, error) {
+	if fs == nil {
+		fs = fsio.OS{}
+	}
 	if l >= n {
 		return nil, fmt.Errorf("oocvec: chunk qubits l=%d must be < n=%d", l, n)
 	}
@@ -100,7 +104,7 @@ func Create(fs fsio.FS, n, l int, dir string, uniform bool) (*Vector, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &Vector{N: n, L: l, fs: fs, f: f, loc: make([]int, n), pool: [][]complex128{kernels.NewAmps[complex128](1 << l)}, uniform: uniform}
+	v := &Vector{N: n, L: l, fs: fs, f: f, loc: make([]int, n), pool: [][]complex128{kernels.NewAmps[complex128](1 << l)}, start: start}
 	for p := range v.loc {
 		v.loc[p] = p
 	}
@@ -111,14 +115,9 @@ func Create(fs fsio.FS, n, l int, dir string, uniform bool) (*Vector, error) {
 	return v, nil
 }
 
-// fill writes the state the vector was created in, |0…0⟩ or the uniform
-// superposition, through its layout.
+// fill writes the state the vector was created in through its layout.
 func (v *Vector) fill() error {
-	first, rest := complex128(1), complex128(0)
-	if v.uniform {
-		first = complex(math.Pow(2, -float64(v.N)/2), 0)
-		rest = first
-	}
+	first, rest := v.start.Amplitudes(v.N)
 	buf := v.pool[0]
 	for i := range buf {
 		buf[i] = rest

@@ -155,7 +155,7 @@ func TestPipelineFaultInjection(t *testing.T) {
 	// before the goroutine baseline is captured.
 	warm := t.TempDir()
 	{
-		v, err := Create(fs, n, l, warm, true)
+		v, err := Create(fs, n, l, warm, statevec.StartUniform)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestPipelineFaultInjection(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/depth%d", sc.name, depth), func(t *testing.T) {
 				base := runtime.NumGoroutine()
 				dir := t.TempDir()
-				v, err := Create(fs, n, l, dir, true)
+				v, err := Create(fs, n, l, dir, statevec.StartUniform)
 				if err != nil {
 					t.Fatal(err)
 				}

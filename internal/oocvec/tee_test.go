@@ -15,6 +15,7 @@ import (
 	"qusim/internal/chaos"
 	"qusim/internal/ckpt"
 	"qusim/internal/schedule"
+	"qusim/internal/statevec"
 	"qusim/internal/telemetry"
 )
 
@@ -174,7 +175,7 @@ func TestKilledBeforeTeeCommitsResumesFromOlder(t *testing.T) {
 		t.Run(fmt.Sprintf("prefetch%d", depth), func(t *testing.T) {
 			dir := t.TempDir()
 			pol := &ckpt.Policy{Dir: dir, Keep: keepAll}
-			v, err := Create(fs, n, l, t.TempDir(), true)
+			v, err := Create(fs, n, l, t.TempDir(), statevec.StartUniform)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -85,13 +85,16 @@ func (b *builder) qubitMask(gi int) uint64 { return b.cl.info[gi].mask }
 // specializable reports whether gate gi may execute on global qubits
 // without communication under the configured specialization (Sec. 3.5).
 func (b *builder) specializable(gi int) bool {
-	if !b.cl.info[gi].diagonal {
-		return false
+	return b.cl.info[gi].diagonal && b.opts.specializes(&b.c.Gates[gi])
+}
+
+// specializes reports whether the diagonal gate g may execute on global
+// qubits without communication under the options (Sec. 3.5).
+func (o Options) specializes(g *circuit.Gate) bool {
+	if g.K() == 1 {
+		return o.SpecializeDiagonal1Q
 	}
-	if b.c.Gates[gi].K() == 1 {
-		return b.opts.SpecializeDiagonal1Q
-	}
-	return b.opts.SpecializeDiagonal2Q
+	return o.SpecializeDiagonal2Q
 }
 
 func (b *builder) run() (*Plan, error) {
@@ -126,7 +129,10 @@ func (b *builder) run() (*Plan, error) {
 		Gates:        len(b.c.Gates),
 		ClusterSizes: map[int]int{},
 	}
-	b.countBaselines()
+	specializes := b.opts.specializes
+	for i := range b.c.Gates {
+		b.stats.countPerGate(&b.c.Gates[i], b.l, specializes)
+	}
 
 	guard := 0
 	for len(remaining) > 0 {
@@ -430,30 +436,6 @@ func setBits(m uint64) []int {
 	return out
 }
 
-// countBaselines records how many communication steps the per-gate scheme
-// of [5]/[19] would need on this circuit with the identity mapping: every
-// gate touching a qubit at location ≥ l is one communication step, unless
-// specialization elides it (Fig. 5, lower panels).
-func (b *builder) countBaselines() {
-	for i := range b.c.Gates {
-		g := &b.c.Gates[i]
-		global := false
-		for _, q := range g.Qubits {
-			if q >= b.l {
-				global = true
-				break
-			}
-		}
-		if !global {
-			continue
-		}
-		b.stats.BaselineGlobalGatesDense++
-		if !b.specializable(i) {
-			b.stats.BaselineGlobalGates++
-		}
-	}
-}
-
 // adjustBoundary implements step 3 of Sec. 3.6.1: if the trailing clusters
 // of a stage act on qubits that stay resident after the swap, defer their
 // gates into the next stage (performing the swap "earlier"), shrinking the
@@ -593,35 +575,21 @@ func (b *builder) emitCluster(gates []int) {
 	})
 }
 
-// diagonalOp builds the OpDiagonal for a diagonal circuit gate, given the
-// bit location of each qubit: positions are sorted ascending and the
-// diagonal entries are permuted accordingly. Build and PerGate both emit
-// diagonal gates through it (Sec. 3.5).
-func diagonalOp(g *circuit.Gate, pos func(q int) int) Op {
-	d := g.Matrix().Diagonal()
-	k := len(g.Qubits)
-	idx := make([]int, k)
-	for i := range idx {
-		idx[i] = i
+// gateOp is the circuit gate g as one op, given the bit location of each
+// qubit, pre-permuted to sorted positions (Sec. 3.2): an OpDiagonal for a
+// diagonal gate (Sec. 3.5), an OpCluster for any other. Build emits its
+// unfused diagonals and PerGate every gate through it.
+func gateOp(g *circuit.Gate, pos func(q int) int) Op {
+	at := make([]int, len(g.Qubits))
+	for j, q := range g.Qubits {
+		at[j] = pos(q)
 	}
-	sort.Slice(idx, func(a, c int) bool { return pos(g.Qubits[idx[a]]) < pos(g.Qubits[idx[c]]) })
-	positions := make([]int, k)
-	perm := make([]int, k) // gate-local j -> sorted slot
-	for rank, j := range idx {
-		positions[rank] = pos(g.Qubits[j])
-		perm[j] = rank
+	if g.IsDiagonal() {
+		positions, d := gate.SortDiagonal(g.Matrix().Diagonal(), at)
+		return Op{Kind: OpDiagonal, Diag: d, Positions: positions, GateCount: 1}
 	}
-	dd := make([]complex128, len(d))
-	for x := range d {
-		y := 0
-		for j := 0; j < k; j++ {
-			if x&(1<<j) != 0 {
-				y |= 1 << perm[j]
-			}
-		}
-		dd[y] = d[x]
-	}
-	return Op{Kind: OpDiagonal, Diag: dd, Positions: positions, GateCount: 1}
+	positions, m := gate.Sort(g.Matrix(), at)
+	return Op{Kind: OpCluster, Matrix: m, Positions: positions, GateCount: 1}
 }
 
 // emitDiag emits one diagonal gate directly from its diagonal entries. It
@@ -629,7 +597,7 @@ func diagonalOp(g *circuit.Gate, pos func(q int) int) Op {
 // countAsCluster=false) and singleton local diagonal clusters.
 func (b *builder) emitDiag(gi int, countAsCluster bool) {
 	g := &b.c.Gates[gi]
-	op := diagonalOp(g, func(q int) int { return b.pos[q] })
+	op := gateOp(g, func(q int) int { return b.pos[q] })
 	op.Stage = b.stage
 	b.ops = append(b.ops, op)
 	if countAsCluster {

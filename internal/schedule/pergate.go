@@ -5,8 +5,6 @@ import (
 	"slices"
 
 	"qusim/internal/circuit"
-	"qusim/internal/gate"
-	"qusim/internal/statevec"
 )
 
 // PerGate is the scheduler of [19] as used by the state of the art [5] that
@@ -49,40 +47,12 @@ func PerGate(c *circuit.Circuit, l int, specialized func(*circuit.Gate) bool) (*
 			st.ClusterSizes[len(op.Positions)]++
 		}
 	}
-	// gateOp is the gate as one op with qubit q at location at(q).
-	gateOp := func(g *circuit.Gate, at func(q int) int) Op {
-		if g.IsDiagonal() {
-			return diagonalOp(g, at)
-		}
-		pos := make([]int, len(g.Qubits))
-		for j, q := range g.Qubits {
-			pos[j] = at(q)
-		}
-		m := g.Matrix()
-		sorted, perm := statevec.SortPositions(pos)
-		if perm != nil {
-			m = gate.PermuteQubits(m, perm)
-		}
-		return Op{Kind: OpCluster, Matrix: m, Positions: sorted, GateCount: 1}
-	}
 	here := func(q int) int { return q }
 	for i := range c.Gates {
 		g := &c.Gates[i]
-		global := false
-		for _, q := range g.Qubits {
-			global = global || q >= l
-		}
-		if !global {
-			emit(gateOp(g, here))
-			continue
-		}
-		st.BaselineGlobalGatesDense++
-		if g.IsDiagonal() && specialized(g) {
-			emit(gateOp(g, here))
-			continue
-		}
-		st.BaselineGlobalGates++
 		switch {
+		case !st.countPerGate(g, l, specialized):
+			emit(gateOp(g, here))
 		case g.K() == 1:
 			swap := Op{Kind: OpSwap, LocalPos: []int{l - 1}, GlobalPos: []int{g.Qubits[0]}}
 			emit(swap)
@@ -100,4 +70,22 @@ func PerGate(c *circuit.Circuit, l int, specialized func(*circuit.Gate) bool) (*
 	}
 	p.Stats = st
 	return p, nil
+}
+
+// countPerGate is the per-gate scheme's rule for gate g with qubit q at
+// location q: a gate on a location ≥ l is global, and a global gate is one
+// communication step unless it is diagonal and specialized lets it run
+// without (Sec. 3.5; Fig. 5, lower panels). It counts both in st and reports
+// whether g is a step. PerGate emits by it and Build counts with it, so
+// every plan carries the scheme's counts for its circuit.
+func (st *Stats) countPerGate(g *circuit.Gate, l int, specialized func(*circuit.Gate) bool) (step bool) {
+	if !slices.ContainsFunc(g.Qubits, func(q int) bool { return q >= l }) {
+		return false
+	}
+	st.BaselineGlobalGatesDense++
+	if g.IsDiagonal() && specialized(g) {
+		return false
+	}
+	st.BaselineGlobalGates++
+	return true
 }

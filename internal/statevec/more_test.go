@@ -13,10 +13,7 @@ import (
 // sortedGate returns u and qs as the kernels take them: positions ascending,
 // the matrix permuted to match.
 func sortedGate(u gate.Matrix, qs []int) ([]complex128, []int) {
-	sorted, perm := SortPositions(qs)
-	if perm != nil {
-		u = gate.PermuteQubits(u, perm)
-	}
+	sorted, u := gate.Sort(u, qs)
 	return u.Data, sorted
 }
 

@@ -11,6 +11,25 @@ func (v *State[T]) Sample(rng *rand.Rand, shots int) []int {
 	return Draw(rng, shots, func(s *Sampler) { FeedAmps(s, v.Amps) })
 }
 
+// DrawUnit is the sampler of a state held in units — dist's ranks, or a
+// whole state as its one unit: a stream seeded by seed assigns each of shots
+// shots to a unit by the units' weights (their Σ|a|²), the same in every
+// unit, and unit u draws the in-unit index of each of its shots from a
+// stream of its own, seeded seed·31 + u + 1, over the buckets feed hands it.
+// It returns unit u's shots, as indices into the shots in increasing order,
+// and their in-unit indices.
+func DrawUnit(seed int64, shots int, weights []float64, u int, feed func(*Sampler)) (mine, idx []int) {
+	for s, w := range Draw(rand.New(rand.NewSource(seed)), shots, func(s *Sampler) { s.Weights(weights) }) {
+		if w == u {
+			mine = append(mine, s)
+		}
+	}
+	if len(mine) == 0 {
+		return nil, nil
+	}
+	return mine, Draw(rand.New(rand.NewSource(seed*31+int64(u)+1)), len(mine), feed)
+}
+
 // Draw is inverse-CDF sampling without the CDF: one feed of the buckets
 // totals them, the draws rng.Float64()·total follow in shot order, and a
 // second feed resolves them (Resolve).

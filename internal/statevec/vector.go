@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"qusim/internal/gate"
 	"qusim/internal/kernels"
@@ -35,30 +34,51 @@ type State[T Amp] struct {
 // Vector is the double-precision state.
 type Vector = State[complex128]
 
-// New returns an n-qubit register initialized to |0…0⟩.
-func New(n int) *Vector { return Zero[complex128](n) }
+// Start is the state a run starts in, before its first gate. Every store —
+// this package's states, dist's ranks, oocvec's file — writes it from
+// Amplitudes.
+type Start int
 
-// NewUniform is Uniform in double precision.
-func NewUniform(n int) *Vector { return Uniform[complex128](n) }
+const (
+	// StartZero is |0…0⟩.
+	StartZero Start = iota
+	// StartUniform is the uniform superposition (2^{−n/2}, …)ᵀ — the state
+	// after the initial cycle of Hadamards, which the simulator writes
+	// directly instead of applying n H gates (Sec. 3.6).
+	StartUniform
+)
 
-// Zero returns an n-qubit register initialized to |0…0⟩.
-func Zero[T Amp](n int) *State[T] {
-	v := newUninit[T](n)
-	v.Amps[0] = 1
-	return v
+// Amplitudes returns the amplitude of the n-qubit start state s at basis
+// state |0…0⟩ and at every other basis state.
+func (s Start) Amplitudes(n int) (first, rest complex128) {
+	if s == StartUniform {
+		a := complex(math.Pow(2, -float64(n)/2), 0)
+		return a, a
+	}
+	return 1, 0
 }
 
-// Uniform returns the uniform superposition (2^{−n/2}, …)ᵀ — the state
-// after the initial cycle of Hadamards, which the simulator writes directly
-// instead of applying n H gates (Sec. 3.6).
-func Uniform[T Amp](n int) *State[T] {
-	v := newUninit[T](n)
-	a := T(complex(math.Pow(2, -float64(n)/2), 0))
-	par.For(len(v.Amps), 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v.Amps[i] = a
-		}
-	})
+// New returns an n-qubit register initialized to |0…0⟩.
+func New(n int) *Vector { return Prepare[complex128](StartZero, n) }
+
+// NewUniform returns the uniform superposition in double precision.
+func NewUniform(n int) *Vector { return Prepare[complex128](StartUniform, n) }
+
+// Prepare returns an n-qubit register in the start state s.
+func Prepare[T Amp](s Start, n int) *State[T] {
+	if n < 0 || n > 34 {
+		panic(fmt.Sprintf("statevec: unsupported qubit count %d", n))
+	}
+	v := &State[T]{N: n, Amps: kernels.NewAmps[T](1 << n)}
+	first, rest := s.Amplitudes(n)
+	if a := T(rest); a != 0 {
+		par.For(len(v.Amps), 4096, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				v.Amps[i] = a
+			}
+		})
+	}
+	v.Amps[0] = T(first)
 	return v
 }
 
@@ -72,13 +92,6 @@ func FromAmplitudes[T Amp](amps []T) *State[T] {
 		panic(fmt.Sprintf("statevec: %d amplitudes is not a power of two", len(amps)))
 	}
 	return &State[T]{N: n, Amps: amps}
-}
-
-func newUninit[T Amp](n int) *State[T] {
-	if n < 0 || n > 34 {
-		panic(fmt.Sprintf("statevec: unsupported qubit count %d", n))
-	}
-	return &State[T]{N: n, Amps: kernels.NewAmps[T](1 << n)}
 }
 
 // Clone returns a deep copy.
@@ -180,51 +193,12 @@ func (v *State[T]) Apply(m gate.Matrix, qubits ...int) {
 // ApplyDense is Apply without the diagonal fast path — used by experiments
 // that must exercise the full kernel (worst-case dense gates, Sec. 3.6.1).
 func (v *State[T]) ApplyDense(m gate.Matrix, qubits ...int) {
-	sortedQs, perm := SortPositions(qubits)
-	if perm != nil {
-		m = gate.PermuteQubits(m, perm)
-	}
+	sortedQs, m := gate.Sort(m, qubits)
 	kernels.Apply(v.Amps, kernels.Convert[T](m.Data), sortedQs)
 }
 
 // ApplyDiagonal applies a diagonal gate given by its diagonal entries.
 func (v *State[T]) ApplyDiagonal(d []complex128, qubits ...int) {
-	sortedQs, perm := SortPositions(qubits)
-	dd := d
-	if perm != nil {
-		dd = make([]complex128, len(d))
-		k := len(qubits)
-		for x := range d {
-			// bit j of x moves to bit perm[j].
-			y := 0
-			for j := 0; j < k; j++ {
-				if x&(1<<j) != 0 {
-					y |= 1 << perm[j]
-				}
-			}
-			dd[y] = d[x]
-		}
-	}
-	kernels.ApplyDiagonal(v.Amps, kernels.Convert[T](dd), sortedQs)
-}
-
-// SortPositions returns the sorted positions and, if the input was not
-// already sorted, the permutation perm with perm[j] = rank of qubits[j].
-func SortPositions(qubits []int) ([]int, []int) {
-	if sort.IntsAreSorted(qubits) {
-		return qubits, nil
-	}
-	k := len(qubits)
-	idx := make([]int, k)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return qubits[idx[a]] < qubits[idx[b]] })
-	sortedQs := make([]int, k)
-	perm := make([]int, k)
-	for rank, j := range idx {
-		sortedQs[rank] = qubits[j]
-		perm[j] = rank
-	}
-	return sortedQs, perm
+	sortedQs, d := gate.SortDiagonal(d, qubits)
+	kernels.ApplyDiagonal(v.Amps, kernels.Convert[T](d), sortedQs)
 }

@@ -266,7 +266,7 @@ func TestStatesAgreeAcrossPrecisions(t *testing.T) {
 	}
 	var pairs []pair
 	for n := 2; n <= 10; n += 2 {
-		pairs = append(pairs, pair{fmt.Sprintf("uniform%d", n), Uniform[complex64](n), NewUniform(n)})
+		pairs = append(pairs, pair{fmt.Sprintf("uniform%d", n), Prepare[complex64](StartUniform, n), NewUniform(n)})
 	}
 	basis := func(n int, amps map[int]complex128) pair {
 		s, d := make([]complex64, 1<<n), make([]complex128, 1<<n)
@@ -275,7 +275,7 @@ func TestStatesAgreeAcrossPrecisions(t *testing.T) {
 		}
 		return pair{fmt.Sprint(amps), FromAmplitudes(s), FromAmplitudes(d)}
 	}
-	pairs = append(pairs, pair{"zero", Zero[complex64](6), New(6)},
+	pairs = append(pairs, pair{"zero", Prepare[complex64](StartZero, 6), New(6)},
 		basis(6, map[int]complex128{5: 1}), basis(6, map[int]complex128{63: -1i}),
 		basis(5, map[int]complex128{3: 0.5, 9: -0.5, 17: 0.5i, 30: -0.5i}))
 

@@ -51,11 +51,7 @@ func (naiveBackend) Run(c *circuit.Circuit) ([]complex128, error) {
 	src[0] = 1
 	for i := range c.Gates {
 		g := &c.Gates[i]
-		m := g.Matrix()
-		qs, perm := statevec.SortPositions(g.Qubits)
-		if perm != nil {
-			m = gate.PermuteQubits(m, perm)
-		}
+		qs, m := gate.Sort(g.Matrix(), g.Qubits)
 		refkernel.Naive(dst, src, m.Data, qs)
 		src, dst = dst, src
 	}
@@ -79,7 +75,7 @@ func F32() Backend { return gateBackend[complex64]{"f32vec/" + kernels.ISA()} }
 func (b gateBackend[T]) Name() string { return b.name }
 
 func (gateBackend[T]) Run(c *circuit.Circuit) ([]complex128, error) {
-	v := statevec.Zero[T](c.N)
+	v := statevec.Prepare[T](statevec.StartZero, c.N)
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		v.Apply(g.Matrix(), g.Qubits...)

@@ -5,9 +5,9 @@
 //   - a circuit IR with the standard supremacy-circuit gate set and
 //     generators for Google's random supremacy circuits, QFT, GHZ and
 //     Grover (package internal/circuit, re-exported here);
-//   - optimized in-place k-qubit gate kernels, AVX2+FMA assembly written
-//     by a code generator like the paper's where the CPU has it and
-//     unrolled Go elsewhere (internal/kernels, internal/statevec);
+//   - optimized in-place k-qubit gate kernels written by a code generator
+//     like the paper's: AVX-512 or AVX2+FMA assembly where the CPU has it,
+//     pure Go of the same FMA order elsewhere (internal/kernels, internal/statevec);
 //   - the circuit scheduler of Sec. 3.6: communication-minimizing stages,
 //     gate fusion into k ≤ kmax clusters, and qubit mapping
 //     (internal/schedule);
