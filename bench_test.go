@@ -848,7 +848,7 @@ func BenchmarkBlockedRun(b *testing.B) {
 // entropy/f64 to half of norm/f64).
 func BenchmarkReduce(b *testing.B) {
 	benchReduce(b, "f64", 16, statevec.NewUniform(precState).Amps)
-	benchReduce(b, "f32", f32vec.BytesPerAmplitude, f32vec.Prepare(statevec.StartUniform, precState).Amps)
+	benchReduce(b, "f32", 8, f32vec.Prepare(statevec.StartUniform, precState).Amps)
 }
 
 // reduceSink keeps the reductions' results live.
@@ -883,7 +883,7 @@ func benchReduce[C complex64 | complex128](b *testing.B, prec string, ampBytes i
 func BenchmarkStateAlloc(b *testing.B) {
 	h := gate.H().Data
 	b.Run("f64", func(b *testing.B) { benchStateAlloc(b, 16, h) })
-	b.Run("f32", func(b *testing.B) { benchStateAlloc(b, f32vec.BytesPerAmplitude, kernels.ToComplex64(h)) })
+	b.Run("f32", func(b *testing.B) { benchStateAlloc(b, 8, kernels.ToComplex64(h)) })
 }
 
 func benchStateAlloc[C complex64 | complex128](b *testing.B, ampBytes int, m []C) {

@@ -23,7 +23,6 @@ import (
 	"qusim/internal/circuit"
 	"qusim/internal/ckpt"
 	"qusim/internal/dist"
-	"qusim/internal/f32vec"
 	"qusim/internal/kernels"
 	"qusim/internal/oocvec"
 	"qusim/internal/par"
@@ -40,7 +39,7 @@ func main() {
 		seed      = flag.Int64("seed", 0, "random seed")
 		ranks     = flag.Int("ranks", 1, "simulated MPI ranks (power of two)")
 		kmax      = flag.Int("kmax", schedule.DefaultOptions(0).KMax, "cap on the fused-gate size (clamped to local qubits); below it the scheduler's kernel cost table decides how far to fuse")
-		f32       = flag.Bool("f32", false, "single-precision (complex64) state vector — half the memory per amplitude, single node only")
+		f32       = flag.Bool("f32", false, "single-precision (complex64) amplitudes on every rank — half the memory per amplitude and half the bytes per exchange")
 		baseline  = flag.Bool("baseline", false, "plan with the per-gate scheme of [5] (no fusion, two half-vector exchanges per dense gate on a global qubit) instead of the scheduler")
 		spec1q    = flag.Bool("spec1q", false, "specialize diagonal 1-qubit gates (median-hard mode)")
 		file      = flag.String("file", "", "read circuit from file (GRCS-like text format)")
@@ -74,7 +73,7 @@ func main() {
 	if *qubits > 62 { // past what a plan addresses, and what a generator's 1<<qubits survives
 		usage(fmt.Errorf("-qubits must be from 1 to 62, got %d", *qubits))
 	}
-	if *f32 && *qubits > 34 { // past the largest state statevec allocates
+	if *f32 && *qubits > 34 { // past the largest single-precision state, statevec's bound
 		usage(fmt.Errorf("-qubits must be from 1 to 34 with -f32, got %d", *qubits))
 	}
 	given := map[string]bool{
@@ -109,10 +108,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// The plan's local qubits: all of them for -f32's one vector; a saved
-	// plan brings its own.
+	// The plan's local qubits; a saved plan brings its own.
 	l := circ.N
-	if !*f32 && *planFile == "" {
+	if *planFile == "" {
 		if l, err = localQubits(circ.N, *ranks, *ooc, *oocChunk); err != nil {
 			usage(err)
 		}
@@ -146,7 +144,7 @@ func main() {
 	}
 
 	plan := sched.plan(circ, l)
-	if *f32 && plan.N > 34 { // a -file or -plan circuit past the largest state statevec allocates
+	if *f32 && plan.N > 34 { // a -file or -plan circuit past the largest single-precision state
 		fatal(fmt.Errorf("-f32 holds at most 34 qubits, the circuit has %d", plan.N))
 	}
 	if *verbose {
@@ -158,18 +156,15 @@ func main() {
 		pol = &ckpt.Policy{Dir: *ckptDir, EveryStages: *ckptEvery}
 	}
 	var res result
-	switch {
-	case *f32:
-		res, err = runF32(plan, start, tel, *shots, *seed)
-	case *ooc:
+	if *ooc {
 		res, err = runOutOfCore(plan, tel, oocOptions{start: start, prefetch: *oocPrefetch, dir: *oocDir, ckpt: pol, resume: *resume})
-	default:
+	} else {
 		res, err = runDist(plan, dist.Options{
 			Ranks: *ranks, Init: start,
 			SampleShots: *shots, SampleSeed: *seed, Profile: *profile,
 			Checkpoint: pol, Resume: *resume, CommDeadline: *commDL,
 			Telemetry: tel,
-		}, *baseline)
+		}, *baseline, *f32)
 	}
 	if err != nil {
 		fatal(err)
@@ -178,8 +173,8 @@ func main() {
 	flushTelemetry(tel, *traceFile, *metrics)
 }
 
-// result is what a run measured on its store (runDist, runOutOfCore,
-// runF32); print writes it as qsim's result block, the same for every store.
+// result is what a run measured on its store (runDist, runOutOfCore); print
+// writes it as qsim's result block, the same for every store.
 type result struct {
 	store         string // the store and its size, under circuit:
 	norm, entropy float64
@@ -218,12 +213,17 @@ func ckptNote(committed, restored, restarts int) string {
 	return fmt.Sprintf("ckpt:    %d snapshots committed, %d restored, %d restarts", committed, restored, restarts)
 }
 
-// runDist runs plan on the ranks of opts. A -baseline run reports its
-// communication steps in the paper's unit, one per communicating gate, as
-// dist.RunBaseline does: a dense gate on a global qubit is one step, not its
-// two exchanges.
-func runDist(plan *schedule.Plan, opts dist.Options, baseline bool) (result, error) {
-	res, err := dist.Run(plan, opts)
+// runDist runs plan on the ranks of opts, in single precision with f32 —
+// the paper's Sec. 5 outlook: half the bytes per amplitude, one more qubit in
+// the same memory. A -baseline run reports its communication steps in the
+// paper's unit, one per communicating gate, as dist.RunBaseline does: a dense
+// gate on a global qubit is one step, not its two exchanges.
+func runDist(plan *schedule.Plan, opts dist.Options, baseline, f32 bool) (result, error) {
+	run, amp := dist.Run, int64(16)
+	if f32 {
+		run, amp = dist.RunAt[complex64], 8
+	}
+	res, err := run(plan, opts)
 	if err != nil {
 		return result{}, err
 	}
@@ -236,7 +236,17 @@ func runDist(plan *schedule.Plan, opts dist.Options, baseline bool) (result, err
 		comm: fmt.Sprintf(", %.3fs comm (%.1f%%)", res.CommElapsed.Seconds(),
 			100*res.CommElapsed.Seconds()/res.Elapsed.Seconds()),
 		notes:    []string{fmt.Sprintf("comm:    %d steps, %.1f MB", res.CommSteps, float64(res.CommBytes)/1e6)},
-		bufBytes: 16 << plan.L, samples: res.Samples,
+		bufBytes: amp << res.LocalQubits, samples: res.Samples,
+	}
+	if f32 {
+		// The state's size in both precisions heads the block; a lone
+		// rank has no communication to report.
+		f32Store := fmt.Sprintf("f32:     2^%d complex64 amplitudes, %.1f MB (%.1f MB in double precision)",
+			plan.N, float64(uint64(8)<<plan.N)/1e6, float64(uint64(16)<<plan.N)/1e6)
+		r.store, r.normDigits = f32Store+"\n"+r.store, 7
+		if res.Ranks == 1 {
+			r.store, r.comm, r.notes = f32Store, "", nil
+		}
 	}
 	if opts.Checkpoint != nil {
 		r.notes = append(r.notes, ckptNote(res.CheckpointsWritten, res.CheckpointsRestored, res.Restarts))
@@ -342,7 +352,7 @@ func checkFlags(ranks int, given map[string]bool) error {
 	}
 	given["-ranks > 1"] = ranks > 1
 	for _, mode := range [][]string{
-		{"-f32", "-ranks > 1", "-baseline", "-ooc", "-profile", "-checkpoint-dir", "-resume", "-comm-deadline"},
+		{"-f32", "-ooc", "-checkpoint-dir"},
 		{"-ooc", "-ranks > 1", "-baseline", "-sample", "-profile", "-comm-deadline"},
 		{"-baseline", "-plan", "-tune", "-kmax"},
 		{"-plan", "-kmax", "-spec1q", "-tune", "-ooc-chunk"},
@@ -466,30 +476,6 @@ func runOutOfCore(plan *schedule.Plan, tel *telemetry.Telemetry, o oocOptions) (
 	}
 	if o.ckpt != nil {
 		r.notes = append(r.notes, ckptNote(written, v.CheckpointsRestored(), v.Restarts()))
-	}
-	return r, nil
-}
-
-// runF32 executes the plan on the single-precision in-memory state, created
-// in the circuit's start state — the paper's Sec. 5 outlook (half the bytes
-// per amplitude, one more qubit in the same memory) — then draws shots
-// samples with the sampler of a one-rank dist.Run, the state as its one unit.
-func runF32(plan *schedule.Plan, start statevec.Start, tel *telemetry.Telemetry, shots int, seed int64) (result, error) {
-	v := f32vec.Prepare(start, plan.N)
-	t0 := time.Now()
-	if err := v.RunPlan(plan); err != nil {
-		return result{}, err
-	}
-	r := result{
-		store: fmt.Sprintf("f32:     2^%d complex64 amplitudes, %.1f MB (%.1f MB in double precision)",
-			plan.N, float64(uint64(f32vec.BytesPerAmplitude)<<plan.N)/1e6, float64(uint64(16)<<plan.N)/1e6),
-		normDigits: 7, elapsed: time.Since(t0), bufBytes: int64(len(v.Amps)) * f32vec.BytesPerAmplitude,
-	}
-	r.norm, r.entropy = v.NormEntropy()
-	kernels.ObservePages(tel, v.Amps)
-	_, r.samples = statevec.DrawUnit(seed, shots, []float64{r.norm}, 0, func(s *statevec.Sampler) { statevec.FeedAmps(s, v.Amps) })
-	for i, b := range r.samples {
-		r.samples[i] = plan.LogicalIndex(b)
 	}
 	return r, nil
 }

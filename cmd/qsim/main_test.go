@@ -54,8 +54,8 @@ var entropyLine = regexp.MustCompile(`entropy=(\S+) nats`)
 
 // TestStartState: every circuit family starts from the state its generator
 // assumes — |0…0⟩ but for the supremacy circuits, which leave out their
-// Hadamard cycle — on every path: one rank, four ranks, single precision
-// (within verify's default F32Tol) and out of core. A GHZ state has entropy
+// Hadamard cycle — on every path: one rank, four ranks, single precision on
+// one rank and on four (within verify's default F32Tol) and out of core. A GHZ state has entropy
 // ln 2, a Bernstein–Vazirani output is a basis state, and a supremacy
 // circuit of depth 0 has no gates: its output is the uniform start itself,
 // with entropy 10·ln 2 on 10 qubits.
@@ -69,7 +69,7 @@ func TestStartState(t *testing.T) {
 		{[]string{"-circuit", "bv"}, 0},
 		{[]string{"-circuit", "supremacy", "-depth", "0"}, 10 * math.Ln2},
 	} {
-		for _, mode := range [][]string{{"-ranks", "1"}, {"-ranks", "4"}, {"-f32"}, {"-ooc"}} {
+		for _, mode := range [][]string{{"-ranks", "1"}, {"-ranks", "4"}, {"-f32"}, {"-f32", "-ranks", "4"}, {"-ooc"}} {
 			args := append(append([]string{"-qubits", "10", "-seed", "5"}, tc.circuit...), mode...)
 			stdout, stderr, code := qsim(t, "", args...)
 			if code != 0 {
@@ -107,6 +107,39 @@ func TestF32SamplesLikeOneRank(t *testing.T) {
 	}
 	if shots[0] != shots[1] {
 		t.Errorf("-f32 drew\n%s-ranks 1 drew\n%s", shots[0], shots[1])
+	}
+}
+
+var normLine = regexp.MustCompile(`norm=(\S+) entropy=(\S+) nats`)
+
+// TestF32ComposesWithFlags: -f32 runs on dist's ranks, so it takes the flags
+// of a distributed run — more ranks, the per-gate baseline, the profile, a
+// collective deadline — and each run's norm and entropy are within verify's
+// default F32Tol of the same run in double precision.
+func TestF32ComposesWithFlags(t *testing.T) {
+	const f32Tol = 5e-4
+	for _, flags := range [][]string{{"-ranks", "2"}, {"-baseline", "-ranks", "4"}, {"-profile"}, {"-comm-deadline", "1m"}} {
+		var got [2][]float64
+		for i, prec := range []string{"-f32=false", "-f32"} {
+			args := append([]string{"-qubits", "12", "-depth", "8", "-seed", "2", prec}, flags...)
+			stdout, stderr, code := qsim(t, "", args...)
+			m := normLine.FindStringSubmatch(stdout)
+			if code != 0 || m == nil {
+				t.Fatalf("qsim %v: exit %d, stderr %q, no result line in\n%s", args, code, firstLine(stderr), stdout)
+			}
+			for _, v := range m[1:] {
+				x, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[i] = append(got[i], x)
+			}
+		}
+		for j, what := range []string{"norm", "entropy"} {
+			if d := math.Abs(got[1][j] - got[0][j]); d > f32Tol {
+				t.Errorf("qsim -f32 %v: %s %v, double precision %v", flags, what, got[1][j], got[0][j])
+			}
+		}
 	}
 }
 
@@ -159,7 +192,7 @@ func TestRejectsFlags(t *testing.T) {
 		{[]string{"-circuit", "bv", "-qubits", "64"}, "-qubits must be from 1 to 62, got 64"},
 		{[]string{"-baseline", "-qubits", "70", "-depth", "1"}, "-qubits must be from 1 to 62, got 70"},
 		{[]string{"-ranks", "512"}, "-ranks 512 leaves no local qubit of the circuit's 8"},
-		{[]string{"-f32", "-comm-deadline", "1ms"}, "-f32 cannot be combined with -comm-deadline"},
+		{[]string{"-f32", "-checkpoint-dir", dir}, "-f32 cannot be combined with -checkpoint-dir"},
 		{[]string{"-ooc", "-comm-deadline", "1ms"}, "-ooc cannot be combined with -comm-deadline"},
 		{[]string{"-plan", dir + "/p.plan", "-kmax", "3"}, "-plan cannot be combined with -kmax"},
 		{[]string{"-plan", dir + "/p.plan", "-spec1q"}, "-plan cannot be combined with -spec1q"},
@@ -228,6 +261,11 @@ func TestCheckFlags(t *testing.T) {
 		{4, "-plan -sample -profile -checkpoint-dir -resume -comm-deadline", ""},
 		{1, "-plan -ooc -ooc-prefetch -checkpoint-dir", ""},
 		{1, "-plan -f32 -sample", ""},
+		{2, "-f32", ""},
+		{4, "-f32 -baseline -sample -profile -comm-deadline", ""},
+		{1, "-f32 -baseline", ""},
+		{1, "-f32 -profile", ""},
+		{1, "-f32 -comm-deadline", ""},
 
 		{0, "", "ranks must be a power of two, got 0"},
 		{6, "", "ranks must be a power of two, got 6"},
@@ -235,16 +273,12 @@ func TestCheckFlags(t *testing.T) {
 		{1, "-ooc -baseline", "-ooc cannot be combined with -baseline"},
 		{1, "-ooc -sample", "-ooc cannot be combined with -sample"},
 		{1, "-ooc -profile", "-ooc cannot be combined with -profile"},
-		{2, "-f32", "-f32 cannot be combined with -ranks > 1"},
-		{1, "-f32 -baseline", "-f32 cannot be combined with -baseline"},
 		{1, "-f32 -ooc", "-f32 cannot be combined with -ooc"},
-		{1, "-f32 -profile", "-f32 cannot be combined with -profile"},
-		{1, "-f32 -checkpoint-dir", "-f32 cannot be combined with -checkpoint-dir"},
-		{1, "-f32 -resume", "-f32 cannot be combined with -resume"},
+		{4, "-f32 -checkpoint-dir", "-f32 cannot be combined with -checkpoint-dir"},
+		{1, "-f32 -resume", "-resume needs -checkpoint-dir"},
 		{4, "-baseline -plan", "-baseline cannot be combined with -plan"},
 		{4, "-baseline -tune", "-baseline cannot be combined with -tune"},
 		{4, "-baseline -kmax", "-baseline cannot be combined with -kmax"},
-		{1, "-f32 -comm-deadline", "-f32 cannot be combined with -comm-deadline"},
 		{1, "-ooc -comm-deadline", "-ooc cannot be combined with -comm-deadline"},
 		{4, "-kmax -plan -tune", "-plan cannot be combined with -kmax"},
 		{4, "-plan -spec1q", "-plan cannot be combined with -spec1q"},
@@ -396,7 +430,7 @@ func TestBaselineStepsInPaperUnit(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := schedFlags{kmax: 5, perGate: true}.plan(circ, 10)
-	got, err := runDist(plan, dist.Options{Ranks: 4, Init: dist.InitUniform}, true)
+	got, err := runDist(plan, dist.Options{Ranks: 4, Init: dist.InitUniform}, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"qusim/internal/dist"
 	"qusim/internal/f32vec"
 	"qusim/internal/gate"
+	"qusim/internal/kernels"
 	"qusim/internal/oocvec"
 	"qusim/internal/schedule"
 	"qusim/internal/statevec"
@@ -174,7 +175,7 @@ func TestEntropyConsistentAcrossPaths(t *testing.T) {
 	if err := plan.Run(sv); err != nil {
 		t.Fatal(err)
 	}
-	if sn, se := sv.NormEntropy(); math.Abs(se-want) > 1e-9 || math.Abs(sn-1) > 1e-9 {
+	if sn, se := kernels.NormEntropy(sv.Amps); math.Abs(se-want) > 1e-9 || math.Abs(sn-1) > 1e-9 {
 		t.Errorf("scheduled single-node (norm, entropy) = (%v, %v), want (1, %v)", sn, se, want)
 	}
 	// Single precision, at the tolerance its amplitudes are held to.
@@ -182,7 +183,7 @@ func TestEntropyConsistentAcrossPaths(t *testing.T) {
 	if err := fv.RunPlan(plan); err != nil {
 		t.Fatal(err)
 	}
-	if fn, fe := fv.NormEntropy(); math.Abs(fe-want) > 1e-4 || math.Abs(fn-1) > 1e-4 {
+	if fn, fe := kernels.NormEntropy(fv.Amps); math.Abs(fe-want) > 1e-4 || math.Abs(fn-1) > 1e-4 {
 		t.Errorf("single-precision (norm, entropy) = (%v, %v), want (1, %v)", fn, fe, want)
 	}
 	// The physics check: deep supremacy output is Porter-Thomas.

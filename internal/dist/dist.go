@@ -6,7 +6,10 @@
 // a rank holds its shard and two staged pieces of the exchange, never a
 // second shard.
 //
-// Run is the package's one executor. The per-gate baseline scheme of
+// RunAt is the package's one executor, at either precision: Run is its
+// complex128 instance, and RunAt[complex64] holds half the bytes per
+// amplitude in every shard and moves half of them in every exchange — the
+// single-precision outlook of Sec. 5. The per-gate baseline scheme of
 // [19]/[5] that the Table 2 speedup comparison needs is a plan like any
 // other (schedule.PerGate): its pairwise half-vector exchange for a dense
 // gate on a global qubit is the one-qubit global-to-local swap, there and
@@ -81,9 +84,9 @@ type Result struct {
 	Elapsed     time.Duration // wall time of the slowest rank
 	CommElapsed time.Duration // wall time spent in communication (max rank)
 
-	// Amplitudes holds the gathered full state when GatherState was set
-	// (index layout: rank bits are the top g bits — location p ≥ l is rank
-	// bit p−l).
+	// Amplitudes holds the gathered full state when GatherState was set,
+	// widened to complex128 from a single-precision run (index layout: rank
+	// bits are the top g bits — location p ≥ l is rank bit p−l).
 	Amplitudes []complex128
 
 	// Samples holds SampleShots logical basis states drawn from the output
@@ -104,7 +107,7 @@ type Result struct {
 type Options struct {
 	Ranks int // power of two ≥ 1
 	// Init is the state the run starts in: each rank writes its shard of
-	// it from statevec.Start.Amplitudes.
+	// it with statevec.Fill.
 	Init InitState
 	// GatherState collects the full 2^n state into Result.Amplitudes
 	// (testing/verification only — defeats the point of distribution).
@@ -133,7 +136,8 @@ type Options struct {
 	// boundaries, and a detected transport failure or file error restarts
 	// the run from the newest valid snapshot, or from Init when none is, up
 	// to ckpt.MaxRestarts times (ckpt.Policy.Restart). Setting it also
-	// turns on collective payload checksums.
+	// turns on collective payload checksums. Shards are complex128: only
+	// Run takes a policy, RunAt[complex64] returns ErrCheckpointPrecision.
 	Checkpoint *ckpt.Policy
 	// Resume makes the FIRST attempt look for a restorable snapshot in
 	// Checkpoint.Dir before initializing — continuing an earlier process's
@@ -179,15 +183,23 @@ func classifyRestart(err error, res *Result, tel *telemetry.Telemetry) {
 	tel.Counter("dist.restart_" + class).Inc()
 }
 
-// Run executes a plan produced by schedule.Build. plan.L must equal
-// n − log2(Ranks).
-func Run(plan *schedule.Plan, opts Options) (*Result, error) {
+// ErrCheckpointPrecision is what a single-precision RunAt given a
+// checkpoint policy returns, before any state exists.
+var ErrCheckpointPrecision = errors.New("dist: checkpoint shards hold complex128; a single-precision run takes no checkpoint policy")
+
+// Run executes a plan produced by schedule.Build in double precision.
+// plan.L must equal n − log2(Ranks), unless there is one rank: it holds the
+// whole state, and a swap exchanges its locations in place.
+func Run(plan *schedule.Plan, opts Options) (*Result, error) { return RunAt[complex128](plan, opts) }
+
+// RunAt is Run with amplitudes of type T.
+func RunAt[T statevec.Amp](plan *schedule.Plan, opts Options) (*Result, error) {
 	ranks := opts.Ranks
 	if ranks < 1 || ranks&(ranks-1) != 0 {
 		return nil, fmt.Errorf("dist: rank count %d is not a power of two", ranks)
 	}
 	g := bits.TrailingZeros(uint(ranks))
-	if plan.N-plan.L != g && !(ranks == 1 && plan.L >= plan.N) {
+	if g > 0 && plan.N-plan.L != g {
 		return nil, fmt.Errorf("dist: plan has %d global qubits, world provides %d", plan.N-plan.L, g)
 	}
 	l := plan.N - g
@@ -195,6 +207,9 @@ func Run(plan *schedule.Plan, opts Options) (*Result, error) {
 	res := &Result{Ranks: ranks, LocalQubits: l}
 	var meta ckpt.Meta
 	if ck := opts.Checkpoint; ck != nil {
+		if _, ok := any(T(0)).(complex128); !ok {
+			return nil, ErrCheckpointPrecision
+		}
 		if ck.Dir == "" {
 			return nil, fmt.Errorf("dist: checkpoint policy has no directory")
 		}
@@ -215,7 +230,7 @@ func Run(plan *schedule.Plan, opts Options) (*Result, error) {
 			opts.Telemetry.Histogram("dist.recovery_latency_ns").ObserveSince(failedAt)
 		}
 		opts.Telemetry.Counter("dist.attempts").Inc()
-		err := runAttempt(plan, opts, l, ckw, man, res)
+		err := runAttempt[T](plan, opts, l, ckw, man, res)
 		failedAt = time.Now()
 		return err
 	}, mpi.Recoverable, fsio.IsTransient, fsio.IsNoSpace)
@@ -230,7 +245,7 @@ func Run(plan *schedule.Plan, opts Options) (*Result, error) {
 // when there is one — and folds the attempt's results and counters into res
 // on success (counters are folded on failure too; result fields only on
 // success).
-func runAttempt(plan *schedule.Plan, opts Options, l int, ckw *ckpt.Writer, man *ckpt.Manifest, res *Result) error {
+func runAttempt[T statevec.Amp](plan *schedule.Plan, opts Options, l int, ckw *ckpt.Writer, man *ckpt.Manifest, res *Result) error {
 	ranks := opts.Ranks
 	localLen := 1 << l
 	startStage := 0
@@ -247,7 +262,7 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, ckw *ckpt.Writer, man 
 	// The attempt's results are its own: an attempt abandoned on deadline may
 	// have ranks hung in compute that wake later, and they must not share
 	// memory with the next attempt.
-	rs := make([]*rank, ranks)
+	rs := make([]*rank[T], ranks)
 	var amplitudes []complex128
 	if opts.GatherState {
 		amplitudes = kernels.NewAmps[complex128](1 << plan.N)
@@ -255,7 +270,7 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, ckw *ckpt.Writer, man 
 	samples := make([]int, opts.SampleShots)
 	// Compiled once for all ranks: a stage's diagonal tables exist once, not
 	// once per rank.
-	stages, err := (&schedule.Shard[complex128]{L: l}).Stages(plan, startStage)
+	stages, err := (&schedule.Shard[T]{L: l}).Stages(plan, startStage)
 	if err != nil {
 		return fmt.Errorf("dist: %w", err)
 	}
@@ -265,32 +280,21 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, ckw *ckpt.Writer, man 
 		sc := opts.Telemetry.Scope(c.Rank(), 0, fmt.Sprintf("rank %d", c.Rank()), "engine")
 		attemptT0 := sc.Now()
 
-		local := kernels.NewAmps[complex128](localLen)
+		local := kernels.NewAmps[T](localLen)
 		if man != nil {
 			t0 := sc.Now()
-			if err := ckw.StreamShard(man, c.Rank(), local, nil); err != nil {
+			if err := ckw.StreamShard(man, c.Rank(), wide(local), nil); err != nil {
 				return fmt.Errorf("dist: restoring rank %d from stage-%d snapshot: %w", c.Rank(), man.NextStage, err)
 			}
-			if sc != nil {
-				sc.Complete("ckpt", "restore", t0, time.Since(t0),
-					telemetry.A("stage", man.NextStage), telemetry.A("amps", localLen))
-			}
+			sc.Complete("ckpt", "restore", t0, time.Since(t0), telemetry.A("stage", man.NextStage), telemetry.A("amps", localLen))
 		} else {
-			first, rest := opts.Init.Amplitudes(plan.N)
-			if rest != 0 {
-				for i := range local {
-					local[i] = rest
-				}
-			}
-			if c.Rank() == 0 {
-				local[0] = first
-			}
+			statevec.Fill(opts.Init, plan.N, local, c.Rank())
 		}
 		// The rank's shard, for good: permutations and exchanges run in
 		// place. A failed attempt — a corrupted piece, a dead rank — leaves
 		// shards half permuted or half exchanged; nothing reads them again,
 		// the next attempt restores into fresh ones.
-		r := &rank{c: c, sh: schedule.Shard[complex128]{Amps: local, L: l, Index: c.Rank()}, sc: sc, plan: plan}
+		r := &rank[T]{c: c, sh: schedule.Shard[T]{Amps: local, L: l, Index: c.Rank()}, sc: sc, plan: plan}
 		if opts.Profile || sc != nil {
 			r.sh.Observe = r.observe
 		}
@@ -307,24 +311,18 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, ckw *ckpt.Writer, man 
 		norm := c.AllreduceSum(localNorm)
 		ent = c.AllreduceSum(ent)
 		r.commTime += time.Since(t0)
-		if sc != nil {
-			sc.Complete("dist", "reduce", t0, time.Since(t0))
-		}
+		sc.Complete("dist", "reduce", t0, time.Since(t0))
 		if opts.SampleShots > 0 {
 			st0 := sc.Now()
 			sampleLocal(c, plan, local, localNorm, l, opts.SampleSeed, samples, &r.commTime)
-			if sc != nil {
-				sc.Complete("dist", "sample", st0, time.Since(st0),
-					telemetry.A("shots", opts.SampleShots))
-			}
+			sc.Complete("dist", "sample", st0, time.Since(st0), telemetry.A("shots", opts.SampleShots))
 		}
 		r.norm, r.entropy, r.elapsed = norm, ent, time.Since(start)
-		if sc != nil {
-			sc.Complete("dist", "attempt", attemptT0, time.Since(attemptT0),
-				telemetry.A("start_stage", startStage))
-		}
+		sc.Complete("dist", "attempt", attemptT0, time.Since(attemptT0), telemetry.A("start_stage", startStage))
 		if opts.GatherState {
-			copy(amplitudes[c.Rank()<<l:], local)
+			for i, a := range local {
+				amplitudes[c.Rank()<<l+i] = complex128(a)
+			}
 		}
 		rs[c.Rank()] = r
 		return nil
@@ -342,7 +340,7 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, ckw *ckpt.Writer, man 
 	if err != nil {
 		return err
 	}
-	locals := make([][]complex128, ranks)
+	locals := make([][]T, ranks)
 	var elapsed, comm time.Duration
 	for i, r := range rs {
 		locals[i], elapsed, comm = r.sh.Amps, max(elapsed, r.elapsed), max(comm, r.commTime)
@@ -375,19 +373,18 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, ckw *ckpt.Writer, man 
 
 // rank is one rank of an attempt as the stage walk's executor: its shard,
 // and where its time went.
-type rank struct {
+type rank[T statevec.Amp] struct {
 	c        *mpi.Comm
-	sh       schedule.Shard[complex128]
+	sh       schedule.Shard[T]
 	sc       *telemetry.Scope
 	plan     *schedule.Plan
 	commTime time.Duration
-	norm     float64 // the attempt's results, once the walk is done
-	entropy  float64
-	elapsed  time.Duration
-	profDur  [4]time.Duration
-	profOps  [4]int
-	passes   int
-	runs     int
+	// The attempt's results, once the walk is done.
+	norm, entropy float64
+	elapsed       time.Duration
+	profDur       [4]time.Duration
+	profOps       [4]int
+	passes, runs  int
 }
 
 // observe is told about every pass over the shard. One clock pair per pass
@@ -395,7 +392,7 @@ type rank struct {
 // and the trace span — so the three views of "where did the time go" cannot
 // disagree. An op is a pass of its own or, inside a blocked run, one of
 // several sharing a pass and a "run" span; the profile counts it either way.
-func (r *rank) observe(ops []schedule.Op, t0 time.Time, took []time.Duration) {
+func (r *rank[T]) observe(ops []schedule.Op, t0 time.Time, took []time.Duration) {
 	var d time.Duration
 	for i := range ops {
 		d += took[i]
@@ -417,7 +414,7 @@ func (r *rank) observe(ops []schedule.Op, t0 time.Time, took []time.Duration) {
 
 // Stage snapshots the shard when the boundary is due one, then runs the
 // stage's program on it.
-func (r *rank) Stage(st *schedule.Stage[complex128], snap *ckpt.Snapshot) error {
+func (r *rank[T]) Stage(st *schedule.Stage[T], snap *ckpt.Snapshot) error {
 	if snap != nil {
 		if err := r.snapshot(snap, st.Stage); err != nil {
 			return err
@@ -429,10 +426,16 @@ func (r *rank) Stage(st *schedule.Stage[complex128], snap *ckpt.Snapshot) error 
 
 // Exchange is the global-to-local swap: local locations [l−q, l) against
 // the rank bits GlobalBits, one group exchange per 2^(g−q) rank group
-// (Sec. 3.4, Fig. 3), in place.
-func (r *rank) Exchange(st *schedule.Stage[complex128]) {
+// (Sec. 3.4, Fig. 3), in place. A lone rank holds every location and swaps
+// them within its shard.
+func (r *rank[T]) Exchange(st *schedule.Stage[T]) {
 	t0 := time.Now()
-	r.c.GroupExchange(st.GlobalBits, r.sh.Amps)
+	if r.c.Size() == 1 {
+		r.sh.SwapWhole(st, r.plan.L)
+	} else {
+		amps := kernels.AmpBytes(r.sh.Amps)
+		r.c.GroupExchange(st.GlobalBits, amps, len(amps)/len(r.sh.Amps))
+	}
 	d := time.Since(t0)
 	r.commTime += d
 	if r.sh.Observe != nil {
@@ -447,9 +450,9 @@ func (r *rank) Exchange(st *schedule.Stage[complex128]) {
 // dies anywhere in the protocol leaves either the previous snapshot or the
 // new one intact — never a half-written mixture. A disk that stays full
 // drops the boundary (ckpt.Snapshot) and the run keeps computing.
-func (r *rank) snapshot(snap *ckpt.Snapshot, next int) error {
+func (r *rank[T]) snapshot(snap *ckpt.Snapshot, next int) error {
 	t0 := r.sc.Now()
-	if err := snap.Tee(r.c.Rank(), r.sh.Amps); err != nil {
+	if err := snap.Tee(r.c.Rank(), wide(r.sh.Amps)); err != nil {
 		return fmt.Errorf("dist: writing stage-%d shard for rank %d: %w", next, r.c.Rank(), err)
 	}
 	r.c.Barrier()
@@ -460,10 +463,7 @@ func (r *rank) snapshot(snap *ckpt.Snapshot, next int) error {
 	if err := snap.Commit(); err != nil {
 		return fmt.Errorf("dist: committing stage-%d snapshot: %w", next, err)
 	}
-	if r.sc != nil {
-		r.sc.Complete("ckpt", "checkpoint", t0, time.Since(t0),
-			telemetry.A("next_stage", next), telemetry.A("amps", len(r.sh.Amps)))
-	}
+	r.sc.Complete("ckpt", "checkpoint", t0, time.Since(t0), telemetry.A("next_stage", next), telemetry.A("amps", len(r.sh.Amps)))
 	return nil
 }
 
@@ -472,7 +472,7 @@ func (r *rank) snapshot(snap *ckpt.Snapshot, next int) error {
 // on every rank, picks this rank's shots and their indices in its shard,
 // which it writes into samples as logical basis states. Only the Allgather
 // counts toward commTime.
-func sampleLocal(c *mpi.Comm, plan *schedule.Plan, local []complex128, localNorm float64, l int, seed int64, samples []int, commTime *time.Duration) {
+func sampleLocal[T statevec.Amp](c *mpi.Comm, plan *schedule.Plan, local []T, localNorm float64, l int, seed int64, samples []int, commTime *time.Duration) {
 	t0 := time.Now()
 	weights := c.AllgatherFloat64(localNorm)
 	*commTime += time.Since(t0)
@@ -481,3 +481,7 @@ func sampleLocal(c *mpi.Comm, plan *schedule.Plan, local []complex128, localNorm
 		samples[mine[j]] = plan.LogicalIndex(c.Rank()<<l | i)
 	}
 }
+
+// wide is a shard as the complex128 amplitudes snapshots hold: RunAt takes
+// a checkpoint policy, the one way to snapshots, only at complex128.
+func wide[T statevec.Amp](amps []T) []complex128 { return any(amps).([]complex128) }

@@ -20,9 +20,6 @@ import (
 	"qusim/internal/statevec"
 )
 
-// BytesPerAmplitude is 8 for complex64 (vs 16 for complex128).
-const BytesPerAmplitude = 8
-
 // Vector is an n-qubit state with complex64 amplitudes: statevec's state at
 // single precision, so it samples and reduces like the
 // double-precision one. It adds the sorted-position Apply, RunPlan and

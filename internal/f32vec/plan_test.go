@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"qusim/internal/circuit"
 	"qusim/internal/schedule"
@@ -84,7 +85,7 @@ func TestRunPlanNeverAllocatesScratch(t *testing.T) {
 	if &v.Amps[0] != before {
 		t.Error("RunPlan left the state in another vector")
 	}
-	if got, state := m1.TotalAlloc-m0.TotalAlloc, uint64(BytesPerAmplitude<<n); got >= state/4 {
+	if got, state := m1.TotalAlloc-m0.TotalAlloc, uint64(8<<n); got >= state/4 {
 		t.Errorf("RunPlan allocated %d bytes beside a %d-byte state", got, state)
 	}
 	// Index bit p went to (1 4) then (0 1 2)(14 15) then (14 16)(15 17).
@@ -117,7 +118,7 @@ func TestMemoryAdvantageDocumented(t *testing.T) {
 	n := 10
 	d := statevec.New(n)
 	s := New(n)
-	if 16*len(d.Amps) != 2*BytesPerAmplitude*len(s.Amps) {
+	if unsafe.Sizeof(d.Amps[0])*uintptr(len(d.Amps)) != 2*unsafe.Sizeof(s.Amps[0])*uintptr(len(s.Amps)) {
 		t.Errorf("memory ratio is not 2x")
 	}
 }

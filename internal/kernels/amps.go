@@ -60,9 +60,9 @@ func NewAmps[T complexAmp](n int) []T {
 
 // AmpBytes returns the memory of amps as bytes: real then imaginary part of
 // each amplitude, in the host's byte order. It is a view, not a copy — what
-// file I/O on amplitude memory reads into and writes from without a codec
-// in between (oocvec's state file, and the wire encoding on a little-endian
-// host).
+// file I/O and mpi's exchange read into and write from without a codec in
+// between (oocvec's state file, a rank's shard, and the wire encoding on a
+// little-endian host).
 func AmpBytes[T complexAmp](amps []T) []byte {
 	if len(amps) == 0 {
 		return nil
@@ -70,8 +70,8 @@ func AmpBytes[T complexAmp](amps []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(amps))), len(amps)*int(unsafe.Sizeof(amps[0])))
 }
 
-// The wire encoding of amplitudes — snapshot payloads hold it, exchange
-// checksums are taken over it — is little-endian float64 pairs, real part
+// The wire encoding of amplitudes — snapshot payloads hold it; mpi's exchange
+// checksums memory as it lies — is little-endian float64 pairs, real part
 // first: on a little-endian host, amplitude memory as it lies (littleEndian,
 // a variable so that a test can force the other branch, which encodes
 // wireWindow amplitudes, 64 KiB, at a time). Castagnoli is the CRC32C table

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"math"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -218,11 +217,12 @@ func (c *Comm) enterCollective(label string, payload bool) {
 }
 
 // corruptReceived applies an armed payload corruption to a piece this rank
-// just received from src: one mantissa bit of its first amplitude flips in
-// the receiver's copy — src's memory, and the checksums computed from it,
-// are untouched. Every rank enters the same collectives in the same order,
-// so the receiver's payload counter is the sender's.
-func (c *Comm) corruptReceived(src int, piece []complex128) {
+// just received from src: the low bit of its first byte — on a little-endian
+// host the low mantissa bit of its first amplitude — flips in the receiver's
+// copy; src's memory, and the checksums computed from it, are untouched.
+// Every rank enters the same collectives in the same order, so the
+// receiver's payload counter is the sender's.
+func (c *Comm) corruptReceived(src int, piece []byte) {
 	f := c.w.fault
 	if f == nil || f.Corrupt == nil || len(piece) == 0 {
 		return
@@ -232,6 +232,5 @@ func (c *Comm) corruptReceived(src int, piece []complex128) {
 		return
 	}
 	c.w.faultEvents.Add(1)
-	v := piece[0]
-	piece[0] = complex(math.Float64frombits(math.Float64bits(real(v))^1), imag(v))
+	piece[0] ^= 1
 }

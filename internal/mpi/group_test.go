@@ -1,10 +1,21 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
+	"unsafe"
+
+	"qusim/internal/kernels"
 )
+
+// exchange is the in-place exchange of a shard of amplitudes of type T,
+// piece amplitudes at a time.
+func exchange[T complex64 | complex128](c *Comm, bitPositions []int, local []T, piece int) {
+	c.groupExchange("GroupExchange", bitPositions, kernels.AmpBytes(local), int(unsafe.Sizeof(T(0))), piece)
+}
 
 func TestGroupAlltoallTwoBitsAmongSixteenRanks(t *testing.T) {
 	// Groups over bits {0, 2}: member index j = bit0(rank) | bit2(rank)<<1.
@@ -43,11 +54,11 @@ func TestGroupAlltoallTwoBitsAmongSixteenRanks(t *testing.T) {
 }
 
 // exchangeCase runs one in-place group exchange among size ranks over
-// bitPositions, every shard holding region amplitudes per region that encode
-// (rank, index), moved piece amplitudes at a time, and holds the result to
-// the manual block transpose: region j of a rank ends up holding what region
-// me of member j held, region me what it held.
-func exchangeCase(t *testing.T, w *World, bitPositions []int, region, piece int) {
+// bitPositions, every shard holding region amplitudes of type T per region
+// that encode (rank, index), moved piece amplitudes at a time, and holds the
+// result to the manual block transpose: region j of a rank ends up holding
+// what region me of member j held, region me what it held.
+func exchangeCase[T complex64 | complex128](t *testing.T, w *World, bitPositions []int, region, piece int) {
 	t.Helper()
 	q := len(bitPositions)
 	member := func(rank, j int) int { // the rank that is member j of rank's group
@@ -58,18 +69,18 @@ func exchangeCase(t *testing.T, w *World, bitPositions []int, region, piece int)
 		return rank
 	}
 	err := w.Run(func(c *Comm) error {
-		local := make([]complex128, region<<q)
+		local := make([]T, region<<q)
 		for i := range local {
-			local[i] = complex(float64(c.Rank()), float64(i))
+			local[i] = T(complex(float64(c.Rank()), float64(i)))
 		}
 		me := 0
 		for b, pos := range bitPositions {
 			me |= (c.Rank() >> pos & 1) << b
 		}
-		c.groupExchange("GroupExchange", bitPositions, local, piece)
+		exchange(c, bitPositions, local, piece)
 		for j := 0; j < 1<<q; j++ {
 			for i := 0; i < region; i++ {
-				want := complex(float64(member(c.Rank(), j)), float64(me*region+i))
+				want := T(complex(float64(member(c.Rank(), j)), float64(me*region+i)))
 				if got := local[j*region+i]; got != want {
 					return fmt.Errorf("rank %d region %d[%d] = %v, want %v", c.Rank(), j, i, got, want)
 				}
@@ -83,7 +94,7 @@ func exchangeCase(t *testing.T, w *World, bitPositions []int, region, piece int)
 	if got := w.Traffic.Steps.Load(); got != 1 {
 		t.Errorf("one exchange counted %d steps, want 1", got)
 	}
-	if got, want := w.Traffic.Bytes.Load(), int64(w.Size()*((1<<q)-1)*region*16); got != want {
+	if got, want := w.Traffic.Bytes.Load(), int64(w.Size()*((1<<q)-1)*region)*int64(unsafe.Sizeof(T(0))); got != want {
 		t.Errorf("exchange counted %d bytes, want %d (every region but a rank's own, once)", got, want)
 	}
 }
@@ -113,7 +124,7 @@ func alltoallCase(t *testing.T, size int, bitPositions []int, checksums bool) {
 				c.GroupAlltoall(bitPositions, send, recv)
 				local = slices.Concat(recv...)
 			} else {
-				c.GroupExchange(bitPositions, local)
+				c.GroupExchange(bitPositions, kernels.AmpBytes(local), 16)
 			}
 			shards[c.Rank()] = local
 			return nil
@@ -162,7 +173,7 @@ func TestGroupExchangeMatchesManualTranspose(t *testing.T) {
 					if faulty {
 						w.InjectFaults(DefaultFaults(int64(piece)))
 					}
-					exchangeCase(t, w, tc.bits, 8, piece)
+					exchangeCase[complex128](t, w, tc.bits, 8, piece)
 					if faulty && w.FaultEvents() == 0 {
 						t.Error("no fault event recorded")
 					}
@@ -177,10 +188,68 @@ func TestGroupExchangeMatchesManualTranspose(t *testing.T) {
 	}
 }
 
+// TestGroupExchangeComplex64Shards: the exchange moves whole amplitudes of
+// any size. On complex64 shards it ends at the manual transpose with pieces
+// of one amplitude, three, a whole region and the default 1 MiB (2^17
+// amplitudes, a region of 2^17 + 3 going in two pieces), counts 8 bytes per
+// amplitude, and its checksums catch a flipped bit, which without them lands
+// in the low mantissa bit of one real part of the receiver's shard.
+func TestGroupExchangeComplex64Shards(t *testing.T) {
+	for _, tc := range []struct{ region, piece int }{{8, 1}, {8, 3}, {8, 8}, {1<<17 + 3, exchangeBytes / 8}} {
+		for _, faulty := range []bool{false, true} {
+			t.Run(fmt.Sprintf("region%d/piece%d/faults=%v", tc.region, tc.piece, faulty), func(t *testing.T) {
+				w := NewWorld(8)
+				w.SetVerifyChecksums(true)
+				if faulty {
+					w.InjectFaults(DefaultFaults(int64(tc.piece)))
+				}
+				exchangeCase[complex64](t, w, []int{2, 0}, tc.region, tc.piece)
+			})
+		}
+	}
+	for _, checksums := range []bool{true, false} {
+		w := NewWorld(2)
+		w.SetVerifyChecksums(checksums)
+		w.InjectFaults(&FaultPlan{Corrupt: &CorruptFault{Rank: 1, Exchange: 0}})
+		shards := make([][]complex64, 2)
+		err := w.Run(func(c *Comm) error {
+			local := []complex64{complex(3, 4), complex(3, 4), complex(3, 4), complex(3, 4)}
+			c.GroupExchange([]int{0}, kernels.AmpBytes(local), 8)
+			shards[c.Rank()] = local
+			return nil
+		})
+		if checksums {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("complex64 exchange with checksums: err = %v, want ErrCorrupt", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("without checksums the corrupted run must complete: %v", err)
+		}
+		flipped := 0
+		for r, shard := range shards {
+			for i, a := range shard {
+				if a == complex(3, 4) {
+					continue
+				}
+				flipped++
+				if r != 0 || imag(a) != 4 || math.Float32bits(real(a))^math.Float32bits(3) != 1 {
+					t.Errorf("rank %d shard[%d] = %v: want only the receiver's real part's low bit flipped", r, i, a)
+				}
+			}
+		}
+		if flipped != 1 {
+			t.Errorf("%d amplitudes differ, want exactly 1", flipped)
+		}
+	}
+}
+
 func TestGroupExchangeRejectsBadArgs(t *testing.T) {
 	for name, call := range map[string]func(c *Comm){
-		"bit out of range":     func(c *Comm) { c.GroupExchange([]int{5}, make([]complex128, 4)) },
-		"shard does not split": func(c *Comm) { c.GroupExchange([]int{0, 1}, make([]complex128, 6)) },
+		"bit out of range":     func(c *Comm) { c.GroupExchange([]int{5}, make([]byte, 64), 16) },
+		"shard does not split": func(c *Comm) { c.GroupExchange([]int{0, 1}, make([]byte, 96), 16) },
+		"region splits an amp": func(c *Comm) { c.GroupExchange([]int{0}, make([]byte, 24), 16) },
 	} {
 		w := NewWorld(4)
 		err := w.Run(func(c *Comm) error {

@@ -6,6 +6,8 @@
 // AllreduceSum and AllgatherFloat64. GroupAlltoall, the all-to-all of
 // separate send and receive chunks, is GroupExchange on a staging shard; the
 // benchmark's bandwidth probe is its one caller.
+// The exchange moves bytes — a shard's memory (kernels.AmpBytes), cut on
+// amplitude boundaries — so one implementation serves either precision.
 //
 // Communication structure is exact — who sends how many bytes where, and
 // how many collective steps happen, are the quantities the paper optimizes
@@ -17,9 +19,11 @@
 // property checkpoint/restart needs from its transport:
 //
 //   - Payload integrity: with SetVerifyChecksums(true), every collective
-//     carries a CRC32C per posted piece and receivers verify what they
-//     received before it reaches their state; a flipped bit surfaces as an
-//     error wrapping ErrCorrupt instead of silently wrong amplitudes.
+//     carries a CRC32C per posted piece — over its bytes as they lie, which
+//     on a little-endian host is the wire encoding of kernels.ToWire — and
+//     receivers verify what they received before it reaches their state; a
+//     flipped bit surfaces as an error wrapping ErrCorrupt instead of
+//     silently wrong amplitudes.
 //   - Dead ranks: a rank that vanishes mid-run (FaultPlan.Crash, or a
 //     panic) never leaves the survivors hanging. The scheduler tracks what
 //     every rank is blocked on; the moment all live ranks are provably
@@ -83,7 +87,7 @@ type Traffic struct {
 // take, computed from the sender's memory so receivers can audit what
 // arrived.
 type posting struct {
-	shard []complex128
+	shard []byte
 	sums  []uint32 // nil when checksum verification is off
 }
 
@@ -410,16 +414,10 @@ func (k *coord) maybeStuckLocked() {
 	if stuck == 0 {
 		return // everyone finished or died; Run reports deaths directly
 	}
-	deadRanks := []int{}
-	for r := range k.state {
-		if k.state[r].status == statusDead {
-			deadRanks = append(deadRanks, r)
-		}
-	}
 	detail := strings.Join(k.stuckLabelsLocked(), ", ")
 	if k.dead > 0 {
 		k.failErr = fmt.Errorf("mpi: ranks %v dead, survivors stuck in %s: %w (%w)",
-			deadRanks, detail, ErrRankDead, ErrStalled)
+			k.deadLocked(), detail, ErrRankDead, ErrStalled)
 	} else {
 		k.failErr = fmt.Errorf("mpi: collective mismatch, all live ranks stuck in %s: %w", detail, ErrStalled)
 	}
@@ -441,15 +439,19 @@ func (k *coord) result() error {
 		return k.failErr
 	}
 	if k.dead > 0 {
-		deadRanks := []int{}
-		for r := range k.state {
-			if k.state[r].status == statusDead {
-				deadRanks = append(deadRanks, r)
-			}
-		}
-		return fmt.Errorf("mpi: ranks %v vanished during the run: %w", deadRanks, ErrRankDead)
+		return fmt.Errorf("mpi: ranks %v vanished during the run: %w", k.deadLocked(), ErrRankDead)
 	}
 	return nil
+}
+
+// deadLocked lists the dead ranks. Caller holds mu.
+func (k *coord) deadLocked() (dead []int) {
+	for r := range k.state {
+		if k.state[r].status == statusDead {
+			dead = append(dead, r)
+		}
+	}
+	return dead
 }
 
 // barrierWait blocks rank until every rank has entered the current barrier
@@ -513,7 +515,7 @@ type Comm struct {
 
 	// stage holds the two pieces a GroupExchange has in flight — all the
 	// memory an exchange needs beside the shard.
-	stage [2][]complex128
+	stage [2][]byte
 }
 
 // Rank returns this rank's id.
@@ -539,17 +541,12 @@ func (c *Comm) barrier(label string) {
 	c.w.k.barrierWait(c.rank, label)
 }
 
-// chunkSum is CRC32C over the wire encoding of a piece (kernels.ToWire) —
-// on a little-endian host, over its memory as it lies.
-func chunkSum(a []complex128) (crc uint32) {
-	sum := func(b []byte) error { crc = crc32.Update(crc, kernels.Castagnoli, b); return nil }
-	_ = kernels.ToWire(a, sum) // sum never fails
-	return crc
-}
+// chunkSum is CRC32C over a piece's bytes.
+func chunkSum(b []byte) uint32 { return crc32.Checksum(b, kernels.Castagnoli) }
 
 // verifyPiece audits a received piece — the receiver's copy, not the
 // sender's memory — against the CRC its sender posted.
-func (c *Comm) verifyPiece(label string, src int, piece []complex128, sums []uint32, idx int) {
+func (c *Comm) verifyPiece(label string, src int, piece []byte, sums []uint32, idx int) {
 	if sums == nil {
 		return
 	}
@@ -612,27 +609,31 @@ func (c *Comm) GroupAlltoall(bitPositions []int, send, recv [][]complex128) {
 		}
 		shard = append(shard, ch...)
 	}
-	c.groupExchange("GroupAlltoall", bitPositions, shard, exchangePiece)
+	c.groupExchange("GroupAlltoall", bitPositions, kernels.AmpBytes(shard), 16, exchangeBytes/16)
 	for j, ch := range recv {
 		copy(ch, shard[j*chunk:])
 	}
 }
 
-// exchangePiece is the most amplitudes a GroupExchange moves at a time
-// (1 MiB): the two pieces a rank stages are 2 MiB whatever its shard's size,
-// and a piece is still in cache when it is verified and written home.
-const exchangePiece = 1 << 16
+// exchangeBytes is the most a GroupExchange moves at a time (1 MiB, 2^16
+// complex128 or 2^17 complex64 amplitudes): the two pieces a rank stages are
+// 2 MiB whatever its shard's size, and a piece is still in cache when it is
+// verified and written home.
+const exchangeBytes = 1 << 20
 
 // GroupExchange is the group all-to-all of a q-qubit global-to-local swap
-// (Sec. 3.4), in place: local is cut into 2^q equal regions, indexed like the
-// members of the group (GroupAlltoall), and region j of this rank trades
-// places with region me of member j; region me stays. The group is walked in
-// pairwise rounds — round d pairs member me with member me XOR d, so every
-// rank has exactly one partner per round and is that partner's — a region
-// goes a piece of at most exchangePiece amplitudes at a time, and a rank
-// holds two staged pieces: each step reads the next piece from the partner's
-// shard while the previous one is verified and written over the piece the
-// partner has already read; one barrier a step keeps "already read" true.
+// (Sec. 3.4), in place. local is the memory of a shard of amplitudes of amp
+// bytes each (kernels.AmpBytes); every rank of the group hands over a shard of
+// the same length and amplitude. It is cut into 2^q equal regions of whole
+// amplitudes, indexed like the members of the group (GroupAlltoall), and
+// region j of this rank trades places with region me of member j; region me
+// stays. The group is walked in pairwise rounds — round d pairs member me
+// with member me XOR d, so every rank has exactly one partner per round and
+// is that partner's — a region goes a piece of at most exchangeBytes, whole
+// amplitudes, at a time, and a rank holds two staged pieces: each step reads
+// the next piece from the partner's shard while the previous one is verified
+// and written over the piece the partner has already read; one barrier a
+// step keeps "already read" true.
 //
 // With checksums on, a sender posts one CRC32C per outgoing piece before the
 // first step and a receiver verifies its staged copy of each piece before the
@@ -640,24 +641,24 @@ const exchangePiece = 1 << 16
 // every amplitude that changes rank is counted once, at its receiver. A
 // failure inside the exchange (ErrCorrupt, a dead rank) leaves every shard
 // of the group half exchanged: the shards of a failed Run are garbage.
-func (c *Comm) GroupExchange(bitPositions []int, local []complex128) {
-	c.groupExchange("GroupExchange", bitPositions, local, exchangePiece)
+func (c *Comm) GroupExchange(bitPositions []int, local []byte, amp int) {
+	c.groupExchange("GroupExchange", bitPositions, local, amp, exchangeBytes/amp)
 }
 
 // groupExchange is GroupExchange under the collective label its stall
 // reports, fault points and collective-order check name, with the piece size
-// as a parameter, which tests set below a region's length.
-func (c *Comm) groupExchange(label string, bitPositions []int, local []complex128, piece int) {
+// in amplitudes as a parameter, which tests set below a region's length.
+func (c *Comm) groupExchange(label string, bitPositions []int, local []byte, amp, piece int) {
 	w := c.w
 	memberRank, me := c.groupGeometry(bitPositions)
 	members := 1 << len(bitPositions)
-	if len(local)%members != 0 {
-		panic(fmt.Sprintf("mpi: %s shard of %d amplitudes does not split into %d regions", label, len(local), members))
+	if amp < 1 || len(local)%(members*amp) != 0 {
+		panic(fmt.Sprintf("mpi: %s shard of %d bytes does not split into %d regions of %d-byte amplitudes", label, len(local), members, amp))
 	}
 	region := len(local) / members
-	piece = max(1, min(piece, region))
+	piece = amp * max(1, min(piece, region/amp))
 	pieces := (region + piece - 1) / piece
-	pieceOf := func(shard []complex128, j, t int) []complex128 { // piece t of region j
+	pieceOf := func(shard []byte, j, t int) []byte { // piece t of region j
 		return shard[j*region+t*piece : j*region+min((t+1)*piece, region)]
 	}
 
@@ -679,7 +680,7 @@ func (c *Comm) groupExchange(label string, bitPositions []int, local []complex12
 	c.barrier(label)
 
 	if len(c.stage[0]) < piece {
-		c.stage[0], c.stage[1] = make([]complex128, piece), make([]complex128, piece)
+		c.stage[0], c.stage[1] = make([]byte, piece), make([]byte, piece)
 	}
 	// Step s stages item s and lands item s−1; item s is piece s%pieces of
 	// the s/pieces'th round delivered.
@@ -696,7 +697,7 @@ func (c *Comm) groupExchange(label string, bitPositions []int, local []complex12
 			}
 			staged := c.stage[s%2][:copy(c.stage[s%2], pieceOf(theirs, me, t))]
 			c.corruptReceived(src, staged)
-			c.countBytes(int64(16 * len(staged)))
+			c.countBytes(int64(len(staged)))
 		}
 		if s > 0 {
 			j, t := partner(s-1), (s-1)%pieces

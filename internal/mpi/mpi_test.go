@@ -325,7 +325,7 @@ func TestWorldReusableAfterPoisonedRun(t *testing.T) {
 		}},
 		{"GroupExchange", func(c *Comm, tag float64) error {
 			local := []complex128{complex(tag, float64(c.Rank())), complex(tag, float64(c.Rank()))}
-			c.GroupExchange([]int{0}, local)
+			c.GroupExchange([]int{0}, kernels.AmpBytes(local), 16)
 			return fresh(c, tag, [][]complex128{local[:1], local[1:]})
 		}},
 	} {
@@ -536,7 +536,7 @@ func TestChecksumDetectsExchangeCorruption(t *testing.T) {
 	// the shard; the flip lands in the receiver's staged copy, so the
 	// sender's shard (what it sent, until it is overwritten by what it
 	// received) never holds the flipped bit.
-	for _, piece := range []int{1, 2, exchangePiece} {
+	for _, piece := range []int{1, 2, exchangeBytes / 16} {
 		w := NewWorld(4)
 		w.SetVerifyChecksums(true)
 		corrupt := &CorruptFault{Rank: 2, Exchange: 0}
@@ -546,7 +546,7 @@ func TestChecksumDetectsExchangeCorruption(t *testing.T) {
 			for i := range local {
 				local[i] = complex(float64(c.Rank()), float64(i))
 			}
-			c.groupExchange("GroupExchange", []int{0}, local, piece)
+			exchange(c, []int{0}, local, piece)
 			return nil
 		})
 		if !errors.Is(err, ErrCorrupt) {
@@ -570,7 +570,7 @@ func TestExchangeCorruptionSilentWithoutChecksums(t *testing.T) {
 	shards := make([][]complex128, 2)
 	err := w.Run(func(c *Comm) error {
 		local := []complex128{complex(3, 4), complex(3, 4), complex(3, 4), complex(3, 4)}
-		c.groupExchange("GroupExchange", []int{0}, local, 1)
+		exchange(c, []int{0}, local, 1)
 		shards[c.Rank()] = local
 		return nil
 	})
@@ -593,11 +593,14 @@ func TestExchangeCorruptionSilentWithoutChecksums(t *testing.T) {
 	}
 }
 
-// TestChunkSumViewAndPortableAgree: the exchange checksum is CRC32C over the
-// per-element little-endian encoding of a piece, at lengths around the
-// codec's window. (kernels' TestWireViewAndEncodingAgree forces the encoding
-// branch a big-endian host takes.)
+// TestChunkSumViewAndPortableAgree: the exchange checksums a piece's bytes as
+// they lie, which on a little-endian host is CRC32C over the per-element
+// little-endian encoding that snapshots hold (kernels.ToWire), at lengths
+// around the codec's window. A big-endian host checksums its own byte order.
 func TestChunkSumViewAndPortableAgree(t *testing.T) {
+	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+		t.Skip("the wire encoding is little-endian; this host checksums its own byte order")
+	}
 	for _, n := range []int{0, 1, 7, 4095, 4096, 4097, 10000} {
 		a := make([]complex128, n)
 		var enc []byte
@@ -606,7 +609,7 @@ func TestChunkSumViewAndPortableAgree(t *testing.T) {
 			enc = binary.LittleEndian.AppendUint64(enc, math.Float64bits(real(a[i])))
 			enc = binary.LittleEndian.AppendUint64(enc, math.Float64bits(imag(a[i])))
 		}
-		if got, want := chunkSum(a), crc32.Checksum(enc, kernels.Castagnoli); got != want {
+		if got, want := chunkSum(kernels.AmpBytes(a)), crc32.Checksum(enc, kernels.Castagnoli); got != want {
 			t.Errorf("n=%d: chunk CRC %08x, CRC of the per-element encoding %08x", n, got, want)
 		}
 	}
@@ -667,7 +670,7 @@ func TestChecksumsCleanRunUnaffected(t *testing.T) {
 			}
 		}
 		local := []complex128{complex(0, float64(c.Rank())), complex(1, float64(c.Rank()))}
-		c.GroupExchange([]int{0}, local)
+		c.GroupExchange([]int{0}, kernels.AmpBytes(local), 16)
 		for j := range local {
 			if want := complex(float64(c.Rank()&1), float64(c.Rank()&^1|j)); local[j] != want {
 				return fmt.Errorf("rank %d: exchanged local[%d] = %v, want %v", c.Rank(), j, local[j], want)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"qusim/internal/kernels"
 	"qusim/internal/telemetry"
 )
 
@@ -31,7 +32,7 @@ func TestTelemetryCountsMatchTraffic(t *testing.T) {
 		c.Barrier()
 		c.GroupAlltoall([]int{0, 1, 2}, chunks, recv)
 		c.AllreduceSum(float64(c.Rank()))
-		c.GroupExchange([]int{0}, chunks[0])
+		c.GroupExchange([]int{0}, kernels.AmpBytes(chunks[0]), 16)
 		return nil
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Plan serialization. The scheduler's pre-computation "terminates in 1–3
@@ -20,21 +21,33 @@ type planWire struct {
 	InitialPos []int
 	FinalPos   []int
 	Stats      Stats
+	// ClusterSizes is Stats.ClusterSizes as (size, count) pairs in size
+	// order: gob writes a map in random order, so since version 2 Stats goes
+	// without it and a plan saves to the same bytes every time. Version 1
+	// carries the map in Stats.
+	ClusterSizes [][2]int
 }
 
-const planWireVersion = 1
+const planWireVersion = 2
 
 // WritePlan serializes the plan to w.
 func WritePlan(w io.Writer, p *Plan) error {
-	enc := gob.NewEncoder(w)
-	return enc.Encode(planWire{
-		Version:    planWireVersion,
-		N:          p.N,
-		L:          p.L,
-		Ops:        p.Ops,
-		InitialPos: p.InitialPos,
-		FinalPos:   p.FinalPos,
-		Stats:      p.Stats,
+	stats := p.Stats
+	stats.ClusterSizes = nil
+	var sizes [][2]int
+	for k, c := range p.Stats.ClusterSizes {
+		sizes = append(sizes, [2]int{k, c})
+	}
+	slices.SortFunc(sizes, func(a, b [2]int) int { return a[0] - b[0] })
+	return gob.NewEncoder(w).Encode(planWire{
+		Version:      planWireVersion,
+		N:            p.N,
+		L:            p.L,
+		Ops:          p.Ops,
+		InitialPos:   p.InitialPos,
+		FinalPos:     p.FinalPos,
+		Stats:        stats,
+		ClusterSizes: sizes,
 	})
 }
 
@@ -44,8 +57,14 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 	if err := gob.NewDecoder(r).Decode(&w); err != nil {
 		return nil, fmt.Errorf("schedule: decoding plan: %w", err)
 	}
-	if w.Version != planWireVersion {
+	if w.Version != 1 && w.Version != planWireVersion {
 		return nil, fmt.Errorf("schedule: unsupported plan version %d", w.Version)
+	}
+	if len(w.ClusterSizes) > 0 {
+		w.Stats.ClusterSizes = map[int]int{}
+		for _, kc := range w.ClusterSizes {
+			w.Stats.ClusterSizes[kc[0]] = kc[1]
+		}
 	}
 	p := &Plan{
 		N:          w.N,
@@ -66,17 +85,8 @@ func (p *Plan) validate() error {
 	if p.N < 1 || p.L < 1 || p.L > p.N {
 		return fmt.Errorf("schedule: invalid plan dimensions n=%d l=%d", p.N, p.L)
 	}
-	if len(p.InitialPos) != p.N || len(p.FinalPos) != p.N {
-		return fmt.Errorf("schedule: plan position maps have wrong length")
-	}
-	for _, pos := range [][]int{p.InitialPos, p.FinalPos} {
-		seen := make([]bool, p.N)
-		for _, x := range pos {
-			if x < 0 || x >= p.N || seen[x] {
-				return fmt.Errorf("schedule: plan position map is not a permutation")
-			}
-			seen[x] = true
-		}
+	if !isPermutation(p.InitialPos, p.N) || !isPermutation(p.FinalPos, p.N) {
+		return fmt.Errorf("schedule: plan position map is not a permutation of its %d qubits", p.N)
 	}
 	// Every op: the executors' cut, which checks what the kernels trust.
 	_, err := p.AccessMap()

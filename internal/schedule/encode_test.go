@@ -2,6 +2,8 @@ package schedule
 
 import (
 	"bytes"
+	"encoding/gob"
+	"reflect"
 	"testing"
 
 	"qusim/internal/circuit"
@@ -43,6 +45,46 @@ func TestPlanRoundTrip(t *testing.T) {
 		}
 		if d := a.MaxDiff(b); d != 0 {
 			t.Errorf("%s: deserialized plan diverges: max diff %g", name, d)
+		}
+	}
+}
+
+// TestWritePlanIsDeterministic: a plan saves to the same bytes every time,
+// where gob wrote the map Stats.ClusterSizes in random order, and a version-1
+// file, which carries the map, still reads back to the same plan.
+func TestWritePlanIsDeterministic(t *testing.T) {
+	plan, err := Build(supremacy(16, 12, 5), DefaultOptions(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Stats.ClusterSizes) < 3 {
+		t.Fatalf("plan has %d cluster sizes; want several for the order to matter", len(plan.Stats.ClusterSizes))
+	}
+	var first bytes.Buffer
+	if err := WritePlan(&first, plan); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		var again bytes.Buffer
+		if err := WritePlan(&again, plan); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), first.Bytes()) {
+			t.Fatalf("save %d differs from the first", i+2)
+		}
+	}
+	var v1 bytes.Buffer
+	if err := gob.NewEncoder(&v1).Encode(planWire{Version: 1, N: plan.N, L: plan.L, Ops: plan.Ops,
+		InitialPos: plan.InitialPos, FinalPos: plan.FinalPos, Stats: plan.Stats}); err != nil {
+		t.Fatal(err)
+	}
+	for name, buf := range map[string]*bytes.Buffer{"version 1": &v1, "version 2": &first} {
+		got, err := ReadPlan(buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Fingerprint() != plan.Fingerprint() || !reflect.DeepEqual(got.Stats, plan.Stats) {
+			t.Errorf("%s: read back %+v, wrote %+v", name, got.Stats, plan.Stats)
 		}
 	}
 }

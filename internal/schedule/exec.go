@@ -328,8 +328,7 @@ func (s *Shard[T]) Run(p *Plan, startStage int) error {
 }
 
 // vector is the executor of a shard that is the whole state. With every
-// location local, the exchange of a swap is one in-place SwapBits sweep per
-// exchanged pair: local location l−q+j against l+GlobalBits[j].
+// location local, the exchange of a swap is SwapWhole.
 type vector[T amp] struct {
 	*Shard[T]
 	l int
@@ -340,9 +339,14 @@ func (v vector[T]) Stage(st *Stage[T], _ *ckpt.Snapshot) error {
 	return nil
 }
 
-func (v vector[T]) Exchange(st *Stage[T]) {
+func (v vector[T]) Exchange(st *Stage[T]) { v.SwapWhole(st, v.l) }
+
+// SwapWhole does the exchange that closes st on a shard holding the whole
+// state of a plan of l local qubits: one in-place SwapBits sweep per
+// exchanged pair, local location l−q+j against l+GlobalBits[j].
+func (s *Shard[T]) SwapWhole(st *Stage[T], l int) {
 	for j, g := range st.GlobalBits {
-		kernels.SwapBits(v.Amps, v.l-len(st.GlobalBits)+j, v.l+g)
+		kernels.SwapBits(s.Amps, l-len(st.GlobalBits)+j, l+g)
 	}
 }
 

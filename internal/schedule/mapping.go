@@ -1,6 +1,9 @@
 package schedule
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // heuristicMapping implements the qubit-mapping heuristic of Sec. 3.6.2:
 // assign bit locations so that as many clusters as possible act on
@@ -23,7 +26,7 @@ func heuristicMapping(n, l int, resident uint64, clusters [][]int) []int {
 	// Live cluster set, as qubit lists restricted to resident qubits.
 	type cl struct {
 		qubits   []int
-		assigned int // # qubits assigned to locations 4–7
+		assigned int // # qubits assigned to the current group of locations
 		dead     bool
 	}
 	var live []*cl
@@ -68,29 +71,11 @@ func heuristicMapping(n, l int, resident uint64, clusters [][]int) []int {
 		return bestQ
 	}
 
+	// Locations 0–7, two groups of four: a cluster is dropped once need of
+	// its qubits sit in the current group — one in 0–3, two in 4–7. A
+	// cluster alive at location 4 has none in 0–3, so its count is the
+	// second group's.
 	nextLoc := 0
-	// Locations 0–3: drop covered clusters entirely.
-	for ; nextLoc < 4 && nextLoc < l; nextLoc++ {
-		q := pickMax()
-		if q < 0 {
-			break
-		}
-		pos[q] = nextLoc
-		assignedTo[q] = true
-		for _, c := range live {
-			if c.dead {
-				continue
-			}
-			for _, cq := range c.qubits {
-				if cq == q {
-					c.dead = true
-					break
-				}
-			}
-		}
-	}
-	// Locations 4–7: a cluster is dropped once two of its qubits sit in
-	// this location group.
 	for ; nextLoc < 8 && nextLoc < l; nextLoc++ {
 		q := pickMax()
 		if q < 0 {
@@ -98,18 +83,11 @@ func heuristicMapping(n, l int, resident uint64, clusters [][]int) []int {
 		}
 		pos[q] = nextLoc
 		assignedTo[q] = true
+		need := 1 + nextLoc/4
 		for _, c := range live {
-			if c.dead {
-				continue
-			}
-			for _, cq := range c.qubits {
-				if cq == q {
-					c.assigned++
-					break
-				}
-			}
-			if c.assigned >= 2 {
-				c.dead = true
+			if !c.dead && slices.Contains(c.qubits, q) {
+				c.assigned++
+				c.dead = c.assigned >= need
 			}
 		}
 	}

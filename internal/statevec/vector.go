@@ -70,16 +70,26 @@ func Prepare[T Amp](s Start, n int) *State[T] {
 		panic(fmt.Sprintf("statevec: unsupported qubit count %d", n))
 	}
 	v := &State[T]{N: n, Amps: kernels.NewAmps[T](1 << n)}
+	Fill(s, n, v.Amps, 0)
+	return v
+}
+
+// Fill writes unit u of the n-qubit start state s — its amplitudes from
+// basis state u·len(amps) on — into amps, which hold zeros, as
+// kernels.NewAmps returns them. Like every pass over a state it runs under
+// par; a zero amplitude is not written.
+func Fill[T Amp](s Start, n int, amps []T, u int) {
 	first, rest := s.Amplitudes(n)
 	if a := T(rest); a != 0 {
-		par.For(len(v.Amps), 4096, func(lo, hi int) {
+		par.For(len(amps), 4096, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				v.Amps[i] = a
+				amps[i] = a
 			}
 		})
 	}
-	v.Amps[0] = T(first)
-	return v
+	if u == 0 {
+		amps[0] = T(first)
+	}
 }
 
 // FromAmplitudes wraps an amplitude slice (len must be a power of two).
@@ -143,9 +153,6 @@ func (v *State[T]) Probabilities() []float64 {
 // in nats — the quantity computed in the 36-qubit Edison run (Sec. 4.2.2),
 // which requires a final reduction over all amplitudes.
 func (v *State[T]) Entropy() float64 { return kernels.Entropy(v.Amps) }
-
-// NormEntropy returns Norm and Entropy from one pass over the state.
-func (v *State[T]) NormEntropy() (norm, entropy float64) { return kernels.NormEntropy(v.Amps) }
 
 // MaxDiff returns the largest modulus of element-wise difference to the
 // double-precision state o: at single precision, the rounding error the

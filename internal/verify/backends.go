@@ -227,19 +227,25 @@ func OutOfCore(globals, prefetch int) Backend {
 // executes across ranks simulated MPI ranks via dist.Run, gathering the
 // full state.
 func Distributed(ranks int) Backend {
-	return distRow(fmt.Sprintf("dist/ranks%d", ranks), ranks, nil)
+	return distRow[complex128](fmt.Sprintf("dist/ranks%d", ranks), ranks, nil)
+}
+
+// DistributedF32 is Distributed in single precision: every shard and
+// exchange at complex64 (dist.RunAt), the gathered state widened.
+func DistributedF32(ranks int) Backend {
+	return distRow[complex64](fmt.Sprintf("dist/ranks%d+f32", ranks), ranks, nil)
 }
 
 // DistributedFaulty is Distributed with MPI fault injection armed.
 func DistributedFaulty(ranks int, fp *mpi.FaultPlan) Backend {
-	return distRow(fmt.Sprintf("dist/ranks%d+faults", ranks), ranks, fp)
+	return distRow[complex128](fmt.Sprintf("dist/ranks%d+faults", ranks), ranks, fp)
 }
 
-func distRow(name string, ranks int, fp *mpi.FaultPlan) *planBackend {
+func distRow[T statevec.Amp](name string, ranks int, fp *mpi.FaultPlan) *planBackend {
 	events := new(int64)
 	return &planBackend{name: name, globals: bits.TrailingZeros(uint(ranks)), events: events,
 		exec: func(plan *schedule.Plan) ([]complex128, error) {
-			res, err := dist.Run(plan, dist.Options{
+			res, err := dist.RunAt[T](plan, dist.Options{
 				Ranks: ranks, Init: dist.InitZero, GatherState: true, Faults: fp,
 			})
 			if err != nil {
@@ -359,7 +365,7 @@ func BaselineFaulty(ranks int, fp *mpi.FaultPlan) Backend {
 }
 
 func baselineRow(name string, ranks int, fp *mpi.FaultPlan) Backend {
-	row := distRow(name, ranks, fp)
+	row := distRow[complex128](name, ranks, fp)
 	row.planner = func(c *circuit.Circuit, l int) (*schedule.Plan, error) {
 		plan, err := schedule.PerGate(c, l, func(g *circuit.Gate) bool { return g.K() >= 2 })
 		if err != nil {

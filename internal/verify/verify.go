@@ -178,6 +178,7 @@ func MatrixF32(quick bool) []Backend {
 		F32(),
 		F32Scheduled(2),
 		PaperTwin(F32Scheduled(2)),
+		DistributedF32(4),
 	}
 	if !quick {
 		backends = append(backends, F32Scheduled(3), PaperTwin(F32Scheduled(3)))
