@@ -11,6 +11,7 @@
 //	qsim -qubits 24 -ranks 8 -checkpoint-dir ck -resume  # continue after a crash
 //	qsim -qubits 20 -ranks 4 -trace out.json -metrics    # per-rank trace + metrics dump
 //	qsim -qubits 28 -ooc -ooc-chunk 22 -ooc-prefetch 4   # out-of-core, prefetch pipeline
+//	qsim -qubits 24 -ooc -sample 1000 -profile           # a paged run samples and profiles like a rank
 package main
 
 import (
@@ -18,7 +19,6 @@ import (
 	"fmt"
 	"math/bits"
 	"os"
-	"time"
 
 	"qusim/internal/circuit"
 	"qusim/internal/ckpt"
@@ -72,9 +72,6 @@ func main() {
 	}
 	if *qubits > 62 { // past what a plan addresses, and what a generator's 1<<qubits survives
 		usage(fmt.Errorf("-qubits must be from 1 to 62, got %d", *qubits))
-	}
-	if *f32 && *qubits > 34 { // past the largest single-precision state, statevec's bound
-		usage(fmt.Errorf("-qubits must be from 1 to 34 with -f32, got %d", *qubits))
 	}
 	given := map[string]bool{
 		"-f32": *f32, "-ooc": *ooc, "-baseline": *baseline,
@@ -144,9 +141,6 @@ func main() {
 	}
 
 	plan := sched.plan(circ, l)
-	if *f32 && plan.N > 34 { // a -file or -plan circuit past the largest single-precision state
-		fatal(fmt.Errorf("-f32 holds at most 34 qubits, the circuit has %d", plan.N))
-	}
 	if *verbose {
 		fmt.Print(plan.Summary())
 	}
@@ -155,119 +149,116 @@ func main() {
 	if *ckptDir != "" {
 		pol = &ckpt.Policy{Dir: *ckptDir, EveryStages: *ckptEvery}
 	}
-	var res result
+	opts := dist.Options{
+		Ranks: *ranks, Init: start,
+		SampleShots: *shots, SampleSeed: *seed, Profile: *profile,
+		Checkpoint: pol, Resume: *resume, CommDeadline: *commDL,
+		Telemetry: tel,
+	}
+	var paged *oocvec.Vector
 	if *ooc {
-		res, err = runOutOfCore(plan, tel, oocOptions{start: start, prefetch: *oocPrefetch, dir: *oocDir, ckpt: pol, resume: *resume})
-	} else {
-		res, err = runDist(plan, dist.Options{
-			Ranks: *ranks, Init: start,
-			SampleShots: *shots, SampleSeed: *seed, Profile: *profile,
-			Checkpoint: pol, Resume: *resume, CommDeadline: *commDL,
-			Telemetry: tel,
-		}, *baseline, *f32)
+		// One rank holds the state in a file, in chunks of 2^plan.L
+		// amplitudes, -ooc-prefetch of them read ahead of compute.
+		if paged, err = oocvec.Create(nil, plan.N, plan.L, *oocDir, start); err != nil {
+			fatal(err)
+		}
+		paged.SetPrefetch(*oocPrefetch)
+		paged.SetTelemetry(tel)
+		opts.Store = paged
+	}
+	run := dist.Run
+	if *f32 {
+		run = dist.RunAt[complex64]
+	}
+	res, err := run(plan, opts)
+	if paged != nil {
+		paged.Close() // before fatal exits: the 16·2^n-byte state file goes either way
 	}
 	if err != nil {
 		fatal(err)
 	}
-	res.print(plan, tel, *verbose)
+	if *baseline {
+		// The paper's unit, as dist.RunBaseline counts: one step per
+		// communicating gate, not the two exchanges of a dense global gate.
+		res.CommSteps = plan.Stats.BaselineGlobalGates
+	}
+	report(plan, opts, res, *f32, *verbose)
 	flushTelemetry(tel, *traceFile, *metrics)
 }
 
-// result is what a run measured on its store (runDist, runOutOfCore); print
-// writes it as qsim's result block, the same for every store.
-type result struct {
-	store         string // the store and its size, under circuit:
-	norm, entropy float64
-	normDigits    int // 12, or 7 from a single-precision state
-	elapsed       time.Duration
-	comm          string   // the time: line's communication share, if any
-	notes         []string // the store's lines after time: (comm:, io:, ckpt:, profile)
-	bufBytes      int64    // one buffer the state is held in, for -v's memory: line
-	samples       []int
-}
-
-func (r result) print(plan *schedule.Plan, tel *telemetry.Telemetry, verbose bool) {
-	fmt.Printf("circuit: %d qubits, %d gates\n", plan.N, plan.Stats.Gates)
-	fmt.Println(r.store)
-	fmt.Printf("plan:    %d stages, %d swaps, %d clusters (%.1f gates/cluster), %d diag ops\n",
-		plan.Stats.Stages, plan.Stats.Swaps, plan.Stats.Clusters,
-		plan.Stats.GatesPerCluster, plan.Stats.DiagonalOps)
-	fmt.Printf("result:  norm=%.*f entropy=%.6f nats\n", r.normDigits, r.norm, r.entropy)
-	fmt.Printf("time:    %.3fs total%s\n", r.elapsed.Seconds(), r.comm)
-	for _, line := range r.notes {
-		fmt.Println(line)
-	}
-	if verbose {
-		reportPages(tel, r.bufBytes)
-	}
-	if len(r.samples) > 0 {
-		fmt.Printf("samples (%d shots, first 10):\n", len(r.samples))
-		for _, b := range r.samples[:min(len(r.samples), 10)] {
-			fmt.Printf("  |%0*b⟩\n", plan.N, b)
+// report prints qsim's result block, the same for every store — ranks, in
+// single precision with f32, or a paged file: the two Sec. 5 outlooks.
+func report(plan *schedule.Plan, opts dist.Options, res *dist.Result, f32, verbose bool) {
+	store, digits, bufBytes := fmt.Sprintf("ranks:   %d (2^%d amplitudes each)", res.Ranks, res.LocalQubits), 12, int64(16)<<res.LocalQubits
+	comm := fmt.Sprintf(", %.3fs comm (%.1f%%)", res.CommElapsed.Seconds(), 100*res.CommElapsed.Seconds()/res.Elapsed.Seconds())
+	notes := []string{fmt.Sprintf("comm:    %d steps, %.1f MB", res.CommSteps, float64(res.CommBytes)/1e6)}
+	switch v, ok := opts.Store.(*oocvec.Vector); {
+	case ok:
+		// A paged rank communicates nothing: its swaps renumber the file.
+		store = fmt.Sprintf("ooc:     2^%d chunks of 2^%d amplitudes (%.1f MB each), prefetch %d",
+			plan.N-plan.L, plan.L, float64(uint64(16)<<plan.L)/1e6, v.Prefetch())
+		comm, notes, bufBytes = "", nil, 16<<plan.L
+		c := opts.Telemetry.Registry().Counter
+		if hits, misses := c("oocvec.prefetch_hits").Value(), c("oocvec.prefetch_misses").Value(); hits+misses > 0 {
+			notes = []string{fmt.Sprintf("io:      %d chunks read, %d written, prefetch hits %d/%d (%.1f%%)",
+				c("oocvec.chunks_read").Value(), c("oocvec.chunks_written").Value(), hits, hits+misses, 100*float64(hits)/float64(hits+misses))}
 		}
-	}
-}
-
-// ckptNote is the ckpt: line of a checkpointed run.
-func ckptNote(committed, restored, restarts int) string {
-	return fmt.Sprintf("ckpt:    %d snapshots committed, %d restored, %d restarts", committed, restored, restarts)
-}
-
-// runDist runs plan on the ranks of opts, in single precision with f32 —
-// the paper's Sec. 5 outlook: half the bytes per amplitude, one more qubit in
-// the same memory. A -baseline run reports its communication steps in the
-// paper's unit, one per communicating gate, as dist.RunBaseline does: a dense
-// gate on a global qubit is one step, not its two exchanges.
-func runDist(plan *schedule.Plan, opts dist.Options, baseline, f32 bool) (result, error) {
-	run, amp := dist.Run, int64(16)
-	if f32 {
-		run, amp = dist.RunAt[complex64], 8
-	}
-	res, err := run(plan, opts)
-	if err != nil {
-		return result{}, err
-	}
-	if baseline {
-		res.CommSteps = plan.Stats.BaselineGlobalGates
-	}
-	r := result{
-		store: fmt.Sprintf("ranks:   %d (2^%d amplitudes each)", res.Ranks, res.LocalQubits),
-		norm:  res.Norm, entropy: res.Entropy, normDigits: 12, elapsed: res.Elapsed,
-		comm: fmt.Sprintf(", %.3fs comm (%.1f%%)", res.CommElapsed.Seconds(),
-			100*res.CommElapsed.Seconds()/res.Elapsed.Seconds()),
-		notes:    []string{fmt.Sprintf("comm:    %d steps, %.1f MB", res.CommSteps, float64(res.CommBytes)/1e6)},
-		bufBytes: amp << res.LocalQubits, samples: res.Samples,
-	}
-	if f32 {
+	case f32:
 		// The state's size in both precisions heads the block; a lone
 		// rank has no communication to report.
 		f32Store := fmt.Sprintf("f32:     2^%d complex64 amplitudes, %.1f MB (%.1f MB in double precision)",
 			plan.N, float64(uint64(8)<<plan.N)/1e6, float64(uint64(16)<<plan.N)/1e6)
-		r.store, r.normDigits = f32Store+"\n"+r.store, 7
+		store, digits, bufBytes = f32Store+"\n"+store, 7, bufBytes/2
 		if res.Ranks == 1 {
-			r.store, r.comm, r.notes = f32Store, "", nil
+			store, comm, notes = f32Store, "", nil
 		}
 	}
 	if opts.Checkpoint != nil {
-		r.notes = append(r.notes, ckptNote(res.CheckpointsWritten, res.CheckpointsRestored, res.Restarts))
+		notes = append(notes, fmt.Sprintf("ckpt:    %d snapshots committed, %d restored, %d restarts",
+			res.CheckpointsWritten, res.CheckpointsRestored, res.Restarts))
 	}
 	if opts.Profile {
-		r.notes = append(r.notes, "profile (slowest rank):")
+		notes = append(notes, "profile (slowest rank):")
 		ops := 0
 		for _, e := range res.Profile {
 			if e.Ops == 0 {
 				continue
 			}
-			r.notes = append(r.notes, fmt.Sprintf("  %-8s %4d ops  %8.3fs", e.Kind, e.Ops, e.Duration.Seconds()))
+			notes = append(notes, fmt.Sprintf("  %-8s %4d ops  %8.3fs", e.Kind, e.Ops, e.Duration.Seconds()))
 			ops += e.Ops
 		}
 		// Consecutive diagonals and low-position clusters share one pass,
 		// applied block by block (DESIGN §12.2); an op inside such a run is
 		// timed by its share of the run.
-		r.notes = append(r.notes, fmt.Sprintf("  %d ops in %d passes over each rank's shard, %d of them blocked runs",
+		notes = append(notes, fmt.Sprintf("  %d ops in %d passes over each rank's units, %d of them blocked runs",
 			ops, res.ProfilePasses, res.ProfileRuns))
 	}
-	return r, nil
+	fmt.Printf("circuit: %d qubits, %d gates\n%s\n", plan.N, plan.Stats.Gates, store)
+	fmt.Printf("plan:    %d stages, %d swaps, %d clusters (%.1f gates/cluster), %d diag ops\n",
+		plan.Stats.Stages, plan.Stats.Swaps, plan.Stats.Clusters,
+		plan.Stats.GatesPerCluster, plan.Stats.DiagonalOps)
+	fmt.Printf("result:  norm=%.*f entropy=%.6f nats\n", digits, res.Norm, res.Entropy)
+	fmt.Printf("time:    %.3fs total%s\n", res.Elapsed.Seconds(), comm)
+	for _, line := range notes {
+		fmt.Println(line)
+	}
+	if verbose {
+		// The mem.* gauges: the state's bytes in memory, and on 2 MiB pages
+		// or why none are, by the size of one buffer (a shard, a chunk).
+		state, huge := opts.Telemetry.Gauge("mem.state_bytes").Value(), opts.Telemetry.Gauge("mem.huge_bytes").Value()
+		if huge == 0 {
+			fmt.Printf("memory:  %.1f MB of state, none on 2 MiB pages: %s\n", float64(state)/1e6, kernels.WhyNoHugePages(bufBytes))
+		} else {
+			fmt.Printf("memory:  %.1f MB of state, %.1f MB (%.1f%%) on 2 MiB pages\n",
+				float64(state)/1e6, float64(huge)/1e6, 100*float64(huge)/float64(state))
+		}
+	}
+	if len(res.Samples) > 0 {
+		fmt.Printf("samples (%d shots, first 10):\n", len(res.Samples))
+		for _, b := range res.Samples[:min(len(res.Samples), 10)] {
+			fmt.Printf("  |%0*b⟩\n", plan.N, b)
+		}
+	}
 }
 
 // flushTelemetry writes the trace file and/or prints the metrics dump once
@@ -323,22 +314,30 @@ func checkCounts(bounds ...bound) error {
 
 // localQubits returns the qubits each rank's shard holds, at least one, or
 // each out-of-core chunk (default qubits−4, at least one), fewer than the
-// circuit's: a paged state is more than one chunk.
+// circuit's: a paged state is more than one chunk. Neither holds more than
+// statevec.MaxUnitQubits, in either precision.
 func localQubits(n, ranks int, ooc bool, chunk int) (int, error) {
+	const most = statevec.MaxUnitQubits
 	if !ooc {
-		if l := n - bits.TrailingZeros(uint(ranks)); l >= 1 {
+		g := bits.TrailingZeros(uint(ranks))
+		switch l := n - g; {
+		case l < 1:
+			return 0, fmt.Errorf("-ranks %d leaves no local qubit of the circuit's %d", ranks, n)
+		case l > most && n <= 62: // a wider circuit is no plan's, as schedule says
+			return 0, fmt.Errorf("%d qubits on %d ranks put 2^%d amplitudes on each, past the 2^%d a rank holds: -ranks %d takes at most %d qubits",
+				n, ranks, l, most, ranks, most+g)
+		default:
 			return l, nil
 		}
-		return 0, fmt.Errorf("-ranks %d leaves no local qubit of the circuit's %d", ranks, n)
 	}
 	if n < 2 {
 		return 0, fmt.Errorf("-ooc needs at least 2 qubits, got %d: a paged state needs at least 2 chunks of at least 1 qubit", n)
 	}
 	if chunk == 0 {
-		chunk = max(n-4, 1)
+		chunk = min(max(n-4, 1), most)
 	}
-	if chunk < 1 || chunk >= n {
-		return 0, fmt.Errorf("-ooc-chunk must be from 1 to %d for %d qubits, got %d", n-1, n, chunk)
+	if top := min(n-1, most); chunk < 1 || chunk > top {
+		return 0, fmt.Errorf("-ooc-chunk must be from 1 to %d for %d qubits, got %d", top, n, chunk)
 	}
 	return chunk, nil
 }
@@ -353,7 +352,7 @@ func checkFlags(ranks int, given map[string]bool) error {
 	given["-ranks > 1"] = ranks > 1
 	for _, mode := range [][]string{
 		{"-f32", "-ooc", "-checkpoint-dir"},
-		{"-ooc", "-ranks > 1", "-baseline", "-sample", "-profile", "-comm-deadline"},
+		{"-ooc", "-ranks > 1", "-comm-deadline"},
 		{"-baseline", "-plan", "-tune", "-kmax"},
 		{"-plan", "-kmax", "-spec1q", "-tune", "-ooc-chunk"},
 	} {
@@ -425,61 +424,6 @@ func (s schedFlags) plan(circ *circuit.Circuit, l int) *schedule.Plan {
 	return plan
 }
 
-type oocOptions struct {
-	start    statevec.Start
-	prefetch int
-	dir      string
-	ckpt     *ckpt.Policy // nil without -checkpoint-dir
-	resume   bool
-}
-
-// runOutOfCore executes the plan on the file-backed engine, created in the
-// circuit's start state, in chunks of 2^plan.L amplitudes (chunk-index bits
-// play the role of the global qubits), stage by stage through the
-// circuit-aware pipeline, reading -ooc-prefetch chunks ahead of compute. An
-// error comes back to main instead of exiting here, so the deferred Close
-// has removed the 16·2^n-byte state file by the time the process ends.
-func runOutOfCore(plan *schedule.Plan, tel *telemetry.Telemetry, o oocOptions) (result, error) {
-	v, err := oocvec.Create(nil, plan.N, plan.L, o.dir, o.start)
-	if err != nil {
-		return result{}, err
-	}
-	defer v.Close()
-	v.SetPrefetch(o.prefetch)
-	v.SetTelemetry(tel)
-
-	start := time.Now()
-	written := 0
-	if o.ckpt != nil {
-		_, written, err = v.RunCheckpointed(plan, o.ckpt, o.resume)
-	} else {
-		err = v.Run(plan)
-	}
-	if err != nil {
-		return result{}, err
-	}
-	r := result{
-		store: fmt.Sprintf("ooc:     2^%d chunks of 2^%d amplitudes (%.1f MB each), prefetch %d",
-			plan.N-plan.L, plan.L, float64(uint64(16)<<plan.L)/1e6, v.Prefetch()),
-		normDigits: 12, elapsed: time.Since(start), bufBytes: 16 << plan.L,
-	}
-	if r.norm, r.entropy, err = v.NormEntropy(); err != nil {
-		return result{}, err
-	}
-	if reg := tel.Registry(); reg != nil {
-		hits, misses := reg.Counter("oocvec.prefetch_hits").Value(), reg.Counter("oocvec.prefetch_misses").Value()
-		if hits+misses > 0 {
-			r.notes = append(r.notes, fmt.Sprintf("io:      %d chunks read, %d written, prefetch hits %d/%d (%.1f%%)",
-				reg.Counter("oocvec.chunks_read").Value(), reg.Counter("oocvec.chunks_written").Value(),
-				hits, hits+misses, 100*float64(hits)/float64(hits+misses)))
-		}
-	}
-	if o.ckpt != nil {
-		r.notes = append(r.notes, ckptNote(written, v.CheckpointsRestored(), v.Restarts()))
-	}
-	return r, nil
-}
-
 // buildCircuit returns the circuit a run executes and the state it starts
 // from: the uniform state for a supremacy circuit, whose generator leaves out
 // the Hadamard cycle because the simulator writes its result directly
@@ -510,20 +454,6 @@ func buildCircuit(kind string, qubits, depth int, seed int64, file string) (*cir
 		return circuit.RandomCircuit(qubits, 12*qubits, seed), statevec.StartZero, nil
 	}
 	return nil, 0, fmt.Errorf("unknown circuit family %q (want supremacy, qft, ghz, bv or random)", kind)
-}
-
-// reportPages prints the mem.* gauges the back end left: the bytes of state
-// in memory and how many of them sat on 2 MiB pages, with the reason when
-// none did. bufBytes is the size of one of the buffers the state is held in
-// (a rank's shard, a chunk), which is what the allocator decides by.
-func reportPages(tel *telemetry.Telemetry, bufBytes int64) {
-	state, huge := tel.Gauge("mem.state_bytes").Value(), tel.Gauge("mem.huge_bytes").Value()
-	if huge == 0 {
-		fmt.Printf("memory:  %.1f MB of state, none on 2 MiB pages: %s\n", float64(state)/1e6, kernels.WhyNoHugePages(bufBytes))
-		return
-	}
-	fmt.Printf("memory:  %.1f MB of state, %.1f MB (%.1f%%) on 2 MiB pages\n",
-		float64(state)/1e6, float64(huge)/1e6, 100*float64(huge)/float64(state))
 }
 
 func fatal(err error) {

@@ -12,11 +12,8 @@ import (
 	"strings"
 	"testing"
 
-	"qusim/internal/circuit"
-	"qusim/internal/ckpt"
 	"qusim/internal/dist"
 	"qusim/internal/schedule"
-	"qusim/internal/telemetry"
 )
 
 // TestMain runs the command itself instead of the tests when the
@@ -112,40 +109,79 @@ func TestF32SamplesLikeOneRank(t *testing.T) {
 
 var normLine = regexp.MustCompile(`norm=(\S+) entropy=(\S+) nats`)
 
-// TestF32ComposesWithFlags: -f32 runs on dist's ranks, so it takes the flags
-// of a distributed run — more ranks, the per-gate baseline, the profile, a
-// collective deadline — and each run's norm and entropy are within verify's
-// default F32Tol of the same run in double precision.
+// TestF32ComposesWithFlags: single precision, more ranks and the paged file
+// are stores of dist's one engine, so each takes the flags of a distributed
+// run — samples, the profile, the per-gate baseline, and with -f32 more
+// ranks and a collective deadline — and each run's norm and entropy are
+// those of the same run on one rank in memory: the same digits in double
+// precision, within verify's default F32Tol in single. A paged run of a
+// saved plan draws the shots of a one-rank run of it.
 func TestF32ComposesWithFlags(t *testing.T) {
 	const f32Tol = 5e-4
-	for _, flags := range [][]string{{"-ranks", "2"}, {"-baseline", "-ranks", "4"}, {"-profile"}, {"-comm-deadline", "1m"}} {
-		var got [2][]float64
-		for i, prec := range []string{"-f32=false", "-f32"} {
-			args := append([]string{"-qubits", "12", "-depth", "8", "-seed", "2", prec}, flags...)
-			stdout, stderr, code := qsim(t, "", args...)
-			m := normLine.FindStringSubmatch(stdout)
-			if code != 0 || m == nil {
-				t.Fatalf("qsim %v: exit %d, stderr %q, no result line in\n%s", args, code, firstLine(stderr), stdout)
-			}
-			for _, v := range m[1:] {
-				x, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got[i] = append(got[i], x)
+	result := func(args ...string) (norm, entropy float64, stdout string) {
+		t.Helper()
+		args = append([]string{"-qubits", "12", "-depth", "8", "-seed", "2"}, args...)
+		stdout, stderr, code := qsim(t, "", args...)
+		m := normLine.FindStringSubmatch(stdout)
+		if code != 0 || m == nil {
+			t.Fatalf("qsim %v: exit %d, stderr %q, no result line in\n%s", args, code, firstLine(stderr), stdout)
+		}
+		var x [2]float64
+		for i, v := range m[1:] {
+			var err error
+			if x[i], err = strconv.ParseFloat(v, 64); err != nil {
+				t.Fatal(err)
 			}
 		}
-		for j, what := range []string{"norm", "entropy"} {
-			if d := math.Abs(got[1][j] - got[0][j]); d > f32Tol {
-				t.Errorf("qsim -f32 %v: %s %v, double precision %v", flags, what, got[1][j], got[0][j])
+		return x[0], x[1], stdout
+	}
+	type row struct{ store, flags []string }
+	var rows []row
+	for _, store := range [][]string{{"-ranks", "2"}, {"-f32"}, {"-ooc"}} {
+		for _, flags := range [][]string{{"-sample", "100"}, {"-profile"}, {"-baseline"}} {
+			rows = append(rows, row{store, flags})
+		}
+	}
+	for _, flags := range [][]string{{"-ranks", "2"}, {"-baseline", "-ranks", "4"}, {"-comm-deadline", "1m"}} {
+		rows = append(rows, row{[]string{"-f32"}, flags})
+	}
+	for _, r := range rows {
+		wantNorm, wantEnt, _ := result(r.flags...)
+		norm, ent, stdout := result(append(r.store, r.flags...)...)
+		tol := 0.0
+		if r.store[0] == "-f32" {
+			tol = f32Tol
+		}
+		if math.Abs(norm-wantNorm) > tol || math.Abs(ent-wantEnt) > tol {
+			t.Errorf("qsim %v %v: norm %v entropy %v, in memory on one rank %v and %v", r.store, r.flags, norm, ent, wantNorm, wantEnt)
+		}
+		for flag, want := range map[string]string{"-sample": "samples (100 shots, first 10):", "-profile": "profile (slowest rank):"} {
+			if r.flags[0] == flag && !strings.Contains(stdout, want) {
+				t.Errorf("qsim %v %v printed no %q:\n%s", r.store, r.flags, want, stdout)
 			}
 		}
 	}
+
+	path := savePlan(t, "-qubits", "14", "-depth", "8", "-local", "11")
+	var shots []string
+	for _, store := range []string{"-ooc", "-ranks=1"} {
+		args := []string{"-plan", path, "-sample", "1000", "-seed", "3", store}
+		stdout, stderr, code := qsim(t, "", args...)
+		_, samples, ok := strings.Cut(stdout, "samples (1000 shots, first 10):\n")
+		if code != 0 || !ok || strings.Count(samples, "⟩\n") != 10 {
+			t.Fatalf("qsim %v: exit %d, stderr %q; want ten shots in\n%s", args, code, firstLine(stderr), stdout)
+		}
+		shots = append(shots, samples)
+	}
+	if shots[0] != shots[1] {
+		t.Errorf("-plan -ooc drew\n%s-plan -ranks 1 drew\n%s", shots[0], shots[1])
+	}
 }
 
-// TestRejectsCounts: a qubit count below 1, a negative depth or shot count
-// is a usage error — exit 2 with the reason — not a panic or a run that
-// ignores it.
+// TestRejectsCounts: a qubit count below 1, a negative depth or shot count,
+// or more qubits than the ranks hold at 2^34 amplitudes each, in either
+// precision, is a usage error — exit 2 with the reason — not a panic, a run
+// that ignores it or one that asks for 512 GiB.
 func TestRejectsCounts(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -155,11 +191,24 @@ func TestRejectsCounts(t *testing.T) {
 		{[]string{"-circuit", "qft", "-qubits", "-3"}, "-qubits must be at least 1, got -3"},
 		{[]string{"-qubits", "8", "-depth", "-1"}, "-depth must not be negative, got -1"},
 		{[]string{"-qubits", "8", "-sample", "-5"}, "-sample must not be negative, got -5"},
-		{[]string{"-f32", "-qubits", "35"}, "-qubits must be from 1 to 34 with -f32, got 35"},
+		{[]string{"-qubits", "35"}, "35 qubits on 1 ranks put 2^35 amplitudes on each, past the 2^34 a rank holds: -ranks 1 takes at most 34 qubits"},
+		{[]string{"-f32", "-qubits", "36", "-ranks", "2"}, "36 qubits on 2 ranks put 2^35 amplitudes on each, past the 2^34 a rank holds: -ranks 2 takes at most 35 qubits"},
 	} {
 		stdout, stderr, code := qsim(t, "", tc.args...)
 		if code != 2 || !strings.Contains(stderr, "qsim: "+tc.want+"\n") || strings.Contains(stderr, "panic:") || stdout != "" {
 			t.Errorf("qsim %v: exit %d, stderr %q, stdout %q; want exit 2 and %q", tc.args, code, firstLine(stderr), firstLine(stdout), tc.want)
+		}
+	}
+	// The bound is a rank's, in both precisions: 35 qubits on 8 ranks
+	// (-f32 -ranks 8 -qubits 35, 32 GiB a rank) and a paged 40-qubit state
+	// in 2^34-amplitude chunks are runs, checked here without running them.
+	for _, tc := range []struct {
+		n, ranks    int
+		ooc         bool
+		chunk, want int
+	}{{35, 8, false, 0, 32}, {40, 1, true, 34, 34}, {40, 1, true, 0, 34}} {
+		if l, err := localQubits(tc.n, tc.ranks, tc.ooc, tc.chunk); l != tc.want || err != nil {
+			t.Errorf("localQubits(%d qubits, -ranks %d, chunk %d) = %d, %v; want %d", tc.n, tc.ranks, tc.chunk, l, err, tc.want)
 		}
 	}
 }
@@ -209,11 +258,14 @@ func TestRejectsFlags(t *testing.T) {
 
 // TestRejectsUnaddressableQubits: a circuit file beyond the 62 qubits a plan
 // addresses, or without a qubit, is an error before any state exists, and
-// so is one beyond the 34 qubits of the largest single-precision state. A
-// -baseline run used to run out of memory sizing a 10^12-qubit header, and
-// an -f32 run to panic allocating 2^35 amplitudes; a -qubits past 62, or
-// past 34 with -f32, is a flag error (TestRejectsFlags, TestRejectsCounts).
+// so is a saved plan that puts more than 2^34 amplitudes on a rank, in
+// either precision. A -baseline run used to run out of memory sizing a
+// 10^12-qubit header, and an -f32 run to panic allocating 2^35 amplitudes; a
+// -qubits past 62, or past what the ranks hold, is a flag error
+// (TestRejectsFlags, TestRejectsCounts).
 func TestRejectsUnaddressableQubits(t *testing.T) {
+	path := savePlan(t, "-qubits", "35", "-depth", "1", "-local", "35")
+	const tooWide = "dist: 35 qubits on 1 ranks put 2^35 amplitudes on each, more than the 2^34 a shard holds"
 	for _, tc := range []struct {
 		stdin string
 		args  []string
@@ -222,7 +274,8 @@ func TestRejectsUnaddressableQubits(t *testing.T) {
 		{"1000000000000\n", []string{"-baseline", "-file", "/dev/stdin"}, "schedule: 1000000000000 qubits is outside"},
 		{"0\n", []string{"-file", "/dev/stdin"}, "circuit: line 1: qubit count must be at least 1, got 0"},
 		{"-3\n0 h 0\n", []string{"-baseline", "-file", "/dev/stdin"}, "circuit: line 1: qubit count must be at least 1, got -3"},
-		{"35\n0 h 0\n1 h 1\n", []string{"-f32", "-file", "/dev/stdin"}, "-f32 holds at most 34 qubits, the circuit has 35"},
+		{"", []string{"-plan", path}, tooWide},
+		{"", []string{"-f32", "-plan", path}, tooWide},
 	} {
 		stdout, stderr, code := qsim(t, tc.stdin, tc.args...)
 		if code != 1 || !strings.Contains(stderr, "qsim: "+tc.want) || strings.Contains(stderr, "panic:") || stdout != "" {
@@ -266,13 +319,11 @@ func TestCheckFlags(t *testing.T) {
 		{1, "-f32 -baseline", ""},
 		{1, "-f32 -profile", ""},
 		{1, "-f32 -comm-deadline", ""},
+		{1, "-ooc -baseline -sample -profile -checkpoint-dir -resume", ""},
 
 		{0, "", "ranks must be a power of two, got 0"},
 		{6, "", "ranks must be a power of two, got 6"},
 		{2, "-ooc", "-ooc cannot be combined with -ranks > 1"},
-		{1, "-ooc -baseline", "-ooc cannot be combined with -baseline"},
-		{1, "-ooc -sample", "-ooc cannot be combined with -sample"},
-		{1, "-ooc -profile", "-ooc cannot be combined with -profile"},
 		{1, "-f32 -ooc", "-f32 cannot be combined with -ooc"},
 		{4, "-f32 -checkpoint-dir", "-f32 cannot be combined with -checkpoint-dir"},
 		{1, "-f32 -resume", "-resume needs -checkpoint-dir"},
@@ -308,16 +359,14 @@ func TestCheckFlags(t *testing.T) {
 }
 
 // TestFailedOutOfCoreRunRemovesStateFile: a run error after the vector exists
-// (here a checkpoint directory that is no directory) comes back as an error
-// with the state file already removed, where fatal() used to exit past the
-// deferred Close.
+// (here a checkpoint directory that is no directory) exits 1 with the state
+// file already removed, where fatal() used to exit past the deferred Close.
 func TestFailedOutOfCoreRunRemovesStateFile(t *testing.T) {
 	dir := t.TempDir()
-	_, err := runOutOfCore(schedFlags{kmax: 5}.plan(circuit.QFT(8), 6), telemetry.Disabled, oocOptions{
-		dir: dir, ckpt: &ckpt.Policy{Dir: os.DevNull, EveryStages: 1}, resume: true,
-	})
-	if err == nil {
-		t.Fatal("a checkpoint directory that is no directory did not fail the run")
+	args := []string{"-circuit", "qft", "-qubits", "8", "-ooc", "-ooc-chunk", "6", "-ooc-dir", dir,
+		"-checkpoint-dir", os.DevNull, "-resume"}
+	if _, stderr, code := qsim(t, "", args...); code != 1 {
+		t.Fatalf("qsim %v: exit %d, stderr %q; a checkpoint directory that is no directory did not fail the run", args, code, firstLine(stderr))
 	}
 	entries, rerr := os.ReadDir(dir)
 	if rerr != nil {
@@ -334,15 +383,7 @@ func TestFailedOutOfCoreRunRemovesStateFile(t *testing.T) {
 // for another qubit count than -qubits, and the others to print the
 // default circuit's size and sample it.
 func TestPlanSetsTheSize(t *testing.T) {
-	goTool, err := exec.LookPath("go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/p.plan"
-	save := exec.Command(goTool, "run", "../qsched", "-qubits", "14", "-depth", "5", "-local", "11", "-save", path)
-	if out, err := save.CombinedOutput(); err != nil {
-		t.Fatalf("qsched: %v\n%s", err, out)
-	}
+	path := savePlan(t, "-qubits", "14", "-depth", "5", "-local", "11")
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -378,6 +419,21 @@ func TestPlanSetsTheSize(t *testing.T) {
 			}
 		}
 	}
+}
+
+// savePlan saves the plan qsched schedules with args and returns its path.
+func savePlan(t *testing.T, args ...string) string {
+	t.Helper()
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/p.plan"
+	save := exec.Command(goTool, append([]string{"run", "../qsched", "-save", path}, args...)...)
+	if out, err := save.CombinedOutput(); err != nil {
+		t.Fatalf("qsched: %v\n%s", err, out)
+	}
+	return path
 }
 
 var sampleLine = regexp.MustCompile(`\|([01]+)⟩`)
@@ -429,17 +485,16 @@ func TestBaselineStepsInPaperUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := schedFlags{kmax: 5, perGate: true}.plan(circ, 10)
-	got, err := runDist(plan, dist.Options{Ranks: 4, Init: dist.InitUniform}, true, false)
-	if err != nil {
-		t.Fatal(err)
+	stdout, stderr, code := qsim(t, "", "-qubits", "12", "-depth", "10", "-ranks", "4", "-baseline")
+	if code != 0 {
+		t.Fatalf("qsim -baseline: exit %d\n%s", code, stderr)
 	}
 	want, err := dist.RunBaseline(circ, dist.BaselineOptions{Ranks: 4, Init: dist.InitUniform})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(got.notes[0], "comm:    4 steps,") || want.CommSteps != 4 {
-		t.Errorf("qsim -baseline reports %q, dist.RunBaseline %d steps; want 4 for both", got.notes[0], want.CommSteps)
+	if !strings.Contains(stdout, "\ncomm:    4 steps,") || want.CommSteps != 4 {
+		t.Errorf("qsim -baseline reports\n%s\ndist.RunBaseline %d steps; want 4 for both", stdout, want.CommSteps)
 	}
 }
 

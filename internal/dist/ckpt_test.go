@@ -6,18 +6,12 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
-	"qusim/internal/chaos"
 	"qusim/internal/circuit"
 	"qusim/internal/ckpt"
-	"qusim/internal/fsio"
 	"qusim/internal/mpi"
-	"qusim/internal/oocvec"
 	"qusim/internal/schedule"
-	"qusim/internal/statevec"
-	"qusim/internal/telemetry"
 )
 
 // otherPlan builds a different circuit (same geometry, different seed) so
@@ -257,44 +251,6 @@ func committedStages(t *testing.T, dir string) []int {
 	return stages
 }
 
-// TestCheckpointCadenceMatchesOocvec: both engines ask ckpt.Policy.Due, so a
-// distributed run on 8 ranks and a paged run in 8 chunks of one plan commit
-// snapshots of the same boundaries at every cadence — every EveryStages-th,
-// never the end of the final stage.
-func TestCheckpointCadenceMatchesOocvec(t *testing.T) {
-	plan := perGatePlan(t)
-	stages := plan.Stages()
-	if stages < 4 {
-		t.Fatalf("plan has %d stages, too few to tell cadences apart", stages)
-	}
-	for every := 1; every <= 3; every++ {
-		var want []int
-		for s := every; s < stages; s += every {
-			want = append(want, s)
-		}
-		pol := func() *ckpt.Policy { return &ckpt.Policy{Dir: t.TempDir(), EveryStages: every, Keep: stages} }
-		dpol, opol := pol(), pol()
-		if _, err := Run(plan, Options{Ranks: 8, Init: InitUniform, Checkpoint: dpol}); err != nil {
-			t.Fatal(err)
-		}
-		v, err := oocvec.NewUniform(plan.N, plan.L, t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _, err = v.RunCheckpointed(plan, opol, false)
-		v.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := committedStages(t, dpol.Dir); !slices.Equal(got, want) {
-			t.Errorf("every %d: dist committed boundaries %v, want %v", every, got, want)
-		}
-		if got := committedStages(t, opol.Dir); !slices.Equal(got, want) {
-			t.Errorf("every %d: oocvec committed boundaries %v, want %v", every, got, want)
-		}
-	}
-}
-
 func TestPrunedDirectoryContainsStrayFreeState(t *testing.T) {
 	// After a crash-and-recover run the directory holds only committed
 	// snapshot files: manifests with their shards, no temp strays.
@@ -312,101 +268,5 @@ func TestPrunedDirectoryContainsStrayFreeState(t *testing.T) {
 	}
 	if len(matches) != 0 {
 		t.Errorf("stray temp files after recovery: %v", matches)
-	}
-}
-
-// TestCheckpointMetricsLandInRunTelemetry: a run's ckpt.* metrics go to the
-// telemetry the run carries — dist.Options.Telemetry, the paged vector's
-// SetTelemetry — with nothing armed process-wide: each committed snapshot is
-// one ckpt.commits and one ckpt.shard_writes per rank or, paged, one.
-func TestCheckpointMetricsLandInRunTelemetry(t *testing.T) {
-	check := func(t *testing.T, tel *telemetry.Telemetry, written, shards int) {
-		t.Helper()
-		if written == 0 {
-			t.Fatal("no snapshot committed: the scenario tests nothing")
-		}
-		commits, writes := tel.Counter("ckpt.commits").Value(), tel.Counter("ckpt.shard_writes").Value()
-		if commits != int64(written) || writes != int64(shards*written) {
-			t.Errorf("written=%d ckpt.commits=%d ckpt.shard_writes=%d; want %d and %d",
-				written, commits, writes, written, shards*written)
-		}
-	}
-	t.Run("dist", func(t *testing.T) {
-		tel := telemetry.New()
-		res, err := Run(chaosTestPlan(t), Options{
-			Ranks: 4, Init: InitUniform, Telemetry: tel,
-			Checkpoint: &ckpt.Policy{Dir: t.TempDir()},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, tel, res.CheckpointsWritten, 4)
-	})
-	t.Run("paged", func(t *testing.T) {
-		plan := faultTestPlan(t)
-		v, err := oocvec.NewUniform(plan.N, plan.L, t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer v.Close()
-		tel := telemetry.New()
-		v.SetTelemetry(tel)
-		_, written, err := v.RunCheckpointed(plan, &ckpt.Policy{Dir: t.TempDir()}, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, tel, written, 1)
-	})
-}
-
-// TestTwoRunsEachOnTheirOwnFS: two checkpointed runs at once in one
-// process, an 8-rank run whose snapshot disk is full for a window and a
-// paged run on the real file system, each write through their own policy's
-// file system only: the faulted run drops a boundary, the clean one none,
-// and both end on Plan.Run's state.
-func TestTwoRunsEachOnTheirOwnFS(t *testing.T) {
-	plan := faultTestPlan(t) // 12 qubits at l = 9: 8 ranks, or 8 chunks
-	want := statevec.NewUniform(plan.N)
-	if err := plan.Run(want); err != nil {
-		t.Fatal(err)
-	}
-	v, err := oocvec.NewUniform(plan.N, plan.L, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Close()
-	v.SetPrefetch(2)
-
-	window := chaos.NewFS(chaos.DiskFaults{NoSpaceAt: 1, NoSpaceRun: 4}, nil)
-	faulted := &ckpt.Policy{Dir: t.TempDir(), FS: window}
-	clean := &ckpt.Policy{Dir: t.TempDir(), FS: fsio.OS{}}
-	var (
-		res     *Result
-		distErr error
-		wg      sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		res, distErr = Run(plan, Options{Ranks: 8, Init: InitUniform, GatherState: true, Checkpoint: faulted})
-	}()
-	_, written, pagedErr := v.RunCheckpointed(plan, clean, false)
-	wg.Wait()
-
-	if distErr != nil || pagedErr != nil {
-		t.Fatalf("dist: %v, paged: %v", distErr, pagedErr)
-	}
-	if window.Stats().NoSpace == 0 || res.CheckpointsSkipped == 0 {
-		t.Errorf("faulted run: %d ENOSPC injected, %d boundaries skipped; want both > 0",
-			window.Stats().NoSpace, res.CheckpointsSkipped)
-	}
-	if v.CheckpointsSkipped() != 0 || written != plan.Stages()-1 {
-		t.Errorf("clean run: %d written, %d skipped; want %d and 0", written, v.CheckpointsSkipped(), plan.Stages()-1)
-	}
-	if !slices.Equal(res.Amplitudes, want.Amps) {
-		t.Error("faulted dist run differs from Plan.Run")
-	}
-	if got, err := v.Amplitudes(); err != nil || !slices.Equal(got, want.Amps) {
-		t.Errorf("clean paged run differs from Plan.Run (%v)", err)
 	}
 }

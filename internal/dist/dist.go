@@ -9,7 +9,9 @@
 // RunAt is the package's one executor, at either precision: Run is its
 // complex128 instance, and RunAt[complex64] holds half the bytes per
 // amplitude in every shard and moves half of them in every exchange — the
-// single-precision outlook of Sec. 5. The per-gate baseline scheme of
+// single-precision outlook of Sec. 5. A rank holds a Store: its shard in
+// memory or, alone in its world, a paged file (Options.Store), the other
+// outlook there. The per-gate baseline scheme of
 // [19]/[5] that the Table 2 speedup comparison needs is a plan like any
 // other (schedule.PerGate): its pairwise half-vector exchange for a dense
 // gate on a global qubit is the one-qubit global-to-local swap, there and
@@ -109,6 +111,11 @@ type Options struct {
 	// Init is the state the run starts in: each rank writes its shard of
 	// it with statevec.Fill.
 	Init InitState
+	// Store, when not nil, is what the rank of a world of one holds: a
+	// paged file of the plan's state in units of 2^plan.L amplitudes
+	// (oocvec.Vector). Only Run takes one, and no CommDeadline with it: an
+	// abandoned attempt's rank would share the file with the next attempt.
+	Store Store[complex128]
 	// GatherState collects the full 2^n state into Result.Amplitudes
 	// (testing/verification only — defeats the point of distribution).
 	GatherState bool
@@ -192,7 +199,8 @@ var ErrCheckpointPrecision = errors.New("dist: checkpoint shards hold complex128
 // whole state, and a swap exchanges its locations in place.
 func Run(plan *schedule.Plan, opts Options) (*Result, error) { return RunAt[complex128](plan, opts) }
 
-// RunAt is Run with amplitudes of type T.
+// RunAt is Run with amplitudes of type T. On a failure the Result, when
+// there is one, holds the counters of the attempts made and nothing else.
 func RunAt[T statevec.Amp](plan *schedule.Plan, opts Options) (*Result, error) {
 	ranks := opts.Ranks
 	if ranks < 1 || ranks&(ranks-1) != 0 {
@@ -203,6 +211,16 @@ func RunAt[T statevec.Amp](plan *schedule.Plan, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("dist: plan has %d global qubits, world provides %d", plan.N-plan.L, g)
 	}
 	l := plan.N - g
+	var paged Store[T]
+	if opts.Store != nil {
+		var ok bool
+		if paged, ok = any(opts.Store).(Store[T]); !ok || ranks > 1 || opts.CommDeadline > 0 {
+			return nil, fmt.Errorf("dist: a paged store is the one rank of a complex128 run without a comm deadline")
+		}
+	} else if l > statevec.MaxUnitQubits {
+		return nil, fmt.Errorf("dist: %d qubits on %d ranks put 2^%d amplitudes on each, more than the 2^%d a shard holds",
+			plan.N, ranks, l, statevec.MaxUnitQubits)
+	}
 
 	res := &Result{Ranks: ranks, LocalQubits: l}
 	var meta ckpt.Meta
@@ -230,24 +248,23 @@ func RunAt[T statevec.Amp](plan *schedule.Plan, opts Options) (*Result, error) {
 			opts.Telemetry.Histogram("dist.recovery_latency_ns").ObserveSince(failedAt)
 		}
 		opts.Telemetry.Counter("dist.attempts").Inc()
-		err := runAttempt[T](plan, opts, l, ckw, man, res)
+		err := runAttempt(plan, opts, l, paged, ckw, man, failed != nil, res)
 		failedAt = time.Now()
 		return err
 	}, mpi.Recoverable, fsio.IsTransient, fsio.IsNoSpace)
-	if err != nil {
-		return nil, err
-	}
 	res.Restarts = restarts
-	return res, nil
+	return res, err
 }
 
 // runAttempt executes the plan once — from man, the snapshot ckw restores,
-// when there is one — and folds the attempt's results and counters into res
-// on success (counters are folded on failure too; result fields only on
-// success).
-func runAttempt[T statevec.Amp](plan *schedule.Plan, opts Options, l int, ckw *ckpt.Writer, man *ckpt.Manifest, res *Result) error {
-	ranks := opts.Ranks
-	localLen := 1 << l
+// when there is one, on the paged store when there is one — and folds the
+// attempt's results and counters into res on success (counters are folded
+// on failure too; result fields only on success).
+func runAttempt[T statevec.Amp](plan *schedule.Plan, opts Options, l int, paged Store[T], ckw *ckpt.Writer, man *ckpt.Manifest, failed bool, res *Result) error {
+	ranks, unit := opts.Ranks, l
+	if paged != nil {
+		unit = plan.L
+	}
 	startStage := 0
 	if man != nil {
 		startStage = man.NextStage
@@ -268,9 +285,9 @@ func runAttempt[T statevec.Amp](plan *schedule.Plan, opts Options, l int, ckw *c
 		amplitudes = kernels.NewAmps[complex128](1 << plan.N)
 	}
 	samples := make([]int, opts.SampleShots)
-	// Compiled once for all ranks: a stage's diagonal tables exist once, not
-	// once per rank.
-	stages, err := (&schedule.Shard[T]{L: l}).Stages(plan, startStage)
+	// Compiled once for all ranks and units: a stage's diagonal tables exist
+	// once, not once per rank.
+	stages, err := (&schedule.Shard[T]{L: unit}).Stages(plan, startStage)
 	if err != nil {
 		return fmt.Errorf("dist: %w", err)
 	}
@@ -280,50 +297,61 @@ func runAttempt[T statevec.Amp](plan *schedule.Plan, opts Options, l int, ckw *c
 		sc := opts.Telemetry.Scope(c.Rank(), 0, fmt.Sprintf("rank %d", c.Rank()), "engine")
 		attemptT0 := sc.Now()
 
-		local := kernels.NewAmps[T](localLen)
+		// The rank's store: by default a fresh shard, for good —
+		// permutations and exchanges run in place. A failed attempt — a
+		// corrupted piece, a dead rank — leaves shards half permuted or half
+		// exchanged; nothing reads them again.
+		r := &rank[T]{store: paged, c: c, sc: sc, plan: plan}
+		if paged == nil {
+			r.store, r.sh = r, schedule.Shard[T]{Amps: kernels.NewAmps[T](1 << l), L: l, Index: c.Rank()}
+		}
+		t0 := sc.Now()
+		if err := r.store.Load(ckw, man, opts.Init, failed); err != nil {
+			return fmt.Errorf("dist: loading rank %d: %w", c.Rank(), err)
+		}
 		if man != nil {
-			t0 := sc.Now()
-			if err := ckw.StreamShard(man, c.Rank(), wide(local), nil); err != nil {
-				return fmt.Errorf("dist: restoring rank %d from stage-%d snapshot: %w", c.Rank(), man.NextStage, err)
-			}
-			sc.Complete("ckpt", "restore", t0, time.Since(t0), telemetry.A("stage", man.NextStage), telemetry.A("amps", localLen))
-		} else {
-			statevec.Fill(opts.Init, plan.N, local, c.Rank())
+			sc.Complete("ckpt", "restore", t0, time.Since(t0), telemetry.A("stage", man.NextStage), telemetry.A("amps", 1<<l))
 		}
-		// The rank's shard, for good: permutations and exchanges run in
-		// place. A failed attempt — a corrupted piece, a dead rank — leaves
-		// shards half permuted or half exchanged; nothing reads them again,
-		// the next attempt restores into fresh ones.
-		r := &rank[T]{c: c, sh: schedule.Shard[T]{Amps: local, L: l, Index: c.Rank()}, sc: sc, plan: plan}
+		var hook func([]schedule.Op, time.Time, []time.Duration)
 		if opts.Profile || sc != nil {
-			r.sh.Observe = r.observe
+			hook = r.observe
 		}
+		r.store.Observe(hook)
 		start := time.Now()
-		if err := schedule.Walk(plan, stages, startStage, ckw, r); err != nil {
+		if err := schedule.Walk(plan, stages, startStage, ckw, r.store); err != nil {
 			return err
 		}
 
-		// Final reductions (norm + entropy), as in the Edison entropy run.
-		// The sweep over the local amplitudes is pure local compute; only
-		// the collectives below count toward CommElapsed.
-		localNorm, ent := kernels.NormEntropy(local)
-		t0 := time.Now()
+		// Final reductions (norm + entropy), as in the Edison entropy run, in
+		// one visit that also gathers the units if asked: pure local compute;
+		// only the collectives below count toward CommElapsed.
+		var localNorm, ent float64
+		i := c.Rank() << l
+		if err := r.store.Units(func(u []T) error {
+			a, b := kernels.NormEntropy(u)
+			localNorm, ent = localNorm+a, ent+b
+			for j := 0; amplitudes != nil && j < len(u); j++ {
+				amplitudes[i+j] = complex128(u[j])
+			}
+			i += len(u)
+			return nil
+		}); err != nil {
+			return err
+		}
+		t0 = time.Now()
 		norm := c.AllreduceSum(localNorm)
 		ent = c.AllreduceSum(ent)
 		r.commTime += time.Since(t0)
 		sc.Complete("dist", "reduce", t0, time.Since(t0))
 		if opts.SampleShots > 0 {
 			st0 := sc.Now()
-			sampleLocal(c, plan, local, localNorm, l, opts.SampleSeed, samples, &r.commTime)
+			if err := r.sample(localNorm, l, opts.SampleSeed, samples); err != nil {
+				return err
+			}
 			sc.Complete("dist", "sample", st0, time.Since(st0), telemetry.A("shots", opts.SampleShots))
 		}
 		r.norm, r.entropy, r.elapsed = norm, ent, time.Since(start)
 		sc.Complete("dist", "attempt", attemptT0, time.Since(attemptT0), telemetry.A("start_stage", startStage))
-		if opts.GatherState {
-			for i, a := range local {
-				amplitudes[c.Rank()<<l+i] = complex128(a)
-			}
-		}
 		rs[c.Rank()] = r
 		return nil
 	})
@@ -340,12 +368,12 @@ func runAttempt[T statevec.Amp](plan *schedule.Plan, opts Options, l int, ckw *c
 	if err != nil {
 		return err
 	}
-	locals := make([][]T, ranks)
+	var bufs [][]T
 	var elapsed, comm time.Duration
-	for i, r := range rs {
-		locals[i], elapsed, comm = r.sh.Amps, max(elapsed, r.elapsed), max(comm, r.commTime)
+	for _, r := range rs {
+		bufs, elapsed, comm = append(bufs, r.store.Buffers()...), max(elapsed, r.elapsed), max(comm, r.commTime)
 	}
-	kernels.ObservePages(opts.Telemetry, locals...)
+	kernels.ObservePages(opts.Telemetry, bufs...)
 	res.Norm, res.Entropy = rs[0].norm, rs[0].entropy
 	res.Elapsed += elapsed
 	res.CommElapsed += comm
@@ -371,9 +399,28 @@ func runAttempt[T statevec.Amp](plan *schedule.Plan, opts Options, l int, ckw *c
 	return nil
 }
 
-// rank is one rank of an attempt as the stage walk's executor: its shard,
-// and where its time went.
+// Store is what a rank holds its part of the state in, and RunAt reaches it
+// through these methods alone: by default the rank's shard in memory, for a
+// world of one the paged file of Options.Store.
+type Store[T statevec.Amp] interface {
+	// The stage walk's (schedule.Walk): Stage tees the units, in
+	// plan-location order, into the snapshot it is handed, and commits it.
+	schedule.Executor[T]
+	// Load puts in place the state an attempt starts from: the snapshot man
+	// through ck, else init (which a paged file holds until an attempt fails).
+	Load(ck *ckpt.Writer, man *ckpt.Manifest, init statevec.Start, failed bool) error
+	// Units hands visit the units, in plan-location order.
+	Units(visit func(unit []T) error) error
+	// Observe arms hook (nil: disarms it) on each pass over a unit.
+	Observe(hook func(ops []schedule.Op, start time.Time, took []time.Duration))
+	// Buffers returns the memory the store holds amplitudes in.
+	Buffers() [][]T
+}
+
+// rank is one rank of an attempt: its store — by default itself, its shard
+// in memory — and where its time went.
 type rank[T statevec.Amp] struct {
+	store    Store[T]
 	c        *mpi.Comm
 	sh       schedule.Shard[T]
 	sc       *telemetry.Scope
@@ -387,7 +434,7 @@ type rank[T statevec.Amp] struct {
 	passes, runs  int
 }
 
-// observe is told about every pass over the shard. One clock pair per pass
+// observe is told about every pass over a unit. One clock pair per pass
 // feeds everything downstream — the comm accounting, the profile breakdown
 // and the trace span — so the three views of "where did the time go" cannot
 // disagree. An op is a pass of its own or, inside a blocked run, one of
@@ -411,6 +458,18 @@ func (r *rank[T]) observe(ops []schedule.Op, t0 time.Time, took []time.Duration)
 		r.sc.Complete("stage", "run", t0, d, telemetry.A("stage", ops[0].Stage), telemetry.A("ops", len(ops)))
 	}
 }
+
+func (r *rank[T]) Load(ck *ckpt.Writer, man *ckpt.Manifest, init statevec.Start, _ bool) error {
+	if man != nil {
+		return ck.StreamShard(man, r.c.Rank(), wide(r.sh.Amps), nil)
+	}
+	statevec.Fill(init, r.plan.N, r.sh.Amps, r.c.Rank())
+	return nil
+}
+
+func (r *rank[T]) Units(visit func(unit []T) error) error                       { return visit(r.sh.Amps) }
+func (r *rank[T]) Buffers() [][]T                                               { return [][]T{r.sh.Amps} }
+func (r *rank[T]) Observe(hook func([]schedule.Op, time.Time, []time.Duration)) { r.sh.Observe = hook }
 
 // Stage snapshots the shard when the boundary is due one, then runs the
 // stage's program on it.
@@ -467,19 +526,24 @@ func (r *rank[T]) snapshot(snap *ckpt.Snapshot, next int) error {
 	return nil
 }
 
-// sampleLocal implements distributed sampling: every rank shares only its
-// total probability weight, and statevec.DrawUnit, the same two-level draw
-// on every rank, picks this rank's shots and their indices in its shard,
-// which it writes into samples as logical basis states. Only the Allgather
-// counts toward commTime.
-func sampleLocal[T statevec.Amp](c *mpi.Comm, plan *schedule.Plan, local []T, localNorm float64, l int, seed int64, samples []int, commTime *time.Duration) {
+// sample implements distributed sampling: every rank shares only its total
+// probability weight, and statevec.DrawUnit, the same two-level draw on
+// every rank, picks this rank's shots and their indices in its store, fed
+// unit by unit, which it writes into samples as logical basis states. Only
+// the Allgather counts toward commTime.
+func (r *rank[T]) sample(localNorm float64, l int, seed int64, samples []int) (err error) {
 	t0 := time.Now()
-	weights := c.AllgatherFloat64(localNorm)
-	*commTime += time.Since(t0)
-	mine, idx := statevec.DrawUnit(seed, len(samples), weights, c.Rank(), func(s *statevec.Sampler) { statevec.FeedAmps(s, local) })
+	weights := r.c.AllgatherFloat64(localNorm)
+	r.commTime += time.Since(t0)
+	mine, idx := statevec.DrawUnit(seed, len(samples), weights, r.c.Rank(), func(s *statevec.Sampler) {
+		if err == nil {
+			err = r.store.Units(func(u []T) error { statevec.FeedAmps(s, u); return nil })
+		}
+	})
 	for j, i := range idx {
-		samples[mine[j]] = plan.LogicalIndex(c.Rank()<<l | i)
+		samples[mine[j]] = r.plan.LogicalIndex(r.c.Rank()<<l | i)
 	}
+	return err
 }
 
 // wide is a shard as the complex128 amplitudes snapshots hold: RunAt takes

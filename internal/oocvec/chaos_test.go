@@ -179,7 +179,9 @@ func TestCheckpointENOSPCWindowSkipsOnlyStarvedSnapshots(t *testing.T) {
 
 // dataPathOps runs plan checkpointed at prefetch depth, on a vector whose
 // state file is on a counting FS, and returns the read and write ops the
-// state file took, the writes after Create's.
+// state file took, the writes after Create's and the reads up to the last
+// stage's: the run ends with dist's reduction, one more read of the file,
+// which a NormEntropy after the run repeats op for op.
 func dataPathOps(t *testing.T, n, l, depth int, plan *schedule.Plan) (reads, writes int) {
 	t.Helper()
 	probe := chaos.NewFS(chaos.DiskFaults{}, nil)
@@ -190,7 +192,11 @@ func dataPathOps(t *testing.T, n, l, depth int, plan *schedule.Plan) (reads, wri
 		t.Fatal(err)
 	}
 	st := probe.Stats()
-	return int(st.ReadOps), int(st.WriteOps - created)
+	if _, _, err := v.NormEntropy(); err != nil {
+		t.Fatal(err)
+	}
+	reduction := probe.Stats().ReadOps - st.ReadOps
+	return int(st.ReadOps - reduction), int(st.WriteOps - created)
 }
 
 // recoverPaged runs plan checkpointed at prefetch depth on a uniform vector
@@ -285,3 +291,7 @@ func TestRecoveryGivesUpAfterMaxRestarts(t *testing.T) {
 		t.Errorf("%d restarts, want ckpt.MaxRestarts = %d", v.Restarts(), ckpt.MaxRestarts)
 	}
 }
+
+// CheckpointsRestored reports how many attempts of the vector's runs
+// restored a snapshot.
+func (v *Vector) CheckpointsRestored() int { return v.restored }

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"qusim/internal/ckpt"
-	"qusim/internal/fsio"
+	"qusim/internal/dist"
 	"qusim/internal/schedule"
 	"qusim/internal/telemetry"
 )
@@ -30,7 +30,7 @@ func (v *Vector) snapshotMeta(plan *schedule.Plan) ckpt.Meta {
 func (v *Vector) Checkpoint(dir string, plan *schedule.Plan, nextStage, keep int) error {
 	ck := ckpt.NewWriter(&ckpt.Policy{Dir: dir, Keep: keep}, v.snapshotMeta(plan), v.tel.t)
 	snap, t0 := ck.Snapshot(nextStage), v.tel.sc.Now()
-	if err := v.stream(func(chunk []complex128) error { return snap.Tee(0, chunk) }); err != nil {
+	if err := v.Units(func(chunk []complex128) error { return snap.Tee(0, chunk) }); err != nil {
 		snap.Abort()
 		return err
 	}
@@ -73,37 +73,20 @@ func (v *Vector) restore(ck *ckpt.Writer, man *ckpt.Manifest) error {
 // and committed once that reader has read the whole file: a crash inside
 // stage s resumes from boundary s−1 or, past that commit, s. With resume
 // set it first looks for the newest valid snapshot of this exact plan in
-// pol.Dir and re-executes only the stages past it. A file error past the
-// in-place retries (fsio.IsTransient, fsio.IsNoSpace) restarts it from the
-// newest snapshot, or the created state when none is committed, up to
-// ckpt.MaxRestarts times (ckpt.Policy.Restart; Restarts counts them).
-// Every snapshot file it reads or writes goes through pol.FS. It returns the
-// stage the last attempt resumed from (−1 for a fresh start) and the number
-// of snapshots committed.
+// pol.Dir and re-executes only the stages past it. It is dist.Run on the one
+// rank of a world that holds the vector, so a file error past the in-place
+// retries restarts it from the newest snapshot, or the created state, up to
+// ckpt.MaxRestarts times (Restarts counts them). Every snapshot file goes
+// through pol.FS. It returns the stage the last attempt resumed from (−1
+// for a fresh start) and the number of snapshots committed.
 func (v *Vector) RunCheckpointed(plan *schedule.Plan, pol *ckpt.Policy, resume bool) (restoredStage, written int, err error) {
+	v.from = -1
 	if plan.N != v.N || plan.L != v.L {
 		return -1, 0, fmt.Errorf("oocvec: plan (n=%d l=%d) does not match vector (n=%d l=%d)", plan.N, plan.L, v.N, v.L)
 	}
-	restarts, err := pol.Restart(v.snapshotMeta(plan), v.tel.t, resume, func(ck *ckpt.Writer, man *ckpt.Manifest, failed error) error {
-		start := 0
-		restoredStage = -1
-		if man != nil {
-			if err := v.restore(ck, man); err != nil {
-				return err
-			}
-			start, restoredStage = man.NextStage, man.NextStage
-			v.restored++
-		} else if failed != nil {
-			// Nothing to resume from: the failed attempt's stages start over.
-			if err := v.fill(); err != nil {
-				return err
-			}
-		}
-		err := v.walk(plan, start, ck)
-		w, skipped := ck.Counts() // a restore or refill writes no snapshot
-		written, v.ckptSkipped = written+w, v.ckptSkipped+skipped
-		return err
-	}, fsio.IsTransient, fsio.IsNoSpace)
-	v.restarts += restarts
-	return restoredStage, written, err
+	res, err := dist.Run(plan, dist.Options{Ranks: 1, Init: v.start, Store: v, Checkpoint: pol, Resume: resume, Telemetry: v.tel.t})
+	if res != nil {
+		v.ckptSkipped, v.restarts, written = v.ckptSkipped+res.CheckpointsSkipped, v.restarts+res.Restarts, res.CheckpointsWritten
+	}
+	return v.from, written, err
 }

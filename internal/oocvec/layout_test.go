@@ -94,7 +94,7 @@ func TestSwapMovesNoData(t *testing.T) {
 				if err := v.Restore(dir, man); err != nil {
 					t.Fatal(err)
 				}
-				if err := v.walk(plan, s, nil); err != nil {
+				if err := v.walk(plan, s); err != nil {
 					t.Fatal(err)
 				}
 				if got, err := v.Amplitudes(); err != nil || !slices.Equal(got, want) {

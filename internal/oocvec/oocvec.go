@@ -17,14 +17,17 @@
 // writeback joins the runs of neighbouring chunks that the file holds side
 // by side into one request.
 //
-// Execution is circuit-aware: the plan's stage cut (schedule.Plan.AccessMap,
-// compiled by schedule.Shard.Stages) tells the engine, before any I/O
-// happens, what every upcoming stage applies and exchanges. Run fuses
-// each stage's local ops into a single streamed pass (pipeline.go), applied
-// chunk by chunk through the shard applier every back end shares
-// (schedule.Shard); a prefetch depth (SetPrefetch) overlaps that pass with
-// asynchronous read-ahead and writeback, and depth 0 runs the same pass with
-// one buffer and no overlap. Every depth is bitwise identical to Plan.Run.
+// The vector is a dist.Store: a run is dist.Run on the one rank of a world
+// that holds the vector (dist.Options.Store), so its attempts, restarts,
+// reduction, sampler and profile are dist's. Execution is circuit-aware: the
+// plan's stage cut (schedule.Plan.AccessMap, compiled by
+// schedule.Shard.Stages) tells the engine, before any I/O happens, what every
+// upcoming stage applies and exchanges. Each stage's local ops run as a
+// single streamed pass (pipeline.go), applied chunk by chunk through the
+// shard applier every back end shares (schedule.Shard); a prefetch depth
+// (SetPrefetch) overlaps that pass with asynchronous read-ahead and
+// writeback, and depth 0 runs the same pass with one buffer and no overlap.
+// Every depth is bitwise identical to Plan.Run.
 //
 // The state file is one process's scratch — a crash resumes from a ckpt
 // snapshot, never from it — so it holds amplitudes in the host's byte order,
@@ -37,6 +40,7 @@ import (
 	"fmt"
 	"time"
 
+	"qusim/internal/ckpt"
 	"qusim/internal/fsio"
 	"qusim/internal/kernels"
 	"qusim/internal/schedule"
@@ -56,8 +60,8 @@ type Vector struct {
 	// location p lives; the identity until a swap trades two entries.
 	loc []int
 	// pool holds the stage pipeline's chunks, kept from stage to stage;
-	// pool[0] also serves the constructors, streams, snapshots and restores,
-	// none of which runs during a stage.
+	// pool[0] also serves the constructors, the unit visits, snapshots and
+	// restores, none of which runs during a stage.
 	pool [][]complex128
 	// staging gathers the writeback of a group of chunks whose runs sit
 	// side by side in the file (pipeline.go): at most 2^writeGroupBits
@@ -67,10 +71,13 @@ type Vector struct {
 
 	start       statevec.Start // the state the vector was created in
 	prefetch    int            // chunks read ahead of the compute loop; 0 = no overlap
-	ckptSkipped int            // checkpoints skipped on persistent ENOSPC (ckpt.go)
-	restored    int            // RunCheckpointed attempts that started from a snapshot
-	restarts    int            // RunCheckpointed's restarts (ckpt.Policy.Restart)
-	tel         vecTel
+	ckptSkipped int            // checkpoints skipped on persistent ENOSPC
+	restored    int            // attempts that restored a snapshot
+	restarts    int            // restarts of failed attempts (ckpt.Policy.Restart)
+	from        int            // the stage the last attempt started from a snapshot at, −1 for none
+	// observe is dist's hook on every pass over a chunk (Observe), or nil.
+	observe func([]schedule.Op, time.Time, []time.Duration)
+	tel     vecTel
 }
 
 const ampBytes = 16
@@ -97,7 +104,7 @@ func Create(fs fsio.FS, n, l int, dir string, start statevec.Start) (*Vector, er
 	if l >= n {
 		return nil, fmt.Errorf("oocvec: chunk qubits l=%d must be < n=%d", l, n)
 	}
-	if l < 1 || n > 40 {
+	if l < 1 || l > statevec.MaxUnitQubits || n > 40 {
 		return nil, fmt.Errorf("oocvec: unsupported sizes n=%d l=%d", n, l)
 	}
 	f, err := fs.CreateTemp(dir, "oocvec-*.state")
@@ -108,16 +115,16 @@ func Create(fs fsio.FS, n, l int, dir string, start statevec.Start) (*Vector, er
 	for p := range v.loc {
 		v.loc[p] = p
 	}
-	if err := v.fill(); err != nil {
+	if err := v.fill(start); err != nil {
 		v.Close()
 		return nil, err
 	}
 	return v, nil
 }
 
-// fill writes the state the vector was created in through its layout.
-func (v *Vector) fill() error {
-	first, rest := v.start.Amplitudes(v.N)
+// fill writes the start state s through the vector's layout.
+func (v *Vector) fill(s statevec.Start) error {
+	first, rest := s.Amplitudes(v.N)
 	buf := v.pool[0]
 	for i := range buf {
 		buf[i] = rest
@@ -132,11 +139,10 @@ func (v *Vector) fill() error {
 	return nil
 }
 
-// SetPrefetch sets how many chunks Run and RunCheckpointed read ahead of the
-// compute loop while writeback drains behind it. Every depth executes a
-// stage as one fused streamed pass; depth 0 (the default) does so with a
-// single buffer, so read, compute and write alternate. Negative depths clamp
-// to 0.
+// SetPrefetch sets how many chunks a run reads ahead of the compute loop
+// while writeback drains behind it. Every depth executes a stage as one
+// fused streamed pass; depth 0 (the default) does so with a single buffer,
+// so read, compute and write alternate. Negative depths clamp to 0.
 func (v *Vector) SetPrefetch(depth int) {
 	if depth < 0 {
 		depth = 0
@@ -203,14 +209,9 @@ func (v *Vector) Close() error {
 	return err
 }
 
-// CheckpointsSkipped reports how many periodic snapshots RunCheckpointed
-// dropped because the disk stayed full after pruning — the graceful-
-// degradation path: the run continues, it just restarts from further back
-// if it later has to.
+// CheckpointsSkipped reports how many snapshots the vector's runs dropped
+// because the disk stayed full after pruning: a run goes on without them.
 func (v *Vector) CheckpointsSkipped() int { return v.ckptSkipped }
-
-// CheckpointsRestored reports how many RunCheckpointed attempts started from a snapshot.
-func (v *Vector) CheckpointsRestored() int { return v.restored }
 
 // Restarts reports how many times RunCheckpointed restarted a failed attempt.
 func (v *Vector) Restarts() int { return v.restarts }
@@ -298,16 +299,33 @@ func (v *Vector) runsIO(c, r int, amps []complex128, write bool) error {
 	return nil
 }
 
-// Run executes a full plan built with LocalQubits = L.
+// Run executes a full plan built with LocalQubits = L on the state the
+// file holds: RunCheckpointed without a checkpoint policy.
 func (v *Vector) Run(plan *schedule.Plan) error {
-	if plan.N != v.N || plan.L != v.L {
-		return fmt.Errorf("oocvec: plan (n=%d l=%d) does not match vector (n=%d l=%d)", plan.N, plan.L, v.N, v.L)
-	}
-	return v.walk(plan, 0, nil)
+	_, _, err := v.RunCheckpointed(plan, nil, false)
+	return err
 }
 
-// stream reads the state once, in chunk order, and hands each chunk to visit.
-func (v *Vector) stream(visit func(chunk []complex128) error) error {
+// Load puts in place the state an attempt starts from (dist.Store): the
+// snapshot man, streamed into the file chunk by chunk, or, after a failed
+// attempt with none to resume from, init.
+func (v *Vector) Load(ck *ckpt.Writer, man *ckpt.Manifest, init statevec.Start, failed bool) error {
+	v.from = -1
+	switch {
+	case man != nil:
+		if err := v.restore(ck, man); err != nil {
+			return err
+		}
+		v.from, v.restored = man.NextStage, v.restored+1
+	case failed:
+		return v.fill(init)
+	}
+	return nil
+}
+
+// Units reads the state once, in chunk order, and hands each chunk to visit
+// (dist.Store).
+func (v *Vector) Units(visit func(chunk []complex128) error) error {
 	buf := v.pool[0]
 	for c := 0; c < v.Chunks(); c++ {
 		if err := v.chunkIO(c, buf, false); err != nil {
@@ -320,9 +338,20 @@ func (v *Vector) stream(visit func(chunk []complex128) error) error {
 	return nil
 }
 
+// Observe arms hook on every pass over a chunk, or disarms it when nil
+// (dist.Store).
+func (v *Vector) Observe(hook func([]schedule.Op, time.Time, []time.Duration)) { v.observe = hook }
+
+// Buffers returns the memory the vector holds amplitudes in (dist.Store):
+// a stage's depth+1 chunks of pool and the writeback's staging buffer.
+func (v *Vector) Buffers() [][]complex128 {
+	held := min(len(v.pool), min(v.prefetch, v.Chunks())+1)
+	return append(v.pool[:held:held], v.staging)
+}
+
 // Norm returns Σ|α|² by streaming the file.
 func (v *Vector) Norm() (norm float64, err error) {
-	err = v.stream(func(chunk []complex128) error { norm += kernels.Norm(chunk); return nil })
+	err = v.Units(func(chunk []complex128) error { norm += kernels.Norm(chunk); return nil })
 	return norm, err
 }
 
@@ -334,7 +363,7 @@ func (v *Vector) Entropy() (float64, error) {
 
 // NormEntropy returns Norm and Entropy from one stream over the file.
 func (v *Vector) NormEntropy() (norm, entropy float64, err error) {
-	err = v.stream(func(chunk []complex128) error {
+	err = v.Units(func(chunk []complex128) error {
 		a, b := kernels.NormEntropy(chunk)
 		norm, entropy = norm+a, entropy+b
 		return nil
@@ -346,6 +375,6 @@ func (v *Vector) NormEntropy() (norm, entropy float64, err error) {
 // chunk.
 func (v *Vector) Amplitudes() ([]complex128, error) {
 	out := kernels.NewAmps[complex128](1 << v.N)[:0]
-	err := v.stream(func(chunk []complex128) error { out = append(out, chunk...); return nil })
+	err := v.Units(func(chunk []complex128) error { out = append(out, chunk...); return nil })
 	return out, err
 }

@@ -41,36 +41,21 @@ type chunkBuf struct {
 	amps []complex128
 }
 
-// walk executes the stages from start on through the pipeline, teeing the
-// snapshots ck names. Their cut is also where a malformed plan (an unknown op
-// kind, an op after its stage's closing swap) is turned away, before any I/O
-// starts.
-func (v *Vector) walk(plan *schedule.Plan, start int, ck *ckpt.Writer) error {
-	stages, err := (&schedule.Shard[complex128]{L: v.L}).Stages(plan, start)
-	if err != nil {
-		return fmt.Errorf("oocvec: %w", err)
-	}
-	return schedule.Walk(plan, stages, start, ck, pipeline{v})
-}
-
-// pipeline is the vector as the stage walk's executor.
-type pipeline struct{ *Vector }
-
 // Stage executes one stage as a single streamed pass with asynchronous
 // prefetch and writeback, the reader teeing snap (nil: no snapshot at this
 // boundary) as it goes. The program was prepared once for the stage, not
 // once per chunk: it holds nothing of a chunk's amplitudes or number (a
 // diagonal reads the chunk number's bits off the index it is handed).
-func (p pipeline) Stage(st *schedule.Stage[complex128], snap *ckpt.Snapshot) error {
-	t0 := p.tel.sc.Now()
-	if err := p.pumpStage(st, snap); err != nil {
+func (v *Vector) Stage(st *schedule.Stage[complex128], snap *ckpt.Snapshot) error {
+	t0 := v.tel.sc.Now()
+	if err := v.pumpStage(st, snap); err != nil {
 		snap.Abort() // of what the failed stage left unfinished
 		return err
 	}
 	if !t0.IsZero() {
-		p.tel.sc.Complete("stage", "pipeline", t0, time.Since(t0),
+		v.tel.sc.Complete("stage", "pipeline", t0, time.Since(t0),
 			telemetry.A("stage", st.Stage),
-			telemetry.A("chunks", p.Chunks()),
+			telemetry.A("chunks", v.Chunks()),
 			telemetry.A("ops", st.End-st.Begin),
 			telemetry.A("swap", st.Exchanges()))
 	}
@@ -80,11 +65,11 @@ func (p pipeline) Stage(st *schedule.Stage[complex128], snap *ckpt.Snapshot) err
 // Exchange renumbers: local location L−q+j and global location
 // L+GlobalBits[j] trade the file bits they live at, and no amplitude moves.
 // The pipeline has drained, so no goroutine reads the layout.
-func (p pipeline) Exchange(st *schedule.Stage[complex128]) {
+func (v *Vector) Exchange(st *schedule.Stage[complex128]) {
 	q := len(st.GlobalBits)
 	for j, g := range st.GlobalBits {
-		a, b := p.L-q+j, p.L+g
-		p.loc[a], p.loc[b] = p.loc[b], p.loc[a]
+		a, b := v.L-q+j, v.L+g
+		v.loc[a], v.loc[b] = v.loc[b], v.loc[a]
 	}
 }
 
@@ -107,9 +92,6 @@ func (v *Vector) pumpStage(st *schedule.Stage[complex128], snap *ckpt.Snapshot) 
 		v.pool = append(v.pool, kernels.NewAmps[complex128](1<<v.L))
 	}
 	wb := v.writeback(depth)
-	// The state in memory is the pool and the writeback's staging buffer;
-	// NewAmps has touched their pages.
-	kernels.ObservePages(v.tel.t, append(v.pool[:nbuf:nbuf], v.staging)...)
 	bufs := make([]chunkBuf, nbuf)
 	free := make(chan *chunkBuf, nbuf)
 	for i := range bufs {
@@ -196,7 +178,7 @@ func (v *Vector) pumpStage(st *schedule.Stage[complex128], snap *ckpt.Snapshot) 
 	// through the shard applier (chunk number = shard index, the default
 	// kernels). A chunk already buffered when we ask for it is a
 	// prefetch hit — I/O fully hidden behind the previous chunk's compute.
-	sh := schedule.Shard[complex128]{L: v.L}
+	sh := schedule.Shard[complex128]{L: v.L, Observe: v.observe}
 	for done := 0; done < chunks; done++ {
 		var b *chunkBuf
 		select {

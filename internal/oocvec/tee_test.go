@@ -14,6 +14,7 @@ import (
 
 	"qusim/internal/chaos"
 	"qusim/internal/ckpt"
+	"qusim/internal/kernels"
 	"qusim/internal/schedule"
 	"qusim/internal/statevec"
 	"qusim/internal/telemetry"
@@ -54,15 +55,27 @@ func standaloneSnapshots(t *testing.T, n, l int, plan *schedule.Plan, dir string
 	}
 }
 
-// runStage executes one stage as the walk does: its pass, then its exchange.
+// runStage executes one stage as the walk does: its pass, then its
+// exchange; and records the vector's memory as dist.RunAt does after a run.
 func runStage(v *Vector, st *schedule.Stage[complex128]) error {
-	if err := (pipeline{v}).Stage(st, nil); err != nil {
+	if err := v.Stage(st, nil); err != nil {
 		return err
 	}
 	if st.Exchanges() {
-		pipeline{v}.Exchange(st)
+		v.Exchange(st)
 	}
+	kernels.ObservePages(v.tel.t, v.Buffers()...)
 	return nil
+}
+
+// walk executes the stages of plan from start on, as an attempt resumed at
+// that boundary does, outside dist's attempt loop.
+func (v *Vector) walk(plan *schedule.Plan, start int) error {
+	stages, err := (&schedule.Shard[complex128]{L: v.L}).Stages(plan, start)
+	if err != nil {
+		return err
+	}
+	return schedule.Walk(plan, stages, start, nil, v)
 }
 
 // snapshotFiles returns the names of dir's entries, failing on a temp file.
@@ -144,7 +157,7 @@ func TestTeedSnapshotsEqualStandalone(t *testing.T) {
 					if err := v.Restore(dir, man); err != nil {
 						return err
 					}
-					return v.walk(plan, s, nil)
+					return v.walk(plan, s)
 				})
 				if !slices.Equal(resumed, want) {
 					t.Fatalf("run restored at boundary %d differs from Plan.Run", s)

@@ -34,6 +34,11 @@ type State[T Amp] struct {
 // Vector is the double-precision state.
 type Vector = State[complex128]
 
+// MaxUnitQubits bounds what one store allocates in memory, in either
+// precision: a whole state (Prepare), a rank's shard or a paged chunk holds
+// at most 2^MaxUnitQubits amplitudes — 256 GiB in double precision.
+const MaxUnitQubits = 34
+
 // Start is the state a run starts in, before its first gate. Every store —
 // this package's states, dist's ranks, oocvec's file — writes it from
 // Amplitudes.
@@ -66,7 +71,7 @@ func NewUniform(n int) *Vector { return Prepare[complex128](StartUniform, n) }
 
 // Prepare returns an n-qubit register in the start state s.
 func Prepare[T Amp](s Start, n int) *State[T] {
-	if n < 0 || n > 34 {
+	if n < 0 || n > MaxUnitQubits {
 		panic(fmt.Sprintf("statevec: unsupported qubit count %d", n))
 	}
 	v := &State[T]{N: n, Amps: kernels.NewAmps[T](1 << n)}
