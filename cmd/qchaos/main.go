@@ -149,11 +149,11 @@ func (b *chaosOoc) exec(plan *schedule.Plan) ([]complex128, error) {
 	sched := chaos.Compose(b.seed, b.run, b.copts)
 	dataDisk := sched.Disk
 	dataDisk.TornWriteAt = 0
-	// The state file's full-disk window opens past Create's writes (the temp
-	// file, one per chunk): a disk full before the state exists fails
-	// Create, which leaves no run to recover.
+	// The state file's full-disk window opens past Create's one write op,
+	// the temp file (Create writes no chunk): a disk full before the state
+	// exists fails Create, which leaves no run to recover.
 	if dataDisk.NoSpaceAt > 0 {
-		dataDisk.NoSpaceAt += 1 + 1<<b.globals
+		dataDisk.NoSpaceAt++
 	}
 	dfs := chaos.NewFS(dataDisk, nil)
 	cfs := chaos.NewFS(sched.Disk, nil)

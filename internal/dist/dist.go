@@ -322,21 +322,25 @@ func runAttempt[T statevec.Amp](plan *schedule.Plan, opts Options, l int, paged 
 			return err
 		}
 
-		// Final reductions (norm + entropy), as in the Edison entropy run, in
-		// one visit that also gathers the units if asked: pure local compute;
-		// only the collectives below count toward CommElapsed.
-		var localNorm, ent float64
-		i := c.Rank() << l
-		if err := r.store.Units(func(u []T) error {
-			a, b := kernels.NormEntropy(u)
-			localNorm, ent = localNorm+a, ent+b
-			for j := 0; amplitudes != nil && j < len(u); j++ {
-				amplitudes[i+j] = complex128(u[j])
-			}
-			i += len(u)
-			return nil
-		}); err != nil {
+		// Final reductions (norm + entropy), as in the Edison entropy run:
+		// pure local compute, the store's own (a paged store kept the pair
+		// its last stage summed); only the collectives below count toward
+		// CommElapsed.
+		localNorm, ent, err := r.store.NormEntropy()
+		if err != nil {
 			return err
+		}
+		if amplitudes != nil {
+			i := c.Rank() << l
+			if err := r.store.Units(func(u []T) error {
+				for j := range u {
+					amplitudes[i+j] = complex128(u[j])
+				}
+				i += len(u)
+				return nil
+			}); err != nil {
+				return err
+			}
 		}
 		t0 = time.Now()
 		norm := c.AllreduceSum(localNorm)
@@ -407,10 +411,15 @@ type Store[T statevec.Amp] interface {
 	// plan-location order, into the snapshot it is handed, and commits it.
 	schedule.Executor[T]
 	// Load puts in place the state an attempt starts from: the snapshot man
-	// through ck, else init (which a paged file holds until an attempt fails).
+	// through ck, else init (which a paged file stands for, computed, from
+	// its creation until an attempt fails).
 	Load(ck *ckpt.Writer, man *ckpt.Manifest, init statevec.Start, failed bool) error
 	// Units hands visit the units, in plan-location order.
 	Units(visit func(unit []T) error) error
+	// NormEntropy returns Σ|α|² and the entropy −Σ|α|²·ln|α|² of the
+	// units, each summed with kernels.NormEntropy unit by unit in
+	// plan-location order.
+	NormEntropy() (norm, entropy float64, err error)
 	// Observe arms hook (nil: disarms it) on each pass over a unit.
 	Observe(hook func(ops []schedule.Op, start time.Time, took []time.Duration))
 	// Buffers returns the memory the store holds amplitudes in.
@@ -470,6 +479,11 @@ func (r *rank[T]) Load(ck *ckpt.Writer, man *ckpt.Manifest, init statevec.Start,
 func (r *rank[T]) Units(visit func(unit []T) error) error                       { return visit(r.sh.Amps) }
 func (r *rank[T]) Buffers() [][]T                                               { return [][]T{r.sh.Amps} }
 func (r *rank[T]) Observe(hook func([]schedule.Op, time.Time, []time.Duration)) { r.sh.Observe = hook }
+
+func (r *rank[T]) NormEntropy() (norm, entropy float64, err error) {
+	norm, entropy = kernels.NormEntropy(r.sh.Amps)
+	return norm, entropy, nil
+}
 
 // Stage snapshots the shard when the boundary is due one, then runs the
 // stage's program on it.

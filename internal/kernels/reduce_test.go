@@ -141,6 +141,67 @@ func TestNormEntropyEqualsNormAndEntropy(t *testing.T) {
 	}
 }
 
+// TestNormEqualsNormEntropyNormOnEverySet: the norm pass returns bit for bit
+// the norm of the fused norm-and-entropy pass on every kernel set this CPU
+// can run — the pure-Go loops, and the AVX2 and AVX-512 kernels called
+// directly whatever ISA() says — in both precisions, on the power-of-two
+// lengths of a paged chunk and on lengths with a tail. A paged vector's
+// Norm answers from the sums its last stage kept on the strength of it.
+func TestNormEqualsNormEntropyNormOnEverySet(t *testing.T) {
+	type set struct {
+		name     string
+		f64      func([]complex128) (norm, fused float64)
+		f32      func([]complex64) (norm, fused float64)
+		runnable bool
+	}
+	sets := []set{
+		{"go", func(a []complex128) (float64, float64) { n, _ := normEntropyGo(a); return normGo(a), n },
+			func(a []complex64) (float64, float64) { n, _ := normEntropyGo(a); return normGo(a), n }, true},
+		{"avx2", func(a []complex128) (float64, float64) {
+			n, _ := reduceBlocks(a, 4, simdNormF64)
+			f, _ := reduceBlocks(a, 4, simdNormEntropyF64)
+			return n, f
+		}, func(a []complex64) (float64, float64) {
+			n, _ := reduceBlocks(a, 4, simdNormF32)
+			f, _ := reduceBlocks(a, 4, simdNormEntropyF32)
+			return n, f
+		}, hasSIMD},
+		{"avx512", func(a []complex128) (float64, float64) {
+			n, _ := reduceBlocks(a, 8, simd512NormF64)
+			f, _ := reduceBlocks(a, 8, simd512NormEntropyF64)
+			return n, f
+		}, func(a []complex64) (float64, float64) {
+			n, _ := reduceBlocks(a, 8, simd512NormF32)
+			f, _ := reduceBlocks(a, 8, simd512NormEntropyF32)
+			return n, f
+		}, cpuISA == "avx512"},
+	}
+	rng := rand.New(rand.NewSource(93))
+	amps := make([]complex128, 1<<16+9)
+	for i := range amps {
+		amps[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	amps32 := ToComplex64(amps)
+	lengths := []int{1, 3, 9, simdDiagBlock + 5}
+	for l := 1; l <= 16; l++ {
+		lengths = append(lengths, 1<<l)
+	}
+	for _, s := range sets {
+		if !s.runnable {
+			t.Logf("%s: not on this CPU or in this build", s.name)
+			continue
+		}
+		for _, n := range lengths {
+			if norm, fused := s.f64(amps[:n]); !sameFloat(norm, fused) {
+				t.Errorf("%s n=%d: norm pass %v, fused pass %v", s.name, n, norm, fused)
+			}
+			if norm, fused := s.f32(amps32[:n]); !sameFloat(norm, fused) {
+				t.Errorf("%s f32 n=%d: norm pass %v, fused pass %v", s.name, n, norm, fused)
+			}
+		}
+	}
+}
+
 // TestEntropyEdgeProbabilities pins what one amplitude of probability p
 // contributes, alone and inside a longer state: nothing for p = 0, −p·ln p
 // down to the smallest subnormal, −Inf for +Inf, and NaN for NaN — a

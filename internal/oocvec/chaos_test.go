@@ -179,24 +179,19 @@ func TestCheckpointENOSPCWindowSkipsOnlyStarvedSnapshots(t *testing.T) {
 
 // dataPathOps runs plan checkpointed at prefetch depth, on a vector whose
 // state file is on a counting FS, and returns the read and write ops the
-// state file took, the writes after Create's and the reads up to the last
-// stage's: the run ends with dist's reduction, one more read of the file,
-// which a NormEntropy after the run repeats op for op.
+// state file took after Create's: the stages' alone, since the last stage
+// sums the norm and entropy dist's reduction reports.
 func dataPathOps(t *testing.T, n, l, depth int, plan *schedule.Plan) (reads, writes int) {
 	t.Helper()
 	probe := chaos.NewFS(chaos.DiskFaults{}, nil)
 	v := chaosVector(t, n, l, probe)
 	v.SetPrefetch(depth)
-	created := probe.Stats().WriteOps
+	created := probe.Stats()
 	if _, _, err := v.RunCheckpointed(plan, &ckpt.Policy{Dir: t.TempDir()}, false); err != nil {
 		t.Fatal(err)
 	}
 	st := probe.Stats()
-	if _, _, err := v.NormEntropy(); err != nil {
-		t.Fatal(err)
-	}
-	reduction := probe.Stats().ReadOps - st.ReadOps
-	return int(st.ReadOps - reduction), int(st.WriteOps - created)
+	return int(st.ReadOps - created.ReadOps), int(st.WriteOps - created.WriteOps)
 }
 
 // recoverPaged runs plan checkpointed at prefetch depth on a uniform vector
@@ -223,9 +218,11 @@ func recoverPaged(t *testing.T, n, l, depth int, plan *schedule.Plan, fs *chaos.
 
 // TestRecoveryFromDataPathReadWindow: a read-error window on the state file
 // longer than retryIO's budget restarts the run — from the state the vector
-// was created in when it hits stage 0, before any snapshot, and from the
-// newest snapshot when it hits the last stage — and it ends bit for bit on
-// the clean run's state.
+// was created in when it hits the first stage that reads, before any
+// snapshot, and from the newest snapshot when it hits the last stage — and
+// it ends bit for bit on the clean run's state. Stage 0 computes the start
+// state and reads nothing, so the "stage0" window, on the second read,
+// opens in stage 1, before boundary 1's snapshot commits.
 func TestRecoveryFromDataPathReadWindow(t *testing.T) {
 	n, l := 10, 7
 	_, plan := buildPlan(t, n, l, 16, 4)
@@ -252,14 +249,15 @@ func TestRecoveryFromDataPathReadWindow(t *testing.T) {
 }
 
 // TestRecoveryFromDataPathENOSPC: a full-disk window on the state file's
-// writeback restarts the run once per write it fails — a restart's refill
-// or restore is a write too — and it ends bit for bit on the clean run's
-// state.
+// writeback restarts the run once per write it fails — a restart's restore
+// is a write too; its refill writes nothing — and it ends bit for bit on
+// the clean run's state. The window opens on stage 0's first write, before
+// any snapshot, or on the run's last write, past the newest.
 func TestRecoveryFromDataPathENOSPC(t *testing.T) {
 	n, l := 10, 7
 	_, plan := buildPlan(t, n, l, 16, 4)
 	clean := oocAmps(t, n, l, func(v *Vector) error { return v.Run(plan) })
-	created := 1 + 1<<(n-l) // Create's temp file and chunk writes
+	const created = 1 // Create's temp file: it writes no chunk
 	const window = 3
 	for _, depth := range []int{0, 2} {
 		_, writes := dataPathOps(t, n, l, depth, plan)

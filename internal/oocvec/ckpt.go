@@ -51,7 +51,8 @@ func (v *Vector) teeSpan(sc *telemetry.Scope, t0 time.Time, next int) {
 
 // Restore streams the snapshot committed in man, in dir on the real file
 // system, back into the backing file, chunk by chunk through the vector's
-// layout, verifying the shard checksum along the way.
+// layout, verifying the shard checksum along the way. From then on reads
+// read the file.
 func (v *Vector) Restore(dir string, man *ckpt.Manifest) error {
 	return v.restore(ckpt.NewWriter(&ckpt.Policy{Dir: dir}, man.Meta, v.tel.t), man)
 }
@@ -62,6 +63,7 @@ func (v *Vector) restore(ck *ckpt.Writer, man *ckpt.Manifest) error {
 			man.N, len(man.Shards), ckpt.ErrInvalid)
 	}
 	c := -1
+	v.fresh, v.kept = false, false
 	return ck.StreamShard(man, 0, v.pool[0], func(chunk []complex128) error {
 		c++
 		return v.chunkIO(c, chunk, true)

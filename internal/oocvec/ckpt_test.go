@@ -3,6 +3,7 @@ package oocvec
 import (
 	"fmt"
 	"os"
+	"sync/atomic"
 	"testing"
 
 	"qusim/internal/ckpt"
@@ -29,9 +30,12 @@ func oocAmps(t *testing.T, n, l int, run func(v *Vector) error) []complex128 {
 	return amps
 }
 
+// TestTempFilesRemovedOnInitFailure: Create writes nothing, so the state
+// file's first writes are its first stage's, and that is where the removal
+// guarantee is held: a run whose first stage fails on a write — at any
+// chunk, or on any call — leaves the directory empty once the vector is
+// closed, from either start state.
 func TestTempFilesRemovedOnInitFailure(t *testing.T) {
-	// Regression: an injected write failure during chunk initialization
-	// must leave the directory empty — no leaked state file.
 	dir := t.TempDir()
 	assertEmpty := func(when string) {
 		t.Helper()
@@ -47,36 +51,50 @@ func TestTempFilesRemovedOnInitFailure(t *testing.T) {
 			t.Fatalf("%s leaked temp files: %v", when, names)
 		}
 	}
+	const n, l = 8, 6
+	_, plan := buildPlan(t, n, l, 8, 1)
 	fs := &faultFS{}
-	const chunkBytes = ampBytes << 6
+	// failRun creates a vector, runs plan on it with fail armed and closes
+	// it, and fails the test unless Create wrote nothing and the run failed.
+	failRun := func(start statevec.Start, when string, fail func(write bool, off int64, n int) error) {
+		t.Helper()
+		w0 := fs.written.Load()
+		v, err := Create(fs, n, l, dir, start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fs.written.Load() - w0; got != 0 {
+			t.Errorf("%s: Create wrote %d bytes, want none", when, got)
+		}
+		fs.arm(fail)
+		err = v.Run(plan)
+		fs.arm(nil)
+		v.Close()
+		if err == nil {
+			t.Fatalf("%s: the run survived its injected failure", when)
+		}
+		assertEmpty(when)
+	}
 
+	const chunkBytes = ampBytes << l
 	for _, failAt := range []int64{0, 1, 3} {
-		fs.arm(func(write bool, off int64, n int) error {
+		failRun(statevec.StartZero, fmt.Sprintf("StartZero(failAt=%d)", failAt), func(write bool, off int64, n int) error {
 			if write && off == failAt*chunkBytes {
 				return fmt.Errorf("injected write failure at chunk %d", failAt)
 			}
 			return nil
 		})
-		if _, err := Create(fs, 8, 6, dir, statevec.StartZero); err == nil {
-			t.Fatalf("New survived injected failure at chunk %d", failAt)
-		}
-		assertEmpty(fmt.Sprintf("New(failAt=%d)", failAt))
 	}
-
-	// NewUniform writes the file once, like New: 4 chunk writes in all, so
-	// a failure counted in calls lands on the second and on the last.
+	// The first stage reads nothing and writes each of the 4 chunks once,
+	// so a failure counted in calls lands on the second and on the last.
 	for _, failCall := range []int{2, 4} {
-		calls := 0
-		fs.arm(func(write bool, off int64, n int) error {
-			if calls++; write && calls == failCall {
-				return fmt.Errorf("injected write failure on call %d", calls)
+		var calls atomic.Int32
+		failRun(statevec.StartUniform, fmt.Sprintf("StartUniform(failCall=%d)", failCall), func(write bool, off int64, n int) error {
+			if c := calls.Add(1); write && int(c) == failCall {
+				return fmt.Errorf("injected write failure on call %d", c)
 			}
 			return nil
 		})
-		if _, err := Create(fs, 8, 6, dir, statevec.StartUniform); err == nil {
-			t.Fatalf("NewUniform survived injected failure on call %d", failCall)
-		}
-		assertEmpty(fmt.Sprintf("NewUniform(failCall=%d)", failCall))
 	}
 }
 

@@ -13,11 +13,12 @@ import (
 // chunk (off / chunk bytes), a run of a chunk split by the layout (n < chunk
 // bytes) or simply the k-th call; it may be called from the pipeline's
 // reader and writeback goroutines at once. It also counts the calls that
-// create, rename or remove a file.
+// create, rename or remove a file, and the bytes read and written.
 type faultFS struct {
 	fsio.OS
 	fail                      atomic.Pointer[func(write bool, off int64, n int) error]
 	creates, renames, removes atomic.Int32
+	read, written             atomic.Int64
 }
 
 // arm installs fail (nil disarms).
@@ -64,12 +65,16 @@ func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
 	if err := f.fs.check(false, off, len(p)); err != nil {
 		return 0, err
 	}
-	return f.File.ReadAt(p, off)
+	n, err := f.File.ReadAt(p, off)
+	f.fs.read.Add(int64(n))
+	return n, err
 }
 
 func (f *faultFile) WriteAt(p []byte, off int64) (int, error) {
 	if err := f.fs.check(true, off, len(p)); err != nil {
 		return 0, err
 	}
-	return f.File.WriteAt(p, off)
+	n, err := f.File.WriteAt(p, off)
+	f.fs.written.Add(int64(n))
+	return n, err
 }

@@ -34,6 +34,15 @@
 // in the vector's own layout, and chunk I/O goes through kernels.AmpBytes
 // views of amplitude memory: there is no encoded form of a chunk, only
 // snapshots (in plan order) are portable.
+//
+// The file is streamed only for state the vector cannot compute. Create
+// writes nothing: until a stage has written every chunk, a read of a chunk
+// computes it from the start state (statevec.Fill, as a rank fills its
+// shard), so the first stage reads nothing either. A stage that closes
+// without a swap — the last of every plan Build makes — sums the norm and
+// entropy of each chunk between compute and writeback, in chunk order, and
+// the vector keeps the pair until the file next changes: dist's reduction,
+// Norm, Entropy and NormEntropy read it instead of the file.
 package oocvec
 
 import (
@@ -60,8 +69,8 @@ type Vector struct {
 	// location p lives; the identity until a swap trades two entries.
 	loc []int
 	// pool holds the stage pipeline's chunks, kept from stage to stage;
-	// pool[0] also serves the constructors, the unit visits, snapshots and
-	// restores, none of which runs during a stage.
+	// pool[0] also serves the unit visits, snapshots and restores, none of
+	// which runs during a stage.
 	pool [][]complex128
 	// staging gathers the writeback of a group of chunks whose runs sit
 	// side by side in the file (pipeline.go): at most 2^writeGroupBits
@@ -69,12 +78,21 @@ type Vector struct {
 	// that combines and kept ever after.
 	staging []complex128
 
-	start       statevec.Start // the state the vector was created in
-	prefetch    int            // chunks read ahead of the compute loop; 0 = no overlap
-	ckptSkipped int            // checkpoints skipped on persistent ENOSPC
-	restored    int            // attempts that restored a snapshot
-	restarts    int            // restarts of failed attempts (ckpt.Policy.Restart)
-	from        int            // the stage the last attempt started from a snapshot at, −1 for none
+	start statevec.Start // the start state: Create's, or the one Load last re-armed
+	// fresh says the file holds nothing yet: it stands for start, and a read
+	// of a chunk computes it instead, until a stage has written every chunk.
+	fresh bool
+	// kept says norm and entropy are the state's, summed chunk by chunk in
+	// plan order by the pass that computed them, and nothing has changed
+	// the file or its layout since.
+	kept          bool
+	norm, entropy float64
+
+	prefetch    int // chunks read ahead of the compute loop; 0 = no overlap
+	ckptSkipped int // checkpoints skipped on persistent ENOSPC
+	restored    int // attempts that restored a snapshot
+	restarts    int // restarts of failed attempts (ckpt.Policy.Restart)
+	from        int // the stage the last attempt started from a snapshot at, −1 for none
 	// observe is dist's hook on every pass over a chunk (Observe), or nil.
 	observe func([]schedule.Op, time.Time, []time.Duration)
 	tel     vecTel
@@ -96,7 +114,8 @@ func NewUniform(n, l int, dir string) (*Vector, error) {
 // Create creates a file-backed n-qubit state in the start state start, in
 // 2^l-amplitude chunks, with the state file in dir on fs (nil: fsio.OS):
 // every access to it, the pipeline's reader and writeback goroutines'
-// included, goes through fs.
+// included, goes through fs. It writes nothing: the first stage computes
+// the start state's chunks as it reads them.
 func Create(fs fsio.FS, n, l int, dir string, start statevec.Start) (*Vector, error) {
 	if fs == nil {
 		fs = fsio.OS{}
@@ -111,31 +130,23 @@ func Create(fs fsio.FS, n, l int, dir string, start statevec.Start) (*Vector, er
 	if err != nil {
 		return nil, err
 	}
-	v := &Vector{N: n, L: l, fs: fs, f: f, loc: make([]int, n), pool: [][]complex128{kernels.NewAmps[complex128](1 << l)}, start: start}
+	v := &Vector{N: n, L: l, fs: fs, f: f, loc: make([]int, n), pool: [][]complex128{kernels.NewAmps[complex128](1 << l)}, start: start, fresh: true}
 	for p := range v.loc {
 		v.loc[p] = p
-	}
-	if err := v.fill(start); err != nil {
-		v.Close()
-		return nil, err
 	}
 	return v, nil
 }
 
-// fill writes the start state s through the vector's layout.
-func (v *Vector) fill(s statevec.Start) error {
-	first, rest := s.Amplitudes(v.N)
-	buf := v.pool[0]
-	for i := range buf {
-		buf[i] = rest
+// readChunk reads chunk c of the plan's state into amps or, while the file
+// is fresh, computes it: a start state is the same in every layout.
+func (v *Vector) readChunk(c int, amps []complex128) error {
+	if !v.fresh {
+		return v.chunkIO(c, amps, false)
 	}
-	buf[0] = first
-	for c := 0; c < v.Chunks(); c++ {
-		if err := v.chunkIO(c, buf, true); err != nil {
-			return err
-		}
-		buf[0] = rest
+	if _, rest := v.start.Amplitudes(v.N); rest == 0 {
+		clear(amps) // Fill writes only the nonzero amplitudes
 	}
+	statevec.Fill(v.start, v.N, amps, c)
 	return nil
 }
 
@@ -308,7 +319,8 @@ func (v *Vector) Run(plan *schedule.Plan) error {
 
 // Load puts in place the state an attempt starts from (dist.Store): the
 // snapshot man, streamed into the file chunk by chunk, or, after a failed
-// attempt with none to resume from, init.
+// attempt with none to resume from, init, which the file then stands for
+// without a write.
 func (v *Vector) Load(ck *ckpt.Writer, man *ckpt.Manifest, init statevec.Start, failed bool) error {
 	v.from = -1
 	switch {
@@ -318,7 +330,7 @@ func (v *Vector) Load(ck *ckpt.Writer, man *ckpt.Manifest, init statevec.Start, 
 		}
 		v.from, v.restored = man.NextStage, v.restored+1
 	case failed:
-		return v.fill(init)
+		v.start, v.fresh, v.kept = init, true, false
 	}
 	return nil
 }
@@ -328,7 +340,7 @@ func (v *Vector) Load(ck *ckpt.Writer, man *ckpt.Manifest, init statevec.Start, 
 func (v *Vector) Units(visit func(chunk []complex128) error) error {
 	buf := v.pool[0]
 	for c := 0; c < v.Chunks(); c++ {
-		if err := v.chunkIO(c, buf, false); err != nil {
+		if err := v.readChunk(c, buf); err != nil {
 			return err
 		}
 		if err := visit(buf); err != nil {
@@ -349,9 +361,10 @@ func (v *Vector) Buffers() [][]complex128 {
 	return append(v.pool[:held:held], v.staging)
 }
 
-// Norm returns Σ|α|² by streaming the file.
-func (v *Vector) Norm() (norm float64, err error) {
-	err = v.Units(func(chunk []complex128) error { norm += kernels.Norm(chunk); return nil })
+// Norm returns Σ|α|², NormEntropy's norm: kernels.Norm returns it bit for
+// bit on every kernel set, so a sum of either is the same number.
+func (v *Vector) Norm() (float64, error) {
+	norm, _, err := v.NormEntropy()
 	return norm, err
 }
 
@@ -361,14 +374,21 @@ func (v *Vector) Entropy() (float64, error) {
 	return ent, err
 }
 
-// NormEntropy returns Norm and Entropy from one stream over the file.
+// NormEntropy returns Norm and Entropy (dist.Store): the kept pair, or
+// one stream over the file, whose pair it keeps.
 func (v *Vector) NormEntropy() (norm, entropy float64, err error) {
-	err = v.Units(func(chunk []complex128) error {
+	if v.kept {
+		return v.norm, v.entropy, nil
+	}
+	if err = v.Units(func(chunk []complex128) error {
 		a, b := kernels.NormEntropy(chunk)
 		norm, entropy = norm+a, entropy+b
 		return nil
-	})
-	return norm, entropy, err
+	}); err != nil {
+		return 0, 0, err
+	}
+	v.kept, v.norm, v.entropy = true, norm, entropy
+	return norm, entropy, nil
 }
 
 // Amplitudes loads the full state in plan order (testing only), chunk by

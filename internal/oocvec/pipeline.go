@@ -33,7 +33,14 @@ import (
 // Snapshots ride the reader: stage s's reader reads the chunks in plan
 // order, each before stage s writes it back — the state at boundary s, as a
 // shard wants it. So the snapshot of boundary s is teed from it and commits
-// when it has read the last chunk, the same bytes at every depth.
+// when it has read the last chunk, the same bytes at every depth. While the
+// file is fresh the reader computes the start state's chunks instead of
+// reading them, and the first stage to write every chunk ends that.
+//
+// The compute loop takes the chunks in plan order too. So a stage that
+// closes without a swap, which leaves the state the run ends in, also sums
+// each chunk's norm and entropy there, in the order a stream over the file
+// would, and the vector keeps the pair once the writeback has drained.
 
 // chunkBuf is one pipeline buffer and the number of the chunk it holds.
 type chunkBuf struct {
@@ -48,9 +55,15 @@ type chunkBuf struct {
 // diagonal reads the chunk number's bits off the index it is handed).
 func (v *Vector) Stage(st *schedule.Stage[complex128], snap *ckpt.Snapshot) error {
 	t0 := v.tel.sc.Now()
-	if err := v.pumpStage(st, snap); err != nil {
+	v.kept = false
+	norm, entropy, err := v.pumpStage(st, snap)
+	if err != nil {
 		snap.Abort() // of what the failed stage left unfinished
 		return err
+	}
+	v.fresh = false
+	if !st.Exchanges() {
+		v.kept, v.norm, v.entropy = true, norm, entropy
 	}
 	if !t0.IsZero() {
 		v.tel.sc.Complete("stage", "pipeline", t0, time.Since(t0),
@@ -64,8 +77,10 @@ func (v *Vector) Stage(st *schedule.Stage[complex128], snap *ckpt.Snapshot) erro
 
 // Exchange renumbers: local location L−q+j and global location
 // L+GlobalBits[j] trade the file bits they live at, and no amplitude moves.
-// The pipeline has drained, so no goroutine reads the layout.
+// The pipeline has drained, so no goroutine reads the layout. A kept pair
+// was summed in the old chunk order, so it goes.
 func (v *Vector) Exchange(st *schedule.Stage[complex128]) {
+	v.kept = false
 	q := len(st.GlobalBits)
 	for j, g := range st.GlobalBits {
 		a, b := v.L-q+j, v.L+g
@@ -74,12 +89,13 @@ func (v *Vector) Exchange(st *schedule.Stage[complex128]) {
 }
 
 // pumpStage runs the reader → compute → writeback pipeline over every
-// chunk. On any failure it halts the pipeline, joins both goroutines and
-// returns the first error; no goroutine outlives the call. A snapshot error
-// the ENOSPC policy does not absorb is a read error of the stage. The chunk
-// buffers are the vector's: the first allocated by its constructor, the
-// others by its first stage, all kept ever after.
-func (v *Vector) pumpStage(st *schedule.Stage[complex128], snap *ckpt.Snapshot) error {
+// chunk and, when st closes without a swap, returns the norm and entropy
+// of what it wrote back. On any failure it halts the pipeline, joins both
+// goroutines and returns the first error; no goroutine outlives the call. A
+// snapshot error the ENOSPC policy does not absorb is a read error of the
+// stage. The chunk buffers are the vector's: the first allocated by its
+// constructor, the others by its first stage, all kept ever after.
+func (v *Vector) pumpStage(st *schedule.Stage[complex128], snap *ckpt.Snapshot) (norm, entropy float64, err error) {
 	chunks := v.Chunks()
 	depth := v.prefetch
 	if depth > chunks {
@@ -123,11 +139,14 @@ func (v *Vector) pumpStage(st *schedule.Stage[complex128], snap *ckpt.Snapshot) 
 				return
 			}
 			t0 := v.tel.rdSc.Now()
-			err := v.chunkIO(c, b.amps, false)
-			if err == nil && !t0.IsZero() {
-				d := time.Since(t0)
-				v.tel.readNs.Observe(int64(d))
-				v.tel.rdSc.Complete("io", "read", t0, d, telemetry.A("chunk", c))
+			err := v.readChunk(c, b.amps)
+			if err == nil && !v.fresh {
+				v.tel.chunksRead.Inc()
+				if !t0.IsZero() {
+					d := time.Since(t0)
+					v.tel.readNs.Observe(int64(d))
+					v.tel.rdSc.Complete("io", "read", t0, d, telemetry.A("chunk", c))
+				}
 			}
 			if err == nil {
 				err = snap.Tee(0, b.amps)
@@ -138,7 +157,6 @@ func (v *Vector) pumpStage(st *schedule.Stage[complex128], snap *ckpt.Snapshot) 
 				halt()
 				return
 			}
-			v.tel.chunksRead.Inc()
 			v.tel.inFlight.Add(cb)
 			b.idx = c
 			select {
@@ -176,9 +194,11 @@ func (v *Vector) pumpStage(st *schedule.Stage[complex128], snap *ckpt.Snapshot) 
 
 	// Compute loop: apply the stage's program to each chunk as it arrives,
 	// through the shard applier (chunk number = shard index, the default
-	// kernels). A chunk already buffered when we ask for it is a
-	// prefetch hit — I/O fully hidden behind the previous chunk's compute.
+	// kernels), and sum its norm and entropy after a last stage's program.
+	// A chunk already buffered when we ask for it is a prefetch hit — I/O
+	// fully hidden behind the previous chunk's compute.
 	sh := schedule.Shard[complex128]{L: v.L, Observe: v.observe}
+	reduce := !st.Exchanges()
 	for done := 0; done < chunks; done++ {
 		var b *chunkBuf
 		select {
@@ -193,14 +213,18 @@ func (v *Vector) pumpStage(st *schedule.Stage[complex128], snap *ckpt.Snapshot) 
 		}
 		sh.Amps, sh.Index = b.amps, b.idx
 		sh.Exec(st.Prog)
+		if reduce {
+			a, e := kernels.NormEntropy(b.amps)
+			norm, entropy = norm+a, entropy+e
+		}
 		dirty <- b
 	}
 	close(dirty)
 	wg.Wait()
 	if readErr != nil {
-		return readErr
+		return 0, 0, readErr
 	}
-	return writeErr
+	return norm, entropy, writeErr
 }
 
 // writeGroupBits is log2 of G, the most chunks whose writeback one
