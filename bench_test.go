@@ -388,7 +388,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 	// save commits the whole state as the one shard of a snapshot.
 	save := func(dir string) error {
 		snap := ckpt.NewWriter(&ckpt.Policy{Dir: dir}, meta, nil).Snapshot(meta.NextStage)
-		if err := snap.Tee(0, state.Amps); err != nil {
+		if err := snap.Tee(0, kernels.AmpBytes(state.Amps)); err != nil {
 			return err
 		}
 		return snap.Commit()

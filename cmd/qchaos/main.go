@@ -69,6 +69,19 @@ func harvestSchedule(cov *coverage, s *chaos.Schedule, fss ...*chaos.FS) {
 	}
 }
 
+// legCounts sums a leg's dist.Result restarts per class and snapshot counts.
+type legCounts [6]int
+
+func (c *legCounts) add(res *dist.Result) {
+	for i, n := range []int{res.RestartsCorrupt, res.RestartsRankDead, res.RestartsStalled, res.RestartsIO, res.CheckpointsWritten, res.CheckpointsSkipped} {
+		c[i] += n
+	}
+}
+
+func (c *legCounts) String() string {
+	return fmt.Sprintf("restarts corrupt=%d rank-dead=%d stalled=%d io=%d, ckpts written=%d skipped=%d", c[0], c[1], c[2], c[3], c[4], c[5])
+}
+
 // chaosDist is the distributed chaos leg: dist.Run with the schedule's
 // transport faults armed, checkpointed recovery on, and the disk faults
 // injected under the checkpoint layer. Each Run call composes a fresh
@@ -77,14 +90,11 @@ func harvestSchedule(cov *coverage, s *chaos.Schedule, fss ...*chaos.FS) {
 // candidate circuit. The leg is enrolled as a verify.PlanRow, so scheduling
 // and the un-permutation are the harness's, not repeated here.
 type chaosDist struct {
-	seed  int64
-	copts chaos.ComposeOptions // copts.Ranks is the leg's rank count
-	run   int                  // set by the driver before each soak iteration
-	cov   *coverage            // shared by both legs
-
-	restarts [4]int // corrupt, rank-dead, stalled, io
-	written  int
-	skipped  int
+	seed   int64
+	copts  chaos.ComposeOptions // copts.Ranks is the leg's rank count
+	run    int                  // set by the driver before each soak iteration
+	cov    *coverage            // shared by both legs
+	counts legCounts
 }
 
 func (b *chaosDist) row() verify.Backend {
@@ -110,35 +120,31 @@ func (b *chaosDist) exec(plan *schedule.Plan) ([]complex128, error) {
 		CommDeadline: 400 * time.Millisecond,
 	})
 	harvestSchedule(b.cov, sched, cfs)
+	b.counts.add(res)
 	if err != nil {
 		return nil, fmt.Errorf("chaos dist leg under %s: %w", sched, err)
 	}
-	for i, n := range []int{res.RestartsCorrupt, res.RestartsRankDead, res.RestartsStalled, res.RestartsIO} {
-		b.restarts[i] += n
-	}
-	b.written += res.CheckpointsWritten
-	b.skipped += res.CheckpointsSkipped
 	return res.Amplitudes, nil
 }
 
-// chaosOoc is the out-of-core chaos leg: RunCheckpointed with the disk
-// faults injected under both the backing-file data path and the checkpoint
-// layer — a fault window that outlasts the engine's in-place retries
-// restarts the run from the newest valid snapshot.
+// chaosOoc is the out-of-core chaos leg: dist.Run on the one rank of a
+// paged vector, with the disk faults injected under both the backing-file
+// data path and the checkpoint layer — a fault window that outlasts the
+// engine's in-place retries restarts the run from the newest valid
+// snapshot. At prefetch 0 read, compute and write take turns, so a fault
+// index names the same state-file op in every run of a seed.
 //
 // Torn writes are scoped to the checkpoint layer only: shard CRCs detect a
 // lying write there, while the backing file is transient working state
 // with no redundancy to catch one (a crash restarts from a snapshot, never
 // from the backing file).
 type chaosOoc struct {
-	seed              int64
-	globals, prefetch int
-	copts             chaos.ComposeOptions
-	run               int
-	cov               *coverage
-
-	restarts int
-	skipped  int
+	seed    int64
+	globals int
+	copts   chaos.ComposeOptions
+	run     int
+	cov     *coverage
+	counts  legCounts
 }
 
 func (b *chaosOoc) row() verify.Backend {
@@ -170,14 +176,13 @@ func (b *chaosOoc) exec(plan *schedule.Plan) ([]complex128, error) {
 		return nil, err
 	}
 	defer v.Close()
-	v.SetPrefetch(b.prefetch)
-	_, _, err = v.RunCheckpointed(plan, &ckpt.Policy{Dir: dir, EveryStages: 1, FS: cfs}, false)
-	b.restarts += v.Restarts()
-	b.skipped += v.CheckpointsSkipped()
+	res, err := dist.Run(plan, dist.Options{Ranks: 1, Store: v, GatherState: true,
+		Checkpoint: &ckpt.Policy{Dir: dir, EveryStages: 1, FS: cfs}})
+	b.counts.add(res)
 	if err != nil {
 		return nil, fmt.Errorf("chaos ooc leg under %s: %w", sched, err)
 	}
-	return v.Amplitudes()
+	return res.Amplitudes, nil
 }
 
 // writeRepro drops a reproducer file into dir (no-op when dir is empty)
@@ -218,7 +223,7 @@ func main() {
 	cleanOoc := verify.OutOfCore(2, 2)
 	var cov coverage
 	chDist := &chaosDist{seed: *seed, copts: copts, cov: &cov}
-	chOoc := &chaosOoc{seed: *seed, globals: 2, prefetch: 2, copts: copts, cov: &cov}
+	chOoc := &chaosOoc{seed: *seed, globals: 2, copts: copts, cov: &cov}
 
 	// Bitwise engines: the chaos leg must reproduce its clean twin exactly
 	// (tol 0). The anchor engine pins the clean twins themselves against
@@ -255,9 +260,7 @@ func main() {
 
 	fmt.Printf("qchaos: %d/%d runs, seed %d, %v elapsed\n", r, *runs, *seed, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("  injected: %s\n", cov.String())
-	fmt.Printf("  dist: restarts corrupt=%d rank-dead=%d stalled=%d io=%d, ckpts written=%d skipped=%d\n",
-		chDist.restarts[0], chDist.restarts[1], chDist.restarts[2], chDist.restarts[3], chDist.written, chDist.skipped)
-	fmt.Printf("  ooc:  restarts=%d ckpts skipped=%d\n", chOoc.restarts, chOoc.skipped)
+	fmt.Printf("  dist: %s\n  ooc:  %s\n", &chDist.counts, &chOoc.counts)
 	if *vflag {
 		fmt.Print(distEng.Summary(), oocEng.Summary(), anchorEng.Summary())
 	}

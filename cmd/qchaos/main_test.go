@@ -24,7 +24,7 @@ func TestChaosLegRowNamesGolden(t *testing.T) {
 
 	copts := chaos.ComposeOptions{Ranks: 4}
 	dist := &chaosDist{seed: 1, copts: copts}
-	ooc := &chaosOoc{seed: 1, globals: 2, prefetch: 2, copts: copts}
+	ooc := &chaosOoc{seed: 1, globals: 2, copts: copts}
 	if got := dist.row().Name() + "\n" + ooc.row().Name(); got != want {
 		t.Errorf("chaos leg row names changed:\ngot:\n%s\nwant:\n%s", got, want)
 	}

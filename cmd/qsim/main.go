@@ -351,7 +351,7 @@ func checkFlags(ranks int, given map[string]bool) error {
 	}
 	given["-ranks > 1"] = ranks > 1
 	for _, mode := range [][]string{
-		{"-f32", "-ooc", "-checkpoint-dir"},
+		{"-f32", "-ooc"},
 		{"-ooc", "-ranks > 1", "-comm-deadline"},
 		{"-baseline", "-plan", "-tune", "-kmax"},
 		{"-plan", "-kmax", "-spec1q", "-tune", "-ooc-chunk"},

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -111,11 +112,13 @@ var normLine = regexp.MustCompile(`norm=(\S+) entropy=(\S+) nats`)
 
 // TestF32ComposesWithFlags: single precision, more ranks and the paged file
 // are stores of dist's one engine, so each takes the flags of a distributed
-// run — samples, the profile, the per-gate baseline, and with -f32 more
-// ranks and a collective deadline — and each run's norm and entropy are
-// those of the same run on one rank in memory: the same digits in double
-// precision, within verify's default F32Tol in single. A paged run of a
-// saved plan draws the shots of a one-rank run of it.
+// run — samples, the profile, the per-gate baseline, snapshots and a resume
+// from them, and with -f32 a collective deadline — and each run's norm and
+// entropy are those of the same run on one rank in memory: the same digits
+// in double precision, within verify's default F32Tol in single. A resume of
+// a finished run prints its result line and restores its snapshot, if it
+// committed one. A paged run of a saved plan draws the shots of a one-rank
+// run of it.
 func TestF32ComposesWithFlags(t *testing.T) {
 	const f32Tol = 5e-4
 	result := func(args ...string) (norm, entropy float64, stdout string) {
@@ -137,17 +140,32 @@ func TestF32ComposesWithFlags(t *testing.T) {
 	}
 	type row struct{ store, flags []string }
 	var rows []row
-	for _, store := range [][]string{{"-ranks", "2"}, {"-f32"}, {"-ooc"}} {
-		for _, flags := range [][]string{{"-sample", "100"}, {"-profile"}, {"-baseline"}} {
+	for _, store := range [][]string{{"-ranks", "2"}, {"-f32"}, {"-f32", "-ranks", "4"}, {"-ooc"}} {
+		dir := t.TempDir()
+		for _, flags := range [][]string{{"-sample", "100"}, {"-profile"}, {"-baseline"}, {"-checkpoint-dir", dir}, {"-checkpoint-dir", dir, "-resume"}} {
 			rows = append(rows, row{store, flags})
 		}
 	}
-	for _, flags := range [][]string{{"-ranks", "2"}, {"-baseline", "-ranks", "4"}, {"-comm-deadline", "1m"}} {
+	for _, flags := range [][]string{{"-ranks", "2"}, {"-comm-deadline", "1m"}} {
 		rows = append(rows, row{[]string{"-f32"}, flags})
 	}
+	var written string // the output of the last run that wrote snapshots
 	for _, r := range rows {
-		wantNorm, wantEnt, _ := result(r.flags...)
+		ref := r.flags
+		if ref[0] == "-checkpoint-dir" {
+			ref = nil
+		}
+		wantNorm, wantEnt, _ := result(ref...)
 		norm, ent, stdout := result(append(r.store, r.flags...)...)
+		switch {
+		case len(r.flags) == 2 && r.flags[0] == "-checkpoint-dir":
+			written = stdout
+		case slices.Contains(r.flags, "-resume"):
+			restored := !strings.Contains(written, " 0 snapshots committed")
+			if normLine.FindString(stdout) != normLine.FindString(written) || strings.Contains(stdout, ", 1 restored,") != restored {
+				t.Errorf("qsim %v %v resumed (restoring: %v) to\n%s\nafter\n%s", r.store, r.flags, restored, stdout, written)
+			}
+		}
 		tol := 0.0
 		if r.store[0] == "-f32" {
 			tol = f32Tol
@@ -241,7 +259,7 @@ func TestRejectsFlags(t *testing.T) {
 		{[]string{"-circuit", "bv", "-qubits", "64"}, "-qubits must be from 1 to 62, got 64"},
 		{[]string{"-baseline", "-qubits", "70", "-depth", "1"}, "-qubits must be from 1 to 62, got 70"},
 		{[]string{"-ranks", "512"}, "-ranks 512 leaves no local qubit of the circuit's 8"},
-		{[]string{"-f32", "-checkpoint-dir", dir}, "-f32 cannot be combined with -checkpoint-dir"},
+		{[]string{"-f32", "-checkpoint-dir", dir, "-ooc"}, "-f32 cannot be combined with -ooc"},
 		{[]string{"-ooc", "-comm-deadline", "1ms"}, "-ooc cannot be combined with -comm-deadline"},
 		{[]string{"-plan", dir + "/p.plan", "-kmax", "3"}, "-plan cannot be combined with -kmax"},
 		{[]string{"-plan", dir + "/p.plan", "-spec1q"}, "-plan cannot be combined with -spec1q"},
@@ -315,7 +333,7 @@ func TestCheckFlags(t *testing.T) {
 		{1, "-plan -ooc -ooc-prefetch -checkpoint-dir", ""},
 		{1, "-plan -f32 -sample", ""},
 		{2, "-f32", ""},
-		{4, "-f32 -baseline -sample -profile -comm-deadline", ""},
+		{4, "-f32 -baseline -sample -profile -comm-deadline -checkpoint-dir -resume", ""},
 		{1, "-f32 -baseline", ""},
 		{1, "-f32 -profile", ""},
 		{1, "-f32 -comm-deadline", ""},
@@ -325,7 +343,7 @@ func TestCheckFlags(t *testing.T) {
 		{6, "", "ranks must be a power of two, got 6"},
 		{2, "-ooc", "-ooc cannot be combined with -ranks > 1"},
 		{1, "-f32 -ooc", "-f32 cannot be combined with -ooc"},
-		{4, "-f32 -checkpoint-dir", "-f32 cannot be combined with -checkpoint-dir"},
+		{4, "-f32 -checkpoint-dir -ooc", "-f32 cannot be combined with -ooc"},
 		{1, "-f32 -resume", "-resume needs -checkpoint-dir"},
 		{4, "-baseline -plan", "-baseline cannot be combined with -plan"},
 		{4, "-baseline -tune", "-baseline cannot be combined with -tune"},

@@ -16,6 +16,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -66,10 +67,10 @@ type DiskFaults struct {
 	NoSpaceAt  int
 	NoSpaceRun int // window length; 0 means 1
 
-	// TornWriteAt makes the TornWriteAt'th Write/WriteAt persist only the
-	// first half of its buffer while reporting full success — the lying
-	// disk a checksum layer exists to catch. Detection happens at read
-	// time, not write time.
+	// TornWriteAt makes the TornWriteAt'th Write/WriteAt (counted apart from
+	// the other write-family ops) persist only the first half of its buffer
+	// while reporting full success — the lying disk a checksum layer exists
+	// to catch. Detection happens at read time, not write time.
 	TornWriteAt int
 
 	// ReadErrAt fails read ops [ReadErrAt, ReadErrAt+ReadErrRun) with an
@@ -108,6 +109,7 @@ type FS struct {
 
 	writes atomic.Int64
 	reads  atomic.Int64
+	datas  atomic.Int64 // Write and WriteAt ops, TornWriteAt's count
 
 	noSpace    atomic.Int64
 	tornWrites atomic.Int64
@@ -151,7 +153,7 @@ func (f *FS) maybeSlow(op int64) {
 }
 
 // writeOp counts one write-family op and returns an injected error, or
-// (nil, torn=true) when this op must be silently truncated.
+// (nil, torn=true) when this op, a Write or WriteAt, must be truncated.
 func (f *FS) writeOp(what string) (err error, torn bool) {
 	op := f.writes.Add(1)
 	f.maybeSlow(op)
@@ -159,7 +161,7 @@ func (f *FS) writeOp(what string) (err error, torn bool) {
 		f.noSpace.Add(1)
 		return fmt.Errorf("chaos: injected ENOSPC on %s (write op %d): %w", what, op, fsio.ErrNoSpace), false
 	}
-	return nil, int64(f.plan.TornWriteAt) == op
+	return nil, strings.HasPrefix(what, "Write") && f.datas.Add(1) == int64(f.plan.TornWriteAt)
 }
 
 // readOp counts one read-family op and returns an injected error.

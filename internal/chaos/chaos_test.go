@@ -54,7 +54,7 @@ func TestNoSpaceWindow(t *testing.T) {
 
 func TestTornWriteSilent(t *testing.T) {
 	dir := t.TempDir()
-	fs := NewFS(DiskFaults{TornWriteAt: 2}, nil) // the Write op
+	fs := NewFS(DiskFaults{TornWriteAt: 1}, nil) // the first Write op, after CreateTemp
 	if err := write(t, fs, dir, "a", []byte("0123456789")); err != nil {
 		t.Fatalf("torn write must report success, got %v", err)
 	}

@@ -24,12 +24,13 @@
 // One writer, Snapshot, serves both engines that checkpoint: dist tees one
 // shard per rank, oocvec one shard covering the whole state, chunk by chunk
 // from its reader, so the full state is never held in memory. The payload
-// is the amplitudes' wire encoding, kernels.ToWire: on a little-endian host
-// their own memory, written and read in place.
+// is the amplitudes' wire encoding, kernels.ToWire, at the width Meta
+// records: on a little-endian host their own memory, written and read in place.
 package ckpt
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -69,6 +70,9 @@ type Meta struct {
 	N        int    `json:"n"`     // total qubits
 	L        int    `json:"l"`     // local qubits per rank (or chunk)
 	Ranks    int    `json:"ranks"` // shards per checkpoint
+	// AmpBytes is the payload's bytes per amplitude: 8 for complex64, and 0
+	// for complex128's 16, so that f64 snapshots keep their bytes.
+	AmpBytes int `json:"amp_bytes,omitempty"`
 	// NextStage is the stage cursor: the first plan stage NOT yet executed
 	// when the snapshot was taken. Resume re-executes ops with
 	// Stage >= NextStage and nothing else.
@@ -76,10 +80,13 @@ type Meta struct {
 }
 
 // matches reports whether two Metas describe the same run (the stage cursor
-// is where they may differ).
+// is where they may differ; the amplitude width may not).
 func (m Meta) matches(o Meta) bool {
-	return m.PlanHash == o.PlanHash && m.N == o.N && m.L == o.L && m.Ranks == o.Ranks
+	return m.PlanHash == o.PlanHash && m.N == o.N && m.L == o.L && m.Ranks == o.Ranks && m.width() == o.width()
 }
+
+// width returns the bytes of one payload amplitude.
+func (m Meta) width() int { return cmp.Or(m.AmpBytes, 16) }
 
 // ShardInfo is one rank's entry in a manifest.
 type ShardInfo struct {
@@ -188,11 +195,9 @@ type shardHeader struct {
 	Amps int `json:"amps"`
 }
 
-const ampBytes = 16
-
-// pieceAmps is the payload of one write + checksum (or read + checksum)
+// pieceBytes is the payload of one write + checksum (or read + checksum)
 // step: 1 MiB, which the second pass still finds in cache.
-const pieceAmps = 1 << 16
+const pieceBytes = 1 << 20
 
 // maxHeaderLen bounds the header-length field so a corrupt shard cannot
 // make a reader allocate unbounded memory.
@@ -209,8 +214,9 @@ type shardWriter struct {
 	w      *Writer
 	final  string
 	rank   int
-	want   int // amplitudes promised at creation
-	got    int // amplitudes written so far
+	width  int // bytes of one amplitude
+	want   int // payload bytes promised at creation
+	got    int // payload bytes written so far
 	closed bool
 	t0     time.Time // creation time, for write-throughput telemetry
 }
@@ -230,7 +236,7 @@ func (w *Writer) newShardWriter(meta Meta, rank, amps int) (*shardWriter, error)
 	if err != nil {
 		return nil, err
 	}
-	sw := &shardWriter{f: f, w: w, final: final, rank: rank, want: amps, t0: time.Now()}
+	sw := &shardWriter{f: f, w: w, final: final, rank: rank, width: meta.width(), want: amps * meta.width(), t0: time.Now()}
 	hdr, err := json.Marshal(shardHeader{Version: Version, Meta: meta, Rank: rank, Amps: amps})
 	if err != nil {
 		sw.Abort()
@@ -268,17 +274,18 @@ func (sw *shardWriter) write(b []byte) error {
 // pageBytes is the unit of writeback, the OS's page.
 var pageBytes = int64(os.Getpagesize())
 
-// Write appends amplitudes to the payload, a piece at a time; a piece the
-// disk had no room for is written once more after pruning. On an error
-// nothing of amps counts as written, so the call can be repeated.
-func (sw *shardWriter) Write(amps []complex128) error {
-	if sw.got+len(amps) > sw.want {
-		return fmt.Errorf("ckpt: shard overflows declared payload (%d > %d amps)", sw.got+len(amps), sw.want)
+// Write appends raw, the memory of amplitudes (kernels.AmpBytes) of the
+// shard's width, to the payload, a piece at a time; a piece the disk had no
+// room for is written once more after pruning. On an error nothing of raw
+// counts as written, so the call can be repeated.
+func (sw *shardWriter) Write(raw []byte) error {
+	if sw.got+len(raw) > sw.want {
+		return fmt.Errorf("ckpt: shard overflows declared payload (%d > %d bytes)", sw.got+len(raw), sw.want)
 	}
 	off, crc := sw.off, sw.crc
-	for rest := amps; len(rest) > 0; {
-		piece := rest[:min(len(rest), pieceAmps)]
-		err := kernels.ToWire(piece, func(b []byte) error {
+	for rest := raw; len(rest) > 0; {
+		piece := rest[:min(len(rest), pieceBytes)]
+		err := kernels.ToWire(piece, sw.width/2, func(b []byte) error {
 			return sw.w.retryNoSpace(func() error { return sw.write(b) })
 		})
 		if err != nil {
@@ -287,7 +294,7 @@ func (sw *shardWriter) Write(amps []complex128) error {
 		}
 		rest = rest[len(piece):]
 	}
-	sw.got += len(amps)
+	sw.got += len(raw)
 	return nil
 }
 
@@ -299,7 +306,7 @@ func (sw *shardWriter) Close() (ShardInfo, error) {
 		return ShardInfo{}, fmt.Errorf("ckpt: shard writer already closed")
 	}
 	if sw.got != sw.want {
-		err := fmt.Errorf("ckpt: shard has %d of %d declared amps", sw.got, sw.want)
+		err := fmt.Errorf("ckpt: shard has %d of %d declared payload bytes", sw.got, sw.want)
 		sw.Abort()
 		return ShardInfo{}, err
 	}
@@ -325,7 +332,7 @@ func (sw *shardWriter) Close() (ShardInfo, error) {
 		return ShardInfo{}, err
 	}
 	sw.w.telShard("write", sw.t0, sw.want)
-	return ShardInfo{Rank: sw.rank, File: sw.final, Amps: sw.want, Checksum: sum}, nil
+	return ShardInfo{Rank: sw.rank, File: sw.final, Amps: sw.want / sw.width, Checksum: sum}, nil
 }
 
 // Abort discards the temp file. Safe to call after a failed Close.
@@ -347,16 +354,17 @@ func VerifyShard(dir string, m *Manifest, rank int) error {
 }
 
 func (w *Writer) verifyShard(m *Manifest, rank int) error {
-	return w.StreamShard(m, rank, make([]complex128, pieceAmps), func([]complex128) error { return nil })
+	return w.StreamShard(m, rank, make([]byte, pieceBytes), func([]byte) error { return nil })
 }
 
-// StreamShard reads rank's shard of the manifest's checkpoint through buf:
-// it validates the header against the manifest, then fills buf with the next
-// len(buf) payload amplitudes (fewer at the end) and hands them to each until
-// the payload is read — with each nil, buf must hold the whole payload — and
+// StreamShard reads rank's shard of the manifest's checkpoint through buf,
+// the memory of amplitudes (kernels.AmpBytes) of the manifest's width: it
+// validates the header against the manifest, then fills buf with the next
+// len(buf) payload bytes (fewer at the end) and hands them to each until the
+// payload is read — with each nil, buf must hold the whole payload — and
 // last checks the CRC trailer against the file and the manifest. Every
 // failure of the shard wraps ErrInvalid; each's errors come back as they are.
-func (w *Writer) StreamShard(m *Manifest, rank int, buf []complex128, each func([]complex128) error) error {
+func (w *Writer) StreamShard(m *Manifest, rank int, buf []byte, each func([]byte) error) error {
 	if rank < 0 || rank >= len(m.Shards) {
 		return fmt.Errorf("%w: no shard for rank %d", ErrInvalid, rank)
 	}
@@ -371,12 +379,13 @@ func (w *Writer) StreamShard(m *Manifest, rank int, buf []complex128, each func(
 	if err := sr.header(m, rank); err != nil {
 		return err
 	}
-	if each == nil && len(buf) != info.Amps || each != nil && len(buf) == 0 {
-		return fmt.Errorf("%w: shard has %d amps, destination %d", ErrInvalid, info.Amps, len(buf))
+	payload := info.Amps * m.width()
+	if each == nil && len(buf) != payload || each != nil && len(buf) == 0 {
+		return fmt.Errorf("%w: shard has %d payload bytes, destination %d", ErrInvalid, payload, len(buf))
 	}
-	for left := info.Amps; left > 0; {
+	for left := payload; left > 0; {
 		n := min(left, len(buf))
-		if err := sr.amps(buf[:n]); err != nil {
+		if err := sr.payload(buf[:n], m.width()/2); err != nil {
 			return fmt.Errorf("%w: shard payload: %w", ErrInvalid, err)
 		}
 		if each != nil {
@@ -389,7 +398,7 @@ func (w *Writer) StreamShard(m *Manifest, rank int, buf []complex128, each func(
 	if err := sr.trailer(info.Checksum); err != nil {
 		return err
 	}
-	w.telShard("read", t0, info.Amps)
+	w.telShard("read", t0, payload)
 	return nil
 }
 
@@ -445,11 +454,12 @@ func (sr *shardReader) header(m *Manifest, rank int) error {
 	return nil
 }
 
-// amps fills dst with the next len(dst) payload amplitudes.
-func (sr *shardReader) amps(dst []complex128) error {
+// payload fills dst, the memory of amplitudes whose parts are word bytes
+// wide, with the next len(dst) payload bytes.
+func (sr *shardReader) payload(dst []byte, word int) error {
 	for len(dst) > 0 {
-		piece := dst[:min(len(dst), pieceAmps)]
-		if err := kernels.FromWire(piece, sr.read); err != nil {
+		piece := dst[:min(len(dst), pieceBytes)]
+		if err := kernels.FromWire(piece, word, sr.read); err != nil {
 			return err
 		}
 		dst = dst[len(piece):]
@@ -572,7 +582,7 @@ func (w *Writer) loadManifest(path string) (*Manifest, error) {
 	if crc != m.CRC {
 		return nil, fmt.Errorf("%w: manifest checksum mismatch (stored %08x, computed %08x)", ErrInvalid, m.CRC, crc)
 	}
-	if m.Ranks < 1 || len(m.Shards) != m.Ranks || m.N < 1 || m.L < 1 || m.L > m.N || m.NextStage < 0 {
+	if m.Ranks < 1 || len(m.Shards) != m.Ranks || m.N < 1 || m.L < 1 || m.L > m.N || m.NextStage < 0 || m.AmpBytes != 0 && m.AmpBytes != 8 {
 		return nil, fmt.Errorf("%w: manifest geometry is inconsistent", ErrInvalid)
 	}
 	for r, s := range m.Shards {

@@ -18,6 +18,9 @@ func testMeta(stage int) Meta {
 	return Meta{PlanHash: "abc123", N: 6, L: 4, Ranks: 4, NextStage: stage}
 }
 
+// pieceAmps is how many complex128 amplitudes one write piece holds.
+const pieceAmps = pieceBytes / 16
+
 func testAmps(rank, n int) []complex128 {
 	rng := rand.New(rand.NewSource(int64(rank) + 99))
 	amps := make([]complex128, n)
@@ -42,7 +45,7 @@ func writeShard(w *Writer, meta Meta, rank int, amps []complex128) (ShardInfo, e
 	if err != nil {
 		return ShardInfo{}, err
 	}
-	if err := sw.Write(amps); err != nil {
+	if err := sw.Write(kernels.AmpBytes(amps)); err != nil {
 		sw.Abort()
 		return ShardInfo{}, err
 	}
@@ -75,7 +78,7 @@ func TestShardRoundTrip(t *testing.T) {
 	for r := 0; r < m.Ranks; r++ {
 		want := testAmps(r, 1<<m.L)
 		got := make([]complex128, len(want))
-		if err := osWriter(dir).StreamShard(m, r, got, nil); err != nil {
+		if err := osWriter(dir).StreamShard(m, r, kernels.AmpBytes(got), nil); err != nil {
 			t.Fatalf("ReadShard rank %d: %v", r, err)
 		}
 		for i := range want {
@@ -168,7 +171,7 @@ func TestShardWriterLengthEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Write(make([]complex128, 8)); err != nil {
+	if err := sw.Write(kernels.AmpBytes(make([]complex128, 8))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sw.Close(); err == nil {
@@ -182,7 +185,7 @@ func TestShardWriterLengthEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Write(make([]complex128, 8)); err == nil {
+	if err := sw.Write(kernels.AmpBytes(make([]complex128, 8))); err == nil {
 		t.Fatal("overlong shard accepted")
 	}
 	sw.Abort()
@@ -227,7 +230,7 @@ func TestShardDecodeRejectsCorruption(t *testing.T) {
 	}
 	read := func() error {
 		dst := make([]complex128, m.Shards[1].Amps)
-		return osWriter(dir).StreamShard(m, 1, dst, nil)
+		return osWriter(dir).StreamShard(m, 1, kernels.AmpBytes(dst), nil)
 	}
 
 	cases := []struct {
@@ -291,7 +294,7 @@ func TestShardDecodeRejectsVersionSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]complex128, m.Shards[0].Amps)
-	err = osWriter(dir).StreamShard(m, 0, dst, nil)
+	err = osWriter(dir).StreamShard(m, 0, kernels.AmpBytes(dst), nil)
 	if err == nil || !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("version-skewed shard not rejected as such: %v", err)
 	}

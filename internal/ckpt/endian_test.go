@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"qusim/internal/fsio"
+	"qusim/internal/kernels"
 )
 
 // TestViewAndPortableShardsIdentical: a shard written from amplitude memory
@@ -30,10 +31,10 @@ func TestViewAndPortableShardsIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Two calls, so a piece boundary also falls inside a call.
-			if err := sw.Write(amps[:n/3]); err != nil {
+			if err := sw.Write(kernels.AmpBytes(amps[:n/3])); err != nil {
 				t.Fatal(err)
 			}
-			if err := sw.Write(amps[n/3:]); err != nil {
+			if err := sw.Write(kernels.AmpBytes(amps[n/3:])); err != nil {
 				t.Fatal(err)
 			}
 			info, err := sw.Close()
@@ -59,7 +60,7 @@ func TestViewAndPortableShardsIdentical(t *testing.T) {
 
 			got := make([]complex128, n)
 			man := &Manifest{Version: Version, Meta: meta, Shards: []ShardInfo{info}}
-			if err := osWriter(dir).StreamShard(man, 0, got, nil); err != nil {
+			if err := osWriter(dir).StreamShard(man, 0, kernels.AmpBytes(got), nil); err != nil {
 				t.Fatal(err)
 			}
 			for i := range amps {
@@ -112,15 +113,15 @@ func TestShardWriteRepeatableAfterFailure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sw.Write(amps[:pieceAmps]); err != nil {
+		if err := sw.Write(kernels.AmpBytes(amps[:pieceAmps])); err != nil {
 			t.Fatal(err)
 		}
-		err = sw.Write(amps[pieceAmps:])
+		err = sw.Write(kernels.AmpBytes(amps[pieceAmps:]))
 		if wantFailure {
 			if !fsio.IsNoSpace(err) {
 				t.Fatalf("injected ENOSPC came back as %v", err)
 			}
-			err = sw.Write(amps[pieceAmps:])
+			err = sw.Write(kernels.AmpBytes(amps[pieceAmps:]))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -173,7 +174,7 @@ func TestShardFormatGolden(t *testing.T) {
 		t.Fatalf("shard bytes moved:\n got %x\nwant %x", got, want)
 	}
 	back := make([]complex128, len(amps))
-	if err := osWriter(dir).StreamShard(&Manifest{Version: Version, Meta: meta, Shards: []ShardInfo{info}}, 0, back, nil); err != nil {
+	if err := osWriter(dir).StreamShard(&Manifest{Version: Version, Meta: meta, Shards: []ShardInfo{info}}, 0, kernels.AmpBytes(back), nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := range amps {

@@ -83,14 +83,14 @@ func (w *Writer) discardStage(stage int) {
 
 // telShard records in the writer's telemetry one completed shard write or
 // read (op "write" or "read": a restore or a verification walk — a
-// FindRestorable streams every shard it audits) of n payload amplitudes
-// that took the time since t0: byte and shard counters plus a duration
+// FindRestorable streams every shard it audits) of n payload bytes that
+// took the time since t0: byte and shard counters plus a duration
 // histogram.
 func (w *Writer) telShard(op string, t0 time.Time, n int) {
 	if w.tel == nil {
 		return
 	}
 	w.tel.Counter("ckpt.shard_" + op + "s").Inc()
-	w.tel.Counter("ckpt.shard_" + op + "_bytes").Add(int64(n) * ampBytes)
+	w.tel.Counter("ckpt.shard_" + op + "_bytes").Add(int64(n))
 	w.tel.Histogram("ckpt.shard_" + op + "_ns").ObserveSince(t0)
 }

@@ -7,6 +7,7 @@ import (
 
 	"qusim/internal/chaos"
 	"qusim/internal/fsio"
+	"qusim/internal/kernels"
 	"qusim/internal/telemetry"
 )
 
@@ -86,7 +87,7 @@ func TestDiscardStageSparesCommittedShards(t *testing.T) {
 	w.discardStage(3)
 	got := make([]complex128, 1<<m.L)
 	for r := 0; r < m.Ranks; r++ {
-		if err := w.StreamShard(m, r, got, nil); err != nil {
+		if err := w.StreamShard(m, r, kernels.AmpBytes(got), nil); err != nil {
 			t.Fatalf("discardStage destroyed committed shard for rank %d: %v", r, err)
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"qusim/internal/kernels"
 )
 
 // The fuzz targets feed arbitrary bytes to the two snapshot decoders. The
@@ -49,7 +51,7 @@ func FuzzShardDecode(f *testing.F) {
 			t.Skip()
 		}
 		dst := make([]complex128, m.Shards[0].Amps)
-		err := osWriter(dir).StreamShard(m, 0, dst, nil)
+		err := osWriter(dir).StreamShard(m, 0, kernels.AmpBytes(dst), nil)
 		// The only bytes that may decode cleanly are the pristine shard.
 		if err == nil && string(data) != string(blob) {
 			t.Fatalf("mutated shard (%d bytes) decoded without error", len(data))

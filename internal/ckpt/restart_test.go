@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"qusim/internal/fsio"
+	"qusim/internal/kernels"
 )
 
 // TestRecoveryLoopRestartsRecoverableOnly: Restart runs the attempt once as
@@ -32,7 +33,7 @@ func TestRecoveryLoopRestartsRecoverableOnly(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			pol := &Policy{Dir: t.TempDir()}
 			snap := NewWriter(pol, meta, nil).Snapshot(3)
-			if err := snap.Tee(0, []complex128{1, 0}); err != nil || snap.Commit() != nil {
+			if err := snap.Tee(0, kernels.AmpBytes([]complex128{1, 0})); err != nil || snap.Commit() != nil {
 				t.Fatalf("committing the snapshot to resume from: %v", err)
 			}
 			var writers []*Writer

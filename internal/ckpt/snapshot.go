@@ -42,9 +42,9 @@ func (w *Writer) Snapshot(next int) *Snapshot {
 	return &Snapshot{w: w, meta: m, writers: make([]*shardWriter, m.Ranks), shards: make([]ShardInfo, m.Ranks)}
 }
 
-// Tee appends amps, the next amplitudes in plan order, to the given shard.
-// Like every method, it does nothing on a nil Snapshot: no snapshot is due.
-func (s *Snapshot) Tee(shard int, amps []complex128) error {
+// Tee appends raw, the memory (kernels.AmpBytes) of the next amplitudes in
+// plan order, to the given shard; on a nil Snapshot, nothing: none is due.
+func (s *Snapshot) Tee(shard int, raw []byte) error {
 	if s == nil {
 		return nil
 	}
@@ -60,7 +60,7 @@ func (s *Snapshot) Tee(shard int, amps []complex128) error {
 	if sw.closed {
 		return nil // dropped
 	}
-	err := sw.Write(amps)
+	err := sw.Write(raw)
 	if err == nil && sw.got == sw.want {
 		s.shards[shard], err = sw.Close()
 	}
@@ -143,7 +143,8 @@ type Writer struct {
 }
 
 // NewWriter returns the writer of a run of the plan meta identifies (its
-// NextStage is ignored), or nil, which writes nothing, for a nil policy. tel
+// NextStage is ignored, and an AmpBytes of 16 is written as 0), or nil,
+// which writes nothing, for a nil policy. tel
 // (nil: disabled) receives the run's ckpt.* metrics: shard writes and reads,
 // commits, prune failures, disk-full prunes and dropped boundaries.
 func NewWriter(pol *Policy, meta Meta, tel *telemetry.Telemetry) *Writer {
@@ -154,6 +155,7 @@ func NewWriter(pol *Policy, meta Meta, tel *telemetry.Telemetry) *Writer {
 	if fs == nil {
 		fs = fsio.OS{}
 	}
+	meta.AmpBytes %= 16
 	return &Writer{pol: pol, fs: fs, meta: meta, tel: tel}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"qusim/internal/chaos"
 	"qusim/internal/fsio"
+	"qusim/internal/kernels"
 	"qusim/internal/telemetry"
 )
 
@@ -24,7 +25,7 @@ func teeRanks(snap *Snapshot, meta Meta, piece int) error {
 			defer wg.Done()
 			amps := testAmps(r, 1<<meta.L)
 			for off := 0; off < len(amps) && errs[r] == nil; off += piece {
-				errs[r] = snap.Tee(r, amps[off:off+piece])
+				errs[r] = snap.Tee(r, kernels.AmpBytes(amps[off:off+piece]))
 			}
 		}(r)
 	}
@@ -87,7 +88,7 @@ func TestSnapshotTeedInPiecesEqualsWholeShards(t *testing.T) {
 	}
 	got := make([]complex128, 1<<meta.L)
 	for r := 0; r < meta.Ranks; r++ {
-		if err := osWriter(pieces).StreamShard(m, r, got, nil); err != nil || !slices.Equal(got, testAmps(r, len(got))) {
+		if err := osWriter(pieces).StreamShard(m, r, kernels.AmpBytes(got), nil); err != nil || !slices.Equal(got, testAmps(r, len(got))) {
 			t.Fatalf("rank %d restored wrong (%v)", r, err)
 		}
 	}
@@ -174,7 +175,7 @@ func TestSnapshotDropsOnPersistentENOSPC(t *testing.T) {
 	}
 
 	full := onFS(chaos.NewFS(chaos.DiskFaults{NoSpaceAt: 1, NoSpaceRun: 1 << 20}, nil), t.TempDir())
-	if err := full.Snapshot(meta.NextStage).Tee(0, testAmps(0, 1<<meta.L)); !fsio.IsNoSpace(err) {
+	if err := full.Snapshot(meta.NextStage).Tee(0, kernels.AmpBytes(testAmps(0, 1<<meta.L))); !fsio.IsNoSpace(err) {
 		t.Errorf("a stand-alone snapshot on a full disk returned %v, want ENOSPC", err)
 	}
 }

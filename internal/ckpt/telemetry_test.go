@@ -3,6 +3,7 @@ package ckpt
 import (
 	"testing"
 
+	"qusim/internal/kernels"
 	"qusim/internal/telemetry"
 )
 
@@ -16,7 +17,7 @@ func TestTelemetryShardIO(t *testing.T) {
 	m := writeCheckpoint(t, w, 1)
 	amps := make([]complex128, 1<<m.L)
 	for r := 0; r < m.Ranks; r++ {
-		if err := w.StreamShard(m, r, amps, nil); err != nil {
+		if err := w.StreamShard(m, r, kernels.AmpBytes(amps), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

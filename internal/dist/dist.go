@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math/bits"
 	"time"
+	"unsafe"
 
 	"qusim/internal/ckpt"
 	"qusim/internal/fsio"
@@ -143,8 +144,7 @@ type Options struct {
 	// boundaries, and a detected transport failure or file error restarts
 	// the run from the newest valid snapshot, or from Init when none is, up
 	// to ckpt.MaxRestarts times (ckpt.Policy.Restart). Setting it also
-	// turns on collective payload checksums. Shards are complex128: only
-	// Run takes a policy, RunAt[complex64] returns ErrCheckpointPrecision.
+	// turns on collective payload checksums.
 	Checkpoint *ckpt.Policy
 	// Resume makes the FIRST attempt look for a restorable snapshot in
 	// Checkpoint.Dir before initializing — continuing an earlier process's
@@ -190,10 +190,6 @@ func classifyRestart(err error, res *Result, tel *telemetry.Telemetry) {
 	tel.Counter("dist.restart_" + class).Inc()
 }
 
-// ErrCheckpointPrecision is what a single-precision RunAt given a
-// checkpoint policy returns, before any state exists.
-var ErrCheckpointPrecision = errors.New("dist: checkpoint shards hold complex128; a single-precision run takes no checkpoint policy")
-
 // Run executes a plan produced by schedule.Build in double precision.
 // plan.L must equal n − log2(Ranks), unless there is one rank: it holds the
 // whole state, and a swap exchanges its locations in place.
@@ -225,13 +221,10 @@ func RunAt[T statevec.Amp](plan *schedule.Plan, opts Options) (*Result, error) {
 	res := &Result{Ranks: ranks, LocalQubits: l}
 	var meta ckpt.Meta
 	if ck := opts.Checkpoint; ck != nil {
-		if _, ok := any(T(0)).(complex128); !ok {
-			return nil, ErrCheckpointPrecision
-		}
 		if ck.Dir == "" {
 			return nil, fmt.Errorf("dist: checkpoint policy has no directory")
 		}
-		meta = ckpt.Meta{PlanHash: plan.Fingerprint(), N: plan.N, L: l, Ranks: ranks}
+		meta = ckpt.Meta{PlanHash: plan.Fingerprint(), N: plan.N, L: l, Ranks: ranks, AmpBytes: int(unsafe.Sizeof(T(0)))}
 		if err := ckpt.NewWriter(ck, meta, nil).MkdirAll(); err != nil {
 			return nil, fmt.Errorf("dist: checkpoint dir: %w", err)
 		}
@@ -470,7 +463,7 @@ func (r *rank[T]) observe(ops []schedule.Op, t0 time.Time, took []time.Duration)
 
 func (r *rank[T]) Load(ck *ckpt.Writer, man *ckpt.Manifest, init statevec.Start, _ bool) error {
 	if man != nil {
-		return ck.StreamShard(man, r.c.Rank(), wide(r.sh.Amps), nil)
+		return ck.StreamShard(man, r.c.Rank(), kernels.AmpBytes(r.sh.Amps), nil)
 	}
 	statevec.Fill(init, r.plan.N, r.sh.Amps, r.c.Rank())
 	return nil
@@ -525,7 +518,7 @@ func (r *rank[T]) Exchange(st *schedule.Stage[T]) {
 // drops the boundary (ckpt.Snapshot) and the run keeps computing.
 func (r *rank[T]) snapshot(snap *ckpt.Snapshot, next int) error {
 	t0 := r.sc.Now()
-	if err := snap.Tee(r.c.Rank(), wide(r.sh.Amps)); err != nil {
+	if err := snap.Tee(r.c.Rank(), kernels.AmpBytes(r.sh.Amps)); err != nil {
 		return fmt.Errorf("dist: writing stage-%d shard for rank %d: %w", next, r.c.Rank(), err)
 	}
 	r.c.Barrier()
@@ -559,7 +552,3 @@ func (r *rank[T]) sample(localNorm float64, l int, seed int64, samples []int) (e
 	}
 	return err
 }
-
-// wide is a shard as the complex128 amplitudes snapshots hold: RunAt takes
-// a checkpoint policy, the one way to snapshots, only at complex128.
-func wide[T statevec.Amp](amps []T) []complex128 { return any(amps).([]complex128) }

@@ -3,7 +3,6 @@ package kernels
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"math"
 	"sync/atomic"
 	"unsafe"
 
@@ -71,61 +70,60 @@ func AmpBytes[T complexAmp](amps []T) []byte {
 }
 
 // The wire encoding of amplitudes — snapshot payloads hold it; mpi's exchange
-// checksums memory as it lies — is little-endian float64 pairs, real part
-// first: on a little-endian host, amplitude memory as it lies (littleEndian,
-// a variable so that a test can force the other branch, which encodes
-// wireWindow amplitudes, 64 KiB, at a time). Castagnoli is the CRC32C table
-// of every checksum over it (hardware-accelerated on amd64 and arm64).
+// checksums memory as it lies — is their parts as little-endian words, real
+// part first: 8-byte words for complex128, 4-byte ones for complex64. On a
+// little-endian host that is amplitude memory as it lies (littleEndian, a
+// variable so that a test can force the other branch, which recodes
+// wireWindow bytes at a time). Castagnoli is the CRC32C table of every
+// checksum over it (hardware-accelerated on amd64 and arm64).
 var (
 	Castagnoli   = crc32.MakeTable(crc32.Castagnoli)
 	littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 )
 
-const wireWindow = 4096
+const wireWindow = 64 << 10
 
-// ToWire hands put the wire encoding of amps, in order: on a little-endian
-// host the view AmpBytes(amps), in one call and with nothing copied;
-// elsewhere one bounded buffer, window by window, that put must not keep.
-// It returns put's first error.
-func ToWire(amps []complex128, put func([]byte) error) error {
+// ToWire hands put the wire encoding of raw, the memory of amplitudes
+// (AmpBytes) whose parts are word bytes wide, in order: on a little-endian
+// host raw itself, in one call and with nothing copied; elsewhere one
+// bounded buffer, window by window, that put must not keep. It returns
+// put's first error.
+func ToWire(raw []byte, word int, put func([]byte) error) error { return wire(raw, word, put, false) }
+
+// FromWire is ToWire's inverse: get fills each slice it is handed with the
+// next wire bytes, and raw receives what they encode (on a little-endian
+// host get fills raw). It returns get's first error, raw partly filled.
+func FromWire(raw []byte, word int, get func([]byte) error) error { return wire(raw, word, get, true) }
+
+// wire is ToWire, or FromWire when in is set: either way a word swaps.
+func wire(raw []byte, word int, io func([]byte) error, in bool) error {
 	if littleEndian {
-		return put(AmpBytes(amps))
+		return io(raw)
 	}
-	buf := make([]byte, 16*min(len(amps), wireWindow))
-	for off := 0; off < len(amps); off += wireWindow {
-		win := amps[off:min(off+wireWindow, len(amps))]
-		for i, a := range win {
-			binary.LittleEndian.PutUint64(buf[16*i:], math.Float64bits(real(a)))
-			binary.LittleEndian.PutUint64(buf[16*i+8:], math.Float64bits(imag(a)))
+	buf := make([]byte, min(len(raw), wireWindow))
+	for off := 0; off < len(raw); off += wireWindow {
+		win := raw[off:min(off+wireWindow, len(raw))]
+		b := buf[:len(win)]
+		for i := 0; !in && i < len(b); i += word {
+			swapWord(b[i:], win[i:], word)
 		}
-		if err := put(buf[:16*len(win)]); err != nil {
+		if err := io(b); err != nil {
 			return err
+		}
+		for i := 0; in && i < len(b); i += word {
+			swapWord(win[i:], b[i:], word)
 		}
 	}
 	return nil
 }
 
-// FromWire is ToWire's inverse: get fills each slice it is handed with the
-// next bytes of a wire encoding, and amps receives what they encode — on a
-// little-endian host get fills AmpBytes(amps) itself. It returns get's first
-// error, with amps partly filled.
-func FromWire(amps []complex128, get func([]byte) error) error {
-	if littleEndian {
-		return get(AmpBytes(amps))
+// swapWord writes the word at src between host and little-endian order to dst.
+func swapWord(dst, src []byte, word int) {
+	if word == 8 {
+		binary.LittleEndian.PutUint64(dst, binary.NativeEndian.Uint64(src))
+	} else {
+		binary.LittleEndian.PutUint32(dst, binary.NativeEndian.Uint32(src))
 	}
-	buf := make([]byte, 16*min(len(amps), wireWindow))
-	for off := 0; off < len(amps); off += wireWindow {
-		win := amps[off:min(off+wireWindow, len(amps))]
-		b := buf[:16*len(win)]
-		if err := get(b); err != nil {
-			return err
-		}
-		for i := range win {
-			win[i] = complex(math.Float64frombits(binary.LittleEndian.Uint64(b[16*i:])),
-				math.Float64frombits(binary.LittleEndian.Uint64(b[16*i+8:])))
-		}
-	}
-	return nil
 }
 
 // Populated returns how many leading amplitudes of amps hold every nonzero

@@ -106,15 +106,32 @@ func testPopulated[T complexAmp](t *testing.T) {
 
 // TestWireViewAndEncodingAgree: the wire encoding a little-endian host hands
 // out as a view of amplitude memory is byte for byte the per-element
-// encoding the other branch builds window by window, and FromWire restores
-// the amplitudes through either branch — at lengths around the window.
+// encoding the other branch builds window by window — 8-byte words for
+// complex128, 4-byte ones for complex64 — and FromWire restores the
+// amplitudes through either branch, at lengths around the window.
 func TestWireViewAndEncodingAgree(t *testing.T) {
 	if !littleEndian {
 		t.Skip("big-endian host: the encoding branch is the only one")
 	}
-	wire := func(amps []complex128) (b []byte, calls int) {
-		ToWire(amps, func(p []byte) error {
-			if len(p) > 16*wireWindow && !littleEndian {
+	t.Run("complex128", func(t *testing.T) {
+		wireRoundTrip[complex128](t, 8, -1000, func(b []byte, x float64) []byte {
+			return binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		})
+	})
+	t.Run("complex64", func(t *testing.T) {
+		wireRoundTrip[complex64](t, 4, -140, func(b []byte, x float32) []byte {
+			return binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
+		})
+	})
+}
+
+// wireRoundTrip runs TestWireViewAndEncodingAgree at one precision: word is
+// the width of a part, tiny the exponent of the smallest imaginary part,
+// and put appends a part's per-element encoding.
+func wireRoundTrip[T complex64 | complex128, F float32 | float64](t *testing.T, word, tiny int, put func([]byte, F) []byte) {
+	wire := func(amps []T) (b []byte, calls int) {
+		ToWire(AmpBytes(amps), word, func(p []byte) error {
+			if len(p) > wireWindow && !littleEndian {
 				t.Fatalf("encoding branch handed out %d bytes at once", len(p))
 			}
 			b, calls = append(b, p...), calls+1
@@ -122,21 +139,22 @@ func TestWireViewAndEncodingAgree(t *testing.T) {
 		})
 		return b, calls
 	}
-	unwire := func(b []byte, n int) []complex128 {
-		amps := make([]complex128, n)
+	unwire := func(b []byte, n int) []T {
+		amps := make([]T, n)
 		r := bytes.NewReader(b)
-		if err := FromWire(amps, func(p []byte) error { _, err := io.ReadFull(r, p); return err }); err != nil {
+		if err := FromWire(AmpBytes(amps), word, func(p []byte) error { _, err := io.ReadFull(r, p); return err }); err != nil {
 			t.Fatal(err)
 		}
 		return amps
 	}
-	for _, n := range []int{0, 1, 7, wireWindow - 1, wireWindow, wireWindow + 1, 2*wireWindow + 3} {
-		amps := make([]complex128, n)
-		want := make([]byte, 0, 16*n)
+	perWindow := wireWindow / (2 * word)
+	for _, n := range []int{0, 1, 7, perWindow - 1, perWindow, perWindow + 1, 2*perWindow + 3} {
+		amps := make([]T, n)
+		want := make([]byte, 0, 2*word*n)
 		for i := range amps {
-			amps[i] = complex(float64(i)+0.25, -math.Ldexp(float64(n-i), -1000))
-			want = binary.LittleEndian.AppendUint64(want, math.Float64bits(real(amps[i])))
-			want = binary.LittleEndian.AppendUint64(want, math.Float64bits(imag(amps[i])))
+			re, im := F(float64(i)+0.25), F(-math.Ldexp(float64(n-i), tiny))
+			amps[i] = T(complex(float64(re), float64(im)))
+			want = put(put(want, re), im)
 		}
 		view, viewCalls := wire(amps)
 		viewBack := unwire(want, n)
@@ -147,7 +165,7 @@ func TestWireViewAndEncodingAgree(t *testing.T) {
 		if !bytes.Equal(view, want) || !bytes.Equal(enc, want) {
 			t.Fatalf("n=%d: view (%d bytes) or encoding (%d bytes) differs from the per-element encoding", n, len(view), len(enc))
 		}
-		if viewCalls != 1 || encCalls != (n+wireWindow-1)/wireWindow {
+		if viewCalls != 1 || encCalls != (n+perWindow-1)/perWindow {
 			t.Errorf("n=%d: %d view calls, %d encoding calls", n, viewCalls, encCalls)
 		}
 		for i := range amps {

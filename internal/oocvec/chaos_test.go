@@ -7,6 +7,7 @@ import (
 
 	"qusim/internal/chaos"
 	"qusim/internal/ckpt"
+	"qusim/internal/dist"
 	"qusim/internal/fsio"
 	"qusim/internal/schedule"
 	"qusim/internal/statevec"
@@ -194,6 +195,12 @@ func dataPathOps(t *testing.T, n, l, depth int, plan *schedule.Plan) (reads, wri
 	return int(st.ReadOps - created.ReadOps), int(st.WriteOps - created.WriteOps)
 }
 
+// runPaged is RunCheckpointed as dist.Run, which reports the restarts and
+// restores of the run.
+func runPaged(t *testing.T, v *Vector, plan *schedule.Plan) (*dist.Result, error) {
+	return dist.Run(plan, dist.Options{Ranks: 1, Init: v.start, Store: v, Checkpoint: &ckpt.Policy{Dir: t.TempDir()}})
+}
+
 // recoverPaged runs plan checkpointed at prefetch depth on a uniform vector
 // whose state file is on fs, and holds the result to clean bit for bit and
 // the restart and restore counts to the want values.
@@ -201,11 +208,12 @@ func recoverPaged(t *testing.T, n, l, depth int, plan *schedule.Plan, fs *chaos.
 	t.Helper()
 	v := chaosVector(t, n, l, fs)
 	v.SetPrefetch(depth)
-	if _, _, err := v.RunCheckpointed(plan, &ckpt.Policy{Dir: t.TempDir()}, false); err != nil {
+	res, err := runPaged(t, v, plan)
+	if err != nil {
 		t.Fatalf("the run did not recover: %v", err)
 	}
-	if v.Restarts() != restarts || v.CheckpointsRestored() != restored {
-		t.Errorf("%d restarts, %d restored; want %d and %d", v.Restarts(), v.CheckpointsRestored(), restarts, restored)
+	if res.Restarts != restarts || res.CheckpointsRestored != restored {
+		t.Errorf("%d restarts, %d restored; want %d and %d", res.Restarts, res.CheckpointsRestored, restarts, restored)
 	}
 	got, err := v.Amplitudes()
 	if err != nil {
@@ -250,7 +258,8 @@ func TestRecoveryFromDataPathReadWindow(t *testing.T) {
 
 // TestRecoveryFromDataPathENOSPC: a full-disk window on the state file's
 // writeback restarts the run once per write it fails — a restart's restore
-// is a write too; its refill writes nothing — and it ends bit for bit on
+// is a write too, so past a snapshot every restart starts from it; its
+// refill writes nothing — and it ends bit for bit on
 // the clean run's state. The window opens on stage 0's first write, before
 // any snapshot, or on the run's last write, past the newest.
 func TestRecoveryFromDataPathENOSPC(t *testing.T) {
@@ -265,7 +274,7 @@ func TestRecoveryFromDataPathENOSPC(t *testing.T) {
 			name     string
 			at       int
 			restored int
-		}{{"stage0", created + 1, 0}, {"last-write", created + writes, 1}} {
+		}{{"stage0", created + 1, 0}, {"last-write", created + writes, window}} {
 			t.Run(fmt.Sprintf("%s/depth%d", tc.name, depth), func(t *testing.T) {
 				fs := chaos.NewFS(chaos.DiskFaults{NoSpaceAt: tc.at, NoSpaceRun: window}, nil)
 				recoverPaged(t, n, l, depth, plan, fs, clean, window, tc.restored)
@@ -281,15 +290,11 @@ func TestRecoveryGivesUpAfterMaxRestarts(t *testing.T) {
 	n, l := 10, 7
 	_, plan := buildPlan(t, n, l, 12, 3)
 	v := chaosVector(t, n, l, chaos.NewFS(chaos.DiskFaults{ReadErrAt: 1, ReadErrRun: 1 << 30}, nil))
-	_, _, err := v.RunCheckpointed(plan, &ckpt.Policy{Dir: t.TempDir()}, false)
+	res, err := runPaged(t, v, plan)
 	if err == nil || !fsio.IsTransient(err) {
 		t.Fatalf("err = %v, want a transient error", err)
 	}
-	if v.Restarts() != ckpt.MaxRestarts {
-		t.Errorf("%d restarts, want ckpt.MaxRestarts = %d", v.Restarts(), ckpt.MaxRestarts)
+	if res.Restarts != ckpt.MaxRestarts {
+		t.Errorf("%d restarts, want ckpt.MaxRestarts = %d", res.Restarts, ckpt.MaxRestarts)
 	}
 }
-
-// CheckpointsRestored reports how many attempts of the vector's runs
-// restored a snapshot.
-func (v *Vector) CheckpointsRestored() int { return v.restored }

@@ -6,6 +6,7 @@ import (
 
 	"qusim/internal/ckpt"
 	"qusim/internal/dist"
+	"qusim/internal/kernels"
 	"qusim/internal/schedule"
 	"qusim/internal/telemetry"
 )
@@ -30,7 +31,7 @@ func (v *Vector) snapshotMeta(plan *schedule.Plan) ckpt.Meta {
 func (v *Vector) Checkpoint(dir string, plan *schedule.Plan, nextStage, keep int) error {
 	ck := ckpt.NewWriter(&ckpt.Policy{Dir: dir, Keep: keep}, v.snapshotMeta(plan), v.tel.t)
 	snap, t0 := ck.Snapshot(nextStage), v.tel.sc.Now()
-	if err := v.Units(func(chunk []complex128) error { return snap.Tee(0, chunk) }); err != nil {
+	if err := v.Units(func(chunk []complex128) error { return snap.Tee(0, kernels.AmpBytes(chunk)) }); err != nil {
 		snap.Abort()
 		return err
 	}
@@ -58,15 +59,15 @@ func (v *Vector) Restore(dir string, man *ckpt.Manifest) error {
 }
 
 func (v *Vector) restore(ck *ckpt.Writer, man *ckpt.Manifest) error {
-	if man.N != v.N || man.Ranks != 1 || len(man.Shards) != 1 || man.Shards[0].Amps != 1<<v.N {
+	if man.N != v.N || man.Ranks != 1 || len(man.Shards) != 1 || man.Shards[0].Amps != 1<<v.N || man.AmpBytes != 0 {
 		return fmt.Errorf("oocvec: manifest (n=%d, %d shards) does not fit this vector: %w",
 			man.N, len(man.Shards), ckpt.ErrInvalid)
 	}
 	c := -1
 	v.fresh, v.kept = false, false
-	return ck.StreamShard(man, 0, v.pool[0], func(chunk []complex128) error {
+	return ck.StreamShard(man, 0, kernels.AmpBytes(v.pool[0]), func([]byte) error {
 		c++
-		return v.chunkIO(c, chunk, true)
+		return v.chunkIO(c, v.pool[0], true)
 	})
 }
 
@@ -78,9 +79,9 @@ func (v *Vector) restore(ck *ckpt.Writer, man *ckpt.Manifest) error {
 // pol.Dir and re-executes only the stages past it. It is dist.Run on the one
 // rank of a world that holds the vector, so a file error past the in-place
 // retries restarts it from the newest snapshot, or the created state, up to
-// ckpt.MaxRestarts times (Restarts counts them). Every snapshot file goes
-// through pol.FS. It returns the stage the last attempt resumed from (−1
-// for a fresh start) and the number of snapshots committed.
+// ckpt.MaxRestarts times. Every snapshot file goes through pol.FS. It
+// returns the stage the last attempt resumed from (−1 for a fresh start)
+// and the number of snapshots committed.
 func (v *Vector) RunCheckpointed(plan *schedule.Plan, pol *ckpt.Policy, resume bool) (restoredStage, written int, err error) {
 	v.from = -1
 	if plan.N != v.N || plan.L != v.L {
@@ -88,7 +89,7 @@ func (v *Vector) RunCheckpointed(plan *schedule.Plan, pol *ckpt.Policy, resume b
 	}
 	res, err := dist.Run(plan, dist.Options{Ranks: 1, Init: v.start, Store: v, Checkpoint: pol, Resume: resume, Telemetry: v.tel.t})
 	if res != nil {
-		v.ckptSkipped, v.restarts, written = v.ckptSkipped+res.CheckpointsSkipped, v.restarts+res.Restarts, res.CheckpointsWritten
+		v.ckptSkipped, written = v.ckptSkipped+res.CheckpointsSkipped, res.CheckpointsWritten
 	}
 	return v.from, written, err
 }

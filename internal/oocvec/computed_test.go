@@ -305,11 +305,12 @@ func TestPipelineComputedStartMatchesStream(t *testing.T) {
 			for stage, op := range []int{1 + 3, 1 + chunks + 1} {
 				t.Run(fmt.Sprintf("%s/stage%d-failure", name, stage), func(t *testing.T) {
 					v := fresh(chaos.NewFS(chaos.DiskFaults{NoSpaceAt: op, NoSpaceRun: 1}, nil))
-					if _, _, err := v.RunCheckpointed(plan, &ckpt.Policy{Dir: t.TempDir()}, false); err != nil {
+					res, err := runPaged(t, v, plan)
+					if err != nil {
 						t.Fatal(err)
 					}
-					if v.Restarts() != 1 || v.CheckpointsRestored() != 0 {
-						t.Errorf("%d restarts, %d restored; want 1 and 0", v.Restarts(), v.CheckpointsRestored())
+					if res.Restarts != 1 || res.CheckpointsRestored != 0 {
+						t.Errorf("%d restarts, %d restored; want 1 and 0", res.Restarts, res.CheckpointsRestored)
 					}
 					if !slices.Equal(amplitudes(v), want) {
 						t.Error("the restarted run differs from Plan.Run")

@@ -90,8 +90,6 @@ type Vector struct {
 
 	prefetch    int // chunks read ahead of the compute loop; 0 = no overlap
 	ckptSkipped int // checkpoints skipped on persistent ENOSPC
-	restored    int // attempts that restored a snapshot
-	restarts    int // restarts of failed attempts (ckpt.Policy.Restart)
 	from        int // the stage the last attempt started from a snapshot at, −1 for none
 	// observe is dist's hook on every pass over a chunk (Observe), or nil.
 	observe func([]schedule.Op, time.Time, []time.Duration)
@@ -224,9 +222,6 @@ func (v *Vector) Close() error {
 // because the disk stayed full after pruning: a run goes on without them.
 func (v *Vector) CheckpointsSkipped() int { return v.ckptSkipped }
 
-// Restarts reports how many times RunCheckpointed restarted a failed attempt.
-func (v *Vector) Restarts() int { return v.restarts }
-
 // Chunks returns the number of file chunks, 2^(N−L).
 func (v *Vector) Chunks() int { return 1 << (v.N - v.L) }
 
@@ -328,7 +323,7 @@ func (v *Vector) Load(ck *ckpt.Writer, man *ckpt.Manifest, init statevec.Start, 
 		if err := v.restore(ck, man); err != nil {
 			return err
 		}
-		v.from, v.restored = man.NextStage, v.restored+1
+		v.from = man.NextStage
 	case failed:
 		v.start, v.fresh, v.kept = init, true, false
 	}

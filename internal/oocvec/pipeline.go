@@ -149,7 +149,7 @@ func (v *Vector) pumpStage(st *schedule.Stage[complex128], snap *ckpt.Snapshot) 
 				}
 			}
 			if err == nil {
-				err = snap.Tee(0, b.amps)
+				err = snap.Tee(0, kernels.AmpBytes(b.amps))
 			}
 			if err != nil {
 				readErr = err

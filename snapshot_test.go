@@ -14,6 +14,7 @@ import (
 	"qusim/internal/circuit"
 	"qusim/internal/ckpt"
 	"qusim/internal/dist"
+	"qusim/internal/kernels"
 	"qusim/internal/oocvec"
 	"qusim/internal/schedule"
 	"qusim/internal/statevec"
@@ -197,5 +198,5 @@ func manifests(t *testing.T, dir string) map[int]*ckpt.Manifest {
 
 // readShard reads rank's shard of m in dir into dst, verifying it.
 func readShard(dir string, m *ckpt.Manifest, rank int, dst []complex128) error {
-	return ckpt.NewWriter(&ckpt.Policy{Dir: dir}, m.Meta, nil).StreamShard(m, rank, dst, nil)
+	return ckpt.NewWriter(&ckpt.Policy{Dir: dir}, m.Meta, nil).StreamShard(m, rank, kernels.AmpBytes(dst), nil)
 }
