@@ -107,9 +107,9 @@ type FS struct {
 	inner fsio.FS
 	plan  DiskFaults
 
-	writes atomic.Int64
-	reads  atomic.Int64
-	datas  atomic.Int64 // Write and WriteAt ops, TornWriteAt's count
+	writes     atomic.Int64
+	reads      atomic.Int64
+	dataWrites atomic.Int64 // Write and WriteAt ops, TornWriteAt's count
 
 	noSpace    atomic.Int64
 	tornWrites atomic.Int64
@@ -161,7 +161,7 @@ func (f *FS) writeOp(what string) (err error, torn bool) {
 		f.noSpace.Add(1)
 		return fmt.Errorf("chaos: injected ENOSPC on %s (write op %d): %w", what, op, fsio.ErrNoSpace), false
 	}
-	return nil, strings.HasPrefix(what, "Write") && f.datas.Add(1) == int64(f.plan.TornWriteAt)
+	return nil, strings.HasPrefix(what, "Write") && f.dataWrites.Add(1) == int64(f.plan.TornWriteAt)
 }
 
 // readOp counts one read-family op and returns an injected error.

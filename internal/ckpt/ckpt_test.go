@@ -89,6 +89,26 @@ func TestShardRoundTrip(t *testing.T) {
 	}
 }
 
+// TestManifestWidthIsChecked: a manifest may record complex64's 8 bytes per
+// amplitude or nothing (complex128); any other width makes it invalid.
+func TestManifestWidthIsChecked(t *testing.T) {
+	for _, width := range []int{0, 8, 4, 16} {
+		w, meta := osWriter(t.TempDir()), testMeta(2)
+		meta.AmpBytes = width
+		shards := make([]ShardInfo, meta.Ranks)
+		for r := range shards {
+			shards[r] = ShardInfo{Rank: r, File: shardName(2, r), Amps: 1 << meta.L}
+		}
+		if _, err := w.commit(meta, shards); err != nil {
+			t.Fatal(err)
+		}
+		_, err := w.loadManifest(filepath.Join(w.pol.Dir, manifestName(2)))
+		if valid := width == 0 || width == 8; valid != (err == nil) || err != nil && !errors.Is(err, ErrInvalid) {
+			t.Errorf("width %d: loadManifest = %v", width, err)
+		}
+	}
+}
+
 func TestCommitIsTheCommitPoint(t *testing.T) {
 	// Shards without a manifest are not a checkpoint: FindRestorable must
 	// ignore them.

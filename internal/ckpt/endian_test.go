@@ -16,15 +16,36 @@ import (
 
 // TestViewAndPortableShardsIdentical: a shard written from amplitude memory
 // holds byte for byte the per-element little-endian encoding of its
-// amplitudes, under a trailer that is the CRC32C of everything before it, and
-// reads back to the amplitudes — at lengths around the piece size, where
-// the writer splits its work. (kernels' TestWireViewAndEncodingAgree forces
-// the encoding branch a big-endian host takes.)
+// amplitudes — 8-byte words for complex128, 4-byte ones for complex64, whose
+// Meta records the width — under a trailer that is the CRC32C of everything
+// before it, and reads back to the amplitudes, at lengths around the piece
+// size, where the writer splits its work. (kernels' TestWireViewAndEncodingAgree
+// forces the encoding branch a big-endian host takes, at both word sizes.)
 func TestViewAndPortableShardsIdentical(t *testing.T) {
-	for _, n := range []int{0, 1, 7, pieceAmps - 1, pieceAmps, pieceAmps + 1, 2*pieceAmps + 3} {
+	portableShards(t, 0, func(b []byte, a complex128) []byte {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(real(a)))
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(imag(a)))
+	})
+	t.Run("complex64", func(t *testing.T) {
+		portableShards(t, 8, func(b []byte, a complex64) []byte {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(real(a)))
+			return binary.LittleEndian.AppendUint32(b, math.Float32bits(imag(a)))
+		})
+	})
+}
+
+// portableShards runs TestViewAndPortableShardsIdentical at one precision:
+// ampBytes is Meta.AmpBytes, and put appends an amplitude's encoding.
+func portableShards[T complex64 | complex128](t *testing.T, ampBytes int, put func([]byte, T) []byte) {
+	meta := Meta{PlanHash: "endian", N: 20, L: 20, Ranks: 1, AmpBytes: ampBytes, NextStage: 1}
+	per := pieceBytes / meta.width()
+	for _, n := range []int{0, 1, 7, per - 1, per, per + 1, 2*per + 3} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
-			amps := testAmps(n, n)
-			meta := Meta{PlanHash: "endian", N: 20, L: 20, Ranks: 1, NextStage: 1}
+			amps, want := make([]T, n), []byte(nil)
+			for i, a := range testAmps(n, n) {
+				amps[i] = T(a)
+				want = put(want, amps[i])
+			}
 			dir := t.TempDir()
 			sw, err := osWriter(dir).newShardWriter(meta, 0, n)
 			if err != nil {
@@ -45,11 +66,6 @@ func TestViewAndPortableShardsIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := make([]byte, 0, 16*n)
-			for _, a := range amps {
-				want = binary.LittleEndian.AppendUint64(want, math.Float64bits(real(a)))
-				want = binary.LittleEndian.AppendUint64(want, math.Float64bits(imag(a)))
-			}
 			body, trailer := blob[:len(blob)-4], blob[len(blob)-4:]
 			if !bytes.HasSuffix(body, want) {
 				t.Fatalf("shard payload is not the per-element encoding of its %d amplitudes", n)
@@ -58,7 +74,7 @@ func TestViewAndPortableShardsIdentical(t *testing.T) {
 				t.Fatalf("trailer %08x, CRC32C of the shard before it %08x", got, crcOver(body))
 			}
 
-			got := make([]complex128, n)
+			got := make([]T, n)
 			man := &Manifest{Version: Version, Meta: meta, Shards: []ShardInfo{info}}
 			if err := osWriter(dir).StreamShard(man, 0, kernels.AmpBytes(got), nil); err != nil {
 				t.Fatal(err)

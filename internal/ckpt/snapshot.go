@@ -144,9 +144,9 @@ type Writer struct {
 
 // NewWriter returns the writer of a run of the plan meta identifies (its
 // NextStage is ignored, and an AmpBytes of 16 is written as 0), or nil,
-// which writes nothing, for a nil policy. tel
-// (nil: disabled) receives the run's ckpt.* metrics: shard writes and reads,
-// commits, prune failures, disk-full prunes and dropped boundaries.
+// which writes nothing, for a nil policy. tel (nil: disabled) receives the
+// run's ckpt.* metrics: shard writes and reads, commits, prune failures,
+// disk-full prunes and dropped boundaries.
 func NewWriter(pol *Policy, meta Meta, tel *telemetry.Telemetry) *Writer {
 	if pol == nil {
 		return nil
